@@ -1,28 +1,21 @@
-"""Fault-tolerance gate: supervision overhead and crash recovery on LU.
+"""Fault-tolerance gate: crash recovery on LU.
 
 Run explicitly (bench files are not collected by the default suite)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fault_tolerance.py -q -s
 
-The supervised dispatch path (``REPRO_SUPERVISE``) wraps every
-processes-backend region in the retry loop: fault-plan consultation,
-infra/program failure classification, and the recovery bookkeeping.  On
-a fault-free run all of that must be near-free — the region payloads and
-worker execution are untouched — so the gate pins the supervised
-wall-clock to within **5%** of the legacy fail-fast path on the
-sequential-heavy LU kernel at ``-O2`` (best-of-N on a warm pool).
-
-The crash-recovery row then injects a deterministic worker crash
-(``crash:region=0:worker=0``) and asserts the supervised run recovers to
-**byte-identical** output with the recovery visible in the region stats
-(``retries``/``faults_injected``/``recovery_ms``).
+Every processes-backend region dispatch is supervised: fault-plan
+consultation, infra/program failure classification, and the recovery
+bookkeeping wrap the pool round-trip.  The gate injects a deterministic
+worker crash (``crash:region=0:worker=0``) into LU at ``-O2`` and
+asserts the run recovers to **byte-identical** output with the recovery
+visible in the region stats (``retries``/``faults_injected``/
+``recovery_ms``).
 
 Rows land in ``BENCH_fault_tolerance.json``; ``seconds`` is report-only
-in the baseline gate (CI machines vary), the 5% overhead gate is
-enforced here where both measurements share one machine.
+in the baseline gate (CI machines vary).
 """
 
-import statistics
 import time
 
 import pytest
@@ -33,16 +26,7 @@ from repro.runtime import backends, faults, knobs, run_plan
 KERNEL = "LU"
 BACKEND = "processes"
 WORKERS = 4
-REPETITIONS = 10
-OVERHEAD_GATE = 1.05
 CRASH_SPEC = "crash:region=0:worker=0"
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    patcher = pytest.MonkeyPatch()
-    yield patcher
-    patcher.undo()
 
 
 @pytest.fixture(scope="module")
@@ -55,76 +39,30 @@ def lu_plan(nas_sessions):
 
 
 def _run(session, plan):
-    return run_plan(
+    started = time.perf_counter()
+    result = run_plan(
         session.module, session.pspdg, plan,
         workers=WORKERS, backend=BACKEND,
     )
-
-
-def _measure_interleaved(session, plan, repetitions=REPETITIONS):
-    """Per-rep paired timings, modes alternated run by run.
-
-    Interleaving makes the comparison differential: CPU frequency
-    drift, cache state, and the pool's region-dispatch age hit both
-    modes equally instead of whichever phase ran second.  The overhead
-    estimate is the *median of the paired per-rep ratios* — LU's
-    per-region thread pools make any single run's wall-clock noisy
-    (±7% locally), so a best-of floor comparison across modes is an
-    unstable estimator while the paired median converges quickly.
-    """
-    times = {"unsupervised": [], "supervised": []}
-    last = {"unsupervised": None, "supervised": None}
-    for _ in range(repetitions):
-        for mode, supervise in (("unsupervised", False),
-                                ("supervised", True)):
-            knobs.REPRO_SUPERVISE.value = supervise
-            started = time.perf_counter()
-            last[mode] = _run(session, plan)
-            times[mode].append(time.perf_counter() - started)
-    knobs.REPRO_SUPERVISE.refresh()
-    ratios = sorted(
-        on / off
-        for on, off in zip(times["supervised"], times["unsupervised"])
-    )
-    overhead = statistics.median(ratios)
-    best = {mode: min(series) for mode, series in times.items()}
-    return best, overhead, last
+    return result, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
-def fault_rows(nas_sessions, lu_plan, monkeypatch_module):
+def fault_rows(nas_sessions, lu_plan):
     session = nas_sessions[KERNEL]
     identity = {
         "kernel": KERNEL, "backend": BACKEND, "opt": "-O2",
         "workers": WORKERS,
     }
-    rows = []
-
     knobs.refresh()
     faults.reset()
-    # A mid-measurement pool recycle is a fork-and-rebroadcast spike
-    # attributed to whichever mode drew it; park it out of range.
-    monkeypatch_module.setattr(
-        backends, "POOL_RECYCLE_REGIONS", 1_000_000
-    )
     backends._reset_chunk_pool()
     _run(session, lu_plan)  # warm the chunk pool out of the timings
+    baseline, clean_seconds = _run(session, lu_plan)
+    rows = [dict(identity, mode="fault_free", seconds=clean_seconds)]
 
-    best, overhead, last = _measure_interleaved(session, lu_plan)
-    baseline = last["unsupervised"]
-    rows.append(dict(
-        identity, mode="unsupervised", seconds=best["unsupervised"],
-    ))
-    rows.append(dict(
-        identity, mode="supervised", seconds=best["supervised"],
-        overhead=overhead,
-    ))
-
-    faults.reset()
     knobs.REPRO_FAULTS.value = CRASH_SPEC
-    started = time.perf_counter()
-    recovered = _run(session, lu_plan)
-    crash_seconds = time.perf_counter() - started
+    recovered, crash_seconds = _run(session, lu_plan)
     knobs.refresh()
     faults.reset()
     backends._reset_chunk_pool()
@@ -147,38 +85,18 @@ def test_fault_tolerance_table(fault_rows, bench_json):
     path = bench_json("fault_tolerance", rows)
     print(f"\nwrote {path}")
     header = (
-        f"{'kernel':7} {'mode':16} {'seconds':>9} {'overhead':>9} "
+        f"{'kernel':7} {'mode':16} {'seconds':>9} "
         f"{'rtry':>5} {'flt':>4} {'rec-ms':>8}"
     )
     print(header)
     print("-" * len(header))
     for row in rows:
-        overhead = (f"{row['overhead']:>8.3f}x"
-                    if "overhead" in row else f"{'':9}")
         print(
             f"{row['kernel']:7} {row['mode']:16} {row['seconds']:>9.4f} "
-            f"{overhead} {row.get('retries', ''):>5} "
+            f"{row.get('retries', ''):>5} "
             f"{row.get('faults_injected', ''):>4} "
             f"{row.get('recovery_ms', 0.0):>8.2f}"
         )
-
-
-def test_supervision_overhead_within_gate(fault_rows):
-    """Fault-free supervised dispatch costs at most 5% over legacy."""
-    rows, _baseline, _recovered = fault_rows
-    by_mode = {row["mode"]: row for row in rows}
-    overhead = by_mode["supervised"]["overhead"]
-    print(
-        f"\n{KERNEL} -O2 {BACKEND} W={WORKERS}: unsupervised best "
-        f"{by_mode['unsupervised']['seconds'] * 1000:.1f}ms, supervised "
-        f"best {by_mode['supervised']['seconds'] * 1000:.1f}ms, paired "
-        f"median overhead {overhead:.3f}x"
-    )
-    assert overhead <= OVERHEAD_GATE, (
-        f"supervised dispatch {overhead:.3f}x slower than fail-fast "
-        f"(paired median of {REPETITIONS} reps) — gate is "
-        f"{OVERHEAD_GATE}x"
-    )
 
 
 def test_crash_recovery_is_byte_identical(fault_rows):

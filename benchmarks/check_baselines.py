@@ -19,8 +19,8 @@ their identity fields (kernel, backend, opt level, workers, mode).
 **fails** the gate when the fresh value exceeds baseline x tolerance;
 wall-clock fields (``seconds``) are report-only, since CI machines
 vary far more in speed than in what the codec ships.  Other byte
-fields (``naive_payload_bytes`` measures the seed's encoding,
-``prelude_bytes_saved`` is larger-is-better) are informational only.
+fields (``prelude_bytes_saved`` is larger-is-better) are informational
+only.
 Rows or files present on only one side are reported but never fail
 (benchmarks grow).
 
@@ -33,8 +33,8 @@ import sys
 from pathlib import Path
 
 #: Numeric fields that gate (fresh > baseline * tolerance fails).
-#: Deliberately a whitelist: most ``*_bytes`` stats are measurements of
-#: *other* encodings or larger-is-better savings counters.
+#: Deliberately a whitelist: the other ``*_bytes`` stats are
+#: larger-is-better savings counters or timing-dependent retry traffic.
 GATED_FIELDS = {"payload_bytes"}
 
 #: Numeric fields reported but never gated.

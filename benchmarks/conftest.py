@@ -78,11 +78,3 @@ def bench_json():
 
     return write
 
-
-@pytest.fixture(scope="session")
-def nas_setups(nas_sessions):
-    """The sessions' artifacts as typed :class:`BenchmarkSetup` snapshots."""
-    return {
-        name: session.benchmark_setup()
-        for name, session in nas_sessions.items()
-    }

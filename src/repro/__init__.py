@@ -35,37 +35,14 @@ The same pipeline is scriptable from the shell::
     python -m repro plan examples/histogram.mop
 """
 
-import warnings as _warnings
-
 from repro.core import build_pspdg
 from repro.emulator import run_module, run_source
 from repro.opt import OptLevel, optimize_plan
 from repro.pdg import build_pdg
 from repro.pipeline import Diagnostics, PipelineCache, SessionConfig
-from repro.planner import (
-    fig13_options,
-    fig14_critical_paths,
-    prepare_benchmark,
-)
 from repro.session import Session
 
 __version__ = "1.1.0"
-
-
-def compile_source(source, module_name="miniomp"):
-    """Compile MiniOMP source text to a verified, annotated IR module.
-
-    .. deprecated:: use ``Session.from_source(source).module`` (cached)
-        or :func:`repro.frontend.compile_source` (direct).
-    """
-    _warnings.warn(
-        "repro.compile_source() is deprecated; use "
-        "repro.Session.from_source(...).module or "
-        "repro.frontend.compile_source()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Session.from_source(source, name=module_name).module
 
 
 __all__ = [
@@ -77,11 +54,7 @@ __all__ = [
     "optimize_plan",
     "build_pspdg",
     "build_pdg",
-    "compile_source",
     "run_module",
     "run_source",
-    "prepare_benchmark",
-    "fig13_options",
-    "fig14_critical_paths",
     "__version__",
 ]

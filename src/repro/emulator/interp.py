@@ -33,9 +33,8 @@ class ExecutionResult:
     return_value: object
     steps: int
     profile: object = None  # FunctionProfile when profiling was requested
-    # Per-region stats when the run used a parallel backend: header,
-    # backend, schedule, workers, chunk, seconds, per_worker timings,
-    # and (processes) payloads / payload_bytes / dirty_slots.
+    # One repro.util.regionstats.RegionStats per dispatched region when
+    # the run used a parallel backend, in execution order.
     parallel_regions: list = dataclasses.field(default_factory=list)
     # Sequential-stretch execution modes when region compilation was
     # on: how many function calls ran compiled vs interpreted.

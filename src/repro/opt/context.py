@@ -16,6 +16,11 @@ from repro.analysis.loops import find_natural_loops
 from repro.analysis.subscripts import affine_offset, induction_alloca_map
 from repro.ir.instructions import Load, Store
 from repro.planner.plans import TECH_DOALL
+from repro.planner.recipes import (
+    RecipeAnalyses,
+    parallelization_from_pspdg,
+    storage_object,
+)
 
 
 class OptContext:
@@ -69,16 +74,12 @@ class OptContext:
     @property
     def analyses(self):
         if self._analyses is None:
-            from repro.runtime.executor import _RecipeAnalyses
-
-            self._analyses = _RecipeAnalyses(self.function, self.module)
+            self._analyses = RecipeAnalyses(self.function, self.module)
         return self._analyses
 
     def recipe(self, header_name):
         """The runtime recipe the executor would derive for this loop."""
         if header_name not in self._recipes:
-            from repro.runtime.executor import parallelization_from_pspdg
-
             loop = self.loops_by_header[header_name]
             self._recipes[header_name] = parallelization_from_pspdg(
                 self.pspdg, loop, self.module, self.analyses
@@ -86,9 +87,7 @@ class OptContext:
         return self._recipes[header_name]
 
     def storage_object(self, storage):
-        from repro.runtime.executor import _storage_object
-
-        return _storage_object(self.analyses.alias, storage)
+        return storage_object(self.analyses.alias, storage)
 
     # -- sequential-PDG dependence queries ------------------------------------
 

@@ -1,12 +1,7 @@
 """Session configuration: every pipeline knob in one frozen value object.
 
-Before the :class:`~repro.session.Session` API these settings were
-scattered positional arguments (``function_name`` on
-``prepare_benchmark``, ``machine``/``min_coverage`` on ``fig13_options``,
-per-abstraction planning behavior hardcoded inside
-``fig14_critical_paths``).  The config is hashable and participates in
-the cache key, so two sessions that differ only in configuration never
-share stale artifacts.
+The config is hashable and participates in the cache key, so two
+sessions that differ only in configuration never share stale artifacts.
 """
 
 import dataclasses

@@ -8,6 +8,8 @@ report renders the stage table the CLI's ``report`` subcommand prints.
 
 import dataclasses
 
+from repro.util.regionstats import region_feedback
+
 
 @dataclasses.dataclass(slots=True)
 class StageRecord:
@@ -47,114 +49,16 @@ class Diagnostics:
     def record_parallel(self, region):
         """Record one parallel region execution (from ``Session.run``).
 
-        ``region`` is the runtime's stats dict: header, backend,
-        schedule, workers, chunk, iterations, seconds, a ``per_worker``
-        list of {worker, iterations, steps, seconds}, and — for
-        ``processes`` dispatches — ``payloads``, ``payload_bytes``
-        (bytes shipped to the pool for the region), ``dirty_slots``
-        (write-log marks the workers reported), plus the resident-
-        prelude columns ``prelude_hits`` (payloads served from resident
-        worker state), ``prelude_misses`` (full-state retries), and
-        ``prelude_bytes_saved`` (estimated state bytes the hits
-        avoided shipping).  Under region compilation,
-        ``compiled_chunks``/``interpreted_chunks`` count the chunks that
-        ran through exec-compiled bodies vs the interpreter fallback.
-        Supervised dispatch adds ``retries`` (re-dispatches after
-        infrastructure failures), ``failovers`` (degradation-ladder rung
-        changes), ``faults_injected`` (REPRO_FAULTS scenarios fired),
-        and ``recovery_ms`` (wall-clock spent respawning/backing off).
+        ``region`` is the runtime's published
+        :class:`~repro.util.regionstats.RegionStats` record.
         """
-        self.parallel_regions.append(dict(region))
+        self.parallel_regions.append(region)
 
     def payload_feedback(self):
-        """Measured wire feedback for ``optimize_plan``, per region label.
-
-        Returns ``(payload_bytes, prelude_warm, compiled_speedup,
-        recovery)``: average bytes-on-wire per dispatch, the
-        resident-prelude hit fraction, the measured
-        compiled-over-interpreted step-rate ratio, and the supervision
-        ledger, each aggregated over every recorded execution of its
-        region.  Feed the first three to
-        ``optimize_plan(payload_bytes=..., prelude_warm=...,
-        compiled_speedup=...)`` so the small-region pass prices regions
-        at what their dispatches *actually* cost — cached preludes and
-        real codegen gains included — instead of at the cold-start
-        worst case and the machine model's prior.
-
-        ``compiled_speedup`` only covers regions observed in *both*
-        modes (pure compiled and pure interpreted executions); mixed
-        executions are skipped because their rate is not attributable
-        to either engine.
-
-        ``recovery`` maps each label that ever needed supervision to
-        ``{"retries", "failovers", "faults_injected", "recovery_ms",
-        "replans"}`` totals — labels with an all-zero ledger are
-        omitted, so an empty dict means every dispatch was clean and
-        never triggered an adaptive replan.
-        """
-        totals = {}
-        rates = {}
-        recovery = {}
-        for region in self.parallel_regions:
-            label = region["header"]
-            payloads = region.get("payloads", 0)
-            if payloads:
-                entry = totals.setdefault(
-                    label, {"bytes": 0, "payloads": 0, "hits": 0}
-                )
-                entry["bytes"] += region.get("payload_bytes", 0)
-                entry["payloads"] += payloads
-                entry["hits"] += region.get("prelude_hits", 0)
-            ledger = {
-                "retries": region.get("retries", 0),
-                "failovers": region.get("failovers", 0),
-                "faults_injected": region.get("faults_injected", 0),
-                "recovery_ms": region.get("recovery_ms", 0.0),
-                "replans": region.get("replans", 0),
-            }
-            if any(ledger.values()):
-                entry = recovery.setdefault(label, {
-                    "retries": 0, "failovers": 0,
-                    "faults_injected": 0, "recovery_ms": 0.0,
-                    "replans": 0,
-                })
-                for key, value in ledger.items():
-                    entry[key] += value
-            compiled = region.get("compiled_chunks", 0)
-            interpreted = region.get("interpreted_chunks", 0)
-            if bool(compiled) == bool(interpreted):  # mixed or empty
-                continue
-            steps = sum(
-                worker["steps"] for worker in region.get("per_worker", ())
-            )
-            seconds = region.get("seconds", 0.0)
-            if not steps or seconds <= 0.0:
-                continue
-            mode = "compiled" if compiled else "interpreted"
-            entry = rates.setdefault(
-                label,
-                {"compiled": [0, 0.0], "interpreted": [0, 0.0]},
-            )
-            entry[mode][0] += steps
-            entry[mode][1] += seconds
-        payload_bytes = {
-            label: entry["bytes"] // max(1, entry["payloads"])
-            for label, entry in totals.items()
-        }
-        prelude_warm = {
-            label: entry["hits"] / entry["payloads"]
-            for label, entry in totals.items()
-        }
-        compiled_speedup = {}
-        for label, entry in rates.items():
-            compiled_steps, compiled_seconds = entry["compiled"]
-            interp_steps, interp_seconds = entry["interpreted"]
-            if compiled_steps and interp_steps:
-                compiled_speedup[label] = (
-                    (compiled_steps / compiled_seconds)
-                    / (interp_steps / interp_seconds)
-                )
-        return payload_bytes, prelude_warm, compiled_speedup, recovery
+        """:func:`~repro.util.regionstats.region_feedback` over every
+        recorded region: ``(payload_bytes, prelude_warm,
+        compiled_speedup, recovery)`` per region label."""
+        return region_feedback(self.parallel_regions)
 
     def runs(self, stage):
         """How many times ``stage`` actually executed (0 if never)."""
@@ -218,24 +122,24 @@ class Diagnostics:
         lines.append("-" * len(lines[0]))
         for region in self.parallel_regions:
             steps = "/".join(
-                str(worker["steps"]) for worker in region["per_worker"]
+                str(worker["steps"]) for worker in region.per_worker
             )
             lines.append(
-                f"{region['header']:16} {region['backend']:26} "
-                f"{region['schedule']:8} {region['workers']:>2} "
-                f"{region['iterations']:>6} "
-                f"{region.get('payload_bytes', 0):>8} "
-                f"{region.get('prelude_hits', 0):>4} "
-                f"{region.get('prelude_misses', 0):>5} "
-                f"{region.get('prelude_bytes_saved', 0):>8} "
-                f"{region.get('compiled_chunks', 0):>4} "
-                f"{region.get('interpreted_chunks', 0):>4} "
-                f"{region.get('retries', 0):>4} "
-                f"{region.get('failovers', 0):>3} "
-                f"{region.get('faults_injected', 0):>4} "
-                f"{region.get('recovery_ms', 0.0):>7.1f} "
-                f"{region.get('replans', 0):>3} "
-                f"{region['seconds']:>9.4f}  "
+                f"{region.header:16} {region.backend:26} "
+                f"{region.schedule:8} {region.workers:>2} "
+                f"{region.iterations:>6} "
+                f"{region.payload_bytes:>8} "
+                f"{region.prelude_hits:>4} "
+                f"{region.prelude_misses:>5} "
+                f"{region.prelude_bytes_saved:>8} "
+                f"{region.compiled_chunks:>4} "
+                f"{region.interpreted_chunks:>4} "
+                f"{region.retries:>4} "
+                f"{region.failovers:>3} "
+                f"{region.faults_injected:>4} "
+                f"{region.recovery_ms:>7.1f} "
+                f"{region.replans:>3} "
+                f"{region.seconds:>9.4f}  "
                 f"{steps}"
             )
         return "\n".join(lines)

@@ -22,6 +22,7 @@ from repro.emulator.interp import Interpreter
 from repro.emulator.profile import Profiler
 from repro.frontend import compile_source
 from repro.pdg.builder import build_pdg
+from repro.planner.recipes import recipes_from_plan
 from repro.planner.views import JKView, PDGView, PSPDGView
 
 
@@ -190,8 +191,6 @@ def _optimize_stats(results):
 
 def _build_recipes(session):
     """Region execution recipes per abstraction, from the optimized plans."""
-    from repro.runtime.executor import recipes_from_plan
-
     return {
         name: recipes_from_plan(
             session.module, session.pspdg, result.plan, session.function

@@ -12,14 +12,7 @@ from repro.planner.classify import (
 )
 from repro.planner.calibration import CalibrationStore, ReplanContext
 from repro.planner.critical_path import CriticalPathEvaluator, critical_path
-from repro.planner.experiments import (
-    BenchmarkSetup,
-    fig13_options,
-    fig14_critical_paths,
-    format_fig13_row,
-    format_fig14_row,
-    prepare_benchmark,
-)
+from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.planner.options import (
     OptionReport,
@@ -56,12 +49,8 @@ __all__ = [
     "ReplanContext",
     "CriticalPathEvaluator",
     "critical_path",
-    "BenchmarkSetup",
-    "fig13_options",
-    "fig14_critical_paths",
     "format_fig13_row",
     "format_fig14_row",
-    "prepare_benchmark",
     "DEFAULT_MACHINE",
     "MachineModel",
     "OptionReport",

@@ -43,11 +43,15 @@ right order of magnitude, and the EWMA smooths the rest):
   resident-prelude protocol kept off the wire:
   ``saved / (saved + shipped)``.
 * ``compiled_speedup`` is the measured compiled-over-interpreted step
-  rate from :meth:`Diagnostics.payload_feedback`.
+  rate from :func:`repro.util.regionstats.region_feedback`.
 
-Recovery-inflated regions (non-zero ``retries`` / ``failovers`` /
-``faults_injected``) are excluded wholesale: their timings measure the
-fault injector and the retry ladder, not the machine.
+Recovery-inflated regions (:attr:`RegionStats.recovery_inflated`) are
+excluded wholesale: their timings measure the fault injector and the
+retry ladder, not the machine.
+
+:class:`ReplanContext` is the planner's half of adaptive mid-run
+replanning: divergence detection against the plan's predictions and
+re-pricing of the remaining regions through ``optimize_plan``.
 """
 
 import dataclasses
@@ -56,6 +60,8 @@ import math
 import os
 
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
+from repro.runtime import knobs
+from repro.util.regionstats import region_feedback
 
 #: Version of the profile file's JSON shape.  A mismatched (or
 #: malformed) file is ignored on load — a stale profile must degrade to
@@ -103,17 +109,9 @@ _COEFFICIENT_BOUNDS = {
 #: floor the overhead is attributed entirely to fixed dispatch.
 PAYLOAD_SAMPLE_FLOOR = 1024
 
-#: Per-label region-feedback fields persisted per program key.
+#: Per-label region-feedback fields persisted per program key, in the
+#: order ``region_feedback`` returns them.
 _REGION_FIELDS = ("payload_bytes", "prelude_warm", "compiled_speedup")
-
-
-def _is_recovery_inflated(region):
-    """True when the region's wall time includes retry/failover work."""
-    return bool(
-        region.get("retries")
-        or region.get("failovers")
-        or region.get("faults_injected")
-    )
 
 
 def _usable(sample):
@@ -187,7 +185,7 @@ class CalibrationStore:
     # -- observation -----------------------------------------------------------
 
     def observe_run(self, parallel_regions, program_key=None):
-        """Distill one run's region stats into coefficient samples.
+        """Distill one run's :class:`RegionStats` into coefficient samples.
 
         Returns True when anything was accepted (and ``version`` moved).
         Recovery-inflated regions are dropped before any estimator sees
@@ -195,7 +193,7 @@ class CalibrationStore:
         """
         clean = [
             region for region in parallel_regions
-            if not _is_recovery_inflated(region)
+            if not region.recovery_inflated
         ]
         if not clean:
             return False
@@ -209,8 +207,8 @@ class CalibrationStore:
     def _steps_per_second(self, regions):
         steps = seconds = 0.0
         for region in regions:
-            for worker in region.get("per_worker", ()):
-                if worker.get("steps") and worker.get("seconds", 0.0) > 0:
+            for worker in region.per_worker:
+                if worker["steps"] and worker["seconds"] > 0:
                     steps += worker["steps"]
                     seconds += worker["seconds"]
         return steps / seconds if seconds > 0 else None
@@ -231,34 +229,26 @@ class CalibrationStore:
         wire_bytes = 0
         saved_bytes = shipped_bytes = 0
         for region in regions:
-            seconds = region.get("seconds", 0.0)
-            per_worker = region.get("per_worker", ())
-            compute = max(
-                (worker.get("seconds", 0.0) for worker in per_worker),
-                default=0.0,
-            )
-            overhead = seconds - compute
-            if compute <= 0 or overhead <= 0:
+            overhead = region.dispatch_overhead
+            if region.compute_seconds <= 0 or overhead <= 0:
                 continue  # untimed workers (simulated oracle) or noise
             overhead_steps = overhead * rate
-            payload_bytes = region.get("payload_bytes", 0)
-            if region.get("payloads") and payload_bytes >= PAYLOAD_SAMPLE_FLOOR:
+            payload_bytes = region.payload_bytes
+            if region.payloads and payload_bytes >= PAYLOAD_SAMPLE_FLOOR:
                 # Processes dispatch: half the overhead is attributed to
                 # fixed dispatch, half to putting the bytes on the wire.
                 dispatch_steps.append(overhead_steps / 2.0)
                 wire_steps += overhead_steps / 2.0
                 wire_bytes += payload_bytes
-            elif region.get("payloads"):
+            elif region.payloads:
                 # A warm repeat shipped only a tiny prelude delta: the
                 # overhead is all fixed dispatch, and overhead/bytes
                 # would be a garbage per-byte sample.
                 dispatch_steps.append(overhead_steps)
-            elif "threads" in region.get("backend", "") or (
-                region.get("backend") == "serial"
-            ):
+            elif "threads" in region.backend or region.backend == "serial":
                 dispatch_steps.append(overhead_steps)
-            saved = region.get("prelude_bytes_saved", 0)
-            if region.get("prelude_hits") and saved > 0:
+            saved = region.prelude_bytes_saved
+            if region.prelude_hits and saved > 0:
                 saved_bytes += saved
                 shipped_bytes += payload_bytes
         accepted = False
@@ -281,30 +271,17 @@ class CalibrationStore:
 
     def _observe_feedback(self, regions, program_key):
         """Per-label wire feedback + the global compiled-speedup prior."""
-        from repro.pipeline.diagnostics import Diagnostics
-
-        scratch = Diagnostics()
-        for region in regions:
-            scratch.record_parallel(region)
-        payload_bytes, prelude_warm, compiled_speedup, _ = (
-            scratch.payload_feedback()
-        )
+        *feedback, _recovery = region_feedback(regions)
+        compiled_speedup = feedback[-1]
         accepted = False
         for speedup in compiled_speedup.values():
             accepted |= self._update("compiled_speedup", speedup)
         if program_key is not None:
-            for label, value in payload_bytes.items():
-                accepted |= self._update_region(
-                    program_key, label, "payload_bytes", float(value)
-                )
-            for label, value in prelude_warm.items():
-                accepted |= self._update_region(
-                    program_key, label, "prelude_warm", value
-                )
-            for label, value in compiled_speedup.items():
-                accepted |= self._update_region(
-                    program_key, label, "compiled_speedup", value
-                )
+            for field, by_label in zip(_REGION_FIELDS, feedback):
+                for label, value in by_label.items():
+                    accepted |= self._update_region(
+                        program_key, label, field, float(value)
+                    )
         return accepted
 
     # -- projection ------------------------------------------------------------
@@ -345,9 +322,9 @@ class CalibrationStore:
     def region_feedback(self, program_key):
         """``(payload_bytes, prelude_warm, compiled_speedup)`` label maps.
 
-        The same shape ``diagnostics.payload_feedback()`` produces (sans
-        the recovery ledger), ready for ``optimize_plan``; empty dicts
-        when the program was never observed.
+        The same shape ``region_feedback()`` produces (sans the
+        recovery ledger), ready for ``optimize_plan``; empty dicts when
+        the program was never observed.
         """
         regions = self.programs.get(program_key, {})
         result = tuple(
@@ -482,14 +459,19 @@ class CalibrationStore:
 class ReplanContext:
     """Everything a mid-run replan needs to re-derive cost decisions.
 
-    Built by :meth:`repro.Session.run` for adaptive executions and
-    handed to the :class:`~repro.runtime.executor.ParallelInterpreter`.
+    Built by :meth:`repro.Session.run` for one adaptive execution and
+    handed to the :class:`~repro.runtime.executor.ParallelInterpreter`,
+    which calls :meth:`replan` after every published region.
     ``plan`` is the *pre-optimization* base plan: each replan re-runs
     the full ``optimize_plan`` pipeline at ``level`` against it with
     the freshly calibrated ``machine`` — the PS-PDG legality verdicts
     are re-derived identically, so only cost-model-driven choices can
     move.  ``predicted_bytes`` carries the per-label byte assumptions
     the original plan was priced with (for divergence detection).
+    ``calibrated_upto`` counts the run's regions already fed to the
+    store, so the Session's post-run calibration starts there and no
+    region is ever counted twice; ``settled`` holds the labels whose
+    last replan changed nothing.
     """
 
     function: object
@@ -503,7 +485,107 @@ class ReplanContext:
     store: CalibrationStore = None
     program_key: str = None
     predicted_bytes: dict = dataclasses.field(default_factory=dict)
+    calibrated_upto: int = 0
+    settled: set = dataclasses.field(default_factory=set)
 
     def __post_init__(self):
         if self.store is None:
             self.store = CalibrationStore()
+
+    def replan(self, regions, compile_regions, adopt):
+        """Re-price the remaining dispatches if the last region diverged.
+
+        ``regions`` is the run's published :class:`RegionStats` so far;
+        the last one is the dispatch that just joined.  On divergence
+        the regions not yet observed feed the store, ``optimize_plan``
+        re-derives the plan under the calibrated machine and this run's
+        measured feedback, and ``adopt(plan)`` — the executor's hook —
+        applies what it can to the live regions and returns the list of
+        changes.  Returns the replan event, or ``None`` when nothing
+        diverged or nothing changed (the label is then settled: the
+        calibrated model agreed with the running choices, so later
+        dispatches of it are not re-priced).
+
+        Recovery-inflated regions neither calibrate nor trigger.
+        Legality is untouched — the same pipeline runs on the same
+        PS-PDG, and the executor adopts only ``backend_override`` /
+        ``tile`` of regions with an identical member-header set.
+        """
+        # opt's passes import planner.plans, so the dependency can only
+        # be taken once both packages are loaded.
+        from repro.opt import optimize_plan
+
+        latest = regions[-1]
+        label = latest.header
+        if latest.recovery_inflated or label in self.settled:
+            return None
+        reasons = self.divergence(latest)
+        if not reasons:
+            return None
+        self.store.observe_run(
+            regions[self.calibrated_upto:], program_key=self.program_key
+        )
+        self.calibrated_upto = len(regions)
+        payload_bytes, prelude_warm, compiled_speedup, _ = region_feedback(
+            region for region in regions if not region.recovery_inflated
+        )
+        result = optimize_plan(
+            self.function, self.module, self.pdg, self.pspdg, self.plan,
+            self.level, machine=self.store.calibrated_machine(self.machine),
+            loops=self.loops, payload_bytes=payload_bytes,
+            prelude_warm=prelude_warm, compiled_speedup=compiled_speedup,
+            compile_regions=compile_regions,
+        )
+        changes = adopt(result.plan)
+        if not changes:
+            self.settled.add(label)
+            return None
+        return {
+            "after": label,
+            "reasons": reasons,
+            "changes": changes,
+            "machine": {
+                name: value
+                for name, (value, _samples)
+                in self.store.measured_coefficients().items()
+            },
+        }
+
+    def divergence(self, stats):
+        """Measured-vs-predicted divergence reasons for one region, if any.
+
+        Three detectors, each against its knob:
+
+        * dispatch overhead (wall time minus slowest worker's compute)
+          exceeding ``REPRO_REPLAN_THRESHOLD`` times the compute — the
+          region is mispriced for its backend;
+        * per-worker step imbalance (max/mean over workers with
+          iterations) exceeding ``REPRO_REPLAN_IMBALANCE`` — the
+          schedule's chunking fits the iteration space badly;
+        * measured bytes-per-payload outside ``REPRO_REPLAN_THRESHOLD``
+          of the planner's assumption (``predicted_bytes``) — the
+          serialization bar was computed from stale feedback.
+        """
+        threshold = float(knobs.REPRO_REPLAN_THRESHOLD.value)
+        imbalance_limit = float(knobs.REPRO_REPLAN_IMBALANCE.value)
+        reasons = []
+
+        def diverged(kind, ratio, limit):
+            reasons.append({
+                "kind": kind, "ratio": round(ratio, 3), "threshold": limit,
+            })
+
+        compute = stats.compute_seconds
+        if compute > 0 and stats.seconds > 1e-4:
+            ratio = stats.dispatch_overhead / compute
+            if ratio > threshold:
+                diverged("dispatch-overhead", ratio, threshold)
+        imbalance = stats.step_imbalance
+        if imbalance is not None and imbalance > imbalance_limit:
+            diverged("imbalance", imbalance, imbalance_limit)
+        predicted = self.predicted_bytes.get(stats.header)
+        if stats.payloads and predicted:
+            ratio = stats.payload_bytes / stats.payloads / predicted
+            if ratio > threshold or ratio < 1.0 / threshold:
+                diverged("payload-bytes", ratio, threshold)
+        return reasons

@@ -1,96 +1,9 @@
-"""End-to-end experiment drivers for the paper's evaluation (§6).
+"""Row formatters for the paper's evaluation figures (§6).
 
-.. deprecated::
-    The free functions here (``prepare_benchmark``, ``fig13_options``,
-    ``fig14_critical_paths``) predate :class:`repro.Session`, which owns
-    the pipeline, caches every stage, and exposes the same queries as
-    ``session.options()`` / ``session.critical_paths()`` /
-    ``session.plan()``.  They remain as thin delegating shims so existing
-    callers keep working, but new code should construct a ``Session``.
+The figures themselves are :class:`repro.Session` queries
+(``session.options()`` for Fig. 13, ``session.critical_paths()`` for
+Fig. 14); these helpers order their results the way the figures do.
 """
-
-import dataclasses
-import warnings
-
-from repro.core.model import PSPDG
-from repro.emulator.interp import ExecutionResult
-from repro.emulator.profile import FunctionProfile
-from repro.ir.function import Function, Module
-from repro.pdg.graph import PDG
-
-
-@dataclasses.dataclass(slots=True)
-class BenchmarkSetup:
-    """Everything the experiments need about one workload.
-
-    A typed snapshot of one :class:`repro.Session`'s artifacts; the
-    session itself rides along so the figure shims hit its cache instead
-    of recomputing.
-    """
-
-    name: str
-    session: "Session"  # repro.session.Session (imported lazily: cycle)
-    module: Module
-    function: Function
-    profile: FunctionProfile
-    execution: ExecutionResult
-    pdg: PDG
-    pspdg: PSPDG
-    loops: list
-    views: dict  # abstraction name -> DependenceView
-
-
-def _deprecated(old, new):
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def prepare_benchmark(name, module, function_name="main"):
-    """Profile the workload and build every abstraction's view of it.
-
-    .. deprecated:: use ``Session.from_module(module, name=...)``.
-    """
-    from repro.session import Session
-
-    _deprecated("prepare_benchmark()", "repro.Session.from_module()")
-    session = Session.from_module(
-        module, name=name, function_name=function_name
-    )
-    return session.benchmark_setup()
-
-
-def _session_of(setup):
-    session = getattr(setup, "session", None)
-    if session is None:
-        raise TypeError(
-            "BenchmarkSetup without a session; construct it via "
-            "Session.benchmark_setup() or prepare_benchmark()"
-        )
-    return session
-
-
-def fig13_options(setup, machine=None, min_coverage=0.01):
-    """Fig. 13: parallelization options per abstraction for one benchmark.
-
-    .. deprecated:: use ``session.options(machine, min_coverage)``.
-    """
-    _deprecated("fig13_options()", "Session.options()")
-    return _session_of(setup).options(machine, min_coverage)
-
-
-def fig14_critical_paths(setup):
-    """Fig. 14: critical path per abstraction plus reduction over OpenMP.
-
-    Returns ``{abstraction: {"critical_path": int, "speedup": float}}``
-    including the sequential execution and the OpenMP source plan.
-
-    .. deprecated:: use ``session.critical_paths()``.
-    """
-    _deprecated("fig14_critical_paths()", "Session.critical_paths()")
-    return _session_of(setup).critical_paths()
 
 
 def format_fig13_row(report):

@@ -1,0 +1,497 @@
+"""Plan -> runtime recipes: what each dispatched loop needs to run.
+
+The planner decides *which* loops run as DOALLs; this module derives,
+from the PS-PDG, *how* the runtime must treat each one's variables —
+privatized, firstprivate/lastprivate, reduced, or left shared — and
+packages the optimizer's :class:`~repro.planner.plans.RegionDescriptor`
+entries as the :class:`RegionParallelization` records the executor
+dispatches.  It lives with the planner, not the execution engine: the
+side conditions of a parallelization are re-derived from the graph by
+the code that plans, and the ``repro.opt`` passes ask the same
+questions (:class:`RecipeAnalyses`) when judging fusion and
+sync-elimination legality.
+"""
+
+import dataclasses
+
+from repro.analysis.alias import AliasAnalysis
+from repro.analysis.liveness import live_out_objects
+from repro.analysis.loops import find_natural_loops
+from repro.analysis.memdep import MemoryDependenceAnalysis, collect_accesses
+from repro.analysis.reductions import REDUCIBLE_OPS, _depends_on
+from repro.core.builder import loop_context_label
+from repro.frontend.directives import REDUCTION_OPS
+from repro.ir.instructions import BinaryOp, GetElementPtr, Load, Store
+from repro.ir.values import Argument, Constant, GlobalVariable
+from repro.planner.plans import OVERRIDE_SEQUENTIAL, TECH_DOALL
+
+
+@dataclasses.dataclass
+class LoopParallelization:
+    """Execution recipe for one DOALL loop.
+
+    Attributes:
+        header: loop header block name.
+        privatized: list of storages (Alloca/GlobalVariable) given fresh
+            per-worker copies.
+        firstprivate: storages copied from the shared value per worker.
+        lastprivate: storages whose final-iteration private value is
+            written back at the join.
+        reductions: list of (storage, op-name) merged at the join.
+        chunk: scheduler chunk size (iterations per contiguous chunk).
+    """
+
+    header: str
+    privatized: list = dataclasses.field(default_factory=list)
+    firstprivate: list = dataclasses.field(default_factory=list)
+    lastprivate: list = dataclasses.field(default_factory=list)
+    reductions: list = dataclasses.field(default_factory=list)
+    chunk: int = 1
+
+
+@dataclasses.dataclass
+class RegionParallelization:
+    """One dispatched parallel region: one or more fused member loops.
+
+    The runtime's unit of execution since the ``repro.opt`` pipeline:
+    every worker receives the same iteration chunk for every member and
+    runs the members back-to-back (fusion legality guarantees identical
+    iteration spaces and worker-aligned cross-member dependences).
+
+    Attributes:
+        recipes: member :class:`LoopParallelization` in control-flow
+            order (a single entry for an unfused loop).
+        backend_override: ``"threads"`` reroutes this region off the
+            process pool (small-region serialization); ``None`` runs on
+            the configured backend.  (``"sequential"`` regions are never
+            materialized — the optimizer's descriptor simply drops them
+            from the dispatch set.)
+        removed_sync_uids: annotation uids whose critical/atomic locks
+            are elided for this region (sync elimination).
+        outer_header: loop-interchange nest — the serial outer loop's
+            header.  The takeover triggers there, the *inner* space is
+            partitioned once across workers, and every worker runs its
+            slice in outer-major order as ``(outer, inner)`` pairs.
+        member_shifts: skewed fusion — per-member partition shifts; the
+            member's chunks are the base partition shifted by the
+            negated shift (uniform-distance dependences stay worker-
+            local).  Empty means all zero.
+        tile: minimum iterations per payload (tiling); the runtime caps
+            the effective worker count at ``ceil(trip / tile)`` and
+            pads the rest with empty chunks.
+        speculative: pass name when this region was applied on an
+            inconclusive static test.  Only the simulated oracle may
+            execute such a region — the optimizer's validation pass
+            clears the marker (or reverts the transform) before real
+            backends are allowed.
+    """
+
+    recipes: list
+    backend_override: str = None
+    removed_sync_uids: frozenset = frozenset()
+    outer_header: str = None
+    member_shifts: tuple = ()
+    tile: int = None
+    speculative: str = None
+
+    @property
+    def header(self):
+        """The block whose arrival triggers the takeover."""
+        return self.outer_header or self.recipes[0].header
+
+    @property
+    def headers(self):
+        return tuple(recipe.header for recipe in self.recipes)
+
+    @property
+    def label(self):
+        if self.outer_header:
+            return f"{self.outer_header}/" + "+".join(self.headers)
+        return "+".join(self.headers)
+
+    @property
+    def fused(self):
+        return len(self.recipes) > 1
+
+    def merged_recipe(self):
+        """Union of the members' privatization/reduction sets.
+
+        Reductions dedupe by (storage, op): members sharing a same-op
+        reduction accumulate into one per-worker copy, merged once at
+        the join (commutativity makes the grouping unobservable).
+        """
+        merged = LoopParallelization(header=self.label,
+                                     chunk=self.recipes[0].chunk)
+        seen = {}
+        for recipe in self.recipes:
+            for attr in ("privatized", "firstprivate", "lastprivate"):
+                for storage in getattr(recipe, attr):
+                    bucket = seen.setdefault(attr, set())
+                    if id(storage) not in bucket:
+                        bucket.add(id(storage))
+                        getattr(merged, attr).append(storage)
+            for storage, op in recipe.reductions:
+                bucket = seen.setdefault("reductions", set())
+                if (id(storage), op) not in bucket:
+                    bucket.add((id(storage), op))
+                    merged.reductions.append((storage, op))
+        return merged
+
+
+def as_region(parallelization):
+    """Wrap a bare :class:`LoopParallelization` as a one-member region."""
+    if isinstance(parallelization, RegionParallelization):
+        return parallelization
+    return RegionParallelization(recipes=[parallelization])
+
+
+def parallelization_from_annotation(annotation, function):
+    """Build a :class:`LoopParallelization` from a worksharing annotation."""
+    clauses = annotation.directive.clauses
+    recipe = LoopParallelization(header=annotation.loop_header)
+    for name in clauses.private:
+        recipe.privatized.append(annotation.binding(name))
+    for name in clauses.firstprivate:
+        recipe.firstprivate.append(annotation.binding(name))
+    for name in clauses.lastprivate:
+        recipe.lastprivate.append(annotation.binding(name))
+    for op, name in clauses.reductions:
+        recipe.reductions.append((annotation.binding(name), REDUCTION_OPS[op]))
+    if clauses.schedule and clauses.schedule[1]:
+        recipe.chunk = clauses.schedule[1]
+    return recipe
+
+
+def recipes_from_annotations(function):
+    """The developer's OpenMP plan: one recipe per worksharing annotation."""
+    return [
+        parallelization_from_annotation(annotation, function)
+        for annotation in function.annotations
+        if annotation.directive.declares_loop_independence()
+        and annotation.loop_header is not None
+    ]
+
+
+# -- PS-PDG -> runtime recipe ---------------------------------------------------
+#
+# The PS-PDG says which variables *may* be privatized or reduced in a
+# loop's context; the runtime must decide what each planned loop actually
+# *needs* so that discarding private copies never loses state the
+# sequential program observes.  (The differential conformance suite caught
+# exactly this on IS: eagerly privatizing the threadprivate buffer ``prv``
+# in every planned loop dropped the ranking counts that the sequential
+# prefix-sum loop reads afterwards.)
+
+
+def storage_object(alias, storage):
+    if isinstance(storage, GlobalVariable):
+        return alias.object_for_global(storage)
+    if isinstance(storage, Argument):
+        return alias.object_for_argument(storage)
+    return alias.object_for_alloca(storage)
+
+
+def _same_pointer(a, b):
+    """Symbolically the same address within one iteration.
+
+    Loads and stores of ``p[k] = p[k] op e`` go through *distinct* GEP
+    instructions; they denote the same slot when their base and index
+    chains are the same SSA values (or equal constants).
+    """
+    if a is b:
+        return True
+    if isinstance(a, GetElementPtr) and isinstance(b, GetElementPtr):
+        return _same_pointer(a.pointer, b.pointer) and _same_index(
+            a.index, b.index
+        )
+    return False
+
+
+def _same_index(a, b):
+    """Same index value: one SSA value, equal constants, or re-loads of
+    one address with no store in between (lowering re-evaluates ``k`` for
+    each subscript of ``p[k] = p[k] op e``)."""
+    if a is b:
+        return True
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        return a.value == b.value
+    if (
+        isinstance(a, Load)
+        and isinstance(b, Load)
+        and a.parent is b.parent
+        and _same_pointer(a.pointer, b.pointer)
+    ):
+        span = []
+        seen_first = False
+        for inst in a.parent.instructions:
+            if inst is a or inst is b:
+                if seen_first:
+                    break
+                seen_first = True
+            elif seen_first:
+                span.append(inst)
+        return not any(
+            isinstance(inst, Store) and _same_pointer(inst.pointer, a.pointer)
+            for inst in span
+        )
+    return False
+
+
+def _update_reduction_op(in_loop_accesses):
+    """The single reducible op updating this object, or None.
+
+    Matches ``p[idx] = p[idx] op expr`` (any operand order, same slot,
+    same block) for *every* access to the object inside the loop — the
+    array generalization of scalar-reduction recognition.  Such updates
+    commute across iterations, so per-worker identity-seeded copies
+    merged at the join preserve the sequential result.
+    """
+    loads = {
+        a.instruction
+        for a in in_loop_accesses
+        if isinstance(a.instruction, Load)
+    }
+    stores = [
+        a.instruction
+        for a in in_loop_accesses
+        if isinstance(a.instruction, Store)
+    ]
+    if not stores or len(loads) + len(stores) != len(in_loop_accesses):
+        return None  # a call (or unknown access) touches the object
+    ops = set()
+    matched = set()
+    for store in stores:
+        update = store.value
+        if not isinstance(update, BinaryOp) or update.op not in REDUCIBLE_OPS:
+            return None
+        if isinstance(update.lhs, Load) and _same_pointer(
+            update.lhs.pointer, store.pointer
+        ):
+            load, other = update.lhs, update.rhs
+        elif isinstance(update.rhs, Load) and _same_pointer(
+            update.rhs.pointer, store.pointer
+        ):
+            load, other = update.rhs, update.lhs
+        else:
+            return None
+        if load not in loads or load.parent is not store.parent:
+            return None
+        if _depends_on(other, load):
+            return None
+        ops.add(update.op)
+        matched.add(load)
+    if matched != loads or len(ops) != 1:
+        return None
+    return next(iter(ops))
+
+
+class RecipeAnalyses:
+    """Per-function analysis state shared by recipe derivations."""
+
+    def __init__(self, function, module):
+        self.function = function
+        self.module = module
+        self.alias = AliasAnalysis(module)
+        self.accesses = collect_accesses(function, self.alias)
+        self._by_object = {}
+        for access in self.accesses:
+            self._by_object.setdefault(access.obj, []).append(access)
+        self._memdep = None
+
+    def accesses_for(self, storage, loop):
+        obj = storage_object(self.alias, storage)
+        return [
+            access
+            for access in self._by_object.get(obj, [])
+            if access.instruction.parent in loop.blocks
+        ]
+
+    def live_out(self, loop):
+        return set(
+            live_out_objects(
+                self.function, self.module, loop, self.alias, self.accesses
+            )
+        )
+
+    def carried_at(self, storage, loop):
+        """Does ``loop`` carry a memory dependence on this storage?"""
+        if self._memdep is None:
+            self._memdep = MemoryDependenceAnalysis(
+                self.function, self.module, self.alias
+            ).run()
+        obj = storage_object(self.alias, storage)
+        # memdep discovered its own Loop instances: match by header name.
+        header = loop.header.name
+        return any(
+            edge.obj == obj
+            and any(
+                carried.header.name == header
+                for carried in edge.carried_loops
+            )
+            for edge in self._memdep
+        )
+
+
+def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
+    """Build an execution recipe from the PS-PDG's variables for a loop.
+
+    For each variable the PS-PDG places in the loop's context chain:
+
+    * context-reducible variables are merged as reductions;
+    * variables not live-out of the loop get discardable private copies;
+    * live-out variables whose only in-loop accesses are commutative
+      ``x = x op e`` updates are reduced (identity-seeded, join-merged);
+    * live-out variables with no loop-carried dependence stay shared —
+      their per-iteration writes are disjoint, so shared storage
+      reproduces the sequential state exactly;
+    * remaining live-out variables (per-iteration scratch with a carried
+      WAW/WAR) are privatized with firstprivate seeding and lastprivate
+      write-back: the final iteration's state is the sequential one.
+
+    In every case a plan the planner should not have chosen stays
+    detectable: the ``simulated`` oracle exposes residual races as
+    cross-seed nondeterminism.
+    """
+    if analyses is None:
+        analyses = RecipeAnalyses(loop.header.parent, module)
+    label = loop_context_label(loop.header.name)
+    chain = set(pspdg.context_chain(label))
+    # Worksharing annotations on this loop contribute their uid contexts.
+    for annotation in pspdg.function.annotations:
+        if annotation.loop_header == loop.header.name:
+            chain.add(annotation.uid)
+
+    recipe = LoopParallelization(header=loop.header.name)
+    live_out = None
+    seen = set()
+    for variable in pspdg.variables:
+        if variable.context not in chain:
+            continue
+        if id(variable.storage) in seen:
+            continue
+        seen.add(id(variable.storage))
+        if isinstance(variable.storage, Argument):
+            # The runtime cannot privatize argument-aliased storage
+            # (no allocated_type, and frame.args pointers would keep
+            # aiming at the shared object): leave it shared; the
+            # simulated oracle exposes plans that needed more.
+            continue
+        if variable.is_reducible():
+            recipe.reductions.append(
+                (variable.storage, REDUCTION_OPS.get(
+                    variable.reducer_op, variable.reducer_op
+                ))
+            )
+            continue
+        in_loop = analyses.accesses_for(variable.storage, loop)
+        if not any(access.is_write for access in in_loop):
+            continue  # read-only here: keep it shared
+        if live_out is None:
+            live_out = analyses.live_out(loop)
+        obj = storage_object(analyses.alias, variable.storage)
+        if obj not in live_out:
+            recipe.privatized.append(variable.storage)
+            continue
+        op = _update_reduction_op(in_loop)
+        if op is not None:
+            # Identity-seeded per-worker copies merged at the join are
+            # correct whether or not iterations actually collide, so
+            # this outranks the (sequential, symbol-level) carried test —
+            # which calls ``p[k] op= e`` with an indirect ``k`` distance-0.
+            recipe.reductions.append((variable.storage, op))
+            continue
+        if not analyses.carried_at(variable.storage, loop):
+            # Iteration-disjoint accesses (e.g. ``p[i] = 0``): shared
+            # storage reproduces the sequential state exactly.
+            continue
+        recipe.firstprivate.append(variable.storage)
+        recipe.lastprivate.append(variable.storage)
+    return recipe
+
+
+def _default_doall_headers(plan, loops):
+    """Executable DOALL headers when the plan carries no region info."""
+    def inside_planned_parent(loop):
+        parent = loop.parent
+        while parent is not None:
+            parent_plan = plan.plan_for(parent.header.name)
+            if (
+                parent_plan is not None
+                and parent_plan.technique == TECH_DOALL
+                and parent.canonical is not None
+            ):
+                return True
+            parent = parent.parent
+        return False
+
+    headers = []
+    for header, loop_plan in sorted(plan.loop_plans.items()):
+        if loop_plan.technique != TECH_DOALL:
+            continue
+        loop = loops.get(header)
+        if loop is None or loop.canonical is None:
+            continue
+        if inside_planned_parent(loop):
+            continue
+        headers.append(header)
+    return headers
+
+
+def recipes_from_plan(module, pspdg, plan, function):
+    """Execution regions for every dispatched loop of ``plan``.
+
+    When the plan carries optimizer-produced :class:`RegionDescriptor`
+    entries, they are authoritative: fused regions become multi-member
+    :class:`RegionParallelization` recipes, ``"sequential"``-overridden
+    regions are dropped (the base interpreter runs those loops), and
+    removed-sync/backend-override markers are carried through to the
+    dispatch.  A plan without regions gets the historical one region per
+    canonical-form DOALL loop (HELIX/DSWP stay analytical-only; loops
+    nested inside another planned DOALL are executed by the outer
+    takeover).
+    """
+    loops = {
+        loop.header.name: loop for loop in find_natural_loops(function)
+    }
+    analyses = RecipeAnalyses(function, module)
+
+    def recipe_for(header):
+        return parallelization_from_pspdg(
+            pspdg, loops[header], module, analyses
+        )
+
+    if plan.regions:
+        regions = []
+        for descriptor in plan.regions:
+            if descriptor.backend_override == OVERRIDE_SEQUENTIAL:
+                continue
+            if not all(
+                header in loops and loops[header].canonical is not None
+                for header in descriptor.headers
+            ):
+                continue
+            outer = descriptor.outer_header
+            if outer is not None and (
+                outer not in loops or loops[outer].canonical is None
+            ):
+                # Nest descriptor against a function where the outer
+                # loop is gone/non-canonical: fall back to dispatching
+                # the inner loop per outer iteration (the -O0 shape).
+                outer = None
+            regions.append(
+                RegionParallelization(
+                    recipes=[recipe_for(h) for h in descriptor.headers],
+                    backend_override=descriptor.backend_override,
+                    removed_sync_uids=descriptor.removed_sync_uids,
+                    outer_header=outer,
+                    member_shifts=tuple(descriptor.member_shifts or ()),
+                    tile=descriptor.tile,
+                    speculative=descriptor.speculative,
+                )
+            )
+        return regions
+
+    return [
+        RegionParallelization(recipes=[recipe_for(header)])
+        for header in _default_doall_headers(plan, loops)
+    ]

@@ -25,13 +25,15 @@ from repro.runtime.payload import (
     encode_region,
     module_codec,
 )
-from repro.runtime.executor import (
+from repro.planner.recipes import (
     LoopParallelization,
-    ParallelInterpreter,
     RegionParallelization,
     parallelization_from_annotation,
     parallelization_from_pspdg,
     recipes_from_plan,
+)
+from repro.runtime.executor import (
+    ParallelInterpreter,
     run_parallel,
     run_plan,
     run_source_plan,

@@ -2,13 +2,17 @@
 
 The :class:`~repro.runtime.executor.ParallelInterpreter` runs a program
 sequentially until it reaches a planned loop, builds one privatized
-frame per worker, and then hands the region to a backend:
+frame per worker, and then hands the :class:`ParallelRegion` to a
+backend's ``run_region`` — all three have that one shape, and each
+owns its whole execution strategy:
 
-* ``simulated`` — the seeded virtual-thread interleaver.  One Python
-  interpreter steps every worker instruction-by-instruction in a
-  seed-chosen order, so data races introduced by a *wrong* plan show up
-  as real nondeterminism across seeds.  This is the race-detection
-  oracle of the conformance suite, not a performance backend.
+* ``simulated`` — the seeded virtual-thread interleaver
+  (:class:`_Stepper`).  One Python interpreter steps every worker
+  instruction-by-instruction in a seed-chosen order, with cooperative
+  locks for critical/atomic regions, so data races introduced by a
+  *wrong* plan show up as real nondeterminism across seeds.  This is
+  the race-detection oracle of the conformance suite, not a
+  performance backend.
 * ``threads`` — one OS thread per worker
   (:class:`concurrent.futures.ThreadPoolExecutor`).  Workers share the
   interpreter's storage exactly like the simulated machine; critical
@@ -34,7 +38,10 @@ frame per worker, and then hands the region to a backend:
   deterministic.  Loops whose bodies contain ``critical``/``atomic``
   regions need shared memory and fall back to the ``threads`` backend
   (whose worker shims feed the parent's write log, keeping the
-  resident deltas exact).
+  resident deltas exact).  Dispatch is supervised — infrastructure
+  failures retry the region — and this is the only backend with a
+  degradation ladder (processes -> threads -> serial, with
+  snapshot/restore around each failed lower rung).
 
 All backends consume the same :class:`ChunkScheduler` partition, so a
 given ``(schedule, chunk, workers)`` triple executes the same
@@ -45,6 +52,7 @@ import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
+import random
 import threading
 import time
 
@@ -55,6 +63,7 @@ from repro.emulator.interp import Interpreter, record_write
 from repro.ir.instructions import Terminator
 from repro.runtime import faults, knobs
 from repro.util.errors import EmulationError, PlanError, RegionDispatchError
+from repro.util.regionstats import RegionStats
 
 #: Seconds a worker may wait on one critical-section lock before the
 #: threads backend declares the region deadlocked.
@@ -88,25 +97,9 @@ class ParallelRegion:
     region: object  # RegionParallelization (recipes + opt markers)
     frame: object  # the enclosing (sequential) _Frame
     workers: list  # _Worker instances, one per configured worker
-    backend_used: str = None  # filled by the backend (fallbacks differ)
-    payloads: int = 0  # process-pool payloads dispatched (processes only)
-    payload_bytes: int = 0  # bytes shipped to the pool for this region
-    dirty_slots: int = 0  # (object, slot) write marks reported by workers
-    naive_payload_bytes: int = 0  # legacy-codec bytes (bench mode only)
-    prelude_hits: int = 0  # payloads served from resident worker state
-    prelude_misses: int = 0  # payloads retried with the full state attached
-    prelude_bytes_saved: int = 0  # estimated state bytes the hits avoided
-    retry_payload_bytes: int = 0  # bytes of miss-retry round-trips (timing-
-    # dependent: how often pool scheduling let a worker fall behind)
-    compiled_chunks: int = 0  # chunks run through exec-compiled bodies
-    interpreted_chunks: int = 0  # chunks run through the dispatch loop
-    codegen_compiles: int = 0  # fresh lowerings this region caused
-    codegen_source_hits: int = 0  # entries rebuilt from cached source
-    codegen_fallbacks: int = 0  # lowering refusals/failures
-    retries: int = 0  # supervised re-dispatches after infra failures
-    failovers: int = 0  # degradation-ladder rung changes this region took
-    faults_injected: int = 0  # REPRO_FAULTS scenarios fired on this region
-    recovery_ms: float = 0.0  # wall-clock spent respawning/backing off
+    outer: object  # interchanged nest's outer loop, or None
+    critical: dict  # block name -> (lock key, block set), elided syncs out
+    stats: RegionStats  # the counter block backends increment
 
 
 class ExecutionBackend:
@@ -250,6 +243,13 @@ class _ThreadLocks:
             self._locks[key].release()
 
 
+def _count_codegen(stats, before, after):
+    """Charge a ``codegen_cache.stats()`` delta to the region's counters."""
+    stats.codegen_compiles += after["compiles"] - before["compiles"]
+    stats.codegen_source_hits += after["source_hits"] - before["source_hits"]
+    stats.codegen_fallbacks += after["fallbacks"] - before["fallbacks"]
+
+
 # -- the three backends ---------------------------------------------------------
 
 
@@ -259,8 +259,152 @@ class SimulatedBackend(ExecutionBackend):
     name = "simulated"
 
     def run_region(self, interp, region):
-        region.backend_used = self.name
-        interp._run_workers(region.workers, region.frame)
+        region.stats.backend = self.name
+        _Stepper(interp, region).run()
+
+
+class _Stepper:
+    """One region's seeded interleaving: the oracle's operational semantics.
+
+    Steps every worker one IR instruction at a time on the dispatching
+    interpreter, choosing the next worker with a ``Random(interp.seed)``
+    draw among those not blocked on a critical/atomic lock.  The locks
+    are cooperative (a key -> holder-index table), so a plan whose
+    locks were wrongly elided interleaves for real and a lock cycle is
+    reported as a deadlock instead of hanging.
+    """
+
+    def __init__(self, interp, region):
+        self.interp = interp
+        self.workers = region.workers
+        self.critical = region.critical
+        self.locks = {}  # lock key -> worker index or None
+
+    def run(self):
+        rng = random.Random(self.interp.seed)
+        workers = self.workers
+        for worker in [w for w in workers if not w.done]:
+            self._start_next_iteration(worker)
+        while True:
+            candidates = [
+                w
+                for w in workers
+                if not w.done and self._can_run(w)
+            ]
+            if not candidates:
+                if any(not w.done for w in workers):
+                    raise EmulationError(
+                        "parallel deadlock: all remaining workers blocked"
+                    )
+                return
+            worker = rng.choice(candidates)
+            self._step_worker(worker)
+
+    def _can_run(self, worker):
+        if worker.waiting_for is None:
+            return True
+        holder = self.locks.get(worker.waiting_for)
+        return holder is None or holder == worker.index
+
+    def _start_next_iteration(self, worker):
+        # Advance to the next member segment with work left (no barrier:
+        # this worker moves on while siblings may still be in earlier
+        # members — fusion legality keeps cross-member flow per-worker).
+        while (
+            worker.segment < len(worker.segments)
+            and worker.cursor >= len(worker.segment_iterations(worker.segment))
+        ):
+            worker.segment += 1
+            worker.cursor = 0
+        if worker.segment >= len(worker.segments):
+            worker.done = True
+            self._release_all(worker)
+            return
+        loop = worker.current_loop
+        value = worker.segment_iterations(worker.segment)[worker.cursor]
+        worker.cursor += 1
+        if worker.nest is not None and isinstance(value, tuple):
+            # Interchanged nest: the value is an (outer, inner) pair;
+            # both inductions were privatized with the worker's frame.
+            outer_value, value = value
+            outer_induction = worker.nest.canonical.induction
+            worker.frame.objects[outer_induction][0] = outer_value
+        induction = loop.canonical.induction
+        worker.frame.objects[induction] = worker.frame.objects.get(
+            induction, [0]
+        )
+        worker.frame.objects[induction][0] = value
+        worker.block = loop.header.parent.block(loop.canonical.body)
+        worker.position = 0
+
+    def _step_worker(self, worker):
+        interp = self.interp
+        loop = worker.current_loop
+        # Honor pending lock acquisition.
+        if worker.waiting_for is not None:
+            lock = worker.waiting_for
+            holder = self.locks.get(lock)
+            if holder is None:
+                self.locks[lock] = worker.index
+                worker.held.add(lock)
+                worker.waiting_for = None
+            elif holder != worker.index:
+                return
+            else:
+                worker.waiting_for = None
+
+        block = worker.block
+        if worker.position >= len(block.instructions):
+            raise EmulationError(f"worker fell off block {block.name}")
+        inst = block.instructions[worker.position]
+        interp.steps += 1
+        worker.steps += 1
+        if interp.steps > interp.max_steps:
+            raise EmulationError("parallel execution exceeded max_steps")
+
+        if isinstance(inst, Terminator):
+            if inst.opcode == "return":
+                raise EmulationError(
+                    "return inside a parallelized loop body"
+                )
+            next_block = interp._branch_target(inst, worker.frame)
+            if next_block is loop.header:
+                # Iteration finished (came around from the latch).
+                self._release_all(worker)
+                self._start_next_iteration(worker)
+                return
+            self._update_locks(worker, block, next_block)
+            worker.block = next_block
+            worker.position = 0
+            return
+
+        interp._execute(inst, worker.frame)
+        worker.position += 1
+
+    def _update_locks(self, worker, from_block, to_block):
+        from_region = self.critical.get(from_block.name)
+        to_region = self.critical.get(to_block.name)
+        if from_region and (
+            to_region is None or to_region[0] != from_region[0]
+        ):
+            self._release(worker, from_region[0])
+        if to_region and to_region[0] not in worker.held:
+            holder = self.locks.get(to_region[0])
+            if holder is None:
+                self.locks[to_region[0]] = worker.index
+                worker.held.add(to_region[0])
+            else:
+                worker.waiting_for = to_region[0]
+
+    def _release(self, worker, lock):
+        if lock in worker.held:
+            worker.held.discard(lock)
+            if self.locks.get(lock) == worker.index:
+                self.locks[lock] = None
+
+    def _release_all(self, worker):
+        for lock in list(worker.held):
+            self._release(worker, lock)
 
 
 class ThreadsBackend(ExecutionBackend):
@@ -269,16 +413,15 @@ class ThreadsBackend(ExecutionBackend):
     name = "threads"
 
     def run_region(self, interp, region):
-        region.backend_used = self.name
-        # The interpreter computed the critical-region map for this
-        # function just before dispatching the region.
-        locks = _ThreadLocks(interp._critical_regions)
+        stats = region.stats
+        stats.backend = self.name
+        locks = _ThreadLocks(region.critical)
         active = [w for w in region.workers if w.iterations]
         if not active:
             return
-        outer_loop = interp._region_outer_loop(region.region, region.frame)
+        outer_loop = region.outer
 
-        compile_on = bool(getattr(interp, "compile_regions", False))
+        compile_on = interp.compile_regions
         verify = compile_on and bool(knobs.VERIFY_COMPILED)
         logged = verify or interp.write_log is not None
         entries = {}
@@ -289,7 +432,7 @@ class ThreadsBackend(ExecutionBackend):
             before = codegen_cache.stats()
             for loop in region.loops:
                 if any(
-                    block.name in interp._critical_regions
+                    block.name in region.critical
                     for block in loop.blocks
                 ):
                     entries[loop] = None
@@ -298,14 +441,7 @@ class ThreadsBackend(ExecutionBackend):
                         interp.module, loop, logged=logged,
                         outer=outer_loop,
                     )
-            after = codegen_cache.stats()
-            region.codegen_compiles += after["compiles"] - before["compiles"]
-            region.codegen_source_hits += (
-                after["source_hits"] - before["source_hits"]
-            )
-            region.codegen_fallbacks += (
-                after["fallbacks"] - before["fallbacks"]
-            )
+            _count_codegen(stats, before, codegen_cache.stats())
 
         def job(worker):
             start = time.perf_counter()
@@ -342,8 +478,8 @@ class ThreadsBackend(ExecutionBackend):
             worker.steps = shim.steps
             interp.steps += shim.steps
             interp.output.extend(shim.output)
-            region.compiled_chunks += compiled
-            region.interpreted_chunks += interpreted
+            stats.compiled_chunks += compiled
+            stats.interpreted_chunks += interpreted
 
     def _run_jobs(self, active, job):
         """Run ``job`` per worker concurrently; results in worker order."""
@@ -548,7 +684,9 @@ def _pool_chunk_entry(wire, fault=None):
             snapshot = payload_codec.snapshot_shared(index)
         compile_on = payload.get("compile_regions")
         verify = compile_on and payload.get("verify_compiled")
-        compiled_chunks = interpreted_chunks = 0
+        # This chunk's share of the region's counters, shipped home as
+        # the same record the parent accumulates into.
+        stats = RegionStats()
         codegen_before = codegen_cache.stats()
         try:
             start = time.perf_counter()
@@ -569,9 +707,9 @@ def _pool_chunk_entry(wire, fault=None):
                         _NullLocks(), verify=verify, outer=nest,
                     )
                     if mode == "compiled":
-                        compiled_chunks += 1
+                        stats.compiled_chunks += 1
                     else:
-                        interpreted_chunks += 1
+                        stats.interpreted_chunks += 1
             seconds = time.perf_counter() - start
 
             diffs = payload_codec.diff_write_log(log, index)
@@ -584,25 +722,13 @@ def _pool_chunk_entry(wire, fault=None):
                     }
             global_diffs, alloca_diffs, arg_diffs = diffs
 
-            codegen_after = codegen_cache.stats()
+            stats.dirty_slots = len(log)
+            _count_codegen(stats, codegen_before, codegen_cache.stats())
             return {
                 "steps": shim.steps,
                 "output": shim.output,
                 "seconds": seconds,
-                "dirty_slots": len(log),
-                "compiled_chunks": compiled_chunks,
-                "interpreted_chunks": interpreted_chunks,
-                "codegen_compiles": (
-                    codegen_after["compiles"] - codegen_before["compiles"]
-                ),
-                "codegen_source_hits": (
-                    codegen_after["source_hits"]
-                    - codegen_before["source_hits"]
-                ),
-                "codegen_fallbacks": (
-                    codegen_after["fallbacks"]
-                    - codegen_before["fallbacks"]
-                ),
+                "stats": stats,
                 # Source lowered child-side travels to the parent, whose
                 # cache forked children of the *next* epoch inherit.
                 "codegen_sources": codegen_cache.drain_new_sources(),
@@ -648,77 +774,160 @@ class _InfraFailure(Exception):
 class ProcessesBackend(ExecutionBackend):
     """One OS process per worker; serialized frames; diff-merged state.
 
-    Dispatch is *supervised* (unless ``REPRO_SUPERVISE`` is off):
-    infrastructure failures — worker death, hangs, poisoned payloads —
-    kill and respawn the pool, invalidate the resident prelude and
-    module-broadcast epoch, and re-dispatch the whole region with the
-    full state attached, up to a per-region retry budget with bounded
-    exponential backoff.  The deferred-apply collection makes this
-    exactly-once: no shared-memory effect lands until every worker of
-    the region reported, so a failed attempt leaves the parent state
-    byte-identical to the pre-dispatch image.
+    Dispatch is *supervised*: infrastructure failures — worker death,
+    hangs, poisoned payloads — kill and respawn the pool, invalidate
+    the resident prelude and module-broadcast epoch, and re-dispatch
+    the whole region with the full state attached, up to a per-region
+    retry budget with bounded exponential backoff.  The deferred-apply
+    collection makes this exactly-once: no shared-memory effect lands
+    until every worker of the region reported, so a failed attempt
+    leaves the parent state byte-identical to the pre-dispatch image.
+
+    A region whose retry budget is exhausted
+    (:class:`RegionDispatchError`) descends the *degradation ladder*
+    (``REPRO_FAILOVER``): the threads backend, then serial
+    interpretation — each rung re-running the *whole* region against
+    the intact pre-dispatch state (lower rungs mutate parent storage
+    live, so they snapshot/restore around a failed attempt).  The
+    Session quarantine remembers the rung that worked, keyed by program
+    content hash + region label, so warm re-runs skip the doomed path.
+    Plain :class:`EmulationError` from the processes rung is a
+    *program* error and propagates untouched.
     """
 
     name = "processes"
 
     def run_region(self, interp, region):
+        stats = region.stats
         # Critical/atomic regions need shared memory: delegate the whole
         # region to the threads backend (real locks) and record that.
         # (Regions whose locks the sync-elimination pass removed no
         # longer appear in the critical map, so they stay here.)
-        critical_blocks = interp._critical_regions
         if any(
-            block.name in critical_blocks
+            block.name in region.critical
             for loop in region.loops
             for block in loop.blocks
         ):
             ThreadsBackend().run_region(interp, region)
-            region.backend_used = f"{self.name}->threads(critical)"
+            stats.backend = f"{self.name}->threads(critical)"
             return
-        region.backend_used = self.name
+        stats.backend = self.name
+        failover = (
+            interp.failover if interp.failover is not None
+            else bool(knobs.REPRO_FAILOVER)
+        )
+        if not failover:
+            self._run_supervised(interp, region)
+            return
+        quarantine = interp.quarantine
+        key = (payload_codec.module_codec(interp.module).key, stats.header)
+        rung = quarantine.rung_for(key) if quarantine is not None else None
+        suffix = "quarantine" if rung is not None else "failover"
+        chain = []
+        if rung is None:
+            try:
+                self._run_supervised(interp, region)
+                return
+            except RegionDispatchError as exc:
+                chain.append(str(exc))
+                stats.failovers += 1
+        for backend in (ThreadsBackend(), SerialBackend()):
+            if rung == "serial" and backend.name != "serial":
+                continue
+            snapshot = self._snapshot(interp, region)
+            try:
+                backend.run_region(interp, region)
+            except EmulationError as exc:
+                chain.append(str(exc))
+                self._restore(interp, region, snapshot)
+                if backend.name == "serial":
+                    raise EmulationError(
+                        f"region {stats.header} failed on every rung of "
+                        "the degradation ladder: " + " | ".join(chain)
+                    ) from exc
+                stats.failovers += 1
+                continue
+            stats.backend = f"{self.name}->{backend.name}({suffix})"
+            if quarantine is not None:
+                quarantine.demote(key, backend.name)
+            return
 
+    def _snapshot(self, interp, region):
+        """Capture everything a lower ladder rung may tear on failure.
+
+        The threads/serial rungs execute through shims that share the
+        parent's storage, so a mid-region failure leaves partial writes
+        behind; this captures every shared storage list (the same walk
+        the payload codec uses to enumerate them) plus the region's
+        chunk counters.  ``interp.output``/``steps`` need no capture:
+        both backends collect results only after every worker finished.
+        """
+        storages = payload_codec._walk_storages(
+            region.frame, interp._global_storage
+        )
+        return (
+            [(storage, list(storage)) for storage in storages],
+            region.stats.compiled_chunks,
+            region.stats.interpreted_chunks,
+        )
+
+    def _restore(self, interp, region, snapshot):
+        """Roll shared state back to ``snapshot`` and rebuild the workers.
+
+        The write log keeps its marks for the restored slots — shipping
+        an unchanged slot in the next dirty delta is wasteful but
+        correct, while unmarking a restored slot could hide a genuine
+        pre-region write.
+        """
+        storages, compiled, interpreted = snapshot
+        for storage, values in storages:
+            if interp.write_log is not None:
+                for slot in range(len(values)):
+                    record_write(interp.write_log, storage, slot)
+            storage[:] = values
+        region.stats.compiled_chunks = compiled
+        region.stats.interpreted_chunks = interpreted
+        interp.make_worker_frames(region)
+
+    def _run_supervised(self, interp, region):
+        """The processes rung: dispatch with retries, then apply."""
+        stats = region.stats
         active = [w for w in region.workers if w.iterations]
         if not active:
             return
-        if not knobs.REPRO_SUPERVISE:
+        budget = interp.retry_budget
+        if budget is None:
+            budget = int(knobs.REPRO_RETRY_BUDGET.value)
+        # A negative base would reach time.sleep as a ValueError and
+        # turn a recoverable crash into a failed run.
+        backoff = max(0.0, float(knobs.REPRO_RETRY_BACKOFF.value))
+        plan = faults.active_plan()
+        attempt = 0
+        while True:
             try:
-                completed = self._dispatch_once(interp, region, active, None)
+                completed = self._dispatch_once(interp, region, active, plan)
+                break
             except _InfraFailure as exc:
-                raise EmulationError(str(exc)) from None
-        else:
-            budget = getattr(interp, "retry_budget", None)
-            if budget is None:
-                budget = int(knobs.REPRO_RETRY_BUDGET.value)
-            backoff = float(knobs.REPRO_RETRY_BACKOFF.value)
-            plan = faults.active_plan()
-            attempt = 0
-            while True:
-                try:
-                    completed = self._dispatch_once(
-                        interp, region, active, plan
-                    )
-                    break
-                except _InfraFailure as exc:
-                    attempt += 1
-                    if attempt > budget:
-                        raise RegionDispatchError(
-                            f"region dispatch failed after {attempt} "
-                            f"attempts ({budget} retries): {exc}"
-                        ) from exc
-                    region.retries += 1
-                    started = time.perf_counter()
-                    # Kill the pool (a stuck or half-dead worker must
-                    # not survive into the retry), which also bumps the
-                    # broadcast epoch and drops the primed-worker
-                    # bookkeeping; resetting the prelude codec makes
-                    # the re-encode ship the full state, trusting no
-                    # resident image.
-                    _reset_chunk_pool(kill=True)
-                    interp.invalidate_prelude()
-                    time.sleep(backoff * (2 ** (attempt - 1)))
-                    region.recovery_ms += (
-                        time.perf_counter() - started
-                    ) * 1000.0
+                attempt += 1
+                if attempt > budget:
+                    raise RegionDispatchError(
+                        f"region dispatch failed after {attempt} "
+                        f"attempts ({budget} retries): {exc}"
+                    ) from exc
+                stats.retries += 1
+                started = time.perf_counter()
+                # Kill the pool (a stuck or half-dead worker must not
+                # survive into the retry), which also bumps the
+                # broadcast epoch and drops the primed-worker
+                # bookkeeping; resetting the prelude codec makes the
+                # re-encode ship the full state, trusting no resident
+                # image.
+                _reset_chunk_pool(kill=True)
+                interp.invalidate_prelude()
+                time.sleep(backoff * (2 ** (attempt - 1)))
+                stats.recovery_ms += (
+                    time.perf_counter() - started
+                ) * 1000.0
         shared_allocas = {
             inst.uid: storage
             for inst, storage in region.frame.objects.items()
@@ -735,10 +944,11 @@ class ProcessesBackend(ExecutionBackend):
         errors.  ``plan`` is the active fault-injection plan (or None).
         """
         pool = _chunk_pool(interp.pool_size)
-        prelude = getattr(interp, "_prelude_codec", None)
+        stats = region.stats
+        prelude = interp.prelude_codec
         if prelude is None:
             prelude = payload_codec.PreludeCodec(log=interp.write_log)
-            interp._prelude_codec = prelude
+            interp.prelude_codec = prelude
         encoded = payload_codec.encode_region(
             module=interp.module,
             frame=region.frame,
@@ -748,8 +958,8 @@ class ProcessesBackend(ExecutionBackend):
             workers=active,
             epoch=_POOL_EPOCH,
             prelude=prelude,
-            compile_regions=bool(getattr(interp, "compile_regions", False)),
-            nest=interp._region_outer_loop(region.region, region.frame),
+            compile_regions=interp.compile_regions,
+            nest=region.outer,
         )
         ordinal = faults.next_region_ordinal() if plan else None
         submitted = []
@@ -763,7 +973,7 @@ class ProcessesBackend(ExecutionBackend):
                 if plan:
                     scenario = plan.draw(ordinal, index)
                     if scenario is not None:
-                        region.faults_injected += 1
+                        stats.faults_injected += 1
                         if scenario.kind in ("crash", "hang"):
                             directive = scenario.directive()
                         elif scenario.kind == "corrupt_wire":
@@ -787,9 +997,8 @@ class ProcessesBackend(ExecutionBackend):
             raise _InfraFailure(
                 f"chunk pool broken at submit: {exc}"
             ) from None
-        region.payloads += len(submitted)
-        region.payload_bytes += encoded.wire_bytes
-        region.naive_payload_bytes += encoded.naive_bytes
+        stats.payloads += len(submitted)
+        stats.payload_bytes += encoded.wire_bytes
 
         # Collect every result before applying any of them: retries of
         # module/prelude misses ship the *pre-dispatch* state, so no
@@ -828,11 +1037,11 @@ class ProcessesBackend(ExecutionBackend):
                         # resident state: deepen the delta window so
                         # laggards stay on the resident path next time.
                         encoded.prelude.note_miss()
-                        region.prelude_misses += 1
+                        stats.prelude_misses += 1
                     refreshed = refreshed.with_state(encoded.state_bytes())
-                    region.payloads += 1
-                    region.payload_bytes += refreshed.wire_bytes
-                    region.retry_payload_bytes += refreshed.wire_bytes
+                    stats.payloads += 1
+                    stats.payload_bytes += refreshed.wire_bytes
+                    stats.retry_payload_bytes += refreshed.wire_bytes
                     retry = pool.submit(_pool_chunk_entry, refreshed.wire())
                     # Track the retry so the timeout drain below can
                     # cancel it too — an untracked stuck retry would
@@ -846,8 +1055,8 @@ class ProcessesBackend(ExecutionBackend):
                     and worker_payload.state_bytes is None
                     and "error" not in result
                 ):
-                    region.prelude_hits += 1
-                    region.prelude_bytes_saved += encoded.prelude.full_len
+                    stats.prelude_hits += 1
+                    stats.prelude_bytes_saved += encoded.prelude.full_len
             except concurrent.futures.process.BrokenProcessPool as exc:
                 _reset_chunk_pool()
                 infra = infra or (
@@ -915,13 +1124,14 @@ class ProcessesBackend(ExecutionBackend):
         worker.seconds = result["seconds"]
         interp.steps += result["steps"]
         interp.output.extend(result["output"])
-        region.dirty_slots += result.get("dirty_slots", 0)
-        region.compiled_chunks += result.get("compiled_chunks", 0)
-        region.interpreted_chunks += result.get("interpreted_chunks", 0)
-        region.codegen_compiles += result.get("codegen_compiles", 0)
-        region.codegen_source_hits += result.get("codegen_source_hits", 0)
-        region.codegen_fallbacks += result.get("codegen_fallbacks", 0)
-        codegen_cache.merge_sources(result.get("codegen_sources", ()))
+        stats, chunk = region.stats, result["stats"]
+        stats.dirty_slots += chunk.dirty_slots
+        stats.compiled_chunks += chunk.compiled_chunks
+        stats.interpreted_chunks += chunk.interpreted_chunks
+        stats.codegen_compiles += chunk.codegen_compiles
+        stats.codegen_source_hits += chunk.codegen_source_hits
+        stats.codegen_fallbacks += chunk.codegen_fallbacks
+        codegen_cache.merge_sources(result["codegen_sources"])
         # Shared-memory effects, applied in worker order (deterministic;
         # a correct DOALL's shared writes are disjoint across workers).
         # Each write is marked in the parent's inter-region log first:

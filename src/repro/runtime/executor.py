@@ -1,34 +1,40 @@
-"""Parallel runtime: execute DOALL plans on pluggable backends.
+"""Parallel runtime: the dispatch loop that executes DOALL plans.
 
 The paper's evaluation characterizes plans analytically; this module goes
 further and *runs* them.  A :class:`ParallelInterpreter` executes the
-program sequentially until control reaches a planned DOALL loop, then
+program sequentially until control reaches a planned region (the *next
+stop*), then
 
-1. evaluates the canonical iteration space,
-2. partitions it with a :class:`~repro.runtime.schedulers.ChunkScheduler`
-   (static / dynamic / guided — decided once, shared by every backend),
-3. builds one privatized frame per worker, with
+1. evaluates the canonical iteration space and partitions it with a
+   :class:`~repro.runtime.schedulers.ChunkScheduler` (static / dynamic /
+   guided — decided once, shared by every backend),
+2. builds one privatized frame per worker, with
 
    * per-worker private copies of the induction variable and every
-     variable the parallelization privatizes,
+     variable the recipe privatizes,
    * reduction variables initialized to the operator identity per worker
      and merged (in worker order, deterministically) at the join,
    * firstprivate copies seeded from the shared value, lastprivate
      written back by the worker that executed the final iteration,
-   * locks for critical/atomic regions (same-name criticals share one),
 
-4. hands the region to an :class:`~repro.runtime.backends
-   .ExecutionBackend` — ``simulated`` (the seeded virtual-thread
-   interleaver: the race-detection oracle), ``threads`` (real OS
-   threads, shared storage, real locks), or ``processes`` (real OS
-   processes fed by the :mod:`repro.runtime.payload` codec — a shared
-   prelude pickled once per region, per-worker deltas referencing it by
-   memo id, module bytes cached per pool epoch — with write-log-diffed
-   shared state merged back in worker order), and
-5. joins: merges reductions in worker order and writes back lastprivate
-   values, recording per-worker timing plus (on ``processes``) payload
-   counts, bytes-on-wire, and dirty-slot counts for
-   ``session.diagnostics``.
+3. picks the region's backend and hands it the
+   :class:`~repro.runtime.backends.ParallelRegion` — ``simulated`` (the
+   seeded virtual-thread interleaver: the race-detection oracle),
+   ``threads`` (real OS threads, shared storage, real locks), or
+   ``processes`` (real OS processes fed by the
+   :mod:`repro.runtime.payload` codec, supervised, with its own
+   processes -> threads -> serial degradation ladder),
+4. joins: merges reductions in worker order and writes back lastprivate
+   values, and
+5. records: completes the region's
+   :class:`~repro.util.regionstats.RegionStats` (the counter block the
+   backend incremented) and publishes it once.
+
+Everything else has an owner elsewhere: recipes are derived by
+:mod:`repro.planner.recipes`, each backend owns its execution strategy
+(:mod:`repro.runtime.backends`), and divergence detection + re-pricing
+for adaptive replanning live behind
+:meth:`repro.planner.calibration.ReplanContext.replan`.
 
 Data races that a *wrong* plan would introduce show up under the
 ``simulated`` backend as real nondeterminism across scheduler seeds,
@@ -36,28 +42,31 @@ while correct plans produce exactly the sequential result (modulo
 floating-point reduction reassociation).
 """
 
-import dataclasses
 import time
 
-from repro.analysis.deptests import loop_iv_range  # noqa: F401 (re-export)
 from repro.analysis.loops import find_natural_loops
-from repro.analysis.reductions import REDUCIBLE_OPS  # noqa: F401 (re-export)
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.codegen import seq as codegen_seq
 from repro.emulator.interp import Interpreter, _Frame, record_write
-from repro.ir.instructions import Call, Terminator
+from repro.ir.instructions import Call
 from repro.ir.types import FLOAT
-from repro.ir.values import Argument, GlobalVariable
+from repro.ir.values import GlobalVariable
+from repro.planner.recipes import (
+    as_region,
+    recipes_from_annotations,
+    recipes_from_plan,
+)
 from repro.runtime import knobs
 from repro.runtime.backends import (
     ParallelRegion,
     SerialBackend,
-    ThreadsBackend,
     get_backend,
 )
+from repro.runtime.payload import module_codec
 from repro.runtime.schedulers import make_scheduler
-from repro.util.errors import EmulationError, PlanError, RegionDispatchError
+from repro.util.errors import PlanError
+from repro.util.regionstats import RegionStats
 
 _IDENTITY = {
     "add": 0,
@@ -68,398 +77,6 @@ _IDENTITY = {
     "or": 0,
     "xor": 0,
 }
-
-
-@dataclasses.dataclass
-class LoopParallelization:
-    """Execution recipe for one DOALL loop.
-
-    Attributes:
-        header: loop header block name.
-        privatized: list of storages (Alloca/GlobalVariable) given fresh
-            per-worker copies.
-        firstprivate: storages copied from the shared value per worker.
-        lastprivate: storages whose final-iteration private value is
-            written back at the join.
-        reductions: list of (storage, op-name) merged at the join.
-        chunk: scheduler chunk size (iterations per contiguous chunk).
-    """
-
-    header: str
-    privatized: list = dataclasses.field(default_factory=list)
-    firstprivate: list = dataclasses.field(default_factory=list)
-    lastprivate: list = dataclasses.field(default_factory=list)
-    reductions: list = dataclasses.field(default_factory=list)
-    chunk: int = 1
-
-
-@dataclasses.dataclass
-class RegionParallelization:
-    """One dispatched parallel region: one or more fused member loops.
-
-    The runtime's unit of execution since the ``repro.opt`` pipeline:
-    every worker receives the same iteration chunk for every member and
-    runs the members back-to-back (fusion legality guarantees identical
-    iteration spaces and worker-aligned cross-member dependences).
-
-    Attributes:
-        recipes: member :class:`LoopParallelization` in control-flow
-            order (a single entry for an unfused loop).
-        backend_override: ``"threads"`` reroutes this region off the
-            process pool (small-region serialization); ``None`` runs on
-            the configured backend.  (``"sequential"`` regions are never
-            materialized — the optimizer's descriptor simply drops them
-            from the dispatch set.)
-        removed_sync_uids: annotation uids whose critical/atomic locks
-            are elided for this region (sync elimination).
-        outer_header: loop-interchange nest — the serial outer loop's
-            header.  The takeover triggers there, the *inner* space is
-            partitioned once across workers, and every worker runs its
-            slice in outer-major order as ``(outer, inner)`` pairs.
-        member_shifts: skewed fusion — per-member partition shifts; the
-            member's chunks are the base partition shifted by the
-            negated shift (uniform-distance dependences stay worker-
-            local).  Empty means all zero.
-        tile: minimum iterations per payload (tiling); the runtime caps
-            the effective worker count at ``ceil(trip / tile)`` and
-            pads the rest with empty chunks.
-        speculative: pass name when this region was applied on an
-            inconclusive static test.  Only the simulated oracle may
-            execute such a region — the optimizer's validation pass
-            clears the marker (or reverts the transform) before real
-            backends are allowed.
-    """
-
-    recipes: list
-    backend_override: str = None
-    removed_sync_uids: frozenset = frozenset()
-    outer_header: str = None
-    member_shifts: tuple = ()
-    tile: int = None
-    speculative: str = None
-
-    @property
-    def header(self):
-        """The block whose arrival triggers the takeover."""
-        return self.outer_header or self.recipes[0].header
-
-    @property
-    def headers(self):
-        return tuple(recipe.header for recipe in self.recipes)
-
-    @property
-    def label(self):
-        if self.outer_header:
-            return f"{self.outer_header}/" + "+".join(self.headers)
-        return "+".join(self.headers)
-
-    @property
-    def fused(self):
-        return len(self.recipes) > 1
-
-    def merged_recipe(self):
-        """Union of the members' privatization/reduction sets.
-
-        Reductions dedupe by (storage, op): members sharing a same-op
-        reduction accumulate into one per-worker copy, merged once at
-        the join (commutativity makes the grouping unobservable).
-        """
-        merged = LoopParallelization(header=self.label,
-                                     chunk=self.recipes[0].chunk)
-        seen = {}
-        for recipe in self.recipes:
-            for attr in ("privatized", "firstprivate", "lastprivate"):
-                for storage in getattr(recipe, attr):
-                    bucket = seen.setdefault(attr, set())
-                    if id(storage) not in bucket:
-                        bucket.add(id(storage))
-                        getattr(merged, attr).append(storage)
-            for storage, op in recipe.reductions:
-                bucket = seen.setdefault("reductions", set())
-                if (id(storage), op) not in bucket:
-                    bucket.add((id(storage), op))
-                    merged.reductions.append((storage, op))
-        return merged
-
-
-def _as_region(parallelization):
-    if isinstance(parallelization, RegionParallelization):
-        return parallelization
-    return RegionParallelization(recipes=[parallelization])
-
-
-def parallelization_from_annotation(annotation, function):
-    """Build a :class:`LoopParallelization` from a worksharing annotation."""
-    clauses = annotation.directive.clauses
-    recipe = LoopParallelization(header=annotation.loop_header)
-    for name in clauses.private:
-        recipe.privatized.append(annotation.binding(name))
-    for name in clauses.firstprivate:
-        recipe.firstprivate.append(annotation.binding(name))
-    for name in clauses.lastprivate:
-        recipe.lastprivate.append(annotation.binding(name))
-    for op, name in clauses.reductions:
-        from repro.frontend.directives import REDUCTION_OPS
-
-        recipe.reductions.append((annotation.binding(name), REDUCTION_OPS[op]))
-    if clauses.schedule and clauses.schedule[1]:
-        recipe.chunk = clauses.schedule[1]
-    return recipe
-
-
-# -- PS-PDG -> runtime recipe ---------------------------------------------------
-#
-# The PS-PDG says which variables *may* be privatized or reduced in a
-# loop's context; the runtime must decide what each planned loop actually
-# *needs* so that discarding private copies never loses state the
-# sequential program observes.  (The differential conformance suite caught
-# exactly this on IS: eagerly privatizing the threadprivate buffer ``prv``
-# in every planned loop dropped the ranking counts that the sequential
-# prefix-sum loop reads afterwards.)
-
-
-def _storage_object(alias, storage):
-    if isinstance(storage, GlobalVariable):
-        return alias.object_for_global(storage)
-    if isinstance(storage, Argument):
-        return alias.object_for_argument(storage)
-    return alias.object_for_alloca(storage)
-
-
-def _same_pointer(a, b):
-    """Symbolically the same address within one iteration.
-
-    Loads and stores of ``p[k] = p[k] op e`` go through *distinct* GEP
-    instructions; they denote the same slot when their base and index
-    chains are the same SSA values (or equal constants).
-    """
-    from repro.ir.instructions import GetElementPtr
-
-    if a is b:
-        return True
-    if isinstance(a, GetElementPtr) and isinstance(b, GetElementPtr):
-        return _same_pointer(a.pointer, b.pointer) and _same_index(
-            a.index, b.index
-        )
-    return False
-
-
-def _same_index(a, b):
-    """Same index value: one SSA value, equal constants, or re-loads of
-    one address with no store in between (lowering re-evaluates ``k`` for
-    each subscript of ``p[k] = p[k] op e``)."""
-    from repro.ir.instructions import Load, Store
-    from repro.ir.values import Constant
-
-    if a is b:
-        return True
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return a.value == b.value
-    if (
-        isinstance(a, Load)
-        and isinstance(b, Load)
-        and a.parent is b.parent
-        and _same_pointer(a.pointer, b.pointer)
-    ):
-        span = []
-        seen_first = False
-        for inst in a.parent.instructions:
-            if inst is a or inst is b:
-                if seen_first:
-                    break
-                seen_first = True
-            elif seen_first:
-                span.append(inst)
-        return not any(
-            isinstance(inst, Store) and _same_pointer(inst.pointer, a.pointer)
-            for inst in span
-        )
-    return False
-
-
-def _update_reduction_op(in_loop_accesses):
-    """The single reducible op updating this object, or None.
-
-    Matches ``p[idx] = p[idx] op expr`` (any operand order, same slot,
-    same block) for *every* access to the object inside the loop — the
-    array generalization of scalar-reduction recognition.  Such updates
-    commute across iterations, so per-worker identity-seeded copies
-    merged at the join preserve the sequential result.
-    """
-    from repro.analysis.reductions import _depends_on
-    from repro.ir.instructions import BinaryOp, Load, Store
-
-    loads = {
-        a.instruction
-        for a in in_loop_accesses
-        if isinstance(a.instruction, Load)
-    }
-    stores = [
-        a.instruction
-        for a in in_loop_accesses
-        if isinstance(a.instruction, Store)
-    ]
-    if not stores or len(loads) + len(stores) != len(in_loop_accesses):
-        return None  # a call (or unknown access) touches the object
-    ops = set()
-    matched = set()
-    for store in stores:
-        update = store.value
-        if not isinstance(update, BinaryOp) or update.op not in _IDENTITY:
-            return None
-        if isinstance(update.lhs, Load) and _same_pointer(
-            update.lhs.pointer, store.pointer
-        ):
-            load, other = update.lhs, update.rhs
-        elif isinstance(update.rhs, Load) and _same_pointer(
-            update.rhs.pointer, store.pointer
-        ):
-            load, other = update.rhs, update.lhs
-        else:
-            return None
-        if load not in loads or load.parent is not store.parent:
-            return None
-        if _depends_on(other, load):
-            return None
-        ops.add(update.op)
-        matched.add(load)
-    if matched != loads or len(ops) != 1:
-        return None
-    return next(iter(ops))
-
-
-class _RecipeAnalyses:
-    """Per-function analysis state shared by recipe derivations."""
-
-    def __init__(self, function, module):
-        from repro.analysis.alias import AliasAnalysis
-        from repro.analysis.memdep import collect_accesses
-
-        self.function = function
-        self.module = module
-        self.alias = AliasAnalysis(module)
-        self.accesses = collect_accesses(function, self.alias)
-        self._by_object = {}
-        for access in self.accesses:
-            self._by_object.setdefault(access.obj, []).append(access)
-        self._memdep = None
-
-    def accesses_for(self, storage, loop):
-        obj = _storage_object(self.alias, storage)
-        return [
-            access
-            for access in self._by_object.get(obj, [])
-            if access.instruction.parent in loop.blocks
-        ]
-
-    def live_out(self, loop):
-        from repro.analysis.liveness import live_out_objects
-
-        return set(
-            live_out_objects(
-                self.function, self.module, loop, self.alias, self.accesses
-            )
-        )
-
-    def carried_at(self, storage, loop):
-        """Does ``loop`` carry a memory dependence on this storage?"""
-        if self._memdep is None:
-            from repro.analysis.memdep import MemoryDependenceAnalysis
-
-            self._memdep = MemoryDependenceAnalysis(
-                self.function, self.module, self.alias
-            ).run()
-        obj = _storage_object(self.alias, storage)
-        # memdep discovered its own Loop instances: match by header name.
-        header = loop.header.name
-        return any(
-            edge.obj == obj
-            and any(
-                carried.header.name == header
-                for carried in edge.carried_loops
-            )
-            for edge in self._memdep
-        )
-
-
-def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
-    """Build an execution recipe from the PS-PDG's variables for a loop.
-
-    For each variable the PS-PDG places in the loop's context chain:
-
-    * context-reducible variables are merged as reductions;
-    * variables not live-out of the loop get discardable private copies;
-    * live-out variables whose only in-loop accesses are commutative
-      ``x = x op e`` updates are reduced (identity-seeded, join-merged);
-    * live-out variables with no loop-carried dependence stay shared —
-      their per-iteration writes are disjoint, so shared storage
-      reproduces the sequential state exactly;
-    * remaining live-out variables (per-iteration scratch with a carried
-      WAW/WAR) are privatized with firstprivate seeding and lastprivate
-      write-back: the final iteration's state is the sequential one.
-
-    In every case a plan the planner should not have chosen stays
-    detectable: the ``simulated`` oracle exposes residual races as
-    cross-seed nondeterminism.
-    """
-    from repro.core.builder import loop_context_label
-    from repro.frontend.directives import REDUCTION_OPS
-
-    if analyses is None:
-        analyses = _RecipeAnalyses(loop.header.parent, module)
-    label = loop_context_label(loop.header.name)
-    chain = set(pspdg.context_chain(label))
-    # Worksharing annotations on this loop contribute their uid contexts.
-    for annotation in pspdg.function.annotations:
-        if annotation.loop_header == loop.header.name:
-            chain.add(annotation.uid)
-
-    recipe = LoopParallelization(header=loop.header.name)
-    live_out = None
-    seen = set()
-    for variable in pspdg.variables:
-        if variable.context not in chain:
-            continue
-        if id(variable.storage) in seen:
-            continue
-        seen.add(id(variable.storage))
-        if isinstance(variable.storage, Argument):
-            # The runtime cannot privatize argument-aliased storage
-            # (no allocated_type, and frame.args pointers would keep
-            # aiming at the shared object): leave it shared; the
-            # simulated oracle exposes plans that needed more.
-            continue
-        if variable.is_reducible():
-            recipe.reductions.append(
-                (variable.storage, REDUCTION_OPS.get(
-                    variable.reducer_op, variable.reducer_op
-                ))
-            )
-            continue
-        in_loop = analyses.accesses_for(variable.storage, loop)
-        if not any(access.is_write for access in in_loop):
-            continue  # read-only here: keep it shared
-        if live_out is None:
-            live_out = analyses.live_out(loop)
-        obj = _storage_object(analyses.alias, variable.storage)
-        if obj not in live_out:
-            recipe.privatized.append(variable.storage)
-            continue
-        op = _update_reduction_op(in_loop)
-        if op is not None:
-            # Identity-seeded per-worker copies merged at the join are
-            # correct whether or not iterations actually collide, so
-            # this outranks the (sequential, symbol-level) carried test —
-            # which calls ``p[k] op= e`` with an indirect ``k`` distance-0.
-            recipe.reductions.append((variable.storage, op))
-            continue
-        if not analyses.carried_at(variable.storage, loop):
-            # Iteration-disjoint accesses (e.g. ``p[i] = 0``): shared
-            # storage reproduces the sequential state exactly.
-            continue
-        recipe.firstprivate.append(variable.storage)
-        recipe.lastprivate.append(variable.storage)
-    return recipe
 
 
 def _shift_assignment(assignment, values, shift):
@@ -509,7 +126,6 @@ class _Worker:
         "done",
         "waiting_for",
         "held",
-        "last_value",
         "steps",
         "seconds",
         "private_globals",
@@ -517,19 +133,18 @@ class _Worker:
         "nest",
     )
 
-    def __init__(self, index, segments, frame):
+    def __init__(self, index, segments, nest):
         self.index = index
         self.segments = segments  # [(loop, iteration values), ...]
         self.segment = 0
         self.cursor = 0
-        self.nest = None  # interchanged nest's outer Loop (values are pairs)
-        self.frame = frame
+        self.nest = nest  # interchanged nest's outer Loop (values are pairs)
+        self.frame = None
         self.block = None
         self.position = 0
         self.done = not any(iterations for _loop, iterations in segments)
         self.waiting_for = None  # lock name when blocked
         self.held = set()
-        self.last_value = None
         self.steps = 0
         self.seconds = 0.0
         self.private_globals = set()  # privatized global names
@@ -552,7 +167,22 @@ class _Worker:
 
 
 class ParallelInterpreter(Interpreter):
-    """Interpreter that executes selected loops on a pluggable backend."""
+    """Interpreter that executes selected loops on a pluggable backend.
+
+    ``parallelizations`` may mix
+    :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
+    region) and :class:`~repro.planner.recipes.RegionParallelization`
+    (fused) entries.  ``prelude`` optionally carries a caller-owned
+    :class:`~repro.runtime.payload.PreludeCodec` so the ``processes``
+    backend's resident-state stream survives across runs; ``quarantine``
+    a caller-owned :class:`~repro.runtime.faults.Quarantine` so the
+    degradation ladder's denylist does too.  ``compile_regions``,
+    ``retry_budget``, ``failover`` and ``adaptive`` override the
+    ``REPRO_COMPILE`` / ``REPRO_RETRY_BUDGET`` / ``REPRO_FAILOVER`` /
+    ``REPRO_ADAPTIVE`` knobs when not None.  ``replan`` is a planner
+    :class:`~repro.planner.calibration.ReplanContext` (one per run);
+    without one, adaptive mode has nothing to re-derive and stays off.
+    """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
                  max_steps=50_000_000, backend="simulated",
@@ -575,32 +205,21 @@ class ParallelInterpreter(Interpreter):
         self.schedule = schedule
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
-        # None defers to the REPRO_COMPILE env knob so existing callers
-        # opt in without signature changes.
         self.compile_regions = (
             bool(knobs.REPRO_COMPILE) if compile_regions is None
             else bool(compile_regions)
         )
-        # Supervised-dispatch policy: a Session-scoped quarantine (the
-        # degradation ladder's denylist), a per-region retry budget, and
-        # the failover switch.  None defers to the REPRO_* knobs.
+        # Supervised-dispatch policy, read by the processes backend.
         self.quarantine = quarantine
         self.retry_budget = retry_budget
         self.failover = failover
-        # Adaptive mid-run replanning: after a dispatched region's
-        # measurements diverge from the plan's predictions, the
-        # *remaining* dispatches' cost decisions (backend override,
-        # tile) are re-derived through optimize_plan with a calibrated
-        # machine model.  ``replan`` is a planner ReplanContext; without
-        # one, adaptive mode has nothing to re-derive and stays off.
         self.adaptive = (
             bool(knobs.REPRO_ADAPTIVE) if adaptive is None
             else bool(adaptive)
         )
         self.replan_context = replan
         self.replan_events = []
-        self._replan_settled = set()  # labels whose last replan changed nothing
-        self._calibrated_upto = 0  # parallel_regions already fed to the store
+        self.prelude_codec = None  # the processes backend's stream
         if self.backend.name == "processes":
             # Track every shared-state write between region dispatches:
             # the payload codec ships dirty-slot deltas against the pool
@@ -611,8 +230,8 @@ class ParallelInterpreter(Interpreter):
                 # A caller-owned prelude codec (Session handoff): the
                 # resident-state hash chain continues across runs.
                 prelude.adopt_log(self.write_log)
-                self._prelude_codec = prelude
-        regions = [_as_region(p) for p in parallelizations]
+                self.prelude_codec = prelude
+        regions = [as_region(p) for p in parallelizations]
         self._regions = {region.header: region for region in regions}
         for region in regions:
             for recipe in region.recipes:
@@ -622,9 +241,8 @@ class ParallelInterpreter(Interpreter):
                                else recipe.chunk)
         if not regions:
             make_scheduler(schedule, chunk)  # still validate the names
-        self._locks = {}  # lock key -> worker index or None
         self._loops_by_function = {}
-        self.parallel_regions = []  # per-region stats, in execution order
+        self.parallel_regions = []  # RegionStats, in execution order
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/logged/verify), the module content hash (lazy —
         # it keys the codegen source cache), and call-mode counters.
@@ -637,16 +255,10 @@ class ParallelInterpreter(Interpreter):
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
         self.replan_events = []
-        self._replan_settled = set()
-        self._calibrated_upto = 0
         result = super().run(function_name, args, profiler)
         result.parallel_regions = list(self.parallel_regions)
         result.sequence_stats = dict(self.sequence_stats)
         result.replan_events = list(self.replan_events)
-        # How many parallel_regions a mid-run replan already fed to the
-        # calibration store — the Session's post-run calibration starts
-        # there so no region is ever counted twice.
-        result.calibrated_upto = self._calibrated_upto
         return result
 
     def invalidate_prelude(self):
@@ -659,58 +271,65 @@ class ParallelInterpreter(Interpreter):
         ``VERIFY_PRELUDE`` mode exists to catch exactly the cases where
         this call was forgotten.
         """
-        prelude = getattr(self, "_prelude_codec", None)
-        if prelude is not None:
-            prelude.invalidate()
+        if self.prelude_codec is not None:
+            self.prelude_codec.invalidate()
         if self.write_log is not None:
             self.write_log.clear()
 
-    # -- loop takeover ---------------------------------------------------------
+    # -- next stop: loop takeover ----------------------------------------------
 
     def _maybe_run_parallel_loop(self, next_block, from_block, frame):
         region = self._regions.get(next_block.name)
         if region is None:
             return None
-        loops = []
-        for recipe in region.recipes:
-            loop = self._find_loop(frame.function, recipe.header)
-            if loop is None or loop.canonical is None:
-                raise PlanError(
-                    f"parallel loop {recipe.header} lacks canonical form"
-                )
-            loops.append(loop)
+        loops, outer = self._region_loops(region, frame)
         # An interchanged nest is keyed (and guarded) at the *outer*
         # header: the whole nest runs in one takeover, and control
         # resumes at the outer loop's exit.
-        outer = self._region_outer_loop(region, frame)
-        guard = outer if outer is not None else loops[0]
-        if from_block in guard.blocks:
+        if from_block in (outer or loops[0]).blocks:
             return None  # back edge: loop already running (shouldn't occur)
-        self._execute_parallel_region(loops, region, frame)
+        self._execute_parallel_region(loops, outer, region, frame)
         # Control resumes after the *last* member; fusion legality
         # guarantees nothing but induction glue lives in between.
         resume = (outer or loops[-1]).canonical.exit
         return frame.function.block(resume)
 
-    def _region_outer_loop(self, region, frame):
-        """The interchanged nest's outer loop, or None for flat regions."""
-        if not region.outer_header:
-            return None
-        outer = self._find_loop(frame.function, region.outer_header)
-        if outer is None or outer.canonical is None:
-            raise PlanError(
-                f"interchange outer loop {region.outer_header} "
-                f"lacks canonical form"
-            )
-        return outer
+    def _compiled_region_stop(self, header, frame):
+        """Region takeover for compiled sequential stretches.
 
-    def _find_loop(self, function, header_name):
+        No back-edge check: compiled bodies only transfer here from
+        outside the region's loop blocks (the lowering refuses anything
+        else), and resume at the statically-known canonical exit.
+        """
+        region = self._regions[header]
+        loops, outer = self._region_loops(region, frame)
+        self._execute_parallel_region(loops, outer, region, frame)
+
+    def _region_loops(self, region, frame):
+        """``(member loops, interchanged outer loop or None)``, canonical."""
+        loops = [
+            self._canonical_loop(frame.function, recipe.header, "parallel")
+            for recipe in region.recipes
+        ]
+        outer = None
+        if region.outer_header:
+            outer = self._canonical_loop(
+                frame.function, region.outer_header, "interchange outer"
+            )
+        return loops, outer
+
+    def _canonical_loop(self, function, header_name, role):
         if function.name not in self._loops_by_function:
             self._loops_by_function[function.name] = {
                 loop.header.name: loop
                 for loop in find_natural_loops(function)
             }
-        return self._loops_by_function[function.name].get(header_name)
+        loop = self._loops_by_function[function.name].get(header_name)
+        if loop is None or loop.canonical is None:
+            raise PlanError(
+                f"{role} loop {header_name} lacks canonical form"
+            )
+        return loop
 
     # -- compiled sequential stretches -----------------------------------------
 
@@ -795,33 +414,12 @@ class ParallelInterpreter(Interpreter):
 
     def _content_key(self):
         if self._seq_module_key is None:
-            from repro.runtime.payload import module_codec
-
             self._seq_module_key = module_codec(self.module).key
         return self._seq_module_key
 
-    def _compiled_region_stop(self, header, frame):
-        """Region takeover for compiled sequential stretches.
+    # -- the parallel region: partition, dispatch, join, record ------------------
 
-        Mirrors :meth:`_maybe_run_parallel_loop` minus the back-edge
-        check: compiled bodies only transfer here from outside the
-        region's loop blocks (the lowering refuses anything else), and
-        resume at the statically-known canonical exit.
-        """
-        region = self._regions[header]
-        loops = []
-        for recipe in region.recipes:
-            loop = self._find_loop(frame.function, recipe.header)
-            if loop is None or loop.canonical is None:
-                raise PlanError(
-                    f"parallel loop {recipe.header} lacks canonical form"
-                )
-            loops.append(loop)
-        self._execute_parallel_region(loops, region, frame)
-
-    # -- the parallel region ------------------------------------------------------
-
-    def _execute_parallel_region(self, loops, region_par, frame):
+    def _execute_parallel_region(self, loops, outer_loop, region_par, frame):
         if region_par.speculative and self.backend.name != "simulated":
             raise PlanError(
                 f"region {region_par.label} is speculative "
@@ -829,13 +427,74 @@ class ParallelInterpreter(Interpreter):
                 f"oracle-validated; only the simulated backend may "
                 f"execute it"
             )
-        outer_loop = self._region_outer_loop(region_par, frame)
+        members = self._partition(loops, outer_loop, region_par, frame)
+        workers = [
+            _Worker(
+                index,
+                [(loop, assignment[index])
+                 for loop, _recipe, _values, assignment in members],
+                outer_loop,
+            )
+            for index in range(self.workers)
+        ]
+        stats = RegionStats(
+            header=region_par.label,
+            fused=region_par.fused,
+            schedule=self.schedule,
+            workers=self.workers,
+            chunk=(self.chunk if self.chunk is not None
+                   else region_par.recipes[0].chunk),
+            iterations=sum(len(values) for _l, _r, values, _a in members),
+        )
+        region = ParallelRegion(
+            loops=loops, region=region_par, frame=frame, workers=workers,
+            outer=outer_loop,
+            critical=self._critical_region_map(
+                frame.function, region_par.removed_sync_uids
+            ),
+            stats=stats,
+        )
+        self.make_worker_frames(region)
+
+        backend = self._effective_backend(region_par)
+        started = time.perf_counter()
+        backend.run_region(self, region)
+        stats.seconds = time.perf_counter() - started
+        if backend is not self.backend:
+            stats.backend = (
+                f"{self.backend.name}->{stats.backend}(small-region)"
+            )
+        self._join(workers, members, frame)
+
+        stats.per_worker = [
+            {
+                "worker": worker.index,
+                "iterations": len(worker.iterations),
+                "steps": worker.steps,
+                "seconds": worker.seconds,
+            }
+            for worker in workers
+        ]
+        self.parallel_regions.append(stats)
+        if self.adaptive and self.replan_context is not None:
+            # Between dispatches, after the join wrote the region's
+            # effects back (the deferred-apply invariant: a replan can
+            # never observe or double-apply a half-finished region).
+            event = self.replan_context.replan(
+                self.parallel_regions, self.compile_regions,
+                self._adopt_plan,
+            )
+            if event is not None:
+                self.replan_events.append(event)
+                stats.replans += 1
+
+    def _partition(self, loops, outer_loop, region_par, frame):
+        """``(loop, recipe, values, per-worker assignment)`` per member."""
         outer_values = None
         if outer_loop is not None:
             outer_values = self._loop_values(outer_loop, frame)
-
         shifts = region_par.member_shifts or ()
-        members = []  # (loop, recipe, values, per-worker assignment)
+        members = []
         for position, (loop, recipe) in enumerate(
             zip(loops, region_par.recipes)
         ):
@@ -864,193 +523,7 @@ class ParallelInterpreter(Interpreter):
                     for chunk_values in assignment
                 ]
             members.append((loop, recipe, values, assignment))
-
-        merged = region_par.merged_recipe()
-        frame_loops = (
-            loops if outer_loop is None else [outer_loop] + list(loops)
-        )
-        workers = []
-        for index in range(self.workers):
-            segments = [
-                (loop, assignment[index])
-                for loop, _recipe, _values, assignment in members
-            ]
-            worker = _Worker(index, segments, None)
-            worker.nest = outer_loop
-            self._make_worker_frame(worker, frame, merged, frame_loops)
-            workers.append(worker)
-
-        region = ParallelRegion(
-            loops=loops, region=region_par, frame=frame, workers=workers
-        )
-        self._critical_regions = self._critical_region_map(
-            frame.function, region_par.removed_sync_uids
-        )
-        backend = self._effective_backend(region_par)
-        started = time.perf_counter()
-        self._dispatch_region(
-            backend, region, region_par, frame, merged, frame_loops
-        )
-        elapsed = time.perf_counter() - started
-        if backend is not self.backend:
-            region.backend_used = (
-                f"{self.backend.name}->{region.backend_used}(small-region)"
-            )
-        self._join(workers, members, frame)
-        chunk = (self.chunk if self.chunk is not None
-                 else region_par.recipes[0].chunk)
-        stats = {
-            "header": region_par.label,
-            "fused": region_par.fused,
-            "backend": region.backend_used or backend.name,
-            "schedule": self.schedule,
-            "workers": self.workers,
-            "chunk": chunk,
-            "iterations": sum(len(values) for _l, _r, values, _a in members),
-            "payloads": region.payloads,
-            "payload_bytes": region.payload_bytes,
-            "dirty_slots": region.dirty_slots,
-            "naive_payload_bytes": region.naive_payload_bytes,
-            "prelude_hits": region.prelude_hits,
-            "prelude_misses": region.prelude_misses,
-            "prelude_bytes_saved": region.prelude_bytes_saved,
-            "retry_payload_bytes": region.retry_payload_bytes,
-            "compiled_chunks": region.compiled_chunks,
-            "interpreted_chunks": region.interpreted_chunks,
-            "codegen_compiles": region.codegen_compiles,
-            "codegen_source_hits": region.codegen_source_hits,
-            "codegen_fallbacks": region.codegen_fallbacks,
-            "retries": region.retries,
-            "failovers": region.failovers,
-            "faults_injected": region.faults_injected,
-            "recovery_ms": region.recovery_ms,
-            "seconds": elapsed,
-            "per_worker": [
-                {
-                    "worker": worker.index,
-                    "iterations": len(worker.iterations),
-                    "steps": worker.steps,
-                    "seconds": worker.seconds,
-                }
-                for worker in workers
-            ],
-        }
-        self.parallel_regions.append(stats)
-        events_before = len(self.replan_events)
-        self._maybe_replan(stats)
-        stats["replans"] = len(self.replan_events) - events_before
-
-    # -- the graceful-degradation ladder ---------------------------------------
-
-    def _dispatch_region(self, backend, region, region_par, frame,
-                         merged, frame_loops):
-        """Run the region on ``backend``, descending the ladder on failure.
-
-        Only supervised ``processes`` dispatches get the ladder: a
-        region whose retry budget is exhausted
-        (:class:`RegionDispatchError`) fails over to the threads
-        backend, then to serial interpretation — each rung re-running
-        the *whole* region against the intact pre-dispatch state (lower
-        rungs mutate parent storage live, so they snapshot/restore
-        around a failed attempt).  The Session quarantine remembers the
-        rung that worked, keyed by program content hash + region label,
-        so warm re-runs skip the doomed path.  Plain
-        :class:`EmulationError` from the processes rung is a *program*
-        error and propagates untouched.
-        """
-        failover = (
-            self.failover if self.failover is not None
-            else bool(knobs.REPRO_FAILOVER)
-        )
-        if (
-            backend.name != "processes"
-            or not failover
-            or not knobs.REPRO_SUPERVISE
-        ):
-            backend.run_region(self, region)
-            return
-        key = (self._content_key(), region_par.label)
-        rung = (
-            self.quarantine.rung_for(key)
-            if self.quarantine is not None else None
-        )
-        suffix = "quarantine" if rung is not None else "failover"
-        chain = []
-        if rung is None:
-            try:
-                backend.run_region(self, region)
-                return
-            except RegionDispatchError as exc:
-                chain.append(str(exc))
-                region.failovers += 1
-                rung = "threads"
-        if rung == "threads":
-            snapshot = self._region_snapshot(region)
-            try:
-                ThreadsBackend().run_region(self, region)
-                region.backend_used = f"processes->threads({suffix})"
-                if self.quarantine is not None:
-                    self.quarantine.demote(key, "threads")
-                return
-            except EmulationError as exc:
-                chain.append(str(exc))
-                region.failovers += 1
-                self._restore_region(
-                    snapshot, region, frame, merged, frame_loops
-                )
-        snapshot = self._region_snapshot(region)
-        try:
-            SerialBackend().run_region(self, region)
-            region.backend_used = f"processes->serial({suffix})"
-            if self.quarantine is not None:
-                self.quarantine.demote(key, "serial")
-        except EmulationError as exc:
-            self._restore_region(snapshot, region, frame, merged, frame_loops)
-            chain.append(str(exc))
-            raise EmulationError(
-                f"region {region_par.label} failed on every rung of the "
-                "degradation ladder: " + " | ".join(chain)
-            ) from exc
-
-    def _region_snapshot(self, region):
-        """Capture everything a lower ladder rung may tear on failure.
-
-        The threads/serial rungs execute through shims that share the
-        parent's storage, so a mid-region failure leaves partial writes
-        behind; this captures every shared storage list (the same walk
-        the payload codec uses to enumerate them) plus the region's
-        chunk counters.  ``interp.output``/``steps`` need no capture:
-        both backends collect results only after every worker finished.
-        """
-        from repro.runtime.payload import _walk_storages
-
-        storages = _walk_storages(region.frame, self._global_storage)
-        return (
-            [(storage, list(storage)) for storage in storages],
-            region.compiled_chunks,
-            region.interpreted_chunks,
-        )
-
-    def _restore_region(self, snapshot, region, frame, merged, frame_loops):
-        """Roll shared state back to ``snapshot`` and rebuild the workers.
-
-        The write log keeps its marks for the restored slots — shipping
-        an unchanged slot in the next dirty delta is wasteful but
-        correct, while unmarking a restored slot could hide a genuine
-        pre-region write.  Worker frames are rebuilt from scratch:
-        their private reduction/lastprivate copies were mutated by the
-        failed rung.
-        """
-        storages, compiled, interpreted = snapshot
-        for storage, values in storages:
-            if self.write_log is not None:
-                for slot in range(len(values)):
-                    record_write(self.write_log, storage, slot)
-            storage[:] = values
-        region.compiled_chunks = compiled
-        region.interpreted_chunks = interpreted
-        for worker in region.workers:
-            self._make_worker_frame(worker, frame, merged, frame_loops)
+        return members
 
     def _loop_values(self, loop, frame):
         canonical = loop.canonical
@@ -1094,144 +567,6 @@ class ParallelInterpreter(Interpreter):
             return get_backend("threads")
         return self.backend
 
-    # -- adaptive mid-run replanning -------------------------------------------
-
-    def _maybe_replan(self, stats):
-        """Re-derive remaining cost decisions when ``stats`` diverges.
-
-        Runs between region dispatches (after the join wrote the
-        region's effects back — the deferred-apply invariant: a replan
-        can never observe or double-apply a half-finished region).
-        Recovery-inflated regions neither calibrate nor trigger: their
-        timings measure the fault injector, not the machine.  Legality
-        is untouched — the replan re-runs the same ``optimize_plan``
-        pipeline on the same PS-PDG, and only ``backend_override`` /
-        ``tile`` of regions with an *identical* member-header set are
-        adopted, so the set of takeover trigger headers (baked into
-        compiled sequential stretches) never changes mid-run.
-        """
-        ctx = self.replan_context
-        if not self.adaptive or ctx is None:
-            return
-        if (
-            stats.get("retries")
-            or stats.get("failovers")
-            or stats.get("faults_injected")
-        ):
-            return
-        label = stats["header"]
-        if label in self._replan_settled:
-            return
-        reasons = self._plan_divergence(stats, ctx)
-        if not reasons:
-            return
-        fresh = self.parallel_regions[self._calibrated_upto:]
-        self._calibrated_upto = len(self.parallel_regions)
-        ctx.store.observe_run(fresh, program_key=ctx.program_key)
-        machine = ctx.store.calibrated_machine(ctx.machine)
-        payload_bytes, prelude_warm, compiled_speedup = (
-            self._live_feedback()
-        )
-        from repro.opt import optimize_plan
-
-        result = optimize_plan(
-            ctx.function, ctx.module, ctx.pdg, ctx.pspdg, ctx.plan,
-            ctx.level, machine=machine, loops=ctx.loops,
-            payload_bytes=payload_bytes, prelude_warm=prelude_warm,
-            compiled_speedup=compiled_speedup,
-            compile_regions=self.compile_regions,
-        )
-        changes = self._adopt_plan(result.plan)
-        if changes:
-            self.replan_events.append({
-                "after": label,
-                "reasons": reasons,
-                "changes": changes,
-                "machine": {
-                    name: value
-                    for name, (value, _samples)
-                    in ctx.store.measured_coefficients().items()
-                },
-            })
-        else:
-            # The calibrated model agreed with the running choices for
-            # this label; stop re-pricing it on every later dispatch.
-            self._replan_settled.add(label)
-
-    def _live_feedback(self):
-        """This run's measured wire feedback so far, per region label."""
-        from repro.pipeline.diagnostics import Diagnostics
-
-        scratch = Diagnostics()
-        for region in self.parallel_regions:
-            if not (
-                region.get("retries")
-                or region.get("failovers")
-                or region.get("faults_injected")
-            ):
-                scratch.record_parallel(region)
-        payload_bytes, prelude_warm, compiled_speedup, _ = (
-            scratch.payload_feedback()
-        )
-        return payload_bytes, prelude_warm, compiled_speedup
-
-    def _plan_divergence(self, stats, ctx):
-        """Measured-vs-predicted divergence reasons for one region, if any.
-
-        Three detectors, each against its knob:
-
-        * dispatch overhead (wall time minus slowest worker's compute)
-          exceeding ``REPRO_REPLAN_THRESHOLD`` times the compute — the
-          region is mispriced for its backend;
-        * per-worker step imbalance (max/mean over workers with
-          iterations) exceeding ``REPRO_REPLAN_IMBALANCE`` — the
-          schedule's chunking fits the iteration space badly;
-        * measured bytes-per-payload outside ``REPRO_REPLAN_THRESHOLD``
-          of the planner's assumption (``ctx.predicted_bytes``) — the
-          serialization bar was computed from stale feedback.
-        """
-        reasons = []
-        threshold = float(knobs.REPRO_REPLAN_THRESHOLD.value)
-        imbalance_limit = float(knobs.REPRO_REPLAN_IMBALANCE.value)
-        per_worker = stats.get("per_worker", ())
-        seconds = stats.get("seconds", 0.0)
-        compute = max(
-            (worker.get("seconds", 0.0) for worker in per_worker),
-            default=0.0,
-        )
-        if compute > 0 and seconds > 1e-4:
-            ratio = (seconds - compute) / compute
-            if ratio > threshold:
-                reasons.append({
-                    "kind": "dispatch-overhead",
-                    "ratio": round(ratio, 3),
-                    "threshold": threshold,
-                })
-        busy = [
-            worker["steps"] for worker in per_worker
-            if worker.get("iterations")
-        ]
-        if len(busy) > 1 and sum(busy):
-            imbalance = max(busy) / (sum(busy) / len(busy))
-            if imbalance > imbalance_limit:
-                reasons.append({
-                    "kind": "imbalance",
-                    "ratio": round(imbalance, 3),
-                    "threshold": imbalance_limit,
-                })
-        payloads = stats.get("payloads", 0)
-        predicted = ctx.predicted_bytes.get(stats["header"])
-        if payloads and predicted:
-            measured = stats.get("payload_bytes", 0) / payloads
-            ratio = measured / predicted
-            if ratio > threshold or ratio < 1.0 / threshold:
-                reasons.append({
-                    "kind": "payload-bytes",
-                    "ratio": round(ratio, 3),
-                    "threshold": threshold,
-                })
-        return reasons
-
     def _adopt_plan(self, plan):
         """Adopt a replanned plan's cost decisions, preserving triggers.
 
@@ -1270,6 +605,23 @@ class ParallelInterpreter(Interpreter):
             region.backend_override = override
             region.tile = tile
         return changes
+
+    # -- worker frames -----------------------------------------------------------
+
+    def make_worker_frames(self, region):
+        """(Re)build every worker's privatized frame from the parent's.
+
+        Also the degradation ladder's reset: a failed rung mutated the
+        workers' private reduction/lastprivate copies, so the next rung
+        starts from frames rebuilt from scratch.
+        """
+        recipe = region.region.merged_recipe()
+        loops = (
+            region.loops if region.outer is None
+            else [region.outer] + list(region.loops)
+        )
+        for worker in region.workers:
+            self._make_worker_frame(worker, region.frame, recipe, loops)
 
     def _make_worker_frame(self, worker, frame, recipe, loops):
         worker_frame = _Frame(frame.function, frame.args)
@@ -1370,114 +722,6 @@ class ParallelInterpreter(Interpreter):
             identity = float(identity)
         return [identity] * value_type.slots()
 
-    # -- simulated scheduling (the interleaving oracle) -------------------------
-
-    def _run_workers(self, workers, frame):
-        import random
-
-        rng = random.Random(self.seed)
-        runnable = [w for w in workers if not w.done]
-        for worker in runnable:
-            self._start_next_iteration(worker)
-        while True:
-            candidates = [
-                w
-                for w in workers
-                if not w.done and self._can_run(w)
-            ]
-            if not candidates:
-                if any(not w.done for w in workers):
-                    raise EmulationError(
-                        "parallel deadlock: all remaining workers blocked"
-                    )
-                return
-            worker = rng.choice(candidates)
-            self._step_worker(worker)
-
-    def _can_run(self, worker):
-        if worker.waiting_for is None:
-            return True
-        holder = self._locks.get(worker.waiting_for)
-        return holder is None or holder == worker.index
-
-    def _start_next_iteration(self, worker):
-        # Advance to the next member segment with work left (no barrier:
-        # this worker moves on while siblings may still be in earlier
-        # members — fusion legality keeps cross-member flow per-worker).
-        while (
-            worker.segment < len(worker.segments)
-            and worker.cursor >= len(worker.segment_iterations(worker.segment))
-        ):
-            worker.segment += 1
-            worker.cursor = 0
-        if worker.segment >= len(worker.segments):
-            worker.done = True
-            self._release_all(worker)
-            return
-        loop = worker.current_loop
-        value = worker.segment_iterations(worker.segment)[worker.cursor]
-        worker.cursor += 1
-        worker.last_value = value
-        if worker.nest is not None and isinstance(value, tuple):
-            # Interchanged nest: the value is an (outer, inner) pair;
-            # both inductions were privatized in _make_worker_frame.
-            outer_value, value = value
-            outer_induction = worker.nest.canonical.induction
-            worker.frame.objects[outer_induction][0] = outer_value
-        induction = loop.canonical.induction
-        worker.frame.objects[induction] = worker.frame.objects.get(
-            induction, [0]
-        )
-        # Ensure the induction storage is private (set in _make_worker_frame).
-        worker.frame.objects[induction][0] = value
-        worker.block = loop.header.parent.block(loop.canonical.body)
-        worker.position = 0
-
-    def _step_worker(self, worker):
-        loop = worker.current_loop
-        # Honor pending lock acquisition.
-        if worker.waiting_for is not None:
-            lock = worker.waiting_for
-            holder = self._locks.get(lock)
-            if holder is None:
-                self._locks[lock] = worker.index
-                worker.held.add(lock)
-                worker.waiting_for = None
-            elif holder != worker.index:
-                return
-            else:
-                worker.waiting_for = None
-
-        block = worker.block
-        if worker.position >= len(block.instructions):
-            raise EmulationError(f"worker fell off block {block.name}")
-        inst = block.instructions[worker.position]
-        self.steps += 1
-        worker.steps += 1
-        if self.steps > self.max_steps:
-            raise EmulationError("parallel execution exceeded max_steps")
-
-        if isinstance(inst, Terminator):
-            if inst.opcode == "return":
-                raise EmulationError(
-                    "return inside a parallelized loop body"
-                )
-            next_block = self._branch_target(inst, worker.frame)
-            if next_block is loop.header:
-                # Iteration finished (came around from the latch).
-                self._release_all(worker)
-                self._start_next_iteration(worker)
-                return
-            self._update_locks(worker, block, next_block)
-            worker.block = next_block
-            worker.position = 0
-            return
-
-        self._execute(inst, worker.frame)
-        worker.position += 1
-
-    # -- critical sections ----------------------------------------------------
-
     def _critical_region_map(self, function, removed_sync_uids=frozenset()):
         """block name -> (lock key, region block set) for critical/atomic.
 
@@ -1502,31 +746,6 @@ class ParallelInterpreter(Interpreter):
             for block_name in blocks:
                 mapping[block_name] = (key, blocks)
         return mapping
-
-    def _update_locks(self, worker, from_block, to_block):
-        from_region = self._critical_regions.get(from_block.name)
-        to_region = self._critical_regions.get(to_block.name)
-        if from_region and (
-            to_region is None or to_region[0] != from_region[0]
-        ):
-            self._release(worker, from_region[0])
-        if to_region and to_region[0] not in worker.held:
-            holder = self._locks.get(to_region[0])
-            if holder is None:
-                self._locks[to_region[0]] = worker.index
-                worker.held.add(to_region[0])
-            else:
-                worker.waiting_for = to_region[0]
-
-    def _release(self, worker, lock):
-        if lock in worker.held:
-            worker.held.discard(lock)
-            if self._locks.get(lock) == worker.index:
-                self._locks[lock] = None
-
-    def _release_all(self, worker):
-        for lock in list(worker.held):
-            self._release(worker, lock)
 
     # -- join -------------------------------------------------------------------
 
@@ -1614,202 +833,33 @@ class ParallelInterpreter(Interpreter):
         raise PlanError(f"unknown reduction op {op!r}")
 
 
-def run_parallel(
-    module,
-    parallelizations,
-    function_name="main",
-    workers=4,
-    seed=0,
-    backend="simulated",
-    schedule="static",
-    chunk=None,
-    pool_size=None,
-    prelude=None,
-    compile_regions=None,
-    quarantine=None,
-    retry_budget=None,
-    failover=None,
-    adaptive=None,
-    replan=None,
-):
+def run_parallel(module, parallelizations, function_name="main", **options):
     """Execute ``function_name`` with the given loop parallelizations.
 
-    ``parallelizations`` may mix :class:`LoopParallelization` (one loop,
-    one region) and :class:`RegionParallelization` (fused) entries.
-    ``prelude`` optionally carries a caller-owned
-    :class:`~repro.runtime.payload.PreludeCodec` so the ``processes``
-    backend's resident-state stream survives across runs; ``quarantine``
-    a caller-owned :class:`~repro.runtime.faults.Quarantine` so the
-    degradation ladder's denylist does too.  ``retry_budget`` and
-    ``failover`` override the ``REPRO_RETRY_BUDGET`` /
-    ``REPRO_FAILOVER`` knobs when not None.  ``adaptive`` (default: the
-    ``REPRO_ADAPTIVE`` knob) plus a planner ``replan`` context enable
-    mid-run replanning of the remaining regions' cost decisions.
+    ``options`` are :class:`ParallelInterpreter`'s keyword parameters
+    (``workers``, ``seed``, ``backend``, ``schedule``, ``chunk``,
+    ``pool_size``, ``prelude``, ``compile_regions``, ...).
     """
-    interpreter = ParallelInterpreter(
-        module,
-        parallelizations,
-        workers=workers,
-        seed=seed,
-        backend=backend,
-        schedule=schedule,
-        chunk=chunk,
-        pool_size=pool_size,
-        prelude=prelude,
-        compile_regions=compile_regions,
-        quarantine=quarantine,
-        retry_budget=retry_budget,
-        failover=failover,
-        adaptive=adaptive,
-        replan=replan,
+    return ParallelInterpreter(module, parallelizations, **options).run(
+        function_name
     )
-    return interpreter.run(function_name)
 
 
-def _default_doall_headers(plan, loops):
-    """Executable DOALL headers when the plan carries no region info."""
-    from repro.planner.plans import TECH_DOALL
-
-    def inside_planned_parent(loop):
-        parent = loop.parent
-        while parent is not None:
-            parent_plan = plan.plan_for(parent.header.name)
-            if (
-                parent_plan is not None
-                and parent_plan.technique == TECH_DOALL
-                and parent.canonical is not None
-            ):
-                return True
-            parent = parent.parent
-        return False
-
-    headers = []
-    for header, loop_plan in sorted(plan.loop_plans.items()):
-        if loop_plan.technique != TECH_DOALL:
-            continue
-        loop = loops.get(header)
-        if loop is None or loop.canonical is None:
-            continue
-        if inside_planned_parent(loop):
-            continue
-        headers.append(header)
-    return headers
-
-
-def recipes_from_plan(module, pspdg, plan, function):
-    """Execution regions for every dispatched loop of ``plan``.
-
-    When the plan carries optimizer-produced :class:`RegionDescriptor`
-    entries, they are authoritative: fused regions become multi-member
-    :class:`RegionParallelization` recipes, ``"sequential"``-overridden
-    regions are dropped (the base interpreter runs those loops), and
-    removed-sync/backend-override markers are carried through to the
-    dispatch.  A plan without regions gets the historical one region per
-    canonical-form DOALL loop (HELIX/DSWP stay analytical-only; loops
-    nested inside another planned DOALL are executed by the outer
-    takeover).
-    """
-    from repro.planner.plans import OVERRIDE_SEQUENTIAL
-
-    loops = {
-        loop.header.name: loop for loop in find_natural_loops(function)
-    }
-    analyses = _RecipeAnalyses(function, module)
-
-    def recipe_for(header):
-        return parallelization_from_pspdg(
-            pspdg, loops[header], module, analyses
-        )
-
-    if plan.regions:
-        regions = []
-        for descriptor in plan.regions:
-            if descriptor.backend_override == OVERRIDE_SEQUENTIAL:
-                continue
-            if not all(
-                header in loops and loops[header].canonical is not None
-                for header in descriptor.headers
-            ):
-                continue
-            outer = descriptor.outer_header
-            if outer is not None and (
-                outer not in loops or loops[outer].canonical is None
-            ):
-                # Nest descriptor against a function where the outer
-                # loop is gone/non-canonical: fall back to dispatching
-                # the inner loop per outer iteration (the -O0 shape).
-                outer = None
-            regions.append(
-                RegionParallelization(
-                    recipes=[recipe_for(h) for h in descriptor.headers],
-                    backend_override=descriptor.backend_override,
-                    removed_sync_uids=descriptor.removed_sync_uids,
-                    outer_header=outer,
-                    member_shifts=tuple(descriptor.member_shifts or ()),
-                    tile=descriptor.tile,
-                    speculative=descriptor.speculative,
-                )
-            )
-        return regions
-
-    return [
-        RegionParallelization(recipes=[recipe_for(header)])
-        for header in _default_doall_headers(plan, loops)
-    ]
-
-
-def run_plan(module, pspdg, plan, function_name="main", workers=4, seed=0,
-             backend="simulated", schedule="static", chunk=None,
-             opt_level=None, machine=None, pool_size=None, prelude=None,
-             compile_regions=None, quarantine=None, retry_budget=None,
-             failover=None, adaptive=None, replan=None):
+def run_plan(module, pspdg, plan, function_name="main", **options):
     """Execute a :class:`ProgramPlan` chosen from the PS-PDG.
 
-    This is the runtime entry point :meth:`repro.Session.run` uses: the
-    plan's DOALL loops take over with PS-PDG-derived privatization and
-    reduction recipes; everything else runs sequentially.  With
-    ``opt_level`` (and the plan not already optimized), the
-    :mod:`repro.opt` pipeline rewrites the plan's regions first — fusing
-    adjacent loops, eliding redundant locks, serializing small regions.
+    The plan's dispatched loops (its optimizer-produced regions when it
+    has them, one region per canonical DOALL otherwise) take over with
+    PS-PDG-derived privatization and reduction recipes; everything else
+    runs sequentially.  ``options`` as for :func:`run_parallel`.
     """
-    function = module.function(function_name)
-    if opt_level is not None and not plan.regions:
-        from repro.opt import OptLevel, optimize_plan
-
-        level = OptLevel.coerce(opt_level)
-        if level > OptLevel.O0:
-            from repro.pdg.builder import build_pdg
-
-            pdg = build_pdg(function, module)
-            plan = optimize_plan(
-                function, module, pdg, pspdg, plan, level, machine
-            ).plan
-    regions = recipes_from_plan(module, pspdg, plan, function)
-    return run_parallel(module, regions, function_name, workers, seed,
-                        backend, schedule, chunk, pool_size, prelude,
-                        compile_regions, quarantine=quarantine,
-                        retry_budget=retry_budget, failover=failover,
-                        adaptive=adaptive, replan=replan)
+    regions = recipes_from_plan(
+        module, pspdg, plan, module.function(function_name)
+    )
+    return run_parallel(module, regions, function_name, **options)
 
 
-def run_source_plan(module, function_name="main", workers=4, seed=0,
-                    backend="simulated", schedule="static", chunk=None,
-                    pool_size=None, prelude=None, compile_regions=None,
-                    quarantine=None, retry_budget=None, failover=None,
-                    adaptive=None, replan=None):
+def run_source_plan(module, function_name="main", **options):
     """Execute the developer's OpenMP plan (all worksharing annotations)."""
-    function = module.function(function_name)
-    recipes = []
-    for annotation in function.annotations:
-        if (
-            annotation.directive.declares_loop_independence()
-            and annotation.loop_header is not None
-        ):
-            recipes.append(
-                parallelization_from_annotation(annotation, function)
-            )
-    return run_parallel(module, recipes, function_name, workers, seed,
-                        backend, schedule, chunk, pool_size, prelude,
-                        compile_regions, quarantine=quarantine,
-                        retry_budget=retry_budget, failover=failover,
-                        adaptive=adaptive, replan=replan)
+    recipes = recipes_from_annotations(module.function(function_name))
+    return run_parallel(module, recipes, function_name, **options)

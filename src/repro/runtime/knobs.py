@@ -190,15 +190,9 @@ def markdown_table():
 
 VERIFY_DIFFS = flag(
     "VERIFY_DIFFS",
-    doc="Cross-check the write-log diff against the legacy snapshot "
+    doc="Cross-check the write-log diff against the reference snapshot "
         "diff in every pool chunk; fail loudly on divergence. Travels "
         "in the payload.",
-)
-
-MEASURE_NAIVE = flag(
-    "MEASURE_NAIVE",
-    doc="Measure what the legacy self-contained codec would have "
-        "shipped (fills the naive-bytes bench stat). Benchmark-only.",
 )
 
 VERIFY_PRELUDE = flag(
@@ -206,12 +200,6 @@ VERIFY_PRELUDE = flag(
     doc="Ship the full state alongside every dirty delta and compare "
         "the delta-applied resident image against a fresh decode in "
         "the worker.",
-)
-
-RESIDENT_PRELUDE = flag(
-    "RESIDENT_PRELUDE", default=True,
-    doc="The resident-prelude protocol itself (off = v1-style full "
-        "state on every region).",
 )
 
 VERIFY_COMPILED = flag(
@@ -237,16 +225,6 @@ REPRO_SPECULATE = flag(
         "the simulated oracle (seeded interleavings vs the sequential "
         "run) before any real backend sees it; off = inconclusive "
         "tests reject outright.",
-)
-
-REPRO_SUPERVISE = flag(
-    "REPRO_SUPERVISE", default=True,
-    doc="Supervised region dispatch on the processes backend: classify "
-        "worker death / hang / poisoned payloads as infrastructure "
-        "failures and retry the region (pool respawn + cache "
-        "invalidation + re-encode) instead of failing the run; off = "
-        "legacy fail-fast dispatch with no retries and no fault "
-        "injection.",
 )
 
 REPRO_FAILOVER = flag(

@@ -50,17 +50,15 @@ no longer carry loop structure at all.
 
 **Write-log diffing.**  Unchanged from v1: the worker's shared-state
 diff is computed from its store-path write log, byte-for-byte what the
-legacy snapshot+full-scan produced (:func:`diff_snapshot` keeps that
-path alive for verification and the differential tests).
+snapshot+full-scan reference produces (:func:`diff_snapshot` — the
+``VERIFY_DIFFS`` cross-check and the differential tests run it).
 
 Verification knobs (environment or module globals; they travel inside
 the payload, so no child-process configuration is involved):
 ``VERIFY_DIFFS=1`` cross-checks the write-log diff against the snapshot
 diff in every chunk; ``VERIFY_PRELUDE=1`` ships the full state alongside
 every delta and fails loudly if a worker's delta-applied resident state
-diverges from it; ``RESIDENT_PRELUDE=0`` disables the resident protocol
-(every region ships full state, v1-style); ``MEASURE_NAIVE=1`` also
-measures the seed's naive encoding for the benchmark tables.
+diverges from it.
 """
 
 import dataclasses
@@ -129,9 +127,7 @@ _WINDOW_DIRTY_CAP = 8192
 # ``payload.VERIFY_DIFFS`` et al. keep working — a knob is truthy
 # exactly when its environment variable is set truthy.
 VERIFY_DIFFS = knobs.VERIFY_DIFFS
-MEASURE_NAIVE = knobs.MEASURE_NAIVE
 VERIFY_PRELUDE = knobs.VERIFY_PRELUDE
-RESIDENT_PRELUDE = knobs.RESIDENT_PRELUDE
 VERIFY_COMPILED = knobs.VERIFY_COMPILED
 
 
@@ -393,9 +389,8 @@ class PreludeCodec:
     lists the pool workers hold resident, in persistent-id order), the
     hash-chain key of the state the workers currently hold, and the
     inter-region write log the dirty deltas are drained from.  A
-    ``None`` log (or :data:`RESIDENT_PRELUDE` off, or an epoch change,
-    or :meth:`invalidate`) degrades every region to full-state shipping
-    — never to wrong results.
+    ``None`` log (or an epoch change, or :meth:`invalidate`) degrades
+    every region to full-state shipping — never to wrong results.
     """
 
     __slots__ = (
@@ -700,7 +695,6 @@ class RegionPayloads:
     shipped_module: bool
     shipped_state: bool  # full state attached to every payload (cold)
     next_key: str
-    naive_bytes: int = 0  # legacy-codec bytes (MEASURE_NAIVE only)
     _table: list = None  # table snapshot for the lazy state encode
     _global_storage: dict = None
     _state_bytes: bytes = None
@@ -860,8 +854,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         if prelude.key is not None and not prelude.rebind(current):
             prelude.invalidate()
     resident = (
-        RESIDENT_PRELUDE
-        and prelude.key is not None
+        prelude.key is not None
         and prelude.log is not None
         and len(current) <= _TABLE_CAP
     )
@@ -951,7 +944,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     needed = prelude.livein_for(loops)
     ship = (epoch, codec.key) not in _SHIPPED_MODULES
     payloads = []
-    naive_bytes = 0
     for worker in workers:
         delta_buffer = io.BytesIO()
         delta_pickler = _RegionPickler(
@@ -992,18 +984,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
             header_bytes=header_bytes,
             delta_bytes=delta_buffer.getvalue(),
         ))
-        if MEASURE_NAIVE:
-            naive_bytes += len(pickle.dumps({
-                "module": module,
-                "frame": worker.frame,
-                "segments": worker.segments,
-                "global_storage": global_storage,
-                "max_steps": max_steps,
-                "private_globals": worker.private_globals,
-                "private_alloca_uids": {
-                    inst.uid for inst in worker.private_allocas
-                },
-            }))
     if ship and payloads:
         _SHIPPED_MODULES.add((epoch, codec.key))
         # Entries for dead pool generations can never be consulted again.
@@ -1016,7 +996,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         shipped_module=ship,
         shipped_state=state_bytes is not None,
         next_key=next_key,
-        naive_bytes=naive_bytes,
         _table=list(prelude.table),
         _global_storage=global_storage,
         _state_bytes=state_bytes,
@@ -1114,7 +1093,7 @@ def _verify_resident(resident, state_bytes, stream_id):
     have_names = set(resident.global_storage)
     want_names = set(fresh["global_storage"])
     if have_names != want_names:
-        raise ValueError(
+        raise PreludeVerificationError(
             f"resident prelude diverged (stream {stream_id}): global "
             f"names {sorted(have_names ^ want_names)} differ"
         )
@@ -1227,7 +1206,7 @@ def shared_index(frame, global_storage, private_alloca_uids):
     """Which objects a worker's writes must flow back through.
 
     Captured *before* the chunk runs: an alloca first executed inside
-    the chunk is per-worker scratch, never merged (matching the legacy
+    the chunk is per-worker scratch, never merged (matching the reference
     snapshot's pre-run capture).  Returns three ordered lists of
     ``(key, live storage)`` pairs — globals by name, allocas by
     instruction, pointer-typed arguments by index (those alias
@@ -1252,7 +1231,7 @@ def shared_index(frame, global_storage, private_alloca_uids):
 
 
 def snapshot_shared(index):
-    """Legacy pre-run capture: a full copy of every shared object."""
+    """Reference pre-run capture: a full copy of every shared object."""
     globals_, allocas, args = index
     return (
         [list(values) for _name, values in globals_],
@@ -1262,7 +1241,7 @@ def snapshot_shared(index):
 
 
 def diff_snapshot(snapshot, index):
-    """Legacy full-scan diff of ``index`` against its pre-run snapshot."""
+    """Reference full-scan diff of ``index`` against its pre-run snapshot."""
     globals_before, allocas_before, args_before = snapshot
     globals_, allocas, args = index
     global_diffs = []

@@ -20,13 +20,17 @@ are recorded in ``s.diagnostics``.  Reassigning ``s.source`` or calling
 returned.
 """
 
+from repro.opt import OptLevel, optimize_plan
 from repro.pipeline.cache import PipelineCache, content_key
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import STAGES
+from repro.planner.calibration import ReplanContext
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.options import count_options
 from repro.planner.plans import abstraction_plan, openmp_source_plan
+from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
+from repro.runtime.executor import run_parallel
 
 #: Config fields each stage's *own* builder reads.  A stage's cache key
 #: covers these plus — transitively through the stage graph's ``deps``
@@ -491,25 +495,8 @@ class Session:
         ``profile_path``), so the *next* plan starts from measured
         coefficients.
         """
-        from repro.opt import OptLevel
-        from repro.runtime.executor import (
-            run_parallel,
-            run_plan,
-            run_source_plan,
-        )
-
-        workers = workers if workers is not None else self.config.workers
-        seed = seed if seed is not None else self.config.seed
-        backend = backend if backend is not None else self.config.backend
-        schedule = schedule if schedule is not None else self.config.schedule
-        chunk = chunk if chunk is not None else self.config.chunk
-        level = (OptLevel.coerce(opt) if opt is not None
-                 else self.config.opt_level)
-        pool_size = self.config.machine.cores
-        prelude = self._prelude_codec()
-        quarantine = self._quarantine()
-        retry_budget = self.config.retry_budget
-        failover = self.config.failover
+        config = self.config
+        level = OptLevel.coerce(opt) if opt is not None else config.opt_level
         adaptive_on = (
             self.adaptive_enabled if adaptive is None else bool(adaptive)
         )
@@ -517,80 +504,59 @@ class Session:
             self.compile_regions_enabled if compile_regions is None
             else bool(compile_regions)
         )
-        if compile_on and isinstance(plan, str) and plan not in (
-            "source", "OpenMP"
-        ):
-            # Warm the codegen cache (and record its stage stats) before
-            # the first region dispatch.  Source-plan runs skip the
-            # warm-up — it would drag the whole planning pipeline in —
-            # and compile lazily at dispatch instead.
-            self._stage("compile_regions")
         if plan is None or plan in ("source", "OpenMP"):
-            replan = (
-                self._replan_context(openmp_source_plan(self.function),
-                                     level)
-                if adaptive_on else None
-            )
-            result = run_source_plan(
-                self.module, self.config.function_name, workers, seed,
-                backend, schedule, chunk, pool_size, prelude,
-                compile_on, quarantine=quarantine,
-                retry_budget=retry_budget, failover=failover,
-                adaptive=adaptive_on, replan=replan,
+            # Source-plan runs skip the codegen warm-up — it would drag
+            # the whole planning pipeline in — and compile lazily.
+            regions = recipes_from_annotations(self.function)
+            base_plan = (
+                openmp_source_plan(self.function) if adaptive_on else None
             )
         elif isinstance(plan, str):
-            if level == self.config.opt_level:
+            if compile_on:
+                # Warm the codegen cache (and record its stage stats)
+                # before the first region dispatch.
+                self._stage("compile_regions")
+            if level == config.opt_level:
                 regions = self._cached_regions(plan)
             else:
                 regions = self._regions_at_level(plan, level)
-            replan = (
-                self._replan_context(self.plan(plan), level)
-                if adaptive_on else None
-            )
-            result = run_parallel(
-                self.module, regions, self.config.function_name, workers,
-                seed, backend, schedule, chunk, pool_size, prelude,
-                compile_on, quarantine=quarantine,
-                retry_budget=retry_budget, failover=failover,
-                adaptive=adaptive_on, replan=replan,
-            )
+            base_plan = self.plan(plan) if adaptive_on else None
         else:
-            # Explicit ProgramPlan: optimize here, against the session's
-            # cached pdg/loops — run_plan's standalone opt path would
-            # rebuild the dependence analyses on every call.
+            # Explicit ProgramPlan: optimize against the session's
+            # cached pdg/loops, then derive its recipes.
             base_plan = plan
             if level > OptLevel.O0 and not plan.regions:
                 plan = self._optimize_plan_object(plan, level)
-            replan = (
-                self._replan_context(base_plan, level)
-                if adaptive_on else None
+            regions = recipes_from_plan(
+                self.module, self.pspdg, plan, self.function
             )
-            result = run_plan(
-                self.module,
-                self.pspdg,
-                plan,
-                self.config.function_name,
-                workers,
-                seed,
-                backend,
-                schedule,
-                chunk,
-                pool_size=pool_size,
-                prelude=prelude,
-                compile_regions=compile_on,
-                quarantine=quarantine,
-                retry_budget=retry_budget,
-                failover=failover,
-                adaptive=adaptive_on,
-                replan=replan,
-            )
+        replan = (
+            self._replan_context(base_plan, level) if adaptive_on else None
+        )
+        result = run_parallel(
+            self.module, regions, config.function_name,
+            workers=workers if workers is not None else config.workers,
+            seed=seed if seed is not None else config.seed,
+            backend=backend if backend is not None else config.backend,
+            schedule=schedule if schedule is not None else config.schedule,
+            chunk=chunk if chunk is not None else config.chunk,
+            pool_size=config.machine.cores,
+            prelude=self._prelude_codec(),
+            compile_regions=compile_on,
+            quarantine=self._quarantine(),
+            retry_budget=config.retry_budget,
+            failover=config.failover,
+            adaptive=adaptive_on,
+            replan=replan,
+        )
         for region in result.parallel_regions:
             self.diagnostics.record_parallel(region)
         if self.calibrate_enabled or adaptive_on:
-            # Mid-run replans already fed the store up to
-            # ``calibrated_upto``; distill only the regions after that so
-            # nothing is counted twice, then persist for warm sessions.
-            start = getattr(result, "calibrated_upto", 0)
+            # Mid-run replans already fed the store up to the context's
+            # ``calibrated_upto``; distill only the regions after that
+            # so nothing is counted twice, then persist for warm
+            # sessions.
+            start = replan.calibrated_upto if replan is not None else 0
             self.calibration.observe_run(
                 result.parallel_regions[start:],
                 program_key=self.program_key(),
@@ -608,8 +574,6 @@ class Session:
         calibration store, and the per-label payload-bytes predictions
         the divergence detector compares measurements against.
         """
-        from repro.planner.calibration import ReplanContext
-
         calibrated = self.calibrated
         return ReplanContext(
             function=self.function,
@@ -669,8 +633,6 @@ class Session:
 
     def _optimize_plan_object(self, plan, level):
         """Run the -O passes over an explicit plan, on cached artifacts."""
-        from repro.opt import optimize_plan
-
         calibrated = self.calibrated
         return optimize_plan(
             self.function,
@@ -688,8 +650,6 @@ class Session:
 
     def _regions_at_level(self, abstraction, level):
         """Regions for an explicit ``opt=`` override (cache-bypassing)."""
-        from repro.runtime.executor import recipes_from_plan
-
         optimized = self._optimize_plan_object(self.plan(abstraction), level)
         return recipes_from_plan(
             self.module, self.pspdg, optimized, self.function
@@ -717,25 +677,6 @@ class Session:
             return _canonical_signature(projection(self.pspdg))
         reduced = project(self.pspdg, self.config.ablate_features)
         return _canonical_signature(reduced)
-
-    # -- interop ---------------------------------------------------------------
-
-    def benchmark_setup(self):
-        """This session's artifacts as a typed :class:`BenchmarkSetup`."""
-        from repro.planner.experiments import BenchmarkSetup
-
-        return BenchmarkSetup(
-            name=self.config.name,
-            session=self,
-            module=self.module,
-            function=self.function,
-            profile=self.profile,
-            execution=self.execution,
-            pdg=self.pdg,
-            pspdg=self.pspdg,
-            loops=self.loops,
-            views=self.views,
-        )
 
     def describe(self):
         """One-line summary plus the per-stage diagnostics table."""

@@ -1,0 +1,181 @@
+"""One dispatched region's measurements: the single typed record.
+
+A :class:`RegionStats` is created with the region, *is* the counter
+block the execution backends increment while the region runs, is
+completed by the executor (label, backend, wall time, per-worker rows)
+and is published exactly once into ``result.parallel_regions``.  Every
+consumer — ``Diagnostics`` (storage and the ``parallel_report`` table),
+``CalibrationStore.observe_run``, the mid-run replanner, the benchmarks
+— reads this one shape, and the quantities they used to re-derive
+(recovery inflation, dispatch overhead, step imbalance, the per-label
+wire feedback) are defined here once.
+
+Dependency-free on purpose: the runtime, the planner and the pipeline
+all import it, so it must import none of them.
+"""
+
+import dataclasses
+
+
+@dataclasses.dataclass(slots=True)
+class RegionStats:
+    """Measurements of one parallel-region dispatch.
+
+    Published records also read like the stats dicts they replaced
+    (``region["payload_bytes"]``, ``region.get("replans", 0)``,
+    ``dict(region)``), which is how the benchmark harness and older
+    callers consume them; the key set is exactly the field set.
+    """
+
+    header: str = ""  # region label ("outer/" prefix for nests, "+" fused)
+    fused: bool = False
+    backend: str = ""  # backend that ran it, with any downgrade suffix
+    schedule: str = "static"
+    workers: int = 0
+    chunk: int = 1
+    iterations: int = 0
+    payloads: int = 0  # process-pool payloads dispatched (processes only)
+    payload_bytes: int = 0  # bytes shipped to the pool for this region
+    dirty_slots: int = 0  # (object, slot) write marks reported by workers
+    prelude_hits: int = 0  # payloads served from resident worker state
+    prelude_misses: int = 0  # payloads retried with the full state attached
+    prelude_bytes_saved: int = 0  # estimated state bytes the hits avoided
+    retry_payload_bytes: int = 0  # bytes of miss-retry round-trips (timing-
+    # dependent: how often pool scheduling let a worker fall behind)
+    compiled_chunks: int = 0  # chunks run through exec-compiled bodies
+    interpreted_chunks: int = 0  # chunks run through the dispatch loop
+    codegen_compiles: int = 0  # fresh lowerings this region caused
+    codegen_source_hits: int = 0  # entries rebuilt from cached source
+    codegen_fallbacks: int = 0  # lowering refusals/failures
+    retries: int = 0  # supervised re-dispatches after infra failures
+    failovers: int = 0  # degradation-ladder rung changes this region took
+    faults_injected: int = 0  # REPRO_FAULTS scenarios fired on this region
+    recovery_ms: float = 0.0  # wall-clock spent respawning/backing off
+    seconds: float = 0.0  # wall time of the whole dispatch
+    # One {"worker", "iterations", "steps", "seconds"} row per worker.
+    per_worker: list = dataclasses.field(default_factory=list)
+    replans: int = 0  # adaptive replans this dispatch triggered
+
+    # -- mapping-style reads ---------------------------------------------------
+
+    def keys(self):
+        return self.__slots__
+
+    def __getitem__(self, key):
+        if key in self.__slots__:
+            return getattr(self, key)
+        raise KeyError(key)
+
+    def get(self, key, default=None):
+        return getattr(self, key) if key in self.__slots__ else default
+
+    # -- derived quantities ----------------------------------------------------
+
+    @property
+    def recovery_inflated(self):
+        """True when the wall time includes retry/failover/fault work.
+
+        Such timings measure the fault injector and the retry ladder,
+        not the machine: they neither calibrate nor trigger a replan.
+        """
+        return bool(self.retries or self.failovers or self.faults_injected)
+
+    @property
+    def compute_seconds(self):
+        """The slowest worker's own clock (0.0 for untimed workers)."""
+        return max(
+            (worker["seconds"] for worker in self.per_worker), default=0.0
+        )
+
+    @property
+    def dispatch_overhead(self):
+        """Wall time not covered by the slowest worker's compute."""
+        return self.seconds - self.compute_seconds
+
+    @property
+    def step_imbalance(self):
+        """Max-over-mean steps of the workers that had iterations.
+
+        ``None`` when fewer than two workers ran (nothing to balance).
+        """
+        busy = [
+            worker["steps"] for worker in self.per_worker
+            if worker["iterations"]
+        ]
+        if len(busy) < 2 or not sum(busy):
+            return None
+        return max(busy) / (sum(busy) / len(busy))
+
+
+def region_feedback(regions):
+    """Measured per-label feedback aggregated over ``regions``.
+
+    Returns ``(payload_bytes, prelude_warm, compiled_speedup,
+    recovery)``: average bytes-on-wire per payload, the resident-prelude
+    hit fraction, the measured compiled-over-interpreted step-rate
+    ratio, and the supervision ledger, each aggregated over every
+    execution of its region label.  The first three feed
+    ``optimize_plan(payload_bytes=..., prelude_warm=...,
+    compiled_speedup=...)`` so the small-region pass prices regions at
+    what their dispatches *actually* cost — cached preludes and real
+    codegen gains included — instead of at the cold-start worst case
+    and the machine model's prior.
+
+    ``compiled_speedup`` only covers labels observed in *both* modes
+    (pure compiled and pure interpreted executions); mixed executions
+    are skipped because their rate is not attributable to either engine.
+
+    ``recovery`` maps each label that ever needed supervision (or
+    triggered an adaptive replan) to its ``retries`` / ``failovers`` /
+    ``faults_injected`` / ``recovery_ms`` / ``replans`` totals; labels
+    with an all-zero ledger are omitted, so an empty dict means every
+    dispatch was clean.
+    """
+    totals = {}  # label -> [bytes, payloads, hits]
+    rates = {}  # label -> {mode: [steps, seconds]}
+    recovery = {}
+    for region in regions:
+        label = region.header
+        if region.payloads:
+            entry = totals.setdefault(label, [0, 0, 0])
+            entry[0] += region.payload_bytes
+            entry[1] += region.payloads
+            entry[2] += region.prelude_hits
+        if region.recovery_inflated or region.recovery_ms or region.replans:
+            ledger = recovery.setdefault(label, dict.fromkeys(_LEDGER, 0))
+            for key in _LEDGER:
+                ledger[key] += getattr(region, key)
+        compiled = region.compiled_chunks
+        if bool(compiled) == bool(region.interpreted_chunks):
+            continue  # mixed or empty
+        steps = sum(worker["steps"] for worker in region.per_worker)
+        if not steps or region.seconds <= 0.0:
+            continue
+        entry = rates.setdefault(
+            label, {"compiled": [0, 0.0], "interpreted": [0, 0.0]}
+        )
+        mode = entry["compiled" if compiled else "interpreted"]
+        mode[0] += steps
+        mode[1] += region.seconds
+    payload_bytes = {
+        label: total // payloads
+        for label, (total, payloads, _hits) in totals.items()
+    }
+    prelude_warm = {
+        label: hits / payloads
+        for label, (_total, payloads, hits) in totals.items()
+    }
+    compiled_speedup = {}
+    for label, entry in rates.items():
+        compiled_steps, compiled_seconds = entry["compiled"]
+        interp_steps, interp_seconds = entry["interpreted"]
+        if compiled_steps and interp_steps:
+            compiled_speedup[label] = (
+                (compiled_steps / compiled_seconds)
+                / (interp_steps / interp_seconds)
+            )
+    return payload_bytes, prelude_warm, compiled_speedup, recovery
+
+
+#: The supervision-ledger fields ``region_feedback`` totals per label.
+_LEDGER = ("retries", "failovers", "faults_injected", "recovery_ms", "replans")

@@ -1,15 +1,11 @@
 """End-to-end pipeline tests: source -> IR -> PDG -> PS-PDG -> plan -> run."""
 
+from repro import Session
 from repro.core import build_pspdg
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.ir import print_module, verify_module
 from repro.pdg import build_pdg
-from repro.planner import (
-    fig13_options,
-    fig14_critical_paths,
-    prepare_benchmark,
-)
 from repro.runtime import run_source_plan
 
 PROGRAM = """
@@ -70,13 +66,12 @@ def test_pretty_printer_covers_annotations():
 
 
 def test_experiments_agree_with_runtime_validation():
-    module = compile_source(PROGRAM)
-    setup = prepare_benchmark("integration", module)
+    setup = Session.from_source(PROGRAM, name="integration")
 
-    report = fig13_options(setup)
+    report = setup.options()
     assert report.totals["PS-PDG"] >= report.totals["OpenMP"]
 
-    results = fig14_critical_paths(setup)
+    results = setup.critical_paths()
     assert results["PS-PDG"]["speedup"] >= 1.0
 
     # The source plan executes correctly on the simulated machine.
@@ -89,9 +84,8 @@ def test_experiments_agree_with_runtime_validation():
 
 
 def test_plans_are_reported_with_techniques():
-    module = compile_source(PROGRAM)
-    setup = prepare_benchmark("integration", module)
-    results = fig14_critical_paths(setup)
+    setup = Session.from_source(PROGRAM, name="integration")
+    results = setup.critical_paths()
     plan = results["PS-PDG"]["plan"]
     description = plan.describe()
     assert "plan PS-PDG" in description
@@ -100,7 +94,6 @@ def test_plans_are_reported_with_techniques():
 
 
 def test_interpreter_profile_feeds_planner():
-    module = compile_source(PROGRAM)
-    setup = prepare_benchmark("integration", module)
+    setup = Session.from_source(PROGRAM, name="integration")
     assert setup.profile.total() == setup.execution.steps
     assert setup.profile.loop_instances()

@@ -9,13 +9,8 @@ import pytest
 
 from repro import Session, SessionConfig
 from repro.planner import MachineModel
-from repro.planner.experiments import (
-    BenchmarkSetup,
-    fig13_options,
-    fig14_critical_paths,
-    prepare_benchmark,
-)
 from repro.planner.plans import ProgramPlan
+from repro.util.regionstats import RegionStats
 
 SOURCE = """
 global data: int[64];
@@ -211,46 +206,6 @@ def test_run_plan_matches_sequential(session):
     assert session.run("source").formatted_output() == sequential
 
 
-# -- deprecation shims --------------------------------------------------------
-
-
-def test_shims_warn_and_delegate():
-    session = Session.from_source(SOURCE, name="t")
-    with pytest.warns(DeprecationWarning):
-        setup = prepare_benchmark("t", session.module)
-    assert isinstance(setup, BenchmarkSetup)
-    assert setup.session is not None
-    with pytest.warns(DeprecationWarning):
-        report = fig13_options(setup)
-    with pytest.warns(DeprecationWarning):
-        results = fig14_critical_paths(setup)
-    assert report.totals == session.options().totals
-    assert (
-        results["PS-PDG"]["critical_path"]
-        == session.critical_paths()["PS-PDG"]["critical_path"]
-    )
-    # The shim rides the wrapped session's cache.
-    with pytest.warns(DeprecationWarning):
-        fig13_options(setup)
-    assert setup.session.diagnostics.runs("options") == 1
-
-
-def test_top_level_compile_source_warns():
-    import repro
-
-    with pytest.warns(DeprecationWarning):
-        module = repro.compile_source(SOURCE)
-    assert module.function("main") is not None
-
-
-def test_benchmark_setup_is_slotted():
-    session = Session.from_source(SOURCE, name="t")
-    setup = session.benchmark_setup()
-    assert not hasattr(setup, "__dict__")
-    with pytest.raises(AttributeError):
-        setup.unknown_field = 1
-
-
 # -- diagnostics --------------------------------------------------------------
 
 
@@ -268,21 +223,16 @@ def test_payload_feedback_aggregates_per_label():
     from repro.pipeline.diagnostics import Diagnostics
 
     diagnostics = Diagnostics()
-    diagnostics.record_parallel({
-        "header": "L1", "payloads": 4, "payload_bytes": 4000,
-        "prelude_hits": 0, "per_worker": [],
-    })
-    diagnostics.record_parallel({
-        "header": "L1", "payloads": 4, "payload_bytes": 400,
-        "prelude_hits": 4, "per_worker": [],
-    })
-    diagnostics.record_parallel({
-        "header": "L2", "payloads": 2, "payload_bytes": 600,
-        "prelude_hits": 1, "per_worker": [],
-    })
-    diagnostics.record_parallel({
-        "header": "seq", "payloads": 0, "per_worker": [],
-    })
+    diagnostics.record_parallel(RegionStats(
+        header="L1", payloads=4, payload_bytes=4000, prelude_hits=0,
+    ))
+    diagnostics.record_parallel(RegionStats(
+        header="L1", payloads=4, payload_bytes=400, prelude_hits=4,
+    ))
+    diagnostics.record_parallel(RegionStats(
+        header="L2", payloads=2, payload_bytes=600, prelude_hits=1,
+    ))
+    diagnostics.record_parallel(RegionStats(header="seq", payloads=0))
     payload_bytes, prelude_warm, speedup, recovery = (
         diagnostics.payload_feedback()
     )
@@ -299,24 +249,24 @@ def test_payload_feedback_measures_compiled_speedup():
     diagnostics = Diagnostics()
     # Two interpreted runs at 1000 steps/s, one compiled at 4000.
     for _ in range(2):
-        diagnostics.record_parallel({
-            "header": "L1", "seconds": 1.0, "interpreted_chunks": 4,
-            "per_worker": [{"steps": 500}, {"steps": 500}],
-        })
-    diagnostics.record_parallel({
-        "header": "L1", "seconds": 0.5, "compiled_chunks": 4,
-        "per_worker": [{"steps": 1000}, {"steps": 1000}],
-    })
+        diagnostics.record_parallel(RegionStats(
+            header="L1", seconds=1.0, interpreted_chunks=4,
+            per_worker=[{"steps": 500}, {"steps": 500}],
+        ))
+    diagnostics.record_parallel(RegionStats(
+        header="L1", seconds=0.5, compiled_chunks=4,
+        per_worker=[{"steps": 1000}, {"steps": 1000}],
+    ))
     # Mixed executions are not attributable to either engine.
-    diagnostics.record_parallel({
-        "header": "L2", "seconds": 1.0, "compiled_chunks": 2,
-        "interpreted_chunks": 2, "per_worker": [{"steps": 1000}],
-    })
+    diagnostics.record_parallel(RegionStats(
+        header="L2", seconds=1.0, compiled_chunks=2,
+        interpreted_chunks=2, per_worker=[{"steps": 1000}],
+    ))
     # Compiled-only regions have no interpreted baseline to compare to.
-    diagnostics.record_parallel({
-        "header": "L3", "seconds": 1.0, "compiled_chunks": 2,
-        "per_worker": [{"steps": 1000}],
-    })
+    diagnostics.record_parallel(RegionStats(
+        header="L3", seconds=1.0, compiled_chunks=2,
+        per_worker=[{"steps": 1000}],
+    ))
     _bytes, _warm, speedup, _recovery = diagnostics.payload_feedback()
     assert speedup == {"L1": pytest.approx(4.0)}
 
@@ -382,7 +332,7 @@ def test_cli_knobs_lists_the_registry():
     assert proc.returncode == 0, proc.stderr
     for name in knobs.snapshot():
         assert name in proc.stdout
-    assert "default on" in proc.stdout  # RESIDENT_PRELUDE
+    assert "default on" in proc.stdout  # REPRO_FAILOVER
     markdown = _run_cli("knobs", "--markdown")
     assert markdown.returncode == 0, markdown.stderr
     assert markdown.stdout.strip() == knobs.markdown_table()

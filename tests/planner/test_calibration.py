@@ -2,9 +2,9 @@
 
 The store is the profile-guided planning substrate: region stats in,
 measured MachineModel coefficients and per-program wire feedback out.
-These tests drive it with hand-built stats dicts (the runtime's shape,
-see ``Diagnostics.record_parallel``) so each estimator is pinned
-without spinning up a pool.
+These tests drive it with hand-built :class:`RegionStats` records (the
+runtime's published shape) so each estimator is pinned without spinning
+up a pool.
 """
 
 import json
@@ -17,38 +17,36 @@ from repro.planner.calibration import (
     ReplanContext,
 )
 from repro.planner.machine import DEFAULT_MACHINE
+from repro.util.regionstats import RegionStats
 
 
 def region(header="for.header.0", *, seconds=0.5, worker_seconds=(0.1, 0.1),
            worker_steps=(100, 100), payloads=0, payload_bytes=0,
            prelude_hits=0, prelude_bytes_saved=0, backend="processes",
            retries=0, failovers=0, faults_injected=0, **extra):
-    """One runtime region-stats dict, minimally populated."""
-    stats = {
-        "header": header,
-        "backend": backend,
-        "schedule": "static",
-        "workers": len(worker_seconds),
-        "chunk": 1,
-        "iterations": sum(worker_steps),
-        "seconds": seconds,
-        "per_worker": [
+    """One runtime region record, minimally populated."""
+    return RegionStats(
+        header=header,
+        backend=backend,
+        workers=len(worker_seconds),
+        iterations=sum(worker_steps),
+        seconds=seconds,
+        per_worker=[
             {"worker": i, "iterations": steps, "steps": steps,
              "seconds": secs}
             for i, (steps, secs) in enumerate(
                 zip(worker_steps, worker_seconds)
             )
         ],
-        "payloads": payloads,
-        "payload_bytes": payload_bytes,
-        "prelude_hits": prelude_hits,
-        "prelude_bytes_saved": prelude_bytes_saved,
-        "retries": retries,
-        "failovers": failovers,
-        "faults_injected": faults_injected,
-    }
-    stats.update(extra)
-    return stats
+        payloads=payloads,
+        payload_bytes=payload_bytes,
+        prelude_hits=prelude_hits,
+        prelude_bytes_saved=prelude_bytes_saved,
+        retries=retries,
+        failovers=failovers,
+        faults_injected=faults_injected,
+        **extra,
+    )
 
 
 class TestEwma:

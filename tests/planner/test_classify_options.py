@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.frontend import compile_source
+from repro import Session
 from repro.planner import (
     DEFAULT_MACHINE,
     MachineModel,
     classify_loop,
     doall_options,
     dswp_options,
-    fig13_options,
     helix_options,
     options_for_loop,
-    prepare_benchmark,
 )
 
 
 def setup_for(source, name="t"):
-    return prepare_benchmark(name, compile_source(source))
+    return Session.from_source(source, name=name)
 
 
 AFFINE = (
@@ -125,7 +123,7 @@ class TestOptionFormulas:
 class TestFig13Reports:
     def test_report_includes_all_abstractions(self):
         setup = setup_for(AFFINE)
-        report = fig13_options(setup)
+        report = setup.options()
         assert set(report.totals) == {"OpenMP", "PDG", "J&K", "PS-PDG"}
 
     def test_openmp_counts_only_annotated_loops(self):
@@ -137,7 +135,7 @@ class TestFig13Reports:
             "  for j in 0..16 { b[j] = j; }\n"
             "}"
         )
-        report = fig13_options(setup)
+        report = setup.options()
         assert report.totals["OpenMP"] == 448
         assert report.totals["PDG"] == 2 * 448
 
@@ -149,5 +147,5 @@ class TestFig13Reports:
             "  for j in 0..1 { b[j] = j; }\n"
             "}"
         )
-        report = fig13_options(setup, min_coverage=0.05)
+        report = setup.options(min_coverage=0.05)
         assert len(report.per_loop) == 1

@@ -1,6 +1,6 @@
 """Ideal-machine critical path under explicit plans."""
 
-from repro.frontend import compile_source
+from repro import Session
 from repro.planner import (
     CriticalPathEvaluator,
     LoopPlan,
@@ -8,16 +8,13 @@ from repro.planner import (
     TECH_DOALL,
     TECH_DSWP,
     TECH_HELIX,
-    fig14_critical_paths,
     loop_uid_map,
     openmp_source_plan,
-    prepare_benchmark,
 )
 
 
 def profiled(source):
-    setup = prepare_benchmark("t", compile_source(source))
-    return setup
+    return Session.from_source(source, name="t")
 
 
 def test_sequential_critical_path_is_total_work():
@@ -52,7 +49,7 @@ def test_doall_with_serialized_work_bounded_by_lock_sum():
         "  }\n"
         "}"
     )
-    results = fig14_critical_paths(setup)
+    results = setup.critical_paths()
     openmp_cp = results["OpenMP"]["critical_path"]
     sequential = results["Sequential"]["critical_path"]
     # Lock-serialized work keeps the plan well above max-iteration cost,
@@ -135,7 +132,7 @@ def test_fig14_speedups_relative_to_openmp():
         "  for i in 0..32 { a[k[i]] = a[k[i]] + 1; }\n"
         "}"
     )
-    results = fig14_critical_paths(setup)
+    results = setup.critical_paths()
     assert results["OpenMP"]["speedup"] == 1.0
     # The PS-PDG never loses parallelism the programmer expressed.
     assert results["PS-PDG"]["speedup"] >= 1.0
@@ -153,7 +150,7 @@ def test_nested_parallelism_recursion():
         "  }\n"
         "}"
     )
-    results = fig14_critical_paths(setup)
+    results = setup.critical_paths()
     # J&K/PS-PDG exploit the inner developer loop under the sequential
     # outer loop.
     assert results["J&K"]["critical_path"] <= results["OpenMP"][

@@ -1,11 +1,10 @@
 """Dependence views: what PDG, J&K, and PS-PDG each see."""
 
-from repro.frontend import compile_source
-from repro.planner import prepare_benchmark
+from repro import Session
 
 
 def setup_for(source):
-    return prepare_benchmark("t", compile_source(source))
+    return Session.from_source(source, name="t")
 
 
 REDUCTION_UNDER_WORKSHARING = (

@@ -15,19 +15,19 @@ from repro.runtime import knobs, payload
 
 def test_unset_env_uses_default(monkeypatch):
     monkeypatch.delenv("VERIFY_DIFFS", raising=False)
-    monkeypatch.delenv("RESIDENT_PRELUDE", raising=False)
+    monkeypatch.delenv("REPRO_FAILOVER", raising=False)
     knobs.refresh()
     assert not knobs.VERIFY_DIFFS
-    assert knobs.RESIDENT_PRELUDE  # default-on knob
+    assert knobs.REPRO_FAILOVER  # default-on knob
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
 def test_falsy_spellings(monkeypatch, raw):
     monkeypatch.setenv("VERIFY_DIFFS", raw)
-    monkeypatch.setenv("RESIDENT_PRELUDE", raw)
+    monkeypatch.setenv("REPRO_FAILOVER", raw)
     knobs.refresh()
     assert not knobs.VERIFY_DIFFS
-    assert not knobs.RESIDENT_PRELUDE
+    assert not knobs.REPRO_FAILOVER
 
 
 @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
@@ -80,10 +80,10 @@ def test_flag_conflicting_default_is_an_error():
 def test_snapshot_carries_defaults_values_and_docs():
     snap = knobs.snapshot()
     assert set(snap) == set(knobs.as_dict())
-    entry = snap["RESIDENT_PRELUDE"]
+    entry = snap["REPRO_FAILOVER"]
     assert entry["default"] is True
     assert isinstance(entry["value"], bool)
-    assert "resident" in entry["doc"].lower()
+    assert "ladder" in entry["doc"].lower()
     # Every registered knob documents itself — the README table is
     # generated from these lines.
     assert all(info["doc"] for info in snap.values())
@@ -100,7 +100,7 @@ def test_readme_knob_table_matches_the_registry():
 
     readme = Path(__file__).resolve().parents[2] / "README.md"
     table = knobs.markdown_table()
-    assert "| `RESIDENT_PRELUDE` | on |" in table  # sanity
+    assert "| `REPRO_FAILOVER` | on |" in table  # sanity
     assert table in readme.read_text(), (
         "README.md knob table is stale — regenerate it with "
         "`python -m repro knobs --markdown` and paste it in"
@@ -110,19 +110,17 @@ def test_readme_knob_table_matches_the_registry():
 def test_payload_reexports_are_knob_objects():
     """payload.VERIFY_* stay monkeypatch-compatible module attributes."""
     assert payload.VERIFY_DIFFS is knobs.VERIFY_DIFFS
-    assert payload.MEASURE_NAIVE is knobs.MEASURE_NAIVE
     assert payload.VERIFY_PRELUDE is knobs.VERIFY_PRELUDE
-    assert payload.RESIDENT_PRELUDE is knobs.RESIDENT_PRELUDE
     assert payload.VERIFY_COMPILED is knobs.VERIFY_COMPILED
 
 
 def test_env_wins_over_stale_value(monkeypatch):
-    monkeypatch.setenv("MEASURE_NAIVE", "1")
+    monkeypatch.setenv("VERIFY_PRELUDE", "1")
     knobs.refresh()
-    assert knobs.MEASURE_NAIVE
-    monkeypatch.setenv("MEASURE_NAIVE", "0")
+    assert knobs.VERIFY_PRELUDE
+    monkeypatch.setenv("VERIFY_PRELUDE", "0")
     knobs.refresh()
-    assert not knobs.MEASURE_NAIVE
+    assert not knobs.VERIFY_PRELUDE
 
 
 def test_knob_repr_and_pickle_guard():

@@ -294,6 +294,32 @@ class TestUnloggedMutationVerification:
         with pytest.raises(EmulationError, match="diverged"):
             session.run("PS-PDG", workers=4, backend="processes")
 
+    def test_global_name_divergence_is_fatal_not_retried(self, monkeypatch):
+        """A resident image whose *global-name set* diverged is the same
+        caught bug as a diverged slot: it must fail the run on the first
+        attempt.  (Raised as a plain decode error it was retried with
+        the full state attached — which has nothing left to verify — and
+        the divergence was silently blessed.)"""
+        monkeypatch.setattr(payload_codec, "VERIFY_PRELUDE", True)
+        real = payload_codec.encode_region
+        calls = {"n": 0}
+
+        def growing(**kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                # A global the workers' resident dict has never seen,
+                # added behind the write log's back.
+                kwargs["global_storage"]["__ghost__"] = [0]
+            return real(**kwargs)
+
+        monkeypatch.setattr(
+            backends.payload_codec, "encode_region", growing
+        )
+        session = Session.from_kernel("CG")
+        with pytest.raises(EmulationError, match="global names"):
+            session.run("PS-PDG", workers=4, backend="processes")
+        assert calls["n"] == 2  # zero retries: no third encode
+
     def test_invalidation_makes_unlogged_mutation_safe(self, monkeypatch):
         """The documented contract: mutate outside the interpreter, call
         ``invalidate``, and the next region re-ships the full state."""

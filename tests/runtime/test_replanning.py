@@ -7,6 +7,8 @@ trigger headers, and never anything at all for recovery-inflated
 dispatches (their timings measure the fault injector, not the machine).
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Session
@@ -155,9 +157,7 @@ class TestChaosInteraction:
             knobs.refresh()
         assert outputs_close(result.output, expected)
         faulted = [
-            r for r in result.parallel_regions
-            if r.get("retries") or r.get("failovers")
-            or r.get("faults_injected")
+            r for r in result.parallel_regions if r.recovery_inflated
         ]
         assert faulted  # the scenario actually fired
         # A recovery-inflated dispatch never triggers a replan itself.
@@ -167,6 +167,9 @@ class TestChaosInteraction:
         store = CalibrationStore()
         session = miscalibrated_session()
         result = session.run("PS-PDG")
-        faulted = [dict(r, retries=1) for r in result.parallel_regions]
+        faulted = [
+            dataclasses.replace(r, retries=1)
+            for r in result.parallel_regions
+        ]
         assert store.observe_run(faulted) is False
         assert not store.observed

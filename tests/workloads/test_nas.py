@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro import Session
 from repro.emulator import run_module
 from repro.ir import verify_module
-from repro.planner import (
-    fig13_options,
-    fig14_critical_paths,
-    prepare_benchmark,
-)
 from repro.workloads import build_kernel, kernel_names
 
 ALL = kernel_names()
@@ -16,11 +12,7 @@ ALL = kernel_names()
 
 @pytest.fixture(scope="module")
 def setups():
-    prepared = {}
-    for name in ALL:
-        module = build_kernel(name)
-        prepared[name] = prepare_benchmark(name, module)
-    return prepared
+    return {name: Session.from_kernel(name) for name in ALL}
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -49,7 +41,7 @@ def test_kernel_has_worksharing_annotations(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_fig13_ordering_invariants(setups, name):
-    report = fig13_options(setups[name])
+    report = setups[name].options()
     totals = report.totals
     # The PS-PDG can always leverage at least everything J&K can (§6.2).
     assert totals["PS-PDG"] >= totals["J&K"]
@@ -61,7 +53,7 @@ def test_fig13_ordering_invariants(setups, name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_fig14_ordering_invariants(setups, name):
-    results = fig14_critical_paths(setups[name])
+    results = setups[name].critical_paths()
     # "For benchmarks with good parallelization coverage by the
     # programmer, the PS-PDG ensures no loss of parallelism" — and in
     # general it never falls below the source plan.
@@ -78,7 +70,7 @@ def test_fig14_ordering_invariants(setups, name):
 
 def test_ep_is_flat_across_abstractions(setups):
     """Paper: EP's programmer plan is already optimal (Fig. 13/14)."""
-    results = fig14_critical_paths(setups["EP"])
+    results = setups["EP"].critical_paths()
     assert results["PDG"]["speedup"] == pytest.approx(1.0, rel=0.05)
     assert results["PS-PDG"]["speedup"] == pytest.approx(1.0, rel=0.05)
 
@@ -87,14 +79,14 @@ def test_pdg_loses_badly_on_outer_stepping_benchmarks(setups):
     """Paper Fig. 14: the PDG (outermost-loop methodology) falls below
     the OpenMP plan on benchmarks whose hot loops are inner (e.g. IS)."""
     for name in ("IS", "MG", "SP", "BT", "FT", "LU"):
-        results = fig14_critical_paths(setups[name])
+        results = setups[name].critical_paths()
         assert results["PDG"]["speedup"] < 1.0, name
 
 
 def test_jk_insufficient_on_mg(setups):
     """Paper: worksharing-improved dependence analysis cannot match the
     PS-PDG on MG (private-array semantics)."""
-    results = fig14_critical_paths(setups["MG"])
+    results = setups["MG"].critical_paths()
     assert (
         results["PS-PDG"]["critical_path"]
         < results["J&K"]["critical_path"]
@@ -103,7 +95,7 @@ def test_jk_insufficient_on_mg(setups):
 
 def test_pspdg_beats_jk_on_is(setups):
     """Paper: J&K unlocks less than the PS-PDG on IS."""
-    results = fig14_critical_paths(setups["IS"])
+    results = setups["IS"].critical_paths()
     assert results["PS-PDG"]["speedup"] > results["J&K"]["speedup"]
 
 
