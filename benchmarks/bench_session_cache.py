@@ -17,7 +17,9 @@ import pytest
 from repro import Session
 from repro.workloads import kernel_names
 
-_GRAPH_STAGES = ("module", "profile", "alias", "pdg", "pspdg", "views")
+_GRAPH_STAGES = (
+    "module", "profile", "alias", "pdg", "loops", "pspdg", "views",
+)
 
 
 @pytest.mark.parametrize("name", kernel_names())

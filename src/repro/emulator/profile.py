@@ -13,7 +13,75 @@ one *profiled function* into a tree:
   attributed to the call instruction in the profiled function, so plans
   over the profiled function see call cost without needing callee
   structure.
+
+The thousands of dynamic iterations of a kernel repeat a few dozen
+structurally distinct *shapes*, so the planner reads the tree hash-consed
+into a DAG (:meth:`FunctionProfile.shapes`): an :class:`IterationShape` is
+``(counts, child instance shapes)``, an :class:`InstanceShape` is
+``(header, multiset of iteration shapes)``.  Equal subtrees are one node,
+so node identity is structural equality and each node's totals are
+computed once.
 """
+
+
+class IterationShape:
+    """All dynamic iterations with equal counts and equal child shapes."""
+
+    __slots__ = ("counts", "children", "direct", "total", "headers")
+
+    def __init__(self, counts, children):
+        self.counts = counts
+        self.children = children
+        self.direct = sum(counts.values())
+        self.total = self.direct + sum(child.total for child in children)
+        #: Headers of every loop instance nested below this iteration.
+        self.headers = frozenset().union(
+            *(child.headers for child in children)
+        )
+
+
+class InstanceShape:
+    """All activations of one static loop with equal iteration multisets."""
+
+    __slots__ = ("header_name", "iterations", "trip_count", "total",
+                 "headers")
+
+    def __init__(self, header_name, iterations):
+        self.header_name = header_name
+        #: ``(IterationShape, multiplicity)`` pairs, one per distinct shape.
+        self.iterations = iterations
+        self.trip_count = sum(mult for _shape, mult in iterations)
+        self.total = sum(shape.total * mult for shape, mult in iterations)
+        self.headers = frozenset((header_name,)).union(
+            *(shape.headers for shape, _mult in iterations)
+        )
+
+
+def _intern_iteration(iteration, table, header_totals):
+    children = tuple(
+        _intern_instance(child, table, header_totals)
+        for child in iteration.children
+    )
+    key = (frozenset(iteration.counts.items()), children)
+    shape = table.get(key)
+    if shape is None:
+        shape = table[key] = IterationShape(iteration.counts, children)
+    return shape
+
+
+def _intern_instance(instance, table, header_totals):
+    multiplicity = {}
+    for iteration in instance.iterations:
+        shape = _intern_iteration(iteration, table, header_totals)
+        multiplicity[shape] = multiplicity.get(shape, 0) + 1
+    header = instance.header_name
+    key = (header, frozenset(multiplicity.items()))
+    shape = table.get(key)
+    if shape is None:
+        shape = InstanceShape(header, tuple(multiplicity.items()))
+        table[key] = shape
+    header_totals[header] = header_totals.get(header, 0) + shape.total
+    return shape
 
 
 class IterationProfile:
@@ -80,9 +148,29 @@ class FunctionProfile:
     def __init__(self, function_name):
         self.function_name = function_name
         self.root = IterationProfile()
+        self._interned = None
 
     def total(self):
         return self.root.total()
+
+    def _intern(self):
+        if self._interned is None:
+            header_totals = {}
+            root = _intern_iteration(self.root, {}, header_totals)
+            self._interned = (root, header_totals)
+        return self._interned
+
+    def shapes(self):
+        """Root :class:`IterationShape` of the hash-consed profile DAG.
+
+        Built from the recorded tree on first use and cached, so ask
+        only once profiling has finished.
+        """
+        return self._intern()[0]
+
+    def header_totals(self):
+        """header name -> dynamic instructions inside all its instances."""
+        return self._intern()[1]
 
     def loop_instances(self, header_name=None):
         """All loop instances in the tree (optionally for one static loop)."""

@@ -83,17 +83,24 @@ def _build_pspdg(session):
 
 
 _VIEW_FACTORIES = {
-    "PDG": lambda s: PDGView(s.function, s.module, s.pdg, s.alias),
-    "J&K": lambda s: JKView(s.function, s.module, s.pdg, s.pspdg, s.alias),
-    "PS-PDG": lambda s: PSPDGView(
-        s.function, s.module, s.pdg, s.pspdg, s.alias
+    "PDG": lambda s, removable: PDGView(
+        s.function, s.module, s.pdg, s.alias, removable
+    ),
+    "J&K": lambda s, removable: JKView(
+        s.function, s.module, s.pdg, s.pspdg, s.alias, removable
+    ),
+    "PS-PDG": lambda s, removable: PSPDGView(
+        s.function, s.module, s.pspdg, s.alias, removable
     ),
 }
 
 
 def _build_views(session):
+    # Removable objects depend on the loop, not on the abstraction: the
+    # views share one mapping, so each loop's are computed once.
+    removable = {}
     return {
-        name: _VIEW_FACTORIES[name](session)
+        name: _VIEW_FACTORIES[name](session, removable)
         for name in session.config.abstractions
     }
 

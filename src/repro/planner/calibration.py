@@ -396,7 +396,8 @@ class CalibrationStore:
         if not path or not os.path.exists(path):
             return False
         try:
-            data = json.loads(open(path, encoding="utf-8").read())
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
         except (OSError, ValueError):
             return False
         return self.from_dict(data)

@@ -60,7 +60,15 @@ class LoopClassification:
 
 
 def classify_loop(view, loop):
-    """Classify ``loop`` under the dependence ``view``."""
+    """Classify ``loop`` under the dependence ``view`` (once per view)."""
+    header = loop.header.name
+    classification = view.classifications.get(header)
+    if classification is None:
+        classification = view.classifications[header] = _classify(view, loop)
+    return classification
+
+
+def _classify(view, loop):
     instructions = view.loop_instructions(loop)
     node_set = set(instructions)
     serialized = view.serialized_uids(loop)

@@ -92,16 +92,13 @@ class OptionReport:
 
 def candidate_loops(loops, profile, min_coverage=0.01):
     """Loops with >= ``min_coverage`` of the profiled dynamic instructions."""
-    total = max(1, profile.total())
-    selected = []
-    for loop in loops:
-        work = sum(
-            instance.total()
-            for instance in profile.loop_instances(loop.header.name)
-        )
-        if work / total >= min_coverage:
-            selected.append(loop)
-    return selected
+    total = max(1, profile.shapes().total)
+    work = profile.header_totals()
+    return [
+        loop
+        for loop in loops
+        if work.get(loop.header.name, 0) / total >= min_coverage
+    ]
 
 
 def count_options(

@@ -161,14 +161,20 @@ class ProgramPlan:
         return "\n".join(lines)
 
 
-def loop_uid_map(function):
-    """header name -> frozenset of instruction uids inside that loop."""
-    mapping = {}
-    for loop in find_natural_loops(function):
-        mapping[loop.header.name] = frozenset(
+def loop_uid_map(function, loops=None):
+    """header name -> frozenset of instruction uids inside that loop.
+
+    ``loops`` are ``function``'s natural loops when the caller already
+    has them.
+    """
+    if loops is None:
+        loops = find_natural_loops(function)
+    return {
+        loop.header.name: frozenset(
             inst.uid for inst in loop.instructions()
         )
-    return mapping
+        for loop in loops
+    }
 
 
 def region_uids(function, kinds):
@@ -184,18 +190,20 @@ def region_uids(function, kinds):
     return frozenset(uids)
 
 
-def openmp_source_plan(function):
+def openmp_source_plan(function, uid_map=None):
     """The plan the programmer encoded (paper: the baseline of Fig. 14).
 
     Worksharing-annotated loops run as DOALL with their critical/atomic/
     ordered work serialized across iterations; everything else runs
     sequentially (redundant `parallel`-region execution costs the same as
     one copy on the ideal machine, which the sequential profile already
-    reflects).
+    reflects).  ``uid_map`` is ``loop_uid_map(function)`` when the caller
+    already has it.
     """
     sync_uids = region_uids(function, {"critical", "atomic", "ordered"})
     loop_plans = {}
-    uid_map = loop_uid_map(function)
+    if uid_map is None:
+        uid_map = loop_uid_map(function)
     for annotation in function.annotations:
         if (
             annotation.directive.kind in LOOP_INDEPENDENCE_KINDS
@@ -242,30 +250,37 @@ def abstraction_plan(
     name,
     function,
     view,
-    profile,
-    hierarchical_inner,
     evaluator_factory,
+    loops,
+    uid_map,
+    hierarchical_inner,
     plan_all_loops=False,
 ):
     """Best plan available to one abstraction (paper §6.3 methodology).
 
     Every *outermost* loop is parallelized with the technique (among those
     the view's SCCs permit) that minimizes the ideal-machine critical
-    path.  With ``hierarchical_inner`` (J&K and PS-PDG), inner
-    developer-annotated loops additionally run their source plan.  With
-    ``plan_all_loops`` (PS-PDG only), *every* loop — annotated or not —
-    is considered, innermost first: "the compiler is able to consider all
-    loops which meet the parallelization requirements while the
-    programmer-encoded parallelization is static" (§6.2).
+    path; on a tie the first of SEQ, HELIX, DSWP wins.  With
+    ``hierarchical_inner`` (J&K and PS-PDG), inner developer-annotated
+    loops additionally run their source plan.  With ``plan_all_loops``
+    (PS-PDG only), *every* loop — annotated or not — is considered,
+    innermost first: "the compiler is able to consider all loops which
+    meet the parallelization requirements while the programmer-encoded
+    parallelization is static" (§6.2).
+
+    ``loops`` are ``function``'s natural loops and ``uid_map`` their
+    :func:`loop_uid_map`.  ``evaluator_factory(plan)`` prices a plan
+    (``evaluate()``) and derives the evaluator of a one-loop variation
+    (``with_loop_plan``), so a trial re-prices only what contains its loop.
     """
-    uid_map = loop_uid_map(function)
     base_plans = {}
     if hierarchical_inner:
-        source = openmp_source_plan(function)
-        base_plans.update(source.loop_plans)
+        base_plans.update(openmp_source_plan(function, uid_map).loop_plans)
 
-    plan = ProgramPlan(name, base_plans, uid_map)
-    loops = find_natural_loops(function)
+    evaluator = evaluator_factory(ProgramPlan(name, base_plans, uid_map))
+    # Price the base plan first, so even the first loop's trials start
+    # from its results.
+    evaluator.evaluate()
     if plan_all_loops:
         # Innermost-first so outer-loop decisions see inner parallelism.
         candidates = sorted(loops, key=lambda lp: -lp.depth)
@@ -275,12 +290,12 @@ def abstraction_plan(
         classification = classify_loop(view, loop)
         best = None
         for technique in candidate_techniques(classification):
-            trial = plan.with_loop_plan(
+            trial = evaluator.with_loop_plan(
                 loop.header.name, technique_plan(classification, technique)
             )
-            cost = evaluator_factory(trial).evaluate()
+            cost = trial.evaluate()
             if best is None or cost < best[0]:
-                best = (cost, technique, trial)
+                best = (cost, trial)
         if best is not None:
-            plan = best[2]
-    return plan
+            evaluator = best[1]
+    return evaluator.plan

@@ -29,9 +29,15 @@ class DependenceView:
 
     name = "<abstract>"
 
-    def __init__(self, function, module, alias=None):
+    def __init__(self, function, module, alias=None, removable=None):
         self.function = function
         self.module = module
+        self.alias = alias if alias is not None else AliasAnalysis(module)
+        #: header name -> removable objects; abstraction-independent, so
+        #: the views of one function may share one mapping.
+        self.removable = removable if removable is not None else {}
+        #: header name -> LoopClassification (``classify_loop``'s memo).
+        self.classifications = {}
 
     def loop_instructions(self, loop):
         return [inst for inst in self.function.instructions()
@@ -56,22 +62,10 @@ class DependenceView:
 
     def removable_objects(self, loop):
         """Objects whose carried deps the planner may break (induction
-        variables, recognized reductions, privatizable scalars)."""
-        raise NotImplementedError
-
-
-class _PdgBackedView(DependenceView):
-    """Shared machinery for views that filter the sequential PDG."""
-
-    def __init__(self, function, module, pdg, alias=None):
-        super().__init__(function, module)
-        self.pdg = pdg
-        self.alias = alias if alias is not None else AliasAnalysis(module)
-        self._removable_cache = {}
-
-    def removable_objects(self, loop):
+        variables, recognized reductions, privatizable scalars) — every
+        abstraction has these sequential techniques available."""
         key = loop.header.name
-        if key not in self._removable_cache:
+        if key not in self.removable:
             removable = set()
             if loop.canonical is not None:
                 # Induction variable: its update chain is regenerable.
@@ -86,8 +80,16 @@ class _PdgBackedView(DependenceView):
                 self.function, self.module, loop, self.alias
             ):
                 removable.add(obj)
-            self._removable_cache[key] = removable
-        return self._removable_cache[key]
+            self.removable[key] = removable
+        return self.removable[key]
+
+
+class _PdgBackedView(DependenceView):
+    """Shared machinery for views that filter the sequential PDG."""
+
+    def __init__(self, function, module, pdg, alias=None, removable=None):
+        super().__init__(function, module, alias, removable)
+        self.pdg = pdg
 
     def _edge_visible(self, edge, loop):
         raise NotImplementedError
@@ -140,8 +142,9 @@ class JKView(_PdgBackedView):
 
     name = "J&K"
 
-    def __init__(self, function, module, pdg, pspdg, alias=None):
-        super().__init__(function, module, pdg, alias)
+    def __init__(self, function, module, pdg, pspdg, alias=None,
+                 removable=None):
+        super().__init__(function, module, pdg, alias, removable)
         self.pspdg = pspdg
         self._independent = set()
         for relaxation in pspdg.relaxations:
@@ -165,14 +168,9 @@ class PSPDGView(DependenceView):
 
     name = "PS-PDG"
 
-    def __init__(self, function, module, pdg, pspdg, alias=None):
-        super().__init__(function, module)
+    def __init__(self, function, module, pspdg, alias=None, removable=None):
+        super().__init__(function, module, alias, removable)
         self.pspdg = pspdg
-        # The PS-PDG planner also has every sequential technique available.
-        self._pdg_helper = PDGView(function, module, pdg, alias)
-
-    def removable_objects(self, loop):
-        return self._pdg_helper.removable_objects(loop)
 
     def carried_edges(self, loop):
         label = loop_context_label(loop.header.name)

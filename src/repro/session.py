@@ -28,7 +28,11 @@ from repro.pipeline.stages import STAGES
 from repro.planner.calibration import ReplanContext
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.options import count_options
-from repro.planner.plans import abstraction_plan, openmp_source_plan
+from repro.planner.plans import (
+    abstraction_plan,
+    loop_uid_map,
+    openmp_source_plan,
+)
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
 
@@ -80,7 +84,7 @@ _STAGE_PARAMS = {
 #: Upstream stages of the query methods (not in STAGES themselves).
 _QUERY_DEPS = {
     "options": ("function", "loops", "profile", "views"),
-    "critical_paths": ("function", "profile", "views"),
+    "critical_paths": ("function", "loops", "profile", "views"),
 }
 
 #: Stages whose artifact depends on the calibration store's *contents*
@@ -418,17 +422,19 @@ class Session:
     def _build_critical_paths(self):
         profile = self.profile
         config = self.config
+        loops = self.loops
+        uid_map = loop_uid_map(self.function, loops)
 
         def evaluator_factory(plan):
             return CriticalPathEvaluator(profile, plan)
 
         results = {}
         results["Sequential"] = {
-            "critical_path": profile.total(),
+            "critical_path": profile.shapes().total,
             "speedup": None,
         }
-        openmp_plan = openmp_source_plan(self.function)
-        openmp_cp = CriticalPathEvaluator(profile, openmp_plan).evaluate()
+        openmp_plan = openmp_source_plan(self.function, uid_map)
+        openmp_cp = evaluator_factory(openmp_plan).evaluate()
         results["OpenMP"] = {
             "critical_path": openmp_cp,
             "speedup": 1.0,
@@ -439,12 +445,13 @@ class Session:
                 name,
                 self.function,
                 view,
-                profile,
+                evaluator_factory,
+                loops,
+                uid_map,
                 hierarchical_inner=name in config.plan_hierarchical,
-                evaluator_factory=evaluator_factory,
                 plan_all_loops=name in config.plan_all_loops,
             )
-            cp = CriticalPathEvaluator(profile, plan).evaluate()
+            cp = evaluator_factory(plan).evaluate()
             results[name] = {
                 "critical_path": cp,
                 "speedup": openmp_cp / cp if cp else float("inf"),

@@ -31,7 +31,9 @@ func main() {
 
 SOURCE_CHANGED = SOURCE.replace("% 41", "% 17")
 
-GRAPH_STAGES = ("module", "profile", "alias", "pdg", "pspdg", "views")
+GRAPH_STAGES = (
+    "module", "profile", "alias", "pdg", "loops", "pspdg", "views",
+)
 
 
 @pytest.fixture
@@ -75,6 +77,47 @@ def test_every_stage_runs_exactly_once(session):
     assert session.diagnostics.runs("options") == 1
     assert session.diagnostics.runs("critical_paths") == 1
     assert session.cache.hits > 0
+
+
+def _spy_on_classification(monkeypatch):
+    """Record every (view, header) pair actually classified."""
+    from repro.planner import classify
+
+    classified = []
+    real = classify._classify
+
+    def spy(view, loop):
+        classified.append((view.name, loop.header.name))
+        return real(view, loop)
+
+    monkeypatch.setattr(classify, "_classify", spy)
+    return classified
+
+
+def test_options_reuse_the_planners_classifications(session, monkeypatch):
+    classified = _spy_on_classification(monkeypatch)
+    session.plan()
+    # Both loops are outermost, so every view's planner saw both.
+    assert len(classified) == 2 * len(session.views)
+    planned = list(classified)
+    session.options()
+    assert classified == planned
+
+
+def test_no_loop_is_classified_twice_under_one_view(monkeypatch):
+    classified = _spy_on_classification(monkeypatch)
+    session = Session.from_kernel("MG")
+    session.plan()
+    planned = set(classified)
+    session.options()
+    assert len(classified) == len(set(classified))
+    # What options() adds is exactly what planning never looked at: the
+    # nested loops under the views that plan outermost loops only.
+    added = set(classified) - planned
+    depth = {loop.header.name: loop.depth for loop in session.loops}
+    assert added and all(
+        view != "PS-PDG" and depth[header] > 0 for view, header in added
+    )
 
 
 def test_repeated_queries_return_identical_artifacts(session):

@@ -9,6 +9,8 @@ up a pool.
 
 import json
 
+import pytest
+
 from repro.planner.calibration import (
     DECAY,
     OUTLIER_MIN_SAMPLES,
@@ -18,6 +20,14 @@ from repro.planner.calibration import (
 )
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.util.regionstats import RegionStats
+
+# A profile file the store opens must be closed when ``load`` returns: a
+# leaked handle surfaces as a ResourceWarning from the finalizer, which
+# pytest reports as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 
 def region(header="for.header.0", *, seconds=0.5, worker_seconds=(0.1, 0.1),

@@ -8,6 +8,7 @@ from repro.planner import (
     TECH_DOALL,
     TECH_DSWP,
     TECH_HELIX,
+    abstraction_plan,
     loop_uid_map,
     openmp_source_plan,
 )
@@ -156,3 +157,56 @@ def test_nested_parallelism_recursion():
     assert results["J&K"]["critical_path"] <= results["OpenMP"][
         "critical_path"
     ]
+
+
+class _PricedByTechnique:
+    """Stand-in evaluator: a plan costs what ``prices`` says its
+    technique for ``header`` costs — nothing else moves the price, so
+    ties are exact."""
+
+    def __init__(self, plan, header, prices, trials):
+        self.plan = plan
+        self.header = header
+        self.prices = prices
+        self.trials = trials
+
+    def with_loop_plan(self, header_name, loop_plan):
+        self.trials.append(loop_plan.technique)
+        return _PricedByTechnique(
+            self.plan.with_loop_plan(header_name, loop_plan),
+            self.header, self.prices, self.trials,
+        )
+
+    def evaluate(self):
+        loop_plan = self.plan.plan_for(self.header)
+        return self.prices[loop_plan.technique if loop_plan else "SEQ"]
+
+
+def _plan_with_prices(prices):
+    setup = profiled(
+        "global a: int[16];\nglobal b: int[16];\n"
+        "func main() { for i in 1..16 {\n"
+        "  a[i] = a[i - 1] + 1;\n"
+        "  b[i] = a[i] * 2;\n"
+        "} print(b[15]); }"
+    )
+    (loop,) = setup.loops
+    header = loop.header.name
+    trials = []
+    plan = abstraction_plan(
+        "PDG", setup.function, setup.views["PDG"],
+        lambda plan: _PricedByTechnique(plan, header, prices, trials),
+        setup.loops, loop_uid_map(setup.function, setup.loops),
+        hierarchical_inner=False,
+    )
+    # The recurrence on ``a`` rules DOALL out; all three others compete.
+    assert trials == ["SEQ", TECH_HELIX, TECH_DSWP]
+    return plan.plan_for(header).technique
+
+
+def test_cost_ties_keep_the_first_technique_tried():
+    assert _plan_with_prices({"SEQ": 5, "HELIX": 5, "DSWP": 5}) == "SEQ"
+    assert _plan_with_prices({"SEQ": 9, "HELIX": 5, "DSWP": 5}) == "HELIX"
+    assert _plan_with_prices({"SEQ": 5, "HELIX": 9, "DSWP": 5}) == "SEQ"
+    # Only a strictly cheaper later technique displaces an earlier one.
+    assert _plan_with_prices({"SEQ": 9, "HELIX": 5, "DSWP": 4}) == "DSWP"
