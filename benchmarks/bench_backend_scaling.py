@@ -34,7 +34,8 @@ def _best_of(session, plan, repetitions=REPETITIONS, **kwargs):
     best = None
     for _ in range(repetitions):
         started = time.perf_counter()
-        run_plan(session.module, session.pspdg, plan, **kwargs)
+        run_plan(session.module, session.pspdg, plan,
+                 compile_regions=False, **kwargs)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best
@@ -45,7 +46,7 @@ def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't measured."""
     session = nas_sessions["EP"]
     run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
-             workers=2, backend="processes")
+             workers=2, backend="processes", compile_regions=False)
 
 
 def test_backend_scaling_table(nas_sessions, warm_pool):

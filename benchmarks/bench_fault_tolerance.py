@@ -43,6 +43,7 @@ def _run(session, plan):
     result = run_plan(
         session.module, session.pspdg, plan,
         workers=WORKERS, backend=BACKEND,
+        compile_regions=False,
     )
     return result, time.perf_counter() - started
 

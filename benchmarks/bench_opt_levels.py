@@ -48,7 +48,7 @@ def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't measured."""
     session = nas_sessions["EP"]
     run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
-             workers=2, backend="processes")
+             workers=2, backend="processes", compile_regions=False)
 
 
 def _measure(session, plan, repetitions=REPETITIONS):
@@ -61,6 +61,7 @@ def _measure(session, plan, repetitions=REPETITIONS):
         result = run_plan(
             session.module, session.pspdg, plan,
             workers=WORKERS, backend="processes",
+            compile_regions=False,
         )
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
@@ -164,5 +165,6 @@ def test_results_identical_across_levels(nas_sessions, opt_plans):
             result = run_plan(
                 session.module, session.pspdg, opt_plans[kernel][level],
                 workers=WORKERS, backend="processes",
+                compile_regions=False,
             )
             assert outputs_close(result.output, expected), (kernel, level)

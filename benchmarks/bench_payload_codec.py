@@ -52,7 +52,7 @@ def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't timed."""
     session = nas_sessions["EP"]
     run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
-             workers=2, backend="processes")
+             workers=2, backend="processes", compile_regions=False)
 
 
 def _bytes_run(session):
@@ -60,6 +60,7 @@ def _bytes_run(session):
     result = run_plan(
         session.module, session.pspdg, session.plan("PS-PDG"),
         workers=WORKERS, backend="processes",
+        compile_regions=False,
     )
     regions = result.parallel_regions
     return {
@@ -76,6 +77,7 @@ def _timed_run(session, repetitions=REPETITIONS):
         run_plan(
             session.module, session.pspdg, session.plan("PS-PDG"),
             workers=WORKERS, backend="processes",
+            compile_regions=False,
         )
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
@@ -92,7 +94,7 @@ def _warm_run_bytes(kernel):
     backends._reset_chunk_pool()
     payload_codec.reset_codec_caches()
     try:
-        session = Session.from_kernel(kernel)
+        session = Session.from_kernel(kernel, compile_regions=False)
         session.run("PS-PDG", workers=WORKERS, backend="processes")
         result = session.run("PS-PDG", workers=WORKERS, backend="processes")
         regions = result.parallel_regions
@@ -205,6 +207,7 @@ def test_steady_state_regions_ship_no_module_bytes(nas_sessions):
         result = run_plan(
             session.module, session.pspdg, session.plan("PS-PDG"),
             workers=WORKERS, backend="processes",
+            compile_regions=False,
         )
         return sum(r["payload_bytes"] for r in result.parallel_regions)
 

@@ -56,7 +56,7 @@ MISCALIBRATED = MachineModel(
 def _session(**overrides):
     return Session.from_kernel(
         KERNEL, opt_level=OPT, backend=BACKEND, workers=WORKERS,
-        machine=MISCALIBRATED, **overrides,
+        machine=MISCALIBRATED, compile_regions=False, **overrides,
     )
 
 

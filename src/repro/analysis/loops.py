@@ -41,9 +41,6 @@ class Loop:
             node = node.parent
         return depth
 
-    def contains_block(self, block):
-        return block in self.blocks
-
     def contains_instruction(self, inst):
         return inst.parent in self.blocks
 

@@ -31,38 +31,37 @@ def _kernel_names():
     return kernel_names()
 
 
+#: argparse destination -> SessionConfig field, for the options a
+#: subcommand passes through when (and only when) the user gave them.
+_CONFIG_ARGUMENTS = {
+    "function": "function_name",
+    "workers": "workers",
+    "seed": "seed",
+    "backend": "backend",
+    "schedule": "schedule",
+    "chunk": "chunk",
+    "opt": "opt_level",
+    "compile_regions": "compile_regions",
+    "adaptive": "adaptive",
+    "calibrate": "calibrate",
+    "profile_path": "profile_path",
+}
+
+
 def _build_session(program, args):
     """A session for a source path or a NAS kernel name."""
-    overrides = {}
-    if getattr(args, "function", None):
-        overrides["function_name"] = args.function
+    overrides = {
+        field: getattr(args, dest)
+        for dest, field in _CONFIG_ARGUMENTS.items()
+        if getattr(args, dest, None) is not None
+    }
     if getattr(args, "cores", None):
-        chunk_sizes = MachineModel().chunk_sizes
-        if getattr(args, "chunk_sizes", None):
-            chunk_sizes = tuple(args.chunk_sizes)
         overrides["machine"] = MachineModel(
-            cores=args.cores, chunk_sizes=chunk_sizes
+            cores=args.cores,
+            chunk_sizes=tuple(
+                args.chunk_sizes or MachineModel().chunk_sizes
+            ),
         )
-    if getattr(args, "workers", None):
-        overrides["workers"] = args.workers
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "backend", None):
-        overrides["backend"] = args.backend
-    if getattr(args, "schedule", None):
-        overrides["schedule"] = args.schedule
-    if getattr(args, "chunk", None) is not None:
-        overrides["chunk"] = args.chunk
-    if getattr(args, "opt", None) is not None:
-        overrides["opt_level"] = args.opt
-    if getattr(args, "compile_regions", None) is not None:
-        overrides["compile_regions"] = args.compile_regions
-    if getattr(args, "adaptive", None) is not None:
-        overrides["adaptive"] = args.adaptive
-    if getattr(args, "calibrate", None) is not None:
-        overrides["calibrate"] = args.calibrate
-    if getattr(args, "profile_path", None) is not None:
-        overrides["profile_path"] = args.profile_path
 
     path = pathlib.Path(program)
     if path.exists():
@@ -122,10 +121,18 @@ def _cmd_plan(args):
 
 
 def _cmd_run(args):
-    if getattr(args, "faults", None):
-        from repro.runtime import knobs
+    if not args.faults:
+        return _run(args)
+    from repro.runtime import knobs
 
-        knobs.REPRO_FAULTS.value = args.faults
+    knobs.REPRO_FAULTS.value = args.faults
+    try:
+        return _run(args)
+    finally:
+        knobs.refresh()  # the fault plan must not outlive this command
+
+
+def _run(args):
     session = _build_session(args.program, args)
     plan = None if args.plan in ("source", "OpenMP") else args.plan
     result = session.run(plan, workers=args.workers, seed=args.seed,
@@ -168,13 +175,8 @@ def _cmd_profile(args):
     """Print the calibration profile: measured vs. static coefficients."""
     from repro.planner.calibration import CalibrationStore
     from repro.planner.machine import DEFAULT_MACHINE
-    from repro.runtime import knobs
 
-    path = args.profile_path
-    if path is None:
-        knobs.refresh()
-        path = knobs.REPRO_PROFILE.value or None
-    store = CalibrationStore(path)
+    store = CalibrationStore(args.profile_path)
     print(store.describe(DEFAULT_MACHINE))
     if args.program:
         session = _build_session(args.program, args)
@@ -393,8 +395,8 @@ def build_parser():
         "--compile", dest="compile_regions",
         action=argparse.BooleanOptionalAction, default=None,
         help="run region bodies through the exec-compiled codegen path "
-             "(--no-compile forces the interpreter; default: the "
-             "REPRO_COMPILE environment knob)",
+             "(default: on; --no-compile runs everything on the "
+             "interpreter)",
     )
     p_run.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -407,18 +409,18 @@ def build_parser():
         "--adaptive", action=argparse.BooleanOptionalAction, default=None,
         help="mid-run replanning: re-derive the remaining regions' "
              "cost decisions when a dispatch diverges from the plan's "
-             "predictions (default: the REPRO_ADAPTIVE knob)",
+             "predictions (default: off)",
     )
     p_run.add_argument(
         "--calibrate", action=argparse.BooleanOptionalAction, default=None,
         help="distill this run's measurements into the calibration "
              "profile so later plans use measured coefficients "
-             "(default: the REPRO_CALIBRATE knob)",
+             "(default: off)",
     )
     p_run.add_argument(
         "--profile", dest="profile_path", default=None, metavar="PATH",
-        help="calibration profile JSON to load/append (default: the "
-             "REPRO_PROFILE knob; empty = in-memory only)",
+        help="calibration profile JSON to load/append (default: none "
+             "— in-memory only)",
     )
     p_run.add_argument(
         "--verify", action="store_true",
@@ -456,7 +458,7 @@ def build_parser():
     p_profile.add_argument("--function", default=None)
     p_profile.add_argument(
         "--profile", dest="profile_path", default=None, metavar="PATH",
-        help="profile JSON to read (default: the REPRO_PROFILE knob)",
+        help="profile JSON to read (default: none — the static model)",
     )
     p_profile.set_defaults(func=_cmd_profile)
 

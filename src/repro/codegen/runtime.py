@@ -101,18 +101,34 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
     are ``(outer, inner)`` pairs; the entry, when given, must have been
     compiled with the same ``outer``.
     """
-    if entry is None:
-        shim.run_chunk(loop, frame, iterations, locks, outer=outer)
-        return "interpreted"
-    if verify:
-        return _verified(entry, shim, loop, frame, iterations, locks,
-                         outer=outer)
-    try:
-        entry.fn(shim, frame, iterations)
-    except Bailout:
-        shim.run_chunk(loop, frame, iterations, locks, outer=outer)
-        return "interpreted"
-    return "compiled"
+    if entry is not None:
+        if verify:
+            return _verified_chunk(entry, shim, loop, frame, iterations,
+                                   locks, outer)
+        try:
+            entry.fn(shim, frame, iterations)
+            return "compiled"
+        except Bailout:
+            pass
+    shim.run_chunk(loop, frame, iterations, locks, outer=outer)
+    return "interpreted"
+
+
+def _verified_chunk(entry, shim, loop, frame, iterations, locks, outer):
+    """:func:`_differential` over one chunk; returns the mode.
+
+    Safe under the threads backend because compiled-eligible regions
+    hold no critical sections — a correct DOALL's shared writes are
+    disjoint across workers, so one worker's scratch rollback cannot
+    race another worker's reads.
+    """
+    mode, _value = _differential(
+        entry, shim, "chunk",
+        lambda: entry.fn(shim, frame, iterations),
+        lambda: shim.run_chunk(loop, frame, iterations, locks, outer=outer),
+        _plain_log_swap,
+    )
+    return mode
 
 
 def _log_image(log):
@@ -135,75 +151,95 @@ def _merge_log(real_log, scratch):
         real_log.setdefault(key, entry)
 
 
-def _verified(entry, shim, loop, frame, iterations, locks, outer=None):
-    """Run the chunk compiled *and* interpreted; diff; keep interpreted.
+def _plain_log_swap(shim, log):
+    """Install ``log`` on a shim whose store handlers already log."""
+    saved_log = shim.write_log
+    shim.write_log = log
 
-    The compiled run executes first against a scratch write log, its
-    image (writes, output slice, step delta) is captured, and every one
-    of its writes is rolled back.  The interpreted run then executes
-    from the identical pre-chunk state and its effects *stay* — so a
-    divergence aborts the region with the authoritative state in place,
-    mirroring the ``VERIFY_DIFFS``/``VERIFY_PRELUDE`` pattern of wire
-    format v2.
+    def restore():
+        shim.write_log = saved_log
 
-    Safe under the threads backend because compiled-eligible regions
-    hold no critical sections — a correct DOALL's shared writes are
-    disjoint across workers, so one worker's scratch rollback cannot
-    race another worker's reads.
+    return restore
+
+
+def _differential(entry, state, noun, run_compiled, run_interpreted,
+                  swap_log, observable=None, compare_values=False):
+    """The ``VERIFY_COMPILED`` oracle; returns ``(mode, interpreted value)``.
+
+    The compiled thunk executes first against a scratch write log
+    (installed on ``state`` — the shim or the parent interpreter — by
+    ``swap_log``), its image (writes, output slice, step delta, return
+    value) is captured, and every one of its writes is rolled back.
+    The interpreted thunk then executes from the identical pre-run
+    state and its effects *stay* — so a divergence aborts with the
+    authoritative state in place, mirroring the
+    ``VERIFY_DIFFS``/``VERIFY_PRELUDE`` pattern of wire format v2.  A
+    :class:`Bailout` is not a divergence (the frame lacks a live-in the
+    compiled entry binds eagerly): plain interpreter fallback.
+
+    ``observable`` restricts the write-log diff to those storage ids;
+    ``compare_values`` adds the two thunks' return values to the diff.
     """
     from repro.runtime.payload import rollback_writes
 
-    real_log = shim.write_log
-    out_mark = len(shim.output)
-    step_mark = shim.steps
+    def image(log):
+        writes = _log_image(log)
+        if observable is None:
+            return writes
+        return {
+            key: value for key, value in writes.items()
+            if key[0] in observable
+        }
+
+    real_log = state.write_log
+    out_mark = len(state.output)
+    step_mark = state.steps
     scratch = {}
-    shim.write_log = scratch
+    restore = swap_log(state, scratch)
     bailed = False
     compiled_error = None
+    compiled_value = None
     try:
-        entry.fn(shim, frame, iterations)
+        compiled_value = run_compiled()
     except Bailout:
         bailed = True
     except Exception as error:
         compiled_error = error
     finally:
-        shim.write_log = real_log
-    compiled_writes = _log_image(scratch)
-    compiled_output = shim.output[out_mark:]
-    compiled_steps = shim.steps - step_mark
+        restore()
+    compiled_writes = image(scratch)
+    compiled_output = state.output[out_mark:]
+    compiled_steps = state.steps - step_mark
     rollback_writes(scratch)
-    del shim.output[out_mark:]
-    shim.steps = step_mark
+    del state.output[out_mark:]
+    state.steps = step_mark
 
     if bailed:
-        # Not a divergence: the frame lacks a live-in the compiled entry
-        # binds eagerly.  Plain interpreter fallback.
-        shim.run_chunk(loop, frame, iterations, locks, outer=outer)
-        return "interpreted"
+        return "interpreted", run_interpreted()
 
     interp_scratch = {}
-    shim.write_log = interp_scratch
+    restore = swap_log(state, interp_scratch)
     try:
-        shim.run_chunk(loop, frame, iterations, locks, outer=outer)
+        interp_value = run_interpreted()
     except Exception as error:
         _merge_log(real_log, interp_scratch)
-        shim.write_log = real_log
+        restore()
         if compiled_error is None:
             raise EmulationError(
                 f"VERIFY_COMPILED divergence at {entry.label}: compiled "
-                f"chunk succeeded but the interpreter raised "
+                f"{noun} succeeded but the interpreter raised "
                 f"{type(error).__name__}: {error}"
             ) from error
         raise  # both paths failed: the interpreted error is authoritative
-    shim.write_log = real_log
-    interp_writes = _log_image(interp_scratch)
+    restore()
+    interp_writes = image(interp_scratch)
     _merge_log(real_log, interp_scratch)
-    interp_output = shim.output[out_mark:]
-    interp_steps = shim.steps - step_mark
+    interp_output = state.output[out_mark:]
+    interp_steps = state.steps - step_mark
 
     if compiled_error is not None:
         raise EmulationError(
-            f"VERIFY_COMPILED divergence at {entry.label}: compiled chunk "
+            f"VERIFY_COMPILED divergence at {entry.label}: compiled {noun} "
             f"raised {type(compiled_error).__name__}: {compiled_error} "
             f"but the interpreter succeeded"
         ) from compiled_error
@@ -230,12 +266,20 @@ def _verified(entry, shim, loop, frame, iterations, locks, outer=None):
             f"step counts differ (compiled={compiled_steps} "
             f"interpreted={interp_steps})"
         )
+    if compare_values and (
+        compiled_value != interp_value
+        or type(compiled_value) is not type(interp_value)
+    ):
+        problems.append(
+            f"return values differ (compiled={compiled_value!r} "
+            f"interpreted={interp_value!r})"
+        )
     if problems:
         raise EmulationError(
             f"VERIFY_COMPILED divergence at {entry.label}: "
             + "; ".join(problems)
         )
-    return "compiled"
+    return "compiled", interp_value
 
 
 # -- sequential-stretch execution ----------------------------------------------
@@ -287,14 +331,11 @@ def _swap_log(interp, log):
 def _verified_sequence(entry, interp, function, args, interpret):
     """Run the function compiled *and* interpreted; diff; keep interpreted.
 
-    The function-level analogue of :func:`_verified`: the compiled body
-    runs first against a scratch write log (logged store handlers are
-    installed for the duration so nested interpreted calls log too), its
-    image — writes, output slice, step delta, return value — is
-    captured, and every write is rolled back.  The interpreted run then
-    executes from the identical pre-call state and its effects stay.
-    Only called for functions whose call graph reaches no parallel
-    region: a region dispatch is not replayable.
+    The function-level use of :func:`_differential`: logged store
+    handlers are installed for the duration so nested interpreted calls
+    log too, and the return value joins the diff.  Only called for
+    functions whose call graph reaches no parallel region: a region
+    dispatch is not replayable.
 
     The write-log diff only compares *observable* storages — globals
     and pointer arguments.  Each run builds its own frame, so its
@@ -304,7 +345,6 @@ def _verified_sequence(entry, interp, function, args, interpret):
     which is compared directly).
     """
     from repro.emulator.interp import _Frame
-    from repro.runtime.payload import rollback_writes
 
     observable = {
         id(storage) for storage in interp._global_storage.values()
@@ -312,100 +352,9 @@ def _verified_sequence(entry, interp, function, args, interpret):
     for value in args:
         if type(value) is tuple and len(value) == 2:
             observable.add(id(value[0]))
-
-    real_log = interp.write_log
-    out_mark = len(interp.output)
-    step_mark = interp.steps
-    scratch = {}
-    restore = _swap_log(interp, scratch)
-    bailed = False
-    compiled_error = None
-    compiled_value = None
-    try:
-        compiled_value = entry.fn(interp, _Frame(function, args))
-    except Bailout:
-        bailed = True
-    except Exception as error:
-        compiled_error = error
-    finally:
-        restore()
-    compiled_writes = {
-        key: value
-        for key, value in _log_image(scratch).items()
-        if key[0] in observable
-    }
-    compiled_output = interp.output[out_mark:]
-    compiled_steps = interp.steps - step_mark
-    rollback_writes(scratch)
-    del interp.output[out_mark:]
-    interp.steps = step_mark
-
-    if bailed:
-        return "interpreted", interpret(function, args)
-
-    interp_scratch = {}
-    restore = _swap_log(interp, interp_scratch)
-    try:
-        interp_value = interpret(function, args)
-    except Exception as error:
-        _merge_log(real_log, interp_scratch)
-        restore()
-        if compiled_error is None:
-            raise EmulationError(
-                f"VERIFY_COMPILED divergence at {entry.label}: compiled "
-                f"body succeeded but the interpreter raised "
-                f"{type(error).__name__}: {error}"
-            ) from error
-        raise  # both paths failed: the interpreted error is authoritative
-    restore()
-    interp_writes = {
-        key: value
-        for key, value in _log_image(interp_scratch).items()
-        if key[0] in observable
-    }
-    _merge_log(real_log, interp_scratch)
-    interp_output = interp.output[out_mark:]
-    interp_steps = interp.steps - step_mark
-
-    if compiled_error is not None:
-        raise EmulationError(
-            f"VERIFY_COMPILED divergence at {entry.label}: compiled body "
-            f"raised {type(compiled_error).__name__}: {compiled_error} "
-            f"but the interpreter succeeded"
-        ) from compiled_error
-    problems = []
-    if compiled_writes != interp_writes:
-        extra = sorted(set(compiled_writes) - set(interp_writes))
-        missing = sorted(set(interp_writes) - set(compiled_writes))
-        changed = sorted(
-            key
-            for key in set(compiled_writes) & set(interp_writes)
-            if compiled_writes[key] != interp_writes[key]
-        )
-        problems.append(
-            f"write logs differ (extra={extra!r} missing={missing!r} "
-            f"changed={changed!r})"
-        )
-    if compiled_output != interp_output:
-        problems.append(
-            f"outputs differ (compiled={compiled_output!r} "
-            f"interpreted={interp_output!r})"
-        )
-    if compiled_steps != interp_steps:
-        problems.append(
-            f"step counts differ (compiled={compiled_steps} "
-            f"interpreted={interp_steps})"
-        )
-    if compiled_value != interp_value or (
-        type(compiled_value) is not type(interp_value)
-    ):
-        problems.append(
-            f"return values differ (compiled={compiled_value!r} "
-            f"interpreted={interp_value!r})"
-        )
-    if problems:
-        raise EmulationError(
-            f"VERIFY_COMPILED divergence at {entry.label}: "
-            + "; ".join(problems)
-        )
-    return "compiled", interp_value
+    return _differential(
+        entry, interp, "body",
+        lambda: entry.fn(interp, _Frame(function, args)),
+        lambda: interpret(function, args),
+        _swap_log, observable=observable, compare_values=True,
+    )

@@ -166,9 +166,6 @@ class DirectedEdge:
     loop_independent: bool = True
     carried_contexts: tuple = ()  # context labels where the edge is carried
 
-    def is_carried_at(self, context_label):
-        return context_label in self.carried_contexts
-
 
 @dataclasses.dataclass
 class UndirectedEdge:
@@ -289,15 +286,6 @@ class PSPDG:
         return [
             n for n in self.all_nodes() if isinstance(n, HierarchicalNode)
         ]
-
-    def enclosing_region(self, instruction, kinds):
-        """Innermost enclosing hierarchical node of one of ``kinds``."""
-        node = self.instruction_nodes[instruction].parent
-        while node is not None:
-            if node.kind in kinds:
-                return node
-            node = node.parent
-        return None
 
     def variables_for_context(self, context_label, semantics=None):
         chain = self.context_chain(context_label)

@@ -137,10 +137,6 @@ class Interpreter:
             list(self.output), return_value, self.steps, profile
         )
 
-    def global_value(self, name, offset=0):
-        """Read a global's current value (for tests and examples)."""
-        return self._global_storage[name][offset]
-
     def global_values(self, name):
         return list(self._global_storage[name])
 

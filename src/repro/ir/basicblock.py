@@ -58,12 +58,6 @@ class BasicBlock:
             return []
         return [b for b in self.parent.blocks if self in b.successors()]
 
-    def non_terminator_instructions(self):
-        term = self.terminator
-        if term is None:
-            return list(self.instructions)
-        return self.instructions[:-1]
-
     def __iter__(self):
         return iter(self.instructions)
 

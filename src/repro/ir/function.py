@@ -78,12 +78,6 @@ class Function:
     def instruction_count(self):
         return sum(len(b.instructions) for b in self.blocks)
 
-    def find_instruction(self, uid):
-        for inst in self.instructions():
-            if inst.uid == uid:
-                return inst
-        raise IRError(f"no instruction #{uid} in @{self.name}")
-
     def __repr__(self):
         return f"<function @{self.name} ({len(self.blocks)} blocks)>"
 

@@ -84,10 +84,6 @@ class Instruction(Value):
         """True for instructions that must not be duplicated or dropped."""
         return self.writes_memory()
 
-    def replace_operand(self, old, new):
-        """Replace every occurrence of ``old`` in the operand list."""
-        self.operands = [new if op is old else op for op in self.operands]
-
     def short(self):
         if self.type == VOID:
             return f"<{self.opcode}#{self.uid}>"

@@ -13,8 +13,7 @@ the PDG is the representation of exactly those semantics.
 """
 
 from repro.analysis.loops import find_natural_loops
-from repro.analysis.subscripts import affine_offset, induction_alloca_map
-from repro.ir.instructions import Load, Store
+from repro.analysis.subscripts import induction_alloca_map
 from repro.planner.plans import TECH_DOALL
 from repro.planner.recipes import (
     RecipeAnalyses,
@@ -28,7 +27,8 @@ class OptContext:
 
     def __init__(self, function, module, pdg, pspdg, loops, machine,
                  payload_bytes=None, prelude_warm=None,
-                 compile_regions=False, compiled_speedup=None):
+                 compile_regions=False, compiled_speedup=None,
+                 speculate=True):
         self.function = function
         self.module = module
         self.pdg = pdg
@@ -57,6 +57,9 @@ class OptContext:
         self.compiled_speedup = (
             dict(compiled_speedup) if compiled_speedup else {}
         )
+        # Whether a pass may apply a transform on an inconclusive
+        # legality verdict (for the oracle-validation pass to settle).
+        self.speculate = bool(speculate)
         self.loops_by_header = {
             loop.header.name: loop for loop in self.loops
         }
@@ -155,11 +158,3 @@ class OptContext:
                 continue
             headers.append(loop.header.name)
         return headers
-
-    # -- subscript helpers -----------------------------------------------------
-
-    def affine_offset_of(self, instruction):
-        """Affine slot offset of a Load/Store, or None."""
-        if isinstance(instruction, (Load, Store)):
-            return affine_offset(instruction.pointer, set(self._iv_map))
-        return None

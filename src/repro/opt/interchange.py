@@ -22,7 +22,6 @@ import dataclasses
 from repro.opt.cost import static_trip_count
 from repro.opt.legality import can_interchange
 from repro.planner.plans import TECH_DOALL
-from repro.runtime import knobs
 
 
 class LoopInterchangePass:
@@ -64,7 +63,7 @@ class LoopInterchangePass:
                 outer_header=outer.header.name,
                 witness=verdict.witness,
             )
-        if verdict.inconclusive and knobs.REPRO_SPECULATE:
+        if verdict.inconclusive and ctx.speculate:
             report.speculated.append((self.name,) + subject)
             return dataclasses.replace(
                 region,

@@ -164,7 +164,7 @@ class OptimizationResult:
 def optimize_plan(
     function, module, pdg, pspdg, plan, level, machine=None, loops=None,
     payload_bytes=None, prelude_warm=None, compile_regions=False,
-    compiled_speedup=None,
+    compiled_speedup=None, speculate=True,
 ):
     """Run the ``level`` pipeline over ``plan``; never mutates the input.
 
@@ -178,6 +178,9 @@ def optimize_plan(
     interpreted step-rate ratios, replacing the machine model's assumed
     ``compiled_speedup`` prior per region
     (``diagnostics.payload_feedback()`` produces all three).
+    ``speculate`` lets ``-O3`` passes apply transforms whose static
+    legality test is inconclusive, for the oracle-validation pass to
+    confirm or veto; off, inconclusive tests reject outright.
     """
     level = OptLevel.coerce(level)
     machine = machine if machine is not None else DEFAULT_MACHINE
@@ -185,7 +188,8 @@ def optimize_plan(
                      payload_bytes=payload_bytes,
                      prelude_warm=prelude_warm,
                      compile_regions=compile_regions,
-                     compiled_speedup=compiled_speedup)
+                     compiled_speedup=compiled_speedup,
+                     speculate=speculate)
     report = OptReport(level=level, plan_name=plan.name)
     seeded = seed_regions(ctx, plan)
     optimized = PassManager(passes_for(level)).run(ctx, seeded, report)

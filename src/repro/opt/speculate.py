@@ -103,6 +103,7 @@ def _oracle_agrees(ctx, plan):
                 workers=ORACLE_WORKERS,
                 seed=seed,
                 backend="simulated",
+                compile_regions=False,  # the oracle is the interpreter
             )
         except ReproError as exc:
             return f"oracle run (seed {seed}) raised: {exc}"

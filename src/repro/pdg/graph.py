@@ -50,25 +50,10 @@ class PDG:
         self.nodes = list(function.instructions())
         self.edges = []
         self.loops = []  # filled by the builder (natural loops, outer first)
-        self._out = {inst: [] for inst in self.nodes}
-        self._in = {inst: [] for inst in self.nodes}
 
     def add_edge(self, edge):
         self.edges.append(edge)
-        self._out[edge.source].append(edge)
-        self._in[edge.destination].append(edge)
         return edge
-
-    def out_edges(self, inst):
-        return list(self._out[inst])
-
-    def in_edges(self, inst):
-        return list(self._in[inst])
-
-    def edges_between(self, source, destination):
-        return [
-            e for e in self._out[source] if e.destination is destination
-        ]
 
     def edge_count(self):
         return len(self.edges)

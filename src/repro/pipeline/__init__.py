@@ -6,8 +6,8 @@ PS-PDG -> views -> planning) is modelled as an explicit stage graph
 exactly once, into a content-hash keyed store
 (:mod:`repro.pipeline.cache`).  Per-stage wall time, run counts, and
 artifact statistics are collected in :mod:`repro.pipeline.diagnostics`;
-:mod:`repro.pipeline.config` carries every knob that used to be a
-scattered positional argument.
+:mod:`repro.pipeline.config` is the one home of every behavioural
+option.
 """
 
 from repro.pipeline.cache import PipelineCache, content_key

@@ -1,4 +1,4 @@
-"""Session configuration: every pipeline knob in one frozen value object.
+"""Session configuration: every option in one frozen value object.
 
 The config is hashable and participates in the cache key, so two
 sessions that differ only in configuration never share stale artifacts.
@@ -48,35 +48,32 @@ class SessionConfig:
             interchange, skew-enabled fusion, machine-model tiling, and
             oracle-validated speculation).  Accepts 0/1/2/3, "O3", or
             "-O3".
-        compile_regions: run region bodies through the
-            :mod:`repro.codegen` exec-compiled path.  ``True``/``False``
-            force it; ``None`` (the default) defers to the
-            ``REPRO_COMPILE`` environment knob.
+        compile_regions: run region bodies and the sequential stretches
+            between them through the :mod:`repro.codegen` exec-compiled
+            path (the default); ``False`` runs everything on the
+            interpreter, which stays the oracle and the fallback.  The
+            ``optimize`` stage prices plans for the engine chosen here.
+        speculate: at ``-O3``, let passes apply transforms whose static
+            legality test is inconclusive and validate the candidate
+            plan against the simulated oracle before any real backend
+            sees it; ``False`` makes inconclusive tests reject outright.
         retry_budget: per-region retry budget for supervised
             ``processes`` dispatch (re-dispatches after worker death,
-            hangs, or poisoned payloads).  ``None`` (the default)
-            defers to the ``REPRO_RETRY_BUDGET`` environment knob.
+            hangs, or poisoned payloads).
         failover: enable the graceful-degradation ladder (processes →
-            threads → serial) once retries are exhausted.
-            ``True``/``False`` force it; ``None`` (the default) defers
-            to the ``REPRO_FAILOVER`` environment knob.
+            threads → serial) once retries are exhausted; ``False``
+            makes exhausted retries raise.
         calibrate: distill each run's region stats into measured
             machine-model coefficients (a
             :class:`repro.planner.calibration.CalibrationStore`) and
             plan subsequent runs with them instead of ``machine``'s
-            static values.  ``True``/``False`` force it; ``None`` (the
-            default) defers to the ``REPRO_CALIBRATE`` environment
-            knob.
+            static values.
         adaptive: default for ``Session.run(adaptive=)`` — mid-run
             replanning of the remaining regions' cost decisions when a
-            dispatch diverges from the plan's predictions.
-            ``True``/``False`` force it; ``None`` (the default) defers
-            to the ``REPRO_ADAPTIVE`` environment knob.  Implies
+            dispatch diverges from the plan's predictions.  Implies
             calibration for the run's own observations.
         profile_path: where the calibration profile JSON persists
-            across sessions.  ``None`` (the default) defers to the
-            ``REPRO_PROFILE`` environment knob; empty means in-memory
-            only.
+            across sessions; ``None`` keeps it in memory only.
     """
 
     name: str = "session"
@@ -93,11 +90,12 @@ class SessionConfig:
     schedule: str = "static"
     chunk: int | None = None
     opt_level: OptLevel = OptLevel.O0
-    compile_regions: bool | None = None
-    retry_budget: int | None = None
-    failover: bool | None = None
-    calibrate: bool | None = None
-    adaptive: bool | None = None
+    compile_regions: bool = True
+    speculate: bool = True
+    retry_budget: int = 2
+    failover: bool = True
+    calibrate: bool = False
+    adaptive: bool = False
     profile_path: str | None = None
 
     def __post_init__(self):

@@ -1,45 +1,70 @@
 """The pipeline stage graph (paper Fig. 12, made explicit).
 
-Each :class:`Stage` names its upstream dependencies and knows how to
-build its artifact from a session.  The session materializes stages
-lazily: asking for ``pspdg`` pulls ``module -> function -> alias -> pdg``
-first, each through the content-keyed cache, each exactly once.
+Each :class:`Stage` names its upstream dependencies, the config fields
+its builder reads (``params``), and how to build its artifact.  The
+session materializes stages lazily: asking for ``pspdg`` pulls ``module
+-> function -> alias -> pdg`` first, each through the content-keyed
+cache, each exactly once.
 
-Builders receive the owning :class:`repro.Session` and reach upstream
-artifacts through its properties; the ``deps`` edges mirror that data
-flow and are load-bearing — the session derives each stage's cache-key
-config fields from the transitive dependency closure, so a config
-change re-keys exactly the stages it can affect.  ``stats`` callbacks
-summarize the artifact for :mod:`repro.pipeline.diagnostics`.
+A builder receives the owning :class:`repro.Session` — for upstream
+artifacts, through its properties — and the *values* of its declared
+``params``, positionally; it never touches ``session.config``.  Its
+cache key hashes those params plus, transitively through the ``deps``
+edges, every upstream stage's, so a builder can only read what its key
+hashes: changing the config ``name`` (a ``module`` param) re-keys
+everything downstream, while a machine-model change re-enumerates
+options without invalidating the PS-PDG.  ``stats`` callbacks summarize
+the artifact for :mod:`repro.pipeline.diagnostics`.
 """
 
 import dataclasses
 
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.loops import find_natural_loops
+from repro.codegen import cache as codegen_cache
 from repro.core.builder import PSPDGBuilder
 from repro.emulator.interp import Interpreter
 from repro.emulator.profile import Profiler
 from repro.frontend import compile_source
+from repro.opt import optimize_plan
 from repro.pdg.builder import build_pdg
+from repro.planner.critical_path import CriticalPathEvaluator
+from repro.planner.options import count_options
+from repro.planner.plans import (
+    abstraction_plan,
+    loop_uid_map,
+    openmp_source_plan,
+)
 from repro.planner.recipes import recipes_from_plan
 from repro.planner.views import JKView, PDGView, PSPDGView
+from repro.runtime.payload import module_codec
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Stage:
-    """One node of the pipeline graph."""
+    """One node of the pipeline graph.
+
+    ``params`` are the :class:`~repro.pipeline.config.SessionConfig`
+    fields ``build`` receives after the session, in order.
+    ``calibrated`` marks the stage whose artifact depends on the
+    calibration store's *contents*, not just config: its key — and
+    every downstream stage's — carries the store version, so a new
+    observation re-prices plans while the graph stages upstream stay
+    put.
+    """
 
     name: str
     deps: tuple
     build: callable
     stats: callable = None
+    params: tuple = ()
+    calibrated: bool = False
 
 
-def _build_module(session):
+def _build_module(session, name):
     if session._module is not None:
         return session._module
-    return compile_source(session.source, session.config.name)
+    return compile_source(session.source, name)
 
 
 def _module_stats(module):
@@ -53,14 +78,13 @@ def _module_stats(module):
     }
 
 
-def _build_function(session):
-    return session.module.function(session.config.function_name)
+def _build_function(session, function_name):
+    return session.module.function(function_name)
 
 
-def _build_profile(session):
-    name = session.config.function_name
+def _build_profile(session, function_name):
     interpreter = Interpreter(session.module)
-    return interpreter.run(name, profiler=Profiler(name))
+    return interpreter.run(function_name, profiler=Profiler(function_name))
 
 
 def _build_alias(session):
@@ -95,33 +119,90 @@ _VIEW_FACTORIES = {
 }
 
 
-def _build_views(session):
+def _build_views(session, abstractions):
     # Removable objects depend on the loop, not on the abstraction: the
     # views share one mapping, so each loop's are computed once.
     removable = {}
     return {
         name: _VIEW_FACTORIES[name](session, removable)
-        for name in session.config.abstractions
+        for name in abstractions
     }
 
 
-def _build_calibrate(session):
+def _build_options(session, name, machine, min_coverage):
+    """Fig. 13 option enumeration."""
+    return count_options(
+        name, session.function, session.loops, session.profile,
+        session.views, machine, min_coverage,
+    )
+
+
+def _build_critical_paths(session, plan_hierarchical, plan_all_loops):
+    """Fig. 14 per-abstraction critical paths, speedups, and plans."""
+    profile = session.profile
+    function = session.function
+    loops = session.loops
+    uid_map = loop_uid_map(function, loops)
+
+    def evaluator_factory(plan):
+        return CriticalPathEvaluator(profile, plan)
+
+    results = {}
+    results["Sequential"] = {
+        "critical_path": profile.shapes().total,
+        "speedup": None,
+    }
+    openmp_plan = openmp_source_plan(function, uid_map)
+    openmp_cp = evaluator_factory(openmp_plan).evaluate()
+    results["OpenMP"] = {
+        "critical_path": openmp_cp,
+        "speedup": 1.0,
+        "plan": openmp_plan,
+    }
+    for name, view in session.views.items():
+        plan = abstraction_plan(
+            name,
+            function,
+            view,
+            evaluator_factory,
+            loops,
+            uid_map,
+            hierarchical_inner=name in plan_hierarchical,
+            plan_all_loops=name in plan_all_loops,
+        )
+        cp = evaluator_factory(plan).evaluate()
+        results[name] = {
+            "critical_path": cp,
+            "speedup": openmp_cp / cp if cp else float("inf"),
+            "plan": plan,
+        }
+    return results
+
+
+def _critical_paths_stats(results):
+    return {
+        name: round(entry["speedup"], 3)
+        for name, entry in results.items()
+        if entry.get("speedup") is not None
+    }
+
+
+def _build_calibrate(session, machine, calibrate):
     """The effective (possibly measured) machine model + wire feedback.
 
     With calibration off the artifact is the config's static machine
     and empty feedback, so downstream keys and decisions are byte-
     identical to the pre-calibration pipeline.  With calibration on,
     the session's :class:`~repro.planner.calibration.CalibrationStore`
-    (loaded from the ``REPRO_PROFILE`` path at construction) supplies
+    (loaded from the config's ``profile_path`` on first touch) supplies
     measured coefficients and the per-region-label payload feedback it
     remembered for this program — keyed by the module's content hash,
     per the graph-labelling idea of profiling region shapes rather than
     source positions.
     """
-    base = session.config.machine
-    if not session.calibrate_enabled:
+    if not calibrate:
         return {
-            "machine": base,
+            "machine": machine,
             "payload_bytes": {},
             "prelude_warm": {},
             "compiled_speedup": {},
@@ -132,7 +213,7 @@ def _build_calibrate(session):
         session.program_key()
     )
     return {
-        "machine": store.calibrated_machine(base),
+        "machine": store.calibrated_machine(machine),
         "payload_bytes": payload_bytes,
         "prelude_warm": prelude_warm,
         "compiled_speedup": compiled_speedup,
@@ -151,40 +232,24 @@ def _calibrate_stats(artifact):
     }
 
 
-def _build_optimize(session):
+def _build_optimize(session, opt_level, compile_regions, speculate):
     """Run the ``-O`` pass pipeline over every planned abstraction.
 
     The artifact maps abstraction name -> :class:`OptimizationResult`
-    (rewritten plan + report).  Keyed by ``opt_level`` and ``machine``
-    (plus the planning fields), so flipping ``-O`` levels re-keys only
-    this stage and ``recipes`` — the parse/PDG/PS-PDG artifacts upstream
-    stay cached.  The machine model and wire feedback come from the
-    ``calibrate`` stage: static defaults normally, measured coefficients
-    when the session calibrates (the stage key carries the store's
-    version, so a new observation re-prices plans on next access).
+    (rewritten plan + report).  Flipping the ``-O`` level, the engine
+    the plan is priced for, or the speculation switch re-keys only this
+    stage and the ones downstream — the parse/PDG/PS-PDG artifacts
+    upstream stay cached.  The machine model and wire feedback come
+    from the ``calibrate`` stage: static defaults normally, measured
+    coefficients when the session calibrates.
     """
-    from repro.opt import optimize_plan
-
-    calibrated = session.calibrated
     results = {}
     for name, entry in session.critical_paths().items():
         plan = entry.get("plan")
-        if plan is None:
-            continue
-        results[name] = optimize_plan(
-            session.function,
-            session.module,
-            session.pdg,
-            session.pspdg,
-            plan,
-            session.config.opt_level,
-            machine=calibrated["machine"],
-            loops=session.loops,
-            payload_bytes=calibrated["payload_bytes"] or None,
-            prelude_warm=calibrated["prelude_warm"] or None,
-            compiled_speedup=calibrated["compiled_speedup"] or None,
-            compile_regions=session.compile_regions_enabled,
-        )
+        if plan is not None:
+            results[name] = session._optimized(
+                plan, opt_level, compile_regions, speculate
+            )
     return results
 
 
@@ -231,13 +296,10 @@ def _build_compile_regions(session):
     lands in the content-hash cache: pool children fork with it and can
     rebuild entries for their re-decoded modules without re-lowering.
     """
-    from repro.codegen import cache as codegen_cache
-    from repro.runtime import payload as payload_codec
-
     loops_by_header = {
         loop.header.name: loop for loop in session.loops
     }
-    module_key = payload_codec.module_codec(session.module).key
+    module_key = module_codec(session.module).key
     summary = {"compiled": [], "fallback": [], "module_key": module_key}
     seen = set()
     for regions in session.region_recipes.values():
@@ -271,13 +333,15 @@ def _compile_regions_stats(summary):
 STAGES = {
     stage.name: stage
     for stage in (
-        Stage("module", (), _build_module, _module_stats),
-        Stage("function", ("module",), _build_function),
+        Stage("module", (), _build_module, _module_stats, params=("name",)),
+        Stage("function", ("module",), _build_function,
+              params=("function_name",)),
         Stage(
             "profile",
             ("module",),
             _build_profile,
             lambda execution: {"steps": execution.steps},
+            params=("function_name",),
         ),
         Stage("alias", ("module",), _build_alias),
         Stage(
@@ -303,6 +367,22 @@ STAGES = {
             ("function", "pdg", "pspdg", "alias"),
             _build_views,
             lambda views: {"abstractions": ",".join(views)},
+            params=("abstractions",),
+        ),
+        # The planning queries (Fig. 13 / Fig. 14).
+        Stage(
+            "options",
+            ("function", "loops", "profile", "views"),
+            _build_options,
+            lambda report: dict(report.totals),
+            params=("name", "machine", "min_coverage"),
+        ),
+        Stage(
+            "critical_paths",
+            ("function", "loops", "profile", "views"),
+            _build_critical_paths,
+            _critical_paths_stats,
+            params=("plan_hierarchical", "plan_all_loops"),
         ),
         # Profile-guided calibration: the effective machine model and
         # measured wire feedback the optimizer prices plans with.
@@ -311,16 +391,18 @@ STAGES = {
             ("module",),
             _build_calibrate,
             _calibrate_stats,
+            params=("machine", "calibrate"),
+            calibrated=True,
         ),
         # The ``-O`` pipeline: pass-rewritten plans, then the region
-        # recipes the runtime dispatches.  Builders additionally reach
-        # the planning query (``critical_paths``) through the session;
-        # its key fields are folded in via _STAGE_PARAMS["optimize"].
+        # recipes the runtime dispatches.
         Stage(
             "optimize",
-            ("function", "pdg", "pspdg", "loops", "calibrate"),
+            ("function", "pdg", "pspdg", "loops", "calibrate",
+             "critical_paths"),
             _build_optimize,
             _optimize_stats,
+            params=("opt_level", "compile_regions", "speculate"),
         ),
         Stage(
             "recipes",
@@ -329,9 +411,7 @@ STAGES = {
             _recipes_stats,
         ),
         # Region-body compilation: exec-compiled chunk functions for the
-        # planned loops, warmed ahead of the first dispatch.  Keyed (via
-        # _STAGE_PARAMS) by the ``compile_regions`` knob on top of the
-        # recipes closure.
+        # planned loops, warmed ahead of the first dispatch.
         Stage(
             "compile_regions",
             ("recipes", "loops"),
@@ -355,3 +435,16 @@ def stage_order(target):
 
     visit(target)
     return order
+
+
+def _key_plan(name):
+    closure = [STAGES[dep] for dep in stage_order(name)]
+    fields = {field for stage in closure for field in stage.params}
+    return tuple(sorted(fields)), any(stage.calibrated for stage in closure)
+
+
+#: Stage name -> (config fields its cache key hashes, whether the key
+#: carries the calibration store's version): the stage's own ``params``
+#: and ``calibrated`` flag joined with those of everything upstream,
+#: computed once.
+KEY_PLANS = {name: _key_plan(name) for name in STAGES}

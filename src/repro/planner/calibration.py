@@ -19,7 +19,7 @@ vs. interpreted step rates.  :class:`CalibrationStore` closes the loop:
   session* re-plans with measured payload feedback before its first
   dispatch;
 * :meth:`~CalibrationStore.save`/:meth:`~CalibrationStore.load` give
-  the store a JSON file identity (the ``REPRO_PROFILE`` knob), making
+  the store a JSON file identity (``SessionConfig.profile_path``), making
   calibration survive process boundaries.
 
 Estimators (deliberately coarse — threshold decisions only need the
@@ -60,7 +60,6 @@ import math
 import os
 
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
-from repro.runtime import knobs
 from repro.util.regionstats import region_feedback
 
 #: Version of the profile file's JSON shape.  A mismatched (or
@@ -108,6 +107,18 @@ _COEFFICIENT_BOUNDS = {
 #: sample can whipsaw the EWMA by an order of magnitude.  Below the
 #: floor the overhead is attributed entirely to fixed dispatch.
 PAYLOAD_SAMPLE_FLOOR = 1024
+
+#: Adaptive-replanning divergence trigger: a region whose dispatch
+#: overhead exceeds this multiple of its compute time, or whose measured
+#: bytes-per-payload land outside this factor of the planner's
+#: assumption, requests a replan of the remaining dispatches.
+REPLAN_THRESHOLD = 3.0
+
+#: Adaptive-replanning balance trigger: a region whose max-over-mean
+#: per-worker step count exceeds this factor requests a replan (workers
+#: with no iterations are excluded, as in the conformance suite's
+#: imbalance metric).
+REPLAN_IMBALANCE = 2.0
 
 #: Per-label region-feedback fields persisted per program key, in the
 #: order ``region_feedback`` returns them.
@@ -468,7 +479,8 @@ class ReplanContext:
     the freshly calibrated ``machine`` — the PS-PDG legality verdicts
     are re-derived identically, so only cost-model-driven choices can
     move.  ``predicted_bytes`` carries the per-label byte assumptions
-    the original plan was priced with (for divergence detection).
+    the original plan was priced with (for divergence detection);
+    ``speculate`` is the session's speculation switch, re-applied.
     ``calibrated_upto`` counts the run's regions already fed to the
     store, so the Session's post-run calibration starts there and no
     region is ever counted twice; ``settled`` holds the labels whose
@@ -486,6 +498,7 @@ class ReplanContext:
     store: CalibrationStore = None
     program_key: str = None
     predicted_bytes: dict = dataclasses.field(default_factory=dict)
+    speculate: bool = True
     calibrated_upto: int = 0
     settled: set = dataclasses.field(default_factory=set)
 
@@ -535,7 +548,7 @@ class ReplanContext:
             self.level, machine=self.store.calibrated_machine(self.machine),
             loops=self.loops, payload_bytes=payload_bytes,
             prelude_warm=prelude_warm, compiled_speedup=compiled_speedup,
-            compile_regions=compile_regions,
+            compile_regions=compile_regions, speculate=self.speculate,
         )
         changes = adopt(result.plan)
         if not changes:
@@ -555,20 +568,18 @@ class ReplanContext:
     def divergence(self, stats):
         """Measured-vs-predicted divergence reasons for one region, if any.
 
-        Three detectors, each against its knob:
+        Three detectors:
 
         * dispatch overhead (wall time minus slowest worker's compute)
-          exceeding ``REPRO_REPLAN_THRESHOLD`` times the compute — the
-          region is mispriced for its backend;
+          exceeding ``REPLAN_THRESHOLD`` times the compute — the region
+          is mispriced for its backend;
         * per-worker step imbalance (max/mean over workers with
-          iterations) exceeding ``REPRO_REPLAN_IMBALANCE`` — the
-          schedule's chunking fits the iteration space badly;
-        * measured bytes-per-payload outside ``REPRO_REPLAN_THRESHOLD``
-          of the planner's assumption (``predicted_bytes``) — the
+          iterations) exceeding ``REPLAN_IMBALANCE`` — the schedule's
+          chunking fits the iteration space badly;
+        * measured bytes-per-payload outside ``REPLAN_THRESHOLD`` of
+          the planner's assumption (``predicted_bytes``) — the
           serialization bar was computed from stale feedback.
         """
-        threshold = float(knobs.REPRO_REPLAN_THRESHOLD.value)
-        imbalance_limit = float(knobs.REPRO_REPLAN_IMBALANCE.value)
         reasons = []
 
         def diverged(kind, ratio, limit):
@@ -579,14 +590,14 @@ class ReplanContext:
         compute = stats.compute_seconds
         if compute > 0 and stats.seconds > 1e-4:
             ratio = stats.dispatch_overhead / compute
-            if ratio > threshold:
-                diverged("dispatch-overhead", ratio, threshold)
+            if ratio > REPLAN_THRESHOLD:
+                diverged("dispatch-overhead", ratio, REPLAN_THRESHOLD)
         imbalance = stats.step_imbalance
-        if imbalance is not None and imbalance > imbalance_limit:
-            diverged("imbalance", imbalance, imbalance_limit)
+        if imbalance is not None and imbalance > REPLAN_IMBALANCE:
+            diverged("imbalance", imbalance, REPLAN_IMBALANCE)
         predicted = self.predicted_bytes.get(stats.header)
         if stats.payloads and predicted:
             ratio = stats.payload_bytes / stats.payloads / predicted
-            if ratio > threshold or ratio < 1.0 / threshold:
-                diverged("payload-bytes", ratio, threshold)
+            if not 1.0 / REPLAN_THRESHOLD <= ratio <= REPLAN_THRESHOLD:
+                diverged("payload-bytes", ratio, REPLAN_THRESHOLD)
         return reasons

@@ -641,23 +641,24 @@ def _pool_chunk_entry(wire, fault=None):
     """
     if fault is not None:
         faults.perform(fault)
+    header = payload_codec.WorkerPayload(*wire)
     try:
         payload, miss = payload_codec.decode_payload(wire)
         if miss == "module":
-            return {"module_miss": wire[0]}
+            return {"module_miss": header.module_key}
         if miss == "prelude":
-            return {"prelude_miss": wire[2]}
+            return {"prelude_miss": header.stream_id}
     except payload_codec.PreludeVerificationError as exc:
         # A VERIFY_PRELUDE divergence is a caught bug, not a wire
         # failure: retrying would re-ship the mutated state and bless
         # exactly what the oracle flagged, so it stays fatal (untagged).
-        payload_codec.discard_resident(wire[2])
+        payload_codec.discard_resident(header.stream_id)
         return {"error": f"{type(exc).__name__}: {exc}"}
     except BaseException as exc:
         # The resident state may be torn by the failed decode: dropping
         # it forces a clean full-state retry on the next payload of
         # this stream instead of silent divergence.
-        payload_codec.discard_resident(wire[2])
+        payload_codec.discard_resident(header.stream_id)
         return {"error": f"{type(exc).__name__}: {exc}", "phase": "decode"}
     try:
         frame = payload["frame"]
@@ -756,7 +757,7 @@ def _pool_chunk_entry(wire, fault=None):
         # A torn rollback would leave the resident state diverged from
         # the parent's hash chain; drop it so the stream's next payload
         # retries with the full state attached.
-        payload_codec.discard_resident(wire[2])
+        payload_codec.discard_resident(header.stream_id)
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -785,7 +786,7 @@ class ProcessesBackend(ExecutionBackend):
 
     A region whose retry budget is exhausted
     (:class:`RegionDispatchError`) descends the *degradation ladder*
-    (``REPRO_FAILOVER``): the threads backend, then serial
+    (``failover=``): the threads backend, then serial
     interpretation — each rung re-running the *whole* region against
     the intact pre-dispatch state (lower rungs mutate parent storage
     live, so they snapshot/restore around a failed attempt).  The
@@ -812,11 +813,7 @@ class ProcessesBackend(ExecutionBackend):
             stats.backend = f"{self.name}->threads(critical)"
             return
         stats.backend = self.name
-        failover = (
-            interp.failover if interp.failover is not None
-            else bool(knobs.REPRO_FAILOVER)
-        )
-        if not failover:
+        if not interp.failover:
             self._run_supervised(interp, region)
             return
         quarantine = interp.quarantine
@@ -896,8 +893,6 @@ class ProcessesBackend(ExecutionBackend):
         if not active:
             return
         budget = interp.retry_budget
-        if budget is None:
-            budget = int(knobs.REPRO_RETRY_BUDGET.value)
         # A negative base would reach time.sleep as a ValueError and
         # turn a recoverable crash into a failed run.
         backoff = max(0.0, float(knobs.REPRO_RETRY_BACKOFF.value))

@@ -177,18 +177,18 @@ class ParallelInterpreter(Interpreter):
     backend's resident-state stream survives across runs; ``quarantine``
     a caller-owned :class:`~repro.runtime.faults.Quarantine` so the
     degradation ladder's denylist does too.  ``compile_regions``,
-    ``retry_budget``, ``failover`` and ``adaptive`` override the
-    ``REPRO_COMPILE`` / ``REPRO_RETRY_BUDGET`` / ``REPRO_FAILOVER`` /
-    ``REPRO_ADAPTIVE`` knobs when not None.  ``replan`` is a planner
-    :class:`~repro.planner.calibration.ReplanContext` (one per run);
-    without one, adaptive mode has nothing to re-derive and stays off.
+    ``retry_budget``, ``failover`` and ``adaptive`` default to
+    :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
+    is a planner :class:`~repro.planner.calibration.ReplanContext` (one
+    per run); without one, adaptive mode has nothing to re-derive and
+    stays off.
     """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
                  max_steps=50_000_000, backend="simulated",
                  schedule="static", chunk=None, pool_size=None,
-                 prelude=None, compile_regions=None, quarantine=None,
-                 retry_budget=None, failover=None, adaptive=None,
+                 prelude=None, compile_regions=True, quarantine=None,
+                 retry_budget=2, failover=True, adaptive=False,
                  replan=None):
         super().__init__(module, max_steps)
         if (
@@ -205,18 +205,12 @@ class ParallelInterpreter(Interpreter):
         self.schedule = schedule
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
-        self.compile_regions = (
-            bool(knobs.REPRO_COMPILE) if compile_regions is None
-            else bool(compile_regions)
-        )
+        self.compile_regions = bool(compile_regions)
         # Supervised-dispatch policy, read by the processes backend.
         self.quarantine = quarantine
         self.retry_budget = retry_budget
         self.failover = failover
-        self.adaptive = (
-            bool(knobs.REPRO_ADAPTIVE) if adaptive is None
-            else bool(adaptive)
-        )
+        self.adaptive = bool(adaptive)
         self.replan_context = replan
         self.replan_events = []
         self.prelude_codec = None  # the processes backend's stream

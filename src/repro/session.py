@@ -20,94 +20,19 @@ are recorded in ``s.diagnostics``.  Reassigning ``s.source`` or calling
 returned.
 """
 
+from repro.core.ablation import full, project
+from repro.core.canonical import signature
 from repro.opt import OptLevel, optimize_plan
 from repro.pipeline.cache import PipelineCache, content_key
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
-from repro.pipeline.stages import STAGES
-from repro.planner.calibration import ReplanContext
-from repro.planner.critical_path import CriticalPathEvaluator
-from repro.planner.options import count_options
-from repro.planner.plans import (
-    abstraction_plan,
-    loop_uid_map,
-    openmp_source_plan,
-)
+from repro.pipeline.stages import KEY_PLANS, STAGES
+from repro.planner.calibration import CalibrationStore, ReplanContext
+from repro.planner.plans import openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
-
-#: Config fields each stage's *own* builder reads.  A stage's cache key
-#: covers these plus — transitively through the stage graph's ``deps``
-#: edges — every upstream stage's fields, so changing e.g. the config
-#: ``name`` (which re-keys the ``module`` stage) re-keys everything
-#: downstream, while a machine-model change re-enumerates options
-#: without invalidating the PS-PDG.
-_STAGE_PARAMS = {
-    "module": ("name",),
-    "function": ("function_name",),
-    "profile": ("function_name",),
-    "alias": (),
-    "pdg": (),
-    "loops": (),
-    "pspdg": (),
-    "views": ("abstractions",),
-    # The calibration stage reads the base machine plus the calibration
-    # switches; the *measured* coefficients are not config — they travel
-    # in every calibrated stage's key as the store-version extra (see
-    # ``_stage_key``).
-    "calibrate": ("machine", "calibrate", "profile_path"),
-    # ``optimize`` re-runs the pass pipeline when the level, the machine
-    # model (cost thresholds), or the planning knobs change — and only
-    # then: the graph stages upstream keep their keys.  Its builder
-    # reaches ``critical_paths`` through the session, so that query's
-    # key fields — including ``abstractions``, which decides the views
-    # the planner iterates — are folded in here explicitly.
-    "optimize": (
-        "opt_level",
-        "machine",
-        "abstractions",
-        "name",
-        "plan_hierarchical",
-        "plan_all_loops",
-        # The small-region pass scales cost estimates by the machine's
-        # compiled speedup when region compilation is on.
-        "compile_regions",
-    ),
-    "recipes": (),
-    "compile_regions": ("compile_regions",),
-    # Query stages: the effective machine/min_coverage of ``options``
-    # travel as explicit key extras, not config fields.
-    "options": ("name",),
-    "critical_paths": ("name", "plan_hierarchical", "plan_all_loops"),
-}
-
-#: Upstream stages of the query methods (not in STAGES themselves).
-_QUERY_DEPS = {
-    "options": ("function", "loops", "profile", "views"),
-    "critical_paths": ("function", "loops", "profile", "views"),
-}
-
-#: Stages whose artifact depends on the calibration store's *contents*
-#: (not just config): their cache keys carry the store version, so a new
-#: observation re-prices plans while the graph stages upstream stay put.
-_CALIBRATED_STAGES = frozenset(
-    {"calibrate", "optimize", "recipes", "compile_regions"}
-)
-
-
-def _key_fields(stage_name, _cache={}):
-    """Config fields covering ``stage_name`` and its transitive deps."""
-    if stage_name not in _cache:
-        fields = set(_STAGE_PARAMS.get(stage_name, ()))
-        deps = (
-            STAGES[stage_name].deps
-            if stage_name in STAGES
-            else _QUERY_DEPS[stage_name]
-        )
-        for dep in deps:
-            fields.update(_key_fields(dep))
-        _cache[stage_name] = tuple(sorted(fields))
-    return _cache[stage_name]
+from repro.runtime.faults import Quarantine
+from repro.runtime.payload import PreludeCodec, module_codec
 
 
 class Session:
@@ -169,26 +94,33 @@ class Session:
             return content_key(self._source)
         return f"module:{id(self._module)}"
 
-    def _stage_key(self, stage_name, extra=()):
-        params = tuple(
-            (field, getattr(self.config, field))
-            for field in _key_fields(stage_name)
-        )
-        if stage_name in _CALIBRATED_STAGES:
-            token = (
-                self.calibration.version if self.calibrate_enabled else 0
-            )
-            extra = (("calibration", token),) + tuple(extra)
-        return content_key(
-            self._source_identity(), self._generation, params, extra
-        )
+    def _stage(self, stage_name, config=None):
+        """The stage's artifact under ``config`` (default: the session's).
 
-    def _stage(self, stage_name):
+        The key hashes exactly the config fields the stage and its
+        upstream closure declare (``KEY_PLANS``), and the builder is
+        handed only the stage's own — see :mod:`repro.pipeline.stages`.
+        """
         stage = STAGES[stage_name]
+        config = config if config is not None else self.config
+        fields, calibrated = KEY_PLANS[stage_name]
+        params = tuple(
+            (field, getattr(config, field)) for field in fields
+        )
+        # The *measured* coefficients are not config: they travel as
+        # the store version, so a new observation re-prices plans.
+        token = (
+            self.calibration.version if calibrated and config.calibrate
+            else 0
+        )
         return self.cache.get_or_build(
             stage_name,
-            self._stage_key(stage_name),
-            lambda: stage.build(self),
+            content_key(
+                self._source_identity(), self._generation, params, token
+            ),
+            lambda: stage.build(
+                self, *[getattr(config, field) for field in stage.params]
+            ),
             self.diagnostics,
             stage.stats,
         )
@@ -280,20 +212,6 @@ class Session:
         return self._stage("recipes")
 
     @property
-    def compile_regions_enabled(self):
-        """The config's ``compile_regions`` knob, env-resolved.
-
-        ``None`` defers to the ``REPRO_COMPILE`` environment flag, so an
-        unconfigured session follows the same switch the bare runtime
-        entry points do.
-        """
-        from repro.runtime import knobs
-
-        configured = self.config.compile_regions
-        return bool(knobs.REPRO_COMPILE) if configured is None \
-            else bool(configured)
-
-    @property
     def compiled_regions(self):
         """Codegen warm-up summary for the planned loops (stage:
         compile_regions)."""
@@ -306,53 +224,17 @@ class Session:
         return self._stage("calibrate")
 
     @property
-    def calibrate_enabled(self):
-        """The config's ``calibrate`` knob, env-resolved
-        (``REPRO_CALIBRATE``)."""
-        from repro.runtime import knobs
-
-        configured = self.config.calibrate
-        return bool(knobs.REPRO_CALIBRATE) if configured is None \
-            else bool(configured)
-
-    @property
-    def adaptive_enabled(self):
-        """The config's ``adaptive`` knob, env-resolved
-        (``REPRO_ADAPTIVE``)."""
-        from repro.runtime import knobs
-
-        configured = self.config.adaptive
-        return bool(knobs.REPRO_ADAPTIVE) if configured is None \
-            else bool(configured)
-
-    @property
-    def profile_path(self):
-        """Where the calibration profile persists (``None`` = in-memory).
-
-        The config's ``profile_path`` wins; ``None`` defers to the
-        ``REPRO_PROFILE`` environment knob; empty means no file.
-        """
-        from repro.runtime import knobs
-
-        configured = self.config.profile_path
-        if configured is None:
-            configured = knobs.REPRO_PROFILE.value
-        return configured or None
-
-    @property
     def calibration(self):
         """This session's :class:`CalibrationStore` (lazy, session-scoped).
 
-        One store for the session's lifetime, loaded from
+        One store for the session's lifetime, loaded from the config's
         ``profile_path`` on first touch — so a warm session plans with
         the coefficients earlier sessions measured, and this session's
         observations accumulate on top.
         """
         store = getattr(self, "_calibration_obj", None)
         if store is None:
-            from repro.planner.calibration import CalibrationStore
-
-            store = CalibrationStore(self.profile_path)
+            store = CalibrationStore(self.config.profile_path)
             self._calibration_obj = store
         return store
 
@@ -363,8 +245,6 @@ class Session:
         wire), so profiles survive session restarts and never leak
         between different programs.
         """
-        from repro.runtime.payload import module_codec
-
         return module_codec(self.module).key
 
     def optimization(self, abstraction="PS-PDG"):
@@ -385,79 +265,18 @@ class Session:
 
     def options(self, machine=None, min_coverage=None):
         """Fig. 13 option enumeration (cached per machine/coverage)."""
-        machine = machine if machine is not None else self.config.machine
-        if min_coverage is None:
-            min_coverage = self.config.min_coverage
-        key = self._stage_key("options", (machine, min_coverage))
-        return self.cache.get_or_build(
-            "options",
-            key,
-            lambda: count_options(
-                self.config.name,
-                self.function,
-                self.loops,
-                self.profile,
-                self.views,
-                machine,
-                min_coverage,
-            ),
-            self.diagnostics,
-            lambda report: dict(report.totals),
+        overrides = {}
+        if machine is not None:
+            overrides["machine"] = machine
+        if min_coverage is not None:
+            overrides["min_coverage"] = min_coverage
+        return self._stage(
+            "options", self.config.derive(**overrides) if overrides else None
         )
 
     def critical_paths(self):
         """Fig. 14 per-abstraction critical paths, speedups, and plans."""
-        return self.cache.get_or_build(
-            "critical_paths",
-            self._stage_key("critical_paths"),
-            self._build_critical_paths,
-            self.diagnostics,
-            lambda results: {
-                name: round(entry["speedup"], 3)
-                for name, entry in results.items()
-                if entry.get("speedup") is not None
-            },
-        )
-
-    def _build_critical_paths(self):
-        profile = self.profile
-        config = self.config
-        loops = self.loops
-        uid_map = loop_uid_map(self.function, loops)
-
-        def evaluator_factory(plan):
-            return CriticalPathEvaluator(profile, plan)
-
-        results = {}
-        results["Sequential"] = {
-            "critical_path": profile.shapes().total,
-            "speedup": None,
-        }
-        openmp_plan = openmp_source_plan(self.function, uid_map)
-        openmp_cp = evaluator_factory(openmp_plan).evaluate()
-        results["OpenMP"] = {
-            "critical_path": openmp_cp,
-            "speedup": 1.0,
-            "plan": openmp_plan,
-        }
-        for name, view in self.views.items():
-            plan = abstraction_plan(
-                name,
-                self.function,
-                view,
-                evaluator_factory,
-                loops,
-                uid_map,
-                hierarchical_inner=name in config.plan_hierarchical,
-                plan_all_loops=name in config.plan_all_loops,
-            )
-            cp = evaluator_factory(plan).evaluate()
-            results[name] = {
-                "critical_path": cp,
-                "speedup": openmp_cp / cp if cp else float("inf"),
-                "plan": plan,
-            }
-        return results
+        return self._stage("critical_paths")
 
     def plan(self, abstraction="PS-PDG"):
         """The chosen plan for ``abstraction`` ("OpenMP" for the source plan)."""
@@ -492,7 +311,7 @@ class Session:
         count.  Per-region, per-worker timing is recorded in
         ``self.diagnostics`` (see ``diagnostics.parallel_report()``).
 
-        ``adaptive`` (default: the config's ``adaptive`` knob) turns on
+        ``adaptive`` (default: the config's ``adaptive``) turns on
         mid-run replanning: dispatches whose measured timings diverge
         from the plan's predictions re-derive the remaining regions'
         cost decisions with a freshly calibrated machine model (see
@@ -504,12 +323,12 @@ class Session:
         """
         config = self.config
         level = OptLevel.coerce(opt) if opt is not None else config.opt_level
-        adaptive_on = (
-            self.adaptive_enabled if adaptive is None else bool(adaptive)
+        adaptive_on = bool(
+            config.adaptive if adaptive is None else adaptive
         )
-        compile_on = (
-            self.compile_regions_enabled if compile_regions is None
-            else bool(compile_regions)
+        compile_on = bool(
+            config.compile_regions if compile_regions is None
+            else compile_regions
         )
         if plan is None or plan in ("source", "OpenMP"):
             # Source-plan runs skip the codegen warm-up — it would drag
@@ -558,7 +377,7 @@ class Session:
         )
         for region in result.parallel_regions:
             self.diagnostics.record_parallel(region)
-        if self.calibrate_enabled or adaptive_on:
+        if config.calibrate or adaptive_on:
             # Mid-run replans already fed the store up to the context's
             # ``calibrated_upto``; distill only the regions after that
             # so nothing is counted twice, then persist for warm
@@ -568,7 +387,7 @@ class Session:
                 result.parallel_regions[start:],
                 program_key=self.program_key(),
             )
-            if self.calibrate_enabled and self.profile_path:
+            if config.calibrate and config.profile_path:
                 self.calibration.save()
         return result
 
@@ -594,6 +413,7 @@ class Session:
             store=self.calibration,
             program_key=self.program_key(),
             predicted_bytes=dict(calibrated["payload_bytes"]),
+            speculate=self.config.speculate,
         )
 
     def _prelude_codec(self):
@@ -607,8 +427,6 @@ class Session:
         """
         codec = getattr(self, "_prelude_codec_obj", None)
         if codec is None:
-            from repro.runtime.payload import PreludeCodec
-
             codec = PreludeCodec()
             self._prelude_codec_obj = codec
         return codec
@@ -624,8 +442,6 @@ class Session:
         """
         quarantine = getattr(self, "_quarantine_obj", None)
         if quarantine is None:
-            from repro.runtime.faults import Quarantine
-
             quarantine = Quarantine()
             self._quarantine_obj = quarantine
         return quarantine
@@ -638,8 +454,9 @@ class Session:
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
 
-    def _optimize_plan_object(self, plan, level):
-        """Run the -O passes over an explicit plan, on cached artifacts."""
+    def _optimized(self, plan, level, compile_regions, speculate):
+        """``optimize_plan`` over ``plan`` on the cached artifacts, priced
+        with the (possibly calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
         return optimize_plan(
             self.function,
@@ -653,6 +470,15 @@ class Session:
             payload_bytes=calibrated["payload_bytes"] or None,
             prelude_warm=calibrated["prelude_warm"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
+            compile_regions=compile_regions,
+            speculate=speculate,
+        )
+
+    def _optimize_plan_object(self, plan, level):
+        """Run the -O passes over an explicit plan (cache-bypassing)."""
+        return self._optimized(
+            plan, level, compile_regions=False,
+            speculate=self.config.speculate,
         ).plan
 
     def _regions_at_level(self, abstraction, level):
@@ -666,9 +492,6 @@ class Session:
 
     def signature(self):
         """Canonical signature of the full PS-PDG."""
-        from repro.core.ablation import full
-        from repro.core.canonical import signature
-
         return signature(full(self.pspdg))
 
     def reduced_signature(self, projection=None):
@@ -678,12 +501,9 @@ class Session:
         :func:`repro.core.ablation.without_traits`); when omitted, the
         config's ``ablate_features`` are projected out.
         """
-        from repro.core.ablation import project
-
         if projection is not None:
-            return _canonical_signature(projection(self.pspdg))
-        reduced = project(self.pspdg, self.config.ablate_features)
-        return _canonical_signature(reduced)
+            return signature(projection(self.pspdg))
+        return signature(project(self.pspdg, self.config.ablate_features))
 
     def describe(self):
         """One-line summary plus the per-stage diagnostics table."""
@@ -702,8 +522,3 @@ class Session:
             f"{len(self.cache)} cached artifacts>"
         )
 
-
-def _canonical_signature(reduced):
-    from repro.core.canonical import signature
-
-    return signature(reduced)

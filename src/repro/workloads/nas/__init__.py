@@ -42,7 +42,3 @@ def build_session(name, **overrides):
     from repro.session import Session
 
     return Session.from_kernel(name, **overrides)
-
-
-def kernel_source(name):
-    return KERNELS[name].SOURCE

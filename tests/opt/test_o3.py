@@ -5,8 +5,8 @@ side condition, and execution stays conformant on every backend) and a
 negative case (the legality predicate rejects with the reason recorded).
 Speculation gets all three endings: validated (the oracle agrees and the
 marker is discharged), vetoed (LU's wavefront — the oracle catches the
-carried dependence the static test could not see), and disabled (the
-``REPRO_SPECULATE`` knob turns inconclusive verdicts into rejections).
+carried dependence the static test could not see), and disabled
+(``speculate=False`` turns inconclusive verdicts into rejections).
 Adversarial cases hand-build plans the passes would never produce and
 check the two enforcement layers: the oracle pass vetoes them, and the
 runtime refuses still-speculative regions on real backends.
@@ -117,12 +117,12 @@ func main() {
 """
 
 
-def _optimize(source, level=OptLevel.O3):
+def _optimize(source, level=OptLevel.O3, **options):
     session = Session.from_source(source, name="o3-test")
     plan = openmp_source_plan(session.function)
     result = optimize_plan(
         session.function, session.module, session.pdg, session.pspdg,
-        plan, level, loops=session.loops,
+        plan, level, loops=session.loops, **options,
     )
     return session, result
 
@@ -256,11 +256,8 @@ class TestSpeculation:
         assert (result.plan.region_for("for.header.4").backend_override
                 == o2.plan.region_for("for.header.4").backend_override)
 
-    def test_knob_off_rejects_instead_of_speculating(self, monkeypatch):
-        from repro.runtime import knobs
-
-        monkeypatch.setattr(knobs, "REPRO_SPECULATE", False)
-        _session, result = _optimize(NEST_NONAFFINE_OK)
+    def test_knob_off_rejects_instead_of_speculating(self):
+        _session, result = _optimize(NEST_NONAFFINE_OK, speculate=False)
         summary = result.report.summary()
         assert summary["speculated"] == 0
         assert summary["interchanged"] == 0

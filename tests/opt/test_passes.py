@@ -193,7 +193,10 @@ class TestSyncElimination:
     def test_processes_backend_skips_threads_fallback(self, nas_state):
         """With the critical elided, IS's merge loop may run on real
         processes instead of falling back to shared-memory threads."""
-        session = Session.from_kernel("IS", opt_level=2)
+        # Priced for the interpreter: the compiled engine's cheaper
+        # steps serialize the merge loop off the pool altogether.
+        session = Session.from_kernel("IS", opt_level=2,
+                                      compile_regions=False)
         result = session.run("PS-PDG", workers=4, backend="processes")
         merge_regions = [
             region

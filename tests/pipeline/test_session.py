@@ -1,5 +1,6 @@
 """The Session API: lazy stages, exactly-once caching, invalidation, CLI."""
 
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -375,7 +376,8 @@ def test_cli_knobs_lists_the_registry():
     assert proc.returncode == 0, proc.stderr
     for name in knobs.snapshot():
         assert name in proc.stdout
-    assert "default on" in proc.stdout  # REPRO_FAILOVER
+    assert "default 0.05" in proc.stdout  # REPRO_RETRY_BACKOFF
+    assert len(proc.stdout.splitlines()) == 6
     markdown = _run_cli("knobs", "--markdown")
     assert markdown.returncode == 0, markdown.stderr
     assert markdown.stdout.strip() == knobs.markdown_table()
@@ -401,7 +403,7 @@ def test_calibrate_flow_persists_and_warms(tmp_path):
         "IS", opt_level=2, backend="processes", workers=2,
         calibrate=True, profile_path=profile,
     )
-    assert cold.calibrate_enabled
+    assert cold.config.calibrate
     cold.run("PS-PDG")
 
     data = json.loads(Path(profile).read_text())
@@ -437,12 +439,114 @@ def test_calibration_rekeys_optimize_stage():
 
 def test_calibration_off_keeps_static_keys():
     session = Session.from_kernel("IS", opt_level=2, workers=2)
-    assert not session.calibrate_enabled
+    assert not session.config.calibrate
     session.optimizations
     session.run("PS-PDG")
     session.optimizations
     assert session.diagnostics.runs("optimize") == 1
     assert session.calibrated["machine"] == session.config.machine
+
+
+# -- one home per option ---------------------------------------------------------
+
+
+def _overrides(session):
+    regions = session.optimized_plan("PS-PDG").regions
+    return {region.label: region.backend_override for region in regions}
+
+
+def test_reconfigure_compile_regions_rekeys_optimize_only():
+    """The engine a plan is priced for is a keyed input of ``optimize``:
+    flipping it re-plans, and nothing upstream rebuilds."""
+    session = Session.from_kernel("IS", opt_level=2)
+    compiled = _overrides(session)
+    assert "sequential" in compiled.values()
+    session.reconfigure(compile_regions=False)
+    interpreted = _overrides(session)
+    assert "threads" in interpreted.values()
+    assert "sequential" not in interpreted.values()
+    assert session.diagnostics.runs("optimize") == 2
+    assert session.diagnostics.runs("pspdg") == 1
+    # ...and agrees with a fresh session configured that way from the start.
+    fresh = Session.from_kernel("IS", opt_level=2, compile_regions=False)
+    assert _overrides(fresh) == interpreted
+    session.reconfigure(compile_regions=True)
+    assert _overrides(session) == compiled
+    assert session.diagnostics.runs("optimize") == 2  # first key: a hit
+
+
+def test_reconfigure_speculate_rekeys_optimize_only():
+    from opt.test_o3 import NEST_NONAFFINE_OK
+
+    session = Session.from_source(NEST_NONAFFINE_OK, name="n", opt_level=3)
+    report = session.optimization("PS-PDG").report
+    assert report.summary()["speculated"] == 1
+    session.reconfigure(speculate=False)
+    report = session.optimization("PS-PDG").report
+    assert report.summary()["speculated"] == 0
+    assert report.rejections_for("loop-interchange")
+    assert session.diagnostics.runs("optimize") == 2
+    assert session.diagnostics.runs("pspdg") == 1
+
+
+def test_stage_builders_read_only_their_declared_params():
+    """A builder gets its ``params`` as arguments and never touches
+    ``session.config`` — so it can only read what its key hashes."""
+    import ast
+    import inspect
+
+    from repro.pipeline import stages
+
+    tree = ast.parse(Path(stages.__file__).read_text())
+    config_reads = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "config"
+    ]
+    assert not config_reads, f"stages.py reads config at {config_reads}"
+    fields = {field.name for field in dataclasses.fields(SessionConfig)}
+    for stage in stages.STAGES.values():
+        assert set(stage.params) <= fields, stage.name
+        arguments = list(inspect.signature(stage.build).parameters)
+        assert arguments == ["session", *stage.params], stage.name
+        assert set(stage.params) <= set(stages.KEY_PLANS[stage.name][0])
+
+
+def test_no_config_field_defers_to_the_environment():
+    """Only ``chunk`` and ``profile_path`` may default to ``None``, and
+    there it means "none", not "ask the environment"."""
+    config = SessionConfig()
+    nones = {
+        field.name for field in dataclasses.fields(config)
+        if getattr(config, field.name) is None
+    }
+    assert nones == {"chunk", "profile_path"}
+
+
+def test_cli_faults_flag_recovers_and_does_not_leak(capsys):
+    """``run --faults`` injects for that command only: a later in-process
+    ``cli.main`` must not inherit the fault plan."""
+    from repro import cli
+    from repro.runtime import backends, knobs
+
+    backends._reset_chunk_pool()
+    knobs.REPRO_RETRY_BACKOFF.value = 0.01
+    try:
+        status = cli.main([
+            "run", "IS", "--plan", "PS-PDG", "--backend", "processes",
+            "--faults", "crash:region=0:worker=0", "--verify",
+            "--diagnostics",
+        ])
+    finally:
+        backends._reset_chunk_pool()
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    assert "matches sequential" in captured.err
+    table = captured.err.splitlines()
+    columns = next(l for l in table if l.startswith("loop ")).split()
+    faulted = next(l for l in table if l.startswith("for.header")).split()
+    assert int(faulted[columns.index("flt")]) == 1  # the crash fired...
+    assert int(faulted[columns.index("rtry")]) >= 1  # ...and was retried
+    assert knobs.REPRO_FAULTS.value == ""
 
 
 def test_cli_profile_subcommand(tmp_path):

@@ -32,8 +32,7 @@ def fresh_pool():
 
 @pytest.fixture
 def fast_retries():
-    """Shrink retry budgets/backoff so chaos tests don't sleep much."""
-    knobs.REPRO_RETRY_BUDGET.value = 2
+    """Shrink the retry backoff so chaos tests don't sleep much."""
     knobs.REPRO_RETRY_BACKOFF.value = 0.01
     yield
     knobs.refresh()
@@ -187,8 +186,7 @@ class TestSupervisedRecovery:
 class TestDegradationLadder:
     def test_exhausted_retries_fail_over_then_quarantine(self,
                                                          fast_retries):
-        knobs.REPRO_RETRY_BUDGET.value = 1
-        session = build_session("EP")
+        session = build_session("EP", retry_budget=1)
         expected = session.execution.output
         inject("crash:p=1:seed=1:times=0")  # every dispatch dies
         result = session.run("PS-PDG", opt="-O2", workers=2,
@@ -210,9 +208,7 @@ class TestDegradationLadder:
         assert region["retries"] == 0 and region["failovers"] == 0
 
     def test_failover_off_surfaces_dispatch_error(self, fast_retries):
-        knobs.REPRO_RETRY_BUDGET.value = 1
-        knobs.REPRO_FAILOVER.value = False
-        session = build_session("EP")
+        session = build_session("EP", retry_budget=1, failover=False)
         inject("crash:p=1:seed=1:times=0")
         with pytest.raises(EmulationError, match="attempts"):
             session.run("PS-PDG", opt="-O2", workers=2,

@@ -6,7 +6,9 @@ autouse conftest fixture — these tests pin the rule, the refresh
 contract, and the payload-codec re-exports older tests monkeypatch.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -15,19 +17,19 @@ from repro.runtime import knobs, payload
 
 def test_unset_env_uses_default(monkeypatch):
     monkeypatch.delenv("VERIFY_DIFFS", raising=False)
-    monkeypatch.delenv("REPRO_FAILOVER", raising=False)
+    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
     knobs.refresh()
     assert not knobs.VERIFY_DIFFS
-    assert knobs.REPRO_FAILOVER  # default-on knob
+    assert knobs.REPRO_RETRY_BACKOFF.value == 0.05  # typed default
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
 def test_falsy_spellings(monkeypatch, raw):
     monkeypatch.setenv("VERIFY_DIFFS", raw)
-    monkeypatch.setenv("REPRO_FAILOVER", raw)
+    monkeypatch.setenv("VERIFY_PRELUDE", raw)
     knobs.refresh()
     assert not knobs.VERIFY_DIFFS
-    assert not knobs.REPRO_FAILOVER
+    assert not knobs.VERIFY_PRELUDE
 
 
 @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
@@ -39,13 +41,13 @@ def test_truthy_spellings(monkeypatch, raw):
 
 def test_refresh_resets_manual_overrides(monkeypatch):
     """A test that pokes ``knob.value`` cannot leak into the next test."""
-    monkeypatch.delenv("REPRO_COMPILE", raising=False)
+    monkeypatch.delenv("VERIFY_COMPILED", raising=False)
     knobs.refresh()
-    assert not knobs.REPRO_COMPILE
-    knobs.REPRO_COMPILE.value = True
-    assert knobs.REPRO_COMPILE
+    assert not knobs.VERIFY_COMPILED
+    knobs.VERIFY_COMPILED.value = True
+    assert knobs.VERIFY_COMPILED
     knobs.refresh()  # what the autouse conftest fixture runs
-    assert not knobs.REPRO_COMPILE
+    assert not knobs.VERIFY_COMPILED
 
 
 def test_flag_registry_is_get_or_create():
@@ -80,10 +82,11 @@ def test_flag_conflicting_default_is_an_error():
 def test_snapshot_carries_defaults_values_and_docs():
     snap = knobs.snapshot()
     assert set(snap) == set(knobs.as_dict())
-    entry = snap["REPRO_FAILOVER"]
-    assert entry["default"] is True
+    entry = snap["VERIFY_COMPILED"]
+    assert entry["default"] is False
     assert isinstance(entry["value"], bool)
-    assert "ladder" in entry["doc"].lower()
+    assert "interpreted" in entry["doc"].lower()
+    assert snap["REPRO_RETRY_BACKOFF"]["default"] == 0.05
     # Every registered knob documents itself — the README table is
     # generated from these lines.
     assert all(info["doc"] for info in snap.values())
@@ -96,11 +99,9 @@ def test_readme_knob_table_matches_the_registry():
     (``python -m repro knobs --markdown``) fails here — README switches
     can never drift from what the code actually reads.
     """
-    from pathlib import Path
-
     readme = Path(__file__).resolve().parents[2] / "README.md"
     table = knobs.markdown_table()
-    assert "| `REPRO_FAILOVER` | on |" in table  # sanity
+    assert "| `REPRO_RETRY_BACKOFF` | `0.05` |" in table  # sanity
     assert table in readme.read_text(), (
         "README.md knob table is stale — regenerate it with "
         "`python -m repro knobs --markdown` and paste it in"
@@ -132,3 +133,55 @@ def test_knob_repr_and_pickle_guard():
     assert pickle.loads(pickle.dumps(bool(knobs.VERIFY_DIFFS))) in (
         True, False,
     )
+
+
+#: The registry keeps only what arms an oracle or injects chaos over an
+#: unmodified test run; behavioural options live on SessionConfig.
+SURVIVING_KNOBS = {
+    "VERIFY_DIFFS", "VERIFY_PRELUDE", "VERIFY_COMPILED",
+    "REPRO_FAULTS", "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
+}
+
+
+def test_every_knob_is_flipped_somewhere():
+    """A knob nobody flips is dead weight: each registered name must
+    occur in a test or a CI step, and no other name may register."""
+    root = Path(__file__).resolve().parents[2]
+    assert set(knobs.snapshot()) == SURVIVING_KNOBS
+    corpus = (root / ".github" / "workflows" / "ci.yml").read_text()
+    for path in (root / "tests").rglob("*.py"):
+        if path != Path(__file__).resolve():
+            corpus += path.read_text()
+    unflipped = [name for name in SURVIVING_KNOBS if name not in corpus]
+    assert not unflipped, f"knobs no test or CI step flips: {unflipped}"
+
+
+def test_only_the_registry_reads_the_environment():
+    """No module but ``runtime/knobs.py`` reads ``os.environ``, and the
+    option-resolving modules hold no ``x if x is not None else
+    knobs.Y`` fall-through: an option has one home."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+    def mentions_knobs(node):
+        return any(
+            isinstance(sub, ast.Name) and sub.id == "knobs"
+            for sub in ast.walk(node)
+        )
+
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name != "knobs.py":
+            environ_reads = [
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+            ]
+            assert not environ_reads, f"{path}: reads env at {environ_reads}"
+        if path.name in ("session.py", "executor.py", "backends.py"):
+            fallthroughs = [
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.IfExp) and mentions_knobs(node.orelse)
+            ]
+            assert not fallthroughs, (
+                f"{path}: knob fall-through at {fallthroughs}"
+            )

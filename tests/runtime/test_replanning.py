@@ -150,7 +150,9 @@ class TestChaosInteraction:
         knobs.REPRO_FAULTS.value = "crash:region=1:worker=0:times=1"
         knobs.REPRO_REGION_TIMEOUT.value = 20.0
         try:
-            session = miscalibrated_session()
+            # Priced for the interpreter: region=1 must still be a
+            # processes dispatch for the scenario to fire.
+            session = miscalibrated_session(compile_regions=False)
             expected = session.execution.output
             result = session.run("PS-PDG", adaptive=True)
         finally:
