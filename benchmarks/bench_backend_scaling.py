@@ -34,7 +34,7 @@ def _best_of(session, plan, repetitions=REPETITIONS, **kwargs):
     best = None
     for _ in range(repetitions):
         started = time.perf_counter()
-        run_plan(session.module, session.pspdg, plan,
+        run_plan(session.pspdg, plan,
                  compile_regions=False, **kwargs)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
@@ -45,7 +45,7 @@ def _best_of(session, plan, repetitions=REPETITIONS, **kwargs):
 def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't measured."""
     session = nas_sessions["EP"]
-    run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
+    run_plan(session.pspdg, session.plan("PS-PDG"),
              workers=2, backend="processes", compile_regions=False)
 
 

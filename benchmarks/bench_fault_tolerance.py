@@ -33,7 +33,6 @@ CRASH_SPEC = "crash:region=0:worker=0"
 def lu_plan(nas_sessions):
     session = nas_sessions[KERNEL]
     return optimize_plan(
-        session.function, session.module, session.pdg,
         session.pspdg, session.plan("PS-PDG"), OptLevel.O2,
     ).plan
 
@@ -41,7 +40,7 @@ def lu_plan(nas_sessions):
 def _run(session, plan):
     started = time.perf_counter()
     result = run_plan(
-        session.module, session.pspdg, plan,
+        session.pspdg, plan,
         workers=WORKERS, backend=BACKEND,
         compile_regions=False,
     )

@@ -44,8 +44,7 @@ def opt_plans(nas_sessions):
         plan = session.plan("PS-PDG")
         plans[kernel] = {
             level: optimize_plan(
-                session.function, session.module, session.pdg,
-                session.pspdg, plan, level, loops=session.loops,
+                session.pspdg, plan, level,
             ).plan
             for level in LEVELS
         }
@@ -56,7 +55,7 @@ def opt_plans(nas_sessions):
 def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't measured."""
     session = nas_sessions["EP"]
-    run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
+    run_plan(session.pspdg, session.plan("PS-PDG"),
              workers=2, backend="processes", compile_regions=False)
 
 
@@ -68,7 +67,7 @@ def _measure(session, plan, repetitions=REPETITIONS):
     for _ in range(repetitions):
         started = time.perf_counter()
         result = run_plan(
-            session.module, session.pspdg, plan,
+            session.pspdg, plan,
             workers=WORKERS, backend="processes",
             compile_regions=False,
         )
@@ -173,7 +172,7 @@ def test_results_identical_across_levels(nas_sessions, opt_plans):
         expected = session.execution.output
         for level in LEVELS:
             result = run_plan(
-                session.module, session.pspdg, opt_plans[kernel][level],
+                session.pspdg, opt_plans[kernel][level],
                 workers=WORKERS, backend="processes",
                 compile_regions=False,
             )

@@ -51,14 +51,14 @@ def fresh_codec_state():
 def warm_pool(nas_sessions):
     """One throwaway processes run so pool startup isn't timed."""
     session = nas_sessions["EP"]
-    run_plan(session.module, session.pspdg, session.plan("PS-PDG"),
+    run_plan(session.pspdg, session.plan("PS-PDG"),
              workers=2, backend="processes", compile_regions=False)
 
 
 def _bytes_run(session):
     """One -O0 processes run's wire totals."""
     result = run_plan(
-        session.module, session.pspdg, session.plan("PS-PDG"),
+        session.pspdg, session.plan("PS-PDG"),
         workers=WORKERS, backend="processes",
         compile_regions=False,
     )
@@ -75,7 +75,7 @@ def _timed_run(session, repetitions=REPETITIONS):
     for _ in range(repetitions):
         started = time.perf_counter()
         run_plan(
-            session.module, session.pspdg, session.plan("PS-PDG"),
+            session.pspdg, session.plan("PS-PDG"),
             workers=WORKERS, backend="processes",
             compile_regions=False,
         )
@@ -205,7 +205,7 @@ def test_steady_state_regions_ship_no_module_bytes(nas_sessions):
 
     def run_bytes():
         result = run_plan(
-            session.module, session.pspdg, session.plan("PS-PDG"),
+            session.pspdg, session.plan("PS-PDG"),
             workers=WORKERS, backend="processes",
             compile_regions=False,
         )

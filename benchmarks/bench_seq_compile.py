@@ -52,7 +52,6 @@ def o2_plans(nas_sessions):
     for kernel in KERNELS:
         session = nas_sessions[kernel]
         plans[kernel] = optimize_plan(
-            session.function, session.module, session.pdg,
             session.pspdg, session.plan("PS-PDG"), OptLevel.O2,
         ).plan
     return plans
@@ -64,7 +63,7 @@ def _measure(session, plan, compile_regions, repetitions=REPETITIONS):
     for _ in range(repetitions):
         started = time.perf_counter()
         result = run_plan(
-            session.module, session.pspdg, plan,
+            session.pspdg, plan,
             workers=WORKERS, backend=BACKEND,
             compile_regions=compile_regions,
         )

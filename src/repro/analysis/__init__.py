@@ -11,7 +11,6 @@ from repro.analysis.alias import (
 )
 from repro.analysis.cfg import (
     can_reach,
-    instruction_order_key,
     predecessors_map,
     reachable_blocks,
     reverse_postorder,
@@ -34,7 +33,6 @@ from repro.analysis.dominators import (
 )
 from repro.analysis.liveness import (
     blocks_after_loop,
-    live_out_objects,
     objects_accessed_in_loop,
 )
 from repro.analysis.loops import (
@@ -49,12 +47,11 @@ from repro.analysis.memdep import (
     MemoryDependence,
     MemoryDependenceAnalysis,
     collect_accesses,
-    compute_memory_dependences,
 )
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.reductions import (
     REDUCIBLE_OPS,
     ScalarReduction,
-    find_scalar_reductions,
 )
 from repro.analysis.scc import condensation, strongly_connected_components
 from repro.analysis.subscripts import (
@@ -72,7 +69,6 @@ __all__ = [
     "GlobalObject",
     "MemoryObject",
     "can_reach",
-    "instruction_order_key",
     "predecessors_map",
     "reachable_blocks",
     "reverse_postorder",
@@ -87,7 +83,6 @@ __all__ = [
     "compute_dominator_tree",
     "compute_postdominator_tree",
     "blocks_after_loop",
-    "live_out_objects",
     "objects_accessed_in_loop",
     "Loop",
     "common_loops",
@@ -98,10 +93,9 @@ __all__ = [
     "MemoryDependence",
     "MemoryDependenceAnalysis",
     "collect_accesses",
-    "compute_memory_dependences",
+    "FunctionAnalyses",
     "REDUCIBLE_OPS",
     "ScalarReduction",
-    "find_scalar_reductions",
     "condensation",
     "strongly_connected_components",
     "AffineExpr",

@@ -83,12 +83,3 @@ def can_reach(source, target, successors, banned_edges=frozenset()):
                 worklist.append(succ)
         first = False
     return False
-
-
-def instruction_order_key(function):
-    """Map each instruction to its (block_index, position) for ordering."""
-    order = {}
-    for block_index, block in enumerate(function.blocks):
-        for position, inst in enumerate(block.instructions):
-            order[inst] = (block_index, position)
-    return order

@@ -4,11 +4,13 @@ The planner needs to know, for each loop it wants to parallelize, which
 memory objects are *live-out*: read again after the loop exits.  Live-out
 scalars need a data-selector decision (who provides the final value); dead
 ones can be freely privatized.
+
+The per-loop queries read the function's analysis record
+(:class:`~repro.analysis.record.FunctionAnalyses`), which memoizes them:
+ask ``analyses.live_out(loop)`` rather than calling these directly.
 """
 
-from repro.analysis.alias import AliasAnalysis
 from repro.analysis.cfg import reachable_blocks, successors_map
-from repro.analysis.memdep import collect_accesses
 
 
 def blocks_after_loop(function, loop):
@@ -22,45 +24,29 @@ def blocks_after_loop(function, loop):
     return after
 
 
-def live_out_objects(function, module, loop, alias=None, accesses=None):
-    """Objects written inside ``loop`` and read after it exits."""
-    alias = alias if alias is not None else AliasAnalysis(module)
-    accesses = (
-        accesses if accesses is not None else collect_accesses(function, alias)
-    )
-    after = blocks_after_loop(function, loop)
-
-    written_inside = set()
-    for access in accesses:
-        if access.is_write and access.instruction.parent in loop.blocks:
-            written_inside.add(id(access.obj))
-
-    live = []
-    seen = set()
-    for access in accesses:
-        if access.is_write or access.instruction.parent not in after:
-            continue
-        if id(access.obj) in written_inside and id(access.obj) not in seen:
-            seen.add(id(access.obj))
-            live.append(access.obj)
-    return live
+def live_out_objects(analyses, loop):
+    """The set of objects written inside ``loop`` and read after it exits."""
+    after = blocks_after_loop(analyses.function, loop)
+    written_inside = {
+        obj
+        for obj, group in analyses.loop_accesses(loop).items()
+        if any(access.is_write for access in group)
+    }
+    return {
+        access.obj
+        for access in analyses.accesses
+        if not access.is_write
+        and access.instruction.parent in after
+        and access.obj in written_inside
+    }
 
 
-def objects_accessed_in_loop(function, module, loop, alias=None, accesses=None):
+def objects_accessed_in_loop(analyses, loop):
     """(reads, writes) object lists for accesses inside the loop."""
-    alias = alias if alias is not None else AliasAnalysis(module)
-    accesses = (
-        accesses if accesses is not None else collect_accesses(function, alias)
-    )
     reads, writes = [], []
-    seen_r, seen_w = set(), set()
-    for access in accesses:
-        if access.instruction.parent not in loop.blocks:
-            continue
-        bucket, seen = (
-            (writes, seen_w) if access.is_write else (reads, seen_r)
-        )
-        if id(access.obj) not in seen:
-            seen.add(id(access.obj))
-            bucket.append(access.obj)
+    for obj, group in analyses.loop_accesses(loop).items():
+        if any(not access.is_write for access in group):
+            reads.append(obj)
+        if any(access.is_write for access in group):
+            writes.append(obj)
     return reads, writes

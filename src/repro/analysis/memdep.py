@@ -20,15 +20,11 @@ the PS-PDG's programmer-declared semantics later relaxes.
 
 import dataclasses
 
-from repro.analysis.alias import CONSOLE, AliasAnalysis
+from repro.analysis.alias import CONSOLE
 from repro.analysis.cfg import can_reach, successors_map
-from repro.analysis.deptests import LevelDependence, test_level
-from repro.analysis.loops import (
-    common_loops,
-    enclosing_loops,
-    find_natural_loops,
-)
-from repro.analysis.subscripts import affine_offset, induction_alloca_map
+from repro.analysis.deptests import test_level
+from repro.analysis.loops import common_loops
+from repro.analysis.subscripts import affine_offset
 from repro.ir.instructions import Call, Load, Print, Store
 
 
@@ -69,19 +65,21 @@ class MemoryDependence:
         )
 
 
-def collect_accesses(function, alias):
-    """All memory accesses of ``function``, with affine offsets when known."""
-    loops = find_natural_loops(function)
-    iv_map = induction_alloca_map(loops)
+def collect_accesses(function, alias, induction_allocas):
+    """All memory accesses of ``function``, with affine offsets when known.
+
+    ``induction_allocas`` are the canonical-loop induction variables the
+    offsets may be affine in (the record's ``iv_map``).
+    """
     accesses = []
     for inst in function.instructions():
         if isinstance(inst, Load):
             obj = alias.base_object(inst.pointer, function)
-            offset = affine_offset(inst.pointer, set(iv_map))
+            offset = affine_offset(inst.pointer, induction_allocas)
             accesses.append(MemoryAccess(inst, obj, False, offset))
         elif isinstance(inst, Store):
             obj = alias.base_object(inst.pointer, function)
-            offset = affine_offset(inst.pointer, set(iv_map))
+            offset = affine_offset(inst.pointer, induction_allocas)
             accesses.append(MemoryAccess(inst, obj, True, offset))
         elif isinstance(inst, Print):
             accesses.append(MemoryAccess(inst, CONSOLE, True, None))
@@ -105,29 +103,24 @@ def _dependence_kind(src_write, dst_write):
 
 
 class MemoryDependenceAnalysis:
-    """Computes all memory dependences of one function."""
+    """Computes all memory dependences of one function.
 
-    def __init__(self, function, module, alias=None):
-        self.function = function
-        self.module = module
-        self.alias = alias if alias is not None else AliasAnalysis(module)
-        self.loops = find_natural_loops(function)
-        self._iv_map = induction_alloca_map(self.loops)
-        self._succs = successors_map(function)
-        self._order = {}
-        for block_index, block in enumerate(function.blocks):
-            for position, inst in enumerate(block.instructions):
-                self._order[inst] = (block_index, position)
+    Reads the function's analysis record
+    (:class:`~repro.analysis.record.FunctionAnalyses`): its loops, its
+    accesses and its instruction positions — the edges' ``carried_loops``
+    are therefore the record's own ``Loop`` objects.
+    """
+
+    def __init__(self, analyses):
+        self.loops = analyses.loops
+        self._accesses_by_object = analyses.accesses_by_object
+        self._position = analyses.positions
+        self._succs = successors_map(analyses.function)
 
     def run(self):
         """Return the list of :class:`MemoryDependence` edges."""
-        accesses = collect_accesses(self.function, self.alias)
-        by_object = {}
-        for access in accesses:
-            by_object.setdefault(id(access.obj), []).append(access)
-
         dependences = []
-        for group in by_object.values():
+        for group in self._accesses_by_object.values():
             for i, first in enumerate(group):
                 for second in group[i:]:
                     if not first.is_write and not second.is_write:
@@ -214,7 +207,7 @@ class MemoryDependenceAnalysis:
         src_block = src_inst.parent
         dst_block = dst_inst.parent
         if src_block is dst_block:
-            if self._order[src_inst][1] < self._order[dst_inst][1]:
+            if self._position[src_inst] < self._position[dst_inst]:
                 return True
             # Same block, src after dst: an intra path needs a cycle that
             # re-enters the block without the banned edges.
@@ -224,8 +217,3 @@ class MemoryDependenceAnalysis:
         return can_reach(
             src_block, dst_block, self._succs, frozenset(banned_edges)
         )
-
-
-def compute_memory_dependences(function, module, alias=None):
-    """Convenience wrapper: run the analysis and return the edges."""
-    return MemoryDependenceAnalysis(function, module, alias).run()

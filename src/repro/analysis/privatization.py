@@ -17,41 +17,22 @@ The sufficient condition implemented (conservative, documented):
 * the object is not live-out of the loop (no reads after the loop exits).
 """
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.dominators import compute_dominator_tree
-from repro.analysis.liveness import live_out_objects
-from repro.analysis.memdep import collect_accesses
 from repro.ir.instructions import Load, Store
 
 
-def sequentially_privatizable_objects(
-    function, module, loop, alias=None, accesses=None
-):
-    """Objects a sequential compiler may privatize per iteration of ``loop``."""
-    alias = alias if alias is not None else AliasAnalysis(module)
-    accesses = (
-        accesses if accesses is not None else collect_accesses(function, alias)
-    )
-    dom_tree = compute_dominator_tree(function)
-    live_out = {id(obj) for obj in live_out_objects(
-        function, module, loop, alias, accesses
-    )}
+def sequentially_privatizable_objects(analyses, loop):
+    """Objects a sequential compiler may privatize per iteration of ``loop``.
 
-    per_object = {}
-    for access in accesses:
-        if access.instruction.parent not in loop.blocks:
-            continue
-        per_object.setdefault(id(access.obj), []).append(access)
-
-    position = {}
-    for block in function.blocks:
-        for index, inst in enumerate(block.instructions):
-            position[inst] = index
+    ``analyses`` is the function's analysis record; it memoizes this
+    query as ``analyses.privatizable(loop)``.
+    """
+    live_out = analyses.live_out(loop)
+    dom_tree = analyses.dominators
+    position = analyses.positions
 
     privatizable = []
-    for group in per_object.values():
-        obj = group[0].obj
-        if not obj.is_scalar() or id(obj) in live_out:
+    for obj, group in analyses.loop_accesses(loop).items():
+        if not obj.is_scalar() or obj in live_out:
             continue
         loads = [
             a.instruction for a in group if isinstance(a.instruction, Load)

@@ -12,8 +12,6 @@ the PDG a standard technique.
 
 import dataclasses
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.memdep import collect_accesses
 from repro.ir.instructions import BinaryOp, Load, Store
 
 # Commutative, associative operators with a two-sided identity.
@@ -44,8 +42,11 @@ class ScalarReduction:
         return f"<reduction {self.op} on {self.obj!r}>"
 
 
-def find_scalar_reductions(function, module, loop, alias=None, accesses=None):
+def find_scalar_reductions(analyses, loop):
     """Reductions of scalar objects recognizable inside ``loop``.
+
+    ``analyses`` is the function's analysis record; it memoizes this
+    query as ``analyses.scalar_reductions(loop)``.
 
     The pattern required, for object ``O``:
 
@@ -60,20 +61,8 @@ def find_scalar_reductions(function, module, loop, alias=None, accesses=None):
     Conditional updates (``if (...) sum += e``) qualify: skipping an update
     is equivalent to merging the identity.
     """
-    alias = alias if alias is not None else AliasAnalysis(module)
-    accesses = (
-        accesses if accesses is not None else collect_accesses(function, alias)
-    )
-
-    per_object = {}
-    for access in accesses:
-        if access.instruction.parent not in loop.blocks:
-            continue
-        per_object.setdefault(id(access.obj), []).append(access)
-
     reductions = []
-    for group in per_object.values():
-        obj = group[0].obj
+    for obj, group in analyses.loop_accesses(loop).items():
         if not obj.is_scalar():
             continue
         loads = [a for a in group if isinstance(a.instruction, Load)]

@@ -23,8 +23,6 @@ feature that justified it; ablation projections and the J&K baseline replay
 this log selectively.
 """
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.liveness import blocks_after_loop
 from repro.core.model import (
     DataSelector,
     DirectedEdge,
@@ -65,19 +63,16 @@ def loop_context_label(header_name):
 
 
 class PSPDGBuilder:
-    """Builds the PS-PDG of one annotated function."""
+    """Builds the PS-PDG of one annotated function from its PDG."""
 
-    def __init__(self, function, module, alias=None, pdg=None):
-        self.function = function
-        self.module = module
-        self.alias = alias if alias is not None else AliasAnalysis(module)
-        self.pdg = (
-            pdg if pdg is not None else build_pdg(function, module, self.alias)
-        )
-        self.graph = PSPDG(function)
-        self.graph.loops = self.pdg.loops
+    def __init__(self, pdg):
+        self.pdg = pdg
+        self.analyses = pdg.analyses
+        self.function = pdg.function
+        self.module = self.analyses.module
+        self.graph = PSPDG(pdg)
         self._block_of = {}
-        for block in function.blocks:
+        for block in self.function.blocks:
             for inst in block.instructions:
                 self._block_of[inst] = block.name
         self._groups = []  # (node, block_name_set), innermost resolution
@@ -101,7 +96,7 @@ class PSPDGBuilder:
 
     def _build_hierarchy(self):
         groups = []
-        for loop in self.pdg.loops:
+        for loop in self.analyses.loops:
             label = loop_context_label(loop.header.name)
             node = HierarchicalNode(
                 "loop", context_label=label, source_uid=loop.header.name
@@ -190,35 +185,16 @@ class PSPDGBuilder:
         ]
 
     def _loop_for_annotation(self, annotation):
-        for loop in self.pdg.loops:
-            if loop.header.name == annotation.loop_header:
-                return loop
-        return None
+        return self.analyses.loops_by_header.get(annotation.loop_header)
 
-    def _object_of_storage(self, storage):
-        from repro.ir.instructions import Alloca
-        from repro.ir.values import Argument, GlobalVariable
-
-        if isinstance(storage, Alloca):
-            return self.alias.object_for_alloca(storage)
-        if isinstance(storage, GlobalVariable):
-            return self.alias.object_for_global(storage)
-        if isinstance(storage, Argument):
-            return self.alias.object_for_argument(storage)
-        raise TypeError(f"unexpected clause storage {storage!r}")
-
-    def _accesses_of_object(self, obj, block_names=None):
+    def _accesses_of_object(self, obj):
+        """(use nodes, def nodes): the loads and stores of ``obj``."""
         uses, defs = [], []
-        for inst in self.pdg.nodes:
-            if block_names is not None:
-                if self._block_of[inst] not in block_names:
-                    continue
-            if isinstance(inst, Load):
-                if self.alias.base_object(inst.pointer, self.function) is obj:
-                    uses.append(self.graph.node_of(inst))
-            elif isinstance(inst, Store):
-                if self.alias.base_object(inst.pointer, self.function) is obj:
-                    defs.append(self.graph.node_of(inst))
+        for access in self.analyses.accesses_by_object.get(obj, ()):
+            if isinstance(access.instruction, Load):
+                uses.append(self.graph.node_of(access.instruction))
+            elif isinstance(access.instruction, Store):
+                defs.append(self.graph.node_of(access.instruction))
         return uses, defs
 
     def _remove_carried(self, edge, context_label, feature, extra_contexts=()):
@@ -272,7 +248,7 @@ class PSPDGBuilder:
         threadprivate = self.module.metadata.get("threadprivate", set())
         for name in sorted(threadprivate):
             gvar = self.module.globals[name]
-            obj = self.alias.object_for_global(gvar)
+            obj = self.analyses.storage_object(gvar)
             uses, defs = self._accesses_of_object(obj)
             self.graph.add_variable(
                 Variable(
@@ -321,7 +297,7 @@ class PSPDGBuilder:
                 loop = self._loop_for_annotation(annotation)
                 if loop is not None and loop.canonical is not None:
                     induction = loop.canonical.induction
-                    obj = self.alias.object_for_alloca(induction)
+                    obj = self.analyses.storage_object(induction)
                     uses, defs = self._accesses_of_object(obj)
                     self.graph.add_variable(
                         Variable(
@@ -339,7 +315,7 @@ class PSPDGBuilder:
         self, annotation, name, semantics, context, blocks, op=None
     ):
         storage = annotation.binding(name)
-        obj = self._object_of_storage(storage)
+        obj = self.analyses.storage_object(storage)
         uses, defs = self._accesses_of_object(obj)
         self.graph.add_variable(
             Variable(
@@ -650,7 +626,7 @@ class PSPDGBuilder:
 
     def _selector_on_liveout(self, annotation, name, blocks, kind):
         storage = annotation.binding(name)
-        obj = self._object_of_storage(storage)
+        obj = self.analyses.storage_object(storage)
         for edge in self.graph.directed_edges:
             if edge.kind != EDGE_MEMORY or edge.mem_kind != "RAW":
                 continue
@@ -663,7 +639,7 @@ class PSPDGBuilder:
 
     def _selector_on_livein(self, annotation, name, blocks, kind):
         storage = annotation.binding(name)
-        obj = self._object_of_storage(storage)
+        obj = self.analyses.storage_object(storage)
         for edge in self.graph.directed_edges:
             if edge.kind != EDGE_MEMORY or edge.mem_kind != "RAW":
                 continue
@@ -678,7 +654,7 @@ class PSPDGBuilder:
         """anyvalue(x): any iteration's write may win; WAW/WAR on x inside
         the region lose their carried component (feature: selector)."""
         storage = annotation.binding(name)
-        obj = self._object_of_storage(storage)
+        obj = self.analyses.storage_object(storage)
         loop_label = (
             loop_context_label(loop.header.name) if loop is not None else None
         )
@@ -711,6 +687,6 @@ class PSPDGBuilder:
         ]
 
 
-def build_pspdg(function, module, alias=None):
-    """Convenience wrapper returning the PS-PDG of ``function``."""
-    return PSPDGBuilder(function, module, alias).build()
+def build_pspdg(function, module):
+    """The PS-PDG of ``function``, over a fresh PDG and analysis record."""
+    return PSPDGBuilder(build_pdg(function, module)).build()

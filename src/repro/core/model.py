@@ -229,8 +229,11 @@ class Relaxation:
 class PSPDG:
     """The Parallel Semantics Program Dependence Graph of one function."""
 
-    def __init__(self, function):
-        self.function = function
+    def __init__(self, pdg):
+        #: The sequential PDG this graph relaxes; through it
+        #: (``pdg.analyses``) the function's analysis record.
+        self.pdg = pdg
+        self.function = pdg.function
         self.roots = []  # top-level nodes (forest)
         self.instruction_nodes = {}  # IR instruction -> InstructionNode
         self.contexts = {}  # label -> HierarchicalNode
@@ -239,7 +242,6 @@ class PSPDG:
         self.variables = []
         self.accesses = []
         self.relaxations = []
-        self.loops = []  # analysis Loop objects (outermost first)
         self.context_of_loop = {}  # header name -> context label
 
     # -- construction ---------------------------------------------------------

@@ -71,9 +71,6 @@ class Instruction(Value):
 
     # -- classification helpers used throughout analyses ------------------
 
-    def is_terminator(self):
-        return False
-
     def reads_memory(self):
         return False
 
@@ -381,9 +378,6 @@ class Print(Instruction):
 
 class Terminator(Instruction):
     """Base class for block terminators."""
-
-    def is_terminator(self):
-        return True
 
     def successors(self):
         """List of successor basic blocks."""

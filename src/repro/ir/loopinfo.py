@@ -36,16 +36,3 @@ class CanonicalLoop:
     lower: object
     upper: object
     step: object
-
-    def block_names(self, function):
-        """All block names belonging to the loop (header..latch, inclusive).
-
-        Derived from the natural-loop analysis; provided here for callers
-        that only have the metadata record.
-        """
-        from repro.analysis.loops import find_natural_loops
-
-        for loop in find_natural_loops(function):
-            if loop.header.name == self.header:
-                return [b.name for b in loop.blocks]
-        return [self.header, self.body, self.latch]

@@ -2,8 +2,9 @@
 
 The paper positions the PS-PDG as a representation *for parallel
 optimization*; this package is where the reproduction actually rewrites
-plans instead of only reading the graph.  Three passes, all legality-
-checked against the sequential PDG:
+plans instead of only reading the graph.  Seven passes, every rewrite
+legality-checked against the sequential dependences of the function's
+analysis record (``pspdg.pdg.analyses``).  ``-O1``/``-O2`` run three:
 
 * :class:`~repro.opt.fusion.RegionFusionPass` — adjacent compatible
   DOALL loops become one dispatched region (one process-pool payload
@@ -31,7 +32,8 @@ The ``-O3`` tier adds three transform passes plus a validation gate:
   simulated oracle (and vetoed on any divergence) before a real backend
   ever sees the plan.
 
-Entry point: :func:`optimize_plan`; levels: :class:`OptLevel`.
+Entry point: :func:`optimize_plan` ``(pspdg, plan, level)``; levels:
+:class:`OptLevel`.
 """
 
 from repro.opt.context import OptContext

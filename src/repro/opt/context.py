@@ -1,41 +1,33 @@
-"""Shared analysis state for one optimization run.
+"""Shared state for one optimization run.
 
-The passes all ask the same questions — which loops are executable, what
-recipe would the runtime derive for a loop, which memory dependences does
-the *sequential* PDG record on an object — so the context computes each
-answer once per :func:`repro.opt.optimize_plan` call and memoizes it.
+The passes all ask the same questions — which accesses does a loop
+make, which memory dependences does it carry on an object, what recipe
+would the runtime derive for it.  The function's analysis record
+(``pspdg.pdg.analyses``, the one the graphs were built from) answers the
+analysis questions, once per session however many times
+:func:`repro.opt.optimize_plan` runs; the context adds what is per-run:
+the machine model, the measured feedback, and the memo of the runtime
+recipes derived so far.
 
-Legality is deliberately grounded in the sequential PDG's memory edges
-(plus the affine subscript analysis those edges were built from): the
-PS-PDG tells the planner what *may* run in parallel, but a transform that
+Legality is deliberately grounded in the sequential memory dependences
+(plus the affine subscript analysis they were built from): the PS-PDG
+tells the planner what *may* run in parallel, but a transform that
 rewrites the plan must prove it preserves the sequential semantics, and
-the PDG is the representation of exactly those semantics.
+those dependences are the representation of exactly those semantics.
 """
 
-from repro.analysis.loops import find_natural_loops
-from repro.analysis.subscripts import induction_alloca_map
-from repro.planner.plans import TECH_DOALL
-from repro.planner.recipes import (
-    RecipeAnalyses,
-    parallelization_from_pspdg,
-    storage_object,
-)
+from repro.planner.recipes import parallelization_from_pspdg
 
 
 class OptContext:
-    """Analyses shared by the passes of one ``optimize_plan`` call."""
+    """What the passes of one ``optimize_plan`` call share."""
 
-    def __init__(self, function, module, pdg, pspdg, loops, machine,
-                 payload_bytes=None, prelude_warm=None,
-                 compile_regions=False, compiled_speedup=None,
-                 speculate=True):
-        self.function = function
-        self.module = module
-        self.pdg = pdg
+    def __init__(self, pspdg, machine, payload_bytes=None,
+                 prelude_warm=None, compile_regions=False,
+                 compiled_speedup=None, speculate=True):
         self.pspdg = pspdg
-        self.loops = list(loops) if loops is not None else find_natural_loops(
-            function
-        )
+        #: The function's analysis record: loops, accesses, dependences.
+        self.analyses = pspdg.pdg.analyses
         self.machine = machine
         # Measured bytes-on-wire per region label from a previous run's
         # ``payload_bytes`` stats; feeds the serialization cost term of
@@ -60,101 +52,15 @@ class OptContext:
         # Whether a pass may apply a transform on an inconclusive
         # legality verdict (for the oracle-validation pass to settle).
         self.speculate = bool(speculate)
-        self.loops_by_header = {
-            loop.header.name: loop for loop in self.loops
-        }
         self.blocks_by_name = {
-            block.name: block for block in function.blocks
+            block.name: block for block in self.analyses.function.blocks
         }
-        self._iv_map = induction_alloca_map(self.loops)
         self._recipes = {}
-        self._analyses = None
-        self._accesses_by_loop = {}
-        self._memory_edges = None
-
-    # -- runtime recipe derivation (memoized per loop) ------------------------
-
-    @property
-    def analyses(self):
-        if self._analyses is None:
-            self._analyses = RecipeAnalyses(self.function, self.module)
-        return self._analyses
 
     def recipe(self, header_name):
         """The runtime recipe the executor would derive for this loop."""
         if header_name not in self._recipes:
-            loop = self.loops_by_header[header_name]
             self._recipes[header_name] = parallelization_from_pspdg(
-                self.pspdg, loop, self.module, self.analyses
+                self.pspdg, self.analyses.loops_by_header[header_name]
             )
         return self._recipes[header_name]
-
-    def storage_object(self, storage):
-        return storage_object(self.analyses.alias, storage)
-
-    # -- sequential-PDG dependence queries ------------------------------------
-
-    def memory_edges(self):
-        if self._memory_edges is None:
-            self._memory_edges = self.pdg.memory_edges()
-        return self._memory_edges
-
-    def carried_edges_at(self, loop):
-        """PDG memory edges carried at ``loop`` (matched by header name)."""
-        header = loop.header.name
-        return [
-            edge
-            for edge in self.memory_edges()
-            if any(
-                carried.header.name == header
-                for carried in edge.carried_loops
-            )
-        ]
-
-    # -- per-loop memory accesses with affine offsets -------------------------
-
-    def loop_accesses(self, loop):
-        """object -> [(instruction, is_write, AffineExpr|None)] in ``loop``."""
-        header = loop.header.name
-        if header not in self._accesses_by_loop:
-            by_object = {}
-            for access in self.analyses.accesses:
-                if access.instruction.parent not in loop.blocks:
-                    continue
-                by_object.setdefault(access.obj, []).append(
-                    (access.instruction, access.is_write, access.offset)
-                )
-            self._accesses_by_loop[header] = by_object
-        return self._accesses_by_loop[header]
-
-    # -- plan structure --------------------------------------------------------
-
-    def executable_doall_headers(self, plan):
-        """Headers the runtime would dispatch, in control-flow order.
-
-        Mirrors the executor's historical selection: canonical-form DOALL
-        loops not nested inside another planned canonical DOALL loop.
-        """
-
-        def inside_planned_parent(loop):
-            parent = loop.parent
-            while parent is not None:
-                parent_plan = plan.plan_for(parent.header.name)
-                if (
-                    parent_plan is not None
-                    and parent_plan.technique == TECH_DOALL
-                    and parent.canonical is not None
-                ):
-                    return True
-                parent = parent.parent
-            return False
-
-        headers = []
-        for loop in self.loops:  # already in header-block order
-            loop_plan = plan.plan_for(loop.header.name)
-            if loop_plan is None or loop_plan.technique != TECH_DOALL:
-                continue
-            if loop.canonical is None or inside_planned_parent(loop):
-                continue
-            headers.append(loop.header.name)
-        return headers

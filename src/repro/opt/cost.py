@@ -72,7 +72,7 @@ def region_cost(ctx, headers):
     """Summed per-entry cost of a region's member loops (None if unknown)."""
     total = 0
     for header in headers:
-        cost = loop_cost(ctx.loops_by_header[header])
+        cost = loop_cost(ctx.analyses.loops_by_header[header])
         if cost is None:
             return None
         total += cost

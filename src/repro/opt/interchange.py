@@ -44,7 +44,7 @@ class LoopInterchangePass:
         ):
             return None
         header = region.headers[0]
-        inner = ctx.loops_by_header[header]
+        inner = ctx.analyses.loops_by_header[header]
         outer = inner.parent
         if outer is None or outer.canonical is None:
             return None

@@ -26,11 +26,13 @@ from repro.ir.instructions import (
     Alloca,
     BinaryOp,
     Branch,
+    Call,
     Cast,
     Compare,
     Instruction,
     Jump,
     Load,
+    Print,
     Store,
     UnaryOp,
 )
@@ -109,8 +111,8 @@ def can_fuse(ctx, region_a, region_b, skew=False):
     if region_a.outer_header or region_b.outer_header:
         return Legality.no("interchanged nest regions do not fuse")
 
-    loops_a = [ctx.loops_by_header[h] for h in region_a.headers]
-    loops_b = [ctx.loops_by_header[h] for h in region_b.headers]
+    loops_a = [ctx.analyses.loops_by_header[h] for h in region_a.headers]
+    loops_b = [ctx.analyses.loops_by_header[h] for h in region_b.headers]
 
     verdict = _same_iteration_space(loops_a + loops_b)
     if not verdict:
@@ -173,7 +175,7 @@ def _adjacent(ctx, loop_a, loop_b):
             return Legality.no("lost the interloop chain")
         if block is loop_b.header:
             return Legality.yes()
-        if loop_of_block(ctx.loops, block) is not loop_a.parent:
+        if loop_of_block(ctx.analyses.loops, block) is not loop_a.parent:
             return Legality.no(
                 f"interloop block {block.name} belongs to another loop"
             )
@@ -196,7 +198,7 @@ def _adjacent(ctx, loop_a, loop_b):
 
 def _reduction_op_for(ctx, recipe, obj):
     for storage, op in recipe.reductions:
-        if ctx.storage_object(storage) == obj:
+        if ctx.analyses.storage_object(storage) == obj:
             return op
     return None
 
@@ -208,7 +210,7 @@ def _classify_private(ctx, recipe, obj):
     if op is not None:
         return f"reduction:{op}"
     for storage in recipe.privatized:
-        if ctx.storage_object(storage) == obj:
+        if ctx.analyses.storage_object(storage) == obj:
             return "private"
     return None
 
@@ -218,8 +220,8 @@ def _member_classification(ctx, headers, obj):
     ``obj``, or ``"shared"``/``"mixed"``."""
     kinds = set()
     for header in headers:
-        loop = ctx.loops_by_header[header]
-        if obj not in ctx.loop_accesses(loop):
+        loop = ctx.analyses.loops_by_header[header]
+        if obj not in ctx.analyses.loop_accesses(loop):
             continue
         kinds.add(_classify_private(ctx, ctx.recipe(header), obj))
     if not kinds:
@@ -233,8 +235,8 @@ def _member_classification(ctx, headers, obj):
 def _induction_objects(ctx, headers):
     objects = set()
     for header in headers:
-        loop = ctx.loops_by_header[header]
-        objects.add(ctx.storage_object(loop.canonical.induction))
+        loop = ctx.analyses.loops_by_header[header]
+        objects.add(ctx.analyses.storage_object(loop.canonical.induction))
     return objects
 
 
@@ -273,7 +275,7 @@ def _pair_shift(loop_src, offset_src, loop_dst, offset_dst):
 
 def _member_of(ctx, headers, instruction):
     for header in headers:
-        loop = ctx.loops_by_header[header]
+        loop = ctx.analyses.loops_by_header[header]
         if instruction.parent in loop.blocks:
             return loop
     return None
@@ -299,22 +301,24 @@ def _cross_dependences_aligned(ctx, headers_a, headers_b, shifts_a=None,
     access_a = {}
     inst_header_a = {}
     for header in headers_a:
-        for obj, entries in ctx.loop_accesses(
-            ctx.loops_by_header[header]
+        for obj, entries in ctx.analyses.loop_accesses(
+            ctx.analyses.loops_by_header[header]
         ).items():
             access_a.setdefault(obj, []).extend(entries)
-            for inst, _write, _offset in entries:
-                inst_header_a[inst] = header
+            for access in entries:
+                inst_header_a[access.instruction] = header
     for header in headers_b:
-        access_b = ctx.loop_accesses(ctx.loops_by_header[header])
+        access_b = ctx.analyses.loop_accesses(
+            ctx.analyses.loops_by_header[header]
+        )
         for obj, entries_b in access_b.items():
             if obj in inductions:
                 continue  # every member privatizes its own induction
             entries_a = access_a.get(obj)
             if not entries_a:
                 continue
-            if not any(w for _, w, _ in entries_a) and not any(
-                w for _, w, _ in entries_b
+            if not any(
+                access.is_write for access in entries_a + entries_b
             ):
                 continue  # read-only on both sides
             if obj == CONSOLE:
@@ -329,14 +333,15 @@ def _cross_dependences_aligned(ctx, headers_a, headers_b, shifts_a=None,
                 )
             if kind is not None and kind != "shared":
                 continue  # per-worker copies on every member: no flow
-            for inst_a, write_a, offset_a in entries_a:
-                for inst_b, write_b, offset_b in entries_b:
-                    if not (write_a or write_b):
+            for first in entries_a:
+                for second in entries_b:
+                    if not (first.is_write or second.is_write):
                         continue
+                    inst_a, inst_b = first.instruction, second.instruction
                     loop_a = _member_of(ctx, headers_a, inst_a)
                     loop_b = _member_of(ctx, headers_b, inst_b)
                     relative = _pair_shift(
-                        loop_a, offset_a, loop_b, offset_b
+                        loop_a, first.offset, loop_b, second.offset
                     )
                     if relative is _DISJOINT:
                         continue
@@ -399,8 +404,6 @@ def can_interchange(ctx, outer, inner, recipe):
         return Legality.no("outer loop carries siblings of the DOALL loop")
     if static_trip_count(outer) is None or static_trip_count(inner) is None:
         return Legality.no("nest bounds are not compile-time constants")
-
-    from repro.ir.instructions import Call, Print
 
     for inst in outer.instructions():
         if isinstance(inst, (Call, Print)):
@@ -471,17 +474,17 @@ def _inner_body_is_self_contained(outer, inner):
 def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
     inner_ivs = {
         alloca: loop
-        for alloca, loop in ctx._iv_map.items()
+        for alloca, loop in ctx.analyses.iv_map.items()
         if loop is not inner
     }
     skip_objects = {
-        ctx.storage_object(outer.canonical.induction),
-        ctx.storage_object(inner.canonical.induction),
+        ctx.analyses.storage_object(outer.canonical.induction),
+        ctx.analyses.storage_object(inner.canonical.induction),
     }
     for storage in (
         list(recipe.privatized) + [s for s, _op in recipe.reductions]
     ):
-        skip_objects.add(ctx.storage_object(storage))
+        skip_objects.add(ctx.analyses.storage_object(storage))
     if recipe.firstprivate or recipe.lastprivate:
         # Their per-dispatch seed/writeback encodes a flow between
         # consecutive outer iterations; one nest-wide dispatch loses it.
@@ -493,7 +496,7 @@ def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
     pending = None
     checked = 0
     inner_blocks = set(inner.blocks)
-    for obj, entries in ctx.loop_accesses(outer).items():
+    for obj, entries in ctx.analyses.loop_accesses(outer).items():
         if obj in skip_objects:
             continue
         if (isinstance(obj, AllocaObject)
@@ -502,17 +505,18 @@ def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
             # the alloca and gets fresh storage, so no value can flow
             # between iterations through it on any schedule.
             continue
-        if not any(write for _, write, _ in entries):
+        if not any(access.is_write for access in entries):
             continue
         if obj == CONSOLE:
             return Legality.no("nest prints")
-        for index, (inst_a, write_a, offset_a) in enumerate(entries):
-            for inst_b, write_b, offset_b in entries[index:]:
-                if not (write_a or write_b):
+        for index, first in enumerate(entries):
+            for second in entries[index:]:
+                if not (first.is_write or second.is_write):
                     continue
+                offset_a, offset_b = first.offset, second.offset
                 pair = (
-                    f"#{inst_a.uid} vs #{inst_b.uid} on "
-                    f"{_object_name(obj)}"
+                    f"#{first.instruction.uid} vs "
+                    f"#{second.instruction.uid} on {_object_name(obj)}"
                 )
                 if offset_a is None or offset_b is None:
                     pending = pending or Legality.maybe(
@@ -558,7 +562,7 @@ def sync_annotations_in(ctx, loop):
     region intersects ``loop``."""
     loop_blocks = {block.name for block in loop.blocks}
     found = []
-    for annotation in ctx.function.annotations:
+    for annotation in ctx.analyses.function.annotations:
         if annotation.directive.kind not in _SYNC_KINDS:
             continue
         guarded = set(annotation.block_names) & loop_blocks
@@ -583,28 +587,30 @@ def sync_is_redundant(ctx, loop, recipe, annotation, guarded_blocks):
         if block is not None:
             guarded_instructions.update(block.instructions)
 
-    private_objects = {ctx.storage_object(loop.canonical.induction)}
+    storage_object = ctx.analyses.storage_object
+    private_objects = {storage_object(loop.canonical.induction)}
     for storage in (
         list(recipe.privatized)
         + list(recipe.firstprivate)
         + list(recipe.lastprivate)
         + [storage for storage, _op in recipe.reductions]
     ):
-        private_objects.add(ctx.storage_object(storage))
+        private_objects.add(storage_object(storage))
 
     guarded_objects = {
         access.obj
         for access in ctx.analyses.accesses
         if access.instruction in guarded_instructions
     }
+    carried = ctx.analyses.carried_at(loop)
     for obj in guarded_objects - private_objects:
         if obj == CONSOLE:
             return Legality.no("guarded code prints")
-        for edge in ctx.carried_edges_at(loop):
-            if edge.obj == obj:
-                return Legality.no(
-                    f"{_object_name(obj)} carries "
-                    f"#{edge.source.uid}->#{edge.destination.uid} "
-                    f"at {loop.header.name}"
-                )
+        edge = carried.get(obj)
+        if edge is not None:
+            return Legality.no(
+                f"{_object_name(obj)} carries "
+                f"#{edge.source.uid}->#{edge.destination.uid} "
+                f"at {loop.header.name}"
+            )
     return Legality.yes()

@@ -22,6 +22,7 @@ from repro.opt.sync import SyncEliminationPass
 from repro.opt.tiling import TilingPass
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.planner.plans import RegionDescriptor
+from repro.planner.recipes import executable_doall_headers
 
 
 @dataclasses.dataclass
@@ -148,7 +149,7 @@ def seed_regions(ctx, plan):
     """One single-loop descriptor per executable DOALL loop (CFG order)."""
     return plan.with_regions(
         RegionDescriptor(headers=(header,))
-        for header in ctx.executable_doall_headers(plan)
+        for header in executable_doall_headers(plan, ctx.analyses.loops)
     )
 
 
@@ -162,12 +163,14 @@ class OptimizationResult:
 
 
 def optimize_plan(
-    function, module, pdg, pspdg, plan, level, machine=None, loops=None,
-    payload_bytes=None, prelude_warm=None, compile_regions=False,
-    compiled_speedup=None, speculate=True,
+    pspdg, plan, level, machine=None, payload_bytes=None,
+    prelude_warm=None, compile_regions=False, compiled_speedup=None,
+    speculate=True,
 ):
     """Run the ``level`` pipeline over ``plan``; never mutates the input.
 
+    ``pspdg`` carries everything the passes analyse: its sequential PDG
+    (``pspdg.pdg``) and, through it, the function's analysis record.
     ``payload_bytes`` optionally maps region labels to measured
     bytes-on-wire from a previous run (the runtime's ``payload_bytes``
     stat); the small-region serialization pass folds it into the
@@ -184,7 +187,7 @@ def optimize_plan(
     """
     level = OptLevel.coerce(level)
     machine = machine if machine is not None else DEFAULT_MACHINE
-    ctx = OptContext(function, module, pdg, pspdg, loops, machine,
+    ctx = OptContext(pspdg, machine,
                      payload_bytes=payload_bytes,
                      prelude_warm=prelude_warm,
                      compile_regions=compile_regions,

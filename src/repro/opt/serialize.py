@@ -35,7 +35,7 @@ class SmallRegionSerializationPass:
                 # An interchanged nest dispatches once for the whole
                 # outer extent; its per-entry work scales accordingly.
                 outer_trip = static_trip_count(
-                    ctx.loops_by_header[region.outer_header]
+                    ctx.analyses.loops_by_header[region.outer_header]
                 )
                 cost = None if outer_trip is None else cost * outer_trip
             cost = machine.effective_region_cost(

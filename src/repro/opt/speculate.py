@@ -88,18 +88,18 @@ def _oracle_agrees(ctx, plan):
     from repro.runtime.executor import run_plan
     from repro.util.errors import ReproError
 
-    name = ctx.function.name
+    analyses = ctx.analyses
     try:
-        expected = run_module(ctx.module, name).formatted_output()
+        expected = run_module(
+            analyses.module, analyses.function.name
+        ).formatted_output()
     except ReproError as exc:  # pragma: no cover - broken input program
         return f"sequential oracle run failed: {exc}"
     for seed in ORACLE_SEEDS:
         try:
             result = run_plan(
-                ctx.module,
                 ctx.pspdg,
                 plan,
-                function_name=name,
                 workers=ORACLE_WORKERS,
                 seed=seed,
                 backend="simulated",

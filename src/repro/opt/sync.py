@@ -25,7 +25,7 @@ class SyncEliminationPass:
         for region in plan.regions:
             removed = set(region.removed_sync_uids)
             for header in region.headers:
-                loop = ctx.loops_by_header[header]
+                loop = ctx.analyses.loops_by_header[header]
                 recipe = ctx.recipe(header)
                 for annotation, guarded in sync_annotations_in(ctx, loop):
                     if annotation.uid in removed:

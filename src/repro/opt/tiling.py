@@ -26,6 +26,7 @@ class TilingPass:
 
     def run(self, ctx, plan, report):
         machine = ctx.machine
+        loops = ctx.analyses.loops_by_header
         regions = []
         for region in plan.regions:
             if region.backend_override == OVERRIDE_SEQUENTIAL or region.tile:
@@ -35,11 +36,9 @@ class TilingPass:
             # The partitioned space is the members' shared iteration
             # space — for an interchanged nest, the *inner* space, each
             # value of which carries the whole outer extent of work.
-            trip = static_trip_count(ctx.loops_by_header[region.headers[0]])
+            trip = static_trip_count(loops[region.headers[0]])
             if cost is not None and region.outer_header:
-                outer_trip = static_trip_count(
-                    ctx.loops_by_header[region.outer_header]
-                )
+                outer_trip = static_trip_count(loops[region.outer_header])
                 cost = None if outer_trip is None else cost * outer_trip
             tile = machine.tile_iterations(cost, trip)
             if tile is None:

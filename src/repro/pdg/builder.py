@@ -7,12 +7,12 @@ The PDG of a function contains:
 * **register** edges for SSA def-use pairs (never loop-carried in this IR:
   temporaries cannot outlive an iteration without passing through memory);
 * **memory** edges from the alias/subscript-driven memory dependence
-  analysis, annotated with loop-carried levels.
+  analysis, annotated with loop-carried levels — read from the
+  function's analysis record, never recomputed here.
 """
 
-from repro.analysis.alias import AliasAnalysis
 from repro.analysis.controldep import controlling_branch_instructions
-from repro.analysis.memdep import MemoryDependenceAnalysis
+from repro.analysis.record import FunctionAnalyses
 from repro.ir.instructions import Instruction
 from repro.pdg.graph import (
     EDGE_CONTROL,
@@ -23,13 +23,17 @@ from repro.pdg.graph import (
 )
 
 
-def build_pdg(function, module, alias=None):
-    """Build the full sequential PDG of ``function``."""
-    alias = alias if alias is not None else AliasAnalysis(module)
-    pdg = PDG(function)
+def build_pdg(function, module):
+    """The sequential PDG of ``function``, from a fresh analysis record."""
+    return pdg_from_analyses(FunctionAnalyses(function, module))
+
+
+def pdg_from_analyses(analyses):
+    """Build the full sequential PDG over one analysis record."""
+    pdg = PDG(analyses)
 
     # Control dependences.
-    controllers = controlling_branch_instructions(function)
+    controllers = controlling_branch_instructions(analyses.function)
     for inst in pdg.nodes:
         for branch in controllers.get(inst, []):
             pdg.add_edge(
@@ -47,9 +51,7 @@ def build_pdg(function, module, alias=None):
                 )
 
     # Memory dependences.
-    analysis = MemoryDependenceAnalysis(function, module, alias)
-    pdg.loops = analysis.loops
-    for dep in analysis.run():
+    for dep in analyses.dependences:
         pdg.add_edge(
             PDGEdge(
                 dep.source,

@@ -43,13 +43,23 @@ class PDGEdge:
 
 
 class PDG:
-    """Dependence graph over the instructions of one function."""
+    """Dependence graph over the instructions of one function.
 
-    def __init__(self, function):
-        self.function = function
-        self.nodes = list(function.instructions())
+    ``analyses`` is the function's analysis record the graph was built
+    from — its provenance: memory edges' ``carried_loops`` and ``obj``
+    are that record's loops and memory objects.
+    """
+
+    def __init__(self, analyses):
+        self.analyses = analyses
+        self.function = analyses.function
+        self.nodes = list(self.function.instructions())
         self.edges = []
-        self.loops = []  # filled by the builder (natural loops, outer first)
+
+    @property
+    def loops(self):
+        """The record's natural loops (outermost first)."""
+        return self.analyses.loops
 
     def add_edge(self, edge):
         self.edges.append(edge)
@@ -57,9 +67,6 @@ class PDG:
 
     def edge_count(self):
         return len(self.edges)
-
-    def memory_edges(self):
-        return [e for e in self.edges if e.kind == EDGE_MEMORY]
 
     def statistics(self):
         """Summary counts, used by construction benchmarks and tests."""

@@ -3,8 +3,12 @@
 Each :class:`Stage` names its upstream dependencies, the config fields
 its builder reads (``params``), and how to build its artifact.  The
 session materializes stages lazily: asking for ``pspdg`` pulls ``module
--> function -> alias -> pdg`` first, each through the content-keyed
-cache, each exactly once.
+-> function -> analyses -> pdg`` first, each through the content-keyed
+cache, each exactly once.  ``analyses`` is the function's analysis record
+(:class:`~repro.analysis.record.FunctionAnalyses`): the ``alias`` and
+``loops`` stages read it, the PDG is built from it, and everything
+downstream reaches it through the graphs — no builder runs an analysis
+of its own.
 
 A builder receives the owning :class:`repro.Session` — for upstream
 artifacts, through its properties — and the *values* of its declared
@@ -19,15 +23,13 @@ the artifact for :mod:`repro.pipeline.diagnostics`.
 
 import dataclasses
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.core.builder import PSPDGBuilder
 from repro.emulator.interp import Interpreter
 from repro.emulator.profile import Profiler
 from repro.frontend import compile_source
-from repro.opt import optimize_plan
-from repro.pdg.builder import build_pdg
+from repro.pdg.builder import pdg_from_analyses
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.options import count_options
 from repro.planner.plans import (
@@ -87,46 +89,39 @@ def _build_profile(session, function_name):
     return interpreter.run(function_name, profiler=Profiler(function_name))
 
 
+def _build_analyses(session):
+    return FunctionAnalyses(session.function, session.module)
+
+
 def _build_alias(session):
-    return AliasAnalysis(session.module)
-
-
-def _build_pdg(session):
-    return build_pdg(session.function, session.module, session.alias)
+    return session.analyses.alias
 
 
 def _build_loops(session):
-    return find_natural_loops(session.function)
+    return session.analyses.loops
+
+
+def _build_pdg(session):
+    # The memory edges read the record's alias analysis and loops: pull
+    # both through their own stages, so each is timed and reported by
+    # name whichever artifact a caller asks for first.
+    _ = session.alias, session.loops
+    return pdg_from_analyses(session.analyses)
 
 
 def _build_pspdg(session):
-    builder = PSPDGBuilder(
-        session.function, session.module, session.alias, pdg=session.pdg
-    )
-    return builder.build()
+    return PSPDGBuilder(session.pdg).build()
 
 
 _VIEW_FACTORIES = {
-    "PDG": lambda s, removable: PDGView(
-        s.function, s.module, s.pdg, s.alias, removable
-    ),
-    "J&K": lambda s, removable: JKView(
-        s.function, s.module, s.pdg, s.pspdg, s.alias, removable
-    ),
-    "PS-PDG": lambda s, removable: PSPDGView(
-        s.function, s.module, s.pspdg, s.alias, removable
-    ),
+    "PDG": lambda session: PDGView(session.pdg),
+    "J&K": lambda session: JKView(session.pspdg),
+    "PS-PDG": lambda session: PSPDGView(session.pspdg),
 }
 
 
 def _build_views(session, abstractions):
-    # Removable objects depend on the loop, not on the abstraction: the
-    # views share one mapping, so each loop's are computed once.
-    removable = {}
-    return {
-        name: _VIEW_FACTORIES[name](session, removable)
-        for name in abstractions
-    }
+    return {name: _VIEW_FACTORIES[name](session) for name in abstractions}
 
 
 def _build_options(session, name, machine, min_coverage):
@@ -142,7 +137,7 @@ def _build_critical_paths(session, plan_hierarchical, plan_all_loops):
     profile = session.profile
     function = session.function
     loops = session.loops
-    uid_map = loop_uid_map(function, loops)
+    uid_map = loop_uid_map(loops)
 
     def evaluator_factory(plan):
         return CriticalPathEvaluator(profile, plan)
@@ -264,9 +259,7 @@ def _optimize_stats(results):
 def _build_recipes(session):
     """Region execution recipes per abstraction, from the optimized plans."""
     return {
-        name: recipes_from_plan(
-            session.module, session.pspdg, result.plan, session.function
-        )
+        name: recipes_from_plan(session.pspdg, result.plan)
         for name, result in session.optimizations.items()
     }
 
@@ -296,9 +289,7 @@ def _build_compile_regions(session):
     lands in the content-hash cache: pool children fork with it and can
     rebuild entries for their re-decoded modules without re-lowering.
     """
-    loops_by_header = {
-        loop.header.name: loop for loop in session.loops
-    }
+    loops_by_header = session.analyses.loops_by_header
     module_key = module_codec(session.module).key
     summary = {"compiled": [], "fallback": [], "module_key": module_key}
     seen = set()
@@ -343,28 +334,31 @@ STAGES = {
             lambda execution: {"steps": execution.steps},
             params=("function_name",),
         ),
-        Stage("alias", ("module",), _build_alias),
-        Stage(
-            "pdg",
-            ("function", "alias"),
-            _build_pdg,
-            lambda pdg: {"nodes": len(pdg.nodes), "edges": len(pdg.edges)},
-        ),
+        # The analysis record: each part is computed on first use, so
+        # the stages below are timed for the part they ask for.
+        Stage("analyses", ("module", "function"), _build_analyses),
+        Stage("alias", ("analyses",), _build_alias),
         Stage(
             "loops",
-            ("function",),
+            ("analyses",),
             _build_loops,
             lambda loops: {"loops": len(loops)},
         ),
         Stage(
+            "pdg",
+            ("analyses", "alias", "loops"),
+            _build_pdg,
+            lambda pdg: {"nodes": len(pdg.nodes), "edges": len(pdg.edges)},
+        ),
+        Stage(
             "pspdg",
-            ("function", "alias", "pdg"),
+            ("pdg",),
             _build_pspdg,
             lambda graph: graph.statistics(),
         ),
         Stage(
             "views",
-            ("function", "pdg", "pspdg", "alias"),
+            ("pdg", "pspdg"),
             _build_views,
             lambda views: {"abstractions": ",".join(views)},
             params=("abstractions",),
@@ -398,15 +392,14 @@ STAGES = {
         # recipes the runtime dispatches.
         Stage(
             "optimize",
-            ("function", "pdg", "pspdg", "loops", "calibrate",
-             "critical_paths"),
+            ("pspdg", "calibrate", "critical_paths"),
             _build_optimize,
             _optimize_stats,
             params=("opt_level", "compile_regions", "speculate"),
         ),
         Stage(
             "recipes",
-            ("optimize",),
+            ("pspdg", "optimize"),
             _build_recipes,
             _recipes_stats,
         ),
@@ -414,7 +407,7 @@ STAGES = {
         # planned loops, warmed ahead of the first dispatch.
         Stage(
             "compile_regions",
-            ("recipes", "loops"),
+            ("recipes", "analyses"),
             _build_compile_regions,
             _compile_regions_stats,
         ),

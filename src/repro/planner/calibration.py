@@ -487,14 +487,10 @@ class ReplanContext:
     last replan changed nothing.
     """
 
-    function: object
-    module: object
-    pdg: object
     pspdg: object
     plan: object
     level: object
     machine: object
-    loops: object = None
     store: CalibrationStore = None
     program_key: str = None
     predicted_bytes: dict = dataclasses.field(default_factory=dict)
@@ -544,10 +540,10 @@ class ReplanContext:
             region for region in regions if not region.recovery_inflated
         )
         result = optimize_plan(
-            self.function, self.module, self.pdg, self.pspdg, self.plan,
-            self.level, machine=self.store.calibrated_machine(self.machine),
-            loops=self.loops, payload_bytes=payload_bytes,
-            prelude_warm=prelude_warm, compiled_speedup=compiled_speedup,
+            self.pspdg, self.plan, self.level,
+            machine=self.store.calibrated_machine(self.machine),
+            payload_bytes=payload_bytes, prelude_warm=prelude_warm,
+            compiled_speedup=compiled_speedup,
             compile_regions=compile_regions, speculate=self.speculate,
         )
         changes = adopt(result.plan)

@@ -17,7 +17,6 @@ back to the one-region-per-loop behavior otherwise.
 
 import dataclasses
 
-from repro.analysis.loops import find_natural_loops
 from repro.frontend.directives import LOOP_INDEPENDENCE_KINDS
 from repro.planner.classify import classify_loop
 
@@ -161,14 +160,8 @@ class ProgramPlan:
         return "\n".join(lines)
 
 
-def loop_uid_map(function, loops=None):
-    """header name -> frozenset of instruction uids inside that loop.
-
-    ``loops`` are ``function``'s natural loops when the caller already
-    has them.
-    """
-    if loops is None:
-        loops = find_natural_loops(function)
+def loop_uid_map(loops):
+    """header name -> frozenset of instruction uids inside that loop."""
     return {
         loop.header.name: frozenset(
             inst.uid for inst in loop.instructions()
@@ -190,20 +183,18 @@ def region_uids(function, kinds):
     return frozenset(uids)
 
 
-def openmp_source_plan(function, uid_map=None):
+def openmp_source_plan(function, uid_map):
     """The plan the programmer encoded (paper: the baseline of Fig. 14).
 
     Worksharing-annotated loops run as DOALL with their critical/atomic/
     ordered work serialized across iterations; everything else runs
     sequentially (redundant `parallel`-region execution costs the same as
     one copy on the ideal machine, which the sequential profile already
-    reflects).  ``uid_map`` is ``loop_uid_map(function)`` when the caller
-    already has it.
+    reflects).  ``uid_map`` is the :func:`loop_uid_map` of ``function``'s
+    natural loops.
     """
     sync_uids = region_uids(function, {"critical", "atomic", "ordered"})
     loop_plans = {}
-    if uid_map is None:
-        uid_map = loop_uid_map(function)
     for annotation in function.annotations:
         if (
             annotation.directive.kind in LOOP_INDEPENDENCE_KINDS

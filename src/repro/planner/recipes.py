@@ -8,21 +8,17 @@ entries as the :class:`RegionParallelization` records the executor
 dispatches.  It lives with the planner, not the execution engine: the
 side conditions of a parallelization are re-derived from the graph by
 the code that plans, and the ``repro.opt`` passes ask the same
-questions (:class:`RecipeAnalyses`) when judging fusion and
-sync-elimination legality.
+questions of the same analysis record (``pspdg.pdg.analyses``) when
+judging fusion and sync-elimination legality.
 """
 
 import dataclasses
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.liveness import live_out_objects
-from repro.analysis.loops import find_natural_loops
-from repro.analysis.memdep import MemoryDependenceAnalysis, collect_accesses
 from repro.analysis.reductions import REDUCIBLE_OPS, _depends_on
 from repro.core.builder import loop_context_label
 from repro.frontend.directives import REDUCTION_OPS
 from repro.ir.instructions import BinaryOp, GetElementPtr, Load, Store
-from repro.ir.values import Argument, Constant, GlobalVariable
+from repro.ir.values import Argument, Constant
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, TECH_DOALL
 
 
@@ -183,14 +179,6 @@ def recipes_from_annotations(function):
 # prefix-sum loop reads afterwards.)
 
 
-def storage_object(alias, storage):
-    if isinstance(storage, GlobalVariable):
-        return alias.object_for_global(storage)
-    if isinstance(storage, Argument):
-        return alias.object_for_argument(storage)
-    return alias.object_for_alloca(storage)
-
-
 def _same_pointer(a, b):
     """Symbolically the same address within one iteration.
 
@@ -285,55 +273,10 @@ def _update_reduction_op(in_loop_accesses):
     return next(iter(ops))
 
 
-class RecipeAnalyses:
-    """Per-function analysis state shared by recipe derivations."""
-
-    def __init__(self, function, module):
-        self.function = function
-        self.module = module
-        self.alias = AliasAnalysis(module)
-        self.accesses = collect_accesses(function, self.alias)
-        self._by_object = {}
-        for access in self.accesses:
-            self._by_object.setdefault(access.obj, []).append(access)
-        self._memdep = None
-
-    def accesses_for(self, storage, loop):
-        obj = storage_object(self.alias, storage)
-        return [
-            access
-            for access in self._by_object.get(obj, [])
-            if access.instruction.parent in loop.blocks
-        ]
-
-    def live_out(self, loop):
-        return set(
-            live_out_objects(
-                self.function, self.module, loop, self.alias, self.accesses
-            )
-        )
-
-    def carried_at(self, storage, loop):
-        """Does ``loop`` carry a memory dependence on this storage?"""
-        if self._memdep is None:
-            self._memdep = MemoryDependenceAnalysis(
-                self.function, self.module, self.alias
-            ).run()
-        obj = storage_object(self.alias, storage)
-        # memdep discovered its own Loop instances: match by header name.
-        header = loop.header.name
-        return any(
-            edge.obj == obj
-            and any(
-                carried.header.name == header
-                for carried in edge.carried_loops
-            )
-            for edge in self._memdep
-        )
-
-
-def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
+def parallelization_from_pspdg(pspdg, loop):
     """Build an execution recipe from the PS-PDG's variables for a loop.
+
+    ``loop`` is one of the graph's own loops (``pspdg.pdg.loops``).
 
     For each variable the PS-PDG places in the loop's context chain:
 
@@ -352,8 +295,7 @@ def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
     detectable: the ``simulated`` oracle exposes residual races as
     cross-seed nondeterminism.
     """
-    if analyses is None:
-        analyses = RecipeAnalyses(loop.header.parent, module)
+    analyses = pspdg.pdg.analyses
     label = loop_context_label(loop.header.name)
     chain = set(pspdg.context_chain(label))
     # Worksharing annotations on this loop contribute their uid contexts.
@@ -362,7 +304,6 @@ def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
             chain.add(annotation.uid)
 
     recipe = LoopParallelization(header=loop.header.name)
-    live_out = None
     seen = set()
     for variable in pspdg.variables:
         if variable.context not in chain:
@@ -383,13 +324,11 @@ def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
                 ))
             )
             continue
-        in_loop = analyses.accesses_for(variable.storage, loop)
+        obj = analyses.storage_object(variable.storage)
+        in_loop = analyses.loop_accesses(loop).get(obj, ())
         if not any(access.is_write for access in in_loop):
             continue  # read-only here: keep it shared
-        if live_out is None:
-            live_out = analyses.live_out(loop)
-        obj = storage_object(analyses.alias, variable.storage)
-        if obj not in live_out:
+        if obj not in analyses.live_out(loop):
             recipe.privatized.append(variable.storage)
             continue
         op = _update_reduction_op(in_loop)
@@ -400,7 +339,7 @@ def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
             # which calls ``p[k] op= e`` with an indirect ``k`` distance-0.
             recipe.reductions.append((variable.storage, op))
             continue
-        if not analyses.carried_at(variable.storage, loop):
+        if obj not in analyses.carried_at(loop):
             # Iteration-disjoint accesses (e.g. ``p[i] = 0``): shared
             # storage reproduces the sequential state exactly.
             continue
@@ -409,8 +348,13 @@ def parallelization_from_pspdg(pspdg, loop, module, analyses=None):
     return recipe
 
 
-def _default_doall_headers(plan, loops):
-    """Executable DOALL headers when the plan carries no region info."""
+def executable_doall_headers(plan, loops):
+    """Headers the runtime dispatches for a region-less ``plan``, in
+    control-flow order: canonical-form DOALL loops not nested inside
+    another planned canonical DOALL loop (the outer takeover runs those).
+    ``loops`` are the function's natural loops, outermost first.
+    """
+
     def inside_planned_parent(loop):
         parent = loop.parent
         while parent is not None:
@@ -425,19 +369,17 @@ def _default_doall_headers(plan, loops):
         return False
 
     headers = []
-    for header, loop_plan in sorted(plan.loop_plans.items()):
-        if loop_plan.technique != TECH_DOALL:
+    for loop in loops:
+        loop_plan = plan.plan_for(loop.header.name)
+        if loop_plan is None or loop_plan.technique != TECH_DOALL:
             continue
-        loop = loops.get(header)
-        if loop is None or loop.canonical is None:
+        if loop.canonical is None or inside_planned_parent(loop):
             continue
-        if inside_planned_parent(loop):
-            continue
-        headers.append(header)
+        headers.append(loop.header.name)
     return headers
 
 
-def recipes_from_plan(module, pspdg, plan, function):
+def recipes_from_plan(pspdg, plan):
     """Execution regions for every dispatched loop of ``plan``.
 
     When the plan carries optimizer-produced :class:`RegionDescriptor`
@@ -450,15 +392,11 @@ def recipes_from_plan(module, pspdg, plan, function):
     nested inside another planned DOALL are executed by the outer
     takeover).
     """
-    loops = {
-        loop.header.name: loop for loop in find_natural_loops(function)
-    }
-    analyses = RecipeAnalyses(function, module)
+    analyses = pspdg.pdg.analyses
+    loops = analyses.loops_by_header
 
     def recipe_for(header):
-        return parallelization_from_pspdg(
-            pspdg, loops[header], module, analyses
-        )
+        return parallelization_from_pspdg(pspdg, loops[header])
 
     if plan.regions:
         regions = []
@@ -493,5 +431,5 @@ def recipes_from_plan(module, pspdg, plan, function):
 
     return [
         RegionParallelization(recipes=[recipe_for(header)])
-        for header in _default_doall_headers(plan, loops)
+        for header in executable_doall_headers(plan, analyses.loops)
     ]

@@ -14,14 +14,13 @@ The evaluation compares four abstractions (paper §6.2):
 * **PS-PDG** — the full parallel semantics.
 
 All three graph views answer the same queries, so classification and
-option counting are shared.
+option counting are shared.  Each view is built from its graph alone:
+the graph carries the function's analysis record, whose
+``removable(loop)`` — induction variables, recognized reductions,
+privatizable scalars — is abstraction-independent and shared.
 """
 
-from repro.analysis.alias import AliasAnalysis
-from repro.analysis.privatization import sequentially_privatizable_objects
-from repro.analysis.reductions import find_scalar_reductions
 from repro.core.builder import loop_context_label
-from repro.pdg.graph import EDGE_MEMORY
 
 
 class DependenceView:
@@ -29,18 +28,13 @@ class DependenceView:
 
     name = "<abstract>"
 
-    def __init__(self, function, module, alias=None, removable=None):
-        self.function = function
-        self.module = module
-        self.alias = alias if alias is not None else AliasAnalysis(module)
-        #: header name -> removable objects; abstraction-independent, so
-        #: the views of one function may share one mapping.
-        self.removable = removable if removable is not None else {}
+    def __init__(self, analyses):
+        self.analyses = analyses
         #: header name -> LoopClassification (``classify_loop``'s memo).
         self.classifications = {}
 
     def loop_instructions(self, loop):
-        return [inst for inst in self.function.instructions()
+        return [inst for inst in self.analyses.function.instructions()
                 if loop.contains_instruction(inst)]
 
     # Queries implemented by subclasses -------------------------------------
@@ -60,42 +54,19 @@ class DependenceView:
         abstraction understands orderlessness."""
         return frozenset()
 
-    def removable_objects(self, loop):
-        """Objects whose carried deps the planner may break (induction
-        variables, recognized reductions, privatizable scalars) — every
-        abstraction has these sequential techniques available."""
-        key = loop.header.name
-        if key not in self.removable:
-            removable = set()
-            if loop.canonical is not None:
-                # Induction variable: its update chain is regenerable.
-                removable.add(
-                    self.alias.object_for_alloca(loop.canonical.induction)
-                )
-            for reduction in find_scalar_reductions(
-                self.function, self.module, loop, self.alias
-            ):
-                removable.add(reduction.obj)
-            for obj in sequentially_privatizable_objects(
-                self.function, self.module, loop, self.alias
-            ):
-                removable.add(obj)
-            self.removable[key] = removable
-        return self.removable[key]
-
 
 class _PdgBackedView(DependenceView):
     """Shared machinery for views that filter the sequential PDG."""
 
-    def __init__(self, function, module, pdg, alias=None, removable=None):
-        super().__init__(function, module, alias, removable)
+    def __init__(self, pdg):
+        super().__init__(pdg.analyses)
         self.pdg = pdg
 
     def _edge_visible(self, edge, loop):
         raise NotImplementedError
 
     def carried_edges(self, loop):
-        removable = self.removable_objects(loop)
+        removable = self.analyses.removable(loop)
         result = []
         for edge in self.pdg.edges:
             if loop not in edge.carried_loops:
@@ -142,9 +113,8 @@ class JKView(_PdgBackedView):
 
     name = "J&K"
 
-    def __init__(self, function, module, pdg, pspdg, alias=None,
-                 removable=None):
-        super().__init__(function, module, pdg, alias, removable)
+    def __init__(self, pspdg):
+        super().__init__(pspdg.pdg)
         self.pspdg = pspdg
         self._independent = set()
         for relaxation in pspdg.relaxations:
@@ -168,13 +138,13 @@ class PSPDGView(DependenceView):
 
     name = "PS-PDG"
 
-    def __init__(self, function, module, pspdg, alias=None, removable=None):
-        super().__init__(function, module, alias, removable)
+    def __init__(self, pspdg):
+        super().__init__(pspdg.pdg.analyses)
         self.pspdg = pspdg
 
     def carried_edges(self, loop):
         label = loop_context_label(loop.header.name)
-        removable = self.removable_objects(loop)
+        removable = self.analyses.removable(loop)
         result = []
         for edge in self.pspdg.directed_edges:
             if label not in edge.carried_contexts:

@@ -839,18 +839,21 @@ def run_parallel(module, parallelizations, function_name="main", **options):
     )
 
 
-def run_plan(module, pspdg, plan, function_name="main", **options):
+def run_plan(pspdg, plan, **options):
     """Execute a :class:`ProgramPlan` chosen from the PS-PDG.
 
     The plan's dispatched loops (its optimizer-produced regions when it
     has them, one region per canonical DOALL otherwise) take over with
     PS-PDG-derived privatization and reduction recipes; everything else
-    runs sequentially.  ``options`` as for :func:`run_parallel`.
+    runs sequentially.  The module and the function are the graph's
+    own; ``options`` as for :func:`run_parallel`.
     """
-    regions = recipes_from_plan(
-        module, pspdg, plan, module.function(function_name)
+    return run_parallel(
+        pspdg.pdg.analyses.module,
+        recipes_from_plan(pspdg, plan),
+        pspdg.function.name,
+        **options,
     )
-    return run_parallel(module, regions, function_name, **options)
 
 
 def run_source_plan(module, function_name="main", **options):

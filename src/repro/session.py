@@ -28,7 +28,7 @@ from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES
 from repro.planner.calibration import CalibrationStore, ReplanContext
-from repro.planner.plans import openmp_source_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
 from repro.runtime.faults import Quarantine
@@ -176,8 +176,15 @@ class Session:
         return self.execution.profile
 
     @property
+    def analyses(self):
+        """The entry function's analysis record: alias, loops, accesses,
+        memory dependences and the per-loop queries, each computed once
+        and read by every stage downstream."""
+        return self._stage("analyses")
+
+    @property
     def alias(self):
-        """Module-wide alias analysis."""
+        """Module-wide alias analysis (the record's)."""
         return self._stage("alias")
 
     @property
@@ -187,7 +194,7 @@ class Session:
 
     @property
     def loops(self):
-        """Natural loops of the entry function."""
+        """Natural loops of the entry function (the record's)."""
         return self._stage("loops")
 
     @property
@@ -335,7 +342,8 @@ class Session:
             # the whole planning pipeline in — and compile lazily.
             regions = recipes_from_annotations(self.function)
             base_plan = (
-                openmp_source_plan(self.function) if adaptive_on else None
+                openmp_source_plan(self.function, loop_uid_map(self.loops))
+                if adaptive_on else None
             )
         elif isinstance(plan, str):
             if compile_on:
@@ -349,13 +357,11 @@ class Session:
             base_plan = self.plan(plan) if adaptive_on else None
         else:
             # Explicit ProgramPlan: optimize against the session's
-            # cached pdg/loops, then derive its recipes.
+            # cached graphs, then derive its recipes.
             base_plan = plan
             if level > OptLevel.O0 and not plan.regions:
                 plan = self._optimize_plan_object(plan, level)
-            regions = recipes_from_plan(
-                self.module, self.pspdg, plan, self.function
-            )
+            regions = recipes_from_plan(self.pspdg, plan)
         replan = (
             self._replan_context(base_plan, level) if adaptive_on else None
         )
@@ -394,22 +400,19 @@ class Session:
     def _replan_context(self, base_plan, level):
         """The planner context mid-run replanning re-optimizes against.
 
-        Carries the session's cached analyses, the *unoptimized* base
-        plan (``optimize_plan`` re-derives region descriptors from
+        Carries the session's cached PS-PDG (and through it the PDG
+        and the analysis record), the *unoptimized* base plan
+        (``optimize_plan`` re-derives region descriptors from
         scratch every call), the effective machine model, the shared
         calibration store, and the per-label payload-bytes predictions
         the divergence detector compares measurements against.
         """
         calibrated = self.calibrated
         return ReplanContext(
-            function=self.function,
-            module=self.module,
-            pdg=self.pdg,
             pspdg=self.pspdg,
             plan=base_plan,
             level=level,
             machine=calibrated["machine"],
-            loops=self.loops,
             store=self.calibration,
             program_key=self.program_key(),
             predicted_bytes=dict(calibrated["payload_bytes"]),
@@ -459,14 +462,10 @@ class Session:
         with the (possibly calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
         return optimize_plan(
-            self.function,
-            self.module,
-            self.pdg,
             self.pspdg,
             plan,
             level,
             machine=calibrated["machine"],
-            loops=self.loops,
             payload_bytes=calibrated["payload_bytes"] or None,
             prelude_warm=calibrated["prelude_warm"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
@@ -484,9 +483,7 @@ class Session:
     def _regions_at_level(self, abstraction, level):
         """Regions for an explicit ``opt=`` override (cache-bypassing)."""
         optimized = self._optimize_plan_object(self.plan(abstraction), level)
-        return recipes_from_plan(
-            self.module, self.pspdg, optimized, self.function
-        )
+        return recipes_from_plan(self.pspdg, optimized)
 
     # -- ablation / canonical form --------------------------------------------
 

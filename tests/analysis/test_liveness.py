@@ -1,9 +1,8 @@
 """Live-out object detection relative to loops."""
 
 from repro.analysis import (
+    FunctionAnalyses,
     blocks_after_loop,
-    find_natural_loops,
-    live_out_objects,
     objects_accessed_in_loop,
 )
 from repro.frontend import compile_source
@@ -12,39 +11,39 @@ from repro.frontend import compile_source
 def analyzed(source):
     module = compile_source(source)
     function = module.function("main")
-    loop = find_natural_loops(function)[0]
-    return module, function, loop
+    analyses = FunctionAnalyses(function, module)
+    return analyses, function, analyses.loops[0]
 
 
 def test_scalar_read_after_loop_is_live_out():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "func main() { var s: int = 0;\n"
         "for i in 0..4 { s = s + i; } print(s); }"
     )
-    names = {o.display_name for o in live_out_objects(function, module, loop)}
+    names = {o.display_name for o in analyses.live_out(loop)}
     assert "s" in names
 
 
 def test_scalar_unused_after_loop_is_dead():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "func main() { var s: int = 0;\n"
         "for i in 0..4 { s = s + i; } print(7); }"
     )
-    names = {o.display_name for o in live_out_objects(function, module, loop)}
+    names = {o.display_name for o in analyses.live_out(loop)}
     assert "s" not in names
 
 
 def test_array_read_after_loop_is_live_out():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "global a: int[4];\n"
         "func main() { for i in 0..4 { a[i] = i; } print(a[2]); }"
     )
-    names = {o.display_name for o in live_out_objects(function, module, loop)}
+    names = {o.display_name for o in analyses.live_out(loop)}
     assert "@a" in names
 
 
 def test_blocks_after_loop_exclude_loop_blocks():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "func main() { for i in 0..4 { } print(1); }"
     )
     after = blocks_after_loop(function, loop)
@@ -53,11 +52,11 @@ def test_blocks_after_loop_exclude_loop_blocks():
 
 
 def test_objects_accessed_in_loop_partitions_reads_writes():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "global a: int[4];\nglobal b: int[4];\n"
         "func main() { for i in 0..4 { a[i] = b[i]; } }"
     )
-    reads, writes = objects_accessed_in_loop(function, module, loop)
+    reads, writes = objects_accessed_in_loop(analyses, loop)
     read_names = {o.display_name for o in reads}
     write_names = {o.display_name for o in writes}
     assert "@b" in read_names
@@ -65,10 +64,10 @@ def test_objects_accessed_in_loop_partitions_reads_writes():
 
 
 def test_liveout_through_later_loop():
-    module, function, loop = analyzed(
+    analyses, function, loop = analyzed(
         "global a: int[4];\n"
         "func main() { for i in 0..4 { a[i] = i; }\n"
         "for j in 0..4 { print(a[j]); } }"
     )
-    names = {o.display_name for o in live_out_objects(function, module, loop)}
+    names = {o.display_name for o in analyses.live_out(loop)}
     assert "@a" in names

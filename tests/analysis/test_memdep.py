@@ -1,15 +1,14 @@
 """Memory dependence analysis over whole functions."""
 
-from repro.analysis import compute_memory_dependences, find_natural_loops
+from repro.analysis import FunctionAnalyses
 from repro.frontend import compile_source
 
 
 def deps_for(source):
     module = compile_source(source)
     function = module.function("main")
-    deps = compute_memory_dependences(function, module)
-    loops = find_natural_loops(function)
-    return function, deps, loops
+    analyses = FunctionAnalyses(function, module)
+    return function, analyses.dependences, analyses.loops
 
 
 def named(deps, kind=None, display=None):
@@ -122,7 +121,7 @@ class TestOrdering:
             "func main() { g = 1; bump(); print(g); }"
         )
         function = module.function("main")
-        deps = compute_memory_dependences(function, module)
+        deps = FunctionAnalyses(function, module).dependences
         call_deps = [
             d
             for d in deps

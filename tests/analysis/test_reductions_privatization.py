@@ -1,21 +1,14 @@
 """Scalar reduction recognition and sequential privatization."""
 
-from repro.analysis import (
-    AliasAnalysis,
-    find_natural_loops,
-    find_scalar_reductions,
-)
-from repro.analysis.privatization import sequentially_privatizable_objects
+from repro.analysis import FunctionAnalyses
 from repro.frontend import compile_source
 
 
 def analyze(source):
     module = compile_source(source)
-    function = module.function("main")
-    loop = find_natural_loops(function)[0]
-    reductions = find_scalar_reductions(function, module, loop)
-    privatizable = sequentially_privatizable_objects(function, module, loop)
-    return reductions, privatizable
+    analyses = FunctionAnalyses(module.function("main"), module)
+    loop = analyses.loops[0]
+    return analyses.scalar_reductions(loop), analyses.privatizable(loop)
 
 
 class TestReductions:

@@ -12,12 +12,13 @@ from repro.core import (
     TRAIT_SINGULAR,
 )
 from repro.frontend import compile_source
+from repro.pdg import build_pdg
 
 
 def small_graph():
     module = compile_source("func main() { print(1); }")
     function = module.function("main")
-    graph = PSPDG(function)
+    graph = PSPDG(build_pdg(function, module))
     return graph, function
 
 

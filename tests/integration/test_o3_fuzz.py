@@ -14,7 +14,7 @@ runtime raises for those).  A failing seed reproduces with
 import pytest
 
 from repro.opt import OptLevel, optimize_plan
-from repro.planner.plans import openmp_source_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.runtime import run_plan
 from repro.session import Session
 from support.conformance import outputs_close
@@ -24,11 +24,10 @@ CASES = 40
 
 
 def _optimized(session, level):
-    plan = openmp_source_plan(session.function)
-    return optimize_plan(
-        session.function, session.module, session.pdg, session.pspdg,
-        plan, level, loops=session.loops,
+    plan = openmp_source_plan(
+        session.function, loop_uid_map(session.loops)
     )
+    return optimize_plan(session.pspdg, plan, level)
 
 
 @pytest.mark.parametrize("chunk", range(0, CASES, 10))
@@ -42,7 +41,7 @@ def test_o3_matches_o0_on_generated_nests(chunk):
         backend = "threads" if seed % 2 else "processes"
         for label, plan in (("-O0", o0.plan), ("-O3", o3.plan)):
             result = run_plan(
-                session.module, session.pspdg, plan,
+                session.pspdg, plan,
                 workers=3, seed=seed % 5, backend=backend,
             )
             assert outputs_close(result.output, expected), (

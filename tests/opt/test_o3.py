@@ -22,7 +22,7 @@ from repro.opt.manager import OptReport
 from repro.opt.speculate import SpeculationValidationPass
 from repro.opt.context import OptContext
 from repro.planner.machine import DEFAULT_MACHINE
-from repro.planner.plans import openmp_source_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.runtime import run_plan
 from repro.util.errors import PlanError
 from support.conformance import outputs_close
@@ -119,11 +119,10 @@ func main() {
 
 def _optimize(source, level=OptLevel.O3, **options):
     session = Session.from_source(source, name="o3-test")
-    plan = openmp_source_plan(session.function)
-    result = optimize_plan(
-        session.function, session.module, session.pdg, session.pspdg,
-        plan, level, loops=session.loops, **options,
+    plan = openmp_source_plan(
+        session.function, loop_uid_map(session.loops)
     )
+    result = optimize_plan(session.pspdg, plan, level, **options)
     return session, result
 
 
@@ -132,7 +131,7 @@ def _assert_conformant(session, plan, workers=4):
     for backend in BACKENDS:
         for seed in (0, 1):
             result = run_plan(
-                session.module, session.pspdg, plan,
+                session.pspdg, plan,
                 workers=workers, seed=seed, backend=backend,
             )
             assert outputs_close(result.output, expected), (
@@ -151,7 +150,7 @@ class TestInterchange:
 
     def test_interchanged_nest_dispatches_once(self):
         session, result = _optimize(NEST_OK)
-        run = run_plan(session.module, session.pspdg, result.plan,
+        run = run_plan(session.pspdg, result.plan,
                        workers=4, backend="processes")
         nested = [r for r in run.parallel_regions if "/" in r["header"]]
         assert len(nested) == 1
@@ -203,7 +202,7 @@ class TestTiling:
         session, result = _optimize(SKEWABLE)
         tiled = [r for r in result.plan.regions if r.tile]
         assert tiled, "no region tiled"
-        run = run_plan(session.module, session.pspdg, result.plan,
+        run = run_plan(session.pspdg, result.plan,
                        workers=8, backend="processes")
         by_header = {r["header"]: r for r in run.parallel_regions}
         for region in tiled:
@@ -234,10 +233,7 @@ class TestSpeculation:
     def test_lu_wavefront_speculation_is_vetoed(self):
         session = Session.from_kernel("LU")
         plan = session.plan("PS-PDG")
-        result = optimize_plan(
-            session.function, session.module, session.pdg, session.pspdg,
-            plan, OptLevel.O3, loops=session.loops,
-        )
+        result = optimize_plan(session.pspdg, plan, OptLevel.O3)
         summary = result.report.summary()
         assert summary["speculated"] == 1
         assert summary["vetoed"] == 1
@@ -249,10 +245,7 @@ class TestSpeculation:
         assert all(r.outer_header is None for r in result.plan.regions)
         assert all(r.speculative is None for r in result.plan.regions)
         # ...and the wavefront is serialized exactly as -O2 decides.
-        o2 = optimize_plan(
-            session.function, session.module, session.pdg, session.pspdg,
-            plan, OptLevel.O2, loops=session.loops,
-        )
+        o2 = optimize_plan(session.pspdg, plan, OptLevel.O2)
         assert (result.plan.region_for("for.header.4").backend_override
                 == o2.plan.region_for("for.header.4").backend_override)
 
@@ -272,11 +265,10 @@ class TestAdversarialSpeculation:
 
     def _carried_nest_state(self):
         session = Session.from_source(NEST_CARRIED, name="adversarial-o3")
-        plan = openmp_source_plan(session.function)
-        result = optimize_plan(
-            session.function, session.module, session.pdg, session.pspdg,
-            plan, OptLevel.O0, loops=session.loops,
+        plan = openmp_source_plan(
+            session.function, loop_uid_map(session.loops)
         )
+        result = optimize_plan(session.pspdg, plan, OptLevel.O0)
         return session, result.plan
 
     def _force_interchange(self, plan):
@@ -297,8 +289,7 @@ class TestAdversarialSpeculation:
     def test_oracle_vetoes_a_wrong_forced_interchange(self):
         session, plan = self._carried_nest_state()
         wrong = self._force_interchange(plan)
-        ctx = OptContext(session.function, session.module, session.pdg,
-                         session.pspdg, session.loops, DEFAULT_MACHINE)
+        ctx = OptContext(session.pspdg, DEFAULT_MACHINE)
         report = OptReport(level=OptLevel.O3, plan_name=wrong.name)
         checked = SpeculationValidationPass().run(ctx, wrong, report)
         assert len(report.vetoed) == 1
@@ -313,7 +304,7 @@ class TestAdversarialSpeculation:
         wrong = self._force_interchange(plan)
         for backend in ("threads", "processes"):
             with pytest.raises(PlanError, match="speculative"):
-                run_plan(session.module, session.pspdg, wrong,
+                run_plan(session.pspdg, wrong,
                          workers=4, backend=backend)
 
     def test_the_oracle_itself_may_run_speculative_plans(self):
@@ -324,7 +315,7 @@ class TestAdversarialSpeculation:
         expected = session.execution.output
         diverged = 0
         for seed in range(6):
-            result = run_plan(session.module, session.pspdg, wrong,
+            result = run_plan(session.pspdg, wrong,
                               workers=4, seed=seed, backend="simulated")
             if not outputs_close(result.output, expected):
                 diverged += 1

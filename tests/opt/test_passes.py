@@ -16,7 +16,7 @@ from repro.opt import OptLevel, optimize_plan, seed_regions
 from repro.opt.context import OptContext
 from repro.opt.cost import loop_cost, static_trip_count
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
-from repro.planner.plans import openmp_source_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.runtime import run_plan
 from support.conformance import outputs_close
 
@@ -92,11 +92,10 @@ func main() {
 
 def _optimize_source(source, level=OptLevel.O2, machine=None):
     session = Session.from_source(source, name="opt-test")
-    plan = openmp_source_plan(session.function)
-    result = optimize_plan(
-        session.function, session.module, session.pdg, session.pspdg,
-        plan, level, machine=machine,
+    plan = openmp_source_plan(
+        session.function, loop_uid_map(session.loops)
     )
+    result = optimize_plan(session.pspdg, plan, level, machine=machine)
     return session, result
 
 
@@ -123,13 +122,13 @@ class TestFusionLegality:
         for backend in ("simulated", "threads", "processes"):
             for workers in (1, 3, 4):
                 run = run_plan(
-                    session.module, session.pspdg, result.plan,
+                    session.pspdg, result.plan,
                     workers=workers, backend=backend,
                 )
                 assert outputs_close(run.output, expected), (
                     backend, workers, run.output)
         # The fused pair really is one dispatch.
-        run = run_plan(session.module, session.pspdg, result.plan,
+        run = run_plan(session.pspdg, result.plan,
                        workers=4, backend="simulated")
         fused = [r for r in run.parallel_regions if r["fused"]]
         assert len(fused) == 1
@@ -145,7 +144,7 @@ class TestFusionLegality:
         assert any("unaligned dependence" in reason for reason in reasons)
         # And the unfused plan still conforms.
         expected = session.execution.output
-        run = run_plan(session.module, session.pspdg, result.plan,
+        run = run_plan(session.pspdg, result.plan,
                        workers=4, backend="simulated")
         assert outputs_close(run.output, expected)
 
@@ -154,7 +153,7 @@ class TestFusionLegality:
         assert result.report.fused == []
         expected = session.execution.output
         for backend in ("simulated", "processes"):
-            run = run_plan(session.module, session.pspdg, result.plan,
+            run = run_plan(session.pspdg, result.plan,
                            workers=4, backend=backend)
             assert outputs_close(run.output, expected)
 
@@ -228,7 +227,7 @@ class TestSerialization:
             for region in result.plan.regions
         )
         # ... and serialized regions are simply not dispatched.
-        run = run_plan(session.module, session.pspdg, result.plan,
+        run = run_plan(session.pspdg, result.plan,
                        workers=4, backend="simulated")
         assert run.parallel_regions == []
         assert outputs_close(run.output, session.execution.output)
@@ -273,10 +272,11 @@ class TestSerializationCostFeedback:
     def _optimize(self, payload_bytes=None, prelude_warm=None,
                   compile_regions=False, compiled_speedup=None):
         session = Session.from_source(BULK, name="payload-feedback")
-        plan = openmp_source_plan(session.function)
+        plan = openmp_source_plan(
+            session.function, loop_uid_map(session.loops)
+        )
         return optimize_plan(
-            session.function, session.module, session.pdg, session.pspdg,
-            plan, OptLevel.O1, payload_bytes=payload_bytes,
+            session.pspdg, plan, OptLevel.O1, payload_bytes=payload_bytes,
             prelude_warm=prelude_warm, compile_regions=compile_regions,
             compiled_speedup=compiled_speedup,
         )
@@ -421,16 +421,45 @@ class TestPipelineStructure:
     def test_seeded_regions_match_legacy_dispatch_set(self):
         session = Session.from_kernel("MG")
         plan = session.plan("PS-PDG")
-        ctx = OptContext(session.function, session.module, session.pdg,
-                         session.pspdg, session.loops, DEFAULT_MACHINE)
+        ctx = OptContext(session.pspdg, DEFAULT_MACHINE)
         seeded = seed_regions(ctx, plan)
         from repro.runtime.executor import recipes_from_plan
 
-        legacy = recipes_from_plan(session.module, session.pspdg, plan,
-                                   session.function)
+        legacy = recipes_from_plan(session.pspdg, plan)
         assert sorted(r.headers[0] for r in seeded.regions) == sorted(
             region.header for region in legacy
         )
+
+    def test_unseeded_and_seeded_plans_dispatch_in_cfg_order(self):
+        """One selector: a plan without regions dispatches exactly what
+        ``-O0`` seeds, in control-flow order (``for.header.2`` before
+        ``for.header.10`` — not the order of the names)."""
+        from repro.runtime.executor import recipes_from_plan
+
+        loops = "".join(
+            f"  pragma omp parallel_for\n"
+            f"  for i{n} in 0..8 {{ a[i{n}] = a[i{n}] + {n}; }}\n"
+            for n in range(12)
+        )
+        source = (
+            "global a: int[8];\nfunc main() {\n" + loops
+            + '  print("a", a[0], a[7]);\n}\n'
+        )
+        session, seeded = _optimize_source(source, OptLevel.O0)
+        unseeded = openmp_source_plan(
+            session.function, loop_uid_map(session.loops)
+        )
+        assert not unseeded.regions and len(seeded.plan.regions) == 12
+        cfg_order = [loop.header.name for loop in session.loops]
+        assert cfg_order.index("for.header.2") < cfg_order.index(
+            "for.header.10"
+        )
+        for plan in (unseeded, seeded.plan):
+            dispatched = [
+                region.header
+                for region in recipes_from_plan(session.pspdg, plan)
+            ]
+            assert dispatched == cfg_order
 
     def test_level_coercion(self):
         assert OptLevel.coerce("-O2") is OptLevel.O2
@@ -448,8 +477,7 @@ class TestPipelineStructure:
         session, result = _optimize_source(FUSABLE)
         from repro.runtime.executor import recipes_from_plan
 
-        regions = recipes_from_plan(session.module, session.pspdg,
-                                    result.plan, session.function)
+        regions = recipes_from_plan(session.pspdg, result.plan)
         fused = [region for region in regions if region.fused]
         assert len(fused) == 1
         merged = fused[0].merged_recipe()
@@ -471,8 +499,7 @@ def nas_state():
         if key not in cache:
             session = Session.from_kernel(kernel)
             cache[key] = optimize_plan(
-                session.function, session.module, session.pdg,
-                session.pspdg, session.plan("PS-PDG"), level,
+                session.pspdg, session.plan("PS-PDG"), level
             )
         return cache[key]
 

@@ -121,6 +121,95 @@ def test_no_loop_is_classified_twice_under_one_view(monkeypatch):
     )
 
 
+def _spy_on_function(monkeypatch, real):
+    """Record the calling module of every call to ``real``, through every
+    ``repro`` module that binds its name."""
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (
+            getattr(module, "__name__", "").startswith("repro")
+            and getattr(module, real.__name__, None) is real
+        ):
+            monkeypatch.setattr(module, real.__name__, spy)
+    return callers
+
+
+def _spy_on_method(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+#: The runtime-side layers look loops up per (bare or re-decoded)
+#: module: the profiler's interpreter and the ``-O3`` oracle runs are
+#: not the planning pipeline's analyses.
+_RUNTIME_LAYERS = ("repro.runtime", "repro.codegen", "repro.emulator")
+
+
+@pytest.mark.parametrize("kernel", ("IS", "SP", "LU"))
+def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
+    from repro.analysis import alias, loops, memdep
+
+    aliases = _spy_on_method(monkeypatch, alias.AliasAnalysis, "__init__")
+    memdeps = _spy_on_method(
+        monkeypatch, memdep.MemoryDependenceAnalysis, "run"
+    )
+    accesses = _spy_on_function(monkeypatch, memdep.collect_accesses)
+    loop_finds = _spy_on_function(monkeypatch, loops.find_natural_loops)
+
+    session = Session.from_kernel(kernel, opt_level=3)
+    # The benchmark's stage order (benchmarks/e2e/workloads.py).
+    session.module, session.execution, session.alias, session.loops
+    session.pdg, session.pspdg, session.views
+    session.critical_paths(), session.options()
+    session.optimizations, session.region_recipes, session.compiled_regions
+
+    assert len(aliases) == 1
+    assert len(accesses) == 1
+    assert len(memdeps) == 1
+    planning = [
+        caller for caller in loop_finds
+        if not caller.startswith(_RUNTIME_LAYERS)
+    ]
+    assert planning == ["repro.analysis.record"]
+
+
+def test_every_consumer_holds_the_sessions_own_loops():
+    session = Session.from_kernel("MG", opt_level=2)
+    own = {id(loop) for loop in session.loops}
+    assert len(own) == len(session.loops)
+
+    carried = [
+        loop for edge in session.pdg.edges for loop in edge.carried_loops
+    ]
+    assert carried and all(id(loop) in own for loop in carried)
+    assert session.pspdg.pdg is session.pdg
+    assert session.pdg.analyses is session.analyses
+    # The loops the PS-PDG hierarchy was built from.
+    assert all(id(loop) in own for loop in session.pspdg.pdg.loops)
+    assert set(session.pspdg.context_of_loop) == {
+        loop.header.name for loop in session.loops
+    }
+    session.options()
+    classified = [
+        classification.loop
+        for view in session.views.values()
+        for classification in view.classifications.values()
+    ]
+    assert classified and all(id(loop) in own for loop in classified)
+
+
 def test_repeated_queries_return_identical_artifacts(session):
     assert session.plan() is session.plan()
     assert session.options() is session.options()

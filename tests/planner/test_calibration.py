@@ -257,15 +257,12 @@ class TestPersistence:
 
 class TestReplanContext:
     def test_default_store_is_private(self):
-        a = ReplanContext(function=None, module=None, pdg=None,
-                          pspdg=None, plan=None, level=None, machine=None)
-        b = ReplanContext(function=None, module=None, pdg=None,
-                          pspdg=None, plan=None, level=None, machine=None)
+        a = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
+        b = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
         assert a.store is not b.store
 
     def test_explicit_store_is_shared(self):
         store = CalibrationStore()
-        ctx = ReplanContext(function=None, module=None, pdg=None,
-                            pspdg=None, plan=None, level=None,
+        ctx = ReplanContext(pspdg=None, plan=None, level=None,
                             machine=None, store=store)
         assert ctx.store is store

@@ -22,7 +22,7 @@ def test_sequential_critical_path_is_total_work():
     setup = profiled(
         "global a: int[16];\nfunc main() { for i in 0..16 { a[i] = i; } }"
     )
-    plan = ProgramPlan("seq", {}, loop_uid_map(setup.function))
+    plan = ProgramPlan("seq", {}, loop_uid_map(setup.loops))
     cp = CriticalPathEvaluator(setup.profile, plan).evaluate()
     assert cp == setup.profile.total()
 
@@ -31,7 +31,7 @@ def test_doall_collapses_iterations_to_max():
     setup = profiled(
         "global a: int[16];\nfunc main() { for i in 0..16 { a[i] = i; } }"
     )
-    uid_map = loop_uid_map(setup.function)
+    uid_map = loop_uid_map(setup.loops)
     header = setup.loops[0].header.name
     plan = ProgramPlan("p", {header: LoopPlan(TECH_DOALL)}, uid_map)
     cp = CriticalPathEvaluator(setup.profile, plan).evaluate()
@@ -65,7 +65,7 @@ def test_helix_charges_sequential_segments_per_iteration():
         "func main() { var s: int = 0;\n"
         "for i in 0..16 { s = s + a[i]; a[i] = i; } print(s); }"
     )
-    uid_map = loop_uid_map(setup.function)
+    uid_map = loop_uid_map(setup.loops)
     header = setup.loops[0].header.name
     loop_uids = uid_map[header]
     # Pretend half the loop is a sequential segment.
@@ -92,7 +92,7 @@ def test_dswp_bounded_by_slowest_stage_plus_fill():
         "  b[i] = a[i] * 2;\n"
         "} print(b[15]); }"
     )
-    uid_map = loop_uid_map(setup.function)
+    uid_map = loop_uid_map(setup.loops)
     header = setup.loops[0].header.name
     uids = sorted(uid_map[header])
     half = len(uids) // 2
@@ -119,7 +119,9 @@ def test_openmp_source_plan_uses_annotations():
         "func main() { pragma omp parallel for\n"
         "for i in 0..16 { a[i] = i; } }"
     )
-    plan = openmp_source_plan(setup.function)
+    plan = openmp_source_plan(
+        setup.function, loop_uid_map(setup.loops)
+    )
     assert len(plan.loop_plans) == 1
     (loop_plan,) = plan.loop_plans.values()
     assert loop_plan.technique == TECH_DOALL
@@ -196,7 +198,7 @@ def _plan_with_prices(prices):
     plan = abstraction_plan(
         "PDG", setup.function, setup.views["PDG"],
         lambda plan: _PricedByTechnique(plan, header, prices, trials),
-        setup.loops, loop_uid_map(setup.function, setup.loops),
+        setup.loops, loop_uid_map(setup.loops),
         hierarchical_inner=False,
     )
     # The recurrence on ``a`` rules DOALL out; all three others compete.

@@ -203,7 +203,7 @@ def _progen_sessions():
 @pytest.mark.parametrize("name,source", list(_progen_sessions()))
 def test_matches_reference_on_generated_programs(name, source):
     session = Session.from_source(source, name=name)
-    uid_map = loop_uid_map(session.function, session.loops)
+    uid_map = loop_uid_map(session.loops)
     forest = _forest_of(session.loops, uid_map)
     rng = random.Random(name)
     for _ in range(5):
@@ -217,7 +217,7 @@ def test_planner_picks_the_reference_plans(name, source):
     """Same trials, same costs, same ties: identical chosen plans."""
     session = Session.from_source(source, name=name)
     profile = session.profile
-    uid_map = loop_uid_map(session.function, session.loops)
+    uid_map = loop_uid_map(session.loops)
     for view_name, view in session.views.items():
         plans = [
             abstraction_plan(

@@ -49,8 +49,7 @@ def optimized_plans(kernel_state):
     for name, (session, plan, _expected) in kernel_state.items():
         plans[name] = {
             level: optimize_plan(
-                session.function, session.module, session.pdg,
-                session.pspdg, plan, level, loops=session.loops,
+                session.pspdg, plan, level,
             ).plan
             for level in (OptLevel.O2, OptLevel.O3)
         }
@@ -67,9 +66,7 @@ def test_planned_loops_match_sequential(kernel, schedule, backend,
         retrials = []
         for seed in SEEDS:
             result = run_plan(
-                session.module,
-                session.pspdg,
-                plan,
+                session.pspdg, plan,
                 workers=workers,
                 seed=seed,
                 backend=backend,
@@ -130,7 +127,7 @@ def test_opt_levels_conform(kernel, backend, kernel_state, optimized_plans):
             ]
             for label, the_plan in runs:
                 result = run_plan(
-                    session.module, session.pspdg, the_plan,
+                    session.pspdg, the_plan,
                     workers=workers, seed=seed, backend=backend,
                 )
                 assert outputs_close(result.output, expected), (
@@ -157,7 +154,7 @@ def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
         ]
         for label, the_plan in plans:
             result = run_plan(
-                session.module, session.pspdg, the_plan,
+                session.pspdg, the_plan,
                 workers=4, backend="processes",
             )
             counts[label] = sum(
@@ -190,7 +187,7 @@ def test_load_balance_diff_static_vs_guided(kernel_state):
     regions = {}
     for schedule in ("static", "guided"):
         result = run_plan(
-            session.module, session.pspdg, plan,
+            session.pspdg, plan,
             workers=4, backend="threads", schedule=schedule,
         )
         assert result.parallel_regions

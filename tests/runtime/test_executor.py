@@ -431,7 +431,6 @@ class TestRecipeClassification:
 
     def test_live_out_scratch_gets_seeded_lastprivate(self):
         from repro.core import build_pspdg
-        from repro.analysis import find_natural_loops
         from repro.runtime import parallelization_from_pspdg
 
         module = compile_source(SCRATCH_THREADPRIVATE)
@@ -439,13 +438,13 @@ class TestRecipeClassification:
         graph = build_pspdg(function, module)
         loop = next(
             l
-            for l in find_natural_loops(function)
+            for l in graph.pdg.loops
             if any(
                 a.loop_header == l.header.name
                 for a in function.annotations
             )
         )
-        recipe = parallelization_from_pspdg(graph, loop, module)
+        recipe = parallelization_from_pspdg(graph, loop)
         names = lambda items: {
             getattr(s, "var_name", None) or getattr(s, "name", None)
             for s in items
@@ -456,7 +455,6 @@ class TestRecipeClassification:
     @pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
     def test_scratch_recipe_execution_conforms(self, backend):
         from repro.core import build_pspdg
-        from repro.analysis import find_natural_loops
         from repro.runtime import parallelization_from_pspdg
 
         expected = run_module(
@@ -467,13 +465,13 @@ class TestRecipeClassification:
         graph = build_pspdg(function, module)
         loop = next(
             l
-            for l in find_natural_loops(function)
+            for l in graph.pdg.loops
             if any(
                 a.loop_header == l.header.name
                 for a in function.annotations
             )
         )
-        recipe = parallelization_from_pspdg(graph, loop, module)
+        recipe = parallelization_from_pspdg(graph, loop)
         result = run_parallel(module, [recipe], workers=3, backend=backend)
         assert result.formatted_output() == expected, backend
 

@@ -5,7 +5,6 @@ an execution recipe; running it must preserve sequential semantics — this
 is the end-to-end statement that PS-PDG-derived plans are safe.
 """
 
-from repro.analysis import find_natural_loops
 from repro.core import build_pspdg
 from repro.emulator import run_module
 from repro.frontend import compile_source
@@ -36,15 +35,14 @@ def test_pspdg_recipe_includes_declared_variables():
     module = compile_source(THREADPRIVATE_HISTOGRAM)
     function = module.function("main")
     graph = build_pspdg(function, module)
-    loops = find_natural_loops(function)
     annotated = next(
         loop
-        for loop in loops
+        for loop in graph.pdg.loops
         if any(
             a.loop_header == loop.header.name for a in function.annotations
         )
     )
-    recipe = parallelization_from_pspdg(graph, annotated, module)
+    recipe = parallelization_from_pspdg(graph, annotated)
     privatized_names = {
         getattr(s, "var_name", None) or getattr(s, "name", None)
         for s in recipe.privatized
@@ -64,15 +62,14 @@ def test_pspdg_recipe_execution_matches_sequential():
         fresh = compile_source(THREADPRIVATE_HISTOGRAM)
         function = fresh.function("main")
         graph = build_pspdg(function, fresh)
-        loops = find_natural_loops(function)
         annotated = next(
             loop
-            for loop in loops
+            for loop in graph.pdg.loops
             if any(
                 a.loop_header == loop.header.name
                 for a in function.annotations
             )
         )
-        recipe = parallelization_from_pspdg(graph, annotated, fresh)
+        recipe = parallelization_from_pspdg(graph, annotated)
         result = run_parallel(fresh, [recipe], workers=4, seed=seed)
         assert result.formatted_output() == expected, f"seed={seed}"
