@@ -13,6 +13,10 @@ Division of labor:
 * :mod:`repro.codegen.lower` — the lowering visitor over
   ``ir/instructions.py`` types; produces the chunk source and compiles
   it (or raises :class:`~repro.codegen.lower.Unsupported`).
+* :mod:`repro.codegen.seq` — the same lowering for whole function
+  bodies (the sequential stretches around regions), and its profiled
+  variant whose run *is* the loop-nest profile;
+  :mod:`repro.codegen.profile` drives that run for the pipeline.
 * :mod:`repro.codegen.cache` — per-module compiled-chunk cache plus the
   compile/hit/fallback/time counters diagnostics report.
 * :mod:`repro.codegen.runtime` — the helpers generated code closes

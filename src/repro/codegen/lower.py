@@ -79,8 +79,8 @@ class CompiledChunk:
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
         "ge": ">="}
-_BINOP = {"add": "+", "sub": "-", "mul": "*", "pow": "**", "and": "&",
-          "or": "|", "xor": "^", "shl": "<<", "shr": ">>"}
+_BINOP = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
+          "xor": "^", "shl": "<<", "shr": ">>"}
 _UNOP_HELPERS = {"not": "_u_not", "sqrt": "_u_sqrt", "sin": "_u_sin",
                  "cos": "_u_cos", "exp": "_u_exp", "log": "_u_log",
                  "floor": "_u_floor"}
@@ -306,6 +306,7 @@ class _Lowering:
             if inst.kind == "int_to_float":
                 expr = f"float({value})"
             elif inst.kind == "float_to_int":
+                # The guarded ``int`` (runtime.GENERATED_GLOBALS).
                 expr = f"int({value})"
             else:  # bool_to_int
                 expr = f"(1 if {value} else 0)"
@@ -377,7 +378,8 @@ class _Lowering:
                 out.emit(f"{name} = {a} / {b}")
         elif op == "rem":
             out.emit(f"{name} = _trunc_rem({a}, {b})")
-        elif op in ("min", "max"):
+        elif op in ("min", "max", "pow"):
+            # ``pow`` is the guarded one (runtime.GENERATED_GLOBALS).
             out.emit(f"{name} = {op}({a}, {b})")
         else:
             raise Unsupported(f"binop {op}")
@@ -779,7 +781,7 @@ def exec_chunk(source, refs, function, header, logged, module_key=None):
     """
     variant = "logged" if logged else "plain"
     filename = f"<repro-codegen {function}:{header}:{variant}>"
-    namespace = {}
+    namespace = dict(_runtime.GENERATED_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     fn = namespace["_factory"](tuple(refs), _runtime)
     return CompiledChunk(

@@ -32,8 +32,10 @@ class Bailout(Exception):
 
 # -- helpers the generated code binds as locals --------------------------------
 
+from repro.emulator.interp import MATH_ERRORS, math_error  # noqa: E402
 from repro.emulator.interp import _trunc_div as trunc_div  # noqa: E402
 from repro.emulator.interp import _trunc_rem as trunc_rem  # noqa: E402
+from repro.emulator.profile import close_instance  # noqa: E402,F401
 
 
 def u_not(value):
@@ -44,8 +46,8 @@ def _guarded(op, fn):
     def helper(value):
         try:
             return fn(value)
-        except ValueError as error:
-            raise EmulationError(f"math error in {op}: {error}") from None
+        except MATH_ERRORS as error:
+            raise math_error(op, error) from None
 
     helper.__name__ = f"u_{op}"
     return helper
@@ -57,6 +59,44 @@ u_cos = _guarded("cos", math.cos)
 u_exp = _guarded("exp", math.exp)
 u_log = _guarded("log", math.log)
 u_floor = _guarded("floor", lambda value: float(math.floor(value)))
+
+
+def _guarded_pow(a, b):
+    try:
+        return a**b
+    except MATH_ERRORS as error:
+        raise math_error("pow", error) from None
+
+
+#: The two operations generated source spells as a Python builtin,
+#: ``int(x)`` for a ``float_to_int`` cast and ``pow(a, b)``: the source
+#: is exec'd with these as its globals, so they resolve to the guarded
+#: versions (``int(inf)`` is an EmulationError, not an OverflowError)
+#: without a binding line in every generated function.
+GENERATED_GLOBALS = {
+    "int": _guarded("float_to_int", int),
+    "pow": _guarded_pow,
+}
+
+
+def expand_iteration(table, layout, key):
+    """Intern the iteration a profiled body closed with block-level ``key``.
+
+    ``layout`` (``_ProfiledLowering._layout``) names what each position
+    of the key counts: ``key`` is one execution count per block, then
+    one callee-step total per call site, then — for a loop that nests
+    others — the tuple of child instance shapes.  Runs once per distinct
+    key; the per-iteration path is a dict hit on the key itself.
+    """
+    block_uids, call_uids, nested = layout
+    counts = {}
+    for executed, uids in zip(key, block_uids):
+        if executed:
+            counts.update(dict.fromkeys(uids, executed))
+    for extra, uid in zip(key[len(block_uids):], call_uids):
+        if extra:
+            counts[uid] += extra
+    return table.iteration(counts, key[-1] if nested else ())
 
 
 _REGISTER_LOCAL = re.compile(r"_r(\d+)(?:_[so])?$")

@@ -28,11 +28,17 @@ Entry bindings (arguments, globals) are eager and raise
 interpreter fallback replays the call from an untouched state.  Anything
 outside the supported matrix raises :class:`Unsupported` and the
 function stays interpreted — never fail, always fall back.
+
+The same state machine has a *profiled* lowering
+(:class:`_ProfiledLowering`, :func:`compile_profiled`): no stops, and
+every block and CFG edge instrumented so that running the body produces
+the function's dynamic loop-nest profile, already interned into shapes
+(:mod:`repro.emulator.profile`).  :mod:`repro.codegen.profile` runs it.
 """
 
 import dataclasses
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.loops import loop_of_block
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
 from repro.codegen import runtime as _runtime
@@ -114,7 +120,9 @@ class _SequenceLowering(_Lowering):
     bindings (arguments and globals instead of live-in registers).
     """
 
-    def __init__(self, function, stops, logged):
+    signature = "def _seq(interp, frame):"
+
+    def __init__(self, function, stops, logged, loops_by_header=None):
         # Deliberately not calling _Lowering.__init__: there is no loop.
         self.loop = None
         self.logged = bool(logged)
@@ -128,7 +136,7 @@ class _SequenceLowering(_Lowering):
         self.counter = 0
         self.prologue = None  # no guard hoisting outside chunk bodies
         self._skip_guards = frozenset()
-        self._stops = self._resolve_stops(stops)
+        self._stops = self._resolve_stops(stops, loops_by_header)
         self._excluded = {
             id(block)
             for stop in self._stops.values()
@@ -145,11 +153,7 @@ class _SequenceLowering(_Lowering):
 
     # -- stop resolution -----------------------------------------------------
 
-    def _resolve_stops(self, stops):
-        loops_by_header = {
-            loop.header.name: loop
-            for loop in find_natural_loops(self.function)
-        }
+    def _resolve_stops(self, stops, loops_by_header):
         resolved = {}
         for header, members in stops:
             loops = []
@@ -254,6 +258,9 @@ class _SequenceLowering(_Lowering):
         )
         out.indent -= 1
 
+    def _enter_block(self, out, index, block):
+        self._step_check(out, len(block.instructions))
+
     def _goto(self, out, target, states):
         stop = self._stops.get(target.name)
         if stop is not None:
@@ -302,7 +309,7 @@ class _SequenceLowering(_Lowering):
                 # refusing keeps the interpreter's fell-off-the-end
                 # error exact.
                 raise Unsupported(f"unterminated block {block.name}")
-            self._step_check(out, len(block.instructions))
+            self._enter_block(out, index, block)
             for inst in block.instructions[:-1]:
                 if isinstance(inst, insts.Terminator):
                     raise Unsupported("terminator before end of block")
@@ -357,6 +364,12 @@ class _SequenceLowering(_Lowering):
         if not out.lines:
             out.emit("pass")
 
+    def _factory_bindings(self, out):
+        """Extra names bound once per exec, outside ``_seq``."""
+
+    def _prologue(self, out):
+        """Extra locals initialized per call, before the entry bindings."""
+
     def lower(self):
         body = _Emitter()
         body.indent = 3  # def _factory / def _seq / try
@@ -381,7 +394,8 @@ class _SequenceLowering(_Lowering):
         out.emit("_trunc_rem = H.trunc_rem")
         for helper in sorted(set(_UNOP_HELPERS.values())):
             out.emit(f"{helper} = H.{helper[1:]}")
-        out.emit("def _seq(interp, frame):")
+        self._factory_bindings(out)
+        out.emit(self.signature)
         out.indent += 1
         out.emit("_objs = frame.objects")
         out.emit("_out = interp.output")
@@ -389,6 +403,7 @@ class _SequenceLowering(_Lowering):
         out.emit("_steps = interp.steps")
         if self.logged:
             out.emit("_log = interp.write_log")
+        self._prologue(out)
         out.emit("try:")
         out.lines.extend(entry.lines)
         out.emit("except (KeyError, IndexError, TypeError, ValueError):")
@@ -406,9 +421,220 @@ class _SequenceLowering(_Lowering):
         return out.source()
 
 
-def lower_sequence(function, stops, logged):
-    """Generate (source, refs) for one function; raises Unsupported."""
-    lowering = _SequenceLowering(function, tuple(stops), bool(logged))
+@dataclasses.dataclass(frozen=True)
+class _Scope:
+    """What one loop (or the root pseudo-iteration) counts per iteration."""
+
+    name: object  # suffix of the scope's generated locals
+    counters: list  # ``_n<block state>`` per own block, ``_x<uid>`` per call
+    nested: bool  # iterations can hold child loop instances
+    key: str  # the tuple expression an iteration is interned under
+    #: What :func:`~repro.codegen.runtime.expand_iteration` reads a key
+    #: against: uids per block counter, uid per call extra, ``nested``.
+    layout: tuple
+
+
+class _ProfiledLowering(_SequenceLowering):
+    """The state machine, instrumented to produce the loop-nest profile.
+
+    Which loop event a CFG edge triggers — leave *k* loops, then start
+    the target loop's next iteration or enter it — is a static label of
+    the edge given the natural-loop forest, so it is compiled into the
+    edge (the interpreter rediscovers it per transition in
+    ``_track_loops``).  Every block bumps one counter and every call
+    site accumulates its callee's steps; an iteration *ends* by
+    interning ``(block counters, call extras, child instance shapes)``
+    — a per-loop dict lookup, expanded to per-uid counts only on a miss
+    (:func:`repro.codegen.runtime.expand_iteration`) — into its loop
+    instance's multiset and zeroing the counters, and an instance ends
+    by interning that multiset into the enclosing iteration's children
+    (:func:`repro.emulator.profile.close_instance`).  A counter belongs
+    to its block's innermost loop; the blocks outside every loop are the
+    root pseudo-iteration, closed once at ``return``.
+
+    ``fn(interp, frame, table)`` returns ``(return value, root
+    IterationShape, header totals)``.
+    """
+
+    signature = "def _seq(interp, frame, _table):"
+
+    def __init__(self, function, loops):
+        super().__init__(function, (), False)
+        lowered = {id(block) for block in self.blocks}
+        self._innermost = {
+            id(block): loop_of_block(loops, block) for block in self.blocks
+        }
+        reachable = [loop for loop in loops if id(loop.header) in lowered]
+        self._by_header = {id(loop.header): loop for loop in reachable}
+        #: One :class:`_Scope` per loop (outermost first) and, under
+        #: ``None``, the root pseudo-iteration.
+        self._scopes = {
+            loop: self._describe_scope(loop, name, reachable)
+            for name, loop in [("R", None), *enumerate(reachable)]
+        }
+        self._block = None  # the block being lowered
+        self._refuse_unprofilable()
+
+    def _describe_scope(self, loop, name, loops):
+        members = [
+            (index, block) for index, block in enumerate(self.blocks)
+            if self._innermost[id(block)] is loop
+        ]
+        calls = [
+            inst.uid
+            for _index, block in members for inst in block.instructions
+            if isinstance(inst, insts.Call)
+        ]
+        counters = [f"_n{index}" for index, _block in members] + [
+            f"_x{uid}" for uid in calls
+        ]
+        nested = any(other.parent is loop for other in loops)
+        parts = counters + ([f"tuple(_c{name})"] if nested else [])
+        return _Scope(
+            name=name,
+            counters=counters,
+            nested=nested,
+            key="(" + ", ".join(parts) + ",)",
+            layout=(
+                tuple(
+                    tuple(inst.uid for inst in block.instructions)
+                    for _index, block in members
+                ),
+                tuple(calls),
+                nested,
+            ),
+        )
+
+    def _refuse_unprofilable(self):
+        entry = self.function.entry
+        if self._innermost[id(entry)] is not None:
+            # The interpreter sees no transition *into* the entry block,
+            # so its first activation is recorded at the first back edge.
+            raise Unsupported(f"entry block {entry.name} is a loop header")
+        for block in self.blocks:
+            for successor in block.successors():
+                for loop in self._chain(successor):
+                    if block not in loop.blocks and \
+                            successor is not loop.header:
+                        raise Unsupported(
+                            f"loop block {successor.name} is reachable "
+                            f"without passing its header"
+                        )
+        seen = set()
+        stack = [self.function]
+        while stack:
+            for inst in stack.pop().instructions():
+                if isinstance(inst, insts.Call):
+                    if inst.callee is self.function:
+                        raise Unsupported(
+                            f"@{self.function.name} can reach itself "
+                            f"through the call graph"
+                        )
+                    if inst.callee.name not in seen:
+                        seen.add(inst.callee.name)
+                        stack.append(inst.callee)
+
+    # -- the static loop forest -------------------------------------------------
+
+    def _chain(self, block):
+        """Loops containing ``block``, innermost first."""
+        loop = self._innermost.get(id(block))
+        while loop is not None:
+            yield loop
+            loop = loop.parent
+
+    # -- instrumentation ----------------------------------------------------------
+
+    def _enter_block(self, out, index, block):
+        super()._enter_block(out, index, block)
+        self._block = block
+        out.emit(f"_n{index} += 1")
+
+    def lower_instruction(self, out, inst):
+        if not isinstance(inst, insts.Call):
+            return super().lower_instruction(out, inst)
+        # The callee's steps land on the call's uid.
+        out.emit(f"_x{inst.uid} -= _steps")
+        super().lower_instruction(out, inst)
+        out.emit(f"_x{inst.uid} += _steps")
+
+    def _close_iteration(self, out, loop):
+        scope = self._scopes[loop]
+        name = scope.name
+        out.emit(f"_k = {scope.key}")
+        out.emit(f"_s = _t{name}.get(_k)")
+        out.emit("if _s is None:")
+        out.indent += 1
+        out.emit(f"_s = _t{name}[_k] = _expand(_table, _L{name}, _k)")
+        out.indent -= 1
+        out.emit(f"_m{name}[_s] = _m{name}.get(_s, 0) + 1")
+        out.emit(" = ".join(scope.counters + ["0"]))
+        if scope.nested:
+            out.emit(f"_c{name} = []")
+
+    def _enter_loop(self, out, loop):
+        out.emit(f"_m{self._scopes[loop].name} = {{}}")
+
+    def _exit_loop(self, out, loop):
+        self._close_iteration(out, loop)
+        out.emit(
+            f"_c{self._scopes[loop.parent].name}.append(_close_instance("
+            f"_table, _totals, {loop.header.name!r}, "
+            f"_m{self._scopes[loop].name}))"
+        )
+
+    def _edge_events(self, out, source, target):
+        entered = self._by_header.get(id(target))
+        for loop in self._chain(source):
+            if target in loop.blocks:
+                if loop is entered:
+                    entered = None
+                    self._close_iteration(out, loop)  # back edge
+                break
+            self._exit_loop(out, loop)
+        if entered is not None:
+            self._enter_loop(out, entered)
+
+    def _goto(self, out, target, states):
+        self._edge_events(out, self._block, target)
+        super()._goto(out, target, states)
+
+    def lower_terminator(self, out, inst, states):
+        if not isinstance(inst, insts.Return):
+            return super().lower_terminator(out, inst, states)
+        for loop in self._chain(self._block):
+            self._exit_loop(out, loop)
+        out.emit(f"_root = _expand(_table, _LR, {self._scopes[None].key})")
+        out.emit("interp.steps = _steps")
+        value = self.any_value(inst.value) if inst.operands else "None"
+        out.emit(f"return {value}, _root, _totals")
+
+    def _factory_bindings(self, out):
+        out.emit("_expand = H.expand_iteration")
+        out.emit("_close_instance = H.close_instance")
+        for scope in self._scopes.values():
+            out.emit(f"_L{scope.name} = {scope.layout!r}")
+
+    def _prologue(self, out):
+        out.emit("_totals = {}")
+        for loop, scope in self._scopes.items():
+            if scope.counters:
+                out.emit(" = ".join(scope.counters + ["0"]))
+            if scope.nested:
+                out.emit(f"_c{scope.name} = []")
+            if loop is not None:
+                out.emit(f"_t{scope.name} = {{}}")
+
+
+def lower_sequence(function, stops, logged, loops_by_header=None):
+    """Generate (source, refs) for one function; raises Unsupported.
+
+    ``loops_by_header`` (header name -> the function's natural loop) is
+    what the stops are resolved against; a body without stops needs none.
+    """
+    lowering = _SequenceLowering(
+        function, tuple(stops), bool(logged), loops_by_header
+    )
     return lowering.lower(), lowering.refs
 
 
@@ -422,7 +648,7 @@ def exec_sequence(source, refs, function, stops, logged,
     """
     variant = "logged" if logged else "plain"
     filename = f"<repro-codegen @{function}:{variant}>"
-    namespace = {}
+    namespace = dict(_runtime.GENERATED_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     fn = namespace["_factory"](tuple(refs), _runtime)
     return CompiledSequence(
@@ -436,10 +662,26 @@ def exec_sequence(source, refs, function, stops, logged,
     )
 
 
-def compile_sequence(function, stops, logged, module_key=None):
+def compile_sequence(function, stops, logged, module_key=None,
+                     loops_by_header=None):
     """Lower and ``exec``-compile one function's sequential stretches."""
-    source, refs = lower_sequence(function, stops, logged)
+    source, refs = lower_sequence(function, stops, logged, loops_by_header)
     return exec_sequence(
         source, refs, function.name, tuple(stops), bool(logged),
         module_key=module_key,
+    )
+
+
+def compile_profiled(function, loops):
+    """Lower and ``exec``-compile ``function`` instrumented to profile.
+
+    ``loops`` are the function's natural loops (the analysis record's).
+    Not cached: a session profiles once.  Raises :class:`Unsupported`
+    for what the lowering refuses — anything the plain lowering does,
+    plus a function that can reach itself through calls, an entry block
+    that is a loop header, and a loop block reachable around its header.
+    """
+    lowering = _ProfiledLowering(function, loops)
+    return exec_sequence(
+        lowering.lower(), lowering.refs, function.name, (), False
     )

@@ -72,6 +72,19 @@ def _trunc_rem(a, b):
     return a - _trunc_div(a, b) * b
 
 
+#: What Python's arithmetic builtins raise on a domain or range error
+#: (``sqrt(-1.0)``, ``exp(1000.0)``, ``int(inf)``, ``10.0 ** 400``,
+#: ``0.0 ** -1.0``).  No engine lets one escape: the interpreter below
+#: and the generated code's helpers (:mod:`repro.codegen.runtime`) both
+#: catch exactly these and raise :func:`math_error`.
+MATH_ERRORS = (ValueError, ArithmeticError)
+
+
+def math_error(op, error):
+    """The one :class:`EmulationError` for a :data:`MATH_ERRORS` in ``op``."""
+    return EmulationError(f"math error in {op}: {error}")
+
+
 def record_write(log, storage, slot):
     """Mark ``storage[slot]`` dirty in a write log *before* overwriting it.
 
@@ -108,9 +121,9 @@ class Interpreter:
         self.output = []
         self.write_log = None  # see enable_write_log()
         self._global_storage = {}
-        self._loops_cache = {}
         self._profiler = None
         self._profiled_function = None
+        self._profiled_loops = None  # header block -> Loop, while profiling
         self._attributing_call = None
         if global_storage is not None:
             # Adopt live storage (a parallel worker joining a run in
@@ -122,15 +135,22 @@ class Interpreter:
 
     # -- public API ---------------------------------------------------------
 
-    def run(self, function_name="main", args=(), profiler=None):
-        """Execute ``function_name``; returns an :class:`ExecutionResult`."""
+    def run(self, function_name="main", args=(), profiler=None, loops=None):
+        """Execute ``function_name``; returns an :class:`ExecutionResult`.
+
+        ``loops`` are the profiled function's natural loops when the
+        caller already holds them (a session's analysis record); a bare
+        module's are found here.
+        """
         self.steps = 0
         self.output = []
-        self._profiler = profiler
-        self._profiled_function = (
-            self.module.function(function_name) if profiler else None
-        )
         function = self.module.function(function_name)
+        self._profiler = profiler
+        self._profiled_function = function if profiler else None
+        if profiler:
+            if loops is None:
+                loops = find_natural_loops(function)
+            self._profiled_loops = {loop.header: loop for loop in loops}
         return_value = self._run_function(function, list(args))
         profile = profiler.finish() if profiler else None
         return ExecutionResult(
@@ -199,10 +219,8 @@ class Interpreter:
     def _run_function(self, function, args):
         frame = _Frame(function, args)
         profiling = function is self._profiled_function
-        loops_by_header = None
+        loops_by_header = self._profiled_loops
         loop_stack = []
-        if profiling:
-            loops_by_header = self._loops_by_header(function)
 
         block = function.entry
         position = 0
@@ -276,14 +294,6 @@ class Interpreter:
         else:
             loop_stack.append(loop)
             self._profiler.enter_loop(loop.header.name)
-
-    def _loops_by_header(self, function):
-        if function.name not in self._loops_cache:
-            loops = find_natural_loops(function)
-            self._loops_cache[function.name] = {
-                loop.header: loop for loop in loops
-            }
-        return self._loops_cache[function.name]
 
     def _account(self, inst, profiling):
         if self._profiler is None:
@@ -377,7 +387,10 @@ class Interpreter:
         elif op == "max":
             result = max(a, b)
         elif op == "pow":
-            result = a**b
+            try:
+                result = a**b
+            except MATH_ERRORS as error:
+                raise math_error(op, error) from None
         elif op == "and":
             result = a & b
         elif op == "or":
@@ -416,8 +429,8 @@ class Interpreter:
                 result = float(math.floor(value))
             else:
                 raise EmulationError(f"unknown unop {op}")
-        except ValueError as error:
-            raise EmulationError(f"math error in {op}: {error}") from None
+        except MATH_ERRORS as error:
+            raise math_error(op, error) from None
         frame.registers[inst] = result
 
     def _exec_cmp(self, inst, frame):
@@ -448,7 +461,10 @@ class Interpreter:
         if inst.kind == "int_to_float":
             result = float(value)
         elif inst.kind == "float_to_int":
-            result = int(value)
+            try:
+                result = int(value)
+            except MATH_ERRORS as error:
+                raise math_error(inst.kind, error) from None
         else:  # bool_to_int
             result = 1 if value else 0
         frame.registers[inst] = result

@@ -21,6 +21,12 @@ into a DAG (:meth:`FunctionProfile.shapes`): an :class:`IterationShape` is
 ``(header, multiset of iteration shapes)``.  Equal subtrees are one node,
 so node identity is structural equality and each node's totals are
 computed once.
+
+The tree is what the interpreter's :class:`Profiler` records — the
+reference, and the engine for functions the compiler refuses.  The
+pipeline's profile comes out of the profiled lowering
+(:mod:`repro.codegen.profile`), which interns each iteration into the
+same :class:`ShapeTable` the moment it ends and never builds the tree.
 """
 
 
@@ -57,30 +63,54 @@ class InstanceShape:
         )
 
 
-def _intern_iteration(iteration, table, header_totals):
-    children = tuple(
-        _intern_instance(child, table, header_totals)
-        for child in iteration.children
+class ShapeTable:
+    """Hash-consing table: structurally equal subtrees are one node."""
+
+    def __init__(self):
+        self._nodes = {}
+
+    def iteration(self, counts, children):
+        key = (frozenset(counts.items()), children)
+        shape = self._nodes.get(key)
+        if shape is None:
+            shape = self._nodes[key] = IterationShape(counts, children)
+        return shape
+
+    def instance(self, header_name, multiplicity):
+        """``multiplicity`` maps iteration shape -> how many iterations."""
+        key = (header_name, frozenset(multiplicity.items()))
+        shape = self._nodes.get(key)
+        if shape is None:
+            shape = self._nodes[key] = InstanceShape(
+                header_name, tuple(multiplicity.items())
+            )
+        return shape
+
+    def intern(self, iteration, header_totals):
+        """The shape of a recorded :class:`IterationProfile` subtree."""
+        children = []
+        for instance in iteration.children:
+            multiplicity = {}
+            for nested in instance.iterations:
+                shape = self.intern(nested, header_totals)
+                multiplicity[shape] = multiplicity.get(shape, 0) + 1
+            children.append(close_instance(
+                self, header_totals, instance.header_name, multiplicity
+            ))
+        return self.iteration(iteration.counts, tuple(children))
+
+
+def close_instance(table, header_totals, header_name, multiplicity):
+    """Intern one finished loop activation and add its work to the totals.
+
+    Called once per *dynamic* activation — by :meth:`ShapeTable.intern`
+    for a recorded tree and by the profiled lowering's loop-exit edges
+    (:mod:`repro.codegen.seq`) as the program runs.
+    """
+    shape = table.instance(header_name, multiplicity)
+    header_totals[header_name] = (
+        header_totals.get(header_name, 0) + shape.total
     )
-    key = (frozenset(iteration.counts.items()), children)
-    shape = table.get(key)
-    if shape is None:
-        shape = table[key] = IterationShape(iteration.counts, children)
-    return shape
-
-
-def _intern_instance(instance, table, header_totals):
-    multiplicity = {}
-    for iteration in instance.iterations:
-        shape = _intern_iteration(iteration, table, header_totals)
-        multiplicity[shape] = multiplicity.get(shape, 0) + 1
-    header = instance.header_name
-    key = (header, frozenset(multiplicity.items()))
-    shape = table.get(key)
-    if shape is None:
-        shape = InstanceShape(header, tuple(multiplicity.items()))
-        table[key] = shape
-    header_totals[header] = header_totals.get(header, 0) + shape.total
     return shape
 
 
@@ -143,27 +173,43 @@ class LoopInstanceProfile:
 
 
 class FunctionProfile:
-    """Profile of one profiled function execution (root of the tree)."""
+    """Profile of one profiled function execution.
 
-    def __init__(self, function_name):
+    Recorded as a tree under :attr:`root` by the interpreter's
+    :class:`Profiler`, or handed over already interned (``shapes=(root
+    shape, header totals)``) by the profiled lowering, which never
+    materializes the tree: then :attr:`root` is ``None`` and only
+    :meth:`shapes`, :meth:`header_totals` and :meth:`total` answer.
+    ``refused`` is why the lowering left the function to the interpreter.
+    """
+
+    def __init__(self, function_name, shapes=None, refused=None):
         self.function_name = function_name
-        self.root = IterationProfile()
-        self._interned = None
+        self.root = IterationProfile() if shapes is None else None
+        self.refused = refused
+        self._interned = shapes
+
+    @property
+    def engine(self):
+        """Which engine produced the profile."""
+        return "compiled" if self.root is None else "interpreted"
 
     def total(self):
+        if self.root is None:
+            return self._interned[0].total
         return self.root.total()
 
     def _intern(self):
         if self._interned is None:
             header_totals = {}
-            root = _intern_iteration(self.root, {}, header_totals)
+            root = ShapeTable().intern(self.root, header_totals)
             self._interned = (root, header_totals)
         return self._interned
 
     def shapes(self):
         """Root :class:`IterationShape` of the hash-consed profile DAG.
 
-        Built from the recorded tree on first use and cached, so ask
+        A recorded tree is interned on first use and cached, so ask
         only once profiling has finished.
         """
         return self._intern()[0]

@@ -24,7 +24,7 @@ class OptContext:
 
     def __init__(self, pspdg, machine, payload_bytes=None,
                  prelude_warm=None, compile_regions=False,
-                 compiled_speedup=None, speculate=True):
+                 compiled_speedup=None, speculate=True, oracle=None):
         self.pspdg = pspdg
         #: The function's analysis record: loops, accesses, dependences.
         self.analyses = pspdg.pdg.analyses
@@ -52,6 +52,10 @@ class OptContext:
         # Whether a pass may apply a transform on an inconclusive
         # legality verdict (for the oracle-validation pass to settle).
         self.speculate = bool(speculate)
+        # Speculation-oracle verdicts by speculative region set
+        # (:mod:`repro.opt.speculate`).  A caller optimizing several
+        # plans of one program hands every run the same dict.
+        self.oracle = oracle if oracle is not None else {}
         self.blocks_by_name = {
             block.name: block for block in self.analyses.function.blocks
         }

@@ -165,7 +165,7 @@ class OptimizationResult:
 def optimize_plan(
     pspdg, plan, level, machine=None, payload_bytes=None,
     prelude_warm=None, compile_regions=False, compiled_speedup=None,
-    speculate=True,
+    speculate=True, oracle=None,
 ):
     """Run the ``level`` pipeline over ``plan``; never mutates the input.
 
@@ -184,6 +184,10 @@ def optimize_plan(
     ``speculate`` lets ``-O3`` passes apply transforms whose static
     legality test is inconclusive, for the oracle-validation pass to
     confirm or veto; off, inconclusive tests reject outright.
+    ``oracle`` is a dict the validation pass memoizes its verdicts in,
+    per speculative region set: pass the same one to every call that
+    optimizes a plan of this ``pspdg`` and the oracle runs once per set
+    instead of once per plan.
     """
     level = OptLevel.coerce(level)
     machine = machine if machine is not None else DEFAULT_MACHINE
@@ -192,7 +196,7 @@ def optimize_plan(
                      prelude_warm=prelude_warm,
                      compile_regions=compile_regions,
                      compiled_speedup=compiled_speedup,
-                     speculate=speculate)
+                     speculate=speculate, oracle=oracle)
     report = OptReport(level=level, plan_name=plan.name)
     seeded = seed_regions(ctx, plan)
     optimized = PassManager(passes_for(level)).run(ctx, seeded, report)

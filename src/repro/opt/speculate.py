@@ -4,12 +4,21 @@ A pass may apply a transform whose static side condition came back
 *inconclusive* (a non-affine subscript the direction-vector test cannot
 bound), marking the descriptor ``speculative``.  Such a plan must never
 reach a real backend unchecked: this pass — always last in the ``-O3``
-pipeline — executes the candidate plan on the *simulated* backend (the
-seeded-interleaving oracle the adversarial-plan suite already proves
-catches wrong plans) across several seeds and compares the formatted
-output against the sequential interpreter's.  Any divergence or runtime
-error vetoes the speculation: the region reverts to its
+pipeline — executes the speculative regions on the *simulated* backend
+(the seeded-interleaving oracle the adversarial-plan suite already
+proves catches wrong plans) across several seeds and compares the
+formatted output against the sequential run's.  Any divergence or
+runtime error vetoes the speculation: the region reverts to its
 unspeculated shape and the veto is recorded with the failing witness.
+
+Only what is speculative is on trial: the candidate dispatches the
+speculative regions and nothing else, so the rest of the function runs
+with sequential semantics (as compiled stretches — the stepper is the
+only thing that interprets) and the verdict is a function of the
+speculative descriptors alone.  ``ctx.oracle`` memoizes it for as long
+as its owner says — the ``optimize`` stage shares one memo among the
+abstractions of one build, whose plans differ while their speculative
+nests usually do not.
 
 Validation runs the whole function per (seed, check), so it only fires
 when a speculative descriptor actually exists in the plan.
@@ -28,10 +37,14 @@ class SpeculationValidationPass:
     name = "speculation-oracle"
 
     def run(self, ctx, plan, report):
-        speculative = [r for r in plan.regions if r.speculative]
+        speculative = tuple(r for r in plan.regions if r.speculative)
         if not speculative:
             return plan
-        verdict = _oracle_agrees(ctx, plan)
+        if speculative not in ctx.oracle:
+            ctx.oracle[speculative] = _oracle_agrees(
+                ctx, plan.with_regions(speculative)
+            )
+        verdict = ctx.oracle[speculative]
         regions = []
         for region in plan.regions:
             if not region.speculative:
@@ -82,16 +95,20 @@ def _reverted(region):
     )
 
 
-def _oracle_agrees(ctx, plan):
-    """None when every oracle run matches sequential, else the reason."""
-    from repro.emulator.interp import run_module
-    from repro.runtime.executor import run_plan
+def _oracle_agrees(ctx, candidate):
+    """None when every oracle run matches sequential, else the reason.
+
+    ``candidate`` dispatches only the regions under test.  Both runs
+    compile their sequential stretches; the simulated backend steps the
+    dispatched regions through the interpreter whatever the engine.
+    """
+    from repro.runtime.executor import run_parallel, run_plan
     from repro.util.errors import ReproError
 
     analyses = ctx.analyses
     try:
-        expected = run_module(
-            analyses.module, analyses.function.name
+        expected = run_parallel(
+            analyses.module, (), analyses.function.name
         ).formatted_output()
     except ReproError as exc:  # pragma: no cover - broken input program
         return f"sequential oracle run failed: {exc}"
@@ -99,11 +116,10 @@ def _oracle_agrees(ctx, plan):
         try:
             result = run_plan(
                 ctx.pspdg,
-                plan,
+                candidate,
                 workers=ORACLE_WORKERS,
                 seed=seed,
                 backend="simulated",
-                compile_regions=False,  # the oracle is the interpreter
             )
         except ReproError as exc:
             return f"oracle run (seed {seed}) raised: {exc}"

@@ -25,9 +25,8 @@ import dataclasses
 
 from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
+from repro.codegen.profile import profile_function
 from repro.core.builder import PSPDGBuilder
-from repro.emulator.interp import Interpreter
-from repro.emulator.profile import Profiler
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.planner.critical_path import CriticalPathEvaluator
@@ -39,6 +38,7 @@ from repro.planner.plans import (
 )
 from repro.planner.recipes import recipes_from_plan
 from repro.planner.views import JKView, PDGView, PSPDGView
+from repro.runtime import knobs
 from repro.runtime.payload import module_codec
 
 
@@ -84,9 +84,25 @@ def _build_function(session, function_name):
     return session.module.function(function_name)
 
 
-def _build_profile(session, function_name):
-    interpreter = Interpreter(session.module)
-    return interpreter.run(function_name, profiler=Profiler(function_name))
+def _build_profile(session):
+    """The sequential run and its loop-nest profile.
+
+    Runs compiled; the interpreter takes a function the lowering
+    refuses, and ``VERIFY_COMPILED`` arms it as the cross-check.
+    """
+    return profile_function(
+        session.module, session.function, session.loops,
+        verify=bool(knobs.VERIFY_COMPILED),
+    )
+
+
+def _profile_stats(execution):
+    profile = execution.profile
+    return {
+        "steps": execution.steps,
+        "engine": profile.engine,
+        "refused": profile.refused,
+    }
 
 
 def _build_analyses(session):
@@ -236,14 +252,16 @@ def _build_optimize(session, opt_level, compile_regions, speculate):
     stage and the ones downstream — the parse/PDG/PS-PDG artifacts
     upstream stay cached.  The machine model and wire feedback come
     from the ``calibrate`` stage: static defaults normally, measured
-    coefficients when the session calibrates.
+    coefficients when the session calibrates.  The abstractions share
+    this build's speculation-oracle verdicts (and no other build's).
     """
     results = {}
+    oracle = {}
     for name, entry in session.critical_paths().items():
         plan = entry.get("plan")
         if plan is not None:
             results[name] = session._optimized(
-                plan, opt_level, compile_regions, speculate
+                plan, opt_level, compile_regions, speculate, oracle
             )
     return results
 
@@ -327,13 +345,6 @@ STAGES = {
         Stage("module", (), _build_module, _module_stats, params=("name",)),
         Stage("function", ("module",), _build_function,
               params=("function_name",)),
-        Stage(
-            "profile",
-            ("module",),
-            _build_profile,
-            lambda execution: {"steps": execution.steps},
-            params=("function_name",),
-        ),
         # The analysis record: each part is computed on first use, so
         # the stages below are timed for the part they ask for.
         Stage("analyses", ("module", "function"), _build_analyses),
@@ -343,6 +354,12 @@ STAGES = {
             ("analyses",),
             _build_loops,
             lambda loops: {"loops": len(loops)},
+        ),
+        Stage(
+            "profile",
+            ("module", "function", "loops"),
+            _build_profile,
+            _profile_stats,
         ),
         Stage(
             "pdg",

@@ -245,11 +245,11 @@ class ParallelInterpreter(Interpreter):
         self._verify_safe_memo = {}
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
-    def run(self, function_name="main", args=(), profiler=None):
+    def run(self, function_name="main", args=(), profiler=None, loops=None):
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
         self.replan_events = []
-        result = super().run(function_name, args, profiler)
+        result = super().run(function_name, args, profiler, loops)
         result.parallel_regions = list(self.parallel_regions)
         result.sequence_stats = dict(self.sequence_stats)
         result.replan_events = list(self.replan_events)
@@ -312,13 +312,18 @@ class ParallelInterpreter(Interpreter):
             )
         return loops, outer
 
-    def _canonical_loop(self, function, header_name, role):
+    def _function_loops(self, function):
+        """header name -> natural loop, found once per function per run
+        owner (region takeovers and stop resolution read the same)."""
         if function.name not in self._loops_by_function:
             self._loops_by_function[function.name] = {
                 loop.header.name: loop
                 for loop in find_natural_loops(function)
             }
-        loop = self._loops_by_function[function.name].get(header_name)
+        return self._loops_by_function[function.name]
+
+    def _canonical_loop(self, function, header_name, role):
+        loop = self._function_loops(function).get(header_name)
         if loop is None or loop.canonical is None:
             raise PlanError(
                 f"{role} loop {header_name} lacks canonical form"
@@ -378,6 +383,9 @@ class ParallelInterpreter(Interpreter):
                 self.module, function, stops,
                 logged=logged or verify,
                 module_key=self._content_key(),
+                loops_by_header=(
+                    self._function_loops(function) if stops else None
+                ),
             )
             result = (entry, verify)
         self._seq_entries[key] = result

@@ -162,10 +162,12 @@ VERIFY_PRELUDE = flag(
 
 VERIFY_COMPILED = flag(
     "VERIFY_COMPILED",
-    doc="Run every compiled chunk (and sequential stretch) twice — "
-        "compiled then interpreted — and fail loudly unless write-log "
-        "diffs, outputs, and step counts are identical. The "
-        "interpreted run's effects are kept. Travels in the payload.",
+    doc="Run every compiled chunk (and sequential stretch, and the "
+        "profile stage's run) twice — compiled then interpreted — and "
+        "fail loudly unless write-log diffs, outputs, and step counts "
+        "(for the profile: shapes, output, steps, final globals) are "
+        "identical. The interpreted run's effects are kept. Travels in "
+        "the payload.",
 )
 
 REPRO_FAULTS = setting(

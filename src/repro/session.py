@@ -457,7 +457,8 @@ class Session:
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
 
-    def _optimized(self, plan, level, compile_regions, speculate):
+    def _optimized(self, plan, level, compile_regions, speculate,
+                   oracle=None):
         """``optimize_plan`` over ``plan`` on the cached artifacts, priced
         with the (possibly calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
@@ -471,6 +472,7 @@ class Session:
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
             speculate=speculate,
+            oracle=oracle,
         )
 
     def _optimize_plan_object(self, plan, level):

@@ -1,0 +1,174 @@
+"""Python's range and domain errors never escape an engine.
+
+``exp(1000.0)``, ``floor(inf)``, a ``float_to_int`` cast of ``inf`` or
+``nan`` and a float ``pow`` overflow raise builtin ``OverflowError`` /
+``ValueError`` / ``ZeroDivisionError`` in Python; every engine — the
+interpreter, compiled sequential stretches, compiled chunks — reports
+them as one :class:`EmulationError` with one text, so the CLI prints
+``error: ...`` and the ``-O3`` oracle vetoes instead of crashing.
+"""
+
+import pytest
+
+from repro import Session
+from repro.emulator import run_module
+from repro.frontend import compile_source
+from repro.ir.parser import parse_ir
+from repro.runtime import knobs, run_parallel, run_source_plan
+from repro.util.errors import EmulationError
+
+_HUGE = "var x: float = 1.0e308;\n  x = x * 10.0;\n"
+
+#: name -> (statements computing ``y`` from the loop variable ``i``, error)
+CASES = {
+    "exp": (
+        "var y: float = exp(1000.0 + float(i));",
+        "math error in exp: math range error",
+    ),
+    "floor": (
+        _HUGE + "  var y: float = floor(x + float(i));",
+        "math error in floor: cannot convert float infinity to integer",
+    ),
+    "int-of-inf": (
+        _HUGE + "  var y: int = int(x + float(i));",
+        "math error in float_to_int: cannot convert float infinity "
+        "to integer",
+    ),
+    "int-of-nan": (
+        _HUGE + "  var y: int = int(x - x + float(i));",
+        "math error in float_to_int: cannot convert float NaN to integer",
+    ),
+}
+
+
+def _sequential(body):
+    return (
+        "func main() {\n  var i: int = 0;\n  " + body + "\n  print(y);\n}\n"
+    )
+
+
+def _region(body):
+    return (
+        "global out: float[4];\n"
+        "func main() {\n"
+        "  pragma omp parallel_for\n"
+        "  for i in 0..4 {\n  " + body + "\n  out[i] = float(y);\n  }\n"
+        "}\n"
+    )
+
+
+POW = """
+func @main() -> void {
+entry:
+  %0 = alloca float
+  store 10.0, %0
+  %2 = load %0
+  %3 = pow %2, 400.0
+  print "p", %3
+  return
+}
+"""
+
+ZERO_TO_NEGATIVE = POW.replace("store 10.0", "store 0.0").replace(
+    "400.0", "-1.0"
+)
+
+
+def _modules():
+    for name, (body, message) in CASES.items():
+        yield name, compile_source(_sequential(body)), message
+    yield "pow-overflow", parse_ir(POW), \
+        "math error in pow: (34, 'Numerical result out of range')"
+    yield "zero-to-negative-power", parse_ir(ZERO_TO_NEGATIVE), \
+        "math error in pow: 0.0 cannot be raised to a negative power"
+
+
+@pytest.fixture(params=(False, True), ids=("plain", "verify-compiled"))
+def verify(request, monkeypatch):
+    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", request.param)
+    return request.param
+
+
+_MODULES = list(_modules())
+
+
+@pytest.mark.parametrize(
+    "name,module,message", _MODULES, ids=[name for name, _m, _e in _MODULES]
+)
+def test_sequential_engines_raise_the_same_emulation_error(
+    name, module, message, verify
+):
+    with pytest.raises(EmulationError) as interpreted:
+        run_module(module)
+    assert str(interpreted.value) == message
+    with pytest.raises(EmulationError) as compiled:
+        run_parallel(module, (), compile_regions=True)
+    assert str(compiled.value) == message
+    # The profile stage (compiled; cross-checked under VERIFY_COMPILED).
+    with pytest.raises(EmulationError) as profiled:
+        Session.from_module(module, name=name).execution
+    assert str(profiled.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("compiled", (False, True))
+def test_region_bodies_raise_it_on_both_engines(name, compiled, verify):
+    body, message = CASES[name]
+    module = compile_source(_region(body))
+    with pytest.raises(EmulationError) as raised:
+        run_source_plan(
+            module, workers=2, backend="threads", compile_regions=compiled
+        )
+    assert message in str(raised.value)
+
+
+def test_the_cli_prints_an_error_not_a_traceback(tmp_path, capsys):
+    from repro.cli import main
+
+    program = tmp_path / "overflow.mop"
+    program.write_text(_sequential(CASES["exp"][0]))
+    assert main(["run", str(program)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "math error in exp" in captured.err
+    assert "Traceback" not in captured.err
+
+
+#: Sequentially every ``exp`` sees 0.0; any stale read an interchanged
+#: (wrong) schedule makes sees the 1000.0 the rows were seeded with.  The
+#: ``%`` keeps the static test inconclusive, so ``-O3`` speculates.
+OVERFLOWS_WHEN_REORDERED = """
+global m: float[12][16];
+
+func main() {
+  for t in 1..12 {
+    for j in 0..15 {
+      m[t][j] = 1000.0;
+    }
+  }
+  for t in 1..12 {
+    pragma omp parallel_for
+    for i in 0..15 {
+      var k: int = (i + 1) % 16;
+      m[t][i] = exp(m[t - 1][k]) - 1.0;
+    }
+  }
+  print("m", m[1][0], m[6][7], m[11][14]);
+}
+"""
+
+
+def test_an_oracle_run_that_overflows_is_a_veto_not_a_crash():
+    session = Session.from_source(
+        OVERFLOWS_WHEN_REORDERED, name="overflow", opt_level=3
+    )
+    assert session.execution.output == [("m", (0.0, 0.0, 0.0))]
+    report = session.optimization("PS-PDG").report
+    ((pass_name, label, reason),) = report.vetoed
+    assert pass_name == "loop-interchange"
+    assert reason == (
+        "oracle run (seed 0) raised: math error in exp: math range error"
+    )
+    assert "vetoed     [loop-interchange] " + label in report.describe()
+    # The reverted plan runs for real and conforms.
+    result = session.run("PS-PDG", backend="threads", workers=2)
+    assert result.output == session.execution.output

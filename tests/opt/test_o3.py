@@ -13,17 +13,19 @@ runtime refuses still-speculative regions on real backends.
 """
 
 import dataclasses
+import inspect
+import sys
 
 import pytest
 
 from repro import Session
 from repro.opt import OptLevel, optimize_plan
 from repro.opt.manager import OptReport
-from repro.opt.speculate import SpeculationValidationPass
+from repro.opt.speculate import ORACLE_SEEDS, SpeculationValidationPass
 from repro.opt.context import OptContext
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.planner.plans import loop_uid_map, openmp_source_plan
-from repro.runtime import run_plan
+from repro.runtime import executor, run_plan
 from repro.util.errors import PlanError
 from support.conformance import outputs_close
 
@@ -320,3 +322,63 @@ class TestAdversarialSpeculation:
             if not outputs_close(result.output, expected):
                 diverged += 1
         assert diverged > 0, "forced interchange never diverged"
+
+
+class TestOracleCost:
+    """The oracle tries a speculative region set once per optimize build."""
+
+    @staticmethod
+    def _spy_on_oracle_runs(monkeypatch):
+        """Counts of the oracle's reference and stepped runs."""
+        runs = {"reference": 0, "stepped": 0}
+        real = executor.run_parallel
+
+        def spy(module, parallelizations, *args, **options):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("_oracle_agrees", "run_plan"):
+                runs["stepped" if parallelizations else "reference"] += 1
+            return real(module, parallelizations, *args, **options)
+
+        monkeypatch.setattr(executor, "run_parallel", spy)
+        return runs
+
+    def test_lu_pays_one_run_per_build_and_every_build_pays(
+        self, monkeypatch
+    ):
+        runs = self._spy_on_oracle_runs(monkeypatch)
+        session = Session.from_kernel("LU", opt_level=3)
+        # Three abstractions speculate the same nest: one reference run
+        # and one stepped run (seed 0 diverges, so the pass stops there);
+        # 3 + 3 while every abstraction asked for itself.
+        vetoed = [
+            name for name, result in session.optimizations.items()
+            if result.report.vetoed
+        ]
+        assert sorted(vetoed) == ["J&K", "OpenMP", "PS-PDG"]
+        assert runs == {"reference": 1, "stepped": 1}
+        # The memo is the build's, not the process's.
+        Session.from_kernel("LU", opt_level=3).optimizations
+        assert runs == {"reference": 2, "stepped": 2}
+
+    def test_a_validated_set_costs_one_pass_over_the_seeds(
+        self, monkeypatch
+    ):
+        runs = self._spy_on_oracle_runs(monkeypatch)
+        session = Session.from_source(
+            NEST_NONAFFINE_OK, name="validated", opt_level=3
+        )
+        validated = {
+            name: tuple(result.report.validated)
+            for name, result in session.optimizations.items()
+            if result.report.validated
+        }
+        assert len(validated) > 1  # several abstractions, one region set
+        assert len(set(validated.values())) == 1
+        assert runs == {"reference": 1, "stepped": len(ORACLE_SEEDS)}
+
+    def test_optimize_plan_gained_exactly_the_memo_parameter(self):
+        assert list(inspect.signature(optimize_plan).parameters) == [
+            "pspdg", "plan", "level", "machine", "payload_bytes",
+            "prelude_warm", "compile_regions", "compiled_speedup",
+            "speculate", "oracle",
+        ]

@@ -27,6 +27,11 @@ from repro.planner import (
     critical_path,
     loop_uid_map,
 )
+from support.profile_shapes import (
+    canonical_tree,
+    expanded_shape,
+    recorded_profile,
+)
 from support.progen import generate_nest_program, generate_program
 from support.reference_critical_path import (
     ReferenceCriticalPathEvaluator,
@@ -165,11 +170,15 @@ def _random_plan(rng, forest, uid_map):
     return ProgramPlan("random", loop_plans, uid_map), universe
 
 
-def _check_against_reference(rng, profile, forest, uid_map, context):
+def _check_against_reference(rng, profile, forest, uid_map, context,
+                             recorded=None):
+    """``recorded`` is the tree the reference walks when ``profile`` is a
+    session's shapes-only one (default: ``profile``'s own tree)."""
+    recorded = profile if recorded is None else recorded
     plan, universe = _random_plan(rng, forest, uid_map)
     evaluator = CriticalPathEvaluator(profile, plan)
     assert evaluator.evaluate() == reference_critical_path(
-        profile, plan
+        recorded, plan
     ), context
     # One-loop re-plans reuse the parent evaluator's results; whatever
     # they keep must still be right for the new plan.
@@ -180,7 +189,7 @@ def _check_against_reference(rng, profile, forest, uid_map, context):
             loop[0], _random_loop_plan(rng, loop, universe)
         )
         assert evaluator.evaluate() == reference_critical_path(
-            profile, evaluator.plan
+            recorded, evaluator.plan
         ), f"{context} re-plan {step} of {loop[0]}"
 
 
@@ -206,9 +215,10 @@ def test_matches_reference_on_generated_programs(name, source):
     uid_map = loop_uid_map(session.loops)
     forest = _forest_of(session.loops, uid_map)
     rng = random.Random(name)
+    recorded = recorded_profile(session)
     for _ in range(5):
         _check_against_reference(
-            rng, session.profile, forest, uid_map, name
+            rng, session.profile, forest, uid_map, name, recorded
         )
 
 
@@ -216,7 +226,6 @@ def test_matches_reference_on_generated_programs(name, source):
 def test_planner_picks_the_reference_plans(name, source):
     """Same trials, same costs, same ties: identical chosen plans."""
     session = Session.from_source(source, name=name)
-    profile = session.profile
     uid_map = loop_uid_map(session.loops)
     for view_name, view in session.views.items():
         plans = [
@@ -227,8 +236,9 @@ def test_planner_picks_the_reference_plans(name, source):
                 hierarchical_inner=view_name != "PDG",
                 plan_all_loops=view_name == "PS-PDG",
             )
-            for evaluator_class in (
-                CriticalPathEvaluator, ReferenceCriticalPathEvaluator,
+            for evaluator_class, profile in (
+                (CriticalPathEvaluator, session.profile),
+                (ReferenceCriticalPathEvaluator, recorded_profile(session)),
             )
         ]
         assert plans[0].loop_plans == plans[1].loop_plans, view_name
@@ -236,42 +246,6 @@ def test_planner_picks_the_reference_plans(name, source):
 
 
 # -- the DAG is the tree, up to iteration order ---------------------------------
-
-
-def _canonical_tree(iteration):
-    return (
-        sorted(iteration.counts.items()),
-        [
-            (
-                child.header_name,
-                sorted(
-                    (_canonical_tree(it) for it in child.iterations),
-                    key=repr,
-                ),
-            )
-            for child in iteration.children
-        ],
-    )
-
-
-def _expanded_shape(shape):
-    return (
-        sorted(shape.counts.items()),
-        [
-            (
-                child.header_name,
-                sorted(
-                    (
-                        _expanded_shape(it)
-                        for it, mult in child.iterations
-                        for _ in range(mult)
-                    ),
-                    key=repr,
-                ),
-            )
-            for child in shape.children
-        ],
-    )
 
 
 def _instance_shapes(shape, seen):
@@ -288,7 +262,7 @@ def _check_shape_invariants(profile):
     assert profile.shapes() is root
     assert root.total == profile.total()
     assert root.direct == profile.root.direct_total()
-    assert _expanded_shape(root) == _canonical_tree(profile.root)
+    assert expanded_shape(root) == canonical_tree(profile.root)
     trips = {}
     for instance in profile.loop_instances():
         trips.setdefault(instance.header_name, set()).add(
@@ -320,13 +294,14 @@ def test_shapes_preserve_synthetic_trees(chunk):
 
 @pytest.mark.parametrize("kernel", ["IS", "LU"])
 def test_shapes_preserve_kernel_profiles(kernel):
-    profile = Session.from_kernel(kernel).profile
-    _check_shape_invariants(profile)
+    session = Session.from_kernel(kernel)
+    recorded = recorded_profile(session)
+    _check_shape_invariants(recorded)
     distinct = set()
     dynamic = 0
-    for instance in profile.loop_instances():
+    for instance in recorded.loop_instances():
         dynamic += instance.trip_count
-    for shape in _instance_shapes(profile.shapes(), set()):
+    for shape in _instance_shapes(session.profile.shapes(), set()):
         distinct.update(it for it, _m in shape.iterations)
     # The point of interning: thousands of iterations, dozens of shapes.
     assert dynamic > 2000 and len(distinct) < 60
