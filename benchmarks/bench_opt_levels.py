@@ -67,8 +67,11 @@ def _measure(session, plan, repetitions=REPETITIONS):
         payloads = sum(
             region["payloads"] for region in result.parallel_regions
         )
+        # Miss-retry round-trips depend on pool timing; the gated
+        # bytes (check_baselines.py) are the deterministic wire traffic.
         payload_bytes = sum(
-            region["payload_bytes"] for region in result.parallel_regions
+            region["payload_bytes"] - region["retry_payload_bytes"]
+            for region in result.parallel_regions
         )
     return payloads, payload_bytes, best
 

@@ -65,7 +65,9 @@ def _bytes_run(session):
     regions = result.parallel_regions
     return {
         "payloads": sum(r["payloads"] for r in regions),
-        "payload_bytes": sum(r["payload_bytes"] for r in regions),
+        "payload_bytes": sum(
+            r["payload_bytes"] - r["retry_payload_bytes"] for r in regions
+        ),
         "dirty_slots": sum(r["dirty_slots"] for r in regions),
     }
 

@@ -16,9 +16,15 @@ Acceptance gates:
 * whole-program coverage on the gated kernel is deterministic — every
   region chunk compiles (zero interpreter fallbacks) *and* the
   function-body stretch takes the compiled path, and
-* the compiled run is **at least 1.5x** faster than the interpreted run
-  (wall-clock, best-of-N; locally LU is ~3x and BT ~10x, so the 1.5x
-  line has ample headroom against runner noise).
+* the compiled run is **at least 1.25x** faster than the interpreted
+  run (wall-clock, best-of-N).  Measured against the decoded-closure
+  interpreter: LU 1.63x (45.1 vs 27.7 ms), BT 5.1x.  The floor was 1.5x
+  (LU 2.8x) while the interpreter re-interpreted the IR object graph per
+  step; the denominator is now ~2.5x faster and what is left of LU's
+  compiled run is dispatching 300 chunks, which both modes pay.  What
+  the ratio stood for — nothing falls back — is the deterministic gate
+  above and ``codegen.fallbacks`` / ``codegen.seq_interpreted`` in
+  ``benchmarks/e2e``.
 
 Rows land in ``BENCH_seq_compile.json`` with ``mode`` set to
 ``compiled``/``interpreted`` per row.  ``steps`` must match between the
@@ -42,7 +48,7 @@ GATED = "LU"
 BACKEND = "threads"
 WORKERS = 4
 REPETITIONS = 3
-GATE = 1.5
+GATE = 1.25  # measured 1.63x; see the module docstring
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +188,7 @@ def test_modes_retire_identical_steps(seq_rows):
         ), f"{kernel}: step counts diverged between modes"
 
 
-def test_gated_kernel_compiled_is_at_least_1_5x_faster(seq_rows):
+def test_gated_kernel_compiled_is_faster_by_the_gate(seq_rows):
     """The acceptance gate: LU -O2 on threads, whole-run wall-clock."""
     by_mode = {
         row["mode"]: row

@@ -80,7 +80,7 @@ class CompiledChunk:
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
         "ge": ">="}
 _BINOP = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-          "xor": "^", "shl": "<<", "shr": ">>"}
+          "xor": "^"}
 _UNOP_HELPERS = {"not": "_u_not", "sqrt": "_u_sqrt", "sin": "_u_sin",
                  "cos": "_u_cos", "exp": "_u_exp", "log": "_u_log",
                  "floor": "_u_floor"}
@@ -140,7 +140,7 @@ def _aff_term(aff, iv_expr):
 
 
 def _zero_literal(value_type):
-    """The zero a fresh alloca's slots hold (matches ``_zero_storage``)."""
+    """The zero a fresh alloca's slots hold (matches ``zero_storage``)."""
     scalar = value_type
     while hasattr(scalar, "element"):
         scalar = scalar.element
@@ -378,6 +378,10 @@ class _Lowering:
                 out.emit(f"{name} = {a} / {b}")
         elif op == "rem":
             out.emit(f"{name} = _trunc_rem({a}, {b})")
+        elif op in ("shl", "shr") or (op == "pow" and inst.type == INT):
+            # Guarded (a negative count or exponent is a math error);
+            # only hand-written IR has these, so no prologue binding.
+            out.emit(f"{name} = H.binary_function({op!r}, True)({a}, {b})")
         elif op in ("min", "max", "pow"):
             # ``pow`` is the guarded one (runtime.GENERATED_GLOBALS).
             out.emit(f"{name} = {op}({a}, {b})")

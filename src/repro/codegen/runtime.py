@@ -1,9 +1,9 @@
 """Runtime support for compiled chunks: helpers, fallback, verify oracle.
 
 Generated chunk functions close over this module (the ``H`` argument of
-the generated factory) for everything the interpreter's handlers did
-out-of-line: truncating division, the guarded ``math.*`` unary ops, and
-the :class:`EmulationError`/:class:`Bailout` types.
+the generated factory) for everything the interpreter's operator tables
+do out-of-line: truncating division, the guarded ``math.*`` unary ops,
+and the :class:`EmulationError`/:class:`Bailout` types.
 
 :func:`execute_chunk` is the single entry the backends call per
 ``(loop, iterations)`` segment.  It runs the compiled body when one
@@ -14,7 +14,6 @@ their write logs, outputs, and step counts in-process, keeping the
 interpreted run's effects (the interpreter is the authority).
 """
 
-import math
 import re
 
 from repro.util.errors import EmulationError
@@ -31,51 +30,31 @@ class Bailout(Exception):
 
 
 # -- helpers the generated code binds as locals --------------------------------
+#
+# The interpreter's own operator tables: one definition, one error text.
 
-from repro.emulator.interp import MATH_ERRORS, math_error  # noqa: E402
-from repro.emulator.interp import _trunc_div as trunc_div  # noqa: E402
-from repro.emulator.interp import _trunc_rem as trunc_rem  # noqa: E402
+from repro.emulator.interp import (  # noqa: E402,F401
+    BINARY, CASTS, UNARY, _trunc_div as trunc_div, binary_function,
+)
 from repro.emulator.profile import close_instance  # noqa: E402,F401
 
-
-def u_not(value):
-    return (not value) if isinstance(value, bool) else ~value
-
-
-def _guarded(op, fn):
-    def helper(value):
-        try:
-            return fn(value)
-        except MATH_ERRORS as error:
-            raise math_error(op, error) from None
-
-    helper.__name__ = f"u_{op}"
-    return helper
-
-
-u_sqrt = _guarded("sqrt", math.sqrt)
-u_sin = _guarded("sin", math.sin)
-u_cos = _guarded("cos", math.cos)
-u_exp = _guarded("exp", math.exp)
-u_log = _guarded("log", math.log)
-u_floor = _guarded("floor", lambda value: float(math.floor(value)))
-
-
-def _guarded_pow(a, b):
-    try:
-        return a**b
-    except MATH_ERRORS as error:
-        raise math_error("pow", error) from None
-
+trunc_rem = BINARY["rem"]
+u_not = UNARY["not"]
+u_sqrt = UNARY["sqrt"]
+u_sin = UNARY["sin"]
+u_cos = UNARY["cos"]
+u_exp = UNARY["exp"]
+u_log = UNARY["log"]
+u_floor = UNARY["floor"]
 
 #: The two operations generated source spells as a Python builtin,
-#: ``int(x)`` for a ``float_to_int`` cast and ``pow(a, b)``: the source
-#: is exec'd with these as its globals, so they resolve to the guarded
-#: versions (``int(inf)`` is an EmulationError, not an OverflowError)
-#: without a binding line in every generated function.
+#: ``int(x)`` for a ``float_to_int`` cast and ``pow(a, b)`` on floats:
+#: the source is exec'd with these as its globals, so they resolve to
+#: the guarded versions (``int(inf)`` is an EmulationError, not an
+#: OverflowError) without a binding line in every generated function.
 GENERATED_GLOBALS = {
-    "int": _guarded("float_to_int", int),
-    "pow": _guarded_pow,
+    "int": CASTS["float_to_int"],
+    "pow": binary_function("pow", False),
 }
 
 
@@ -135,8 +114,8 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
     ``None`` for a loop the lowering refused); ``shim`` is the backend's
     ``_WorkerInterpreter``.  The entry's ``logged`` flag must match the
     shim (``shim.write_log is not None``), except under ``verify`` where
-    the caller must supply a *logged* entry and a shim with the logged
-    store handler installed (the oracle needs both runs' write logs).
+    the caller must supply a *logged* entry (the oracle needs both
+    runs' write logs).
     ``outer`` (an interchanged nest's outer loop) means ``iterations``
     are ``(outer, inner)`` pairs; the entry, when given, must have been
     compiled with the same ``outer``.
@@ -166,7 +145,6 @@ def _verified_chunk(entry, shim, loop, frame, iterations, locks, outer):
         entry, shim, "chunk",
         lambda: entry.fn(shim, frame, iterations),
         lambda: shim.run_chunk(loop, frame, iterations, locks, outer=outer),
-        _plain_log_swap,
     )
     return mode
 
@@ -191,31 +169,21 @@ def _merge_log(real_log, scratch):
         real_log.setdefault(key, entry)
 
 
-def _plain_log_swap(shim, log):
-    """Install ``log`` on a shim whose store handlers already log."""
-    saved_log = shim.write_log
-    shim.write_log = log
-
-    def restore():
-        shim.write_log = saved_log
-
-    return restore
-
-
 def _differential(entry, state, noun, run_compiled, run_interpreted,
-                  swap_log, observable=None, compare_values=False):
+                  observable=None, compare_values=False):
     """The ``VERIFY_COMPILED`` oracle; returns ``(mode, interpreted value)``.
 
     The compiled thunk executes first against a scratch write log
-    (installed on ``state`` — the shim or the parent interpreter — by
-    ``swap_log``), its image (writes, output slice, step delta, return
-    value) is captured, and every one of its writes is rolled back.
-    The interpreted thunk then executes from the identical pre-run
-    state and its effects *stay* — so a divergence aborts with the
-    authoritative state in place, mirroring the
-    ``VERIFY_DIFFS``/``VERIFY_PRELUDE`` pattern of wire format v2.  A
-    :class:`Bailout` is not a divergence (the frame lacks a live-in the
-    compiled entry binds eagerly): plain interpreter fallback.
+    (installed on ``state`` — the shim or the parent interpreter; the
+    interpreter's stores read ``write_log`` as they run), its image
+    (writes, output slice, step delta, return value) is captured, and
+    every one of its writes is rolled back.  The interpreted thunk then
+    executes from the identical pre-run state and its effects *stay* —
+    so a divergence aborts with the authoritative state in place,
+    mirroring the ``VERIFY_DIFFS``/``VERIFY_PRELUDE`` pattern of wire
+    format v2.  A :class:`Bailout` is not a divergence (the frame lacks
+    a live-in the compiled entry binds eagerly): plain interpreter
+    fallback.
 
     ``observable`` restricts the write-log diff to those storage ids;
     ``compare_values`` adds the two thunks' return values to the diff.
@@ -235,7 +203,7 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
     out_mark = len(state.output)
     step_mark = state.steps
     scratch = {}
-    restore = swap_log(state, scratch)
+    state.write_log = scratch
     bailed = False
     compiled_error = None
     compiled_value = None
@@ -246,7 +214,7 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
     except Exception as error:
         compiled_error = error
     finally:
-        restore()
+        state.write_log = real_log
     compiled_writes = image(scratch)
     compiled_output = state.output[out_mark:]
     compiled_steps = state.steps - step_mark
@@ -258,12 +226,11 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
         return "interpreted", run_interpreted()
 
     interp_scratch = {}
-    restore = swap_log(state, interp_scratch)
+    state.write_log = interp_scratch
     try:
         interp_value = run_interpreted()
     except Exception as error:
         _merge_log(real_log, interp_scratch)
-        restore()
         if compiled_error is None:
             raise EmulationError(
                 f"VERIFY_COMPILED divergence at {entry.label}: compiled "
@@ -271,7 +238,8 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
                 f"{type(error).__name__}: {error}"
             ) from error
         raise  # both paths failed: the interpreted error is authoritative
-    restore()
+    finally:
+        state.write_log = real_log
     interp_writes = image(interp_scratch)
     _merge_log(real_log, interp_scratch)
     interp_output = state.output[out_mark:]
@@ -351,31 +319,13 @@ def execute_sequence(entry, interp, function, args, interpret,
         return "interpreted", interpret(function, args)
 
 
-def _swap_log(interp, log):
-    """Install ``log`` with logged store handlers; returns a restorer."""
-    saved_log = interp.write_log
-    sentinel = object()
-    saved_handlers = interp.__dict__.get("_HANDLERS", sentinel)
-    interp.enable_write_log(log)
-
-    def restore():
-        interp.write_log = saved_log
-        if saved_handlers is sentinel:
-            interp.__dict__.pop("_HANDLERS", None)
-        else:
-            interp.__dict__["_HANDLERS"] = saved_handlers
-
-    return restore
-
-
 def _verified_sequence(entry, interp, function, args, interpret):
     """Run the function compiled *and* interpreted; diff; keep interpreted.
 
-    The function-level use of :func:`_differential`: logged store
-    handlers are installed for the duration so nested interpreted calls
-    log too, and the return value joins the diff.  Only called for
-    functions whose call graph reaches no parallel region: a region
-    dispatch is not replayable.
+    The function-level use of :func:`_differential`: nested interpreted
+    calls log to the same scratch log, and the return value joins the
+    diff.  Only called for functions whose call graph reaches no
+    parallel region: a region dispatch is not replayable.
 
     The write-log diff only compares *observable* storages — globals
     and pointer arguments.  Each run builds its own frame, so its
@@ -396,5 +346,5 @@ def _verified_sequence(entry, interp, function, args, interpret):
         entry, interp, "body",
         lambda: entry.fn(interp, _Frame(function, args)),
         lambda: interpret(function, args),
-        _swap_log, observable=observable, compare_values=True,
+        observable=observable, compare_values=True,
     )

@@ -13,14 +13,26 @@ Semantics notes:
 * integer division/remainder truncate toward zero (C semantics);
 * pointers are (storage, offset) pairs; ``getelementptr`` is bounds-checked
   against the object's slot count, so wild indexing fails loudly.
+
+Execution is *decode once* (:func:`decode_block`): the first time a
+block runs, each instruction becomes a closure ``op(interp, frame)``
+with its operand sources and operator already resolved, and every
+fetch-execute loop — here, a worker's chunk, the seeded stepper in
+:mod:`repro.runtime.backends` — walks those.  The table of decoded
+blocks belongs to the interpreter, never to the IR (the module is
+pickled to pool workers and its bytes key the codec caches), and each
+:meth:`Interpreter.run` starts an empty one, so IR edited between runs
+is decoded as edited.
 """
 
 import dataclasses
 import math
+import operator
 
 from repro.analysis.loops import find_natural_loops
 from repro.ir import instructions as insts
-from repro.ir.types import FLOAT, INT, PointerType
+from repro.ir.basicblock import BasicBlock
+from repro.ir.types import FLOAT, INT
 from repro.ir.values import Argument, Constant, GlobalVariable
 from repro.util.errors import EmulationError
 
@@ -72,17 +84,80 @@ def _trunc_rem(a, b):
     return a - _trunc_div(a, b) * b
 
 
+def _float_div(a, b):
+    if b == 0:
+        raise EmulationError("float division by zero")
+    return a / b
+
+
 #: What Python's arithmetic builtins raise on a domain or range error
 #: (``sqrt(-1.0)``, ``exp(1000.0)``, ``int(inf)``, ``10.0 ** 400``,
-#: ``0.0 ** -1.0``).  No engine lets one escape: the interpreter below
-#: and the generated code's helpers (:mod:`repro.codegen.runtime`) both
-#: catch exactly these and raise :func:`math_error`.
+#: ``0.0 ** -1.0``, ``1 << -1``).  No engine lets one escape: the
+#: operator tables below are what the interpreter decodes to *and* what
+#: the generated code's helpers (:mod:`repro.codegen.runtime`) call, and
+#: they catch exactly these and raise :func:`math_error`.
 MATH_ERRORS = (ValueError, ArithmeticError)
 
 
 def math_error(op, error):
     """The one :class:`EmulationError` for a :data:`MATH_ERRORS` in ``op``."""
     return EmulationError(f"math error in {op}: {error}")
+
+
+def _guarded(op, fn):
+    def helper(*args):
+        try:
+            return fn(*args)
+        except MATH_ERRORS as error:
+            raise math_error(op, error) from None
+
+    return helper
+
+
+def _int_pow(a, b):
+    if b < 0:
+        # Python would answer with a float in an int-typed register.
+        raise math_error("pow", f"negative exponent {b} on an int")
+    return a**b
+
+
+def _not(value):
+    return (not value) if isinstance(value, bool) else ~value
+
+
+#: Operator name -> the callable that computes it.  ``div`` and ``pow``
+#: depend on the instruction's type: see :func:`binary_function`.
+BINARY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "rem": _trunc_rem, "min": min, "max": max,
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "shl": _guarded("shl", operator.lshift),
+    "shr": _guarded("shr", operator.rshift),
+}
+_TYPED_BINARY = {
+    ("div", True): _trunc_div, ("div", False): _float_div,
+    ("pow", True): _int_pow, ("pow", False): _guarded("pow", pow),
+}
+UNARY = {
+    "neg": operator.neg, "abs": abs, "not": _not,
+    "floor": _guarded("floor", lambda value: float(math.floor(value))),
+    **{op: _guarded(op, getattr(math, op))
+       for op in ("sqrt", "sin", "cos", "exp", "log")},
+}
+CASTS = {
+    "int_to_float": float,
+    "float_to_int": _guarded("float_to_int", int),
+    "bool_to_int": lambda value: 1 if value else 0,
+}
+_COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+
+def binary_function(op, is_int):
+    """The callable for binary ``op`` on int (or float) operands."""
+    return _TYPED_BINARY.get((op, is_int)) or BINARY[op]
 
 
 def record_write(log, storage, slot):
@@ -111,6 +186,248 @@ class _Frame:
         self.global_overlay = {}
 
 
+def zero_storage(value_type):
+    zero = 0
+    scalar = value_type
+    while hasattr(scalar, "element"):
+        scalar = scalar.element
+    if scalar == FLOAT:
+        zero = 0.0
+    return [zero] * value_type.slots()
+
+
+# -- decoding: one closure per instruction, resolved once ------------------------
+
+
+def operand_getter(value):
+    """``get(interp, frame)`` for one operand, its kind resolved now."""
+    if isinstance(value, Constant):
+        constant = value.value
+        return lambda interp, frame: constant
+    if isinstance(value, Argument):
+        index = value.index
+        return lambda interp, frame: frame.args[index]
+    if isinstance(value, GlobalVariable):
+        name = value.name
+
+        def get(interp, frame):
+            overlay = frame.global_overlay.get(name)
+            if overlay is not None:
+                return (overlay, 0)
+            return (interp._global_storage[name], 0)
+
+        return get
+    if isinstance(value, insts.Instruction):
+
+        def get(interp, frame):
+            try:
+                return frame.registers[value]
+            except KeyError as error:
+                raise _unexecuted(error) from None
+
+        return get
+    raise EmulationError(f"cannot evaluate {value!r}")
+
+
+def _unexecuted(error):
+    """The error for a ``KeyError`` out of ``frame.registers``."""
+    return EmulationError(
+        f"use of unexecuted instruction %{error.args[0].uid}"
+    )
+
+
+def _apply1(inst, fn, a):
+    """``registers[inst] = fn(a)``."""
+    get = operand_getter(a)
+
+    def op(interp, frame):
+        frame.registers[inst] = fn(get(interp, frame))
+
+    return op
+
+
+def _apply2(inst, fn, a, b):
+    """``registers[inst] = fn(a, b)``; register-register and
+    register-constant are nine in ten of the binary operations run."""
+    if isinstance(a, insts.Instruction) and isinstance(b, insts.Instruction):
+
+        def op(interp, frame):
+            registers = frame.registers
+            try:
+                registers[inst] = fn(registers[a], registers[b])
+            except KeyError as error:
+                raise _unexecuted(error) from None
+
+    elif isinstance(a, insts.Instruction) and isinstance(b, Constant):
+        constant = b.value
+
+        def op(interp, frame):
+            registers = frame.registers
+            try:
+                registers[inst] = fn(registers[a], constant)
+            except KeyError as error:
+                raise _unexecuted(error) from None
+
+    else:
+        get_a, get_b = operand_getter(a), operand_getter(b)
+
+        def op(interp, frame):
+            frame.registers[inst] = fn(
+                get_a(interp, frame), get_b(interp, frame)
+            )
+
+    return op
+
+
+def _decode_alloca(inst):
+    zeros = zero_storage(inst.allocated_type)
+
+    def op(interp, frame):
+        storage = frame.objects.get(inst)
+        if storage is None:
+            storage = frame.objects[inst] = list(zeros)
+        frame.registers[inst] = (storage, 0)
+
+    return op
+
+
+def _decode_load(inst):
+    pointer = inst.pointer
+    if not isinstance(pointer, insts.Instruction):
+        return _apply1(inst, lambda pointer: pointer[0][pointer[1]], pointer)
+
+    def op(interp, frame):
+        registers = frame.registers
+        try:
+            storage, offset = registers[pointer]
+        except KeyError as error:
+            raise _unexecuted(error) from None
+        registers[inst] = storage[offset]
+
+    return op
+
+
+def _decode_store(inst):
+    get_value, get_pointer = map(operand_getter, inst.operands)
+
+    def op(interp, frame):
+        value = get_value(interp, frame)
+        storage, offset = get_pointer(interp, frame)
+        if interp.write_log is not None:
+            record_write(interp.write_log, storage, offset)
+        storage[offset] = value
+
+    return op
+
+
+def _decode_gep(inst):
+    array_type = inst.pointer.type.pointee
+    count = array_type.count
+    stride = array_type.element.slots()
+    suffix = f" out of bounds for {array_type!r} (gep #{inst.uid})"
+
+    def element(pointer, index):
+        if not 0 <= index < count:
+            raise EmulationError(f"index {index}" + suffix)
+        return (pointer[0], pointer[1] + index * stride)
+
+    return _apply2(inst, element, inst.pointer, inst.index)
+
+
+def _decode_select(inst):
+    condition, if_true, if_false = map(operand_getter, inst.operands)
+
+    def op(interp, frame):
+        chosen = if_true if condition(interp, frame) else if_false
+        frame.registers[inst] = chosen(interp, frame)
+
+    return op
+
+
+def _decode_call(inst):
+    getters = [operand_getter(value) for value in inst.operands]
+    callee, uid = inst.callee, inst.uid
+
+    def op(interp, frame):
+        args = [get(interp, frame) for get in getters]
+        outer_attribution = interp._attributing_call
+        if (
+            interp._profiler is not None
+            and frame.function is interp._profiled_function
+        ):
+            interp._attributing_call = uid
+        result = interp._run_function(callee, args)
+        interp._attributing_call = outer_attribution
+        if callee.return_type.slots() != 0:
+            frame.registers[inst] = result
+
+    return op
+
+
+def _decode_print(inst):
+    getters = [operand_getter(value) for value in inst.operands]
+
+    def op(interp, frame):
+        values = tuple([get(interp, frame) for get in getters])
+        interp.output.append((inst.label, values))
+
+    return op
+
+
+def _decode_jump(inst):
+    target = inst.target
+    return lambda interp, frame: target
+
+
+def _decode_branch(inst):
+    condition = operand_getter(inst.condition)
+    if_true, if_false = inst.if_true, inst.if_false
+    return lambda interp, frame: (
+        if_true if condition(interp, frame) else if_false
+    )
+
+
+def _decode_return(inst):
+    value = (
+        operand_getter(inst.value) if inst.operands
+        else lambda interp, frame: None
+    )
+    return lambda interp, frame: value
+
+
+_DECODERS = {
+    insts.Alloca: _decode_alloca,
+    insts.Load: _decode_load,
+    insts.Store: _decode_store,
+    insts.GetElementPtr: _decode_gep,
+    insts.BinaryOp: lambda inst: _apply2(
+        inst, binary_function(inst.op, inst.type == INT), inst.lhs, inst.rhs
+    ),
+    insts.UnaryOp: lambda inst: _apply1(inst, UNARY[inst.op], inst.operand),
+    insts.Compare: lambda inst: _apply2(
+        inst, _COMPARE[inst.predicate], inst.lhs, inst.rhs
+    ),
+    insts.Select: _decode_select,
+    insts.Cast: lambda inst: _apply1(inst, CASTS[inst.kind], inst.operand),
+    insts.Call: _decode_call,
+    insts.Print: _decode_print,
+    insts.Jump: _decode_jump,
+    insts.Branch: _decode_branch,
+    insts.Return: _decode_return,
+}
+
+
+def decode_block(block):
+    """One ``op(interp, frame)`` per instruction of ``block``, in order.
+
+    A loop runs them all and looks at what the last one returned: the
+    next block after a ``jump``/``branch``, the returned value's getter
+    (not a block) after a ``return``, ``None`` when the block has no
+    terminator to end on (reported as falling off it).
+    """
+    return tuple(_DECODERS[type(inst)](inst) for inst in block.instructions)
+
+
 class Interpreter:
     """Executes IR functions; reusable across runs of the same module."""
 
@@ -120,6 +437,7 @@ class Interpreter:
         self.steps = 0
         self.output = []
         self.write_log = None  # see enable_write_log()
+        self._decoded = {}  # block -> decode_block(block), this run's
         self._global_storage = {}
         self._profiler = None
         self._profiled_function = None
@@ -144,6 +462,7 @@ class Interpreter:
         """
         self.steps = 0
         self.output = []
+        self._decoded = {}
         function = self.module.function(function_name)
         self._profiler = profiler
         self._profiled_function = function if profiler else None
@@ -178,13 +497,10 @@ class Interpreter:
         threads-fallback region cannot mutate shared state behind the
         resident-prelude protocol's back).
 
-        Installed as an instance-level handler-table override so the
-        plain sequential interpreter's store path stays branch-free.
+        Stores read ``write_log`` as they run, so assigning the
+        attribute swaps logs (the ``VERIFY_COMPILED`` oracle does).
         """
         self.write_log = {} if log is None else log
-        handlers = dict(type(self)._HANDLERS)
-        handlers[insts.Store] = Interpreter._exec_store_logged
-        self._HANDLERS = handlers
         return self.write_log
 
     # -- storage ----------------------------------------------------------------
@@ -193,7 +509,7 @@ class Interpreter:
         slots = gvar.value_type.slots()
         init = gvar.initializer
         if init is None:
-            return self._zero_storage(gvar.value_type)
+            return zero_storage(gvar.value_type)
         if isinstance(init, list):
             if len(init) != slots:
                 raise EmulationError(
@@ -201,76 +517,58 @@ class Interpreter:
                     f"object has {slots} slots"
                 )
             return list(init)
-        storage = self._zero_storage(gvar.value_type)
+        storage = zero_storage(gvar.value_type)
         storage[0] = init
         return storage
 
-    def _zero_storage(self, value_type):
-        zero = 0
-        scalar = value_type
-        while hasattr(scalar, "element"):
-            scalar = scalar.element
-        if scalar == FLOAT:
-            zero = 0.0
-        return [zero] * value_type.slots()
-
     # -- execution ---------------------------------------------------------------
+
+    def _decode(self, block):
+        """Decode ``block``: its first execution in this run."""
+        code = self._decoded[block] = decode_block(block)
+        return code
 
     def _run_function(self, function, args):
         frame = _Frame(function, args)
         profiling = function is self._profiled_function
+        accounting = self._profiler is not None
         loops_by_header = self._profiled_loops
         loop_stack = []
+        decoded = self._decoded
+        max_steps = self.max_steps
 
         block = function.entry
-        position = 0
         while True:
-            if position >= len(block.instructions):
+            next_block = None
+            ops = decoded.get(block) or self._decode(block)
+            for inst, op in zip(block.instructions, ops):
+                self.steps += 1
+                if self.steps > max_steps:
+                    raise EmulationError(
+                        f"exceeded max_steps={max_steps}; infinite loop?"
+                    )
+                if accounting:
+                    self._account(inst, profiling)
+                next_block = op(self, frame)
+            if next_block is None:
                 raise EmulationError(
                     f"fell off the end of block {block.name} in "
                     f"@{function.name}"
                 )
-            inst = block.instructions[position]
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise EmulationError(
-                    f"exceeded max_steps={self.max_steps}; infinite loop?"
-                )
-            self._account(inst, profiling)
-
-            if isinstance(inst, insts.Terminator):
-                if isinstance(inst, insts.Return):
-                    if profiling:
-                        while loop_stack:
-                            loop_stack.pop()
-                            self._profiler.exit_loop()
-                    if inst.operands:
-                        return self._value(inst.value, frame)
-                    return None
-                next_block = self._branch_target(inst, frame)
-                takeover = self._maybe_run_parallel_loop(
-                    next_block, block, frame
-                )
-                if takeover is not None:
-                    next_block = takeover
+            if type(next_block) is not BasicBlock:  # a return
                 if profiling:
-                    self._track_loops(
-                        next_block, loops_by_header, loop_stack
-                    )
-                block = next_block
-                position = 0
-                continue
-
-            self._execute(inst, frame)
-            position += 1
-
-    def _branch_target(self, inst, frame):
-        if isinstance(inst, insts.Jump):
-            return inst.target
-        if isinstance(inst, insts.Branch):
-            condition = self._value(inst.condition, frame)
-            return inst.if_true if condition else inst.if_false
-        raise EmulationError(f"unknown terminator {inst.opcode}")
+                    while loop_stack:
+                        loop_stack.pop()
+                        self._profiler.exit_loop()
+                return next_block(self, frame)
+            takeover = self._maybe_run_parallel_loop(
+                next_block, block, frame
+            )
+            if takeover is not None:
+                next_block = takeover
+            if profiling:
+                self._track_loops(next_block, loops_by_header, loop_stack)
+            block = next_block
 
     def _maybe_run_parallel_loop(self, next_block, from_block, frame):
         """Hook for the simulated parallel runtime.
@@ -296,209 +594,10 @@ class Interpreter:
             self._profiler.enter_loop(loop.header.name)
 
     def _account(self, inst, profiling):
-        if self._profiler is None:
-            return
         if profiling:
             self._profiler.count(inst.uid)
         elif self._attributing_call is not None:
             self._profiler.count(self._attributing_call)
-
-    # -- instruction semantics -----------------------------------------------------
-
-    def _value(self, value, frame):
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, Argument):
-            return frame.args[value.index]
-        if isinstance(value, GlobalVariable):
-            overlay = frame.global_overlay.get(value.name)
-            if overlay is not None:
-                return (overlay, 0)
-            return (self._global_storage[value.name], 0)
-        if isinstance(value, insts.Instruction):
-            try:
-                return frame.registers[value]
-            except KeyError:
-                raise EmulationError(
-                    f"use of unexecuted instruction %{value.uid}"
-                ) from None
-        raise EmulationError(f"cannot evaluate {value!r}")
-
-    def _execute(self, inst, frame):
-        handler = self._HANDLERS[type(inst)]
-        handler(self, inst, frame)
-
-    def _exec_alloca(self, inst, frame):
-        if inst not in frame.objects:
-            frame.objects[inst] = self._zero_storage(inst.allocated_type)
-        frame.registers[inst] = (frame.objects[inst], 0)
-
-    def _exec_load(self, inst, frame):
-        storage, offset = self._value(inst.pointer, frame)
-        frame.registers[inst] = storage[offset]
-
-    def _exec_store(self, inst, frame):
-        value = self._value(inst.value, frame)
-        storage, offset = self._value(inst.pointer, frame)
-        storage[offset] = value
-
-    def _exec_store_logged(self, inst, frame):
-        value = self._value(inst.value, frame)
-        storage, offset = self._value(inst.pointer, frame)
-        key = (id(storage), offset)
-        log = self.write_log
-        if key not in log:
-            log[key] = (storage, storage[offset])
-        storage[offset] = value
-
-    def _exec_gep(self, inst, frame):
-        storage, offset = self._value(inst.pointer, frame)
-        index = self._value(inst.index, frame)
-        array_type = inst.pointer.type.pointee
-        if not 0 <= index < array_type.count:
-            raise EmulationError(
-                f"index {index} out of bounds for {array_type!r} "
-                f"(gep #{inst.uid})"
-            )
-        stride = array_type.element.slots()
-        frame.registers[inst] = (storage, offset + index * stride)
-
-    def _exec_binop(self, inst, frame):
-        a = self._value(inst.lhs, frame)
-        b = self._value(inst.rhs, frame)
-        op = inst.op
-        if op == "add":
-            result = a + b
-        elif op == "sub":
-            result = a - b
-        elif op == "mul":
-            result = a * b
-        elif op == "div":
-            if inst.type == INT:
-                result = _trunc_div(a, b)
-            else:
-                if b == 0:
-                    raise EmulationError("float division by zero")
-                result = a / b
-        elif op == "rem":
-            result = _trunc_rem(a, b)
-        elif op == "min":
-            result = min(a, b)
-        elif op == "max":
-            result = max(a, b)
-        elif op == "pow":
-            try:
-                result = a**b
-            except MATH_ERRORS as error:
-                raise math_error(op, error) from None
-        elif op == "and":
-            result = a & b
-        elif op == "or":
-            result = a | b
-        elif op == "xor":
-            result = a ^ b
-        elif op == "shl":
-            result = a << b
-        elif op == "shr":
-            result = a >> b
-        else:
-            raise EmulationError(f"unknown binop {op}")
-        frame.registers[inst] = result
-
-    def _exec_unop(self, inst, frame):
-        value = self._value(inst.operand, frame)
-        op = inst.op
-        try:
-            if op == "neg":
-                result = -value
-            elif op == "not":
-                result = (not value) if isinstance(value, bool) else ~value
-            elif op == "abs":
-                result = abs(value)
-            elif op == "sqrt":
-                result = math.sqrt(value)
-            elif op == "sin":
-                result = math.sin(value)
-            elif op == "cos":
-                result = math.cos(value)
-            elif op == "exp":
-                result = math.exp(value)
-            elif op == "log":
-                result = math.log(value)
-            elif op == "floor":
-                result = float(math.floor(value))
-            else:
-                raise EmulationError(f"unknown unop {op}")
-        except MATH_ERRORS as error:
-            raise math_error(op, error) from None
-        frame.registers[inst] = result
-
-    def _exec_cmp(self, inst, frame):
-        a = self._value(inst.lhs, frame)
-        b = self._value(inst.rhs, frame)
-        predicate = inst.predicate
-        if predicate == "eq":
-            result = a == b
-        elif predicate == "ne":
-            result = a != b
-        elif predicate == "lt":
-            result = a < b
-        elif predicate == "le":
-            result = a <= b
-        elif predicate == "gt":
-            result = a > b
-        else:
-            result = a >= b
-        frame.registers[inst] = result
-
-    def _exec_select(self, inst, frame):
-        condition = self._value(inst.condition, frame)
-        chosen = inst.if_true if condition else inst.if_false
-        frame.registers[inst] = self._value(chosen, frame)
-
-    def _exec_cast(self, inst, frame):
-        value = self._value(inst.operand, frame)
-        if inst.kind == "int_to_float":
-            result = float(value)
-        elif inst.kind == "float_to_int":
-            try:
-                result = int(value)
-            except MATH_ERRORS as error:
-                raise math_error(inst.kind, error) from None
-        else:  # bool_to_int
-            result = 1 if value else 0
-        frame.registers[inst] = result
-
-    def _exec_call(self, inst, frame):
-        args = [self._value(op, frame) for op in inst.operands]
-        outer_attribution = self._attributing_call
-        if (
-            self._profiler is not None
-            and frame.function is self._profiled_function
-        ):
-            self._attributing_call = inst.uid
-        result = self._run_function(inst.callee, args)
-        self._attributing_call = outer_attribution
-        if inst.callee.return_type.slots() != 0:
-            frame.registers[inst] = result
-
-    def _exec_print(self, inst, frame):
-        values = tuple(self._value(op, frame) for op in inst.operands)
-        self.output.append((inst.label, values))
-
-    _HANDLERS = {
-        insts.Alloca: _exec_alloca,
-        insts.Load: _exec_load,
-        insts.Store: _exec_store,
-        insts.GetElementPtr: _exec_gep,
-        insts.BinaryOp: _exec_binop,
-        insts.UnaryOp: _exec_unop,
-        insts.Compare: _exec_cmp,
-        insts.Select: _exec_select,
-        insts.Cast: _exec_cast,
-        insts.Call: _exec_call,
-        insts.Print: _exec_print,
-    }
 
 
 def run_module(module, function_name="main", args=(), profile=False):

@@ -60,7 +60,7 @@ import repro.runtime.payload as payload_codec
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.emulator.interp import Interpreter, record_write
-from repro.ir.instructions import Terminator
+from repro.ir.basicblock import BasicBlock
 from repro.runtime import faults, knobs
 from repro.util.errors import EmulationError, PlanError, RegionDispatchError
 from repro.util.regionstats import RegionStats
@@ -162,6 +162,8 @@ class _WorkerInterpreter(Interpreter):
             if outer is not None else None
         )
         held = set()
+        decoded = self._decoded
+        max_steps = self.max_steps
         try:
             for value in iterations:
                 if outer_storage is not None:
@@ -169,38 +171,34 @@ class _WorkerInterpreter(Interpreter):
                     value = value[1]
                 induction_storage[0] = value
                 block = body
-                position = 0
                 while True:
-                    if position >= len(block.instructions):
-                        raise EmulationError(
-                            f"worker fell off block {block.name}"
-                        )
-                    inst = block.instructions[position]
-                    self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise EmulationError(
-                            "parallel worker exceeded max_steps"
-                        )
-                    if isinstance(inst, Terminator):
-                        if inst.opcode == "return":
+                    next_block = None
+                    for op in decoded.get(block) or self._decode(block):
+                        self.steps += 1
+                        if self.steps > max_steps:
                             raise EmulationError(
-                                "return inside a parallelized loop body"
+                                "parallel worker exceeded max_steps"
                             )
-                        next_block = self._branch_target(inst, frame)
-                        if next_block is header:
-                            locks.release_all(held)
-                            break
-                        locks.transition(held, block, next_block)
-                        block = next_block
-                        position = 0
-                        continue
-                    self._execute(inst, frame)
-                    position += 1
+                        next_block = op(self, frame)
+                    if next_block is header:
+                        locks.release_all(held)
+                        break
+                    if type(next_block) is not BasicBlock:
+                        raise _left_body(block, next_block)
+                    locks.transition(held, block, next_block)
+                    block = next_block
         finally:
             # A worker dying with a critical-section lock held would
             # stall its siblings until the lock timeout and mask the
             # real error with a bogus deadlock report.
             locks.release_all(held)
+
+
+def _left_body(block, target):
+    """The error for a worker's block that ends in no jump or branch."""
+    if target is None:
+        return EmulationError(f"worker fell off block {block.name}")
+    return EmulationError("return inside a parallelized loop body")
 
 
 class _NullLocks:
@@ -272,6 +270,11 @@ class _Stepper:
     are cooperative (a key -> holder-index table), so a plan whose
     locks were wrongly elided interleaves for real and a lock cycle is
     reported as a deadlock instead of hanging.
+
+    A worker is a generator (:meth:`_steps`): one instruction per
+    resume, yielding whether that step changed who may run — a worker
+    finishing, ``locks`` or ``waiting_for`` moving — and only then does
+    :meth:`run` rebuild the candidate list it draws from.
     """
 
     def __init__(self, interp, region):
@@ -281,130 +284,137 @@ class _Stepper:
         self.locks = {}  # lock key -> worker index or None
 
     def run(self):
-        rng = random.Random(self.interp.seed)
-        workers = self.workers
-        for worker in [w for w in workers if not w.done]:
-            self._start_next_iteration(worker)
+        interp = self.interp
+        max_steps = interp.max_steps
+        # ``rng.choice(candidates)``'s draws, bit for bit (its
+        # ``getrandbits`` loop, run even when one worker can run).
+        getrandbits = random.Random(interp.seed).getrandbits
+        runners = [
+            (worker, self._steps(worker).__next__)
+            for worker in self.workers if not worker.done
+        ]
+        for _worker, resume in runners:
+            resume()  # up to its first instruction
         while True:
             candidates = [
-                w
-                for w in workers
-                if not w.done and self._can_run(w)
+                resume for worker, resume in runners
+                if not worker.done and self._can_run(worker)
             ]
-            if not candidates:
-                if any(not w.done for w in workers):
+            n = len(candidates)
+            if not n:
+                if any(not worker.done for worker, _resume in runners):
                     raise EmulationError(
                         "parallel deadlock: all remaining workers blocked"
                     )
                 return
-            worker = rng.choice(candidates)
-            self._step_worker(worker)
+            k = n.bit_length()
+            changed = False
+            while not changed:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                interp.steps += 1
+                if interp.steps > max_steps:
+                    raise EmulationError(
+                        "parallel execution exceeded max_steps"
+                    )
+                try:
+                    changed = candidates[r]()
+                except StopIteration:
+                    changed = True
 
     def _can_run(self, worker):
-        if worker.waiting_for is None:
-            return True
-        holder = self.locks.get(worker.waiting_for)
-        return holder is None or holder == worker.index
+        lock = worker.waiting_for  # never one the worker itself holds
+        return lock is None or self.locks.get(lock) is None
 
-    def _start_next_iteration(self, worker):
-        # Advance to the next member segment with work left (no barrier:
-        # this worker moves on while siblings may still be in earlier
-        # members — fusion legality keeps cross-member flow per-worker).
-        while (
-            worker.segment < len(worker.segments)
-            and worker.cursor >= len(worker.segment_iterations(worker.segment))
-        ):
-            worker.segment += 1
-            worker.cursor = 0
-        if worker.segment >= len(worker.segments):
-            worker.done = True
-            self._release_all(worker)
-            return
-        loop = worker.current_loop
-        value = worker.segment_iterations(worker.segment)[worker.cursor]
-        worker.cursor += 1
-        if worker.nest is not None and isinstance(value, tuple):
-            # Interchanged nest: the value is an (outer, inner) pair;
-            # both inductions were privatized with the worker's frame.
-            outer_value, value = value
-            outer_induction = worker.nest.canonical.induction
-            worker.frame.objects[outer_induction][0] = outer_value
-        induction = loop.canonical.induction
-        worker.frame.objects[induction] = worker.frame.objects.get(
-            induction, [0]
-        )
-        worker.frame.objects[induction][0] = value
-        worker.block = loop.header.parent.block(loop.canonical.body)
-        worker.position = 0
+    def _steps(self, worker):
+        """``worker``'s instruction stream, one instruction per resume.
 
-    def _step_worker(self, worker):
+        Drains the member segments in order (no barrier: fusion legality
+        keeps cross-member flow per-worker).  All up to the next
+        ``yield`` is the step just drawn: a terminator's step also hands
+        locks over and starts the next iteration, and a queued worker —
+        resumed only once its lock is free — takes it with its next one.
+        """
         interp = self.interp
-        loop = worker.current_loop
-        # Honor pending lock acquisition.
-        if worker.waiting_for is not None:
-            lock = worker.waiting_for
-            holder = self.locks.get(lock)
-            if holder is None:
-                self.locks[lock] = worker.index
-                worker.held.add(lock)
-                worker.waiting_for = None
-            elif holder != worker.index:
-                return
-            else:
-                worker.waiting_for = None
-
-        block = worker.block
-        if worker.position >= len(block.instructions):
-            raise EmulationError(f"worker fell off block {block.name}")
-        inst = block.instructions[worker.position]
-        interp.steps += 1
-        worker.steps += 1
-        if interp.steps > interp.max_steps:
-            raise EmulationError("parallel execution exceeded max_steps")
-
-        if isinstance(inst, Terminator):
-            if inst.opcode == "return":
-                raise EmulationError(
-                    "return inside a parallelized loop body"
-                )
-            next_block = interp._branch_target(inst, worker.frame)
-            if next_block is loop.header:
-                # Iteration finished (came around from the latch).
-                self._release_all(worker)
-                self._start_next_iteration(worker)
-                return
-            self._update_locks(worker, block, next_block)
-            worker.block = next_block
-            worker.position = 0
-            return
-
-        interp._execute(inst, worker.frame)
-        worker.position += 1
+        critical = self.critical
+        frame = worker.frame
+        objects = frame.objects
+        decoded = interp._decoded
+        changed = False
+        steps = 0
+        for loop, iterations in worker.segments:
+            header = loop.header
+            body = header.parent.block(loop.canonical.body)
+            induction = objects.setdefault(loop.canonical.induction, [0])
+            for value in iterations:
+                if worker.nest is not None and isinstance(value, tuple):
+                    # Interchanged nest: an (outer, inner) pair; both
+                    # inductions were privatized with the frame.
+                    outer_value, value = value
+                    objects[worker.nest.canonical.induction][0] = (
+                        outer_value
+                    )
+                induction[0] = value
+                block = body
+                while block is not header:
+                    ops = decoded.get(block) or interp._decode(block)
+                    yield changed
+                    changed = worker.waiting_for is not None
+                    if changed:
+                        self.locks[worker.waiting_for] = worker.index
+                        worker.held.add(worker.waiting_for)
+                        worker.waiting_for = None
+                    next_block = None
+                    for op in ops:
+                        steps += 1
+                        next_block = op(interp, frame)
+                        if next_block is None:
+                            yield changed
+                            changed = False
+                    if next_block is header:
+                        # Iteration finished (came around from the latch).
+                        if worker.held:
+                            changed |= self._release_all(worker)
+                    elif type(next_block) is not BasicBlock:
+                        raise _left_body(block, next_block)
+                    elif critical:
+                        changed |= self._update_locks(
+                            worker, block, next_block
+                        )
+                    block = next_block
+        worker.done = True
+        self._release_all(worker)
+        worker.steps = steps
 
     def _update_locks(self, worker, from_block, to_block):
+        """Lock hand-over of one block transition; True if any moved."""
         from_region = self.critical.get(from_block.name)
         to_region = self.critical.get(to_block.name)
+        changed = False
         if from_region and (
             to_region is None or to_region[0] != from_region[0]
         ):
-            self._release(worker, from_region[0])
+            changed = self._release(worker, from_region[0])
         if to_region and to_region[0] not in worker.held:
-            holder = self.locks.get(to_region[0])
-            if holder is None:
+            changed = True
+            if self.locks.get(to_region[0]) is None:
                 self.locks[to_region[0]] = worker.index
                 worker.held.add(to_region[0])
             else:
                 worker.waiting_for = to_region[0]
+        return changed
 
     def _release(self, worker, lock):
-        if lock in worker.held:
-            worker.held.discard(lock)
-            if self.locks.get(lock) == worker.index:
-                self.locks[lock] = None
+        if lock not in worker.held:
+            return False
+        worker.held.discard(lock)
+        if self.locks.get(lock) == worker.index:
+            self.locks[lock] = None
+        return True
 
     def _release_all(self, worker):
-        for lock in list(worker.held):
-            self._release(worker, lock)
+        return any([self._release(worker, lock) for lock in list(worker.held)])
 
 
 class ThreadsBackend(ExecutionBackend):
@@ -449,6 +459,7 @@ class ThreadsBackend(ExecutionBackend):
                 interp.module, interp._global_storage, interp.max_steps,
                 write_log=interp.write_log,
             )
+            shim._decoded = interp._decoded  # one decode per block per run
             if logged and shim.write_log is None:
                 # The verify oracle diffs write logs, so force one even
                 # when the parent did not ask for dirty tracking.

@@ -48,7 +48,13 @@ from repro.analysis.loops import find_natural_loops
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.codegen import seq as codegen_seq
-from repro.emulator.interp import Interpreter, _Frame, record_write
+from repro.emulator.interp import (
+    Interpreter,
+    _Frame,
+    operand_getter,
+    record_write,
+    zero_storage,
+)
 from repro.ir.instructions import Call
 from repro.ir.types import FLOAT
 from repro.ir.values import GlobalVariable
@@ -118,11 +124,7 @@ class _Worker:
     __slots__ = (
         "index",
         "segments",
-        "segment",
-        "cursor",
         "frame",
-        "block",
-        "position",
         "done",
         "waiting_for",
         "held",
@@ -136,12 +138,8 @@ class _Worker:
     def __init__(self, index, segments, nest):
         self.index = index
         self.segments = segments  # [(loop, iteration values), ...]
-        self.segment = 0
-        self.cursor = 0
         self.nest = nest  # interchanged nest's outer Loop (values are pairs)
         self.frame = None
-        self.block = None
-        self.position = 0
         self.done = not any(iterations for _loop, iterations in segments)
         self.waiting_for = None  # lock name when blocked
         self.held = set()
@@ -151,19 +149,12 @@ class _Worker:
         self.private_allocas = set()  # privatized Alloca instructions
 
     @property
-    def current_loop(self):
-        return self.segments[self.segment][0]
-
-    @property
     def iterations(self):
         """This worker's iteration values across all segments (flat)."""
         values = []
         for _loop, iterations in self.segments:
             values.extend(iterations)
         return values
-
-    def segment_iterations(self, segment):
-        return self.segments[segment][1]
 
 
 class ParallelInterpreter(Interpreter):
@@ -529,9 +520,9 @@ class ParallelInterpreter(Interpreter):
 
     def _loop_values(self, loop, frame):
         canonical = loop.canonical
-        lower = self._value(canonical.lower, frame)
-        upper = self._value(canonical.upper, frame)
-        step = self._value(canonical.step, frame)
+        lower = operand_getter(canonical.lower)(self, frame)
+        upper = operand_getter(canonical.upper)(self, frame)
+        step = operand_getter(canonical.step)(self, frame)
         if step <= 0:
             raise PlanError("parallel loops require a positive step")
         return list(range(lower, upper, step))
@@ -698,8 +689,8 @@ class ParallelInterpreter(Interpreter):
 
     def _zeros_for(self, storage):
         if isinstance(storage, GlobalVariable):
-            return self._zero_storage(storage.value_type)
-        return self._zero_storage(storage.allocated_type)
+            return zero_storage(storage.value_type)
+        return zero_storage(storage.allocated_type)
 
     def _current_values(self, storage, frame):
         if isinstance(storage, GlobalVariable):
@@ -786,7 +777,7 @@ class ParallelInterpreter(Interpreter):
             last_value = values[-1] if values else None
             owner = None
             for worker in workers:
-                iterations = worker.segment_iterations(segment)
+                iterations = worker.segments[segment][1]
                 if iterations and iterations[-1] == last_value:
                     owner = worker
             if owner is None:

@@ -1,0 +1,341 @@
+"""Decoded blocks: same values, same error texts, nothing left on the IR.
+
+The interpreter decodes a block into closures the first time it runs it
+(:func:`repro.emulator.interp.decode_block`).  The expected values and
+texts below were taken from the handler-table interpreter this replaced;
+each operation runs once per operand shape (register / constant), since
+the decoder resolves those to different closures.
+"""
+
+import itertools
+import math
+import pickle
+
+import pytest
+
+from repro.emulator import Interpreter, run_module
+from repro.frontend import compile_source
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Module
+from repro.ir.types import BOOL, FLOAT, INT, ArrayType
+from repro.ir.values import Constant
+from repro.runtime import run_source_plan
+from repro.runtime.payload import module_codec
+from repro.util.errors import EmulationError
+
+_TYPES = {bool: BOOL, int: INT, float: FLOAT}
+
+
+def _main():
+    module = Module("decode")
+    function = module.create_function("main")
+    return module, IRBuilder(function.create_block("entry"))
+
+
+def _operand(builder, value, shape):
+    constant = Constant(_TYPES[type(value)], value)
+    if shape == "constant":
+        return constant
+    slot = builder.alloca(constant.type)
+    builder.store(constant, slot)
+    return builder.load(slot)
+
+
+def _outcome(module):
+    """The one printed value, or the error's text."""
+    try:
+        ((_label, (value,)),) = run_module(module).output
+    except EmulationError as error:
+        return str(error)
+    return value
+
+
+def _evaluate(emit, values, shapes):
+    module, builder = _main()
+    operands = [
+        _operand(builder, value, shape)
+        for value, shape in zip(values, shapes)
+    ]
+    builder.print_([emit(builder, *operands)])
+    builder.ret()
+    return _outcome(module)
+
+
+def _same(actual, expected):
+    return actual == expected and type(actual) is type(expected)
+
+
+BINARY = [
+    ("add", 7, -2, 5), ("sub", 7, -2, 9), ("mul", 7, -2, -14),
+    ("div", 7, -2, -3), ("div", -7, 2, -3), ("rem", 7, -2, 1),
+    ("rem", -7, 2, -1), ("min", 7, -2, -2), ("max", 7, -2, 7),
+    ("pow", 7, 2, 49), ("and", 6, 3, 2), ("or", 6, 3, 7), ("xor", 6, 3, 5),
+    ("shl", 6, 3, 48), ("shr", 6, 1, 3),
+    ("add", 1.5, 2.25, 3.75), ("sub", 1.5, 2.25, -0.75),
+    ("mul", 1.5, 2.0, 3.0), ("div", 7.0, 2.0, 3.5), ("min", 1.5, 2.25, 1.5),
+    ("max", 1.5, 2.25, 2.25), ("pow", 2.0, 0.5, math.sqrt(2.0)),
+    ("div", 1, 0, "integer division by zero"),
+    ("rem", 1, 0, "integer division by zero"),
+    ("div", 1.0, 0.0, "float division by zero"),
+]
+
+UNARY = [
+    ("neg", 3, -3), ("neg", 1.5, -1.5), ("not", True, False),
+    ("not", 5, -6), ("abs", -3, 3), ("abs", -1.5, 1.5),
+    ("sqrt", 2.25, 1.5), ("sin", 0.0, 0.0), ("cos", 0.0, 1.0),
+    ("exp", 0.0, 1.0), ("log", 1.0, 0.0), ("floor", 2.7, 2.0),
+    ("floor", -2.5, -3.0),
+    ("sqrt", -1.0, "math error in sqrt: math domain error"),
+    ("log", 0.0, "math error in log: math domain error"),
+]
+
+CASTS = [
+    ("int_to_float", 3, 3.0), ("float_to_int", 2.9, 2),
+    ("float_to_int", -2.9, -2), ("bool_to_int", True, 1),
+    ("bool_to_int", False, 0),
+]
+
+PREDICATES = [
+    ("eq", 3, 5, False), ("eq", 5, 5, True), ("ne", 3, 5, True),
+    ("lt", 3, 5, True), ("lt", 5, 5, False), ("le", 5, 5, True),
+    ("gt", 5, 3, True), ("gt", 5, 5, False), ("ge", 5, 5, True),
+    ("ge", 3, 5, False), ("lt", 1.5, 2.5, True),
+]
+
+_SHAPES = ("register", "constant")
+
+
+def _ids(cases):
+    return [f"{case[0]}-{'-'.join(map(str, case[1:-1]))}" for case in cases]
+
+
+@pytest.mark.parametrize("op,a,b,expected", BINARY, ids=_ids(BINARY))
+def test_every_binary_op(op, a, b, expected):
+    for shapes in itertools.product(_SHAPES, repeat=2):
+        assert _same(
+            _evaluate(lambda bld, x, y: bld.binop(op, x, y), (a, b), shapes),
+            expected,
+        ), shapes
+
+
+@pytest.mark.parametrize("op,a,expected", UNARY, ids=_ids(UNARY))
+def test_every_unary_op(op, a, expected):
+    for shape in _SHAPES:
+        assert _same(
+            _evaluate(lambda bld, x: bld.unop(op, x), (a,), (shape,)),
+            expected,
+        ), shape
+
+
+@pytest.mark.parametrize("kind,a,expected", CASTS, ids=_ids(CASTS))
+def test_every_cast(kind, a, expected):
+    for shape in _SHAPES:
+        assert _same(
+            _evaluate(lambda bld, x: bld.cast(kind, x), (a,), (shape,)),
+            expected,
+        ), shape
+
+
+@pytest.mark.parametrize(
+    "predicate,a,b,expected", PREDICATES, ids=_ids(PREDICATES)
+)
+def test_every_predicate(predicate, a, b, expected):
+    for shapes in itertools.product(_SHAPES, repeat=2):
+        assert _same(
+            _evaluate(
+                lambda bld, x, y: bld.cmp(predicate, x, y), (a, b), shapes
+            ),
+            expected,
+        ), shapes
+
+
+def test_the_operator_tables_cover_the_instruction_set():
+    from repro.ir import instructions as insts
+
+    assert {case[0] for case in BINARY} == insts.BINARY_OPS
+    assert {case[0] for case in UNARY} == insts.UNARY_OPS
+    assert {case[0] for case in CASTS} == insts.CAST_KINDS
+    assert {case[0] for case in PREDICATES} == insts.CMP_PREDICATES
+
+
+# -- the other instruction classes ----------------------------------------------
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("index,expected", [(2, 30), (4, None), (-1, None)])
+def test_gep_load_store_through_a_global_and_an_alloca(
+    index, expected, shape
+):
+    for use_global in (True, False):
+        module, builder = _main()
+        array = ArrayType(INT, 4)
+        base = (
+            module.add_global("g", array, [0, 10, 20, 30]) if use_global
+            else builder.alloca(array)
+        )
+        builder.store(builder.int(30), builder.gep(base, builder.int(2)))
+        pointer = builder.gep(base, _operand(builder, index, shape))
+        builder.print_([builder.load(pointer)])
+        builder.ret()
+        if expected is None:
+            expected_here = (
+                f"index {index} out of bounds for [4 x int] "
+                f"(gep #{pointer.uid})"
+            )
+        else:
+            expected_here = expected
+        assert _outcome(module) == expected_here
+
+
+def test_select_evaluates_only_the_chosen_arm():
+    module, builder = _main()
+    function = builder.function
+    skipped = function.create_block("skipped")
+    done = function.create_block("done")
+    builder.jump(done)
+    builder.position_at_end(skipped)
+    never = builder.add(builder.int(1), builder.int(1))
+    builder.jump(done)
+    builder.position_at_end(done)
+    chosen = builder.select(builder.bool(True), builder.int(7), never)
+    builder.print_([chosen])
+    unchosen = builder.select(builder.bool(False), builder.int(7), never)
+    builder.print_([unchosen])
+    builder.ret()
+    with pytest.raises(EmulationError) as raised:
+        run_module(module)
+    assert str(raised.value) == (
+        f"use of unexecuted instruction %{never.uid}"
+    )
+
+
+@pytest.mark.parametrize("user", ("load", "binop", "cast", "gep", "branch"))
+def test_use_of_an_unexecuted_register(user):
+    module, builder = _main()
+    function = builder.function
+    skipped = function.create_block("skipped")
+    done = function.create_block("done")
+    array = builder.alloca(ArrayType(INT, 4))
+    builder.jump(done)
+    builder.position_at_end(skipped)
+    pointer = builder.alloca(INT)
+    number = builder.add(builder.int(1), builder.int(1))
+    flag = builder.cmp("lt", builder.int(1), builder.int(2))
+    builder.jump(done)
+    builder.position_at_end(done)
+    if user == "load":
+        missing = pointer
+        builder.load(pointer)
+    elif user == "binop":
+        missing = number
+        builder.add(number, builder.int(1))
+    elif user == "cast":
+        missing = number
+        builder.cast("int_to_float", number)
+    elif user == "gep":
+        missing = number
+        builder.gep(array, number)
+    else:
+        missing = flag
+        builder.branch(flag, done, done)
+    if user != "branch":
+        builder.ret()
+    with pytest.raises(EmulationError) as raised:
+        run_module(module)
+    assert str(raised.value) == (
+        f"use of unexecuted instruction %{missing.uid}"
+    )
+
+
+def test_call_print_branch_and_return():
+    module = Module("decode")
+    callee = module.create_function(
+        "pick", (INT, INT), ("a", "b"), return_type=INT
+    )
+    builder = IRBuilder(callee.create_block("entry"))
+    low = callee.create_block("low")
+    high = callee.create_block("high")
+    a, b = callee.args
+    builder.branch(builder.cmp("lt", a, b), low, high)
+    builder.position_at_end(low)
+    builder.ret(a)
+    builder.position_at_end(high)
+    builder.ret(b)
+    log = module.create_function("log", (INT,), ("x",))
+    builder = IRBuilder(log.create_block("entry"))
+    builder.print_([log.args[0]])
+    builder.ret()
+    main = module.create_function("main")
+    builder = IRBuilder(main.create_block("entry"))
+    builder.call(log, [builder.call(callee, [builder.int(9), builder.int(4)])])
+    builder.call(log, [builder.call(callee, [builder.int(2), builder.int(4)])])
+    builder.ret()
+    result = run_module(module)
+    assert result.output == [(None, (4,)), (None, (2,))]
+    # main: 4 calls + return; pick: cmp, branch, return; log: print, return.
+    assert result.steps == 5 + 2 * 3 + 2 * 2
+    assert Interpreter(module).run("pick", (1, 2)).return_value == 1
+
+
+def test_a_block_without_a_terminator_falls_off():
+    module, builder = _main()
+    builder.print_([builder.int(1)])
+    with pytest.raises(EmulationError) as raised:
+        run_module(module)
+    assert str(raised.value) == "fell off the end of block entry in @main"
+
+
+# -- the decode table's two hazards ---------------------------------------------
+
+PROGRAM = """
+global a: int[32];
+
+func main() {
+  var s: int = 0;
+  pragma omp parallel_for reduction(+: s)
+  for i in 0..32 {
+    a[i] = i * 3;
+    s = s + a[i];
+  }
+  print(s, a[31]);
+}
+"""
+
+
+def test_a_run_leaves_nothing_on_the_ir():
+    """The module is pickled to pool workers and its bytes key the codec
+    caches: decoding must not ride on any IR object."""
+    module = compile_source(PROGRAM)
+    before = pickle.dumps(module)
+    key = module_codec(module).key
+    expected = run_module(module).output
+    assert pickle.dumps(module) == before
+    simulated = run_source_plan(
+        module, workers=2, backend="simulated", compile_regions=False
+    )
+    assert simulated.output == expected
+    assert pickle.dumps(module) == before
+    # A child decodes for itself what the parent had already decoded.
+    shipped = run_source_plan(
+        module, workers=2, backend="processes", compile_regions=False
+    )
+    assert shipped.output == expected
+    assert sum(r["interpreted_chunks"] for r in shipped.parallel_regions) == 2
+    assert pickle.dumps(module) == before
+    assert module_codec(module).key == key
+
+
+def test_a_block_mutated_between_runs_is_decoded_afresh():
+    """The rule: a run starts with an empty table, so IR edited between
+    two runs of one interpreter executes as edited."""
+    module = compile_source("func main() { print(1); }")
+    interpreter = Interpreter(module)
+    assert interpreter.run().output == [(None, (1,))]
+    block = module.function("main").entry
+    while block.terminator.successors():
+        (block,) = block.terminator.successors()
+    terminator = block.instructions.pop()
+    builder = IRBuilder(block)
+    builder.print_([builder.int(2)])
+    block.append(terminator)
+    assert interpreter.run().output == [(None, (1,)), (None, (2,))]

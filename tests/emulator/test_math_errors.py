@@ -1,11 +1,13 @@
 """Python's range and domain errors never escape an engine.
 
 ``exp(1000.0)``, ``floor(inf)``, a ``float_to_int`` cast of ``inf`` or
-``nan`` and a float ``pow`` overflow raise builtin ``OverflowError`` /
-``ValueError`` / ``ZeroDivisionError`` in Python; every engine — the
-interpreter, compiled sequential stretches, compiled chunks — reports
-them as one :class:`EmulationError` with one text, so the CLI prints
-``error: ...`` and the ``-O3`` oracle vetoes instead of crashing.
+``nan``, a float ``pow`` overflow and a shift by a negative count raise
+builtin ``OverflowError`` / ``ValueError`` / ``ZeroDivisionError`` in
+Python, and an int ``pow`` with a negative exponent answers with a
+float; every engine — the interpreter, compiled sequential stretches,
+compiled chunks — reports them as one :class:`EmulationError` with one
+text, so the CLI prints ``error: ...`` and the ``-O3`` oracle vetoes
+instead of crashing.
 """
 
 import pytest
@@ -74,9 +76,33 @@ ZERO_TO_NEGATIVE = POW.replace("store 10.0", "store 0.0").replace(
 )
 
 
+#: Only hand-written IR has ``shl``/``shr``/``pow``: the frontend emits none.
+INT_BINARY = """
+func @main() -> void {
+entry:
+  %0 = alloca int
+  store -1, %0
+  %2 = load %0
+  %3 = OP 2, %2
+  print "b", %3
+  return
+}
+"""
+
+#: op -> the one text for a negative right operand
+INT_BINARY_CASES = {
+    "shl": "math error in shl: negative shift count",
+    "shr": "math error in shr: negative shift count",
+    "pow": "math error in pow: negative exponent -1 on an int",
+}
+
+
 def _modules():
     for name, (body, message) in CASES.items():
         yield name, compile_source(_sequential(body)), message
+    for op, message in INT_BINARY_CASES.items():
+        yield f"{op}-negative", parse_ir(INT_BINARY.replace("OP", op)), \
+            message
     yield "pow-overflow", parse_ir(POW), \
         "math error in pow: (34, 'Numerical result out of range')"
     yield "zero-to-negative-power", parse_ir(ZERO_TO_NEGATIVE), \
@@ -120,6 +146,27 @@ def test_region_bodies_raise_it_on_both_engines(name, compiled, verify):
             module, workers=2, backend="threads", compile_regions=compiled
         )
     assert message in str(raised.value)
+
+
+@pytest.mark.parametrize("op", sorted(INT_BINARY_CASES))
+@pytest.mark.parametrize("compiled", (False, True))
+def test_int_binops_in_region_bodies_raise_it_on_both_engines(
+    op, compiled, verify
+):
+    module = compile_source(
+        _region("var y: int = 2 * (i - 1);").replace("float[4]", "int[4]")
+        .replace("float(y)", "y")
+    )
+    (multiply,) = [
+        inst for inst in module.function("main").instructions()
+        if getattr(inst, "op", None) == "mul"
+    ]
+    multiply.op = op  # 2 <op> (i - 1): a negative right operand at i = 0
+    with pytest.raises(EmulationError) as raised:
+        run_source_plan(
+            module, workers=2, backend="threads", compile_regions=compiled
+        )
+    assert INT_BINARY_CASES[op] in str(raised.value)
 
 
 def test_the_cli_prints_an_error_not_a_traceback(tmp_path, capsys):

@@ -137,18 +137,19 @@ def test_a_loop_block_reachable_around_its_header_is_refused():
 # -- the headline: nothing on the compile path interprets -----------------------
 
 
-def _spy_on_execute(monkeypatch):
+def _spy_on_decode(monkeypatch):
     # VERIFY_COMPILED arms the interpreter as the cross-check; the claim
-    # is about an unarmed compile.
+    # is about an unarmed compile.  Every fetch-execute loop decodes a
+    # block the first time it runs it, so no decode is no interpretation.
     monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", False)
     callers = []
-    real = Interpreter._execute
+    real = Interpreter._decode
 
-    def spy(self, inst, frame):
+    def spy(self, block):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real(self, inst, frame)
+        return real(self, block)
 
-    monkeypatch.setattr(Interpreter, "_execute", spy)
+    monkeypatch.setattr(Interpreter, "_decode", spy)
     return callers
 
 
@@ -160,12 +161,12 @@ def _cold_compile(kernel):
 
 @pytest.mark.parametrize("kernel", sorted(set(KERNELS) - {"LU"}))
 def test_a_cold_compile_interprets_nothing(kernel, monkeypatch):
-    callers = _spy_on_execute(monkeypatch)
+    callers = _spy_on_decode(monkeypatch)
     _cold_compile(kernel)
     assert callers == []
 
 
 def test_lu_interprets_only_the_region_on_trial(monkeypatch):
-    callers = _spy_on_execute(monkeypatch)
+    callers = _spy_on_decode(monkeypatch)
     _cold_compile("LU")
-    assert callers and set(callers) == {"_step_worker"}
+    assert callers and set(callers) == {"_steps"}
