@@ -72,8 +72,9 @@ class DominatorTree:
         return chain
 
 
-def _compute_idom(root, successors):
-    """Cooper-Harvey-Kennedy on an abstract graph."""
+def immediate_dominators(root, successors):
+    """Cooper-Harvey-Kennedy on an abstract graph: node -> immediate
+    dominator (the root's is itself; unreachable nodes are absent)."""
     order = reverse_postorder(root, successors)
     index = {node: i for i, node in enumerate(order)}
     preds = {node: [] for node in order}
@@ -113,7 +114,7 @@ def _compute_idom(root, successors):
 def compute_dominator_tree(function):
     """Dominator tree of a function's CFG."""
     succs = successors_map(function)
-    idom = _compute_idom(function.entry, succs)
+    idom = immediate_dominators(function.entry, succs)
     return DominatorTree(function.entry, idom)
 
 
@@ -148,7 +149,7 @@ def compute_postdominator_tree(function):
     for block in function.blocks:
         reversed_succs[block] = list(preds[block])
 
-    idom = _compute_idom(exit_node, reversed_succs)
+    idom = immediate_dominators(exit_node, reversed_succs)
 
     # Connect any block unreachable in the reversed graph (no path to a
     # return) directly under the virtual exit so queries stay total.

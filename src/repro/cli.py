@@ -157,6 +157,11 @@ def _run(args):
         )
     if args.diagnostics:
         print(session.diagnostics.parallel_report(), file=sys.stderr)
+        lowering = session.diagnostics.stats("compile_regions").get(
+            "lowering"
+        )
+        if lowering:
+            print(f"[lowering] {lowering}", file=sys.stderr)
     if args.verify:
         expected = session.execution.formatted_output()
         if result.formatted_output() == expected:
@@ -296,6 +301,8 @@ def _cmd_report(args):
 
     if args.diagnostics:
         for session in sessions:
+            if session.config.compile_regions:
+                _ = session.compiled_regions  # its row: how each loop lowered
             print()
             print(session.describe())
     return 0

@@ -19,22 +19,45 @@ Representation choices:
   binding raises :class:`~repro.codegen.runtime.Bailout` and the caller
   re-runs the chunk interpreted (which reproduces whatever error — or
   non-error — the interpreter's lazy lookup produces).
-* Straight-line bodies (blocks chained by unconditional jumps back to
-  the header) lower to linear code; anything with branches — including
-  whole nested sequential loops, whose back edges simply target a
-  lowered block — lowers to a ``while``/``elif`` state machine over
-  block indices.
+* **The structured walk.**  The body is emitted as the loop nest it
+  is: the walk follows jumps through straight-line segments, turns a
+  natural loop whose only exit is its header's branch into a Python
+  loop (``for v in range(v, hi)`` when the header is exactly ``load v;
+  v < hi; branch``, the single latch exactly ``v = v + 1`` and nothing
+  else stores ``v``; otherwise ``while True: <header>; if not c:
+  break``), and turns a branch into ``if``/``else`` up to the arms'
+  immediate post-dominator.  A linear chain is the depth-0 case.  One
+  ``_steps += n; if _steps > _max`` covers each emitted segment (the
+  header, straight body and latch of a counted loop are one segment).
+* **Promotion.**  A scalar alloca whose every use in the body is a
+  direct load or store — the chunk's own induction storage, inner
+  induction variables, accumulators — lives in a Python local ``_p<uid>``
+  for the whole chunk and is written back to its ``frame.objects`` slot
+  in a ``finally`` when the chunk ends, exceptions included.  The logged
+  variant marks the write log where the interpreter's first store would
+  (the store right behind the alloca when there is one, else every
+  store), with the same before-value.  An alloca whose address reaches a
+  call, a ``gep`` or another store stays in its slot.
+* **The bounds proof.**  A ``gep`` outside every ``if`` arm whose index
+  is affine (integer coefficients) in the chunk induction values, the
+  enclosing counted induction variables and chunk invariants is lowered
+  without its guard; the chunk's entry section proves, once, that the
+  index is in bounds at the extremes of every variable's interval
+  (``min``/``max`` of ``iterations``, per component for ``(outer,
+  inner)`` pairs; ``[init, hi - 1]`` for a counted loop, vacuous when
+  that is empty).  A failed proof raises ``Bailout`` before the first
+  side effect, so the interpreter runs the chunk and raises its own
+  out-of-bounds error at its own iteration: there is one body per
+  ``(loop, logged)`` variant.  Every other guard stays inline.
+* What the walk refuses — a loop left from a block other than its
+  header, arms that never rejoin, a block reached twice, an induction
+  alloca whose address escapes — lowers to the ``while``/``elif`` state
+  machine over block indices, unpromoted and fully guarded.  The first
+  line of the generated source says which lowering produced it
+  (:attr:`CompiledChunk.tier`).
 * Stores come in a ``logged`` variant that marks the shim's write log
   with ``record_write`` semantics, byte-for-byte what the interpreted
   store handler logs; the unlogged variant is a plain slot assignment.
-* GEP bounds guards are *hoisted* out of linear-chain bodies when the
-  index is affine in the chunk induction with iteration-invariant
-  coefficients: a ``_fast`` predicate evaluated once per chunk checks
-  the index at the extreme iteration values, and selects an unguarded
-  body variant when every hoisted guard is provably in bounds.  The
-  guarded variant is kept verbatim as the fallback, so an actual
-  out-of-bounds access raises the interpreter's exact error at the
-  exact iteration, and both variants count the same steps.
 * Objects the generated code must reference by identity (alloca keys,
   live-in register keys, callee functions) arrive through the exec'd
   factory's ``refs`` tuple, so no IR object is ever re-created.
@@ -45,6 +68,7 @@ the loop stays on the interpreter — never fail, always fall back.
 
 import dataclasses
 
+from repro.analysis.dominators import immediate_dominators
 from repro.ir import instructions as insts
 from repro.ir.types import FLOAT, INT, PointerType
 from repro.ir.values import Argument, Constant, GlobalVariable
@@ -53,6 +77,13 @@ from repro.codegen import runtime as _runtime
 
 class Unsupported(Exception):
     """The lowering refuses this loop; run it interpreted."""
+
+
+class _Unstructured(Exception):
+    """The structured walk refuses this body; lower the state machine."""
+
+    def __init__(self, block, reason):
+        super().__init__(f"{block.name}: {reason}")
 
 
 @dataclasses.dataclass
@@ -75,6 +106,13 @@ class CompiledChunk:
     @property
     def label(self):
         return f"{self.function}:{self.header}"
+
+    @property
+    def tier(self):
+        """``(kind, why)`` off the source's first line: ``structured``,
+        or ``state_machine`` and the block and reason the walk refused."""
+        kind, _, why = self.source.partition("\n")[0][2:].partition(": ")
+        return kind, why or None
 
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
@@ -99,46 +137,6 @@ def _literal(value):
     raise Unsupported(f"constant of type {type(value).__name__}")
 
 
-def _aff_sum(p, q, sign):
-    """Combine two affine-term expression strings under ``+``/``-``."""
-    if q == "0":
-        return p
-    if p == "0":
-        return q if sign == "+" else f"-({q})"
-    return f"({p} {sign} {q})"
-
-
-def _aff_add(x, y, sign="+"):
-    """``x ± y`` over ``(coefficient, constant)`` expression pairs."""
-    return _aff_sum(x[0], y[0], sign), _aff_sum(x[1], y[1], sign)
-
-
-def _aff_scale(aff, factor):
-    """``factor * aff`` where ``factor`` is iteration-invariant."""
-
-    def scale(term):
-        if term == "0" or factor == "0":
-            return "0"
-        if term == "1":
-            return factor
-        if factor == "1":
-            return term
-        return f"(({factor}) * ({term}))"
-
-    return scale(aff[0]), scale(aff[1])
-
-
-def _aff_term(aff, iv_expr):
-    """Render ``a * iv + b`` with ``iv`` substituted by ``iv_expr``."""
-    a, b = aff
-    if a == "0":
-        return b
-    scaled = iv_expr if a == "1" else f"({a}) * {iv_expr}"
-    if b == "0":
-        return scaled
-    return f"{scaled} + ({b})"
-
-
 def _zero_literal(value_type):
     """The zero a fresh alloca's slots hold (matches ``zero_storage``)."""
     scalar = value_type
@@ -159,10 +157,35 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
+@dataclasses.dataclass
+class _Scalar:
+    """A scalar alloca the chunk keeps in a Python local."""
+
+    alloca: object
+    #: The store right behind the alloca: it marks the write log for
+    #: every store it dominates, which is all of them.  ``None``: each
+    #: store marks for itself.
+    init: object = None
+    stores: list = dataclasses.field(default_factory=list)  # in the body
+
+    def __post_init__(self):
+        uid = self.alloca.uid
+        self.value = f"_p{uid}"  # the local holding the slot's value
+        self.storage = f"_s{uid}"  # the slot's list, once materialized
+        self.key = f"_q{uid}"  # its write-log key (logged variant only)
+
+
 class _Lowering:
     """Lowers one loop; collects refs/bindings while emitting the body."""
 
-    def __init__(self, loop, logged, outer=None):
+    #: id(alloca) -> :class:`_Scalar` and id(load) -> the local it reads.
+    #: The sequence lowering shares the instruction statements, never
+    #: promotes and skips this ``__init__``, so the empty defaults live
+    #: on the class; a chunk lowering rebinds both, never mutates these.
+    promoted = {}
+    _alias = {}
+
+    def __init__(self, loop, logged, outer=None, refusal=None):
         if loop.canonical is None:
             raise Unsupported("loop lacks canonical form")
         if outer is not None and outer.canonical is None:
@@ -170,6 +193,10 @@ class _Lowering:
         self.loop = loop
         self.outer = outer  # interchanged nest: iterations are pairs
         self.logged = logged
+        #: Why the structured walk refused this body, so it is lowered
+        #: as the block state machine; ``None``: as the loop nest it is.
+        self.refusal = refusal
+        self.structured = refusal is None
         self.function = loop.header.parent
         self.blocks = [b for b in loop.blocks if b is not loop.header]
         self.defined = {
@@ -180,10 +207,30 @@ class _Lowering:
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
-        self.allocas = []  # (inst, ref name) allocas executed in the body
         self.counter = 0
-        self.prologue = None  # per-chunk lines emitted before the loop
-        self._skip_guards = frozenset()  # GEP ids lowered without guards
+        self.promoted = {}
+        self._alias = {}
+        self._intervals = {}  # induction local -> (lowest, highest) names
+        self._proof = []  # entry lines defining those names, outermost first
+        self._checks = []  # the once-per-chunk bounds proof's conjuncts
+        self._enclosing = []  # intervals of the counted loops being emitted
+        self._conditional = 0  # depth of ``if`` arms being emitted
+        self._segment = None  # [line index, steps] of the open step count
+        self._emitted = set()  # blocks the walk has emitted
+        self._elided = set()  # counted latches: steps only, no statements
+        self._ipdom = None  # block -> immediate post-dominator, on demand
+        self._uses = {}  # id(value) -> operand uses in the body (if any)
+        self._headers = {
+            inner.header: inner for inner in loop.descendants()
+        }
+
+    @property
+    def _inductions(self):
+        """The induction allocas ``run_chunk`` seeds, outer first."""
+        inner = self.loop.canonical.induction
+        if self.outer is None:
+            return (inner,)
+        return (self.outer.canonical.induction, inner)
 
     # -- refs and operand rendering -----------------------------------------
 
@@ -201,6 +248,9 @@ class _Lowering:
 
     def _register(self, inst):
         """The local name(s) for an instruction's value."""
+        alias = self._alias.get(id(inst))
+        if alias is not None:
+            return alias
         pointer = isinstance(inst.type, PointerType)
         if id(inst) not in self.defined:
             self.live_ins[id(inst)] = (inst, pointer)
@@ -252,7 +302,47 @@ class _Lowering:
 
     # -- per-instruction statements ------------------------------------------
 
+    def _lower_promoted(self, out, inst, scalar):
+        """An alloca, load or store of a scalar held in a local."""
+        if isinstance(inst, insts.Alloca):
+            # Re-executing an alloca keeps its storage and contents; only
+            # the chunk's first execution reads the slot into the local.
+            key = self.ref(inst)
+            zero = _zero_literal(inst.allocated_type)
+            out.emit(f"if {scalar.storage} is None:")
+            out.indent += 1
+            out.emit(f"{scalar.storage} = _objs.get({key})")
+            out.emit(f"if {scalar.storage} is None:")
+            out.indent += 1
+            out.emit(f"{scalar.storage} = _objs[{key}] = [{zero}]")
+            out.indent -= 1
+            out.emit(f"{scalar.value} = {scalar.storage}[0]")
+            if self.logged:
+                out.emit(f"{scalar.key} = (id({scalar.storage}), 0)")
+            out.indent -= 1
+        elif isinstance(inst, insts.Load):
+            if id(inst) not in self._alias:
+                out.emit(f"{self._register(inst)} = {scalar.value}")
+        else:
+            value = self.scalar(inst.value)
+            if self.logged and scalar.init in (None, inst):
+                # The local is the slot's truth, so it is the
+                # before-value the interpreter's first store would log.
+                out.emit(f"if {scalar.key} not in _log:")
+                out.indent += 1
+                out.emit(
+                    f"_log[{scalar.key}] = "
+                    f"({scalar.storage}, {scalar.value})"
+                )
+                out.indent -= 1
+            out.emit(f"{scalar.value} = {value}")
+
     def lower_instruction(self, out, inst):
+        if isinstance(inst, (insts.Alloca, insts.Load, insts.Store)):
+            slot = inst if isinstance(inst, insts.Alloca) else inst.pointer
+            scalar = self.promoted.get(id(slot))
+            if scalar is not None:
+                return self._lower_promoted(out, inst, scalar)
         if isinstance(inst, insts.Alloca):
             key = self.ref(inst)
             slots = inst.allocated_type.slots()
@@ -341,7 +431,16 @@ class _Lowering:
         storage, offset = self.pointer(inst.pointer)
         index = self.scalar(inst.index)
         array_type = inst.pointer.type.pointee
-        if id(inst) not in self._skip_guards:
+        proven = False
+        if self.loop is not None:  # a chunk body, not a function's
+            # The element lives in the base's storage, whose local is
+            # only ever rebound to the same list.
+            self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
+            proven = (
+                self.structured and not self._conditional
+                and self._proven_in_bounds(inst)
+            )
+        if not proven:
             suffix = (
                 f" out of bounds for {array_type!r} (gep #{inst.uid})"
             )
@@ -355,8 +454,10 @@ class _Lowering:
         stride = array_type.element.slots()
         scaled = index if stride == 1 else f"{index} * {stride}"
         combined = scaled if offset == "0" else f"{offset} + {scaled}"
-        out.emit(f"_r{inst.uid}_s = {storage}")
-        out.emit(f"_r{inst.uid}_o = {combined}")
+        name_s, name_o = self._register(inst)
+        if name_s != storage:  # a chunk reads the base's storage local
+            out.emit(f"{name_s} = {storage}")
+        out.emit(f"{name_o} = {combined}")
 
     def _lower_binop(self, out, inst):
         a = self.scalar(inst.lhs)
@@ -400,7 +501,7 @@ class _Lowering:
         else:
             raise Unsupported(f"unop {inst.op}")
 
-    # -- control flow ---------------------------------------------------------
+    # -- control flow: the state machine ---------------------------------------
 
     def _goto(self, out, target, states):
         """End-of-block transfer inside the state machine."""
@@ -442,34 +543,11 @@ class _Lowering:
         out.emit(f"raise _EmulationError({_MAX_STEPS_MESSAGE!r})")
         out.indent -= 1
 
-    def _linear_chain(self):
-        """Body blocks chained by jumps to the header, or None."""
-        chain = []
-        seen = set()
-        block = self.function.block(self.loop.canonical.body)
-        while True:
-            if block is self.loop.header or id(block) in seen:
-                return None
-            if block not in self.loop.blocks:
-                return None
-            seen.add(id(block))
-            chain.append(block)
-            terminator = block.instructions[-1] if block.instructions \
-                else None
-            if not isinstance(terminator, insts.Jump):
-                return None
-            if terminator.target is self.loop.header:
-                return chain
-            block = terminator.target
-
     def _reachable_blocks(self):
         """Lowered blocks reachable from the canonical body, in order."""
-        body = self.function.block(self.loop.canonical.body)
-        if body is self.loop.header:
-            raise Unsupported("canonical body is the header")
         order = []
         seen = set()
-        stack = [body]
+        stack = [self._body_block()]
         while stack:
             block = stack.pop()
             if id(block) in seen or block is self.loop.header:
@@ -489,184 +567,67 @@ class _Lowering:
         reachable = {id(block) for block in order}
         return [b for b in self.blocks if id(b) in reachable]
 
-    # -- guard hoisting -------------------------------------------------------
+    def _body_block(self):
+        body = self.function.block(self.loop.canonical.body)
+        if body is self.loop.header:
+            raise Unsupported("canonical body is the header")
+        return body
 
-    def _pristine_loads(self, chain):
-        """Loads of the induction storage before any possible store.
+    def _count(self, out, steps):
+        """Count ``steps`` in the open segment's one ``max_steps`` check."""
+        if self._segment is None:
+            self._segment = [len(out.lines), 0]
+            self._step_check(out, 0)
+        self._segment[1] += steps
+        index, total = self._segment
+        out.lines[index] = "    " * out.indent + f"_steps += {total}"
 
-        A load that happens before every store (and call — callees may
-        store) in the iteration always observes the ``_iv[0] = _i``
-        seed, so its value *is* the chunk induction variable.
-        """
-        induction = self.loop.canonical.induction
-        pristine = set()
-        clobbered = False
-        for block in chain:
-            for inst in block.instructions:
-                if (
-                    not clobbered
-                    and isinstance(inst, insts.Load)
-                    and inst.pointer is induction
-                ):
-                    pristine.add(id(inst))
-                elif isinstance(inst, (insts.Store, insts.Call)):
-                    clobbered = True
-        return pristine
+    def _split_count(self, out, block, call):
+        """Move the steps ``block`` runs after ``call`` into a segment
+        opened behind the call's statements."""
+        rest = len(block.instructions) - block.instructions.index(call) - 1
+        self._count(out, -rest)
+        self._segment = None
+        self._count(out, rest)
 
-    def _affine_index(self, value, pristine, depth=0):
-        """``value`` as ``(a, b)`` expression strings with value =
-        ``a * _i + b``, or ``None`` when not provably affine.
-
-        ``a`` and ``b`` only reference iteration-invariant names
-        (constants, scalar int arguments, live-in registers), so the
-        pair can be evaluated once at chunk entry.
-        """
-        if depth > 12:
-            return None
-        if isinstance(value, Constant):
-            if isinstance(value.value, bool) or not isinstance(
-                value.value, int
-            ):
-                return None
-            return "0", repr(value.value)
-        if isinstance(value, Argument):
-            if value.type != INT:
-                return None
-            return "0", self.scalar(value)
-        if not isinstance(value, insts.Instruction) or value.type != INT:
-            return None
-        if id(value) in pristine:
-            return "1", "0"
-        if id(value) not in self.defined:
-            return "0", self.scalar(value)
-        if isinstance(value, insts.BinaryOp):
-            lhs = self._affine_index(value.lhs, pristine, depth + 1)
-            rhs = self._affine_index(value.rhs, pristine, depth + 1)
-            if lhs is None or rhs is None:
-                return None
-            if value.op == "add":
-                return _aff_add(lhs, rhs, "+")
-            if value.op == "sub":
-                return _aff_add(lhs, rhs, "-")
-            if value.op == "mul":
-                if lhs[0] == "0":
-                    return _aff_scale(rhs, lhs[1])
-                if rhs[0] == "0":
-                    return _aff_scale(lhs, rhs[1])
-            return None
-        if isinstance(value, insts.UnaryOp) and value.op == "neg":
-            inner = self._affine_index(value.operand, pristine, depth + 1)
-            return None if inner is None else _aff_scale(inner, "-1")
+    def _lower_block(self, out, block):
+        """Count and lower ``block``'s statements; returns its terminator
+        (``None`` when the block falls off its end)."""
+        if not block.instructions:
+            raise Unsupported(f"empty block {block.name}")
+        self._count(out, len(block.instructions))
+        for inst in block.instructions:
+            if isinstance(inst, insts.Terminator):
+                if inst is not block.instructions[-1]:
+                    raise Unsupported(
+                        f"{block.name}: terminator before end of block"
+                    )
+                return inst
+            try:
+                self.lower_instruction(out, inst)
+            except Unsupported as refusal:
+                raise Unsupported(
+                    f"{block.name} {inst!r}: {refusal}"
+                ) from None
+            if isinstance(inst, insts.Call):
+                # The callee counts on from exactly here; what is left
+                # of the block is counted once it returns.
+                self._split_count(out, block, inst)
         return None
 
-    def _hoisted_guards(self, chain):
-        """id(gep) -> (affine index, bound) for the hoistable guards."""
-        pristine = self._pristine_loads(chain)
-        hoisted = {}
-        for block in chain:
-            for inst in block.instructions:
-                if isinstance(inst, insts.GetElementPtr):
-                    affine = self._affine_index(inst.index, pristine)
-                    if affine is not None:
-                        hoisted[id(inst)] = (
-                            affine, inst.pointer.type.pointee.count
-                        )
-        return hoisted
-
-    def _emit_fast_predicate(self, hoisted):
-        """Emit the once-per-chunk ``_fast`` bounds proof (prologue).
-
-        An affine index over any iteration set takes its extremes at
-        the extreme iteration values, so checking ``min(iterations)``
-        and ``max(iterations)`` covers every iteration regardless of
-        scheduler chunking or coefficient sign.  Anything unexpected
-        (weird runtime types, overflow) just disables the fast path.
-        """
-        out = self.prologue
-        checks = []
-        for affine, count in hoisted.values():
-            ends = ("_ilo",) if affine[0] == "0" else ("_ilo", "_ihi")
-            for end in ends:
-                check = f"0 <= {_aff_term(affine, end)} < {count}"
-                if check not in checks:
-                    checks.append(check)
-        out.emit("_fast = False")
-        out.emit("if len(iterations):")
-        out.indent += 1
-        out.emit("try:")
-        out.indent += 1
-        out.emit("_ilo = min(iterations)")
-        out.emit("_ihi = max(iterations)")
-        out.emit("_fast = (")
-        out.indent += 1
-        for index, check in enumerate(checks):
-            trailer = "" if index == len(checks) - 1 else " and"
-            out.emit(f"{check}{trailer}")
-        out.indent -= 1
-        out.emit(")")
-        out.indent -= 1
-        out.emit("except Exception:")
-        out.indent += 1
-        out.emit("_fast = False")
-        out.indent -= 2
-
-    def _emit_chain(self, out, chain):
-        self._step_check(
-            out, sum(len(block.instructions) for block in chain)
-        )
-        for block in chain:
-            for inst in block.instructions[:-1]:
-                self.lower_instruction(out, inst)
-            # The chain's jump terminators are control-flow only
-            # (their step is in the block count above).
-
-    def lower_body(self, out):
-        """Emit the per-iteration statements (inside ``for _i in ...``)."""
-        if self.outer is not None:
-            out.emit("_ivo[0] = _t")
-        out.emit("_iv[0] = _i")
-        chain = self._linear_chain()
-        if chain is not None:
-            # Guard hoisting is scalar-only: min/max over nest pair
-            # iterations would compare tuples, not induction values.
-            hoisted = (
-                self._hoisted_guards(chain)
-                if self.prologue is not None and self.outer is None
-                else {}
-            )
-            if hoisted:
-                self._emit_fast_predicate(hoisted)
-                out.emit("if _fast:")
-                out.indent += 1
-                self._skip_guards = frozenset(hoisted)
-                self._emit_chain(out, chain)
-                self._skip_guards = frozenset()
-                out.indent -= 1
-                out.emit("else:")
-                out.indent += 1
-                self._emit_chain(out, chain)
-                out.indent -= 1
-            else:
-                self._emit_chain(out, chain)
-            return
+    def _state_machine(self, out):
+        """The per-iteration statements as a block-dispatch loop."""
         blocks = self._reachable_blocks()
         states = {block: index for index, block in enumerate(blocks)}
-        body = self.function.block(self.loop.canonical.body)
-        out.emit(f"_b = {states[body]}")
+        out.emit(f"_b = {states[self._body_block()]}")
         out.emit("while True:")
         out.indent += 1
         for index, block in enumerate(blocks):
             out.emit(f"{'if' if index == 0 else 'elif'} _b == {index}:")
             out.indent += 1
-            if not block.instructions:
-                raise Unsupported(f"empty block {block.name}")
-            self._step_check(out, len(block.instructions))
-            for inst in block.instructions[:-1]:
-                if isinstance(inst, insts.Terminator):
-                    raise Unsupported("terminator before end of block")
-                self.lower_instruction(out, inst)
-            terminator = block.instructions[-1]
-            if isinstance(terminator, insts.Terminator):
+            self._segment = None
+            terminator = self._lower_block(out, block)
+            if terminator is not None:
                 self.lower_terminator(out, terminator, states)
             else:
                 # run_chunk raises when a block fails to terminate.
@@ -677,15 +638,442 @@ class _Lowering:
             out.indent -= 1
         out.indent -= 1
 
+    # -- control flow: the structured walk -------------------------------------
+
+    def _promote(self):
+        """Choose the scalars held in locals and the loads that read them.
+
+        Promotable: the induction allocas ``run_chunk`` seeds and every
+        scalar alloca executed in the body, when each use in the body is
+        a load from it or a store *to* it.  Counts operand uses on the way.
+        """
+        candidates = {
+            id(alloca): _Scalar(alloca)
+            for alloca in self._inductions
+        }
+        for block in self.blocks:
+            for index, inst in enumerate(block.instructions):
+                kind = isinstance(inst, insts.Alloca) and inst.allocated_type
+                if (
+                    kind and kind.slots() == 1
+                    and not hasattr(kind, "element")
+                    and not isinstance(kind, PointerType)
+                ):
+                    scalar = candidates[id(inst)] = _Scalar(inst)
+                    for behind in block.instructions[index + 1:index + 2]:
+                        if (
+                            isinstance(behind, insts.Store)
+                            and behind.pointer is inst
+                        ):
+                            scalar.init = behind
+        uses = self._uses
+        escaped = set()
+        for block in self.blocks:
+            for inst in block.instructions:
+                for index, operand in enumerate(inst.operands):
+                    key = id(operand)
+                    uses[key] = uses.get(key, 0) + 1
+                    if key in candidates and not (
+                        isinstance(inst, insts.Load)
+                        or isinstance(inst, insts.Store) and index == 1
+                    ):
+                        escaped.add(key)
+                if isinstance(inst, insts.Store):
+                    scalar = candidates.get(id(inst.pointer))
+                    if scalar is not None:
+                        scalar.stores.append(inst)
+        for alloca in self._inductions:
+            if id(alloca) in escaped:
+                raise _Unstructured(
+                    self._body_block(),
+                    f"the address of induction storage {alloca!r} escapes",
+                )
+        self.promoted = {
+            key: scalar for key, scalar in candidates.items()
+            if key not in escaped
+        }
+
+    def _alias_loads(self, scalar, blocks):
+        """Loads of ``scalar`` in ``blocks`` read its local directly.
+
+        Sound where no store to it can run between such a load and the
+        uses of the load's value: the caller has shown the only store in
+        reach sits in a latch outside ``blocks``, behind that latch's
+        own uses, and a load whose value is used outside ``blocks`` (a
+        stale register the verifier does not forbid) keeps its copy.
+        """
+        blocks = set(blocks)
+        loads = {
+            id(inst)
+            for block in blocks for inst in block.instructions
+            if isinstance(inst, insts.Load)
+            and inst.pointer is scalar.alloca
+        }
+        for block in self.blocks:
+            if loads and block not in blocks:
+                for inst in block.instructions:
+                    loads.difference_update(map(id, inst.operands))
+        self._alias.update(dict.fromkeys(loads, scalar.value))
+
+    def _latch_step(self, latch, scalar):
+        """``(step, store)`` when ``latch`` is exactly ``v = v + step``."""
+        if len(latch.instructions) != 4:
+            return None
+        load, add, store, jump = latch.instructions
+        uses = self._uses
+        if (
+            isinstance(load, insts.Load)
+            and load.pointer is scalar.alloca
+            and isinstance(add, insts.BinaryOp) and add.op == "add"
+            and add.lhs is load
+            and isinstance(add.rhs, Constant)
+            and type(add.rhs.value) is int
+            and isinstance(store, insts.Store)
+            and store.value is add and store.pointer is scalar.alloca
+            and isinstance(jump, insts.Jump)
+            and uses.get(id(load)) == 1 and uses.get(id(add)) == 1
+        ):
+            return add.rhs.value, store
+        return None
+
+    def _bind_inductions(self):
+        """Alias the chunk's induction loads; open their intervals."""
+        loop = self.loop
+        for position, alloca in enumerate(self._inductions):
+            scalar = self.promoted[id(alloca)]
+            readers = self.blocks
+            if scalar.stores:
+                # Only the chunk loop's own ``v = v + step`` latch may.
+                stepped = (
+                    alloca is loop.canonical.induction
+                    and len(loop.latches) == 1
+                    and self._latch_step(loop.latches[0], scalar)
+                )
+                if not stepped or scalar.stores != [stepped[1]]:
+                    continue
+                readers = [b for b in readers if b is not loop.latches[0]]
+            self._alias_loads(scalar, readers)
+            values = "iterations" if self.outer is None else (
+                f"_v[{position}] for _v in iterations"
+            )
+            low, high = f"_lo{alloca.uid}", f"_hi{alloca.uid}"
+            self._intervals[scalar.value] = (low, high)
+            self._proof.append(f"{low} = min({values})")
+            self._proof.append(f"{high} = max({values})")
+
+    def _join(self, block):
+        """Where the arms of ``block``'s branch meet again, or ``None``."""
+        if self._ipdom is None:
+            sink = self.loop.header  # ends the iteration; so does a return
+            into = {block: [] for block in self.blocks}
+            into[sink] = []
+            for source in self.blocks:
+                terminator = source.terminator
+                targets = (
+                    [sink] if isinstance(terminator, insts.Return)
+                    else source.successors()
+                )
+                for target in targets:
+                    if target in into:
+                        into[target].append(source)
+            self._ipdom = immediate_dominators(sink, into)
+        return self._ipdom.get(block)
+
+    def _walk(self, out, block, follow, region):
+        """Emit from ``block`` until control reaches ``follow``.
+
+        ``region`` is the innermost loop being emitted; a path that
+        leaves its blocks, or meets a block already emitted, is not a
+        nest of loops and diamonds.
+        """
+        while block is not follow:
+            if (
+                block in self._emitted
+                or block not in region.blocks
+                or block is region.header
+            ):
+                raise _Unstructured(
+                    block, "reached around the loop nest's structure"
+                )
+            inner = self._headers.get(block)
+            if inner is not None:
+                block = self._emit_loop(out, inner)
+                continue
+            self._emitted.add(block)
+            terminator = self._emit_straight(out, block)
+            if isinstance(terminator, insts.Jump):
+                block = terminator.target
+            elif isinstance(terminator, insts.Branch):
+                block = self._emit_if(out, block, terminator, region)
+            else:  # a return raises; anything else is refused
+                self.lower_terminator(out, terminator, None)
+                self._segment = None
+                return
+
+    def _emit_straight(self, out, block):
+        """One block inside the open segment; returns its terminator."""
+        if block in self._elided:
+            self._count(out, len(block.instructions))
+            return block.terminator
+        terminator = self._lower_block(out, block)
+        if terminator is None:
+            raise _Unstructured(block, "block does not end in a terminator")
+        return terminator
+
+    def _emit_if(self, out, block, branch, region):
+        """``if``/``else`` up to the arms' join; returns the join."""
+        join = self._join(block)
+        if join is None:
+            raise _Unstructured(block, "the branch's arms never rejoin")
+        condition = self.scalar(branch.condition)
+        arms = [
+            (test, target)
+            for test, target in (
+                (condition, branch.if_true),
+                (f"not {condition}", branch.if_false),
+            )
+            if target is not join
+        ]
+        self._conditional += 1
+        for position, (test, target) in enumerate(arms):
+            out.emit("else:" if position else f"if {test}:")
+            out.indent += 1
+            self._segment = None
+            self._walk(out, target, join, region)
+            out.indent -= 1
+        self._conditional -= 1
+        self._segment = None
+        return join
+
+    def _emit_loop(self, out, inner):
+        """A nested natural loop as a Python loop; returns its exit block."""
+        header = inner.header
+        branch = header.terminator
+        inside = [
+            target for target in header.successors()
+            if target in inner.blocks
+        ]
+        if (
+            not isinstance(branch, insts.Branch)
+            or len(inside) != 1
+            or any(source is not header
+                   for source, _target in inner.exit_edges())
+        ):
+            raise _Unstructured(
+                header, "loop is left from a block other than its header"
+            )
+        inside = inside[0]
+        stays = inside is branch.if_true
+        self._emitted.add(header)
+        self._segment = None
+        counted = stays and self._counted(inner)
+        if counted:
+            scalar, upper, interval = counted
+            out.emit(
+                f"for {scalar.value} in range({scalar.value}, {upper}):"
+            )
+            out.indent += 1
+            self._count(out, len(header.instructions))
+            if interval:
+                self._enclosing.append(interval)
+            self._walk(out, inside, header, inner)
+            if interval:
+                self._enclosing.pop()
+            out.indent -= 1
+            self._segment = None
+            # range() leaves the last value it produced; the IR leaves
+            # the first one that failed the test.
+            out.emit(f"if {scalar.value} < {upper}:")
+            out.indent += 1
+            out.emit(f"{scalar.value} = {upper}")
+            out.indent -= 1
+            self._count(out, len(header.instructions))  # the failing test
+        else:
+            out.emit("while True:")
+            out.indent += 1
+            self._emit_straight(out, header)
+            condition = self.scalar(branch.condition)
+            out.emit(f"if {'not ' if stays else ''}{condition}:")
+            out.indent += 1
+            out.emit("break")
+            out.indent -= 1
+            self._segment = None
+            self._walk(out, inside, header, inner)
+            out.indent -= 1
+            self._segment = None
+        return branch.if_false if stays else branch.if_true
+
+    def _counted(self, inner):
+        """``(scalar, upper, interval)`` when ``inner`` is ``for v in
+        range(v, upper)``; marks its latch elided and aliases ``v``.
+
+        The header is exactly ``load v; v < upper; branch`` with
+        ``upper`` computed outside the loop, the single latch exactly
+        ``v = v + 1``, nothing else in the body stores ``v`` but the
+        store behind its alloca, and none of those values is used
+        elsewhere — so neither block needs statements.
+        """
+        header = inner.header
+        if len(header.instructions) != 3 or len(inner.latches) != 1:
+            return None
+        load, compare, branch = header.instructions
+        latch = inner.latches[0]
+        scalar = isinstance(load, insts.Load) and self.promoted.get(
+            id(load.pointer)
+        )
+        if not (
+            scalar and scalar.init is not None
+            and isinstance(compare, insts.Compare)
+            and compare.predicate == "lt" and compare.lhs is load
+            and branch.condition is compare
+            and self._uses.get(id(load)) == 1
+            and self._uses.get(id(compare)) == 1
+            and latch is not header
+        ):
+            return None
+        upper = compare.rhs
+        if isinstance(upper, insts.Instruction) and (
+            upper.parent in inner.blocks
+        ):
+            return None
+        stepped = self._latch_step(latch, scalar)
+        if stepped is None or stepped[0] != 1 or not (
+            len(scalar.stores) == 2 and scalar.init in scalar.stores
+            and stepped[1] in scalar.stores
+        ):
+            return None
+        # v only ever holds init + k below the bound: [init, upper - 1].
+        first = self._affine(scalar.init.value)
+        bound = self._affine(upper)
+        interval = None
+        if first is not None and bound is not None:
+            uid = scalar.alloca.uid
+            interval = (f"_lo{uid}", f"_hi{uid}")
+            self._proof.append(
+                f"{interval[0]} = {self._extreme(first, False)}"
+            )
+            self._proof.append(
+                f"{interval[1]} = {self._extreme(bound, True)} - 1"
+            )
+            self._intervals[scalar.value] = interval
+        self._elided.add(latch)
+        self._alias_loads(
+            scalar, [b for b in inner.blocks if b is not latch]
+        )
+        return scalar, self.scalar(upper), interval
+
+    # -- the once-per-chunk bounds proof ---------------------------------------
+
+    def _affine(self, value, depth=0):
+        """``value`` as ``(constant, {name: coefficient})``, or ``None``.
+
+        Names are induction locals with a known interval and chunk
+        invariants (int arguments, live-in registers); coefficients and
+        the constant are Python ints, so a product needs a literal side.
+        """
+        if isinstance(value, Constant):
+            return (value.value, {}) if type(value.value) is int else None
+        if isinstance(value, Argument):
+            return (0, {self.scalar(value): 1}) if value.type == INT \
+                else None
+        if (
+            not isinstance(value, insts.Instruction)
+            or value.type != INT or depth > 12
+        ):
+            return None
+        alias = self._alias.get(id(value))
+        if alias is not None:
+            return (0, {alias: 1}) if alias in self._intervals else None
+        if id(value) not in self.defined:
+            return 0, {self.scalar(value): 1}
+        if isinstance(value, insts.UnaryOp) and value.op == "neg":
+            inner = self._affine(value.operand, depth + 1)
+            return inner and self._scaled(inner, -1)
+        if not (
+            isinstance(value, insts.BinaryOp)
+            and value.op in ("add", "sub", "mul")
+        ):
+            return None
+        lhs = self._affine(value.lhs, depth + 1)
+        rhs = self._affine(value.rhs, depth + 1)
+        if lhs is None or rhs is None:
+            return None
+        if value.op == "mul":
+            if not lhs[1]:
+                return self._scaled(rhs, lhs[0])
+            return None if rhs[1] else self._scaled(lhs, rhs[0])
+        if value.op == "sub":
+            rhs = self._scaled(rhs, -1)
+        terms = dict(lhs[1])
+        for name, factor in rhs[1].items():
+            terms[name] = terms.get(name, 0) + factor
+        return lhs[0] + rhs[0], {
+            name: factor for name, factor in terms.items() if factor
+        }
+
+    @staticmethod
+    def _scaled(form, factor):
+        if not factor:
+            return 0, {}
+        return form[0] * factor, {
+            name: coefficient * factor
+            for name, coefficient in form[1].items()
+        }
+
+    def _extreme(self, form, highest):
+        """The expression of ``form``'s lowest or highest value over the
+        box of its names' intervals (an invariant's is itself)."""
+        constant, terms = form
+        parts = [str(constant)] if constant or not terms else []
+        for name, factor in terms.items():
+            low, high = self._intervals.get(name, (name, name))
+            end = high if (factor > 0) == highest else low
+            parts.append(end if factor == 1 else f"{factor} * {end}")
+        return " + ".join(parts)
+
+    def _proven_in_bounds(self, inst):
+        """Whether the chunk's entry proof covers ``inst``'s index, so
+        its guard can go; adds the conjunct that does."""
+        form = self._affine(inst.index)
+        if form is None:
+            return False
+        count = inst.pointer.type.pointee.count
+        if not form[1]:
+            # A constant out of bounds raises where (and if) it runs.
+            return 0 <= form[0] < count
+        check = (
+            f"0 <= {self._extreme(form, False)} "
+            f"and {self._extreme(form, True)} < {count}"
+        )
+        # Vacuous when an enclosing counted loop never runs.
+        empty = [f"{low} > {high}" for low, high in self._enclosing]
+        check = " or ".join(empty + [f"({check})" if empty else check])
+        if check not in self._checks:
+            self._checks.append(check)
+        return True
+
     # -- whole-chunk assembly -------------------------------------------------
 
     def _entry_bindings(self, out):
         """Emit the eager entry bindings (inside the Bailout try)."""
-        out.emit(f"_iv = _objs[{self.ref(self.loop.canonical.induction)}]")
-        if self.outer is not None:
-            out.emit(
-                f"_ivo = _objs[{self.ref(self.outer.canonical.induction)}]"
-            )
+        for alloca in self._inductions:
+            key = self.ref(alloca)
+            scalar = self.promoted.get(id(alloca))
+            if scalar is None:
+                name = "_iv" if alloca is self._inductions[-1] else "_ivo"
+                out.emit(f"{name} = _objs[{key}]")
+                continue
+            out.emit(f"{scalar.storage} = _objs[{key}]")
+            if id(alloca) in self._uses:
+                # The interpreter reads the slot through this register.
+                out.emit(f"_iv_s, _iv_o = frame.registers[{key}]")
+                out.emit(f"if _iv_s is not {scalar.storage} or _iv_o:")
+                out.indent += 1
+                out.emit("raise _Bailout()")
+                out.indent -= 1
+            out.emit(f"{scalar.value} = {scalar.storage}[0]")
+            if self.logged:
+                out.emit(f"{scalar.key} = (id({scalar.storage}), 0)")
         for inst, pointer in self.live_ins.values():
             key = self.ref(inst)
             if pointer:
@@ -709,20 +1097,49 @@ class _Lowering:
             out.indent += 1
             out.emit(f"{local} = interp._global_storage[{name!r}]")
             out.indent -= 1
+        if self._checks:
+            # Before the first side effect: an index the extremes argument
+            # cannot place in bounds sends the whole chunk to the
+            # interpreter, which raises (or does not) at its own iteration.
+            out.emit("if len(iterations):")
+            out.indent += 1
+            for line in self._proof:
+                out.emit(line)
+            out.emit("if not (")
+            out.indent += 1
+            for check in self._checks:
+                out.emit(f"{'' if check is self._checks[0] else 'and '}"
+                         f"({check})")
+            out.indent -= 1
+            out.emit("):")
+            out.indent += 1
+            out.emit("raise _Bailout()")
+            out.indent -= 2
 
     def lower(self):
         # The body and entry sections are emitted first so ref
         # collection completes before the unpack line is written.
-        self.prologue = _Emitter()
-        self.prologue.indent = 2  # def _factory / def _chunk
         body = _Emitter()
-        body.indent = 3  # def _factory / def _chunk / for _i
-        self.lower_body(body)
+        if self.structured:
+            self._promote()
+            self._bind_inductions()
+            body.indent = 4  # def _factory / def _chunk / try / for
+            self._walk(body, self._body_block(), self.loop.header,
+                       self.loop)
+            tier = "structured"
+        else:
+            body.indent = 3  # def _factory / def _chunk / for
+            if self.outer is not None:
+                body.emit("_ivo[0] = _t")
+            body.emit("_iv[0] = _i")
+            self._state_machine(body)
+            tier = f"state_machine: {self.refusal}"
         entry = _Emitter()
         entry.indent = 3  # def _factory / def _chunk / try
         self._entry_bindings(entry)
 
         out = _Emitter()
+        out.emit(f"# {tier}")
         out.emit("def _factory(refs, H):")
         out.indent += 1
         if self.refs:
@@ -751,16 +1168,44 @@ class _Lowering:
         out.indent += 1
         out.emit("raise _Bailout() from None")
         out.indent -= 1
-        out.lines.extend(self.prologue.lines)
-        if self.outer is not None:
-            out.emit("for _t, _i in iterations:")
+        if self.structured:
+            self._emit_promoted_loop(out, body)
         else:
-            out.emit("for _i in iterations:")
-        out.lines.extend(body.lines)
+            pair = "_t, _i" if self.outer is not None else "_i"
+            out.emit(f"for {pair} in iterations:")
+            out.lines.extend(body.lines)
         out.emit("interp.steps = _steps")
         out.indent -= 1
         out.emit("return _chunk")
         return out.source()
+
+    def _emit_promoted_loop(self, out, body):
+        """The chunk loop over locals, written back however it ends."""
+        # The inductions were materialized at entry; the rest are when
+        # (and if) their alloca first runs.
+        seeded = [self.promoted[id(a)] for a in self._inductions]
+        local = [
+            scalar for scalar in self.promoted.values()
+            if scalar.alloca not in self._inductions
+        ]
+        for scalar in local:
+            out.emit(f"{scalar.storage} = None")
+        out.emit("try:")
+        out.indent += 1
+        targets = ", ".join(scalar.value for scalar in seeded)
+        out.emit(f"for {targets} in iterations:")
+        out.lines.extend(body.lines)
+        out.indent -= 1
+        out.emit("finally:")
+        out.indent += 1
+        for scalar in seeded:
+            out.emit(f"{scalar.storage}[0] = {scalar.value}")
+        for scalar in local:
+            out.emit(f"if {scalar.storage} is not None:")
+            out.indent += 1
+            out.emit(f"{scalar.storage}[0] = {scalar.value}")
+            out.indent -= 1
+        out.indent -= 1
 
 
 def lower_chunk(loop, logged, outer=None):
@@ -770,10 +1215,30 @@ def lower_chunk(loop, logged, outer=None):
     globals, refs), so the body is emitted first and spliced into the
     chunk skeleton by :meth:`_Lowering.lower`.  With ``outer`` (an
     interchanged nest's outer loop) the chunk iterates ``(outer,
-    inner)`` pairs and seeds both induction storages.
+    inner)`` pairs and seeds both induction storages.  A body the
+    structured walk refuses is lowered again as the state machine.
     """
     lowering = _Lowering(loop, logged, outer=outer)
-    return lowering.lower(), lowering.refs
+    try:
+        return lowering.lower(), lowering.refs
+    except _Unstructured as refusal:
+        lowering = _Lowering(loop, logged, outer=outer, refusal=str(refusal))
+        return lowering.lower(), lowering.refs
+
+
+def chunk_tier(loop, entry, outer=None):
+    """``(kind, why)`` for a loop and its cached entry (``None``: the
+    loop runs interpreted): ``structured``, ``state_machine`` with what
+    the walk refused, or ``refused`` with the block and instruction."""
+    if entry is not None:
+        return entry.tier
+    try:
+        lower_chunk(loop, True, outer=outer)
+    except Unsupported as refusal:
+        return "refused", str(refusal)
+    except Exception as error:  # a codegen bug: also a fallback, say so
+        return "refused", f"{type(error).__name__}: {error}"
+    return "refused", "generated source failed to compile"
 
 
 def exec_chunk(source, refs, function, header, logged, module_key=None):

@@ -8,8 +8,9 @@ and the :class:`EmulationError`/:class:`Bailout` types.
 :func:`execute_chunk` is the single entry the backends call per
 ``(loop, iterations)`` segment.  It runs the compiled body when one
 exists, falls back to ``shim.run_chunk`` on a missing entry or a
-:class:`Bailout` (a live-in the frame does not carry — raised before
-any side effect), and under ``VERIFY_COMPILED`` runs *both* and diffs
+:class:`Bailout` (a live-in the frame does not carry, or an index the
+chunk's entry proof cannot place in bounds — raised before any side
+effect), and under ``VERIFY_COMPILED`` runs *both* and diffs
 their write logs, outputs, and step counts in-process, keeping the
 interpreted run's effects (the interpreter is the authority).
 """
@@ -20,12 +21,13 @@ from repro.util.errors import EmulationError
 
 
 class Bailout(Exception):
-    """Compiled entry bindings failed; re-run the chunk interpreted.
+    """The compiled entry section failed; re-run the chunk interpreted.
 
     Raised only before the chunk's first side effect (all entry
     bindings — induction storage, live-in registers, arguments,
-    globals — happen up front), so the interpreter fallback replays the
-    chunk from an untouched state.
+    globals — and the once-per-chunk bounds proof happen up front), so
+    the interpreter fallback replays the chunk from an untouched state
+    and raises whatever the chunk really raises, where it raises it.
     """
 
 

@@ -25,6 +25,7 @@ import dataclasses
 
 from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
+from repro.codegen.lower import chunk_tier
 from repro.codegen.profile import profile_function
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
@@ -300,7 +301,9 @@ def _build_compile_regions(session):
     Warms the codegen cache parent-side (both store variants: the
     threads backend's shims may or may not feed a write log) so region
     dispatch never pays compile latency, and reports which loops lowered
-    and which fell back.  The compiled functions themselves live in the
+    (``tiers``: as a loop nest, as the block state machine and why, or
+    not at all and why) and which fell back.  The compiled functions
+    themselves live in the
     codegen cache keyed by the session's module object — they close
     over IR identities, so the *artifact* carries only the summary.
     Warming passes the module's wire key so the lowered *source* also
@@ -309,7 +312,8 @@ def _build_compile_regions(session):
     """
     loops_by_header = session.analyses.loops_by_header
     module_key = module_codec(session.module).key
-    summary = {"compiled": [], "fallback": [], "module_key": module_key}
+    summary = {"compiled": [], "fallback": [], "tiers": {},
+               "module_key": module_key}
     seen = set()
     for regions in session.region_recipes.values():
         for region in regions:
@@ -327,6 +331,9 @@ def _build_compile_regions(session):
                 ]
                 bucket = "compiled" if all(entries) else "fallback"
                 summary[bucket].append(header)
+                summary["tiers"][header] = chunk_tier(
+                    loop, entries[0] if all(entries) else None
+                )
     summary["codegen"] = codegen_cache.stats()
     return summary
 
@@ -336,6 +343,11 @@ def _compile_regions_stats(summary):
         "compiled_loops": len(summary["compiled"]),
         "fallback_loops": len(summary["fallback"]),
         "codegen_seconds": round(summary["codegen"]["seconds"], 6),
+        # Which lowering each loop got, and what refused the better one.
+        "lowering": ",".join(
+            f"{header}:{kind}" + (f"({why})" if why else "")
+            for header, (kind, why) in summary["tiers"].items()
+        ),
     }
 
 

@@ -134,9 +134,9 @@ class TestAgainstNaiveOracle:
     @given(random_cfg())
     @settings(max_examples=60, deadline=None)
     def test_idom_consistent_with_naive_dominator_sets(self, succs):
-        from repro.analysis.dominators import _compute_idom
+        from repro.analysis.dominators import immediate_dominators
 
-        idom = _compute_idom(0, succs)
+        idom = immediate_dominators(0, succs)
         naive = _naive_dominators(0, succs)
         reachable = set(idom)
         for node in reachable:

@@ -86,18 +86,26 @@ def test_compile_chunk_produces_both_variants():
 def test_lowered_source_pins_interpreter_semantics():
     _module, loop = _loop(SIMPLE)
     source = compile_chunk(loop, logged=True).source
-    # Step parity with run_chunk (one step per IR instruction) and the
-    # exact interpreter error strings.
+    # Step parity with run_chunk (one step per IR instruction: the
+    # seven of the body and the four of the latch, counted once), the
+    # exact interpreter error string, and the induction slot written
+    # back however the chunk ends.
     assert "parallel worker exceeded max_steps" in source
-    assert "out of bounds for" in source
-    assert "_iv[0] = _i" in source
+    assert "_steps += 11" in source
+    assert source.count("_steps +=") == 1
+    induction = loop.canonical.induction.uid
+    assert f"for _p{induction} in iterations:" in source
+    tail = source.partition("finally:")[2]
+    assert f"_s{induction}[0] = _p{induction}" in tail
 
 
-def test_nested_sequential_loop_lowers_to_state_machine():
+def test_nested_sequential_loop_lowers_to_a_python_loop():
     _module, loop = _loop(NESTED)  # outer parallel loop, inner `for j`
     entry = compile_chunk(loop, logged=True)
-    assert "while True:" in entry.source
-    assert "_b = " in entry.source
+    assert entry.tier == ("structured", None)
+    assert "in range(" in entry.source
+    assert "while True:" not in entry.source
+    assert "_b = " not in entry.source
 
 
 def test_float_helpers_route_through_guarded_math():
@@ -413,36 +421,29 @@ func main() {
 """
 
 
-def test_affine_guards_hoist_to_fast_and_slow_variants():
+def test_affine_guards_hoist_to_one_entry_proof():
     _module, loop = _loop(SIMPLE)
     source = compile_chunk(loop, logged=False).source
-    assert "_fast = (" in source
-    assert "if _fast:" in source
-    assert "min(iterations)" in source and "max(iterations)" in source
-    # The guarded body survives verbatim as the fallback branch, with
-    # the interpreter's exact out-of-bounds error.
-    assert "out of bounds for" in source
-    fast, _, slow = source.partition("if _fast:")
-    # Identical step accounting in both variants.
-    import re
-
-    fast_steps = re.findall(r"_steps \+= (\d+)", slow)
-    assert len(fast_steps) == 2
-    assert fast_steps[0] == fast_steps[1]
+    entry, _, body = source.partition("for _p")
+    # Proven at the extremes, once, before the first side effect; a
+    # failed proof hands the whole chunk to the interpreter, so there
+    # is one body and it carries no guard.
+    assert "min(iterations)" in entry and "max(iterations)" in entry
+    assert "raise _Bailout()" in entry.partition("if not (")[2]
+    assert "out of bounds for" not in source
+    assert "_fast" not in source
+    assert body.count("_steps +=") == 1
 
 
 def test_indirect_index_keeps_per_iteration_guards():
     _module, loop = _loop(INDIRECT)
     source = compile_chunk(loop, logged=False).source
-    # b[i] hoists (affine), a[b[i]] cannot: the body still splits, but
-    # the a-guard stays in the fast branch too.
-    fast, sep, slow = source.partition("if _fast:")
-    if sep:  # the b[i] guard hoisted
-        fast_branch, _, slow_branch = slow.partition("else:")
-        assert fast_branch.count("out of bounds") == 1  # a[...] only
-        assert slow_branch.count("out of bounds") == 2
-    else:
-        assert source.count("out of bounds") == 2
+    # b[i] is affine and joins the proof; a[b[i]] cannot, so its guard
+    # (and only its guard) stays in the body with the interpreter's text.
+    entry, _, body = source.partition("for _p")
+    assert "if not (" in entry
+    assert source.count("out of bounds for") == 1
+    assert "out of bounds for [32 x int]" in body
 
 
 # -- sequential stretches --------------------------------------------------------

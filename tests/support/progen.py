@@ -10,7 +10,11 @@ over hundreds of cases without hand-writing them:
 * every generated program interprets deterministically,
 * the ``-O3`` transforms (:func:`generate_nest_program` emits perfect
   serial-outer / workshared-inner nests in interchange-legal,
-  inner-carried, and non-affine flavors) preserve semantics.
+  inner-carried, and non-affine flavors) preserve semantics,
+* the region compiler lowers a workshared loop's *sequential inner*
+  control flow exactly (:func:`generate_body_nest_program` emits
+  rectangular, triangular, zero-trip, reversed-index, accumulator,
+  ``while``, ``if``/``else`` and three-deep inner shapes).
 
 All randomness flows from one :class:`random.Random` seeded by the
 caller, so failures reproduce from their case number alone.
@@ -208,6 +212,119 @@ class _Generator:
         lines.append("  }")
         return lines
 
+    #: The inner shapes :meth:`body_nest` draws from.
+    BODY_SHAPES = (
+        "rect", "triangular", "zero_trip", "reversed", "accumulate",
+        "while", "if_else", "deep",
+    )
+
+    def body_nest(self, name, size, vector, shapes):
+        """A workshared loop whose body holds sequential inner loops.
+
+        Iteration ``i`` only ever writes row ``i`` of the matrix and
+        slot ``i`` of the vector, so the loop is an honest DOALL; every
+        index is in bounds.  ``shapes`` picks the inner control flow.
+        """
+        rng = self.rng
+        i = self.fresh("i")
+        trips = rng.choice([t for t in _TRIP_COUNTS if t <= size])
+        lines = ["  pragma omp parallel_for", f"  for {i} in 0..{trips} {{"]
+        for shape in shapes:
+            j = self.fresh("j")
+            inner = rng.choice([t for t in _TRIP_COUNTS if t <= size])
+            cell = f"{name}[{i}][{j}]"
+            if shape == "rect":
+                lines += [
+                    f"    for {j} in 0..{inner} {{",
+                    f"      {cell} = {cell} + {self.expr(j)};",
+                    "    }",
+                ]
+            elif shape == "triangular":
+                lines += [
+                    f"    for {j} in 0..{i} {{",
+                    f"      {cell} = {cell} + {i} - {j};",
+                    "    }",
+                ]
+            elif shape == "zero_trip":
+                low = rng.randrange(1, size)
+                lines += [
+                    f"    for {j} in {low}..{rng.randrange(0, low + 1)} {{",
+                    f"      {cell} = 99;",
+                    "    }",
+                ]
+            elif shape == "reversed":
+                lines += [
+                    f"    for {j} in 0..{inner} {{",
+                    f"      {name}[{i}][{size - 1} - {j}] = "
+                    f"{cell} + {rng.randrange(1, 5)};",
+                    "    }",
+                ]
+            elif shape == "accumulate":
+                acc = self.fresh("acc")
+                lines += [
+                    f"    var {acc}: int = {rng.randrange(0, 4)};",
+                    f"    for {j} in 0..{inner} {{",
+                    f"      {acc} = {acc} + {cell} * {j};",
+                    "    }",
+                    f"    {vector}[{i}] = {vector}[{i}] + {acc};",
+                ]
+            elif shape == "while":
+                lines += [
+                    f"    var {j}: int = {rng.randrange(0, 3)};",
+                    f"    while ({j} * 2 < {inner}) {{",
+                    f"      {cell} = {cell} + {j};",
+                    f"      {j} = {j} + 1;",
+                    "    }",
+                ]
+            elif shape == "if_else":
+                lines += [
+                    f"    for {j} in 0..{inner} {{",
+                    f"      if (({i} + {j}) % {rng.randrange(2, 4)} == 0) {{",
+                    f"        {cell} = {j};",
+                    "      } else {",
+                    f"        {vector}[{i}] = {vector}[{i}] + 1;",
+                    "      }",
+                    "    }",
+                ]
+            else:  # deep: a triangular loop inside a rectangular one
+                k = self.fresh("k")
+                lines += [
+                    f"    for {j} in 0..{inner} {{",
+                    f"      for {k} in 0..{j} {{",
+                    f"        {cell} = {cell} + {name}[{i}][{k}];",
+                    "      }",
+                    "    }",
+                ]
+        lines.append("  }")
+        return lines
+
+    def body_nest_program(self):
+        rng = self.rng
+        size = rng.choice(_MATRIX_SIZES)
+        name, vector = self.fresh("m"), self.fresh("v")
+        lines = [
+            f"global {name}: int[{size}][{size}];",
+            f"global {vector}: int[{size}];",
+            "func main() {",
+            f"  for r in 0..{size} {{",
+            f"    for c in 0..{size} {{",
+            f"      {name}[r][c] = (r * 3 + c) % 7;",
+            "    }",
+            "  }",
+        ]
+        for _ in range(rng.randrange(1, 3)):
+            shapes = rng.sample(self.BODY_SHAPES, rng.randrange(1, 4))
+            lines.extend(self.body_nest(name, size, vector, shapes))
+        cells = ", ".join(
+            f"{name}[{row}][{column}]"
+            for row, column in ((0, 0), (1, size // 2), (size - 1, 1))
+        )
+        lines.append(
+            f'  print("observed", {cells}, {vector}[0], {vector}[{size - 1}]);'
+        )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
     # -- whole programs -------------------------------------------------------
 
     def program(self):
@@ -260,6 +377,12 @@ def generate_nest_program(seed):
     serial-outer / workshared-inner nest — the ``-O3`` interchange
     corpus."""
     return _Generator(random.Random(seed), nests=True).program()
+
+
+def generate_body_nest_program(seed):
+    """One program of workshared loops with sequential inner control
+    flow (:meth:`_Generator.body_nest`) — the region compiler's corpus."""
+    return _Generator(random.Random(seed)).body_nest_program()
 
 
 def generate_programs(count, base_seed=0):
