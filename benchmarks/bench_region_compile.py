@@ -92,7 +92,7 @@ def _measure(session, plan, backend, compile_regions,
     return {
         "seconds": best,
         "payloads": sum(r.get("payloads", 0) for r in regions),
-        # Prelude-miss retries are timing-dependent; the deterministic
+        # Module-miss retries are timing-dependent; the deterministic
         # wire traffic is what the equality gate below compares.
         "payload_bytes": sum(
             r["payload_bytes"] - r["retry_payload_bytes"] for r in regions

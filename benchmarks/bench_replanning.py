@@ -145,9 +145,8 @@ def replanning_rows(measured, calibrated):
         dict(
             identity, mode="nonadaptive", seconds=best["nonadaptive"],
             dispatches=len(plain_result.parallel_regions),
-            # Gated in check_baselines: the cold first run ships the
-            # static plan's full payloads, which is deterministic;
-            # warm repeats ship history-dependent prelude deltas.
+            # Gated in check_baselines: the first run, which also
+            # ships the module.
             payload_bytes=sum(
                 r.get("payload_bytes", 0)
                 for r in first["nonadaptive"].parallel_regions

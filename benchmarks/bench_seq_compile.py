@@ -113,7 +113,7 @@ def seq_rows(nas_sessions, o2_plans):
                 diagnostics.record_parallel(region)
         # Close the model loop: the same feedback channel the planner
         # consumes, measured from the two runs above.
-        _bytes, _warm, speedup, _recovery = diagnostics.payload_feedback()
+        _bytes, speedup, _recovery = diagnostics.payload_feedback()
         for label, ratio in sorted(speedup.items()):
             rows.append({
                 "kernel": kernel,

@@ -19,8 +19,7 @@ their identity fields (kernel, backend, opt level, workers, mode).
 **fails** the gate when the fresh value exceeds baseline x tolerance;
 wall-clock fields (``seconds``) are report-only, since CI machines
 vary far more in speed than in what the codec ships.  Other byte
-fields (``prelude_bytes_saved`` is larger-is-better) are informational
-only.
+fields are informational only.
 Rows or files present on only one side are reported but never fail
 (benchmarks grow).
 
@@ -34,7 +33,7 @@ from pathlib import Path
 
 #: Numeric fields that gate (fresh > baseline * tolerance fails).
 #: Deliberately a whitelist: the other ``*_bytes`` stats are
-#: larger-is-better savings counters or timing-dependent retry traffic.
+#: timing-dependent retry traffic.
 GATED_FIELDS = {"payload_bytes"}
 
 #: Numeric fields reported but never gated.

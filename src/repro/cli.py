@@ -186,21 +186,15 @@ def _cmd_profile(args):
     if args.program:
         session = _build_session(args.program, args)
         key = session.program_key()
-        payload_bytes, prelude_warm, compiled_speedup = (
-            store.region_feedback(key)
-        )
+        payload_bytes, compiled_speedup = store.region_feedback(key)
         print()
         print(f"region feedback for {session.config.name!r} ({key[:12]}…):")
-        if not payload_bytes and not prelude_warm and not compiled_speedup:
+        if not payload_bytes and not compiled_speedup:
             print("  (no observed regions for this program)")
-        for label in sorted(
-            set(payload_bytes) | set(prelude_warm) | set(compiled_speedup)
-        ):
+        for label in sorted(set(payload_bytes) | set(compiled_speedup)):
             parts = []
             if label in payload_bytes:
                 parts.append(f"bytes/dispatch={payload_bytes[label]}")
-            if label in prelude_warm:
-                parts.append(f"warm={prelude_warm[label]:.2f}")
             if label in compiled_speedup:
                 parts.append(f"compiled={compiled_speedup[label]:.2f}x")
             print(f"  {label:16} {' '.join(parts)}")

@@ -182,16 +182,14 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
     every one of its writes is rolled back.  The interpreted thunk then
     executes from the identical pre-run state and its effects *stay* —
     so a divergence aborts with the authoritative state in place,
-    mirroring the ``VERIFY_DIFFS``/``VERIFY_PRELUDE`` pattern of wire
-    format v2.  A :class:`Bailout` is not a divergence (the frame lacks
+    mirroring the ``VERIFY_DIFFS`` pattern of the payload codec.  A
+    :class:`Bailout` is not a divergence (the frame lacks
     a live-in the compiled entry binds eagerly): plain interpreter
     fallback.
 
     ``observable`` restricts the write-log diff to those storage ids;
     ``compare_values`` adds the two thunks' return values to the diff.
     """
-    from repro.runtime.payload import rollback_writes
-
     def image(log):
         writes = _log_image(log)
         if observable is None:
@@ -220,7 +218,8 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
     compiled_writes = image(scratch)
     compiled_output = state.output[out_mark:]
     compiled_steps = state.steps - step_mark
-    rollback_writes(scratch)
+    for (_storage_id, slot), (storage, before) in scratch.items():
+        storage[slot] = before  # undo the compiled run's writes
     del state.output[out_mark:]
     state.steps = step_mark
 

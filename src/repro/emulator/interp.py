@@ -479,28 +479,22 @@ class Interpreter:
     def global_values(self, name):
         return list(self._global_storage[name])
 
-    def enable_write_log(self, log=None):
+    def enable_write_log(self):
         """Record an ``(object, slot)`` dirty mark for every store.
 
         Returns the log: ``(id(storage), slot) -> (storage, value before
         the first write)``.  Keeping the storage object in the entry
         pins it alive, so an id can never be recycled while the log is
-        in use.  The parallel ``processes`` backend diffs shared state
-        from this log (cost proportional to the writes a chunk made)
-        instead of snapshotting and re-scanning every shared slot, and
-        the parent interpreter keeps one enabled *between* regions so
-        the payload codec can ship dirty-slot deltas against the pool
-        workers' resident preludes.
-
-        ``log`` lets several interpreters share one dict (the threads
-        backend's worker shims feed the parent's inter-region log, so a
-        threads-fallback region cannot mutate shared state behind the
-        resident-prelude protocol's back).
+        in use.  A ``processes`` pool worker diffs shared state from
+        this log (cost proportional to the writes a chunk made) instead
+        of snapshotting and re-scanning every shared slot; the parent
+        interpreter never logs, except under the ``VERIFY_COMPILED``
+        oracle.
 
         Stores read ``write_log`` as they run, so assigning the
-        attribute swaps logs (the ``VERIFY_COMPILED`` oracle does).
+        attribute swaps logs (the oracle does).
         """
-        self.write_log = {} if log is None else log
+        self.write_log = {}
         return self.write_log
 
     # -- storage ----------------------------------------------------------------

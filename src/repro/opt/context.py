@@ -23,8 +23,8 @@ class OptContext:
     """What the passes of one ``optimize_plan`` call share."""
 
     def __init__(self, pspdg, machine, payload_bytes=None,
-                 prelude_warm=None, compile_regions=False,
-                 compiled_speedup=None, speculate=True, oracle=None):
+                 compile_regions=False, compiled_speedup=None,
+                 speculate=True, oracle=None):
         self.pspdg = pspdg
         #: The function's analysis record: loops, accesses, dependences.
         self.analyses = pspdg.pdg.analyses
@@ -33,10 +33,6 @@ class OptContext:
         # ``payload_bytes`` stats; feeds the serialization cost term of
         # the small-region pass.  Optional: {} means "no measurements".
         self.payload_bytes = dict(payload_bytes) if payload_bytes else {}
-        # Measured resident-prelude hit fraction per region label
-        # (``prelude_hits / payloads``): discounts the serialization
-        # cost for regions whose shared state stays cached pool-side.
-        self.prelude_warm = dict(prelude_warm) if prelude_warm else {}
         # Whether the runtime will execute region bodies through the
         # codegen path: per-step compute is cheaper, so the small-region
         # pass scales its cost estimates by the machine model's

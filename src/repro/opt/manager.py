@@ -164,8 +164,8 @@ class OptimizationResult:
 
 def optimize_plan(
     pspdg, plan, level, machine=None, payload_bytes=None,
-    prelude_warm=None, compile_regions=False, compiled_speedup=None,
-    speculate=True, oracle=None,
+    compile_regions=False, compiled_speedup=None, speculate=True,
+    oracle=None,
 ):
     """Run the ``level`` pipeline over ``plan``; never mutates the input.
 
@@ -174,13 +174,11 @@ def optimize_plan(
     ``payload_bytes`` optionally maps region labels to measured
     bytes-on-wire from a previous run (the runtime's ``payload_bytes``
     stat); the small-region serialization pass folds it into the
-    machine model's dispatch-cost bar.  ``prelude_warm`` maps the same
-    labels to measured resident-prelude hit fractions, discounting the
-    bar for regions whose shared state the pool already holds.
+    machine model's dispatch-cost bar.
     ``compiled_speedup`` maps the same labels to measured compiled-over-
     interpreted step-rate ratios, replacing the machine model's assumed
     ``compiled_speedup`` prior per region
-    (``diagnostics.payload_feedback()`` produces all three).
+    (``diagnostics.payload_feedback()`` produces both).
     ``speculate`` lets ``-O3`` passes apply transforms whose static
     legality test is inconclusive, for the oracle-validation pass to
     confirm or veto; off, inconclusive tests reject outright.
@@ -193,7 +191,6 @@ def optimize_plan(
     machine = machine if machine is not None else DEFAULT_MACHINE
     ctx = OptContext(pspdg, machine,
                      payload_bytes=payload_bytes,
-                     prelude_warm=prelude_warm,
                      compile_regions=compile_regions,
                      compiled_speedup=compiled_speedup,
                      speculate=speculate, oracle=oracle)

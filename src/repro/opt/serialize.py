@@ -1,14 +1,14 @@
 """Small-region serialization.
 
 Dispatching a parallel region is not free — worker frames, partitioning,
-and (on the ``processes`` backend) pickling the module plus per-worker
-state.  A region whose statically estimated per-entry cost is below the
-machine model's thresholds is rebound: below ``serial_region_cost`` it
-is not dispatched at all (the sequential interpreter just runs the
-loop); below ``threads_region_cost`` it still runs in parallel but never
-on the process pool.  This is exactly the LU fix from the roadmap: the
-wavefront's 18-iteration inner loops stop paying a process-pool payload
-per anti-diagonal per timestep.
+and (on the ``processes`` backend) pickling the region's shared state
+plus per-worker frames.  A region whose statically estimated per-entry
+cost is below the machine model's thresholds is rebound: below
+``serial_region_cost`` it is not dispatched at all (the sequential
+interpreter just runs the loop); below ``threads_region_cost`` it still
+runs in parallel but never on the process pool.  This is exactly the LU
+fix from the roadmap: the wavefront's 18-iteration inner loops stop
+paying a process-pool payload per anti-diagonal per timestep.
 """
 
 import dataclasses
@@ -49,14 +49,10 @@ class SmallRegionSerializationPass:
                 # stat) raise the process-pool bar: a region must do
                 # enough work to amortize what its payloads actually
                 # cost to ship, not just the fixed dispatch overhead.
-                # The measured resident-prelude hit rate discounts that
-                # bar — a region whose prelude stays cached in the pool
-                # workers ships dirty deltas, not state, on repeats.
                 measured = ctx.payload_bytes.get(region.label)
-                warm = ctx.prelude_warm.get(region.label, 0.0)
                 threads_bar = (
                     machine.threads_region_cost
-                    + machine.serialization_cost(measured, warm)
+                    + machine.serialization_cost(measured)
                 )
                 if cost < machine.serial_region_cost:
                     override = OVERRIDE_SEQUENTIAL

@@ -1,8 +1,8 @@
 """Strip-mine/tiling: a machine-model floor on iterations per payload.
 
 Every dispatched chunk pays fixed overhead — worker frames, scheduling,
-and on the ``processes`` backend a wire round-trip the resident-prelude
-cache only partly hides.  When a region's static cost and trip count are
+and on the ``processes`` backend a wire round-trip carrying the region's
+shared state.  When a region's static cost and trip count are
 known, :meth:`MachineModel.tile_iterations` derives the smallest chunk
 whose compute amortizes that overhead; the descriptor records it as the
 region's tile shape and the runtime caps the effective worker count at

@@ -56,8 +56,8 @@ class Diagnostics:
 
     def payload_feedback(self):
         """:func:`~repro.util.regionstats.region_feedback` over every
-        recorded region: ``(payload_bytes, prelude_warm,
-        compiled_speedup, recovery)`` per region label."""
+        recorded region: ``(payload_bytes, compiled_speedup,
+        recovery)`` per region label."""
         return region_feedback(self.parallel_regions)
 
     def runs(self, stage):
@@ -101,10 +101,7 @@ class Diagnostics:
     def parallel_report(self):
         """A printable per-region, per-worker execution table.
 
-        The ``phit``/``pmiss``/``saved`` columns are the resident-
-        prelude protocol: payloads served from resident worker state,
-        full-state miss retries, and the estimated bytes the hits kept
-        off the wire.  ``rtry``/``fo``/``flt``/``rec-ms`` are the
+        ``rtry``/``fo``/``flt``/``rec-ms`` are the
         supervision ledger: region re-dispatches after infrastructure
         failures, degradation-ladder failovers, injected faults, and
         milliseconds spent in recovery (pool respawn + backoff).
@@ -114,10 +111,9 @@ class Diagnostics:
             return "no parallel regions executed"
         lines = [
             f"{'loop':16} {'backend':26} {'sched':8} {'W':>2} "
-            f"{'iters':>6} {'bytes':>8} {'phit':>4} {'pmiss':>5} "
-            f"{'saved':>8} {'cc':>4} {'ic':>4} {'rtry':>4} {'fo':>3} "
-            f"{'flt':>4} {'rec-ms':>7} {'rpl':>3} {'seconds':>9}  "
-            f"per-worker steps"
+            f"{'iters':>6} {'bytes':>8} {'cc':>4} {'ic':>4} "
+            f"{'rtry':>4} {'fo':>3} {'flt':>4} {'rec-ms':>7} "
+            f"{'rpl':>3} {'seconds':>9}  per-worker steps"
         ]
         lines.append("-" * len(lines[0]))
         for region in self.parallel_regions:
@@ -129,9 +125,6 @@ class Diagnostics:
                 f"{region.schedule:8} {region.workers:>2} "
                 f"{region.iterations:>6} "
                 f"{region.payload_bytes:>8} "
-                f"{region.prelude_hits:>4} "
-                f"{region.prelude_misses:>5} "
-                f"{region.prelude_bytes_saved:>8} "
                 f"{region.compiled_chunks:>4} "
                 f"{region.interpreted_chunks:>4} "
                 f"{region.retries:>4} "

@@ -216,18 +216,16 @@ def _build_calibrate(session, machine, calibrate):
         return {
             "machine": machine,
             "payload_bytes": {},
-            "prelude_warm": {},
             "compiled_speedup": {},
             "measured": {},
         }
     store = session.calibration
-    payload_bytes, prelude_warm, compiled_speedup = store.region_feedback(
+    payload_bytes, compiled_speedup = store.region_feedback(
         session.program_key()
     )
     return {
         "machine": store.calibrated_machine(machine),
         "payload_bytes": payload_bytes,
-        "prelude_warm": prelude_warm,
         "compiled_speedup": compiled_speedup,
         "measured": {
             name: value

@@ -4,8 +4,8 @@ The planner prices every cost decision — small-region serialization,
 tiling width, backend choice — from :class:`MachineModel` coefficients
 that shipped as guesses.  The runtime, meanwhile, measures exactly the
 quantities those coefficients model: per-region wall time, per-worker
-compute time, bytes-on-wire, resident-prelude hit rates, and compiled
-vs. interpreted step rates.  :class:`CalibrationStore` closes the loop:
+compute time, bytes-on-wire, and compiled vs. interpreted step rates.
+:class:`CalibrationStore` closes the loop:
 
 * :meth:`~CalibrationStore.observe_run` distills a run's region stats
   into coefficient *samples* (see the estimators below) and folds them
@@ -14,7 +14,7 @@ vs. interpreted step rates.  :class:`CalibrationStore` closes the loop:
 * :meth:`~CalibrationStore.calibrated_machine` projects the estimates
   onto a base :class:`MachineModel`, clamped so no coefficient can go
   non-positive;
-* per-program region feedback (bytes/warmth/speedup per region label,
+* per-program region feedback (bytes/speedup per region label,
   keyed by the module's content hash) persists alongside, so a *warm
   session* re-plans with measured payload feedback before its first
   dispatch;
@@ -34,14 +34,11 @@ right order of magnitude, and the EWMA smooths the rest):
   half is attributed to fixed dispatch and half to serialization,
   giving a ``payload_cost_per_byte`` estimate after dividing by the
   measured bytes — but only for dispatches that shipped at least
-  ``PAYLOAD_SAMPLE_FLOOR`` bytes (a warm repeat's tiny prelude delta
-  is all dispatch, no wire).  Overheads are aggregated into **one
-  sample per run** before entering the EWMA; single dispatches are
-  scheduling noise.  ``serial_region_cost`` keeps the seed model's
+  ``PAYLOAD_SAMPLE_FLOOR`` bytes (a program whose whole shared state
+  is smaller is all dispatch, no wire).  Overheads are aggregated into
+  **one sample per run** before entering the EWMA; single dispatches
+  are scheduling noise.  ``serial_region_cost`` keeps the seed model's
   1:4 ratio to the threads bar.
-* ``prelude_cache_discount`` is the measured share of state bytes the
-  resident-prelude protocol kept off the wire:
-  ``saved / (saved + shipped)``.
 * ``compiled_speedup`` is the measured compiled-over-interpreted step
   rate from :func:`repro.util.regionstats.region_feedback`.
 
@@ -65,7 +62,7 @@ from repro.util.regionstats import region_feedback
 #: Version of the profile file's JSON shape.  A mismatched (or
 #: malformed) file is ignored on load — a stale profile must degrade to
 #: "no measurements yet", never crash session construction.
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 
 #: EWMA weight of a *new* sample.  Overhead samples are run-level
 #: means (see ``_observe_overheads``), so 0.5 converges within a few
@@ -89,23 +86,21 @@ _SERIAL_RATIO = (
 )
 
 #: MachineModel fields the store calibrates, with their positivity
-#: floors/ceilings (property: a calibrated coefficient is never
-#: non-positive, and the discount never reaches 1.0 — a warm dispatch
-#: always costs *something*).
-_COEFFICIENT_BOUNDS = {
-    "payload_cost_per_byte": (1e-9, None),
-    "serial_region_cost": (1.0, None),
-    "threads_region_cost": (1.0, None),
-    "prelude_cache_discount": (0.01, 0.99),
-    "compiled_speedup": (0.1, None),
+#: floors (property: a calibrated coefficient is never non-positive).
+_COEFFICIENT_FLOORS = {
+    "payload_cost_per_byte": 1e-9,
+    "serial_region_cost": 1.0,
+    "threads_region_cost": 1.0,
+    "compiled_speedup": 0.1,
 }
 
 #: Minimum bytes a dispatch must have shipped before its overhead
-#: yields a ``payload_cost_per_byte`` sample.  A warm repeat ships a
-#: prelude *delta* of a few hundred bytes; dividing dispatch overhead
-#: by that denominator says nothing about wire cost, and one such
-#: sample can whipsaw the EWMA by an order of magnitude.  Below the
-#: floor the overhead is attributed entirely to fixed dispatch.
+#: yields a ``payload_cost_per_byte`` sample.  A program whose whole
+#: shared state is a handful of scalars ships a few hundred bytes per
+#: region; dividing dispatch overhead by that denominator says nothing
+#: about wire cost, and one such sample can whipsaw the EWMA by an
+#: order of magnitude.  Below the floor the overhead is attributed
+#: entirely to fixed dispatch.
 PAYLOAD_SAMPLE_FLOOR = 1024
 
 #: Adaptive-replanning divergence trigger: a region whose dispatch
@@ -122,7 +117,7 @@ REPLAN_IMBALANCE = 2.0
 
 #: Per-label region-feedback fields persisted per program key, in the
 #: order ``region_feedback`` returns them.
-_REGION_FIELDS = ("payload_bytes", "prelude_warm", "compiled_speedup")
+_REGION_FIELDS = ("payload_bytes", "compiled_speedup")
 
 
 def _usable(sample):
@@ -164,10 +159,7 @@ class CalibrationStore:
         """Fold one coefficient sample in; returns True when accepted."""
         if not _usable(sample):
             return False
-        lo, hi = _COEFFICIENT_BOUNDS[name]
-        sample = max(lo, sample)
-        if hi is not None:
-            sample = min(hi, sample)
+        sample = max(_COEFFICIENT_FLOORS[name], sample)
         entry = self._entry(name)
         if entry["samples"] >= OUTLIER_MIN_SAMPLES and entry["value"] > 0:
             ratio = sample / entry["value"]
@@ -238,7 +230,6 @@ class CalibrationStore:
         dispatch_steps = []  # fixed-dispatch overhead, one per dispatch
         wire_steps = 0.0     # overhead attributed to serialization
         wire_bytes = 0
-        saved_bytes = shipped_bytes = 0
         for region in regions:
             overhead = region.dispatch_overhead
             if region.compute_seconds <= 0 or overhead <= 0:
@@ -252,16 +243,12 @@ class CalibrationStore:
                 wire_steps += overhead_steps / 2.0
                 wire_bytes += payload_bytes
             elif region.payloads:
-                # A warm repeat shipped only a tiny prelude delta: the
-                # overhead is all fixed dispatch, and overhead/bytes
-                # would be a garbage per-byte sample.
+                # The region's whole state is tiny: the overhead is
+                # all fixed dispatch, and overhead/bytes would be a
+                # garbage per-byte sample.
                 dispatch_steps.append(overhead_steps)
             elif "threads" in region.backend or region.backend == "serial":
                 dispatch_steps.append(overhead_steps)
-            saved = region.prelude_bytes_saved
-            if region.prelude_hits and saved > 0:
-                saved_bytes += saved
-                shipped_bytes += payload_bytes
         accepted = False
         if dispatch_steps:
             bar = sum(dispatch_steps) / len(dispatch_steps)
@@ -272,11 +259,6 @@ class CalibrationStore:
         if wire_bytes:
             accepted |= self._update(
                 "payload_cost_per_byte", wire_steps / wire_bytes
-            )
-        if saved_bytes:
-            accepted |= self._update(
-                "prelude_cache_discount",
-                saved_bytes / (saved_bytes + shipped_bytes),
             )
         return accepted
 
@@ -321,17 +303,14 @@ class CalibrationStore:
         base = base if base is not None else DEFAULT_MACHINE
         changes = {}
         for name, (value, _samples) in self.measured_coefficients().items():
-            lo, hi = _COEFFICIENT_BOUNDS[name]
-            value = max(lo, value)
-            if hi is not None:
-                value = min(hi, value)
+            value = max(_COEFFICIENT_FLOORS[name], value)
             if isinstance(getattr(base, name), int):
                 value = max(1, int(round(value)))
             changes[name] = value
         return dataclasses.replace(base, **changes) if changes else base
 
     def region_feedback(self, program_key):
-        """``(payload_bytes, prelude_warm, compiled_speedup)`` label maps.
+        """``(payload_bytes, compiled_speedup)`` label maps.
 
         The same shape ``region_feedback()`` produces (sans the
         recovery ledger), ready for ``optimize_plan``; empty dicts when
@@ -346,12 +325,12 @@ class CalibrationStore:
             }
             for field in _REGION_FIELDS
         )
-        payload_bytes, prelude_warm, compiled_speedup = result
+        payload_bytes, compiled_speedup = result
         payload_bytes = {
             label: int(round(value))
             for label, value in payload_bytes.items()
         }
-        return payload_bytes, prelude_warm, compiled_speedup
+        return payload_bytes, compiled_speedup
 
     # -- persistence -----------------------------------------------------------
 
@@ -377,7 +356,7 @@ class CalibrationStore:
         self.version = int(data.get("version", self.runs))
         self.coefficients = {}
         for name, entry in data.get("machine", {}).items():
-            if name not in _COEFFICIENT_BOUNDS:
+            if name not in _COEFFICIENT_FLOORS:
                 continue  # a newer writer's coefficient: skip, don't crash
             value = entry.get("value")
             if not _usable(value):
@@ -440,7 +419,7 @@ class CalibrationStore:
         lines.append(header)
         lines.append("-" * len(header))
         calibrated = self.calibrated_machine(base)
-        for name in sorted(_COEFFICIENT_BOUNDS):
+        for name in sorted(_COEFFICIENT_FLOORS):
             entry = self.coefficients.get(name)
             static = getattr(base, name)
             if entry and entry["samples"]:
@@ -536,13 +515,13 @@ class ReplanContext:
             regions[self.calibrated_upto:], program_key=self.program_key
         )
         self.calibrated_upto = len(regions)
-        payload_bytes, prelude_warm, compiled_speedup, _ = region_feedback(
+        payload_bytes, compiled_speedup, _ = region_feedback(
             region for region in regions if not region.recovery_inflated
         )
         result = optimize_plan(
             self.pspdg, self.plan, self.level,
             machine=self.store.calibrated_machine(self.machine),
-            payload_bytes=payload_bytes, prelude_warm=prelude_warm,
+            payload_bytes=payload_bytes,
             compiled_speedup=compiled_speedup,
             compile_regions=compile_regions, speculate=self.speculate,
         )

@@ -34,13 +34,6 @@ class MachineModel:
     serialization pass adds :meth:`serialization_cost` to the
     ``threads_region_cost`` bar when measured bytes are available,
     raising the bar for regions whose payloads proved expensive.
-
-    ``prelude_cache_discount`` is the fraction of that byte cost a
-    *warm* dispatch avoids under the runtime's resident-prelude
-    protocol (wire format v2): once the pool workers hold a region's
-    shared state resident, repeat dispatches ship dirty deltas instead
-    of the prelude, so the small-region pass must stop penalizing
-    regions whose measured hit rate shows their prelude is cached.
     """
 
     cores: int = 56
@@ -48,7 +41,6 @@ class MachineModel:
     serial_region_cost: int = 512
     threads_region_cost: int = 2048
     payload_cost_per_byte: float = 0.01
-    prelude_cache_discount: float = 0.75
     #: How much faster a worker retires one region step through an
     #: exec-compiled chunk body than through the interpreter's dispatch
     #: loop.  Applied by the small-region serialization pass when region
@@ -77,29 +69,20 @@ class MachineModel:
     def chunk_choices(self):
         return len(self.chunk_sizes)
 
-    def serialization_cost(self, payload_bytes, warm_fraction=0.0):
-        """Measured wire bytes -> estimated instruction-equivalents.
-
-        ``warm_fraction`` is the share of the region's dispatches served
-        from resident worker state (``prelude_hits / payloads``); each
-        warm dispatch pays only ``1 - prelude_cache_discount`` of the
-        per-byte cost.
-        """
+    def serialization_cost(self, payload_bytes):
+        """Measured wire bytes -> estimated instruction-equivalents."""
         if not payload_bytes or payload_bytes < 0:
             return 0
-        warm = min(max(warm_fraction, 0.0), 1.0)
-        discount = 1.0 - self.prelude_cache_discount * warm
         # Clamp like effective_region_cost: bytes actually shipped are
         # never free, even when ``bytes * cost_per_byte`` truncates to 0.
-        return max(1, int(payload_bytes * self.payload_cost_per_byte
-                          * discount))
+        return max(1, int(payload_bytes * self.payload_cost_per_byte))
 
     def tile_iterations(self, cost, trip):
         """Minimum iterations one payload should carry, or ``None``.
 
         A dispatched chunk pays roughly ``threads_region_cost`` of fixed
         overhead (frame setup, scheduling, and for the process pool a
-        wire round-trip the resident-prelude cache only partly hides).
+        wire round-trip).
         With a static per-entry region cost and trip count we know the
         per-iteration work, so the smallest chunk whose compute
         amortizes that overhead is ``overhead / per_iteration_work``.

@@ -18,30 +18,25 @@ owns its whole execution strategy:
   interpreter's storage exactly like the simulated machine; critical
   and atomic regions take real :class:`threading.Lock` locks.
 * ``processes`` — one OS process per worker (:mod:`multiprocessing`).
-  Each region is encoded by the :mod:`repro.runtime.payload` codec
-  (wire format v2): the pool workers keep the decoded shared state
-  *resident* across dispatches, keyed by a content-hash chain, so a
-  steady-state region ships only the slots the parent dirtied since the
-  previous dispatch (tracked by the parent interpreter's inter-region
-  write log) plus each worker's small frame delta; the full state
-  travels only on a cold stream, a worker's prelude miss (same
-  miss/retry handshake the module codec uses), or under
-  ``VERIFY_PRELUDE``.  The module itself travels as persistent ids
-  against a per-pool-worker decoded-module cache, its bytes broadcast
-  at most once per pool recycle epoch.  The child executes its
-  iterations at full sequential-interpreter speed with a store-path
-  write log and sends back its private reduction/lastprivate values
-  plus a slot-level diff of the shared storage it wrote — computed from
-  the log, then *rolled back* so the resident state returns to the
-  parent's pre-dispatch image.  The parent collects every result, then
-  applies diffs and merges reductions in worker order, so results are
-  deterministic.  Loops whose bodies contain ``critical``/``atomic``
-  regions need shared memory and fall back to the ``threads`` backend
-  (whose worker shims feed the parent's write log, keeping the
-  resident deltas exact).  Dispatch is supervised — infrastructure
-  failures retry the region — and this is the only backend with a
-  degradation ladder (processes -> threads -> serial, with
-  snapshot/restore around each failed lower rung).
+  Each region is encoded by the :mod:`repro.runtime.payload` codec:
+  the shared state (global storage plus every shared storage list) is
+  pickled once per region and attached to every payload of it, next to
+  each worker's small frame delta; a pool worker decodes it, runs its
+  chunk against it and keeps nothing of it afterwards.  The module
+  itself travels as persistent ids against a per-pool-worker
+  decoded-module cache, its bytes broadcast at most once per pool
+  recycle epoch (a worker that joined later reports a module miss and
+  is retried with them attached).  The child executes its iterations
+  at full sequential-interpreter speed with a store-path write log and
+  sends back its private reduction/lastprivate values plus a slot-level
+  diff of the shared storage it wrote, computed from the log.  The
+  parent collects every result, then applies diffs and merges
+  reductions in worker order, so results are deterministic.  Loops
+  whose bodies contain ``critical``/``atomic`` regions need shared
+  memory and fall back to the ``threads`` backend.  Dispatch is
+  supervised — infrastructure failures retry the region — and this is
+  the only backend with a degradation ladder (processes -> threads ->
+  serial, with snapshot/restore around each failed lower rung).
 
 All backends consume the same :class:`ChunkScheduler` partition, so a
 given ``(schedule, chunk, workers)`` triple executes the same
@@ -59,7 +54,7 @@ import time
 import repro.runtime.payload as payload_codec
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
-from repro.emulator.interp import Interpreter, record_write
+from repro.emulator.interp import Interpreter
 from repro.ir.basicblock import BasicBlock
 from repro.runtime import faults, knobs
 from repro.util.errors import EmulationError, PlanError, RegionDispatchError
@@ -133,16 +128,11 @@ class _WorkerInterpreter(Interpreter):
     never rebuilds it from initializers.
     """
 
-    def __init__(self, module, global_storage, max_steps, write_log=None):
+    def __init__(self, module, global_storage, max_steps):
         # global_storage is the run's live storage: shared with the
         # parent for threads, this worker's deserialized copy for
         # processes.
         super().__init__(module, max_steps, global_storage=global_storage)
-        if write_log is not None:
-            # Feed the parent's inter-region write log (threads shims):
-            # shared-state writes made here must reach the resident-
-            # prelude dirty deltas like any parent-side store.
-            self.enable_write_log(write_log)
 
     def run_chunk(self, loop, frame, iterations, locks, outer=None):
         """Execute ``iterations`` of ``loop``'s body on ``frame``.
@@ -433,7 +423,6 @@ class ThreadsBackend(ExecutionBackend):
 
         compile_on = interp.compile_regions
         verify = compile_on and bool(knobs.VERIFY_COMPILED)
-        logged = verify or interp.write_log is not None
         entries = {}
         if compile_on:
             # Compile once on the dispatching thread; jobs only look up.
@@ -448,7 +437,7 @@ class ThreadsBackend(ExecutionBackend):
                     entries[loop] = None
                 else:
                     entries[loop] = codegen_cache.compiled_chunk(
-                        interp.module, loop, logged=logged,
+                        interp.module, loop, logged=verify,
                         outer=outer_loop,
                     )
             _count_codegen(stats, before, codegen_cache.stats())
@@ -456,14 +445,11 @@ class ThreadsBackend(ExecutionBackend):
         def job(worker):
             start = time.perf_counter()
             shim = _WorkerInterpreter(
-                interp.module, interp._global_storage, interp.max_steps,
-                write_log=interp.write_log,
+                interp.module, interp._global_storage, interp.max_steps
             )
             shim._decoded = interp._decoded  # one decode per block per run
-            if logged and shim.write_log is None:
-                # The verify oracle diffs write logs, so force one even
-                # when the parent did not ask for dirty tracking.
-                shim.enable_write_log()
+            if verify:
+                shim.enable_write_log()  # the oracle diffs write logs
             compiled = interpreted = 0
             # Member segments run back-to-back with no barrier: fusion
             # legality keeps every cross-member dependence within one
@@ -577,11 +563,11 @@ def _chunk_pool(requested=None):
         if stale:
             old, _POOL = _POOL, None
             old.shutdown(wait=False, cancel_futures=True)
-            # The recycled workers' decoded-module and resident-prelude
-            # caches died with them; drop the parent-side bookkeeping
-            # that assumed they were primed so nothing leaks into (or
-            # from) the next generation.  (The module-bytes LRU itself
-            # survives — valid across epochs, expensive to rebuild.)
+            # The recycled workers' decoded-module caches died with
+            # them; drop the parent-side bookkeeping that assumed they
+            # were primed so nothing leaks into (or from) the next
+            # generation.  (The module-bytes LRU itself survives —
+            # valid across epochs, expensive to rebuild.)
             payload_codec.invalidate_pool_caches()
         if _POOL is None:
             _POOL = concurrent.futures.ProcessPoolExecutor(
@@ -609,12 +595,12 @@ def _reset_chunk_pool(kill=False):
         pool, _POOL = _POOL, None
         _POOL_SIZE = None
         _POOL_REGIONS = 0
-        # The workers — and with them every decoded-module cache and
-        # resident prelude image — are gone the moment we return, even
-        # on the non-kill path.  Bump the broadcast epoch and drop the
-        # parent-side primed-worker bookkeeping *here*, not in the next
-        # _chunk_pool call: a dispatch racing the reset must never
-        # trust resident state the dead workers held.
+        # The workers — and with them every decoded-module cache — are
+        # gone the moment we return, even on the non-kill path.  Bump
+        # the broadcast epoch and drop the parent-side primed-worker
+        # bookkeeping *here*, not in the next _chunk_pool call: a
+        # dispatch racing the reset must never assume the dead workers'
+        # modules.
         _POOL_EPOCH += 1
         payload_codec.invalidate_pool_caches()
     if pool is None:
@@ -638,12 +624,10 @@ def _pool_chunk_entry(wire, fault=None):
     tuple.  Never raises — errors come back as ``{"error": ...}`` so one
     bad chunk cannot poison the shared pool; a worker that has not seen
     the module bytes of this pool epoch reports ``{"module_miss": key}``
-    and one without the payload's resident prelude state reports
-    ``{"prelude_miss": stream_id}``, so the parent can retry with the
-    missing stream attached.  Decode failures are tagged
-    ``"phase": "decode"`` — they indict the wire/cache machinery, not
-    the program, so the supervisor retries them; execution failures stay
-    untagged and fatal.
+    so the parent can retry with them attached.  Decode failures are
+    tagged ``"phase": "decode"`` — they indict the wire/cache machinery,
+    not the program, so the supervisor retries them; execution failures
+    stay untagged and fatal.
 
     ``fault`` is an injected-fault directive from
     :mod:`repro.runtime.faults` (chaos testing only): executed before
@@ -652,24 +636,11 @@ def _pool_chunk_entry(wire, fault=None):
     """
     if fault is not None:
         faults.perform(fault)
-    header = payload_codec.WorkerPayload(*wire)
     try:
-        payload, miss = payload_codec.decode_payload(wire)
-        if miss == "module":
-            return {"module_miss": header.module_key}
-        if miss == "prelude":
-            return {"prelude_miss": header.stream_id}
-    except payload_codec.PreludeVerificationError as exc:
-        # A VERIFY_PRELUDE divergence is a caught bug, not a wire
-        # failure: retrying would re-ship the mutated state and bless
-        # exactly what the oracle flagged, so it stays fatal (untagged).
-        payload_codec.discard_resident(header.stream_id)
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        payload = payload_codec.decode_payload(wire)
+        if payload is None:
+            return {"module_miss": wire[0]}  # the module key
     except BaseException as exc:
-        # The resident state may be torn by the failed decode: dropping
-        # it forces a clean full-state retry on the next payload of
-        # this stream instead of silent divergence.
-        payload_codec.discard_resident(header.stream_id)
         return {"error": f"{type(exc).__name__}: {exc}", "phase": "decode"}
     try:
         frame = payload["frame"]
@@ -700,75 +671,63 @@ def _pool_chunk_entry(wire, fault=None):
         # the same record the parent accumulates into.
         stats = RegionStats()
         codegen_before = codegen_cache.stats()
-        try:
-            start = time.perf_counter()
-            for loop, iterations in segments:
-                if iterations:
-                    entry = None
-                    if compile_on:
-                        # Shims always log, so the logged variant; keyed
-                        # by the child's decoded module object (cache.py
-                        # explains why the content hash is not enough).
-                        entry = codegen_cache.compiled_chunk(
-                            payload["module"], loop, logged=True,
-                            module_key=payload.get("module_key"),
-                            outer=nest,
-                        )
-                    mode = codegen_runtime.execute_chunk(
-                        entry, shim, loop, frame, iterations,
-                        _NullLocks(), verify=verify, outer=nest,
+        start = time.perf_counter()
+        for loop, iterations in segments:
+            if iterations:
+                entry = None
+                if compile_on:
+                    # Shims always log, so the logged variant; keyed
+                    # by the child's decoded module object (cache.py
+                    # explains why the content hash is not enough).
+                    entry = codegen_cache.compiled_chunk(
+                        payload["module"], loop, logged=True,
+                        module_key=payload.get("module_key"),
+                        outer=nest,
                     )
-                    if mode == "compiled":
-                        stats.compiled_chunks += 1
-                    else:
-                        stats.interpreted_chunks += 1
-            seconds = time.perf_counter() - start
+                mode = codegen_runtime.execute_chunk(
+                    entry, shim, loop, frame, iterations,
+                    _NullLocks(), verify=verify, outer=nest,
+                )
+                if mode == "compiled":
+                    stats.compiled_chunks += 1
+                else:
+                    stats.interpreted_chunks += 1
+        seconds = time.perf_counter() - start
 
-            diffs = payload_codec.diff_write_log(log, index)
-            if snapshot is not None:
-                expected = payload_codec.diff_snapshot(snapshot, index)
-                if tuple(expected) != tuple(diffs):
-                    return {
-                        "error": "write-log diff diverged from snapshot "
-                        f"diff: log={diffs!r} snapshot={expected!r}"
-                    }
-            global_diffs, alloca_diffs, arg_diffs = diffs
+        diffs = payload_codec.diff_write_log(log, index)
+        if snapshot is not None:
+            expected = payload_codec.diff_snapshot(snapshot, index)
+            if tuple(expected) != tuple(diffs):
+                return {
+                    "error": "write-log diff diverged from snapshot "
+                    f"diff: log={diffs!r} snapshot={expected!r}"
+                }
+        global_diffs, alloca_diffs, arg_diffs = diffs
 
-            stats.dirty_slots = len(log)
-            _count_codegen(stats, codegen_before, codegen_cache.stats())
-            return {
-                "steps": shim.steps,
-                "output": shim.output,
-                "seconds": seconds,
-                "stats": stats,
-                # Source lowered child-side travels to the parent, whose
-                # cache forked children of the *next* epoch inherit.
-                "codegen_sources": codegen_cache.drain_new_sources(),
-                "global_diffs": global_diffs,
-                "alloca_diffs": alloca_diffs,
-                "arg_diffs": arg_diffs,
-                "global_privates": {
-                    name: list(frame.global_overlay[name])
-                    for name in private_globals
-                },
-                "alloca_privates": {
-                    inst.uid: list(storage)
-                    for inst, storage in frame.objects.items()
-                    if inst.uid in private_alloca_uids
-                },
-            }
-        finally:
-            # Restore the resident state to the parent's pre-dispatch
-            # image (the diff values above were already extracted): a
-            # sibling payload of this region — or the next region's
-            # dirty delta — must find exactly the state the parent's
-            # hash chain says this worker holds.
-            payload_codec.rollback_writes(log)
+        stats.dirty_slots = len(log)
+        _count_codegen(stats, codegen_before, codegen_cache.stats())
+        return {
+            "steps": shim.steps,
+            "output": shim.output,
+            "seconds": seconds,
+            "stats": stats,
+            # Source lowered child-side travels to the parent, whose
+            # cache forked children of the *next* epoch inherit.
+            "codegen_sources": codegen_cache.drain_new_sources(),
+            "global_diffs": global_diffs,
+            "alloca_diffs": alloca_diffs,
+            "arg_diffs": arg_diffs,
+            "global_privates": {
+                name: list(frame.global_overlay[name])
+                for name in private_globals
+            },
+            "alloca_privates": {
+                inst.uid: list(storage)
+                for inst, storage in frame.objects.items()
+                if inst.uid in private_alloca_uids
+            },
+        }
     except BaseException as exc:  # report, never poison the pool
-        # A torn rollback would leave the resident state diverged from
-        # the parent's hash chain; drop it so the stream's next payload
-        # retries with the full state attached.
-        payload_codec.discard_resident(header.stream_id)
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -787,10 +746,10 @@ class ProcessesBackend(ExecutionBackend):
     """One OS process per worker; serialized frames; diff-merged state.
 
     Dispatch is *supervised*: infrastructure failures — worker death,
-    hangs, poisoned payloads — kill and respawn the pool, invalidate
-    the resident prelude and module-broadcast epoch, and re-dispatch
-    the whole region with the full state attached, up to a per-region
-    retry budget with bounded exponential backoff.  The deferred-apply
+    hangs, poisoned payloads — kill and respawn the pool (which
+    invalidates the module-broadcast epoch) and re-encode and
+    re-dispatch the whole region, up to a per-region retry budget
+    with bounded exponential backoff.  The deferred-apply
     collection makes this exactly-once: no shared-memory effect lands
     until every worker of the region reported, so a failed attempt
     leaves the parent state byte-identical to the pre-dispatch image.
@@ -880,18 +839,9 @@ class ProcessesBackend(ExecutionBackend):
         )
 
     def _restore(self, interp, region, snapshot):
-        """Roll shared state back to ``snapshot`` and rebuild the workers.
-
-        The write log keeps its marks for the restored slots — shipping
-        an unchanged slot in the next dirty delta is wasteful but
-        correct, while unmarking a restored slot could hide a genuine
-        pre-region write.
-        """
+        """Roll shared state back to ``snapshot`` and rebuild the workers."""
         storages, compiled, interpreted = snapshot
         for storage, values in storages:
-            if interp.write_log is not None:
-                for slot in range(len(values)):
-                    record_write(interp.write_log, storage, slot)
             storage[:] = values
         region.stats.compiled_chunks = compiled
         region.stats.interpreted_chunks = interpreted
@@ -925,11 +875,8 @@ class ProcessesBackend(ExecutionBackend):
                 # Kill the pool (a stuck or half-dead worker must not
                 # survive into the retry), which also bumps the
                 # broadcast epoch and drops the primed-worker
-                # bookkeeping; resetting the prelude codec makes the
-                # re-encode ship the full state, trusting no resident
-                # image.
+                # bookkeeping, so the re-encode ships the module again.
                 _reset_chunk_pool(kill=True)
-                interp.invalidate_prelude()
                 time.sleep(backoff * (2 ** (attempt - 1)))
                 stats.recovery_ms += (
                     time.perf_counter() - started
@@ -951,10 +898,6 @@ class ProcessesBackend(ExecutionBackend):
         """
         pool = _chunk_pool(interp.pool_size)
         stats = region.stats
-        prelude = interp.prelude_codec
-        if prelude is None:
-            prelude = payload_codec.PreludeCodec(log=interp.write_log)
-            interp.prelude_codec = prelude
         encoded = payload_codec.encode_region(
             module=interp.module,
             frame=region.frame,
@@ -963,7 +906,6 @@ class ProcessesBackend(ExecutionBackend):
             max_steps=interp.max_steps,
             workers=active,
             epoch=_POOL_EPOCH,
-            prelude=prelude,
             compile_regions=interp.compile_regions,
             nest=region.outer,
         )
@@ -1006,10 +948,9 @@ class ProcessesBackend(ExecutionBackend):
         stats.payloads += len(submitted)
         stats.payload_bytes += encoded.wire_bytes
 
-        # Collect every result before applying any of them: retries of
-        # module/prelude misses ship the *pre-dispatch* state, so no
-        # worker's shared-memory effects may land until the whole
-        # region is in.
+        # Collect every result before applying any of them: a retried
+        # dispatch re-encodes the *pre-dispatch* state, so no worker's
+        # shared-memory effects may land until the whole region is in.
         failure = None  # program error: fatal, never retried
         infra = None  # infrastructure failure message: retryable
         completed = []  # (worker, result) in worker order
@@ -1025,26 +966,14 @@ class ProcessesBackend(ExecutionBackend):
                 result = future.result(
                     timeout=max(0.0, deadline - time.monotonic())
                 )
-                missed = result.get("module_miss") or result.get(
-                    "prelude_miss"
-                )
-                if failure is None and infra is None and missed:
+                if (
+                    failure is None and infra is None
+                    and result.get("module_miss")
+                ):
                     # This pool worker joined after the epoch's module
-                    # broadcast (or lacks this stream's resident
-                    # state): retry its payload (only) with the bytes
-                    # it is missing attached.
-                    refreshed = worker_payload
-                    if result.get("module_miss"):
-                        # A brand-new pool worker: broadcast catch-up,
-                        # not a resident-protocol failure.
-                        refreshed = refreshed.with_module(encoded.codec)
-                    elif result.get("prelude_miss"):
-                        # A worker with the module but out-of-window
-                        # resident state: deepen the delta window so
-                        # laggards stay on the resident path next time.
-                        encoded.prelude.note_miss()
-                        stats.prelude_misses += 1
-                    refreshed = refreshed.with_state(encoded.state_bytes())
+                    # broadcast: retry its payload (only) with the
+                    # module bytes attached.
+                    refreshed = worker_payload.with_module(encoded.codec)
                     stats.payloads += 1
                     stats.payload_bytes += refreshed.wire_bytes
                     stats.retry_payload_bytes += refreshed.wire_bytes
@@ -1056,13 +985,6 @@ class ProcessesBackend(ExecutionBackend):
                     result = retry.result(
                         timeout=max(0.0, deadline - time.monotonic())
                     )
-                elif (
-                    failure is None
-                    and worker_payload.state_bytes is None
-                    and "error" not in result
-                ):
-                    stats.prelude_hits += 1
-                    stats.prelude_bytes_saved += encoded.prelude.full_len
             except concurrent.futures.process.BrokenProcessPool as exc:
                 _reset_chunk_pool()
                 infra = infra or (
@@ -1091,16 +1013,15 @@ class ProcessesBackend(ExecutionBackend):
                 continue
             if failure is not None or infra is not None:
                 continue
-            if result.get("module_miss") or result.get("prelude_miss"):
+            if result.get("module_miss"):
                 infra = (
-                    f"worker process {worker.index} still missing "
-                    f"{'module' if result.get('module_miss') else 'prelude'}"
-                    " state after a retry with it attached"
+                    f"worker process {worker.index} still missing the "
+                    "module after a retry with it attached"
                 )
                 continue
             if "error" in result:
                 if result.get("phase") == "decode":
-                    # The wire or the resident caches are at fault, not
+                    # The wire or the module caches are at fault, not
                     # the program: a clean re-encode may succeed.
                     infra = (
                         f"worker process {worker.index} failed to decode "
@@ -1140,26 +1061,15 @@ class ProcessesBackend(ExecutionBackend):
         codegen_cache.merge_sources(result["codegen_sources"])
         # Shared-memory effects, applied in worker order (deterministic;
         # a correct DOALL's shared writes are disjoint across workers).
-        # Each write is marked in the parent's inter-region log first:
-        # the pool workers rolled their copies back, so these merges are
-        # exactly what the next region's dirty delta must re-ship.
-        log = interp.write_log
         for name, slot, value in result["global_diffs"]:
-            storage = interp._effective_global(region.frame, name)
-            if log is not None:
-                record_write(log, storage, slot)
-            storage[slot] = value
+            interp._effective_global(region.frame, name)[slot] = value
         for uid, slot, value in result["alloca_diffs"]:
             storage = shared_allocas.get(uid)
             if storage is not None:
-                if log is not None:
-                    record_write(log, storage, slot)
                 storage[slot] = value
         for index, slot, value in result["arg_diffs"]:
             pointer = region.frame.args[index]
             if isinstance(pointer, tuple) and len(pointer) == 2:
-                if log is not None:
-                    record_write(log, pointer[0], slot)
                 pointer[0][slot] = value
         # Private copies: write the child's final values back into the
         # parent-side worker frame so the generic join sees them.

@@ -52,7 +52,6 @@ from repro.emulator.interp import (
     Interpreter,
     _Frame,
     operand_getter,
-    record_write,
     zero_storage,
 )
 from repro.ir.instructions import Call
@@ -163,11 +162,9 @@ class ParallelInterpreter(Interpreter):
     ``parallelizations`` may mix
     :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
     region) and :class:`~repro.planner.recipes.RegionParallelization`
-    (fused) entries.  ``prelude`` optionally carries a caller-owned
-    :class:`~repro.runtime.payload.PreludeCodec` so the ``processes``
-    backend's resident-state stream survives across runs; ``quarantine``
-    a caller-owned :class:`~repro.runtime.faults.Quarantine` so the
-    degradation ladder's denylist does too.  ``compile_regions``,
+    (fused) entries.  ``quarantine`` optionally carries a caller-owned
+    :class:`~repro.runtime.faults.Quarantine` so the degradation
+    ladder's denylist survives across runs.  ``compile_regions``,
     ``retry_budget``, ``failover`` and ``adaptive`` default to
     :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
     is a planner :class:`~repro.planner.calibration.ReplanContext` (one
@@ -178,7 +175,8 @@ class ParallelInterpreter(Interpreter):
     def __init__(self, module, parallelizations, workers=4, seed=0,
                  max_steps=50_000_000, backend="simulated",
                  schedule="static", chunk=None, pool_size=None,
-                 prelude=None, compile_regions=True, quarantine=None,
+                 prelude=None,  # ignored: benchmarks/e2e still passes it
+                 compile_regions=True, quarantine=None,
                  retry_budget=2, failover=True, adaptive=False,
                  replan=None):
         super().__init__(module, max_steps)
@@ -204,18 +202,6 @@ class ParallelInterpreter(Interpreter):
         self.adaptive = bool(adaptive)
         self.replan_context = replan
         self.replan_events = []
-        self.prelude_codec = None  # the processes backend's stream
-        if self.backend.name == "processes":
-            # Track every shared-state write between region dispatches:
-            # the payload codec ships dirty-slot deltas against the pool
-            # workers' resident preludes instead of re-pickling the full
-            # shared state per region.
-            self.enable_write_log()
-            if prelude is not None:
-                # A caller-owned prelude codec (Session handoff): the
-                # resident-state hash chain continues across runs.
-                prelude.adopt_log(self.write_log)
-                self.prelude_codec = prelude
         regions = [as_region(p) for p in parallelizations]
         self._regions = {region.header: region for region in regions}
         for region in regions:
@@ -245,21 +231,6 @@ class ParallelInterpreter(Interpreter):
         result.sequence_stats = dict(self.sequence_stats)
         result.replan_events = list(self.replan_events)
         return result
-
-    def invalidate_prelude(self):
-        """Forget the pool workers' resident shared state.
-
-        Required after mutating shared storage *behind the write log's
-        back* (e.g. poking ``global_values`` storage directly between
-        regions): the next region ships the full prelude instead of a
-        dirty delta that would silently miss the mutation.  The
-        ``VERIFY_PRELUDE`` mode exists to catch exactly the cases where
-        this call was forgotten.
-        """
-        if self.prelude_codec is not None:
-            self.prelude_codec.invalidate()
-        if self.write_log is not None:
-            self.write_log.clear()
 
     # -- next stop: loop takeover ----------------------------------------------
 
@@ -755,17 +726,11 @@ class ParallelInterpreter(Interpreter):
                     continue
                 seen.add((id(storage), op))
                 merged_reductions.append((storage, op))
-        # Join writes are marked in the parent's inter-region write log
-        # (enabled for processes runs) so the resident-prelude deltas
-        # ship them; the log is None on other backends.
-        log = self.write_log
         for storage, op in merged_reductions:
             shared = self._shared_storage(storage, frame)
             for worker in workers:
                 private = self._private_storage(worker, storage)
                 for slot in range(len(shared)):
-                    if log is not None:
-                        record_write(log, shared, slot)
                     shared[slot] = self._merge(op, shared[slot], private[slot])
         # Lastprivate writes back per member: the worker that executed
         # the member's final iteration owns the sequential final state.
@@ -785,9 +750,6 @@ class ParallelInterpreter(Interpreter):
             for storage in recipe.lastprivate:
                 shared = self._shared_storage(storage, frame)
                 private = self._private_storage(owner, storage)
-                if log is not None:
-                    for slot in range(len(shared)):
-                        record_write(log, shared, slot)
                 shared[:] = private
 
     def _effective_global(self, frame, name):
@@ -831,7 +793,7 @@ def run_parallel(module, parallelizations, function_name="main", **options):
 
     ``options`` are :class:`ParallelInterpreter`'s keyword parameters
     (``workers``, ``seed``, ``backend``, ``schedule``, ``chunk``,
-    ``pool_size``, ``prelude``, ``compile_regions``, ...).
+    ``pool_size``, ``compile_regions``, ...).
     """
     return ParallelInterpreter(module, parallelizations, **options).run(
         function_name

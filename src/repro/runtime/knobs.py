@@ -153,13 +153,6 @@ VERIFY_DIFFS = flag(
         "in the payload.",
 )
 
-VERIFY_PRELUDE = flag(
-    "VERIFY_PRELUDE",
-    doc="Ship the full state alongside every dirty delta and compare "
-        "the delta-applied resident image against a fresh decode in "
-        "the worker.",
-)
-
 VERIFY_COMPILED = flag(
     "VERIFY_COMPILED",
     doc="Run every compiled chunk (and sequential stretch, and the "

@@ -1,71 +1,52 @@
-"""Region payload codec for the ``processes`` backend (wire format v2).
+"""Region payload codec for the ``processes`` backend.
 
 The seed runtime shipped every pool worker one ``pickle.dumps(dict)``
 holding the module, the full shared storage, and the worker frame —
-O(program size) pickled W times per region.  Format v1 (PR 4) made the
-module travel once per pool epoch and the shared prelude once per
-region.  Format v2 makes the prelude itself *resident*: pool workers
-keep the decoded shared state (global storage plus every shared storage
-list) alive across dispatches, keyed by a content hash, and the parent
-ships only the slots it actually dirtied since the previous dispatch.
+O(program size) pickled W times per region.  The format that ships
+splits that dict by how often each part changes, and a pool worker
+keeps nothing between payloads but its decoded modules:
 
-Five cooperating pieces:
+**Module: once per pool epoch.**  Module-owned objects are persistent
+ids ``("m", index)`` into the deterministic :func:`module_objects`
+traversal; the module's bytes are broadcast once per pool recycle
+epoch, cached child-side by content hash, and a worker that joined
+after the broadcast reports a module miss and gets its payload again
+with the bytes attached.  Member ``NaturalLoop`` objects travel as
+``("l", function, header)`` ids — the child recomputes loops from its
+decoded module, so region streams carry no loop structure at all.
 
-**Resident shared state.**  Each parent interpreter owns a
-:class:`PreludeCodec` (one *stream* of dispatches).  The first region of
-a stream ships the full state — the global-storage dict plus an ordered
-*storage table* of every shared list — and its content hash becomes the
-stream's key.  Pool workers cache the decoded state per stream
-(:data:`_RESIDENT_STATES`).  Every later region ships a **dirty-slot
-delta**: the parent runs with :meth:`Interpreter.enable_write_log`
-active *between* regions, so the delta is exactly the ``(storage, slot)``
-pairs the sequential code, the diff merges, and the joins wrote.  Keys
-advance along a hash chain (``next = H(prev + H(delta))``) rooted in the
-full-state content hash; a worker whose resident key matches neither the
-expected nor the next key (it joined the pool mid-epoch, or the chain
-diverged) reports a **prelude miss** and the parent retries that one
-payload with the full state attached — the same handshake the module
-codec already uses.
+**State: once per region.**  The shared state — the global-storage
+dict plus an ordered *storage table* of every shared list the region's
+frames can reach — is one plain ``pickle`` stream (lists of scalars:
+C speed, no persistent ids), encoded once and attached to every payload
+of the region.  The worker decodes it, runs its chunk against it and
+drops it.  (A copy kept alive in the worker across dispatches and
+patched with dirty-slot deltas was measured slower at every state size
+— ROADMAP item 1 has the table — because per-slot Python bookkeeping on
+both sides loses to one C-speed pickle.)
 
-**Storage persistent ids.**  Shared storage lists never re-travel once
-resident: every reference to one — from worker frames, registers,
-object tables, pointer args — is pickled as ``("s", index)`` into the
-storage table, resolved child-side against the resident table.  This is
-what preserves the register→storage aliasing across *dispatches* the
-way v1's shared-memo trick preserved it within one dispatch.
+**Storage ids: per region.**  Every reference to a shared storage list
+— from worker frames, registers, object tables, pointer args — is
+pickled as ``("s", index)`` into *that region's* table and resolved
+child-side against the table it just decoded.  This is what preserves
+the register→storage aliasing inside one dispatch: a pointer register
+and the object-table entry it aims at decode to the same list.
 
-**Write rollback.**  A chunk's own writes would make one pool worker's
-resident copy diverge from its siblings'.  After diffing, the child
-rolls its write log back (restoring each slot's pre-run value), so the
-resident state always equals the parent's pre-dispatch image and every
-payload of a region can run in any pool process in any order.
-
-**Module byte cache.**  Unchanged from v1: module-owned objects are
-persistent ids ``("m", index)`` into the deterministic
-:func:`module_objects` traversal, with the bytes broadcast once per pool
-recycle epoch and a miss/retry fallback.  v2 additionally encodes the
-member ``NaturalLoop`` objects as ``("l", function, header)`` ids —
-the child recomputes loops from its decoded module, so region streams
-no longer carry loop structure at all.
-
-**Write-log diffing.**  Unchanged from v1: the worker's shared-state
-diff is computed from its store-path write log, byte-for-byte what the
-snapshot+full-scan reference produces (:func:`diff_snapshot` — the
+**Write-log diffs: home.**  The worker runs with a store-path write
+log and ships back a slot-level diff of the shared storage it wrote,
+computed from the log in O(slots written) — byte-for-byte what the
+snapshot+full-scan reference produces (:func:`diff_snapshot`; the
 ``VERIFY_DIFFS`` cross-check and the differential tests run it).
 
-Verification knobs (environment or module globals; they travel inside
-the payload, so no child-process configuration is involved):
-``VERIFY_DIFFS=1`` cross-checks the write-log diff against the snapshot
-diff in every chunk; ``VERIFY_PRELUDE=1`` ships the full state alongside
-every delta and fails loudly if a worker's delta-applied resident state
-diverges from it.
+Verification knobs travel inside the payload header, so no
+child-process configuration is involved: ``VERIFY_DIFFS=1``
+cross-checks the write-log diff against the snapshot diff in every
+chunk; ``VERIFY_COMPILED=1`` runs every compiled chunk twice.
 """
 
 import dataclasses
 import hashlib
 import io
-import itertools
-import math
 import pickle
 import random
 from collections import OrderedDict
@@ -81,53 +62,29 @@ PROTOCOL = 5
 
 #: Persistent-id namespace tags.
 MODULE_TAG = "m"  # module-owned objects, by module_objects() index
-STORAGE_TAG = "s"  # shared storage lists, by resident-table index
+STORAGE_TAG = "s"  # shared storage lists, by the region's table index
 LOOP_TAG = "l"  # NaturalLoops, by (function name, header block name)
 
-#: Parent-side module codecs kept alive (id-keyed; strong references
-#: guarantee the id cannot be recycled while the entry exists).
-_MODULE_CODEC_CAP = 8
-
-#: Pool-worker-side decoded modules kept per process.
-_DECODED_MODULE_CAP = 4
-
-#: Pool-worker-side resident prelude states kept per process (one per
-#: parent-interpreter stream; LRU so interleaved sessions can share a
-#: pool without unbounded memory).
-_RESIDENT_CAP = 4
-
-#: Resident storage-table entries before the parent declares the stream
-#: too wide to track (regions entered from many short-lived frames) and
-#: falls back to full-state shipping.
-_TABLE_CAP = 4096
-
-#: Delta-history window cap: how many past chain keys a dirty delta can
-#: catch a pool worker up from.  The pool hands payloads to whichever
-#: process is free, so a busy process can skip whole regions and fall
-#: several keys behind; shipping the *union* dirty map (values are the
-#: current ones, so applying it from any windowed state is exact) keeps
-#: those processes on the resident path instead of full-state retries.
-#: The live window is adaptive — it starts at ``_WINDOW_MIN``, grows by
-#: one key per observed prelude miss, and decays while misses stay
-#: absent — because the union's wire cost scales with its depth.
-_WINDOW_KEYS = 8
-_WINDOW_MIN = 2
-
-#: Miss-free regions before the adaptive window shrinks by one key.
-_WINDOW_DECAY_REGIONS = 16
-
-#: Union-dirty entries before the window starts evicting its oldest
-#: keys (a worker that far behind re-ships the full state instead).
-_WINDOW_DIRTY_CAP = 8192
+#: Modules kept per process, on both sides of the wire: the parent's
+#: pickled-bytes LRU (id-keyed; strong references guarantee the id
+#: cannot be recycled while the entry exists) and a pool worker's
+#: decoded-module LRU.  Sized above the sessions one process
+#: realistically alternates: ``run-procs-warm`` rotates 9 live Sessions
+#: through one pool, and at the earlier caps (parent 8, child 4) every
+#: operation re-pickled or re-decoded its module and paid a module-miss
+#: round trip per worker — warm geomean 15.2 ms/op and 291 KB of 909 KB
+#: per round in retries; child cap 16 alone gave 9.85 ms and 83 KB,
+#: both at 16 gave 8.69 ms, peak RSS unchanged (parent 39.3 MB,
+#: children 33.5 MB).
+MODULE_CACHE_CAP = 16
 
 
-# The debug/verification knobs live in ``runtime/knobs.py`` (one
-# parser, refreshable between tests); these module attributes re-export
-# the knob objects so existing call sites and test monkeypatching of
+# The verification knobs live in ``runtime/knobs.py`` (one parser,
+# refreshable between tests); these module attributes re-export the
+# knob objects so call sites and test monkeypatching of
 # ``payload.VERIFY_DIFFS`` et al. keep working — a knob is truthy
 # exactly when its environment variable is set truthy.
 VERIFY_DIFFS = knobs.VERIFY_DIFFS
-VERIFY_PRELUDE = knobs.VERIFY_PRELUDE
 VERIFY_COMPILED = knobs.VERIFY_COMPILED
 
 
@@ -162,34 +119,26 @@ def module_objects(module):
 class _RegionPickler(pickle.Pickler):
     """Pickler writing module objects, shared storages, and loops as pids."""
 
-    def __init__(self, file, persist_map, storage_map=None, loop_map=None):
+    def __init__(self, file, persist_map, storage_map, loop_map):
         super().__init__(file, protocol=PROTOCOL)
         self._persist = persist_map
         self._storage = storage_map
         self._loops = loop_map
 
     def persistent_id(self, obj):
-        pid = self._persist.get(id(obj))
-        if pid is not None:
-            return pid
-        if self._storage is not None:
-            pid = self._storage.get(id(obj))
-            if pid is not None:
-                return pid
-        if self._loops is not None:
-            return self._loops.get(id(obj))
-        return None
+        key = id(obj)
+        return (
+            self._persist.get(key)
+            or self._storage.get(key)
+            or self._loops.get(key)
+        )
 
 
 class _RegionUnpickler(pickle.Unpickler):
-    """Unpickler resolving pids against decoded module / resident state.
+    """Unpickler resolving pids against the decoded module and the
+    region's decoded storage table."""
 
-    ``storages`` is the live resident table *list*: entries appended
-    between the header and delta ``load()`` calls (dirty-delta
-    application) are visible to later resolutions.
-    """
-
-    def __init__(self, file, objects, storages=None, loop_resolver=None):
+    def __init__(self, file, objects, storages, loop_resolver):
         super().__init__(file)
         self._objects = objects
         self._storages = storages
@@ -200,16 +149,8 @@ class _RegionUnpickler(pickle.Unpickler):
         if tag == MODULE_TAG:
             return self._objects[pid[1]]
         if tag == STORAGE_TAG:
-            if self._storages is None:
-                raise pickle.UnpicklingError(
-                    "storage persistent id with no resident table"
-                )
             return self._storages[pid[1]]
         if tag == LOOP_TAG:
-            if self._loop_resolver is None:
-                raise pickle.UnpicklingError(
-                    "loop persistent id with no loop resolver"
-                )
             return self._loop_resolver(pid[1], pid[2])
         raise pickle.UnpicklingError(
             f"unknown persistent id namespace {tag!r}"
@@ -228,7 +169,7 @@ class ModuleCodec:
     on stale bytes.
     """
 
-    __slots__ = ("module", "key", "module_bytes", "persist_map")
+    __slots__ = ("module", "key", "module_bytes", "persist_map", "livein")
 
     def __init__(self, module):
         self.module = module
@@ -240,6 +181,15 @@ class ModuleCodec:
             id(obj): (MODULE_TAG, index)
             for index, obj in enumerate(module_objects(module))
         }
+        self.livein = {}  # region's loop headers -> live-in registers
+
+    def livein_for(self, loops):
+        label = tuple(
+            (loop.header.parent.name, loop.header.name) for loop in loops
+        )
+        if label not in self.livein:
+            self.livein[label] = live_in_registers(loops)
+        return self.livein[label]
 
 
 _MODULE_CODECS = OrderedDict()  # id(module) -> ModuleCodec (LRU)
@@ -263,7 +213,7 @@ def module_codec(module):
         return codec
     codec = ModuleCodec(module)
     _MODULE_CODECS[key] = codec
-    while len(_MODULE_CODECS) > _MODULE_CODEC_CAP:
+    while len(_MODULE_CODECS) > MODULE_CACHE_CAP:
         _MODULE_CODECS.popitem(last=False)
     return codec
 
@@ -271,10 +221,10 @@ def module_codec(module):
 def invalidate_pool_caches():
     """Drop every cache tied to the current pool generation's workers.
 
-    Called on pool recycle: the recycled processes' decoded-module and
-    resident-prelude caches died with them, so the broadcast bookkeeping
-    (and this process's own decode caches, which forked children
-    inherit) must not claim otherwise.  The parent-side
+    Called on pool recycle: the recycled processes' decoded-module
+    caches died with them, so the broadcast bookkeeping (and this
+    process's own decode cache, which forked children inherit) must not
+    claim otherwise.  The parent-side
     :data:`_MODULE_CODECS` pickled-bytes LRU survives — it is keyed by
     module identity with a content-hash wire key, valid across epochs,
     and re-pickling the whole module per recycle is exactly the
@@ -282,7 +232,6 @@ def invalidate_pool_caches():
     """
     _SHIPPED_MODULES.clear()
     _DECODED_MODULES.clear()
-    _RESIDENT_STATES.clear()
 
 
 def reset_codec_caches():
@@ -291,19 +240,11 @@ def reset_codec_caches():
     Called by the test suite's autouse fixture so no test (or session)
     depends on what a previous one happened to ship: parent-side module
     codecs and broadcast bookkeeping, and this process's decoded-module
-    and resident-prelude caches (the latter matter when payloads are
-    decoded in-process, as the codec tests do).  Per-interpreter
-    :class:`PreludeCodec` state is not process-global and dies with its
-    interpreter; the stream-id counter is deliberately never reset, so
-    stale resident entries can never collide with a new stream.
+    cache (which matters when payloads are decoded in-process, as the
+    codec tests do).
     """
     _MODULE_CODECS.clear()
     invalidate_pool_caches()
-
-
-# -- parent-side resident-prelude codec ---------------------------------------
-
-_STREAM_IDS = itertools.count(1)
 
 
 def _walk_storages(frame, global_storage):
@@ -364,284 +305,31 @@ def live_in_registers(loops):
     return needed
 
 
-def _exact_value_match(value, before):
-    """``==`` plus the distinctions resident state must not blur.
-
-    The dirty drain elides writes that restored a slot's value — but
-    ``==`` alone would also elide ``-0.0`` over ``0.0`` (and a value of
-    a different type), silently diverging the workers' resident slots
-    from the parent's.  Only equal-comparing values reach the extra
-    checks, so the fast path stays one comparison.
-    """
-    if value != before:
-        return False
-    if type(value) is not type(before):
-        return False
-    if isinstance(value, float) and value == 0.0:
-        return math.copysign(1.0, value) == math.copysign(1.0, before)
-    return True
-
-
-class PreludeCodec:
-    """Parent-side resident-prelude state for one dispatch stream.
-
-    One per parallel interpreter.  Tracks the storage table (the shared
-    lists the pool workers hold resident, in persistent-id order), the
-    hash-chain key of the state the workers currently hold, and the
-    inter-region write log the dirty deltas are drained from.  A
-    ``None`` log (or an epoch change, or :meth:`invalidate`) degrades
-    every region to full-state shipping — never to wrong results.
-    """
-
-    __slots__ = (
-        "stream_id", "epoch", "key", "log", "table", "table_ids",
-        "persist", "full_len", "livein", "history", "window_target",
-        "quiet_regions", "pending_rebind", "handoff_log",
-    )
-
-    def __init__(self, log=None):
-        self.stream_id = next(_STREAM_IDS)
-        self.epoch = None
-        self.key = None
-        self.log = log
-        self.table = []
-        self.table_ids = {}
-        self.persist = {}  # id(storage) -> ("s", index)
-        self.full_len = 0  # last encoded full-state size (bytes)
-        self.livein = {}  # region headers -> live-in register set
-        # Delta history: [key, cumulative dirty {(index, slot): value},
-        # table length at that key], oldest first.  Entry maps stay
-        # cumulative (every region's dirty is merged into all of them),
-        # so the oldest entry's map is the union delta the wire ships.
-        self.history = []
-        self.window_target = _WINDOW_MIN
-        self.quiet_regions = 0
-        self.pending_rebind = False
-        self.handoff_log = None
-
-    def invalidate(self):
-        """Forget the chain: the next region ships the full state."""
-        self.key = None
-        self.table = []
-        self.table_ids = {}
-        self.persist = {}
-        self.history = []
-        self.pending_rebind = False
-        self.handoff_log = None
-
-    def add_storage(self, storage):
-        index = len(self.table)
-        self.table.append(storage)
-        self.table_ids[id(storage)] = index
-        self.persist[id(storage)] = (STORAGE_TAG, index)
-
-    def drain_dirty(self):
-        """``{(table index, slot): value}`` for every logged table write.
-
-        Writes to storages outside the table are private scratch or
-        brand-new storages (those ship whole in ``append``); writes that
-        restored the original value are elided.  The log is cleared for
-        the next inter-region span.
-        """
-        dirty = {}
-        for (storage_id, slot), (storage, before) in self.log.items():
-            index = self.table_ids.get(storage_id)
-            if index is None:
-                continue
-            value = storage[slot]
-            if not _exact_value_match(value, before):
-                dirty[(index, slot)] = value
-        self.log.clear()
-        return dirty
-
-    def window(self, dirty):
-        """Advance the delta history by this region's dirty map.
-
-        Returns ``(keys, union_dirty_map, append_base)``: the chain
-        keys a worker may catch up from, the union dirty map (current
-        values — exact from any windowed state), and the table index
-        the shipped append pool starts at.  Call with ``self.key`` still
-        at the pre-region value and the table not yet extended.
-        """
-        self.quiet_regions += 1
-        if (
-            self.quiet_regions >= _WINDOW_DECAY_REGIONS
-            and self.window_target > _WINDOW_MIN
-        ):
-            self.window_target -= 1
-            self.quiet_regions = 0
-        for entry in self.history:
-            entry[1].update(dirty)
-        self.history.append([self.key, dict(dirty), len(self.table)])
-        # Keeping old keys reachable is only worth a bounded multiple of
-        # the traffic the current region genuinely has to ship.  The
-        # newest entry is never evicted: with it, workers that ran the
-        # previous region stay resident (its size already passed the
-        # caller's delta-vs-full-state guard); without it, every payload
-        # of every region would miss forever.
-        budget = max(256, 4 * len(dirty))
-        while len(self.history) > 1 and (
-            len(self.history) > self.window_target
-            or len(self.history[0][1]) > min(_WINDOW_DIRTY_CAP, budget)
-        ):
-            self.history.pop(0)
-        keys = tuple(entry[0] for entry in self.history)
-        return keys, self.history[0][1], self.history[0][2]
-
-    def adopt_log(self, log):
-        """Attach a fresh interpreter's write log (Session run handoff).
-
-        A Session reuses one codec across its runs so the hash chain —
-        and the pool workers' resident state — survives run boundaries.
-        The new interpreter owns brand-new storage lists, so the next
-        encode must :meth:`rebind` the table onto them before trusting
-        any delta.
-        """
-        self.pending_rebind = self.key is not None
-        self.handoff_log = self.log if self.pending_rebind else None
-        self.log = log
-
-    def rebind(self, current):
-        """Re-aim the table at a new interpreter's storages via value diff.
-
-        ``current`` is the new run's storage walk.  The pool workers'
-        resident state equals the *old* table's values minus the old
-        log's pending before-values; every slot where the new storages
-        differ from that becomes a synthetic dirty entry in the new log,
-        so the normal delta drain ships exactly the state the run
-        boundary changed (for a fresh-initialized run, usually a
-        fraction of the state).  Returns ``False`` — caller goes cold —
-        when the shapes don't line up.
-        """
-        old_log = self.handoff_log or {}
-        self.handoff_log = None
-        # The new run's first walk matches the old stream's *cold* walk
-        # — the table prefix.  Entries appended later in the old run
-        # stay in place (keeping pool-worker table indices aligned);
-        # they are inert — the dead run's objects can never be
-        # referenced again — but their pending before-values carry over
-        # so verification sees a consistent image.
-        prefix = len(current)
-        if self.log is None or prefix > len(self.table):
-            return False
-        for new, old in zip(current, self.table):
-            if len(new) != len(old):
-                return False
-        # Recomputed below against every prefix slot, so the new log's
-        # run-prefix entries (whose before-values are this run's initial
-        # state, not what the workers hold) are superseded wholesale.
-        self.log.clear()
-        for index, (new, old) in enumerate(zip(current, self.table)):
-            old_id = id(old)
-            for slot, child_value in enumerate(old):
-                entry = old_log.get((old_id, slot))
-                if entry is not None:
-                    # The old parent wrote this slot after its last
-                    # encode: the workers still hold the pre-write value.
-                    child_value = entry[1]
-                if not _exact_value_match(new[slot], child_value):
-                    self.log[(id(new), slot)] = (new, child_value)
-            self.table[index] = new
-        self.table_ids = {id(s): i for i, s in enumerate(self.table)}
-        for key, entry in old_log.items():
-            index = self.table_ids.get(key[0])
-            if index is not None and index >= prefix:
-                self.log[key] = entry
-        self.persist = {
-            id(s): (STORAGE_TAG, i) for i, s in enumerate(self.table)
-        }
-        return True
-
-    def note_miss(self):
-        """A pool worker fell out of the window: deepen it.
-
-        Called by the backend when a payload comes back with a prelude
-        miss; the union delta grows to cover laggards, then decays once
-        misses stay absent (the wire cost of the union scales with the
-        window depth, and a miss already self-healed via the full-state
-        retry, so growth is gentle).
-        """
-        self.window_target = min(_WINDOW_KEYS, self.window_target + 1)
-        self.quiet_regions = 0
-
-    def encode_state(self, global_storage, table=None):
-        """Full-state stream: the global-storage dict + the storage table.
-
-        Plain pickle — shared storages are lists of scalars, so no
-        persistent ids are needed, and the in-stream memo keeps
-        ``global_storage`` values and table entries aliased.
-        """
-        state_bytes = pickle.dumps(
-            {
-                "global_storage": global_storage,
-                "table": self.table if table is None else table,
-            },
-            protocol=PROTOCOL,
-        )
-        self.full_len = len(state_bytes)
-        return state_bytes
-
-    def livein_for(self, loops):
-        label = tuple(loop.header.name for loop in loops)
-        if label not in self.livein:
-            self.livein[label] = live_in_registers(loops)
-        return self.livein[label]
-
-    def clone(self):
-        """An independent copy (tests re-encode a region deterministically)."""
-        twin = PreludeCodec(
-            log=dict(self.log) if self.log is not None else None
-        )
-        twin.stream_id = self.stream_id
-        twin.epoch = self.epoch
-        twin.key = self.key
-        twin.table = list(self.table)
-        twin.table_ids = dict(self.table_ids)
-        twin.persist = dict(self.persist)
-        twin.full_len = self.full_len
-        twin.livein = dict(self.livein)
-        twin.history = [
-            [key, dict(dirty), length] for key, dirty, length in self.history
-        ]
-        twin.window_target = self.window_target
-        twin.quiet_regions = self.quiet_regions
-        twin.pending_rebind = self.pending_rebind
-        twin.handoff_log = (
-            dict(self.handoff_log) if self.handoff_log is not None else None
-        )
-        return twin
-
-
 # -- wire format ---------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class WorkerPayload:
-    """One pool dispatch (wire format v2).
+    """One pool dispatch.
 
     ``module_bytes`` rides along only on the epoch broadcast or a
-    module-miss retry; ``state_bytes`` only on a cold stream, a
-    prelude-miss retry, or under ``VERIFY_PRELUDE``.  Steady state is
-    ``header_bytes`` (the shared dirty delta + region metadata, identical
-    across the region's workers) plus this worker's ``delta_bytes``.
+    module-miss retry.  ``state_bytes`` (the region's shared state) and
+    ``header_bytes`` (region metadata) are identical across the region's
+    workers; ``delta_bytes`` is this worker's frame and iterations.
     """
 
     module_key: str
     module_bytes: bytes  # None when the pool epoch already has them
-    stream_id: int
-    keys: tuple  # chain keys the delta can catch a worker up from
-    next_key: str  # key of the state after this region's delta
-    state_bytes: bytes  # full state, or None on the resident path
-    verify_state: bool  # compare resident vs state_bytes (VERIFY_PRELUDE)
+    state_bytes: bytes
     header_bytes: bytes
     delta_bytes: bytes
 
     @property
     def wire_bytes(self):
         return (
-            len(self.header_bytes)
+            len(self.state_bytes)
+            + len(self.header_bytes)
             + len(self.delta_bytes)
-            + (len(self.state_bytes) if self.state_bytes else 0)
             + (len(self.module_bytes) if self.module_bytes else 0)
         )
 
@@ -649,11 +337,7 @@ class WorkerPayload:
         return (
             self.module_key,
             self.module_bytes,
-            self.stream_id,
-            self.keys,
-            self.next_key,
             self.state_bytes,
-            self.verify_state,
             self.header_bytes,
             self.delta_bytes,
         )
@@ -661,12 +345,6 @@ class WorkerPayload:
     def with_module(self, codec):
         """A copy carrying the module bytes (miss-retry path)."""
         return dataclasses.replace(self, module_bytes=codec.module_bytes)
-
-    def with_state(self, state_bytes):
-        """A copy carrying the full state (prelude-miss retry path)."""
-        return dataclasses.replace(
-            self, state_bytes=state_bytes, verify_state=False
-        )
 
     def corrupted(self, seed=0):
         """A copy with deterministically flipped delta bytes (chaos only).
@@ -690,72 +368,12 @@ class RegionPayloads:
     """The encoded region: one :class:`WorkerPayload` per active worker."""
 
     codec: ModuleCodec
-    prelude: PreludeCodec
     workers: list
     shipped_module: bool
-    shipped_state: bool  # full state attached to every payload (cold)
-    next_key: str
-    _table: list = None  # table snapshot for the lazy state encode
-    _global_storage: dict = None
-    _state_bytes: bytes = None
 
     @property
     def wire_bytes(self):
         return sum(payload.wire_bytes for payload in self.workers)
-
-    def state_bytes(self):
-        """The region's full-state stream, encoded at most once.
-
-        Lazy: steady-state regions never pay the full pickle; a
-        prelude-miss retry (or ``VERIFY_PRELUDE``) forces it.  Safe to
-        call mid-collection because the parent applies no worker
-        effects until every result is in.
-        """
-        if self._state_bytes is None:
-            self._state_bytes = self.prelude.encode_state(
-                self._global_storage, self._table
-            )
-        return self._state_bytes
-
-
-def _pack_dirty(dirty_map):
-    """Split a dirty map into flat singles and contiguous value runs.
-
-    Dense rewrites (a region refilling a whole array) dominate many
-    kernels' deltas; a run ``(index, start, [values...])`` ships one
-    value per slot instead of an ``index, slot, value`` triple per slot.
-    Returns ``(singles, runs)`` where ``singles`` is the flat
-    ``[index, slot, value, ...]`` list for isolated marks.
-    """
-    by_index = {}
-    for (index, slot), value in dirty_map.items():
-        by_index.setdefault(index, []).append((slot, value))
-    singles = []
-    runs = []
-    for index in sorted(by_index):
-        marks = sorted(by_index[index])
-        i = 0
-        while i < len(marks):
-            j = i
-            while j + 1 < len(marks) and marks[j + 1][0] == marks[j][0] + 1:
-                j += 1
-            if j - i + 1 >= 3:
-                runs.append((
-                    index, marks[i][0], [value for _s, value in marks[i:j + 1]]
-                ))
-            else:
-                for slot, value in marks[i:j + 1]:
-                    singles.extend((index, slot, value))
-            i = j + 1
-    return singles, runs
-
-
-def _dirty_cost(singles, runs):
-    """Rough wire bytes of a packed dirty delta (full-state guard)."""
-    return (
-        5 * len(singles)
-        + sum(16 + 10 * len(values) for _i, _s, values in runs)
-    )
 
 
 def _pack_iterations(values):
@@ -819,94 +437,43 @@ def _unpack_iterations(packed):
 
 
 def encode_region(module, frame, loops, global_storage, max_steps,
-                  workers, epoch, prelude=None, compile_regions=False,
-                  nest=None):
+                  workers, epoch, compile_regions=False, nest=None):
     """Encode one region's pool payloads.
 
     ``workers`` are the active ``_Worker`` instances; ``frame`` is the
     enclosing sequential frame whose storages the worker frames alias;
     ``epoch`` identifies the current pool generation (module bytes are
-    broadcast, and resident streams reset, once per epoch); ``prelude``
-    is the dispatching interpreter's :class:`PreludeCodec` (omitted by
-    standalone callers, who then ship full state every region);
-    ``compile_regions`` asks the pool worker to run each chunk through
-    its exec-compiled body (``repro.codegen``) where one lowers — the
-    flag travels in the header, so children need no environment.
-    ``nest`` is an interchanged nest's outer loop: it travels in the
-    header (by loop reference) and the workers' iteration values are
-    ``(outer, inner)`` pairs.
+    broadcast once per epoch); ``compile_regions`` asks the pool worker
+    to run each chunk through its exec-compiled body
+    (``repro.codegen``) where one lowers — the flag travels in the
+    header, so children need no environment.  ``nest`` is an
+    interchanged nest's outer loop: it travels in the header (by loop
+    reference) and the workers' iteration values are ``(outer, inner)``
+    pairs.
     """
     codec = module_codec(module)
-    if prelude is None:
-        prelude = PreludeCodec(log=None)
-    if prelude.epoch != epoch:
-        # Fresh pool generation: the workers' resident states died with
-        # the old processes.
-        prelude.epoch = epoch
-        prelude.invalidate()
-
-    current = _walk_storages(frame, global_storage)
-    if prelude.pending_rebind:
-        # Session run handoff: the chain survives, but the table must
-        # be re-aimed at this run's storage objects (with the state
-        # difference turned into synthetic dirty entries) first.
-        prelude.pending_rebind = False
-        if prelude.key is not None and not prelude.rebind(current):
-            prelude.invalidate()
-    resident = (
-        prelude.key is not None
-        and prelude.log is not None
-        and len(current) <= _TABLE_CAP
+    table = _walk_storages(frame, global_storage)
+    storage_map = {
+        id(storage): (STORAGE_TAG, index)
+        for index, storage in enumerate(table)
+    }
+    # Plain pickle — shared storages are lists of scalars, so no
+    # persistent ids are needed, and the in-stream memo keeps
+    # ``global_storage`` values and table entries aliased.
+    state_bytes = pickle.dumps(
+        {"global_storage": global_storage, "table": table},
+        protocol=PROTOCOL,
     )
-    if resident:
-        fresh = [s for s in current if id(s) not in prelude.table_ids]
-        if len(prelude.table) + len(fresh) > _TABLE_CAP:
-            prelude.invalidate()
-            resident = False
-    if resident:
-        keys, union, append_base = prelude.window(prelude.drain_dirty())
-        singles, runs = _pack_dirty(union)
-        if prelude.full_len and _dirty_cost(singles, runs) > prelude.full_len:
-            # The delta would outweigh the state itself (a region that
-            # rewrote most shared slots): re-ship the full state — which
-            # also resyncs every pool worker — and restart the chain.
-            prelude.invalidate()
-            resident = False
-    if not resident:
-        prelude.invalidate()
-        for storage in current:
-            prelude.add_storage(storage)
-        fresh = []
-        singles = []
-        runs = []
-        keys = ()
-        append_base = len(prelude.table)
-        if prelude.log is not None:
-            prelude.log.clear()
-
     loop_map = {
         id(loop): (LOOP_TAG, loop.header.parent.name, loop.header.name)
         for loop in list(loops) + ([nest] if nest is not None else [])
     }
-    # The append pool (every table storage a windowed worker may still
-    # lack) must travel *by value*: exclude it from the header's
-    # storage-pid map.  Worker deltas still reference pool storages
-    # compactly — via the header pickler's memo.
-    header_persist = {
-        storage_id: pid
-        for storage_id, pid in prelude.persist.items()
-        if pid[1] < append_base
-    }
 
     buffer = io.BytesIO()
     header_pickler = _RegionPickler(
-        buffer, codec.persist_map, header_persist, loop_map
+        buffer, codec.persist_map, storage_map, loop_map
     )
-    # Positional header (see the matching unpack in decode_payload):
-    # (loops, nest, max_steps, verify_diffs, compile_regions,
-    # verify_compiled, append_base, append pool, dirty singles, dirty
-    # runs).  ``append`` is the table suffix from ``append_base`` on —
-    # the window's new storages by value, this region's ``fresh`` last.
+    # Positional header (see the matching unpack in decode_payload).
     header_pickler.dump((
         loops,
         nest,
@@ -914,40 +481,21 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         bool(VERIFY_DIFFS),
         bool(compile_regions),
         bool(VERIFY_COMPILED),
-        append_base,
-        prelude.table[append_base:] + fresh,
-        singles,
-        runs,
     ))
     header_bytes = buffer.getvalue()
     # Memo snapshot after the header: each worker's delta pickler is
-    # primed with its own copy, so deltas reference header objects
-    # (loops, append-pool storages) by memo id and one worker's private
-    # objects can never leak into another's stream.
+    # primed with its own copy, so deltas reference header objects (the
+    # loops) by memo id and one worker's private objects can never leak
+    # into another's stream.
     base_memo = header_pickler.memo.copy()
-    for storage in fresh:
-        prelude.add_storage(storage)
 
-    if resident:
-        next_key = hashlib.sha256(
-            (prelude.key + hashlib.sha256(header_bytes).hexdigest())
-            .encode()
-        ).hexdigest()
-        state_bytes = None
-        if VERIFY_PRELUDE:
-            state_bytes = prelude.encode_state(global_storage)
-    else:
-        state_bytes = prelude.encode_state(global_storage)
-        next_key = hashlib.sha256(state_bytes).hexdigest()
-    prelude.key = next_key
-
-    needed = prelude.livein_for(loops)
+    needed = codec.livein_for(loops)
     ship = (epoch, codec.key) not in _SHIPPED_MODULES
     payloads = []
     for worker in workers:
         delta_buffer = io.BytesIO()
         delta_pickler = _RegionPickler(
-            delta_buffer, codec.persist_map, prelude.persist, loop_map
+            delta_buffer, codec.persist_map, storage_map, loop_map
         )
         delta_pickler.memo = dict(base_memo)
         # Positional worker delta: the frame travels as its fields
@@ -976,11 +524,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         payloads.append(WorkerPayload(
             module_key=codec.key,
             module_bytes=codec.module_bytes if ship else None,
-            stream_id=prelude.stream_id,
-            keys=keys,
-            next_key=next_key,
             state_bytes=state_bytes,
-            verify_state=bool(VERIFY_PRELUDE and resident),
             header_bytes=header_bytes,
             delta_bytes=delta_buffer.getvalue(),
         ))
@@ -989,41 +533,12 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         # Entries for dead pool generations can never be consulted again.
         stale = {entry for entry in _SHIPPED_MODULES if entry[0] != epoch}
         _SHIPPED_MODULES.difference_update(stale)
-    return RegionPayloads(
-        codec=codec,
-        prelude=prelude,
-        workers=payloads,
-        shipped_module=ship,
-        shipped_state=state_bytes is not None,
-        next_key=next_key,
-        _table=list(prelude.table),
-        _global_storage=global_storage,
-        _state_bytes=state_bytes,
-    )
+    return RegionPayloads(codec=codec, workers=payloads, shipped_module=ship)
 
 
 # -- pool-worker-side decoding -------------------------------------------------
 
 _DECODED_MODULES = OrderedDict()  # module key -> (module, objects, loops)
-
-
-class ResidentState:
-    """One stream's resident shared state inside a pool worker."""
-
-    __slots__ = ("key", "global_storage", "table")
-
-    def __init__(self, key, global_storage, table):
-        self.key = key
-        self.global_storage = global_storage
-        self.table = table
-
-
-_RESIDENT_STATES = OrderedDict()  # stream id -> ResidentState (LRU)
-
-
-def discard_resident(stream_id):
-    """Drop a stream's resident state (worker-side error recovery)."""
-    _RESIDENT_STATES.pop(stream_id, None)
 
 
 def _decoded_module(module_key, module_bytes):
@@ -1034,7 +549,7 @@ def _decoded_module(module_key, module_bytes):
         module = pickle.loads(module_bytes)
         entry = (module, module_objects(module), {})
         _DECODED_MODULES[module_key] = entry
-        while len(_DECODED_MODULES) > _DECODED_MODULE_CAP:
+        while len(_DECODED_MODULES) > MODULE_CACHE_CAP:
             _DECODED_MODULES.popitem(last=False)
     else:
         _DECODED_MODULES.move_to_end(module_key)
@@ -1055,107 +570,29 @@ def _loop_resolver(module, loop_cache):
     return resolve
 
 
-def _install_resident(stream_id, key, state_bytes):
-    state = pickle.loads(state_bytes)
-    resident = ResidentState(key, state["global_storage"], state["table"])
-    _RESIDENT_STATES[stream_id] = resident
-    _RESIDENT_STATES.move_to_end(stream_id)
-    while len(_RESIDENT_STATES) > _RESIDENT_CAP:
-        _RESIDENT_STATES.popitem(last=False)
-    return resident
-
-
-class PreludeVerificationError(ValueError):
-    """A ``VERIFY_PRELUDE`` divergence: the oracle caught a real bug.
-
-    Distinct from ordinary decode failures so the supervised dispatch
-    path treats it as *fatal*: retrying would re-ship the full (already
-    mutated) state and silently bless exactly the unlogged mutation the
-    verification mode exists to catch.
-    """
-
-
-def _verify_resident(resident, state_bytes, stream_id):
-    fresh = pickle.loads(state_bytes)
-    table = fresh["table"]
-    if len(table) != len(resident.table):
-        raise PreludeVerificationError(
-            f"resident prelude diverged (stream {stream_id}): table has "
-            f"{len(resident.table)} storages, fresh state {len(table)}"
-        )
-    for index, (have, want) in enumerate(zip(resident.table, table)):
-        if have != want:
-            raise PreludeVerificationError(
-                f"resident prelude diverged (stream {stream_id}) at "
-                f"storage {index}: resident={have!r} fresh={want!r} — "
-                "a parent-side mutation bypassed the write log"
-            )
-    have_names = set(resident.global_storage)
-    want_names = set(fresh["global_storage"])
-    if have_names != want_names:
-        raise PreludeVerificationError(
-            f"resident prelude diverged (stream {stream_id}): global "
-            f"names {sorted(have_names ^ want_names)} differ"
-        )
-
-
 def decode_payload(wire):
     """Decode one :meth:`WorkerPayload.wire` tuple inside a pool worker.
 
-    Returns ``(payload, miss)``: the payload dict the chunk entry
-    executes and ``None``, or ``(None, "module")`` / ``(None,
-    "prelude")`` when this worker lacks the module bytes or the resident
-    state the payload references (the caller reports the miss and the
-    parent retries with the missing stream attached).
+    Returns the payload dict the chunk entry executes, or ``None`` when
+    this worker lacks the module bytes the payload references (the
+    caller reports the miss and the parent retries with them attached).
+    The decoded shared state belongs to this one payload: the chunk
+    runs against it, its write log is diffed, and it is dropped.
     """
-    (module_key, module_bytes, stream_id, keys, next_key,
-     state_bytes, verify_state, header_bytes, delta_bytes) = wire
+    module_key, module_bytes, state_bytes, header_bytes, delta_bytes = wire
     entry = _decoded_module(module_key, module_bytes)
     if entry is None:
-        return None, "module"
+        return None
     module, objects, loop_cache = entry
-
-    resident = _RESIDENT_STATES.get(stream_id)
-    known = resident is not None and (
-        resident.key == next_key or resident.key in keys
-    )
-    if state_bytes is not None and not (verify_state and known):
-        # Full state (cold stream, miss retry, or verify-with-nothing-
-        # to-verify): install and ignore the header's delta sections.
-        resident = _install_resident(stream_id, next_key, state_bytes)
-        advance = False
-    elif not known:
-        return None, "prelude"
-    else:
-        _RESIDENT_STATES.move_to_end(stream_id)
-        # A sibling payload of this same region may have applied the
-        # delta already (the rollback protocol keeps that exact).
-        advance = resident.key != next_key
-
+    state = pickle.loads(state_bytes)
     unpickler = _RegionUnpickler(
         io.BytesIO(header_bytes + delta_bytes),
         objects,
-        resident.table,
+        state["table"],
         _loop_resolver(module, loop_cache),
     )
     (loops, nest, max_steps, verify_diffs, compile_regions,
-     verify_compiled, append_base, append, dirty,
-     dirty_runs) = unpickler.load()
-    if advance:
-        table = resident.table
-        # Catch up from wherever in the window this worker is: first
-        # the table suffix it lacks, then the union dirty map (values
-        # are current, so applying from any windowed state is exact).
-        missing = len(table) - append_base
-        table.extend(append[missing:])
-        flat = iter(dirty)
-        for index, slot, value in zip(flat, flat, flat):
-            table[index][slot] = value
-        for index, start, values in dirty_runs:
-            table[index][start:start + len(values)] = values
-        resident.key = next_key
-    if verify_state and state_bytes is not None and known:
-        _verify_resident(resident, state_bytes, stream_id)
+     verify_compiled) = unpickler.load()
     (function, args, registers, frame_objects, overlay,
      segments, private_globals, private_alloca_uids) = unpickler.load()
     frame = _Frame(function, args)
@@ -1165,7 +602,7 @@ def decode_payload(wire):
     return {
         "module": module,
         "module_key": module_key,
-        "global_storage": resident.global_storage,
+        "global_storage": state["global_storage"],
         "frame": frame,
         "segments": [
             (loop, _unpack_iterations(packed))
@@ -1179,19 +616,7 @@ def decode_payload(wire):
         "verify_diffs": verify_diffs,
         "compile_regions": compile_regions,
         "verify_compiled": verify_compiled,
-    }, None
-
-
-def rollback_writes(log):
-    """Undo every logged write (restore each slot's pre-run value).
-
-    The pool worker calls this after diffing so its resident state
-    returns to the parent's pre-dispatch image: sibling payloads of the
-    same region (and the next region's delta) always find the state the
-    parent's hash chain says they should.
-    """
-    for (_storage_id, slot), (storage, before) in log.items():
-        storage[slot] = before
+    }
 
 
 # -- shared-state diffing ------------------------------------------------------

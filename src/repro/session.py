@@ -32,7 +32,7 @@ from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
 from repro.runtime.faults import Quarantine
-from repro.runtime.payload import PreludeCodec, module_codec
+from repro.runtime.payload import module_codec
 
 
 class Session:
@@ -373,7 +373,6 @@ class Session:
             schedule=schedule if schedule is not None else config.schedule,
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
-            prelude=self._prelude_codec(),
             compile_regions=compile_on,
             quarantine=self._quarantine(),
             retry_budget=config.retry_budget,
@@ -419,21 +418,6 @@ class Session:
             speculate=self.config.speculate,
         )
 
-    def _prelude_codec(self):
-        """This session's resident-prelude stream (processes backend).
-
-        One codec for the session's lifetime: the pool workers' resident
-        shared state — and its hash chain — survives across ``run``
-        calls, so only the state a run boundary actually changed is
-        re-shipped (the codec rebinds itself onto each fresh
-        interpreter's storages by value diff).
-        """
-        codec = getattr(self, "_prelude_codec_obj", None)
-        if codec is None:
-            codec = PreludeCodec()
-            self._prelude_codec_obj = codec
-        return codec
-
     def _quarantine(self):
         """This session's degradation-ladder denylist.
 
@@ -468,7 +452,6 @@ class Session:
             level,
             machine=calibrated["machine"],
             payload_bytes=calibrated["payload_bytes"] or None,
-            prelude_warm=calibrated["prelude_warm"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
             speculate=speculate,

@@ -37,11 +37,11 @@ class RegionStats:
     payloads: int = 0  # process-pool payloads dispatched (processes only)
     payload_bytes: int = 0  # bytes shipped to the pool for this region
     dirty_slots: int = 0  # (object, slot) write marks reported by workers
-    prelude_hits: int = 0  # payloads served from resident worker state
-    prelude_misses: int = 0  # payloads retried with the full state attached
-    prelude_bytes_saved: int = 0  # estimated state bytes the hits avoided
-    retry_payload_bytes: int = 0  # bytes of miss-retry round-trips (timing-
-    # dependent: how often pool scheduling let a worker fall behind)
+    prelude_hits: int = 0  # always 0; benchmarks/e2e still reads it
+    prelude_misses: int = 0  # always 0; benchmarks/e2e still reads it
+    prelude_bytes_saved: int = 0  # always 0; benchmarks/e2e still reads it
+    retry_payload_bytes: int = 0  # bytes of module-miss retry round-trips
+    # (timing-dependent: which pool worker picked a payload up first)
     compiled_chunks: int = 0  # chunks run through exec-compiled bodies
     interpreted_chunks: int = 0  # chunks run through the dispatch loop
     codegen_compiles: int = 0  # fresh lowerings this region caused
@@ -110,16 +110,14 @@ class RegionStats:
 def region_feedback(regions):
     """Measured per-label feedback aggregated over ``regions``.
 
-    Returns ``(payload_bytes, prelude_warm, compiled_speedup,
-    recovery)``: average bytes-on-wire per payload, the resident-prelude
-    hit fraction, the measured compiled-over-interpreted step-rate
-    ratio, and the supervision ledger, each aggregated over every
-    execution of its region label.  The first three feed
-    ``optimize_plan(payload_bytes=..., prelude_warm=...,
-    compiled_speedup=...)`` so the small-region pass prices regions at
-    what their dispatches *actually* cost — cached preludes and real
-    codegen gains included — instead of at the cold-start worst case
-    and the machine model's prior.
+    Returns ``(payload_bytes, compiled_speedup, recovery)``: average
+    bytes-on-wire per payload, the measured compiled-over-interpreted
+    step-rate ratio, and the supervision ledger, each aggregated over
+    every execution of its region label.  The first two feed
+    ``optimize_plan(payload_bytes=..., compiled_speedup=...)`` so the
+    small-region pass prices regions at what their dispatches
+    *actually* cost — real codegen gains included — instead of at the
+    machine model's prior.
 
     ``compiled_speedup`` only covers labels observed in *both* modes
     (pure compiled and pure interpreted executions); mixed executions
@@ -131,16 +129,15 @@ def region_feedback(regions):
     with an all-zero ledger are omitted, so an empty dict means every
     dispatch was clean.
     """
-    totals = {}  # label -> [bytes, payloads, hits]
+    totals = {}  # label -> [bytes, payloads]
     rates = {}  # label -> {mode: [steps, seconds]}
     recovery = {}
     for region in regions:
         label = region.header
         if region.payloads:
-            entry = totals.setdefault(label, [0, 0, 0])
+            entry = totals.setdefault(label, [0, 0])
             entry[0] += region.payload_bytes
             entry[1] += region.payloads
-            entry[2] += region.prelude_hits
         if region.recovery_inflated or region.recovery_ms or region.replans:
             ledger = recovery.setdefault(label, dict.fromkeys(_LEDGER, 0))
             for key in _LEDGER:
@@ -159,11 +156,7 @@ def region_feedback(regions):
         mode[1] += region.seconds
     payload_bytes = {
         label: total // payloads
-        for label, (total, payloads, _hits) in totals.items()
-    }
-    prelude_warm = {
-        label: hits / payloads
-        for label, (_total, payloads, hits) in totals.items()
+        for label, (total, payloads) in totals.items()
     }
     compiled_speedup = {}
     for label, entry in rates.items():
@@ -174,7 +167,7 @@ def region_feedback(regions):
                 (compiled_steps / compiled_seconds)
                 / (interp_steps / interp_seconds)
             )
-    return payload_bytes, prelude_warm, compiled_speedup, recovery
+    return payload_bytes, compiled_speedup, recovery
 
 
 #: The supervision-ledger fields ``region_feedback`` totals per label.

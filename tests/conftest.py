@@ -19,8 +19,8 @@ def _fresh_codec_caches():
     """Reset the payload codec's module-global caches around every test.
 
     The codec keeps parent-side module byte caches, per-epoch broadcast
-    bookkeeping, and (in-process) decoded-module/resident-prelude caches;
-    without this fixture a test's observed wire bytes would depend on
+    bookkeeping, and an (in-process) decoded-module cache; without
+    this fixture a test's observed wire bytes would depend on
     which session happened to dispatch first in the same process.
     Deliberately does *not* recycle the chunk pool — forking a pool per
     test would dominate suite runtime; tests that need a cold pool use

@@ -379,6 +379,5 @@ class TestOracleCost:
     def test_optimize_plan_gained_exactly_the_memo_parameter(self):
         assert list(inspect.signature(optimize_plan).parameters) == [
             "pspdg", "plan", "level", "machine", "payload_bytes",
-            "prelude_warm", "compile_regions", "compiled_speedup",
-            "speculate", "oracle",
+            "compile_regions", "compiled_speedup", "speculate", "oracle",
         ]

@@ -269,15 +269,15 @@ func main() {
 class TestSerializationCostFeedback:
     """Measured bytes-on-wire feed the process-pool dispatch bar."""
 
-    def _optimize(self, payload_bytes=None, prelude_warm=None,
-                  compile_regions=False, compiled_speedup=None):
+    def _optimize(self, payload_bytes=None, compile_regions=False,
+                  compiled_speedup=None):
         session = Session.from_source(BULK, name="payload-feedback")
         plan = openmp_source_plan(
             session.function, loop_uid_map(session.loops)
         )
         return optimize_plan(
             session.pspdg, plan, OptLevel.O1, payload_bytes=payload_bytes,
-            prelude_warm=prelude_warm, compile_regions=compile_regions,
+            compile_regions=compile_regions,
             compiled_speedup=compiled_speedup,
         )
 
@@ -326,7 +326,6 @@ class TestSerializationCostFeedback:
         machine = MachineModel()
         assert machine.serialization_cost(1) == 1
         assert machine.serialization_cost(99) == 1
-        assert machine.serialization_cost(99, warm_fraction=1.0) == 1
         # The zero-bytes case (nothing shipped) genuinely costs nothing.
         assert machine.serialization_cost(0) == 0
 
@@ -355,34 +354,6 @@ class TestSerializationCostFeedback:
         assert machine.effective_region_cost(
             90, compiled=True, speedup=0.25
         ) == 90
-
-    def test_warm_fraction_discounts_the_cost(self):
-        machine = MachineModel()
-        cold = machine.serialization_cost(100_000)
-        warm = machine.serialization_cost(100_000, warm_fraction=1.0)
-        assert warm == int(cold * (1.0 - machine.prelude_cache_discount))
-        half = machine.serialization_cost(100_000, warm_fraction=0.5)
-        assert warm < half < cold
-        # Out-of-range fractions are clamped, never negative-costed.
-        assert machine.serialization_cost(100_000, warm_fraction=7.0) == warm
-        assert machine.serialization_cost(100_000, warm_fraction=-1.0) == cold
-
-    def test_cached_prelude_keeps_the_region_on_the_pool(self):
-        """The resident-prelude hit rate must be able to reverse a
-        measured-bytes serialization: bytes that forced a region onto
-        threads when cold stay on the pool once the prelude is cached."""
-        label = self._optimize().plan.regions[0].label
-        # 10M measured bytes: the cold bar (2048 + 100k instruction-
-        # equivalents) crosses the region's ~57k static cost, but the
-        # fully-warm discounted bar (2048 + 25k) does not.
-        bytes_on_wire = 10_000_000
-        cold = self._optimize(payload_bytes={label: bytes_on_wire})
-        assert cold.plan.regions[0].backend_override == "threads"
-        warm = self._optimize(
-            payload_bytes={label: bytes_on_wire},
-            prelude_warm={label: 1.0},
-        )
-        assert warm.plan.regions[0].backend_override is None
 
 
 class TestCostModel:

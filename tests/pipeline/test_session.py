@@ -362,20 +362,17 @@ def test_payload_feedback_aggregates_per_label():
 
     diagnostics = Diagnostics()
     diagnostics.record_parallel(RegionStats(
-        header="L1", payloads=4, payload_bytes=4000, prelude_hits=0,
+        header="L1", payloads=4, payload_bytes=4000,
     ))
     diagnostics.record_parallel(RegionStats(
-        header="L1", payloads=4, payload_bytes=400, prelude_hits=4,
+        header="L1", payloads=4, payload_bytes=400,
     ))
     diagnostics.record_parallel(RegionStats(
-        header="L2", payloads=2, payload_bytes=600, prelude_hits=1,
+        header="L2", payloads=2, payload_bytes=600,
     ))
     diagnostics.record_parallel(RegionStats(header="seq", payloads=0))
-    payload_bytes, prelude_warm, speedup, recovery = (
-        diagnostics.payload_feedback()
-    )
+    payload_bytes, speedup, recovery = diagnostics.payload_feedback()
     assert payload_bytes == {"L1": 4400 // 8, "L2": 300}
-    assert prelude_warm == {"L1": 0.5, "L2": 0.5}
     assert "seq" not in payload_bytes
     assert speedup == {}  # no chunk-mode executions recorded
     assert recovery == {}  # no supervised recoveries recorded
@@ -405,14 +402,8 @@ def test_payload_feedback_measures_compiled_speedup():
         header="L3", seconds=1.0, compiled_chunks=2,
         per_worker=[{"steps": 1000}],
     ))
-    _bytes, _warm, speedup, _recovery = diagnostics.payload_feedback()
+    _bytes, speedup, _recovery = diagnostics.payload_feedback()
     assert speedup == {"L1": pytest.approx(4.0)}
-
-
-def test_parallel_report_shows_prelude_columns(session):
-    session.run("PS-PDG", workers=2, backend="processes")
-    report = session.diagnostics.parallel_report()
-    assert "phit" in report and "pmiss" in report and "saved" in report
 
 
 # -- the CLI ------------------------------------------------------------------
@@ -471,7 +462,7 @@ def test_cli_knobs_lists_the_registry():
     for name in knobs.snapshot():
         assert name in proc.stdout
     assert "default 0.05" in proc.stdout  # REPRO_RETRY_BACKOFF
-    assert len(proc.stdout.splitlines()) == 6
+    assert len(proc.stdout.splitlines()) == 5
     markdown = _run_cli("knobs", "--markdown")
     assert markdown.returncode == 0, markdown.stderr
     assert markdown.stdout.strip() == knobs.markdown_table()

@@ -32,7 +32,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 def region(header="for.header.0", *, seconds=0.5, worker_seconds=(0.1, 0.1),
            worker_steps=(100, 100), payloads=0, payload_bytes=0,
-           prelude_hits=0, prelude_bytes_saved=0, backend="processes",
+           backend="processes",
            retries=0, failovers=0, faults_injected=0, **extra):
     """One runtime region record, minimally populated."""
     return RegionStats(
@@ -50,8 +50,6 @@ def region(header="for.header.0", *, seconds=0.5, worker_seconds=(0.1, 0.1),
         ],
         payloads=payloads,
         payload_bytes=payload_bytes,
-        prelude_hits=prelude_hits,
-        prelude_bytes_saved=prelude_bytes_saved,
         retries=retries,
         failovers=failovers,
         faults_injected=faults_injected,
@@ -112,7 +110,7 @@ class TestObserveRun:
         assert measured["payload_cost_per_byte"][0] == 1500.0 / 10_000
 
     def test_tiny_payloads_yield_no_per_byte_sample(self):
-        # A warm repeat ships a prelude delta below the floor: all the
+        # A region whose whole shared state is below the floor: all the
         # overhead is fixed dispatch, none of it prices the wire.
         store = CalibrationStore()
         store.observe_run([
@@ -124,6 +122,34 @@ class TestObserveRun:
         assert "payload_cost_per_byte" not in measured
         # Full (not half) overhead goes to the dispatch bar: 3000 steps.
         assert measured["threads_region_cost"][0] == 3000.0
+
+    def test_dispatched_tiny_program_stays_under_the_floor(self):
+        """The case the floor still exists for, end to end: a program
+        whose whole shared state is a few scalars ships a few hundred
+        bytes per region once its module is out."""
+        from repro import Session
+
+        session = Session.from_source("""
+        global a: int[8];
+
+        func main() {
+          pragma omp parallel for
+          for i in 0..8 {
+            a[i] = i * 3;
+          }
+          print(a[5]);
+        }
+        """, name="tiny-state")
+        session.run("PS-PDG", workers=2, backend="processes", opt=0)
+        result = session.run("PS-PDG", workers=2, backend="processes", opt=0)
+        (dispatch,) = result.parallel_regions
+        assert dispatch.backend == "processes"
+        assert 0 < dispatch.payload_bytes < PAYLOAD_SAMPLE_FLOOR
+        store = CalibrationStore()
+        assert store.observe_run(result.parallel_regions)
+        measured = store.measured_coefficients()
+        assert "payload_cost_per_byte" not in measured
+        assert "threads_region_cost" in measured
 
     def test_threads_overhead_is_all_dispatch(self):
         store = CalibrationStore()
@@ -173,29 +199,17 @@ class TestObserveRun:
         ])
         assert store.version == before + 1
 
-    def test_prelude_discount_from_saved_bytes(self):
-        store = CalibrationStore()
-        store.observe_run([
-            region(seconds=1.0, worker_seconds=(0.2, 0.2),
-                   worker_steps=(500, 500), payloads=4,
-                   payload_bytes=1000, prelude_hits=3,
-                   prelude_bytes_saved=3000),
-        ])
-        value, _ = store.measured_coefficients()["prelude_cache_discount"]
-        assert value == 3000 / 4000
-
     def test_region_feedback_is_per_program(self):
         store = CalibrationStore()
         store.observe_run(
-            [region(payloads=2, payload_bytes=8192, prelude_hits=1,
+            [region(payloads=2, payload_bytes=8192,
                     worker_seconds=(0.2, 0.2), worker_steps=(500, 500),
                     seconds=1.0)],
             program_key="prog-a",
         )
-        payload_bytes, prelude_warm, _ = store.region_feedback("prog-a")
+        payload_bytes, _ = store.region_feedback("prog-a")
         assert payload_bytes == {"for.header.0": 4096}
-        assert prelude_warm == {"for.header.0": 0.5}
-        assert store.region_feedback("prog-b") == ({}, {}, {})
+        assert store.region_feedback("prog-b") == ({}, {})
 
 
 class TestPersistence:
@@ -234,6 +248,29 @@ class TestPersistence:
         data["schema"] = -1
         path.write_text(json.dumps(data))
         assert not CalibrationStore(str(path)).observed
+
+    def test_schema_1_profile_loads_as_no_measurements(self, tmp_path):
+        # What a pre-stateless-dispatch writer left behind: its
+        # coefficients were estimated against a wire that no longer
+        # exists, so none of them — not even the still-known names — is
+        # adopted.
+        path = tmp_path / "schema1.json"
+        path.write_text(json.dumps({
+            "schema": 1, "runs": 3, "version": 3,
+            "machine": {
+                "payload_cost_per_byte":
+                    {"value": 0.5, "samples": 3, "rejected": 0},
+                "prelude_cache_discount":
+                    {"value": 0.9, "samples": 3, "rejected": 0},
+            },
+            "programs": {"prog-a": {"for.header.0": {
+                "payload_bytes": 300.0, "prelude_warm": 1.0,
+            }}},
+        }))
+        store = CalibrationStore(str(path))
+        assert not store.observed
+        assert store.runs == 0
+        assert store.region_feedback("prog-a") == ({}, {})
 
     def test_unknown_coefficients_skipped_on_load(self, tmp_path):
         path = tmp_path / "future.json"

@@ -3,7 +3,7 @@
 The calibration profile stores machine models as JSON, so
 ``to_dict``/``from_dict`` must round-trip every field and refuse
 mismatched schema versions.  The cost helpers' edge cases (zero-trip
-loops, fully-warm preludes, non-positive payloads) are what the
+loops, non-positive payloads) are what the
 calibration store's estimators can legitimately produce, so they are
 pinned here rather than discovered in a replanning stack trace.
 """
@@ -27,7 +27,6 @@ class TestSerializationRoundTrip:
             serial_region_cost=7,
             threads_region_cost=3000,
             payload_cost_per_byte=0.5,
-            prelude_cache_discount=0.25,
             compiled_speedup=1.5,
         )
         clone = MachineModel.from_dict(model.to_dict())
@@ -73,21 +72,6 @@ class TestSerializationCost:
         # 1 byte * 0.01/byte truncates to 0; the clamp keeps it 1.
         assert DEFAULT_MACHINE.serialization_cost(1) == 1
 
-    def test_fully_warm_dispatch_keeps_paying_something(self):
-        model = MachineModel(payload_cost_per_byte=0.01,
-                             prelude_cache_discount=0.75)
-        cold = model.serialization_cost(100_000, warm_fraction=0.0)
-        warm = model.serialization_cost(100_000, warm_fraction=1.0)
-        assert warm == cold // 4  # 1 - 0.75 of the per-byte cost
-        assert warm >= 1
-
-    def test_warm_fraction_clamps_out_of_range(self):
-        model = MachineModel()
-        assert model.serialization_cost(4096, warm_fraction=2.0) == \
-            model.serialization_cost(4096, warm_fraction=1.0)
-        assert model.serialization_cost(4096, warm_fraction=-1.0) == \
-            model.serialization_cost(4096, warm_fraction=0.0)
-
 
 class TestTileIterations:
     def test_zero_trip_loop_has_no_constraint(self):
@@ -123,8 +107,7 @@ class TestCalibratedMachineStaysLegal:
         store = CalibrationStore()
         names = (
             "payload_cost_per_byte", "serial_region_cost",
-            "threads_region_cost", "prelude_cache_discount",
-            "compiled_speedup",
+            "threads_region_cost", "compiled_speedup",
         )
         for _ in range(500):
             name = rng.choice(names)
@@ -139,7 +122,6 @@ class TestCalibratedMachineStaysLegal:
         assert machine.payload_cost_per_byte > 0
         assert machine.serial_region_cost >= 1
         assert machine.threads_region_cost >= 1
-        assert 0.0 < machine.prelude_cache_discount < 1.0
         assert machine.compiled_speedup > 0
         # And the projected model still round-trips.
         assert MachineModel.from_dict(machine.to_dict()) == machine

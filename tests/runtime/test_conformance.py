@@ -141,9 +141,9 @@ def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
     """On ``processes``, rising -O levels never increase pool payloads.
 
     Counted from the per-worker assignments — the optimizer's dispatch
-    structure — because raw ``payloads`` also include miss-retry
-    round-trips of the resident-prelude protocol, which depend on pool
-    scheduling timing, not on the optimization level.
+    structure — because raw ``payloads`` also include module-miss
+    retry round-trips, which depend on pool scheduling timing, not on
+    the optimization level.
     """
     for kernel in kernel_names():
         session, plan, _expected = kernel_state[kernel]

@@ -26,10 +26,10 @@ def test_unset_env_uses_default(monkeypatch):
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
 def test_falsy_spellings(monkeypatch, raw):
     monkeypatch.setenv("VERIFY_DIFFS", raw)
-    monkeypatch.setenv("VERIFY_PRELUDE", raw)
+    monkeypatch.setenv("VERIFY_COMPILED", raw)
     knobs.refresh()
     assert not knobs.VERIFY_DIFFS
-    assert not knobs.VERIFY_PRELUDE
+    assert not knobs.VERIFY_COMPILED
 
 
 @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
@@ -111,17 +111,16 @@ def test_readme_knob_table_matches_the_registry():
 def test_payload_reexports_are_knob_objects():
     """payload.VERIFY_* stay monkeypatch-compatible module attributes."""
     assert payload.VERIFY_DIFFS is knobs.VERIFY_DIFFS
-    assert payload.VERIFY_PRELUDE is knobs.VERIFY_PRELUDE
     assert payload.VERIFY_COMPILED is knobs.VERIFY_COMPILED
 
 
 def test_env_wins_over_stale_value(monkeypatch):
-    monkeypatch.setenv("VERIFY_PRELUDE", "1")
+    monkeypatch.setenv("VERIFY_DIFFS", "1")
     knobs.refresh()
-    assert knobs.VERIFY_PRELUDE
-    monkeypatch.setenv("VERIFY_PRELUDE", "0")
+    assert knobs.VERIFY_DIFFS
+    monkeypatch.setenv("VERIFY_DIFFS", "0")
     knobs.refresh()
-    assert not knobs.VERIFY_PRELUDE
+    assert not knobs.VERIFY_DIFFS
 
 
 def test_knob_repr_and_pickle_guard():
@@ -138,7 +137,7 @@ def test_knob_repr_and_pickle_guard():
 #: The registry keeps only what arms an oracle or injects chaos over an
 #: unmodified test run; behavioural options live on SessionConfig.
 SURVIVING_KNOBS = {
-    "VERIFY_DIFFS", "VERIFY_PRELUDE", "VERIFY_COMPILED",
+    "VERIFY_DIFFS", "VERIFY_COMPILED",
     "REPRO_FAULTS", "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
 }
 

@@ -71,43 +71,41 @@ class TestPoolLifecycle:
         assert third is not first
         assert backends._POOL_REGIONS == 1
 
-    def test_reset_invalidates_prelude_and_bumps_epoch(self):
-        """Regression: both reset paths must poison the resident caches.
+    def test_reset_forgets_broadcasts_and_bumps_epoch(self):
+        """Regression: both reset paths must forget what the dead
+        workers were sent.
 
         The supervisor's recovery path (and plain recycling) depends on
         it — a reset that kept the module-broadcast epoch or the
         parent's primed-worker bookkeeping would let the next dispatch
-        trust resident state the dead workers held.
+        omit module bytes no live worker holds.
         """
         from repro.runtime import payload
 
         for kill in (False, True):
             backends._chunk_pool(2)
             payload._SHIPPED_MODULES.add((backends._POOL_EPOCH, "key"))
-            payload._RESIDENT_STATES["stream"] = object()
             before = backends._POOL_EPOCH
             backends._reset_chunk_pool(kill=kill)
             assert backends._POOL_EPOCH == before + 1, f"kill={kill}"
             assert not payload._SHIPPED_MODULES, f"kill={kill}"
-            assert not payload._RESIDENT_STATES, f"kill={kill}"
 
     def test_run_after_reset_reships_full_state(self):
-        """Post-reset, no payload may be served from resident state.
+        """Post-reset, the first region carries everything the fresh
+        workers need — module and state attached up front, so no miss
+        round-trip is paid."""
+        from repro.runtime import payload
 
-        The epoch bump makes the parent invalidate its prelude chain and
-        proactively attach the full state (no miss round-trips either —
-        ``prelude_misses`` stays 0); the next run re-warms the chain.
-        """
         session = Session.from_kernel("EP")
         warm = session.run("PS-PDG", workers=2, backend="processes")
         backends._reset_chunk_pool()
         cold = session.run("PS-PDG", workers=2, backend="processes")
         assert cold.output == warm.output
         first = cold.parallel_regions[0]
-        assert first["prelude_hits"] == 0
-        assert first["prelude_misses"] == 0
-        rewarmed = session.run("PS-PDG", workers=2, backend="processes")
-        assert sum(r["prelude_hits"] for r in rewarmed.parallel_regions) >= 1
+        assert first["retry_payload_bytes"] == 0
+        assert first["payload_bytes"] > len(
+            payload.module_codec(session.module).module_bytes
+        )
 
     def test_session_sizes_pool_from_machine_model(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 8)

@@ -118,10 +118,9 @@ def test_key_set_is_exactly_the_field_set(published):
 def test_parallel_report_renders_every_column(published):
     session, region = published
     header, _rule, row = session.diagnostics.parallel_report().splitlines()[:3]
-    assert header.split()[:17] == [
-        "loop", "backend", "sched", "W", "iters", "bytes", "phit",
-        "pmiss", "saved", "cc", "ic", "rtry", "fo", "flt", "rec-ms",
-        "rpl", "seconds",
+    assert header.split()[:14] == [
+        "loop", "backend", "sched", "W", "iters", "bytes", "cc", "ic",
+        "rtry", "fo", "flt", "rec-ms", "rpl", "seconds",
     ]
     assert row.split()[:2] == [region.header, region.backend]
 
@@ -170,15 +169,14 @@ def test_region_feedback_aggregates_wire_speedup_and_ledger():
     regions = [
         _region(header="L1", payloads=4, payload_bytes=4000,
                 interpreted_chunks=2, seconds=1.0),
-        _region(header="L1", payloads=4, payload_bytes=400, prelude_hits=4,
+        _region(header="L1", payloads=4, payload_bytes=400,
                 compiled_chunks=2, seconds=0.25, retries=1, recovery_ms=2.5),
         _region(header="L2", compiled_chunks=1, interpreted_chunks=1,
                 replans=1),
         _region(header="quiet"),
     ]
-    payload_bytes, prelude_warm, speedup, recovery = region_feedback(regions)
+    payload_bytes, speedup, recovery = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8}
-    assert prelude_warm == {"L1": 0.5}
     # 400 steps in 0.25s compiled vs 400 steps in 1.0s interpreted.
     assert speedup == {"L1": pytest.approx(4.0)}
     assert recovery == {
@@ -187,4 +185,4 @@ def test_region_feedback_aggregates_wire_speedup_and_ledger():
         "L2": {"retries": 0, "failovers": 0, "faults_injected": 0,
                "recovery_ms": 0, "replans": 1},
     }
-    assert region_feedback([]) == ({}, {}, {}, {})
+    assert region_feedback([]) == ({}, {}, {})

@@ -78,9 +78,7 @@ class TestReplanTriggers:
 
     def test_replans_surface_in_payload_feedback(self, adaptive_run):
         session, _result = adaptive_run
-        _bytes, _warm, _speedup, recovery = (
-            session.diagnostics.payload_feedback()
-        )
+        _bytes, _speedup, recovery = session.diagnostics.payload_feedback()
         assert sum(
             entry.get("replans", 0) for entry in recovery.values()
         ) >= 1
@@ -103,7 +101,7 @@ class TestNoSpuriousReplans:
         session = Session.from_kernel("IS", opt_level=2, workers=4)
         result = session.run("PS-PDG", adaptive=True)
         assert result.replan_events == []
-        assert session.diagnostics.payload_feedback()[3] == {}
+        assert session.diagnostics.payload_feedback()[2] == {}
 
     def test_adaptive_off_never_replans(self):
         session = miscalibrated_session()
