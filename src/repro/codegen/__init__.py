@@ -2,11 +2,13 @@
 
 The parallel backends execute a worker's chunk of a planned loop by
 walking the IR instruction-by-instruction (``_WorkerInterpreter
-.run_chunk``).  This package lowers a region's member loops into one
-generated Python function per ``(loop, logged)`` pair — the same storage
-slots, the same write-log marks, the same step counts, the same
-``EmulationError`` conditions — and ``exec``-compiles it so workers run
-native bytecode instead of the dispatch loop.
+.run_chunk``).  This package lowers each of a region's member loops
+into one generated Python function — the same storage slots, the same
+step counts, the same ``EmulationError`` conditions — and
+``exec``-compiles it so workers run native bytecode instead of the
+dispatch loop.  One body per loop; a ``logged`` twin, whose stores also
+leave the interpreter's write-log marks, is lowered only under the
+``VERIFY_COMPILED`` oracle, which rolls the compiled run back by them.
 
 Division of labor:
 

@@ -114,10 +114,10 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
 
     ``entry`` is a :class:`~repro.codegen.lower.CompiledChunk` (or
     ``None`` for a loop the lowering refused); ``shim`` is the backend's
-    ``_WorkerInterpreter``.  The entry's ``logged`` flag must match the
-    shim (``shim.write_log is not None``), except under ``verify`` where
-    the caller must supply a *logged* entry (the oracle needs both
-    runs' write logs).
+    ``_WorkerInterpreter``.  One body per loop: the backends pass the
+    plain entry, and a logged twin only under ``verify`` — the oracle
+    rolls the compiled run back by its write-log marks and diffs them
+    against the interpreted run's.
     ``outer`` (an interchanged nest's outer loop) means ``iterations``
     are ``(outer, inner)`` pairs; the entry, when given, must have been
     compiled with the same ``outer``.
@@ -181,8 +181,7 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
     (writes, output slice, step delta, return value) is captured, and
     every one of its writes is rolled back.  The interpreted thunk then
     executes from the identical pre-run state and its effects *stay* —
-    so a divergence aborts with the authoritative state in place,
-    mirroring the ``VERIFY_DIFFS`` pattern of the payload codec.  A
+    so a divergence aborts with the authoritative state in place.  A
     :class:`Bailout` is not a divergence (the frame lacks
     a live-in the compiled entry binds eagerly): plain interpreter
     fallback.

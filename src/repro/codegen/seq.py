@@ -132,10 +132,7 @@ class _SequenceLowering(_Lowering):
         self.live_ins = {}
         self.args = {}
         self.globals = {}
-        self.allocas = []
         self.counter = 0
-        self.prologue = None  # no guard hoisting outside chunk bodies
-        self._skip_guards = frozenset()
         self._stops = self._resolve_stops(stops, loops_by_header)
         self._excluded = {
             id(block)

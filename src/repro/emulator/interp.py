@@ -163,10 +163,9 @@ def binary_function(op, is_int):
 def record_write(log, storage, slot):
     """Mark ``storage[slot]`` dirty in a write log *before* overwriting it.
 
-    The runtime's non-store mutation paths (diff merges, reduction and
-    lastprivate joins) go through this so the parent's inter-region
-    write log sees every shared-state change, not just interpreted
-    stores.  No-op cost when logging is off: callers guard on the log.
+    What an interpreted store does when a log is installed (the compiled
+    ``logged`` variant emits the same marks inline).  No-op cost when
+    logging is off: callers guard on the log.
     """
     key = (id(storage), slot)
     if key not in log:
@@ -485,11 +484,10 @@ class Interpreter:
         Returns the log: ``(id(storage), slot) -> (storage, value before
         the first write)``.  Keeping the storage object in the entry
         pins it alive, so an id can never be recycled while the log is
-        in use.  A ``processes`` pool worker diffs shared state from
-        this log (cost proportional to the writes a chunk made) instead
-        of snapshotting and re-scanning every shared slot; the parent
-        interpreter never logs, except under the ``VERIFY_COMPILED``
-        oracle.
+        in use.  This is the ``VERIFY_COMPILED`` oracle's log and
+        nothing else's: the oracle rolls a compiled run back by its
+        marks and diffs them against the interpreted run's.  No run with
+        the knob off creates one, in the parent or in a pool worker.
 
         Stores read ``write_log`` as they run, so assigning the
         attribute swaps logs (the oracle does).

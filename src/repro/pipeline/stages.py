@@ -296,14 +296,15 @@ def _recipes_stats(recipes):
 def _build_compile_regions(session):
     """Precompile every planned region loop through :mod:`repro.codegen`.
 
-    Warms the codegen cache parent-side (both store variants: the
-    threads backend's shims may or may not feed a write log) so region
-    dispatch never pays compile latency, and reports which loops lowered
-    (``tiers``: as a loop nest, as the block state machine and why, or
-    not at all and why) and which fell back.  The compiled functions
-    themselves live in the
-    codegen cache keyed by the session's module object — they close
-    over IR identities, so the *artifact* carries only the summary.
+    Warms the codegen cache parent-side — one body per loop, the plain
+    store variant every backend runs (the logged twin belongs to the
+    ``VERIFY_COMPILED`` oracle and is lowered when that arms it) — so
+    region dispatch never pays compile latency, and reports which loops
+    lowered (``tiers``: as a loop nest, as the block state machine and
+    why, or not at all and why) and which fell back.  The compiled
+    functions themselves live in the codegen cache keyed by the
+    session's module object — they close over IR identities, so the
+    *artifact* carries only the summary.
     Warming passes the module's wire key so the lowered *source* also
     lands in the content-hash cache: pool children fork with it and can
     rebuild entries for their re-decoded modules without re-lowering.
@@ -320,18 +321,13 @@ def _build_compile_regions(session):
                 if loop is None or loop.canonical is None or header in seen:
                     continue
                 seen.add(header)
-                entries = [
-                    codegen_cache.compiled_chunk(
-                        session.module, loop, logged=logged,
-                        module_key=module_key,
-                    )
-                    for logged in (True, False)
-                ]
-                bucket = "compiled" if all(entries) else "fallback"
-                summary[bucket].append(header)
-                summary["tiers"][header] = chunk_tier(
-                    loop, entries[0] if all(entries) else None
+                entry = codegen_cache.compiled_chunk(
+                    session.module, loop, logged=False,
+                    module_key=module_key,
                 )
+                bucket = "compiled" if entry else "fallback"
+                summary[bucket].append(header)
+                summary["tiers"][header] = chunk_tier(loop, entry)
     summary["codegen"] = codegen_cache.stats()
     return summary
 

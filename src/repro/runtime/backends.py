@@ -26,12 +26,13 @@ owns its whole execution strategy:
   itself travels as persistent ids against a per-pool-worker
   decoded-module cache, its bytes broadcast at most once per pool
   recycle epoch (a worker that joined later reports a module miss and
-  is retried with them attached).  The child executes its iterations
-  at full sequential-interpreter speed with a store-path write log and
-  sends back its private reduction/lastprivate values plus a slot-level
-  diff of the shared storage it wrote, computed from the log.  The
-  parent collects every result, then applies diffs and merges
-  reductions in worker order, so results are deterministic.  Loops
+  is retried with them attached).  The child copies the region's
+  storage table, runs its iterations through the plain compiled body
+  (no write log, no store bookkeeping) and sends back its private
+  reduction/lastprivate values plus the table slots that now differ
+  from the copy.  The parent collects every result, then writes the
+  diffs into its own table and merges reductions in worker order, so
+  results are deterministic.  Loops
   whose bodies contain ``critical``/``atomic`` regions need shared
   memory and fall back to the ``threads`` backend.  Dispatch is
   supervised — infrastructure failures retry the region — and this is
@@ -621,7 +622,13 @@ def _pool_chunk_entry(wire, fault=None):
     """Pool-worker entry point: run one worker's chunk, return its report.
 
     ``wire`` is a :meth:`~repro.runtime.payload.WorkerPayload.wire`
-    tuple.  Never raises — errors come back as ``{"error": ...}`` so one
+    tuple.  The chunk runs through the plain compiled entry (or the
+    interpreter, no write log installed) against the decoded storage
+    table, and the report's ``diffs`` are
+    :func:`~repro.runtime.payload.diff_table` of that table against a
+    copy taken before the run; the logged variant is lowered only when
+    the payload arms the ``VERIFY_COMPILED`` oracle.  Never raises —
+    errors come back as ``{"error": ...}`` so one
     bad chunk cannot poison the shared pool; a worker that has not seen
     the module bytes of this pool epoch reports ``{"module_miss": key}``
     so the parent can retry with them attached.  Decode failures are
@@ -646,25 +653,19 @@ def _pool_chunk_entry(wire, fault=None):
         frame = payload["frame"]
         segments = payload["segments"]  # [(loop, iterations), ...]
         nest = payload.get("nest")  # interchanged outer loop (or None)
-        global_storage = payload["global_storage"]
         private_globals = payload["private_globals"]
         private_alloca_uids = payload["private_alloca_uids"]
 
         shim = _WorkerInterpreter(
-            payload["module"], global_storage, payload["max_steps"]
+            payload["module"], payload["global_storage"],
+            payload["max_steps"],
         )
-        # Mutations are diffed from the store path's write log, so the
-        # merge costs O(slots written), not O(program state).  Private
-        # copies are returned whole instead.  The shared-object index is
-        # captured before the run: allocas first executed inside the
-        # chunk are scratch, never merged.
-        log = shim.enable_write_log()
-        index = payload_codec.shared_index(
-            frame, global_storage, private_alloca_uids
-        )
-        snapshot = None
-        if payload.get("verify_diffs"):
-            snapshot = payload_codec.snapshot_shared(index)
+        # Shared writes go home as the difference between the region's
+        # storage table and this copy of it; private copies are returned
+        # whole instead.  Allocas first executed inside the chunk are in
+        # no table: scratch, never merged.
+        table = payload["table"]
+        before = [list(storage) for storage in table]
         compile_on = payload.get("compile_regions")
         verify = compile_on and payload.get("verify_compiled")
         # This chunk's share of the region's counters, shipped home as
@@ -676,11 +677,12 @@ def _pool_chunk_entry(wire, fault=None):
             if iterations:
                 entry = None
                 if compile_on:
-                    # Shims always log, so the logged variant; keyed
-                    # by the child's decoded module object (cache.py
-                    # explains why the content hash is not enough).
+                    # The plain body; the logged twin only when the
+                    # oracle needs its marks.  Keyed by the child's
+                    # decoded module object (cache.py explains why the
+                    # content hash is not enough).
                     entry = codegen_cache.compiled_chunk(
-                        payload["module"], loop, logged=True,
+                        payload["module"], loop, logged=verify,
                         module_key=payload.get("module_key"),
                         outer=nest,
                     )
@@ -694,17 +696,8 @@ def _pool_chunk_entry(wire, fault=None):
                     stats.interpreted_chunks += 1
         seconds = time.perf_counter() - start
 
-        diffs = payload_codec.diff_write_log(log, index)
-        if snapshot is not None:
-            expected = payload_codec.diff_snapshot(snapshot, index)
-            if tuple(expected) != tuple(diffs):
-                return {
-                    "error": "write-log diff diverged from snapshot "
-                    f"diff: log={diffs!r} snapshot={expected!r}"
-                }
-        global_diffs, alloca_diffs, arg_diffs = diffs
-
-        stats.dirty_slots = len(log)
+        diffs = payload_codec.diff_table(table, before)
+        stats.dirty_slots = len(diffs)
         _count_codegen(stats, codegen_before, codegen_cache.stats())
         return {
             "steps": shim.steps,
@@ -714,9 +707,7 @@ def _pool_chunk_entry(wire, fault=None):
             # Source lowered child-side travels to the parent, whose
             # cache forked children of the *next* epoch inherit.
             "codegen_sources": codegen_cache.drain_new_sources(),
-            "global_diffs": global_diffs,
-            "alloca_diffs": alloca_diffs,
-            "arg_diffs": arg_diffs,
+            "diffs": diffs,
             "global_privates": {
                 name: list(frame.global_overlay[name])
                 for name in private_globals
@@ -861,7 +852,9 @@ class ProcessesBackend(ExecutionBackend):
         attempt = 0
         while True:
             try:
-                completed = self._dispatch_once(interp, region, active, plan)
+                table, completed = self._dispatch_once(
+                    interp, region, active, plan
+                )
                 break
             except _InfraFailure as exc:
                 attempt += 1
@@ -881,18 +874,15 @@ class ProcessesBackend(ExecutionBackend):
                 stats.recovery_ms += (
                     time.perf_counter() - started
                 ) * 1000.0
-        shared_allocas = {
-            inst.uid: storage
-            for inst, storage in region.frame.objects.items()
-        }
         for worker, result in completed:  # worker order: deterministic
-            self._apply(interp, region, worker, result, shared_allocas)
+            self._apply(interp, region, worker, result, table)
 
     def _dispatch_once(self, interp, region, active, plan):
         """Encode, submit, and collect one dispatch attempt of a region.
 
-        Returns the ``(worker, result)`` list in worker order without
-        applying anything.  Raises :class:`_InfraFailure` for retryable
+        Returns the storage table the payloads index and the
+        ``(worker, result)`` list in worker order, without applying
+        anything.  Raises :class:`_InfraFailure` for retryable
         infrastructure failures, :class:`EmulationError` for program
         errors.  ``plan`` is the active fault-injection plan (or None).
         """
@@ -1044,9 +1034,9 @@ class ProcessesBackend(ExecutionBackend):
             raise failure
         if infra is not None:
             raise _InfraFailure(infra)
-        return completed
+        return encoded.table, completed
 
-    def _apply(self, interp, region, worker, result, shared_allocas):
+    def _apply(self, interp, region, worker, result, table):
         worker.steps = result["steps"]
         worker.seconds = result["seconds"]
         interp.steps += result["steps"]
@@ -1061,25 +1051,24 @@ class ProcessesBackend(ExecutionBackend):
         codegen_cache.merge_sources(result["codegen_sources"])
         # Shared-memory effects, applied in worker order (deterministic;
         # a correct DOALL's shared writes are disjoint across workers).
-        for name, slot, value in result["global_diffs"]:
-            interp._effective_global(region.frame, name)[slot] = value
-        for uid, slot, value in result["alloca_diffs"]:
-            storage = shared_allocas.get(uid)
-            if storage is not None:
-                storage[slot] = value
-        for index, slot, value in result["arg_diffs"]:
-            pointer = region.frame.args[index]
-            if isinstance(pointer, tuple) and len(pointer) == 2:
-                pointer[0][slot] = value
+        for index, slot, value in result["diffs"]:
+            table[index][slot] = value
         # Private copies: write the child's final values back into the
         # parent-side worker frame so the generic join sees them.
         for name, values in result["global_privates"].items():
             worker.frame.global_overlay[name][:] = values
+        privates = {
+            inst.uid: worker.frame.objects[inst]
+            for inst in worker.private_allocas
+        }
         for uid, values in result["alloca_privates"].items():
-            for inst, storage in worker.frame.objects.items():
-                if inst.uid == uid:
-                    storage[:] = values
-                    break
+            if uid not in privates:
+                raise EmulationError(
+                    f"region {stats.header}: worker process "
+                    f"{worker.index} returned private alloca %{uid}, "
+                    "which its frame was not privatized with"
+                )
+            privates[uid][:] = values
 
 
 BACKENDS = {

@@ -1,8 +1,8 @@
 """Environment knobs for the runtime, read in one place.
 
 The registry holds exactly the switches that arm an oracle or inject
-chaos over an *unmodified* run — ``VERIFY_*`` cross-checks and the
-``REPRO_FAULTS`` harness with its backoff and deadline — because those
+chaos over an *unmodified* run — the ``VERIFY_COMPILED`` cross-check and
+the ``REPRO_FAULTS`` harness with its backoff and deadline — because those
 must reach code (a whole test suite, a pool worker) that no caller can
 hand an argument to.  Everything that changes what a run *does* (the
 engine, retries, failover, calibration, replanning, speculation) is a
@@ -12,13 +12,13 @@ argument, and nothing outside this module reads ``os.environ``.
 Each knob is a :class:`Knob` instance that
 
 * parses the same falsy set everywhere (``"" 0 false no off``),
-* is truthy/falsy directly (``if knobs.VERIFY_DIFFS:``), and
+* is truthy/falsy directly (``if knobs.VERIFY_COMPILED:``), and
 * can be re-read from the environment with :func:`refresh` — the test
   suite calls that around every test so env-based tests compose.
 
-Tests may also assign ``knob.value = True`` (or monkeypatch the module
-attributes that re-export these in ``payload.py``) for a process-local
-override; ``refresh()`` restores the environment's verdict.
+Tests may also assign ``knob.value = True`` (or monkeypatch
+``payload.VERIFY_COMPILED``, which re-exports the knob) for a
+process-local override; ``refresh()`` restores the environment's verdict.
 """
 
 import os
@@ -145,13 +145,6 @@ def markdown_table():
         lines.append(f"| `{name}` | {default} | {doc} |")
     return "\n".join(lines)
 
-
-VERIFY_DIFFS = flag(
-    "VERIFY_DIFFS",
-    doc="Cross-check the write-log diff against the reference snapshot "
-        "diff in every pool chunk; fail loudly on divergence. Travels "
-        "in the payload.",
-)
 
 VERIFY_COMPILED = flag(
     "VERIFY_COMPILED",

@@ -32,16 +32,15 @@ child-side against the table it just decoded.  This is what preserves
 the register→storage aliasing inside one dispatch: a pointer register
 and the object-table entry it aims at decode to the same list.
 
-**Write-log diffs: home.**  The worker runs with a store-path write
-log and ships back a slot-level diff of the shared storage it wrote,
-computed from the log in O(slots written) — byte-for-byte what the
-snapshot+full-scan reference produces (:func:`diff_snapshot`; the
-``VERIFY_DIFFS`` cross-check and the differential tests run it).
+**Table diffs: home.**  The storage table names the way back too: the
+worker copies the table it decoded, runs its chunk through the plain
+compiled body and ships back ``(table index, slot, value)`` for every
+slot that differs from the copy (:func:`diff_table`); the parent writes
+each into the same index of the table it encoded.
 
-Verification knobs travel inside the payload header, so no
-child-process configuration is involved: ``VERIFY_DIFFS=1``
-cross-checks the write-log diff against the snapshot diff in every
-chunk; ``VERIFY_COMPILED=1`` runs every compiled chunk twice.
+``VERIFY_COMPILED=1`` travels inside the payload header, so no
+child-process configuration is involved: a worker then runs every
+compiled chunk twice (compiled, then interpreted) and diffs the two.
 """
 
 import dataclasses
@@ -79,12 +78,8 @@ LOOP_TAG = "l"  # NaturalLoops, by (function name, header block name)
 MODULE_CACHE_CAP = 16
 
 
-# The verification knobs live in ``runtime/knobs.py`` (one parser,
-# refreshable between tests); these module attributes re-export the
-# knob objects so call sites and test monkeypatching of
-# ``payload.VERIFY_DIFFS`` et al. keep working — a knob is truthy
-# exactly when its environment variable is set truthy.
-VERIFY_DIFFS = knobs.VERIFY_DIFFS
+# The knob object of ``runtime/knobs.py`` (truthy exactly when its variable
+# is set truthy), re-exported so tests can monkeypatch it here.
 VERIFY_COMPILED = knobs.VERIFY_COMPILED
 
 
@@ -365,11 +360,12 @@ class WorkerPayload:
 
 @dataclasses.dataclass
 class RegionPayloads:
-    """The encoded region: one :class:`WorkerPayload` per active worker."""
+    """The encoded region: one :class:`WorkerPayload` per active worker,
+    and the parent's side of the storage ``table`` their diffs index."""
 
     codec: ModuleCodec
     workers: list
-    shipped_module: bool
+    table: list
 
     @property
     def wire_bytes(self):
@@ -478,7 +474,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         loops,
         nest,
         max_steps,
-        bool(VERIFY_DIFFS),
         bool(compile_regions),
         bool(VERIFY_COMPILED),
     ))
@@ -533,7 +528,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         # Entries for dead pool generations can never be consulted again.
         stale = {entry for entry in _SHIPPED_MODULES if entry[0] != epoch}
         _SHIPPED_MODULES.difference_update(stale)
-    return RegionPayloads(codec=codec, workers=payloads, shipped_module=ship)
+    return RegionPayloads(codec=codec, workers=payloads, table=table)
 
 
 # -- pool-worker-side decoding -------------------------------------------------
@@ -576,8 +571,8 @@ def decode_payload(wire):
     Returns the payload dict the chunk entry executes, or ``None`` when
     this worker lacks the module bytes the payload references (the
     caller reports the miss and the parent retries with them attached).
-    The decoded shared state belongs to this one payload: the chunk
-    runs against it, its write log is diffed, and it is dropped.
+    The decoded shared state belongs to this one payload: the chunk runs
+    against it, ``table`` is diffed (:func:`diff_table`), it is dropped.
     """
     module_key, module_bytes, state_bytes, header_bytes, delta_bytes = wire
     entry = _decoded_module(module_key, module_bytes)
@@ -591,7 +586,7 @@ def decode_payload(wire):
         state["table"],
         _loop_resolver(module, loop_cache),
     )
-    (loops, nest, max_steps, verify_diffs, compile_regions,
+    (_loops, nest, max_steps, compile_regions,
      verify_compiled) = unpickler.load()
     (function, args, registers, frame_objects, overlay,
      segments, private_globals, private_alloca_uids) = unpickler.load()
@@ -603,6 +598,7 @@ def decode_payload(wire):
         "module": module,
         "module_key": module_key,
         "global_storage": state["global_storage"],
+        "table": state["table"],
         "frame": frame,
         "segments": [
             (loop, _unpack_iterations(packed))
@@ -610,123 +606,45 @@ def decode_payload(wire):
         ],
         "private_globals": private_globals,
         "private_alloca_uids": private_alloca_uids,
-        "loops": loops,
         "nest": nest,
         "max_steps": max_steps,
-        "verify_diffs": verify_diffs,
         "compile_regions": compile_regions,
         "verify_compiled": verify_compiled,
     }
 
 
 # -- shared-state diffing ------------------------------------------------------
-#
-# The index, the snapshot, and both diff functions iterate the shared
-# objects in the same fixed order (globals in storage-dict order,
-# allocas in frame-object order, pointer args by index; slots ascending)
-# so the write-log diff is byte-for-byte the snapshot diff.
+
+# One comparison, no write log.  Against the log it replaced (a logged
+# body marking every store, an O(writes) diff per chunk; one pinned
+# core, 2 workers, warm ``Session.run``, ms): dense24-192 8.0 / 20.5 /
+# 89 / 389 -> 7.0 / 15.1 / 53 / 215, the nine benchmark programs each
+# 0.74-0.96x.  The log wins only where a worker writes a sliver of a big
+# array — four regions of 512 writes into one ``float[20000]`` 14.7 ->
+# 21.2 (1.44x), ``float[200000]`` 88 -> 185 (2.1x): the scan costs ~1 ms
+# per 20 K slots of every list a worker changed, beside a payload that
+# is O(state) to pickle anyway (14.4 MB per run at 200 K).  A workload
+# whose workers each write < 1 % of a >= 20 K-slot array (the benchmark
+# has none) is what would justify an O(writes) path again.
 
 
-def shared_index(frame, global_storage, private_alloca_uids):
-    """Which objects a worker's writes must flow back through.
+def diff_table(table, before):
+    """``(table index, slot, value)`` for every slot of ``table`` that
+    differs from ``before``, a per-list copy taken before the chunk ran.
 
-    Captured *before* the chunk runs: an alloca first executed inside
-    the chunk is per-worker scratch, never merged (matching the reference
-    snapshot's pre-run capture).  Returns three ordered lists of
-    ``(key, live storage)`` pairs — globals by name, allocas by
-    instruction, pointer-typed arguments by index (those alias
-    caller-owned storage the parent also shares).
+    Exact because a correct DOALL's shared writes are disjoint across
+    workers.  An unchanged list costs one C-speed ``==``; in a changed
+    one an untouched slot still holds the copy's object, so identity
+    skips it — which keeps an untouched NaN (``nan != nan``) from going
+    home over a sibling worker's write.  A slot rewritten to its old
+    value is elided; storage first allocated inside the chunk is in no
+    table and is never merged.
     """
-    globals_ = [
-        (name, values)
-        for name, values in global_storage.items()
-        if name not in frame.global_overlay
-    ]
-    allocas = [
-        (inst, storage)
-        for inst, storage in frame.objects.items()
-        if inst.uid not in private_alloca_uids
-    ]
-    args = [
-        (index, value[0])
-        for index, value in enumerate(frame.args)
-        if isinstance(value, tuple) and len(value) == 2
-    ]
-    return globals_, allocas, args
-
-
-def snapshot_shared(index):
-    """Reference pre-run capture: a full copy of every shared object."""
-    globals_, allocas, args = index
-    return (
-        [list(values) for _name, values in globals_],
-        [list(storage) for _inst, storage in allocas],
-        [list(storage) for _index, storage in args],
-    )
-
-
-def diff_snapshot(snapshot, index):
-    """Reference full-scan diff of ``index`` against its pre-run snapshot."""
-    globals_before, allocas_before, args_before = snapshot
-    globals_, allocas, args = index
-    global_diffs = []
-    for (name, after), before in zip(globals_, globals_before):
-        for slot, value in enumerate(after):
-            if value != before[slot]:
-                global_diffs.append((name, slot, value))
-    alloca_diffs = []
-    for (inst, after), before in zip(allocas, allocas_before):
-        for slot, value in enumerate(after):
-            if value != before[slot]:
-                alloca_diffs.append((inst.uid, slot, value))
-    arg_diffs = []
-    for (index_, after), before in zip(args, args_before):
-        for slot, value in enumerate(after):
-            if value != before[slot]:
-                arg_diffs.append((index_, slot, value))
-    return global_diffs, alloca_diffs, arg_diffs
-
-
-def diff_write_log(log, index):
-    """Shared-state diff of ``index`` from the interpreter's write log.
-
-    ``log`` maps ``(id(storage), slot) -> (storage, value before the
-    first write)`` — see :meth:`Interpreter.enable_write_log`.  Cost is
-    O(dirty slots), and a slot rewritten to its original value is
-    elided, exactly as the snapshot scan would.
-    """
-    marks_by_storage = {}
-    for (storage_id, slot), (_storage, before) in log.items():
-        marks_by_storage.setdefault(storage_id, []).append((slot, before))
-    for marks in marks_by_storage.values():
-        marks.sort()
-
-    globals_, allocas, args = index
-    global_diffs = []
-    for name, values in globals_:
-        marks = marks_by_storage.get(id(values))
-        if not marks:
+    diffs = []
+    for index, (after, old) in enumerate(zip(table, before)):
+        if after == old:
             continue
-        for slot, before in marks:
-            value = values[slot]
-            if value != before:
-                global_diffs.append((name, slot, value))
-    alloca_diffs = []
-    for inst, storage in allocas:
-        marks = marks_by_storage.get(id(storage))
-        if not marks:
-            continue
-        for slot, before in marks:
-            value = storage[slot]
-            if value != before:
-                alloca_diffs.append((inst.uid, slot, value))
-    arg_diffs = []
-    for index_, storage in args:
-        marks = marks_by_storage.get(id(storage))
-        if not marks:
-            continue
-        for slot, before in marks:
-            value = storage[slot]
-            if value != before:
-                arg_diffs.append((index_, slot, value))
-    return global_diffs, alloca_diffs, arg_diffs
+        for slot, (value, was) in enumerate(zip(after, old)):
+            if value is not was and value != was:
+                diffs.append((index, slot, value))
+    return diffs

@@ -36,7 +36,7 @@ class RegionStats:
     iterations: int = 0
     payloads: int = 0  # process-pool payloads dispatched (processes only)
     payload_bytes: int = 0  # bytes shipped to the pool for this region
-    dirty_slots: int = 0  # (object, slot) write marks reported by workers
+    dirty_slots: int = 0  # shared slots this dispatch changed (table diffs)
     prelude_hits: int = 0  # always 0; benchmarks/e2e still reads it
     prelude_misses: int = 0  # always 0; benchmarks/e2e still reads it
     prelude_bytes_saved: int = 0  # always 0; benchmarks/e2e still reads it

@@ -462,7 +462,7 @@ def test_cli_knobs_lists_the_registry():
     for name in knobs.snapshot():
         assert name in proc.stdout
     assert "default 0.05" in proc.stdout  # REPRO_RETRY_BACKOFF
-    assert len(proc.stdout.splitlines()) == 5
+    assert len(proc.stdout.splitlines()) == 4
     markdown = _run_cli("knobs", "--markdown")
     assert markdown.returncode == 0, markdown.stderr
     assert markdown.stdout.strip() == knobs.markdown_table()

@@ -3,7 +3,7 @@
 Every debug/bench flag the runtime reads from the environment lives in
 one registry with one truthiness rule, refreshed between tests by the
 autouse conftest fixture — these tests pin the rule, the refresh
-contract, and the payload-codec re-exports older tests monkeypatch.
+contract, and the payload-codec re-export older tests monkeypatch.
 """
 
 import ast
@@ -16,19 +16,17 @@ from repro.runtime import knobs, payload
 
 
 def test_unset_env_uses_default(monkeypatch):
-    monkeypatch.delenv("VERIFY_DIFFS", raising=False)
+    monkeypatch.delenv("VERIFY_COMPILED", raising=False)
     monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
     knobs.refresh()
-    assert not knobs.VERIFY_DIFFS
+    assert not knobs.VERIFY_COMPILED
     assert knobs.REPRO_RETRY_BACKOFF.value == 0.05  # typed default
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
 def test_falsy_spellings(monkeypatch, raw):
-    monkeypatch.setenv("VERIFY_DIFFS", raw)
     monkeypatch.setenv("VERIFY_COMPILED", raw)
     knobs.refresh()
-    assert not knobs.VERIFY_DIFFS
     assert not knobs.VERIFY_COMPILED
 
 
@@ -51,8 +49,8 @@ def test_refresh_resets_manual_overrides(monkeypatch):
 
 
 def test_flag_registry_is_get_or_create():
-    first = knobs.flag("VERIFY_DIFFS")
-    assert first is knobs.VERIFY_DIFFS
+    first = knobs.flag("VERIFY_COMPILED")
+    assert first is knobs.VERIFY_COMPILED
     fresh = knobs.flag("REPRO_TEST_ONLY_KNOB")
     try:
         assert knobs.flag("REPRO_TEST_ONLY_KNOB") is fresh
@@ -109,27 +107,26 @@ def test_readme_knob_table_matches_the_registry():
 
 
 def test_payload_reexports_are_knob_objects():
-    """payload.VERIFY_* stay monkeypatch-compatible module attributes."""
-    assert payload.VERIFY_DIFFS is knobs.VERIFY_DIFFS
+    """payload.VERIFY_COMPILED stays a monkeypatch-compatible attribute."""
     assert payload.VERIFY_COMPILED is knobs.VERIFY_COMPILED
 
 
 def test_env_wins_over_stale_value(monkeypatch):
-    monkeypatch.setenv("VERIFY_DIFFS", "1")
+    monkeypatch.setenv("VERIFY_COMPILED", "1")
     knobs.refresh()
-    assert knobs.VERIFY_DIFFS
-    monkeypatch.setenv("VERIFY_DIFFS", "0")
+    assert knobs.VERIFY_COMPILED
+    monkeypatch.setenv("VERIFY_COMPILED", "0")
     knobs.refresh()
-    assert not knobs.VERIFY_DIFFS
+    assert not knobs.VERIFY_COMPILED
 
 
 def test_knob_repr_and_pickle_guard():
-    text = repr(knobs.VERIFY_DIFFS)
-    assert "VERIFY_DIFFS" in text
+    text = repr(knobs.VERIFY_COMPILED)
+    assert "VERIFY_COMPILED" in text
     # Knobs are process-local switches; pickling one (e.g. into a wire
     # header) is a bug. bool() them first — as encode_region does.
-    assert isinstance(bool(knobs.VERIFY_DIFFS), bool)
-    assert pickle.loads(pickle.dumps(bool(knobs.VERIFY_DIFFS))) in (
+    assert isinstance(bool(knobs.VERIFY_COMPILED), bool)
+    assert pickle.loads(pickle.dumps(bool(knobs.VERIFY_COMPILED))) in (
         True, False,
     )
 
@@ -137,7 +134,7 @@ def test_knob_repr_and_pickle_guard():
 #: The registry keeps only what arms an oracle or injects chaos over an
 #: unmodified test run; behavioural options live on SessionConfig.
 SURVIVING_KNOBS = {
-    "VERIFY_DIFFS", "VERIFY_COMPILED",
+    "VERIFY_COMPILED",
     "REPRO_FAULTS", "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
 }
 

@@ -3,19 +3,26 @@
 The codec must be a pure re-encoding of what the seed shipped: the same
 region encodes to byte-identical streams, a decoded worker frame
 preserves the register→storage aliasing the child's diff and write-back
-rely on, the write-log diff is byte-for-byte the legacy snapshot diff on
-every NAS kernel, the module's bytes travel at most once per pool
+rely on, the table diff a child ships home is exactly the shared slots
+its chunk changed (and a knobs-off run builds it with no write log and
+no logged body), the module's bytes travel at most once per pool
 recycle epoch (with the miss/retry path covering pool workers that
 joined late), and a dispatch depends on nothing an earlier dispatch left
 behind but the decoded module.
 """
 
+import pickle
+import random
+
 import pytest
 
 from repro import Session
+from repro.codegen import cache as codegen_cache
+from repro.emulator.interp import Interpreter
 from repro.frontend import compile_source
 from repro.runtime import backends, run_source_plan
 from repro.runtime import payload as payload_codec
+from repro.util.errors import EmulationError
 from support.conformance import outputs_close
 
 pytestmark = pytest.mark.usefixtures("fresh_codec")
@@ -119,57 +126,264 @@ class TestDecodedAliasing:
         _session, captured = captured_region
         encoded, _again = captured[0]
         decoded = payload_codec.decode_payload(encoded.workers[0].wire())
-        frame = decoded["frame"]
-        index = payload_codec.shared_index(
-            frame, decoded["global_storage"], decoded["private_alloca_uids"]
-        )
-        shared_ids = {
-            id(storage)
-            for group in index
-            for _key, storage in group
-        }
+        table = decoded["table"]
+        before = [list(storage) for storage in table]
+        index_of = {id(storage): i for i, storage in enumerate(table)}
         # Prefer a store through a pre-materialized pointer register;
         # registers are pruned to the region's live-ins, so fall back to
-        # a decoded shared object when none of them aliases the index.
+        # the first table entry when none of them aims into the table.
         storage, offset = next(
             (
                 value
-                for value in frame.registers.values()
+                for value in decoded["frame"].registers.values()
                 if isinstance(value, tuple)
                 and len(value) == 2
-                and id(value[0]) in shared_ids
+                and id(value[0]) in index_of
             ),
-            ((index[0] or index[1])[0][1], 0),
+            (table[0], 0),
         )
-        before = storage[offset]
-        log = {(id(storage), offset): (storage, before)}
-        storage[offset] = before + 7
-        diffs = payload_codec.diff_write_log(log, index)
-        assert any(
-            entry[1] == offset and entry[2] == before + 7
-            for group in diffs
-            for entry in group
+        storage[offset] += 7
+        assert payload_codec.diff_table(table, before) == [
+            (index_of[id(storage)], offset, storage[offset])
+        ]
+
+
+def _apply(diffs, table):
+    for index, slot, value in diffs:
+        table[index][slot] = value
+
+
+class TestDiffTable:
+    """The one diff that is left, on hand-built tables."""
+
+    def test_untouched_storage_contributes_nothing(self):
+        table = [[1, 2, 3], [0.5, float("nan")], []]
+        before = [list(storage) for storage in table]
+        assert payload_codec.diff_table(table, before) == []
+        table[0][1] = 20
+        assert payload_codec.diff_table(table, before) == [(0, 1, 20)]
+
+    def test_slot_rewritten_to_its_original_value_is_elided(self):
+        table = [[1.5, 2.5], [7]]
+        before = [list(storage) for storage in table]
+        table[0][0] = 9.0
+        table[0][0] = float("1.5")  # an equal value, a new object
+        table[1][0] = 8
+        assert payload_codec.diff_table(table, before) == [(1, 0, 8)]
+
+    def test_nan_and_int_float_rewrites(self):
+        nan = float("nan")
+        table = [[nan, nan, 1, 2.0, 3]]
+        before = [list(storage) for storage in table]
+        recomputed = float("nan")
+        table[0][1] = recomputed  # ``value != before``: nan != nan
+        table[0][2] = 1.0  # ``1.0 != 1`` is false: the parent keeps its int
+        table[0][3] = 2  # likewise the other way round
+        table[0][4] = 3.5
+        diffs = payload_codec.diff_table(table, before)
+        assert [(i, slot) for i, slot, _value in diffs] == [(0, 1), (0, 4)]
+        assert diffs[0][2] is recomputed and diffs[1][2] == 3.5
+
+    def test_untouched_nan_does_not_overwrite_a_sibling_write(self):
+        # Two workers decode the same table and each writes its own
+        # slot.  The NaN the second worker never touched must not ride
+        # home in its diff just because ``nan != nan``: applied second,
+        # it would undo the first worker's write.
+        parent = [[float("nan"), float("nan"), 0.0]]
+
+        def child(slot, value):
+            table = pickle.loads(pickle.dumps(parent))
+            before = [list(storage) for storage in table]
+            table[0][slot] = value
+            return payload_codec.diff_table(table, before)
+
+        diffs = [child(0, 1.0), child(1, 2.0)]
+        assert diffs == [[(0, 0, 1.0)], [(0, 1, 2.0)]]
+        for diff in diffs:  # worker order
+            _apply(diff, parent)
+        assert parent == [[1.0, 2.0, 0.0]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_applying_the_diff_reproduces_the_table(self, seed):
+        """The defining property: ``before`` + ``diff_table(after,
+        before)`` is ``after``."""
+        draw = random.Random(seed)
+
+        def scalar():
+            kind = draw.randrange(4)
+            if kind == 0:
+                return draw.randrange(-3, 4)
+            if kind == 1:
+                return float(draw.randrange(-3, 4))  # equal to some int
+            if kind == 2:
+                return draw.random()
+            return float("nan")
+
+        before = [
+            [scalar() for _ in range(draw.randrange(0, 12))]
+            for _ in range(draw.randrange(1, 6))
+        ]
+        after = [list(storage) for storage in before]
+        for storage in after:
+            for slot in range(len(storage)):
+                if draw.random() < 0.3:
+                    storage[slot] = scalar()
+        diffs = payload_codec.diff_table(after, before)
+        patched = [list(storage) for storage in before]
+        _apply(diffs, patched)
+        # List equality compares by identity first, so the NaNs a diff
+        # carried over (the very objects in ``after``) compare equal.
+        assert patched == after
+        assert len(diffs) <= sum(
+            a is not b for new, old in zip(after, before)
+            for a, b in zip(new, old)
         )
 
 
-class TestWriteLogMatchesSnapshot:
+DISJOINT_HALVES = """
+global a: int[16];
+
+func main() {
+  pragma omp parallel for
+  for i in 0..16 {
+    var t: int = i + 1;
+    a[i] = t * 3;
+  }
+  print(a[0], a[7], a[8], a[15]);
+}
+"""
+
+
+def _shared_lists(interp, region):
+    return payload_codec._walk_storages(region.frame, interp._global_storage)
+
+
+@pytest.fixture
+def counted_dispatches(monkeypatch):
+    """``(RegionStats, shared slots the dispatch changed in the parent)``
+    per supervised dispatch, the count taken the slow obvious way."""
+    seen = []
+    real = backends.ProcessesBackend._run_supervised
+
+    def counting(self, interp, region):
+        before = [list(storage) for storage in _shared_lists(interp, region)]
+        real(self, interp, region)
+        changed = sum(
+            value is not was and value != was
+            for storage, old in zip(_shared_lists(interp, region), before)
+            for value, was in zip(storage, old)
+        )
+        seen.append((region.stats, changed))
+
+    monkeypatch.setattr(
+        backends.ProcessesBackend, "_run_supervised", counting
+    )
+    return seen
+
+
+class TestTableDiffDispatch:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_diffs_identical_on_kernel(self, kernel, monkeypatch):
-        # The pool worker computes both diffs and errors out on any
-        # divergence, so a passing run is the assertion.
-        monkeypatch.setattr(payload_codec, "VERIFY_DIFFS", True)
+    def test_diffs_land_and_are_counted_on_kernel(
+        self, kernel, counted_dispatches
+    ):
         session = Session.from_kernel(kernel)
         result = session.run("PS-PDG", workers=4, backend="processes")
         assert outputs_close(result.output, session.execution.output)
-        processes_regions = [
-            region
-            for region in result.parallel_regions
-            if region["backend"] == "processes"
-        ]
-        assert processes_regions
-        assert all(
-            region["dirty_slots"] > 0 for region in processes_regions
+        assert counted_dispatches
+        # A correct DOALL's shared writes are disjoint across workers,
+        # so what the children report adds up to what the parent saw.
+        for stats, changed in counted_dispatches:
+            assert stats.backend == "processes"
+            assert stats.dirty_slots == changed
+        if kernel == "EP":
+            # Reductions only: private copies come home whole and are
+            # joined; no shared slot moves during the dispatch.
+            assert [changed for _stats, changed in counted_dispatches] == [0]
+        else:
+            assert any(changed for _stats, changed in counted_dispatches)
+
+    def test_two_workers_writing_disjoint_halves_both_land(self):
+        module = compile_source(DISJOINT_HALVES)
+        reference = run_source_plan(module, workers=2, backend="threads")
+        result = run_source_plan(module, workers=2, backend="processes")
+        assert result.output == reference.output == [(None, (3, 24, 27, 48))]
+        (region,) = result.parallel_regions
+        assert region["backend"] == "processes"
+        # ``t`` is allocated inside the body: scratch in no table, so
+        # the sixteen array slots are all that came home.
+        assert region["dirty_slots"] == 16
+        assert [w["iterations"] for w in region["per_worker"]] == [8, 8]
+
+
+    def test_unknown_private_alloca_is_an_error_naming_the_region(
+        self, monkeypatch
+    ):
+        real = backends.ProcessesBackend._dispatch_once
+
+        def tampering(self, interp, region, active, plan):
+            table, completed = real(self, interp, region, active, plan)
+            completed[0][1]["alloca_privates"][987654] = [0]
+            return table, completed
+
+        monkeypatch.setattr(
+            backends.ProcessesBackend, "_dispatch_once", tampering
         )
+        with pytest.raises(
+            EmulationError, match=r"region for\.header.*%987654"
+        ):
+            run_source_plan(
+                compile_source(DISJOINT_HALVES), workers=2,
+                backend="processes",
+            )
+
+
+class TestPlainBodyOnly:
+    """Knobs off, nothing logs: no write log is created and no logged
+    chunk body is lowered, in the parent or in a pool worker."""
+
+    @pytest.fixture
+    def no_write_log(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a knobs-off run enabled a write log")
+
+        monkeypatch.setattr(Interpreter, "enable_write_log", refuse)
+
+    @staticmethod
+    def _logged_keys():
+        # ("chunk", function, header, logged, outer) and
+        # ("seq", function, stops, logged): position 3 either way.
+        return [
+            key
+            for per_module in codegen_cache._FN_CACHE.values()
+            for key in per_module
+            if key[3]
+        ]
+
+    def test_parent_and_in_process_child_run_the_plain_variant(
+        self, captured_region, no_write_log
+    ):
+        _session, captured = captured_region
+        assert not self._logged_keys()  # the parent's own run
+        codegen_cache.reset()
+        encoded, _again = captured[0]
+        report = backends._pool_chunk_entry(encoded.workers[0].wire())
+        assert "error" not in report, report
+        assert report["stats"].compiled_chunks == 1
+        assert report["stats"].dirty_slots == len(report["diffs"]) > 0
+        chunk_keys = [
+            key
+            for per_module in codegen_cache._FN_CACHE.values()
+            for key in per_module if key[0] == "chunk"
+        ]
+        assert chunk_keys and not self._logged_keys()
+        assert codegen_cache.stats()["compiles"] == len(chunk_keys)
+
+    @pytest.mark.parametrize("kernel,opt", [("LU", 2), ("FT", 2), ("SP", 3)])
+    def test_cold_stage_lowers_one_body_per_loop(self, kernel, opt):
+        summary = Session.from_kernel(kernel, opt_level=opt).compiled_regions
+        assert summary["compiled"] and not summary["fallback"]
+        assert summary["codegen"]["compiles"] == len(summary["compiled"])
+        assert not self._logged_keys()
 
 
 class TestModuleByteCache:
