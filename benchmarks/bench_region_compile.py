@@ -17,10 +17,13 @@ Two acceptance gates:
   path (zero interpreter fallbacks — deterministic, timing-free), and
 * the compiled run must be **at least 1.25x** faster than the
   interpreted run (wall-clock, best-of-N on the same warm pool).
-  Measured against the decoded-closure interpreter with bodies lowered
-  as loop nests (the structured emitter): 1.61x on processes (53.9 vs
-  33.6 ms), 1.71x on threads (47.6 vs 27.9 ms); the block state machine
-  before it measured 1.51x / 1.71x on the same box.  The floor was 2x
+  Measured against the decoded-closure interpreter with bodies — and,
+  since the one-emitter change, the sequential stretches around them —
+  lowered as loop nests: 1.69-1.74x on processes (46.0-48.0 vs 27.1-27.6
+  ms over three runs), 1.74-1.85x on threads (41.5-45.1 vs 23.3-24.3
+  ms); with the stretches still a block-dispatch loop the same box read
+  1.62-1.82x / 1.76-1.85x the same day (bodies alone: 1.61x / 1.71x, and
+  1.51x / 1.71x before they were loop nests).  The floor was 2x
   (2.8x measured) while a worker's chunk loop re-interpreted the IR
   object graph per step; that loop is now ~2.5x faster, and LU's 300
   four-worker chunks leave dispatch — paid by both modes — as most of
@@ -48,7 +51,7 @@ GATED = "LU"
 BACKENDS = ("processes", "threads")
 WORKERS = 4
 REPETITIONS = 3
-GATE = 1.25  # measured 1.61x; see the module docstring
+GATE = 1.25  # measured 1.69-1.74x; see the module docstring
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,14 @@ leave the interpreter's write-log marks, is lowered only under the
 Division of labor:
 
 * :mod:`repro.codegen.lower` — the lowering visitor over
-  ``ir/instructions.py`` types; produces the chunk source and compiles
-  it (or raises :class:`~repro.codegen.lower.Unsupported`).
-* :mod:`repro.codegen.seq` — the same lowering for whole function
-  bodies (the sequential stretches around regions), and its profiled
-  variant whose run *is* the loop-nest profile;
-  :mod:`repro.codegen.profile` drives that run for the pipeline.
+  ``ir/instructions.py`` types and the one control-flow emitter, a
+  structured walk of the loop forest; produces the chunk source and
+  compiles it (or raises :class:`~repro.codegen.lower.Unsupported`).
+* :mod:`repro.codegen.seq` — the same walk with the function as its
+  outermost region (the sequential stretches around regions, each
+  planned region one statement), and its profiled variant whose run
+  *is* the loop-nest profile; :mod:`repro.codegen.profile` drives that
+  run for the pipeline.
 * :mod:`repro.codegen.cache` — per-module compiled-chunk cache plus the
   compile/hit/fallback/time counters diagnostics report.
 * :mod:`repro.codegen.runtime` — the helpers generated code closes
@@ -26,8 +28,9 @@ Division of labor:
   ``VERIFY_COMPILED`` differential oracle.
 
 The contract with the interpreter is *fallback, never fail*: any loop
-the lowering refuses (or any codegen error) runs through the
-interpreter exactly as before, per region member.
+or function the lowering refuses (or any codegen error) runs through
+the interpreter exactly as before — the one fallback; a refusal names
+the block (and instruction) that caused it.
 """
 
 from repro.codegen.cache import compiled_chunk, reset, stats

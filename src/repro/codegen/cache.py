@@ -82,23 +82,22 @@ def compiled_chunk(module, loop, logged, module_key=None, outer=None):
     )
 
 
-def compiled_sequence(module, function, stops, logged, module_key=None,
-                      loops_by_header=None):
+def compiled_sequence(module, function, stops, logged, loops,
+                      module_key=None):
     """The cached :class:`CompiledSequence` for a function body, or ``None``.
 
     ``stops`` is the content-only region-stop spec from
     :func:`repro.codegen.seq.sequence_stops`; it is part of both cache
     keys, so the same module under a different plan lowers separately.
-    ``loops_by_header`` are the function's natural loops the stops name
-    (not needed without stops).  Same never-fail contract as
-    :func:`compiled_chunk`.
+    ``loops()`` is the function's forest (header name -> natural loop),
+    asked for only when the body has to be lowered.  Same never-fail
+    contract as :func:`compiled_chunk`.
     """
     key = ("seq", function.name, tuple(stops), bool(logged))
     return _cached(
         module, key, module_key,
-        lambda: compile_sequence(function, stops, logged,
-                                 module_key=module_key,
-                                 loops_by_header=loops_by_header),
+        lambda: compile_sequence(function, stops, logged, loops(),
+                                 module_key=module_key),
     )
 
 

@@ -47,14 +47,20 @@ Representation choices:
   inner)`` pairs; ``[init, hi - 1]`` for a counted loop, vacuous when
   that is empty).  A failed proof raises ``Bailout`` before the first
   side effect, so the interpreter runs the chunk and raises its own
-  out-of-bounds error at its own iteration: there is one body per
-  ``(loop, logged)`` variant.  Every other guard stays inline.
+  out-of-bounds error at its own iteration: a body is lowered once.
+  Every other guard stays inline.
 * What the walk refuses — a loop left from a block other than its
   header, arms that never rejoin, a block reached twice, an induction
-  alloca whose address escapes — lowers to the ``while``/``elif`` state
-  machine over block indices, unpromoted and fully guarded.  The first
-  line of the generated source says which lowering produced it
-  (:attr:`CompiledChunk.tier`).
+  alloca whose address escapes, a nest deeper than CPython compiles —
+  is an :class:`Unsupported` naming the block, and the loop runs on the
+  interpreter: the walk is the only control-flow emitter, the
+  interpreter the only fallback.  Only hand-written IR has such shapes.
+* The walk has seams a chunk leaves empty and the whole-function
+  lowerings of :mod:`repro.codegen.seq` fill: a nested loop may be a
+  planned region's stop (:meth:`_Lowering._emit_loop`), an arm may leave
+  its loop for good to ``return`` (:meth:`_Lowering._emit_tail`), and a
+  loop has three event positions — enter, iterate, exit — where the
+  profiled lowering counts.
 * Stores come in a ``logged`` variant that marks the shim's write log
   with ``record_write`` semantics, byte-for-byte what the interpreted
   store handler logs; the unlogged variant is a plain slot assignment.
@@ -79,11 +85,20 @@ class Unsupported(Exception):
     """The lowering refuses this loop; run it interpreted."""
 
 
-class _Unstructured(Exception):
-    """The structured walk refuses this body; lower the state machine."""
+def _refused(block, why):
+    """The walk's refusal: the block it stopped at and why."""
+    return Unsupported(f"{block.name}: {why}")
 
-    def __init__(self, block, reason):
-        super().__init__(f"{block.name}: {reason}")
+
+#: Where a walk that only a ``return`` ends is headed (the function's
+#: virtual exit; no block is it).
+_RETURNED = object()
+
+#: What CPython compiles: 20 statically nested blocks (loops and
+#: ``try``) and 99 levels of indentation.  A block's own statements
+#: (guards, lazy allocas, a stop's flush) nest at most two deeper.
+_MAX_BLOCKS = 20
+_MAX_INDENT = 96
 
 
 @dataclasses.dataclass
@@ -103,16 +118,13 @@ class CompiledChunk:
     module_key: str = None  # content hash, when the caller knows it
     refs: tuple = ()  # the IR objects the factory closed over
 
+    #: ``(kind, why)`` as :func:`chunk_tier` reports it: a body that
+    #: compiled is the loop nest it is; a refused loop has no entry.
+    tier = ("structured", None)
+
     @property
     def label(self):
         return f"{self.function}:{self.header}"
-
-    @property
-    def tier(self):
-        """``(kind, why)`` off the source's first line: ``structured``,
-        or ``state_machine`` and the block and reason the walk refused."""
-        kind, _, why = self.source.partition("\n")[0][2:].partition(": ")
-        return kind, why or None
 
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
@@ -179,50 +191,64 @@ class _Lowering:
     """Lowers one loop; collects refs/bindings while emitting the body."""
 
     #: id(alloca) -> :class:`_Scalar` and id(load) -> the local it reads.
-    #: The sequence lowering shares the instruction statements, never
-    #: promotes and skips this ``__init__``, so the empty defaults live
-    #: on the class; a chunk lowering rebinds both, never mutates these.
+    #: The whole-function lowerings share the walk and the instruction
+    #: statements and never promote, so the empty defaults live on the
+    #: class; a chunk lowering rebinds both, never mutates these.
     promoted = {}
     _alias = {}
 
-    def __init__(self, loop, logged, outer=None, refusal=None):
+    name = "_chunk"  # the generated function
+    parameters = "interp, frame, iterations"
+    _body_indent = 4  # def _factory / def _chunk / try / for
+    _blocks = 2  # the skeleton's own ``try`` and ``for``, of _MAX_BLOCKS
+
+    def __init__(self, loop, logged, outer=None):
         if loop.canonical is None:
             raise Unsupported("loop lacks canonical form")
         if outer is not None and outer.canonical is None:
             raise Unsupported("nest outer loop lacks canonical form")
         self.loop = loop
         self.outer = outer  # interchanged nest: iterations are pairs
-        self.logged = logged
-        #: Why the structured walk refused this body, so it is lowered
-        #: as the block state machine; ``None``: as the loop nest it is.
-        self.refusal = refusal
-        self.structured = refusal is None
-        self.function = loop.header.parent
         self.blocks = [b for b in loop.blocks if b is not loop.header]
         self.defined = {
             id(inst) for b in self.blocks for inst in b.instructions
         }
+        self.promoted = {}
+        self._alias = {}
+        self._begin(
+            loop.header.parent, [loop, *loop.descendants()], logged
+        )
+
+    def _begin(self, function, loops, logged):
+        """The state every lowering starts from; ``loops`` is the forest
+        the walk follows (a chunk's: its loop and what nests in it)."""
+        self.function = function
+        self.logged = logged
         self.refs = []  # objects the factory receives positionally
         self._ref_names = {}  # id(obj) -> _k<i>
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
         self.counter = 0
-        self.promoted = {}
-        self._alias = {}
         self._intervals = {}  # induction local -> (lowest, highest) names
         self._proof = []  # entry lines defining those names, outermost first
         self._checks = []  # the once-per-chunk bounds proof's conjuncts
         self._enclosing = []  # intervals of the counted loops being emitted
         self._conditional = 0  # depth of ``if`` arms being emitted
         self._segment = None  # [line index, steps] of the open step count
-        self._emitted = set()  # blocks the walk has emitted
+        #: Blocks the walk has emitted -> the loop a returning arm had
+        #: left for good when it did (``None``: no such arm).
+        self._emitted = {}
+        self._leaving = None  # that loop, while such an arm is walked
         self._elided = set()  # counted latches: steps only, no statements
-        self._ipdom = None  # block -> immediate post-dominator, on demand
+        self._ipdom = {}  # region -> block -> immediate post-dominator
         self._uses = {}  # id(value) -> operand uses in the body (if any)
-        self._headers = {
-            inner.header: inner for inner in loop.descendants()
-        }
+        self._headers = {inner.header: inner for inner in loops}
+        self._innermost = {}  # block -> the smallest loop holding it
+        for inner in sorted(
+            loops, key=lambda inner: len(inner.blocks), reverse=True
+        ):
+            self._innermost.update(dict.fromkeys(inner.blocks, inner))
 
     @property
     def _inductions(self):
@@ -437,8 +463,7 @@ class _Lowering:
             # only ever rebound to the same list.
             self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
             proven = (
-                self.structured and not self._conditional
-                and self._proven_in_bounds(inst)
+                not self._conditional and self._proven_in_bounds(inst)
             )
         if not proven:
             suffix = (
@@ -501,40 +526,16 @@ class _Lowering:
         else:
             raise Unsupported(f"unop {inst.op}")
 
-    # -- control flow: the state machine ---------------------------------------
+    # -- control flow --------------------------------------------------------------
 
-    def _goto(self, out, target, states):
-        """End-of-block transfer inside the state machine."""
-        if target is self.loop.header:
-            out.emit("break")
-        elif target in states:
-            out.emit(f"_b = {states[target]}")
-            out.emit("continue")
-        else:
-            raise Unsupported(
-                f"branch leaves the loop mid-body (to {target.name})"
-            )
-
-    def lower_terminator(self, out, inst, states):
-        if isinstance(inst, insts.Return):
-            out.emit(
-                "raise _EmulationError("
-                "'return inside a parallelized loop body')"
-            )
-        elif isinstance(inst, insts.Jump):
-            self._goto(out, inst.target, states)
-        elif isinstance(inst, insts.Branch):
-            condition = self.scalar(inst.condition)
-            out.emit(f"if {condition}:")
-            out.indent += 1
-            self._goto(out, inst.if_true, states)
-            out.indent -= 1
-            out.emit("else:")
-            out.indent += 1
-            self._goto(out, inst.if_false, states)
-            out.indent -= 1
-        else:
+    def lower_terminator(self, out, inst):
+        """A terminator the walk does not follow: ``return`` ends it."""
+        if not isinstance(inst, insts.Return):
             raise Unsupported(f"terminator {inst.opcode}")
+        out.emit(
+            "raise _EmulationError("
+            "'return inside a parallelized loop body')"
+        )
 
     def _step_check(self, out, count):
         out.emit(f"_steps += {count}")
@@ -542,30 +543,6 @@ class _Lowering:
         out.indent += 1
         out.emit(f"raise _EmulationError({_MAX_STEPS_MESSAGE!r})")
         out.indent -= 1
-
-    def _reachable_blocks(self):
-        """Lowered blocks reachable from the canonical body, in order."""
-        order = []
-        seen = set()
-        stack = [self._body_block()]
-        while stack:
-            block = stack.pop()
-            if id(block) in seen or block is self.loop.header:
-                continue
-            if block not in self.loop.blocks:
-                raise Unsupported(
-                    f"body reaches block {block.name} outside the loop"
-                )
-            seen.add(id(block))
-            order.append(block)
-            terminator = (
-                block.instructions[-1] if block.instructions else None
-            )
-            if isinstance(terminator, insts.Terminator):
-                stack.extend(reversed(terminator.successors()))
-        # Keep loop.blocks order (deterministic) among reachable blocks.
-        reachable = {id(block) for block in order}
-        return [b for b in self.blocks if id(b) in reachable]
 
     def _body_block(self):
         body = self.function.block(self.loop.canonical.body)
@@ -615,28 +592,23 @@ class _Lowering:
                 self._split_count(out, block, inst)
         return None
 
-    def _state_machine(self, out):
-        """The per-iteration statements as a block-dispatch loop."""
-        blocks = self._reachable_blocks()
-        states = {block: index for index, block in enumerate(blocks)}
-        out.emit(f"_b = {states[self._body_block()]}")
-        out.emit("while True:")
-        out.indent += 1
-        for index, block in enumerate(blocks):
-            out.emit(f"{'if' if index == 0 else 'elif'} _b == {index}:")
-            out.indent += 1
-            self._segment = None
-            terminator = self._lower_block(out, block)
-            if terminator is not None:
-                self.lower_terminator(out, terminator, states)
-            else:
-                # run_chunk raises when a block fails to terminate.
-                out.emit(
-                    "raise _EmulationError("
-                    f"{('worker fell off block ' + block.name)!r})"
-                )
-            out.indent -= 1
-        out.indent -= 1
+    # -- loop events: where a profiled lowering counts (no-ops here) ------------
+
+    def _enter_loop(self, out, loop):
+        """Before the Python loop."""
+
+    def _close_iteration(self, out, loop):
+        """At the bottom of its body."""
+
+    def _exit_loop(self, out, loop):
+        """Behind it."""
+
+    def _leave(self, out, region):
+        """Exit every loop from ``region`` outwards: control leaves them
+        all to ``return``."""
+        while region is not None:
+            self._exit_loop(out, region)
+            region = region.parent
 
     # -- control flow: the structured walk -------------------------------------
 
@@ -684,7 +656,7 @@ class _Lowering:
                         scalar.stores.append(inst)
         for alloca in self._inductions:
             if id(alloca) in escaped:
-                raise _Unstructured(
+                raise _refused(
                     self._body_block(),
                     f"the address of induction storage {alloca!r} escapes",
                 )
@@ -761,52 +733,92 @@ class _Lowering:
             self._proof.append(f"{low} = min({values})")
             self._proof.append(f"{high} = max({values})")
 
-    def _join(self, block):
-        """Where the arms of ``block``'s branch meet again, or ``None``."""
-        if self._ipdom is None:
-            sink = self.loop.header  # ends the iteration; so does a return
-            into = {block: [] for block in self.blocks}
+    def _nest(self, out, block, blocks=0):
+        """Refuse to open one more level (holding ``blocks`` more nested
+        blocks) at ``block`` where CPython would refuse the source."""
+        if (
+            self._blocks + blocks > _MAX_BLOCKS
+            or out.indent > _MAX_INDENT
+        ):
+            raise _refused(block, "nested deeper than CPython compiles")
+
+    def _owner(self, block):
+        """The loop whose body ``block`` is a statement of: its innermost
+        loop, for a header the loop around its own; ``None``: the
+        function itself."""
+        inner = self._headers.get(block)
+        if inner is not None:
+            return inner.parent
+        return self._innermost.get(block)
+
+    def _join(self, block, region):
+        """Where the arms of ``block``'s branch meet again, or ``None``.
+
+        Post-dominators of ``region``'s own statements: a nested loop is
+        one node that continues at its header's exit, an edge that
+        leaves ``region`` is no edge (what it leads to never comes
+        back), and the sink is the next iteration — for the function,
+        :data:`_RETURNED`, where every ``return`` goes.
+        """
+        ipdom = self._ipdom.get(region)
+        if ipdom is None:
+            sink = _RETURNED if region is None else region.header
+            blocks = self.function.blocks if region is None \
+                else region.blocks
+            into = {
+                node: [] for node in blocks if self._owner(node) is region
+            }
+            sources = list(into)
             into[sink] = []
-            for source in self.blocks:
-                terminator = source.terminator
-                targets = (
-                    [sink] if isinstance(terminator, insts.Return)
-                    else source.successors()
-                )
+            for source in sources:
+                inner = self._headers.get(source)
+                if inner is not None:
+                    targets = [
+                        target for target in source.successors()
+                        if target not in inner.blocks
+                    ]
+                elif isinstance(source.terminator, insts.Return):
+                    targets = [sink]
+                else:
+                    targets = source.successors()
                 for target in targets:
                     if target in into:
                         into[target].append(source)
-            self._ipdom = immediate_dominators(sink, into)
-        return self._ipdom.get(block)
+            ipdom = self._ipdom[region] = immediate_dominators(sink, into)
+        return ipdom.get(block)
 
     def _walk(self, out, block, follow, region):
         """Emit from ``block`` until control reaches ``follow``.
 
-        ``region`` is the innermost loop being emitted; a path that
-        leaves its blocks, or meets a block already emitted, is not a
-        nest of loops and diamonds.
+        ``region`` is the innermost loop being emitted (``None``: the
+        function).  Every block is a statement of exactly one region and
+        is emitted once, there; a path that meets a block any other way
+        is not a nest of loops and diamonds.
         """
         while block is not follow:
-            if (
-                block in self._emitted
-                or block not in region.blocks
-                or block is region.header
-            ):
-                raise _Unstructured(
+            if block in self._emitted or self._owner(block) is not region:
+                left = self._leaving or self._emitted.get(block)
+                if left is not None:
+                    raise _refused(
+                        left.header,
+                        "loop is left from a block other than its header",
+                    )
+                raise _refused(
                     block, "reached around the loop nest's structure"
                 )
             inner = self._headers.get(block)
             if inner is not None:
                 block = self._emit_loop(out, inner)
                 continue
-            self._emitted.add(block)
+            self._emitted[block] = self._leaving
             terminator = self._emit_straight(out, block)
             if isinstance(terminator, insts.Jump):
                 block = terminator.target
             elif isinstance(terminator, insts.Branch):
                 block = self._emit_if(out, block, terminator, region)
-            else:  # a return raises; anything else is refused
-                self.lower_terminator(out, terminator, None)
+            else:
+                self._leave(out, region)
+                self.lower_terminator(out, terminator)
                 self._segment = None
                 return
 
@@ -817,14 +829,15 @@ class _Lowering:
             return block.terminator
         terminator = self._lower_block(out, block)
         if terminator is None:
-            raise _Unstructured(block, "block does not end in a terminator")
+            raise _refused(block, "block does not end in a terminator")
         return terminator
 
     def _emit_if(self, out, block, branch, region):
         """``if``/``else`` up to the arms' join; returns the join."""
-        join = self._join(block)
+        join = self._join(block, region)
         if join is None:
-            raise _Unstructured(block, "the branch's arms never rejoin")
+            raise _refused(block, "the branch's arms never rejoin")
+        self._nest(out, block)
         condition = self.scalar(branch.condition)
         arms = [
             (test, target)
@@ -834,16 +847,29 @@ class _Lowering:
             )
             if target is not join
         ]
+        if join is _RETURNED:
+            # Both arms return: the second needs no ``else``.
+            join = arms.pop()[1]
         self._conditional += 1
         for position, (test, target) in enumerate(arms):
             out.emit("else:" if position else f"if {test}:")
             out.indent += 1
             self._segment = None
-            self._walk(out, target, join, region)
+            if region is None or target in region.blocks:
+                self._walk(out, target, join, region)
+            else:
+                self._emit_tail(out, target, region)
             out.indent -= 1
         self._conditional -= 1
         self._segment = None
         return join
+
+    def _emit_tail(self, out, target, region):
+        """An arm that leaves ``region`` from inside its body.  A chunk's
+        may not: every iteration ends at the header."""
+        raise _refused(
+            region.header, "loop is left from a block other than its header"
+        )
 
     def _emit_loop(self, out, inner):
         """A nested natural loop as a Python loop; returns its exit block."""
@@ -853,19 +879,15 @@ class _Lowering:
             target for target in header.successors()
             if target in inner.blocks
         ]
-        if (
-            not isinstance(branch, insts.Branch)
-            or len(inside) != 1
-            or any(source is not header
-                   for source, _target in inner.exit_edges())
-        ):
-            raise _Unstructured(
-                header, "loop is left from a block other than its header"
-            )
+        if not isinstance(branch, insts.Branch) or len(inside) != 1:
+            raise _refused(header, "loop has no exit through its header")
         inside = inside[0]
         stays = inside is branch.if_true
-        self._emitted.add(header)
+        self._nest(out, header, 1)
+        self._blocks += 1
+        self._emitted[header] = self._leaving
         self._segment = None
+        self._enter_loop(out, inner)
         counted = stays and self._counted(inner)
         if counted:
             scalar, upper, interval = counted
@@ -876,18 +898,6 @@ class _Lowering:
             self._count(out, len(header.instructions))
             if interval:
                 self._enclosing.append(interval)
-            self._walk(out, inside, header, inner)
-            if interval:
-                self._enclosing.pop()
-            out.indent -= 1
-            self._segment = None
-            # range() leaves the last value it produced; the IR leaves
-            # the first one that failed the test.
-            out.emit(f"if {scalar.value} < {upper}:")
-            out.indent += 1
-            out.emit(f"{scalar.value} = {upper}")
-            out.indent -= 1
-            self._count(out, len(header.instructions))  # the failing test
         else:
             out.emit("while True:")
             out.indent += 1
@@ -898,9 +908,22 @@ class _Lowering:
             out.emit("break")
             out.indent -= 1
             self._segment = None
-            self._walk(out, inside, header, inner)
+        self._walk(out, inside, header, inner)
+        self._close_iteration(out, inner)
+        out.indent -= 1
+        self._segment = None
+        if counted:
+            if interval:
+                self._enclosing.pop()
+            # range() leaves the last value it produced; the IR leaves
+            # the first one that failed the test.
+            out.emit(f"if {scalar.value} < {upper}:")
+            out.indent += 1
+            out.emit(f"{scalar.value} = {upper}")
             out.indent -= 1
-            self._segment = None
+            self._count(out, len(header.instructions))  # the failing test
+        self._exit_loop(out, inner)
+        self._blocks -= 1
         return branch.if_false if stays else branch.if_true
 
     def _counted(self, inner):
@@ -1052,17 +1075,13 @@ class _Lowering:
             self._checks.append(check)
         return True
 
-    # -- whole-chunk assembly -------------------------------------------------
+    # -- whole-body assembly ----------------------------------------------------
 
     def _entry_bindings(self, out):
         """Emit the eager entry bindings (inside the Bailout try)."""
         for alloca in self._inductions:
             key = self.ref(alloca)
-            scalar = self.promoted.get(id(alloca))
-            if scalar is None:
-                name = "_iv" if alloca is self._inductions[-1] else "_ivo"
-                out.emit(f"{name} = _objs[{key}]")
-                continue
+            scalar = self.promoted[id(alloca)]
             out.emit(f"{scalar.storage} = _objs[{key}]")
             if id(alloca) in self._uses:
                 # The interpreter reads the slot through this register.
@@ -1115,31 +1134,36 @@ class _Lowering:
             out.indent += 1
             out.emit("raise _Bailout()")
             out.indent -= 2
+        if not out.lines:
+            out.emit("pass")
+
+    def _factory_bindings(self, out):
+        """Extra names bound once per exec, outside the function."""
+
+    def _prologue(self, out):
+        """Extra locals initialized per call, before the entry bindings."""
+
+    def _lower_body(self, out):
+        """Walk the body: one iteration, from the canonical body block
+        round to the header."""
+        self._promote()
+        self._bind_inductions()
+        self._walk(out, self._body_block(), self.loop.header, self.loop)
 
     def lower(self):
+        """The generated source: one skeleton for every lowering — the
+        factory's bindings, the function's prologue, the entry section
+        behind its Bailout ``try``, then the walked body."""
         # The body and entry sections are emitted first so ref
         # collection completes before the unpack line is written.
         body = _Emitter()
-        if self.structured:
-            self._promote()
-            self._bind_inductions()
-            body.indent = 4  # def _factory / def _chunk / try / for
-            self._walk(body, self._body_block(), self.loop.header,
-                       self.loop)
-            tier = "structured"
-        else:
-            body.indent = 3  # def _factory / def _chunk / for
-            if self.outer is not None:
-                body.emit("_ivo[0] = _t")
-            body.emit("_iv[0] = _i")
-            self._state_machine(body)
-            tier = f"state_machine: {self.refusal}"
+        body.indent = self._body_indent
+        self._lower_body(body)
         entry = _Emitter()
-        entry.indent = 3  # def _factory / def _chunk / try
+        entry.indent = 3  # def _factory / def <name> / try
         self._entry_bindings(entry)
 
         out = _Emitter()
-        out.emit(f"# {tier}")
         out.emit("def _factory(refs, H):")
         out.indent += 1
         if self.refs:
@@ -1154,7 +1178,8 @@ class _Lowering:
         out.emit("_trunc_rem = H.trunc_rem")
         for helper in sorted(set(_UNOP_HELPERS.values())):
             out.emit(f"{helper} = H.{helper[1:]}")
-        out.emit("def _chunk(interp, frame, iterations):")
+        self._factory_bindings(out)
+        out.emit(f"def {self.name}({self.parameters}):")
         out.indent += 1
         out.emit("_objs = frame.objects")
         out.emit("_out = interp.output")
@@ -1162,24 +1187,19 @@ class _Lowering:
         out.emit("_steps = interp.steps")
         if self.logged:
             out.emit("_log = interp.write_log")
+        self._prologue(out)
         out.emit("try:")
         out.lines.extend(entry.lines)
         out.emit("except (KeyError, IndexError, TypeError, ValueError):")
         out.indent += 1
         out.emit("raise _Bailout() from None")
         out.indent -= 1
-        if self.structured:
-            self._emit_promoted_loop(out, body)
-        else:
-            pair = "_t, _i" if self.outer is not None else "_i"
-            out.emit(f"for {pair} in iterations:")
-            out.lines.extend(body.lines)
-        out.emit("interp.steps = _steps")
+        self._emit_body(out, body)
         out.indent -= 1
-        out.emit("return _chunk")
+        out.emit(f"return {self.name}")
         return out.source()
 
-    def _emit_promoted_loop(self, out, body):
+    def _emit_body(self, out, body):
         """The chunk loop over locals, written back however it ends."""
         # The inductions were materialized at entry; the rest are when
         # (and if) their alloca first runs.
@@ -1206,6 +1226,7 @@ class _Lowering:
             out.emit(f"{scalar.storage}[0] = {scalar.value}")
             out.indent -= 1
         out.indent -= 1
+        out.emit("interp.steps = _steps")
 
 
 def lower_chunk(loop, logged, outer=None):
@@ -1215,21 +1236,16 @@ def lower_chunk(loop, logged, outer=None):
     globals, refs), so the body is emitted first and spliced into the
     chunk skeleton by :meth:`_Lowering.lower`.  With ``outer`` (an
     interchanged nest's outer loop) the chunk iterates ``(outer,
-    inner)`` pairs and seeds both induction storages.  A body the
-    structured walk refuses is lowered again as the state machine.
+    inner)`` pairs and seeds both induction storages.
     """
     lowering = _Lowering(loop, logged, outer=outer)
-    try:
-        return lowering.lower(), lowering.refs
-    except _Unstructured as refusal:
-        lowering = _Lowering(loop, logged, outer=outer, refusal=str(refusal))
-        return lowering.lower(), lowering.refs
+    return lowering.lower(), lowering.refs
 
 
 def chunk_tier(loop, entry, outer=None):
-    """``(kind, why)`` for a loop and its cached entry (``None``: the
-    loop runs interpreted): ``structured``, ``state_machine`` with what
-    the walk refused, or ``refused`` with the block and instruction."""
+    """``(kind, why)`` for a loop and its cached entry: ``structured``,
+    or — ``None``, the loop runs interpreted — ``refused`` with the block
+    (and instruction) that refused it."""
     if entry is not None:
         return entry.tier
     try:

@@ -2,16 +2,19 @@
 
 :func:`profile_function` is what the pipeline's ``profile`` stage calls.
 It executes the program once, sequentially, through
-:func:`repro.codegen.seq.compile_profiled` — callees through their plain
-compiled sequences — and returns the interpreter's
+:func:`repro.codegen.seq.compile_profiled` — the structured walk with
+the loop events at their fixed positions on the loop tree; callees
+through their plain compiled sequences — and returns the interpreter's
 :class:`~repro.emulator.interp.ExecutionResult` with the loop-nest
 profile already interned into shapes.  The interpreter and its tree
 :class:`~repro.emulator.profile.Profiler` are the engine for a function
-the lowering refuses (the refusal is recorded on the profile, never
-silent) and, under ``verify`` (``VERIFY_COMPILED``), the reference both
-runs are diffed against.
+the lowering refuses — an instruction, or a CFG the walk does not nest;
+the refusal names the block and is recorded on the profile, never
+silent — and, under ``verify`` (``VERIFY_COMPILED``), the reference
+both runs are diffed against.
 """
 
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.codegen.lower import Unsupported
 from repro.codegen.runtime import Bailout, execute_sequence
@@ -25,8 +28,10 @@ class _CompiledCallees(Interpreter):
     """An interpreter whose calls run compiled (refused bodies interpret)."""
 
     def _run_function(self, function, args):
+        # A callee's forest comes from its own analysis record.
         entry = codegen_cache.compiled_sequence(
-            self.module, function, (), logged=False
+            self.module, function, (), False,
+            lambda: FunctionAnalyses(function, self.module).loops_by_header,
         )
         _mode, value = execute_sequence(
             entry, self, function, args, super()._run_function

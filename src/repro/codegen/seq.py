@@ -1,17 +1,21 @@
 """Lower a function's *sequential stretches* to one exec-compiled body.
 
 Where :mod:`repro.codegen.lower` compiles the body of a DOALL chunk,
-this module compiles everything *around* the parallel regions: the
-whole function lowers to a block-index state machine with the exact
-semantics of ``Interpreter._run_function`` — one step per executed
-instruction against ``max_steps`` (with the interpreter's own error
-message), the interpreter's lazy "use of unexecuted instruction" error
-for registers whose defining block never ran (mapped from Python's
-``UnboundLocalError``), and ``return`` lowering to a real return.
+this module compiles everything *around* the parallel regions, through
+the same structured walk with the function as its outermost region:
+nested ``while True:`` loops and ``if``/``else`` diamonds (scalars stay
+in their slots — no promotion, no counted loops, no bounds proof) with
+the exact semantics of ``Interpreter._run_function`` — one step per
+executed instruction against ``max_steps`` (with the interpreter's own
+error message), the interpreter's lazy "use of unexecuted instruction"
+error for registers whose defining block never ran (mapped from
+Python's ``UnboundLocalError``), and ``return`` lowering to a real
+return, also from inside loops: an arm that leaves its loops for good
+is emitted under its ``if`` and ends in the ``return``.
 
-Planned parallel regions are *stops*: their member loop blocks are
-excluded from the lowering, and every transfer into a region's header
-becomes a pseudo-state that
+A planned parallel region is a *stop*: one statement where its loop
+node would be.  Reaching the region's header closes the open step
+segment, exactly as a ``call`` does, and then
 
 1. syncs the step counter into the interpreter,
 2. flushes the registers the region dispatcher reads from the parent
@@ -26,24 +30,29 @@ becomes a pseudo-state that
 Entry bindings (arguments, globals) are eager and raise
 :class:`~repro.codegen.runtime.Bailout` before any side effect, so the
 interpreter fallback replays the call from an untouched state.  Anything
-outside the supported matrix raises :class:`Unsupported` and the
-function stays interpreted — never fail, always fall back.
+outside the supported matrix — an instruction the lowering has no
+statement for, a CFG the walk refuses (irreducible, a loop left by a
+jump, control entering a region mid-loop: hand-written IR only) —
+raises :class:`Unsupported` naming the block and the function stays
+interpreted — never fail, always fall back.
 
-The same state machine has a *profiled* lowering
-(:class:`_ProfiledLowering`, :func:`compile_profiled`): no stops, and
-every block and CFG edge instrumented so that running the body produces
-the function's dynamic loop-nest profile, already interned into shapes
-(:mod:`repro.emulator.profile`).  :mod:`repro.codegen.profile` runs it.
+The same walk has a *profiled* lowering (:class:`_ProfiledLowering`,
+:func:`compile_profiled`): no stops, one counter per block, and the
+loop events at their three fixed positions on the loop tree — *enter*
+before the Python loop, *iterate* at the bottom of its body, *exit*
+behind it (and "leave *k* loops" where an arm returns) — so that running
+the body produces the function's dynamic loop-nest profile, already
+interned into shapes (:mod:`repro.emulator.profile`).
+:mod:`repro.codegen.profile` runs it.
 """
 
 import dataclasses
 
-from repro.analysis.loops import loop_of_block
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
 from repro.codegen import runtime as _runtime
-from repro.codegen.lower import _UNOP_HELPERS, Unsupported, _Emitter, \
-    _Lowering
+from repro.codegen.lower import _RETURNED, Unsupported, _Emitter, \
+    _Lowering, _refused
 
 
 @dataclasses.dataclass
@@ -95,58 +104,37 @@ def sequence_stops(regions, function):
     return tuple(stops)
 
 
+@dataclasses.dataclass
 class _Stop:
-    """One resolved region stop: member loops, exit block, flush set."""
+    """One resolved region stop: member loops and where control resumes."""
 
-    __slots__ = ("header", "block", "loops", "exit", "flush", "state",
-                 "used")
-
-    def __init__(self, header, block, loops, exit_block):
-        self.header = header
-        self.block = block
-        self.loops = loops
-        self.exit = exit_block
-        self.flush = ()
-        self.state = None
-        self.used = False
+    loops: list
+    exit: object  # the last member's canonical exit block
 
 
 class _SequenceLowering(_Lowering):
-    """Lowers one function's sequential stretches to a state machine.
+    """Lowers one function's sequential stretches.
 
-    Reuses the chunk lowering's operand rendering and per-instruction
-    statements; overrides control flow (whole-function state machine,
-    region stops, real returns), the step-check message, and the entry
-    bindings (arguments and globals instead of live-in registers).
+    The chunk lowering's walk, operand rendering and per-instruction
+    statements with the function as the outermost region; fills the
+    walk's seams (region stops, real returns — also from inside loops)
+    and overrides the step-check message and the register protocol
+    (plain locals instead of live-ins).
     """
 
-    signature = "def _seq(interp, frame):"
+    loop = None  # no chunk loop: nothing is promoted, aliased or proven
+    _inductions = ()
+    name = "_seq"
+    parameters = "interp, frame"
+    _body_indent = 3  # def _factory / def _seq / try
+    _blocks = 1  # the skeleton's own ``try``
 
-    def __init__(self, function, stops, logged, loops_by_header=None):
-        # Deliberately not calling _Lowering.__init__: there is no loop.
-        self.loop = None
-        self.logged = bool(logged)
-        self.function = function
-        self.refs = []
-        self._ref_names = {}
-        self.live_ins = {}
-        self.args = {}
-        self.globals = {}
-        self.counter = 0
+    def __init__(self, function, stops, logged, loops_by_header):
+        self._begin(function, loops_by_header.values(), bool(logged))
         self._stops = self._resolve_stops(stops, loops_by_header)
-        self._excluded = {
-            id(block)
-            for stop in self._stops.values()
-            for loop in stop.loops
-            for block in loop.blocks
-        }
-        self.blocks = self._reachable_blocks()
-        self.defined = {
-            id(inst) for b in self.blocks for inst in b.instructions
-        }
-        for stop in self._stops.values():
-            if stop.used:
-                stop.flush = self._flush_set(stop)
+        #: ``(line index, indent, stop)`` per stop, in walk order: the
+        #: flush lines go in once the walk knows everything it lowered.
+        self._flushes = []
 
     # -- stop resolution -----------------------------------------------------
 
@@ -163,50 +151,11 @@ class _SequenceLowering(_Lowering):
                         f"region member {member} lacks canonical form"
                     )
                 loops.append(loop)
-            block = self.function.block(header)
             exit_block = self.function.block(loops[-1].canonical.exit)
-            resolved[header] = _Stop(header, block, loops, exit_block)
+            resolved[header] = _Stop(loops, exit_block)
         return resolved
 
-    def _reachable_blocks(self):
-        """Lowered blocks reachable from entry, region loops projected out.
-
-        Traversal continues at a stop's canonical exit instead of
-        entering its loop blocks, mirroring the interpreter's takeover.
-        """
-        entry = self.function.entry
-        if id(entry) in self._excluded:
-            raise Unsupported("entry block belongs to a planned region")
-        order = []
-        seen = set()
-        stack = [entry]
-        while stack:
-            block = stack.pop()
-            if id(block) in seen:
-                continue
-            if id(block) in self._excluded:
-                raise Unsupported(
-                    f"control enters planned region mid-loop "
-                    f"({block.name})"
-                )
-            seen.add(id(block))
-            order.append(block)
-            terminator = (
-                block.instructions[-1] if block.instructions else None
-            )
-            if not isinstance(terminator, insts.Terminator):
-                continue  # refused at emission time
-            for successor in reversed(terminator.successors()):
-                stop = self._stops.get(successor.name)
-                if stop is not None:
-                    stop.used = True
-                    stack.append(stop.exit)
-                else:
-                    stack.append(successor)
-        reachable = {id(block) for block in order}
-        return [b for b in self.function.blocks if id(b) in reachable]
-
-    def _flush_set(self, stop):
+    def _flush_set(self, stop, defined):
         """Lowered instructions the region dispatch reads from the frame.
 
         The dispatcher evaluates each member loop's canonical bounds via
@@ -223,16 +172,11 @@ class _SequenceLowering(_Lowering):
             for block in loop.blocks:
                 for inst in block.instructions:
                     candidates.extend(inst.operands)
-        flush = {}
-        for value in candidates:
-            if (
-                isinstance(value, insts.Instruction)
-                and id(value) in self.defined
-            ):
-                flush[id(value)] = value
-        return tuple(
-            sorted(flush.values(), key=lambda inst: inst.uid)
-        )
+        flush = {
+            id(value): value for value in candidates
+            if isinstance(value, insts.Instruction) and id(value) in defined
+        }
+        return sorted(flush.values(), key=lambda inst: inst.uid)
 
     # -- overrides of the chunk lowering -------------------------------------
 
@@ -255,167 +199,92 @@ class _SequenceLowering(_Lowering):
         )
         out.indent -= 1
 
-    def _enter_block(self, out, index, block):
-        self._step_check(out, len(block.instructions))
+    def lower_terminator(self, out, inst):
+        if not isinstance(inst, insts.Return):
+            return super().lower_terminator(out, inst)
+        out.emit("interp.steps = _steps")
+        value = self.any_value(inst.value) if inst.operands else "None"
+        out.emit(f"return {value}")
 
-    def _goto(self, out, target, states):
-        stop = self._stops.get(target.name)
-        if stop is not None:
-            out.emit(f"_b = {stop.state}")
-            out.emit("continue")
-        elif id(target) in states:
-            out.emit(f"_b = {states[id(target)]}")
-            out.emit("continue")
-        else:
-            raise Unsupported(
-                f"branch into planned region body ({target.name})"
-            )
+    # -- the walk's seams -------------------------------------------------------
 
-    def lower_terminator(self, out, inst, states):
-        if isinstance(inst, insts.Return):
-            out.emit("interp.steps = _steps")
-            if inst.operands:
-                out.emit(f"return {self.any_value(inst.value)}")
-            else:
-                out.emit("return None")
-        else:
-            super().lower_terminator(out, inst, states)
+    def _emit_loop(self, out, inner):
+        """A planned region's loop is one statement: the stop."""
+        stop = self._stops.get(inner.header.name)
+        if stop is None:
+            return super()._emit_loop(out, inner)
+        self._nest(out, inner.header, 2)  # a flush's ``try`` and handler
+        self._emitted[inner.header] = self._leaving
+        # The segment that reached the header is closed here, as at a
+        # call: the dispatch counts on from exactly ``interp.steps``.
+        out.emit("interp.steps = _steps")
+        self._flushes.append((len(out.lines), out.indent, stop))
+        out.emit(
+            f"interp._compiled_region_stop({inner.header.name!r}, frame)"
+        )
+        out.emit("_steps = interp.steps")
+        self._segment = None
+        return stop.exit
 
-    # -- the state machine ----------------------------------------------------
+    def _emit_tail(self, out, target, region):
+        """An arm that leaves ``region`` from inside its body: a tail
+        that ends in ``return`` on every path, emitted under its ``if``.
+        Walked as the function's own statements, so one that comes back
+        — into the nest, or to the code behind it (a ``break``) — meets
+        the walk's refusals."""
+        self._leave(out, region)
+        leaving, self._leaving = self._leaving, region
+        self._walk(out, target, _RETURNED, None)
+        self._leaving = leaving
 
-    def lower_body(self, out):
-        states = {
-            id(block): index for index, block in enumerate(self.blocks)
+    def _lower_body(self, out):
+        entry = self.function.entry
+        if entry.name in self._stops:
+            # No transition leads here, so the interpreter never takes
+            # the region over on the way in.
+            raise _refused(entry, "entry block belongs to a planned region")
+        self._walk(out, entry, _RETURNED, None)
+        # What a stop flushes is what the whole walk lowered — values
+        # bound behind it too, a loop around it brings them back.
+        defined = {
+            id(inst)
+            for block in self._emitted if block.name not in self._stops
+            for inst in block.instructions
         }
-        used_stops = [
-            stop for stop in self._stops.values() if stop.used
-        ]
-        for offset, stop in enumerate(used_stops):
-            stop.state = len(self.blocks) + offset
-        out.emit(f"_b = {states[id(self.function.entry)]}")
-        out.emit("while True:")
-        out.indent += 1
-        for index, block in enumerate(self.blocks):
-            out.emit(f"{'if' if index == 0 else 'elif'} _b == {index}:")
-            out.indent += 1
-            if not block.instructions:
-                raise Unsupported(f"empty block {block.name}")
-            terminator = block.instructions[-1]
-            if not isinstance(terminator, insts.Terminator):
-                # Statically unreachable for verifier-passed modules;
-                # refusing keeps the interpreter's fell-off-the-end
-                # error exact.
-                raise Unsupported(f"unterminated block {block.name}")
-            self._enter_block(out, index, block)
-            for inst in block.instructions[:-1]:
-                if isinstance(inst, insts.Terminator):
-                    raise Unsupported("terminator before end of block")
-                self.lower_instruction(out, inst)
-            self.lower_terminator(out, terminator, states)
-            out.indent -= 1
-        for stop in used_stops:
-            out.emit(f"elif _b == {stop.state}:")
-            out.indent += 1
-            out.emit("interp.steps = _steps")
-            self._emit_flush(out, stop)
-            out.emit(
-                f"interp._compiled_region_stop({stop.header!r}, frame)"
-            )
-            out.emit("_steps = interp.steps")
-            out.emit(f"_b = {states[id(stop.exit)]}")
-            out.indent -= 1
-        out.indent -= 1
+        for index, indent, stop in reversed(self._flushes):  # indices hold
+            flush = _Emitter()
+            flush.indent = indent
+            for inst in self._flush_set(stop, defined):
+                self._emit_flush(flush, inst)
+            out.lines[index:index] = flush.lines
 
-    def _emit_flush(self, out, stop):
-        for inst in stop.flush:
-            key = self.ref(inst)
-            if isinstance(inst.type, PointerType):
-                value = f"(_r{inst.uid}_s, _r{inst.uid}_o)"
-            else:
-                value = f"_r{inst.uid}"
-            out.emit("try:")
-            out.indent += 1
-            out.emit(f"frame.registers[{key}] = {value}")
-            out.indent -= 1
-            out.emit("except UnboundLocalError:")
-            out.indent += 1
-            out.emit("pass")
-            out.indent -= 1
+    def _emit_flush(self, out, inst):
+        key = self.ref(inst)
+        if isinstance(inst.type, PointerType):
+            value = f"(_r{inst.uid}_s, _r{inst.uid}_o)"
+        else:
+            value = f"_r{inst.uid}"
+        out.emit("try:")
+        out.indent += 1
+        out.emit(f"frame.registers[{key}] = {value}")
+        out.indent -= 1
+        out.emit("except UnboundLocalError:")
+        out.indent += 1
+        out.emit("pass")
+        out.indent -= 1
 
     # -- whole-body assembly ---------------------------------------------------
 
-    def _entry_bindings(self, out):
-        for index in sorted(self.args):
-            if self.args[index]:
-                out.emit(
-                    f"_a{index}_s, _a{index}_o = frame.args[{index}]"
-                )
-            else:
-                out.emit(f"_a{index} = frame.args[{index}]")
-        for name, local in self.globals.items():
-            out.emit(f"{local} = frame.global_overlay.get({name!r})")
-            out.emit(f"if {local} is None:")
-            out.indent += 1
-            out.emit(f"{local} = interp._global_storage[{name!r}]")
-            out.indent -= 1
-        if not out.lines:
-            out.emit("pass")
-
     def _factory_bindings(self, out):
-        """Extra names bound once per exec, outside ``_seq``."""
-
-    def _prologue(self, out):
-        """Extra locals initialized per call, before the entry bindings."""
-
-    def lower(self):
-        body = _Emitter()
-        body.indent = 3  # def _factory / def _seq / try
-        self.lower_body(body)
-        entry = _Emitter()
-        entry.indent = 3  # def _factory / def _seq / try
-        self._entry_bindings(entry)
-
-        out = _Emitter()
-        out.emit("def _factory(refs, H):")
-        out.indent += 1
-        if self.refs:
-            names = ", ".join(
-                f"_k{index}" for index in range(len(self.refs))
-            )
-            trailer = "," if len(self.refs) == 1 else ""
-            out.emit(f"({names}{trailer}) = refs")
-        out.emit("_EmulationError = H.EmulationError")
-        out.emit("_Bailout = H.Bailout")
         out.emit("_unbound = H.unbound_register")
-        out.emit("_trunc_div = H.trunc_div")
-        out.emit("_trunc_rem = H.trunc_rem")
-        for helper in sorted(set(_UNOP_HELPERS.values())):
-            out.emit(f"{helper} = H.{helper[1:]}")
-        self._factory_bindings(out)
-        out.emit(self.signature)
-        out.indent += 1
-        out.emit("_objs = frame.objects")
-        out.emit("_out = interp.output")
-        out.emit("_max = interp.max_steps")
-        out.emit("_steps = interp.steps")
-        if self.logged:
-            out.emit("_log = interp.write_log")
-        self._prologue(out)
-        out.emit("try:")
-        out.lines.extend(entry.lines)
-        out.emit("except (KeyError, IndexError, TypeError, ValueError):")
-        out.indent += 1
-        out.emit("raise _Bailout() from None")
-        out.indent -= 1
+
+    def _emit_body(self, out, body):
         out.emit("try:")
         out.lines.extend(body.lines)
         out.emit("except UnboundLocalError as _exc:")
         out.indent += 1
         out.emit("raise _unbound(_exc) from None")
         out.indent -= 1
-        out.indent -= 1
-        out.emit("return _seq")
-        return out.source()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -423,7 +292,7 @@ class _Scope:
     """What one loop (or the root pseudo-iteration) counts per iteration."""
 
     name: object  # suffix of the scope's generated locals
-    counters: list  # ``_n<block state>`` per own block, ``_x<uid>`` per call
+    counters: list  # ``_n<block number>`` per own block, ``_x<uid>`` per call
     nested: bool  # iterations can hold child loop instances
     key: str  # the tuple expression an iteration is interned under
     #: What :func:`~repro.codegen.runtime.expand_iteration` reads a key
@@ -432,16 +301,17 @@ class _Scope:
 
 
 class _ProfiledLowering(_SequenceLowering):
-    """The state machine, instrumented to produce the loop-nest profile.
+    """The walk, instrumented to produce the loop-nest profile.
 
-    Which loop event a CFG edge triggers — leave *k* loops, then start
-    the target loop's next iteration or enter it — is a static label of
-    the edge given the natural-loop forest, so it is compiled into the
-    edge (the interpreter rediscovers it per transition in
-    ``_track_loops``).  Every block bumps one counter and every call
-    site accumulates its callee's steps; an iteration *ends* by
-    interning ``(block counters, call extras, child instance shapes)``
-    — a per-loop dict lookup, expanded to per-uid counts only on a miss
+    On the loop tree the loop events have fixed positions — *enter*
+    before the Python loop, *iterate* at the bottom of its body, *exit*
+    behind it, and every enclosing loop's exit where an arm leaves them
+    to ``return`` — so they are compiled in there (the interpreter
+    rediscovers them per transition in ``_track_loops``).  Every block
+    bumps one counter and every call site accumulates its callee's
+    steps; an iteration *ends* by interning ``(block counters, call
+    extras, child instance shapes)`` — a per-loop dict lookup, expanded
+    to per-uid counts only on a miss
     (:func:`repro.codegen.runtime.expand_iteration`) — into its loop
     instance's multiset and zeroing the counters, and an instance ends
     by interning that multiset into the enclosing iteration's children
@@ -453,36 +323,34 @@ class _ProfiledLowering(_SequenceLowering):
     IterationShape, header totals)``.
     """
 
-    signature = "def _seq(interp, frame, _table):"
+    parameters = "interp, frame, _table"
 
     def __init__(self, function, loops):
-        super().__init__(function, (), False)
-        lowered = {id(block) for block in self.blocks}
-        self._innermost = {
-            id(block): loop_of_block(loops, block) for block in self.blocks
+        super().__init__(
+            function, (), False, {loop.header.name: loop for loop in loops}
+        )
+        self._number = {
+            block: index for index, block in enumerate(function.blocks)
         }
-        reachable = [loop for loop in loops if id(loop.header) in lowered]
-        self._by_header = {id(loop.header): loop for loop in reachable}
         #: One :class:`_Scope` per loop (outermost first) and, under
         #: ``None``, the root pseudo-iteration.
         self._scopes = {
-            loop: self._describe_scope(loop, name, reachable)
-            for name, loop in [("R", None), *enumerate(reachable)]
+            loop: self._describe_scope(loop, name, loops)
+            for name, loop in [("R", None), *enumerate(loops)]
         }
-        self._block = None  # the block being lowered
         self._refuse_unprofilable()
 
     def _describe_scope(self, loop, name, loops):
         members = [
-            (index, block) for index, block in enumerate(self.blocks)
-            if self._innermost[id(block)] is loop
+            block for block in self.function.blocks
+            if self._innermost.get(block) is loop
         ]
         calls = [
             inst.uid
-            for _index, block in members for inst in block.instructions
+            for block in members for inst in block.instructions
             if isinstance(inst, insts.Call)
         ]
-        counters = [f"_n{index}" for index, _block in members] + [
+        counters = [f"_n{self._number[block]}" for block in members] + [
             f"_x{uid}" for uid in calls
         ]
         nested = any(other.parent is loop for other in loops)
@@ -495,7 +363,7 @@ class _ProfiledLowering(_SequenceLowering):
             layout=(
                 tuple(
                     tuple(inst.uid for inst in block.instructions)
-                    for _index, block in members
+                    for block in members
                 ),
                 tuple(calls),
                 nested,
@@ -504,19 +372,10 @@ class _ProfiledLowering(_SequenceLowering):
 
     def _refuse_unprofilable(self):
         entry = self.function.entry
-        if self._innermost[id(entry)] is not None:
+        if entry in self._headers:
             # The interpreter sees no transition *into* the entry block,
             # so its first activation is recorded at the first back edge.
             raise Unsupported(f"entry block {entry.name} is a loop header")
-        for block in self.blocks:
-            for successor in block.successors():
-                for loop in self._chain(successor):
-                    if block not in loop.blocks and \
-                            successor is not loop.header:
-                        raise Unsupported(
-                            f"loop block {successor.name} is reachable "
-                            f"without passing its header"
-                        )
         seen = set()
         stack = [self.function]
         while stack:
@@ -531,21 +390,11 @@ class _ProfiledLowering(_SequenceLowering):
                         seen.add(inst.callee.name)
                         stack.append(inst.callee)
 
-    # -- the static loop forest -------------------------------------------------
-
-    def _chain(self, block):
-        """Loops containing ``block``, innermost first."""
-        loop = self._innermost.get(id(block))
-        while loop is not None:
-            yield loop
-            loop = loop.parent
-
     # -- instrumentation ----------------------------------------------------------
 
-    def _enter_block(self, out, index, block):
-        super()._enter_block(out, index, block)
-        self._block = block
-        out.emit(f"_n{index} += 1")
+    def _lower_block(self, out, block):
+        out.emit(f"_n{self._number[block]} += 1")
+        return super()._lower_block(out, block)
 
     def lower_instruction(self, out, inst):
         if not isinstance(inst, insts.Call):
@@ -554,6 +403,9 @@ class _ProfiledLowering(_SequenceLowering):
         out.emit(f"_x{inst.uid} -= _steps")
         super().lower_instruction(out, inst)
         out.emit(f"_x{inst.uid} += _steps")
+
+    def _enter_loop(self, out, loop):
+        out.emit(f"_m{self._scopes[loop].name} = {{}}")
 
     def _close_iteration(self, out, loop):
         scope = self._scopes[loop]
@@ -569,9 +421,6 @@ class _ProfiledLowering(_SequenceLowering):
         if scope.nested:
             out.emit(f"_c{name} = []")
 
-    def _enter_loop(self, out, loop):
-        out.emit(f"_m{self._scopes[loop].name} = {{}}")
-
     def _exit_loop(self, out, loop):
         self._close_iteration(out, loop)
         out.emit(
@@ -580,33 +429,16 @@ class _ProfiledLowering(_SequenceLowering):
             f"_m{self._scopes[loop].name}))"
         )
 
-    def _edge_events(self, out, source, target):
-        entered = self._by_header.get(id(target))
-        for loop in self._chain(source):
-            if target in loop.blocks:
-                if loop is entered:
-                    entered = None
-                    self._close_iteration(out, loop)  # back edge
-                break
-            self._exit_loop(out, loop)
-        if entered is not None:
-            self._enter_loop(out, entered)
-
-    def _goto(self, out, target, states):
-        self._edge_events(out, self._block, target)
-        super()._goto(out, target, states)
-
-    def lower_terminator(self, out, inst, states):
+    def lower_terminator(self, out, inst):
         if not isinstance(inst, insts.Return):
-            return super().lower_terminator(out, inst, states)
-        for loop in self._chain(self._block):
-            self._exit_loop(out, loop)
+            return super().lower_terminator(out, inst)
         out.emit(f"_root = _expand(_table, _LR, {self._scopes[None].key})")
         out.emit("interp.steps = _steps")
         value = self.any_value(inst.value) if inst.operands else "None"
         out.emit(f"return {value}, _root, _totals")
 
     def _factory_bindings(self, out):
+        super()._factory_bindings(out)
         out.emit("_expand = H.expand_iteration")
         out.emit("_close_instance = H.close_instance")
         for scope in self._scopes.values():
@@ -623,14 +455,15 @@ class _ProfiledLowering(_SequenceLowering):
                 out.emit(f"_t{scope.name} = {{}}")
 
 
-def lower_sequence(function, stops, logged, loops_by_header=None):
+def lower_sequence(function, stops, logged, loops_by_header):
     """Generate (source, refs) for one function; raises Unsupported.
 
     ``loops_by_header`` (header name -> the function's natural loop) is
-    what the stops are resolved against; a body without stops needs none.
+    the forest the walk follows and the stops are resolved against; the
+    caller holds it (the analysis record's, or the executor's).
     """
     lowering = _SequenceLowering(
-        function, tuple(stops), bool(logged), loops_by_header
+        function, tuple(stops), logged, loops_by_header
     )
     return lowering.lower(), lowering.refs
 
@@ -659,8 +492,8 @@ def exec_sequence(source, refs, function, stops, logged,
     )
 
 
-def compile_sequence(function, stops, logged, module_key=None,
-                     loops_by_header=None):
+def compile_sequence(function, stops, logged, loops_by_header,
+                     module_key=None):
     """Lower and ``exec``-compile one function's sequential stretches."""
     source, refs = lower_sequence(function, stops, logged, loops_by_header)
     return exec_sequence(
@@ -675,8 +508,8 @@ def compile_profiled(function, loops):
     ``loops`` are the function's natural loops (the analysis record's).
     Not cached: a session profiles once.  Raises :class:`Unsupported`
     for what the lowering refuses — anything the plain lowering does,
-    plus a function that can reach itself through calls, an entry block
-    that is a loop header, and a loop block reachable around its header.
+    plus a function that can reach itself through calls and an entry
+    block that is a loop header.
     """
     lowering = _ProfiledLowering(function, loops)
     return exec_sequence(

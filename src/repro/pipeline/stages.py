@@ -300,8 +300,8 @@ def _build_compile_regions(session):
     store variant every backend runs (the logged twin belongs to the
     ``VERIFY_COMPILED`` oracle and is lowered when that arms it) — so
     region dispatch never pays compile latency, and reports which loops
-    lowered (``tiers``: as a loop nest, as the block state machine and
-    why, or not at all and why) and which fell back.  The compiled
+    lowered (``tiers``: ``structured``, the loop nest it is, or
+    ``refused`` with the block and why) and which fell back.  The compiled
     functions themselves live in the codegen cache keyed by the
     session's module object — they close over IR identities, so the
     *artifact* carries only the summary.
@@ -337,7 +337,7 @@ def _compile_regions_stats(summary):
         "compiled_loops": len(summary["compiled"]),
         "fallback_loops": len(summary["fallback"]),
         "codegen_seconds": round(summary["codegen"]["seconds"], 6),
-        # Which lowering each loop got, and what refused the better one.
+        # Which loops lowered, and what refused the ones that did not.
         "lowering": ",".join(
             f"{header}:{kind}" + (f"({why})" if why else "")
             for header, (kind, why) in summary["tiers"].items()

@@ -298,15 +298,17 @@ class ParallelInterpreter(Interpreter):
         """Run a function body compiled when region compilation is on.
 
         The sequential stretches between parallel regions lower to one
-        exec-compiled state machine per function
+        exec-compiled body per function — its loops as loops, each
+        planned region one dispatch statement among them
         (:mod:`repro.codegen.seq`); a refused lowering, a profiled run,
         or a :class:`~repro.codegen.runtime.Bailout` falls back to the
         inherited interpreter loop — never fail.  Compiled ``call``
         sites re-enter here, so callees compile recursively.
         """
-        entry, verify = self._sequence_entry(function)
-        if entry is None:
+        planned = self._sequence_entry(function)
+        if planned is None:
             return super()._run_function(function, args)
+        entry, verify = planned
         mode, value = codegen_runtime.execute_sequence(
             entry, self, function, args, self._interpret_function,
             verify=verify,
@@ -319,7 +321,9 @@ class ParallelInterpreter(Interpreter):
         return Interpreter._run_function(self, function, args)
 
     def _sequence_entry(self, function):
-        """``(CompiledSequence or None, verify)`` for this function body.
+        """``(CompiledSequence, verify)`` for this function body — the
+        entry ``None`` when the lowering refused it, which counts as an
+        interpreted call — or ``None``: it is not compiled at all.
 
         Memoized per (name, logged, verify): the stop spec and the
         content key are fixed for this interpreter's lifetime.  Under
@@ -329,7 +333,7 @@ class ParallelInterpreter(Interpreter):
         interpreted, where chunk-level verification still applies.
         """
         if not self.compile_regions or self._profiler is not None:
-            return None, False
+            return None
         verify = bool(knobs.VERIFY_COMPILED)
         logged = self.write_log is not None
         key = (function.name, logged, verify)
@@ -339,15 +343,12 @@ class ParallelInterpreter(Interpreter):
             pass
         stops = codegen_seq.sequence_stops(self._regions, function)
         if verify and (stops or not self._verify_safe(function)):
-            result = (None, False)
+            result = None
         else:
             entry = codegen_cache.compiled_sequence(
-                self.module, function, stops,
-                logged=logged or verify,
+                self.module, function, stops, logged or verify,
+                lambda: self._function_loops(function),
                 module_key=self._content_key(),
-                loops_by_header=(
-                    self._function_loops(function) if stops else None
-                ),
             )
             result = (entry, verify)
         self._seq_entries[key] = result
@@ -378,7 +379,13 @@ class ParallelInterpreter(Interpreter):
 
     def _content_key(self):
         if self._seq_module_key is None:
-            self._seq_module_key = module_codec(self.module).key
+            try:
+                self._seq_module_key = module_codec(self.module).key
+            except RecursionError:
+                # A chain of blocks too long to pickle (ifs nested a
+                # hundred deep) has no content hash: its bodies are
+                # cached per module object only.
+                return None
         return self._seq_module_key
 
     # -- the parallel region: partition, dispatch, join, record ------------------

@@ -449,11 +449,18 @@ def test_indirect_index_keeps_per_iteration_guards():
 # -- sequential stretches --------------------------------------------------------
 
 
+def _forest(function):
+    return {
+        loop.header.name: loop for loop in find_natural_loops(function)
+    }
+
+
 def test_compile_sequence_lowers_whole_function():
     from repro.codegen.seq import compile_sequence
 
     module = compile_source(SIMPLE)
-    entry = compile_sequence(module.function("main"), (), logged=False)
+    function = module.function("main")
+    entry = compile_sequence(function, (), False, _forest(function))
     assert entry.label == "@main"
     # Interpreter-exact semantics: the sequential step-limit message,
     # the UnboundLocalError -> "use of unexecuted instruction" mapping,
@@ -495,8 +502,8 @@ def test_compiled_sequence_rebuilds_from_source_cache():
     module = compile_source(SIMPLE)
     codec = module_codec(module)
     first = codegen_cache.compiled_sequence(
-        module, module.function("main"), (), logged=False,
-        module_key=codec.key,
+        module, module.function("main"), (), False,
+        lambda: _forest(module.function("main")), module_key=codec.key,
     )
     assert first is not None
     before = codegen_cache.stats()
@@ -505,8 +512,9 @@ def test_compiled_sequence_rebuilds_from_source_cache():
     import pickle
 
     clone = pickle.loads(codec.module_bytes)
+    # ... so nobody asks for the clone's forest.
     rebuilt = codegen_cache.compiled_sequence(
-        clone, clone.function("main"), (), logged=False,
+        clone, clone.function("main"), (), False, None,
         module_key=codec.key,
     )
     after = codegen_cache.stats()

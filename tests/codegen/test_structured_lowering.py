@@ -22,7 +22,8 @@ import pytest
 from repro.analysis.loops import find_natural_loops
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
-from repro.codegen.lower import compile_chunk
+from repro.codegen.lower import Unsupported, chunk_tier, compile_chunk
+from repro.codegen.seq import _SequenceLowering, lower_sequence
 from repro.codegen.runtime import Bailout
 from repro.emulator.interp import _Frame, run_module
 from repro.frontend import compile_source
@@ -34,12 +35,18 @@ from repro.runtime import knobs
 from repro.runtime.backends import (
     SerialBackend, _NullLocks, _WorkerInterpreter,
 )
-from repro.runtime.executor import run_plan, run_source_plan
+from repro.opt import OptLevel, optimize_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
+from repro.planner.recipes import recipes_from_annotations
+from repro.runtime.executor import (
+    ParallelInterpreter, run_plan, run_source_plan,
+)
 from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close
-from support.progen import generate_body_nest_program
+from support.progen import generate_body_nest_program, generate_nest_program
+from support.programs import EARLY_RETURNS, REFUSED_CFGS
 
 DENSE = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -168,13 +175,22 @@ def assert_engines_agree(seen, label):
 
 
 @pytest.fixture
-def chunks(monkeypatch):
+def unarmed(monkeypatch):
+    """``VERIFY_COMPILED`` off: armed, the in-worker oracle would run
+    each chunk twice more, and a function holding a planned region stays
+    interpreted by design (a dispatch is not replayable)."""
+    monkeypatch.delenv("VERIFY_COMPILED", raising=False)
+    knobs.refresh()
+    yield
+    knobs.refresh()
+
+
+@pytest.fixture
+def chunks(monkeypatch, unarmed):
     """Send every dispatched chunk through :func:`differential`.
 
     Yields the list of ``(label, tier, {engine: error})`` it fills.
     """
-    monkeypatch.delenv("VERIFY_COMPILED", raising=False)
-    knobs.refresh()
     ran = []
 
     def execute(entry, shim, loop, frame, iterations, locks,
@@ -194,7 +210,6 @@ def chunks(monkeypatch):
 
     monkeypatch.setattr(codegen_runtime, "execute_chunk", execute)
     yield ran
-    knobs.refresh()
 
 
 def _all_compiled(ran):
@@ -554,19 +569,24 @@ def _ir_loop(text):
     return module, loop
 
 
-def _ir_chunk(text, iterations):
-    """The three engines over a hand-built worker frame."""
-    module, loop = _ir_loop(text)
-    function = module.function("main")
+def _ir_worker(module, loop):
+    """A hand-built worker: ``(shim, frame)`` with the induction seeded."""
     shim = _WorkerInterpreter(
         module,
         {g.name: [0] * g.value_type.slots() for g in module.globals.values()},
         max_steps=10_000,
     )
-    frame = _Frame(function, [])
+    frame = _Frame(module.function("main"), [])
     induction = loop.canonical.induction
     storage = frame.objects[induction] = [0]
     frame.registers[induction] = (storage, 0)
+    return shim, frame
+
+
+def _ir_chunk(text, iterations):
+    """The three engines over a hand-built worker frame."""
+    module, loop = _ir_loop(text)
+    shim, frame = _ir_worker(module, loop)
     seen = differential(loop, shim, frame, iterations)
     assert_engines_agree(seen, "main:header")
     assert {obs.error for obs in seen.values()} == {None}
@@ -596,21 +616,23 @@ def test_a_load_used_after_its_loop_keeps_its_own_copy():
     assert seen["interpreted"].slots["@a"] == [2] * 8
 
 
-def test_a_loop_left_from_its_body_lowers_to_the_state_machine():
-    entry, seen = _ir_chunk(TWO_EXITS, range(0, 8))
-    kind, why = entry.tier
-    assert kind == "state_machine"
-    assert why == "inner: loop is left from a block other than its header"
-    assert "_b = " in entry.source and "_iv[0] = _i" in entry.source
-    assert "_p6" not in entry.source  # unpromoted
-    assert entry.source.count("out of bounds for") == 1  # fully guarded
-    assert seen["interpreted"].slots["@a"] == [
-        0, 0, 1, 3, 6, 10, 15, 15
-    ]
+def test_a_loop_left_from_its_body_is_interpreted_and_says_why():
+    module, loop = _ir_loop(TWO_EXITS)
+    entry = codegen_cache.compiled_chunk(module, loop, logged=False)
+    assert entry is None
+    assert chunk_tier(loop, entry) == (
+        "refused", "inner: loop is left from a block other than its header"
+    )
+    shim, frame = _ir_worker(module, loop)
+    mode = codegen_runtime.execute_chunk(
+        entry, shim, loop, frame, range(0, 8), _NullLocks()
+    )
+    assert mode == "interpreted"
+    assert shim._global_storage["a"] == [0, 0, 1, 3, 6, 10, 15, 15]
 
 
 def test_refused_loops_name_the_block_and_instruction():
-    from repro.codegen.lower import Unsupported, lower_chunk
+    from repro.codegen.lower import lower_chunk
 
     module, loop = _ir_loop(ESCAPE)
     body = module.function("main").block("body")
@@ -679,3 +701,345 @@ def test_cli_diagnostics_print_the_lowering(capsys):
     assert "[lowering] for.header:structured" in capsys.readouterr().err
     assert cli.main(["report", "EP", "--diagnostics"]) == 0
     assert "lowering=for.header:structured" in capsys.readouterr().out
+
+
+# -- the whole function through the same walk ----------------------------------
+#
+# A sequential stretch is the walk with the function as its outermost
+# region: a planned region is a statement, a ``return`` may leave loops.
+# The engine beside it is the interpreter under the same plan.
+
+
+def _forest(function):
+    return {
+        loop.header.name: loop for loop in find_natural_loops(function)
+    }
+
+
+def _outcome(module, compiled, backend="threads", **options):
+    """``(what a run of main under its source plan left behind, its
+    sequence stats)``; steps and state only pin when nothing raised."""
+    interp = ParallelInterpreter(
+        module, recipes_from_annotations(module.function("main")),
+        workers=2, backend=backend, compile_regions=compiled, **options,
+    )
+    try:
+        result = interp.run()
+    except EmulationError as raised:
+        return {"error": str(raised)}, None
+    return {
+        "error": None,
+        "output": result.output,
+        "steps": result.steps,
+        "value": result.return_value,
+        "globals": {
+            name: interp.global_values(name) for name in module.globals
+        },
+    }, result.sequence_stats
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CFGS))
+def test_a_cfg_the_walk_refuses_runs_interpreted_and_says_why(name):
+    text, why = REFUSED_CFGS[name]
+    function = parse_ir(text).function("main")
+    with pytest.raises(Unsupported) as refused:
+        lower_sequence(function, (), False, _forest(function))
+    assert str(refused.value) == why
+    seen, stats = _outcome(parse_ir(text), compiled=True)
+    assert stats == {"compiled": 0, "interpreted": 1}
+    assert seen == _outcome(parse_ir(text), compiled=False)[0]
+    reference = run_module(parse_ir(text))
+    assert (seen["error"], seen["output"], seen["steps"], seen["value"]) == (
+        None, reference.output, reference.steps, reference.return_value
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_RETURNS))
+def test_an_early_return_compiles_and_matches_the_interpreter(name, unarmed):
+    source = EARLY_RETURNS[name]
+    seen, stats = _outcome(compile_source(source), compiled=True)
+    assert stats["interpreted"] == 0 and stats["compiled"] >= 1
+    assert seen["error"] is None
+    assert seen == _outcome(compile_source(source), compiled=False)[0]
+    if "pragma" not in source:
+        reference = run_module(compile_source(source))
+        assert (seen["output"], seen["steps"], seen["value"]) == (
+            reference.output, reference.steps, reference.return_value
+        )
+    # Cut short anywhere, the error is the interpreter's.
+    for max_steps in (seen["steps"] // 3, seen["steps"] - 1):
+        cut, _stats = _outcome(
+            compile_source(source), compiled=True, max_steps=max_steps
+        )
+        assert cut == _outcome(
+            compile_source(source), compiled=False, max_steps=max_steps
+        )[0]
+        assert cut["error"] == (
+            f"exceeded max_steps={max_steps}; infinite loop?"
+        )
+
+
+def test_early_returns_lower_under_their_if_with_no_dispatch_loop():
+    for source in EARLY_RETURNS.values():
+        for function in compile_source(source).functions.values():
+            text, _refs = lower_sequence(
+                function, (), False, _forest(function)
+            )
+            assert "_b = " not in text and "elif" not in text
+            # One statement per ``return`` the function can reach (the
+            # frontend closes a function whose every path has returned
+            # with one more), and the factory's own.
+            reached, stack = set(), [function.entry]
+            while stack:
+                block = stack.pop()
+                if block not in reached:
+                    reached.add(block)
+                    stack.extend(block.successors())
+            returns = sum(
+                block.terminator.opcode == "return" for block in reached
+            )
+            assert text.count("    return ") == returns + 1
+
+
+# -- stop placement ---------------------------------------------------------------
+
+
+def _stop_programs():
+    for kernel in sorted(KERNELS):
+        yield kernel, KERNELS[kernel].SOURCE
+    yield "dense24", dense_source(24)
+
+
+@pytest.mark.parametrize("name,source", list(_stop_programs()))
+def test_every_planned_stop_is_a_statement_of_a_compiled_sequence(
+        name, source, unarmed):
+    """-O0..3 between them nest a stop in a sequential loop (LU -O0
+    dispatches its 3 regions 75 times), fuse stops (CG, dense24 at -O2)
+    and put two back to back (dense24 -O0)."""
+    dispatches = fused = 0
+    for level in range(4):
+        session = Session.from_source(source, name=name, opt_level=level)
+        compiled, interpreted = (
+            session.run("PS-PDG", backend="threads", workers=3,
+                        compile_regions=engine)
+            for engine in (True, False)
+        )
+        assert compiled.sequence_stats == {"compiled": 1, "interpreted": 0}
+        assert outputs_close(compiled.output, session.execution.output)
+        assert outputs_close(compiled.output, interpreted.output)
+        # The plan moves steps (per-worker header tests, reductions), so
+        # the step count to match is the interpreter's under that plan.
+        assert compiled.steps == interpreted.steps, level
+        regions = session.region_recipes["PS-PDG"]
+        dispatches += len(compiled.parallel_regions) > len(regions)
+        fused += any(region.fused for region in regions)
+    if name in ("LU", "CG", "dense24"):
+        assert dispatches and (fused or name == "LU")
+
+
+def test_an_interchanged_nest_stops_at_its_outer_header(unarmed):
+    """tests/integration/test_o3_fuzz.py's corpus: the stop's one member
+    is the outer loop, and control resumes behind it."""
+    keyed_outside = 0
+    for seed in range(12):
+        source = generate_nest_program(seed)
+        session = Session.from_source(source, name=f"nest-{seed}")
+        plan = optimize_plan(
+            session.pspdg,
+            openmp_source_plan(
+                session.function, loop_uid_map(session.loops)
+            ),
+            OptLevel.O3,
+        ).plan
+        keyed_outside += any(
+            region.outer_header for region in plan.regions
+        )
+        compiled, interpreted = (
+            run_plan(session.pspdg, plan, workers=3, backend="threads",
+                     compile_regions=engine)
+            for engine in (True, False)
+        )
+        assert compiled.sequence_stats["interpreted"] == 0, seed
+        assert outputs_close(compiled.output, session.execution.output)
+        assert compiled.steps == interpreted.steps, seed
+    assert keyed_outside
+
+
+STOP_THEN_TAIL = """
+global a: int[12];
+func main() {
+  var t: int = 0;
+  t = t + 1;
+  pragma omp parallel_for
+  for i in 0..12 { a[i] = a[i] + i + t; }
+  t = t + a[3];
+  t = t + a[4];
+  print("t", t);
+}
+"""
+
+
+def _trips(compiled, max_steps):
+    """Who ran out of steps: ``None``, the stepper's workers (``parallel
+    execution exceeded``) or a sequential stretch (``exceeded``)."""
+    seen, _stats = _outcome(
+        compile_source(STOP_THEN_TAIL), compiled, backend="simulated",
+        max_steps=max_steps,
+    )
+    return seen["error"] and seen["error"].partition(" max_steps")[0]
+
+
+def _step_limit_window():
+    """``max_steps`` values around the end of the region: the simulated
+    stepper counts on from the ``interp.steps`` the stop handed it, so
+    one step too many there trips *inside a worker*."""
+    total = _outcome(
+        compile_source(STOP_THEN_TAIL), False, backend="simulated"
+    )[0]["steps"]
+    return range(total - 30, total + 1)
+
+
+def test_the_step_count_handed_to_a_dispatch_is_exact(unarmed):
+    seen = []
+    for max_steps in _step_limit_window():
+        tripped = _trips(True, max_steps)
+        assert tripped == _trips(False, max_steps), max_steps
+        if tripped not in seen:
+            seen.append(tripped)
+    # The window crosses the region's last step: inside a worker, then
+    # in the stretch behind the stop, then not at all.
+    assert seen == ["parallel execution exceeded", "exceeded", None]
+
+
+def test_forgetting_to_close_the_segment_before_a_stop_is_caught(
+        monkeypatch, unarmed):
+    real = _SequenceLowering._emit_loop
+
+    def mutant(self, out, inner):
+        segment = self._segment
+        resume = real(self, out, inner)
+        if inner.header.name in self._stops:
+            self._segment = segment  # the stretch behind counts in front
+        return resume
+
+    monkeypatch.setattr(_SequenceLowering, "_emit_loop", mutant)
+    # Totals still agree: only the count *at the dispatch* is wrong.
+    assert _trips(True, 10_000) is None
+    assert any(
+        _trips(True, max_steps) != _trips(False, max_steps)
+        for max_steps in _step_limit_window()
+    )
+
+
+# -- what CPython compiles ---------------------------------------------------------
+
+
+def _nest(depth, opener, pragma=""):
+    lines = ["global g: int[2];", "func main() {", pragma]
+    lines += [opener % level for level in range(depth)]
+    lines.append("g[0] = g[0] + 1;")
+    lines += ["}"] * depth
+    lines.append('print("g", g[0]); }')
+    return "\n".join(lines)
+
+
+FOR_OPENER = "for i%d in 0..1 {"
+IF_OPENER = "if (g[1] + %d >= 0) {"
+TOO_DEEP = "nested deeper than CPython compiles"
+
+
+@pytest.mark.parametrize("source", [
+    _nest(21, FOR_OPENER), _nest(101, IF_OPENER),
+], ids=["21-loops", "101-ifs"])
+def test_a_nest_deeper_than_cpython_compiles_runs_interpreted(source):
+    """As a block-dispatch machine these compiled (nothing nested); as
+    Python loops ``compile()`` would raise a SyntaxError nobody catches,
+    so the walk refuses first — sequence and profile alike."""
+    session = Session.from_source(source, name="deep")
+    execution = session.execution
+    stats = session.diagnostics.stats("profile")
+    assert stats["engine"] == "interpreted"
+    assert stats["refused"].endswith(": " + TOO_DEEP)
+    result = session.run("source", backend="threads", compile_regions=True)
+    assert result.sequence_stats == {"compiled": 0, "interpreted": 1}
+    reference = run_module(compile_source(source))
+    for run in (execution, result):
+        assert (run.output, run.steps) == (reference.output, reference.steps)
+
+
+def test_a_chunk_body_nested_too_deep_is_refused_with_its_block(unarmed):
+    source = _nest(21, FOR_OPENER, "pragma omp parallel_for")
+    session = Session.from_source(source, name="deep-chunk")
+    (tier,) = session.compiled_regions["tiers"].values()
+    kind, why = tier
+    assert kind == "refused" and why.endswith(": " + TOO_DEEP)
+    # The sequence around it is one stop: it compiles, the chunks do not.
+    result = session.run("PS-PDG", backend="threads", compile_regions=True)
+    assert result.sequence_stats == {"compiled": 1, "interpreted": 0}
+    assert sum(r["compiled_chunks"] for r in result.parallel_regions) == 0
+    assert result.output == session.execution.output
+
+
+def test_a_twelve_deep_nest_still_compiles(unarmed):
+    for pragma in ("", "pragma omp parallel_for"):
+        session = Session.from_source(
+            _nest(12, FOR_OPENER, pragma), name="twelve"
+        )
+        session.execution
+        assert session.diagnostics.stats("profile")["engine"] == "compiled"
+        result = session.run(
+            "PS-PDG", backend="threads", compile_regions=True
+        )
+        assert result.sequence_stats == {"compiled": 1, "interpreted": 0}
+        assert sum(
+            r["interpreted_chunks"] for r in result.parallel_regions
+        ) == 0
+        assert result.output == session.execution.output
+
+
+# -- byte-stable source --------------------------------------------------------------
+
+_LOWER_EVERYTHING = """
+import hashlib
+from repro.codegen.lower import lower_chunk
+from repro.codegen.seq import _ProfiledLowering, lower_sequence, sequence_stops
+from repro.session import Session
+from repro.workloads.nas import KERNELS
+
+def show(label, source):
+    print(label, hashlib.sha256(source.encode()).hexdigest())
+
+for kernel in sorted(KERNELS):
+    session = Session.from_kernel(kernel, opt_level=2)
+    function, forest = session.function, session.analyses.loops_by_header
+    regions = {r.header: r for r in session.region_recipes["PS-PDG"]}
+    stops = sequence_stops(regions, function)
+    show(f"{kernel} sequence", lower_sequence(function, stops, False, forest)[0])
+    show(f"{kernel} profiled", _ProfiledLowering(function, session.loops).lower())
+    for region in regions.values():
+        outer = forest.get(region.outer_header)
+        for header in region.headers:
+            for logged in (False, True):
+                show(f"{kernel} chunk {header} {logged}",
+                     lower_chunk(forest[header], logged, outer=outer)[0])
+"""
+
+
+def test_generated_source_is_byte_identical_across_hash_seeds():
+    """The content-hash source cache and a pool child's zero re-lowering
+    both assume lowering the same IR twice gives the same text."""
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        runs.append(subprocess.run(
+            [sys.executable, "-c", _LOWER_EVERYTHING], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.splitlines())
+    assert runs[0] == runs[1]
+    # 8 sequences, 8 profiles, nas8's 19 region loops plain and logged.
+    assert len(runs[0]) == 8 + 8 + 2 * 19

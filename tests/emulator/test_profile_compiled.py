@@ -18,12 +18,13 @@ from repro.emulator import run_module
 from repro.emulator.profile import ShapeTable
 from repro.frontend import compile_source
 from repro.ir import instructions as insts
+from repro.ir.parser import parse_ir
 from repro.util.errors import EmulationError
 from repro.workloads import build_kernel
 from repro.workloads.nas import KERNELS
 from support.profile_shapes import canonical_tree, expanded_shape
 from support.progen import generate_nest_program, generate_program
-from support.programs import dense_source
+from support.programs import EARLY_RETURNS, REFUSED_CFGS, dense_source
 
 def check_same_profile(module, function_name="main"):
     """Both engines, every observable; returns the compiled result."""
@@ -123,6 +124,9 @@ HAND_WRITTEN = {
     "zero-trip": ZERO_TRIP,
     "two-level-exit": TWO_LEVEL_EXIT,
     "triple-nest": TRIPLE_NEST,
+    # Returns from inside loops: an arm with its own loop, a return
+    # beside a (here unplanned) region loop, both arms, a ladder.
+    **{f"return-{name}": source for name, source in EARLY_RETURNS.items()},
 }
 
 
@@ -153,6 +157,33 @@ def test_generated_programs(name, source):
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
 def test_hand_written(name):
     check_same_profile(compile_source(HAND_WRITTEN[name]))
+
+
+def test_every_function_of_the_early_returns_profiles_compiled():
+    """The returns sit in callees too: profile each as the root."""
+    for name in ("both-arms-return", "ladder-of-6"):
+        module = compile_source(EARLY_RETURNS[name])
+        for function in module.functions.values():
+            check_same_profile(module, function.name)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_CFGS))
+def test_a_cfg_the_walk_refuses_is_profiled_by_the_interpreter(name):
+    text, why = REFUSED_CFGS[name]
+    module = parse_ir(text)
+    function = module.function("main")
+    loops = find_natural_loops(function)
+    reference = run_module(parse_ir(text), profile=True)
+    for verify in (False, True):
+        result = profile_function(module, function, loops, verify=verify)
+        assert result.profile.engine == "interpreted"
+        assert result.profile.refused == why
+        assert (result.output, result.steps, result.return_value) == (
+            reference.output, reference.steps, reference.return_value
+        )
+        assert canonical_tree(result.profile.root) == canonical_tree(
+            reference.profile.root
+        )
 
 
 def test_callee_steps_land_on_the_call_uid():
@@ -229,14 +260,18 @@ TEETH_PROGRAMS = (
 
 
 def _drop_one_block_counter(monkeypatch):
-    real = _ProfiledLowering._enter_block
+    real = _ProfiledLowering._lower_block
 
-    def mutant(self, out, index, block):
-        real(self, out, index, block)
+    def mutant(self, out, block):
+        before = len(out.lines)
+        terminator = real(self, out, block)
         if block.name.endswith("latch"):
-            assert out.lines.pop().strip() == f"_n{index} += 1"
+            assert out.lines.pop(before).strip().startswith("_n")
+            if self._segment is not None and self._segment[0] > before:
+                self._segment[0] -= 1
+        return terminator
 
-    monkeypatch.setattr(_ProfiledLowering, "_enter_block", mutant)
+    monkeypatch.setattr(_ProfiledLowering, "_lower_block", mutant)
 
 
 def _skip_an_exit_event(monkeypatch):
@@ -288,17 +323,35 @@ def _keep_counters_across_iterations(monkeypatch):
 
 
 def _exit_one_level_too_few(monkeypatch):
-    real = _ProfiledLowering._edge_events
+    real = _ProfiledLowering._leave
 
-    def mutant(self, out, source, target):
-        chain = list(self._chain(source))
-        if len(chain) > 1 and target not in chain[1].blocks:
-            # Leaves two levels: only close the inner one.
-            self._exit_loop(out, chain[0])
-        else:
-            real(self, out, source, target)
+    def mutant(self, out, region):
+        # An arm that leaves two levels never closes the second.
+        if region is not None:
+            self._exit_loop(out, region)
+            if region.parent is not None:
+                real(self, out, region.parent.parent)
 
-    monkeypatch.setattr(_ProfiledLowering, "_edge_events", mutant)
+    monkeypatch.setattr(_ProfiledLowering, "_leave", mutant)
+
+
+def _drop_the_iterate_event(monkeypatch):
+    """The bottom of a loop body no longer closes the iteration: every
+    pass of an instance piles into its last one."""
+    real = _ProfiledLowering._close_iteration
+    exits = _ProfiledLowering._exit_loop
+
+    def only_on_exit(self, out, loop):
+        self._closing = True
+        exits(self, out, loop)
+        self._closing = False
+
+    def mutant(self, out, loop):
+        if getattr(self, "_closing", False):
+            real(self, out, loop)
+
+    monkeypatch.setattr(_ProfiledLowering, "_exit_loop", only_on_exit)
+    monkeypatch.setattr(_ProfiledLowering, "_close_iteration", mutant)
 
 
 MUTATIONS = {
@@ -308,6 +361,7 @@ MUTATIONS = {
     "lose-call-attribution": _lose_call_attribution,
     "keep-counters-across-iterations": _keep_counters_across_iterations,
     "exit-one-level-too-few": _exit_one_level_too_few,
+    "drop-the-iterate-event": _drop_the_iterate_event,
 }
 
 

@@ -15,7 +15,7 @@ from repro.ir.parser import parse_ir
 from repro.runtime import knobs
 from repro.util.orderedset import OrderedSet
 from repro.workloads.nas import KERNELS
-from support.programs import dense_source, histogram_source
+from support.programs import REFUSED_CFGS, dense_source, histogram_source
 
 def _programs():
     for kernel in sorted(KERNELS):
@@ -91,13 +91,20 @@ REFUSED = {
     ),
     "pointer-select": (
         lambda: Session.from_module(parse_ir(POINTER_SELECT), name="select"),
-        "select over pointers",
+        "entry <select#3>: select over pointers",
     ),
     "entry-is-a-loop-header": (
         lambda: Session.from_module(
             parse_ir(ENTRY_IS_A_LOOP_HEADER), name="entry-loop"
         ),
         "entry block entry is a loop header",
+    ),
+    # A CFG the walk refuses says so with the block, like an instruction.
+    "loop-left-by-a-jump": (
+        lambda: Session.from_module(
+            parse_ir(REFUSED_CFGS["break"][0]), name="break"
+        ),
+        "header: loop is left from a block other than its header",
     ),
 }
 
@@ -130,7 +137,7 @@ def test_a_loop_block_reachable_around_its_header_is_refused():
     result = profile_function(session.module, function, [fake])
     assert result.profile.engine == "interpreted"
     assert result.profile.refused == (
-        "loop block for.body is reachable without passing its header"
+        "for.body: reached around the loop nest's structure"
     )
 
 

@@ -184,10 +184,12 @@ def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
         if not caller.startswith(_RUNTIME_LAYERS)
     ]
     assert planning == ["repro.analysis.record"]
-    # LU's oracle: the one stepped run's dispatch loop (5 finds in all
-    # while the profiler and three oracle runs per abstraction each
-    # found their own).
-    assert len(loop_finds) - len(planning) == (1 if kernel == "LU" else 0)
+    # LU's oracle: its two run owners, the sequential reference and the
+    # one stepped run, each look the forest up once — the reference too
+    # since every compiled sequence, stops or none, is lowered along its
+    # function's loops (5 finds in all while the profiler and three
+    # oracle runs per abstraction each found their own).
+    assert len(loop_finds) - len(planning) == (2 if kernel == "LU" else 0)
 
 
 def test_every_consumer_holds_the_sessions_own_loops():
