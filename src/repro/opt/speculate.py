@@ -108,7 +108,8 @@ def _oracle_agrees(ctx, candidate):
     analyses = ctx.analyses
     try:
         expected = run_parallel(
-            analyses.module, (), analyses.function.name
+            analyses.module, (), analyses.function.name,
+            forest={analyses.function.name: analyses.loops_by_header},
         ).formatted_output()
     except ReproError as exc:  # pragma: no cover - broken input program
         return f"sequential oracle run failed: {exc}"

@@ -13,10 +13,14 @@ owns its whole execution strategy:
   *wrong* plan show up as real nondeterminism across seeds.  This is
   the race-detection oracle of the conformance suite, not a
   performance backend.
-* ``threads`` — one OS thread per worker
-  (:class:`concurrent.futures.ThreadPoolExecutor`).  Workers share the
-  interpreter's storage exactly like the simulated machine; critical
-  and atomic regions take real :class:`threading.Lock` locks.
+* ``threads`` — one OS thread per worker, from one persistent *team*
+  (``_TEAM``: a single :class:`concurrent.futures.ThreadPoolExecutor`
+  for the process, its threads spawned when a region needs more than
+  are parked and retired before the process pool forks).  Workers share
+  the interpreter's storage exactly like the simulated machine; critical
+  and atomic regions take real :class:`threading.Lock` locks.  Every job
+  of a region has ended before its results — or its lowest-index
+  worker's error — leave the backend.
 * ``processes`` — one OS process per worker (:mod:`multiprocessing`).
   Each region is encoded by the :mod:`repro.runtime.payload` codec:
   the shared state (global storage plus every shared storage list) is
@@ -408,6 +412,49 @@ class _Stepper:
         return any([self._release(worker, lock) for lock in list(worker.held)])
 
 
+#: The ``threads`` backend's worker team: one executor for every region
+#: of every run in this process, its threads spawned on demand — as many
+#: as the widest region seen — and parked between regions.  (One built
+#: and joined per region cost 96 us against 23 us for two jobs on a live
+#: one, before its fresh threads fought the dispatcher for the GIL.)
+_TEAM = None
+_TEAM_LOCK = threading.Lock()
+
+
+def _team_submit(job, active):
+    """``job(worker)`` on the team, every worker at once; the futures."""
+    global _TEAM
+    with _TEAM_LOCK:  # a retirement waits out a region's whole submit
+        if _TEAM is None:
+            _TEAM = concurrent.futures.ThreadPoolExecutor(
+                max_workers=len(active), thread_name_prefix="repro-worker"
+            )
+        # One thread per worker: a wider region widens the live team (the
+        # bound is read at every submit) rather than queue behind it or
+        # replace it under another dispatching thread's jobs.
+        _TEAM._max_workers = max(_TEAM._max_workers, len(active))
+        return [_TEAM.submit(job, worker) for worker in active]
+
+
+def _retire_team():
+    """End the team's threads; the next ``threads`` region starts anew."""
+    global _TEAM
+    with _TEAM_LOCK:
+        team, _TEAM = _TEAM, None
+    if team is not None:
+        team.shutdown(wait=True)  # parked threads exit in microseconds
+
+
+def _forget_team():
+    """In a forked child: the executor came along, its threads did not."""
+    global _TEAM, _TEAM_LOCK
+    _TEAM, _TEAM_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_team)
+
+
 class ThreadsBackend(ExecutionBackend):
     """One OS thread per worker; shared storage; real locks for criticals."""
 
@@ -417,7 +464,7 @@ class ThreadsBackend(ExecutionBackend):
         stats = region.stats
         stats.backend = self.name
         locks = _ThreadLocks(region.critical)
-        active = [w for w in region.workers if w.iterations]
+        active = [w for w in region.workers if w.size]
         if not active:
             return
         outer_loop = region.outer
@@ -481,12 +528,15 @@ class ThreadsBackend(ExecutionBackend):
 
     def _run_jobs(self, active, job):
         """Run ``job`` per worker concurrently; results in worker order."""
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=len(active), thread_name_prefix="repro-worker"
-        ) as pool:
-            futures = [(worker, pool.submit(job, worker))
-                       for worker in active]
-            return [(worker, future.result()) for worker, future in futures]
+        futures = _team_submit(job, active)
+        try:
+            return [(worker, future.result())
+                    for worker, future in zip(active, futures)]
+        except BaseException:
+            # The lowest-index worker's error, once every job has ended:
+            # the ladder's frame reset must not race a straggler.
+            concurrent.futures.wait(futures)
+            raise
 
 
 class SerialBackend(ThreadsBackend):
@@ -554,6 +604,10 @@ def _chunk_pool(requested=None):
     global _POOL, _POOL_SIZE, _POOL_REGIONS, _POOL_ATEXIT_REGISTERED
     global _POOL_EPOCH
     size = _desired_pool_size(requested)
+    # The caller is about to submit, and a submit may fork (a fresh
+    # pool's first does; any may where CPython spawns workers on demand):
+    # never from a parent more threaded than before the team existed.
+    _retire_team()
     with _POOL_LOCK:
         # A wider-than-requested pool is simply reused: callers with
         # different machine models (or the None default) alternating in
@@ -841,7 +895,7 @@ class ProcessesBackend(ExecutionBackend):
     def _run_supervised(self, interp, region):
         """The processes rung: dispatch with retries, then apply."""
         stats = region.stats
-        active = [w for w in region.workers if w.iterations]
+        active = [w for w in region.workers if w.size]
         if not active:
             return
         budget = interp.retry_budget

@@ -5,9 +5,13 @@ further and *runs* them.  A :class:`ParallelInterpreter` executes the
 program sequentially until control reaches a planned region (the *next
 stop*), then
 
-1. evaluates the canonical iteration space and partitions it with a
+1. looks the member loops up in the run's forest (the caller's own
+   when it handed one in — a Session's record, so a warm run discovers
+   no loops — else found once per function), evaluates the canonical
+   iteration space and partitions it with a
    :class:`~repro.runtime.schedulers.ChunkScheduler` (static / dynamic /
-   guided — decided once, shared by every backend),
+   guided — decided once, shared by every backend); a worker keeps its
+   chunk lists and their total, and one with none is never dispatched,
 2. builds one privatized frame per worker, with
 
    * per-worker private copies of the induction variable and every
@@ -123,6 +127,7 @@ class _Worker:
     __slots__ = (
         "index",
         "segments",
+        "size",
         "frame",
         "done",
         "waiting_for",
@@ -138,22 +143,16 @@ class _Worker:
         self.index = index
         self.segments = segments  # [(loop, iteration values), ...]
         self.nest = nest  # interchanged nest's outer Loop (values are pairs)
+        # Iterations over all segments; a worker of none gets no job.
+        self.size = sum(len(iterations) for _loop, iterations in segments)
         self.frame = None
-        self.done = not any(iterations for _loop, iterations in segments)
+        self.done = not self.size
         self.waiting_for = None  # lock name when blocked
         self.held = set()
         self.steps = 0
         self.seconds = 0.0
         self.private_globals = set()  # privatized global names
         self.private_allocas = set()  # privatized Alloca instructions
-
-    @property
-    def iterations(self):
-        """This worker's iteration values across all segments (flat)."""
-        values = []
-        for _loop, iterations in self.segments:
-            values.extend(iterations)
-        return values
 
 
 class ParallelInterpreter(Interpreter):
@@ -169,7 +168,9 @@ class ParallelInterpreter(Interpreter):
     :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
     is a planner :class:`~repro.planner.calibration.ReplanContext` (one
     per run); without one, adaptive mode has nothing to re-derive and
-    stays off.
+    stays off.  ``forest`` (function name -> header name -> natural
+    loop) hands in loops the caller already holds (a Session's analysis
+    record); a function it does not name has its own found on first use.
     """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
@@ -178,7 +179,7 @@ class ParallelInterpreter(Interpreter):
                  prelude=None,  # ignored: benchmarks/e2e still passes it
                  compile_regions=True, quarantine=None,
                  retry_budget=2, failover=True, adaptive=False,
-                 replan=None):
+                 replan=None, forest=None):
         super().__init__(module, max_steps)
         if (
             not isinstance(workers, int)
@@ -212,7 +213,15 @@ class ParallelInterpreter(Interpreter):
                                else recipe.chunk)
         if not regions:
             make_scheduler(schedule, chunk)  # still validate the names
-        self._loops_by_function = {}
+        self._loops_by_function = dict(forest or {})
+        for name, loops in self._loops_by_function.items():
+            own = module.functions.get(name)
+            if any(loop.header.parent is not own for loop in loops.values()):
+                # Its blocks are not the ones this run executes.
+                raise PlanError(
+                    f"the loop forest handed in for @{name} was not built "
+                    "from this module's function"
+                )
         self.parallel_regions = []  # RegionStats, in execution order
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/logged/verify), the module content hash (lazy —
@@ -275,8 +284,9 @@ class ParallelInterpreter(Interpreter):
         return loops, outer
 
     def _function_loops(self, function):
-        """header name -> natural loop, found once per function per run
-        owner (region takeovers and stop resolution read the same)."""
+        """header name -> natural loop: the handed-in forest's, else found
+        once per function per run owner (region takeovers and stop
+        resolution read the same)."""
         if function.name not in self._loops_by_function:
             self._loops_by_function[function.name] = {
                 loop.header.name: loop
@@ -440,7 +450,7 @@ class ParallelInterpreter(Interpreter):
         stats.per_worker = [
             {
                 "worker": worker.index,
-                "iterations": len(worker.iterations),
+                "iterations": worker.size,
                 "steps": worker.steps,
                 "seconds": worker.seconds,
             }
@@ -800,7 +810,7 @@ def run_parallel(module, parallelizations, function_name="main", **options):
 
     ``options`` are :class:`ParallelInterpreter`'s keyword parameters
     (``workers``, ``seed``, ``backend``, ``schedule``, ``chunk``,
-    ``pool_size``, ``compile_regions``, ...).
+    ``pool_size``, ``compile_regions``, ``forest``, ...).
     """
     return ParallelInterpreter(module, parallelizations, **options).run(
         function_name
@@ -814,12 +824,15 @@ def run_plan(pspdg, plan, **options):
     has them, one region per canonical DOALL otherwise) take over with
     PS-PDG-derived privatization and reduction recipes; everything else
     runs sequentially.  The module and the function are the graph's
-    own; ``options`` as for :func:`run_parallel`.
+    own, and so is the loop forest (the analysis record's);
+    ``options`` as for :func:`run_parallel`.
     """
+    analyses = pspdg.pdg.analyses
     return run_parallel(
-        pspdg.pdg.analyses.module,
+        analyses.module,
         recipes_from_plan(pspdg, plan),
         pspdg.function.name,
+        forest={pspdg.function.name: analyses.loops_by_header},
         **options,
     )
 

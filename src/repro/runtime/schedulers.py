@@ -11,13 +11,18 @@ sequential run is floating-point reassociation.
 
 The three schedules mirror OpenMP's:
 
-* ``static`` — fixed-size chunks dealt round-robin to workers (the
-  historical behavior of the simulated runtime);
+* ``static`` — fixed-size chunks round-robin over the workers (the
+  historical behavior of the simulated runtime), cut by stride: worker
+  ``w`` takes every ``workers``-th chunk from its own, so a ``chunk=1``
+  region costs one ``values[w::workers]`` per worker, not a Python
+  round-trip per iteration;
 * ``dynamic`` — fixed-size chunks assigned greedily to the least-loaded
   worker, a deterministic model of a work queue;
 * ``guided`` — exponentially shrinking chunks (half the fair share of
   the remaining work), assigned greedily, never smaller than ``chunk``.
 """
+
+import itertools
 
 from repro.util.errors import PlanError
 
@@ -81,14 +86,26 @@ def _least_loaded(loads):
 
 
 class StaticScheduler(ChunkScheduler):
-    """Fixed-size chunks, round-robin.  ``chunk`` defaults to 1 (cyclic)."""
+    """Fixed-size chunks, round-robin.  ``chunk`` defaults to 1 (cyclic).
+
+    Chunk ``k`` is worker ``k % workers``'s, so a worker's share is every
+    ``workers``-th chunk from its own — a slice, not a deal of one chunk
+    (for ``chunk=1``: one iteration) per Python round-trip; the deal it
+    must equal is ``tests/support/reference_deal.py``.
+    """
 
     name = "static"
 
-    def _deal(self, values, workers):
-        size = self.chunk or 1
-        for index, chunk in enumerate(_fixed_chunks(values, size)):
-            yield index % workers, chunk
+    def partition(self, values, workers):
+        _validate_workers(workers)
+        values = list(values)
+        if self.chunk in (None, 1):
+            return [values[first::workers] for first in range(workers)]
+        chunks = _fixed_chunks(values, self.chunk)
+        return [
+            list(itertools.chain.from_iterable(chunks[first::workers]))
+            for first in range(workers)
+        ]
 
 
 class DynamicScheduler(ChunkScheduler):

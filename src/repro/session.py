@@ -379,6 +379,7 @@ class Session:
             failover=config.failover,
             adaptive=adaptive_on,
             replan=replan,
+            forest={config.function_name: self.analyses.loops_by_header},
         )
         for region in result.parallel_regions:
             self.diagnostics.record_parallel(region)

@@ -151,13 +151,6 @@ def _spy_on_method(monkeypatch, cls, name):
     return calls
 
 
-#: The runtime looks loops up per (bare or re-decoded) module — the
-#: ``-O3`` oracle's dispatch loop is not the planning pipeline.  The
-#: compile stages proper (the profile run included: it is compiled, and
-#: takes the record's loops) find the forest once.
-_RUNTIME_LAYERS = ("repro.runtime",)
-
-
 @pytest.mark.parametrize("kernel", ("IS", "SP", "LU"))
 def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
     from repro.analysis import alias, loops, memdep
@@ -179,17 +172,16 @@ def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
     assert len(aliases) == 1
     assert len(accesses) == 1
     assert len(memdeps) == 1
-    planning = [
-        caller for caller in loop_finds
-        if not caller.startswith(_RUNTIME_LAYERS)
-    ]
-    assert planning == ["repro.analysis.record"]
-    # LU's oracle: its two run owners, the sequential reference and the
-    # one stepped run, each look the forest up once — the reference too
-    # since every compiled sequence, stops or none, is lowered along its
-    # function's loops (5 finds in all while the profiler and three
-    # oracle runs per abstraction each found their own).
-    assert len(loop_finds) - len(planning) == (2 if kernel == "LU" else 0)
+    # The forest is the Session's: the record found it once, and every
+    # run owner is handed it — LU's ``-O3`` oracle (its sequential
+    # reference and its stepped run, through ``run_plan``), then each
+    # ``Session.run``, whatever the backend (one find per run owner
+    # while the runtime looked loops up for itself).
+    assert loop_finds == ["repro.analysis.record"]
+    for backend in ("threads", "threads", "simulated"):
+        result = session.run("PS-PDG", workers=2, backend=backend)
+        assert result.parallel_regions
+    assert loop_finds == ["repro.analysis.record"]
 
 
 def test_every_consumer_holds_the_sessions_own_loops():
@@ -215,6 +207,39 @@ def test_every_consumer_holds_the_sessions_own_loops():
         for classification in view.classifications.values()
     ]
     assert classified and all(id(loop) in own for loop in classified)
+
+    # The loops a backend is handed with a region.
+    from repro.runtime.backends import SerialBackend
+
+    dispatched = []
+
+    class Spy(SerialBackend):
+        def run_region(self, interp, region):
+            dispatched.extend(region.loops)
+            super().run_region(interp, region)
+
+    result = session.run("PS-PDG", workers=2, backend=Spy())
+    assert result.formatted_output() == session.execution.formatted_output()
+    assert dispatched and all(id(loop) in own for loop in dispatched)
+
+
+def test_a_forest_of_another_modules_function_is_rejected():
+    from repro.runtime import run_parallel
+    from repro.util.errors import PlanError
+
+    session = Session.from_kernel("EP")
+    other = Session.from_kernel("EP")
+    assert other.module is not session.module
+    recipes = session.region_recipes["PS-PDG"]
+    forest = {"main": session.analyses.loops_by_header}
+    expected = session.execution.formatted_output()
+    assert run_parallel(
+        session.module, recipes, forest=forest
+    ).formatted_output() == expected
+    # Same headers, same shapes, but not this module's blocks: refused
+    # before anything runs, not a wrong answer later.
+    with pytest.raises(PlanError, match="@main"):
+        run_parallel(other.module, recipes, forest=forest)
 
 
 def test_repeated_queries_return_identical_artifacts(session):

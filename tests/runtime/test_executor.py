@@ -297,6 +297,31 @@ class TestChunkSchedulers:
         parts = StaticScheduler(2).partition(range(8), 2)
         assert parts == [[0, 1, 4, 5], [2, 3, 6, 7]]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 200),
+        lower=st.integers(-50, 50),
+        step=st.integers(1, 7),
+        chunk=st.one_of(st.none(), st.integers(1, 9), st.just("beyond")),
+        workers=st.integers(1, 9),
+    )
+    def test_static_strides_equal_the_reference_deal(
+        self, n, lower, step, chunk, workers
+    ):
+        """The stride partition is the chunk-at-a-time deal, list for list
+        (``tests/support/reference_deal.py`` is what it replaced)."""
+        from repro.runtime import StaticScheduler
+        from support.reference_deal import static_round_robin
+
+        values = range(lower, lower + n * step, step)
+        if chunk == "beyond":
+            chunk = n + 1 + workers
+        parts = StaticScheduler(chunk).partition(values, workers)
+        assert parts == static_round_robin(values, workers, chunk)
+        assert all(type(part) is list for part in parts)
+        # What ``ParallelInterpreter._loop_values`` hands in is a list.
+        assert StaticScheduler(chunk).partition(list(values), workers) == parts
+
     def test_guided_chunks_shrink(self):
         from repro.runtime import GuidedScheduler
 
