@@ -69,7 +69,7 @@ def o2_plans(nas_sessions):
 @pytest.fixture(scope="module")
 def warm_pool(nas_sessions, o2_plans):
     """Throwaway runs so pool startup and child-side compiles (cached
-    per pool epoch) aren't billed to the measured runs."""
+    per pool worker) aren't billed to the measured runs."""
     for backend in BACKENDS:
         run_plan(
             nas_sessions["LU"].pspdg, o2_plans["LU"],

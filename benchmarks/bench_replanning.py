@@ -61,17 +61,9 @@ def _session(**overrides):
 
 
 @pytest.fixture(scope="module")
-def monkeypatch_module():
-    patcher = pytest.MonkeyPatch()
-    yield patcher
-    patcher.undo()
-
-
-@pytest.fixture(scope="module")
-def measured(monkeypatch_module):
+def measured():
     """Interleaved non-adaptive vs adaptive timings on a warm pool."""
     knobs.refresh()
-    monkeypatch_module.setattr(backends, "POOL_RECYCLE_REGIONS", 1_000_000)
     backends._reset_chunk_pool()
 
     plain = _session()

@@ -18,13 +18,11 @@ Two layers, consulted in order:
    module stream).  When the object layer misses but the source layer
    hits, the cached source is re-``exec``'d against refs re-resolved in
    the new module — skipping the lowering itself, which is the
-   expensive half.  This is what lets a pool recycle (fresh forked
-   children, re-decoded modules) re-lower **zero** regions: forked
-   children inherit the parent's source cache, and
-   :func:`drain_new_sources` ships child-side lowerings back so the
-   parent's copy keeps up.  Memoized refusals live here too, so an
-   unsupported loop is refused once per *content*, not once per module
-   object lifetime.
+   expensive half.  A pool child that evicted a module re-decodes it
+   and lowers nothing again; a forked child inherits what the parent
+   had lowered by then and lowers the rest once.  Memoized refusals live
+   here too, so an unsupported loop is refused once per *content*, not
+   once per module object lifetime.
 
 ``None`` entries memoize lowering refusals so an unsupported loop costs
 one failed compile, not one per chunk.
@@ -43,13 +41,9 @@ _FN_CACHE = weakref.WeakKeyDictionary()
 
 #: (module_key, kind, ...identity) -> None (memoized refusal) or
 #: (source, ref descriptors).  Bounded LRU; survives module re-decodes
-#: and (via fork inheritance + drain/merge) pool recycles.
+#: and is inherited by forked pool children.
 _SOURCE_CACHE = OrderedDict()
 _SOURCE_CAP = 512
-
-#: Entries lowered in this process since the last drain — pool children
-#: ship these back so the parent's source cache learns child lowerings.
-_NEW_SOURCES = OrderedDict()
 
 #: module -> {function name -> {uid -> instruction}} (weak, lazy).
 _INST_INDEX = weakref.WeakKeyDictionary()
@@ -121,11 +115,11 @@ def _cached(module, key, module_key, build):
         STATS["compiles"] += 1
         if source_key is not None:
             try:
-                value = _source_value(entry.source, entry.refs)
+                _remember_source(
+                    source_key, (entry.source, _describe_refs(entry.refs))
+                )
             except Unsupported:
-                value = _MISSING  # refs not position-independent; skip
-            if value is not _MISSING:
-                _remember_source(source_key, value)
+                pass  # refs not position-independent; skip
     except Unsupported:
         entry = None
         STATS["fallbacks"] += 1
@@ -181,11 +175,6 @@ def _from_source(module, source_key, module_key):
     return entry
 
 
-def _source_value(source, refs):
-    """The picklable, module-independent form of a lowered entry."""
-    return (source, _describe_refs(refs))
-
-
 def _describe_refs(refs):
     descriptors = []
     for obj in refs:
@@ -226,38 +215,16 @@ def _instruction_index(module, function_name):
 
 
 def _remember_source(source_key, value):
-    for store in (_SOURCE_CACHE, _NEW_SOURCES):
-        store[source_key] = value
-        store.move_to_end(source_key)
-        while len(store) > _SOURCE_CAP:
-            store.popitem(last=False)
-
-
-def drain_new_sources():
-    """Entries lowered since the last drain, as picklable (key, value)s.
-
-    Pool children call this after running a payload and ship the result
-    back; the parent merges it (:func:`merge_sources`) so the *next*
-    generation of forked children inherits every lowering any child of
-    this generation performed.
-    """
-    items = list(_NEW_SOURCES.items())
-    _NEW_SOURCES.clear()
-    return items
-
-
-def merge_sources(items):
-    """Adopt source entries drained in another process (parent side)."""
-    for source_key, value in items:
-        if source_key not in _SOURCE_CACHE:
-            _remember_source(source_key, value)
+    _SOURCE_CACHE[source_key] = value
+    _SOURCE_CACHE.move_to_end(source_key)
+    while len(_SOURCE_CACHE) > _SOURCE_CAP:
+        _SOURCE_CACHE.popitem(last=False)
 
 
 def reset():
     """Drop all cached entries and zero the counters (test isolation)."""
     _FN_CACHE.clear()
     _SOURCE_CACHE.clear()
-    _NEW_SOURCES.clear()
     _INST_INDEX.clear()
     STATS.update({
         "compiles": 0, "hits": 0, "source_hits": 0, "fallbacks": 0,

@@ -28,9 +28,9 @@ owns its whole execution strategy:
   each worker's small frame delta; a pool worker decodes it, runs its
   chunk against it and keeps nothing of it afterwards.  The module
   itself travels as persistent ids against a per-pool-worker
-  decoded-module cache, its bytes broadcast at most once per pool
-  recycle epoch (a worker that joined later reports a module miss and
-  is retried with them attached).  The child copies the region's
+  decoded-module cache, its bytes broadcast at most once per pool (a
+  worker that joined later or evicted it reports a module miss and is
+  retried with them attached).  The child copies the region's
   storage table, runs its iterations through the plain compiled body
   (no write log, no store bookkeeping) and sends back its private
   reduction/lastprivate values plus the table slots that now differ
@@ -48,6 +48,7 @@ given ``(schedule, chunk, workers)`` triple executes the same
 iteration-to-worker assignment everywhere.
 """
 
+import atexit
 import concurrent.futures
 import dataclasses
 import multiprocessing
@@ -566,24 +567,11 @@ def _fork_preferred_context():
 #: costs ~10ms each, which dominates small kernels.  A lazily-created
 #: pool amortizes the fork across every region of every run; payloads
 #: carry all state, so pool workers need no inherited context.
-_POOL = None
-_POOL_SIZE = None
-_POOL_REGIONS = 0  # regions dispatched on the current pool
+_POOL = None  # (executor, module keys already broadcast to its workers)
 _POOL_LOCK = threading.Lock()
-_POOL_ATEXIT_REGISTERED = False
-
-#: Regions dispatched before the pool's workers are recycled.  Child
-#: interpreters accumulate deserialized modules/frames across payloads;
-#: bounded recycling caps that memory without paying a fork per region.
-POOL_RECYCLE_REGIONS = 128
 
 #: Hard ceiling on pool width regardless of the requested size.
 _POOL_MAX_WORKERS = 16
-
-#: Pool generation counter: bumped whenever a fresh pool is forked, so
-#: the payload codec knows when its per-epoch module broadcasts (and the
-#: pool workers' decoded-module caches) have been wiped.
-_POOL_EPOCH = 0
 
 
 def _desired_pool_size(requested):
@@ -594,15 +582,14 @@ def _desired_pool_size(requested):
 
 
 def _chunk_pool(requested=None):
-    """The shared chunk pool, sized to ``requested`` workers.
+    """The shared chunk pool, at least ``requested`` workers wide:
+    ``(executor, module keys already broadcast to it)``.
 
     ``requested`` normally comes from the planner's machine-model core
-    count (clamped to the actual CPU count); passing a different size —
-    or crossing the recycle threshold — drains the old pool and starts a
-    fresh one.
+    count (clamped to the actual CPU count); asking for more workers
+    than the live pool has drains it and starts a fresh one.
     """
-    global _POOL, _POOL_SIZE, _POOL_REGIONS, _POOL_ATEXIT_REGISTERED
-    global _POOL_EPOCH
+    global _POOL
     size = _desired_pool_size(requested)
     # The caller is about to submit, and a submit may fork (a fresh
     # pool's first does; any may where CPython spawns workers on demand):
@@ -612,64 +599,54 @@ def _chunk_pool(requested=None):
         # A wider-than-requested pool is simply reused: callers with
         # different machine models (or the None default) alternating in
         # one process must not thrash teardown/re-fork cycles.
-        stale = _POOL is not None and (
-            _POOL_SIZE < size or _POOL_REGIONS >= POOL_RECYCLE_REGIONS
-        )
-        if stale:
-            old, _POOL = _POOL, None
-            old.shutdown(wait=False, cancel_futures=True)
-            # The recycled workers' decoded-module caches died with
-            # them; drop the parent-side bookkeeping that assumed they
-            # were primed so nothing leaks into (or from) the next
-            # generation.  (The module-bytes LRU itself survives —
-            # valid across epochs, expensive to rebuild.)
-            payload_codec.invalidate_pool_caches()
+        if _POOL is not None and _POOL[0]._max_workers < size:
+            _POOL[0].shutdown(wait=False, cancel_futures=True)
+            _POOL = None
         if _POOL is None:
-            _POOL = concurrent.futures.ProcessPoolExecutor(
-                max_workers=size,
-                mp_context=_fork_preferred_context(),
+            # Never recycled: a worker keeps nothing between payloads but
+            # at most MODULE_CACHE_CAP decoded modules.  A rebuild every
+            # 128 regions — every 36 ops of ``run-procs-warm``'s traffic,
+            # 1080 ops on one pinned core — cost mean 8.17 against 5.68
+            # ms/op, p90 BT 36.4 / 6.7 and dense48 24.8 / 15.5 ms, and
+            # bounded nothing: a never-recycled child is 28.1 MB RSS from
+            # op 0 to op 1080 (27.8 MB after 2700 regions of 32 rotating
+            # modules), each recycled generation forked from a grown
+            # parent, the 31st at 34.1 MB.  A worker that starts keeping
+            # state between payloads is what would justify recycling again.
+            executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=size, mp_context=_fork_preferred_context(),
             )
-            _POOL_SIZE = size
-            _POOL_REGIONS = 0
-            _POOL_EPOCH += 1
-            if not _POOL_ATEXIT_REGISTERED:
-                import atexit
-
-                # Tear the pool down before interpreter shutdown
-                # dismantles the modules its weakref callbacks still
-                # reference.
-                atexit.register(_reset_chunk_pool)
-                _POOL_ATEXIT_REGISTERED = True
-        _POOL_REGIONS += 1
+            _POOL = (executor, set())
         return _POOL
 
 
 def _reset_chunk_pool(kill=False):
-    global _POOL, _POOL_SIZE, _POOL_REGIONS, _POOL_EPOCH
+    """Discard the pool; the next one's broadcast set starts empty.
+
+    A dispatch that took the old pair first marks its module shipped in
+    the dead pool's set only.
+    """
+    global _POOL
     with _POOL_LOCK:
         pool, _POOL = _POOL, None
-        _POOL_SIZE = None
-        _POOL_REGIONS = 0
-        # The workers — and with them every decoded-module cache — are
-        # gone the moment we return, even on the non-kill path.  Bump
-        # the broadcast epoch and drop the parent-side primed-worker
-        # bookkeeping *here*, not in the next _chunk_pool call: a
-        # dispatch racing the reset must never assume the dead workers'
-        # modules.
-        _POOL_EPOCH += 1
-        payload_codec.invalidate_pool_caches()
     if pool is None:
         return
+    executor = pool[0]
     if kill:
         # A worker is stuck mid-chunk: shutdown() alone would wait on it
         # (and leave it occupying a slot); terminate the children so the
         # next pool starts clean.
-        for process in list(getattr(pool, "_processes", {}).values()):
+        for process in list(getattr(executor, "_processes", {}).values()):
             try:
                 process.terminate()
             except Exception:
                 pass
-    pool.shutdown(wait=False, cancel_futures=True)
+    executor.shutdown(wait=False, cancel_futures=True)
+
+
+# Tear the pool down before interpreter shutdown dismantles the modules
+# its weakref callbacks still reference.
+atexit.register(_reset_chunk_pool)
 
 
 def _pool_chunk_entry(wire, fault=None):
@@ -683,9 +660,9 @@ def _pool_chunk_entry(wire, fault=None):
     copy taken before the run; the logged variant is lowered only when
     the payload arms the ``VERIFY_COMPILED`` oracle.  Never raises —
     errors come back as ``{"error": ...}`` so one
-    bad chunk cannot poison the shared pool; a worker that has not seen
-    the module bytes of this pool epoch reports ``{"module_miss": key}``
-    so the parent can retry with them attached.  Decode failures are
+    bad chunk cannot poison the shared pool; a worker that does not hold
+    the module the payload names reports ``{"module_miss": key}`` so the
+    parent can retry with its bytes attached.  Decode failures are
     tagged ``"phase": "decode"`` — they indict the wire/cache machinery,
     not the program, so the supervisor retries them; execution failures
     stay untagged and fatal.
@@ -758,9 +735,6 @@ def _pool_chunk_entry(wire, fault=None):
             "output": shim.output,
             "seconds": seconds,
             "stats": stats,
-            # Source lowered child-side travels to the parent, whose
-            # cache forked children of the *next* epoch inherit.
-            "codegen_sources": codegen_cache.drain_new_sources(),
             "diffs": diffs,
             "global_privates": {
                 name: list(frame.global_overlay[name])
@@ -791,9 +765,8 @@ class ProcessesBackend(ExecutionBackend):
     """One OS process per worker; serialized frames; diff-merged state.
 
     Dispatch is *supervised*: infrastructure failures — worker death,
-    hangs, poisoned payloads — kill and respawn the pool (which
-    invalidates the module-broadcast epoch) and re-encode and
-    re-dispatch the whole region, up to a per-region retry budget
+    hangs, poisoned payloads — kill and respawn the pool and re-encode
+    and re-dispatch the whole region, up to a per-region retry budget
     with bounded exponential backoff.  The deferred-apply
     collection makes this exactly-once: no shared-memory effect lands
     until every worker of the region reported, so a failed attempt
@@ -920,9 +893,8 @@ class ProcessesBackend(ExecutionBackend):
                 stats.retries += 1
                 started = time.perf_counter()
                 # Kill the pool (a stuck or half-dead worker must not
-                # survive into the retry), which also bumps the
-                # broadcast epoch and drops the primed-worker
-                # bookkeeping, so the re-encode ships the module again.
+                # survive into the retry); the next one's broadcast set
+                # is empty, so the re-encode ships the module again.
                 _reset_chunk_pool(kill=True)
                 time.sleep(backoff * (2 ** (attempt - 1)))
                 stats.recovery_ms += (
@@ -940,7 +912,7 @@ class ProcessesBackend(ExecutionBackend):
         infrastructure failures, :class:`EmulationError` for program
         errors.  ``plan`` is the active fault-injection plan (or None).
         """
-        pool = _chunk_pool(interp.pool_size)
+        pool, shipped = _chunk_pool(interp.pool_size)
         stats = region.stats
         encoded = payload_codec.encode_region(
             module=interp.module,
@@ -949,7 +921,7 @@ class ProcessesBackend(ExecutionBackend):
             global_storage=interp._global_storage,
             max_steps=interp.max_steps,
             workers=active,
-            epoch=_POOL_EPOCH,
+            shipped=shipped,
             compile_regions=interp.compile_regions,
             nest=region.outer,
         )
@@ -1014,9 +986,9 @@ class ProcessesBackend(ExecutionBackend):
                     failure is None and infra is None
                     and result.get("module_miss")
                 ):
-                    # This pool worker joined after the epoch's module
-                    # broadcast: retry its payload (only) with the
-                    # module bytes attached.
+                    # This pool worker joined after the pool's module
+                    # broadcast or has evicted it: retry its payload
+                    # (only) with the module bytes attached.
                     refreshed = worker_payload.with_module(encoded.codec)
                     stats.payloads += 1
                     stats.payload_bytes += refreshed.wire_bytes
@@ -1102,7 +1074,6 @@ class ProcessesBackend(ExecutionBackend):
         stats.codegen_compiles += chunk.codegen_compiles
         stats.codegen_source_hits += chunk.codegen_source_hits
         stats.codegen_fallbacks += chunk.codegen_fallbacks
-        codegen_cache.merge_sources(result["codegen_sources"])
         # Shared-memory effects, applied in worker order (deterministic;
         # a correct DOALL's shared writes are disjoint across workers).
         for index, slot, value in result["diffs"]:

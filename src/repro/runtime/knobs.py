@@ -21,6 +21,7 @@ Tests may also assign ``knob.value = True`` (or monkeypatch
 process-local override; ``refresh()`` restores the environment's verdict.
 """
 
+import math
 import os
 
 _FALSY = ("", "0", "false", "no", "off")
@@ -35,8 +36,8 @@ class Knob:
 
     A ``bool`` default makes a flag, parsed with the falsy set; any
     other default (str, int, float) makes a typed setting, parsed with
-    the default's type.  Unparseable values fall back to the default
-    rather than raising at import time.
+    the default's type.  Unparseable values, a float that is not finite
+    among them, fall back to the default rather than raising at import.
     """
 
     __slots__ = ("name", "default", "value", "doc", "parse")
@@ -55,9 +56,12 @@ class Knob:
         if raw is None:
             return self.default
         try:
-            return self.parse(raw.strip())
+            value = self.parse(raw.strip())
         except ValueError:
             return self.default
+        if isinstance(value, float) and not math.isfinite(value):
+            return self.default
+        return value
 
     def refresh(self):
         """Re-read the environment; returns the new value."""

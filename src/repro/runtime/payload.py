@@ -6,14 +6,15 @@ O(program size) pickled W times per region.  The format that ships
 splits that dict by how often each part changes, and a pool worker
 keeps nothing between payloads but its decoded modules:
 
-**Module: once per pool epoch.**  Module-owned objects are persistent
+**Module: once per pool.**  Module-owned objects are persistent
 ids ``("m", index)`` into the deterministic :func:`module_objects`
-traversal; the module's bytes are broadcast once per pool recycle
-epoch, cached child-side by content hash, and a worker that joined
-after the broadcast reports a module miss and gets its payload again
-with the bytes attached.  Member ``NaturalLoop`` objects travel as
-``("l", function, header)`` ids — the child recomputes loops from its
-decoded module, so region streams carry no loop structure at all.
+traversal; the module's bytes are broadcast once per process pool
+(whose owner keeps the set of keys sent), cached child-side by content
+hash, and a worker that joined later or evicted the module reports a
+miss and gets its payload again with the bytes attached.  Member
+``NaturalLoop`` objects travel as ``("l", function, header)`` ids — the
+child recomputes loops from its decoded module, so region streams carry
+no loop structure at all.
 
 **State: once per region.**  The shared state — the global-storage
 dict plus an ordered *storage table* of every shared list the region's
@@ -160,8 +161,8 @@ class ModuleCodec:
 
     ``key`` is the content hash of the module stream — the identity the
     pool workers cache decoded modules under, so two sessions sharing
-    one pool (or one session surviving a pool recycle) can never collide
-    on stale bytes.
+    one pool (or one session outliving a pool) can never collide on
+    stale bytes.
     """
 
     __slots__ = ("module", "key", "module_bytes", "persist_map", "livein")
@@ -189,10 +190,6 @@ class ModuleCodec:
 
 _MODULE_CODECS = OrderedDict()  # id(module) -> ModuleCodec (LRU)
 
-#: (pool epoch, module key) pairs whose bytes were already broadcast;
-#: pruned to the current epoch on every encode.
-_SHIPPED_MODULES = set()
-
 
 def module_codec(module):
     """The (cached) :class:`ModuleCodec` for ``module``.
@@ -213,33 +210,17 @@ def module_codec(module):
     return codec
 
 
-def invalidate_pool_caches():
-    """Drop every cache tied to the current pool generation's workers.
-
-    Called on pool recycle: the recycled processes' decoded-module
-    caches died with them, so the broadcast bookkeeping (and this
-    process's own decode cache, which forked children inherit) must not
-    claim otherwise.  The parent-side
-    :data:`_MODULE_CODECS` pickled-bytes LRU survives — it is keyed by
-    module identity with a content-hash wire key, valid across epochs,
-    and re-pickling the whole module per recycle is exactly the
-    O(program-size) work it exists to avoid.
-    """
-    _SHIPPED_MODULES.clear()
-    _DECODED_MODULES.clear()
-
-
 def reset_codec_caches():
     """Drop every module-global codec cache in this process.
 
     Called by the test suite's autouse fixture so no test (or session)
-    depends on what a previous one happened to ship: parent-side module
-    codecs and broadcast bookkeeping, and this process's decoded-module
-    cache (which matters when payloads are decoded in-process, as the
-    codec tests do).
+    depends on what a previous one pickled or decoded here: parent-side
+    module codecs and this process's decoded-module cache (which matters
+    when payloads are decoded in-process, as the codec tests do).  What
+    a pool has been sent is the pool's state and is not touched.
     """
     _MODULE_CODECS.clear()
-    invalidate_pool_caches()
+    _DECODED_MODULES.clear()
 
 
 def _walk_storages(frame, global_storage):
@@ -307,14 +288,14 @@ def live_in_registers(loops):
 class WorkerPayload:
     """One pool dispatch.
 
-    ``module_bytes`` rides along only on the epoch broadcast or a
+    ``module_bytes`` rides along only on the pool's first broadcast or a
     module-miss retry.  ``state_bytes`` (the region's shared state) and
     ``header_bytes`` (region metadata) are identical across the region's
     workers; ``delta_bytes`` is this worker's frame and iterations.
     """
 
     module_key: str
-    module_bytes: bytes  # None when the pool epoch already has them
+    module_bytes: bytes  # None when the pool was already sent them
     state_bytes: bytes
     header_bytes: bytes
     delta_bytes: bytes
@@ -433,13 +414,13 @@ def _unpack_iterations(packed):
 
 
 def encode_region(module, frame, loops, global_storage, max_steps,
-                  workers, epoch, compile_regions=False, nest=None):
+                  workers, shipped, compile_regions=False, nest=None):
     """Encode one region's pool payloads.
 
     ``workers`` are the active ``_Worker`` instances; ``frame`` is the
     enclosing sequential frame whose storages the worker frames alias;
-    ``epoch`` identifies the current pool generation (module bytes are
-    broadcast once per epoch); ``compile_regions`` asks the pool worker
+    ``shipped`` is the set of module keys already broadcast to the pool
+    these payloads go to (grown here); ``compile_regions`` asks the worker
     to run each chunk through its exec-compiled body
     (``repro.codegen``) where one lowers — the flag travels in the
     header, so children need no environment.  ``nest`` is an
@@ -485,7 +466,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     base_memo = header_pickler.memo.copy()
 
     needed = codec.livein_for(loops)
-    ship = (epoch, codec.key) not in _SHIPPED_MODULES
+    ship = codec.key not in shipped
     payloads = []
     for worker in workers:
         delta_buffer = io.BytesIO()
@@ -524,10 +505,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
             delta_bytes=delta_buffer.getvalue(),
         ))
     if ship and payloads:
-        _SHIPPED_MODULES.add((epoch, codec.key))
-        # Entries for dead pool generations can never be consulted again.
-        stale = {entry for entry in _SHIPPED_MODULES if entry[0] != epoch}
-        _SHIPPED_MODULES.difference_update(stale)
+        shipped.add(codec.key)
     return RegionPayloads(codec=codec, workers=payloads, table=table)
 
 

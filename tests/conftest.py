@@ -18,13 +18,14 @@ if _TESTS_DIR not in sys.path:
 def _fresh_codec_caches():
     """Reset the payload codec's module-global caches around every test.
 
-    The codec keeps parent-side module byte caches, per-epoch broadcast
-    bookkeeping, and an (in-process) decoded-module cache; without
-    this fixture a test's observed wire bytes would depend on
-    which session happened to dispatch first in the same process.
-    Deliberately does *not* recycle the chunk pool — forking a pool per
-    test would dominate suite runtime; tests that need a cold pool use
-    their own fixture.
+    The codec keeps parent-side module byte caches and an (in-process)
+    decoded-module cache; without this fixture a test would depend on
+    what an earlier one pickled or decoded in the same process.
+    Deliberately does *not* replace the chunk pool — forking a pool per
+    test would dominate suite runtime — so the pool's workers, and the
+    pool's own record of which modules they were sent, carry over: a
+    test that reads wire bytes or needs a cold pool resets it with its
+    own fixture (``backends._reset_chunk_pool``).
     """
     from repro.runtime import faults, knobs, payload
 

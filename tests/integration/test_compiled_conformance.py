@@ -347,42 +347,3 @@ def test_chunk_accounting_conforms_across_backends(monkeypatch):
     # the sequential stretches around the regions still compile.
     assert counts["simulated"][0] == 0
     assert counts["simulated"][2] == sequence_stats
-
-
-# -- the source cache across pool recycles ---------------------------------------
-
-
-def test_pool_recycle_relowers_nothing(monkeypatch):
-    """Fresh pool children after a recycle rebuild from cached source.
-
-    The parent merges every child lowering into its source cache
-    (``drain_new_sources``/``merge_sources``); the next generation of
-    forked children inherits it, so re-running the same content after a
-    recycle must report source hits and zero fresh compiles.
-    """
-    from repro.runtime import backends
-
-    # Content no other test runs, so the long-lived pool children can't
-    # serve it from their per-epoch caches before this test starts.
-    recycled = SUPPORTED.replace("i * i", "i * i + 3")
-    _verify_off(monkeypatch)
-    codegen_cache.reset()
-    first = run_source_plan(
-        compile_source(recycled), backend="processes",
-        compile_regions=True,
-    )
-    assert sum(r["codegen_compiles"] for r in first.parallel_regions) > 0
-    # Exhaust the region budget so the next dispatch forks a fresh pool.
-    monkeypatch.setattr(backends, "POOL_RECYCLE_REGIONS", 1)
-    before = codegen_cache.stats()
-    second = run_source_plan(
-        compile_source(recycled), backend="processes",
-        compile_regions=True,
-    )
-    after = codegen_cache.stats()
-    assert second.output == first.output
-    assert sum(r["codegen_compiles"] for r in second.parallel_regions) == 0
-    assert sum(r["codegen_source_hits"] for r in second.parallel_regions) > 0
-    # The parent side (sequence entries included) re-lowered nothing
-    # either: every rebuild came from the content-hash source layer.
-    assert after["compiles"] == before["compiles"]

@@ -155,6 +155,22 @@ class TestSupervisedRecovery:
         assert faulted.output == clean.output  # bitwise, not isclose
         assert faulted.parallel_regions[0]["retries"] >= 1
 
+    def test_infinite_backoff_and_deadline_still_recover(self, monkeypatch):
+        """``REPRO_RETRY_BACKOFF=inf`` and ``REPRO_REGION_TIMEOUT=inf``
+        read as their defaults: the crash must still recover, not die in
+        ``time.sleep`` / ``future.result`` with an OverflowError."""
+        session = build_session("EP")
+        clean = session.run("PS-PDG", opt="-O2", workers=2,
+                            backend="processes")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "inf")
+        monkeypatch.setenv("REPRO_REGION_TIMEOUT", "inf")
+        knobs.refresh()
+        inject("crash:region=0:worker=0")
+        faulted = session.run("PS-PDG", opt="-O2", workers=2,
+                              backend="processes")
+        assert faulted.output == clean.output
+        assert faulted.parallel_regions[0]["retries"] >= 1
+
     @pytest.mark.parametrize("spec", [
         "corrupt_wire:region=0:worker=1",
         "drop_result:region=0:worker=0",

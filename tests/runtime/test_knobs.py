@@ -23,6 +23,21 @@ def test_unset_env_uses_default(monkeypatch):
     assert knobs.REPRO_RETRY_BACKOFF.value == 0.05  # typed default
 
 
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("name", [
+    "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
+])
+def test_non_finite_float_falls_back_to_the_default(monkeypatch, name, raw):
+    """``time.sleep(inf)`` and ``future.result(timeout=inf)`` are
+    OverflowErrors: such a value is unparseable like any other."""
+    monkeypatch.setenv(name, raw)
+    knobs.refresh()
+    knob = knobs._KNOBS[name]
+    assert knob.value == knob.default
+    monkeypatch.setenv(name, "0.25")
+    assert knob.refresh() == 0.25
+
+
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
 def test_falsy_spellings(monkeypatch, raw):
     monkeypatch.setenv("VERIFY_COMPILED", raw)

@@ -5,9 +5,9 @@ region encodes to byte-identical streams, a decoded worker frame
 preserves the register→storage aliasing the child's diff and write-back
 rely on, the table diff a child ships home is exactly the shared slots
 its chunk changed (and a knobs-off run builds it with no write log and
-no logged body), the module's bytes travel at most once per pool
-recycle epoch (with the miss/retry path covering pool workers that
-joined late), and a dispatch depends on nothing an earlier dispatch left
+no logged body), the module's bytes travel at most once per pool (with
+the miss/retry path covering pool workers that joined late or evicted
+the module), and a dispatch depends on nothing an earlier dispatch left
 behind but the decoded module.
 """
 
@@ -24,6 +24,7 @@ from repro.runtime import backends, run_source_plan
 from repro.runtime import payload as payload_codec
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close
+from support.programs import ROTATING
 
 pytestmark = pytest.mark.usefixtures("fresh_codec")
 
@@ -387,7 +388,7 @@ class TestPlainBodyOnly:
 
 
 class TestModuleByteCache:
-    def test_module_ships_once_per_epoch(self):
+    def test_module_ships_once_per_pool(self):
         session = Session.from_kernel("EP")
         first = session.run("PS-PDG", workers=4, backend="processes")
         second = session.run("PS-PDG", workers=4, backend="processes")
@@ -402,7 +403,7 @@ class TestModuleByteCache:
         )
         # Run 1 broadcast the module; run 2 shipped no module bytes.
         assert bytes_first >= bytes_second + module_bytes
-        # A pool recycle wipes the workers' caches: the next run must
+        # A new pool's workers hold nothing: the next run must
         # broadcast again.
         backends._reset_chunk_pool()
         third = session.run("PS-PDG", workers=4, backend="processes")
@@ -414,12 +415,11 @@ class TestModuleByteCache:
     def test_module_miss_retry(self):
         session = Session.from_kernel("EP")
         codec = payload_codec.module_codec(session.module)
-        # Poison the parent's shipped-set for the epoch the next run
-        # will create: the parent omits the module bytes, every fresh
-        # pool worker misses, and the retry path must recover.
-        payload_codec._SHIPPED_MODULES.add(
-            (backends._POOL_EPOCH + 1, codec.key)
-        )
+        # Poison the broadcast set of the pool the next run will use:
+        # the parent omits the module bytes, every fresh pool worker
+        # misses, and the retry path must recover.
+        _executor, shipped = backends._chunk_pool(session.config.machine.cores)
+        shipped.add(codec.key)
         result = session.run("PS-PDG", workers=4, backend="processes")
         assert result.output == session.execution.output
         region = result.parallel_regions[0]
@@ -437,16 +437,13 @@ class TestModuleByteCache:
         first = payload_codec.module_codec(session.module)
         assert payload_codec.module_codec(session.module) is first
 
-    def test_recycle_keeps_module_bytes(self, monkeypatch):
+    def test_reset_keeps_module_bytes(self):
         session = Session.from_kernel("EP")
         codec = payload_codec.module_codec(session.module)
-        payload_codec._SHIPPED_MODULES.add((0, "sentinel"))
-        monkeypatch.setattr(backends, "POOL_RECYCLE_REGIONS", 1)
         backends._chunk_pool(2)
-        backends._chunk_pool(2)  # recycle: stale branch must reset caches
-        assert not payload_codec._SHIPPED_MODULES
-        # The parent-side pickled-module LRU is epoch-independent and
-        # expensive to rebuild: recycling must not drop it.
+        backends._reset_chunk_pool()
+        # The parent-side pickled-module LRU names no pool and is
+        # expensive to rebuild: replacing the pool must not drop it.
         assert payload_codec.module_codec(session.module) is codec
 
     def test_nine_rotating_modules_stay_cached(self, monkeypatch):
@@ -487,19 +484,6 @@ class TestModuleByteCache:
         assert [
             payload_codec.module_codec(session.module) for session in sessions
         ] == codecs
-
-
-ROTATING = """
-global a: int[8];
-
-func main() {
-  pragma omp parallel for
-  for i in 0..8 {
-    a[i] = i * %d;
-  }
-  print(a[5]);
-}
-"""
 
 
 UNLOGGED_WRITE = """

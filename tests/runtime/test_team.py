@@ -374,26 +374,28 @@ def test_no_team_thread_is_alive_when_a_process_pool_is_built(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
-    # Every processes region recycles the pool: builds one, forks.
-    monkeypatch.setattr(backends, "POOL_RECYCLE_REGIONS", 1)
     backends._reset_chunk_pool()
     session = build_session("IS")
+    results = []
     try:
         session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
-        assert team_threads()  # parked, as a threads run leaves them
-        result = session.run(
-            "PS-PDG", opt="-O2", workers=2, backend="processes"
-        )
+        for _ in range(3):
+            assert team_threads()  # parked, as the last run left them
+            # No pool: this run's first processes region builds one, forks.
+            backends._reset_chunk_pool()
+            results.append(session.run(
+                "PS-PDG", opt="-O2", workers=2, backend="processes"
+            ))
     finally:
         backends._reset_chunk_pool()
-    labels = [region["backend"] for region in result.parallel_regions]
-    # Downgraded regions run on the team between the pool's regions.
-    assert labels[0] == "processes->threads(small-region)"
-    assert "processes" in labels[1:-1]
-    assert labels[-1] == "processes->threads(small-region)"
-    assert outputs_close(result.output, session.execution.output)
-    assert len(alive_at_build) == labels.count("processes")
-    assert alive_at_build == [[]] * len(alive_at_build)
+    for result in results:
+        labels = [region["backend"] for region in result.parallel_regions]
+        # Downgraded regions run on the team between the pool's regions.
+        assert labels[0] == "processes->threads(small-region)"
+        assert "processes" in labels[1:-1]
+        assert labels[-1] == "processes->threads(small-region)"
+        assert outputs_close(result.output, session.execution.output)
+    assert alive_at_build == [[]] * len(results)
     assert team_threads()  # the last downgraded region's
 
 

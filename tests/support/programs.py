@@ -17,6 +17,21 @@ def histogram_source():
     return (_ROOT / "examples/histogram.mop").read_text()
 
 
+#: One small region; ``ROTATING % n`` is a distinct module per ``n``
+#: (many live Sessions taking turns on one process pool).
+ROTATING = """
+global a: int[8];
+
+func main() {
+  pragma omp parallel for
+  for i in 0..8 {
+    a[i] = i * %d;
+  }
+  print(a[5]);
+}
+"""
+
+
 # -- returns the structured walk lowers from inside its loops ------------------
 #
 # ``main`` returns a value in each, so a run pins output, steps, return
