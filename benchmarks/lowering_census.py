@@ -73,7 +73,7 @@ def census():
                 rows["sequences"].append((
                     f"{name} {function.name}@-O{level}",
                     _refusal(lambda: lower_sequence(
-                        function, stops, False, analyses.loops_by_header
+                        function, stops, analyses.loops_by_header
                     )),
                 ))
                 if level == 0:

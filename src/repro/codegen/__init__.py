@@ -6,9 +6,8 @@ walking the IR instruction-by-instruction (``_WorkerInterpreter
 into one generated Python function — the same storage slots, the same
 step counts, the same ``EmulationError`` conditions — and
 ``exec``-compiles it so workers run native bytecode instead of the
-dispatch loop.  One body per loop; a ``logged`` twin, whose stores also
-leave the interpreter's write-log marks, is lowered only under the
-``VERIFY_COMPILED`` oracle, which rolls the compiled run back by them.
+dispatch loop.  One body per loop: the ``VERIFY_COMPILED`` oracle runs
+that body too, against copies of the storages it can reach.
 
 Division of labor:
 

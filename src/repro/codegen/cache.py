@@ -59,8 +59,9 @@ STATS = {
 }
 
 
-def compiled_chunk(module, loop, logged, module_key=None, outer=None):
-    """The cached :class:`CompiledChunk` for ``(loop, logged)``, or ``None``.
+def compiled_chunk(module, loop, module_key=None, outer=None,
+                   logged=None):  # ignored; benchmarks/e2e still passes it
+    """The cached :class:`CompiledChunk` for ``loop``, or ``None``.
 
     ``None`` means the lowering refused the loop (or codegen itself
     failed) — run it interpreted.  Never raises.  ``outer`` (an
@@ -68,16 +69,14 @@ def compiled_chunk(module, loop, logged, module_key=None, outer=None):
     and is part of both cache keys.
     """
     key = ("chunk", loop.header.parent.name, loop.header.name,
-           bool(logged), outer.header.name if outer is not None else None)
+           outer.header.name if outer is not None else None)
     return _cached(
         module, key, module_key,
-        lambda: compile_chunk(loop, logged, module_key=module_key,
-                              outer=outer),
+        lambda: compile_chunk(loop, module_key=module_key, outer=outer),
     )
 
 
-def compiled_sequence(module, function, stops, logged, loops,
-                      module_key=None):
+def compiled_sequence(module, function, stops, loops, module_key=None):
     """The cached :class:`CompiledSequence` for a function body, or ``None``.
 
     ``stops`` is the content-only region-stop spec from
@@ -87,10 +86,10 @@ def compiled_sequence(module, function, stops, logged, loops,
     asked for only when the body has to be lowered.  Same never-fail
     contract as :func:`compiled_chunk`.
     """
-    key = ("seq", function.name, tuple(stops), bool(logged))
+    key = ("seq", function.name, tuple(stops))
     return _cached(
         module, key, module_key,
-        lambda: compile_sequence(function, stops, logged, loops(),
+        lambda: compile_sequence(function, stops, loops(),
                                  module_key=module_key),
     )
 
@@ -154,16 +153,14 @@ def _from_source(module, source_key, module_key):
         refs = _resolve_refs(module, descriptors)
         _mkey, kind = source_key[:2]
         if kind == "chunk":
-            _mkey, _kind, function, header, logged, _outer = source_key
+            _mkey, _kind, function, header, _outer = source_key
             entry = exec_chunk(
-                source, refs, function, header, logged,
-                module_key=module_key,
+                source, refs, function, header, module_key=module_key,
             )
         else:
-            _mkey, _kind, function, stops, logged = source_key
+            _mkey, _kind, function, stops = source_key
             entry = exec_sequence(
-                source, refs, function, stops, logged,
-                module_key=module_key,
+                source, refs, function, stops, module_key=module_key,
             )
     except Exception:
         # Resolution failed (the hash matched but the module differs?):

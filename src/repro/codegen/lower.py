@@ -33,11 +33,9 @@ Representation choices:
   direct load or store — the chunk's own induction storage, inner
   induction variables, accumulators — lives in a Python local ``_p<uid>``
   for the whole chunk and is written back to its ``frame.objects`` slot
-  in a ``finally`` when the chunk ends, exceptions included.  The logged
-  variant marks the write log where the interpreter's first store would
-  (the store right behind the alloca when there is one, else every
-  store), with the same before-value.  An alloca whose address reaches a
-  call, a ``gep`` or another store stays in its slot.
+  in a ``finally`` when the chunk ends, exceptions included.  An alloca
+  whose address reaches a call, a ``gep`` or another store stays in its
+  slot.
 * **The bounds proof.**  A ``gep`` outside every ``if`` arm whose index
   is affine (integer coefficients) in the chunk induction values, the
   enclosing counted induction variables and chunk invariants is lowered
@@ -61,9 +59,9 @@ Representation choices:
   its loop for good to ``return`` (:meth:`_Lowering._emit_tail`), and a
   loop has three event positions — enter, iterate, exit — where the
   profiled lowering counts.
-* Stores come in a ``logged`` variant that marks the shim's write log
-  with ``record_write`` semantics, byte-for-byte what the interpreted
-  store handler logs; the unlogged variant is a plain slot assignment.
+* A store is a plain slot assignment and a loop has one body: the
+  ``VERIFY_COMPILED`` oracle runs that body too and compares storage
+  images (:func:`repro.codegen.runtime._differential`).
 * Objects the generated code must reference by identity (alloca keys,
   live-in register keys, callee functions) arrive through the exec'd
   factory's ``refs`` tuple, so no IR object is ever re-created.
@@ -114,7 +112,6 @@ class CompiledChunk:
     source: str
     function: str  # enclosing IR function name
     header: str  # loop header block name
-    logged: bool  # stores mark the shim's write log
     module_key: str = None  # content hash, when the caller knows it
     refs: tuple = ()  # the IR objects the factory closed over
 
@@ -174,9 +171,8 @@ class _Scalar:
     """A scalar alloca the chunk keeps in a Python local."""
 
     alloca: object
-    #: The store right behind the alloca: it marks the write log for
-    #: every store it dominates, which is all of them.  ``None``: each
-    #: store marks for itself.
+    #: The store right behind the alloca (a counted loop's first value),
+    #: or ``None``.
     init: object = None
     stores: list = dataclasses.field(default_factory=list)  # in the body
 
@@ -184,7 +180,6 @@ class _Scalar:
         uid = self.alloca.uid
         self.value = f"_p{uid}"  # the local holding the slot's value
         self.storage = f"_s{uid}"  # the slot's list, once materialized
-        self.key = f"_q{uid}"  # its write-log key (logged variant only)
 
 
 class _Lowering:
@@ -202,7 +197,7 @@ class _Lowering:
     _body_indent = 4  # def _factory / def _chunk / try / for
     _blocks = 2  # the skeleton's own ``try`` and ``for``, of _MAX_BLOCKS
 
-    def __init__(self, loop, logged, outer=None):
+    def __init__(self, loop, outer=None):
         if loop.canonical is None:
             raise Unsupported("loop lacks canonical form")
         if outer is not None and outer.canonical is None:
@@ -215,15 +210,12 @@ class _Lowering:
         }
         self.promoted = {}
         self._alias = {}
-        self._begin(
-            loop.header.parent, [loop, *loop.descendants()], logged
-        )
+        self._begin(loop.header.parent, [loop, *loop.descendants()])
 
-    def _begin(self, function, loops, logged):
+    def _begin(self, function, loops):
         """The state every lowering starts from; ``loops`` is the forest
         the walk follows (a chunk's: its loop and what nests in it)."""
         self.function = function
-        self.logged = logged
         self.refs = []  # objects the factory receives positionally
         self._ref_names = {}  # id(obj) -> _k<i>
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
@@ -343,25 +335,12 @@ class _Lowering:
             out.emit(f"{scalar.storage} = _objs[{key}] = [{zero}]")
             out.indent -= 1
             out.emit(f"{scalar.value} = {scalar.storage}[0]")
-            if self.logged:
-                out.emit(f"{scalar.key} = (id({scalar.storage}), 0)")
             out.indent -= 1
         elif isinstance(inst, insts.Load):
             if id(inst) not in self._alias:
                 out.emit(f"{self._register(inst)} = {scalar.value}")
         else:
-            value = self.scalar(inst.value)
-            if self.logged and scalar.init in (None, inst):
-                # The local is the slot's truth, so it is the
-                # before-value the interpreter's first store would log.
-                out.emit(f"if {scalar.key} not in _log:")
-                out.indent += 1
-                out.emit(
-                    f"_log[{scalar.key}] = "
-                    f"({scalar.storage}, {scalar.value})"
-                )
-                out.indent -= 1
-            out.emit(f"{scalar.value} = {value}")
+            out.emit(f"{scalar.value} = {self.scalar(inst.value)}")
 
     def lower_instruction(self, out, inst):
         if isinstance(inst, (insts.Alloca, insts.Load, insts.Store)):
@@ -388,13 +367,6 @@ class _Lowering:
         elif isinstance(inst, insts.Store):
             value = self.any_value(inst.value)
             storage, offset = self.pointer(inst.pointer)
-            if self.logged:
-                key = self.temp()
-                out.emit(f"{key} = (id({storage}), {offset})")
-                out.emit(f"if {key} not in _log:")
-                out.indent += 1
-                out.emit(f"_log[{key}] = ({storage}, {storage}[{offset}])")
-                out.indent -= 1
             out.emit(f"{storage}[{offset}] = {value}")
         elif isinstance(inst, insts.GetElementPtr):
             self._lower_gep(out, inst)
@@ -1091,8 +1063,6 @@ class _Lowering:
                 out.emit("raise _Bailout()")
                 out.indent -= 1
             out.emit(f"{scalar.value} = {scalar.storage}[0]")
-            if self.logged:
-                out.emit(f"{scalar.key} = (id({scalar.storage}), 0)")
         for inst, pointer in self.live_ins.values():
             key = self.ref(inst)
             if pointer:
@@ -1185,8 +1155,6 @@ class _Lowering:
         out.emit("_out = interp.output")
         out.emit("_max = interp.max_steps")
         out.emit("_steps = interp.steps")
-        if self.logged:
-            out.emit("_log = interp.write_log")
         self._prologue(out)
         out.emit("try:")
         out.lines.extend(entry.lines)
@@ -1229,7 +1197,7 @@ class _Lowering:
         out.emit("interp.steps = _steps")
 
 
-def lower_chunk(loop, logged, outer=None):
+def lower_chunk(loop, outer=None):
     """Generate (source, refs) for one loop; raises :class:`Unsupported`.
 
     Lowering the body *collects* the entry bindings (live-ins, args,
@@ -1238,7 +1206,7 @@ def lower_chunk(loop, logged, outer=None):
     interchanged nest's outer loop) the chunk iterates ``(outer,
     inner)`` pairs and seeds both induction storages.
     """
-    lowering = _Lowering(loop, logged, outer=outer)
+    lowering = _Lowering(loop, outer=outer)
     return lowering.lower(), lowering.refs
 
 
@@ -1249,7 +1217,7 @@ def chunk_tier(loop, entry, outer=None):
     if entry is not None:
         return entry.tier
     try:
-        lower_chunk(loop, True, outer=outer)
+        lower_chunk(loop, outer=outer)
     except Unsupported as refusal:
         return "refused", str(refusal)
     except Exception as error:  # a codegen bug: also a fallback, say so
@@ -1257,15 +1225,14 @@ def chunk_tier(loop, entry, outer=None):
     return "refused", "generated source failed to compile"
 
 
-def exec_chunk(source, refs, function, header, logged, module_key=None):
+def exec_chunk(source, refs, function, header, module_key=None):
     """``exec``-compile lowered chunk source against concrete IR refs.
 
     Split out of :func:`compile_chunk` so the content-hash source cache
     can rebuild an entry for a *re-decoded* module (same source, new ref
     objects) without re-lowering.
     """
-    variant = "logged" if logged else "plain"
-    filename = f"<repro-codegen {function}:{header}:{variant}>"
+    filename = f"<repro-codegen {function}:{header}>"
     namespace = dict(_runtime.GENERATED_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     fn = namespace["_factory"](tuple(refs), _runtime)
@@ -1274,16 +1241,15 @@ def exec_chunk(source, refs, function, header, logged, module_key=None):
         source=source,
         function=function,
         header=header,
-        logged=bool(logged),
         module_key=module_key,
         refs=tuple(refs),
     )
 
 
-def compile_chunk(loop, logged, module_key=None, outer=None):
+def compile_chunk(loop, module_key=None, outer=None):
     """Lower and ``exec``-compile one loop's chunk body."""
-    source, refs = lower_chunk(loop, bool(logged), outer=outer)
+    source, refs = lower_chunk(loop, outer=outer)
     return exec_chunk(
         source, refs, loop.header.parent.name, loop.header.name,
-        bool(logged), module_key=module_key,
+        module_key=module_key,
     )

@@ -10,8 +10,9 @@ and the :class:`EmulationError`/:class:`Bailout` types.
 exists, falls back to ``shim.run_chunk`` on a missing entry or a
 :class:`Bailout` (a live-in the frame does not carry, or an index the
 chunk's entry proof cannot place in bounds — raised before any side
-effect), and under ``VERIFY_COMPILED`` runs *both* and diffs
-their write logs, outputs, and step counts in-process, keeping the
+effect), and under ``VERIFY_COMPILED`` runs *both* — the one body the
+loop has, then the interpreter from the same state — and diffs their
+storage images, outputs, and step counts in-process, keeping the
 interpreted run's effects (the interpreter is the authority).
 """
 
@@ -109,23 +110,30 @@ def unbound_register(error):
 
 
 def execute_chunk(entry, shim, loop, frame, iterations, locks,
-                  verify=False, outer=None):
+                  verify=None, outer=None):
     """Run one chunk; returns ``"compiled"`` or ``"interpreted"``.
 
     ``entry`` is a :class:`~repro.codegen.lower.CompiledChunk` (or
     ``None`` for a loop the lowering refused); ``shim`` is the backend's
-    ``_WorkerInterpreter``.  One body per loop: the backends pass the
-    plain entry, and a logged twin only under ``verify`` — the oracle
-    rolls the compiled run back by its write-log marks and diffs them
-    against the interpreted run's.
+    ``_WorkerInterpreter``.  ``verify`` is ``None`` or, the oracle armed,
+    every storage the chunk can reach (the backend holds them: the walk
+    its payload codec ships); :func:`_differential` then runs this same
+    ``entry`` against them.
     ``outer`` (an interchanged nest's outer loop) means ``iterations``
     are ``(outer, inner)`` pairs; the entry, when given, must have been
     compiled with the same ``outer``.
     """
     if entry is not None:
-        if verify:
-            return _verified_chunk(entry, shim, loop, frame, iterations,
-                                   locks, outer)
+        if verify is not None:
+            mode, _value = _differential(
+                entry, shim, "chunk",
+                lambda: entry.fn(shim, frame, iterations),
+                lambda: shim.run_chunk(
+                    loop, frame, iterations, locks, outer=outer
+                ),
+                verify, objects=frame.objects,
+            )
+            return mode
         try:
             entry.fn(shim, frame, iterations)
             return "compiled"
@@ -135,74 +143,59 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
     return "interpreted"
 
 
-def _verified_chunk(entry, shim, loop, frame, iterations, locks, outer):
-    """:func:`_differential` over one chunk; returns the mode.
-
-    Safe under the threads backend because compiled-eligible regions
-    hold no critical sections — a correct DOALL's shared writes are
-    disjoint across workers, so one worker's scratch rollback cannot
-    race another worker's reads.
-    """
-    mode, _value = _differential(
-        entry, shim, "chunk",
-        lambda: entry.fn(shim, frame, iterations),
-        lambda: shim.run_chunk(loop, frame, iterations, locks, outer=outer),
-    )
-    return mode
-
-
-def _log_image(log):
-    """``(storage-id, slot) -> (before, after)`` for a run's write log.
-
-    Read *before* the writes are rolled back: ``after`` is the slot's
-    current (post-run) value.
-    """
-    return {
-        key: (before, storage[key[1]])
-        for key, (storage, before) in log.items()
-    }
-
-
-def _merge_log(real_log, scratch):
-    """Fold a scratch run's marks into the caller's log (first-write wins)."""
-    if real_log is None:
-        return
-    for key, entry in scratch.items():
-        real_log.setdefault(key, entry)
+# Images of the one body, not a log-marking twin.  Through PR 23 every
+# loop was lowered twice — the second body's stores also marked a write
+# log, the oracle rolled *that* body back by its marks, and no unarmed
+# run executed it.  A store corrupted in the shipping body only
+# (``value + 1`` on its first store) passed the armed run on LU ``-O2``
+# on both backends, 12 chunks "verified"; run on the body that ships it
+# is a divergence at the first chunk.  Copying every reachable storage
+# per chunk also costs less than the marks did: the armed CI leg (296
+# cells) reads 54.1 / 56.4 s against 67.4 / 70.2 s.
+#
+# Nothing else may write the storages between a chunk's two runs, so an
+# armed ``threads`` region runs its workers in turn
+# (``ThreadsBackend.run_region``).  Running each worker's pair on a
+# private copy instead needs a frame cloner larger than the twin this
+# replaced, and the unarmed conformance leg is what runs the same
+# bodies concurrently.
 
 
 def _differential(entry, state, noun, run_compiled, run_interpreted,
-                  observable=None, compare_values=False):
+                  storages, objects=(), compare_values=False):
     """The ``VERIFY_COMPILED`` oracle; returns ``(mode, interpreted value)``.
 
-    The compiled thunk executes first against a scratch write log
-    (installed on ``state`` — the shim or the parent interpreter; the
-    interpreter's stores read ``write_log`` as they run), its image
-    (writes, output slice, step delta, return value) is captured, and
-    every one of its writes is rolled back.  The interpreted thunk then
-    executes from the identical pre-run state and its effects *stay* —
-    so a divergence aborts with the authoritative state in place.  A
-    :class:`Bailout` is not a divergence (the frame lacks
-    a live-in the compiled entry binds eagerly): plain interpreter
-    fallback.
+    ``storages`` is every storage list the two thunks can reach and
+    ``objects`` the chunk's ``frame.objects`` (none for a function body:
+    each run builds its own frame).  The storages are copied, the
+    compiled thunk executes, its image is captured (every slot, the
+    allocas it first executed into ``objects``, the output slice and
+    step delta on ``state`` — the shim or the parent interpreter — and
+    the return value), the copies are put back and those fresh allocas
+    dropped.  The interpreted thunk then executes from the identical
+    pre-run state and its effects *stay* — so a divergence aborts with
+    the authoritative state in place.  A :class:`Bailout` is not a
+    divergence (the frame lacks a live-in the compiled entry binds
+    eagerly): plain interpreter fallback.  ``compare_values`` adds the
+    two thunks' return values to the diff.
 
-    ``observable`` restricts the write-log diff to those storage ids;
-    ``compare_values`` adds the two thunks' return values to the diff.
+    The blind spot, shared with ``payload.diff_table``: a store that
+    rewrites a slot's own value leaves no trace in an image
+    (``tests/support/recording.py`` pins those, slot by slot).
     """
-    def image(log):
-        writes = _log_image(log)
-        if observable is None:
-            return writes
-        return {
-            key: value for key, value in writes.items()
-            if key[0] in observable
-        }
-
-    real_log = state.write_log
+    before = [list(storage) for storage in storages]
+    known = set(objects)
     out_mark = len(state.output)
     step_mark = state.steps
-    scratch = {}
-    state.write_log = scratch
+
+    def image():
+        fresh = {
+            alloca.uid: list(objects[alloca])
+            for alloca in objects if alloca not in known
+        }
+        return ([list(storage) for storage in storages], fresh,
+                state.output[out_mark:], state.steps - step_mark)
+
     bailed = False
     compiled_error = None
     compiled_value = None
@@ -212,25 +205,20 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
         bailed = True
     except Exception as error:
         compiled_error = error
-    finally:
-        state.write_log = real_log
-    compiled_writes = image(scratch)
-    compiled_output = state.output[out_mark:]
-    compiled_steps = state.steps - step_mark
-    for (_storage_id, slot), (storage, before) in scratch.items():
-        storage[slot] = before  # undo the compiled run's writes
+    c_slots, c_fresh, c_output, c_steps = image()
+    for storage, values in zip(storages, before):
+        storage[:] = values  # undo the compiled run's writes
+    for alloca in set(objects) - known:
+        del objects[alloca]
     del state.output[out_mark:]
     state.steps = step_mark
 
     if bailed:
         return "interpreted", run_interpreted()
 
-    interp_scratch = {}
-    state.write_log = interp_scratch
     try:
         interp_value = run_interpreted()
     except Exception as error:
-        _merge_log(real_log, interp_scratch)
         if compiled_error is None:
             raise EmulationError(
                 f"VERIFY_COMPILED divergence at {entry.label}: compiled "
@@ -238,12 +226,7 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
                 f"{type(error).__name__}: {error}"
             ) from error
         raise  # both paths failed: the interpreted error is authoritative
-    finally:
-        state.write_log = real_log
-    interp_writes = image(interp_scratch)
-    _merge_log(real_log, interp_scratch)
-    interp_output = state.output[out_mark:]
-    interp_steps = state.steps - step_mark
+    i_slots, i_fresh, i_output, i_steps = image()
 
     if compiled_error is not None:
         raise EmulationError(
@@ -252,27 +235,31 @@ def _differential(entry, state, noun, run_compiled, run_interpreted,
             f"but the interpreter succeeded"
         ) from compiled_error
     problems = []
-    if compiled_writes != interp_writes:
-        extra = sorted(set(compiled_writes) - set(interp_writes))
-        missing = sorted(set(interp_writes) - set(compiled_writes))
-        changed = sorted(
-            key
-            for key in set(compiled_writes) & set(interp_writes)
-            if compiled_writes[key] != interp_writes[key]
-        )
+    if c_slots != i_slots:
+        changed = [
+            (index, slot)
+            for index, pair in enumerate(zip(c_slots, i_slots))
+            for slot, (a, b) in enumerate(zip(*pair))
+            if a is not b and a != b
+        ]
         problems.append(
-            f"write logs differ (extra={extra!r} missing={missing!r} "
-            f"changed={changed!r})"
+            f"storage images differ ((storage, slot)={changed[:8]!r}"
+            f"{' ...' if len(changed) > 8 else ''})"
         )
-    if compiled_output != interp_output:
+    if c_fresh != i_fresh:
         problems.append(
-            f"outputs differ (compiled={compiled_output!r} "
-            f"interpreted={interp_output!r})"
+            f"fresh allocas differ (compiled={c_fresh!r} "
+            f"interpreted={i_fresh!r})"
         )
-    if compiled_steps != interp_steps:
+    if c_output != i_output:
         problems.append(
-            f"step counts differ (compiled={compiled_steps} "
-            f"interpreted={interp_steps})"
+            f"outputs differ (compiled={c_output!r} "
+            f"interpreted={i_output!r})"
+        )
+    if c_steps != i_steps:
+        problems.append(
+            f"step counts differ (compiled={c_steps} "
+            f"interpreted={i_steps})"
         )
     if compare_values and (
         compiled_value != interp_value
@@ -302,9 +289,8 @@ def execute_sequence(entry, interp, function, args, interpret,
     :class:`~repro.runtime.executor.ParallelInterpreter`; ``interpret``
     is the *base* interpreter loop (``Interpreter._run_function`` bound
     to ``interp``), used for the Bailout fallback and as the verify
-    authority.  Under ``verify`` the caller must pass a *logged* entry
-    for a function with no region stops (region dispatch is not
-    replayable).
+    authority.  ``verify`` is only for a function with no region stops
+    (a region dispatch is not replayable).
     """
     from repro.emulator.interp import _Frame
 
@@ -322,29 +308,28 @@ def execute_sequence(entry, interp, function, args, interpret,
 def _verified_sequence(entry, interp, function, args, interpret):
     """Run the function compiled *and* interpreted; diff; keep interpreted.
 
-    The function-level use of :func:`_differential`: nested interpreted
-    calls log to the same scratch log, and the return value joins the
-    diff.  Only called for functions whose call graph reaches no
-    parallel region: a region dispatch is not replayable.
+    The function-level use of :func:`_differential`: the return value
+    joins the diff.  Only called for functions whose call graph reaches
+    no parallel region: a region dispatch is not replayable.
 
-    The write-log diff only compares *observable* storages — globals
-    and pointer arguments.  Each run builds its own frame, so its
-    function-local allocas are fresh objects whose ids can never match
-    across runs, and they are unreachable once the call returns (the IR
-    has no channel for a pointer to escape except the return value,
+    The images cover the *observable* storages — globals and pointer
+    arguments.  Each run builds its own frame, so its function-local
+    allocas are fresh objects, unreachable once the call returns (the
+    IR has no channel for a pointer to escape except the return value,
     which is compared directly).
     """
     from repro.emulator.interp import _Frame
 
     observable = {
-        id(storage) for storage in interp._global_storage.values()
+        id(storage): storage
+        for storage in interp._global_storage.values()
     }
     for value in args:
         if type(value) is tuple and len(value) == 2:
-            observable.add(id(value[0]))
+            observable[id(value[0])] = value[0]
     return _differential(
         entry, interp, "body",
         lambda: entry.fn(interp, _Frame(function, args)),
         lambda: interpret(function, args),
-        observable=observable, compare_values=True,
+        list(observable.values()), compare_values=True,
     )

@@ -69,7 +69,6 @@ class CompiledSequence:
     source: str
     function: str  # IR function name
     stops: tuple  # ((header, (member header, ...)), ...) lowered against
-    logged: bool  # stores mark the interpreter's write log
     module_key: str = None
     refs: tuple = ()
 
@@ -129,8 +128,8 @@ class _SequenceLowering(_Lowering):
     _body_indent = 3  # def _factory / def _seq / try
     _blocks = 1  # the skeleton's own ``try``
 
-    def __init__(self, function, stops, logged, loops_by_header):
-        self._begin(function, loops_by_header.values(), bool(logged))
+    def __init__(self, function, stops, loops_by_header):
+        self._begin(function, loops_by_header.values())
         self._stops = self._resolve_stops(stops, loops_by_header)
         #: ``(line index, indent, stop)`` per stop, in walk order: the
         #: flush lines go in once the walk knows everything it lowered.
@@ -327,7 +326,7 @@ class _ProfiledLowering(_SequenceLowering):
 
     def __init__(self, function, loops):
         super().__init__(
-            function, (), False, {loop.header.name: loop for loop in loops}
+            function, (), {loop.header.name: loop for loop in loops}
         )
         self._number = {
             block: index for index, block in enumerate(function.blocks)
@@ -455,29 +454,25 @@ class _ProfiledLowering(_SequenceLowering):
                 out.emit(f"_t{scope.name} = {{}}")
 
 
-def lower_sequence(function, stops, logged, loops_by_header):
+def lower_sequence(function, stops, loops_by_header):
     """Generate (source, refs) for one function; raises Unsupported.
 
     ``loops_by_header`` (header name -> the function's natural loop) is
     the forest the walk follows and the stops are resolved against; the
     caller holds it (the analysis record's, or the executor's).
     """
-    lowering = _SequenceLowering(
-        function, tuple(stops), logged, loops_by_header
-    )
+    lowering = _SequenceLowering(function, tuple(stops), loops_by_header)
     return lowering.lower(), lowering.refs
 
 
-def exec_sequence(source, refs, function, stops, logged,
-                  module_key=None):
+def exec_sequence(source, refs, function, stops, module_key=None):
     """``exec``-compile lowered function source against concrete refs.
 
     Split from :func:`compile_sequence` so the content-hash source
     cache can rebuild an entry for a re-decoded module without
     re-lowering (same split as :func:`repro.codegen.lower.exec_chunk`).
     """
-    variant = "logged" if logged else "plain"
-    filename = f"<repro-codegen @{function}:{variant}>"
+    filename = f"<repro-codegen @{function}>"
     namespace = dict(_runtime.GENERATED_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     fn = namespace["_factory"](tuple(refs), _runtime)
@@ -486,19 +481,16 @@ def exec_sequence(source, refs, function, stops, logged,
         source=source,
         function=function,
         stops=tuple(stops),
-        logged=bool(logged),
         module_key=module_key,
         refs=tuple(refs),
     )
 
 
-def compile_sequence(function, stops, logged, loops_by_header,
-                     module_key=None):
+def compile_sequence(function, stops, loops_by_header, module_key=None):
     """Lower and ``exec``-compile one function's sequential stretches."""
-    source, refs = lower_sequence(function, stops, logged, loops_by_header)
+    source, refs = lower_sequence(function, stops, loops_by_header)
     return exec_sequence(
-        source, refs, function.name, tuple(stops), bool(logged),
-        module_key=module_key,
+        source, refs, function.name, tuple(stops), module_key=module_key,
     )
 
 
@@ -513,5 +505,5 @@ def compile_profiled(function, loops):
     """
     lowering = _ProfiledLowering(function, loops)
     return exec_sequence(
-        lowering.lower(), lowering.refs, function.name, (), False
+        lowering.lower(), lowering.refs, function.name, ()
     )

@@ -160,18 +160,6 @@ def binary_function(op, is_int):
     return _TYPED_BINARY.get((op, is_int)) or BINARY[op]
 
 
-def record_write(log, storage, slot):
-    """Mark ``storage[slot]`` dirty in a write log *before* overwriting it.
-
-    What an interpreted store does when a log is installed (the compiled
-    ``logged`` variant emits the same marks inline).  No-op cost when
-    logging is off: callers guard on the log.
-    """
-    key = (id(storage), slot)
-    if key not in log:
-        log[key] = (storage, storage[slot])
-
-
 class _Frame:
     __slots__ = ("function", "args", "registers", "objects", "global_overlay")
 
@@ -312,8 +300,6 @@ def _decode_store(inst):
     def op(interp, frame):
         value = get_value(interp, frame)
         storage, offset = get_pointer(interp, frame)
-        if interp.write_log is not None:
-            record_write(interp.write_log, storage, offset)
         storage[offset] = value
 
     return op
@@ -435,7 +421,6 @@ class Interpreter:
         self.max_steps = max_steps
         self.steps = 0
         self.output = []
-        self.write_log = None  # see enable_write_log()
         self._decoded = {}  # block -> decode_block(block), this run's
         self._global_storage = {}
         self._profiler = None
@@ -477,23 +462,6 @@ class Interpreter:
 
     def global_values(self, name):
         return list(self._global_storage[name])
-
-    def enable_write_log(self):
-        """Record an ``(object, slot)`` dirty mark for every store.
-
-        Returns the log: ``(id(storage), slot) -> (storage, value before
-        the first write)``.  Keeping the storage object in the entry
-        pins it alive, so an id can never be recycled while the log is
-        in use.  This is the ``VERIFY_COMPILED`` oracle's log and
-        nothing else's: the oracle rolls a compiled run back by its
-        marks and diffs them against the interpreted run's.  No run with
-        the knob off creates one, in the parent or in a pool worker.
-
-        Stores read ``write_log`` as they run, so assigning the
-        attribute swaps logs (the oracle does).
-        """
-        self.write_log = {}
-        return self.write_log
 
     # -- storage ----------------------------------------------------------------
 

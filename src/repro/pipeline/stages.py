@@ -296,10 +296,9 @@ def _recipes_stats(recipes):
 def _build_compile_regions(session):
     """Precompile every planned region loop through :mod:`repro.codegen`.
 
-    Warms the codegen cache parent-side — one body per loop, the plain
-    store variant every backend runs (the logged twin belongs to the
-    ``VERIFY_COMPILED`` oracle and is lowered when that arms it) — so
-    region dispatch never pays compile latency, and reports which loops
+    Warms the codegen cache parent-side — one body per loop, the one
+    every backend and the ``VERIFY_COMPILED`` oracle run — so region
+    dispatch never pays compile latency, and reports which loops
     lowered (``tiers``: ``structured``, the loop nest it is, or
     ``refused`` with the block and why) and which fell back.  The compiled
     functions themselves live in the codegen cache keyed by the
@@ -322,8 +321,7 @@ def _build_compile_regions(session):
                     continue
                 seen.add(header)
                 entry = codegen_cache.compiled_chunk(
-                    session.module, loop, logged=False,
-                    module_key=module_key,
+                    session.module, loop, module_key=module_key,
                 )
                 bucket = "compiled" if entry else "fallback"
                 summary[bucket].append(header)

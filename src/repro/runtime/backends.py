@@ -486,8 +486,7 @@ class ThreadsBackend(ExecutionBackend):
                     entries[loop] = None
                 else:
                     entries[loop] = codegen_cache.compiled_chunk(
-                        interp.module, loop, logged=verify,
-                        outer=outer_loop,
+                        interp.module, loop, outer=outer_loop,
                     )
             _count_codegen(stats, before, codegen_cache.stats())
 
@@ -497,8 +496,9 @@ class ThreadsBackend(ExecutionBackend):
                 interp.module, interp._global_storage, interp.max_steps
             )
             shim._decoded = interp._decoded  # one decode per block per run
-            if verify:
-                shim.enable_write_log()  # the oracle diffs write logs
+            reachable = payload_codec._walk_storages(
+                worker.frame, interp._global_storage
+            ) if verify else None  # what the armed oracle copies
             compiled = interpreted = 0
             # Member segments run back-to-back with no barrier: fusion
             # legality keeps every cross-member dependence within one
@@ -507,7 +507,7 @@ class ThreadsBackend(ExecutionBackend):
                 if iterations:
                     mode = codegen_runtime.execute_chunk(
                         entries.get(loop), shim, loop, worker.frame,
-                        iterations, locks, verify=verify,
+                        iterations, locks, verify=reachable,
                         outer=outer_loop,
                     )
                     if mode == "compiled":
@@ -518,8 +518,11 @@ class ThreadsBackend(ExecutionBackend):
             return shim, compiled, interpreted
 
         # Worker-order collection keeps output/step totals deterministic.
+        # Armed, the workers run in turn: nothing else may write the
+        # storages between a chunk's two runs (codegen.runtime._differential).
+        run_jobs = SerialBackend._run_jobs if verify else type(self)._run_jobs
         for worker, (shim, compiled, interpreted) in (
-            self._run_jobs(active, job)
+            run_jobs(self, active, job)
         ):
             worker.steps = shim.steps
             interp.steps += shim.steps
@@ -653,12 +656,12 @@ def _pool_chunk_entry(wire, fault=None):
     """Pool-worker entry point: run one worker's chunk, return its report.
 
     ``wire`` is a :meth:`~repro.runtime.payload.WorkerPayload.wire`
-    tuple.  The chunk runs through the plain compiled entry (or the
-    interpreter, no write log installed) against the decoded storage
-    table, and the report's ``diffs`` are
-    :func:`~repro.runtime.payload.diff_table` of that table against a
-    copy taken before the run; the logged variant is lowered only when
-    the payload arms the ``VERIFY_COMPILED`` oracle.  Never raises —
+    tuple.  The chunk runs through the loop's compiled entry (or the
+    interpreter) against the decoded storage table, and the report's
+    ``diffs`` are :func:`~repro.runtime.payload.diff_table` of that
+    table against a copy taken before the run; a payload that arms the
+    ``VERIFY_COMPILED`` oracle runs the same entry under it.  Never
+    raises —
     errors come back as ``{"error": ...}`` so one
     bad chunk cannot poison the shared pool; a worker that does not hold
     the module the payload names reports ``{"module_miss": key}`` so the
@@ -698,7 +701,9 @@ def _pool_chunk_entry(wire, fault=None):
         table = payload["table"]
         before = [list(storage) for storage in table]
         compile_on = payload.get("compile_regions")
-        verify = compile_on and payload.get("verify_compiled")
+        reachable = payload_codec._walk_storages(
+            frame, payload["global_storage"]
+        ) if compile_on and payload.get("verify_compiled") else None
         # This chunk's share of the region's counters, shipped home as
         # the same record the parent accumulates into.
         stats = RegionStats()
@@ -708,18 +713,17 @@ def _pool_chunk_entry(wire, fault=None):
             if iterations:
                 entry = None
                 if compile_on:
-                    # The plain body; the logged twin only when the
-                    # oracle needs its marks.  Keyed by the child's
-                    # decoded module object (cache.py explains why the
-                    # content hash is not enough).
+                    # Keyed by the child's decoded module object
+                    # (cache.py explains why the content hash is not
+                    # enough).
                     entry = codegen_cache.compiled_chunk(
-                        payload["module"], loop, logged=verify,
+                        payload["module"], loop,
                         module_key=payload.get("module_key"),
                         outer=nest,
                     )
                 mode = codegen_runtime.execute_chunk(
                     entry, shim, loop, frame, iterations,
-                    _NullLocks(), verify=verify, outer=nest,
+                    _NullLocks(), verify=reachable, outer=nest,
                 )
                 if mode == "compiled":
                     stats.compiled_chunks += 1
@@ -951,15 +955,18 @@ class ProcessesBackend(ExecutionBackend):
                     pool.submit(_pool_chunk_entry, wire, directive),
                     worker_payload,
                 ))
-        except concurrent.futures.process.BrokenProcessPool as exc:
-            # A worker died (possibly during an earlier region) and the
-            # pool refuses new work; nothing from this attempt was
-            # collected, so the region is cleanly retryable.
+        except RuntimeError as exc:
+            # The pool refuses new work: a worker died, possibly during
+            # an earlier region (``BrokenProcessPool``), or another
+            # dispatching thread reset the pool after this one took it
+            # ("cannot schedule new futures after shutdown").  Nothing
+            # from this attempt was collected, so the region is cleanly
+            # retryable.
             for _worker, pending, _payload in submitted:
                 pending.cancel()
             _reset_chunk_pool()
             raise _InfraFailure(
-                f"chunk pool broken at submit: {exc}"
+                f"chunk pool refused a submit: {exc}"
             ) from None
         stats.payloads += len(submitted)
         stats.payload_bytes += encoded.wire_bytes

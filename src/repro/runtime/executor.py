@@ -224,7 +224,7 @@ class ParallelInterpreter(Interpreter):
                 )
         self.parallel_regions = []  # RegionStats, in execution order
         # Sequential-stretch compilation state: per-function entry memo
-        # (keyed by name/logged/verify), the module content hash (lazy —
+        # (keyed by name/verify), the module content hash (lazy —
         # it keys the codegen source cache), and call-mode counters.
         self._seq_entries = {}
         self._seq_module_key = None
@@ -335,7 +335,7 @@ class ParallelInterpreter(Interpreter):
         entry ``None`` when the lowering refused it, which counts as an
         interpreted call — or ``None``: it is not compiled at all.
 
-        Memoized per (name, logged, verify): the stop spec and the
+        Memoized per (name, verify): the stop spec and the
         content key are fixed for this interpreter's lifetime.  Under
         ``VERIFY_COMPILED`` only functions whose call graph reaches no
         planned region compile (the oracle replays the whole body, and
@@ -345,8 +345,7 @@ class ParallelInterpreter(Interpreter):
         if not self.compile_regions or self._profiler is not None:
             return None
         verify = bool(knobs.VERIFY_COMPILED)
-        logged = self.write_log is not None
-        key = (function.name, logged, verify)
+        key = (function.name, verify)
         try:
             return self._seq_entries[key]
         except KeyError:
@@ -356,7 +355,7 @@ class ParallelInterpreter(Interpreter):
             result = None
         else:
             entry = codegen_cache.compiled_sequence(
-                self.module, function, stops, logged or verify,
+                self.module, function, stops,
                 lambda: self._function_loops(function),
                 module_key=self._content_key(),
             )

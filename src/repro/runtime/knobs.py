@@ -154,10 +154,11 @@ VERIFY_COMPILED = flag(
     "VERIFY_COMPILED",
     doc="Run every compiled chunk (and sequential stretch, and the "
         "profile stage's run) twice — compiled then interpreted — and "
-        "fail loudly unless write-log diffs, outputs, and step counts "
+        "fail loudly unless storage images, outputs, and step counts "
         "(for the profile: shapes, output, steps, final globals) are "
-        "identical. The interpreted run's effects are kept. Travels in "
-        "the payload.",
+        "identical. The interpreted run's effects are kept; an armed "
+        "`threads` region runs its workers in turn. Travels in the "
+        "payload.",
 )
 
 REPRO_FAULTS = setting(

@@ -593,8 +593,8 @@ def decode_payload(wire):
 
 # -- shared-state diffing ------------------------------------------------------
 
-# One comparison, no write log.  Against the log it replaced (a logged
-# body marking every store, an O(writes) diff per chunk; one pinned
+# One comparison, no write log.  Against the log it replaced (a body
+# marking every store, an O(writes) diff per chunk; one pinned
 # core, 2 workers, warm ``Session.run``, ms): dense24-192 8.0 / 20.5 /
 # 89 / 389 -> 7.0 / 15.1 / 53 / 215, the nine benchmark programs each
 # 0.74-0.96x.  The log wins only where a worker writes a sliver of a big

@@ -73,19 +73,11 @@ def _loop(source, index=0):
 # -- lowering --------------------------------------------------------------------
 
 
-def test_compile_chunk_produces_both_variants():
-    _module, loop = _loop(SIMPLE)
-    logged = compile_chunk(loop, logged=True)
-    plain = compile_chunk(loop, logged=False)
-    assert logged.logged and not plain.logged
-    assert "_log = interp.write_log" in logged.source
-    assert "_log = interp.write_log" not in plain.source
-    assert logged.label == f"main:{loop.header.name}"
-
-
 def test_lowered_source_pins_interpreter_semantics():
     _module, loop = _loop(SIMPLE)
-    source = compile_chunk(loop, logged=True).source
+    entry = compile_chunk(loop)
+    assert entry.label == f"main:{loop.header.name}"
+    source = entry.source
     # Step parity with run_chunk (one step per IR instruction: the
     # seven of the body and the four of the latch, counted once), the
     # exact interpreter error string, and the induction slot written
@@ -101,7 +93,7 @@ def test_lowered_source_pins_interpreter_semantics():
 
 def test_nested_sequential_loop_lowers_to_a_python_loop():
     _module, loop = _loop(NESTED)  # outer parallel loop, inner `for j`
-    entry = compile_chunk(loop, logged=True)
+    entry = compile_chunk(loop)
     assert entry.tier == ("structured", None)
     assert "in range(" in entry.source
     assert "while True:" not in entry.source
@@ -110,7 +102,7 @@ def test_nested_sequential_loop_lowers_to_a_python_loop():
 
 def test_float_helpers_route_through_guarded_math():
     _module, loop = _loop(MATHY)
-    source = compile_chunk(loop, logged=True).source
+    source = compile_chunk(loop).source
     assert "_u_sqrt(" in source
     assert "_u_sin(" in source
 
@@ -119,7 +111,7 @@ def test_non_canonical_loop_is_unsupported():
     _module, loop = _loop(SIMPLE)
     loop.canonical = None
     with pytest.raises(Unsupported):
-        compile_chunk(loop, logged=True)
+        compile_chunk(loop)
 
 
 def test_nonfinite_constant_refused():
@@ -136,8 +128,8 @@ def test_nonfinite_constant_refused():
 
 def test_cache_hits_and_stats():
     module, loop = _loop(SIMPLE)
-    first = codegen_cache.compiled_chunk(module, loop, logged=True)
-    again = codegen_cache.compiled_chunk(module, loop, logged=True)
+    first = codegen_cache.compiled_chunk(module, loop)
+    again = codegen_cache.compiled_chunk(module, loop)
     assert first is again
     stats = codegen_cache.stats()
     assert stats["compiles"] == 1
@@ -145,23 +137,15 @@ def test_cache_hits_and_stats():
     assert stats["seconds"] > 0
 
 
-def test_cache_key_separates_store_variants():
-    module, loop = _loop(SIMPLE)
-    logged = codegen_cache.compiled_chunk(module, loop, logged=True)
-    plain = codegen_cache.compiled_chunk(module, loop, logged=False)
-    assert logged is not plain
-    assert codegen_cache.stats()["compiles"] == 2
-
-
 def test_cache_failure_memoizes_fallback(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def refuse(loop, logged, module_key=None):
+    def refuse(loop, module_key=None, outer=None):
         raise Unsupported("test refusal")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", refuse)
-    assert codegen_cache.compiled_chunk(module, loop, True) is None
-    assert codegen_cache.compiled_chunk(module, loop, True) is None
+    assert codegen_cache.compiled_chunk(module, loop) is None
+    assert codegen_cache.compiled_chunk(module, loop) is None
     stats = codegen_cache.stats()
     assert stats["fallbacks"] == 1  # second call was a (None) cache hit
     assert stats["hits"] == 1
@@ -170,17 +154,17 @@ def test_cache_failure_memoizes_fallback(monkeypatch):
 def test_cache_never_raises_on_codegen_bug(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def explode(loop, logged, module_key=None):
+    def explode(loop, module_key=None, outer=None):
         raise RuntimeError("codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
-    assert codegen_cache.compiled_chunk(module, loop, True) is None
+    assert codegen_cache.compiled_chunk(module, loop) is None
     assert codegen_cache.stats()["fallbacks"] == 1
 
 
 def test_cache_entries_die_with_their_module():
     module, loop = _loop(SIMPLE)
-    codegen_cache.compiled_chunk(module, loop, logged=True)
+    codegen_cache.compiled_chunk(module, loop)
     assert len(codegen_cache._FN_CACHE) == 1
     del module, loop
     gc.collect()
@@ -191,7 +175,7 @@ def test_cache_entries_die_with_their_module():
 
 def test_reset_clears_entries_and_counters():
     module, loop = _loop(SIMPLE)
-    codegen_cache.compiled_chunk(module, loop, logged=True)
+    codegen_cache.compiled_chunk(module, loop)
     codegen_cache.reset()
     assert codegen_cache.stats() == {
         "compiles": 0, "hits": 0, "source_hits": 0, "fallbacks": 0,
@@ -208,7 +192,6 @@ class _Shim:
 
     def __init__(self):
         self.ran_interpreted = 0
-        self.write_log = {}
         self.output = []
         self.steps = 0
         self.max_steps = 10**9
@@ -218,9 +201,7 @@ class _Shim:
 
 
 def _entry(fn):
-    return CompiledChunk(
-        fn=fn, source="", function="main", header="h", logged=True
-    )
+    return CompiledChunk(fn=fn, source="", function="main", header="h")
 
 
 def test_execute_chunk_without_entry_interprets():
@@ -254,128 +235,158 @@ def test_execute_chunk_bailout_falls_back():
 # -- the VERIFY_COMPILED oracle --------------------------------------------------
 
 
-class _VerifyShim(_Shim):
-    """Shim whose interpreted run writes `expected` into `storage`."""
+_SLOT = "the alloca"  # the key ``frame.objects`` holds the storage under
 
-    def __init__(self, storage, expected):
+
+class _VerifyShim(_Shim):
+    """Shim whose interpreted run writes ``expected`` into the frame's
+    storage (through ``frame.objects``, as ``run_chunk`` does)."""
+
+    def __init__(self, expected):
         super().__init__()
-        self.storage = storage
         self.expected = expected
 
     def run_chunk(self, loop, frame, iterations, locks, outer=None):
         self.ran_interpreted += 1
-        log = self.write_log
-        key = (id(self.storage), 0)
-        if key not in log:
-            log[key] = (self.storage, self.storage[0])
-        self.storage[0] = self.expected
+        frame.objects[_SLOT][0] = self.expected
         self.steps += 1
 
 
-def _compiled_writer(storage, value):
+def _frame():
+    from repro.emulator.interp import _Frame
+
+    frame = _Frame(None, ())
+    frame.objects[_SLOT] = [0]
+    return frame
+
+
+def _compiled_writer(value, steps=1):
     def fn(interp, frame, iterations):
-        log = interp.write_log
-        key = (id(storage), 0)
-        if key not in log:
-            log[key] = (storage, storage[0])
-        storage[0] = value
-        interp.steps += 1
+        frame.objects[_SLOT][0] = value
+        interp.steps += steps
 
     return _entry(fn)
 
 
+def _armed(entry, shim, frame):
+    """``execute_chunk`` as an armed backend calls it: the oracle gets
+    the walk over everything the frame reaches."""
+    from repro.runtime.payload import _walk_storages
+
+    return execute_chunk(entry, shim, "loop", frame, [1], None,
+                         verify=_walk_storages(frame, {}))
+
+
 def test_verify_agreement_keeps_interpreted_effects():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
-    entry = _compiled_writer(storage, 7)
-    mode = execute_chunk(entry, shim, "loop", "frame", [1], None,
-                         verify=True)
-    assert mode == "compiled"
+    frame = _frame()
+    storage = frame.objects[_SLOT]
+    shim = _VerifyShim(expected=7)
+    seen = []
+
+    def fn(interp, frame, iterations):
+        seen.append(frame.objects[_SLOT][0])
+        frame.objects[_SLOT][0] = 7.0  # equal, and not the same object
+        interp.steps += 1
+
+    assert _armed(_entry(fn), shim, frame) == "compiled"
     assert shim.ran_interpreted == 1  # oracle re-ran interpreted
-    assert storage[0] == 7
-    # The real log carries the write (record_write semantics).
-    assert shim.write_log == {(id(storage), 0): (storage, 0)}
+    assert seen == [0]
+    # The interpreter ran second, from the restored state, and its
+    # write is the one that stays — in the frame's own storage object.
+    assert frame.objects[_SLOT] is storage
+    assert storage[0] == 7 and type(storage[0]) is int
+    assert shim.steps == 1 and shim.output == []
 
 
 def test_verify_detects_wrong_value():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
-    entry = _compiled_writer(storage, 8)  # compiled writes the wrong value
-    with pytest.raises(EmulationError, match="divergence"):
-        execute_chunk(entry, shim, "loop", "frame", [1], None,
-                      verify=True)
+    frame = _frame()
+    shim = _VerifyShim(expected=7)
+    entry = _compiled_writer(8)  # compiled writes the wrong value
+    with pytest.raises(EmulationError, match="divergence at main:h"):
+        _armed(entry, shim, frame)
     # Interpreted state is authoritative and stays applied.
-    assert storage[0] == 7
+    assert frame.objects[_SLOT] == [7]
 
 
 def test_verify_detects_missing_write():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
+    frame = _frame()
+    shim = _VerifyShim(expected=7)
     entry = _entry(lambda interp, frame, iters: None)  # writes nothing
-    with pytest.raises(EmulationError, match="write logs differ"):
-        execute_chunk(entry, shim, "loop", "frame", [1], None,
-                      verify=True)
+    with pytest.raises(EmulationError, match="storage images differ"):
+        _armed(entry, shim, frame)
 
 
 def test_verify_detects_step_divergence():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
+    frame = _frame()
+    shim = _VerifyShim(expected=7)
+    entry = _compiled_writer(7, steps=3)  # interpreted counts 1
+    with pytest.raises(EmulationError, match="step counts differ"):
+        _armed(entry, shim, frame)
+
+
+def test_verify_compares_and_drops_allocas_first_executed_in_the_chunk():
+    frame = _frame()
+
+    class _Alloca:
+        uid = 99
+
+    fresh = _Alloca()
+
+    class _Allocates(_VerifyShim):
+        def run_chunk(self, loop, frame, iterations, locks,
+                      outer=None):
+            assert list(frame.objects) == [_SLOT]  # compiled's is gone
+            frame.objects[fresh] = [self.expected]
+            self.steps += 1
 
     def fn(interp, frame, iterations):
-        log = interp.write_log
-        key = (id(storage), 0)
-        if key not in log:
-            log[key] = (storage, storage[0])
-        storage[0] = 7
-        interp.steps += 3  # interpreted counts 1
+        frame.objects[fresh] = [3]
+        interp.steps += 1
 
-    with pytest.raises(EmulationError, match="step counts differ"):
-        execute_chunk(_entry(fn), shim, "loop", "frame", [1], None,
-                      verify=True)
+    assert _armed(_entry(fn), _Allocates(expected=3), frame) == "compiled"
+    del frame.objects[fresh]
+    with pytest.raises(EmulationError, match="fresh allocas differ"):
+        _armed(_entry(fn), _Allocates(expected=4), frame)
+    assert frame.objects[fresh] == [4]
 
 
 def test_verify_compiled_error_with_interpreted_success_diverges():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
+    frame = _frame()
+    shim = _VerifyShim(expected=7)
 
     def fn(interp, frame, iterations):
+        frame.objects[_SLOT][0] = 5  # torn: rolled back all the same
         raise EmulationError("boom")
 
     with pytest.raises(EmulationError, match="interpreter succeeded"):
-        execute_chunk(_entry(fn), shim, "loop", "frame", [1], None,
-                      verify=True)
-    assert storage[0] == 7  # interpreted effects kept
+        _armed(_entry(fn), shim, frame)
+    assert frame.objects[_SLOT] == [7]  # interpreted effects kept
 
 
 def test_verify_bailout_is_not_a_divergence():
-    storage = [0]
-    shim = _VerifyShim(storage, expected=7)
+    frame = _frame()
+    shim = _VerifyShim(expected=7)
 
     def fn(interp, frame, iterations):
         raise Bailout()
 
-    mode = execute_chunk(_entry(fn), shim, "loop", "frame", [1], None,
-                         verify=True)
-    assert mode == "interpreted"
-    assert storage[0] == 7
+    assert _armed(_entry(fn), shim, frame) == "interpreted"
+    assert frame.objects[_SLOT] == [7]
 
 
 def test_verify_both_raise_reraises_interpreted_error():
-    storage = [0]
+    frame = _frame()
 
     class _Raises(_VerifyShim):
         def run_chunk(self, loop, frame, iterations, locks,
                       outer=None):
             raise EmulationError("interpreted boom")
 
-    shim = _Raises(storage, expected=7)
-
     def fn(interp, frame, iterations):
         raise EmulationError("compiled boom")
 
     with pytest.raises(EmulationError, match="interpreted boom"):
-        execute_chunk(_entry(fn), shim, "loop", "frame", [1], None,
-                      verify=True)
+        _armed(_entry(fn), _Raises(expected=7), frame)
 
 
 # -- runtime helpers -------------------------------------------------------------
@@ -423,7 +434,7 @@ func main() {
 
 def test_affine_guards_hoist_to_one_entry_proof():
     _module, loop = _loop(SIMPLE)
-    source = compile_chunk(loop, logged=False).source
+    source = compile_chunk(loop).source
     entry, _, body = source.partition("for _p")
     # Proven at the extremes, once, before the first side effect; a
     # failed proof hands the whole chunk to the interpreter, so there
@@ -437,7 +448,7 @@ def test_affine_guards_hoist_to_one_entry_proof():
 
 def test_indirect_index_keeps_per_iteration_guards():
     _module, loop = _loop(INDIRECT)
-    source = compile_chunk(loop, logged=False).source
+    source = compile_chunk(loop).source
     # b[i] is affine and joins the proof; a[b[i]] cannot, so its guard
     # (and only its guard) stays in the body with the interpreter's text.
     entry, _, body = source.partition("for _p")
@@ -460,7 +471,7 @@ def test_compile_sequence_lowers_whole_function():
 
     module = compile_source(SIMPLE)
     function = module.function("main")
-    entry = compile_sequence(function, (), False, _forest(function))
+    entry = compile_sequence(function, (), _forest(function))
     assert entry.label == "@main"
     # Interpreter-exact semantics: the sequential step-limit message,
     # the UnboundLocalError -> "use of unexecuted instruction" mapping,
@@ -502,7 +513,7 @@ def test_compiled_sequence_rebuilds_from_source_cache():
     module = compile_source(SIMPLE)
     codec = module_codec(module)
     first = codegen_cache.compiled_sequence(
-        module, module.function("main"), (), False,
+        module, module.function("main"), (),
         lambda: _forest(module.function("main")), module_key=codec.key,
     )
     assert first is not None
@@ -514,7 +525,7 @@ def test_compiled_sequence_rebuilds_from_source_cache():
     clone = pickle.loads(codec.module_bytes)
     # ... so nobody asks for the clone's forest.
     rebuilt = codegen_cache.compiled_sequence(
-        clone, clone.function("main"), (), False, None,
+        clone, clone.function("main"), (), None,
         module_key=codec.key,
     )
     after = codegen_cache.stats()

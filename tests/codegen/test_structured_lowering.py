@@ -1,12 +1,12 @@
 """The structured chunk lowering against ``run_chunk``, engine by engine.
 
-Every chunk a backend dispatches here is run three times from the same
-state — the logged compiled body, the unlogged compiled body, and
-``_WorkerInterpreter.run_chunk`` — and what each leaves behind is
-compared: steps, output, error text, every ``frame.objects`` slot and
-global, and (logged against interpreted) the write log's marks with
-their before-values.  The interpreter's run is the one whose effects
-stay, so a whole program still ends with the right answer.
+Every chunk a backend dispatches here is run twice from the same state
+— the loop's compiled body and ``_WorkerInterpreter.run_chunk`` — and
+what each leaves behind is compared: steps, output, error text, every
+``frame.objects`` slot and global, and the set of global slots each
+stored to (``support.recording``: what an image cannot see).  The
+interpreter's run is the one whose effects stay, so a whole program
+still ends with the right answer.
 
 The corpus is dense-shaped nests (the benchmark's template), every nas8
 region loop, and ``progen``'s body nests (rectangular, triangular,
@@ -46,6 +46,7 @@ from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close
 from support.progen import generate_body_nest_program, generate_nest_program
+from support.recording import RecordingList, record_global_stores
 from support.programs import EARLY_RETURNS, REFUSED_CFGS
 
 DENSE = (
@@ -61,7 +62,7 @@ def dense_source(n):
     return text
 
 
-# -- the three-engine differential ----------------------------------------------
+# -- the two-engine differential ------------------------------------------------
 
 
 @dataclasses.dataclass
@@ -72,7 +73,7 @@ class Observation:
     steps: int
     output: list
     slots: dict  # storage label -> contents
-    log: dict  # (label, slot) -> (before, after); None when unlogged
+    stored: dict  # global label -> the slots stored to (recording ones)
 
 
 def _storages(shim, frame):
@@ -87,8 +88,13 @@ def _storages(shim, frame):
     return labelled
 
 
-def _observe(engine, shim, frame, logged):
-    shim.write_log = {} if logged else None
+def _observe(engine, shim, frame):
+    recording = [
+        storage for storage in shim._global_storage.values()
+        if isinstance(storage, RecordingList)
+    ]
+    for storage in recording:
+        storage.stored.clear()
     step_mark, out_mark = shim.steps, len(shim.output)
     error = None
     try:
@@ -98,22 +104,16 @@ def _observe(engine, shim, frame, logged):
     except EmulationError as raised:
         error = str(raised)
     storages = _storages(shim, frame)
-    names = {id(storage): label for label, storage in storages.items()}
-    log = None
-    if logged:
-        log = {
-            (names.get(key[0], key[0]), key[1]): (before, storage[key[1]])
-            for key, (storage, before) in shim.write_log.items()
-        }
     return Observation(
         error, shim.steps - step_mark, shim.output[out_mark:],
         {label: list(storage) for label, storage in storages.items()},
-        log,
+        {label: set(storage.stored) for label, storage in storages.items()
+         if isinstance(storage, RecordingList)},
     )
 
 
 def differential(loop, shim, frame, iterations, outer=None):
-    """Run the chunk on all three engines from one state.
+    """Run the chunk on both engines from one state.
 
     Returns engine name -> :class:`Observation`; the interpreter runs
     last, so its effects are what the caller's state holds afterwards.
@@ -124,23 +124,16 @@ def differential(loop, shim, frame, iterations, outer=None):
     ]
     saved = [(storage, list(storage)) for storage in reachable]
     objects, registers = dict(frame.objects), dict(frame.registers)
-    steps, out_mark, real_log = shim.steps, len(shim.output), shim.write_log
-
-    def compiled(logged):
-        entry = codegen_cache.compiled_chunk(
-            shim.module, loop, logged, outer=outer
-        )
-        assert entry is not None, "the lowering refused the loop"
-        return lambda: entry.fn(shim, frame, iterations)
-
+    steps, out_mark = shim.steps, len(shim.output)
+    entry = codegen_cache.compiled_chunk(shim.module, loop, outer=outer)
+    assert entry is not None, "the lowering refused the loop"
     engines = (
-        ("logged", compiled(True), True),
-        ("plain", compiled(False), False),
+        ("compiled", lambda: entry.fn(shim, frame, iterations)),
         ("interpreted", lambda: shim.run_chunk(
-            loop, frame, iterations, _NullLocks(), outer=outer), True),
+            loop, frame, iterations, _NullLocks(), outer=outer)),
     )
     seen = {}
-    for name, engine, logged in engines:
+    for name, engine in engines:
         for storage, contents in saved:
             storage[:] = contents
         for table, before in (
@@ -150,28 +143,21 @@ def differential(loop, shim, frame, iterations, outer=None):
             table.update(before)
         shim.steps = steps
         del shim.output[out_mark:]
-        seen[name] = _observe(engine, shim, frame, logged)
-    if real_log is not None:
-        for key, mark in shim.write_log.items():
-            real_log.setdefault(key, mark)
-    shim.write_log = real_log
+        seen[name] = _observe(engine, shim, frame)
     return seen
 
 
 def assert_engines_agree(seen, label):
-    reference = seen["interpreted"]
-    for name in ("logged", "plain"):
-        got = seen[name]
-        if got.error == "Bailout":
-            continue  # nothing ran: the interpreter is the chunk
-        assert got.error == reference.error, (label, name)
-        assert got.output == reference.output, (label, name)
-        if reference.error is not None:
-            continue  # steps are batched per segment: only the text pins
-        assert got.steps == reference.steps, (label, name)
-        assert got.slots == reference.slots, (label, name)
-        if got.log is not None:
-            assert got.log == reference.log, (label, name)
+    got, reference = seen["compiled"], seen["interpreted"]
+    if got.error == "Bailout":
+        return  # nothing ran: the interpreter is the chunk
+    assert got.error == reference.error, label
+    assert got.output == reference.output, label
+    if reference.error is not None:
+        return  # steps are batched per segment: only the text pins
+    assert got.steps == reference.steps, label
+    assert got.slots == reference.slots, label
+    assert got.stored == reference.stored, label
 
 
 @pytest.fixture
@@ -187,14 +173,16 @@ def unarmed(monkeypatch):
 
 @pytest.fixture
 def chunks(monkeypatch, unarmed):
-    """Send every dispatched chunk through :func:`differential`.
+    """Send every dispatched chunk through :func:`differential`, the
+    globals in recording storages.
 
     Yields the list of ``(label, tier, {engine: error})`` it fills.
     """
     ran = []
+    record_global_stores(monkeypatch)
 
     def execute(entry, shim, loop, frame, iterations, locks,
-                verify=False, outer=None):
+                verify=None, outer=None):
         if entry is None:
             shim.run_chunk(loop, frame, iterations, locks, outer=outer)
             return "interpreted"
@@ -213,13 +201,11 @@ def chunks(monkeypatch, unarmed):
 
 
 def _all_compiled(ran):
-    """Every chunk ran both compiled bodies to the end, structured."""
+    """Every chunk ran its compiled body to the end, structured."""
     assert ran
     for label, tier, errors in ran:
         assert tier == ("structured", None), label
-        assert errors == {
-            "logged": None, "plain": None, "interpreted": None
-        }, label
+        assert errors == {"compiled": None, "interpreted": None}, label
 
 
 # -- the corpus ---------------------------------------------------------------------
@@ -275,7 +261,7 @@ def test_the_corpus_reaches_every_inner_shape():
         ).function("main")
         for loop in find_natural_loops(function):
             if loop.canonical and loop.depth == 0 and loop.children:
-                sources.append(compile_chunk(loop, logged=False).source)
+                sources.append(compile_chunk(loop).source)
     joined = "\n".join(sources)
     assert "while True:" in joined and "in range(" in joined
     assert "else:" in joined
@@ -351,8 +337,7 @@ def test_a_failed_proof_bails_out_before_any_effect(source, chunks):
     failing = [errors for _label, _tier, errors in chunks
                if errors["interpreted"]]
     assert failing and all(
-        errors["logged"] == errors["plain"] == "Bailout"
-        for errors in failing
+        errors["compiled"] == "Bailout" for errors in failing
     )
 
 
@@ -365,7 +350,7 @@ def test_an_index_out_of_bounds_on_an_untaken_arm_does_not_bail(chunks):
     _all_compiled(chunks)
     loop = [lp for lp in find_natural_loops(module.function("main"))
             if lp.canonical and lp.depth == 0][0]
-    body = compile_chunk(loop, logged=False).source
+    body = compile_chunk(loop).source
     assert body.count("out of bounds for") == 4  # two geps in each arm
     proof = body.partition("if not (")[2].partition("):")[0]
     assert proof.count("<") == 2  # a[i][0], outside the ``if``: proven once
@@ -382,8 +367,8 @@ def test_a_taken_arm_out_of_bounds_raises_inline_at_its_iteration(chunks):
     assert str(dispatched.value) == str(interpreted.value)
     # Compiled bodies ran and raised it themselves: no bailout.
     errors = chunks[-1][2]
-    assert errors["logged"] == errors["plain"] == errors["interpreted"]
-    assert "index 8 out of bounds" in errors["plain"]
+    assert errors["compiled"] == errors["interpreted"]
+    assert "index 8 out of bounds" in errors["compiled"]
 
 
 def test_max_steps_tripping_in_an_inner_loop_raises_the_same_message(
@@ -408,13 +393,12 @@ def test_the_proof_runs_once_per_chunk_not_per_iteration():
     for loop in find_natural_loops(module.function("main")):
         if not (loop.canonical and loop.depth == 0 and loop.children):
             continue
-        for logged in (True, False):
-            source = compile_chunk(loop, logged=logged).source
-            prologue, _, body = source.partition("for _p")
-            assert prologue.count("raise _Bailout()") >= 2
-            assert "_Bailout" not in body
-            assert "out of bounds" not in source  # every guard hoisted
-            assert "if _fast" not in source and "_b = " not in source
+        source = compile_chunk(loop).source
+        prologue, _, body = source.partition("for _p")
+        assert prologue.count("raise _Bailout()") >= 2
+        assert "_Bailout" not in body
+        assert "out of bounds" not in source  # every guard hoisted
+        assert "if _fast" not in source and "_b = " not in source
 
 
 # -- promotion and refusals, on hand-written IR -------------------------------
@@ -573,7 +557,8 @@ def _ir_worker(module, loop):
     """A hand-built worker: ``(shim, frame)`` with the induction seeded."""
     shim = _WorkerInterpreter(
         module,
-        {g.name: [0] * g.value_type.slots() for g in module.globals.values()},
+        {g.name: RecordingList([0] * g.value_type.slots())
+         for g in module.globals.values()},
         max_steps=10_000,
     )
     frame = _Frame(module.function("main"), [])
@@ -584,14 +569,43 @@ def _ir_worker(module, loop):
 
 
 def _ir_chunk(text, iterations):
-    """The three engines over a hand-built worker frame."""
+    """Both engines over a hand-built worker frame."""
     module, loop = _ir_loop(text)
     shim, frame = _ir_worker(module, loop)
     seen = differential(loop, shim, frame, iterations)
     assert_engines_agree(seen, "main:header")
     assert {obs.error for obs in seen.values()} == {None}
-    entry = codegen_cache.compiled_chunk(module, loop, logged=True)
+    entry = codegen_cache.compiled_chunk(module, loop)
     return entry, seen
+
+
+SELF_STORE = """
+global a: int[8];
+
+func main() {
+  pragma omp parallel_for
+  for i in 0..8 {
+    a[i] = a[i];
+  }
+  print(a[0]);
+}
+"""
+
+
+def test_a_store_of_a_slots_own_value_is_seen_by_the_recording_storage():
+    """What a write log saw and a storage image cannot (the oracle's
+    blind spot, and ``diff_table``'s): pinned here, per slot."""
+    module = compile_source(SELF_STORE)
+    loop = [lp for lp in find_natural_loops(module.function("main"))
+            if lp.canonical][0]
+    shim, frame = _ir_worker(module, loop)
+    seen = differential(loop, shim, frame, range(2, 6))
+    assert_engines_agree(seen, "main")
+    assert seen["compiled"].slots["@a"] == [0] * 8  # no image moved
+    assert seen["compiled"].stored == {"@a": {2, 3, 4, 5}}
+    seen["compiled"].stored["@a"].discard(3)
+    with pytest.raises(AssertionError):
+        assert_engines_agree(seen, "main")
 
 
 def test_an_alloca_whose_address_reaches_a_call_is_not_promoted():
@@ -602,8 +616,8 @@ def test_an_alloca_whose_address_reaches_a_call_is_not_promoted():
     assert "_p6" not in entry.source
     assert "_r6_s[_r6_o] = 5" in entry.source
     assert seen["interpreted"].slots["@a"] == [0, 0, 13, 13, 13, 13, 0, 0]
-    assert seen["plain"].slots["%6"] == [6]
-    assert seen["plain"].slots["%8"] == [7]
+    assert seen["compiled"].slots["%6"] == [6]
+    assert seen["compiled"].slots["%8"] == [7]
 
 
 def test_a_load_used_after_its_loop_keeps_its_own_copy():
@@ -618,7 +632,7 @@ def test_a_load_used_after_its_loop_keeps_its_own_copy():
 
 def test_a_loop_left_from_its_body_is_interpreted_and_says_why():
     module, loop = _ir_loop(TWO_EXITS)
-    entry = codegen_cache.compiled_chunk(module, loop, logged=False)
+    entry = codegen_cache.compiled_chunk(module, loop)
     assert entry is None
     assert chunk_tier(loop, entry) == (
         "refused", "inner: loop is left from a block other than its header"
@@ -645,7 +659,7 @@ def test_refused_loops_name_the_block_and_instruction():
     fake.parent, fake.uid = body, 99
     body.instructions.insert(2, fake)
     with pytest.raises(Unsupported) as refused:
-        lower_chunk(loop, logged=True)
+        lower_chunk(loop)
     assert str(refused.value) == "body <load#99>: load of a pointer value"
 
 
@@ -743,7 +757,7 @@ def test_a_cfg_the_walk_refuses_runs_interpreted_and_says_why(name):
     text, why = REFUSED_CFGS[name]
     function = parse_ir(text).function("main")
     with pytest.raises(Unsupported) as refused:
-        lower_sequence(function, (), False, _forest(function))
+        lower_sequence(function, (), _forest(function))
     assert str(refused.value) == why
     seen, stats = _outcome(parse_ir(text), compiled=True)
     assert stats == {"compiled": 0, "interpreted": 1}
@@ -782,9 +796,7 @@ def test_an_early_return_compiles_and_matches_the_interpreter(name, unarmed):
 def test_early_returns_lower_under_their_if_with_no_dispatch_loop():
     for source in EARLY_RETURNS.values():
         for function in compile_source(source).functions.values():
-            text, _refs = lower_sequence(
-                function, (), False, _forest(function)
-            )
+            text, _refs = lower_sequence(function, (), _forest(function))
             assert "_b = " not in text and "elif" not in text
             # One statement per ``return`` the function can reach (the
             # frontend closes a function whose every path has returned
@@ -1014,14 +1026,13 @@ for kernel in sorted(KERNELS):
     function, forest = session.function, session.analyses.loops_by_header
     regions = {r.header: r for r in session.region_recipes["PS-PDG"]}
     stops = sequence_stops(regions, function)
-    show(f"{kernel} sequence", lower_sequence(function, stops, False, forest)[0])
+    show(f"{kernel} sequence", lower_sequence(function, stops, forest)[0])
     show(f"{kernel} profiled", _ProfiledLowering(function, session.loops).lower())
     for region in regions.values():
         outer = forest.get(region.outer_header)
         for header in region.headers:
-            for logged in (False, True):
-                show(f"{kernel} chunk {header} {logged}",
-                     lower_chunk(forest[header], logged, outer=outer)[0])
+            show(f"{kernel} chunk {header}",
+                 lower_chunk(forest[header], outer=outer)[0])
 """
 
 
@@ -1041,5 +1052,5 @@ def test_generated_source_is_byte_identical_across_hash_seeds():
             capture_output=True, text=True,
         ).stdout.splitlines())
     assert runs[0] == runs[1]
-    # 8 sequences, 8 profiles, nas8's 19 region loops plain and logged.
-    assert len(runs[0]) == 8 + 8 + 2 * 19
+    # 8 sequences, 8 profiles, nas8's 19 region loops.
+    assert len(runs[0]) == 8 + 8 + 19

@@ -2,15 +2,17 @@
 
 ~50 seeded random programs (tests/support/progen) run compiled vs
 interpreted; outputs must match exactly, and with ``VERIFY_COMPILED``
-the in-worker oracle additionally diffs every chunk's write log, output
-slice, and step count byte-for-byte between the compiled body and the
-interpreter — so a passing run here is a per-chunk semantic equivalence
-proof, not just an end-to-end output check.
+the in-worker oracle additionally diffs every chunk's storage image,
+output slice, and step count between the compiled body — the one that
+ships — and the interpreter: a passing run here is a per-chunk semantic
+equivalence proof, not just an end-to-end output check.
 
 The fallback tests pin the *never fail* contract: a region the lowering
 refuses (wholly or partly) must still conform, silently, through the
 interpreter.
 """
+
+import re
 
 import pytest
 
@@ -18,9 +20,10 @@ from repro.codegen import cache as codegen_cache
 from repro.codegen import lower
 from repro.frontend import compile_source
 from repro.ir.instructions import Print
-from repro.runtime import knobs
+from repro.runtime import backends, knobs
 from repro.runtime.executor import run_source_plan
 from repro.session import Session
+from repro.util.errors import EmulationError
 from support.conformance import outputs_close
 from support.progen import generate_program
 
@@ -173,7 +176,7 @@ def test_unsupported_instruction_falls_back_and_conforms(monkeypatch):
 def test_whole_codegen_failure_still_conforms(monkeypatch):
     """Even a crashing lowering must never take down a run."""
 
-    def explode(loop, logged, module_key=None):
+    def explode(loop, module_key=None, outer=None):
         raise RuntimeError("synthetic codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
@@ -191,6 +194,63 @@ def test_whole_codegen_failure_still_conforms(monkeypatch):
         region["compiled_chunks"] == 0
         for region in result.parallel_regions
     )
+
+
+# -- the oracle's teeth, on the body that ships -----------------------------------
+
+#: A store through a pointer: ``_gv0[_r91_o] = _r87``.
+_STORE = re.compile(r"^(\s+_(?:gv\d+|r\d+_s|a\d+_s)\[\w+\]) = (\w+)$", re.M)
+
+
+@pytest.fixture
+def corrupted_lowering(monkeypatch):
+    """Every lowered chunk's first store writes its value plus one.
+
+    The pool is rebuilt around the test, so its children fork with the
+    patch and no later test meets one that lowered under it.  Yields
+    the labels of the chunks corrupted so far.
+    """
+    corrupted = []
+    real = lower.lower_chunk
+
+    def corrupting(loop, outer=None):
+        source, refs = real(loop, outer=outer)
+        source, hits = _STORE.subn(r"\1 = \2 + 1", source, count=1)
+        if hits:
+            corrupted.append(
+                f"{loop.header.parent.name}:{loop.header.name}"
+            )
+        return source, refs
+
+    monkeypatch.setattr(lower, "lower_chunk", corrupting)
+    backends._reset_chunk_pool()
+    yield corrupted
+    backends._reset_chunk_pool()
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_the_armed_oracle_catches_a_corrupt_store_in_the_one_body(
+        backend, corrupted_lowering, monkeypatch):
+    """There is no second, clean body for the oracle to run instead:
+    what it checks is what every unarmed run executes."""
+    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    session = Session.from_kernel("LU", opt_level=2)
+    with pytest.raises(
+        EmulationError, match="VERIFY_COMPILED divergence at main:"
+    ) as caught:
+        session.run("PS-PDG", backend=backend, workers=4)
+    assert "storage images differ" in str(caught.value)
+    assert any(label in str(caught.value) for label in corrupted_lowering)
+
+
+def test_the_corruption_is_silent_when_the_oracle_is_not_armed(
+        corrupted_lowering, monkeypatch):
+    """...which is what makes the armed catch mean something."""
+    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", False)
+    session = Session.from_kernel("LU", opt_level=2)
+    result = session.run("PS-PDG", backend="threads", workers=4)
+    assert corrupted_lowering
+    assert not outputs_close(result.output, session.execution.output)
 
 
 # -- sequential stretches --------------------------------------------------------

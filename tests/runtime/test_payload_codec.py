@@ -4,8 +4,8 @@ The codec must be a pure re-encoding of what the seed shipped: the same
 region encodes to byte-identical streams, a decoded worker frame
 preserves the register→storage aliasing the child's diff and write-back
 rely on, the table diff a child ships home is exactly the shared slots
-its chunk changed (and a knobs-off run builds it with no write log and
-no logged body), the module's bytes travel at most once per pool (with
+its chunk changed (one body per loop lowered, armed or not), the
+module's bytes travel at most once per pool (with
 the miss/retry path covering pool workers that joined late or evicted
 the module), and a dispatch depends on nothing an earlier dispatch left
 behind but the decoded module.
@@ -18,9 +18,8 @@ import pytest
 
 from repro import Session
 from repro.codegen import cache as codegen_cache
-from repro.emulator.interp import Interpreter
 from repro.frontend import compile_source
-from repro.runtime import backends, run_source_plan
+from repro.runtime import backends, knobs, run_source_plan
 from repro.runtime import payload as payload_codec
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close
@@ -339,52 +338,48 @@ class TestTableDiffDispatch:
 
 
 class TestPlainBodyOnly:
-    """Knobs off, nothing logs: no write log is created and no logged
-    chunk body is lowered, in the parent or in a pool worker."""
+    """A loop has one compiled body: the stage lowers it once, and a
+    pool worker runs that one, under the ``VERIFY_COMPILED`` oracle too."""
 
-    @pytest.fixture
-    def no_write_log(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a knobs-off run enabled a write log")
+    @pytest.mark.parametrize("armed", [False, True])
+    def test_an_in_process_child_runs_the_one_body(self, armed, monkeypatch):
+        monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
+        wires = []
+        real = payload_codec.encode_region
 
-        monkeypatch.setattr(Interpreter, "enable_write_log", refuse)
+        def spy(**kwargs):
+            wires.append(real(**kwargs).workers[0].wire())
+            return real(**kwargs)
 
-    @staticmethod
-    def _logged_keys():
-        # ("chunk", function, header, logged, outer) and
-        # ("seq", function, stops, logged): position 3 either way.
-        return [
-            key
-            for per_module in codegen_cache._FN_CACHE.values()
-            for key in per_module
-            if key[3]
-        ]
+        monkeypatch.setattr(backends.payload_codec, "encode_region", spy)
+        Session.from_kernel("CG").run(
+            "PS-PDG", workers=4, backend="processes"
+        )
+        interpreted = []
+        run_chunk = backends._WorkerInterpreter.run_chunk
 
-    def test_parent_and_in_process_child_run_the_plain_variant(
-        self, captured_region, no_write_log
-    ):
-        _session, captured = captured_region
-        assert not self._logged_keys()  # the parent's own run
+        def counting(self, *args, **kwargs):
+            interpreted.append(1)
+            return run_chunk(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            backends._WorkerInterpreter, "run_chunk", counting
+        )
         codegen_cache.reset()
-        encoded, _again = captured[0]
-        report = backends._pool_chunk_entry(encoded.workers[0].wire())
+        report = backends._pool_chunk_entry(wires[0])
         assert "error" not in report, report
+        # One lowered body; armed, the interpreter ran it too, the
+        # oracle agreed, and the interpreter's effects came home.
         assert report["stats"].compiled_chunks == 1
+        assert interpreted == [1] * armed
         assert report["stats"].dirty_slots == len(report["diffs"]) > 0
-        chunk_keys = [
-            key
-            for per_module in codegen_cache._FN_CACHE.values()
-            for key in per_module if key[0] == "chunk"
-        ]
-        assert chunk_keys and not self._logged_keys()
-        assert codegen_cache.stats()["compiles"] == len(chunk_keys)
+        assert codegen_cache.stats()["compiles"] == 1
 
     @pytest.mark.parametrize("kernel,opt", [("LU", 2), ("FT", 2), ("SP", 3)])
     def test_cold_stage_lowers_one_body_per_loop(self, kernel, opt):
         summary = Session.from_kernel(kernel, opt_level=opt).compiled_regions
         assert summary["compiled"] and not summary["fallback"]
         assert summary["codegen"]["compiles"] == len(summary["compiled"])
-        assert not self._logged_keys()
 
 
 class TestModuleByteCache:

@@ -156,6 +156,27 @@ class TestPoolLifecycle:
         assert first["payload_bytes"] > _module_bytes(session)
         assert backends._chunk_pool(2)[1] == {key}
 
+    def test_a_reset_between_taking_the_pool_and_submitting(self, monkeypatch):
+        """Another dispatching thread's reset lands after this one took
+        the pool: the executor refuses the submit (``cannot schedule new
+        futures after shutdown``), nothing was collected, and the region
+        retries on a fresh pool like any other infrastructure failure."""
+        real = backends._chunk_pool
+        resets = []
+
+        def racing(requested=None):
+            taken = real(requested)
+            if not resets:
+                resets.append(taken)
+                backends._reset_chunk_pool()  # the other thread's
+            return taken
+
+        monkeypatch.setattr(backends, "_chunk_pool", racing)
+        monkeypatch.setattr(backends.knobs.REPRO_RETRY_BACKOFF, "value", 0.0)
+        regions = _run(Session.from_kernel("EP"))  # the sequential output
+        assert resets and regions[0]["retries"] >= 1
+        assert backends._chunk_pool(2)[0] is not resets[0][0]
+
     def test_a_worker_holds_at_most_the_module_cap(self, monkeypatch):
         """What bounds a worker: 20 modules through one child leave it
         ``MODULE_CACHE_CAP`` decoded ones; an evicted module comes back
