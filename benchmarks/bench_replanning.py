@@ -18,11 +18,9 @@ plan for LU pays dozens of pointless pool round-trips.  Two gates:
   reference, and a *warm session* loading that profile must plan from
   the measured (not the mis-calibrated) coefficients.
 
-Rows land in ``BENCH_replanning.json``; ``seconds`` and the recovery
-ratio are report-only in the baseline gate (CI machines vary), while
-the non-adaptive row's ``payload_bytes`` — a fixed static plan's wire
-traffic — is gated like every other bench.  The 1.3x/2x gates are
-enforced here, where both measurements share one machine.
+Both gates are paired in-run ratios: each side of a comparison is
+measured in the same process on the same machine, so no committed
+baseline is needed.
 """
 
 import statistics
@@ -121,74 +119,6 @@ def calibrated(tmp_path_factory, measured):
     warm = _session(calibrate=True, profile_path=profile)
     warm_result = warm.run("PS-PDG")
     return store, reference, warm, warm_result
-
-
-@pytest.fixture(scope="module")
-def replanning_rows(measured, calibrated):
-    best, recovery, first, last = measured
-    _calibrated, _reference, warm, warm_result = calibrated
-    identity = {
-        "bench": "replanning", "kernel": KERNEL, "backend": BACKEND,
-        "opt": f"-O{OPT}", "workers": WORKERS,
-    }
-    plain_result = last["nonadaptive"]
-    adaptive_result = last["adaptive"]
-    rows = [
-        dict(
-            identity, mode="nonadaptive", seconds=best["nonadaptive"],
-            dispatches=len(plain_result.parallel_regions),
-            # Gated in check_baselines: the first run, which also
-            # ships the module.
-            payload_bytes=sum(
-                r.get("payload_bytes", 0)
-                for r in first["nonadaptive"].parallel_regions
-            ),
-        ),
-        dict(
-            identity, mode="adaptive", seconds=best["adaptive"],
-            recovery=recovery,
-            replans=len(first["adaptive"].replan_events),
-            dispatches=len(adaptive_result.parallel_regions),
-            # Timing-dependent (how soon the replan fires), so named
-            # outside the gated payload_bytes field on purpose.
-            wire_bytes=sum(
-                r.get("payload_bytes", 0)
-                for r in adaptive_result.parallel_regions
-            ),
-        ),
-        dict(
-            identity, mode="calibrated_warm",
-            dispatches=len(warm_result.parallel_regions),
-            # Also timing-dependent: whether a borderline region lands
-            # above or below the measured dispatch bar varies per run.
-            wire_bytes=sum(
-                r.get("payload_bytes", 0)
-                for r in warm_result.parallel_regions
-            ),
-            coefficients=len(warm.calibration.measured_coefficients()),
-        ),
-    ]
-    return rows
-
-
-def test_replanning_table(replanning_rows, bench_json):
-    path = bench_json("replanning", replanning_rows)
-    print(f"\nwrote {path}")
-    header = (
-        f"{'kernel':7} {'mode':16} {'seconds':>9} {'recov':>7} "
-        f"{'rpl':>4} {'disp':>5} {'bytes':>9}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in replanning_rows:
-        recovery = (f"{row['recovery']:>6.2f}x"
-                    if "recovery" in row else f"{'':7}")
-        print(
-            f"{row['kernel']:7} {row['mode']:16} "
-            f"{row.get('seconds', 0.0):>9.4f} {recovery} "
-            f"{row.get('replans', ''):>4} {row.get('dispatches', ''):>5} "
-            f"{row.get('payload_bytes', row.get('wire_bytes', '')):>9}"
-        )
 
 
 def test_adaptive_recovers_from_miscalibration(measured):

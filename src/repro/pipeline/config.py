@@ -25,13 +25,6 @@ class SessionConfig:
             ``ALL_ABSTRACTIONS``; "OpenMP" is always implied).
         min_coverage: minimum dynamic-instruction share for a loop to be
             a planning candidate (§6.1's 1%).
-        plan_hierarchical: abstractions whose plans inherit the
-            developer's inner-loop parallelization (J&K, PS-PDG).
-        plan_all_loops: abstractions allowed to plan *every* loop,
-            innermost first, not just outermost ones (PS-PDG).
-        ablate_features: PS-PDG feature names (``repro.core.ablation``)
-            projected out by :meth:`repro.Session.reduced_signature` —
-            the Section 4 ablation knob.
         workers: worker count for parallel execution.
         seed: scheduler seed (interleaving order of the ``simulated``
             backend; ignored by the real backends).
@@ -59,10 +52,7 @@ class SessionConfig:
             sees it; ``False`` makes inconclusive tests reject outright.
         retry_budget: per-region retry budget for supervised
             ``processes`` dispatch (re-dispatches after worker death,
-            hangs, or poisoned payloads).
-        failover: enable the graceful-degradation ladder (processes →
-            threads → serial) once retries are exhausted; ``False``
-            makes exhausted retries raise.
+            hangs, or poisoned payloads); exhausted, the region fails over.
         calibrate: distill each run's region stats into measured
             machine-model coefficients (a
             :class:`repro.planner.calibration.CalibrationStore`) and
@@ -81,9 +71,6 @@ class SessionConfig:
     machine: MachineModel = DEFAULT_MACHINE
     abstractions: tuple = ALL_ABSTRACTIONS
     min_coverage: float = 0.01
-    plan_hierarchical: tuple = ("J&K", "PS-PDG")
-    plan_all_loops: tuple = ("PS-PDG",)
-    ablate_features: tuple = ()
     workers: int = 4
     seed: int = 0
     backend: str = "simulated"
@@ -93,7 +80,6 @@ class SessionConfig:
     compile_regions: bool = True
     speculate: bool = True
     retry_budget: int = 2
-    failover: bool = True
     calibrate: bool = False
     adaptive: bool = False
     profile_path: str | None = None

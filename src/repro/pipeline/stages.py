@@ -149,7 +149,12 @@ def _build_options(session, name, machine, min_coverage):
     )
 
 
-def _build_critical_paths(session, plan_hierarchical, plan_all_loops):
+#: The paper's per-abstraction method (§6.2): J&K and PS-PDG inherit the
+#: developer's inner loops, and only PS-PDG may plan every loop.
+_HIERARCHICAL, _ALL_LOOPS = ("J&K", "PS-PDG"), ("PS-PDG",)
+
+
+def _build_critical_paths(session):
     """Fig. 14 per-abstraction critical paths, speedups, and plans."""
     profile = session.profile
     function = session.function
@@ -179,8 +184,8 @@ def _build_critical_paths(session, plan_hierarchical, plan_all_loops):
             evaluator_factory,
             loops,
             uid_map,
-            hierarchical_inner=name in plan_hierarchical,
-            plan_all_loops=name in plan_all_loops,
+            hierarchical_inner=name in _HIERARCHICAL,
+            plan_all_loops=name in _ALL_LOOPS,
         )
         cp = evaluator_factory(plan).evaluate()
         results[name] = {
@@ -397,7 +402,6 @@ STAGES = {
             ("function", "loops", "profile", "views"),
             _build_critical_paths,
             _critical_paths_stats,
-            params=("plan_hierarchical", "plan_all_loops"),
         ),
         # Profile-guided calibration: the effective machine model and
         # measured wire feedback the optimizer prices plans with.

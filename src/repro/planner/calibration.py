@@ -120,13 +120,20 @@ REPLAN_IMBALANCE = 2.0
 _REGION_FIELDS = ("payload_bytes", "compiled_speedup")
 
 
+def _finite(value):
+    return type(value) in (int, float) and math.isfinite(value)  # no bool
+
+
 def _usable(sample):
-    return (
-        isinstance(sample, (int, float))
-        and not isinstance(sample, bool)
-        and math.isfinite(sample)
-        and sample > 0
-    )
+    return _finite(sample) and sample > 0
+
+
+def _feedback(sample):
+    return _finite(sample) and sample >= 0
+
+
+def _count(value):
+    return type(value) is int and value >= 0
 
 
 class CalibrationStore:
@@ -174,7 +181,7 @@ class CalibrationStore:
         return True
 
     def _update_region(self, program_key, label, field, sample):
-        if sample is None or not math.isfinite(sample) or sample < 0:
+        if not _feedback(sample):
             return False
         regions = self.programs.setdefault(program_key, {})
         entry = regions.setdefault(label, {})
@@ -350,33 +357,43 @@ class CalibrationStore:
         }
 
     def from_dict(self, data):
+        """Adopt a saved profile, dropping whatever does not parse: a
+        wrong top-level shape adopts nothing (False), a malformed entry
+        is skipped as an unknown coefficient is."""
         if not isinstance(data, dict) or data.get("schema") != PROFILE_SCHEMA:
             return False
-        self.runs = int(data.get("runs", 0))
-        self.version = int(data.get("version", self.runs))
+        runs = data.get("runs", 0)
+        version = data.get("version", runs)
+        machine = data.get("machine", {})
+        programs = data.get("programs", {})
+        if not (_count(runs) and _count(version) and isinstance(machine, dict)
+                and isinstance(programs, dict)):
+            return False
+        self.runs, self.version = runs, version
         self.coefficients = {}
-        for name, entry in data.get("machine", {}).items():
-            if name not in _COEFFICIENT_FLOORS:
+        for name, entry in machine.items():
+            if name not in _COEFFICIENT_FLOORS or not isinstance(entry, dict):
                 continue  # a newer writer's coefficient: skip, don't crash
             value = entry.get("value")
-            if not _usable(value):
-                continue
-            self.coefficients[name] = {
-                "value": float(value),
-                "samples": int(entry.get("samples", 1)),
-                "rejected": int(entry.get("rejected", 0)),
-            }
+            samples = entry.get("samples", 1)
+            rejected = entry.get("rejected", 0)
+            if _usable(value) and _count(samples) and _count(rejected):
+                self.coefficients[name] = {
+                    "value": float(value), "samples": samples,
+                    "rejected": rejected,
+                }
         self.programs = {
             key: {
                 label: {
                     field: float(value)
                     for field, value in entry.items()
-                    if field in _REGION_FIELDS
-                    and isinstance(value, (int, float))
+                    if field in _REGION_FIELDS and _feedback(value)
                 }
                 for label, entry in regions.items()
+                if isinstance(entry, dict)
             }
-            for key, regions in data.get("programs", {}).items()
+            for key, regions in programs.items()
+            if isinstance(regions, dict)
         }
         return True
 

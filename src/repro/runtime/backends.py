@@ -777,8 +777,8 @@ class ProcessesBackend(ExecutionBackend):
     leaves the parent state byte-identical to the pre-dispatch image.
 
     A region whose retry budget is exhausted
-    (:class:`RegionDispatchError`) descends the *degradation ladder*
-    (``failover=``): the threads backend, then serial
+    (:class:`RegionDispatchError`) descends the *degradation ladder*:
+    the threads backend, then serial
     interpretation — each rung re-running the *whole* region against
     the intact pre-dispatch state (lower rungs mutate parent storage
     live, so they snapshot/restore around a failed attempt).  The
@@ -805,9 +805,6 @@ class ProcessesBackend(ExecutionBackend):
             stats.backend = f"{self.name}->threads(critical)"
             return
         stats.backend = self.name
-        if not interp.failover:
-            self._run_supervised(interp, region)
-            return
         quarantine = interp.quarantine
         key = (payload_codec.module_codec(interp.module).key, stats.header)
         rung = quarantine.rung_for(key) if quarantine is not None else None

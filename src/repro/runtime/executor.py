@@ -164,7 +164,7 @@ class ParallelInterpreter(Interpreter):
     (fused) entries.  ``quarantine`` optionally carries a caller-owned
     :class:`~repro.runtime.faults.Quarantine` so the degradation
     ladder's denylist survives across runs.  ``compile_regions``,
-    ``retry_budget``, ``failover`` and ``adaptive`` default to
+    ``retry_budget`` and ``adaptive`` default to
     :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
     is a planner :class:`~repro.planner.calibration.ReplanContext` (one
     per run); without one, adaptive mode has nothing to re-derive and
@@ -178,7 +178,7 @@ class ParallelInterpreter(Interpreter):
                  schedule="static", chunk=None, pool_size=None,
                  prelude=None,  # ignored: benchmarks/e2e still passes it
                  compile_regions=True, quarantine=None,
-                 retry_budget=2, failover=True, adaptive=False,
+                 retry_budget=2, adaptive=False,
                  replan=None, forest=None):
         super().__init__(module, max_steps)
         if (
@@ -199,7 +199,6 @@ class ParallelInterpreter(Interpreter):
         # Supervised-dispatch policy, read by the processes backend.
         self.quarantine = quarantine
         self.retry_budget = retry_budget
-        self.failover = failover
         self.adaptive = bool(adaptive)
         self.replan_context = replan
         self.replan_events = []

@@ -23,8 +23,8 @@ C speed, no persistent ids), encoded once and attached to every payload
 of the region.  The worker decodes it, runs its chunk against it and
 drops it.  (A copy kept alive in the worker across dispatches and
 patched with dirty-slot deltas was measured slower at every state size
-— ROADMAP item 1 has the table — because per-slot Python bookkeeping on
-both sides loses to one C-speed pickle.)
+— "Closed trials" in ROADMAP.md — because per-slot Python bookkeeping
+on both sides loses to one C-speed pickle.)
 
 **Storage ids: per region.**  Every reference to a shared storage list
 — from worker frames, registers, object tables, pointer args — is

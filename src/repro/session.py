@@ -20,7 +20,7 @@ are recorded in ``s.diagnostics``.  Reassigning ``s.source`` or calling
 returned.
 """
 
-from repro.core.ablation import full, project
+from repro.core.ablation import full
 from repro.core.canonical import signature
 from repro.opt import OptLevel, optimize_plan
 from repro.pipeline.cache import PipelineCache, content_key
@@ -376,7 +376,6 @@ class Session:
             compile_regions=compile_on,
             quarantine=self._quarantine(),
             retry_budget=config.retry_budget,
-            failover=config.failover,
             adaptive=adaptive_on,
             replan=replan,
             forest={config.function_name: self.analyses.loops_by_header},
@@ -477,16 +476,13 @@ class Session:
         """Canonical signature of the full PS-PDG."""
         return signature(full(self.pspdg))
 
-    def reduced_signature(self, projection=None):
+    def reduced_signature(self, projection):
         """Signature after ablating features (Section 4 necessity knob).
 
         ``projection`` is a callable (e.g.
-        :func:`repro.core.ablation.without_traits`); when omitted, the
-        config's ``ablate_features`` are projected out.
+        :func:`repro.core.ablation.without_traits`).
         """
-        if projection is not None:
-            return signature(projection(self.pspdg))
-        return signature(project(self.pspdg, self.config.ablate_features))
+        return signature(projection(self.pspdg))
 
     def describe(self):
         """One-line summary plus the per-stage diagnostics table."""

@@ -24,7 +24,7 @@ from repro.runtime import backends, knobs
 from repro.runtime.executor import run_source_plan
 from repro.session import Session
 from repro.util.errors import EmulationError
-from support.conformance import outputs_close
+from support.conformance import outputs_close, wire_bytes
 from support.progen import generate_program
 
 CASES = 50
@@ -407,3 +407,37 @@ def test_chunk_accounting_conforms_across_backends(monkeypatch):
     # the sequential stretches around the regions still compile.
     assert counts["simulated"][0] == 0
     assert counts["simulated"][2] == sequence_stats
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_kernels_at_o2_run_wholly_compiled(backend, monkeypatch):
+    """LU and BT at -O2: every chunk and every sequential stretch takes
+    the compiled path, and it is the interpreted run's computation.
+
+    A silent fallback anywhere — one refused chunk, one interpreted
+    function body — would erode the compiled engine without failing an
+    output check.  Nor may the engine change what travels: on
+    ``processes`` both ship the same bytes once the pool holds the
+    module.
+    """
+    _verify_off(monkeypatch)
+    for kernel in ("LU", "BT"):
+        session = Session.from_kernel(kernel, opt_level=2)
+        # Compiles every region loop; on processes, ships the module.
+        session.run("PS-PDG", backend=backend, workers=4)
+        interpreted = session.run("PS-PDG", backend=backend, workers=4,
+                                  compile_regions=False)
+        compiled = session.run("PS-PDG", backend=backend, workers=4,
+                               compile_regions=True)
+        assert compiled.output == interpreted.output, kernel
+        assert compiled.steps == interpreted.steps, kernel
+        assert not session.compiled_regions["fallback"], kernel
+        regions = compiled.parallel_regions
+        assert sum(r["compiled_chunks"] for r in regions) > 0, kernel
+        assert sum(r["interpreted_chunks"] for r in regions) == 0, kernel
+        assert sum(r["codegen_fallbacks"] for r in regions) == 0, kernel
+        assert compiled.sequence_stats["compiled"] > 0, kernel
+        assert compiled.sequence_stats["interpreted"] == 0, kernel
+        if backend == "processes":
+            assert wire_bytes(compiled.parallel_regions) == \
+                wire_bytes(interpreted.parallel_regions), kernel

@@ -240,6 +240,65 @@ class TestPersistence:
         path.write_text("{not json")
         assert not CalibrationStore(str(path)).observed
 
+    @staticmethod
+    def _profile():
+        """A well-formed schema-2 profile: two coefficients, one program
+        with two labels."""
+        return {
+            "schema": 2, "runs": 3, "version": 3,
+            "machine": {
+                "compiled_speedup":
+                    {"value": 2.0, "samples": 3, "rejected": 0},
+                "threads_region_cost":
+                    {"value": 900.0, "samples": 3, "rejected": 1},
+            },
+            "programs": {"prog-a": {
+                "for.header.0":
+                    {"payload_bytes": 4096.0, "compiled_speedup": 1.5},
+                "for.header.1": {"payload_bytes": 512.0},
+            }},
+        }
+
+    @pytest.mark.parametrize("damage, survivor", [
+        (lambda d: d.update(runs="x"), None),
+        (lambda d: d.update(runs=None), None),
+        (lambda d: d.update(machine=[]), None),
+        (lambda d: d["machine"].update(threads_region_cost=7),
+         lambda d: d["machine"].pop("threads_region_cost")),
+        (lambda d: d["machine"]["threads_region_cost"].update(samples="x"),
+         lambda d: d["machine"].pop("threads_region_cost")),
+        (lambda d: d["programs"].update(k=5), lambda d: None),
+        (lambda d: d["programs"]["prog-a"].update({"for.header.1": 5}),
+         lambda d: d["programs"]["prog-a"].pop("for.header.1")),
+        (lambda d: d["programs"]["prog-a"].update({"for.header.1": {
+            "payload_bytes": float("nan"), "compiled_speedup": -1.0,
+        }}), lambda d: d["programs"]["prog-a"]["for.header.1"].clear()),
+    ], ids=[
+        "runs-str", "runs-null", "machine-list", "coefficient-number",
+        "samples-str", "program-number", "label-number", "feedback-nan",
+    ])
+    def test_malformed_profile_drops_what_does_not_parse(
+            self, tmp_path, damage, survivor):
+        """A wrong top-level shape loads as an empty store; a bad entry
+        is skipped and the rest of the profile loads as written.
+        ``survivor`` cuts the damaged part out of the clean profile
+        (``None``: nothing survives)."""
+        damaged = self._profile()
+        damage(damaged)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(damaged))
+        store = CalibrationStore(str(path))
+        expected = CalibrationStore()
+        if survivor is not None:
+            clean = self._profile()
+            survivor(clean)
+            expected.from_dict(clean)
+        assert store.to_dict() == expected.to_dict()
+        # What planning asks of a warm store must answer, not raise.
+        assert store.region_feedback("prog-a") == \
+            expected.region_feedback("prog-a")
+        assert store.calibrated_machine() == expected.calibrated_machine()
+
     def test_stale_schema_is_ignored(self, tmp_path):
         path = tmp_path / "stale.json"
         store = CalibrationStore()

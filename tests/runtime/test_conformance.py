@@ -23,6 +23,7 @@ from support.conformance import (
     diff_load_balance,
     outputs_close,
     schedule_imbalance,
+    wire_bytes,
 )
 
 BACKENDS = ("simulated", "threads", "processes")
@@ -137,13 +138,38 @@ def test_opt_levels_conform(kernel, backend, kernel_state, optimized_plans):
                 )
 
 
+def _pool_traffic(session, plan, workers):
+    """``(payloads, wire bytes, output)`` of one ``processes`` run.
+
+    Payloads are counted from the per-worker assignments — the
+    optimizer's dispatch structure — because raw ``payloads`` also
+    include module-miss retry round-trips, which depend on pool
+    scheduling timing, not on the optimization level; so do the bytes.
+    """
+    result = run_plan(
+        session.pspdg, plan, workers=workers, backend="processes",
+    )
+    regions = result.parallel_regions
+    payloads = sum(
+        1
+        for region in regions
+        if region["payloads"]
+        for worker in region["per_worker"]
+        if worker["iterations"]
+    )
+    return payloads, wire_bytes(regions), result.output
+
+
 def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
     """On ``processes``, rising -O levels never increase pool payloads.
 
-    Counted from the per-worker assignments — the optimizer's dispatch
-    structure — because raw ``payloads`` also include module-miss
-    retry round-trips, which depend on pool scheduling timing, not on
-    the optimization level.
+    Two levels must also *win*.  LU's -O2 serializes the 72 tiny
+    wavefront regions: at most half the -O0 payloads (12 of 300 at 4
+    workers).  At 8 workers -O3's tiling caps LU's and SP's trip-20
+    regions at ``ceil(trip / tile)`` partitions, so -O3 ships strictly
+    fewer payloads and bytes than -O2 (LU 24 -> 12 payloads, 93 232 ->
+    46 676 B; SP 24 -> 16, 180 016 -> 120 118 B); at 4 workers the two
+    tie.  Bytes are compared on a pool that already holds the module.
     """
     for kernel in kernel_names():
         session, plan, _expected = kernel_state[kernel]
@@ -153,16 +179,8 @@ def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
             for level in (OptLevel.O2, OptLevel.O3)
         ]
         for label, the_plan in plans:
-            result = run_plan(
-                session.pspdg, the_plan,
-                workers=4, backend="processes",
-            )
-            counts[label] = sum(
-                1
-                for region in result.parallel_regions
-                if region["payloads"]
-                for worker in region["per_worker"]
-                if worker["iterations"]
+            counts[label], _wire, _output = _pool_traffic(
+                session, the_plan, workers=4,
             )
         assert counts["-O2"] <= counts["O0"], (
             f"{kernel}: -O2 dispatched {counts['-O2']} payloads vs "
@@ -172,6 +190,26 @@ def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
             f"{kernel}: -O3 dispatched {counts['-O3']} payloads vs "
             f"{counts['-O2']} at -O2"
         )
+        if kernel == "LU":
+            assert counts["-O2"] <= counts["O0"] // 2, (
+                f"LU: -O2 still dispatches {counts['-O2']} of "
+                f"{counts['O0']} payloads"
+            )
+    for kernel in ("LU", "SP"):
+        session, _plan, expected = kernel_state[kernel]
+        o2_plan = optimized_plans[kernel][OptLevel.O2]
+        o3_plan = optimized_plans[kernel][OptLevel.O3]
+        _pool_traffic(session, o2_plan, workers=8)  # ships the module
+        o2 = _pool_traffic(session, o2_plan, workers=8)
+        o3 = _pool_traffic(session, o3_plan, workers=8)
+        assert o3[0] < o2[0], (
+            f"{kernel}: -O3 ships {o3[0]} payloads vs -O2's {o2[0]}"
+        )
+        assert o3[1] < o2[1], (
+            f"{kernel}: -O3 ships {o3[1]} B vs -O2's {o2[1]} B"
+        )
+        for _payloads, _wire, output in (o2, o3):
+            assert outputs_close(output, expected), kernel
 
 
 def test_load_balance_diff_static_vs_guided(kernel_state):

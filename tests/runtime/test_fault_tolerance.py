@@ -223,13 +223,6 @@ class TestDegradationLadder:
         assert region["backend"] == "processes->threads(quarantine)"
         assert region["retries"] == 0 and region["failovers"] == 0
 
-    def test_failover_off_surfaces_dispatch_error(self, fast_retries):
-        session = build_session("EP", retry_budget=1, failover=False)
-        inject("crash:p=1:seed=1:times=0")
-        with pytest.raises(EmulationError, match="attempts"):
-            session.run("PS-PDG", opt="-O2", workers=2,
-                        backend="processes")
-
     def test_program_errors_are_never_retried(self, fast_retries,
                                               compile_):
         """A genuinely wrong program fails cleanly with zero retries."""

@@ -130,3 +130,16 @@ def diff_load_balance(baseline_regions, candidate_regions,
                 "baseline": baseline,
             })
     return flagged
+
+
+def wire_bytes(regions):
+    """Bytes a run's regions put on the wire, less module-miss retries.
+
+    A retry depends on pool scheduling timing; what is left is fixed by
+    the plan — once the pool holds the module, whose broadcast is also
+    counted on the first run that ships it.
+    """
+    return sum(
+        region["payload_bytes"] - region["retry_payload_bytes"]
+        for region in regions
+    )
