@@ -9,8 +9,8 @@ The same PS-PDG-chosen plan executes on
 
 all consuming the same static/dynamic/guided chunk partition, so every
 backend produces the sequential result (floats may reassociate).  The
-per-region, per-worker table at the end comes from
-``session.diagnostics.parallel_report()``.
+per-region, per-worker table at the end is
+``parallel_report(regions)`` over every run's ``result.parallel_regions``.
 
 Run:  python examples/backends_demo.py
 """
@@ -18,6 +18,7 @@ Run:  python examples/backends_demo.py
 import time
 
 from repro import Session
+from repro.util.regionstats import parallel_report
 
 KERNEL = "EP"
 WORKERS = 4
@@ -31,6 +32,7 @@ def main():
     print(plan.describe())
     print()
 
+    regions = []
     for backend in ("simulated", "threads", "processes"):
         for schedule in ("static", "dynamic", "guided"):
             started = time.perf_counter()
@@ -38,6 +40,7 @@ def main():
                 plan, workers=WORKERS, backend=backend, schedule=schedule
             )
             elapsed = (time.perf_counter() - started) * 1000
+            regions.extend(result.parallel_regions)
             status = "ok" if len(result.output) == len(expected) else "??"
             print(
                 f"  {backend:10} {schedule:8} {elapsed:7.1f}ms  "
@@ -45,7 +48,7 @@ def main():
             )
 
     print()
-    print(session.diagnostics.parallel_report())
+    print(parallel_report(regions))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import sys
 from repro.planner.machine import MachineModel
 from repro.session import Session
 from repro.util.errors import ReproError
+from repro.util.regionstats import parallel_report
 
 _ABSTRACTION_ORDER = ("Sequential", "OpenMP", "PDG", "J&K", "PS-PDG")
 
@@ -156,7 +157,7 @@ def _run(args):
             file=sys.stderr,
         )
     if args.diagnostics:
-        print(session.diagnostics.parallel_report(), file=sys.stderr)
+        print(parallel_report(result.parallel_regions), file=sys.stderr)
         lowering = session.diagnostics.stats("compile_regions").get(
             "lowering"
         )

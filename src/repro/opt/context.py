@@ -39,7 +39,7 @@ class OptContext:
         # ``compiled_speedup``.
         self.compile_regions = bool(compile_regions)
         # Measured compiled-over-interpreted step-rate ratio per region
-        # label (``diagnostics.payload_feedback()``); overrides the
+        # label (``regionstats.region_feedback``); overrides the
         # machine model's ``compiled_speedup`` prior for regions the
         # runtime actually observed in both modes.
         self.compiled_speedup = (

@@ -178,7 +178,7 @@ def optimize_plan(
     ``compiled_speedup`` maps the same labels to measured compiled-over-
     interpreted step-rate ratios, replacing the machine model's assumed
     ``compiled_speedup`` prior per region
-    (``diagnostics.payload_feedback()`` produces both).
+    (``regionstats.region_feedback`` produces both).
     ``speculate`` lets ``-O3`` passes apply transforms whose static
     legality test is inconclusive, for the oracle-validation pass to
     confirm or veto; off, inconclusive tests reject outright.

@@ -50,9 +50,6 @@ class SessionConfig:
             legality test is inconclusive and validate the candidate
             plan against the simulated oracle before any real backend
             sees it; ``False`` makes inconclusive tests reject outright.
-        retry_budget: per-region retry budget for supervised
-            ``processes`` dispatch (re-dispatches after worker death,
-            hangs, or poisoned payloads); exhausted, the region fails over.
         calibrate: distill each run's region stats into measured
             machine-model coefficients (a
             :class:`repro.planner.calibration.CalibrationStore`) and
@@ -79,7 +76,6 @@ class SessionConfig:
     opt_level: OptLevel = OptLevel.O0
     compile_regions: bool = True
     speculate: bool = True
-    retry_budget: int = 2
     calibrate: bool = False
     adaptive: bool = False
     profile_path: str | None = None

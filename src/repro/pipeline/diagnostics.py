@@ -8,8 +8,6 @@ report renders the stage table the CLI's ``report`` subcommand prints.
 
 import dataclasses
 
-from repro.util.regionstats import region_feedback
-
 
 @dataclasses.dataclass(slots=True)
 class StageRecord:
@@ -28,7 +26,6 @@ class Diagnostics:
     def __init__(self):
         self._records = {}
         self.events = []  # (stage, seconds) per actual build, in order
-        self.parallel_regions = []  # per parallel loop execution, in order
 
     def _record(self, stage):
         if stage not in self._records:
@@ -45,20 +42,6 @@ class Diagnostics:
 
     def record_hit(self, stage):
         self._record(stage).hits += 1
-
-    def record_parallel(self, region):
-        """Record one parallel region execution (from ``Session.run``).
-
-        ``region`` is the runtime's published
-        :class:`~repro.util.regionstats.RegionStats` record.
-        """
-        self.parallel_regions.append(region)
-
-    def payload_feedback(self):
-        """:func:`~repro.util.regionstats.region_feedback` over every
-        recorded region: ``(payload_bytes, compiled_speedup,
-        recovery)`` per region label."""
-        return region_feedback(self.parallel_regions)
 
     def runs(self, stage):
         """How many times ``stage`` actually executed (0 if never)."""
@@ -97,45 +80,6 @@ class Diagnostics:
             }
             for record in self.records()
         }
-
-    def parallel_report(self):
-        """A printable per-region, per-worker execution table.
-
-        ``rtry``/``fo``/``flt``/``rec-ms`` are the
-        supervision ledger: region re-dispatches after infrastructure
-        failures, degradation-ladder failovers, injected faults, and
-        milliseconds spent in recovery (pool respawn + backoff).
-        ``rpl`` counts the adaptive replans this dispatch triggered.
-        """
-        if not self.parallel_regions:
-            return "no parallel regions executed"
-        lines = [
-            f"{'loop':16} {'backend':26} {'sched':8} {'W':>2} "
-            f"{'iters':>6} {'bytes':>8} {'cc':>4} {'ic':>4} "
-            f"{'rtry':>4} {'fo':>3} {'flt':>4} {'rec-ms':>7} "
-            f"{'rpl':>3} {'seconds':>9}  per-worker steps"
-        ]
-        lines.append("-" * len(lines[0]))
-        for region in self.parallel_regions:
-            steps = "/".join(
-                str(worker["steps"]) for worker in region.per_worker
-            )
-            lines.append(
-                f"{region.header:16} {region.backend:26} "
-                f"{region.schedule:8} {region.workers:>2} "
-                f"{region.iterations:>6} "
-                f"{region.payload_bytes:>8} "
-                f"{region.compiled_chunks:>4} "
-                f"{region.interpreted_chunks:>4} "
-                f"{region.retries:>4} "
-                f"{region.failovers:>3} "
-                f"{region.faults_injected:>4} "
-                f"{region.recovery_ms:>7.1f} "
-                f"{region.replans:>3} "
-                f"{region.seconds:>9.4f}  "
-                f"{steps}"
-            )
-        return "\n".join(lines)
 
     def report(self):
         """A printable per-stage table."""

@@ -43,8 +43,8 @@ right order of magnitude, and the EWMA smooths the rest):
   rate from :func:`repro.util.regionstats.region_feedback`.
 
 Recovery-inflated regions (:attr:`RegionStats.recovery_inflated`) are
-excluded wholesale: their timings measure the fault injector and the
-retry ladder, not the machine.
+excluded wholesale: their timings measure the fault injector, the
+retries and the failover, not the machine.
 
 :class:`ReplanContext` is the planner's half of adaptive mid-run
 replanning: divergence detection against the plan's predictions and

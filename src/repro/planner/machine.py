@@ -54,7 +54,7 @@ class MachineModel:
         """A region's estimated per-entry cost under the execution mode.
 
         ``speedup`` overrides the model's assumed ``compiled_speedup``
-        with a measured one (``diagnostics.payload_feedback()``).  The
+        with a measured one (``regionstats.region_feedback``).  The
         result is clamped to at least 1: a region that executes any
         work never costs zero, and the earlier truncating ``int()``
         rounded every ``cost < speedup`` region down to free — which

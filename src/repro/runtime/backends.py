@@ -39,9 +39,8 @@ owns its whole execution strategy:
   results are deterministic.  Loops
   whose bodies contain ``critical``/``atomic`` regions need shared
   memory and fall back to the ``threads`` backend.  Dispatch is
-  supervised — infrastructure failures retry the region — and this is
-  the only backend with a degradation ladder (processes -> threads ->
-  serial, with snapshot/restore around each failed lower rung).
+  supervised — infrastructure failures retry the region — and a region
+  that exhausts its retries fails over to ``threads``, once.
 
 All backends consume the same :class:`ChunkScheduler` partition, so a
 given ``(schedule, chunk, workers)`` triple executes the same
@@ -83,6 +82,15 @@ _MIN_STEPS_PER_SECOND = 50_000
 
 def _region_allowance(max_steps):
     return max(_PROCESS_TIMEOUT, max_steps / _MIN_STEPS_PER_SECOND)
+
+
+#: Re-dispatches of a ``processes`` region after infrastructure failures
+#: before it fails over to ``threads``.
+RETRY_BUDGET = 2
+
+#: Base sleep (seconds) before a retry; retry N waits
+#: ``RETRY_BACKOFF * 2 ** (N - 1)`` after the pool respawn.
+RETRY_BACKOFF = 0.05
 
 
 @dataclasses.dataclass
@@ -538,7 +546,7 @@ class ThreadsBackend(ExecutionBackend):
                     for worker, future in zip(active, futures)]
         except BaseException:
             # The lowest-index worker's error, once every job has ended:
-            # the ladder's frame reset must not race a straggler.
+            # no straggler may still write the storages after it leaves.
             concurrent.futures.wait(futures)
             raise
 
@@ -546,11 +554,11 @@ class ThreadsBackend(ExecutionBackend):
 class SerialBackend(ThreadsBackend):
     """Threads-backend semantics, one worker at a time.
 
-    The graceful-degradation ladder's last rung: identical partitioning,
-    privatization, and worker-order merges, but each worker's chunk runs
-    to completion on the dispatching thread before the next starts — no
-    concurrency left to fail.  Not registered in :data:`BACKENDS`; only
-    the ladder (and tests) reach it.
+    Identical partitioning, privatization, and worker-order merges, but
+    each worker's chunk runs to completion on the dispatching thread
+    before the next starts.  Not registered in :data:`BACKENDS`: the
+    executor's mid-run ``"sequential"`` override and the armed
+    ``threads`` path (``VERIFY_COMPILED``) reach it.
     """
 
     name = "serial"
@@ -770,22 +778,18 @@ class ProcessesBackend(ExecutionBackend):
 
     Dispatch is *supervised*: infrastructure failures — worker death,
     hangs, poisoned payloads — kill and respawn the pool and re-encode
-    and re-dispatch the whole region, up to a per-region retry budget
-    with bounded exponential backoff.  The deferred-apply
-    collection makes this exactly-once: no shared-memory effect lands
-    until every worker of the region reported, so a failed attempt
-    leaves the parent state byte-identical to the pre-dispatch image.
+    and re-dispatch the whole region, up to :data:`RETRY_BUDGET` times
+    with exponential backoff from :data:`RETRY_BACKOFF`.  The
+    deferred-apply collection makes this exactly-once: no shared-memory
+    effect lands until every worker of the region reported, so a failed
+    attempt leaves the parent state byte-identical to the pre-dispatch
+    image.
 
-    A region whose retry budget is exhausted
-    (:class:`RegionDispatchError`) descends the *degradation ladder*:
-    the threads backend, then serial
-    interpretation — each rung re-running the *whole* region against
-    the intact pre-dispatch state (lower rungs mutate parent storage
-    live, so they snapshot/restore around a failed attempt).  The
-    Session quarantine remembers the rung that worked, keyed by program
-    content hash + region label, so warm re-runs skip the doomed path.
-    Plain :class:`EmulationError` from the processes rung is a
-    *program* error and propagates untouched.
+    A region whose retries are exhausted (:class:`RegionDispatchError`)
+    fails over to the threads backend once, from that same intact
+    image; if threads fails too, one :class:`EmulationError` names both
+    attempts.  Plain :class:`EmulationError` from the processes dispatch
+    is a *program* error and propagates untouched.
     """
 
     name = "processes"
@@ -805,77 +809,39 @@ class ProcessesBackend(ExecutionBackend):
             stats.backend = f"{self.name}->threads(critical)"
             return
         stats.backend = self.name
-        quarantine = interp.quarantine
-        key = (payload_codec.module_codec(interp.module).key, stats.header)
-        rung = quarantine.rung_for(key) if quarantine is not None else None
-        suffix = "quarantine" if rung is not None else "failover"
-        chain = []
-        if rung is None:
-            try:
-                self._run_supervised(interp, region)
-                return
-            except RegionDispatchError as exc:
-                chain.append(str(exc))
-                stats.failovers += 1
-        for backend in (ThreadsBackend(), SerialBackend()):
-            if rung == "serial" and backend.name != "serial":
-                continue
-            snapshot = self._snapshot(interp, region)
-            try:
-                backend.run_region(interp, region)
-            except EmulationError as exc:
-                chain.append(str(exc))
-                self._restore(interp, region, snapshot)
-                if backend.name == "serial":
-                    raise EmulationError(
-                        f"region {stats.header} failed on every rung of "
-                        "the degradation ladder: " + " | ".join(chain)
-                    ) from exc
-                stats.failovers += 1
-                continue
-            stats.backend = f"{self.name}->{backend.name}({suffix})"
-            if quarantine is not None:
-                quarantine.demote(key, backend.name)
+        try:
+            self._run_supervised(interp, region)
             return
-
-    def _snapshot(self, interp, region):
-        """Capture everything a lower ladder rung may tear on failure.
-
-        The threads/serial rungs execute through shims that share the
-        parent's storage, so a mid-region failure leaves partial writes
-        behind; this captures every shared storage list (the same walk
-        the payload codec uses to enumerate them) plus the region's
-        chunk counters.  ``interp.output``/``steps`` need no capture:
-        both backends collect results only after every worker finished.
-        """
-        storages = payload_codec._walk_storages(
-            region.frame, interp._global_storage
-        )
-        return (
-            [(storage, list(storage)) for storage in storages],
-            region.stats.compiled_chunks,
-            region.stats.interpreted_chunks,
-        )
-
-    def _restore(self, interp, region, snapshot):
-        """Roll shared state back to ``snapshot`` and rebuild the workers."""
-        storages, compiled, interpreted = snapshot
-        for storage, values in storages:
-            storage[:] = values
-        region.stats.compiled_chunks = compiled
-        region.stats.interpreted_chunks = interpreted
-        interp.make_worker_frames(region)
+        except RegionDispatchError as exc:
+            exhausted = exc
+        stats.failovers += 1
+        # The one way down, and the last.  Deferred apply left the
+        # storages and worker frames untouched, so threads starts clean.
+        # A serial re-run could not succeed where threads just failed:
+        # - critical/atomic regions went to threads above, so here
+        #   threads takes no lock and cannot deadlock;
+        # - a thread that fails to start raises no EmulationError, so it
+        #   propagates instead of reaching another backend;
+        # - armed with VERIFY_COMPILED, threads already runs its workers
+        #   one at a time;
+        # - a program error under a legal plan depends only on a worker's
+        #   own iterations and the state before the region, so a serial
+        #   run would raise it again.
+        try:
+            ThreadsBackend().run_region(interp, region)
+        except EmulationError as exc:
+            raise EmulationError(
+                f"region {stats.header} failed on processes ({exhausted}) "
+                f"and on threads after failing over ({exc})"
+            ) from exc
+        stats.backend = f"{self.name}->threads(failover)"
 
     def _run_supervised(self, interp, region):
-        """The processes rung: dispatch with retries, then apply."""
+        """Dispatch with retries, then apply."""
         stats = region.stats
         active = [w for w in region.workers if w.size]
         if not active:
             return
-        budget = interp.retry_budget
-        # A negative base would reach time.sleep as a ValueError and
-        # turn a recoverable crash into a failed run.
-        backoff = max(0.0, float(knobs.REPRO_RETRY_BACKOFF.value))
         plan = faults.active_plan()
         attempt = 0
         while True:
@@ -886,10 +852,10 @@ class ProcessesBackend(ExecutionBackend):
                 break
             except _InfraFailure as exc:
                 attempt += 1
-                if attempt > budget:
+                if attempt > RETRY_BUDGET:
                     raise RegionDispatchError(
                         f"region dispatch failed after {attempt} "
-                        f"attempts ({budget} retries): {exc}"
+                        f"attempts ({RETRY_BUDGET} retries): {exc}"
                     ) from exc
                 stats.retries += 1
                 started = time.perf_counter()
@@ -897,7 +863,7 @@ class ProcessesBackend(ExecutionBackend):
                 # survive into the retry); the next one's broadcast set
                 # is empty, so the re-encode ships the module again.
                 _reset_chunk_pool(kill=True)
-                time.sleep(backoff * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 stats.recovery_ms += (
                     time.perf_counter() - started
                 ) * 1000.0
@@ -975,11 +941,7 @@ class ProcessesBackend(ExecutionBackend):
         infra = None  # infrastructure failure message: retryable
         completed = []  # (worker, result) in worker order
         retries = []  # miss-retry futures, cancellable alongside submitted
-        configured = float(knobs.REPRO_REGION_TIMEOUT.value or 0.0)
-        allowance = (
-            configured if configured > 0
-            else _region_allowance(interp.max_steps)
-        )
+        allowance = _region_allowance(interp.max_steps)
         deadline = time.monotonic() + allowance  # for the whole region
         for index, (worker, future, worker_payload) in enumerate(submitted):
             try:

@@ -26,8 +26,8 @@ stop*), then
    seeded virtual-thread interleaver: the race-detection oracle),
    ``threads`` (real OS threads, shared storage, real locks), or
    ``processes`` (real OS processes fed by the
-   :mod:`repro.runtime.payload` codec, supervised, with its own
-   processes -> threads -> serial degradation ladder),
+   :mod:`repro.runtime.payload` codec, supervised, failing over to
+   ``threads`` once its retries run out),
 4. joins: merges reductions in worker order and writes back lastprivate
    values, and
 5. records: completes the region's
@@ -161,10 +161,7 @@ class ParallelInterpreter(Interpreter):
     ``parallelizations`` may mix
     :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
     region) and :class:`~repro.planner.recipes.RegionParallelization`
-    (fused) entries.  ``quarantine`` optionally carries a caller-owned
-    :class:`~repro.runtime.faults.Quarantine` so the degradation
-    ladder's denylist survives across runs.  ``compile_regions``,
-    ``retry_budget`` and ``adaptive`` default to
+    (fused) entries.  ``compile_regions`` and ``adaptive`` default to
     :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
     is a planner :class:`~repro.planner.calibration.ReplanContext` (one
     per run); without one, adaptive mode has nothing to re-derive and
@@ -177,8 +174,7 @@ class ParallelInterpreter(Interpreter):
                  max_steps=50_000_000, backend="simulated",
                  schedule="static", chunk=None, pool_size=None,
                  prelude=None,  # ignored: benchmarks/e2e still passes it
-                 compile_regions=True, quarantine=None,
-                 retry_budget=2, adaptive=False,
+                 compile_regions=True, adaptive=False,
                  replan=None, forest=None):
         super().__init__(module, max_steps)
         if (
@@ -196,9 +192,6 @@ class ParallelInterpreter(Interpreter):
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
-        # Supervised-dispatch policy, read by the processes backend.
-        self.quarantine = quarantine
-        self.retry_budget = retry_budget
         self.adaptive = bool(adaptive)
         self.replan_context = replan
         self.replan_events = []
@@ -433,7 +426,7 @@ class ParallelInterpreter(Interpreter):
             ),
             stats=stats,
         )
-        self.make_worker_frames(region)
+        self._make_worker_frames(region)
 
         backend = self._effective_backend(region_par)
         started = time.perf_counter()
@@ -587,13 +580,8 @@ class ParallelInterpreter(Interpreter):
 
     # -- worker frames -----------------------------------------------------------
 
-    def make_worker_frames(self, region):
-        """(Re)build every worker's privatized frame from the parent's.
-
-        Also the degradation ladder's reset: a failed rung mutated the
-        workers' private reduction/lastprivate copies, so the next rung
-        starts from frames rebuilt from scratch.
-        """
+    def _make_worker_frames(self, region):
+        """Build every worker's privatized frame from the parent's."""
         recipe = region.region.merged_recipe()
         loops = (
             region.loops if region.outer is None

@@ -27,10 +27,6 @@ matches the K-th payload of a region, ``p=<float>`` with ``seed=<int>``
 draws per (region, worker) from a string-seeded ``random.Random`` (so
 draws agree across processes and runs), and ``times=N`` bounds how many
 times the scenario fires (default 1; ``times=0`` is unlimited).
-
-The module also hosts :class:`Quarantine`, the Session-scoped denylist
-the graceful-degradation ladder uses to remember which rung a
-(program, region) pair last needed.
 """
 
 import dataclasses
@@ -192,42 +188,3 @@ def perform(directive):
         os._exit(3)
     elif directive[0] == "hang":
         time.sleep(directive[1])
-
-
-# -- the Session-scoped quarantine the degradation ladder consults ------------
-
-_RUNG_ORDER = {"threads": 1, "serial": 2}
-
-
-class Quarantine:
-    """Content-hash-keyed denylist of regions that needed a lower rung.
-
-    Keys are ``(module content hash, region label)`` so a warm re-run
-    of the same program skips straight to the rung that worked, while
-    an edited program gets a fresh chance at full parallel dispatch.
-    Demotion is monotonic: a region never climbs back up within one
-    Session (re-building the Session — or :meth:`clear` — resets it).
-    """
-
-    def __init__(self):
-        self._rungs = {}
-
-    def rung_for(self, key):
-        """The quarantined rung for ``key`` ("threads"/"serial"/None)."""
-        return self._rungs.get(key)
-
-    def demote(self, key, rung):
-        """Record that ``key`` needed ``rung``; never promotes."""
-        current = self._rungs.get(key)
-        if current is None or _RUNG_ORDER[rung] > _RUNG_ORDER[current]:
-            self._rungs[key] = rung
-
-    def clear(self):
-        self._rungs.clear()
-
-    def entries(self):
-        """Snapshot of the denylist (diagnostics / tests)."""
-        return dict(self._rungs)
-
-    def __len__(self):
-        return len(self._rungs)

@@ -2,10 +2,10 @@
 
 The registry holds exactly the switches that arm an oracle or inject
 chaos over an *unmodified* run — the ``VERIFY_COMPILED`` cross-check and
-the ``REPRO_FAULTS`` harness with its backoff and deadline — because those
-must reach code (a whole test suite, a pool worker) that no caller can
-hand an argument to.  Everything that changes what a run *does* (the
-engine, retries, calibration, replanning, speculation) is a
+the ``REPRO_FAULTS`` harness — because those must reach code (a whole
+test suite, a pool worker) that no caller can hand an argument to.
+Everything that changes what a run *does* (the engine, calibration,
+replanning, speculation) is a
 :class:`~repro.pipeline.config.SessionConfig` field or a keyword
 argument, and nothing outside this module reads ``os.environ``.
 
@@ -21,7 +21,6 @@ Tests may also assign ``knob.value = True`` (or monkeypatch
 process-local override; ``refresh()`` restores the environment's verdict.
 """
 
-import math
 import os
 
 _FALSY = ("", "0", "false", "no", "off")
@@ -35,9 +34,9 @@ class Knob:
     """One environment knob with a cached, refreshable value.
 
     A ``bool`` default makes a flag, parsed with the falsy set; any
-    other default (str, int, float) makes a typed setting, parsed with
-    the default's type.  Unparseable values, a float that is not finite
-    among them, fall back to the default rather than raising at import.
+    other default makes a typed setting, parsed with the default's
+    type.  Unparseable values fall back to the default rather than
+    raising at import.
     """
 
     __slots__ = ("name", "default", "value", "doc", "parse")
@@ -56,12 +55,9 @@ class Knob:
         if raw is None:
             return self.default
         try:
-            value = self.parse(raw.strip())
+            return self.parse(raw.strip())
         except ValueError:
             return self.default
-        if isinstance(value, float) and not math.isfinite(value):
-            return self.default
-        return value
 
     def refresh(self):
         """Re-read the environment; returns the new value."""
@@ -170,19 +166,4 @@ REPRO_FAULTS = setting(
         "dispatch ordinal), worker=K, p=<prob> with seed=<int>, "
         "times=N budget (default 1), s=<seconds> hang duration. Empty "
         "= no injection.",
-)
-
-REPRO_RETRY_BACKOFF = setting(
-    "REPRO_RETRY_BACKOFF", 0.05,
-    doc="Base sleep (seconds) between region retries; attempt N waits "
-        "base * 2^(N-1) after the pool respawn, bounding recovery "
-        "storms under repeated faults.",
-)
-
-REPRO_REGION_TIMEOUT = setting(
-    "REPRO_REGION_TIMEOUT", 0.0,
-    doc="Per-region dispatch deadline (seconds) for the processes "
-        "backend; 0 uses the step-budget allowance "
-        "(max(120, max_steps / 50_000)). Lower it in chaos tests so "
-        "injected hangs are detected quickly.",
 )

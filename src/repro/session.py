@@ -31,7 +31,6 @@ from repro.planner.calibration import CalibrationStore, ReplanContext
 from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
-from repro.runtime.faults import Quarantine
 from repro.runtime.payload import module_codec
 
 
@@ -315,8 +314,9 @@ class Session:
         ``optimize``/``recipes`` stages; an explicit different ``opt``
         optimizes on the fly without touching the caches.  The
         ``processes`` chunk pool is sized from the machine model's core
-        count.  Per-region, per-worker timing is recorded in
-        ``self.diagnostics`` (see ``diagnostics.parallel_report()``).
+        count.  Per-region, per-worker timing is in the result's
+        ``parallel_regions`` (``util.regionstats.parallel_report``
+        renders it); the session keeps none of it.
 
         ``adaptive`` (default: the config's ``adaptive``) turns on
         mid-run replanning: dispatches whose measured timings diverge
@@ -374,14 +374,10 @@ class Session:
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
             compile_regions=compile_on,
-            quarantine=self._quarantine(),
-            retry_budget=config.retry_budget,
             adaptive=adaptive_on,
             replan=replan,
             forest={config.function_name: self.analyses.loops_by_header},
         )
-        for region in result.parallel_regions:
-            self.diagnostics.record_parallel(region)
         if config.calibrate or adaptive_on:
             # Mid-run replans already fed the store up to the context's
             # ``calibrated_upto``; distill only the regions after that
@@ -417,21 +413,6 @@ class Session:
             predicted_bytes=dict(calibrated["payload_bytes"]),
             speculate=self.config.speculate,
         )
-
-    def _quarantine(self):
-        """This session's degradation-ladder denylist.
-
-        One :class:`~repro.runtime.faults.Quarantine` for the session's
-        lifetime: a region that exhausted its processes retries and
-        failed over is remembered (keyed by program content hash +
-        region label), so warm re-runs skip straight to the rung that
-        worked instead of re-paying the doomed retries.
-        """
-        quarantine = getattr(self, "_quarantine_obj", None)
-        if quarantine is None:
-            quarantine = Quarantine()
-            self._quarantine_obj = quarantine
-        return quarantine
 
     def _cached_regions(self, abstraction):
         recipes = self.region_recipes

@@ -45,7 +45,7 @@ class RegionDispatchError(EmulationError):
 
     Worker death, hangs, and poisoned payloads are retried by the
     supervised processes backend; this error means the retry budget is
-    exhausted.  It is *not* a program error — the degradation ladder
-    catches it and re-runs the region on a lower rung, while genuine
+    exhausted.  It is *not* a program error — the processes backend
+    catches it and re-runs the region on ``threads``, while genuine
     program faults stay plain :class:`EmulationError` and propagate.
     """

@@ -3,12 +3,13 @@
 A :class:`RegionStats` is created with the region, *is* the counter
 block the execution backends increment while the region runs, is
 completed by the executor (label, backend, wall time, per-worker rows)
-and is published exactly once into ``result.parallel_regions``.  Every
-consumer — ``Diagnostics`` (storage and the ``parallel_report`` table),
-``CalibrationStore.observe_run``, the mid-run replanner, the benchmarks
-— reads this one shape, and the quantities they used to re-derive
-(recovery inflation, dispatch overhead, step imbalance, the per-label
-wire feedback) are defined here once.
+and is published exactly once into ``result.parallel_regions``, which
+is the only place it is kept.  Every consumer — the
+:func:`parallel_report` table, ``CalibrationStore.observe_run``, the
+mid-run replanner, the benchmarks — reads this one shape, and the
+quantities they used to re-derive (recovery inflation, dispatch
+overhead, step imbalance, the per-label wire feedback) are defined
+here once.
 
 Dependency-free on purpose: the runtime, the planner and the pipeline
 all import it, so it must import none of them.
@@ -48,7 +49,7 @@ class RegionStats:
     codegen_source_hits: int = 0  # entries rebuilt from cached source
     codegen_fallbacks: int = 0  # lowering refusals/failures
     retries: int = 0  # supervised re-dispatches after infra failures
-    failovers: int = 0  # degradation-ladder rung changes this region took
+    failovers: int = 0  # failovers to threads once retries ran out
     faults_injected: int = 0  # REPRO_FAULTS scenarios fired on this region
     recovery_ms: float = 0.0  # wall-clock spent respawning/backing off
     seconds: float = 0.0  # wall time of the whole dispatch
@@ -75,8 +76,8 @@ class RegionStats:
     def recovery_inflated(self):
         """True when the wall time includes retry/failover/fault work.
 
-        Such timings measure the fault injector and the retry ladder,
-        not the machine: they neither calibrate nor trigger a replan.
+        Such timings measure the fault injector and the retries, not
+        the machine: they neither calibrate nor trigger a replan.
         """
         return bool(self.retries or self.failovers or self.faults_injected)
 
@@ -172,3 +173,41 @@ def region_feedback(regions):
 
 #: The supervision-ledger fields ``region_feedback`` totals per label.
 _LEDGER = ("retries", "failovers", "faults_injected", "recovery_ms", "replans")
+
+
+def parallel_report(regions):
+    """A printable per-region, per-worker execution table of ``regions``.
+
+    ``rtry``/``fo``/``flt``/``rec-ms`` are the supervision ledger:
+    region re-dispatches after infrastructure failures, failovers to
+    ``threads``, injected faults, and milliseconds spent in recovery
+    (pool respawn + backoff).  ``rpl`` counts the adaptive replans this
+    dispatch triggered.
+    """
+    if not regions:
+        return "no parallel regions executed"
+    lines = [
+        f"{'loop':16} {'backend':26} {'sched':8} {'W':>2} "
+        f"{'iters':>6} {'bytes':>8} {'cc':>4} {'ic':>4} "
+        f"{'rtry':>4} {'fo':>3} {'flt':>4} {'rec-ms':>7} "
+        f"{'rpl':>3} {'seconds':>9}  per-worker steps"
+    ]
+    lines.append("-" * len(lines[0]))
+    for region in regions:
+        steps = "/".join(str(worker["steps"]) for worker in region.per_worker)
+        lines.append(
+            f"{region.header:16} {region.backend:26} "
+            f"{region.schedule:8} {region.workers:>2} "
+            f"{region.iterations:>6} "
+            f"{region.payload_bytes:>8} "
+            f"{region.compiled_chunks:>4} "
+            f"{region.interpreted_chunks:>4} "
+            f"{region.retries:>4} "
+            f"{region.failovers:>3} "
+            f"{region.faults_injected:>4} "
+            f"{region.recovery_ms:>7.1f} "
+            f"{region.replans:>3} "
+            f"{region.seconds:>9.4f}  "
+            f"{steps}"
+        )
+    return "\n".join(lines)

@@ -11,7 +11,8 @@ import pytest
 from repro import Session, SessionConfig
 from repro.planner import MachineModel
 from repro.planner.plans import ProgramPlan
-from repro.util.regionstats import RegionStats
+from repro.runtime.executor import ParallelInterpreter
+from repro.util.regionstats import RegionStats, region_feedback
 
 SOURCE = """
 global data: int[64];
@@ -384,52 +385,44 @@ def test_diagnostics_report_renders(session):
     assert as_dict["pspdg"]["stats"]["hierarchical_nodes"] > 0
 
 
-def test_payload_feedback_aggregates_per_label():
-    from repro.pipeline.diagnostics import Diagnostics
-
-    diagnostics = Diagnostics()
-    diagnostics.record_parallel(RegionStats(
-        header="L1", payloads=4, payload_bytes=4000,
-    ))
-    diagnostics.record_parallel(RegionStats(
-        header="L1", payloads=4, payload_bytes=400,
-    ))
-    diagnostics.record_parallel(RegionStats(
-        header="L2", payloads=2, payload_bytes=600,
-    ))
-    diagnostics.record_parallel(RegionStats(header="seq", payloads=0))
-    payload_bytes, speedup, recovery = diagnostics.payload_feedback()
+def test_region_feedback_aggregates_per_label():
+    regions = [
+        RegionStats(header="L1", payloads=4, payload_bytes=4000),
+        RegionStats(header="L1", payloads=4, payload_bytes=400),
+        RegionStats(header="L2", payloads=2, payload_bytes=600),
+        RegionStats(header="seq", payloads=0),
+    ]
+    payload_bytes, speedup, recovery = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8, "L2": 300}
     assert "seq" not in payload_bytes
     assert speedup == {}  # no chunk-mode executions recorded
     assert recovery == {}  # no supervised recoveries recorded
 
 
-def test_payload_feedback_measures_compiled_speedup():
-    from repro.pipeline.diagnostics import Diagnostics
-
-    diagnostics = Diagnostics()
+def test_region_feedback_measures_compiled_speedup():
     # Two interpreted runs at 1000 steps/s, one compiled at 4000.
-    for _ in range(2):
-        diagnostics.record_parallel(RegionStats(
+    regions = [
+        RegionStats(
             header="L1", seconds=1.0, interpreted_chunks=4,
             per_worker=[{"steps": 500}, {"steps": 500}],
-        ))
-    diagnostics.record_parallel(RegionStats(
+        )
+        for _ in range(2)
+    ]
+    regions.append(RegionStats(
         header="L1", seconds=0.5, compiled_chunks=4,
         per_worker=[{"steps": 1000}, {"steps": 1000}],
     ))
     # Mixed executions are not attributable to either engine.
-    diagnostics.record_parallel(RegionStats(
+    regions.append(RegionStats(
         header="L2", seconds=1.0, compiled_chunks=2,
         interpreted_chunks=2, per_worker=[{"steps": 1000}],
     ))
     # Compiled-only regions have no interpreted baseline to compare to.
-    diagnostics.record_parallel(RegionStats(
+    regions.append(RegionStats(
         header="L3", seconds=1.0, compiled_chunks=2,
         per_worker=[{"steps": 1000}],
     ))
-    _bytes, speedup, _recovery = diagnostics.payload_feedback()
+    _bytes, speedup, _recovery = region_feedback(regions)
     assert speedup == {"L1": pytest.approx(4.0)}
 
 
@@ -488,8 +481,8 @@ def test_cli_knobs_lists_the_registry():
     assert proc.returncode == 0, proc.stderr
     for name in knobs.snapshot():
         assert name in proc.stdout
-    assert "default 0.05" in proc.stdout  # REPRO_RETRY_BACKOFF
-    assert len(proc.stdout.splitlines()) == 4
+    assert "(default '')" in proc.stdout  # REPRO_FAULTS
+    assert len(proc.stdout.splitlines()) == 2
     markdown = _run_cli("knobs", "--markdown")
     assert markdown.returncode == 0, markdown.stderr
     assert markdown.stdout.strip() == knobs.markdown_table()
@@ -634,14 +627,27 @@ def test_no_config_field_defers_to_the_environment():
     assert nones == {"chunk", "profile_path"}
 
 
-def test_cli_faults_flag_recovers_and_does_not_leak(capsys):
+@pytest.mark.parametrize("build", [
+    lambda module: SessionConfig(retry_budget=1),
+    lambda module: ParallelInterpreter(module, [], retry_budget=1),
+    lambda module: ParallelInterpreter(module, [], quarantine=None),
+], ids=["config-retry_budget", "interpreter-retry_budget",
+        "interpreter-quarantine"])
+def test_supervision_options_are_refused_not_ignored(session, build):
+    """Supervision has no settings: a caller still passing one learns so
+    at once instead of running with a silently different policy."""
+    with pytest.raises(TypeError, match="retry_budget|quarantine"):
+        build(session.module)
+
+
+def test_cli_faults_flag_recovers_and_does_not_leak(capsys, monkeypatch):
     """``run --faults`` injects for that command only: a later in-process
     ``cli.main`` must not inherit the fault plan."""
     from repro import cli
     from repro.runtime import backends, knobs
 
     backends._reset_chunk_pool()
-    knobs.REPRO_RETRY_BACKOFF.value = 0.01
+    monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.01)
     try:
         status = cli.main([
             "run", "IS", "--plan", "PS-PDG", "--backend", "processes",

@@ -33,7 +33,7 @@ def _loop_plan_record(loop_plan):
     }
 
 
-def fig14_snapshot(kernel):
+def fig14_numbers(kernel):
     """The JSON-shaped Fig. 14 record of one kernel."""
     results = Session.from_kernel(kernel).critical_paths()
     return {
@@ -69,13 +69,13 @@ def test_golden_covers_every_kernel_and_abstraction():
 
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_fig14_matches_golden(kernel):
-    assert fig14_snapshot(kernel) == _golden()[kernel]
+    assert fig14_numbers(kernel) == _golden()[kernel]
 
 
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w") as handle:
         json.dump(
-            {kernel: fig14_snapshot(kernel) for kernel in KERNEL_NAMES},
+            {kernel: fig14_numbers(kernel) for kernel in KERNEL_NAMES},
             handle, indent=1,
         )
         handle.write("\n")

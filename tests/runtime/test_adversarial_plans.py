@@ -8,10 +8,17 @@ sequential output on at least one seed — the same comparator the
 conformance suite uses.  Control cases check that the *correct* recipe
 for each program never diverges, so a failure here means the oracle has
 lost its teeth, not that the programs are broken.
+
+The graph has teeth too: deleting the dependence a loop carries turns it
+DOALL under the PDG view, and the oracle refutes the plan that follows.
 """
+
+import pytest
 
 from repro.emulator import run_module
 from repro.frontend import compile_source
+from repro.pdg import EDGE_MEMORY, PDG, build_pdg
+from repro.planner import PDGView, classify_loop
 from repro.runtime import (
     LoopParallelization,
     parallelization_from_annotation,
@@ -74,6 +81,60 @@ func main() {
   print(a[0], a[15]);
 }
 """
+
+
+#: No pragma: iteration i reads what iteration i - 1 wrote (carried RAW).
+CARRIED_RAW = """
+global a: int[16];
+
+func main() {
+  for i in 1..16 {
+    a[i] = a[i - 1] + 1;
+  }
+  print(a[15]);
+}
+"""
+
+#: More carried dependences, one loop each, none of them declared.
+CARRIED = {
+    # RAW at distance two: the even and odd chains each recur.
+    "stride2_raw": """
+global a: int[16];
+
+func main() {
+  a[1] = 1;
+  for i in 2..16 {
+    a[i] = a[i - 2] + 3;
+  }
+  print(a[14], a[15]);
+}
+""",
+    # A global scalar every iteration reads and writes.
+    "scalar_recurrence": """
+global s: int;
+global a: int[16];
+
+func main() {
+  for i in 0..16 {
+    s = s * 2 + a[i] + 1;
+  }
+  print(s);
+}
+""",
+    # WAW on a global scalar: the last iteration's write must win.
+    "last_writer": """
+global a: int[16];
+global last: int;
+
+func main() {
+  for i in 0..16 {
+    a[i] = i;
+    last = a[i] * 3;
+  }
+  print(last);
+}
+""",
+}
 
 
 def _loop_header(function):
@@ -158,3 +219,35 @@ class TestCorrectPlansAreNotFlagged:
             UNSEEDED_FIRSTPRIVATE,
         ):
             assert _divergences(source, _correct_recipes) == 0
+
+
+def _assert_deletion_is_caught(source):
+    """The loop is not DOALL; without its carried memory edges it is,
+    and the bare plan that licenses diverges under the oracle."""
+    module = compile_source(source)
+    pdg = build_pdg(module.function("main"), module)
+    (loop,) = pdg.loops
+    assert not classify_loop(PDGView(pdg), loop).doall_legal
+
+    pruned = PDG(pdg.analyses)
+    for edge in pdg.edges:
+        if not (edge.kind == EDGE_MEMORY and loop in edge.carried_loops):
+            pruned.add_edge(edge)
+    assert pruned.edge_count() < pdg.edge_count()
+    assert classify_loop(PDGView(pruned), loop).doall_legal
+
+    header = loop.header.name
+    assert _divergences(
+        source, lambda _module: [LoopParallelization(header=header)]
+    ) > 0
+
+
+class TestDeletedEdgesAreCaught:
+    """A dependence edge the graph loses is a wrong plan the oracle sees."""
+
+    def test_deleting_the_carried_raw_edge_is_caught(self):
+        _assert_deletion_is_caught(CARRIED_RAW)
+
+    @pytest.mark.parametrize("shape", sorted(CARRIED))
+    def test_deleting_a_carried_edge_is_caught(self, shape):
+        _assert_deletion_is_caught(CARRIED[shape])

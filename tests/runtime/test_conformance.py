@@ -16,6 +16,7 @@ import pytest
 
 from repro.opt import OptLevel, optimize_plan
 from repro.runtime import run_plan, run_source_plan
+from repro.util.regionstats import parallel_report
 from repro.workloads import kernel_names
 from repro.workloads.nas import build_session
 from support.conformance import (
@@ -272,5 +273,4 @@ def test_per_worker_diagnostics_recorded(kernel_state):
         region["iterations"]
     )
     assert sum(w["steps"] for w in region["per_worker"]) > 0
-    assert session.diagnostics.parallel_regions  # mirrored for reports
-    assert "threads" in session.diagnostics.parallel_report()
+    assert "threads" in parallel_report(result.parallel_regions)

@@ -1,18 +1,19 @@
-"""Fault-tolerant region execution: injection, retry, and the ladder.
+"""Fault-tolerant region execution: injection, retry, and the failover.
 
 Covers the ``REPRO_FAULTS`` spec grammar, the supervised retry path of
 the processes backend (crash / hang / corrupt_wire / drop_result all
-recover to byte-identical output), the graceful-degradation ladder with
-its Session-scoped quarantine, and a chaos conformance sweep over every
-NAS kernel: a faulted run either matches the sequential reference or
-surfaces a clean :class:`EmulationError` — never a hang, never silent
-corruption, never an unclassified infrastructure exception.
+recover to byte-identical output), the one failover to ``threads`` a
+region takes once its retries run out, and a chaos conformance sweep
+over every NAS kernel: a faulted run either matches the sequential
+reference or surfaces a clean :class:`EmulationError` — never a hang,
+never silent corruption, never an unclassified infrastructure exception.
 """
 
 import pytest
 
 from repro.runtime import backends, faults, knobs
 from repro.util.errors import EmulationError, PlanError
+from repro.util.regionstats import parallel_report
 from repro.workloads import kernel_names
 from repro.workloads.nas import build_session
 from support.conformance import (
@@ -31,16 +32,27 @@ def fresh_pool():
 
 
 @pytest.fixture
-def fast_retries():
+def fast_retries(monkeypatch):
     """Shrink the retry backoff so chaos tests don't sleep much."""
-    knobs.REPRO_RETRY_BACKOFF.value = 0.01
-    yield
-    knobs.refresh()
+    monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.01)
 
 
 def inject(spec):
     """Activate a fault spec for the rest of the test."""
     knobs.REPRO_FAULTS.value = spec
+
+
+#: A DOALL whose iteration 4 divides by zero on every backend.
+DIVIDES_BY_ZERO = """
+global a: int[8];
+func main() {
+  pragma omp parallel_for
+  for i in 0..8 {
+    a[i] = a[i] / (i - 4);
+  }
+  print(a[0]);
+}
+"""
 
 
 # -- spec grammar --------------------------------------------------------------
@@ -102,23 +114,6 @@ class TestFaultSpec:
         assert faults.active_plan() is None
 
 
-class TestQuarantine:
-    def test_demotion_is_monotonic(self):
-        quarantine = faults.Quarantine()
-        key = ("hash", "loop@3")
-        assert quarantine.rung_for(key) is None
-        quarantine.demote(key, "threads")
-        assert quarantine.rung_for(key) == "threads"
-        quarantine.demote(key, "serial")
-        quarantine.demote(key, "threads")  # never climbs back up
-        assert quarantine.rung_for(key) == "serial"
-        assert len(quarantine) == 1 and quarantine.entries() == {
-            key: "serial"
-        }
-        quarantine.clear()
-        assert quarantine.rung_for(key) is None
-
-
 # -- supervised recovery on the processes backend ------------------------------
 
 
@@ -141,35 +136,8 @@ class TestSupervisedRecovery:
         assert region["faults_injected"] >= 1
         assert region["recovery_ms"] > 0
         assert region["failovers"] == 0  # retry healed it, no demotion
-        report = session.diagnostics.parallel_report()
+        report = parallel_report(faulted.parallel_regions)
         assert "rtry" in report and "rec-ms" in report
-
-    def test_negative_backoff_still_recovers(self, fast_retries):
-        """``REPRO_RETRY_BACKOFF=-1`` clamps to no sleep: the crash must
-        still recover, not die in ``time.sleep`` with a ValueError."""
-        session = build_session("LU")
-        clean = self.run_lu(session)
-        knobs.REPRO_RETRY_BACKOFF.value = -1.0
-        inject("crash:region=0:worker=0")
-        faulted = self.run_lu(session)
-        assert faulted.output == clean.output  # bitwise, not isclose
-        assert faulted.parallel_regions[0]["retries"] >= 1
-
-    def test_infinite_backoff_and_deadline_still_recover(self, monkeypatch):
-        """``REPRO_RETRY_BACKOFF=inf`` and ``REPRO_REGION_TIMEOUT=inf``
-        read as their defaults: the crash must still recover, not die in
-        ``time.sleep`` / ``future.result`` with an OverflowError."""
-        session = build_session("EP")
-        clean = session.run("PS-PDG", opt="-O2", workers=2,
-                            backend="processes")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "inf")
-        monkeypatch.setenv("REPRO_REGION_TIMEOUT", "inf")
-        knobs.refresh()
-        inject("crash:region=0:worker=0")
-        faulted = session.run("PS-PDG", opt="-O2", workers=2,
-                              backend="processes")
-        assert faulted.output == clean.output
-        assert faulted.parallel_regions[0]["retries"] >= 1
 
     @pytest.mark.parametrize("spec", [
         "corrupt_wire:region=0:worker=1",
@@ -187,11 +155,12 @@ class TestSupervisedRecovery:
         assert sum(r["faults_injected"]
                    for r in faulted.parallel_regions) >= 1
 
-    def test_hang_trips_region_deadline_and_recovers(self, fast_retries):
+    def test_hang_trips_region_deadline_and_recovers(self, fast_retries,
+                                                     monkeypatch):
         session = build_session("EP")
         clean = session.run("PS-PDG", opt="-O2", workers=2,
                             backend="processes")
-        knobs.REPRO_REGION_TIMEOUT.value = 1.5
+        monkeypatch.setattr(backends, "_region_allowance", lambda _steps: 1.5)
         inject("hang:region=0:worker=0:s=30")
         faulted = session.run("PS-PDG", opt="-O2", workers=2,
                               backend="processes")
@@ -200,42 +169,75 @@ class TestSupervisedRecovery:
 
 
 class TestDegradationLadder:
-    def test_exhausted_retries_fail_over_then_quarantine(self,
-                                                         fast_retries):
-        session = build_session("EP", retry_budget=1)
+    """One way down: processes, then threads once, then a clean error."""
+
+    @pytest.fixture
+    def one_retry(self, fast_retries, monkeypatch):
+        monkeypatch.setattr(backends, "RETRY_BUDGET", 1)
+
+    def test_exhausted_retries_fail_over_and_warm_reruns_pay_again(
+            self, one_retry):
+        session = build_session("EP")
         expected = session.execution.output
         inject("crash:p=1:seed=1:times=0")  # every dispatch dies
+        runs = [
+            session.run("PS-PDG", opt="-O2", workers=2, backend="processes")
+            for _ in range(2)  # the second is warm, under the same fault
+        ]
+        assert outputs_close(runs[0].output, expected)
+        assert runs[1].output == runs[0].output
+        for result in runs:
+            (region,) = result.parallel_regions
+            assert region["backend"] == "processes->threads(failover)"
+            assert region["retries"] == backends.RETRY_BUDGET
+            assert region["failovers"] == 1
+
+    @pytest.mark.parametrize("kind", ["corrupt_wire", "drop_result"])
+    def test_persistent_wire_faults_take_the_same_one_step(self, one_retry,
+                                                           kind):
+        """Not only a dead worker: any infrastructure failure that
+        outlasts the retries fails over once, to the same output."""
+        session = build_session("EP")
+        expected = session.execution.output
+        inject(f"{kind}:p=1:seed=1:times=0")  # every payload is hit
         result = session.run("PS-PDG", opt="-O2", workers=2,
                              backend="processes")
         assert outputs_close(result.output, expected)
-        region = result.parallel_regions[0]
+        (region,) = result.parallel_regions
         assert region["backend"] == "processes->threads(failover)"
-        assert region["failovers"] >= 1
-        assert len(session._quarantine()) >= 1
+        assert region["retries"] == backends.RETRY_BUDGET
+        assert region["failovers"] == 1
+        assert region["faults_injected"] > backends.RETRY_BUDGET
 
-        # Warm re-run on the same Session: the quarantine remembers the
-        # rung, so no doomed processes retries are re-paid.
-        inject("")
-        warm = session.run("PS-PDG", opt="-O2", workers=2,
-                           backend="processes")
-        assert outputs_close(warm.output, expected)
-        region = warm.parallel_regions[0]
-        assert region["backend"] == "processes->threads(quarantine)"
-        assert region["retries"] == 0 and region["failovers"] == 0
+    def test_a_region_that_fails_on_threads_too_raises_once(
+            self, one_retry, compile_, monkeypatch):
+        """Every processes dispatch dies, then the failover meets the
+        program's own division by zero: one error naming both attempts,
+        and no third backend is tried."""
+        serial = []
+
+        def spy(self, interp, region):
+            serial.append(region.stats.header)
+            return backends.ThreadsBackend.run_region(self, interp, region)
+
+        monkeypatch.setattr(backends.SerialBackend, "run_region", spy)
+        module = compile_(DIVIDES_BY_ZERO)
+        from repro.runtime import run_source_plan
+
+        inject("crash:p=1:seed=1:times=0")
+        with pytest.raises(EmulationError) as caught:
+            run_source_plan(module, "main", workers=2, seed=0,
+                            backend="processes")
+        assert type(caught.value) is EmulationError
+        message = str(caught.value)
+        assert "processes" in message and "threads" in message
+        assert "ivision" in message
+        assert serial == []
 
     def test_program_errors_are_never_retried(self, fast_retries,
                                               compile_):
         """A genuinely wrong program fails cleanly with zero retries."""
-        module = compile_("""
-global a: int[8];
-func main() {
-  pragma omp parallel_for
-  for i in 0..8 {
-    a[i] = a[i] / (i - 4);
-  }
-  print(a[0]);
-}
-""")
+        module = compile_(DIVIDES_BY_ZERO)
         from repro.runtime import run_source_plan
 
         with pytest.raises(EmulationError, match="[Dd]ivision"):

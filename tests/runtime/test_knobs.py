@@ -7,35 +7,35 @@ contract, and the payload-codec re-export older tests monkeypatch.
 """
 
 import ast
+import math
 import pickle
 from pathlib import Path
 
 import pytest
 
-from repro.runtime import knobs, payload
+from repro.runtime import backends, knobs, payload
 
 
 def test_unset_env_uses_default(monkeypatch):
     monkeypatch.delenv("VERIFY_COMPILED", raising=False)
-    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     knobs.refresh()
     assert not knobs.VERIFY_COMPILED
-    assert knobs.REPRO_RETRY_BACKOFF.value == 0.05  # typed default
+    assert knobs.REPRO_FAULTS.value == ""  # typed default
 
 
-@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
 @pytest.mark.parametrize("name", [
     "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
 ])
-def test_non_finite_float_falls_back_to_the_default(monkeypatch, name, raw):
-    """``time.sleep(inf)`` and ``future.result(timeout=inf)`` are
-    OverflowErrors: such a value is unparseable like any other."""
-    monkeypatch.setenv(name, raw)
+def test_supervision_reads_nothing_from_the_environment(monkeypatch, name):
+    """The retry backoff and the region deadline are module constants:
+    their old variable names are no knobs, and ``inf`` there (once an
+    OverflowError in ``time.sleep`` / ``future.result``) changes nothing."""
+    monkeypatch.setenv(name, "inf")
     knobs.refresh()
-    knob = knobs._KNOBS[name]
-    assert knob.value == knob.default
-    monkeypatch.setenv(name, "0.25")
-    assert knob.refresh() == 0.25
+    assert name not in knobs.snapshot()
+    assert backends.RETRY_BUDGET == 2 and backends.RETRY_BACKOFF == 0.05
+    assert math.isfinite(backends._region_allowance(50_000_000))
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "False", " no ", "OFF"])
@@ -92,14 +92,14 @@ def test_flag_conflicting_default_is_an_error():
         knobs._KNOBS.pop("REPRO_TEST_CONFLICT_KNOB")
 
 
-def test_snapshot_carries_defaults_values_and_docs():
+def test_registry_carries_defaults_values_and_docs():
     snap = knobs.snapshot()
     assert set(snap) == set(knobs.as_dict())
     entry = snap["VERIFY_COMPILED"]
     assert entry["default"] is False
     assert isinstance(entry["value"], bool)
     assert "interpreted" in entry["doc"].lower()
-    assert snap["REPRO_RETRY_BACKOFF"]["default"] == 0.05
+    assert snap["REPRO_FAULTS"]["default"] == ""
     # Every registered knob documents itself — the README table is
     # generated from these lines.
     assert all(info["doc"] for info in snap.values())
@@ -114,7 +114,7 @@ def test_readme_knob_table_matches_the_registry():
     """
     readme = Path(__file__).resolve().parents[2] / "README.md"
     table = knobs.markdown_table()
-    assert "| `REPRO_RETRY_BACKOFF` | `0.05` |" in table  # sanity
+    assert "| `REPRO_FAULTS` | (empty) |" in table  # sanity
     assert table in readme.read_text(), (
         "README.md knob table is stale — regenerate it with "
         "`python -m repro knobs --markdown` and paste it in"
@@ -148,10 +148,7 @@ def test_knob_repr_and_pickle_guard():
 
 #: The registry keeps only what arms an oracle or injects chaos over an
 #: unmodified test run; behavioural options live on SessionConfig.
-SURVIVING_KNOBS = {
-    "VERIFY_COMPILED",
-    "REPRO_FAULTS", "REPRO_RETRY_BACKOFF", "REPRO_REGION_TIMEOUT",
-}
+SURVIVING_KNOBS = {"VERIFY_COMPILED", "REPRO_FAULTS"}
 
 
 def test_every_knob_is_flipped_somewhere():

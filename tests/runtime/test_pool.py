@@ -172,7 +172,7 @@ class TestPoolLifecycle:
             return taken
 
         monkeypatch.setattr(backends, "_chunk_pool", racing)
-        monkeypatch.setattr(backends.knobs.REPRO_RETRY_BACKOFF, "value", 0.0)
+        monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.0)
         regions = _run(Session.from_kernel("EP"))  # the sequential output
         assert resets and regions[0]["retries"] >= 1
         assert backends._chunk_pool(2)[0] is not resets[0][0]

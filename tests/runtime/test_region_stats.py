@@ -9,12 +9,18 @@ the frozen benchmark harness and ``parallel_report`` subscript, and
 
 import ast
 import dataclasses
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro import Session
-from repro.util.regionstats import RegionStats, region_feedback
+from repro.util.regionstats import (
+    RegionStats,
+    parallel_report,
+    region_feedback,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 RUNTIME = ROOT / "src" / "repro" / "runtime"
@@ -116,13 +122,33 @@ def test_key_set_is_exactly_the_field_set(published):
 
 
 def test_parallel_report_renders_every_column(published):
-    session, region = published
-    header, _rule, row = session.diagnostics.parallel_report().splitlines()[:3]
+    _session, region = published
+    header, _rule, row = parallel_report([region]).splitlines()[:3]
     assert header.split()[:14] == [
         "loop", "backend", "sched", "W", "iters", "bytes", "cc", "ic",
         "rtry", "fo", "flt", "rec-ms", "rpl", "seconds",
     ]
     assert row.split()[:2] == [region.header, region.backend]
+
+
+def test_warm_runs_leave_no_region_records_behind():
+    """A record lives in its run's result and nowhere else: 300 warm
+    runs on one Session hold on to (almost) nothing they allocated.
+    A Session-side mirror of every region kept ~0.8 KB a run."""
+    session = Session.from_kernel("EP", workers=2)
+    for _ in range(100):  # caches, the team, calibration: all warm
+        session.run("PS-PDG", backend="threads")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            session.run("PS-PDG", backend="threads")
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024, f"300 warm runs kept {grown} bytes"
 
 
 # -- (c) derived quantities ------------------------------------------------------

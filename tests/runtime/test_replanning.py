@@ -14,7 +14,8 @@ import pytest
 from repro import Session
 from repro.planner.calibration import CalibrationStore
 from repro.planner.machine import MachineModel
-from repro.runtime import knobs
+from repro.runtime import backends, knobs
+from repro.util.regionstats import parallel_report, region_feedback
 from repro.workloads import kernel_names
 from support.conformance import outputs_close
 
@@ -70,15 +71,15 @@ class TestReplanTriggers:
         assert result.formatted_output() == plain.formatted_output()
 
     def test_rpl_column_and_stats(self, adaptive_run):
-        session, result = adaptive_run
+        _session, result = adaptive_run
         assert sum(r.get("replans", 0) for r in result.parallel_regions) \
             == len(result.replan_events)
-        report = session.diagnostics.parallel_report()
+        report = parallel_report(result.parallel_regions)
         assert "rpl" in report.splitlines()[0]
 
-    def test_replans_surface_in_payload_feedback(self, adaptive_run):
-        session, _result = adaptive_run
-        _bytes, _speedup, recovery = session.diagnostics.payload_feedback()
+    def test_replans_surface_in_region_feedback(self, adaptive_run):
+        _session, result = adaptive_run
+        _bytes, _speedup, recovery = region_feedback(result.parallel_regions)
         assert sum(
             entry.get("replans", 0) for entry in recovery.values()
         ) >= 1
@@ -101,7 +102,7 @@ class TestNoSpuriousReplans:
         session = Session.from_kernel("IS", opt_level=2, workers=4)
         result = session.run("PS-PDG", adaptive=True)
         assert result.replan_events == []
-        assert session.diagnostics.payload_feedback()[2] == {}
+        assert region_feedback(result.parallel_regions)[2] == {}
 
     def test_adaptive_off_never_replans(self):
         session = miscalibrated_session()
@@ -144,9 +145,9 @@ class TestChaosInteraction:
     """REPRO_FAULTS + adaptive: the deferred-apply invariant holds and
     recovery-inflated timings never reach the calibration store."""
 
-    def test_faulted_run_still_conforms(self):
+    def test_faulted_run_still_conforms(self, monkeypatch):
         knobs.REPRO_FAULTS.value = "crash:region=1:worker=0:times=1"
-        knobs.REPRO_REGION_TIMEOUT.value = 20.0
+        monkeypatch.setattr(backends, "_region_allowance", lambda _s: 20.0)
         try:
             # Priced for the interpreter: region=1 must still be a
             # processes dispatch for the scenario to fire.

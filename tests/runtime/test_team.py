@@ -315,7 +315,7 @@ def test_two_sessions_on_two_python_threads_match_the_emulator():
     assert len(team_threads()) <= 3  # one team, no wider than a region
 
 
-# -- (d) the ladder's rungs ---------------------------------------------------------------
+# -- (d) the failover ---------------------------------------------------------------------
 
 
 def _shape(result):
@@ -330,15 +330,16 @@ def _shape(result):
     )
 
 
-def test_the_threads_rung_and_serial_give_the_threads_result():
+def test_the_threads_rung_and_serial_give_the_threads_result(monkeypatch):
     backends._reset_chunk_pool()
-    session = build_session("EP", retry_budget=1)
+    session = build_session("EP")
     try:
         plain = session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
         serial = session.run(
             "PS-PDG", opt="-O2", workers=2, backend=SerialBackend()
         )
-        knobs.REPRO_RETRY_BACKOFF.value = 0.01
+        monkeypatch.setattr(backends, "RETRY_BUDGET", 1)
+        monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.01)
         knobs.REPRO_FAULTS.value = "crash:p=1:seed=1:times=0"
         rung = session.run(
             "PS-PDG", opt="-O2", workers=2, backend="processes"
