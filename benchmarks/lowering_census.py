@@ -1,4 +1,4 @@
-"""What the one emitter lowers and what it refuses, as three tracked lines.
+"""What the one emitter lowers and what it refuses, as four tracked lines.
 
     python3 benchmarks/lowering_census.py
 
@@ -14,12 +14,17 @@ Three populations, one ``structured / refused`` line each:
   lowered through ``lower_sequence`` with the session's loops;
 * **profiles** — the same functions through ``compile_profiled``.
 
+The fourth line splits the counted inner loops (``for v in range(v,
+hi)``) of the chunk bodies by how they count steps: charged once in
+front of the loop (a straight body that cannot raise), or per iteration.
+
 Every refusal is listed as ``<program> <function>[@-O<n>]: <block>:
 <why>``; exits 1 on any — a refused body is one that went back to the
 interpreter.
 """
 
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -27,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 from catalogue import NAS8, PLAN, load_program  # noqa: E402
 from repro.analysis.record import FunctionAnalyses  # noqa: E402
+from repro.codegen.cache import compiled_chunk  # noqa: E402
 from repro.codegen.lower import Unsupported  # noqa: E402
 from repro.codegen.seq import (  # noqa: E402
     compile_profiled, lower_sequence, sequence_stops,
@@ -51,9 +57,17 @@ def _refusal(lower):
     return None
 
 
+def _charges(source):
+    """``[charged once, per iteration]`` over ``source``'s counted loops."""
+    once = len(re.findall(r"_steps \+= \d+ \* \(", source))
+    return [once, source.count(" in range(") - once]
+
+
 def census():
-    """Population -> ``[(label, refusal or None), ...]``."""
+    """``(population -> [(label, refusal or None), ...], [charged once,
+    per iteration])``."""
     rows = {"chunk bodies": [], "sequences": [], "profiles": []}
+    charges = [0, 0]
     for name, text in _texts():
         for level in LEVELS:
             session = Session.from_source(
@@ -90,19 +104,30 @@ def census():
                         f"{name} {header}",
                         why if kind == "refused" else None,
                     ))
-    return rows
+                    entry = compiled_chunk(
+                        session.module,
+                        session.analyses.loops_by_header[header],
+                    )
+                    if entry is not None:
+                        once, each = _charges(entry.source)
+                        charges[0] += once
+                        charges[1] += each
+    return rows, charges
 
 
 def main():
     refused = 0
+    populations, (once, each) = census()
     print("lowering census (structured / refused)")
-    for population, rows in census().items():
+    for population, rows in populations.items():
         refusals = [(label, why) for label, why in rows if why]
         refused += len(refusals)
         print(f"  {population}: {len(rows) - len(refusals)} / "
               f"{len(refusals)}")
         for label, why in refusals:
             print(f"    {label}: {why}")
+    print(f"  counted inner loops: {once} charged once / {each} per "
+          "iteration")
     return 1 if refused else 0
 
 

@@ -28,7 +28,8 @@ Representation choices:
   break``), and turns a branch into ``if``/``else`` up to the arms'
   immediate post-dominator.  A linear chain is the depth-0 case.  One
   ``_steps += n; if _steps > _max`` covers each emitted segment (the
-  header, straight body and latch of a counted loop are one segment).
+  header, straight body and latch of a counted loop are one segment,
+  which the array tier below may charge once for all its iterations).
 * **Promotion.**  A scalar alloca whose every use in the body is a
   direct load or store — the chunk's own induction storage, inner
   induction variables, accumulators — lives in a Python local ``_p<uid>``
@@ -47,6 +48,29 @@ Representation choices:
   side effect, so the interpreter runs the chunk and raises its own
   out-of-bounds error at its own iteration: a body is lowered once.
   Every other guard stays inline.
+* **The array tier.**  A counted loop whose body, from the header's
+  branch to the latch, is one straight segment (jumps only: no ``if``,
+  no nested loop) gets a preheader in front of its ``for``.  Three
+  rewrites, each a pattern and the side condition the walk checks;
+  whatever fails one keeps its statement where it was:
+
+  - *charge once*: ``if v < hi: _steps += K * (hi - v)`` and the
+    ``max_steps`` check replace the per-iteration ``_steps += K`` when
+    no statement of the body can raise or leave first — no guarded
+    ``gep``, no division, no call, no guarded unary or cast, no
+    ``print``.  The success path's steps stay exact; a trip raises the
+    same message before the loop instead of partway through it, the
+    coarsening segment counting already makes.
+  - *hoist*: a read of a promoted scalar that nothing in the loop
+    stores (or allocates), and INT ``add``/``sub``/``mul`` and a proven
+    ``gep`` whose operands are constants, values from outside the loop
+    or hoisted values, run once in the preheader.
+  - *fold*: a proven ``gep`` whose one use is the pointer of a load or
+    store later in its block is not a statement: its offset is that
+    subscript.
+
+  Sequences and profiles promote nothing, so they have no counted loop
+  and keep their lowering.
 * What the walk refuses — a loop left from a block other than its
   header, arms that never rejoin, a block reached twice, an induction
   alloca whose address escapes, a nest deeper than CPython compiles —
@@ -233,6 +257,8 @@ class _Lowering:
         self._emitted = {}
         self._leaving = None  # that loop, while such an arm is walked
         self._elided = set()  # counted latches: steps only, no statements
+        self._hoisted = set()  # ids lowered in a counted loop's preheader
+        self._folded = set()  # ids of geps spelled inside their one use
         self._ipdom = {}  # region -> block -> immediate post-dominator
         self._uses = {}  # id(value) -> operand uses in the body (if any)
         self._headers = {inner.header: inner for inner in loops}
@@ -434,9 +460,7 @@ class _Lowering:
             # The element lives in the base's storage, whose local is
             # only ever rebound to the same list.
             self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
-            proven = (
-                not self._conditional and self._proven_in_bounds(inst)
-            )
+            proven = self._proven_in_bounds(inst)
         if not proven:
             suffix = (
                 f" out of bounds for {array_type!r} (gep #{inst.uid})"
@@ -451,6 +475,9 @@ class _Lowering:
         stride = array_type.element.slots()
         scaled = index if stride == 1 else f"{index} * {stride}"
         combined = scaled if offset == "0" else f"{offset} + {scaled}"
+        if proven and id(inst) in self._folded:
+            self._alias[id(inst)] = (storage, combined)
+            return
         name_s, name_o = self._register(inst)
         if name_s != storage:  # a chunk reads the base's storage local
             out.emit(f"{name_s} = {storage}")
@@ -522,14 +549,19 @@ class _Lowering:
             raise Unsupported("canonical body is the header")
         return body
 
+    def _open_segment(self, out, per=""):
+        """Open a segment at ``out``'s next line; its count is written
+        ``_steps += <total><per>``."""
+        self._segment = [len(out.lines), 0, "    " * out.indent, per]
+        self._step_check(out, 0)
+
     def _count(self, out, steps):
         """Count ``steps`` in the open segment's one ``max_steps`` check."""
         if self._segment is None:
-            self._segment = [len(out.lines), 0]
-            self._step_check(out, 0)
+            self._open_segment(out)
         self._segment[1] += steps
-        index, total = self._segment
-        out.lines[index] = "    " * out.indent + f"_steps += {total}"
+        index, total, indent, per = self._segment
+        out.lines[index] = f"{indent}_steps += {total}{per}"
 
     def _split_count(self, out, block, call):
         """Move the steps ``block`` runs after ``call`` into a segment
@@ -538,6 +570,12 @@ class _Lowering:
         self._count(out, -rest)
         self._segment = None
         self._count(out, rest)
+
+    def _lower_statement(self, out, block, inst):
+        try:
+            self.lower_instruction(out, inst)
+        except Unsupported as refusal:
+            raise Unsupported(f"{block.name} {inst!r}: {refusal}") from None
 
     def _lower_block(self, out, block):
         """Count and lower ``block``'s statements; returns its terminator
@@ -552,12 +590,8 @@ class _Lowering:
                         f"{block.name}: terminator before end of block"
                     )
                 return inst
-            try:
-                self.lower_instruction(out, inst)
-            except Unsupported as refusal:
-                raise Unsupported(
-                    f"{block.name} {inst!r}: {refusal}"
-                ) from None
+            if id(inst) not in self._hoisted:
+                self._lower_statement(out, block, inst)
             if isinstance(inst, insts.Call):
                 # The callee counts on from exactly here; what is left
                 # of the block is counted once it returns.
@@ -863,13 +897,14 @@ class _Lowering:
         counted = stays and self._counted(inner)
         if counted:
             scalar, upper, interval = counted
+            if interval:
+                self._enclosing.append(interval)
+            self._preheader(out, inner, inside, scalar, upper)
             out.emit(
                 f"for {scalar.value} in range({scalar.value}, {upper}):"
             )
             out.indent += 1
             self._count(out, len(header.instructions))
-            if interval:
-                self._enclosing.append(interval)
         else:
             out.emit("while True:")
             out.indent += 1
@@ -957,6 +992,104 @@ class _Lowering:
         )
         return scalar, self.scalar(upper), interval
 
+    # -- an innermost counted loop's preheader ---------------------------------
+
+    def _preheader(self, out, inner, block, scalar, upper):
+        """Rewrite a counted loop whose body, from ``block`` to its latch,
+        is one straight segment: charge its steps once, hoist what stays
+        invariant, fold single-use geps.  Emitted in front of its ``for``;
+        any other shape keeps the per-iteration segment.
+
+        Each rewrite alone against none, ``benchmarks/e2e`` ``run-dense``
+        ``op_rel`` medians over 10 alternating pairs on a 2-vCPU x86 box
+        (the workload pinned to one core), every pair won: charge once
+        4.87 -> 4.52, hoist 4.88 -> 3.76, fold 4.89 -> 4.73; all three
+        4.89 -> 3.25.
+        """
+        chain = []
+        while block is not inner.latches[0]:
+            if (
+                block in self._headers or block not in inner.blocks
+                or not isinstance(block.terminator, insts.Jump)
+            ):
+                return
+            chain.append(block)
+            block = block.terminator.target
+        if len(chain) + 2 != len(inner.blocks):
+            return
+        statements = [
+            (block, inst)
+            for block in chain for inst in block.instructions[:-1]
+        ]
+        if all(self._cannot_raise(inst) for _block, inst in statements):
+            out.emit(f"if {scalar.value} < {upper}:")
+            out.indent += 1
+            self._open_segment(out, f" * ({upper} - {scalar.value})")
+            out.indent -= 1
+        for block, inst in statements:
+            if self._hoistable(inst, inner):
+                self._hoisted.add(id(inst))
+                self._lower_statement(out, block, inst)
+        for block in chain:
+            for index, inst in enumerate(block.instructions):
+                if (
+                    isinstance(inst, insts.GetElementPtr)
+                    and id(inst) not in self._hoisted
+                    and self._uses.get(id(inst)) == 1
+                    and any(
+                        isinstance(user, (insts.Load, insts.Store))
+                        and user.pointer is inst
+                        for user in block.instructions[index + 1:]
+                    )
+                ):
+                    self._folded.add(id(inst))
+
+    def _cannot_raise(self, inst):
+        """Whether ``inst`` has no guard, no call and no output, so every
+        step of the loop may be charged before it runs."""
+        if isinstance(inst, insts.GetElementPtr):
+            return self._proven_in_bounds(inst)
+        if isinstance(inst, insts.BinaryOp):
+            return inst.op in _BINOP or inst.op in ("min", "max")
+        if isinstance(inst, insts.UnaryOp):
+            return inst.op in ("neg", "abs", "not")
+        if isinstance(inst, insts.Cast):
+            # ``float_to_int`` is guarded; ``float`` of an int past
+            # 2 ** 1024 overflows.
+            return inst.kind == "bool_to_int"
+        return isinstance(inst, (
+            insts.Alloca, insts.Load, insts.Store, insts.Compare,
+            insts.Select,
+        ))
+
+    def _hoistable(self, inst, inner):
+        """Whether ``inst``'s value is the same in every iteration of
+        ``inner``: a read of a promoted scalar ``inner`` never stores, or
+        INT ``add``/``sub``/``mul`` and a proven gep over invariants."""
+        if isinstance(inst, insts.Load):
+            scalar = self.promoted.get(id(inst.pointer))
+            return scalar is not None and not self._stored_in(scalar, inner)
+        arithmetic = isinstance(inst, insts.BinaryOp) and (
+            inst.type == INT and inst.op in ("add", "sub", "mul")
+        )
+        if not arithmetic and not isinstance(inst, insts.GetElementPtr):
+            return False
+        if not all(
+            not isinstance(operand, insts.Instruction)
+            or operand.parent not in inner.blocks
+            or id(operand) in self._hoisted
+            for operand in inst.operands
+        ):
+            return False
+        return arithmetic or self._proven_in_bounds(inst)
+
+    @staticmethod
+    def _stored_in(scalar, inner):
+        """Whether running ``inner`` can change ``scalar``'s local."""
+        return scalar.alloca.parent in inner.blocks or any(
+            store.parent in inner.blocks for store in scalar.stores
+        )
+
     # -- the once-per-chunk bounds proof ---------------------------------------
 
     def _affine(self, value, depth=0):
@@ -1028,7 +1161,10 @@ class _Lowering:
 
     def _proven_in_bounds(self, inst):
         """Whether the chunk's entry proof covers ``inst``'s index, so
-        its guard can go; adds the conjunct that does."""
+        its guard can go; adds the conjunct that does.  A gep in an
+        ``if`` arm keeps its guard."""
+        if self._conditional:
+            return False
         form = self._affine(inst.index)
         if form is None:
             return False

@@ -371,6 +371,157 @@ def test_a_taken_arm_out_of_bounds_raises_inline_at_its_iteration(chunks):
     assert "index 8 out of bounds" in errors["compiled"]
 
 
+# -- the array tier: a counted inner loop's preheader -------------------------
+
+
+def _counted_loops(source):
+    """``(lines before, the for line, its body lines)`` for every ``for
+    … in range`` in ``source``."""
+    lines = source.splitlines()
+    for index, line in enumerate(lines):
+        if " in range(" in line:
+            depth = len(line) - len(line.lstrip())
+            body = []
+            for inner in lines[index + 1:]:
+                if len(inner) - len(inner.lstrip()) <= depth:
+                    break
+                body.append(inner.strip())
+            yield lines[:index], line, body
+
+
+def test_a_counted_inner_loop_charges_once_and_hoists_its_row_offsets():
+    """dense8 at ``-O2`` (``run-dense``'s level): no inner body counts
+    steps or scales a row, and the charge sits in front of the loop."""
+    session = Session.from_source(dense_source(8), name="dense8",
+                                  opt_level=2)
+    loops = 0
+    for header in session.compiled_regions["tiers"]:
+        source = codegen_cache.compiled_chunk(
+            session.module, session.analyses.loops_by_header[header]
+        ).source
+        for before, line, body in _counted_loops(source):
+            loops += 1
+            variable = line.split()[1]
+            assert not any(
+                "_steps +=" in statement or "* 8" in statement
+                for statement in body
+            ), line
+            charge = [b for b in before if "_steps +=" in b][-1]
+            assert charge.endswith(f" - {variable})"), charge
+            # Single-use offsets are the subscripts themselves.
+            assert not any(
+                statement.startswith("_r") and "_o = " in statement
+                for statement in body
+            ), line
+    assert loops == 3
+
+
+TIER_PROGRAMS = ("dense8", "dense48", "dense96", *sorted(KERNELS))
+
+
+def _tier_source(name):
+    if name.startswith("dense"):
+        return dense_source(int(name[len("dense"):]))
+    return KERNELS[name].SOURCE
+
+
+@pytest.mark.parametrize("name", TIER_PROGRAMS)
+def test_the_tier_keeps_steps_exact_and_the_armed_oracle_quiet(
+        name, monkeypatch):
+    """``-O2`` on ``threads``: the compiled run's step total is the
+    interpreter's, and armed, every chunk's image, output and steps
+    match the interpreter's in-worker."""
+    session = Session.from_source(_tier_source(name), name=name,
+                                  opt_level=2)
+    runs = {}
+    for armed, compiled in ((False, False), (False, True), (True, True)):
+        monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
+        runs[armed, compiled] = session.run(
+            "PS-PDG", backend="threads", workers=2,
+            compile_regions=compiled,
+        )
+    interpreted = runs[False, False]
+    for run in (runs[False, True], runs[True, True]):
+        assert run.steps == interpreted.steps
+        assert outputs_close(run.output, interpreted.output)
+    regions = runs[False, True].parallel_regions
+    assert sum(r["compiled_chunks"] for r in regions) > 0
+
+
+SHAPE = """
+global a: int[8][8];
+global idx: int[8];
+
+func bump(x: int) -> int {
+  return x + 1;
+}
+
+func main() {
+  pragma omp parallel_for
+  for i in 0..8 {
+    var k: int = 0;
+    for j in 0..8 {
+      %s
+    }
+  }
+  print(a[3][5], a[7][7], a[0][0]);
+}
+"""
+
+#: An inner body the tier rewrites all three ways.
+STRAIGHT = "a[i][j] = i * 8 + j;"
+
+#: Inner bodies the tier must leave in today's per-iteration form.
+PER_ITERATION = {
+    "guarded-gep": "a[i][idx[j]] = a[i][idx[j]] + j;",
+    "division": "a[i][j] = (i * 8 + j) / 3;",
+    "if": "if (j > 3) { a[i][j] = j; }",
+    "nested-loop": "for m in 0..2 { a[i][j] = a[i][j] + m; }",
+    "call": "a[i][j] = bump(j);",
+}
+
+#: The stored scalar ``k`` indexes the store: its read stays in the body.
+STORED_SUBSCRIPT = "a[i][k] = i + j; k = k + 1;"
+
+
+def _tier_chunk(body, chunks):
+    """Run ``SHAPE`` around ``body`` through both engines; returns the
+    region loop's lowered source."""
+    source = SHAPE % body
+    result = run_source_plan(
+        compile_source(source), backend=SerialBackend(), workers=2,
+    )
+    assert result.output == run_module(compile_source(source)).output
+    _all_compiled(chunks)
+    return compile_chunk(_region_loop(compile_source(source))).source
+
+
+def _region_loop(module):
+    (loop,) = [lp for lp in find_natural_loops(module.function("main"))
+               if lp.canonical and lp.depth == 0]
+    return loop
+
+
+def test_a_straight_counted_body_is_charged_once(chunks):
+    source = _tier_chunk(STRAIGHT, chunks)
+    (before, line, body), = _counted_loops(source)
+    charge = [b for b in before if "_steps +=" in b][-1]
+    assert charge.endswith(f" * (8 - {line.split()[1]})")
+    # ``i * 8`` and the row offset run in front; the column's offset is
+    # the store's subscript.
+    assert len(body) == 2 and "* 8" not in "".join(body)
+    assert body[1].startswith("_gv") and "_o + _p" in body[1]
+
+
+def _charge_window(module, loop, iterations):
+    """``max_steps`` from 0 to one past the chunk's total: a trip in the
+    head of an outer iteration, in the once-charged loop (where the
+    interpreter trips partway through), behind it, and none."""
+    shim, frame = _ir_worker(module, loop)
+    total = differential(loop, shim, frame, iterations)["interpreted"].steps
+    return range(total + 2)
+
+
 def test_max_steps_tripping_in_an_inner_loop_raises_the_same_message(
         chunks):
     source = dense_source(8)
@@ -386,6 +537,65 @@ def test_max_steps_tripping_in_an_inner_loop_raises_the_same_message(
     assert set(tripped[-1].values()) == {
         "parallel worker exceeded max_steps"
     }
+    # Every limit around a once-charged loop: the same text, or none.
+    module = compile_source(SHAPE % STRAIGHT)
+    loop = _region_loop(module)
+    iterations = range(0, 2)
+    seen = []
+    for max_steps in _charge_window(module, loop, iterations):
+        shim, frame = _ir_worker(module, loop)
+        shim.max_steps = max_steps
+        errors = differential(loop, shim, frame, iterations)
+        assert errors["compiled"].error == errors["interpreted"].error, (
+            max_steps
+        )
+        if errors["compiled"].error not in seen:
+            seen.append(errors["compiled"].error)
+    assert seen == ["parallel worker exceeded max_steps", None]
+
+
+@pytest.mark.parametrize("shape", sorted(PER_ITERATION))
+def test_a_body_that_can_raise_or_branch_is_charged_per_iteration(
+        shape, chunks):
+    source = _tier_chunk(PER_ITERATION[shape], chunks)
+    _before, line, body = next(_counted_loops(source))
+    assert f" - {line.split()[1]})" not in source
+    assert body[0].startswith("_steps += ") and " * " not in body[0]
+
+
+def test_a_subscript_read_from_a_scalar_stored_in_the_loop_stays_put(
+        chunks):
+    source = _tier_chunk(STORED_SUBSCRIPT, chunks)
+    (_before, _line, body), = _counted_loops(source)
+    reads = [s for s in body
+             if s.startswith("_r") and " = _p" in s and "+" not in s]
+    assert len(reads) == 2  # k for the subscript, k for its increment
+    assert "_steps += " in body[0]  # its gep keeps its guard
+
+
+def test_an_invariance_check_blind_to_stores_is_caught(monkeypatch):
+    """Hoisting the read of ``k`` (and of ``j``'s sums) makes every
+    iteration store to one slot: the armed oracle sees the images
+    differ at the first chunk."""
+    from repro.codegen import lower
+
+    monkeypatch.setattr(
+        lower._Lowering, "_stored_in",
+        staticmethod(lambda scalar, inner: False),
+    )
+    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    codegen_cache.reset()
+    try:
+        with pytest.raises(
+            EmulationError, match="VERIFY_COMPILED divergence at main:"
+        ) as caught:
+            run_source_plan(
+                compile_source(SHAPE % STORED_SUBSCRIPT),
+                backend="threads", workers=2,
+            )
+        assert "storage images differ" in str(caught.value)
+    finally:
+        codegen_cache.reset()
 
 
 def test_the_proof_runs_once_per_chunk_not_per_iteration():
