@@ -1,4 +1,4 @@
-"""What the one emitter lowers and what it refuses, as four tracked lines.
+"""What the one emitter lowers and what it refuses, as five tracked lines.
 
     python3 benchmarks/lowering_census.py
 
@@ -17,6 +17,9 @@ Three populations, one ``structured / refused`` line each:
 The fourth line splits the counted inner loops (``for v in range(v,
 hi)``) of the chunk bodies by how they count steps: charged once in
 front of the loop (a straight body that cannot raise), or per iteration.
+The fifth counts those of the once-charged that run as slices — a slice
+store's comprehension, or a ``for`` over zipped lanes — instead of a
+``for`` over the range.
 
 Every refusal is listed as ``<program> <function>[@-O<n>]: <block>:
 <why>``; exits 1 on any — a refused body is one that went back to the
@@ -58,16 +61,22 @@ def _refusal(lower):
 
 
 def _charges(source):
-    """``[charged once, per iteration]`` over ``source``'s counted loops."""
+    """``[charged once, per iteration, as slices]`` over ``source``'s
+    counted loops."""
     once = len(re.findall(r"_steps \+= \d+ \* \(", source))
-    return [once, source.count(" in range(") - once]
+    sliced = len(re.findall(
+        r"^\s*(?:\S+\[[^]]*:[^]]*\] = \[|for (?:_l|.* in zip\())",
+        source, re.M,
+    ))
+    ranges = len(re.findall(r"^\s*for \S+ in range\(", source, re.M))
+    return [once, ranges - (once - sliced), sliced]
 
 
 def census():
     """``(population -> [(label, refusal or None), ...], [charged once,
-    per iteration])``."""
+    per iteration, as slices])``."""
     rows = {"chunk bodies": [], "sequences": [], "profiles": []}
-    charges = [0, 0]
+    charges = [0, 0, 0]
     for name, text in _texts():
         for level in LEVELS:
             session = Session.from_source(
@@ -109,15 +118,16 @@ def census():
                         session.analyses.loops_by_header[header],
                     )
                     if entry is not None:
-                        once, each = _charges(entry.source)
-                        charges[0] += once
-                        charges[1] += each
+                        for index, count in enumerate(
+                            _charges(entry.source)
+                        ):
+                            charges[index] += count
     return rows, charges
 
 
 def main():
     refused = 0
-    populations, (once, each) = census()
+    populations, (once, each, sliced) = census()
     print("lowering census (structured / refused)")
     for population, rows in populations.items():
         refusals = [(label, why) for label, why in rows if why]
@@ -128,6 +138,7 @@ def main():
             print(f"    {label}: {why}")
     print(f"  counted inner loops: {once} charged once / {each} per "
           "iteration")
+    print(f"  counted inner loops as slices: {sliced}")
     return 1 if refused else 0
 
 

@@ -48,26 +48,55 @@ Representation choices:
   side effect, so the interpreter runs the chunk and raises its own
   out-of-bounds error at its own iteration: a body is lowered once.
   Every other guard stays inline.
+* **Constant divisors.**  An INT ``div``/``rem`` by a non-zero int
+  constant is an inline expression with the interpreter's truncation
+  (``a % C if a >= 0 else -(-a % C)``, ``C = |c|``): no helper call,
+  and it cannot raise.  A zero or non-constant divisor keeps
+  ``_trunc_div``/``_trunc_rem`` and their error text.
 * **The array tier.**  A counted loop whose body, from the header's
   branch to the latch, is one straight segment (jumps only: no ``if``,
-  no nested loop) gets a preheader in front of its ``for``.  Three
-  rewrites, each a pattern and the side condition the walk checks;
+  no nested loop) gets a preheader in front of its ``for``.  Each
+  rewrite is a pattern and the side condition the walk checks;
   whatever fails one keeps its statement where it was:
 
   - *charge once*: ``if v < hi: _steps += K * (hi - v)`` and the
     ``max_steps`` check replace the per-iteration ``_steps += K`` when
     no statement of the body can raise or leave first — no guarded
-    ``gep``, no division, no call, no guarded unary or cast, no
-    ``print``.  The success path's steps stay exact; a trip raises the
-    same message before the loop instead of partway through it, the
-    coarsening segment counting already makes.
-  - *hoist*: a read of a promoted scalar that nothing in the loop
-    stores (or allocates), and INT ``add``/``sub``/``mul`` and a proven
-    ``gep`` whose operands are constants, values from outside the loop
-    or hoisted values, run once in the preheader.
+    ``gep``, no division but by a non-zero constant, no call, no
+    guarded unary, no cast but ``bool_to_int`` and ``float`` of such a
+    remainder (below ``|c|``, it cannot overflow), no ``print``.  The
+    success path's steps stay exact; a trip raises the same message
+    before the loop instead of partway through it, the coarsening
+    segment counting already makes.  The rest of the preheader runs
+    under that ``if``.
+  - *hoist*: a value read only inside the loop runs once in the
+    preheader when it is the same in every iteration: a read of a
+    promoted scalar that nothing in the loop stores (or allocates);
+    ``add``/``sub``/``mul`` and a proven ``gep`` over constants, values
+    from outside the loop or hoisted values; and, charged once, a load
+    from such an address whose root (the global, alloca or pointer the
+    body's geps start from) is *distinct* from every root the loop
+    stores — two different globals or allocas of the body; a pointer
+    register, argument or outer alloca may hold any storage.
   - *fold*: a proven ``gep`` whose one use is the pointer of a load or
     store later in its block is not a statement: its offset is that
     subscript.
+  - *fuse*: charged once, a value whose one use is a later statement of
+    the body is spelled inside that use, parenthesized whole (no float
+    re-association); a load only if no store lies between the two, and
+    never as a dividend the inline division spells twice.
+  - *slices*: charged once, with a constant trip count of at least
+    ``_SLICE_FLOOR``, every load the body keeps a *lane* ``S[base +
+    v]`` (an invariant pointer, stride 1, coefficient 1 on ``v``) and
+    no memory dependence carried — each root other than the stored one
+    distinct from it, the stored root read only at the slot it stores
+    and before the store — the loop reads its lanes as whole slices:
+    its one store becomes ``D[b + v:b + hi] = [<value> for <lanes> in
+    zip(...)]`` (a value the store does not fuse is a ``for t in [e]``
+    clause), and a loop carrying a promoted scalar and storing no
+    memory a ``for <lanes> in zip(...)`` over the same slices.  Never
+    ``sum()``: on Python >= 3.12 it is compensated, not the
+    interpreter's left-to-right accumulation.
 
   Sequences and profiles promote nothing, so they have no counted loop
   and keep their lowering.
@@ -95,6 +124,7 @@ the loop stays on the interpreter — never fail, always fall back.
 """
 
 import dataclasses
+import re
 
 from repro.analysis.dominators import immediate_dominators
 from repro.ir import instructions as insts
@@ -158,6 +188,39 @@ _UNOP_HELPERS = {"not": "_u_not", "sqrt": "_u_sqrt", "sin": "_u_sin",
 
 _MAX_STEPS_MESSAGE = "parallel worker exceeded max_steps"
 
+#: What a fused value may be, and (loads aside, which must be lanes) all
+#: a sliced loop's body may hold besides its store: one expression each.
+_FUSIBLE = (insts.BinaryOp, insts.UnaryOp, insts.Compare, insts.Select,
+            insts.Cast, insts.Load)
+
+#: The fewest trips a loop runs as slices (:meth:`_Lowering._preheader`
+#: has the crossover).
+_SLICE_FLOOR = 48
+
+
+def _constant_divisor(inst):
+    """The non-zero int an INT ``div``/``rem`` divides by, or ``None``."""
+    if (
+        isinstance(inst, insts.BinaryOp) and inst.op in ("div", "rem")
+        and inst.type == INT and isinstance(inst.rhs, Constant)
+        and type(inst.rhs.value) is int and inst.rhs.value
+    ):
+        return inst.rhs.value
+    return None
+
+
+def _divided(op, dividend, divisor):
+    """Python for INT ``dividend op divisor`` truncated toward zero like
+    ``_trunc_div`` / ``_trunc_rem``, ``divisor`` a non-zero int: no call
+    and no guard.  ``dividend`` is spelled twice, so it must be a name or
+    a literal."""
+    a, c = dividend, abs(divisor)
+    if op == "rem":  # the sign follows the dividend, never the divisor
+        return f"{a} % {c} if {a} >= 0 else -(-{a} % {c})"
+    if divisor > 0:
+        return f"{a} // {c} if {a} >= 0 else -(-{a} // {c})"
+    return f"-({a} // {c}) if {a} >= 0 else -{a} // {c}"
+
 
 def _literal(value):
     """A Python literal reproducing ``value`` exactly, or Unsupported."""
@@ -215,6 +278,9 @@ class _Lowering:
     #: class; a chunk lowering rebinds both, never mutates these.
     promoted = {}
     _alias = {}
+    #: ``(name, expression)`` per value while a sliced loop's
+    #: comprehension collects its clauses (:meth:`_emit_slices`).
+    _clauses = None
 
     name = "_chunk"  # the generated function
     parameters = "interp, frame, iterations"
@@ -259,8 +325,12 @@ class _Lowering:
         self._elided = set()  # counted latches: steps only, no statements
         self._hoisted = set()  # ids lowered in a counted loop's preheader
         self._folded = set()  # ids of geps spelled inside their one use
+        #: id(value) -> its expression, spelled inside its one use
+        #: (``None`` until the value is lowered).
+        self._fused = {}
         self._ipdom = {}  # region -> block -> immediate post-dominator
-        self._uses = {}  # id(value) -> operand uses in the body (if any)
+        #: id(value) -> the body's instructions using it, once per operand.
+        self._uses = {}
         self._headers = {inner.header: inner for inner in loops}
         self._innermost = {}  # block -> the smallest loop holding it
         for inner in sorted(
@@ -314,7 +384,8 @@ class _Lowering:
         if isinstance(value, insts.Instruction):
             if isinstance(value.type, PointerType):
                 raise Unsupported("pointer value used as scalar")
-            return self._register(value)
+            fused = self._fused.get(id(value))
+            return self._register(value) if fused is None else fused
         raise Unsupported(f"operand {value!r}")
 
     def pointer(self, value):
@@ -346,6 +417,19 @@ class _Lowering:
 
     # -- per-instruction statements ------------------------------------------
 
+    def _define(self, out, inst, expr):
+        """``inst``'s value is ``expr``: a statement, a clause of the
+        comprehension being collected, or — fused — spelled inside its
+        one use, parenthesized whole so nothing re-associates."""
+        if id(inst) in self._fused:
+            self._fused[id(inst)] = (
+                expr if expr.isidentifier() else f"({expr})"
+            )
+        elif self._clauses is not None:
+            self._clauses.append((self._register(inst), expr))
+        else:
+            out.emit(f"{self._register(inst)} = {expr}")
+
     def _lower_promoted(self, out, inst, scalar):
         """An alloca, load or store of a scalar held in a local."""
         if isinstance(inst, insts.Alloca):
@@ -364,7 +448,7 @@ class _Lowering:
             out.indent -= 1
         elif isinstance(inst, insts.Load):
             if id(inst) not in self._alias:
-                out.emit(f"{self._register(inst)} = {scalar.value}")
+                self._define(out, inst, scalar.value)
         else:
             out.emit(f"{scalar.value} = {self.scalar(inst.value)}")
 
@@ -389,7 +473,7 @@ class _Lowering:
             if isinstance(inst.type, PointerType):
                 raise Unsupported("load of a pointer value")
             storage, offset = self.pointer(inst.pointer)
-            out.emit(f"{self._register(inst)} = {storage}[{offset}]")
+            self._define(out, inst, f"{storage}[{offset}]")
         elif isinstance(inst, insts.Store):
             value = self.any_value(inst.value)
             storage, offset = self.pointer(inst.pointer)
@@ -404,16 +488,15 @@ class _Lowering:
             a = self.scalar(inst.lhs)
             b = self.scalar(inst.rhs)
             op = _CMP[inst.predicate]
-            out.emit(f"{self._register(inst)} = {a} {op} {b}")
+            self._define(out, inst, f"{a} {op} {b}")
         elif isinstance(inst, insts.Select):
             if isinstance(inst.type, PointerType):
                 raise Unsupported("select over pointers")
             condition = self.scalar(inst.condition)
             if_true = self.scalar(inst.if_true)
             if_false = self.scalar(inst.if_false)
-            out.emit(
-                f"{self._register(inst)} = "
-                f"({if_true}) if {condition} else ({if_false})"
+            self._define(
+                out, inst, f"({if_true}) if {condition} else ({if_false})"
             )
         elif isinstance(inst, insts.Cast):
             value = self.scalar(inst.operand)
@@ -424,7 +507,7 @@ class _Lowering:
                 expr = f"int({value})"
             else:  # bool_to_int
                 expr = f"(1 if {value} else 0)"
-            out.emit(f"{self._register(inst)} = {expr}")
+            self._define(out, inst, expr)
         elif isinstance(inst, insts.Call):
             callee = self.ref(inst.callee)
             rendered = ", ".join(
@@ -486,13 +569,15 @@ class _Lowering:
     def _lower_binop(self, out, inst):
         a = self.scalar(inst.lhs)
         b = self.scalar(inst.rhs)
-        name = self._register(inst)
         op = inst.op
+        divisor = _constant_divisor(inst)
         if op in _BINOP:
-            out.emit(f"{name} = {a} {_BINOP[op]} {b}")
+            self._define(out, inst, f"{a} {_BINOP[op]} {b}")
+        elif divisor:
+            self._define(out, inst, _divided(op, a, divisor))
         elif op == "div":
             if inst.type == INT:
-                out.emit(f"{name} = _trunc_div({a}, {b})")
+                self._define(out, inst, f"_trunc_div({a}, {b})")
             else:
                 out.emit(f"if {b} == 0:")
                 out.indent += 1
@@ -500,28 +585,29 @@ class _Lowering:
                     "raise _EmulationError('float division by zero')"
                 )
                 out.indent -= 1
-                out.emit(f"{name} = {a} / {b}")
+                self._define(out, inst, f"{a} / {b}")
         elif op == "rem":
-            out.emit(f"{name} = _trunc_rem({a}, {b})")
+            self._define(out, inst, f"_trunc_rem({a}, {b})")
         elif op in ("shl", "shr") or (op == "pow" and inst.type == INT):
             # Guarded (a negative count or exponent is a math error);
             # only hand-written IR has these, so no prologue binding.
-            out.emit(f"{name} = H.binary_function({op!r}, True)({a}, {b})")
+            self._define(
+                out, inst, f"H.binary_function({op!r}, True)({a}, {b})"
+            )
         elif op in ("min", "max", "pow"):
             # ``pow`` is the guarded one (runtime.GENERATED_GLOBALS).
-            out.emit(f"{name} = {op}({a}, {b})")
+            self._define(out, inst, f"{op}({a}, {b})")
         else:
             raise Unsupported(f"binop {op}")
 
     def _lower_unop(self, out, inst):
         value = self.scalar(inst.operand)
-        name = self._register(inst)
         if inst.op == "neg":
-            out.emit(f"{name} = -{value}")
+            self._define(out, inst, f"-{value}")
         elif inst.op == "abs":
-            out.emit(f"{name} = abs({value})")
+            self._define(out, inst, f"abs({value})")
         elif inst.op in _UNOP_HELPERS:
-            out.emit(f"{name} = {_UNOP_HELPERS[inst.op]}({value})")
+            self._define(out, inst, f"{_UNOP_HELPERS[inst.op]}({value})")
         else:
             raise Unsupported(f"unop {inst.op}")
 
@@ -650,7 +736,7 @@ class _Lowering:
             for inst in block.instructions:
                 for index, operand in enumerate(inst.operands):
                     key = id(operand)
-                    uses[key] = uses.get(key, 0) + 1
+                    uses.setdefault(key, []).append(inst)
                     if key in candidates and not (
                         isinstance(inst, insts.Load)
                         or isinstance(inst, insts.Store) and index == 1
@@ -670,6 +756,9 @@ class _Lowering:
             key: scalar for key, scalar in candidates.items()
             if key not in escaped
         }
+
+    def _used_once(self, value):
+        return len(self._uses.get(id(value), ())) == 1
 
     def _alias_loads(self, scalar, blocks):
         """Loads of ``scalar`` in ``blocks`` read its local directly.
@@ -698,7 +787,6 @@ class _Lowering:
         if len(latch.instructions) != 4:
             return None
         load, add, store, jump = latch.instructions
-        uses = self._uses
         if (
             isinstance(load, insts.Load)
             and load.pointer is scalar.alloca
@@ -709,7 +797,7 @@ class _Lowering:
             and isinstance(store, insts.Store)
             and store.value is add and store.pointer is scalar.alloca
             and isinstance(jump, insts.Jump)
-            and uses.get(id(load)) == 1 and uses.get(id(add)) == 1
+            and self._used_once(load) and self._used_once(add)
         ):
             return add.rhs.value, store
         return None
@@ -895,29 +983,34 @@ class _Lowering:
         self._segment = None
         self._enter_loop(out, inner)
         counted = stays and self._counted(inner)
+        sliced = False
         if counted:
             scalar, upper, interval = counted
             if interval:
                 self._enclosing.append(interval)
-            self._preheader(out, inner, inside, scalar, upper)
-            out.emit(
-                f"for {scalar.value} in range({scalar.value}, {upper}):"
-            )
-            out.indent += 1
-            self._count(out, len(header.instructions))
+            sliced = self._preheader(out, inner, inside, scalar, upper)
+        if sliced:  # the preheader ran every iteration
+            self._emitted.update(dict.fromkeys(inner.blocks, self._leaving))
         else:
-            out.emit("while True:")
-            out.indent += 1
-            self._emit_straight(out, header)
-            condition = self.scalar(branch.condition)
-            out.emit(f"if {'not ' if stays else ''}{condition}:")
-            out.indent += 1
-            out.emit("break")
+            if counted:
+                out.emit(
+                    f"for {scalar.value} in range({scalar.value}, {upper}):"
+                )
+                out.indent += 1
+                self._count(out, len(header.instructions))
+            else:
+                out.emit("while True:")
+                out.indent += 1
+                self._emit_straight(out, header)
+                condition = self.scalar(branch.condition)
+                out.emit(f"if {'not ' if stays else ''}{condition}:")
+                out.indent += 1
+                out.emit("break")
+                out.indent -= 1
+                self._segment = None
+            self._walk(out, inside, header, inner)
+            self._close_iteration(out, inner)
             out.indent -= 1
-            self._segment = None
-        self._walk(out, inside, header, inner)
-        self._close_iteration(out, inner)
-        out.indent -= 1
         self._segment = None
         if counted:
             if interval:
@@ -956,8 +1049,7 @@ class _Lowering:
             and isinstance(compare, insts.Compare)
             and compare.predicate == "lt" and compare.lhs is load
             and branch.condition is compare
-            and self._uses.get(id(load)) == 1
-            and self._uses.get(id(compare)) == 1
+            and self._used_once(load) and self._used_once(compare)
             and latch is not header
         ):
             return None
@@ -996,15 +1088,29 @@ class _Lowering:
 
     def _preheader(self, out, inner, block, scalar, upper):
         """Rewrite a counted loop whose body, from ``block`` to its latch,
-        is one straight segment: charge its steps once, hoist what stays
-        invariant, fold single-use geps.  Emitted in front of its ``for``;
-        any other shape keeps the per-iteration segment.
+        is one straight segment (the module docstring's array tier);
+        returns whether that emitted the whole loop (sliced).  Any other
+        shape keeps the per-iteration segment.
 
         Each rewrite alone against none, ``benchmarks/e2e`` ``run-dense``
         ``op_rel`` medians over 10 alternating pairs on a 2-vCPU x86 box
         (the workload pinned to one core), every pair won: charge once
         4.87 -> 4.52, hoist 4.88 -> 3.76, fold 4.89 -> 4.73; all three
-        4.89 -> 3.25.
+        4.89 -> 3.25.  Then against those three: inline constant
+        divisors 3.22 -> 2.80, fuse 3.22 -> 2.82, invariant loads 3.23
+        -> 3.12, slices 3.22 -> 2.92; all four 3.23 -> 1.85.
+
+        Slices pay from about 48 trips: per-row time sliced / fused, the
+        dense chunks on the same box, one core.  The init loop's ``for t
+        in [e]`` clause and the mat-vec's ``for`` keep per-trip work the
+        slices do not remove, so the floor is where every shape breaks
+        even::
+
+            trips     8     16    24    32    40    48    64    96
+            init     1.24  1.17  1.13  1.04  1.03  1.01  0.97  0.98
+            stencil  1.75  1.34  1.02  1.02  0.82  0.80  0.73  0.69
+            mat-vec  1.46  1.30  1.18  1.10  1.03  0.95  0.92  0.89
+            axpy     1.47  1.32  1.06  0.97  0.89  0.85  0.82  0.78
         """
         chain = []
         while block is not inner.latches[0]:
@@ -1012,30 +1118,32 @@ class _Lowering:
                 block in self._headers or block not in inner.blocks
                 or not isinstance(block.terminator, insts.Jump)
             ):
-                return
+                return False
             chain.append(block)
             block = block.terminator.target
         if len(chain) + 2 != len(inner.blocks):
-            return
+            return False
         statements = [
             (block, inst)
             for block in chain for inst in block.instructions[:-1]
         ]
-        if all(self._cannot_raise(inst) for _block, inst in statements):
-            out.emit(f"if {scalar.value} < {upper}:")
-            out.indent += 1
-            self._open_segment(out, f" * ({upper} - {scalar.value})")
-            out.indent -= 1
+        once = all(self._cannot_raise(inst) for _block, inst in statements)
+        stores = [
+            inst for _block, inst in statements
+            if isinstance(inst, insts.Store)
+            and id(inst.pointer) not in self.promoted
+        ]
+        hoisted = []
         for block, inst in statements:
-            if self._hoistable(inst, inner):
+            if self._hoistable(inst, inner, stores if once else None):
                 self._hoisted.add(id(inst))
-                self._lower_statement(out, block, inst)
+                hoisted.append((block, inst))
         for block in chain:
             for index, inst in enumerate(block.instructions):
                 if (
                     isinstance(inst, insts.GetElementPtr)
                     and id(inst) not in self._hoisted
-                    and self._uses.get(id(inst)) == 1
+                    and self._used_once(inst)
                     and any(
                         isinstance(user, (insts.Load, insts.Store))
                         and user.pointer is inst
@@ -1043,6 +1151,21 @@ class _Lowering:
                     )
                 ):
                     self._folded.add(id(inst))
+        sliced = None
+        if once:
+            self._fuse(statements)
+            sliced = self._slices(inner, scalar, statements, stores)
+            out.emit(f"if {scalar.value} < {upper}:")
+            out.indent += 1
+            self._open_segment(out, f" * ({upper} - {scalar.value})")
+        for block, inst in hoisted:
+            self._lower_statement(out, block, inst)
+        if sliced:
+            self._count(out, sum(len(b.instructions) for b in inner.blocks))
+            self._emit_slices(out, scalar, upper, statements, *sliced)
+        if once:
+            out.indent -= 1
+        return sliced is not None
 
     def _cannot_raise(self, inst):
         """Whether ``inst`` has no guard, no call and no output, so every
@@ -1050,38 +1173,66 @@ class _Lowering:
         if isinstance(inst, insts.GetElementPtr):
             return self._proven_in_bounds(inst)
         if isinstance(inst, insts.BinaryOp):
-            return inst.op in _BINOP or inst.op in ("min", "max")
+            return (
+                inst.op in _BINOP or inst.op in ("min", "max")
+                or _constant_divisor(inst) is not None
+            )
         if isinstance(inst, insts.UnaryOp):
             return inst.op in ("neg", "abs", "not")
         if isinstance(inst, insts.Cast):
             # ``float_to_int`` is guarded; ``float`` of an int past
-            # 2 ** 1024 overflows.
-            return inst.kind == "bool_to_int"
+            # 2 ** 1024 overflows, of a remainder by a constant never.
+            return inst.kind == "bool_to_int" or (
+                inst.kind == "int_to_float"
+                and _constant_divisor(inst.operand) is not None
+                and inst.operand.op == "rem"
+            )
         return isinstance(inst, (
             insts.Alloca, insts.Load, insts.Store, insts.Compare,
             insts.Select,
         ))
 
-    def _hoistable(self, inst, inner):
+    def _hoistable(self, inst, inner, stores):
         """Whether ``inst``'s value is the same in every iteration of
-        ``inner``: a read of a promoted scalar ``inner`` never stores, or
-        INT ``add``/``sub``/``mul`` and a proven gep over invariants."""
+        ``inner`` and read nowhere else: a read of a promoted scalar
+        ``inner`` never stores, ``add``/``sub``/``mul`` and a proven gep
+        over invariants, and — given ``stores``, the memory stores of a
+        once-charged loop — a load from an invariant address whose root
+        is :meth:`_distinct` from every stored one."""
+        if any(
+            user.parent not in inner.blocks
+            for user in self._uses.get(id(inst), ())
+        ):
+            return False
         if isinstance(inst, insts.Load):
             scalar = self.promoted.get(id(inst.pointer))
-            return scalar is not None and not self._stored_in(scalar, inner)
+            if scalar is not None:
+                return not self._stored_in(scalar, inner)
+            if stores is None or not self._invariant(inst.operands, inner):
+                return False
+            root = self._slot(inst.pointer)[0]
+            return all(
+                self._distinct(root, self._slot(store.pointer)[0])
+                for store in stores
+            )
         arithmetic = isinstance(inst, insts.BinaryOp) and (
-            inst.type == INT and inst.op in ("add", "sub", "mul")
+            inst.op in ("add", "sub", "mul")
         )
         if not arithmetic and not isinstance(inst, insts.GetElementPtr):
             return False
-        if not all(
-            not isinstance(operand, insts.Instruction)
-            or operand.parent not in inner.blocks
-            or id(operand) in self._hoisted
-            for operand in inst.operands
-        ):
+        if not self._invariant(inst.operands, inner):
             return False
         return arithmetic or self._proven_in_bounds(inst)
+
+    def _invariant(self, values, inner):
+        """Whether each of ``values`` comes from outside ``inner`` or is
+        hoisted."""
+        return all(
+            not isinstance(value, insts.Instruction)
+            or value.parent not in inner.blocks
+            or id(value) in self._hoisted
+            for value in values
+        )
 
     @staticmethod
     def _stored_in(scalar, inner):
@@ -1089,6 +1240,230 @@ class _Lowering:
         return scalar.alloca.parent in inner.blocks or any(
             store.parent in inner.blocks for store in scalar.stores
         )
+
+    def _fuse(self, statements):
+        """Mark each value whose one use is a later one of ``statements``
+        to be spelled inside that use: a load only with no store between
+        the two, and never as a dividend :func:`_divided` spells twice."""
+        at = {id(inst): index for index, (_b, inst) in enumerate(statements)}
+        stores = [
+            index for index, (_block, inst) in enumerate(statements)
+            if isinstance(inst, insts.Store)
+        ]
+        for index, (_block, inst) in enumerate(statements):
+            users = self._uses.get(id(inst), ())
+            if (
+                len(users) != 1 or not isinstance(inst, _FUSIBLE)
+                or isinstance(inst.type, PointerType)
+                or id(inst) in self._hoisted or id(inst) in self._alias
+            ):
+                continue
+            (user,) = users
+            use = at.get(id(user))
+            if (
+                use is None or id(user) in self._hoisted
+                or _constant_divisor(user) and user.lhs is inst
+                or isinstance(inst, insts.Load)
+                and any(index < store < use for store in stores)
+            ):
+                continue
+            self._fused[id(inst)] = None
+
+    # -- slices: a loop that carries no dependence -----------------------------
+
+    def _slices(self, inner, scalar, statements, stores):
+        """``(lanes, store)`` when ``inner`` may run over zipped slices.
+
+        Its trip count is a constant at or above :data:`_SLICE_FLOOR`,
+        and every load and store the body keeps is a *lane* ``S[base +
+        v]`` (:meth:`_lane`).  The one memory store, the body's last
+        statement, makes a comprehension; a promoted scalar the body
+        stores and no memory store make a ``for`` over the lanes (``store
+        is None``).  Reading every lane first is exact when the loop
+        carries no memory dependence: each root other than the stored
+        one is :meth:`_distinct` from it, and the stored root is read
+        only at the slot it stores, before the store.  ``None``: keep
+        the loop.
+        """
+        first, bound = scalar.init.value, inner.header.instructions[1].rhs
+        if not (
+            isinstance(first, Constant) and isinstance(bound, Constant)
+            and type(first.value) is int and type(bound.value) is int
+            and bound.value - first.value >= _SLICE_FLOOR
+        ):
+            return None
+        lanes, kept, carried = [], [], False
+        for _block, inst in statements:
+            if id(inst) in self._hoisted:
+                continue
+            kept.append(inst)
+            if any(
+                user.parent not in inner.blocks
+                for user in self._uses.get(id(inst), ())
+            ):
+                return None  # read behind the loop: one value, not a lane
+            memory = isinstance(inst, (insts.Load, insts.Store))
+            if memory and id(inst.pointer) in self.promoted:
+                carried = carried or isinstance(inst, insts.Store)
+            elif memory:
+                if not self._lane(inst.pointer, inner, scalar):
+                    return None
+                if isinstance(inst, insts.Load):
+                    lanes.append(inst)
+                elif isinstance(inst.value.type, PointerType):
+                    return None
+            elif isinstance(inst, insts.GetElementPtr):
+                if not all(
+                    isinstance(user, (insts.Load, insts.Store))
+                    and user.pointer is inst
+                    for user in self._uses.get(id(inst), ())
+                ):
+                    return None
+            elif not isinstance(inst, _FUSIBLE):
+                return None
+        if carried:
+            return (lanes, None) if lanes and not stores else None
+        if len(stores) != 1 or kept[-1] is not stores[0]:
+            return None
+        root, slot = self._slot(stores[0].pointer)
+        for _block, inst in statements:
+            if (
+                isinstance(inst, insts.Load)
+                and id(inst.pointer) not in self.promoted
+            ):
+                other, offset = self._slot(inst.pointer)
+                if (
+                    slot is None or offset != slot if other is root
+                    else not self._distinct(other, root)
+                ):
+                    return None
+        return lanes, stores[0]
+
+    def _slot(self, pointer):
+        """``(root, offset)``: what ``pointer`` reaches through the body's
+        geps — a global, an alloca, or an opaque pointer — and the affine
+        offset into it (``None``: not affine)."""
+        offset = (0, {})
+        while (
+            isinstance(pointer, insts.GetElementPtr)
+            and id(pointer) in self.defined
+        ):
+            index = self._affine(pointer.index)
+            stride = pointer.pointer.type.pointee.element.slots()
+            offset = offset and index and self._plus(
+                offset, self._scaled(index, stride)
+            )
+            pointer = pointer.pointer
+        return pointer, offset
+
+    def _distinct(self, root, other):
+        """Whether two roots are different storages: two different
+        globals or allocas of the body.  A pointer register, an argument
+        or an alloca from outside the body may hold any of them."""
+        return root is not other and all(
+            isinstance(each, GlobalVariable)
+            or isinstance(each, insts.Alloca) and id(each) in self.defined
+            for each in (root, other)
+        )
+
+    def _lane(self, pointer, inner, scalar):
+        """Whether ``pointer`` is ``S[base + v]`` for ``inner``'s ``v``: a
+        gep of its body over an invariant pointer, the stride 1, the
+        index affine with coefficient 1 on ``v``."""
+        if not (
+            isinstance(pointer, insts.GetElementPtr)
+            and pointer.parent in inner.blocks
+            and id(pointer) not in self._hoisted
+            and self._invariant([pointer.pointer], inner)
+            and pointer.pointer.type.pointee.element.slots() == 1
+        ):
+            return False
+        form = self._affine(pointer.index)
+        return form is not None and form[1].get(scalar.value) == 1
+
+    def _span(self, pointer, scalar, upper):
+        """A lane's slice ``S[base + v:base + upper]``."""
+        storage, offset = self.pointer(pointer.pointer)
+        constant, terms = self._affine(pointer.index)
+        base = {} if offset == "0" else {offset: 1}
+        base.update(
+            (name, factor) for name, factor in terms.items()
+            if name != scalar.value
+        )
+        if not constant and not base:
+            return f"{storage}[{scalar.value}:{upper}]"
+        base = self._spelled((constant, base))
+        return f"{storage}[{base} + {scalar.value}:{base} + {upper}]"
+
+    @staticmethod
+    def _spelled(form):
+        """An affine ``form`` as a Python expression."""
+        constant, terms = form
+        parts = [
+            name if factor == 1 else f"{factor} * {name}"
+            for name, factor in terms.items()
+        ]
+        if constant or not parts:
+            parts.append(str(constant))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def _emit_slices(self, out, scalar, upper, statements, lanes, store):
+        """The loop as slices: every lane read whole, then the store's
+        comprehension — or, without one, a ``for`` over the zipped lanes
+        that carries its scalars."""
+        zipped = []
+        for load in lanes:
+            local = f"_l{load.uid}"
+            self._alias[id(load)] = local
+            zipped.append((local, self._span(load.pointer, scalar, upper)))
+        skipped = {id(inst) for inst in lanes} | {id(store)} | self._hoisted
+        body = [
+            (block, inst) for block, inst in statements
+            if id(inst) not in skipped
+            and not isinstance(inst, insts.GetElementPtr)
+        ]
+        if store is None:
+            at = len(out.lines)
+            out.emit()  # the ``for`` line, once the body says what it reads
+            out.indent += 1
+            for block, inst in body:
+                self._lower_statement(out, block, inst)
+            out.indent -= 1
+            targets, source = self._zipped(
+                zipped, scalar, upper, "\n".join(out.lines[at + 1:])
+            )
+            out.lines[at] = "    " * out.indent + (
+                f"for {targets} in {source}:"
+            )
+            return
+        self._clauses = []
+        for block, inst in body:
+            self._lower_statement(out, block, inst)
+        element = self.scalar(store.value)
+        clauses = "".join(
+            f" for {name} in [{expr}]" for name, expr in self._clauses
+        )
+        self._clauses = None
+        targets, source = self._zipped(
+            zipped, scalar, upper, element + clauses
+        )
+        out.emit(
+            f"{self._span(store.pointer, scalar, upper)} = "
+            f"[{element} for {targets} in {source}{clauses}]"
+        )
+
+    @staticmethod
+    def _zipped(lanes, scalar, upper, body):
+        """``(targets, iterable)`` over ``lanes``; ``v`` itself leads
+        when ``body`` reads it, or when nothing else counts the trips."""
+        if not lanes or re.search(rf"\b{scalar.value}\b", body):
+            lanes = [(scalar.value, f"range({scalar.value}, {upper})"),
+                     *lanes]
+        targets = ", ".join(local for local, _span in lanes)
+        if len(lanes) == 1:
+            return targets, lanes[0][1]
+        spans = ", ".join(span for _local, span in lanes)
+        return targets, f"zip({spans})"
 
     # -- the once-per-chunk bounds proof ---------------------------------------
 
@@ -1132,6 +1507,10 @@ class _Lowering:
             return None if rhs[1] else self._scaled(lhs, rhs[0])
         if value.op == "sub":
             rhs = self._scaled(rhs, -1)
+        return self._plus(lhs, rhs)
+
+    @staticmethod
+    def _plus(lhs, rhs):
         terms = dict(lhs[1])
         for name, factor in rhs[1].items():
             terms[name] = terms.get(name, 0) + factor

@@ -16,8 +16,11 @@ three-deep); hand-written IR covers what the frontend cannot produce.
 
 import dataclasses
 import pathlib
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.loops import find_natural_loops
 from repro.codegen import cache as codegen_cache
@@ -389,17 +392,38 @@ def _counted_loops(source):
             yield lines[:index], line, body
 
 
-def test_a_counted_inner_loop_charges_once_and_hoists_its_row_offsets():
-    """dense8 at ``-O2`` (``run-dense``'s level): no inner body counts
-    steps or scales a row, and the charge sits in front of the loop."""
-    session = Session.from_source(dense_source(8), name="dense8",
-                                  opt_level=2)
-    loops = 0
-    for header in session.compiled_regions["tiers"]:
-        source = codegen_cache.compiled_chunk(
+def _chunk_sources(name, level=2):
+    """Region header -> its lowered chunk source, for ``name``."""
+    session = Session.from_source(_tier_source(name), name=name,
+                                  opt_level=level)
+    return {
+        header: codegen_cache.compiled_chunk(
             session.module, session.analyses.loops_by_header[header]
         ).source
+        for header in session.compiled_regions["tiers"]
+    }
+
+
+def _slices(source):
+    """The statements of ``source`` that run a counted loop as slices: a
+    slice store's comprehension, or a ``for`` over zipped lanes."""
+    return [
+        line.strip() for line in source.splitlines()
+        if re.search(r"\[[^]]*:[^]]*\] = \[", line)
+        or re.match(r"\s*for (_l|.* in zip\()", line)
+    ]
+
+
+def test_a_counted_inner_loop_charges_once_and_hoists_its_row_offsets():
+    """dense8 at ``-O2`` (``run-dense``'s level): no inner body counts
+    steps or scales a row, and the charge sits in front of the loop.
+    Eight trips are below the slice floor: each body stays a loop of one
+    fused statement."""
+    loops = 0
+    for source in _chunk_sources("dense8").values():
+        assert not _slices(source)
         for before, line, body in _counted_loops(source):
+            assert len(body) == 1, body
             loops += 1
             variable = line.split()[1]
             assert not any(
@@ -416,7 +440,13 @@ def test_a_counted_inner_loop_charges_once_and_hoists_its_row_offsets():
     assert loops == 3
 
 
-TIER_PROGRAMS = ("dense8", "dense48", "dense96", *sorted(KERNELS))
+#: ``(program, -O level)``: dense8 and dense96 at ``run-dense``'s level;
+#: dense48 (sliced and fused loops side by side) and every kernel at
+#: each level.
+TIER_RUNS = [("dense8", 2), ("dense96", 2)] + [
+    (name, level)
+    for name in ("dense48", *sorted(KERNELS)) for level in range(4)
+]
 
 
 def _tier_source(name):
@@ -425,14 +455,14 @@ def _tier_source(name):
     return KERNELS[name].SOURCE
 
 
-@pytest.mark.parametrize("name", TIER_PROGRAMS)
+@pytest.mark.parametrize("name,level", TIER_RUNS)
 def test_the_tier_keeps_steps_exact_and_the_armed_oracle_quiet(
-        name, monkeypatch):
-    """``-O2`` on ``threads``: the compiled run's step total is the
+        name, level, monkeypatch):
+    """On ``threads``: the compiled run's step total is the
     interpreter's, and armed, every chunk's image, output and steps
     match the interpreter's in-worker."""
     session = Session.from_source(_tier_source(name), name=name,
-                                  opt_level=2)
+                                  opt_level=level)
     runs = {}
     for armed, compiled in ((False, False), (False, True), (True, True)):
         monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
@@ -474,7 +504,9 @@ STRAIGHT = "a[i][j] = i * 8 + j;"
 #: Inner bodies the tier must leave in today's per-iteration form.
 PER_ITERATION = {
     "guarded-gep": "a[i][idx[j]] = a[i][idx[j]] + j;",
-    "division": "a[i][j] = (i * 8 + j) / 3;",
+    # A constant divisor cannot raise (it is lowered inline); this one
+    # keeps ``_trunc_div`` and its guard.
+    "division": "a[i][j] = (i * 8 + j) / (j + 1);",
     "if": "if (j > 3) { a[i][j] = j; }",
     "nested-loop": "for m in 0..2 { a[i][j] = a[i][j] + m; }",
     "call": "a[i][j] = bump(j);",
@@ -484,10 +516,10 @@ PER_ITERATION = {
 STORED_SUBSCRIPT = "a[i][k] = i + j; k = k + 1;"
 
 
-def _tier_chunk(body, chunks):
-    """Run ``SHAPE`` around ``body`` through both engines; returns the
-    region loop's lowered source."""
-    source = SHAPE % body
+def _tier_chunk(body, chunks, source=None):
+    """Run ``SHAPE`` around ``body`` (or ``source``) through both
+    engines; returns the region loop's lowered source."""
+    source = source or SHAPE % body
     result = run_source_plan(
         compile_source(source), backend=SerialBackend(), workers=2,
     )
@@ -508,9 +540,9 @@ def test_a_straight_counted_body_is_charged_once(chunks):
     charge = [b for b in before if "_steps +=" in b][-1]
     assert charge.endswith(f" * (8 - {line.split()[1]})")
     # ``i * 8`` and the row offset run in front; the column's offset is
-    # the store's subscript.
-    assert len(body) == 2 and "* 8" not in "".join(body)
-    assert body[1].startswith("_gv") and "_o + _p" in body[1]
+    # the store's subscript and ``i * 8 + j`` its value, fused.
+    assert body == [f"_gv0[_r20_o + {line.split()[1]}] = (_r16 + "
+                    f"{line.split()[1]})"]
 
 
 def _charge_window(module, loop, iterations):
@@ -596,6 +628,199 @@ def test_an_invariance_check_blind_to_stores_is_caught(monkeypatch):
         assert "storage images differ" in str(caught.value)
     finally:
         codegen_cache.reset()
+
+
+# -- constant divisors, fused values, invariant loads, slices ------------------
+
+
+@given(
+    dividend=st.one_of(
+        st.integers(-10 ** 12, 10 ** 12),
+        st.integers(2 ** 63, 2 ** 70), st.integers(-2 ** 70, -2 ** 63),
+    ),
+    divisor=st.integers(1, 17), negative=st.booleans(),
+)
+def test_an_inline_constant_division_truncates_like_the_helpers(
+        dividend, divisor, negative):
+    from repro.codegen.lower import _divided
+
+    divisor = -divisor if negative else divisor
+    for op, helper in (("rem", codegen_runtime.trunc_rem),
+                       ("div", codegen_runtime.trunc_div)):
+        inline = eval(_divided(op, "a", divisor), {"a": dividend})
+        assert inline == helper(dividend, divisor), (op, dividend, divisor)
+        assert type(inline) is int
+
+
+@pytest.mark.parametrize("op,helper", [("/", "_trunc_div"),
+                                       ("%", "_trunc_rem")])
+def test_a_constant_zero_divisor_keeps_its_helper_and_its_error(
+        op, helper, chunks):
+    source = SHAPE % f"a[i][j] = (i * 8 + j) {op} 0;"
+    with pytest.raises(EmulationError) as interpreted:
+        run_module(compile_source(source))
+    with pytest.raises(EmulationError) as dispatched:
+        run_source_plan(
+            compile_source(source), backend=SerialBackend(), workers=2,
+        )
+    assert str(interpreted.value) == "integer division by zero"
+    assert str(dispatched.value) == "integer division by zero"
+    assert chunks[-1][2] == {
+        "compiled": "integer division by zero",
+        "interpreted": "integer division by zero",
+    }
+    lowered = compile_chunk(_region_loop(compile_source(source))).source
+    assert f"{helper}(" in lowered and " * (8 - " not in lowered
+
+
+def test_dense96_runs_its_compute_loops_as_slices():
+    """94-96 trips, at or above the floor.  The stencil and the axpy are
+    one comprehension over zipped row slices each; the mat-vec a ``for``
+    over its two lanes carrying ``acc`` (never ``sum()``: compensated on
+    Python >= 3.12); the axpy's ``y[i]`` is read in front.  The init
+    loop's ``% 11`` is inline, so it too is charged once."""
+    sources = _chunk_sources("dense96")
+    init, stencil, matvec, axpy = (
+        sources[header] for header in
+        ("for.header", "for.header.3", "for.header.5", "for.header.7")
+    )
+    for source in (stencil, matvec, axpy):
+        (sliced,) = _slices(source)
+        assert not list(_counted_loops(source)), sliced
+        assert "sum(" not in source
+    (stencil_store,) = _slices(stencil)
+    assert stencil_store.count("_gv0[") == 5 and " in zip(" in stencil_store
+    (loop,) = _slices(matvec)
+    assert re.fullmatch(r"for _l\d+, _l\d+ in zip\(.*\):", loop)
+    assert re.search(r"\n\s+(_p\d+) = \(\1 \+ \(_l\d+ \* _l\d+\)\)\n",
+                     matvec)
+    (axpy_store,) = _slices(axpy)
+    read_y = re.search(r"(_r\d+) = _gv2\[", axpy).group(1)
+    assert axpy.index(read_y) < axpy.index(axpy_store)
+    assert "_gv2" not in axpy_store
+    assert "_trunc_rem(" not in init and " % 11 if " in init
+    assert " += 21 * (96 - " in init
+
+
+#: Around an inner loop of 64 trips, above the slice floor.
+WIDE = """
+global a: float[4][64];
+global b: float[4][64];
+global g: float[512];
+
+func main() {
+  var line: float[64];
+  pragma omp parallel_for private(line)
+  for i in 0..4 {
+    for j in %(first)s..64 {
+      %(body)s
+    }
+    %(tail)s
+  }
+  print(a[1][5], a[3][63], b[2][7], b[3][0], b[3][63], g[130], g[511]);
+}
+"""
+
+
+def _wide(first, body, tail=""):
+    return WIDE % dict(first=first, body=body, tail=tail)
+
+
+#: Bodies the walk cannot show carry no memory dependence, or whose
+#: trips are too few: each keeps its ``for``.
+KEPT_LOOPS = {
+    # One root read at ``j - 1``, stored at ``j`` (BT's line buffer).
+    "recurrence": _wide(1, "a[i][j] = a[i][j - 1] + 1.0;"),
+    # One root at two bases (MG's wrap-around row).
+    "one-root-two-bases": _wide(
+        0, "g[i * 128 + j] = g[i * 128 + 64 + j] + 1.0;"
+    ),
+    "load-after-store": _wide(
+        0, "b[i][j] = a[i][j] * 2.0; a[i][j] = b[i][j] + 1.0;"
+    ),
+    # ``line`` is a private alloca from outside the chunk: a pointer
+    # register, which may hold any storage.
+    "pointer-register": _wide(
+        0, "line[j] = a[i][j] + 2.0;", "b[i][0] = line[i + 7];"
+    ),
+    "below-the-floor": _wide(56, "b[i][j] = a[i][j] + 1.0;"),
+}
+
+
+def test_a_long_loop_free_of_dependences_runs_as_slices(chunks):
+    source = _tier_chunk(None, chunks, _wide(0, "b[i][j] = a[i][j] + 1.0;"))
+    (sliced,) = _slices(source)
+    assert sliced.startswith("_gv1[") and "for _l" in sliced
+    assert not list(_counted_loops(source))
+
+
+@pytest.mark.parametrize("shape", sorted(KEPT_LOOPS))
+def test_a_loop_that_may_carry_a_dependence_keeps_its_for(shape, chunks):
+    source = _tier_chunk(None, chunks, KEPT_LOOPS[shape])
+    assert not _slices(source)
+    (before, line, body), = _counted_loops(source)
+    assert " * (64 - " in [b for b in before if "_steps +=" in b][-1]
+
+
+def test_a_dependence_check_blind_to_offsets_is_caught(monkeypatch):
+    """The recurrence read at ``j - 1`` looks like a read of the stored
+    slot: sliced, every ``a[i][j]`` becomes the old ``a[i][j - 1] + 1``
+    and the armed oracle sees the images differ at the first chunk."""
+    from repro.codegen import lower
+
+    real = lower._Lowering._slot
+    monkeypatch.setattr(
+        lower._Lowering, "_slot",
+        lambda self, pointer: (real(self, pointer)[0], (0, {})),
+    )
+    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    codegen_cache.reset()
+    try:
+        with pytest.raises(
+            EmulationError, match="VERIFY_COMPILED divergence at main:"
+        ) as caught:
+            run_source_plan(
+                compile_source(KEPT_LOOPS["recurrence"]),
+                backend="threads", workers=2,
+            )
+        assert "storage images differ" in str(caught.value)
+    finally:
+        codegen_cache.reset()
+
+
+@pytest.mark.parametrize("name", ("dense48", "dense96", *sorted(KERNELS)))
+def test_the_pdg_carries_no_array_at_any_sliced_loop(name, monkeypatch):
+    """A second opinion from the graph: at every ``-O`` level, each loop
+    the tier slices has no array object in ``carried_at`` — the
+    subscript test is never less conservative than the PDG's."""
+    from repro.codegen import lower
+
+    sliced = []
+    real = lower._Lowering._slices
+
+    def spy(self, inner, *args):
+        plan = real(self, inner, *args)
+        if plan is not None:
+            sliced.append(inner)
+        return plan
+
+    monkeypatch.setattr(lower._Lowering, "_slices", spy)
+    for level in range(4):
+        session = Session.from_source(_tier_source(name), name=name,
+                                      opt_level=level)
+        forest = session.analyses.loops_by_header
+        for region in session.region_recipes["PS-PDG"]:
+            outer = forest.get(region.outer_header)
+            for header in region.headers:
+                lower.lower_chunk(forest[header], outer=outer)
+        for inner in sliced:
+            carried = session.analyses.carried_at(inner)
+            assert all(obj.is_scalar() for obj in carried), (
+                level, inner.header.name, carried,
+            )
+        if name.startswith("dense"):
+            assert sliced, level
+        sliced.clear()
 
 
 def test_the_proof_runs_once_per_chunk_not_per_iteration():
@@ -838,6 +1063,66 @@ def test_a_load_used_after_its_loop_keeps_its_own_copy():
     assert "in range(_p6, 3)" in entry.source
     assert "_r12 = _p6" in entry.source
     assert seen["interpreted"].slots["@a"] == [2] * 8
+
+
+STALE_LANE = """
+global @a: [8 x int]
+global @g: [64 x int]
+global @h: [64 x int]
+
+func @main() -> void {
+entry:
+  %0 = alloca int
+  store 0, %0
+  jump header
+header:
+  %3 = load %0
+  %4 = cmp lt %3, 8
+  branch %4, body, exit
+body:
+  %6 = alloca int
+  store 0, %6
+  jump inner
+inner:
+  %9 = load %6
+  %10 = cmp lt %9, 64
+  branch %10, work, done
+work:
+  %12 = load %6
+  %13 = gep @g, %12
+  %14 = load %13
+  %15 = add %14, %12
+  %16 = gep @h, %12
+  store %15, %16
+  jump next
+next:
+  %19 = load %6
+  %20 = add %19, 1
+  store %20, %6
+  jump inner
+done:
+  %23 = load %0
+  %24 = gep @a, %23
+  store %15, %24
+  jump latch
+latch:
+  %27 = load %0
+  %28 = add %27, 1
+  store %28, %0
+  jump header
+exit:
+  return
+}
+"""
+
+
+def test_a_long_loop_whose_value_is_read_after_it_is_not_sliced():
+    """64 trips free of dependences, but %15 is read behind the loop: a
+    comprehension's values die with it, so the loop keeps its ``for``."""
+    entry, seen = _ir_chunk(STALE_LANE, range(0, 8))
+    assert not _slices(entry.source)
+    assert " * (64 - " in entry.source
+    assert seen["interpreted"].slots["@a"] == [63] * 8
 
 
 def test_a_loop_left_from_its_body_is_interpreted_and_says_why():

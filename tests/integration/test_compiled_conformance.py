@@ -198,8 +198,11 @@ def test_whole_codegen_failure_still_conforms(monkeypatch):
 
 # -- the oracle's teeth, on the body that ships -----------------------------------
 
-#: A store through a pointer: ``_gv0[_r91_o] = _r87``.
-_STORE = re.compile(r"^(\s+_(?:gv\d+|r\d+_s|a\d+_s)\[\w+\]) = (\w+)$", re.M)
+#: A store of one slot through a pointer: ``_gv0[_r91_o] = _r87``, or
+#: ``_gv0[_r21_o + _p6] = (<fused value>)``.
+_STORE = re.compile(
+    r"^(\s+_(?:gv\d+|r\d+_s|a\d+_s)\[[^]:]+\]) = (.+)$", re.M
+)
 
 
 @pytest.fixture
@@ -215,7 +218,7 @@ def corrupted_lowering(monkeypatch):
 
     def corrupting(loop, outer=None):
         source, refs = real(loop, outer=outer)
-        source, hits = _STORE.subn(r"\1 = \2 + 1", source, count=1)
+        source, hits = _STORE.subn(r"\1 = (\2) + 1", source, count=1)
         if hits:
             corrupted.append(
                 f"{loop.header.parent.name}:{loop.header.name}"

@@ -11,8 +11,9 @@ from repro.emulator.interp import Interpreter
 
 
 class RecordingList(list):
-    """``list`` whose ``__setitem__`` notes the integer slots it is given
-    (a slice is a harness putting a copy back, not a store)."""
+    """``list`` whose ``__setitem__`` notes the slots it is given: an
+    integer, or each slot of a bounded slice (a sliced loop's store).
+    ``[:]`` is a harness putting a copy back, not a store."""
 
     def __init__(self, values=()):
         super().__init__(values)
@@ -21,6 +22,8 @@ class RecordingList(list):
     def __setitem__(self, slot, value):
         if type(slot) is int:
             self.stored.add(slot)
+        elif slot.start is not None:
+            self.stored.update(range(*slot.indices(len(self))))
         super().__setitem__(slot, value)
 
 
