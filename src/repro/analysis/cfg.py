@@ -64,13 +64,10 @@ def can_reach(source, target, successors, banned_edges=frozenset()):
     used to ask "can A reach B without traversing the loop backedge", which
     distinguishes intra-iteration from loop-carried dependences.
     """
-    if source is target and (source, target) not in banned_edges:
-        # Self-reachability still requires an actual path; handled below by
-        # starting from successors instead of the node itself.
-        pass
     seen = set()
+    # ``target`` is matched among successors only, so ``source`` reaches
+    # itself only around a cycle.
     worklist = [source]
-    first = True
     while worklist:
         block = worklist.pop()
         for succ in successors.get(block, []):
@@ -81,5 +78,4 @@ def can_reach(source, target, successors, banned_edges=frozenset()):
             if succ not in seen:
                 seen.add(succ)
                 worklist.append(succ)
-        first = False
     return False

@@ -19,11 +19,11 @@ the PS-PDG's programmer-declared semantics later relaxes.
 """
 
 import dataclasses
+import functools
 
 from repro.analysis.alias import CONSOLE
 from repro.analysis.cfg import can_reach, successors_map
 from repro.analysis.deptests import test_level
-from repro.analysis.loops import common_loops
 from repro.analysis.subscripts import affine_offset
 from repro.ir.instructions import Call, Load, Print, Store
 
@@ -112,10 +112,16 @@ class MemoryDependenceAnalysis:
     """
 
     def __init__(self, analyses):
-        self.loops = analyses.loops
+        self._loops_of_block = analyses.loops_of_block
         self._accesses_by_object = analyses.accesses_by_object
         self._position = analyses.positions
         self._succs = successors_map(analyses.function)
+        # What a pair asks of the loop forest and the CFG depends on its
+        # blocks and loops alone: each answer is computed once, in caches
+        # that live and die with this analysis.
+        self._common_loops = functools.cache(self._common_loops)
+        self._inner_ivs = functools.cache(self._inner_ivs)
+        self._reaches = functools.cache(self._reaches)
 
     def run(self):
         """Return the list of :class:`MemoryDependence` edges."""
@@ -155,45 +161,56 @@ class MemoryDependenceAnalysis:
 
     def _directed_dependence(self, src, dst, same_instruction):
         """(loop_independent, carried_loops) or None if infeasible."""
-        commons = common_loops(self.loops, src.instruction, dst.instruction)
-
-        carried = []
-        for loop in commons:
-            level = self._test_at_level(src, dst, loop)
-            if level.carried_forward:
-                carried.append(loop)
+        commons = self._common_loops(
+            src.instruction.parent, dst.instruction.parent
+        )
+        levels = [self._test_at_level(src, dst, loop) for loop in commons]
+        carried = [
+            loop for loop, level in zip(commons, levels)
+            if level.carried_forward
+        ]
 
         loop_independent = False
         if not same_instruction:
             loop_independent = self._loop_independent_feasible(
-                src, dst, commons
+                src, dst, commons, levels
             )
 
         if not loop_independent and not carried:
             return None
         return (loop_independent, carried)
 
-    def _test_at_level(self, src, dst, loop):
-        inner_ivs = {}
-        for enclosed in loop.descendants():
-            if enclosed.canonical is not None:
-                inner_ivs[enclosed.canonical.induction] = enclosed
-        return test_level(src.offset, dst.offset, loop, inner_ivs)
+    def _common_loops(self, src_block, dst_block):
+        """Loops containing both blocks, innermost first."""
+        outer = self._loops_of_block[dst_block]
+        return tuple(
+            loop for loop in self._loops_of_block[src_block] if loop in outer
+        )
 
-    def _loop_independent_feasible(self, src, dst, commons):
+    def _inner_ivs(self, loop):
+        return {
+            enclosed.canonical.induction: enclosed
+            for enclosed in loop.descendants()
+            if enclosed.canonical is not None
+        }
+
+    def _test_at_level(self, src, dst, loop):
+        return test_level(src.offset, dst.offset, loop, self._inner_ivs(loop))
+
+    def _loop_independent_feasible(self, src, dst, commons, levels):
         # Address equality within one iteration of every common loop.
         if commons:
-            innermost = commons[0]
-            level = self._test_at_level(src, dst, innermost)
-            if not level.intra:
+            if not levels[0].intra:
                 return False
-            banned = set(innermost.back_edges())
+            innermost = commons[0]
         else:
             if not self._offsets_may_be_equal(src, dst):
                 return False
-            banned = set()
+            innermost = None
 
-        return self._reaches_in_order(src.instruction, dst.instruction, banned)
+        return self._reaches_in_order(
+            src.instruction, dst.instruction, innermost
+        )
 
     def _offsets_may_be_equal(self, src, dst):
         if src.offset is None or dst.offset is None:
@@ -203,7 +220,7 @@ class MemoryDependenceAnalysis:
             return difference.constant == 0
         return True
 
-    def _reaches_in_order(self, src_inst, dst_inst, banned_edges):
+    def _reaches_in_order(self, src_inst, dst_inst, innermost):
         src_block = src_inst.parent
         dst_block = dst_inst.parent
         if src_block is dst_block:
@@ -211,9 +228,9 @@ class MemoryDependenceAnalysis:
                 return True
             # Same block, src after dst: an intra path needs a cycle that
             # re-enters the block without the banned edges.
-            return can_reach(
-                src_block, dst_block, self._succs, frozenset(banned_edges)
-            )
-        return can_reach(
-            src_block, dst_block, self._succs, frozenset(banned_edges)
-        )
+        return self._reaches(src_block, dst_block, innermost)
+
+    def _reaches(self, src_block, dst_block, innermost):
+        """A path that takes no back edge of ``innermost`` (if any)."""
+        banned = innermost.back_edges() if innermost is not None else ()
+        return can_reach(src_block, dst_block, self._succs, frozenset(banned))

@@ -66,6 +66,17 @@ class FunctionAnalyses:
         return {loop.header.name: loop for loop in self.loops}
 
     @functools.cached_property
+    def loops_of_block(self):
+        """Block -> the loops containing it, innermost first (what
+        ``loops.enclosing_loops`` answers for its instructions)."""
+        chains = dict.fromkeys(self.function.blocks, ())
+        # Parents first, so a loop's header already holds its parent's.
+        for loop in sorted(self.loops, key=lambda loop: loop.depth):
+            chain = (loop, *chains[loop.header])
+            chains.update(dict.fromkeys(loop.blocks, chain))
+        return chains
+
+    @functools.cached_property
     def iv_map(self):
         """Induction alloca -> its canonical loop."""
         return induction_alloca_map(self.loops)

@@ -17,7 +17,7 @@ def strongly_connected_components(nodes, successors):
     Returns:
         List of lists of nodes; reverse-topological order across components.
     """
-    index_counter = [0]
+    counter = 0
     indices = {}
     lowlinks = {}
     on_stack = set()
@@ -27,9 +27,14 @@ def strongly_connected_components(nodes, successors):
     for root in nodes:
         if root in indices:
             continue
-        work = [(root, iter(successors.get(root, ())))]
-        indices[root] = lowlinks[root] = index_counter[0]
-        index_counter[0] += 1
+        root_successors = successors.get(root)
+        indices[root] = lowlinks[root] = counter
+        counter += 1
+        if not root_successors:
+            # Nothing to search: the root is a component of its own.
+            components.append([root])
+            continue
+        work = [(root, iter(root_successors))]
         stack.append(root)
         on_stack.add(root)
 
@@ -38,21 +43,22 @@ def strongly_connected_components(nodes, successors):
             advanced = False
             for succ in succ_iter:
                 if succ not in indices:
-                    indices[succ] = lowlinks[succ] = index_counter[0]
-                    index_counter[0] += 1
+                    indices[succ] = lowlinks[succ] = counter
+                    counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
                     work.append((succ, iter(successors.get(succ, ()))))
                     advanced = True
                     break
-                if succ in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[succ])
+                if succ in on_stack and indices[succ] < lowlinks[node]:
+                    lowlinks[node] = indices[succ]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+                if lowlinks[node] < lowlinks[parent]:
+                    lowlinks[parent] = lowlinks[node]
             if lowlinks[node] == indices[node]:
                 component = []
                 while True:

@@ -3,7 +3,8 @@
 One node per IR instruction; edges carry control, register (SSA def-use),
 or memory dependences.  Memory edges record whether the dependence has a
 loop-independent component and the set of loops at which it is carried —
-the loop-level view the parallelization planner works from.
+what ``planner/views.py`` buckets per loop for the parallelization
+planner.
 """
 
 import dataclasses
@@ -82,49 +83,6 @@ class PDG:
             "carried_edges": carried,
             **{f"{kind}_edges": count for kind, count in by_kind.items()},
         }
-
-    # -- loop-level views -----------------------------------------------------
-
-    def loop_nodes(self, loop):
-        return [inst for inst in self.nodes if loop.contains_instruction(inst)]
-
-    def loop_edges(self, loop, include_carried_at=None):
-        """Edges internal to ``loop``.
-
-        ``include_carried_at``: if given, keep carried edges only when they
-        are carried at that loop (plus all loop-independent edges); if
-        None, keep everything internal.
-        """
-        selected = []
-        for edge in self.edges:
-            if not (
-                loop.contains_instruction(edge.source)
-                and loop.contains_instruction(edge.destination)
-            ):
-                continue
-            if include_carried_at is None:
-                selected.append(edge)
-                continue
-            if edge.loop_independent or edge.is_loop_carried_at(
-                include_carried_at
-            ):
-                selected.append(edge)
-        return selected
-
-    def loop_adjacency(self, loop):
-        """node -> successor nodes, restricted to edges relevant at ``loop``.
-
-        Relevant edges: loop-independent edges plus edges carried at
-        ``loop`` (carried at inner loops only matters when planning those
-        inner loops).
-        """
-        nodes = self.loop_nodes(loop)
-        node_set = set(nodes)
-        adjacency = {inst: [] for inst in nodes}
-        for edge in self.loop_edges(loop, include_carried_at=loop):
-            if edge.source in node_set and edge.destination in node_set:
-                adjacency[edge.source].append(edge.destination)
-        return nodes, adjacency
 
     def to_dot(self, name="pdg"):
         """GraphViz rendering (debugging/docs)."""

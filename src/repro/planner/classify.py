@@ -69,41 +69,42 @@ def classify_loop(view, loop):
 
 
 def _classify(view, loop):
+    # Every pair a view returns for ``loop`` has both ends in it, so only
+    # the nodes with successors get an adjacency list.
     instructions = view.loop_instructions(loop)
-    node_set = set(instructions)
     serialized = view.serialized_uids(loop)
 
-    adjacency = {inst: [] for inst in instructions}
+    adjacency = {}
     carried_pairs = set()
     for src, dst in view.carried_edges(loop):
-        if src in node_set and dst in node_set:
-            # Orderless work never contributes carried *order* constraints;
-            # its mutual exclusion is accounted separately.
-            if src.uid in serialized and dst.uid in serialized:
-                continue
-            adjacency[src].append(dst)
-            carried_pairs.add((src, dst))
+        # Orderless work never contributes carried *order* constraints;
+        # its mutual exclusion is accounted separately.
+        if src.uid in serialized and dst.uid in serialized:
+            continue
+        adjacency.setdefault(src, []).append(dst)
+        carried_pairs.add((src, dst))
     for src, dst in view.intra_edges(loop):
-        if src in node_set and dst in node_set:
-            adjacency[src].append(dst)
+        adjacency.setdefault(src, []).append(dst)
 
     components = strongly_connected_components(instructions, adjacency)
-    sccs = []
-    for component in components:
-        members = set(component)
-        sequential = any(
-            (src, dst) in carried_pairs
-            for src in component
-            for dst in adjacency[src]
-            if dst in members
+    component_of = {
+        inst: index
+        for index, component in enumerate(components)
+        for inst in component
+    }
+    sequential = {
+        component_of[src]
+        for src, dst in carried_pairs
+        if component_of[src] == component_of[dst]
+    }
+    sccs = [
+        SCCInfo(
+            instructions=list(component),
+            uids=frozenset(inst.uid for inst in component),
+            is_sequential=index in sequential,
         )
-        sccs.append(
-            SCCInfo(
-                instructions=list(component),
-                uids=frozenset(inst.uid for inst in component),
-                is_sequential=sequential,
-            )
-        )
+        for index, component in enumerate(components)
+    ]
 
     return LoopClassification(
         loop=loop,

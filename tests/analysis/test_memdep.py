@@ -128,3 +128,25 @@ class TestOrdering:
             if d.source.opcode == "call" or d.destination.opcode == "call"
         ]
         assert any(d.kind == "RAW" for d in call_deps)
+
+
+def test_each_reachability_question_is_asked_once(monkeypatch):
+    # Whether a pair's blocks reach each other without the innermost
+    # common loop's back edges depends on the blocks and that loop
+    # alone: one CFG search per (source, target, banned edges).
+    from repro.analysis import memdep
+    from repro.analysis.cfg import can_reach
+    from repro.workloads import build_kernel, kernel_names
+
+    asked = []
+
+    def recording(source, target, successors, banned_edges=frozenset()):
+        asked.append((source, target, banned_edges))
+        return can_reach(source, target, successors, banned_edges)
+
+    monkeypatch.setattr(memdep, "can_reach", recording)
+    for kernel in kernel_names():
+        module = build_kernel(kernel)
+        FunctionAnalyses(module.function("main"), module).dependences
+    assert asked
+    assert len(asked) == len(set(asked))

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import FunctionAnalyses
+from repro.analysis import FunctionAnalyses, enclosing_loops
 from repro.frontend import compile_source
+from repro.workloads import build_kernel, kernel_names
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -64,7 +65,10 @@ def test_parts_and_per_loop_queries_are_memoized():
     module = compile_source(SOURCE)
     analyses = FunctionAnalyses(module.function("main"), module)
     (loop,) = analyses.loops
-    for part in ("alias", "loops", "accesses", "dependences", "iv_map"):
+    for part in (
+        "alias", "loops", "loops_of_block", "accesses", "dependences",
+        "iv_map",
+    ):
         assert getattr(analyses, part) is getattr(analyses, part), part
     for query in (
         analyses.loop_accesses, analyses.live_out,
@@ -95,6 +99,17 @@ def test_queries_agree_on_one_object_identity():
         for dependence in analyses.dependences
         for carried in dependence.carried_loops
     )
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_block_loops_are_each_blocks_enclosing_loops(kernel):
+    module = build_kernel(kernel)
+    analyses = FunctionAnalyses(module.function("main"), module)
+    for block in analyses.function.blocks:
+        for inst in block.instructions:
+            assert analyses.loops_of_block[block] == tuple(
+                enclosing_loops(analyses.loops, inst)
+            )
 
 
 # -- (b) one home ---------------------------------------------------------------

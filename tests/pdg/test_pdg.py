@@ -2,6 +2,7 @@
 
 from repro.frontend import compile_source
 from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER, build_pdg
+from repro.planner import PDGView
 
 
 def pdg_for(source):
@@ -54,11 +55,12 @@ def test_loop_adjacency_restricted_to_loop():
     pdg = pdg_for("func main() { var s: int = 0;\n"
                   "for i in 0..3 { s = s + i; } print(s); }")
     loop = pdg.loops[0]
-    nodes, adjacency = pdg.loop_adjacency(loop)
-    node_set = set(nodes)
-    for src, dsts in adjacency.items():
-        assert src in node_set
-        assert all(d in node_set for d in dsts)
+    view = PDGView(pdg)
+    node_set = set(view.loop_instructions(loop))
+    pairs = view.carried_edges(loop) + view.intra_edges(loop)
+    assert pairs
+    for src, dst in pairs:
+        assert src in node_set and dst in node_set
 
 
 def test_loops_attached_to_pdg():

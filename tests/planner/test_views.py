@@ -1,6 +1,12 @@
 """Dependence views: what PDG, J&K, and PS-PDG each see."""
 
+import pytest
+
 from repro import Session
+from repro.planner import JKView, PDGView, PSPDGView, classify_loop
+from repro.workloads import PAIRS, kernel_names
+from support import reference_views as reference
+from support.progen import generate_nest_program, generate_program
 
 
 def setup_for(source):
@@ -88,3 +94,86 @@ def test_view_names():
         "J&K",
         "PS-PDG",
     }
+
+
+# -- the buckets answer what the whole-graph scans answered -------------------
+
+_GALLERY = {
+    f"gallery-{pair.key}-{label}": source
+    for pair in PAIRS
+    for label, source in pair.sources().items()
+}
+_GENERATED = {
+    **{f"progen-{seed}": generate_program(seed) for seed in range(10)},
+    **{f"nest-{seed}": generate_nest_program(seed) for seed in range(10)},
+}
+
+
+def _session(name):
+    if name in kernel_names():
+        return Session.from_kernel(name)
+    return Session.from_source({**_GALLERY, **_GENERATED}[name], name=name)
+
+
+def _summary(classification):
+    return (
+        [
+            ([inst.uid for inst in scc.instructions], scc.is_sequential)
+            for scc in classification.sccs
+        ],
+        classification.carried_edge_count,
+        classification.serialized_uids,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [*kernel_names(), *sorted(_GALLERY), *sorted(_GENERATED)]
+)
+def test_buckets_answer_what_the_scans_answered(name):
+    session = _session(name)
+    for loop in session.loops:
+        for view in session.views.values():
+            where = (name, loop.header.name, view.name)
+            assert view.loop_instructions(
+                loop
+            ) == reference.loop_instructions(view, loop), where
+            assert view.carried_edges(loop) == reference.carried_edges(
+                view, loop
+            ), where
+            assert view.intra_edges(loop) == reference.intra_edges(
+                view, loop
+            ), where
+            classification = classify_loop(view, loop)
+            assert _summary(classification) == reference.classify(
+                view, loop
+            ), where
+            for scc in classification.sccs:
+                assert scc.uids == {inst.uid for inst in scc.instructions}
+
+
+class _ScanCounter(list):
+    """A graph's edge list that counts how often it is walked."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_classifying_every_loop_walks_each_graph_at_most_twice():
+    session = Session.from_kernel("BT")
+    pdg, pspdg = session.pdg, session.pspdg
+    pdg.edges = _ScanCounter(pdg.edges)
+    pspdg.directed_edges = _ScanCounter(pspdg.directed_edges)
+    assert len(session.loops) > 2
+    for view, edges in (
+        (PDGView(pdg), pdg.edges),
+        (JKView(pspdg), pdg.edges),
+        (PSPDGView(pspdg), pspdg.directed_edges),
+    ):
+        before = edges.scans
+        for loop in session.loops:
+            classify_loop(view, loop)
+        walks = edges.scans - before
+        assert walks <= 2, (view.name, walks)
