@@ -20,8 +20,11 @@ Division of labor:
   planned region one statement), and its profiled variant whose run
   *is* the loop-nest profile; :mod:`repro.codegen.profile` drives that
   run for the pipeline.
-* :mod:`repro.codegen.cache` — per-module compiled-chunk cache plus the
-  compile/hit/fallback/time counters diagnostics report.
+* :mod:`repro.codegen.cache` — the one compiled-body cache: chunk and
+  sequence entries (``None`` for a refusal) weak-keyed by the module
+  object, plus the compile/hit/fallback/time counters diagnostics
+  report.  Nothing is keyed by content: a re-decoded module is lowered
+  again.
 * :mod:`repro.codegen.runtime` — the helpers generated code closes
   over, the interpreter-fallback driver :func:`execute_chunk`, and the
   ``VERIFY_COMPILED`` differential oracle.

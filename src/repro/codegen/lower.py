@@ -166,8 +166,6 @@ class CompiledChunk:
     source: str
     function: str  # enclosing IR function name
     header: str  # loop header block name
-    module_key: str = None  # content hash, when the caller knows it
-    refs: tuple = ()  # the IR objects the factory closed over
 
     #: ``(kind, why)`` as :func:`chunk_tier` reports it: a body that
     #: compiled is the loop nest it is; a refused loop has no entry.
@@ -1740,31 +1738,22 @@ def chunk_tier(loop, entry, outer=None):
     return "refused", "generated source failed to compile"
 
 
-def exec_chunk(source, refs, function, header, module_key=None):
-    """``exec``-compile lowered chunk source against concrete IR refs.
-
-    Split out of :func:`compile_chunk` so the content-hash source cache
-    can rebuild an entry for a *re-decoded* module (same source, new ref
-    objects) without re-lowering.
-    """
-    filename = f"<repro-codegen {function}:{header}>"
+def _exec_factory(source, refs, label):
+    """``exec``-compile lowered source and bind its factory to ``refs``:
+    the generated function, its code named ``<repro-codegen label>``."""
     namespace = dict(_runtime.GENERATED_GLOBALS)
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-    fn = namespace["_factory"](tuple(refs), _runtime)
+    code = compile(source, f"<repro-codegen {label}>", "exec")
+    exec(code, namespace)  # noqa: S102
+    return namespace["_factory"](tuple(refs), _runtime)
+
+
+def compile_chunk(loop, outer=None):
+    """Lower and ``exec``-compile one loop's chunk body."""
+    source, refs = lower_chunk(loop, outer=outer)
+    function, header = loop.header.parent.name, loop.header.name
     return CompiledChunk(
-        fn=fn,
+        fn=_exec_factory(source, refs, f"{function}:{header}"),
         source=source,
         function=function,
         header=header,
-        module_key=module_key,
-        refs=tuple(refs),
-    )
-
-
-def compile_chunk(loop, module_key=None, outer=None):
-    """Lower and ``exec``-compile one loop's chunk body."""
-    source, refs = lower_chunk(loop, outer=outer)
-    return exec_chunk(
-        source, refs, loop.header.parent.name, loop.header.name,
-        module_key=module_key,
     )

@@ -30,7 +30,7 @@ class _CompiledCallees(Interpreter):
     def _run_function(self, function, args):
         # A callee's forest comes from its own analysis record.
         entry = codegen_cache.compiled_sequence(
-            self.module, function, (), False,
+            self.module, function, (),
             lambda: FunctionAnalyses(function, self.module).loops_by_header,
         )
         _mode, value = execute_sequence(

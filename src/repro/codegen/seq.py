@@ -50,9 +50,8 @@ import dataclasses
 
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
-from repro.codegen import runtime as _runtime
 from repro.codegen.lower import _RETURNED, Unsupported, _Emitter, \
-    _Lowering, _refused
+    _Lowering, _refused, _exec_factory
 
 
 @dataclasses.dataclass
@@ -69,8 +68,6 @@ class CompiledSequence:
     source: str
     function: str  # IR function name
     stops: tuple  # ((header, (member header, ...)), ...) lowered against
-    module_key: str = None
-    refs: tuple = ()
 
     @property
     def label(self):
@@ -82,8 +79,8 @@ def sequence_stops(regions, function):
 
     ``regions`` maps header block name -> region parallelization (the
     interpreter's dispatch table); only headers that name a block of
-    *this* function become stops.  The spec is pure content (names
-    only), so it keys the codegen source cache.
+    *this* function become stops.  The spec is names only, and it is
+    part of the codegen cache key.
     """
     stops = []
     for block in function.blocks:
@@ -465,33 +462,10 @@ def lower_sequence(function, stops, loops_by_header):
     return lowering.lower(), lowering.refs
 
 
-def exec_sequence(source, refs, function, stops, module_key=None):
-    """``exec``-compile lowered function source against concrete refs.
-
-    Split from :func:`compile_sequence` so the content-hash source
-    cache can rebuild an entry for a re-decoded module without
-    re-lowering (same split as :func:`repro.codegen.lower.exec_chunk`).
-    """
-    filename = f"<repro-codegen @{function}>"
-    namespace = dict(_runtime.GENERATED_GLOBALS)
-    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-    fn = namespace["_factory"](tuple(refs), _runtime)
-    return CompiledSequence(
-        fn=fn,
-        source=source,
-        function=function,
-        stops=tuple(stops),
-        module_key=module_key,
-        refs=tuple(refs),
-    )
-
-
-def compile_sequence(function, stops, loops_by_header, module_key=None):
+def compile_sequence(function, stops, loops_by_header):
     """Lower and ``exec``-compile one function's sequential stretches."""
     source, refs = lower_sequence(function, stops, loops_by_header)
-    return exec_sequence(
-        source, refs, function.name, tuple(stops), module_key=module_key,
-    )
+    return _compiled(source, refs, function, stops)
 
 
 def compile_profiled(function, loops):
@@ -504,6 +478,13 @@ def compile_profiled(function, loops):
     block that is a loop header.
     """
     lowering = _ProfiledLowering(function, loops)
-    return exec_sequence(
-        lowering.lower(), lowering.refs, function.name, ()
+    return _compiled(lowering.lower(), lowering.refs, function, ())
+
+
+def _compiled(source, refs, function, stops):
+    return CompiledSequence(
+        fn=_exec_factory(source, refs, f"@{function.name}"),
+        source=source,
+        function=function.name,
+        stops=tuple(stops),
     )

@@ -87,6 +87,13 @@ class SessionConfig:
                 f"unknown abstractions {sorted(unknown)}; "
                 f"choose from {ALL_ABSTRACTIONS}"
             )
+        # NaN fails both comparisons; inf and 2.0 the upper one.  Either
+        # way no loop would be a candidate and Fig. 13 reads all zeros.
+        if not 0.0 <= self.min_coverage <= 1.0:
+            raise ValueError(
+                f"min_coverage must be a fraction in [0, 1], got "
+                f"{self.min_coverage!r}"
+            )
         # Normalize 2 / "2" / "O2" / "-O2" spellings up front so the
         # config fingerprint (and with it every cache key) is stable.
         level = OptLevel.coerce(self.opt_level)

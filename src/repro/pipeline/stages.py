@@ -40,7 +40,6 @@ from repro.planner.plans import (
 from repro.planner.recipes import recipes_from_plan
 from repro.planner.views import JKView, PDGView, PSPDGView
 from repro.runtime import knobs
-from repro.runtime.payload import module_codec
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -308,15 +307,12 @@ def _build_compile_regions(session):
     ``refused`` with the block and why) and which fell back.  The compiled
     functions themselves live in the codegen cache keyed by the
     session's module object — they close over IR identities, so the
-    *artifact* carries only the summary.
-    Warming passes the module's wire key so the lowered *source* also
-    lands in the content-hash cache: pool children fork with it and can
-    rebuild entries for their re-decoded modules without re-lowering.
+    *artifact* carries only the summary.  The module is not pickled
+    here: a ``processes`` pool child decodes its own copy and lowers
+    each body once, the first time it runs one.
     """
     loops_by_header = session.analyses.loops_by_header
-    module_key = module_codec(session.module).key
-    summary = {"compiled": [], "fallback": [], "tiers": {},
-               "module_key": module_key}
+    summary = {"compiled": [], "fallback": [], "tiers": {}}
     seen = set()
     for regions in session.region_recipes.values():
         for region in regions:
@@ -325,9 +321,7 @@ def _build_compile_regions(session):
                 if loop is None or loop.canonical is None or header in seen:
                     continue
                 seen.add(header)
-                entry = codegen_cache.compiled_chunk(
-                    session.module, loop, module_key=module_key,
-                )
+                entry = codegen_cache.compiled_chunk(session.module, loop)
                 bucket = "compiled" if entry else "fallback"
                 summary[bucket].append(header)
                 summary["tiers"][header] = chunk_tier(loop, entry)

@@ -62,7 +62,9 @@ from repro.codegen import runtime as codegen_runtime
 from repro.emulator.interp import Interpreter
 from repro.ir.basicblock import BasicBlock
 from repro.runtime import faults, knobs
-from repro.util.errors import EmulationError, PlanError, RegionDispatchError
+from repro.util.errors import (
+    EmulationError, PlanError, RegionDispatchError, ReproError,
+)
 from repro.util.regionstats import RegionStats
 
 #: Seconds a worker may wait on one critical-section lock before the
@@ -248,7 +250,6 @@ class _ThreadLocks:
 def _count_codegen(stats, before, after):
     """Charge a ``codegen_cache.stats()`` delta to the region's counters."""
     stats.codegen_compiles += after["compiles"] - before["compiles"]
-    stats.codegen_source_hits += after["source_hits"] - before["source_hits"]
     stats.codegen_fallbacks += after["fallbacks"] - before["fallbacks"]
 
 
@@ -721,13 +722,10 @@ def _pool_chunk_entry(wire, fault=None):
             if iterations:
                 entry = None
                 if compile_on:
-                    # Keyed by the child's decoded module object
-                    # (cache.py explains why the content hash is not
-                    # enough).
+                    # Keyed by the child's decoded module object: the
+                    # first chunk of a module this child decoded lowers.
                     entry = codegen_cache.compiled_chunk(
-                        payload["module"], loop,
-                        module_key=payload.get("module_key"),
-                        outer=nest,
+                        payload["module"], loop, outer=nest,
                     )
                 mode = codegen_runtime.execute_chunk(
                     entry, shim, loop, frame, iterations,
@@ -796,17 +794,26 @@ class ProcessesBackend(ExecutionBackend):
 
     def run_region(self, interp, region):
         stats = region.stats
-        # Critical/atomic regions need shared memory: delegate the whole
-        # region to the threads backend (real locks) and record that.
-        # (Regions whose locks the sync-elimination pass removed no
-        # longer appear in the critical map, so they stay here.)
+        # Critical/atomic regions need shared memory, and a module the
+        # pickler cannot walk cannot travel: delegate the whole region
+        # to the threads backend (real locks) and record why.  (Regions
+        # whose locks the sync-elimination pass removed no longer appear
+        # in the critical map, so they stay here.)
+        reason = None
         if any(
             block.name in region.critical
             for loop in region.loops
             for block in loop.blocks
         ):
+            reason = "critical"
+        else:
+            try:
+                payload_codec.module_codec(interp.module)
+            except ReproError:
+                reason = "unpicklable"
+        if reason is not None:
             ThreadsBackend().run_region(interp, region)
-            stats.backend = f"{self.name}->threads(critical)"
+            stats.backend = f"{self.name}->threads({reason})"
             return
         stats.backend = self.name
         try:
@@ -1038,7 +1045,6 @@ class ProcessesBackend(ExecutionBackend):
         stats.compiled_chunks += chunk.compiled_chunks
         stats.interpreted_chunks += chunk.interpreted_chunks
         stats.codegen_compiles += chunk.codegen_compiles
-        stats.codegen_source_hits += chunk.codegen_source_hits
         stats.codegen_fallbacks += chunk.codegen_fallbacks
         # Shared-memory effects, applied in worker order (deterministic;
         # a correct DOALL's shared writes are disjoint across workers).

@@ -72,7 +72,6 @@ from repro.runtime.backends import (
     SerialBackend,
     get_backend,
 )
-from repro.runtime.payload import module_codec
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
@@ -216,10 +215,8 @@ class ParallelInterpreter(Interpreter):
                 )
         self.parallel_regions = []  # RegionStats, in execution order
         # Sequential-stretch compilation state: per-function entry memo
-        # (keyed by name/verify), the module content hash (lazy —
-        # it keys the codegen source cache), and call-mode counters.
+        # (keyed by name/verify) and call-mode counters.
         self._seq_entries = {}
-        self._seq_module_key = None
         self._verify_safe_memo = {}
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
@@ -327,12 +324,12 @@ class ParallelInterpreter(Interpreter):
         entry ``None`` when the lowering refused it, which counts as an
         interpreted call — or ``None``: it is not compiled at all.
 
-        Memoized per (name, verify): the stop spec and the
-        content key are fixed for this interpreter's lifetime.  Under
-        ``VERIFY_COMPILED`` only functions whose call graph reaches no
-        planned region compile (the oracle replays the whole body, and
-        a region dispatch is not replayable); everything else runs
-        interpreted, where chunk-level verification still applies.
+        Memoized per (name, verify): the stop spec is fixed for this
+        interpreter's lifetime.  Under ``VERIFY_COMPILED`` only
+        functions whose call graph reaches no planned region compile
+        (the oracle replays the whole body, and a region dispatch is not
+        replayable); everything else runs interpreted, where chunk-level
+        verification still applies.
         """
         if not self.compile_regions or self._profiler is not None:
             return None
@@ -349,7 +346,6 @@ class ParallelInterpreter(Interpreter):
             entry = codegen_cache.compiled_sequence(
                 self.module, function, stops,
                 lambda: self._function_loops(function),
-                module_key=self._content_key(),
             )
             result = (entry, verify)
         self._seq_entries[key] = result
@@ -377,17 +373,6 @@ class ParallelInterpreter(Interpreter):
             )
         self._verify_safe_memo[function.name] = safe
         return safe
-
-    def _content_key(self):
-        if self._seq_module_key is None:
-            try:
-                self._seq_module_key = module_codec(self.module).key
-            except RecursionError:
-                # A chain of blocks too long to pickle (ifs nested a
-                # hundred deep) has no content hash: its bodies are
-                # cached per module object only.
-                return None
-        return self._seq_module_key
 
     # -- the parallel region: partition, dispatch, join, record ------------------
 

@@ -54,6 +54,7 @@ from collections import OrderedDict
 from repro.analysis.loops import find_natural_loops
 from repro.emulator.interp import _Frame
 from repro.runtime import knobs
+from repro.util.errors import ReproError
 
 #: Protocol for every codec stream.  Fixed (not HIGHEST_PROTOCOL) so the
 #: parent and a pool worker running a different interpreter version of
@@ -162,7 +163,9 @@ class ModuleCodec:
     ``key`` is the content hash of the module stream — the identity the
     pool workers cache decoded modules under, so two sessions sharing
     one pool (or one session outliving a pool) can never collide on
-    stale bytes.
+    stale bytes.  A module the pickler cannot walk (``if``s nested a
+    hundred deep chain more blocks than it recurses) is a
+    :class:`ReproError` naming it.
     """
 
     __slots__ = ("module", "key", "module_bytes", "persist_map", "livein")
@@ -170,7 +173,13 @@ class ModuleCodec:
     def __init__(self, module):
         self.module = module
         buffer = io.BytesIO()
-        pickle.Pickler(buffer, protocol=PROTOCOL).dump(module)
+        try:
+            pickle.Pickler(buffer, protocol=PROTOCOL).dump(module)
+        except RecursionError as exc:
+            raise ReproError(
+                f"module {module.name!r} cannot be pickled: its IR nests "
+                f"deeper than the pickler recurses ({exc})"
+            ) from None
         self.module_bytes = buffer.getvalue()
         self.key = hashlib.sha256(self.module_bytes).hexdigest()
         self.persist_map = {
@@ -574,7 +583,6 @@ def decode_payload(wire):
     frame.global_overlay = overlay
     return {
         "module": module,
-        "module_key": module_key,
         "global_storage": state["global_storage"],
         "table": state["table"],
         "frame": frame,

@@ -46,7 +46,7 @@ class RegionStats:
     compiled_chunks: int = 0  # chunks run through exec-compiled bodies
     interpreted_chunks: int = 0  # chunks run through the dispatch loop
     codegen_compiles: int = 0  # fresh lowerings this region caused
-    codegen_source_hits: int = 0  # entries rebuilt from cached source
+    codegen_source_hits: int = 0  # always 0; benchmarks/e2e still reads it
     codegen_fallbacks: int = 0  # lowering refusals/failures
     retries: int = 0  # supervised re-dispatches after infra failures
     failovers: int = 0  # failovers to threads once retries ran out

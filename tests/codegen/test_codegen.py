@@ -140,7 +140,7 @@ def test_cache_hits_and_stats():
 def test_cache_failure_memoizes_fallback(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def refuse(loop, module_key=None, outer=None):
+    def refuse(loop, outer=None):
         raise Unsupported("test refusal")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", refuse)
@@ -154,7 +154,7 @@ def test_cache_failure_memoizes_fallback(monkeypatch):
 def test_cache_never_raises_on_codegen_bug(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def explode(loop, module_key=None, outer=None):
+    def explode(loop, outer=None):
         raise RuntimeError("codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
@@ -178,8 +178,7 @@ def test_reset_clears_entries_and_counters():
     codegen_cache.compiled_chunk(module, loop)
     codegen_cache.reset()
     assert codegen_cache.stats() == {
-        "compiles": 0, "hits": 0, "source_hits": 0, "fallbacks": 0,
-        "seconds": 0.0,
+        "compiles": 0, "hits": 0, "fallbacks": 0, "seconds": 0.0,
     }
     assert len(codegen_cache._FN_CACHE) == 0
 
@@ -504,32 +503,3 @@ def test_sequence_stops_follow_function_block_order():
         (names[0], (names[0],)),
         (names[-1], (names[-1],)),
     )
-
-
-def test_compiled_sequence_rebuilds_from_source_cache():
-    from repro.runtime.payload import module_codec
-
-    codegen_cache.reset()
-    module = compile_source(SIMPLE)
-    codec = module_codec(module)
-    first = codegen_cache.compiled_sequence(
-        module, module.function("main"), (),
-        lambda: _forest(module.function("main")), module_key=codec.key,
-    )
-    assert first is not None
-    before = codegen_cache.stats()
-    # Re-decode the same content into new IR objects: the object layer
-    # misses, the source layer rebuilds without re-lowering.
-    import pickle
-
-    clone = pickle.loads(codec.module_bytes)
-    # ... so nobody asks for the clone's forest.
-    rebuilt = codegen_cache.compiled_sequence(
-        clone, clone.function("main"), (), None,
-        module_key=codec.key,
-    )
-    after = codegen_cache.stats()
-    assert rebuilt is not None and rebuilt is not first
-    assert rebuilt.source == first.source
-    assert after["compiles"] == before["compiles"]
-    assert after["source_hits"] == before["source_hits"] + 1

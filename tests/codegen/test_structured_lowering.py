@@ -16,6 +16,7 @@ three-deep); hand-written IR covers what the frontend cannot produce.
 
 import dataclasses
 import pathlib
+import pickle
 import re
 
 import pytest
@@ -1487,6 +1488,45 @@ def test_a_chunk_body_nested_too_deep_is_refused_with_its_block(unarmed):
     assert result.output == session.execution.output
 
 
+def _deep_region(depth):
+    """A ``parallel_for`` whose body nests ``depth`` ``if``s."""
+    lines = ["global a: int[8];", "global g: int[2];", "func main() {",
+             "pragma omp parallel_for", "for i in 0..8 {"]
+    lines += [IF_OPENER % level for level in range(depth)]
+    lines.append("a[i] = a[i] + i;")
+    lines += ["}"] * (depth + 1)
+    lines.append('print("a", a[0] + a[7]); }')
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+def test_a_region_nested_too_deep_to_pickle_runs(backend, unarmed):
+    """101 ``if``s chain more blocks than the pickler recurses.  Nothing
+    on the compile path pickles the module; ``processes``, whose wire
+    must, runs the region on ``threads`` and says why."""
+    source = _deep_region(101)
+    session = Session.from_source(source, name="deep-region")
+    result = session.run("PS-PDG", backend=backend, compile_regions=True)
+    assert result.output == run_module(compile_source(source)).output
+    ((kind, why),) = session.compiled_regions["tiers"].values()
+    assert kind == "refused" and why.endswith(": " + TOO_DEEP)
+    assert result.sequence_stats == {"compiled": 1, "interpreted": 0}
+    (region,) = result.parallel_regions
+    if backend == "processes" and not _pickles(session.module):
+        backend = "processes->threads(unpicklable)"
+    assert region["backend"] == backend
+
+
+def _pickles(module):
+    """CPython 3.13 pickles the 101-deep chain; 3.10-3.12 run out of
+    recursion."""
+    try:
+        pickle.dumps(module)
+    except RecursionError:
+        return False
+    return True
+
+
 def test_a_twelve_deep_nest_still_compiles(unarmed):
     for pragma in ("", "pragma omp parallel_for"):
         session = Session.from_source(
@@ -1532,8 +1572,9 @@ for kernel in sorted(KERNELS):
 
 
 def test_generated_source_is_byte_identical_across_hash_seeds():
-    """The content-hash source cache and a pool child's zero re-lowering
-    both assume lowering the same IR twice gives the same text."""
+    """Lowering the same IR twice gives the same text, whatever the hash
+    seed: a pool child lowers what the parent lowered, and the census
+    reads the same bodies every run."""
     import os
     import subprocess
     import sys

@@ -11,6 +11,7 @@ seeded defect in any one piece of the instrumentation has to fail it.
 import pytest
 
 from repro.analysis.loops import find_natural_loops
+from repro.codegen import cache as codegen_cache
 from repro.codegen.profile import _interpret, _run, profile_function
 from repro.codegen.seq import _ProfiledLowering, _SequenceLowering, \
     compile_profiled
@@ -206,6 +207,15 @@ def test_callee_steps_land_on_the_call_uid():
     assert min(varying) > 1  # the call itself plus the callee's steps
     # Nothing of the callee's own loops shows in main's profile.
     assert loop.headers == {"for.header"}
+
+
+def test_the_callees_of_the_profile_run_compile():
+    """``weigh`` lowers once and serves all 12 calls compiled; a callee
+    that fell back would count a fallback instead."""
+    codegen_cache.reset()
+    check_same_profile(compile_source(CALLEE_WITH_LOOPS))
+    stats = codegen_cache.stats()
+    assert (stats["compiles"], stats["hits"], stats["fallbacks"]) == (1, 11, 0)
 
 
 def test_two_level_exit_closes_both_loops_on_one_edge():

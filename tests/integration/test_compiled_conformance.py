@@ -176,7 +176,7 @@ def test_unsupported_instruction_falls_back_and_conforms(monkeypatch):
 def test_whole_codegen_failure_still_conforms(monkeypatch):
     """Even a crashing lowering must never take down a run."""
 
-    def explode(loop, module_key=None, outer=None):
+    def explode(loop, outer=None):
         raise RuntimeError("synthetic codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)

@@ -318,6 +318,23 @@ def test_unknown_abstraction_rejected():
         SessionConfig(abstractions=("PDG", "bogus"))
 
 
+@pytest.mark.parametrize("coverage", [
+    float("nan"), float("inf"), float("-inf"), 2.0, -0.01,
+])
+def test_min_coverage_outside_the_unit_interval_rejected(coverage):
+    """Accepted, NaN, inf and 2.0 made no loop a candidate: IS's Fig. 13
+    totals read 0/0/0/0 instead of 448/1270/1270/1591."""
+    with pytest.raises(ValueError, match="min_coverage"):
+        SessionConfig(min_coverage=coverage)
+    with pytest.raises(ValueError, match="min_coverage"):
+        Session.from_source(SOURCE).options(min_coverage=coverage)
+
+
+@pytest.mark.parametrize("coverage", [0.0, 0.01, 1.0])
+def test_min_coverage_bounds_are_accepted(coverage):
+    assert SessionConfig(min_coverage=coverage).min_coverage == coverage
+
+
 def test_config_is_immutable(session):
     with pytest.raises(Exception):
         session.config.name = "other"

@@ -21,7 +21,7 @@ from repro.codegen import cache as codegen_cache
 from repro.frontend import compile_source
 from repro.runtime import backends, knobs, run_source_plan
 from repro.runtime import payload as payload_codec
-from repro.util.errors import EmulationError
+from repro.util.errors import EmulationError, ReproError
 from support.conformance import outputs_close
 from support.programs import ROTATING
 
@@ -431,6 +431,21 @@ class TestModuleByteCache:
         session = Session.from_kernel("EP")
         first = payload_codec.module_codec(session.module)
         assert payload_codec.module_codec(session.module) is first
+
+    def test_a_module_the_pickler_cannot_walk_is_a_typed_error(
+            self, monkeypatch):
+        """Before 3.13, CPython's pickler runs out of recursion on ``if``s
+        nested a hundred deep (``test_structured_lowering`` runs one);
+        the codec names the module in a :class:`ReproError`."""
+        module = compile_source(ROTATING % 0)
+
+        class Exhausted(pickle.Pickler):
+            def dump(self, obj):
+                raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(payload_codec.pickle, "Pickler", Exhausted)
+        with pytest.raises(ReproError, match=f"module {module.name!r}"):
+            payload_codec.module_codec(module)
 
     def test_reset_keeps_module_bytes(self):
         session = Session.from_kernel("EP")

@@ -180,7 +180,8 @@ class TestPoolLifecycle:
     def test_a_worker_holds_at_most_the_module_cap(self, monkeypatch):
         """What bounds a worker: 20 modules through one child leave it
         ``MODULE_CACHE_CAP`` decoded ones; an evicted module comes back
-        by the miss/retry path, a resident one ships no module bytes."""
+        by the miss/retry path and is lowered again, a resident one ships
+        no module bytes."""
         monkeypatch.setattr(backends, "_desired_pool_size", lambda _n: 1)
         cap = payload.MODULE_CACHE_CAP
         sessions = _rotating_sessions(cap + 4)
@@ -197,9 +198,10 @@ class TestPoolLifecycle:
         # payloads go out bare, miss, and are retried with the bytes.
         (region,) = _run(sessions[0])
         assert region["retry_payload_bytes"] > _module_bytes(sessions[0])
-        # Re-decoded, not re-lowered: the content-keyed source layer.
-        assert region["codegen_source_hits"] > 0
-        assert region["codegen_compiles"] == 0
+        # Re-decoded into new objects, so lowered again: the codegen
+        # cache is keyed by the module object, never by content.
+        assert region["codegen_compiles"] > 0
+        assert region["codegen_source_hits"] == 0
         # Resident now: the last cap - 1 of the first pass, and module 0.
         for session in sessions[-(cap - 1):] + sessions[:1]:
             (region,) = _run(session)
