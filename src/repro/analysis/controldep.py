@@ -19,7 +19,7 @@ def compute_control_dependence(function):
     Returns ``dict[block] -> list[block]`` (deterministic order, duplicates
     removed).  The entry block of a straight-line function depends on nothing.
     """
-    post_tree, _exit = compute_postdominator_tree(function)
+    post_tree, exit_node = compute_postdominator_tree(function)
     deps = {block: [] for block in function.blocks}
 
     for block in function.blocks:
@@ -29,7 +29,8 @@ def compute_control_dependence(function):
         limit = post_tree.idom.get(block)
         for succ in successors:
             runner = succ
-            while runner is not limit and runner is not block:
+            while (runner is not limit and runner is not block
+                   and runner is not exit_node):
                 if block not in deps[runner]:
                     deps[runner].append(block)
                 parent = post_tree.idom.get(runner)

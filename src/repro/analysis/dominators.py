@@ -132,9 +132,11 @@ def compute_postdominator_tree(function):
 
     Returns ``(tree, virtual_exit)``.  Every block whose terminator is a
     ``return`` gets an edge to the virtual exit in the reversed graph's
-    source role.  Blocks that cannot reach any return (infinite loops) are
-    additionally connected so the tree is total; our frontend never produces
-    such loops, but analyses must not crash on hand-built IR.
+    source role.  Blocks that cannot reach any return (infinite loops) get
+    one too, and the tree is computed with those edges, so it is total
+    and a branch into such a loop is postdominated by the exit alone; our
+    frontend never produces such loops, but analyses must not crash on
+    hand-built IR.
     """
     exit_node = _VirtualExit()
     preds = predecessors_map(function)
@@ -150,11 +152,10 @@ def compute_postdominator_tree(function):
         reversed_succs[block] = list(preds[block])
 
     idom = immediate_dominators(exit_node, reversed_succs)
-
-    # Connect any block unreachable in the reversed graph (no path to a
-    # return) directly under the virtual exit so queries stay total.
-    for block in function.blocks:
-        if block not in idom:
-            idom[block] = exit_node
-
+    if len(idom) <= len(function.blocks):
+        # Some block reaches no return: hang it off the exit and redo.
+        reversed_succs[exit_node].extend(
+            block for block in function.blocks if block not in idom
+        )
+        idom = immediate_dominators(exit_node, reversed_succs)
     return DominatorTree(exit_node, idom), exit_node

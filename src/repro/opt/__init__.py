@@ -16,7 +16,9 @@ analysis record (``pspdg.pdg.analyses``).  ``-O1``/``-O2`` run three:
   below the machine model's cost thresholds fall back to sequential or
   ``threads`` execution instead of paying process-pool pickling.
 
-The ``-O3`` tier adds three transform passes plus a validation gate:
+The ``-O3`` tier adds three transform passes, each a pattern plus a
+side condition decided on the graph alone — a test that cannot decide
+rejects:
 
 * :class:`~repro.opt.interchange.LoopInterchangePass` — a serial-outer /
   DOALL-inner nest whose direction vectors are all ``(*, =)`` dispatches
@@ -26,11 +28,7 @@ The ``-O3`` tier adds three transform passes plus a validation gate:
   accepts uniform non-zero dependence distances by shifting the
   partner's partition;
 * :class:`~repro.opt.tiling.TilingPass` — the machine model floors
-  iterations-per-payload so tiny chunks stop paying dispatch overhead;
-* :class:`~repro.opt.speculate.SpeculationValidationPass` — transforms
-  applied on an *inconclusive* static test are validated against the
-  simulated oracle (and vetoed on any divergence) before a real backend
-  ever sees the plan.
+  iterations-per-payload so tiny chunks stop paying dispatch overhead.
 
 Entry point: :func:`optimize_plan` ``(pspdg, plan, level)``; levels:
 :class:`OptLevel`.
@@ -51,7 +49,6 @@ from repro.opt.manager import (
     seed_regions,
 )
 from repro.opt.serialize import SmallRegionSerializationPass
-from repro.opt.speculate import SpeculationValidationPass
 from repro.opt.sync import SyncEliminationPass
 from repro.opt.tiling import TilingPass
 
@@ -66,7 +63,6 @@ __all__ = [
     "RegionFusionPass",
     "SkewedRegionFusionPass",
     "SmallRegionSerializationPass",
-    "SpeculationValidationPass",
     "SyncEliminationPass",
     "TilingPass",
     "can_fuse",

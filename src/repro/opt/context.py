@@ -23,8 +23,7 @@ class OptContext:
     """What the passes of one ``optimize_plan`` call share."""
 
     def __init__(self, pspdg, machine, payload_bytes=None,
-                 compile_regions=False, compiled_speedup=None,
-                 speculate=True, oracle=None):
+                 compile_regions=False, compiled_speedup=None):
         self.pspdg = pspdg
         #: The function's analysis record: loops, accesses, dependences.
         self.analyses = pspdg.pdg.analyses
@@ -45,13 +44,6 @@ class OptContext:
         self.compiled_speedup = (
             dict(compiled_speedup) if compiled_speedup else {}
         )
-        # Whether a pass may apply a transform on an inconclusive
-        # legality verdict (for the oracle-validation pass to settle).
-        self.speculate = bool(speculate)
-        # Speculation-oracle verdicts by speculative region set
-        # (:mod:`repro.opt.speculate`).  A caller optimizing several
-        # plans of one program hands every run the same dict.
-        self.oracle = oracle if oracle is not None else {}
         self.blocks_by_name = {
             block.name: block for block in self.analyses.function.blocks
         }

@@ -11,10 +11,9 @@ sequential order of every remaining (outer-carried, same-inner-value)
 dependence worker-locally.
 
 The side condition is declared as data on the descriptor: the legality
-predicate's witness rides along in ``RegionDescriptor.witness``, and an
-*inconclusive* test (non-affine subscript) may still apply the transform
-speculatively — flagged via ``RegionDescriptor.speculative`` — for the
-oracle-validation pass to confirm or veto before a real backend runs it.
+predicate's witness rides along in ``RegionDescriptor.witness``.  A pair
+the test cannot decide (a non-affine subscript) rejects the nest, like a
+proven carried dependence: the transform applies only on a proof.
 """
 
 import dataclasses
@@ -62,14 +61,6 @@ class LoopInterchangePass:
                 region,
                 outer_header=outer.header.name,
                 witness=verdict.witness,
-            )
-        if verdict.inconclusive and ctx.speculate:
-            report.speculated.append((self.name,) + subject)
-            return dataclasses.replace(
-                region,
-                outer_header=outer.header.name,
-                speculative=self.name,
-                witness=verdict.witness or verdict.reason,
             )
         report.rejected.append((self.name, subject, verdict.reason))
         return None

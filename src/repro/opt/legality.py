@@ -51,22 +51,19 @@ class Legality:
 
     ``witness`` is the predicate's evidence — the dependence pair (or
     distance) that decided the verdict — stored on the rewritten
-    descriptor so reports and tests can audit the side condition.
-    ``inconclusive`` marks a *maybe*: the static test could neither
-    prove nor refute legality (non-affine subscript, unbounded range).
-    A speculative pass may apply the transform anyway and must then
-    validate the plan against the simulated oracle.  ``shifts`` carries
-    the per-member partition shifts skew-enabled fusion derived.
+    descriptor so reports and tests can audit the side condition.  A
+    test that can neither prove nor refute legality (non-affine
+    subscript, unbounded range) says no, with the undecided pair as its
+    reason.  ``shifts`` carries the per-member partition shifts
+    skew-enabled fusion derived.
     """
 
-    __slots__ = ("ok", "reason", "witness", "inconclusive", "shifts")
+    __slots__ = ("ok", "reason", "witness", "shifts")
 
-    def __init__(self, ok, reason=None, witness=None, inconclusive=False,
-                 shifts=None):
+    def __init__(self, ok, reason=None, witness=None, shifts=None):
         self.ok = ok
         self.reason = reason
         self.witness = witness
-        self.inconclusive = inconclusive
         self.shifts = shifts
 
     def __bool__(self):
@@ -80,16 +77,10 @@ class Legality:
     def no(cls, reason, witness=None):
         return cls(False, reason, witness=witness)
 
-    @classmethod
-    def maybe(cls, reason, witness=None):
-        """Inconclusive: not proven legal, not proven illegal."""
-        return cls(False, reason, witness=witness, inconclusive=True)
-
     def __repr__(self):
         if self.ok:
             return "<Legality ok>"
-        state = "maybe" if self.inconclusive else "no"
-        return f"<Legality {state} {self.reason!r}>"
+        return f"<Legality no {self.reason!r}>"
 
 
 # -- parallel-region fusion ------------------------------------------------------
@@ -392,9 +383,8 @@ def can_interchange(ctx, outer, inner, recipe):
     different inner values may land on different workers under *any*
     pair of outer values.  Legal exactly when the direction-vector test
     proves no dependence is carried by the inner loop for any outer
-    distance (direction ``(*, <)`` or ``(*, >)`` must be empty); pairs
-    the test cannot decide (non-affine subscripts) yield an
-    *inconclusive* verdict the speculative mode may act on.
+    distance (direction ``(*, <)`` or ``(*, >)`` must be empty); a pair
+    the test cannot decide (non-affine subscripts) rejects the nest.
     """
     if outer.canonical is None or inner.canonical is None:
         return Legality.no("nest loops are not in canonical form")
@@ -519,7 +509,7 @@ def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
                     f"#{second.instruction.uid} on {_object_name(obj)}"
                 )
                 if offset_a is None or offset_b is None:
-                    pending = pending or Legality.maybe(
+                    pending = Legality.no(
                         f"non-affine subscript leaves {pair} undecided",
                         witness=pair,
                     )
@@ -533,12 +523,12 @@ def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
                             f"({pair})",
                             witness=pair,
                         )
-                    pending = pending or Legality.maybe(
+                    pending = Legality.no(
                         f"direction-vector test undecided for {pair}",
                         witness=pair,
                     )
                 elif not dep.exact:
-                    pending = pending or Legality.maybe(
+                    pending = Legality.no(
                         f"conservative fallback for {pair}",
                         witness=pair,
                     )

@@ -13,7 +13,7 @@ class OptLevel(enum.IntEnum):
     """``-O0`` (no transforms) / ``-O1`` (local: sync elimination +
     small-region serialization) / ``-O2`` (``-O1`` + parallel-region
     fusion) / ``-O3`` (``-O2`` + loop interchange, skewed fusion, and
-    machine-model tiling, with oracle-validated speculation)."""
+    machine-model tiling, each only where the graph proves it legal)."""
 
     O0 = 0
     O1 = 1

@@ -17,7 +17,6 @@ from repro.opt.fusion import RegionFusionPass, SkewedRegionFusionPass
 from repro.opt.interchange import LoopInterchangePass
 from repro.opt.levels import OptLevel
 from repro.opt.serialize import SmallRegionSerializationPass
-from repro.opt.speculate import SpeculationValidationPass
 from repro.opt.sync import SyncEliminationPass
 from repro.opt.tiling import TilingPass
 from repro.planner.machine import DEFAULT_MACHINE
@@ -38,9 +37,6 @@ class OptReport:
     interchanged: list = dataclasses.field(default_factory=list)
     skewed: list = dataclasses.field(default_factory=list)
     tiled: list = dataclasses.field(default_factory=list)
-    speculated: list = dataclasses.field(default_factory=list)
-    validated: list = dataclasses.field(default_factory=list)
-    vetoed: list = dataclasses.field(default_factory=list)
     #: pass name -> wall-clock seconds spent in its ``run``.
     pass_seconds: dict = dataclasses.field(default_factory=dict)
 
@@ -52,8 +48,6 @@ class OptReport:
             "interchanged": len(self.interchanged),
             "skewed": len(self.skewed),
             "tiled": len(self.tiled),
-            "speculated": len(self.speculated),
-            "vetoed": len(self.vetoed),
         }
 
     def rejections_for(self, pass_name):
@@ -83,12 +77,6 @@ class OptReport:
             lines.append(f"  serialize  {label} cost={cost} -> {override}")
         for label, tile in self.tiled:
             lines.append(f"  tile       {label} tile={tile}")
-        for pass_name, outer, inner in self.speculated:
-            lines.append(f"  speculate  [{pass_name}] {outer}/{inner}")
-        for label, pass_name in self.validated:
-            lines.append(f"  validated  {label} ({pass_name}, oracle agreed)")
-        for pass_name, label, reason in self.vetoed:
-            lines.append(f"  vetoed     [{pass_name}] {label}: {reason}")
         for pass_name, subject, reason in self.rejected:
             lines.append(f"  rejected   [{pass_name}] {subject}: {reason}")
         if len(lines) == 1:
@@ -116,12 +104,11 @@ class PassManager:
 #: Pass pipeline per level.  O1 is the "local" tier (nothing moves code
 #: across loops); O2 adds region fusion.  Fusion runs first so merged
 #: regions are costed — and kept parallel — as wholes.  O3 adds loop
-#: interchange (before fusion: a nest region must not be absorbed),
-#: skew-enabled fusion, and the oracle-validation gate for speculative
-#: transforms; serialization and machine-model tiling run *after* the
-#: gate so they cost the final post-veto region shapes — a vetoed nest
-#: reverts to the tiny inner loop, which must still be serialized away
-#: exactly as -O2 would.
+#: interchange (before fusion: a nest region must not be absorbed) and
+#: skew-enabled fusion; serialization and machine-model tiling run last
+#: so they cost the final region shapes.  Every side condition is
+#: decided on the graph: a nest the static test leaves undecided is
+#: rejected, and its inner loop is serialized away exactly as -O2 would.
 PIPELINES = {
     OptLevel.O0: (),
     OptLevel.O1: (SyncEliminationPass, SmallRegionSerializationPass),
@@ -134,7 +121,6 @@ PIPELINES = {
         LoopInterchangePass,
         SkewedRegionFusionPass,
         SyncEliminationPass,
-        SpeculationValidationPass,
         SmallRegionSerializationPass,
         TilingPass,
     ),
@@ -164,8 +150,7 @@ class OptimizationResult:
 
 def optimize_plan(
     pspdg, plan, level, machine=None, payload_bytes=None,
-    compile_regions=False, compiled_speedup=None, speculate=True,
-    oracle=None,
+    compile_regions=False, compiled_speedup=None,
 ):
     """Run the ``level`` pipeline over ``plan``; never mutates the input.
 
@@ -179,21 +164,13 @@ def optimize_plan(
     interpreted step-rate ratios, replacing the machine model's assumed
     ``compiled_speedup`` prior per region
     (``regionstats.region_feedback`` produces both).
-    ``speculate`` lets ``-O3`` passes apply transforms whose static
-    legality test is inconclusive, for the oracle-validation pass to
-    confirm or veto; off, inconclusive tests reject outright.
-    ``oracle`` is a dict the validation pass memoizes its verdicts in,
-    per speculative region set: pass the same one to every call that
-    optimizes a plan of this ``pspdg`` and the oracle runs once per set
-    instead of once per plan.
     """
     level = OptLevel.coerce(level)
     machine = machine if machine is not None else DEFAULT_MACHINE
     ctx = OptContext(pspdg, machine,
                      payload_bytes=payload_bytes,
                      compile_regions=compile_regions,
-                     compiled_speedup=compiled_speedup,
-                     speculate=speculate, oracle=oracle)
+                     compiled_speedup=compiled_speedup)
     report = OptReport(level=level, plan_name=plan.name)
     seeded = seed_regions(ctx, plan)
     optimized = PassManager(passes_for(level)).run(ctx, seeded, report)

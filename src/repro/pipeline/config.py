@@ -38,18 +38,14 @@ class SessionConfig:
             ``optimize`` stage — ``O0`` (plans run as chosen), ``O1``
             (sync elimination + small-region serialization), ``O2``
             (``O1`` + parallel-region fusion), ``O3`` (``O2`` + loop
-            interchange, skew-enabled fusion, machine-model tiling, and
-            oracle-validated speculation).  Accepts 0/1/2/3, "O3", or
-            "-O3".
+            interchange, skew-enabled fusion and machine-model tiling,
+            each applied only where the graph proves it legal).
+            Accepts 0/1/2/3, "O3", or "-O3".
         compile_regions: run region bodies and the sequential stretches
             between them through the :mod:`repro.codegen` exec-compiled
             path (the default); ``False`` runs everything on the
             interpreter, which stays the oracle and the fallback.  The
             ``optimize`` stage prices plans for the engine chosen here.
-        speculate: at ``-O3``, let passes apply transforms whose static
-            legality test is inconclusive and validate the candidate
-            plan against the simulated oracle before any real backend
-            sees it; ``False`` makes inconclusive tests reject outright.
         calibrate: distill each run's region stats into measured
             machine-model coefficients (a
             :class:`repro.planner.calibration.CalibrationStore`) and
@@ -75,7 +71,6 @@ class SessionConfig:
     chunk: int | None = None
     opt_level: OptLevel = OptLevel.O0
     compile_regions: bool = True
-    speculate: bool = True
     calibrate: bool = False
     adaptive: bool = False
     profile_path: str | None = None

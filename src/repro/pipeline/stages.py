@@ -246,25 +246,23 @@ def _calibrate_stats(artifact):
     }
 
 
-def _build_optimize(session, opt_level, compile_regions, speculate):
+def _build_optimize(session, opt_level, compile_regions):
     """Run the ``-O`` pass pipeline over every planned abstraction.
 
     The artifact maps abstraction name -> :class:`OptimizationResult`
-    (rewritten plan + report).  Flipping the ``-O`` level, the engine
-    the plan is priced for, or the speculation switch re-keys only this
-    stage and the ones downstream — the parse/PDG/PS-PDG artifacts
-    upstream stay cached.  The machine model and wire feedback come
-    from the ``calibrate`` stage: static defaults normally, measured
-    coefficients when the session calibrates.  The abstractions share
-    this build's speculation-oracle verdicts (and no other build's).
+    (rewritten plan + report).  Flipping the ``-O`` level or the engine
+    the plan is priced for re-keys only this stage and the ones
+    downstream — the parse/PDG/PS-PDG artifacts upstream stay cached.
+    The machine model and wire feedback come from the ``calibrate``
+    stage: static defaults normally, measured coefficients when the
+    session calibrates.
     """
     results = {}
-    oracle = {}
     for name, entry in session.critical_paths().items():
         plan = entry.get("plan")
         if plan is not None:
             results[name] = session._optimized(
-                plan, opt_level, compile_regions, speculate, oracle
+                plan, opt_level, compile_regions
             )
     return results
 
@@ -414,7 +412,7 @@ STAGES = {
             ("pspdg", "calibrate", "critical_paths"),
             _build_optimize,
             _optimize_stats,
-            params=("opt_level", "compile_regions", "speculate"),
+            params=("opt_level", "compile_regions"),
         ),
         Stage(
             "recipes",

@@ -475,8 +475,7 @@ class ReplanContext:
     the freshly calibrated ``machine`` — the PS-PDG legality verdicts
     are re-derived identically, so only cost-model-driven choices can
     move.  ``predicted_bytes`` carries the per-label byte assumptions
-    the original plan was priced with (for divergence detection);
-    ``speculate`` is the session's speculation switch, re-applied.
+    the original plan was priced with (for divergence detection).
     ``calibrated_upto`` counts the run's regions already fed to the
     store, so the Session's post-run calibration starts there and no
     region is ever counted twice; ``settled`` holds the labels whose
@@ -490,7 +489,6 @@ class ReplanContext:
     store: CalibrationStore = None
     program_key: str = None
     predicted_bytes: dict = dataclasses.field(default_factory=dict)
-    speculate: bool = True
     calibrated_upto: int = 0
     settled: set = dataclasses.field(default_factory=set)
 
@@ -540,7 +538,7 @@ class ReplanContext:
             machine=self.store.calibrated_machine(self.machine),
             payload_bytes=payload_bytes,
             compiled_speedup=compiled_speedup,
-            compile_regions=compile_regions, speculate=self.speculate,
+            compile_regions=compile_regions,
         )
         changes = adopt(result.plan)
         if not changes:

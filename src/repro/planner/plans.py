@@ -71,9 +71,6 @@ class RegionDescriptor:
             payload should carry; the runtime caps the worker count at
             ``ceil(trip / tile)`` so small iteration spaces stop paying
             per-payload overhead for near-empty chunks.
-        speculative: name of the pass that applied this transform on an
-            *inconclusive* static test; the plan must not reach a real
-            backend until the simulated oracle validated it.
         witness: human-readable evidence for the side condition — the
             dependence pair a legality predicate proved (or failed to
             prove) independent.
@@ -86,7 +83,6 @@ class RegionDescriptor:
     outer_header: str = None
     member_shifts: tuple = ()
     tile: int = None
-    speculative: str = None
     witness: str = None
 
     @property
@@ -113,8 +109,6 @@ class RegionDescriptor:
             parts.append(f"->{self.backend_override}")
         if self.removed_sync_uids:
             parts.append(f"sync-removed={len(self.removed_sync_uids)}")
-        if self.speculative:
-            parts.append(f"speculative[{self.speculative}]")
         return " ".join(parts)
 
 

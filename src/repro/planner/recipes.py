@@ -75,11 +75,6 @@ class RegionParallelization:
         tile: minimum iterations per payload (tiling); the runtime caps
             the effective worker count at ``ceil(trip / tile)`` and
             pads the rest with empty chunks.
-        speculative: pass name when this region was applied on an
-            inconclusive static test.  Only the simulated oracle may
-            execute such a region — the optimizer's validation pass
-            clears the marker (or reverts the transform) before real
-            backends are allowed.
     """
 
     recipes: list
@@ -88,7 +83,6 @@ class RegionParallelization:
     outer_header: str = None
     member_shifts: tuple = ()
     tile: int = None
-    speculative: str = None
 
     @property
     def header(self):
@@ -424,7 +418,6 @@ def recipes_from_plan(pspdg, plan):
                     outer_header=outer,
                     member_shifts=tuple(descriptor.member_shifts or ()),
                     tile=descriptor.tile,
-                    speculative=descriptor.speculative,
                 )
             )
         return regions

@@ -377,13 +377,6 @@ class ParallelInterpreter(Interpreter):
     # -- the parallel region: partition, dispatch, join, record ------------------
 
     def _execute_parallel_region(self, loops, outer_loop, region_par, frame):
-        if region_par.speculative and self.backend.name != "simulated":
-            raise PlanError(
-                f"region {region_par.label} is speculative "
-                f"({region_par.speculative}) and was never "
-                f"oracle-validated; only the simulated backend may "
-                f"execute it"
-            )
         members = self._partition(loops, outer_loop, region_par, frame)
         workers = [
             _Worker(

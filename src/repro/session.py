@@ -411,7 +411,6 @@ class Session:
             store=self.calibration,
             program_key=self.program_key(),
             predicted_bytes=dict(calibrated["payload_bytes"]),
-            speculate=self.config.speculate,
         )
 
     def _cached_regions(self, abstraction):
@@ -422,8 +421,7 @@ class Session:
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
 
-    def _optimized(self, plan, level, compile_regions, speculate,
-                   oracle=None):
+    def _optimized(self, plan, level, compile_regions):
         """``optimize_plan`` over ``plan`` on the cached artifacts, priced
         with the (possibly calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
@@ -435,16 +433,11 @@ class Session:
             payload_bytes=calibrated["payload_bytes"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
-            speculate=speculate,
-            oracle=oracle,
         )
 
     def _optimize_plan_object(self, plan, level):
         """Run the -O passes over an explicit plan (cache-bypassing)."""
-        return self._optimized(
-            plan, level, compile_regions=False,
-            speculate=self.config.speculate,
-        ).plan
+        return self._optimized(plan, level, compile_regions=False).plan
 
     def _regions_at_level(self, abstraction, level):
         """Regions for an explicit ``opt=`` override (cache-bypassing)."""

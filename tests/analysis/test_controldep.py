@@ -66,3 +66,18 @@ def test_instruction_level_sources_are_branches():
         sources = controllers[inst]
         assert len(sources) == 1
         assert sources[0].opcode == "branch"
+
+
+def test_a_loop_with_no_exit_hangs_off_its_branch():
+    # Hand-written IR: ``spin`` reaches no return.  Both arms of
+    # ``entry``'s branch are control dependent on it, and the walk
+    # stops at the virtual exit instead of looking it up.
+    from repro.ir.parser import parse_ir
+    from support.programs import REFUSED_CFGS
+
+    function = parse_ir(REFUSED_CFGS["infinite"][0]).function("main")
+    deps = {
+        block.name: sorted(b.name for b in sources)
+        for block, sources in compute_control_dependence(function).items()
+    }
+    assert deps == {"entry": [], "spin": ["entry"], "done": ["entry"]}

@@ -6,8 +6,7 @@ builtin ``OverflowError`` / ``ValueError`` / ``ZeroDivisionError`` in
 Python, and an int ``pow`` with a negative exponent answers with a
 float; every engine — the interpreter, compiled sequential stretches,
 compiled chunks — reports them as one :class:`EmulationError` with one
-text, so the CLI prints ``error: ...`` and the ``-O3`` oracle vetoes
-instead of crashing.
+text, so the CLI prints ``error: ...`` instead of crashing.
 """
 
 import pytest
@@ -182,7 +181,7 @@ def test_the_cli_prints_an_error_not_a_traceback(tmp_path, capsys):
 
 #: Sequentially every ``exp`` sees 0.0; any stale read an interchanged
 #: (wrong) schedule makes sees the 1000.0 the rows were seeded with.  The
-#: ``%`` keeps the static test inconclusive, so ``-O3`` speculates.
+#: ``%`` leaves the static test undecided, so ``-O3`` rejects the nest.
 OVERFLOWS_WHEN_REORDERED = """
 global m: float[12][16];
 
@@ -204,18 +203,16 @@ func main() {
 """
 
 
-def test_an_oracle_run_that_overflows_is_a_veto_not_a_crash():
+def test_a_nest_that_overflows_when_reordered_is_rejected():
     session = Session.from_source(
         OVERFLOWS_WHEN_REORDERED, name="overflow", opt_level=3
     )
     assert session.execution.output == [("m", (0.0, 0.0, 0.0))]
     report = session.optimization("PS-PDG").report
-    ((pass_name, label, reason),) = report.vetoed
-    assert pass_name == "loop-interchange"
-    assert reason == (
-        "oracle run (seed 0) raised: math error in exp: math range error"
-    )
-    assert "vetoed     [loop-interchange] " + label in report.describe()
-    # The reverted plan runs for real and conforms.
+    ((_name, _subject, reason),) = report.rejections_for("loop-interchange")
+    assert reason.startswith("non-affine subscript leaves ")
+    assert reason.endswith(" on @m undecided")
+    assert report.summary()["interchanged"] == 0
+    # The plan without the nest runs for real and conforms.
     result = session.run("PS-PDG", backend="threads", workers=2)
     assert result.output == session.execution.output

@@ -1,32 +1,17 @@
-"""The -O3 tier: interchange, skewed fusion, tiling, speculation.
+"""The -O3 tier: interchange, skewed fusion, tiling.
 
 Each transform gets a positive case (it fires, its witness records the
 side condition, and execution stays conformant on every backend) and a
 negative case (the legality predicate rejects with the reason recorded).
-Speculation gets all three endings: validated (the oracle agrees and the
-marker is discharged), vetoed (LU's wavefront — the oracle catches the
-carried dependence the static test could not see), and disabled
-(``speculate=False`` turns inconclusive verdicts into rejections).
-Adversarial cases hand-build plans the passes would never produce and
-check the two enforcement layers: the oracle pass vetoes them, and the
-runtime refuses still-speculative regions on real backends.
+Every side condition is decided on the graph: a nest the static test
+cannot decide (a non-affine subscript, as in LU's wavefront) is
+rejected with the undecided pair as its reason, never applied.
 """
-
-import dataclasses
-import inspect
-import sys
-
-import pytest
 
 from repro import Session
 from repro.opt import OptLevel, optimize_plan
-from repro.opt.manager import OptReport
-from repro.opt.speculate import ORACLE_SEEDS, SpeculationValidationPass
-from repro.opt.context import OptContext
-from repro.planner.machine import DEFAULT_MACHINE
 from repro.planner.plans import loop_uid_map, openmp_source_plan
-from repro.runtime import executor, run_plan
-from repro.util.errors import PlanError
+from repro.runtime import run_plan
 from support.conformance import outputs_close
 
 BACKENDS = ("simulated", "threads", "processes")
@@ -56,7 +41,7 @@ func main() {
 #: Same shape, but each row reads the previous row one column over:
 #: race-free within one inner dispatch, yet the dependence is carried by
 #: the inner loop across the nest — interchange must reject, and the
-#: subscripts are affine so the rejection is conclusive, not speculative.
+#: subscripts are affine so the test proves the carried dependence.
 NEST_CARRIED = """
 global m: float[16][16];
 
@@ -76,9 +61,9 @@ func main() {
 }
 """
 
-#: The column index is computed through a modulus, so the static test is
-#: inconclusive — but the slots are in fact disjoint, so the oracle
-#: validates the speculative interchange.
+#: The column index is computed through a modulus, so the static test
+#: cannot decide the pair — although the slots are in fact disjoint,
+#: interchange rejects the nest.
 NEST_NONAFFINE_OK = """
 global m: float[8][16];
 
@@ -146,7 +131,6 @@ class TestInterchange:
         session, result = _optimize(NEST_OK)
         assert result.report.summary()["interchanged"] == 1
         region = next(r for r in result.plan.regions if r.outer_header)
-        assert region.speculative is None
         assert "direction vectors (*, =)" in region.witness
         _assert_conformant(session, result.plan)
 
@@ -162,7 +146,6 @@ class TestInterchange:
     def test_inner_carried_nest_is_rejected_conclusively(self):
         _session, result = _optimize(NEST_CARRIED)
         assert result.report.summary()["interchanged"] == 0
-        assert result.report.summary()["speculated"] == 0
         reasons = [r for name, _subject, r in result.report.rejected
                    if name == "loop-interchange"]
         assert any("carried" in reason for reason in reasons)
@@ -219,165 +202,29 @@ class TestTiling:
             assert dispatched == expected_width, region.label
 
 
-class TestSpeculation:
-    def test_nonaffine_but_legal_nest_validates(self):
+class TestUndecidedNests:
+    def test_nonaffine_nest_is_rejected_as_undecided(self):
         session, result = _optimize(NEST_NONAFFINE_OK)
-        summary = result.report.summary()
-        assert summary["speculated"] == 1
-        assert summary["vetoed"] == 0
-        assert len(result.report.validated) == 1
-        region = next(r for r in result.plan.regions if r.outer_header)
-        # Validation discharges the marker so real backends accept it.
-        assert region.speculative is None
-        assert "oracle-validated" in region.witness
+        assert result.report.summary()["interchanged"] == 0
+        assert all(r.outer_header is None for r in result.plan.regions)
+        ((_name, _subject, reason),) = (
+            result.report.rejections_for("loop-interchange")
+        )
+        assert reason.startswith("non-affine subscript leaves ")
+        assert reason.endswith(" undecided")
         _assert_conformant(session, result.plan)
 
-    def test_lu_wavefront_speculation_is_vetoed(self):
+    def test_lu_wavefront_is_rejected_and_serialized_as_at_o2(self):
         session = Session.from_kernel("LU")
         plan = session.plan("PS-PDG")
         result = optimize_plan(session.pspdg, plan, OptLevel.O3)
-        summary = result.report.summary()
-        assert summary["speculated"] == 1
-        assert summary["vetoed"] == 1
-        pass_name, label, reason = result.report.vetoed[0]
-        assert pass_name == "loop-interchange"
-        assert "for.header.4" in label
-        assert "diverged" in reason
-        # The reverted plan carries no nest and no speculation marker...
+        assert result.report.summary()["interchanged"] == 0
+        assert (
+            "loop-interchange",
+            ("for.header.3", "for.header.4"),
+            "non-affine subscript leaves #92 vs #92 on @u undecided",
+        ) in result.report.rejected
         assert all(r.outer_header is None for r in result.plan.regions)
-        assert all(r.speculative is None for r in result.plan.regions)
-        # ...and the wavefront is serialized exactly as -O2 decides.
         o2 = optimize_plan(session.pspdg, plan, OptLevel.O2)
         assert (result.plan.region_for("for.header.4").backend_override
                 == o2.plan.region_for("for.header.4").backend_override)
-
-    def test_knob_off_rejects_instead_of_speculating(self):
-        _session, result = _optimize(NEST_NONAFFINE_OK, speculate=False)
-        summary = result.report.summary()
-        assert summary["speculated"] == 0
-        assert summary["interchanged"] == 0
-        reasons = [r for name, _subject, r in result.report.rejected
-                   if name == "loop-interchange"]
-        assert any("undecided" in reason or "non-affine" in reason
-                   for reason in reasons)
-
-
-class TestAdversarialSpeculation:
-    """Hand-built wrong plans: both enforcement layers must hold."""
-
-    def _carried_nest_state(self):
-        session = Session.from_source(NEST_CARRIED, name="adversarial-o3")
-        plan = openmp_source_plan(
-            session.function, loop_uid_map(session.loops)
-        )
-        result = optimize_plan(session.pspdg, plan, OptLevel.O0)
-        return session, result.plan
-
-    def _force_interchange(self, plan):
-        """Apply the interchange the static test (rightly) refused, as
-        if the legality predicate had been fooled."""
-        regions = []
-        for region in plan.regions:
-            if region.headers == ("for.header.3",):
-                region = dataclasses.replace(
-                    region,
-                    outer_header="for.header.2",
-                    speculative="loop-interchange",
-                    witness="adversarial: forced past the static test",
-                )
-            regions.append(region)
-        return plan.with_regions(regions)
-
-    def test_oracle_vetoes_a_wrong_forced_interchange(self):
-        session, plan = self._carried_nest_state()
-        wrong = self._force_interchange(plan)
-        ctx = OptContext(session.pspdg, DEFAULT_MACHINE)
-        report = OptReport(level=OptLevel.O3, plan_name=wrong.name)
-        checked = SpeculationValidationPass().run(ctx, wrong, report)
-        assert len(report.vetoed) == 1
-        assert report.validated == []
-        assert all(r.outer_header is None for r in checked.regions)
-        assert all(r.speculative is None for r in checked.regions)
-        # The reverted plan is safe to run for real.
-        _assert_conformant(session, checked, workers=3)
-
-    def test_real_backends_refuse_unvalidated_speculation(self):
-        session, plan = self._carried_nest_state()
-        wrong = self._force_interchange(plan)
-        for backend in ("threads", "processes"):
-            with pytest.raises(PlanError, match="speculative"):
-                run_plan(session.pspdg, wrong,
-                         workers=4, backend=backend)
-
-    def test_the_oracle_itself_may_run_speculative_plans(self):
-        # The simulated backend is how validation happens, so it must
-        # accept the marker — and here it demonstrably diverges.
-        session, plan = self._carried_nest_state()
-        wrong = self._force_interchange(plan)
-        expected = session.execution.output
-        diverged = 0
-        for seed in range(6):
-            result = run_plan(session.pspdg, wrong,
-                              workers=4, seed=seed, backend="simulated")
-            if not outputs_close(result.output, expected):
-                diverged += 1
-        assert diverged > 0, "forced interchange never diverged"
-
-
-class TestOracleCost:
-    """The oracle tries a speculative region set once per optimize build."""
-
-    @staticmethod
-    def _spy_on_oracle_runs(monkeypatch):
-        """Counts of the oracle's reference and stepped runs."""
-        runs = {"reference": 0, "stepped": 0}
-        real = executor.run_parallel
-
-        def spy(module, parallelizations, *args, **options):
-            caller = sys._getframe(1).f_code.co_name
-            if caller in ("_oracle_agrees", "run_plan"):
-                runs["stepped" if parallelizations else "reference"] += 1
-            return real(module, parallelizations, *args, **options)
-
-        monkeypatch.setattr(executor, "run_parallel", spy)
-        return runs
-
-    def test_lu_pays_one_run_per_build_and_every_build_pays(
-        self, monkeypatch
-    ):
-        runs = self._spy_on_oracle_runs(monkeypatch)
-        session = Session.from_kernel("LU", opt_level=3)
-        # Three abstractions speculate the same nest: one reference run
-        # and one stepped run (seed 0 diverges, so the pass stops there);
-        # 3 + 3 while every abstraction asked for itself.
-        vetoed = [
-            name for name, result in session.optimizations.items()
-            if result.report.vetoed
-        ]
-        assert sorted(vetoed) == ["J&K", "OpenMP", "PS-PDG"]
-        assert runs == {"reference": 1, "stepped": 1}
-        # The memo is the build's, not the process's.
-        Session.from_kernel("LU", opt_level=3).optimizations
-        assert runs == {"reference": 2, "stepped": 2}
-
-    def test_a_validated_set_costs_one_pass_over_the_seeds(
-        self, monkeypatch
-    ):
-        runs = self._spy_on_oracle_runs(monkeypatch)
-        session = Session.from_source(
-            NEST_NONAFFINE_OK, name="validated", opt_level=3
-        )
-        validated = {
-            name: tuple(result.report.validated)
-            for name, result in session.optimizations.items()
-            if result.report.validated
-        }
-        assert len(validated) > 1  # several abstractions, one region set
-        assert len(set(validated.values())) == 1
-        assert runs == {"reference": 1, "stepped": len(ORACLE_SEEDS)}
-
-    def test_optimize_plan_gained_exactly_the_memo_parameter(self):
-        assert list(inspect.signature(optimize_plan).parameters) == [
-            "pspdg", "plan", "level", "machine", "payload_bytes",
-            "compile_regions", "compiled_speedup", "speculate", "oracle",
-        ]

@@ -1,7 +1,6 @@
 """The ``profile`` stage says which engine ran, and the compile path is
-off the interpreter: a cold ``-O3`` compile interprets nothing but the
-region the speculation oracle has on trial (how often it is tried:
-``tests/opt/test_o3.py::TestOracleCost``)."""
+off the interpreter: a cold ``-O3`` compile of any kernel interprets
+nothing."""
 
 import sys
 
@@ -166,14 +165,8 @@ def _cold_compile(kernel):
     return session
 
 
-@pytest.mark.parametrize("kernel", sorted(set(KERNELS) - {"LU"}))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_a_cold_compile_interprets_nothing(kernel, monkeypatch):
     callers = _spy_on_decode(monkeypatch)
     _cold_compile(kernel)
     assert callers == []
-
-
-def test_lu_interprets_only_the_region_on_trial(monkeypatch):
-    callers = _spy_on_decode(monkeypatch)
-    _cold_compile("LU")
-    assert callers and set(callers) == {"_steps"}

@@ -174,10 +174,8 @@ def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
     assert len(accesses) == 1
     assert len(memdeps) == 1
     # The forest is the Session's: the record found it once, and every
-    # run owner is handed it — LU's ``-O3`` oracle (its sequential
-    # reference and its stepped run, through ``run_plan``), then each
-    # ``Session.run``, whatever the backend (one find per run owner
-    # while the runtime looked loops up for itself).
+    # ``Session.run`` is handed it, whatever the backend (one find per
+    # run owner while the runtime looked loops up for itself).
     assert loop_finds == ["repro.analysis.record"]
     for backend in ("threads", "threads", "simulated"):
         result = session.run("PS-PDG", workers=2, backend=backend)
@@ -597,20 +595,6 @@ def test_reconfigure_compile_regions_rekeys_optimize_only():
     assert session.diagnostics.runs("optimize") == 2  # first key: a hit
 
 
-def test_reconfigure_speculate_rekeys_optimize_only():
-    from opt.test_o3 import NEST_NONAFFINE_OK
-
-    session = Session.from_source(NEST_NONAFFINE_OK, name="n", opt_level=3)
-    report = session.optimization("PS-PDG").report
-    assert report.summary()["speculated"] == 1
-    session.reconfigure(speculate=False)
-    report = session.optimization("PS-PDG").report
-    assert report.summary()["speculated"] == 0
-    assert report.rejections_for("loop-interchange")
-    assert session.diagnostics.runs("optimize") == 2
-    assert session.diagnostics.runs("pspdg") == 1
-
-
 def test_stage_builders_read_only_their_declared_params():
     """A builder gets its ``params`` as arguments and never touches
     ``session.config`` — so it can only read what its key hashes."""
@@ -703,3 +687,21 @@ def test_cli_profile_subcommand(tmp_path):
     proc = _run_cli("profile", "IS", "--profile", str(profile))
     assert proc.returncode == 0, proc.stderr
     assert "region feedback" in proc.stdout
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+@pytest.mark.parametrize("name", ["break", "infinite", "irreducible",
+                                  "two-exits"])
+def test_hand_written_cfgs_run_through_every_stage(name, backend):
+    """CFGs the frontend never makes — irreducible, left mid-body, a loop
+    with no exit — plan at ``-O3`` and run like the interpreter."""
+    from repro.emulator import run_module
+    from repro.ir.parser import parse_ir
+    from support.programs import REFUSED_CFGS
+
+    text = REFUSED_CFGS[name][0]
+    expected = run_module(parse_ir(text))
+    session = Session.from_module(parse_ir(text), name=name, opt_level=3)
+    result = session.run("PS-PDG", backend=backend, workers=2)
+    assert result.output == expected.output
+    assert result.return_value == expected.return_value

@@ -114,8 +114,8 @@ def test_opt_levels_conform(kernel, backend, kernel_state, optimized_plans):
     """-O0, -O2, and -O3 produce identical results on every backend.
 
     The -O2 plan may fuse regions, elide proven-redundant locks, and
-    serialize small regions; -O3 adds loop interchange, skewed fusion,
-    tiling, and oracle-validated speculation — none of which may change
+    serialize small regions; -O3 adds loop interchange, skewed fusion
+    and tiling, each decided on the graph — none of which may change
     a single output value (ints bitwise; float reductions compare with
     isclose, since serializing a reduction changes its association
     order).

@@ -163,9 +163,8 @@ class _Generator:
           the dependence is carried by the inner loop across the nest,
           interchange must reject (conclusively — subscripts are affine).
         * ``nonaffine`` — writes through a modular column index: the
-          static test is inconclusive, so ``-O3`` may only speculate and
-          must let the oracle decide (here the slots are disjoint, so
-          validation succeeds).
+          static test cannot decide the pair, so ``-O3`` rejects the
+          nest (although here the slots are disjoint).
         """
         rng = self.rng
         name, size = rng.choice(self.matrices)
