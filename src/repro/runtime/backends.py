@@ -16,21 +16,24 @@ owns its whole execution strategy:
 * ``threads`` — one OS thread per worker, from one persistent *team*
   (``_TEAM``: a single :class:`concurrent.futures.ThreadPoolExecutor`
   for the process, its threads spawned when a region needs more than
-  are parked and retired before the process pool forks).  Workers share
+  are parked and retired when a process pool is built).  Workers share
   the interpreter's storage exactly like the simulated machine; critical
   and atomic regions take real :class:`threading.Lock` locks.  Every job
   of a region has ended before its results — or its lowest-index
   worker's error — leave the backend.
-* ``processes`` — one OS process per worker (:mod:`multiprocessing`).
-  Each region is encoded by the :mod:`repro.runtime.payload` codec:
-  the shared state (global storage plus every shared storage list) is
-  pickled once per region and attached to every payload of it, next to
-  each worker's small frame delta; a pool worker decodes it, runs its
-  chunk against it and keeps nothing of it afterwards.  The module
-  itself travels as persistent ids against a per-pool-worker
-  decoded-module cache, its bytes broadcast at most once per pool (a
-  worker that joined later or evicted it reports a module miss and is
-  retried with them attached).  The child copies the region's
+* ``processes`` — one OS process per worker, from one persistent pool
+  of forked children (:class:`_ChunkPool`), each on its own duplex
+  pipe: a payload goes to an idle child, and its reply comes back on
+  the same pipe.  Each region is encoded by the
+  :mod:`repro.runtime.payload` codec: the shared state (global storage
+  plus every shared storage list) is pickled once per region and
+  attached to every payload of it, next to each worker's small frame
+  delta; a pool child decodes it, runs its chunk against it and keeps
+  nothing of it afterwards.  The module itself travels as persistent
+  ids against a per-child decoded-module cache, its bytes broadcast at
+  most once per pool (a child that was not sent them or has evicted
+  the module reports a miss, and its payload is sent to it again with
+  them attached).  The child copies the region's
   storage table, runs its iterations through the plain compiled body
   (no write log, no store bookkeeping) and sends back its private
   reduction/lastprivate values plus the table slots that now differ
@@ -51,6 +54,7 @@ import atexit
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import threading
@@ -428,7 +432,7 @@ class _Stepper:
 #: and joined per region cost 96 us against 23 us for two jobs on a live
 #: one, before its fresh threads fought the dispatcher for the GIL.)
 _TEAM = None
-_TEAM_LOCK = threading.Lock()
+_TEAM_LOCK = threading.RLock()
 
 
 def _team_submit(job, active):
@@ -449,16 +453,16 @@ def _team_submit(job, active):
 def _retire_team():
     """End the team's threads; the next ``threads`` region starts anew."""
     global _TEAM
-    with _TEAM_LOCK:
+    with _TEAM_LOCK:  # a pool build holds it on, through its forks
         team, _TEAM = _TEAM, None
-    if team is not None:
-        team.shutdown(wait=True)  # parked threads exit in microseconds
+        if team is not None:
+            team.shutdown(wait=True)  # parked threads exit in microseconds
 
 
 def _forget_team():
     """In a forked child: the executor came along, its threads did not."""
     global _TEAM, _TEAM_LOCK
-    _TEAM, _TEAM_LOCK = None, threading.Lock()
+    _TEAM, _TEAM_LOCK = None, threading.RLock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -575,11 +579,127 @@ def _fork_preferred_context():
     )
 
 
-#: Process-pool singleton: forking a fresh child per worker per region
-#: costs ~10ms each, which dominates small kernels.  A lazily-created
-#: pool amortizes the fork across every region of every run; payloads
-#: carry all state, so pool workers need no inherited context.
-_POOL = None  # (executor, module keys already broadcast to its workers)
+def _pool_child(pipe, inherited):
+    """A pool child's loop: a ``(function, args)`` in, its return value out.
+
+    ``inherited`` are the parent's pipe ends this fork copied; closing
+    them leaves every child's EOF to the parent alone.  EOF — or a parent
+    that stopped listening — ends the loop.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            function, args = pipe.recv()
+            pipe.send(function(*args))
+    except (EOFError, OSError):
+        pass
+
+
+class _ChunkPool:
+    """``size`` forked children, each on its own duplex pipe.
+
+    Forking a fresh child per worker per region costs ~10ms each, which
+    dominates small kernels; a pool amortizes the fork across every
+    region of every run, and payloads carry all state, so the children
+    need no inherited context.  ``shipped`` holds the module keys
+    broadcast to this pool: built with it, dead with it.  ``lock`` is
+    held by one dispatch from its first send to its last reply, so no
+    reply reaches another region.
+    """
+
+    def __init__(self, size):
+        context = _fork_preferred_context()
+        self.size = size
+        self.shipped = set()
+        self.lock = threading.Lock()
+        self.closed = False
+        self.pipes, self.children = [], []
+        # The pool forks only here: no team thread may be alive, nor start
+        # on another dispatching thread, until every child has.
+        with _TEAM_LOCK:
+            _retire_team()
+            for _ in range(size):
+                pipe, child_end = context.Pipe()
+                # Daemonic: the exit handler of multiprocessing kills what
+                # the atexit reset below has not.
+                child = context.Process(
+                    target=_pool_child, args=(child_end, [*self.pipes, pipe]),
+                    daemon=True,
+                )
+                child.start()
+                child_end.close()
+                self.pipes.append(pipe)
+                self.children.append(child)
+        self.sentinels = [child.sentinel for child in self.children]
+
+    def run(self, calls, timeout, again):
+        """Each ``(function, args)`` of ``calls`` on an idle child; the
+        replies, in call order.  The caller holds ``lock``.
+
+        A call waits for the first child to free when all are busy.
+        ``again(index, reply)`` may return a call to send the child that
+        replied in place of its reply.  A closed pipe, a child's death or
+        ``timeout`` seconds for the whole batch raise :class:`_InfraFailure`.
+        """
+        deadline = time.monotonic() + timeout
+        replies = [None] * len(calls)
+        pending = list(enumerate(calls))[::-1]
+        idle = self.pipes[::-1]
+        busy = {}  # pipe -> index of the call its child runs
+        try:
+            while pending or busy:
+                while pending and idle:
+                    index, call = pending.pop()
+                    pipe = idle.pop()
+                    pipe.send(call)
+                    busy[pipe] = index
+                ready = multiprocessing.connection.wait(
+                    [*busy, *self.sentinels],
+                    max(0.0, deadline - time.monotonic()),
+                )
+                if not ready:
+                    raise _InfraFailure(
+                        f"a pool child timed out after {timeout:.0f}s"
+                    )
+                for pipe in ready:
+                    if pipe not in busy:
+                        raise _InfraFailure("a pool child died")
+                    index = busy.pop(pipe)
+                    reply = pipe.recv()
+                    call = again(index, reply)
+                    if call is None:
+                        replies[index] = reply
+                        idle.append(pipe)
+                    else:
+                        pipe.send(call)
+                        busy[pipe] = index
+        except (EOFError, OSError) as exc:  # reset under us, or died
+            raise _InfraFailure(
+                f"a pool pipe closed: {type(exc).__name__}: {exc}"
+            ) from None
+        return replies
+
+    def call(self, function, *args):
+        """``function(*args)`` on one child (a probe for tests)."""
+        with self.lock:
+            (reply,) = self.run(
+                [(function, args)], _PROCESS_TIMEOUT, lambda *_: None
+            )
+        return reply
+
+    def kill(self):
+        """End every child, busy or not, then close the pipes."""
+        for child in self.children:
+            child.terminate()
+        for child in self.children:
+            child.join()
+            child.close()
+        for pipe in self.pipes:
+            pipe.close()
+
+
+_POOL = None  # the live _ChunkPool, never a closed one
 _POOL_LOCK = threading.Lock()
 
 #: Hard ceiling on pool width regardless of the requested size.
@@ -594,28 +714,24 @@ def _desired_pool_size(requested):
 
 
 def _chunk_pool(requested=None):
-    """The shared chunk pool, at least ``requested`` workers wide:
-    ``(executor, module keys already broadcast to it)``.
+    """The shared :class:`_ChunkPool`, at least ``requested`` children wide.
 
     ``requested`` normally comes from the planner's machine-model core
-    count (clamped to the actual CPU count); asking for more workers
-    than the live pool has drains it and starts a fresh one.
+    count (clamped to the actual CPU count); asking for more children
+    than the live pool has kills it and builds a wider one.
     """
     global _POOL
     size = _desired_pool_size(requested)
-    # The caller is about to submit, and a submit may fork (a fresh
-    # pool's first does; any may where CPython spawns workers on demand):
-    # never from a parent more threaded than before the team existed.
-    _retire_team()
+    narrow = None
     with _POOL_LOCK:
         # A wider-than-requested pool is simply reused: callers with
         # different machine models (or the None default) alternating in
         # one process must not thrash teardown/re-fork cycles.
-        if _POOL is not None and _POOL[0]._max_workers < size:
-            _POOL[0].shutdown(wait=False, cancel_futures=True)
-            _POOL = None
+        if _POOL is not None and _POOL.size < size:
+            narrow, _POOL = _POOL, None
+            narrow.closed = True
         if _POOL is None:
-            # Never recycled: a worker keeps nothing between payloads but
+            # Never recycled: a child keeps nothing between payloads but
             # at most MODULE_CACHE_CAP decoded modules.  A rebuild every
             # 128 regions — every 36 ops of ``run-procs-warm``'s traffic,
             # 1080 ops on one pinned core — cost mean 8.17 against 5.68
@@ -623,41 +739,35 @@ def _chunk_pool(requested=None):
             # bounded nothing: a never-recycled child is 28.1 MB RSS from
             # op 0 to op 1080 (27.8 MB after 2700 regions of 32 rotating
             # modules), each recycled generation forked from a grown
-            # parent, the 31st at 34.1 MB.  A worker that starts keeping
+            # parent, the 31st at 34.1 MB.  A child that starts keeping
             # state between payloads is what would justify recycling again.
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=size, mp_context=_fork_preferred_context(),
-            )
-            _POOL = (executor, set())
-        return _POOL
+            _POOL = _ChunkPool(size)
+        pool = _POOL
+    if narrow is not None:
+        narrow.kill()
+    return pool
 
 
-def _reset_chunk_pool(kill=False):
-    """Discard the pool; the next one's broadcast set starts empty.
+def _reset_chunk_pool(pool=None):
+    """Kill ``pool`` (by default the live one) and its children; the next
+    :func:`_chunk_pool` builds afresh, its broadcast set empty.
 
-    A dispatch that took the old pair first marks its module shipped in
-    the dead pool's set only.
+    A dispatch that took the old pool first marks its module shipped in
+    the dead pool's set only, and its sends fail as infrastructure.
     """
     global _POOL
     with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-    if pool is None:
-        return
-    executor = pool[0]
-    if kill:
-        # A worker is stuck mid-chunk: shutdown() alone would wait on it
-        # (and leave it occupying a slot); terminate the children so the
-        # next pool starts clean.
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-    executor.shutdown(wait=False, cancel_futures=True)
+        pool = pool or _POOL
+        if _POOL is pool:
+            _POOL = None
+        if pool is None or pool.closed:
+            return
+        pool.closed = True
+    pool.kill()
 
 
-# Tear the pool down before interpreter shutdown dismantles the modules
-# its weakref callbacks still reference.
+# Kill the children before interpreter shutdown dismantles the modules
+# the pool's objects still reference.
 atexit.register(_reset_chunk_pool)
 
 
@@ -763,8 +873,9 @@ def _pool_chunk_entry(wire, fault=None):
 class _InfraFailure(Exception):
     """Internal: dispatch infrastructure failed; the region is retryable.
 
-    Raised by :meth:`ProcessesBackend._dispatch_once` for worker death,
-    hangs, undeliverable results, and payload-decode failures — all
+    Raised by :meth:`ProcessesBackend._dispatch_once` for worker death
+    (a closed pipe or a fired sentinel), hangs, a pool reset under the
+    dispatch, dropped results, and payload-decode failures — all
     cases where the deferred-apply invariant guarantees the parent state
     is still the pre-dispatch image.  Program errors raise plain
     :class:`EmulationError` instead and are never retried.
@@ -866,10 +977,6 @@ class ProcessesBackend(ExecutionBackend):
                     ) from exc
                 stats.retries += 1
                 started = time.perf_counter()
-                # Kill the pool (a stuck or half-dead worker must not
-                # survive into the retry); the next one's broadcast set
-                # is empty, so the re-encode ships the module again.
-                _reset_chunk_pool(kill=True)
                 time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 stats.recovery_ms += (
                     time.perf_counter() - started
@@ -878,15 +985,18 @@ class ProcessesBackend(ExecutionBackend):
             self._apply(interp, region, worker, result, table)
 
     def _dispatch_once(self, interp, region, active, plan):
-        """Encode, submit, and collect one dispatch attempt of a region.
+        """Encode, send, and collect one dispatch attempt of a region.
 
         Returns the storage table the payloads index and the
         ``(worker, result)`` list in worker order, without applying
         anything.  Raises :class:`_InfraFailure` for retryable
-        infrastructure failures, :class:`EmulationError` for program
-        errors.  ``plan`` is the active fault-injection plan (or None).
+        infrastructure failures, after killing the pool (a stuck or
+        half-dead child must not survive into the retry, and the next
+        pool's broadcast set is empty, so the re-encode ships the module
+        again); :class:`EmulationError` for program errors.  ``plan`` is
+        the active fault-injection plan (or None).
         """
-        pool, shipped = _chunk_pool(interp.pool_size)
+        pool = _chunk_pool(interp.pool_size)
         stats = region.stats
         encoded = payload_codec.encode_region(
             module=interp.module,
@@ -895,145 +1005,84 @@ class ProcessesBackend(ExecutionBackend):
             global_storage=interp._global_storage,
             max_steps=interp.max_steps,
             workers=active,
-            shipped=shipped,
+            shipped=pool.shipped,
             compile_regions=interp.compile_regions,
             nest=region.outer,
         )
         ordinal = faults.next_region_ordinal() if plan else None
-        submitted = []
+        calls = []
         dropped = set()  # worker list indices whose results are discarded
-        try:
-            for index, (worker, worker_payload) in enumerate(
-                zip(active, encoded.workers)
-            ):
-                directive = None
-                wire = worker_payload.wire()
-                if plan:
-                    scenario = plan.draw(ordinal, index)
-                    if scenario is not None:
-                        stats.faults_injected += 1
-                        if scenario.kind in ("crash", "hang"):
-                            directive = scenario.directive()
-                        elif scenario.kind == "corrupt_wire":
-                            wire = worker_payload.corrupted(
-                                scenario.seed
-                            ).wire()
-                        elif scenario.kind == "drop_result":
-                            dropped.add(index)
-                submitted.append((
-                    worker,
-                    pool.submit(_pool_chunk_entry, wire, directive),
-                    worker_payload,
-                ))
-        except RuntimeError as exc:
-            # The pool refuses new work: a worker died, possibly during
-            # an earlier region (``BrokenProcessPool``), or another
-            # dispatching thread reset the pool after this one took it
-            # ("cannot schedule new futures after shutdown").  Nothing
-            # from this attempt was collected, so the region is cleanly
-            # retryable.
-            for _worker, pending, _payload in submitted:
-                pending.cancel()
-            _reset_chunk_pool()
-            raise _InfraFailure(
-                f"chunk pool refused a submit: {exc}"
-            ) from None
-        stats.payloads += len(submitted)
+        for index, worker_payload in enumerate(encoded.workers):
+            directive = None
+            wire = worker_payload.wire()
+            if plan:
+                scenario = plan.draw(ordinal, index)
+                if scenario is not None:
+                    stats.faults_injected += 1
+                    if scenario.kind in ("crash", "hang"):
+                        directive = scenario.directive()
+                    elif scenario.kind == "corrupt_wire":
+                        wire = worker_payload.corrupted(scenario.seed).wire()
+                    elif scenario.kind == "drop_result":
+                        dropped.add(index)
+            calls.append((_pool_chunk_entry, (wire, directive)))
+        stats.payloads += len(calls)
         stats.payload_bytes += encoded.wire_bytes
+        missed = set()
+
+        def again(index, result):
+            # The module's bytes went to other children, or this one has
+            # evicted it: resend its payload (only), the bytes attached.
+            if index in missed or not result.get("module_miss"):
+                return None
+            missed.add(index)
+            refreshed = encoded.workers[index].with_module(encoded.codec)
+            stats.payloads += 1
+            stats.payload_bytes += refreshed.wire_bytes
+            stats.retry_payload_bytes += refreshed.wire_bytes
+            return (_pool_chunk_entry, (refreshed.wire(), None))
 
         # Collect every result before applying any of them: a retried
         # dispatch re-encodes the *pre-dispatch* state, so no worker's
         # shared-memory effects may land until the whole region is in.
-        failure = None  # program error: fatal, never retried
-        infra = None  # infrastructure failure message: retryable
-        completed = []  # (worker, result) in worker order
-        retries = []  # miss-retry futures, cancellable alongside submitted
-        allowance = _region_allowance(interp.max_steps)
-        deadline = time.monotonic() + allowance  # for the whole region
-        for index, (worker, future, worker_payload) in enumerate(submitted):
+        with pool.lock:
             try:
-                result = future.result(
-                    timeout=max(0.0, deadline - time.monotonic())
+                results = pool.run(
+                    calls, _region_allowance(interp.max_steps), again
                 )
-                if (
-                    failure is None and infra is None
-                    and result.get("module_miss")
-                ):
-                    # This pool worker joined after the pool's module
-                    # broadcast or has evicted it: retry its payload
-                    # (only) with the module bytes attached.
-                    refreshed = worker_payload.with_module(encoded.codec)
-                    stats.payloads += 1
-                    stats.payload_bytes += refreshed.wire_bytes
-                    stats.retry_payload_bytes += refreshed.wire_bytes
-                    retry = pool.submit(_pool_chunk_entry, refreshed.wire())
-                    # Track the retry so the timeout drain below can
-                    # cancel it too — an untracked stuck retry would
-                    # occupy a slot of the shared pool forever.
-                    retries.append(retry)
-                    result = retry.result(
-                        timeout=max(0.0, deadline - time.monotonic())
-                    )
-            except concurrent.futures.process.BrokenProcessPool as exc:
-                _reset_chunk_pool()
-                infra = infra or (
-                    f"worker process {worker.index} died: {exc}"
-                )
-                continue
-            except concurrent.futures.TimeoutError:
-                # The child is stuck mid-chunk; abandoning it would leave
-                # it occupying a slot of the shared pool forever.
-                for _w, pending, _p in submitted:
-                    pending.cancel()
-                for pending in retries:
-                    pending.cancel()
-                _reset_chunk_pool(kill=True)
-                infra = infra or (
-                    f"worker process {worker.index} timed out after "
-                    f"{allowance:.0f}s"
-                )
-                continue
-            except concurrent.futures.CancelledError:
-                # Cancelled while draining after a timeout above; the
-                # recorded failure is the one to surface.
-                infra = infra or (
-                    f"worker process {worker.index} was cancelled"
-                )
-                continue
-            if failure is not None or infra is not None:
-                continue
+                return encoded.table, self._completed(active, results, dropped)
+            except EmulationError:
+                raise  # a program error: every reply is in, the pool sound
+            except BaseException:
+                # Infrastructure, or an interrupt with replies unread: no
+                # child of this pool may serve another dispatch.
+                _reset_chunk_pool(pool)
+                raise
+
+    @staticmethod
+    def _completed(active, results, dropped):
+        """``(worker, result)`` pairs in worker order, or the first
+        worker's failure: a program error, or a retryable one."""
+        completed = []
+        for index, (worker, result) in enumerate(zip(active, results)):
             if result.get("module_miss"):
-                infra = (
-                    f"worker process {worker.index} still missing the "
-                    "module after a retry with it attached"
+                infra = "still missing the module after a retry with it " \
+                        "attached"
+            elif result.get("phase") == "decode":
+                # The wire or the module caches are at fault, not the
+                # program: a clean re-encode may succeed.
+                infra = f"failed to decode its payload: {result['error']}"
+            elif "error" in result:
+                raise EmulationError(
+                    f"worker process {worker.index} failed: {result['error']}"
                 )
+            elif index in dropped:
+                infra = "result dropped (injected fault)"
+            else:
+                completed.append((worker, result))
                 continue
-            if "error" in result:
-                if result.get("phase") == "decode":
-                    # The wire or the module caches are at fault, not
-                    # the program: a clean re-encode may succeed.
-                    infra = (
-                        f"worker process {worker.index} failed to decode "
-                        f"its payload: {result['error']}"
-                    )
-                else:
-                    failure = EmulationError(
-                        f"worker process {worker.index} failed: "
-                        f"{result['error']}"
-                    )
-                continue
-            if index in dropped:
-                infra = (
-                    f"worker process {worker.index} result dropped "
-                    "(injected fault)"
-                )
-                continue
-            completed.append((worker, result))
-        if failure is not None:
-            raise failure
-        if infra is not None:
-            raise _InfraFailure(infra)
-        return encoded.table, completed
+            raise _InfraFailure(f"worker process {worker.index} {infra}")
+        return completed
 
     def _apply(self, interp, region, worker, result, table):
         worker.steps = result["steps"]

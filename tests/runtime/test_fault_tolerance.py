@@ -9,8 +9,11 @@ reference or surfaces a clean :class:`EmulationError` — never a hang,
 never silent corruption, never an unclassified infrastructure exception.
 """
 
+import os
+
 import pytest
 
+from repro.emulator import run_module
 from repro.runtime import backends, faults, knobs
 from repro.util.errors import EmulationError, PlanError
 from repro.util.regionstats import parallel_report
@@ -243,6 +246,46 @@ class TestDegradationLadder:
         with pytest.raises(EmulationError, match="[Dd]ivision"):
             run_source_plan(module, "main", workers=2, seed=0,
                             backend="processes")
+
+
+# -- the two knobs, pairwise, on processes ------------------------------------
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["", "faults"])
+@pytest.mark.parametrize("verify", [False, True], ids=["", "verify"])
+@pytest.mark.parametrize("kernel", ["EP", "IS"])
+def test_knob_pairs_on_processes(kernel, verify, faulted, fast_retries,
+                                 monkeypatch):
+    """Neither, each and both of ``VERIFY_COMPILED`` and ``REPRO_FAULTS``:
+    every cell ends in the sequential output, a faulted one by a retry,
+    and no cell leaves a pool child alive after the reset."""
+    pids = []
+    real = backends._chunk_pool
+
+    def chunk_pool(requested=None):
+        pool = real(requested)
+        pids.extend(child.pid for child in pool.children)
+        return pool
+
+    monkeypatch.setattr(backends, "_chunk_pool", chunk_pool)
+    session = build_session(kernel)
+    expected = run_module(session.module).output
+    knobs.VERIFY_COMPILED.value = verify
+    inject("crash:region=0:worker=0" if faulted else "")
+    try:
+        result = session.run("PS-PDG", opt="-O2", workers=2,
+                             backend="processes")
+    finally:
+        backends._reset_chunk_pool()
+    assert outputs_close(result.output, expected)
+    regions = result.parallel_regions
+    assert any(r["backend"] == "processes" for r in regions)
+    retries = sum(r["retries"] for r in regions)
+    assert retries >= 1 if faulted else retries == 0
+    assert pids
+    for pid in set(pids):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # signal 0: an existence check only
 
 
 # -- chaos conformance sweep ---------------------------------------------------

@@ -413,8 +413,8 @@ class TestModuleByteCache:
         # Poison the broadcast set of the pool the next run will use:
         # the parent omits the module bytes, every fresh pool worker
         # misses, and the retry path must recover.
-        _executor, shipped = backends._chunk_pool(session.config.machine.cores)
-        shipped.add(codec.key)
+        pool = backends._chunk_pool(session.config.machine.cores)
+        pool.shipped.add(codec.key)
         result = session.run("PS-PDG", workers=4, backend="processes")
         assert result.output == session.execution.output
         region = result.parallel_regions[0]

@@ -8,17 +8,34 @@ exit) replaces it.  What bounds a worker is its decoded-module LRU
 that pool's own state — built with it, dead with it.
 """
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro import Session
 from repro.planner.machine import MachineModel
 from repro.runtime import backends, payload
+from support.conformance import outputs_close
 from support.programs import ROTATING
 
 
 def _decoded_modules_held():
-    """Submitted to a pool worker: how many decoded modules it holds."""
+    """Called in a pool child: how many decoded modules it holds."""
     return len(payload._DECODED_MODULES)
+
+
+def _running(pids):
+    """Those of ``pids`` that are still processes (not yet reaped)."""
+    running = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)  # signal 0: an existence check only
+        except ProcessLookupError:
+            continue
+        running.append(pid)
+    return running
 
 
 def _rotating_sessions(count):
@@ -83,49 +100,50 @@ class TestPoolLifecycle:
         small = backends._chunk_pool(2)
         grown = backends._chunk_pool(4)
         assert grown is not small
-        assert grown[0]._max_workers == 4
+        assert grown.size == len(grown.children) == 4
+        assert small.closed and not grown.closed
         # A smaller request reuses the wider pool: alternating callers
         # (session machine model vs the None default) must not thrash
         # teardown/re-fork cycles.
         assert backends._chunk_pool(2) is grown
 
-    def test_300_regions_keep_the_executor_and_its_children(self):
-        """No region budget: region 300 runs on the executor and the
-        child processes of region 1, every output the sequential one."""
+    def test_300_regions_keep_the_pool_and_its_children(self):
+        """No region budget: region 300 runs on the pool and the child
+        processes of region 1, every output the sequential one."""
         sessions = _rotating_sessions(4) + [Session.from_kernel("EP")]
         regions = len(_run(sessions[0]))
-        executor, _shipped = backends._chunk_pool(2)
-        first_pids = set(executor._processes)
-        assert first_pids
+        pool = backends._chunk_pool(2)
+        first_pids = [child.pid for child in pool.children]
+        assert len(first_pids) == pool.size
         turn = 0
         while regions < 300:
             turn += 1
             regions += len(_run(sessions[turn % len(sessions)]))
-        assert backends._chunk_pool(2)[0] is executor
-        # (3.10 forks on demand, so a sibling may have joined since.)
-        assert first_pids <= set(executor._processes)
-        assert len(executor._processes) <= executor._max_workers
-        assert all(
-            executor._processes[pid].is_alive() for pid in first_pids
-        )
+        assert backends._chunk_pool(2) is pool
+        assert [child.pid for child in pool.children] == first_pids
+        assert all(child.is_alive() for child in pool.children)
+        # The first idle child answers a probe, on the pipe it was forked with.
+        assert pool.call(os.getpid) == first_pids[0]
 
     def test_reset_pool_starts_with_an_empty_broadcast_set(self):
-        """Both reset paths: the pool built next has been sent nothing,
-        and says so — the supervisor's recovery depends on the next
-        dispatch attaching module bytes no live worker holds."""
+        """A reset kills the children, and the pool built next has been
+        sent nothing, and says so — the supervisor's recovery depends on
+        the next dispatch attaching module bytes no live worker holds."""
         session = Session.from_kernel("EP")
         key = payload.module_codec(session.module).key
-        for kill in (False, True):
-            _run(session)
-            old = backends._chunk_pool(2)
-            assert key in old[1], f"kill={kill}"
-            backends._reset_chunk_pool(kill=kill)
-            executor, shipped = backends._chunk_pool(2)
-            assert executor is not old[0], f"kill={kill}"
-            assert shipped is not old[1] and not shipped, f"kill={kill}"
-            first = _run(session)[0]
-            assert first["retry_payload_bytes"] == 0, f"kill={kill}"
-            assert first["payload_bytes"] > _module_bytes(session)
+        _run(session)
+        old = backends._chunk_pool(2)
+        pids = [child.pid for child in old.children]
+        assert key in old.shipped
+        backends._reset_chunk_pool()
+        assert old.closed and _running(pids) == []
+        backends._reset_chunk_pool(old)  # a second reset is a no-op
+        fresh = backends._chunk_pool(2)
+        assert fresh is not old
+        assert fresh.shipped is not old.shipped and not fresh.shipped
+        first = _run(session)[0]
+        assert first["retry_payload_bytes"] == 0
+        assert first["payload_bytes"] > _module_bytes(session)
 
     def test_a_reset_between_taking_the_pool_and_encoding(self, monkeypatch):
         """The set a dispatch marks is the set of the pool it took: after
@@ -144,23 +162,23 @@ class TestPoolLifecycle:
         key = payload.module_codec(session.module).key
         backends._reset_chunk_pool()
         taken = backends._chunk_pool(2)  # as _dispatch_once takes it
-        assert not taken[1]
+        assert not taken.shipped
         backends._reset_chunk_pool()
-        encoded = real(**{**captured[0], "shipped": taken[1]})
-        assert taken[1] == {key}
+        encoded = real(**{**captured[0], "shipped": taken.shipped})
+        assert taken.shipped == {key}
         assert all(worker.module_bytes for worker in encoded.workers)
         fresh = backends._chunk_pool(2)
-        assert fresh[0] is not taken[0] and fresh[1] == set()
+        assert fresh is not taken and fresh.shipped == set()
         first = _run(session)[0]
         assert first["retry_payload_bytes"] == 0
         assert first["payload_bytes"] > _module_bytes(session)
-        assert backends._chunk_pool(2)[1] == {key}
+        assert backends._chunk_pool(2).shipped == {key}
 
-    def test_a_reset_between_taking_the_pool_and_submitting(self, monkeypatch):
+    def test_a_reset_between_taking_the_pool_and_sending(self, monkeypatch):
         """Another dispatching thread's reset lands after this one took
-        the pool: the executor refuses the submit (``cannot schedule new
-        futures after shutdown``), nothing was collected, and the region
-        retries on a fresh pool like any other infrastructure failure."""
+        the pool: the first send meets a closed pipe, nothing was
+        collected, and the region retries on a fresh pool like any other
+        infrastructure failure."""
         real = backends._chunk_pool
         resets = []
 
@@ -175,7 +193,8 @@ class TestPoolLifecycle:
         monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.0)
         regions = _run(Session.from_kernel("EP"))  # the sequential output
         assert resets and regions[0]["retries"] >= 1
-        assert backends._chunk_pool(2)[0] is not resets[0][0]
+        assert resets[0].closed
+        assert backends._chunk_pool(2) is not resets[0]
 
     def test_a_worker_holds_at_most_the_module_cap(self, monkeypatch):
         """What bounds a worker: 20 modules through one child leave it
@@ -190,10 +209,9 @@ class TestPoolLifecycle:
             (region,) = _run(session)
             assert region["retry_payload_bytes"] == 0
             assert region["payload_bytes"] > _module_bytes(session)
-        executor, shipped = backends._chunk_pool()
-        assert len(shipped) == len(sessions)
-        held = executor.submit(_decoded_modules_held).result(timeout=60)
-        assert held == cap
+        pool = backends._chunk_pool()
+        assert len(pool.shipped) == len(sessions)
+        assert pool.call(_decoded_modules_held) == cap
         # Module 0 was evicted; the pool's set still names it, so its
         # payloads go out bare, miss, and are retried with the bytes.
         (region,) = _run(sessions[0])
@@ -207,8 +225,8 @@ class TestPoolLifecycle:
             (region,) = _run(session)
             assert region["retry_payload_bytes"] == 0
             assert region["payload_bytes"] < smallest
-        assert executor.submit(_decoded_modules_held).result(timeout=60) == cap
-        assert backends._chunk_pool()[0] is executor
+        assert pool.call(_decoded_modules_held) == cap
+        assert backends._chunk_pool() is pool
 
     def test_run_after_reset_reships_full_state(self):
         """Post-reset, the first region carries everything the fresh
@@ -229,4 +247,50 @@ class TestPoolLifecycle:
         session = Session.from_kernel("EP", machine=machine)
         result = session.run("PS-PDG", workers=2, backend="processes")
         assert result.parallel_regions
-        assert backends._POOL[0]._max_workers == 3
+        assert backends._POOL.size == 3
+
+
+def test_two_dispatching_threads_share_a_two_child_pool(monkeypatch):
+    """Five payloads a region on two children, from two Python threads at
+    once: each dispatch owns the pool from its first send to its last
+    reply, so every run's output is the one a lone run gives — a reply
+    routed to the other thread's region would break that equality."""
+    monkeypatch.setattr(backends, "_desired_pool_size", lambda _n: 2)
+    sessions = [Session.from_kernel("IS"), Session.from_kernel("EP")]
+
+    def run(session):
+        return session.run("PS-PDG", opt=2, workers=5, backend="processes")
+
+    expected = [run(session).output for session in sessions]
+    for session, output in zip(sessions, expected):
+        assert outputs_close(output, session.execution.output)
+    pool = backends._chunk_pool()
+    failures = []
+
+    def drive(session, reference):
+        try:
+            for _ in range(8):
+                result = run(session)
+                if result.output != reference:
+                    failures.append((session.config.name, result.output))
+                if sum(r["retries"] for r in result.parallel_regions):
+                    failures.append((session.config.name, "retried"))
+        except BaseException as exc:  # reported below, on the main thread
+            failures.append((session.config.name, repr(exc)))
+
+    drivers = [
+        threading.Thread(target=drive, args=pair)
+        for pair in zip(sessions, expected)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two dispatchers
+    try:
+        for driver in drivers:
+            driver.start()
+        for driver in drivers:
+            driver.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(driver.is_alive() for driver in drivers)
+    assert failures == []
+    assert backends._chunk_pool() is pool and pool.size == 2

@@ -12,12 +12,14 @@ while its threads are alive.
 
 import concurrent.futures
 import multiprocessing
+import os
 import sys
 import threading
 import time
 
 import pytest
 
+from repro import Session
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.planner.recipes import recipes_from_annotations
@@ -363,20 +365,25 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The team threads alive at every fork while the test runs."""
+    alive = []
+    real = os.fork
+
+    def spy():
+        alive.append(sorted(thread.name for thread in team_threads()))
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return alive
+
+
 @needs_fork
-def test_no_team_thread_is_alive_when_a_process_pool_is_built(monkeypatch):
-    alive_at_build = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def spy(*args, **kwargs):
-        assert kwargs["mp_context"].get_start_method() == "fork"
-        alive_at_build.append(sorted(t.name for t in team_threads()))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+def test_no_team_thread_is_alive_when_a_process_pool_is_built(forks):
     backends._reset_chunk_pool()
     session = build_session("IS")
-    results = []
+    results, sizes = [], []
     try:
         session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
         for _ in range(3):
@@ -386,6 +393,7 @@ def test_no_team_thread_is_alive_when_a_process_pool_is_built(monkeypatch):
             results.append(session.run(
                 "PS-PDG", opt="-O2", workers=2, backend="processes"
             ))
+            sizes.append(backends._POOL.size)
     finally:
         backends._reset_chunk_pool()
     for result in results:
@@ -395,8 +403,72 @@ def test_no_team_thread_is_alive_when_a_process_pool_is_built(monkeypatch):
         assert "processes" in labels[1:-1]
         assert labels[-1] == "processes->threads(small-region)"
         assert outputs_close(result.output, session.execution.output)
-    assert alive_at_build == [[]] * len(results)
+    assert forks == [[]] * sum(sizes)
     assert team_threads()  # the last downgraded region's
+
+
+@needs_fork
+def test_a_pool_build_forks_while_another_thread_runs_threads_regions(forks):
+    """The build holds ``_TEAM_LOCK`` from the team's retirement through
+    its last fork, so a ``threads`` region on another Python thread can
+    neither spawn a team thread in between nor lose its own."""
+    module = compile_source(REDUCTION)
+    expected = run_module(module).formatted_output()
+    stop = threading.Event()
+    failures = []
+
+    def drive():
+        try:
+            while not stop.is_set():
+                result = run_source_plan(module, workers=2, backend="threads")
+                if result.formatted_output() != expected:
+                    failures.append(result.formatted_output())
+        except BaseException as exc:  # reported below, on the main thread
+            failures.append(repr(exc))
+
+    driver = threading.Thread(target=drive)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        driver.start()
+        for _ in range(20):
+            backends._reset_chunk_pool()
+            backends._chunk_pool(2)
+    finally:
+        stop.set()
+        driver.join(WAIT)
+        sys.setswitchinterval(interval)
+        backends._reset_chunk_pool()
+    assert not driver.is_alive()
+    assert failures == []
+    assert len(forks) == 20 * backends._desired_pool_size(2)
+    assert forks == [[]] * len(forks)
+
+
+@needs_fork
+def test_warm_mg_runs_keep_their_team_and_their_pool(forks):
+    """MG's downgraded regions run on the team between the pool's: three
+    ``-O2`` runs on ``processes`` keep the same team threads and the same
+    children — no team respawn, and no fork after the pool's build."""
+    backends._reset_chunk_pool()
+    # Priced for the compiled engine, as the CLI's --compile plans it.
+    session = Session.from_kernel("MG", opt_level=2, compile_regions=True)
+    seen = []
+    try:
+        for _ in range(3):
+            result = session.run("PS-PDG", workers=2, backend="processes")
+            assert outputs_close(result.output, session.execution.output)
+            pool = backends._POOL
+            seen.append((
+                team_threads(), pool, [child.pid for child in pool.children]
+            ))
+    finally:
+        backends._reset_chunk_pool()
+    labels = {region["backend"] for region in result.parallel_regions}
+    assert "processes" in labels
+    assert any(label.startswith("processes->threads") for label in labels)
+    assert seen[0][0] and seen == [seen[0]] * 3
+    assert len(forks) == seen[0][1].size  # the one build
 
 
 def _probe(connection):

@@ -62,7 +62,7 @@ def chaos_outcome(run):
     Returns ``("ok", output)`` when the run completes, or
     ``("error", exc)`` when it surfaces a clean
     :class:`~repro.util.errors.EmulationError`.  Any other exception —
-    including infra leakage like ``BrokenProcessPool`` — propagates,
+    including infra leakage like a pool's closed pipe — propagates,
     failing the test: fault tolerance must never turn an injected fault
     into an unclassified crash.
     """
