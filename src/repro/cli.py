@@ -258,7 +258,7 @@ def _cmd_report(args):
     print(f"Optimization summary at -O{int(level)} (PS-PDG plan)")
     header = (
         f"{'bench':8} {'regions':>8} {'fused':>6} {'sync-rm':>8} "
-        f"{'serial':>7} {'xchg':>5} {'skew':>5} {'tile':>5} "
+        f"{'serial':>7} {'tile':>5} "
         f"{'rej':>4} {'opt-ms':>7}"
     )
     print(header)
@@ -271,8 +271,7 @@ def _cmd_report(args):
         print(
             f"{session.config.name:8} {len(result.plan.regions):>8} "
             f"{summary['fused']:>6} {summary['syncs_removed']:>8} "
-            f"{summary['serialized']:>7} {summary['interchanged']:>5} "
-            f"{summary['skewed']:>5} {summary['tiled']:>5} "
+            f"{summary['serialized']:>7} {summary['tiled']:>5} "
             f"{rejections:>4} {millis:>7.1f}"
         )
 
@@ -310,9 +309,7 @@ def _add_opt_argument(parser):
         "-O", "--opt", type=int, choices=(0, 1, 2, 3), default=None,
         help="optimization level: -O0 none, -O1 sync elimination + "
              "small-region serialization, -O2 adds parallel-region "
-             "fusion, -O3 adds loop interchange, skew-enabled fusion "
-             "and machine-model tiling, each only where the dependence "
-             "graph proves it legal (default: 0)",
+             "fusion, -O3 adds machine-model tiling (default: 0)",
     )
 
 

@@ -28,18 +28,15 @@ STATS = {
 }
 
 
-def compiled_chunk(module, loop, outer=None,
+def compiled_chunk(module, loop,
                    logged=None):  # ignored; benchmarks/e2e still passes it
     """The cached :class:`CompiledChunk` for ``loop``, or ``None``.
 
     ``None`` means the lowering refused the loop (or codegen itself
-    failed) — run it interpreted.  Never raises.  ``outer`` (an
-    interchanged nest's outer loop) selects the pair-iterating variant
-    and is part of the cache key.
+    failed) — run it interpreted.  Never raises.
     """
-    key = ("chunk", loop.header.parent.name, loop.header.name,
-           outer.header.name if outer is not None else None)
-    return _cached(module, key, lambda: compile_chunk(loop, outer=outer))
+    key = ("chunk", loop.header.parent.name, loop.header.name)
+    return _cached(module, key, lambda: compile_chunk(loop))
 
 
 def compiled_sequence(module, function, stops, loops):

@@ -42,11 +42,11 @@ Representation choices:
   enclosing counted induction variables and chunk invariants is lowered
   without its guard; the chunk's entry section proves, once, that the
   index is in bounds at the extremes of every variable's interval
-  (``min``/``max`` of ``iterations``, per component for ``(outer,
-  inner)`` pairs; ``[init, hi - 1]`` for a counted loop, vacuous when
-  that is empty).  A failed proof raises ``Bailout`` before the first
-  side effect, so the interpreter runs the chunk and raises its own
-  out-of-bounds error at its own iteration: a body is lowered once.
+  (``min``/``max`` of ``iterations``; ``[init, hi - 1]`` for a counted
+  loop, vacuous when that is empty).  A failed proof raises ``Bailout``
+  before the first side effect, so the interpreter runs the chunk and
+  raises its own out-of-bounds error at its own iteration: a body is
+  lowered once.
   Every other guard stays inline.
 * **Constant divisors.**  An INT ``div``/``rem`` by a non-zero int
   constant is an inline expression with the interpreter's truncation
@@ -285,13 +285,10 @@ class _Lowering:
     _body_indent = 4  # def _factory / def _chunk / try / for
     _blocks = 2  # the skeleton's own ``try`` and ``for``, of _MAX_BLOCKS
 
-    def __init__(self, loop, outer=None):
+    def __init__(self, loop):
         if loop.canonical is None:
             raise Unsupported("loop lacks canonical form")
-        if outer is not None and outer.canonical is None:
-            raise Unsupported("nest outer loop lacks canonical form")
         self.loop = loop
-        self.outer = outer  # interchanged nest: iterations are pairs
         self.blocks = [b for b in loop.blocks if b is not loop.header]
         self.defined = {
             id(inst) for b in self.blocks for inst in b.instructions
@@ -338,11 +335,8 @@ class _Lowering:
 
     @property
     def _inductions(self):
-        """The induction allocas ``run_chunk`` seeds, outer first."""
-        inner = self.loop.canonical.induction
-        if self.outer is None:
-            return (inner,)
-        return (self.outer.canonical.induction, inner)
+        """The induction allocas ``run_chunk`` seeds."""
+        return (self.loop.canonical.induction,)
 
     # -- refs and operand rendering -----------------------------------------
 
@@ -803,7 +797,7 @@ class _Lowering:
     def _bind_inductions(self):
         """Alias the chunk's induction loads; open their intervals."""
         loop = self.loop
-        for position, alloca in enumerate(self._inductions):
+        for alloca in self._inductions:
             scalar = self.promoted[id(alloca)]
             readers = self.blocks
             if scalar.stores:
@@ -817,13 +811,10 @@ class _Lowering:
                     continue
                 readers = [b for b in readers if b is not loop.latches[0]]
             self._alias_loads(scalar, readers)
-            values = "iterations" if self.outer is None else (
-                f"_v[{position}] for _v in iterations"
-            )
             low, high = f"_lo{alloca.uid}", f"_hi{alloca.uid}"
             self._intervals[scalar.value] = (low, high)
-            self._proof.append(f"{low} = min({values})")
-            self._proof.append(f"{high} = max({values})")
+            self._proof.append(f"{low} = min(iterations)")
+            self._proof.append(f"{high} = max(iterations)")
 
     def _nest(self, out, block, blocks=0):
         """Refuse to open one more level (holding ``blocks`` more nested
@@ -1710,27 +1701,25 @@ class _Lowering:
         out.emit("interp.steps = _steps")
 
 
-def lower_chunk(loop, outer=None):
+def lower_chunk(loop):
     """Generate (source, refs) for one loop; raises :class:`Unsupported`.
 
     Lowering the body *collects* the entry bindings (live-ins, args,
     globals, refs), so the body is emitted first and spliced into the
-    chunk skeleton by :meth:`_Lowering.lower`.  With ``outer`` (an
-    interchanged nest's outer loop) the chunk iterates ``(outer,
-    inner)`` pairs and seeds both induction storages.
+    chunk skeleton by :meth:`_Lowering.lower`.
     """
-    lowering = _Lowering(loop, outer=outer)
+    lowering = _Lowering(loop)
     return lowering.lower(), lowering.refs
 
 
-def chunk_tier(loop, entry, outer=None):
+def chunk_tier(loop, entry):
     """``(kind, why)`` for a loop and its cached entry: ``structured``,
     or — ``None``, the loop runs interpreted — ``refused`` with the block
     (and instruction) that refused it."""
     if entry is not None:
         return entry.tier
     try:
-        lower_chunk(loop, outer=outer)
+        lower_chunk(loop)
     except Unsupported as refusal:
         return "refused", str(refusal)
     except Exception as error:  # a codegen bug: also a fallback, say so
@@ -1747,9 +1736,9 @@ def _exec_factory(source, refs, label):
     return namespace["_factory"](tuple(refs), _runtime)
 
 
-def compile_chunk(loop, outer=None):
+def compile_chunk(loop):
     """Lower and ``exec``-compile one loop's chunk body."""
-    source, refs = lower_chunk(loop, outer=outer)
+    source, refs = lower_chunk(loop)
     function, header = loop.header.parent.name, loop.header.name
     return CompiledChunk(
         fn=_exec_factory(source, refs, f"{function}:{header}"),

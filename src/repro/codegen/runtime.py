@@ -110,7 +110,7 @@ def unbound_register(error):
 
 
 def execute_chunk(entry, shim, loop, frame, iterations, locks,
-                  verify=None, outer=None):
+                  verify=None):
     """Run one chunk; returns ``"compiled"`` or ``"interpreted"``.
 
     ``entry`` is a :class:`~repro.codegen.lower.CompiledChunk` (or
@@ -119,18 +119,13 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
     every storage the chunk can reach (the backend holds them: the walk
     its payload codec ships); :func:`_differential` then runs this same
     ``entry`` against them.
-    ``outer`` (an interchanged nest's outer loop) means ``iterations``
-    are ``(outer, inner)`` pairs; the entry, when given, must have been
-    compiled with the same ``outer``.
     """
     if entry is not None:
         if verify is not None:
             mode, _value = _differential(
                 entry, shim, "chunk",
                 lambda: entry.fn(shim, frame, iterations),
-                lambda: shim.run_chunk(
-                    loop, frame, iterations, locks, outer=outer
-                ),
+                lambda: shim.run_chunk(loop, frame, iterations, locks),
                 verify, objects=frame.objects,
             )
             return mode
@@ -139,7 +134,7 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
             return "compiled"
         except Bailout:
             pass
-    shim.run_chunk(loop, frame, iterations, locks, outer=outer)
+    shim.run_chunk(loop, frame, iterations, locks)
     return "interpreted"
 
 

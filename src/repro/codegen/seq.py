@@ -86,17 +86,10 @@ def sequence_stops(regions, function):
     for block in function.blocks:
         region = regions.get(block.name)
         if region is not None:
-            # An interchanged nest is keyed (and resumed) at its outer
-            # loop, whose block set contains the inner members — the
-            # outer header is the stop's sole member so the exit,
-            # excluded blocks, and flush set all resolve against it.
-            if getattr(region, "outer_header", None):
-                members = (region.outer_header,)
-            else:
-                members = tuple(
-                    recipe.header for recipe in region.recipes
-                )
-            stops.append((block.name, members))
+            stops.append((
+                block.name,
+                tuple(recipe.header for recipe in region.recipes),
+            ))
     return tuple(stops)
 
 

@@ -6,12 +6,6 @@ region immediately tries to absorb the next one, so a run of k adjacent
 compatible loops collapses into a single region in one sweep.  Every
 rejected attempt is recorded with the legality predicate's reason — the
 negative cases are as load-bearing for the test suite as the positives.
-
-:class:`SkewedRegionFusionPass` (the ``-O3`` variant) additionally
-accepts cross-member dependences at a uniform non-zero iv-space
-distance: the legality predicate derives the per-member partition shift
-that keeps each such dependence worker-local, and the runtime executes
-the member's chunks shifted by it.
 """
 
 import dataclasses
@@ -21,9 +15,6 @@ from repro.opt.legality import can_fuse
 
 class RegionFusionPass:
     name = "region-fusion"
-    #: Accept uniform non-zero dependence distances by shifting the
-    #: candidate member's partition (the ``-O3`` subclass flips this).
-    skew = False
 
     def run(self, ctx, plan, report):
         regions = list(plan.regions)
@@ -34,7 +25,7 @@ class RegionFusionPass:
             cursor = index + 1
             while cursor < len(regions):
                 candidate = regions[cursor]
-                verdict = can_fuse(ctx, current, candidate, skew=self.skew)
+                verdict = can_fuse(ctx, current, candidate)
                 if not verdict:
                     report.rejected.append(
                         (
@@ -44,7 +35,6 @@ class RegionFusionPass:
                         )
                     )
                     break
-                shifts = verdict.shifts or ()
                 current = dataclasses.replace(
                     current,
                     headers=current.headers + candidate.headers,
@@ -52,21 +42,10 @@ class RegionFusionPass:
                         current.removed_sync_uids
                         | candidate.removed_sync_uids
                     ),
-                    member_shifts=shifts if any(shifts) else (),
                     witness=verdict.witness or current.witness,
                 )
                 report.fused.append(current.headers)
-                if any(shifts):
-                    report.skewed.append(
-                        (current.headers, current.member_shifts)
-                    )
                 cursor += 1
             fused.append(current)
             index = cursor
         return plan.with_regions(fused)
-
-
-class SkewedRegionFusionPass(RegionFusionPass):
-    """Region fusion that also fuses across uniform non-zero distances."""
-
-    skew = True

@@ -19,25 +19,10 @@ subscripts, scalars written by many iterations, console output — makes
 fusion illegal here.
 """
 
-from repro.analysis.alias import CONSOLE, AllocaObject
-from repro.analysis.deptests import test_level
+from repro.analysis.alias import CONSOLE
 from repro.analysis.loops import loop_of_block
-from repro.ir.instructions import (
-    Alloca,
-    BinaryOp,
-    Branch,
-    Call,
-    Cast,
-    Compare,
-    Instruction,
-    Jump,
-    Load,
-    Print,
-    Store,
-    UnaryOp,
-)
+from repro.ir.instructions import Alloca, Jump, Store
 from repro.ir.values import Constant
-from repro.opt.cost import static_trip_count
 from repro.planner.plans import TECH_DOALL
 
 #: Upper bound on the straight-line block chain between fused loops.
@@ -49,33 +34,30 @@ _SYNC_KINDS = ("critical", "atomic")
 class Legality:
     """Verdict of one predicate: truthy iff the transform is allowed.
 
-    ``witness`` is the predicate's evidence — the dependence pair (or
-    distance) that decided the verdict — stored on the rewritten
-    descriptor so reports and tests can audit the side condition.  A
-    test that can neither prove nor refute legality (non-affine
-    subscript, unbounded range) says no, with the undecided pair as its
-    reason.  ``shifts`` carries the per-member partition shifts
-    skew-enabled fusion derived.
+    ``witness`` is the predicate's evidence — the dependence pair that
+    decided the verdict — stored on the rewritten descriptor so reports
+    and tests can audit the side condition.  A test that can neither
+    prove nor refute legality (non-affine subscript, unbounded range)
+    says no, with the undecided pair as its reason.
     """
 
-    __slots__ = ("ok", "reason", "witness", "shifts")
+    __slots__ = ("ok", "reason", "witness")
 
-    def __init__(self, ok, reason=None, witness=None, shifts=None):
+    def __init__(self, ok, reason=None, witness=None):
         self.ok = ok
         self.reason = reason
         self.witness = witness
-        self.shifts = shifts
 
     def __bool__(self):
         return self.ok
 
     @classmethod
-    def yes(cls, witness=None, shifts=None):
-        return cls(True, witness=witness, shifts=shifts)
+    def yes(cls, witness=None):
+        return cls(True, witness=witness)
 
     @classmethod
-    def no(cls, reason, witness=None):
-        return cls(False, reason, witness=witness)
+    def no(cls, reason):
+        return cls(False, reason)
 
     def __repr__(self):
         if self.ok:
@@ -86,21 +68,12 @@ class Legality:
 # -- parallel-region fusion ------------------------------------------------------
 
 
-def can_fuse(ctx, region_a, region_b, skew=False):
-    """May ``region_b`` be appended to ``region_a`` as one dispatch?
-
-    With ``skew`` the alignment requirement relaxes: a cross-member
-    dependence at a uniform non-zero iv-space distance ``d`` is accepted
-    by shifting ``region_b``'s partition so source and destination land
-    on one worker.  The verdict's ``shifts`` then carries the merged
-    region's per-member shifts.
-    """
+def can_fuse(ctx, region_a, region_b):
+    """May ``region_b`` be appended to ``region_a`` as one dispatch?"""
     if region_a.technique != TECH_DOALL or region_b.technique != TECH_DOALL:
         return Legality.no("only DOALL regions fuse")
     if region_a.backend_override or region_b.backend_override:
         return Legality.no("region already rebound to another backend")
-    if region_a.outer_header or region_b.outer_header:
-        return Legality.no("interchanged nest regions do not fuse")
 
     loops_a = [ctx.analyses.loops_by_header[h] for h in region_a.headers]
     loops_b = [ctx.analyses.loops_by_header[h] for h in region_b.headers]
@@ -114,10 +87,7 @@ def can_fuse(ctx, region_a, region_b, skew=False):
     verdict = _adjacent(ctx, loops_a[-1], loops_b[0])
     if not verdict:
         return verdict
-    return _cross_dependences_aligned(
-        ctx, region_a.headers, region_b.headers,
-        shifts_a=region_a.member_shifts or None, skew=skew,
-    )
+    return _cross_dependences_aligned(ctx, region_a.headers, region_b.headers)
 
 
 def _static_bounds(loop):
@@ -231,37 +201,36 @@ def _induction_objects(ctx, headers):
     return objects
 
 
-#: ``_pair_shift`` result for slot sets that can never collide.
+#: ``_pair_alignment`` result for slot sets that can never collide.
 _DISJOINT = object()
 
 
-def _pair_shift(loop_src, offset_src, loop_dst, offset_dst):
-    """Relative partition shift keeping this dependence on one worker.
+def _pair_alignment(loop_src, offset_src, loop_dst, offset_dst):
+    """Does this dependence stay on one worker under a shared partition?
 
     Offsets must be affine in exactly their own member induction with
     one shared non-zero coefficient ``a``; then dst iteration ``j``
     touches the slot src iteration ``i = j + (c_dst - c_src) / a``
-    touched, so assigning dst values from the base chunk shifted by
-    ``S_dst = S_src + (c_dst - c_src) / a`` keeps the pair worker-local.
-    Returns that relative shift (an int; 0 is classic alignment),
-    ``_DISJOINT`` when the slot sets cannot intersect, or ``None`` when
-    the subscripts are outside this form entirely.
+    touched, which is the same iteration (so the same worker) exactly
+    when the constants agree.  Returns True for that alignment,
+    ``_DISJOINT`` when the slot sets cannot intersect, and False
+    otherwise (a non-zero distance, or subscripts outside this form).
     """
     if offset_src is None or offset_dst is None:
-        return None
+        return False
     iv_src = loop_src.canonical.induction
     iv_dst = loop_dst.canonical.induction
     if set(offset_src.coefficients) != {iv_src}:
-        return None
+        return False
     if set(offset_dst.coefficients) != {iv_dst}:
-        return None
+        return False
     a = offset_src.coefficient(iv_src)
     if a == 0 or a != offset_dst.coefficient(iv_dst):
-        return None
+        return False
     delta = offset_dst.constant - offset_src.constant
     if delta % a != 0:
         return _DISJOINT
-    return delta // a
+    return delta == 0
 
 
 def _member_of(ctx, headers, instruction):
@@ -272,32 +241,16 @@ def _member_of(ctx, headers, instruction):
     return None
 
 
-def _cross_dependences_aligned(ctx, headers_a, headers_b, shifts_a=None,
-                               skew=False):
-    """Every cross-member dependence must stay worker-local.
-
-    Without ``skew`` that means classic alignment (relative shift 0
-    everywhere).  With ``skew``, all write-involving cross pairs must
-    agree on one relative shift for the candidate member; the verdict's
-    ``shifts`` is then the merged region's per-member shift tuple.
-    """
-    if shifts_a is None:
-        shifts_a = (0,) * len(headers_a)
-    shift_of = dict(zip(headers_a, shifts_a))
-    if skew and len(headers_b) != 1:
-        skew = False  # only single-member candidates can be re-shifted
-    required = None  # agreed absolute shift for the candidate member
+def _cross_dependences_aligned(ctx, headers_a, headers_b):
+    """Every cross-member dependence must be aligned, so worker-local."""
     witness = None
     inductions = _induction_objects(ctx, headers_a + headers_b)
     access_a = {}
-    inst_header_a = {}
     for header in headers_a:
         for obj, entries in ctx.analyses.loop_accesses(
             ctx.analyses.loops_by_header[header]
         ).items():
             access_a.setdefault(obj, []).extend(entries)
-            for access in entries:
-                inst_header_a[access.instruction] = header
     for header in headers_b:
         access_b = ctx.analyses.loop_accesses(
             ctx.analyses.loops_by_header[header]
@@ -331,217 +284,23 @@ def _cross_dependences_aligned(ctx, headers_a, headers_b, shifts_a=None,
                     inst_a, inst_b = first.instruction, second.instruction
                     loop_a = _member_of(ctx, headers_a, inst_a)
                     loop_b = _member_of(ctx, headers_b, inst_b)
-                    relative = _pair_shift(
+                    aligned = _pair_alignment(
                         loop_a, first.offset, loop_b, second.offset
                     )
-                    if relative is _DISJOINT:
+                    if aligned is _DISJOINT:
                         continue
-                    if relative is None or (not skew and relative != 0):
-                        return Legality.no(
-                            f"unaligned dependence on "
-                            f"{_object_name(obj)} "
-                            f"(#{inst_a.uid} vs #{inst_b.uid})"
-                        )
-                    absolute = (
-                        shift_of[inst_header_a[inst_a]] + relative
+                    pair = (
+                        f"{_object_name(obj)} "
+                        f"(#{inst_a.uid} vs #{inst_b.uid})"
                     )
-                    if required is None:
-                        required = absolute
-                        witness = (
-                            f"distance {relative} on "
-                            f"{_object_name(obj)} "
-                            f"(#{inst_a.uid} vs #{inst_b.uid})"
-                        )
-                    elif required != absolute:
-                        return Legality.no(
-                            f"non-uniform dependence distances on "
-                            f"{_object_name(obj)}: shift {absolute} "
-                            f"vs {required} "
-                            f"(#{inst_a.uid} vs #{inst_b.uid})"
-                        )
-    shifts = tuple(shifts_a) + (required or 0,) * len(headers_b)
-    return Legality.yes(witness=witness, shifts=shifts)
+                    if not aligned:
+                        return Legality.no(f"unaligned dependence on {pair}")
+                    witness = witness or f"aligned dependence on {pair}"
+    return Legality.yes(witness=witness)
 
 
 def _object_name(obj):
     return getattr(obj, "display_name", None) or repr(obj)
-
-
-# -- loop interchange -------------------------------------------------------------
-
-#: Pure register-level glue the nest dispatch may skip (their only
-#: effects are loop bookkeeping the workers redo per pair).
-_PURE_GLUE = (BinaryOp, UnaryOp, Compare, Cast, Jump, Branch)
-
-
-def can_interchange(ctx, outer, inner, recipe):
-    """May the serial ``outer`` / DOALL ``inner`` nest run inner-partitioned?
-
-    The runtime executes an interchanged nest by partitioning the
-    *inner* iteration space across workers once and running each
-    worker's slice in outer-major order — so two iterations with
-    different inner values may land on different workers under *any*
-    pair of outer values.  Legal exactly when the direction-vector test
-    proves no dependence is carried by the inner loop for any outer
-    distance (direction ``(*, <)`` or ``(*, >)`` must be empty); a pair
-    the test cannot decide (non-affine subscripts) rejects the nest.
-    """
-    if outer.canonical is None or inner.canonical is None:
-        return Legality.no("nest loops are not in canonical form")
-    if inner.parent is not outer:
-        return Legality.no("DOALL loop is not an immediate child")
-    if len(outer.children) != 1:
-        return Legality.no("outer loop carries siblings of the DOALL loop")
-    if static_trip_count(outer) is None or static_trip_count(inner) is None:
-        return Legality.no("nest bounds are not compile-time constants")
-
-    for inst in outer.instructions():
-        if isinstance(inst, (Call, Print)):
-            return Legality.no(
-                f"nest contains {inst.opcode} #{inst.uid}"
-            )
-
-    verdict = _nest_glue_is_pure(outer, inner)
-    if not verdict:
-        return verdict
-    verdict = _inner_body_is_self_contained(outer, inner)
-    if not verdict:
-        return verdict
-    return _nest_dependences_inner_independent(ctx, outer, inner, recipe)
-
-
-def _nest_glue_is_pure(outer, inner):
-    """Only loop bookkeeping between the outer header and the inner loop.
-
-    The nest dispatch never executes the glue blocks (workers assign
-    both induction storages directly per pair), so everything the outer
-    loop owns outside the inner loop must be: the induction allocas,
-    loads/stores of those inductions, pure register arithmetic, and
-    (conditional) jumps.  Any other memory access, call, or print is a
-    side effect the transformed schedule would drop.
-    """
-    inner_blocks = set(inner.blocks)
-    inductions = {outer.canonical.induction, inner.canonical.induction}
-    for block in outer.blocks:
-        if block in inner_blocks:
-            continue
-        for inst in block.instructions:
-            if isinstance(inst, Alloca) and inst in inductions:
-                continue
-            if isinstance(inst, Load) and inst.pointer in inductions:
-                continue
-            if isinstance(inst, Store) and inst.pointer in inductions:
-                continue
-            if isinstance(inst, _PURE_GLUE):
-                continue
-            return Legality.no(
-                f"nest glue computes #{inst.uid} ({inst.opcode})"
-            )
-    return Legality.yes()
-
-
-def _inner_body_is_self_contained(outer, inner):
-    """No register flows from the (skipped) glue into the inner body."""
-    inner_instructions = set()
-    for block in inner.blocks:
-        inner_instructions.update(block.instructions)
-    outer_instructions = set()
-    for block in outer.blocks:
-        outer_instructions.update(block.instructions)
-    glue = outer_instructions - inner_instructions
-    inductions = {outer.canonical.induction, inner.canonical.induction}
-    for inst in inner_instructions:
-        for operand in inst.operands:
-            if operand in inductions:
-                continue  # rebound per pair by the nest dispatch
-            if isinstance(operand, Instruction) and operand in glue:
-                return Legality.no(
-                    f"inner body consumes glue register %{operand.uid}"
-                )
-    return Legality.yes()
-
-
-def _nest_dependences_inner_independent(ctx, outer, inner, recipe):
-    inner_ivs = {
-        alloca: loop
-        for alloca, loop in ctx.analyses.iv_map.items()
-        if loop is not inner
-    }
-    skip_objects = {
-        ctx.analyses.storage_object(outer.canonical.induction),
-        ctx.analyses.storage_object(inner.canonical.induction),
-    }
-    for storage in (
-        list(recipe.privatized) + [s for s, _op in recipe.reductions]
-    ):
-        skip_objects.add(ctx.analyses.storage_object(storage))
-    if recipe.firstprivate or recipe.lastprivate:
-        # Their per-dispatch seed/writeback encodes a flow between
-        # consecutive outer iterations; one nest-wide dispatch loses it.
-        return Legality.no(
-            "inner recipe carries first/lastprivate state across "
-            "outer iterations"
-        )
-
-    pending = None
-    checked = 0
-    inner_blocks = set(inner.blocks)
-    for obj, entries in ctx.analyses.loop_accesses(outer).items():
-        if obj in skip_objects:
-            continue
-        if (isinstance(obj, AllocaObject)
-                and obj.alloca.parent in inner_blocks):
-            # Allocated inside the inner body: every iteration executes
-            # the alloca and gets fresh storage, so no value can flow
-            # between iterations through it on any schedule.
-            continue
-        if not any(access.is_write for access in entries):
-            continue
-        if obj == CONSOLE:
-            return Legality.no("nest prints")
-        for index, first in enumerate(entries):
-            for second in entries[index:]:
-                if not (first.is_write or second.is_write):
-                    continue
-                offset_a, offset_b = first.offset, second.offset
-                pair = (
-                    f"#{first.instruction.uid} vs "
-                    f"#{second.instruction.uid} on {_object_name(obj)}"
-                )
-                if offset_a is None or offset_b is None:
-                    pending = Legality.no(
-                        f"non-affine subscript leaves {pair} undecided",
-                        witness=pair,
-                    )
-                    continue
-                dep = test_level(offset_a, offset_b, inner, inner_ivs)
-                if dep.carried_forward or dep.carried_backward:
-                    if dep.exact:
-                        return Legality.no(
-                            f"dependence carried by "
-                            f"{inner.header.name} across the nest "
-                            f"({pair})",
-                            witness=pair,
-                        )
-                    pending = Legality.no(
-                        f"direction-vector test undecided for {pair}",
-                        witness=pair,
-                    )
-                elif not dep.exact:
-                    pending = Legality.no(
-                        f"conservative fallback for {pair}",
-                        witness=pair,
-                    )
-                else:
-                    checked += 1
-    if pending is not None:
-        return pending
-    return Legality.yes(
-        witness=(
-            f"direction vectors (*, =) only across {checked} "
-            f"write-involving pairs"
-        )
-    )
 
 
 # -- redundant-synchronization elimination ---------------------------------------

@@ -12,8 +12,7 @@ import enum
 class OptLevel(enum.IntEnum):
     """``-O0`` (no transforms) / ``-O1`` (local: sync elimination +
     small-region serialization) / ``-O2`` (``-O1`` + parallel-region
-    fusion) / ``-O3`` (``-O2`` + loop interchange, skewed fusion, and
-    machine-model tiling, each only where the graph proves it legal)."""
+    fusion) / ``-O3`` (``-O2`` + machine-model tiling)."""
 
     O0 = 0
     O1 = 1

@@ -13,8 +13,7 @@ import dataclasses
 import time
 
 from repro.opt.context import OptContext
-from repro.opt.fusion import RegionFusionPass, SkewedRegionFusionPass
-from repro.opt.interchange import LoopInterchangePass
+from repro.opt.fusion import RegionFusionPass
 from repro.opt.levels import OptLevel
 from repro.opt.serialize import SmallRegionSerializationPass
 from repro.opt.sync import SyncEliminationPass
@@ -34,8 +33,6 @@ class OptReport:
     syncs_removed: list = dataclasses.field(default_factory=list)
     serialized: list = dataclasses.field(default_factory=list)
     rejected: list = dataclasses.field(default_factory=list)
-    interchanged: list = dataclasses.field(default_factory=list)
-    skewed: list = dataclasses.field(default_factory=list)
     tiled: list = dataclasses.field(default_factory=list)
     #: pass name -> wall-clock seconds spent in its ``run``.
     pass_seconds: dict = dataclasses.field(default_factory=dict)
@@ -45,8 +42,6 @@ class OptReport:
             "fused": len(self.fused),
             "syncs_removed": len(self.syncs_removed),
             "serialized": len(self.serialized),
-            "interchanged": len(self.interchanged),
-            "skewed": len(self.skewed),
             "tiled": len(self.tiled),
         }
 
@@ -62,13 +57,6 @@ class OptReport:
 
     def describe(self):
         lines = [f"{self.level.flag} optimization of plan {self.plan_name!r}:"]
-        for outer, inner in self.interchanged:
-            lines.append(f"  interchange {outer}/{inner}")
-        for headers, shifts in self.skewed:
-            lines.append(
-                f"  skew-fuse  {'+'.join(headers)} "
-                f"shifts={','.join(str(s) for s in shifts)}"
-            )
         for headers in self.fused:
             lines.append(f"  fused      {'+'.join(headers)}")
         for header, kind, uid in self.syncs_removed:
@@ -103,12 +91,8 @@ class PassManager:
 
 #: Pass pipeline per level.  O1 is the "local" tier (nothing moves code
 #: across loops); O2 adds region fusion.  Fusion runs first so merged
-#: regions are costed — and kept parallel — as wholes.  O3 adds loop
-#: interchange (before fusion: a nest region must not be absorbed) and
-#: skew-enabled fusion; serialization and machine-model tiling run last
-#: so they cost the final region shapes.  Every side condition is
-#: decided on the graph: a nest the static test leaves undecided is
-#: rejected, and its inner loop is serialized away exactly as -O2 would.
+#: regions are costed — and kept parallel — as wholes.  O3 adds
+#: machine-model tiling, last, so it sizes the final region shapes.
 PIPELINES = {
     OptLevel.O0: (),
     OptLevel.O1: (SyncEliminationPass, SmallRegionSerializationPass),
@@ -118,8 +102,7 @@ PIPELINES = {
         SmallRegionSerializationPass,
     ),
     OptLevel.O3: (
-        LoopInterchangePass,
-        SkewedRegionFusionPass,
+        RegionFusionPass,
         SyncEliminationPass,
         SmallRegionSerializationPass,
         TilingPass,

@@ -13,7 +13,7 @@ paying a process-pool payload per anti-diagonal per timestep.
 
 import dataclasses
 
-from repro.opt.cost import region_cost, static_trip_count
+from repro.opt.cost import region_cost
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, OVERRIDE_THREADS
 
 
@@ -30,16 +30,8 @@ class SmallRegionSerializationPass:
             # overhead (the bars) is interpreter-independent.  A
             # measured per-region speedup (bench feedback) replaces the
             # model's prior when the runtime observed one.
-            cost = region_cost(ctx, region.headers)
-            if cost is not None and region.outer_header:
-                # An interchanged nest dispatches once for the whole
-                # outer extent; its per-entry work scales accordingly.
-                outer_trip = static_trip_count(
-                    ctx.analyses.loops_by_header[region.outer_header]
-                )
-                cost = None if outer_trip is None else cost * outer_trip
             cost = machine.effective_region_cost(
-                cost,
+                region_cost(ctx, region.headers),
                 compiled=ctx.compile_regions,
                 speedup=ctx.compiled_speedup.get(region.label),
             )

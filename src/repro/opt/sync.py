@@ -50,7 +50,7 @@ class SyncEliminationPass:
                         ctx, loop_plans, header, guarded
                     )
             # ``replace`` (not a field-by-field rebuild) so descriptor
-            # fields later passes own — shifts, tiles, nest headers —
+            # fields later passes own — backend overrides, tiles —
             # survive this pass untouched.
             regions.append(
                 dataclasses.replace(

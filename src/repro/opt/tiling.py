@@ -11,8 +11,8 @@ A coarser partition of a DOALL space is just another legal schedule, so
 this pass needs no legality predicate — only the cost model.
 
 Runs last in the ``-O3`` pipeline so it sees final region shapes
-(fused members, interchanged nests) and tiles the space the runtime
-will actually partition.
+(fused members) and tiles the space the runtime will actually
+partition.
 """
 
 import dataclasses
@@ -32,15 +32,12 @@ class TilingPass:
             if region.backend_override == OVERRIDE_SEQUENTIAL or region.tile:
                 regions.append(region)
                 continue
-            cost = region_cost(ctx, region.headers)
             # The partitioned space is the members' shared iteration
-            # space — for an interchanged nest, the *inner* space, each
-            # value of which carries the whole outer extent of work.
-            trip = static_trip_count(loops[region.headers[0]])
-            if cost is not None and region.outer_header:
-                outer_trip = static_trip_count(loops[region.outer_header])
-                cost = None if outer_trip is None else cost * outer_trip
-            tile = machine.tile_iterations(cost, trip)
+            # space.
+            tile = machine.tile_iterations(
+                region_cost(ctx, region.headers),
+                static_trip_count(loops[region.headers[0]]),
+            )
             if tile is None:
                 regions.append(region)
                 continue

@@ -37,9 +37,8 @@ class SessionConfig:
         opt_level: :class:`~repro.opt.levels.OptLevel` of the pipeline's
             ``optimize`` stage — ``O0`` (plans run as chosen), ``O1``
             (sync elimination + small-region serialization), ``O2``
-            (``O1`` + parallel-region fusion), ``O3`` (``O2`` + loop
-            interchange, skew-enabled fusion and machine-model tiling,
-            each applied only where the graph proves it legal).
+            (``O1`` + parallel-region fusion), ``O3`` (``O2`` +
+            machine-model tiling).
             Accepts 0/1/2/3, "O3", or "-O3".
         compile_regions: run region bodies and the sequential stretches
             between them through the :mod:`repro.codegen` exec-compiled
@@ -76,6 +75,17 @@ class SessionConfig:
     profile_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.machine, MachineModel):
+            raise ValueError(
+                f"machine must be a MachineModel, got {self.machine!r}"
+            )
+        # A bare string would be read as its letters.
+        if isinstance(self.abstractions, str):
+            raise ValueError(
+                f"abstractions must be a sequence of names, not the "
+                f"string {self.abstractions!r}; write "
+                f"({self.abstractions!r},)"
+            )
         unknown = set(self.abstractions) - set(ALL_ABSTRACTIONS)
         if unknown:
             raise ValueError(

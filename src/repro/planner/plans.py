@@ -56,32 +56,18 @@ class RegionDescriptor:
         removed_sync_uids: annotation uids of ``critical``/``atomic``
             regions proven redundant at this region's loop level; the
             runtime elides their locks.
-        outer_header: set by loop interchange — the header of the serial
-            loop enclosing the (single) member DOALL loop.  The runtime
-            then dispatches the whole nest once, partitioning the *inner*
-            iteration space across workers and running each worker's
-            slice in outer-major order.
-        member_shifts: set by skewed fusion — one integer per member
-            header.  Member ``k``'s worker chunks are the base partition
-            shifted by ``-member_shifts[k]`` (intersected with the
-            iteration space), so a uniform cross-member dependence
-            distance lands source and destination on the same worker.
-            Empty means all-zero (plain aligned fusion).
         tile: set by the tiling pass — the minimum iterations one
             payload should carry; the runtime caps the worker count at
             ``ceil(trip / tile)`` so small iteration spaces stop paying
             per-payload overhead for near-empty chunks.
         witness: human-readable evidence for the side condition — the
-            dependence pair a legality predicate proved (or failed to
-            prove) independent.
+            dependence pair a legality predicate proved aligned.
     """
 
     headers: tuple
     technique: str = TECH_DOALL
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
-    outer_header: str = None
-    member_shifts: tuple = ()
     tile: int = None
     witness: str = None
 
@@ -91,18 +77,10 @@ class RegionDescriptor:
 
     @property
     def label(self):
-        if self.outer_header:
-            return f"{self.outer_header}/{'+'.join(self.headers)}"
         return "+".join(self.headers)
 
     def describe(self):
         parts = [self.label, self.technique]
-        if self.outer_header:
-            parts.append("interchanged")
-        if any(self.member_shifts):
-            parts.append(
-                "skew=" + ",".join(str(s) for s in self.member_shifts)
-            )
         if self.tile:
             parts.append(f"tile={self.tile}")
         if self.backend_override:

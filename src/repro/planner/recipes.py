@@ -64,14 +64,6 @@ class RegionParallelization:
             from the dispatch set.)
         removed_sync_uids: annotation uids whose critical/atomic locks
             are elided for this region (sync elimination).
-        outer_header: loop-interchange nest — the serial outer loop's
-            header.  The takeover triggers there, the *inner* space is
-            partitioned once across workers, and every worker runs its
-            slice in outer-major order as ``(outer, inner)`` pairs.
-        member_shifts: skewed fusion — per-member partition shifts; the
-            member's chunks are the base partition shifted by the
-            negated shift (uniform-distance dependences stay worker-
-            local).  Empty means all zero.
         tile: minimum iterations per payload (tiling); the runtime caps
             the effective worker count at ``ceil(trip / tile)`` and
             pads the rest with empty chunks.
@@ -80,14 +72,12 @@ class RegionParallelization:
     recipes: list
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
-    outer_header: str = None
-    member_shifts: tuple = ()
     tile: int = None
 
     @property
     def header(self):
         """The block whose arrival triggers the takeover."""
-        return self.outer_header or self.recipes[0].header
+        return self.recipes[0].header
 
     @property
     def headers(self):
@@ -95,8 +85,6 @@ class RegionParallelization:
 
     @property
     def label(self):
-        if self.outer_header:
-            return f"{self.outer_header}/" + "+".join(self.headers)
         return "+".join(self.headers)
 
     @property
@@ -402,21 +390,11 @@ def recipes_from_plan(pspdg, plan):
                 for header in descriptor.headers
             ):
                 continue
-            outer = descriptor.outer_header
-            if outer is not None and (
-                outer not in loops or loops[outer].canonical is None
-            ):
-                # Nest descriptor against a function where the outer
-                # loop is gone/non-canonical: fall back to dispatching
-                # the inner loop per outer iteration (the -O0 shape).
-                outer = None
             regions.append(
                 RegionParallelization(
                     recipes=[recipe_for(h) for h in descriptor.headers],
                     backend_override=descriptor.backend_override,
                     removed_sync_uids=descriptor.removed_sync_uids,
-                    outer_header=outer,
-                    member_shifts=tuple(descriptor.member_shifts or ()),
                     tile=descriptor.tile,
                 )
             )

@@ -112,7 +112,6 @@ class ParallelRegion:
     region: object  # RegionParallelization (recipes + opt markers)
     frame: object  # the enclosing (sequential) _Frame
     workers: list  # _Worker instances, one per configured worker
-    outer: object  # interchanged nest's outer loop, or None
     critical: dict  # block name -> (lock key, block set), elided syncs out
     stats: RegionStats  # the counter block backends increment
 
@@ -154,31 +153,18 @@ class _WorkerInterpreter(Interpreter):
         # processes.
         super().__init__(module, max_steps, global_storage=global_storage)
 
-    def run_chunk(self, loop, frame, iterations, locks, outer=None):
-        """Execute ``iterations`` of ``loop``'s body on ``frame``.
-
-        With ``outer`` (an interchanged nest's outer loop), each value
-        is an ``(outer, inner)`` pair and both induction storages are
-        set before the body runs; the nest's glue blocks never execute
-        here — interchange legality proved them pure iv bookkeeping.
-        """
+    def run_chunk(self, loop, frame, iterations, locks):
+        """Execute ``iterations`` of ``loop``'s body on ``frame``."""
         canonical = loop.canonical
         function = frame.function
         header = loop.header
         body = function.block(canonical.body)
         induction_storage = frame.objects[canonical.induction]
-        outer_storage = (
-            frame.objects[outer.canonical.induction]
-            if outer is not None else None
-        )
         held = set()
         decoded = self._decoded
         max_steps = self.max_steps
         try:
             for value in iterations:
-                if outer_storage is not None:
-                    outer_storage[0] = value[0]
-                    value = value[1]
                 induction_storage[0] = value
                 block = body
                 while True:
@@ -357,13 +343,6 @@ class _Stepper:
             body = header.parent.block(loop.canonical.body)
             induction = objects.setdefault(loop.canonical.induction, [0])
             for value in iterations:
-                if worker.nest is not None and isinstance(value, tuple):
-                    # Interchanged nest: an (outer, inner) pair; both
-                    # inductions were privatized with the frame.
-                    outer_value, value = value
-                    objects[worker.nest.canonical.induction][0] = (
-                        outer_value
-                    )
                 induction[0] = value
                 block = body
                 while block is not header:
@@ -481,7 +460,6 @@ class ThreadsBackend(ExecutionBackend):
         active = [w for w in region.workers if w.size]
         if not active:
             return
-        outer_loop = region.outer
 
         compile_on = interp.compile_regions
         verify = compile_on and bool(knobs.VERIFY_COMPILED)
@@ -499,7 +477,7 @@ class ThreadsBackend(ExecutionBackend):
                     entries[loop] = None
                 else:
                     entries[loop] = codegen_cache.compiled_chunk(
-                        interp.module, loop, outer=outer_loop,
+                        interp.module, loop
                     )
             _count_codegen(stats, before, codegen_cache.stats())
 
@@ -521,7 +499,6 @@ class ThreadsBackend(ExecutionBackend):
                     mode = codegen_runtime.execute_chunk(
                         entries.get(loop), shim, loop, worker.frame,
                         iterations, locks, verify=reachable,
-                        outer=outer_loop,
                     )
                     if mode == "compiled":
                         compiled += 1
@@ -805,7 +782,6 @@ def _pool_chunk_entry(wire, fault=None):
     try:
         frame = payload["frame"]
         segments = payload["segments"]  # [(loop, iterations), ...]
-        nest = payload.get("nest")  # interchanged outer loop (or None)
         private_globals = payload["private_globals"]
         private_alloca_uids = payload["private_alloca_uids"]
 
@@ -835,11 +811,11 @@ def _pool_chunk_entry(wire, fault=None):
                     # Keyed by the child's decoded module object: the
                     # first chunk of a module this child decoded lowers.
                     entry = codegen_cache.compiled_chunk(
-                        payload["module"], loop, outer=nest,
+                        payload["module"], loop
                     )
                 mode = codegen_runtime.execute_chunk(
                     entry, shim, loop, frame, iterations,
-                    _NullLocks(), verify=reachable, outer=nest,
+                    _NullLocks(), verify=reachable,
                 )
                 if mode == "compiled":
                     stats.compiled_chunks += 1
@@ -1007,7 +983,6 @@ class ProcessesBackend(ExecutionBackend):
             workers=active,
             shipped=pool.shipped,
             compile_regions=interp.compile_regions,
-            nest=region.outer,
         )
         ordinal = faults.next_region_ordinal() if plan else None
         calls = []

@@ -87,32 +87,6 @@ _IDENTITY = {
 }
 
 
-def _shift_assignment(assignment, values, shift):
-    """Skewed fusion: re-aim this member's chunks by ``-shift``.
-
-    A uniform dependence distance ``shift`` means iteration ``i`` of
-    this member conflicts with iteration ``i - shift`` of the partner
-    chunked at the same position, so giving the worker that owns base
-    value ``v`` this member's value ``v - shift`` keeps every such pair
-    worker-local (and in member order, since segments drain in order).
-    Values that shift out of the iteration space leave their base chunk
-    uncovered at the far end; those leftovers run on worker 0 — their
-    conflict partners fell outside the space, so they conflict with
-    no one and any placement is safe.
-    """
-    space = set(values)
-    shifted = []
-    covered = set()
-    for chunk in assignment:
-        moved = [v - shift for v in chunk if (v - shift) in space]
-        covered.update(moved)
-        shifted.append(moved)
-    leftovers = set(space) - covered
-    if leftovers:
-        shifted[0] = sorted(set(shifted[0]) | leftovers)
-    return shifted
-
-
 class _Worker:
     """One worker executing its chunk of every member loop of a region.
 
@@ -135,13 +109,11 @@ class _Worker:
         "seconds",
         "private_globals",
         "private_allocas",
-        "nest",
     )
 
-    def __init__(self, index, segments, nest):
+    def __init__(self, index, segments):
         self.index = index
         self.segments = segments  # [(loop, iteration values), ...]
-        self.nest = nest  # interchanged nest's outer Loop (values are pairs)
         # Iterations over all segments; a worker of none gets no job.
         self.size = sum(len(iterations) for _loop, iterations in segments)
         self.frame = None
@@ -236,16 +208,13 @@ class ParallelInterpreter(Interpreter):
         region = self._regions.get(next_block.name)
         if region is None:
             return None
-        loops, outer = self._region_loops(region, frame)
-        # An interchanged nest is keyed (and guarded) at the *outer*
-        # header: the whole nest runs in one takeover, and control
-        # resumes at the outer loop's exit.
-        if from_block in (outer or loops[0]).blocks:
+        loops = self._region_loops(region, frame)
+        if from_block in loops[0].blocks:
             return None  # back edge: loop already running (shouldn't occur)
-        self._execute_parallel_region(loops, outer, region, frame)
+        self._execute_parallel_region(loops, region, frame)
         # Control resumes after the *last* member; fusion legality
         # guarantees nothing but induction glue lives in between.
-        resume = (outer or loops[-1]).canonical.exit
+        resume = loops[-1].canonical.exit
         return frame.function.block(resume)
 
     def _compiled_region_stop(self, header, frame):
@@ -256,21 +225,16 @@ class ParallelInterpreter(Interpreter):
         else), and resume at the statically-known canonical exit.
         """
         region = self._regions[header]
-        loops, outer = self._region_loops(region, frame)
-        self._execute_parallel_region(loops, outer, region, frame)
+        self._execute_parallel_region(
+            self._region_loops(region, frame), region, frame
+        )
 
     def _region_loops(self, region, frame):
-        """``(member loops, interchanged outer loop or None)``, canonical."""
-        loops = [
+        """The region's member loops, canonical."""
+        return [
             self._canonical_loop(frame.function, recipe.header, "parallel")
             for recipe in region.recipes
         ]
-        outer = None
-        if region.outer_header:
-            outer = self._canonical_loop(
-                frame.function, region.outer_header, "interchange outer"
-            )
-        return loops, outer
 
     def _function_loops(self, function):
         """header name -> natural loop: the handed-in forest's, else found
@@ -376,14 +340,13 @@ class ParallelInterpreter(Interpreter):
 
     # -- the parallel region: partition, dispatch, join, record ------------------
 
-    def _execute_parallel_region(self, loops, outer_loop, region_par, frame):
-        members = self._partition(loops, outer_loop, region_par, frame)
+    def _execute_parallel_region(self, loops, region_par, frame):
+        members = self._partition(loops, region_par, frame)
         workers = [
             _Worker(
                 index,
                 [(loop, assignment[index])
                  for loop, _recipe, _values, assignment in members],
-                outer_loop,
             )
             for index in range(self.workers)
         ]
@@ -398,7 +361,6 @@ class ParallelInterpreter(Interpreter):
         )
         region = ParallelRegion(
             loops=loops, region=region_par, frame=frame, workers=workers,
-            outer=outer_loop,
             critical=self._critical_region_map(
                 frame.function, region_par.removed_sync_uids
             ),
@@ -438,16 +400,10 @@ class ParallelInterpreter(Interpreter):
                 self.replan_events.append(event)
                 stats.replans += 1
 
-    def _partition(self, loops, outer_loop, region_par, frame):
+    def _partition(self, loops, region_par, frame):
         """``(loop, recipe, values, per-worker assignment)`` per member."""
-        outer_values = None
-        if outer_loop is not None:
-            outer_values = self._loop_values(outer_loop, frame)
-        shifts = region_par.member_shifts or ()
         members = []
-        for position, (loop, recipe) in enumerate(
-            zip(loops, region_par.recipes)
-        ):
+        for loop, recipe in zip(loops, region_par.recipes):
             values = self._loop_values(loop, frame)
             chunk = self.chunk if self.chunk is not None else recipe.chunk
             scheduler = make_scheduler(self.schedule, chunk)
@@ -459,19 +415,6 @@ class ParallelInterpreter(Interpreter):
             assignment = assignment + [
                 [] for _ in range(self.workers - partitions)
             ]
-            shift = shifts[position] if position < len(shifts) else 0
-            if shift:
-                assignment = _shift_assignment(assignment, values, shift)
-            if outer_values is not None:
-                # Interchanged nest: the *inner* space was partitioned;
-                # each worker sweeps its inner slice once per outer
-                # value, in outer-major order, so same-inner-value
-                # outer-carried flow stays worker-local and in order.
-                values = [(t, i) for t in outer_values for i in values]
-                assignment = [
-                    [(t, i) for t in outer_values for i in chunk_values]
-                    for chunk_values in assignment
-                ]
             members.append((loop, recipe, values, assignment))
         return members
 
@@ -520,24 +463,21 @@ class ParallelInterpreter(Interpreter):
     def _adopt_plan(self, plan):
         """Adopt a replanned plan's cost decisions, preserving triggers.
 
-        Only regions whose (member headers, outer header) identity
-        matches a live region adopt the new ``backend_override`` and
-        ``tile`` — structural differences (a different fusion grouping,
-        a region the new plan dropped) are ignored, because adding or
-        removing a takeover trigger mid-run would invalidate the
-        compiled sequential stretches' memoized stop sets.  Mutating
-        the live :class:`RegionParallelization` in place keeps
-        ``self._regions``' keys and the derived recipes untouched.
+        Only regions whose member headers match a live region adopt the
+        new ``backend_override`` and ``tile`` — structural differences
+        (a different fusion grouping, a region the new plan dropped) are
+        ignored, because adding or removing a takeover trigger mid-run
+        would invalidate the compiled sequential stretches' memoized
+        stop sets.  Mutating the live :class:`RegionParallelization` in
+        place keeps ``self._regions``' keys and the derived recipes
+        untouched.
         """
-        by_identity = {
-            (descriptor.headers, descriptor.outer_header): descriptor
-            for descriptor in plan.regions
+        by_headers = {
+            descriptor.headers: descriptor for descriptor in plan.regions
         }
         changes = []
         for region in self._regions.values():
-            descriptor = by_identity.get(
-                (region.headers, region.outer_header)
-            )
+            descriptor = by_headers.get(region.headers)
             if descriptor is None:
                 continue
             override = descriptor.backend_override
@@ -561,12 +501,10 @@ class ParallelInterpreter(Interpreter):
     def _make_worker_frames(self, region):
         """Build every worker's privatized frame from the parent's."""
         recipe = region.region.merged_recipe()
-        loops = (
-            region.loops if region.outer is None
-            else [region.outer] + list(region.loops)
-        )
         for worker in region.workers:
-            self._make_worker_frame(worker, region.frame, recipe, loops)
+            self._make_worker_frame(
+                worker, region.frame, recipe, region.loops
+            )
 
     def _make_worker_frame(self, worker, frame, recipe, loops):
         worker_frame = _Frame(frame.function, frame.args)

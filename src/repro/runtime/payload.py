@@ -365,12 +365,6 @@ class RegionPayloads:
 def _pack_iterations(values):
     """Run-length-compress an iteration list (chunks are arithmetic runs)."""
     n = len(values)
-    if values and isinstance(values[0], tuple):
-        # Interchanged-nest chunks are (outer, inner) pairs — almost
-        # always an exact outer-major cross product, which wires as the
-        # two factor lists instead of trip(outer)*trip(inner) tuples.
-        packed = _pack_pairs(values)
-        return packed if packed is not None else ("v", list(values))
     if n < 8:
         return ("v", list(values))
     runs = []
@@ -393,29 +387,10 @@ def _pack_iterations(values):
     return ("v", list(values))
 
 
-def _pack_pairs(values):
-    """``("x", (outer pack, inner pack))`` for exact cross products."""
-    outer = []
-    for t, _ in values:
-        if not outer or outer[-1] != t:
-            outer.append(t)
-    count, remainder = divmod(len(values), len(outer))
-    if remainder:
-        return None
-    inner = [i for _t, i in values[:count]]
-    if values != [(t, i) for t in outer for i in inner]:
-        return None
-    return ("x", (_pack_iterations(outer), _pack_iterations(inner)))
-
-
 def _unpack_iterations(packed):
     tag, data = packed
     if tag == "v":
         return data
-    if tag == "x":
-        outer = _unpack_iterations(data[0])
-        inner = _unpack_iterations(data[1])
-        return [(t, i) for t in outer for i in inner]
     values = []
     for start, count, step in data:
         values.extend(range(start, start + count * step, step))
@@ -423,7 +398,7 @@ def _unpack_iterations(packed):
 
 
 def encode_region(module, frame, loops, global_storage, max_steps,
-                  workers, shipped, compile_regions=False, nest=None):
+                  workers, shipped, compile_regions=False):
     """Encode one region's pool payloads.
 
     ``workers`` are the active ``_Worker`` instances; ``frame`` is the
@@ -432,10 +407,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     these payloads go to (grown here); ``compile_regions`` asks the worker
     to run each chunk through its exec-compiled body
     (``repro.codegen``) where one lowers — the flag travels in the
-    header, so children need no environment.  ``nest`` is an
-    interchanged nest's outer loop: it travels in the header (by loop
-    reference) and the workers' iteration values are ``(outer, inner)``
-    pairs.
+    header, so children need no environment.
     """
     codec = module_codec(module)
     table = _walk_storages(frame, global_storage)
@@ -452,7 +424,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     )
     loop_map = {
         id(loop): (LOOP_TAG, loop.header.parent.name, loop.header.name)
-        for loop in list(loops) + ([nest] if nest is not None else [])
+        for loop in loops
     }
 
     buffer = io.BytesIO()
@@ -462,7 +434,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     # Positional header (see the matching unpack in decode_payload).
     header_pickler.dump((
         loops,
-        nest,
         max_steps,
         bool(compile_regions),
         bool(VERIFY_COMPILED),
@@ -573,7 +544,7 @@ def decode_payload(wire):
         state["table"],
         _loop_resolver(module, loop_cache),
     )
-    (_loops, nest, max_steps, compile_regions,
+    (_loops, max_steps, compile_regions,
      verify_compiled) = unpickler.load()
     (function, args, registers, frame_objects, overlay,
      segments, private_globals, private_alloca_uids) = unpickler.load()
@@ -592,7 +563,6 @@ def decode_payload(wire):
         ],
         "private_globals": private_globals,
         "private_alloca_uids": private_alloca_uids,
-        "nest": nest,
         "max_steps": max_steps,
         "compile_regions": compile_regions,
         "verify_compiled": verify_compiled,

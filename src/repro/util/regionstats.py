@@ -28,7 +28,7 @@ class RegionStats:
     callers consume them; the key set is exactly the field set.
     """
 
-    header: str = ""  # region label ("outer/" prefix for nests, "+" fused)
+    header: str = ""  # region label ("+" joins fused members)
     fused: bool = False
     backend: str = ""  # backend that ran it, with any downgrade suffix
     schedule: str = "static"

@@ -140,7 +140,7 @@ def test_cache_hits_and_stats():
 def test_cache_failure_memoizes_fallback(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def refuse(loop, outer=None):
+    def refuse(loop):
         raise Unsupported("test refusal")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", refuse)
@@ -154,7 +154,7 @@ def test_cache_failure_memoizes_fallback(monkeypatch):
 def test_cache_never_raises_on_codegen_bug(monkeypatch):
     module, loop = _loop(SIMPLE)
 
-    def explode(loop, outer=None):
+    def explode(loop):
         raise RuntimeError("codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
@@ -195,7 +195,7 @@ class _Shim:
         self.steps = 0
         self.max_steps = 10**9
 
-    def run_chunk(self, loop, frame, iterations, locks, outer=None):
+    def run_chunk(self, loop, frame, iterations, locks):
         self.ran_interpreted += 1
 
 
@@ -245,7 +245,7 @@ class _VerifyShim(_Shim):
         super().__init__()
         self.expected = expected
 
-    def run_chunk(self, loop, frame, iterations, locks, outer=None):
+    def run_chunk(self, loop, frame, iterations, locks):
         self.ran_interpreted += 1
         frame.objects[_SLOT][0] = self.expected
         self.steps += 1
@@ -332,8 +332,7 @@ def test_verify_compares_and_drops_allocas_first_executed_in_the_chunk():
     fresh = _Alloca()
 
     class _Allocates(_VerifyShim):
-        def run_chunk(self, loop, frame, iterations, locks,
-                      outer=None):
+        def run_chunk(self, loop, frame, iterations, locks):
             assert list(frame.objects) == [_SLOT]  # compiled's is gone
             frame.objects[fresh] = [self.expected]
             self.steps += 1
@@ -377,8 +376,7 @@ def test_verify_both_raise_reraises_interpreted_error():
     frame = _frame()
 
     class _Raises(_VerifyShim):
-        def run_chunk(self, loop, frame, iterations, locks,
-                      outer=None):
+        def run_chunk(self, loop, frame, iterations, locks):
             raise EmulationError("interpreted boom")
 
     def fn(interp, frame, iterations):

@@ -39,8 +39,6 @@ from repro.runtime import knobs
 from repro.runtime.backends import (
     SerialBackend, _NullLocks, _WorkerInterpreter,
 )
-from repro.opt import OptLevel, optimize_plan
-from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations
 from repro.runtime.executor import (
     ParallelInterpreter, run_plan, run_source_plan,
@@ -49,7 +47,7 @@ from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close
-from support.progen import generate_body_nest_program, generate_nest_program
+from support.progen import generate_body_nest_program
 from support.recording import RecordingList, record_global_stores
 from support.programs import EARLY_RETURNS, REFUSED_CFGS
 
@@ -116,7 +114,7 @@ def _observe(engine, shim, frame):
     )
 
 
-def differential(loop, shim, frame, iterations, outer=None):
+def differential(loop, shim, frame, iterations):
     """Run the chunk on both engines from one state.
 
     Returns engine name -> :class:`Observation`; the interpreter runs
@@ -129,12 +127,12 @@ def differential(loop, shim, frame, iterations, outer=None):
     saved = [(storage, list(storage)) for storage in reachable]
     objects, registers = dict(frame.objects), dict(frame.registers)
     steps, out_mark = shim.steps, len(shim.output)
-    entry = codegen_cache.compiled_chunk(shim.module, loop, outer=outer)
+    entry = codegen_cache.compiled_chunk(shim.module, loop)
     assert entry is not None, "the lowering refused the loop"
     engines = (
         ("compiled", lambda: entry.fn(shim, frame, iterations)),
         ("interpreted", lambda: shim.run_chunk(
-            loop, frame, iterations, _NullLocks(), outer=outer)),
+            loop, frame, iterations, _NullLocks())),
     )
     seen = {}
     for name, engine in engines:
@@ -185,12 +183,11 @@ def chunks(monkeypatch, unarmed):
     ran = []
     record_global_stores(monkeypatch)
 
-    def execute(entry, shim, loop, frame, iterations, locks,
-                verify=None, outer=None):
+    def execute(entry, shim, loop, frame, iterations, locks, verify=None):
         if entry is None:
-            shim.run_chunk(loop, frame, iterations, locks, outer=outer)
+            shim.run_chunk(loop, frame, iterations, locks)
             return "interpreted"
-        seen = differential(loop, shim, frame, iterations, outer)
+        seen = differential(loop, shim, frame, iterations)
         assert_engines_agree(seen, entry.label)
         ran.append((
             entry.label, entry.tier,
@@ -811,9 +808,8 @@ def test_the_pdg_carries_no_array_at_any_sliced_loop(name, monkeypatch):
                                       opt_level=level)
         forest = session.analyses.loops_by_header
         for region in session.region_recipes["PS-PDG"]:
-            outer = forest.get(region.outer_header)
             for header in region.headers:
-                lower.lower_chunk(forest[header], outer=outer)
+                lower.lower_chunk(forest[header])
         for inner in sliced:
             carried = session.analyses.carried_at(inner)
             assert all(obj.is_scalar() for obj in carried), (
@@ -1345,34 +1341,6 @@ def test_every_planned_stop_is_a_statement_of_a_compiled_sequence(
         assert dispatches and (fused or name == "LU")
 
 
-def test_an_interchanged_nest_stops_at_its_outer_header(unarmed):
-    """tests/integration/test_o3_fuzz.py's corpus: the stop's one member
-    is the outer loop, and control resumes behind it."""
-    keyed_outside = 0
-    for seed in range(12):
-        source = generate_nest_program(seed)
-        session = Session.from_source(source, name=f"nest-{seed}")
-        plan = optimize_plan(
-            session.pspdg,
-            openmp_source_plan(
-                session.function, loop_uid_map(session.loops)
-            ),
-            OptLevel.O3,
-        ).plan
-        keyed_outside += any(
-            region.outer_header for region in plan.regions
-        )
-        compiled, interpreted = (
-            run_plan(session.pspdg, plan, workers=3, backend="threads",
-                     compile_regions=engine)
-            for engine in (True, False)
-        )
-        assert compiled.sequence_stats["interpreted"] == 0, seed
-        assert outputs_close(compiled.output, session.execution.output)
-        assert compiled.steps == interpreted.steps, seed
-    assert keyed_outside
-
-
 STOP_THEN_TAIL = """
 global a: int[12];
 func main() {
@@ -1564,10 +1532,8 @@ for kernel in sorted(KERNELS):
     show(f"{kernel} sequence", lower_sequence(function, stops, forest)[0])
     show(f"{kernel} profiled", _ProfiledLowering(function, session.loops).lower())
     for region in regions.values():
-        outer = forest.get(region.outer_header)
         for header in region.headers:
-            show(f"{kernel} chunk {header}",
-                 lower_chunk(forest[header], outer=outer)[0])
+            show(f"{kernel} chunk {header}", lower_chunk(forest[header])[0])
 """
 
 

@@ -176,7 +176,7 @@ def test_unsupported_instruction_falls_back_and_conforms(monkeypatch):
 def test_whole_codegen_failure_still_conforms(monkeypatch):
     """Even a crashing lowering must never take down a run."""
 
-    def explode(loop, outer=None):
+    def explode(loop):
         raise RuntimeError("synthetic codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
@@ -216,8 +216,8 @@ def corrupted_lowering(monkeypatch):
     corrupted = []
     real = lower.lower_chunk
 
-    def corrupting(loop, outer=None):
-        source, refs = real(loop, outer=outer)
+    def corrupting(loop):
+        source, refs = real(loop)
         source, hits = _STORE.subn(r"\1 = (\2) + 1", source, count=1)
         if hits:
             corrupted.append(

@@ -115,6 +115,7 @@ class TestFusionLegality:
         region = result.plan.region_for(headers[0])
         assert region.headers == headers
         assert region.fused
+        assert region.witness.startswith("aligned dependence on @b (#")
 
     def test_fused_execution_conforms_on_every_backend(self):
         session, result = _optimize_source(FUSABLE)

@@ -316,6 +316,22 @@ def test_unknown_abstraction_rejected():
         SessionConfig(abstractions=("PDG", "bogus"))
 
 
+def test_a_bare_string_abstractions_is_rejected_by_name():
+    """It used to be read as its letters: unknown ['D', 'G', 'P']."""
+    with pytest.raises(ValueError, match="abstractions must be a sequence"):
+        SessionConfig(abstractions="PDG")
+
+
+@pytest.mark.parametrize("machine", [None, "default", {"cores": 8}])
+def test_a_machine_that_is_no_machine_model_is_rejected(machine):
+    """``machine=None`` used to pass and crash the first plan with an
+    ``AttributeError`` on ``.cores``."""
+    with pytest.raises(ValueError, match="machine must be a MachineModel"):
+        SessionConfig(machine=machine)
+    with pytest.raises(ValueError, match="machine must be a MachineModel"):
+        Session.from_kernel("EP", machine=machine)
+
+
 @pytest.mark.parametrize("coverage", [
     float("nan"), float("inf"), float("-inf"), 2.0, -0.01,
 ])

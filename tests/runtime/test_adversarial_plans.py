@@ -11,25 +11,18 @@ lost its teeth, not that the programs are broken.
 
 The graph has teeth too: deleting the dependence a loop carries turns it
 DOALL under the PDG view, and the oracle refutes the plan that follows.
-So do the ``-O3`` rejections: LU's wavefront interchange, which the
-static test cannot decide, diverges when forced.
 """
-
-import dataclasses
 
 import pytest
 
-from repro import Session
 from repro.emulator import run_module
 from repro.frontend import compile_source
-from repro.opt import OptLevel, optimize_plan
 from repro.pdg import EDGE_MEMORY, PDG, build_pdg
 from repro.planner import PDGView, classify_loop
 from repro.runtime import (
     LoopParallelization,
     parallelization_from_annotation,
     run_parallel,
-    run_plan,
 )
 from repro.util.errors import ReproError
 from support.conformance import outputs_close
@@ -258,28 +251,3 @@ class TestDeletedEdgesAreCaught:
     @pytest.mark.parametrize("shape", sorted(CARRIED))
     def test_deleting_a_carried_edge_is_caught(self, shape):
         _assert_deletion_is_caught(CARRIED[shape])
-
-
-def test_a_forced_lu_wavefront_interchange_diverges():
-    """``-O3`` rejects LU's wavefront nest as undecided; applied anyway,
-    one dispatch of the whole nest loses the dependence its inner loop
-    carries across outer iterations, and the oracle sees it."""
-    session = Session.from_kernel("LU")
-    seeded = optimize_plan(
-        session.pspdg, session.plan("PS-PDG"), OptLevel.O0
-    ).plan
-    wavefront = seeded.region_for("for.header.4")
-    forced = seeded.with_regions([
-        dataclasses.replace(wavefront, outer_header="for.header.3")
-    ])
-    expected = session.execution.output
-    diverged = 0
-    for seed in range(4):
-        try:
-            result = run_plan(session.pspdg, forced, workers=WORKERS,
-                              seed=seed, backend="simulated")
-        except ReproError:
-            diverged += 1
-            continue
-        diverged += not outputs_close(result.output, expected)
-    assert diverged > 0, "forced wavefront interchange never diverged"

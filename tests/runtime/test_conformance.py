@@ -114,8 +114,7 @@ def test_opt_levels_conform(kernel, backend, kernel_state, optimized_plans):
     """-O0, -O2, and -O3 produce identical results on every backend.
 
     The -O2 plan may fuse regions, elide proven-redundant locks, and
-    serialize small regions; -O3 adds loop interchange, skewed fusion
-    and tiling, each decided on the graph — none of which may change
+    serialize small regions; -O3 adds tiling — none of which may change
     a single output value (ints bitwise; float reductions compare with
     isclose, since serializing a reduction changes its association
     order).
@@ -168,8 +167,8 @@ def test_opt_never_dispatches_more_payloads(kernel_state, optimized_plans):
     wavefront regions: at most half the -O0 payloads (12 of 300 at 4
     workers).  At 8 workers -O3's tiling caps LU's and SP's trip-20
     regions at ``ceil(trip / tile)`` partitions, so -O3 ships strictly
-    fewer payloads and bytes than -O2 (LU 24 -> 12 payloads, 93 232 ->
-    46 676 B; SP 24 -> 16, 180 016 -> 120 118 B); at 4 workers the two
+    fewer payloads and bytes than -O2 (LU 24 -> 12 payloads, 93 208 ->
+    46 664 B; SP 24 -> 16, 179 992 -> 120 102 B); at 4 workers the two
     tie.  Bytes are compared on a pool that already holds the module.
     """
     for kernel in kernel_names():
