@@ -39,6 +39,8 @@ from repro.runtime import knobs
 from repro.runtime.backends import (
     SerialBackend, _NullLocks, _WorkerInterpreter,
 )
+from repro.opt import OptLevel, optimize_plan
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations
 from repro.runtime.executor import (
     ParallelInterpreter, run_plan, run_source_plan,
@@ -47,7 +49,7 @@ from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close
-from support.progen import generate_body_nest_program
+from support.progen import generate_body_nest_program, generate_nest_program
 from support.recording import RecordingList, record_global_stores
 from support.programs import EARLY_RETURNS, REFUSED_CFGS
 
@@ -1339,6 +1341,30 @@ def test_every_planned_stop_is_a_statement_of_a_compiled_sequence(
         fused += any(region.fused for region in regions)
     if name in ("LU", "CG", "dense24"):
         assert dispatches and (fused or name == "LU")
+
+
+def test_the_nest_corpus_runs_its_sequence_compiled_at_o3(unarmed):
+    """tests/integration/test_o3_fuzz.py's corpus: -O3 serializes every
+    nest region, and the sequence around them runs compiled, step for
+    step as the interpreter runs it."""
+    for seed in range(12):
+        source = generate_nest_program(seed)
+        session = Session.from_source(source, name=f"nest-{seed}")
+        plan = optimize_plan(
+            session.pspdg,
+            openmp_source_plan(
+                session.function, loop_uid_map(session.loops)
+            ),
+            OptLevel.O3,
+        ).plan
+        compiled, interpreted = (
+            run_plan(session.pspdg, plan, workers=3, backend="threads",
+                     compile_regions=engine)
+            for engine in (True, False)
+        )
+        assert compiled.sequence_stats["interpreted"] == 0, seed
+        assert outputs_close(compiled.output, session.execution.output)
+        assert compiled.steps == interpreted.steps, seed
 
 
 STOP_THEN_TAIL = """

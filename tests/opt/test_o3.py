@@ -2,8 +2,9 @@
 
 Tiling's tile shape comes from the machine model and caps the dispatch
 width at run time; apart from the tiles an -O3 plan is the -O2 plan, so
-a serial-outer / DOALL-inner nest and a pair of loops at a non-zero
-dependence distance are planned exactly as -O2 plans them.
+a serial-outer / DOALL-inner nest (whether its dependences are carried
+across the nest, or undecided by the static test) and a pair of loops
+at a non-zero dependence distance are planned exactly as -O2 plans them.
 """
 
 import dataclasses
@@ -35,6 +36,45 @@ func main() {
     }
   }
   print("m", m[0][0], m[5][7], m[11][15]);
+}
+"""
+
+#: Same shape, but each row reads the previous row one column over: the
+#: inner loop is DOALL within one outer iteration, yet the dependence
+#: is carried across the nest, so only the inner loop may be dispatched.
+NEST_CARRIED = """
+global m: float[16][16];
+
+func main() {
+  for i in 0..16 {
+    for j in 0..16 {
+      m[i][j] = float(i + j * 3) * 0.5;
+    }
+  }
+  for t in 1..12 {
+    pragma omp parallel_for
+    for i in 0..15 {
+      m[t][i] = m[t - 1][i + 1] + 1.0;
+    }
+  }
+  print("m", m[1][0], m[6][7], m[11][14]);
+}
+"""
+
+#: The column index is computed through a modulus, which the static
+#: dependence test cannot decide; the slots are in fact disjoint.
+NEST_NONAFFINE_OK = """
+global m: float[8][16];
+
+func main() {
+  for t in 0..8 {
+    pragma omp parallel_for
+    for i in 0..8 {
+      var k: int = (i * 2) % 16;
+      m[t][k] = float(t + i) * 0.5;
+    }
+  }
+  print("m", m[0][0], m[3][6], m[7][14]);
 }
 """
 
@@ -84,18 +124,61 @@ def _assert_conformant(session, plan, workers=4):
             )
 
 
+def _untiled(plan):
+    return [dataclasses.replace(r, tile=None) for r in plan.regions]
+
+
 class TestO3IsO2PlusTiling:
     def test_o3_plans_the_nest_as_o2_plus_tiles(self):
         session, result = _optimize(NEST_OK)
         _o2_session, o2 = _optimize(NEST_OK, level=OptLevel.O2)
-        untiled = [dataclasses.replace(r, tile=None)
-                   for r in result.plan.regions]
-        assert untiled == list(o2.plan.regions)
+        assert _untiled(result.plan) == list(o2.plan.regions)
         assert list(result.report.pass_seconds) == [
             "region-fusion", "sync-elimination",
             "small-region-serialization", "tiling",
         ]
         _assert_conformant(session, result.plan)
+
+    def test_an_inner_carried_nest_is_planned_as_at_o2_and_conforms(self):
+        session, result = _optimize(NEST_CARRIED)
+        _o2_session, o2 = _optimize(NEST_CARRIED, level=OptLevel.O2)
+        assert _untiled(result.plan) == list(o2.plan.regions)
+        assert result.plan.loop_plans == o2.plan.loop_plans
+        _assert_conformant(session, result.plan)
+
+    def test_a_nonaffine_nest_is_planned_as_at_o2_and_conforms(self):
+        session, result = _optimize(NEST_NONAFFINE_OK)
+        _o2_session, o2 = _optimize(NEST_NONAFFINE_OK, level=OptLevel.O2)
+        assert _untiled(result.plan) == list(o2.plan.regions)
+        _assert_conformant(session, result.plan)
+
+    def test_the_nest_runs_serially_where_o0_dispatches_per_outer_row(self):
+        """No region is keyed by a nest: unoptimized, each of the 12
+        outer iterations dispatches its 16-iteration inner loop; at -O3
+        the inner loop is serialized, so nothing dispatches at all."""
+        session, result = _optimize(NEST_OK)
+        _o0_session, o0 = _optimize(NEST_OK, level=OptLevel.O0)
+        o3_run, o0_run = (
+            run_plan(session.pspdg, plan, workers=4, backend="processes")
+            for plan in (result.plan, o0.plan)
+        )
+        assert [(r["header"], r["iterations"])
+                for r in o0_run.parallel_regions] == [
+            ("for.header.3", 16)] * 12
+        assert o3_run.parallel_regions == []
+        for run in (o3_run, o0_run):
+            assert outputs_close(run.output, session.execution.output)
+
+    def test_lu_wavefront_is_serialized_as_at_o2(self):
+        session = Session.from_kernel("LU")
+        plan = session.plan("PS-PDG")
+        result = optimize_plan(session.pspdg, plan, OptLevel.O3)
+        o2 = optimize_plan(session.pspdg, plan, OptLevel.O2)
+        wavefront = result.plan.region_for("for.header.4")
+        assert wavefront.headers == ("for.header.4",)
+        assert (wavefront.backend_override
+                == o2.plan.region_for("for.header.4").backend_override)
+        assert result.plan.region_for("for.header.3") is None
 
     def test_uniform_distance_fusion_is_rejected_at_every_level(self):
         for level in (OptLevel.O2, OptLevel.O3):

@@ -11,6 +11,9 @@ lost its teeth, not that the programs are broken.
 
 The graph has teeth too: deleting the dependence a loop carries turns it
 DOALL under the PDG view, and the oracle refutes the plan that follows.
+So does the outer loop of a nest whose inner loop is DOALL but whose
+dependence runs across outer iterations: the graph keeps it serial, and
+forced parallel it diverges.
 """
 
 import pytest
@@ -137,6 +140,26 @@ func main() {
 }
 
 
+#: The inner loop is DOALL; row t reads row t - 1 one column over, so
+#: the outer loop carries a dependence.
+NEST_CARRIED_OUTER = """
+global m: float[12][16];
+
+func main() {
+  for i in 0..16 {
+    m[0][i] = float(i) * 0.5;
+  }
+  for t in 1..12 {
+    pragma omp parallel_for
+    for i in 0..15 {
+      m[t][i] = m[t - 1][i + 1] + float(t);
+    }
+  }
+  print(m[1][0], m[6][7], m[11][3]);
+}
+"""
+
+
 def _loop_header(function):
     return next(
         a.loop_header
@@ -251,3 +274,24 @@ class TestDeletedEdgesAreCaught:
     @pytest.mark.parametrize("shape", sorted(CARRIED))
     def test_deleting_a_carried_edge_is_caught(self, shape):
         _assert_deletion_is_caught(CARRIED[shape])
+
+
+def test_a_forced_nest_outer_loop_diverges():
+    """The annotated inner loop conforms; the outer loop is not DOALL on
+    the graph, and a bare plan for it diverges under the oracle."""
+    module = compile_source(NEST_CARRIED_OUTER)
+    function = module.function("main")
+    inner = _loop_header(function)
+    pdg = build_pdg(function, module)
+    (outer,) = [
+        loop for loop in pdg.loops
+        if loop.header.name != inner
+        and any(b.name == inner for b in loop.blocks)
+    ]
+    assert not classify_loop(PDGView(pdg), outer).doall_legal
+    assert _divergences(NEST_CARRIED_OUTER, _correct_recipes) == 0
+    header = outer.header.name
+    assert _divergences(
+        NEST_CARRIED_OUTER,
+        lambda _module: [LoopParallelization(header=header)],
+    ) > 0

@@ -555,6 +555,8 @@ class TestWireHelpers:
         list(range(0, 64, 4)),
         [0, 1, 2, 3, 50, 51, 52, 53],
         [5, 9, 2, 40, 41, 42, 43, 44, 45, 46, 47],
+        list(range(40, 0, -3)),  # descending run
+        list(range(-8, 8)) + [-20, -30, -40],  # negative starts
     ])
     def test_iteration_packing_roundtrips(self, values):
         packed = payload_codec._pack_iterations(values)
