@@ -124,8 +124,10 @@ def _cmd_plan(args):
 def _cmd_run(args):
     if not args.faults:
         return _run(args)
-    from repro.runtime import knobs
+    from repro.runtime import faults, knobs
 
+    # A malformed spec is an error before anything runs, on every backend.
+    faults.FaultPlan.from_spec(args.faults)
     knobs.REPRO_FAULTS.value = args.faults
     try:
         return _run(args)

@@ -30,17 +30,16 @@ owns its whole execution strategy:
   attached to every payload of it, next to each worker's small frame
   delta; a pool child decodes it, runs its chunk against it and keeps
   nothing of it afterwards.  The module itself travels as persistent
-  ids against a per-child decoded-module cache, its bytes broadcast at
-  most once per pool (a child that was not sent them or has evicted
-  the module reports a miss, and its payload is sent to it again with
-  them attached).  The child copies the region's
-  storage table, runs its iterations through the plain compiled body
-  (no write log, no store bookkeeping) and sends back its private
-  reduction/lastprivate values plus the table slots that now differ
-  from the copy.  The parent collects every result, then writes the
-  diffs into its own table and merges reductions in worker order, so
-  results are deterministic.  Loops
-  whose bodies contain ``critical``/``atomic`` regions need shared
+  ids against the child's decoded modules; the pool keeps each child's
+  ledger of them and sends a module's bytes along with the first
+  payload a child gets of it, so no child ever lacks the module its
+  payload names.  The child copies the region's storage table, runs its
+  iterations through the plain compiled body (no write log, no store
+  bookkeeping) and sends back its private reduction/lastprivate values
+  plus the table slots that now differ from the copy.  The parent
+  collects every result, then writes the diffs into its own table and
+  merges reductions in worker order, so results are deterministic.
+  Loops whose bodies contain ``critical``/``atomic`` regions need shared
   memory and fall back to the ``threads`` backend.  Dispatch is
   supervised — infrastructure failures retry the region — and a region
   that exhausts its retries fails over to ``threads``, once.
@@ -59,6 +58,7 @@ import os
 import random
 import threading
 import time
+from collections import OrderedDict
 
 import repro.runtime.payload as payload_codec
 from repro.codegen import cache as codegen_cache
@@ -557,17 +557,26 @@ def _fork_preferred_context():
 
 
 def _pool_child(pipe, inherited):
-    """A pool child's loop: a ``(function, args)`` in, its return value out.
+    """A pool child's loop: ``(install, function, args)`` in,
+    ``function(*args)`` out.
 
-    ``inherited`` are the parent's pipe ends this fork copied; closing
-    them leaves every child's EOF to the parent alone.  EOF — or a parent
-    that stopped listening — ends the loop.
+    ``install`` is ``None`` or the ``(key, bytes, drop)`` of a module
+    this child's ledger just took in, installed before the call
+    (:func:`~repro.runtime.payload.install_module`).  ``inherited`` are
+    the parent's pipe ends this fork copied; closing them leaves every
+    child's EOF to the parent alone.  EOF — or a parent that stopped
+    listening — ends the loop.
     """
     for end in inherited:
         end.close()
+    # Whatever the parent had decoded came along with the fork; the
+    # child holds what its ledger names, and that starts empty.
+    payload_codec._DECODED_MODULES.clear()
     try:
         while True:
-            function, args = pipe.recv()
+            install, function, args = pipe.recv()
+            if install is not None:
+                payload_codec.install_module(*install)
             pipe.send(function(*args))
     except (EOFError, OSError):
         pass
@@ -579,16 +588,16 @@ class _ChunkPool:
     Forking a fresh child per worker per region costs ~10ms each, which
     dominates small kernels; a pool amortizes the fork across every
     region of every run, and payloads carry all state, so the children
-    need no inherited context.  ``shipped`` holds the module keys
-    broadcast to this pool: built with it, dead with it.  ``lock`` is
-    held by one dispatch from its first send to its last reply, so no
+    need no inherited context.  ``ledgers`` maps each pipe to the module
+    keys its child holds, least recently used first — at most
+    ``MODULE_CACHE_CAP``, built with the pool, dead with it.  ``lock``
+    is held by one dispatch from its first send to its last reply, so no
     reply reaches another region.
     """
 
     def __init__(self, size):
         context = _fork_preferred_context()
         self.size = size
-        self.shipped = set()
         self.lock = threading.Lock()
         self.closed = False
         self.pipes, self.children = [], []
@@ -609,27 +618,34 @@ class _ChunkPool:
                 self.pipes.append(pipe)
                 self.children.append(child)
         self.sentinels = [child.sentinel for child in self.children]
+        self.ledgers = {pipe: OrderedDict() for pipe in self.pipes}
 
-    def run(self, calls, timeout, again):
+    def run(self, calls, timeout, module=None):
         """Each ``(function, args)`` of ``calls`` on an idle child; the
-        replies, in call order.  The caller holds ``lock``.
+        replies, in call order, and how many module copies went out.
+        The caller holds ``lock``.
 
-        A call waits for the first child to free when all are busy.
-        ``again(index, reply)`` may return a call to send the child that
-        replied in place of its reply.  A closed pipe, a child's death or
-        ``timeout`` seconds for the whole batch raise :class:`_InfraFailure`.
+        ``module`` is the :class:`~repro.runtime.payload.ModuleCodec`
+        every call's payload names; a child whose ledger lacks it gets
+        its bytes with the call.  A call waits for the first child to
+        free when all are busy.  A closed pipe, a child's death or
+        ``timeout`` seconds for the whole batch raise
+        :class:`_InfraFailure`.
         """
         deadline = time.monotonic() + timeout
         replies = [None] * len(calls)
         pending = list(enumerate(calls))[::-1]
         idle = self.pipes[::-1]
         busy = {}  # pipe -> index of the call its child runs
+        copies = 0
         try:
             while pending or busy:
                 while pending and idle:
-                    index, call = pending.pop()
+                    index, (function, args) = pending.pop()
                     pipe = idle.pop()
-                    pipe.send(call)
+                    install = self._install(pipe, module) if module else None
+                    copies += install is not None
+                    pipe.send((install, function, args))
                     busy[pipe] = index
                 ready = multiprocessing.connection.wait(
                     [*busy, *self.sentinels],
@@ -642,27 +658,32 @@ class _ChunkPool:
                 for pipe in ready:
                     if pipe not in busy:
                         raise _InfraFailure("a pool child died")
-                    index = busy.pop(pipe)
-                    reply = pipe.recv()
-                    call = again(index, reply)
-                    if call is None:
-                        replies[index] = reply
-                        idle.append(pipe)
-                    else:
-                        pipe.send(call)
-                        busy[pipe] = index
+                    replies[busy.pop(pipe)] = pipe.recv()
+                    idle.append(pipe)
         except (EOFError, OSError) as exc:  # reset under us, or died
             raise _InfraFailure(
                 f"a pool pipe closed: {type(exc).__name__}: {exc}"
             ) from None
-        return replies
+        return replies, copies
+
+    def _install(self, pipe, module):
+        """What ``pipe``'s child must install before a payload naming
+        ``module``: ``None`` if its ledger holds the key (now the most
+        recent), else ``(key, bytes, key to drop or None)``."""
+        ledger = self.ledgers[pipe]
+        if module.key in ledger:
+            ledger.move_to_end(module.key)
+            return None
+        ledger[module.key] = None
+        drop = None
+        if len(ledger) > payload_codec.MODULE_CACHE_CAP:
+            drop, _ = ledger.popitem(last=False)
+        return module.key, module.module_bytes, drop
 
     def call(self, function, *args):
         """``function(*args)`` on one child (a probe for tests)."""
         with self.lock:
-            (reply,) = self.run(
-                [(function, args)], _PROCESS_TIMEOUT, lambda *_: None
-            )
+            (reply,), _copies = self.run([(function, args)], _PROCESS_TIMEOUT)
         return reply
 
     def kill(self):
@@ -727,10 +748,10 @@ def _chunk_pool(requested=None):
 
 def _reset_chunk_pool(pool=None):
     """Kill ``pool`` (by default the live one) and its children; the next
-    :func:`_chunk_pool` builds afresh, its broadcast set empty.
+    :func:`_chunk_pool` builds afresh, its ledgers empty.
 
-    A dispatch that took the old pool first marks its module shipped in
-    the dead pool's set only, and its sends fail as infrastructure.
+    A dispatch that took the old pool first fails its sends as
+    infrastructure and retries on the new one.
     """
     global _POOL
     with _POOL_LOCK:
@@ -757,14 +778,12 @@ def _pool_chunk_entry(wire, fault=None):
     ``diffs`` are :func:`~repro.runtime.payload.diff_table` of that
     table against a copy taken before the run; a payload that arms the
     ``VERIFY_COMPILED`` oracle runs the same entry under it.  Never
-    raises —
-    errors come back as ``{"error": ...}`` so one
-    bad chunk cannot poison the shared pool; a worker that does not hold
-    the module the payload names reports ``{"module_miss": key}`` so the
-    parent can retry with its bytes attached.  Decode failures are
-    tagged ``"phase": "decode"`` — they indict the wire/cache machinery,
-    not the program, so the supervisor retries them; execution failures
-    stay untagged and fatal.
+    raises — errors come back as ``{"error": ...}`` so one bad chunk
+    cannot poison the shared pool.  Decode failures (a payload naming a
+    module this child does not hold among them) are tagged ``"phase":
+    "decode"`` — they indict the wire/ledger machinery, not the program,
+    so the supervisor retries them; execution failures stay untagged and
+    fatal.
 
     ``fault`` is an injected-fault directive from
     :mod:`repro.runtime.faults` (chaos testing only): executed before
@@ -775,8 +794,6 @@ def _pool_chunk_entry(wire, fault=None):
         faults.perform(fault)
     try:
         payload = payload_codec.decode_payload(wire)
-        if payload is None:
-            return {"module_miss": wire[0]}  # the module key
     except BaseException as exc:
         return {"error": f"{type(exc).__name__}: {exc}", "phase": "decode"}
     try:
@@ -968,9 +985,10 @@ class ProcessesBackend(ExecutionBackend):
         anything.  Raises :class:`_InfraFailure` for retryable
         infrastructure failures, after killing the pool (a stuck or
         half-dead child must not survive into the retry, and the next
-        pool's broadcast set is empty, so the re-encode ships the module
-        again); :class:`EmulationError` for program errors.  ``plan`` is
-        the active fault-injection plan (or None).
+        pool's ledgers are empty, so the retry sends the module again);
+        :class:`EmulationError` for program errors.  ``plan`` is the
+        active fault-injection plan (or None).  Module copies are counted
+        in ``payload_bytes`` once the pool has replied.
         """
         pool = _chunk_pool(interp.pool_size)
         stats = region.stats
@@ -981,7 +999,6 @@ class ProcessesBackend(ExecutionBackend):
             global_storage=interp._global_storage,
             max_steps=interp.max_steps,
             workers=active,
-            shipped=pool.shipped,
             compile_regions=interp.compile_regions,
         )
         ordinal = faults.next_region_ordinal() if plan else None
@@ -1003,28 +1020,16 @@ class ProcessesBackend(ExecutionBackend):
             calls.append((_pool_chunk_entry, (wire, directive)))
         stats.payloads += len(calls)
         stats.payload_bytes += encoded.wire_bytes
-        missed = set()
-
-        def again(index, result):
-            # The module's bytes went to other children, or this one has
-            # evicted it: resend its payload (only), the bytes attached.
-            if index in missed or not result.get("module_miss"):
-                return None
-            missed.add(index)
-            refreshed = encoded.workers[index].with_module(encoded.codec)
-            stats.payloads += 1
-            stats.payload_bytes += refreshed.wire_bytes
-            stats.retry_payload_bytes += refreshed.wire_bytes
-            return (_pool_chunk_entry, (refreshed.wire(), None))
-
+        codec = encoded.codec
         # Collect every result before applying any of them: a retried
         # dispatch re-encodes the *pre-dispatch* state, so no worker's
         # shared-memory effects may land until the whole region is in.
         with pool.lock:
             try:
-                results = pool.run(
-                    calls, _region_allowance(interp.max_steps), again
+                results, copies = pool.run(
+                    calls, _region_allowance(interp.max_steps), codec
                 )
+                stats.payload_bytes += copies * len(codec.module_bytes)
                 return encoded.table, self._completed(active, results, dropped)
             except EmulationError:
                 raise  # a program error: every reply is in, the pool sound
@@ -1040,12 +1045,9 @@ class ProcessesBackend(ExecutionBackend):
         worker's failure: a program error, or a retryable one."""
         completed = []
         for index, (worker, result) in enumerate(zip(active, results)):
-            if result.get("module_miss"):
-                infra = "still missing the module after a retry with it " \
-                        "attached"
-            elif result.get("phase") == "decode":
-                # The wire or the module caches are at fault, not the
-                # program: a clean re-encode may succeed.
+            if result.get("phase") == "decode":
+                # The wire or the ledgers are at fault, not the program:
+                # a clean re-encode on a fresh pool may succeed.
                 infra = f"failed to decode its payload: {result['error']}"
             elif "error" in result:
                 raise EmulationError(

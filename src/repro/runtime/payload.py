@@ -6,15 +6,17 @@ O(program size) pickled W times per region.  The format that ships
 splits that dict by how often each part changes, and a pool worker
 keeps nothing between payloads but its decoded modules:
 
-**Module: once per pool.**  Module-owned objects are persistent
+**Module: once per child.**  Module-owned objects are persistent
 ids ``("m", index)`` into the deterministic :func:`module_objects`
-traversal; the module's bytes are broadcast once per process pool
-(whose owner keeps the set of keys sent), cached child-side by content
-hash, and a worker that joined later or evicted the module reports a
-miss and gets its payload again with the bytes attached.  Member
-``NaturalLoop`` objects travel as ``("l", function, header)`` ids — the
-child recomputes loops from its decoded module, so region streams carry
-no loop structure at all.
+traversal.  The module's bytes travel with the first payload a pool
+child gets of it: the parent keeps, per child, the ledger of module
+keys that child holds (at most :data:`MODULE_CACHE_CAP`, least recently
+used first out), and a payload to a child whose ledger lacks its module
+carries the bytes and the key the child must drop
+(:func:`install_module`), so a child holds exactly its ledger and never
+misses.  Member ``NaturalLoop`` objects travel as ``("l", function,
+header)`` ids — the child recomputes loops from its decoded module, so
+region streams carry no loop structure at all.
 
 **State: once per region.**  The shared state — the global-storage
 dict plus an ordered *storage table* of every shared list the region's
@@ -66,17 +68,17 @@ MODULE_TAG = "m"  # module-owned objects, by module_objects() index
 STORAGE_TAG = "s"  # shared storage lists, by the region's table index
 LOOP_TAG = "l"  # NaturalLoops, by (function name, header block name)
 
-#: Modules kept per process, on both sides of the wire: the parent's
-#: pickled-bytes LRU (id-keyed; strong references guarantee the id
-#: cannot be recycled while the entry exists) and a pool worker's
-#: decoded-module LRU.  Sized above the sessions one process
-#: realistically alternates: ``run-procs-warm`` rotates 9 live Sessions
-#: through one pool, and at the earlier caps (parent 8, child 4) every
-#: operation re-pickled or re-decoded its module and paid a module-miss
-#: round trip per worker — warm geomean 15.2 ms/op and 291 KB of 909 KB
-#: per round in retries; child cap 16 alone gave 9.85 ms and 83 KB,
-#: both at 16 gave 8.69 ms, peak RSS unchanged (parent 39.3 MB,
-#: children 33.5 MB).
+#: Modules kept on both sides of the wire: the parent's pickled-bytes
+#: LRU (id-keyed; strong references guarantee the id cannot be recycled
+#: while the entry exists) and, per pool child, the parent's ledger of
+#: the decoded modules that child holds.  Sized above the sessions one
+#: process realistically alternates: ``run-procs-warm`` rotates 9 live
+#: Sessions through one pool, and at the earlier caps (parent 8, child
+#: 4) every operation re-pickled or re-decoded its module and sent its
+#: bytes again — warm geomean 15.2 ms/op and 291 KB of 909 KB per round
+#: in resent modules; child cap 16 alone gave 9.85 ms and 83 KB, both at
+#: 16 gave 8.69 ms, peak RSS unchanged (parent 39.3 MB, children
+#: 33.5 MB).
 MODULE_CACHE_CAP = 16
 
 
@@ -224,9 +226,9 @@ def reset_codec_caches():
 
     Called by the test suite's autouse fixture so no test (or session)
     depends on what a previous one pickled or decoded here: parent-side
-    module codecs and this process's decoded-module cache (which matters
+    module codecs and this process's installed modules (which matter
     when payloads are decoded in-process, as the codec tests do).  What
-    a pool has been sent is the pool's state and is not touched.
+    a pool's children hold is in the pool's ledgers and is not touched.
     """
     _MODULE_CODECS.clear()
     _DECODED_MODULES.clear()
@@ -297,14 +299,14 @@ def live_in_registers(loops):
 class WorkerPayload:
     """One pool dispatch.
 
-    ``module_bytes`` rides along only on the pool's first broadcast or a
-    module-miss retry.  ``state_bytes`` (the region's shared state) and
-    ``header_bytes`` (region metadata) are identical across the region's
-    workers; ``delta_bytes`` is this worker's frame and iterations.
+    ``module_key`` names the module the child must hold: the pool sends
+    its bytes ahead to a child whose ledger lacks it.  ``state_bytes``
+    (the region's shared state) and ``header_bytes`` (region metadata)
+    are identical across the region's workers; ``delta_bytes`` is this
+    worker's frame and iterations.
     """
 
     module_key: str
-    module_bytes: bytes  # None when the pool was already sent them
     state_bytes: bytes
     header_bytes: bytes
     delta_bytes: bytes
@@ -315,21 +317,15 @@ class WorkerPayload:
             len(self.state_bytes)
             + len(self.header_bytes)
             + len(self.delta_bytes)
-            + (len(self.module_bytes) if self.module_bytes else 0)
         )
 
     def wire(self):
         return (
             self.module_key,
-            self.module_bytes,
             self.state_bytes,
             self.header_bytes,
             self.delta_bytes,
         )
-
-    def with_module(self, codec):
-        """A copy carrying the module bytes (miss-retry path)."""
-        return dataclasses.replace(self, module_bytes=codec.module_bytes)
 
     def corrupted(self, seed=0):
         """A copy with deterministically flipped delta bytes (chaos only).
@@ -398,13 +394,12 @@ def _unpack_iterations(packed):
 
 
 def encode_region(module, frame, loops, global_storage, max_steps,
-                  workers, shipped, compile_regions=False):
+                  workers, compile_regions=False):
     """Encode one region's pool payloads.
 
     ``workers`` are the active ``_Worker`` instances; ``frame`` is the
     enclosing sequential frame whose storages the worker frames alias;
-    ``shipped`` is the set of module keys already broadcast to the pool
-    these payloads go to (grown here); ``compile_regions`` asks the worker
+    ``compile_regions`` asks the worker
     to run each chunk through its exec-compiled body
     (``repro.codegen``) where one lowers — the flag travels in the
     header, so children need no environment.
@@ -446,7 +441,6 @@ def encode_region(module, frame, loops, global_storage, max_steps,
     base_memo = header_pickler.memo.copy()
 
     needed = codec.livein_for(loops)
-    ship = codec.key not in shipped
     payloads = []
     for worker in workers:
         delta_buffer = io.BytesIO()
@@ -479,34 +473,28 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         ))
         payloads.append(WorkerPayload(
             module_key=codec.key,
-            module_bytes=codec.module_bytes if ship else None,
             state_bytes=state_bytes,
             header_bytes=header_bytes,
             delta_bytes=delta_buffer.getvalue(),
         ))
-    if ship and payloads:
-        shipped.add(codec.key)
     return RegionPayloads(codec=codec, workers=payloads, table=table)
 
 
 # -- pool-worker-side decoding -------------------------------------------------
 
-_DECODED_MODULES = OrderedDict()  # module key -> (module, objects, loops)
+_DECODED_MODULES = {}  # module key -> (module, objects, loops)
 
 
-def _decoded_module(module_key, module_bytes):
-    entry = _DECODED_MODULES.get(module_key)
-    if entry is None:
-        if module_bytes is None:
-            return None
-        module = pickle.loads(module_bytes)
-        entry = (module, module_objects(module), {})
-        _DECODED_MODULES[module_key] = entry
-        while len(_DECODED_MODULES) > MODULE_CACHE_CAP:
-            _DECODED_MODULES.popitem(last=False)
-    else:
-        _DECODED_MODULES.move_to_end(module_key)
-    return entry
+def install_module(module_key, module_bytes, drop=None):
+    """Decode a module this process will be sent payloads of.
+
+    A pool child runs this before the payload that carried the bytes;
+    ``drop`` is the key its ledger in the parent just evicted, so the
+    child holds exactly what that ledger names.
+    """
+    _DECODED_MODULES.pop(drop, None)
+    module = pickle.loads(module_bytes)
+    _DECODED_MODULES[module_key] = (module, module_objects(module), {})
 
 
 def _loop_resolver(module, loop_cache):
@@ -526,17 +514,15 @@ def _loop_resolver(module, loop_cache):
 def decode_payload(wire):
     """Decode one :meth:`WorkerPayload.wire` tuple inside a pool worker.
 
-    Returns the payload dict the chunk entry executes, or ``None`` when
-    this worker lacks the module bytes the payload references (the
-    caller reports the miss and the parent retries with them attached).
+    Returns the payload dict the chunk entry executes; a module that was
+    never installed (:func:`install_module`) is a :class:`ReproError`.
     The decoded shared state belongs to this one payload: the chunk runs
     against it, ``table`` is diffed (:func:`diff_table`), it is dropped.
     """
-    module_key, module_bytes, state_bytes, header_bytes, delta_bytes = wire
-    entry = _decoded_module(module_key, module_bytes)
-    if entry is None:
-        return None
-    module, objects, loop_cache = entry
+    module_key, state_bytes, header_bytes, delta_bytes = wire
+    if module_key not in _DECODED_MODULES:
+        raise ReproError(f"module {module_key[:12]} is not installed here")
+    module, objects, loop_cache = _DECODED_MODULES[module_key]
     state = pickle.loads(state_bytes)
     unpickler = _RegionUnpickler(
         io.BytesIO(header_bytes + delta_bytes),

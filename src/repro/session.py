@@ -312,7 +312,8 @@ class Session:
         ``opt`` (the optimization level) default to the session config.
         Abstraction-name runs at the config's level reuse the cached
         ``optimize``/``recipes`` stages; an explicit different ``opt``
-        optimizes on the fly without touching the caches.  The
+        (or an explicit plan) optimizes on the fly, priced for the run's
+        engine, without touching the caches.  The
         ``processes`` chunk pool is sized from the machine model's core
         count.  Per-region, per-worker timing is in the result's
         ``parallel_regions`` (``util.regionstats.parallel_report``
@@ -353,14 +354,17 @@ class Session:
             if level == config.opt_level:
                 regions = self._cached_regions(plan)
             else:
-                regions = self._regions_at_level(plan, level)
+                optimized = self._optimized(
+                    self.plan(plan), level, compile_on
+                ).plan
+                regions = recipes_from_plan(self.pspdg, optimized)
             base_plan = self.plan(plan) if adaptive_on else None
         else:
             # Explicit ProgramPlan: optimize against the session's
             # cached graphs, then derive its recipes.
             base_plan = plan
             if level > OptLevel.O0 and not plan.regions:
-                plan = self._optimize_plan_object(plan, level)
+                plan = self._optimized(plan, level, compile_on).plan
             regions = recipes_from_plan(self.pspdg, plan)
         replan = (
             self._replan_context(base_plan, level) if adaptive_on else None
@@ -423,7 +427,8 @@ class Session:
 
     def _optimized(self, plan, level, compile_regions):
         """``optimize_plan`` over ``plan`` on the cached artifacts, priced
-        with the (possibly calibrated) machine model and wire feedback."""
+        for the engine ``compile_regions`` names with the (possibly
+        calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
         return optimize_plan(
             self.pspdg,
@@ -434,15 +439,6 @@ class Session:
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
         )
-
-    def _optimize_plan_object(self, plan, level):
-        """Run the -O passes over an explicit plan (cache-bypassing)."""
-        return self._optimized(plan, level, compile_regions=False).plan
-
-    def _regions_at_level(self, abstraction, level):
-        """Regions for an explicit ``opt=`` override (cache-bypassing)."""
-        optimized = self._optimize_plan_object(self.plan(abstraction), level)
-        return recipes_from_plan(self.pspdg, optimized)
 
     # -- ablation / canonical form --------------------------------------------
 

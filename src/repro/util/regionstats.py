@@ -41,8 +41,7 @@ class RegionStats:
     prelude_hits: int = 0  # always 0; benchmarks/e2e still reads it
     prelude_misses: int = 0  # always 0; benchmarks/e2e still reads it
     prelude_bytes_saved: int = 0  # always 0; benchmarks/e2e still reads it
-    retry_payload_bytes: int = 0  # bytes of module-miss retry round-trips
-    # (timing-dependent: which pool worker picked a payload up first)
+    retry_payload_bytes: int = 0  # always 0; benchmarks/e2e still reads it
     compiled_chunks: int = 0  # chunks run through exec-compiled bodies
     interpreted_chunks: int = 0  # chunks run through the dispatch loop
     codegen_compiles: int = 0  # fresh lowerings this region caused

@@ -611,6 +611,40 @@ def test_reconfigure_compile_regions_rekeys_optimize_only():
     assert session.diagnostics.runs("optimize") == 2  # first key: a hit
 
 
+@pytest.mark.parametrize("kernel", ("BT", "CG", "EP", "FT", "IS", "LU",
+                                    "MG", "SP"))
+def test_an_opt_override_dispatches_what_the_config_level_does(
+        kernel, monkeypatch):
+    """``run(opt=L)`` and a run of an explicit ``ProgramPlan`` price the
+    plan for the run's engine, exactly as an ``opt_level=L`` session
+    does: the same regions, backend overrides and tiles, at every level
+    and on both engines."""
+    import repro.session
+
+    dispatched = []
+
+    def spy(module, regions, function_name, **options):
+        dispatched.append([
+            (region.label, region.backend_override, region.tile)
+            for region in regions
+        ])
+
+    monkeypatch.setattr(repro.session, "run_parallel", spy)
+    session = Session.from_kernel(kernel)
+    plan = session.plan("PS-PDG")
+    for compile_regions in (True, False):
+        for level in (1, 2, 3):
+            session.reconfigure(opt_level=0, compile_regions=compile_regions)
+            session.run("PS-PDG", opt=level)
+            session.run(plan, opt=level)
+            session.reconfigure(opt_level=level)
+            session.run("PS-PDG")
+            override, explicit, configured = dispatched[-3:]
+            where = f"{kernel} -O{level} compile_regions={compile_regions}"
+            assert override == configured, where
+            assert explicit == configured, where
+
+
 def test_stage_builders_read_only_their_declared_params():
     """A builder gets its ``params`` as arguments and never touches
     ``session.config`` — so it can only read what its key hashes."""
@@ -681,6 +715,24 @@ def test_cli_faults_flag_recovers_and_does_not_leak(capsys, monkeypatch):
     faulted = next(l for l in table if l.startswith("for.header")).split()
     assert int(faulted[columns.index("flt")]) == 1  # the crash fired...
     assert int(faulted[columns.index("rtry")]) >= 1  # ...and was retried
+    assert knobs.REPRO_FAULTS.value == ""
+
+
+@pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
+@pytest.mark.parametrize("spec", ("bogus", "crash:region=x"))
+def test_cli_rejects_a_malformed_faults_spec_before_running(
+        spec, backend, capsys, monkeypatch):
+    """A spec that does not parse is an error on every backend, before
+    anything runs — not ignored because no ``processes`` region fired."""
+    from repro import cli
+    from repro.runtime import knobs
+
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda args: ran.append(args) or 0)
+    status = cli.main(["run", "EP", "--backend", backend, "--faults", spec])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
     assert knobs.REPRO_FAULTS.value == ""
 
 

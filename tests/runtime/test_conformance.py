@@ -33,6 +33,14 @@ WORKER_COUNTS = (1, 2, 4, 8)
 SEEDS = (0, 1, 2)
 
 
+def _sent_once(result):
+    """No region sent a payload again for its module (``processes``: the
+    pool attaches the bytes up front; the other backends send nothing)."""
+    return not any(
+        region["retry_payload_bytes"] for region in result.parallel_regions
+    )
+
+
 @pytest.fixture(scope="module")
 def kernel_state():
     """Per kernel: (session, PS-PDG plan, sequential output) — built once."""
@@ -79,6 +87,7 @@ def test_planned_loops_match_sequential(kernel, schedule, backend,
                 f"seed={seed}: "
                 + describe_mismatch(result.output, expected)
             )
+            assert _sent_once(result)
             retrials.append(result.output)
         if backend != "simulated":
             # Deterministic partition + worker-order merge: real-backend
@@ -106,6 +115,7 @@ def test_source_plans_match_sequential(backend, kernel_state):
                 f"{kernel} source-plan {backend} workers={workers}: "
                 + describe_mismatch(result.output, expected)
             )
+            assert _sent_once(result)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -136,19 +146,20 @@ def test_opt_levels_conform(kernel, backend, kernel_state, optimized_plans):
                     f"seed={seed}: "
                     + describe_mismatch(result.output, expected)
                 )
+                assert _sent_once(result)
 
 
 def _pool_traffic(session, plan, workers):
     """``(payloads, wire bytes, output)`` of one ``processes`` run.
 
     Payloads are counted from the per-worker assignments — the
-    optimizer's dispatch structure — because raw ``payloads`` also
-    include module-miss retry round-trips, which depend on pool
-    scheduling timing, not on the optimization level; so do the bytes.
+    optimizer's dispatch structure — because raw ``payloads`` also count
+    the resends of a dispatch retried after an injected fault.
     """
     result = run_plan(
         session.pspdg, plan, workers=workers, backend="processes",
     )
+    assert _sent_once(result)
     regions = result.parallel_regions
     payloads = sum(
         1

@@ -5,10 +5,10 @@ region encodes to byte-identical streams, a decoded worker frame
 preserves the register→storage aliasing the child's diff and write-back
 rely on, the table diff a child ships home is exactly the shared slots
 its chunk changed (one body per loop lowered, armed or not), the
-module's bytes travel at most once per pool (with
-the miss/retry path covering pool workers that joined late or evicted
-the module), and a dispatch depends on nothing an earlier dispatch left
-behind but the decoded module.
+module's bytes travel once per pool child (the parent's ledger of what
+each child holds decides which payload carries them), and a dispatch
+depends on nothing an earlier dispatch left behind but the decoded
+module.
 """
 
 import pickle
@@ -62,6 +62,14 @@ def captured_region(monkeypatch):
     return session, captured
 
 
+def _decode_here(encoded):
+    """Worker 0's payload decoded in this process, its module installed
+    first as a pool child would have it."""
+    codec = encoded.codec
+    payload_codec.install_module(codec.key, codec.module_bytes)
+    return payload_codec.decode_payload(encoded.workers[0].wire())
+
+
 class TestEncodeDeterminism:
     def test_same_region_encodes_byte_identical_streams(
         self, captured_region
@@ -100,8 +108,7 @@ class TestDecodedAliasing:
     ):
         _session, captured = captured_region
         encoded, _again = captured[0]
-        worker_payload = encoded.workers[0]
-        decoded = payload_codec.decode_payload(worker_payload.wire())
+        decoded = _decode_here(encoded)
         frame = decoded["frame"]
         shared_ids = {
             id(values) for values in decoded["global_storage"].values()
@@ -125,7 +132,7 @@ class TestDecodedAliasing:
     ):
         _session, captured = captured_region
         encoded, _again = captured[0]
-        decoded = payload_codec.decode_payload(encoded.workers[0].wire())
+        decoded = _decode_here(encoded)
         table = decoded["table"]
         before = [list(storage) for storage in table]
         index_of = {id(storage): i for i, storage in enumerate(table)}
@@ -348,8 +355,11 @@ class TestPlainBodyOnly:
         real = payload_codec.encode_region
 
         def spy(**kwargs):
-            wires.append(real(**kwargs).workers[0].wire())
-            return real(**kwargs)
+            encoded = real(**kwargs)
+            codec = encoded.codec
+            wires.append((codec.key, codec.module_bytes,
+                          encoded.workers[0].wire()))
+            return encoded
 
         monkeypatch.setattr(backends.payload_codec, "encode_region", spy)
         Session.from_kernel("CG").run(
@@ -366,7 +376,9 @@ class TestPlainBodyOnly:
             backends._WorkerInterpreter, "run_chunk", counting
         )
         codegen_cache.reset()
-        report = backends._pool_chunk_entry(wires[0])
+        key, module_bytes, wire = wires[0]
+        payload_codec.install_module(key, module_bytes)
+        report = backends._pool_chunk_entry(wire)
         assert "error" not in report, report
         # One lowered body; armed, the interpreter ran it too, the
         # oracle agreed, and the interpreter's effects came home.
@@ -407,25 +419,36 @@ class TestModuleByteCache:
         )
         assert bytes_third >= bytes_second + module_bytes
 
-    def test_module_miss_retry(self):
-        session = Session.from_kernel("EP")
-        codec = payload_codec.module_codec(session.module)
-        # Poison the broadcast set of the pool the next run will use:
-        # the parent omits the module bytes, every fresh pool worker
-        # misses, and the retry path must recover.
-        pool = backends._chunk_pool(session.config.machine.cores)
-        pool.shipped.add(codec.key)
-        result = session.run("PS-PDG", workers=4, backend="processes")
-        assert result.output == session.execution.output
-        region = result.parallel_regions[0]
-        workers_used = sum(
-            1 for worker in region["per_worker"] if worker["iterations"]
-        )
-        assert region["payloads"] > workers_used  # retries happened
+    @pytest.mark.parametrize("kernel", ["EP", "LU"])
+    def test_first_contact_ships_one_copy_per_child(
+            self, kernel, monkeypatch):
+        """A fresh two-child pool, four payloads a region: the module's
+        bytes go to each child once — with the first payload it gets —
+        not with every payload of the first region."""
+        monkeypatch.setattr(backends, "_desired_pool_size", lambda _n: 2)
+        session = Session.from_kernel(kernel, opt_level=2)
 
-    def test_decode_reports_module_miss(self):
-        wire = ("no-such-key", None, b"", b"", b"")
-        assert payload_codec.decode_payload(wire) is None
+        def run():
+            result = session.run("PS-PDG", workers=4, backend="processes")
+            assert outputs_close(result.output, session.execution.output)
+            regions = result.parallel_regions
+            assert any(r["backend"] == "processes" for r in regions)
+            assert all(r["retry_payload_bytes"] == 0 for r in regions)
+            return sum(r["payload_bytes"] for r in regions)
+
+        first, second = run(), run()
+        module_bytes = len(
+            payload_codec.module_codec(session.module).module_bytes
+        )
+        assert first == second + 2 * module_bytes
+
+    def test_a_module_the_child_lacks_is_a_decode_error(self):
+        wire = ("no-such-key", b"", b"", b"")
+        with pytest.raises(ReproError, match="not installed"):
+            payload_codec.decode_payload(wire)
+        report = backends._pool_chunk_entry(wire)
+        assert report["phase"] == "decode"
+        assert "not installed" in report["error"]
 
     def test_codec_cache_reuses_by_identity(self):
         session = Session.from_kernel("EP")

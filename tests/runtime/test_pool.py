@@ -3,9 +3,10 @@
 The persistent pool is sized from the planner's machine-model core
 count (clamped to real CPUs and a hard cap) and lives as long as the
 process: only a wider request or a reset (infrastructure failure,
-exit) replaces it.  What bounds a worker is its decoded-module LRU
-(``MODULE_CACHE_CAP``), and the set of modules a pool has been sent is
-that pool's own state — built with it, dead with it.
+exit) replaces it.  What bounds a worker is its ledger — the parent's
+per-child list of the modules that child holds, at most
+``MODULE_CACHE_CAP`` — which is that pool's own state: built with it,
+dead with it.
 """
 
 import os
@@ -125,54 +126,28 @@ class TestPoolLifecycle:
         # The first idle child answers a probe, on the pipe it was forked with.
         assert pool.call(os.getpid) == first_pids[0]
 
-    def test_reset_pool_starts_with_an_empty_broadcast_set(self):
-        """A reset kills the children, and the pool built next has been
-        sent nothing, and says so — the supervisor's recovery depends on
-        the next dispatch attaching module bytes no live worker holds."""
+    def test_reset_pool_starts_with_empty_ledgers(self):
+        """A reset kills the children, and the pool built next has a
+        ledger per child that names nothing — the supervisor's recovery
+        depends on the next dispatch attaching module bytes no live
+        worker holds."""
         session = Session.from_kernel("EP")
         key = payload.module_codec(session.module).key
         _run(session)
         old = backends._chunk_pool(2)
         pids = [child.pid for child in old.children]
-        assert key in old.shipped
+        assert any(key in ledger for ledger in old.ledgers.values())
         backends._reset_chunk_pool()
         assert old.closed and _running(pids) == []
         backends._reset_chunk_pool(old)  # a second reset is a no-op
         fresh = backends._chunk_pool(2)
         assert fresh is not old
-        assert fresh.shipped is not old.shipped and not fresh.shipped
+        assert set(fresh.ledgers) == set(fresh.pipes)
+        assert not any(fresh.ledgers.values())
+        assert fresh.call(_decoded_modules_held) == 0
         first = _run(session)[0]
         assert first["retry_payload_bytes"] == 0
         assert first["payload_bytes"] > _module_bytes(session)
-
-    def test_a_reset_between_taking_the_pool_and_encoding(self, monkeypatch):
-        """The set a dispatch marks is the set of the pool it took: after
-        a reset in between, the key lands in the dead pool's set only and
-        the next pool is still sent the module up front."""
-        captured = []
-        real = payload.encode_region
-
-        def spy(**kwargs):
-            captured.append(kwargs)
-            return real(**kwargs)
-
-        monkeypatch.setattr(backends.payload_codec, "encode_region", spy)
-        session = Session.from_kernel("EP")
-        _run(session)
-        key = payload.module_codec(session.module).key
-        backends._reset_chunk_pool()
-        taken = backends._chunk_pool(2)  # as _dispatch_once takes it
-        assert not taken.shipped
-        backends._reset_chunk_pool()
-        encoded = real(**{**captured[0], "shipped": taken.shipped})
-        assert taken.shipped == {key}
-        assert all(worker.module_bytes for worker in encoded.workers)
-        fresh = backends._chunk_pool(2)
-        assert fresh is not taken and fresh.shipped == set()
-        first = _run(session)[0]
-        assert first["retry_payload_bytes"] == 0
-        assert first["payload_bytes"] > _module_bytes(session)
-        assert backends._chunk_pool(2).shipped == {key}
 
     def test_a_reset_between_taking_the_pool_and_sending(self, monkeypatch):
         """Another dispatching thread's reset lands after this one took
@@ -197,29 +172,36 @@ class TestPoolLifecycle:
         assert backends._chunk_pool(2) is not resets[0]
 
     def test_a_worker_holds_at_most_the_module_cap(self, monkeypatch):
-        """What bounds a worker: 20 modules through one child leave it
-        ``MODULE_CACHE_CAP`` decoded ones; an evicted module comes back
-        by the miss/retry path and is lowered again, a resident one ships
-        no module bytes."""
+        """What bounds a worker: ``MODULE_CACHE_CAP + 4`` modules through
+        one child leave it ``MODULE_CACHE_CAP`` decoded ones, exactly its
+        ledger; an evicted module comes back with its bytes attached up
+        front and is lowered again, a resident one ships no module
+        bytes."""
         monkeypatch.setattr(backends, "_desired_pool_size", lambda _n: 1)
         cap = payload.MODULE_CACHE_CAP
         sessions = _rotating_sessions(cap + 4)
+        keys = [payload.module_codec(s.module).key for s in sessions]
         smallest = min(_module_bytes(session) for session in sessions)
         for session in sessions:  # first contact: attached up front
             (region,) = _run(session)
             assert region["retry_payload_bytes"] == 0
             assert region["payload_bytes"] > _module_bytes(session)
         pool = backends._chunk_pool()
-        assert len(pool.shipped) == len(sessions)
+        (ledger,) = pool.ledgers.values()
+        assert list(ledger) == keys[-cap:]
         assert pool.call(_decoded_modules_held) == cap
-        # Module 0 was evicted; the pool's set still names it, so its
-        # payloads go out bare, miss, and are retried with the bytes.
+        # Module 0 was evicted and the ledger says so: its one child gets
+        # the bytes with the first payload, and no payload goes twice.
         (region,) = _run(sessions[0])
-        assert region["retry_payload_bytes"] > _module_bytes(sessions[0])
+        used = sum(1 for row in region["per_worker"] if row["iterations"])
+        assert region["payloads"] == used
+        assert region["retry_payload_bytes"] == 0
+        assert region["payload_bytes"] > _module_bytes(sessions[0])
         # Re-decoded into new objects, so lowered again: the codegen
         # cache is keyed by the module object, never by content.
         assert region["codegen_compiles"] > 0
         assert region["codegen_source_hits"] == 0
+        assert pool.call(_decoded_modules_held) == cap
         # Resident now: the last cap - 1 of the first pass, and module 0.
         for session in sessions[-(cap - 1):] + sessions[:1]:
             (region,) = _run(session)
@@ -230,8 +212,8 @@ class TestPoolLifecycle:
 
     def test_run_after_reset_reships_full_state(self):
         """Post-reset, the first region carries everything the fresh
-        workers need — module and state attached up front, so no miss
-        round-trip is paid."""
+        workers need — module and state attached up front, and no
+        payload is sent twice."""
         session = Session.from_kernel("EP")
         warm = session.run("PS-PDG", workers=2, backend="processes")
         backends._reset_chunk_pool()

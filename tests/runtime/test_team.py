@@ -381,30 +381,29 @@ def forks(monkeypatch):
 
 @needs_fork
 def test_no_team_thread_is_alive_when_a_process_pool_is_built(forks):
+    """Before each pool build a ``threads`` run has left team threads
+    parked; the build retires them, so no fork copies one."""
     backends._reset_chunk_pool()
     session = build_session("IS")
     results, sizes = [], []
     try:
-        session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
         for _ in range(3):
-            assert team_threads()  # parked, as the last run left them
+            threaded = session.run("PS-PDG", workers=2, backend="threads")
+            assert outputs_close(threaded.output, session.execution.output)
+            assert team_threads()  # parked, as the threads run left them
             # No pool: this run's first processes region builds one, forks.
             backends._reset_chunk_pool()
             results.append(session.run(
-                "PS-PDG", opt="-O2", workers=2, backend="processes"
+                "PS-PDG", workers=2, backend="processes"
             ))
             sizes.append(backends._POOL.size)
     finally:
         backends._reset_chunk_pool()
     for result in results:
         labels = [region["backend"] for region in result.parallel_regions]
-        # Downgraded regions run on the team between the pool's regions.
-        assert labels[0] == "processes->threads(small-region)"
-        assert "processes" in labels[1:-1]
-        assert labels[-1] == "processes->threads(small-region)"
+        assert "processes" in labels
         assert outputs_close(result.output, session.execution.output)
     assert forks == [[]] * sum(sizes)
-    assert team_threads()  # the last downgraded region's
 
 
 @needs_fork

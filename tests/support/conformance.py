@@ -133,13 +133,6 @@ def diff_load_balance(baseline_regions, candidate_regions,
 
 
 def wire_bytes(regions):
-    """Bytes a run's regions put on the wire, less module-miss retries.
-
-    A retry depends on pool scheduling timing; what is left is fixed by
-    the plan — once the pool holds the module, whose broadcast is also
-    counted on the first run that ships it.
-    """
-    return sum(
-        region["payload_bytes"] - region["retry_payload_bytes"]
-        for region in regions
-    )
+    """Bytes a run's regions put on the wire: fixed by the plan, plus one
+    module copy per pool child that did not hold the module yet."""
+    return sum(region["payload_bytes"] for region in regions)
