@@ -423,11 +423,10 @@ def test_region_feedback_aggregates_per_label():
         RegionStats(header="L2", payloads=2, payload_bytes=600),
         RegionStats(header="seq", payloads=0),
     ]
-    payload_bytes, speedup, recovery = region_feedback(regions)
+    payload_bytes, speedup = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8, "L2": 300}
     assert "seq" not in payload_bytes
     assert speedup == {}  # no chunk-mode executions recorded
-    assert recovery == {}  # no supervised recoveries recorded
 
 
 def test_region_feedback_measures_compiled_speedup():
@@ -453,7 +452,7 @@ def test_region_feedback_measures_compiled_speedup():
         header="L3", seconds=1.0, compiled_chunks=2,
         per_worker=[{"steps": 1000}],
     ))
-    _bytes, speedup, _recovery = region_feedback(regions)
+    _bytes, speedup = region_feedback(regions)
     assert speedup == {"L1": pytest.approx(4.0)}
 
 

@@ -8,6 +8,7 @@ up a pool.
 """
 
 import json
+import os
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.planner.calibration import (
     OUTLIER_MIN_SAMPLES,
     PAYLOAD_SAMPLE_FLOOR,
     CalibrationStore,
-    ReplanContext,
 )
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.util.regionstats import RegionStats
@@ -231,6 +231,32 @@ class TestPersistence:
             store.region_feedback("prog-a")
         assert warm.runs == store.runs
 
+    def test_a_failed_save_keeps_the_previous_profile(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "profile.json")
+        store = CalibrationStore(path)
+        store.observe_run(
+            [region(seconds=1.0, worker_seconds=(0.2, 0.2),
+                    worker_steps=(500, 500), payloads=2,
+                    payload_bytes=5000)],
+            program_key="prog-a",
+        )
+        store.save()
+        saved = CalibrationStore(path).measured_coefficients()
+        assert saved
+
+        store._update("compiled_speedup", 3.0)
+
+        def broken_dump(*_args, **_kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            store.save()
+        monkeypatch.undo()
+        assert CalibrationStore(path).measured_coefficients() == saved
+        assert os.listdir(tmp_path) == ["profile.json"]
+
     def test_missing_file_is_empty(self, tmp_path):
         store = CalibrationStore(str(tmp_path / "absent.json"))
         assert not store.observed
@@ -350,15 +376,3 @@ class TestPersistence:
         assert "compiled_speedup" in text
         assert "(static)" in text  # the never-observed coefficients
 
-
-class TestReplanContext:
-    def test_default_store_is_private(self):
-        a = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
-        b = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
-        assert a.store is not b.store
-
-    def test_explicit_store_is_shared(self):
-        store = CalibrationStore()
-        ctx = ReplanContext(pspdg=None, plan=None, level=None,
-                            machine=None, store=store)
-        assert ctx.store is store
