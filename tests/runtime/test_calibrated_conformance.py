@@ -30,9 +30,8 @@ def miscalibrated_session(kernel="LU", **overrides):
     overrides.setdefault("opt_level", 2)
     overrides.setdefault("backend", "processes")
     overrides.setdefault("workers", 4)
-    return Session.from_kernel(
-        kernel, machine=MISCALIBRATED, calibrate=True, **overrides
-    )
+    overrides.setdefault("calibrate", True)
+    return Session.from_kernel(kernel, machine=MISCALIBRATED, **overrides)
 
 
 def observed_then_repriced(session):
@@ -80,6 +79,103 @@ class TestCalibratedConformance:
         first, second = observed_then_repriced(session)
         assert outputs_close(second.output, expected)
         assert dispatched(second) != dispatched(first)
+
+
+class TestObservingRun:
+    """What one observed run feeds back, and what it leaves alone."""
+
+    @pytest.fixture(scope="class")
+    def calibrated_runs(self):
+        session = miscalibrated_session()
+        planned = session.region_recipes["PS-PDG"]
+        first = session.run("PS-PDG")
+        after_first = session.calibration.measured_coefficients()
+        second = session.run("PS-PDG")
+        session.measured_after_first = after_first
+        return session, planned, first, second
+
+    def test_the_run_measures_positive_coefficients(self, calibrated_runs):
+        session, _planned, _first, _second = calibrated_runs
+        measured = session.calibration.measured_coefficients()
+        assert measured  # at least one coefficient observed
+        assert all(
+            value > 0 and samples >= 1
+            for value, samples in measured.values()
+        )
+
+    def test_both_runs_are_observed(self, calibrated_runs):
+        session, _planned, _first, _second = calibrated_runs
+        assert session.calibration.runs == 2
+        before = session.measured_after_first
+        after = session.calibration.measured_coefficients()
+        # Samples accumulate: the second run forgets nothing.
+        assert all(
+            after[name][1] >= samples
+            for name, (_value, samples) in before.items()
+        )
+
+    def test_measured_coefficients_replace_the_static_ones(
+            self, calibrated_runs):
+        session, _planned, _first, _second = calibrated_runs
+        machine = session.calibrated["machine"]
+        assert machine != MISCALIBRATED
+        for name, (value, _samples) in \
+                session.calibration.measured_coefficients().items():
+            static = getattr(MISCALIBRATED, name)
+            if isinstance(static, int):
+                assert getattr(machine, name) == max(1, int(round(value)))
+            else:
+                assert getattr(machine, name) == pytest.approx(value)
+
+    def test_wire_feedback_covers_every_dispatched_label(
+            self, calibrated_runs):
+        session, _planned, first, _second = calibrated_runs
+        payload_bytes, _speedup = session.calibration.region_feedback(
+            session.program_key()
+        )
+        assert {r.header for r in first.parallel_regions if r.payloads} \
+            <= set(payload_bytes)
+        assert all(value > 0 for value in payload_bytes.values())
+
+    def test_repricing_never_adds_a_region(self, calibrated_runs):
+        # MISCALIBRATED dispatches every legal region: measured costs
+        # can serialize or reroute one, never add another.
+        session, planned, _first, second = calibrated_runs
+        repriced = session.region_recipes["PS-PDG"]
+        assert {r.label for r in repriced} <= {r.label for r in planned}
+        assert {r.header for r in second.parallel_regions} \
+            <= {r.label for r in planned}
+
+    def test_the_observation_rekeys_the_plan_cache(self, calibrated_runs):
+        session, planned, _first, _second = calibrated_runs
+        assert session.region_recipes["PS-PDG"] is not planned
+
+    def test_results_match_an_uncalibrated_session(self, calibrated_runs):
+        _session, _planned, first, second = calibrated_runs
+        plain = miscalibrated_session(calibrate=False).run("PS-PDG")
+        assert first.formatted_output() == plain.formatted_output()
+        assert second.formatted_output() == plain.formatted_output()
+
+
+def test_calibration_off_never_observes():
+    session = miscalibrated_session(calibrate=False)
+    planned = session.region_recipes["PS-PDG"]
+    session.run("PS-PDG")
+    assert not session.calibration.observed
+    assert session.region_recipes["PS-PDG"] is planned
+
+
+def test_untimed_simulated_run_leaves_the_plan_alone():
+    # The oracle's workers are untimed: nothing to measure, so the
+    # second run dispatches exactly what the first did.
+    session = Session.from_kernel(
+        "IS", opt_level=2, workers=4, calibrate=True,
+    )
+    planned = session.region_recipes["PS-PDG"]
+    first, second = observed_then_repriced(session)
+    assert not session.calibration.observed
+    assert session.region_recipes["PS-PDG"] is planned
+    assert dispatched(second) == dispatched(first)
 
 
 @pytest.mark.parametrize("kernel", ("IS", "LU", "CG"))
