@@ -13,14 +13,13 @@ with it:
   privatizable, critical -> orderless, merge loop -> independent) and
   selects a strictly better plan, the paper's headline claim.
 
-The second half then *re-prices the plan from measurement*: a
-``calibrate=True`` session is given a deliberately mis-calibrated
-machine model (per-byte wire cost claimed to be ~free) and runs IS on
-the process pool twice.  Run 1 dispatches what the bad model priced;
-its measurements re-price run 2, and the example prints both runs'
-regions plus the coefficients the calibration store measured.
+The second half then *re-plans at run time*: the session is given a
+deliberately mis-calibrated machine model (per-byte wire cost claimed
+to be ~free), runs IS on the process pool with ``adaptive=True``, and
+prints the replan events the divergence detector fired plus the
+coefficients the calibration store measured along the way.
 
-Run:  python examples/is_calibration.py
+Run:  python examples/is_replanning.py
 """
 
 from repro import Session
@@ -65,21 +64,14 @@ def main():
         f"compiler found a better plan than the source encoded."
     )
     print()
-    calibration_demo()
+    replan_demo()
 
 
-def regions(result):
-    return ", ".join(
-        f"{region.header}:{region.backend}"
-        for region in result.parallel_regions
-    ) or "(none: every loop runs in the sequential code)"
-
-
-def calibration_demo():
-    """Run IS twice under a mis-calibrated machine model, calibrating."""
-    print("calibration demo: plan with a machine model whose dispatch/wire")
-    print("costs are ~100x too optimistic, run once, then let the measured")
-    print("coefficients re-price the next run:")
+def replan_demo():
+    """Run IS adaptively under a mis-calibrated machine model."""
+    print("adaptive replanning demo: plan with a machine model whose")
+    print("dispatch/wire costs are ~100x too optimistic, then let the")
+    print("runtime's divergence detector re-price the remaining regions:")
     print()
 
     miscalibrated = MachineModel(
@@ -89,15 +81,25 @@ def calibration_demo():
     )
     session = Session.from_kernel(
         "IS", opt_level=2, backend="processes", workers=4,
-        machine=miscalibrated, calibrate=True,
+        machine=miscalibrated,
     )
-    first = session.run("PS-PDG")
-    print(f"run 1 (mis-calibrated model): {regions(first)}")
-    second = session.run("PS-PDG")
-    print(f"run 2 (re-priced):            {regions(second)}")
-    print(f"program output: {second.formatted_output()}")
+    result = session.run("PS-PDG", adaptive=True)
+    print(f"program output: {result.formatted_output()}")
+    print(f"replan events:  {len(result.replan_events)}")
+    for event in result.replan_events:
+        reasons = ", ".join(
+            f"{reason['kind']}={reason['ratio']}x"
+            for reason in event["reasons"]
+        )
+        for change in event["changes"]:
+            before, after = change["backend_override"]
+            print(
+                f"  after {event['after']}: {reasons} -> "
+                f"{change['region']} backend {before or 'processes'} "
+                f"-> {after or 'processes'}"
+            )
     print()
-    print("coefficients the runs measured (vs. the mis-calibrated input):")
+    print("coefficients the run measured (vs. the mis-calibrated input):")
     print(session.calibration.describe(miscalibrated))
     print()
     print("static defaults, for comparison:")

@@ -121,6 +121,14 @@ class FunctionAnalyses:
 
     # -- per-loop queries -----------------------------------------------------
 
+    def once(self, query, loop):
+        """``query(loop)`` for a query another layer owns, answered once
+        per loop like the ones below."""
+        key = (query, loop)
+        if key not in self._per_loop:
+            self._per_loop[key] = query(loop)
+        return self._per_loop[key]
+
     @_once_per_loop
     def loop_accesses(self, loop):
         """object -> its accesses inside ``loop``, in program order."""

@@ -21,7 +21,10 @@ floors iterations-per-payload so tiny chunks stop paying dispatch
 overhead.
 
 Entry point: :func:`optimize_plan` ``(pspdg, plan, level)``; levels:
-:class:`OptLevel`.
+:class:`OptLevel`.  It is :func:`restructure_plan` (fusion and sync
+elimination, which read only the graphs) followed by :func:`price_plan`
+(serialization and tiling, which read the machine model), so a new
+machine re-prices a plan without restructuring it again.
 """
 
 from repro.opt.context import OptContext
@@ -30,11 +33,14 @@ from repro.opt.legality import can_fuse, sync_is_redundant
 from repro.opt.levels import OptLevel
 from repro.opt.manager import (
     PIPELINES,
+    PRICING_PASSES,
     OptimizationResult,
     OptReport,
     PassManager,
     optimize_plan,
     passes_for,
+    price_plan,
+    restructure_plan,
     seed_regions,
 )
 from repro.opt.serialize import SmallRegionSerializationPass
@@ -48,6 +54,7 @@ __all__ = [
     "OptimizationResult",
     "PassManager",
     "PIPELINES",
+    "PRICING_PASSES",
     "RegionFusionPass",
     "SmallRegionSerializationPass",
     "SyncEliminationPass",
@@ -55,6 +62,8 @@ __all__ = [
     "can_fuse",
     "optimize_plan",
     "passes_for",
+    "price_plan",
+    "restructure_plan",
     "seed_regions",
     "sync_is_redundant",
 ]

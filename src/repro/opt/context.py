@@ -16,6 +16,8 @@ rewrites the plan must prove it preserves the sequential semantics, and
 those dependences are the representation of exactly those semantics.
 """
 
+import functools
+
 from repro.planner.recipes import parallelization_from_pspdg
 
 
@@ -44,10 +46,11 @@ class OptContext:
         self.compiled_speedup = (
             dict(compiled_speedup) if compiled_speedup else {}
         )
-        self.blocks_by_name = {
-            block.name: block for block in self.analyses.function.blocks
-        }
         self._recipes = {}
+
+    @functools.cached_property
+    def blocks_by_name(self):
+        return {block.name: block for block in self.analyses.function.blocks}
 
     def recipe(self, header_name):
         """The runtime recipe the executor would derive for this loop."""

@@ -69,10 +69,15 @@ def _body_cost(loop):
 
 
 def region_cost(ctx, headers):
-    """Summed per-entry cost of a region's member loops (None if unknown)."""
+    """Summed per-entry cost of a region's member loops (None if unknown).
+
+    A loop's cost is static, so the analysis record keeps it: pricing
+    the same plan for another machine does not walk the nest again.
+    """
+    analyses = ctx.analyses
     total = 0
     for header in headers:
-        cost = loop_cost(ctx.analyses.loops_by_header[header])
+        cost = analyses.once(loop_cost, analyses.loops_by_header[header])
         if cost is None:
             return None
         total += cost

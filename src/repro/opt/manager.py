@@ -45,6 +45,19 @@ class OptReport:
             "tiled": len(self.tiled),
         }
 
+    def copy(self):
+        """A report whose lists a later pass can extend without touching
+        this one's."""
+        return dataclasses.replace(
+            self,
+            fused=list(self.fused),
+            syncs_removed=list(self.syncs_removed),
+            serialized=list(self.serialized),
+            rejected=list(self.rejected),
+            tiled=list(self.tiled),
+            pass_seconds=dict(self.pass_seconds),
+        )
+
     def rejections_for(self, pass_name):
         return [entry for entry in self.rejected if entry[0] == pass_name]
 
@@ -110,6 +123,15 @@ PIPELINES = {
 }
 
 
+#: The passes whose decisions read the machine model and the measured
+#: feedback.  They close every pipeline, so optimizing a plan splits in
+#: two: :func:`restructure_plan` runs the passes that read only the
+#: graphs (fusion, sync elimination), :func:`price_plan` the ones that
+#: price the result.  A calibrating session re-prices after each
+#: observation and keeps its restructured plans.
+PRICING_PASSES = (SmallRegionSerializationPass, TilingPass)
+
+
 def passes_for(level):
     return tuple(pass_cls() for pass_cls in PIPELINES[OptLevel.coerce(level)])
 
@@ -131,6 +153,49 @@ class OptimizationResult:
     level: OptLevel
 
 
+def restructure_plan(pspdg, plan, level):
+    """Seed ``plan``'s regions and run the ``level`` passes that read only
+    the graphs; never mutates the input.  :func:`price_plan` finishes
+    the pipeline."""
+    level = OptLevel.coerce(level)
+    # No machine: a pass that prices regions has no business here.
+    ctx = OptContext(pspdg, None)
+    report = OptReport(level=level, plan_name=plan.name)
+    passes = [
+        pass_ for pass_ in passes_for(level)
+        if not isinstance(pass_, PRICING_PASSES)
+    ]
+    restructured = PassManager(passes).run(
+        ctx, seed_regions(ctx, plan), report
+    )
+    return OptimizationResult(plan=restructured, report=report, level=level)
+
+
+def price_plan(
+    pspdg, restructured, machine=None, payload_bytes=None,
+    compile_regions=False, compiled_speedup=None,
+):
+    """Run the pricing passes of ``restructured``'s level over its plan.
+
+    ``restructured`` is a :func:`restructure_plan` result; it is never
+    mutated, so one restructured plan can be priced again for another
+    machine.  The keyword arguments are :func:`optimize_plan`'s.
+    """
+    level = restructured.level
+    machine = machine if machine is not None else DEFAULT_MACHINE
+    ctx = OptContext(pspdg, machine,
+                     payload_bytes=payload_bytes,
+                     compile_regions=compile_regions,
+                     compiled_speedup=compiled_speedup)
+    report = restructured.report.copy()
+    passes = [
+        pass_ for pass_ in passes_for(level)
+        if isinstance(pass_, PRICING_PASSES)
+    ]
+    priced = PassManager(passes).run(ctx, restructured.plan, report)
+    return OptimizationResult(plan=priced, report=report, level=level)
+
+
 def optimize_plan(
     pspdg, plan, level, machine=None, payload_bytes=None,
     compile_regions=False, compiled_speedup=None,
@@ -148,13 +213,8 @@ def optimize_plan(
     ``compiled_speedup`` prior per region
     (``regionstats.region_feedback`` produces both).
     """
-    level = OptLevel.coerce(level)
-    machine = machine if machine is not None else DEFAULT_MACHINE
-    ctx = OptContext(pspdg, machine,
-                     payload_bytes=payload_bytes,
-                     compile_regions=compile_regions,
-                     compiled_speedup=compiled_speedup)
-    report = OptReport(level=level, plan_name=plan.name)
-    seeded = seed_regions(ctx, plan)
-    optimized = PassManager(passes_for(level)).run(ctx, seeded, report)
-    return OptimizationResult(plan=optimized, report=report, level=level)
+    return price_plan(
+        pspdg, restructure_plan(pspdg, plan, level), machine=machine,
+        payload_bytes=payload_bytes, compile_regions=compile_regions,
+        compiled_speedup=compiled_speedup,
+    )

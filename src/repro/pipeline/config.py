@@ -50,6 +50,10 @@ class SessionConfig:
             :class:`repro.planner.calibration.CalibrationStore`) and
             plan subsequent runs with them instead of ``machine``'s
             static values.
+        adaptive: default for ``Session.run(adaptive=)`` — mid-run
+            replanning of the remaining regions' cost decisions when a
+            dispatch diverges from the plan's predictions.  Implies
+            calibration for the run's own observations.
         profile_path: where the calibration profile JSON persists
             across sessions; ``None`` keeps it in memory only.
     """
@@ -67,6 +71,7 @@ class SessionConfig:
     opt_level: OptLevel = OptLevel.O0
     compile_regions: bool = True
     calibrate: bool = False
+    adaptive: bool = False
     profile_path: str | None = None
 
     def __post_init__(self):

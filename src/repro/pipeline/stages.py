@@ -30,6 +30,7 @@ from repro.codegen.profile import profile_function
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
+from repro.opt import restructure_plan
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.options import count_options
 from repro.planner.plans import (
@@ -52,7 +53,11 @@ class Stage:
     calibration store's *contents*, not just config: its key — and
     every downstream stage's — carries the store version, so a new
     observation re-prices plans while the graph stages upstream stay
-    put.
+    put.  ``decisions`` maps the artifact of a stage downstream of a
+    calibrated one to the decisions it holds, when those are all that
+    the stages below it read of the calibration: their keys then carry
+    the decisions instead of the store version, so an observation that
+    moves no decision rebuilds nothing below this stage.
     """
 
     name: str
@@ -61,6 +66,7 @@ class Stage:
     stats: callable = None
     params: tuple = ()
     calibrated: bool = False
+    decisions: callable = None
 
 
 def _build_module(session, name):
@@ -246,8 +252,32 @@ def _calibrate_stats(artifact):
     }
 
 
-def _build_optimize(session, opt_level, compile_regions):
-    """Run the ``-O`` pass pipeline over every planned abstraction.
+def _build_restructure(session, opt_level):
+    """The ``-O`` passes that read only the graphs, over every planned
+    abstraction.
+
+    The artifact maps abstraction name -> the
+    :func:`~repro.opt.restructure_plan` result: seeded regions after
+    fusion and sync elimination.  Nothing here reads the machine model,
+    so a calibration observation, which re-prices the ``optimize``
+    stage below, leaves this one cached.
+    """
+    return {
+        name: restructure_plan(session.pspdg, entry["plan"], opt_level)
+        for name, entry in session.critical_paths().items()
+        if entry.get("plan") is not None
+    }
+
+
+def _restructure_stats(results):
+    return {
+        "fused": sum(len(r.report.fused) for r in results.values()),
+        "rejected": sum(len(r.report.rejected) for r in results.values()),
+    }
+
+
+def _build_optimize(session, compile_regions):
+    """Price every restructured plan: the rest of the ``-O`` pipeline.
 
     The artifact maps abstraction name -> :class:`OptimizationResult`
     (rewritten plan + report).  Flipping the ``-O`` level or the engine
@@ -257,14 +287,18 @@ def _build_optimize(session, opt_level, compile_regions):
     stage: static defaults normally, measured coefficients when the
     session calibrates.
     """
-    results = {}
-    for name, entry in session.critical_paths().items():
-        plan = entry.get("plan")
-        if plan is not None:
-            results[name] = session._optimized(
-                plan, opt_level, compile_regions
-            )
-    return results
+    return {
+        name: session._priced(result, compile_regions)
+        for name, result in session.restructured.items()
+    }
+
+
+def _optimize_decisions(results):
+    """What ``recipes`` and below read of the priced plans: each
+    abstraction's region descriptors."""
+    return tuple(
+        (name, result.plan.regions) for name, result in results.items()
+    )
 
 
 def _optimize_stats(results):
@@ -405,14 +439,22 @@ STAGES = {
             params=("machine", "calibrate"),
             calibrated=True,
         ),
-        # The ``-O`` pipeline: pass-rewritten plans, then the region
-        # recipes the runtime dispatches.
+        # The ``-O`` pipeline: pass-rewritten plans (restructured, then
+        # priced), then the region recipes the runtime dispatches.
+        Stage(
+            "restructure",
+            ("pspdg", "critical_paths"),
+            _build_restructure,
+            _restructure_stats,
+            params=("opt_level",),
+        ),
         Stage(
             "optimize",
-            ("pspdg", "calibrate", "critical_paths"),
+            ("pspdg", "restructure", "calibrate"),
             _build_optimize,
             _optimize_stats,
-            params=("opt_level", "compile_regions"),
+            params=("compile_regions",),
+            decisions=_optimize_decisions,
         ),
         Stage(
             "recipes",
@@ -447,14 +489,24 @@ def stage_order(target):
     return order
 
 
+#: The key token of a stage that reads the calibration store directly.
+VERSION = "version"
+
+
 def _key_plan(name):
     closure = [STAGES[dep] for dep in stage_order(name)]
     fields = {field for stage in closure for field in stage.params}
-    return tuple(sorted(fields)), any(stage.calibrated for stage in closure)
+    token = None
+    if any(stage.calibrated for stage in closure):
+        deciders = [stage.name for stage in closure[:-1] if stage.decisions]
+        token = deciders[-1] if deciders else VERSION
+    return tuple(sorted(fields)), token
 
 
-#: Stage name -> (config fields its cache key hashes, whether the key
-#: carries the calibration store's version): the stage's own ``params``
-#: and ``calibrated`` flag joined with those of everything upstream,
-#: computed once.
+#: Stage name -> (config fields its cache key hashes, what its key
+#: carries of a calibrating session's store): the stage's own
+#: ``params`` joined with those of everything upstream, and ``None``
+#: (nothing calibrated upstream), :data:`VERSION` (the store version),
+#: or the name of the nearest upstream stage with ``decisions`` (the
+#: decisions its artifact holds).  Computed once.
 KEY_PLANS = {name: _key_plan(name) for name in STAGES}

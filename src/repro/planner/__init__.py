@@ -10,7 +10,7 @@ from repro.planner.classify import (
     SCCInfo,
     classify_loop,
 )
-from repro.planner.calibration import CalibrationStore
+from repro.planner.calibration import CalibrationStore, ReplanContext
 from repro.planner.critical_path import CriticalPathEvaluator, critical_path
 from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
@@ -46,6 +46,7 @@ __all__ = [
     "SCCInfo",
     "classify_loop",
     "CalibrationStore",
+    "ReplanContext",
     "CriticalPathEvaluator",
     "critical_path",
     "format_fig13_row",

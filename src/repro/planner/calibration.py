@@ -45,13 +45,16 @@ right order of magnitude, and the EWMA smooths the rest):
 Recovery-inflated regions (:attr:`RegionStats.recovery_inflated`) are
 excluded wholesale: their timings measure the fault injector, the
 retries and the failover, not the machine.
+
+:class:`ReplanContext` is the planner's half of adaptive mid-run
+replanning: divergence detection against the plan's predictions and
+re-pricing of the remaining regions through ``optimize_plan``.
 """
 
 import dataclasses
 import json
 import math
 import os
-import tempfile
 
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.util.regionstats import region_feedback
@@ -99,6 +102,18 @@ _COEFFICIENT_FLOORS = {
 #: order of magnitude.  Below the floor the overhead is attributed
 #: entirely to fixed dispatch.
 PAYLOAD_SAMPLE_FLOOR = 1024
+
+#: Adaptive-replanning divergence trigger: a region whose dispatch
+#: overhead exceeds this multiple of its compute time, or whose measured
+#: bytes-per-payload land outside this factor of the planner's
+#: assumption, requests a replan of the remaining dispatches.
+REPLAN_THRESHOLD = 3.0
+
+#: Adaptive-replanning balance trigger: a region whose max-over-mean
+#: per-worker step count exceeds this factor requests a replan (workers
+#: with no iterations are excluded, as in the conformance suite's
+#: imbalance metric).
+REPLAN_IMBALANCE = 2.0
 
 #: Per-label region-feedback fields persisted per program key, in the
 #: order ``region_feedback`` returns them.
@@ -256,12 +271,12 @@ class CalibrationStore:
 
     def _observe_feedback(self, regions, program_key):
         """Per-label wire feedback + the global compiled-speedup prior."""
-        payload_bytes, compiled_speedup = region_feedback(regions)
+        *feedback, _recovery = region_feedback(regions)
+        compiled_speedup = feedback[-1]
         accepted = False
         for speedup in compiled_speedup.values():
             accepted |= self._update("compiled_speedup", speedup)
         if program_key is not None:
-            feedback = (payload_bytes, compiled_speedup)
             for field, by_label in zip(_REGION_FIELDS, feedback):
                 for label, value in by_label.items():
                     accepted |= self._update_region(
@@ -304,9 +319,9 @@ class CalibrationStore:
     def region_feedback(self, program_key):
         """``(payload_bytes, compiled_speedup)`` label maps.
 
-        The same shape ``region_feedback()`` produces, ready for
-        ``optimize_plan``; empty dicts when the program was never
-        observed.
+        The same shape ``region_feedback()`` produces (sans the
+        recovery ledger), ready for ``optimize_plan``; empty dicts when
+        the program was never observed.
         """
         regions = self.programs.get(program_key, {})
         result = tuple(
@@ -398,15 +413,12 @@ class CalibrationStore:
         path = path if path is not None else self.path
         if not path:
             return None
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         # Write beside the profile, then rename over it: a dump that
         # fails part-way leaves the previous profile whole.
-        fd, scratch = tempfile.mkstemp(
-            dir=directory, prefix=".profile-", suffix=".json"
-        )
+        scratch = path + ".tmp"
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with open(scratch, "w", encoding="utf-8") as handle:
                 json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
             os.replace(scratch, path)
@@ -456,3 +468,133 @@ class CalibrationStore:
             f"<CalibrationStore path={self.path!r} runs={self.runs} "
             f"coefficients={len(self.measured_coefficients())}>"
         )
+
+
+@dataclasses.dataclass
+class ReplanContext:
+    """Everything a mid-run replan needs to re-derive cost decisions.
+
+    Built by :meth:`repro.Session.run` for one adaptive execution and
+    handed to the :class:`~repro.runtime.executor.ParallelInterpreter`,
+    which calls :meth:`replan` after every published region.
+    ``plan`` is the *pre-optimization* base plan: each replan re-runs
+    the full ``optimize_plan`` pipeline at ``level`` against it with
+    the freshly calibrated ``machine`` — the PS-PDG legality verdicts
+    are re-derived identically, so only cost-model-driven choices can
+    move.  ``predicted_bytes`` carries the per-label byte assumptions
+    the original plan was priced with (for divergence detection).
+    ``calibrated_upto`` counts the run's regions already fed to the
+    store, so the Session's post-run calibration starts there and no
+    region is ever counted twice; ``settled`` holds the labels whose
+    last replan changed nothing.
+    """
+
+    pspdg: object
+    plan: object
+    level: object
+    machine: object
+    store: CalibrationStore = None
+    program_key: str = None
+    predicted_bytes: dict = dataclasses.field(default_factory=dict)
+    calibrated_upto: int = 0
+    settled: set = dataclasses.field(default_factory=set)
+
+    def __post_init__(self):
+        if self.store is None:
+            self.store = CalibrationStore()
+
+    def replan(self, regions, compile_regions, adopt):
+        """Re-price the remaining dispatches if the last region diverged.
+
+        ``regions`` is the run's published :class:`RegionStats` so far;
+        the last one is the dispatch that just joined.  On divergence
+        the regions not yet observed feed the store, ``optimize_plan``
+        re-derives the plan under the calibrated machine and this run's
+        measured feedback, and ``adopt(plan)`` — the executor's hook —
+        applies what it can to the live regions and returns the list of
+        changes.  Returns the replan event, or ``None`` when nothing
+        diverged or nothing changed (the label is then settled: the
+        calibrated model agreed with the running choices, so later
+        dispatches of it are not re-priced).
+
+        Recovery-inflated regions neither calibrate nor trigger.
+        Legality is untouched — the same pipeline runs on the same
+        PS-PDG, and the executor adopts only ``backend_override`` /
+        ``tile`` of regions with an identical member-header set.
+        """
+        # opt's passes import planner.plans, so the dependency can only
+        # be taken once both packages are loaded.
+        from repro.opt import optimize_plan
+
+        latest = regions[-1]
+        label = latest.header
+        if latest.recovery_inflated or label in self.settled:
+            return None
+        reasons = self.divergence(latest)
+        if not reasons:
+            return None
+        self.store.observe_run(
+            regions[self.calibrated_upto:], program_key=self.program_key
+        )
+        self.calibrated_upto = len(regions)
+        payload_bytes, compiled_speedup, _ = region_feedback(
+            region for region in regions if not region.recovery_inflated
+        )
+        result = optimize_plan(
+            self.pspdg, self.plan, self.level,
+            machine=self.store.calibrated_machine(self.machine),
+            payload_bytes=payload_bytes,
+            compiled_speedup=compiled_speedup,
+            compile_regions=compile_regions,
+        )
+        changes = adopt(result.plan)
+        if not changes:
+            self.settled.add(label)
+            return None
+        return {
+            "after": label,
+            "reasons": reasons,
+            "changes": changes,
+            "machine": {
+                name: value
+                for name, (value, _samples)
+                in self.store.measured_coefficients().items()
+            },
+        }
+
+    def divergence(self, stats):
+        """Measured-vs-predicted divergence reasons for one region, if any.
+
+        Three detectors:
+
+        * dispatch overhead (wall time minus slowest worker's compute)
+          exceeding ``REPLAN_THRESHOLD`` times the compute — the region
+          is mispriced for its backend;
+        * per-worker step imbalance (max/mean over workers with
+          iterations) exceeding ``REPLAN_IMBALANCE`` — the schedule's
+          chunking fits the iteration space badly;
+        * measured bytes-per-payload outside ``REPLAN_THRESHOLD`` of
+          the planner's assumption (``predicted_bytes``) — the
+          serialization bar was computed from stale feedback.
+        """
+        reasons = []
+
+        def diverged(kind, ratio, limit):
+            reasons.append({
+                "kind": kind, "ratio": round(ratio, 3), "threshold": limit,
+            })
+
+        compute = stats.compute_seconds
+        if compute > 0 and stats.seconds > 1e-4:
+            ratio = stats.dispatch_overhead / compute
+            if ratio > REPLAN_THRESHOLD:
+                diverged("dispatch-overhead", ratio, REPLAN_THRESHOLD)
+        imbalance = stats.step_imbalance
+        if imbalance is not None and imbalance > REPLAN_IMBALANCE:
+            diverged("imbalance", imbalance, REPLAN_IMBALANCE)
+        predicted = self.predicted_bytes.get(stats.header)
+        if stats.payloads and predicted:
+            ratio = stats.payload_bytes / stats.payloads / predicted
+            if not 1.0 / REPLAN_THRESHOLD <= ratio <= REPLAN_THRESHOLD:
+                diverged("payload-bytes", ratio, REPLAN_THRESHOLD)
+        return reasons

@@ -60,8 +60,8 @@ class RegionParallelization:
         backend_override: ``"threads"`` reroutes this region off the
             process pool (small-region serialization); ``None`` runs on
             the configured backend.  (``"sequential"`` regions are never
-            materialized: ``recipes_from_plan`` drops them from the
-            dispatch set.)
+            materialized — the optimizer's descriptor simply drops them
+            from the dispatch set.)
         removed_sync_uids: annotation uids whose critical/atomic locks
             are elided for this region (sync elimination).
         tile: minimum iterations per payload (tiling); the runtime caps

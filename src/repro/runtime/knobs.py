@@ -5,7 +5,7 @@ chaos over an *unmodified* run — the ``VERIFY_COMPILED`` cross-check and
 the ``REPRO_FAULTS`` harness — because those must reach code (a whole
 test suite, a pool worker) that no caller can hand an argument to.
 Everything that changes what a run *does* (the engine, calibration,
-the ``-O`` level) is a
+replanning, the ``-O`` level) is a
 :class:`~repro.pipeline.config.SessionConfig` field or a keyword
 argument, and nothing outside this module reads ``os.environ``.
 

@@ -22,12 +22,13 @@ returned.
 
 from repro.core.ablation import full
 from repro.core.canonical import signature
-from repro.opt import OptLevel, optimize_plan
+from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.pipeline.cache import PipelineCache, content_key
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
-from repro.pipeline.stages import KEY_PLANS, STAGES
-from repro.planner.calibration import CalibrationStore
+from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
+from repro.planner.calibration import CalibrationStore, ReplanContext
+from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
 from repro.runtime.payload import module_codec
@@ -48,6 +49,7 @@ class Session:
         self.config = config
         self.cache = PipelineCache()
         self.diagnostics = Diagnostics()
+        self._decisions_memo = None  # (artifact, its decisions' digest)
 
     # -- constructors ---------------------------------------------------------
 
@@ -101,16 +103,20 @@ class Session:
         """
         stage = STAGES[stage_name]
         config = config if config is not None else self.config
-        fields, calibrated = KEY_PLANS[stage_name]
+        fields, source = KEY_PLANS[stage_name]
         params = tuple(
             (field, getattr(config, field)) for field in fields
         )
         # The *measured* coefficients are not config: they travel as
-        # the store version, so a new observation re-prices plans.
-        token = (
-            self.calibration.version if calibrated and config.calibrate
-            else 0
-        )
+        # the store version, so a new observation re-prices plans, and
+        # below the priced plans as the decisions they hold, so a
+        # re-pricing that moves none rebuilds nothing further.
+        token = 0
+        if source is not None and config.calibrate:
+            token = (
+                self.calibration.version if source == VERSION
+                else self._decisions(source, config)
+            )
         return self.cache.get_or_build(
             stage_name,
             content_key(
@@ -122,6 +128,16 @@ class Session:
             self.diagnostics,
             stage.stats,
         )
+
+    def _decisions(self, source, config):
+        """Digest of the decisions ``source``'s artifact holds, taken once
+        per artifact (cached artifacts never change)."""
+        artifact = self._stage(source, config)
+        memo = self._decisions_memo
+        if memo is None or memo[0] is not artifact:
+            memo = (artifact, content_key(STAGES[source].decisions(artifact)))
+            self._decisions_memo = memo
+        return memo[1]
 
     def invalidate(self):
         """Drop every cached artifact; the next query rebuilds from source."""
@@ -204,6 +220,12 @@ class Session:
     def views(self):
         """Abstraction name -> :class:`DependenceView` per the config."""
         return self._stage("views")
+
+    @property
+    def restructured(self):
+        """Abstraction name -> its plan after the ``-O`` passes that read
+        only the graphs (stage: restructure)."""
+        return self._stage("restructure")
 
     @property
     def optimizations(self):
@@ -299,7 +321,8 @@ class Session:
     # -- execution -------------------------------------------------------------
 
     def run(self, plan=None, workers=None, seed=None, backend=None,
-            schedule=None, chunk=None, opt=None, compile_regions=None):
+            schedule=None, chunk=None, opt=None, compile_regions=None,
+            adaptive=None):
         """Execute the program under ``plan`` on a parallel backend.
 
         ``plan`` may be a :class:`ProgramPlan`, an abstraction name
@@ -317,14 +340,21 @@ class Session:
         ``parallel_regions`` (``util.regionstats.parallel_report``
         renders it); the session keeps none of it.
 
-        A run dispatches the regions it was planned with and changes
-        none of them.  With calibration on, the run's region stats are
-        distilled into the session's :class:`CalibrationStore`
-        afterwards (and persisted to ``profile_path``), so the *next*
-        plan starts from measured coefficients.
+        ``adaptive`` (default: the config's ``adaptive``) turns on
+        mid-run replanning: dispatches whose measured timings diverge
+        from the plan's predictions re-derive the remaining regions'
+        cost decisions with a freshly calibrated machine model (see
+        ``result.replan_events``).  With calibration on, the run's
+        region stats are distilled into the session's
+        :class:`CalibrationStore` afterwards (and persisted to
+        ``profile_path``), so the *next* plan starts from measured
+        coefficients.
         """
         config = self.config
         level = OptLevel.coerce(opt) if opt is not None else config.opt_level
+        adaptive_on = bool(
+            config.adaptive if adaptive is None else adaptive
+        )
         compile_on = bool(
             config.compile_regions if compile_regions is None
             else compile_regions
@@ -333,6 +363,10 @@ class Session:
             # Source-plan runs skip the codegen warm-up — it would drag
             # the whole planning pipeline in — and compile lazily.
             regions = recipes_from_annotations(self.function)
+            base_plan = (
+                openmp_source_plan(self.function, loop_uid_map(self.loops))
+                if adaptive_on else None
+            )
         elif isinstance(plan, str):
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
@@ -345,12 +379,17 @@ class Session:
                     self.plan(plan), level, compile_on
                 ).plan
                 regions = recipes_from_plan(self.pspdg, optimized)
+            base_plan = self.plan(plan) if adaptive_on else None
         else:
             # Explicit ProgramPlan: optimize against the session's
             # cached graphs, then derive its recipes.
+            base_plan = plan
             if level > OptLevel.O0 and not plan.regions:
                 plan = self._optimized(plan, level, compile_on).plan
             regions = recipes_from_plan(self.pspdg, plan)
+        replan = (
+            self._replan_context(base_plan, level) if adaptive_on else None
+        )
         result = run_parallel(
             self.module, regions, config.function_name,
             workers=workers if workers is not None else config.workers,
@@ -360,15 +399,44 @@ class Session:
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
             compile_regions=compile_on,
+            adaptive=adaptive_on,
+            replan=replan,
             forest={config.function_name: self.analyses.loops_by_header},
         )
-        if config.calibrate:
+        if config.calibrate or adaptive_on:
+            # Mid-run replans already fed the store up to the context's
+            # ``calibrated_upto``; distill only the regions after that
+            # so nothing is counted twice, then persist for warm
+            # sessions.
+            start = replan.calibrated_upto if replan is not None else 0
             self.calibration.observe_run(
-                result.parallel_regions, program_key=self.program_key()
+                result.parallel_regions[start:],
+                program_key=self.program_key(),
             )
-            if config.profile_path:
+            if config.calibrate and config.profile_path:
                 self.calibration.save()
         return result
+
+    def _replan_context(self, base_plan, level):
+        """The planner context mid-run replanning re-optimizes against.
+
+        Carries the session's cached PS-PDG (and through it the PDG
+        and the analysis record), the *unoptimized* base plan
+        (``optimize_plan`` re-derives region descriptors from
+        scratch every call), the effective machine model, the shared
+        calibration store, and the per-label payload-bytes predictions
+        the divergence detector compares measurements against.
+        """
+        calibrated = self.calibrated
+        return ReplanContext(
+            pspdg=self.pspdg,
+            plan=base_plan,
+            level=level,
+            machine=calibrated["machine"],
+            store=self.calibration,
+            program_key=self.program_key(),
+            predicted_bytes=dict(calibrated["payload_bytes"]),
+        )
 
     def _cached_regions(self, abstraction):
         recipes = self.region_recipes
@@ -380,13 +448,19 @@ class Session:
 
     def _optimized(self, plan, level, compile_regions):
         """``optimize_plan`` over ``plan`` on the cached artifacts, priced
-        for the engine ``compile_regions`` names with the (possibly
-        calibrated) machine model and wire feedback."""
+        as :meth:`_priced` prices."""
+        return self._priced(
+            restructure_plan(self.pspdg, plan, level), compile_regions
+        )
+
+    def _priced(self, restructured, compile_regions):
+        """``price_plan`` over a restructured plan, for the engine
+        ``compile_regions`` names, with the (possibly calibrated) machine
+        model and wire feedback."""
         calibrated = self.calibrated
-        return optimize_plan(
+        return price_plan(
             self.pspdg,
-            plan,
-            level,
+            restructured,
             machine=calibrated["machine"],
             payload_bytes=calibrated["payload_bytes"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,

@@ -6,9 +6,10 @@ completed by the executor (label, backend, wall time, per-worker rows)
 and is published exactly once into ``result.parallel_regions``, which
 is the only place it is kept.  Every consumer — the
 :func:`parallel_report` table, ``CalibrationStore.observe_run``, the
-benchmarks — reads this one shape, and the quantities they used to
-re-derive (recovery inflation, dispatch overhead, the per-label wire
-feedback) are defined here once.
+mid-run replanner, the benchmarks — reads this one shape, and the
+quantities they used to re-derive (recovery inflation, dispatch
+overhead, step imbalance, the per-label wire feedback) are defined
+here once.
 
 Dependency-free on purpose: the runtime, the planner and the pipeline
 all import it, so it must import none of them.
@@ -22,7 +23,7 @@ class RegionStats:
     """Measurements of one parallel-region dispatch.
 
     Published records also read like the stats dicts they replaced
-    (``region["payload_bytes"]``, ``region.get("retries", 0)``,
+    (``region["payload_bytes"]``, ``region.get("replans", 0)``,
     ``dict(region)``), which is how the benchmark harness and older
     callers consume them; the key set is exactly the field set.
     """
@@ -53,6 +54,7 @@ class RegionStats:
     seconds: float = 0.0  # wall time of the whole dispatch
     # One {"worker", "iterations", "steps", "seconds"} row per worker.
     per_worker: list = dataclasses.field(default_factory=list)
+    replans: int = 0  # adaptive replans this dispatch triggered
 
     # -- mapping-style reads ---------------------------------------------------
 
@@ -74,7 +76,7 @@ class RegionStats:
         """True when the wall time includes retry/failover/fault work.
 
         Such timings measure the fault injector and the retries, not
-        the machine: they do not calibrate.
+        the machine: they neither calibrate nor trigger a replan.
         """
         return bool(self.retries or self.failovers or self.faults_injected)
 
@@ -90,30 +92,56 @@ class RegionStats:
         """Wall time not covered by the slowest worker's compute."""
         return self.seconds - self.compute_seconds
 
+    @property
+    def step_imbalance(self):
+        """Max-over-mean steps of the workers that had iterations.
+
+        ``None`` when fewer than two workers ran (nothing to balance).
+        """
+        busy = [
+            worker["steps"] for worker in self.per_worker
+            if worker["iterations"]
+        ]
+        if len(busy) < 2 or not sum(busy):
+            return None
+        return max(busy) / (sum(busy) / len(busy))
+
 
 def region_feedback(regions):
     """Measured per-label feedback aggregated over ``regions``.
 
-    Returns ``(payload_bytes, compiled_speedup)``: average bytes-on-wire
-    per payload and the measured compiled-over-interpreted step-rate
-    ratio, each aggregated over every execution of its region label.
-    Both feed ``optimize_plan(payload_bytes=..., compiled_speedup=...)``
-    so the small-region pass prices regions at what their dispatches
+    Returns ``(payload_bytes, compiled_speedup, recovery)``: average
+    bytes-on-wire per payload, the measured compiled-over-interpreted
+    step-rate ratio, and the supervision ledger, each aggregated over
+    every execution of its region label.  The first two feed
+    ``optimize_plan(payload_bytes=..., compiled_speedup=...)`` so the
+    small-region pass prices regions at what their dispatches
     *actually* cost — real codegen gains included — instead of at the
     machine model's prior.
 
     ``compiled_speedup`` only covers labels observed in *both* modes
     (pure compiled and pure interpreted executions); mixed executions
     are skipped because their rate is not attributable to either engine.
+
+    ``recovery`` maps each label that ever needed supervision (or
+    triggered an adaptive replan) to its ``retries`` / ``failovers`` /
+    ``faults_injected`` / ``recovery_ms`` / ``replans`` totals; labels
+    with an all-zero ledger are omitted, so an empty dict means every
+    dispatch was clean.
     """
     totals = {}  # label -> [bytes, payloads]
     rates = {}  # label -> {mode: [steps, seconds]}
+    recovery = {}
     for region in regions:
         label = region.header
         if region.payloads:
             entry = totals.setdefault(label, [0, 0])
             entry[0] += region.payload_bytes
             entry[1] += region.payloads
+        if region.recovery_inflated or region.recovery_ms or region.replans:
+            ledger = recovery.setdefault(label, dict.fromkeys(_LEDGER, 0))
+            for key in _LEDGER:
+                ledger[key] += getattr(region, key)
         compiled = region.compiled_chunks
         if bool(compiled) == bool(region.interpreted_chunks):
             continue  # mixed or empty
@@ -139,7 +167,11 @@ def region_feedback(regions):
                 (compiled_steps / compiled_seconds)
                 / (interp_steps / interp_seconds)
             )
-    return payload_bytes, compiled_speedup
+    return payload_bytes, compiled_speedup, recovery
+
+
+#: The supervision-ledger fields ``region_feedback`` totals per label.
+_LEDGER = ("retries", "failovers", "faults_injected", "recovery_ms", "replans")
 
 
 def parallel_report(regions):
@@ -148,7 +180,8 @@ def parallel_report(regions):
     ``rtry``/``fo``/``flt``/``rec-ms`` are the supervision ledger:
     region re-dispatches after infrastructure failures, failovers to
     ``threads``, injected faults, and milliseconds spent in recovery
-    (pool respawn + backoff).
+    (pool respawn + backoff).  ``rpl`` counts the adaptive replans this
+    dispatch triggered.
     """
     if not regions:
         return "no parallel regions executed"
@@ -156,7 +189,7 @@ def parallel_report(regions):
         f"{'loop':16} {'backend':26} {'sched':8} {'W':>2} "
         f"{'iters':>6} {'bytes':>8} {'cc':>4} {'ic':>4} "
         f"{'rtry':>4} {'fo':>3} {'flt':>4} {'rec-ms':>7} "
-        f"{'seconds':>9}  per-worker steps"
+        f"{'rpl':>3} {'seconds':>9}  per-worker steps"
     ]
     lines.append("-" * len(lines[0]))
     for region in regions:
@@ -172,6 +205,7 @@ def parallel_report(regions):
             f"{region.failovers:>3} "
             f"{region.faults_injected:>4} "
             f"{region.recovery_ms:>7.1f} "
+            f"{region.replans:>3} "
             f"{region.seconds:>9.4f}  "
             f"{steps}"
         )

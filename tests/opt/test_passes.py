@@ -12,7 +12,15 @@ wavefront serializes).
 import pytest
 
 from repro import Session
-from repro.opt import OptLevel, optimize_plan, seed_regions
+from repro.opt import (
+    PIPELINES,
+    PRICING_PASSES,
+    OptLevel,
+    optimize_plan,
+    price_plan,
+    restructure_plan,
+    seed_regions,
+)
 from repro.opt.context import OptContext
 from repro.opt.cost import loop_cost, static_trip_count
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
@@ -459,6 +467,42 @@ class TestPipelineStructure:
             for storage in recipe.privatized
         }
         assert {id(s) for s in merged.privatized} == member_privates
+
+
+class TestRestructureThenPrice:
+    """``optimize_plan`` is ``price_plan`` over ``restructure_plan``, so a
+    restructured plan can be re-priced for another machine."""
+
+    def test_pricing_passes_close_every_pipeline(self):
+        for passes in PIPELINES.values():
+            priced = [issubclass(p, PRICING_PASSES) for p in passes]
+            assert priced == sorted(priced)
+
+    @pytest.mark.parametrize("level", (OptLevel.O2, OptLevel.O3))
+    @pytest.mark.parametrize("kernel", ("LU", "CG", "SP"))
+    def test_repricing_matches_optimizing_afresh(self, kernel, level):
+        session = Session.from_kernel(kernel)
+        plan = session.plan("PS-PDG")
+        restructured = restructure_plan(session.pspdg, plan, level)
+        shape = (restructured.plan.describe(),
+                 restructured.report.describe())
+        for machine in (DEFAULT_MACHINE, MachineModel(
+                serial_region_cost=1, threads_region_cost=2)):
+            for compiled in (False, True):
+                repriced = price_plan(
+                    session.pspdg, restructured, machine=machine,
+                    compile_regions=compiled,
+                )
+                afresh = optimize_plan(
+                    session.pspdg, plan, level, machine=machine,
+                    compile_regions=compiled,
+                )
+                assert repriced.plan.regions == afresh.plan.regions
+                assert repriced.report.describe() == \
+                    afresh.report.describe()
+        # Pricing never touched the restructured plan or its report.
+        assert (restructured.plan.describe(),
+                restructured.report.describe()) == shape
 
 
 @pytest.fixture(scope="module")

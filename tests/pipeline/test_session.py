@@ -423,10 +423,11 @@ def test_region_feedback_aggregates_per_label():
         RegionStats(header="L2", payloads=2, payload_bytes=600),
         RegionStats(header="seq", payloads=0),
     ]
-    payload_bytes, speedup = region_feedback(regions)
+    payload_bytes, speedup, recovery = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8, "L2": 300}
     assert "seq" not in payload_bytes
     assert speedup == {}  # no chunk-mode executions recorded
+    assert recovery == {}  # no supervised recoveries recorded
 
 
 def test_region_feedback_measures_compiled_speedup():
@@ -452,7 +453,7 @@ def test_region_feedback_measures_compiled_speedup():
         header="L3", seconds=1.0, compiled_chunks=2,
         per_worker=[{"steps": 1000}],
     ))
-    _bytes, speedup = region_feedback(regions)
+    _bytes, speedup, _recovery = region_feedback(regions)
     assert speedup == {"L1": pytest.approx(4.0)}
 
 
@@ -570,6 +571,20 @@ def test_calibration_rekeys_optimize_stage():
     session.optimizations  # re-keyed: rebuilds with measured numbers
     assert session.diagnostics.runs("optimize") >= 2
     assert session.diagnostics.runs("pspdg") == pspdg_runs
+
+
+def test_repricing_that_moves_no_decision_rebuilds_nothing_below():
+    """Below ``optimize`` the keys carry the priced decisions, not the
+    store version: an observation that moves none keeps the recipes."""
+    session = Session.from_kernel("IS", opt_level=2, calibrate=True)
+    recipes = session.region_recipes
+    compiled = session.compiled_regions
+    session.calibration.version += 1  # what an accepted observation does
+    assert session.region_recipes is recipes
+    assert session.compiled_regions is compiled
+    assert session.diagnostics.runs("optimize") == 2
+    assert session.diagnostics.runs("restructure") == 1
+    assert session.diagnostics.runs("recipes") == 1
 
 
 def test_calibration_off_keeps_static_keys():

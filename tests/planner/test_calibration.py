@@ -9,6 +9,7 @@ up a pool.
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.planner.calibration import (
     OUTLIER_MIN_SAMPLES,
     PAYLOAD_SAMPLE_FLOOR,
     CalibrationStore,
+    ReplanContext,
 )
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.util.regionstats import RegionStats
@@ -256,6 +258,10 @@ class TestPersistence:
         monkeypatch.undo()
         assert CalibrationStore(path).measured_coefficients() == saved
         assert os.listdir(tmp_path) == ["profile.json"]
+        # The profile keeps the mode a plain open() gives it.
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
     def test_missing_file_is_empty(self, tmp_path):
         store = CalibrationStore(str(tmp_path / "absent.json"))
@@ -376,3 +382,15 @@ class TestPersistence:
         assert "compiled_speedup" in text
         assert "(static)" in text  # the never-observed coefficients
 
+
+class TestReplanContext:
+    def test_default_store_is_private(self):
+        a = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
+        b = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
+        assert a.store is not b.store
+
+    def test_explicit_store_is_shared(self):
+        store = CalibrationStore()
+        ctx = ReplanContext(pspdg=None, plan=None, level=None,
+                            machine=None, store=store)
+        assert ctx.store is store
