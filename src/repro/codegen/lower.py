@@ -112,6 +112,16 @@ Representation choices:
   its loop for good to ``return`` (:meth:`_Lowering._emit_tail`), and a
   loop has three event positions — enter, iterate, exit — where the
   profiled lowering counts.
+* **Critical sections.**  Where the walk crosses an edge into or out of
+  a block of a ``critical``/``atomic`` annotation of the function, it
+  emits the call ``_WorkerInterpreter.run_chunk`` makes on that edge,
+  ``locks.transition(_held, from_block, to_block)``, looked up on
+  ``locks`` per call; ``locks.release_all(_held)`` ends an iteration
+  that may return to the header from such a block, and the chunk's
+  ``finally``.  The candidate blocks are the annotations', not the
+  plan's: a lock sync elimination removed is absent from the region's
+  lock map, so its transitions do nothing.  A counted loop with such an
+  edge inside keeps its per-iteration body, not the array tier.
 * A store is a plain slot assignment and a loop has one body: the
   ``VERIFY_COMPILED`` oracle runs that body too and compares storage
   images (:func:`repro.codegen.runtime._differential`).
@@ -157,9 +167,9 @@ _MAX_INDENT = 96
 class CompiledChunk:
     """One exec-compiled chunk body.
 
-    ``fn(shim, frame, iterations)`` has ``run_chunk`` semantics minus
-    the ``locks`` argument: compiled chunks are only selected for loops
-    without critical/atomic blocks, where lock transitions are no-ops.
+    ``fn(shim, frame, iterations, locks)`` has ``run_chunk`` semantics,
+    lock transitions included: ``locks`` is the backend's lock provider
+    (``_ThreadLocks`` on ``threads``, ``_NullLocks`` in a pool child).
     """
 
     fn: object
@@ -231,6 +241,18 @@ def _literal(value):
     raise Unsupported(f"constant of type {type(value).__name__}")
 
 
+def _critical_blocks(loop):
+    """Names of ``loop``'s blocks in a ``critical``/``atomic`` annotation
+    of its function."""
+    names = {block.name for block in loop.blocks}
+    return frozenset(
+        name
+        for annotation in loop.header.parent.annotations
+        if annotation.directive.kind in ("critical", "atomic")
+        for name in annotation.block_names if name in names
+    )
+
+
 def _zero_literal(value_type):
     """The zero a fresh alloca's slots hold (matches ``zero_storage``)."""
     scalar = value_type
@@ -276,12 +298,15 @@ class _Lowering:
     #: class; a chunk lowering rebinds both, never mutates these.
     promoted = {}
     _alias = {}
+    #: :func:`_critical_blocks` of a chunk's loop; the whole-function
+    #: lowerings run on one thread between regions and take no lock.
+    _critical = frozenset()
     #: ``(name, expression)`` per value while a sliced loop's
     #: comprehension collects its clauses (:meth:`_emit_slices`).
     _clauses = None
 
     name = "_chunk"  # the generated function
-    parameters = "interp, frame, iterations"
+    parameters = "interp, frame, iterations, locks"
     _body_indent = 4  # def _factory / def _chunk / try / for
     _blocks = 2  # the skeleton's own ``try`` and ``for``, of _MAX_BLOCKS
 
@@ -295,6 +320,7 @@ class _Lowering:
         }
         self.promoted = {}
         self._alias = {}
+        self._critical = _critical_blocks(loop)
         self._begin(loop.header.parent, [loop, *loop.descendants()])
 
     def _begin(self, function, loops):
@@ -676,6 +702,26 @@ class _Lowering:
                 self._split_count(out, block, inst)
         return None
 
+    # -- critical sections ----------------------------------------------------------
+
+    def _transits(self, source, target):
+        """Whether ``run_chunk``'s transition on ``source -> target`` may
+        move a lock: the edge enters or leaves a critical block.  An edge
+        to the chunk's header releases at the iteration's end instead."""
+        critical = self._critical
+        return (
+            (source.name in critical or target.name in critical)
+            and target is not self.loop.header
+        )
+
+    def _transition(self, out, source, target):
+        """``run_chunk``'s lock hand-over on ``source -> target``."""
+        if self._transits(source, target):
+            out.emit(
+                f"locks.transition(_held, {self.ref(source)}, "
+                f"{self.ref(target)})"
+            )
+
     # -- loop events: where a profiled lowering counts (no-ops here) ------------
 
     def _enter_loop(self, out, loop):
@@ -896,6 +942,7 @@ class _Lowering:
             self._emitted[block] = self._leaving
             terminator = self._emit_straight(out, block)
             if isinstance(terminator, insts.Jump):
+                self._transition(out, block, terminator.target)
                 block = terminator.target
             elif isinstance(terminator, insts.Branch):
                 block = self._emit_if(out, block, terminator, region)
@@ -928,7 +975,7 @@ class _Lowering:
                 (condition, branch.if_true),
                 (f"not {condition}", branch.if_false),
             )
-            if target is not join
+            if target is not join or self._transits(block, join)
         ]
         if join is _RETURNED:
             # Both arms return: the second needs no ``else``.
@@ -938,6 +985,7 @@ class _Lowering:
             out.emit("else:" if position else f"if {test}:")
             out.indent += 1
             self._segment = None
+            self._transition(out, block, target)
             if region is None or target in region.blocks:
                 self._walk(out, target, join, region)
             else:
@@ -977,7 +1025,10 @@ class _Lowering:
             scalar, upper, interval = counted
             if interval:
                 self._enclosing.append(interval)
-            sliced = self._preheader(out, inner, inside, scalar, upper)
+            if not any(  # a lock transition in every iteration
+                block.name in self._critical for block in inner.blocks
+            ):
+                sliced = self._preheader(out, inner, inside, scalar, upper)
         if sliced:  # the preheader ran every iteration
             self._emitted.update(dict.fromkeys(inner.blocks, self._leaving))
         else:
@@ -987,6 +1038,7 @@ class _Lowering:
                 )
                 out.indent += 1
                 self._count(out, len(header.instructions))
+                self._transition(out, header, inside)
             else:
                 out.emit("while True:")
                 out.indent += 1
@@ -997,6 +1049,7 @@ class _Lowering:
                 out.emit("break")
                 out.indent -= 1
                 self._segment = None
+                self._transition(out, header, inside)
             self._walk(out, inside, header, inner)
             self._close_iteration(out, inner)
             out.indent -= 1
@@ -1011,9 +1064,11 @@ class _Lowering:
             out.emit(f"{scalar.value} = {upper}")
             out.indent -= 1
             self._count(out, len(header.instructions))  # the failing test
+        exit_block = branch.if_false if stays else branch.if_true
+        self._transition(out, header, exit_block)
         self._exit_loop(out, inner)
         self._blocks -= 1
-        return branch.if_false if stays else branch.if_true
+        return exit_block
 
     def _counted(self, inner):
         """``(scalar, upper, interval)`` when ``inner`` is ``for v in
@@ -1623,6 +1678,8 @@ class _Lowering:
         self._promote()
         self._bind_inductions()
         self._walk(out, self._body_block(), self.loop.header, self.loop)
+        if any(latch.name in self._critical for latch in self.loop.latches):
+            out.emit("locks.release_all(_held)")
 
     def lower(self):
         """The generated source: one skeleton for every lowering — the
@@ -1682,6 +1739,8 @@ class _Lowering:
         ]
         for scalar in local:
             out.emit(f"{scalar.storage} = None")
+        if self._critical:
+            out.emit("_held = set()")
         out.emit("try:")
         out.indent += 1
         targets = ", ".join(scalar.value for scalar in seeded)
@@ -1690,6 +1749,9 @@ class _Lowering:
         out.indent -= 1
         out.emit("finally:")
         out.indent += 1
+        if self._critical:
+            # A worker dying inside a critical section releases its lock.
+            out.emit("locks.release_all(_held)")
         for scalar in seeded:
             out.emit(f"{scalar.storage}[0] = {scalar.value}")
         for scalar in local:

@@ -124,13 +124,13 @@ def execute_chunk(entry, shim, loop, frame, iterations, locks,
         if verify is not None:
             mode, _value = _differential(
                 entry, shim, "chunk",
-                lambda: entry.fn(shim, frame, iterations),
+                lambda: entry.fn(shim, frame, iterations, locks),
                 lambda: shim.run_chunk(loop, frame, iterations, locks),
                 verify, objects=frame.objects,
             )
             return mode
         try:
-            entry.fn(shim, frame, iterations)
+            entry.fn(shim, frame, iterations, locks)
             return "compiled"
         except Bailout:
             pass

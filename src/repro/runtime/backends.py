@@ -466,19 +466,14 @@ class ThreadsBackend(ExecutionBackend):
         entries = {}
         if compile_on:
             # Compile once on the dispatching thread; jobs only look up.
-            # Loops holding critical/atomic blocks stay interpreted — the
-            # compiled body performs no lock transitions.
+            # A compiled body takes and releases ``locks`` on the same
+            # block edges the interpreter does, so critical/atomic loops
+            # compile like any other.
             before = codegen_cache.stats()
-            for loop in region.loops:
-                if any(
-                    block.name in region.critical
-                    for block in loop.blocks
-                ):
-                    entries[loop] = None
-                else:
-                    entries[loop] = codegen_cache.compiled_chunk(
-                        interp.module, loop
-                    )
+            entries = {
+                loop: codegen_cache.compiled_chunk(interp.module, loop)
+                for loop in region.loops
+            }
             _count_codegen(stats, before, codegen_cache.stats())
 
         def job(worker):

@@ -331,10 +331,11 @@ class Session:
         ("simulated" | "threads" | "processes"), ``schedule`` ("static" |
         "dynamic" | "guided"), ``workers``, ``seed``, ``chunk``, and
         ``opt`` (the optimization level) default to the session config.
-        Abstraction-name runs at the config's level reuse the cached
-        ``optimize``/``recipes`` stages; an explicit different ``opt``
-        (or an explicit plan) optimizes on the fly, priced for the run's
-        engine, without touching the caches.  The
+        Abstraction-name runs at the config's level and engine reuse the
+        cached ``optimize``/``recipes`` stages; an explicit different
+        ``opt`` or ``compile_regions`` (or an explicit plan) optimizes on
+        the fly, priced for the run's engine, without touching the
+        caches.  The
         ``processes`` chunk pool is sized from the machine model's core
         count.  Per-region, per-worker timing is in the result's
         ``parallel_regions`` (``util.regionstats.parallel_report``
@@ -372,7 +373,9 @@ class Session:
                 # Warm the codegen cache (and record its stage stats)
                 # before the first region dispatch.
                 self._stage("compile_regions")
-            if level == config.opt_level:
+            if level == config.opt_level and (
+                compile_on == bool(config.compile_regions)
+            ):
                 regions = self._cached_regions(plan)
             else:
                 optimized = self._optimized(

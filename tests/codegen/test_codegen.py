@@ -213,7 +213,7 @@ def test_execute_chunk_without_entry_interprets():
 def test_execute_chunk_runs_compiled_body():
     shim = _Shim()
     hits = []
-    entry = _entry(lambda interp, frame, iters: hits.append(iters))
+    entry = _entry(lambda interp, frame, iters, locks: hits.append(iters))
     mode = execute_chunk(entry, shim, "loop", "frame", [1, 2], None)
     assert mode == "compiled"
     assert hits == [[1, 2]]
@@ -223,7 +223,7 @@ def test_execute_chunk_runs_compiled_body():
 def test_execute_chunk_bailout_falls_back():
     shim = _Shim()
 
-    def bail(interp, frame, iters):
+    def bail(interp, frame, iters, locks):
         raise Bailout()
 
     mode = execute_chunk(_entry(bail), shim, "loop", "frame", [1], None)
@@ -260,7 +260,7 @@ def _frame():
 
 
 def _compiled_writer(value, steps=1):
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         frame.objects[_SLOT][0] = value
         interp.steps += steps
 
@@ -282,7 +282,7 @@ def test_verify_agreement_keeps_interpreted_effects():
     shim = _VerifyShim(expected=7)
     seen = []
 
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         seen.append(frame.objects[_SLOT][0])
         frame.objects[_SLOT][0] = 7.0  # equal, and not the same object
         interp.steps += 1
@@ -310,7 +310,7 @@ def test_verify_detects_wrong_value():
 def test_verify_detects_missing_write():
     frame = _frame()
     shim = _VerifyShim(expected=7)
-    entry = _entry(lambda interp, frame, iters: None)  # writes nothing
+    entry = _entry(lambda interp, frame, iters, locks: None)  # writes nothing
     with pytest.raises(EmulationError, match="storage images differ"):
         _armed(entry, shim, frame)
 
@@ -337,7 +337,7 @@ def test_verify_compares_and_drops_allocas_first_executed_in_the_chunk():
             frame.objects[fresh] = [self.expected]
             self.steps += 1
 
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         frame.objects[fresh] = [3]
         interp.steps += 1
 
@@ -352,7 +352,7 @@ def test_verify_compiled_error_with_interpreted_success_diverges():
     frame = _frame()
     shim = _VerifyShim(expected=7)
 
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         frame.objects[_SLOT][0] = 5  # torn: rolled back all the same
         raise EmulationError("boom")
 
@@ -365,7 +365,7 @@ def test_verify_bailout_is_not_a_divergence():
     frame = _frame()
     shim = _VerifyShim(expected=7)
 
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         raise Bailout()
 
     assert _armed(_entry(fn), shim, frame) == "interpreted"
@@ -379,7 +379,7 @@ def test_verify_both_raise_reraises_interpreted_error():
         def run_chunk(self, loop, frame, iterations, locks):
             raise EmulationError("interpreted boom")
 
-    def fn(interp, frame, iterations):
+    def fn(interp, frame, iterations, locks):
         raise EmulationError("compiled boom")
 
     with pytest.raises(EmulationError, match="interpreted boom"):

@@ -132,7 +132,7 @@ def differential(loop, shim, frame, iterations):
     entry = codegen_cache.compiled_chunk(shim.module, loop)
     assert entry is not None, "the lowering refused the loop"
     engines = (
-        ("compiled", lambda: entry.fn(shim, frame, iterations)),
+        ("compiled", lambda: entry.fn(shim, frame, iterations, _NullLocks())),
         ("interpreted", lambda: shim.run_chunk(
             loop, frame, iterations, _NullLocks())),
     )
@@ -463,12 +463,13 @@ def test_the_tier_keeps_steps_exact_and_the_armed_oracle_quiet(
     match the interpreter's in-worker."""
     session = Session.from_source(_tier_source(name), name=name,
                                   opt_level=level)
+    # One plan for both engines: the one priced for the compiled engine.
+    plan = session.optimized_plan("PS-PDG")
     runs = {}
     for armed, compiled in ((False, False), (False, True), (True, True)):
         monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
         runs[armed, compiled] = session.run(
-            "PS-PDG", backend="threads", workers=2,
-            compile_regions=compiled,
+            plan, backend="threads", workers=2, compile_regions=compiled,
         )
     interpreted = runs[False, False]
     for run in (runs[False, True], runs[True, True]):
@@ -1325,8 +1326,9 @@ def test_every_planned_stop_is_a_statement_of_a_compiled_sequence(
     dispatches = fused = 0
     for level in range(4):
         session = Session.from_source(source, name=name, opt_level=level)
+        plan = session.optimized_plan("PS-PDG")  # one plan, both engines
         compiled, interpreted = (
-            session.run("PS-PDG", backend="threads", workers=3,
+            session.run(plan, backend="threads", workers=3,
                         compile_regions=engine)
             for engine in (True, False)
         )

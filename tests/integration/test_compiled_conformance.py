@@ -21,7 +21,7 @@ from repro.codegen import lower
 from repro.frontend import compile_source
 from repro.ir.instructions import Print
 from repro.runtime import backends, knobs
-from repro.runtime.executor import run_source_plan
+from repro.runtime.executor import run_parallel, run_source_plan
 from repro.session import Session
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close, wire_bytes
@@ -414,22 +414,31 @@ def test_chunk_accounting_conforms_across_backends(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_kernels_at_o2_run_wholly_compiled(backend, monkeypatch):
-    """LU and BT at -O2: every chunk and every sequential stretch takes
-    the compiled path, and it is the interpreted run's computation.
+    """LU, BT, SP and IS at -O2: every chunk and every sequential
+    stretch takes the compiled path, and it is the interpreted run's
+    computation.
 
-    A silent fallback anywhere — one refused chunk, one interpreted
-    function body — would erode the compiled engine without failing an
-    output check.  Nor may the engine change what travels: on
-    ``processes`` both ship the same bytes once the pool holds the
-    module.
+    SP's critical section and IS's merge loop among them: a compiled
+    chunk takes its locks itself.  A silent fallback anywhere — one
+    refused chunk, one interpreted function body — would erode the
+    compiled engine without failing an output check.  Nor may the
+    engine change what travels: on ``processes`` both ship the same
+    bytes once the pool holds the module.  Both engines run the regions
+    the session priced for the compiled one.
     """
     _verify_off(monkeypatch)
-    for kernel in ("LU", "BT"):
+    for kernel in ("LU", "BT", "SP", "IS"):
         session = Session.from_kernel(kernel, opt_level=2)
+        config = session.config
         # Compiles every region loop; on processes, ships the module.
         session.run("PS-PDG", backend=backend, workers=4)
-        interpreted = session.run("PS-PDG", backend=backend, workers=4,
-                                  compile_regions=False)
+        interpreted = run_parallel(
+            session.module, session.region_recipes["PS-PDG"],
+            config.function_name, workers=4, seed=config.seed,
+            backend=backend, schedule=config.schedule, chunk=config.chunk,
+            pool_size=config.machine.cores, compile_regions=False,
+            forest={config.function_name: session.analyses.loops_by_header},
+        )
         compiled = session.run("PS-PDG", backend=backend, workers=4,
                                compile_regions=True)
         assert compiled.output == interpreted.output, kernel

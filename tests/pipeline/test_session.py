@@ -659,6 +659,34 @@ def test_an_opt_override_dispatches_what_the_config_level_does(
             assert explicit == configured, where
 
 
+@pytest.mark.parametrize("kernel", ("BT", "CG", "EP", "FT", "IS", "LU",
+                                    "MG", "SP"))
+def test_a_compile_regions_override_dispatches_what_the_config_engine_does(
+        kernel, monkeypatch):
+    """``run(compile_regions=X)`` at the config's own ``-O`` level prices
+    the plan for X, as a session configured with X does: the same
+    regions and backend overrides on both engines."""
+    import repro.session
+
+    dispatched = []
+
+    def spy(module, regions, function_name, **options):
+        dispatched.append([
+            (region.label, region.backend_override) for region in regions
+        ])
+
+    monkeypatch.setattr(repro.session, "run_parallel", spy)
+    for compile_regions in (True, False):
+        session = Session.from_kernel(
+            kernel, opt_level=2, compile_regions=not compile_regions
+        )
+        session.run("PS-PDG", compile_regions=compile_regions)
+        session.reconfigure(compile_regions=compile_regions)
+        session.run("PS-PDG")
+        override, configured = dispatched[-2:]
+        assert override == configured, (kernel, compile_regions)
+
+
 def test_stage_builders_read_only_their_declared_params():
     """A builder gets its ``params`` as arguments and never touches
     ``session.config`` — so it can only read what its key hashes."""

@@ -383,6 +383,9 @@ class TestRealBackends:
         result = run_source_plan(module, workers=2, backend="processes")
         [region] = result.parallel_regions
         assert region["backend"] == "processes->threads(critical)"
+        # ...where the critical loop runs compiled, taking its locks.
+        assert region["compiled_chunks"] > 0
+        assert region["interpreted_chunks"] == 0
 
     def test_worker_process_failure_is_reported(self):
         from repro.util.errors import EmulationError
