@@ -13,13 +13,15 @@ with it:
   privatizable, critical -> orderless, merge loop -> independent) and
   selects a strictly better plan, the paper's headline claim.
 
-The second half then *re-plans at run time*: the session is given a
-deliberately mis-calibrated machine model (per-byte wire cost claimed
-to be ~free), runs IS on the process pool with ``adaptive=True``, and
-prints the replan events the divergence detector fired plus the
-coefficients the calibration store measured along the way.
+The second half then *re-prices the plan between runs*: the session is
+given a deliberately mis-calibrated machine model (per-byte wire cost
+claimed to be ~free) and ``calibrate=True``.  Run 1 dispatches IS on the
+process pool as that model priced it; its measurements feed the
+calibration store, and run 2 runs the plan re-priced from them.  The
+example prints where each run dispatched its regions and the
+coefficients the store measured.
 
-Run:  python examples/is_replanning.py
+Run:  python examples/is_calibration.py
 """
 
 from repro import Session
@@ -64,14 +66,14 @@ def main():
         f"compiler found a better plan than the source encoded."
     )
     print()
-    replan_demo()
+    calibration_demo()
 
 
-def replan_demo():
-    """Run IS adaptively under a mis-calibrated machine model."""
-    print("adaptive replanning demo: plan with a machine model whose")
-    print("dispatch/wire costs are ~100x too optimistic, then let the")
-    print("runtime's divergence detector re-price the remaining regions:")
+def calibration_demo():
+    """Run IS twice under a mis-calibrated model, calibrating between."""
+    print("calibration demo: plan with a machine model whose dispatch/wire")
+    print("costs are ~100x too optimistic, run once, then run the plan")
+    print("re-priced from what that run measured:")
     print()
 
     miscalibrated = MachineModel(
@@ -81,25 +83,15 @@ def replan_demo():
     )
     session = Session.from_kernel(
         "IS", opt_level=2, backend="processes", workers=4,
-        machine=miscalibrated,
+        machine=miscalibrated, calibrate=True,
     )
-    result = session.run("PS-PDG", adaptive=True)
-    print(f"program output: {result.formatted_output()}")
-    print(f"replan events:  {len(result.replan_events)}")
-    for event in result.replan_events:
-        reasons = ", ".join(
-            f"{reason['kind']}={reason['ratio']}x"
-            for reason in event["reasons"]
-        )
-        for change in event["changes"]:
-            before, after = change["backend_override"]
-            print(
-                f"  after {event['after']}: {reasons} -> "
-                f"{change['region']} backend {before or 'processes'} "
-                f"-> {after or 'processes'}"
-            )
+    for label in ("run 1 (mis-calibrated)", "run 2 (re-priced)"):
+        result = session.run("PS-PDG")
+        print(f"{label}: output {result.formatted_output()}")
+        for region in result.parallel_regions:
+            print(f"  {region.header:16} {region.backend}")
     print()
-    print("coefficients the run measured (vs. the mis-calibrated input):")
+    print("coefficients the two runs measured (vs. the mis-calibrated input):")
     print(session.calibration.describe(miscalibrated))
     print()
     print("static defaults, for comparison:")

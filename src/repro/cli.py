@@ -43,7 +43,6 @@ _CONFIG_ARGUMENTS = {
     "chunk": "chunk",
     "opt": "opt_level",
     "compile_regions": "compile_regions",
-    "adaptive": "adaptive",
     "calibrate": "calibrate",
     "profile_path": "profile_path",
 }
@@ -144,20 +143,6 @@ def _run(args):
     for line in result.formatted_output():
         print(line)
     print(f"[{result.steps} dynamic instructions]", file=sys.stderr)
-    for event in getattr(result, "replan_events", ()):
-        reasons = ", ".join(
-            f"{reason['kind']} ({reason['ratio']}x > "
-            f"{reason['threshold']}x)"
-            for reason in event["reasons"]
-        )
-        changed = ", ".join(
-            change["region"] for change in event["changes"]
-        )
-        print(
-            f"[replan] after {event['after']}: {reasons} -> "
-            f"re-priced {changed}",
-            file=sys.stderr,
-        )
     if args.diagnostics:
         print(parallel_report(result.parallel_regions), file=sys.stderr)
         lowering = session.diagnostics.stats("compile_regions").get(
@@ -404,12 +389,6 @@ def build_parser():
              "REPRO_FAULTS knob, e.g. 'crash:region=0:worker=1'); the "
              "supervised processes backend retries/fails over and the "
              "--diagnostics table shows the recovery columns",
-    )
-    p_run.add_argument(
-        "--adaptive", action=argparse.BooleanOptionalAction, default=None,
-        help="mid-run replanning: re-derive the remaining regions' "
-             "cost decisions when a dispatch diverges from the plan's "
-             "predictions (default: off)",
     )
     p_run.add_argument(
         "--calibrate", action=argparse.BooleanOptionalAction, default=None,

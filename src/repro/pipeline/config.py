@@ -5,6 +5,7 @@ sessions that differ only in configuration never share stale artifacts.
 """
 
 import dataclasses
+import os
 
 from repro.opt.levels import OptLevel
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
@@ -50,12 +51,9 @@ class SessionConfig:
             :class:`repro.planner.calibration.CalibrationStore`) and
             plan subsequent runs with them instead of ``machine``'s
             static values.
-        adaptive: default for ``Session.run(adaptive=)`` — mid-run
-            replanning of the remaining regions' cost decisions when a
-            dispatch diverges from the plan's predictions.  Implies
-            calibration for the run's own observations.
-        profile_path: where the calibration profile JSON persists
-            across sessions; ``None`` keeps it in memory only.
+        profile_path: the calibration profile JSON file that persists
+            measurements across sessions (not a directory); ``None``
+            keeps them in memory only.
     """
 
     name: str = "session"
@@ -71,7 +69,6 @@ class SessionConfig:
     opt_level: OptLevel = OptLevel.O0
     compile_regions: bool = True
     calibrate: bool = False
-    adaptive: bool = False
     profile_path: str | None = None
 
     def __post_init__(self):
@@ -98,6 +95,13 @@ class SessionConfig:
             raise ValueError(
                 f"min_coverage must be a fraction in [0, 1], got "
                 f"{self.min_coverage!r}"
+            )
+        # Caught here, not when the first calibrated run saves its
+        # profile: that run's result would be lost to the error.
+        if self.profile_path is not None and os.path.isdir(self.profile_path):
+            raise ValueError(
+                f"profile_path must name a profile file, got the "
+                f"directory {self.profile_path!r}"
             )
         # Normalize 2 / "2" / "O2" / "-O2" spellings up front so the
         # config fingerprint (and with it every cache key) is stable.

@@ -533,9 +533,8 @@ class SerialBackend(ThreadsBackend):
 
     Identical partitioning, privatization, and worker-order merges, but
     each worker's chunk runs to completion on the dispatching thread
-    before the next starts.  Not registered in :data:`BACKENDS`: the
-    executor's mid-run ``"sequential"`` override and the armed
-    ``threads`` path (``VERIFY_COMPILED``) reach it.
+    before the next starts.  Not registered in :data:`BACKENDS`: only
+    the armed ``threads`` path (``VERIFY_COMPILED``) and tests reach it.
     """
 
     name = "serial"

@@ -36,9 +36,9 @@ stop*), then
 
 Everything else has an owner elsewhere: recipes are derived by
 :mod:`repro.planner.recipes`, each backend owns its execution strategy
-(:mod:`repro.runtime.backends`), and divergence detection + re-pricing
-for adaptive replanning live behind
-:meth:`repro.planner.calibration.ReplanContext.replan`.
+(:mod:`repro.runtime.backends`), and the published stats feed the next
+run's plan through :class:`repro.planner.calibration.CalibrationStore`.
+A run dispatches every region exactly as it was planned.
 
 Data races that a *wrong* plan would introduce show up under the
 ``simulated`` backend as real nondeterminism across scheduler seeds,
@@ -67,11 +67,7 @@ from repro.planner.recipes import (
     recipes_from_plan,
 )
 from repro.runtime import knobs
-from repro.runtime.backends import (
-    ParallelRegion,
-    SerialBackend,
-    get_backend,
-)
+from repro.runtime.backends import ParallelRegion, get_backend
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
@@ -132,21 +128,18 @@ class ParallelInterpreter(Interpreter):
     ``parallelizations`` may mix
     :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
     region) and :class:`~repro.planner.recipes.RegionParallelization`
-    (fused) entries.  ``compile_regions`` and ``adaptive`` default to
-    :class:`~repro.pipeline.config.SessionConfig`'s values.  ``replan``
-    is a planner :class:`~repro.planner.calibration.ReplanContext` (one
-    per run); without one, adaptive mode has nothing to re-derive and
-    stays off.  ``forest`` (function name -> header name -> natural
-    loop) hands in loops the caller already holds (a Session's analysis
-    record); a function it does not name has its own found on first use.
+    (fused) entries.  ``compile_regions`` defaults to
+    :class:`~repro.pipeline.config.SessionConfig`'s value.  ``forest``
+    (function name -> header name -> natural loop) hands in loops the
+    caller already holds (a Session's analysis record); a function it
+    does not name has its own found on first use.
     """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
                  max_steps=50_000_000, backend="simulated",
                  schedule="static", chunk=None, pool_size=None,
                  prelude=None,  # ignored: benchmarks/e2e still passes it
-                 compile_regions=True, adaptive=False,
-                 replan=None, forest=None):
+                 compile_regions=True, forest=None):
         super().__init__(module, max_steps)
         if (
             not isinstance(workers, int)
@@ -163,9 +156,6 @@ class ParallelInterpreter(Interpreter):
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
-        self.adaptive = bool(adaptive)
-        self.replan_context = replan
-        self.replan_events = []
         regions = [as_region(p) for p in parallelizations]
         self._regions = {region.header: region for region in regions}
         for region in regions:
@@ -195,11 +185,9 @@ class ParallelInterpreter(Interpreter):
     def run(self, function_name="main", args=(), profiler=None, loops=None):
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
-        self.replan_events = []
         result = super().run(function_name, args, profiler, loops)
         result.parallel_regions = list(self.parallel_regions)
         result.sequence_stats = dict(self.sequence_stats)
-        result.replan_events = list(self.replan_events)
         return result
 
     # -- next stop: loop takeover ----------------------------------------------
@@ -388,17 +376,6 @@ class ParallelInterpreter(Interpreter):
             for worker in workers
         ]
         self.parallel_regions.append(stats)
-        if self.adaptive and self.replan_context is not None:
-            # Between dispatches, after the join wrote the region's
-            # effects back (the deferred-apply invariant: a replan can
-            # never observe or double-apply a half-finished region).
-            event = self.replan_context.replan(
-                self.parallel_regions, self.compile_regions,
-                self._adopt_plan,
-            )
-            if event is not None:
-                self.replan_events.append(event)
-                stats.replans += 1
 
     def _partition(self, loops, region_par, frame):
         """``(loop, recipe, values, per-worker assignment)`` per member."""
@@ -436,65 +413,18 @@ class ParallelInterpreter(Interpreter):
 
     def _effective_backend(self, region_par):
         """The region's backend: the configured one unless a small-region
-        override reroutes a ``processes`` dispatch onto threads, or a
-        mid-run replan serialized the region outright.
+        override reroutes a ``processes`` dispatch onto threads.
 
         The override only ever *reduces* dispatch weight; the simulated
         oracle is left untouched so race detection stays
-        level-independent.  A ``"sequential"`` override can only appear
-        mid-run (statically-serialized descriptors never reach the
-        runtime — ``recipes_from_plan`` drops them): the region keeps
-        its trigger header, partitioning, and worker-order merge, but
-        runs each worker's chunk on the dispatching thread
-        (:class:`SerialBackend`), so the result is bit-identical to the
-        threads dispatch it replaces.
+        level-independent.
         """
-        if region_par.backend_override == "sequential" and (
-            self.backend.name in ("threads", "processes")
-        ):
-            return SerialBackend()
         if (
             region_par.backend_override == "threads"
             and self.backend.name == "processes"
         ):
             return get_backend("threads")
         return self.backend
-
-    def _adopt_plan(self, plan):
-        """Adopt a replanned plan's cost decisions, preserving triggers.
-
-        Only regions whose member headers match a live region adopt the
-        new ``backend_override`` and ``tile`` — structural differences
-        (a different fusion grouping, a region the new plan dropped) are
-        ignored, because adding or removing a takeover trigger mid-run
-        would invalidate the compiled sequential stretches' memoized
-        stop sets.  Mutating the live :class:`RegionParallelization` in
-        place keeps ``self._regions``' keys and the derived recipes
-        untouched.
-        """
-        by_headers = {
-            descriptor.headers: descriptor for descriptor in plan.regions
-        }
-        changes = []
-        for region in self._regions.values():
-            descriptor = by_headers.get(region.headers)
-            if descriptor is None:
-                continue
-            override = descriptor.backend_override
-            tile = descriptor.tile
-            if (
-                override == region.backend_override
-                and tile == region.tile
-            ):
-                continue
-            changes.append({
-                "region": region.label,
-                "backend_override": [region.backend_override, override],
-                "tile": [region.tile, tile],
-            })
-            region.backend_override = override
-            region.tile = tile
-        return changes
 
     # -- worker frames -----------------------------------------------------------
 

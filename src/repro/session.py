@@ -27,8 +27,7 @@ from repro.pipeline.cache import PipelineCache, content_key
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
-from repro.planner.calibration import CalibrationStore, ReplanContext
-from repro.planner.plans import loop_uid_map, openmp_source_plan
+from repro.planner.calibration import CalibrationStore
 from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.runtime.executor import run_parallel
 from repro.runtime.payload import module_codec
@@ -321,8 +320,7 @@ class Session:
     # -- execution -------------------------------------------------------------
 
     def run(self, plan=None, workers=None, seed=None, backend=None,
-            schedule=None, chunk=None, opt=None, compile_regions=None,
-            adaptive=None):
+            schedule=None, chunk=None, opt=None, compile_regions=None):
         """Execute the program under ``plan`` on a parallel backend.
 
         ``plan`` may be a :class:`ProgramPlan`, an abstraction name
@@ -341,21 +339,14 @@ class Session:
         ``parallel_regions`` (``util.regionstats.parallel_report``
         renders it); the session keeps none of it.
 
-        ``adaptive`` (default: the config's ``adaptive``) turns on
-        mid-run replanning: dispatches whose measured timings diverge
-        from the plan's predictions re-derive the remaining regions'
-        cost decisions with a freshly calibrated machine model (see
-        ``result.replan_events``).  With calibration on, the run's
-        region stats are distilled into the session's
+        A run dispatches every region as planned.  With calibration on,
+        its region stats are distilled into the session's
         :class:`CalibrationStore` afterwards (and persisted to
         ``profile_path``), so the *next* plan starts from measured
         coefficients.
         """
         config = self.config
         level = OptLevel.coerce(opt) if opt is not None else config.opt_level
-        adaptive_on = bool(
-            config.adaptive if adaptive is None else adaptive
-        )
         compile_on = bool(
             config.compile_regions if compile_regions is None
             else compile_regions
@@ -364,10 +355,6 @@ class Session:
             # Source-plan runs skip the codegen warm-up — it would drag
             # the whole planning pipeline in — and compile lazily.
             regions = recipes_from_annotations(self.function)
-            base_plan = (
-                openmp_source_plan(self.function, loop_uid_map(self.loops))
-                if adaptive_on else None
-            )
         elif isinstance(plan, str):
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
@@ -382,17 +369,12 @@ class Session:
                     self.plan(plan), level, compile_on
                 ).plan
                 regions = recipes_from_plan(self.pspdg, optimized)
-            base_plan = self.plan(plan) if adaptive_on else None
         else:
             # Explicit ProgramPlan: optimize against the session's
             # cached graphs, then derive its recipes.
-            base_plan = plan
             if level > OptLevel.O0 and not plan.regions:
                 plan = self._optimized(plan, level, compile_on).plan
             regions = recipes_from_plan(self.pspdg, plan)
-        replan = (
-            self._replan_context(base_plan, level) if adaptive_on else None
-        )
         result = run_parallel(
             self.module, regions, config.function_name,
             workers=workers if workers is not None else config.workers,
@@ -402,44 +384,16 @@ class Session:
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
             compile_regions=compile_on,
-            adaptive=adaptive_on,
-            replan=replan,
             forest={config.function_name: self.analyses.loops_by_header},
         )
-        if config.calibrate or adaptive_on:
-            # Mid-run replans already fed the store up to the context's
-            # ``calibrated_upto``; distill only the regions after that
-            # so nothing is counted twice, then persist for warm
-            # sessions.
-            start = replan.calibrated_upto if replan is not None else 0
+        if config.calibrate:
+            # Distill the run, then persist it for warm sessions.
             self.calibration.observe_run(
-                result.parallel_regions[start:],
-                program_key=self.program_key(),
+                result.parallel_regions, program_key=self.program_key()
             )
-            if config.calibrate and config.profile_path:
+            if config.profile_path:
                 self.calibration.save()
         return result
-
-    def _replan_context(self, base_plan, level):
-        """The planner context mid-run replanning re-optimizes against.
-
-        Carries the session's cached PS-PDG (and through it the PDG
-        and the analysis record), the *unoptimized* base plan
-        (``optimize_plan`` re-derives region descriptors from
-        scratch every call), the effective machine model, the shared
-        calibration store, and the per-label payload-bytes predictions
-        the divergence detector compares measurements against.
-        """
-        calibrated = self.calibrated
-        return ReplanContext(
-            pspdg=self.pspdg,
-            plan=base_plan,
-            level=level,
-            machine=calibrated["machine"],
-            store=self.calibration,
-            program_key=self.program_key(),
-            predicted_bytes=dict(calibrated["payload_bytes"]),
-        )
 
     def _cached_regions(self, abstraction):
         recipes = self.region_recipes

@@ -349,6 +349,18 @@ def test_min_coverage_bounds_are_accepted(coverage):
     assert SessionConfig(min_coverage=coverage).min_coverage == coverage
 
 
+def test_a_profile_path_that_names_a_directory_is_rejected(tmp_path):
+    """It used to pass: the first calibrated run completed, then its
+    save raised ``IsADirectoryError`` and the run's result was lost."""
+    with pytest.raises(ValueError, match="profile_path"):
+        SessionConfig(profile_path=str(tmp_path))
+    with pytest.raises(ValueError, match="profile_path"):
+        Session.from_kernel("EP", calibrate=True, profile_path=tmp_path)
+    profile = tmp_path / "profile.json"  # not there yet: created on save
+    assert SessionConfig(profile_path=str(profile)).profile_path == \
+        str(profile)
+
+
 def test_config_is_immutable(session):
     with pytest.raises(Exception):
         session.config.name = "other"
@@ -423,11 +435,10 @@ def test_region_feedback_aggregates_per_label():
         RegionStats(header="L2", payloads=2, payload_bytes=600),
         RegionStats(header="seq", payloads=0),
     ]
-    payload_bytes, speedup, recovery = region_feedback(regions)
+    payload_bytes, speedup = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8, "L2": 300}
     assert "seq" not in payload_bytes
     assert speedup == {}  # no chunk-mode executions recorded
-    assert recovery == {}  # no supervised recoveries recorded
 
 
 def test_region_feedback_measures_compiled_speedup():
@@ -453,7 +464,7 @@ def test_region_feedback_measures_compiled_speedup():
         header="L3", seconds=1.0, compiled_chunks=2,
         per_worker=[{"steps": 1000}],
     ))
-    _bytes, speedup, _recovery = region_feedback(regions)
+    _bytes, speedup = region_feedback(regions)
     assert speedup == {"L1": pytest.approx(4.0)}
 
 

@@ -18,7 +18,6 @@ from repro.planner.calibration import (
     OUTLIER_MIN_SAMPLES,
     PAYLOAD_SAMPLE_FLOOR,
     CalibrationStore,
-    ReplanContext,
 )
 from repro.planner.machine import DEFAULT_MACHINE
 from repro.util.regionstats import RegionStats
@@ -382,15 +381,3 @@ class TestPersistence:
         assert "compiled_speedup" in text
         assert "(static)" in text  # the never-observed coefficients
 
-
-class TestReplanContext:
-    def test_default_store_is_private(self):
-        a = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
-        b = ReplanContext(pspdg=None, plan=None, level=None, machine=None)
-        assert a.store is not b.store
-
-    def test_explicit_store_is_shared(self):
-        store = CalibrationStore()
-        ctx = ReplanContext(pspdg=None, plan=None, level=None,
-                            machine=None, store=store)
-        assert ctx.store is store

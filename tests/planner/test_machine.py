@@ -5,7 +5,7 @@ The calibration profile stores machine models as JSON, so
 mismatched schema versions.  The cost helpers' edge cases (zero-trip
 loops, non-positive payloads) are what the
 calibration store's estimators can legitimately produce, so they are
-pinned here rather than discovered in a replanning stack trace.
+pinned here rather than discovered in a calibrated run's stack trace.
 """
 
 import dataclasses

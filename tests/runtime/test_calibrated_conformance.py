@@ -3,8 +3,7 @@
 The contract under test: a ``calibrate=True`` session prices its second
 run from the first run's measurements, that re-priced plan computes what
 the sequential program computes, and a calibrating run never rewrites
-the recipes the session has cached.  Mid-run replanning (``adaptive``)
-has its own tests in ``test_replanning.py``.
+the recipes the session has cached.
 """
 
 import pytest

@@ -124,9 +124,9 @@ def test_key_set_is_exactly_the_field_set(published):
 def test_parallel_report_renders_every_column(published):
     _session, region = published
     header, _rule, row = parallel_report([region]).splitlines()[:3]
-    assert header.split()[:14] == [
+    assert header.split()[:13] == [
         "loop", "backend", "sched", "W", "iters", "bytes", "cc", "ic",
-        "rtry", "fo", "flt", "rec-ms", "rpl", "seconds",
+        "rtry", "fo", "flt", "rec-ms", "seconds",
     ]
     assert row.split()[:2] == [region.header, region.backend]
 
@@ -170,8 +170,8 @@ def _region(seconds=1.0, workers=((100, 0.25), (300, 0.5)), **fields):
 def test_recovery_inflated_is_any_supervision_counter(field):
     assert not _region().recovery_inflated
     assert _region(**{field: 1}).recovery_inflated
-    # Time spent recovering and replans are ledger entries, not inflation.
-    assert not _region(replans=1).recovery_inflated
+    # Time spent recovering is a ledger entry, not inflation.
+    assert not _region(recovery_ms=2.5).recovery_inflated
 
 
 def test_overhead_is_wall_minus_slowest_worker():
@@ -183,32 +183,18 @@ def test_overhead_is_wall_minus_slowest_worker():
     assert untimed.dispatch_overhead == 0.25
 
 
-def test_step_imbalance_is_max_over_mean_of_busy_workers():
-    assert _region().step_imbalance == 300 / 200
-    idle = _region(workers=((400, 0.1), (0, 0.0), (0, 0.0)))
-    assert idle.step_imbalance is None  # one busy worker: nothing to balance
-    padded = _region(workers=((100, 0.1), (300, 0.1), (0, 0.0)))
-    assert padded.step_imbalance == 300 / 200  # empty chunks excluded
-
-
-def test_region_feedback_aggregates_wire_speedup_and_ledger():
+def test_region_feedback_aggregates_wire_and_speedup():
     regions = [
         _region(header="L1", payloads=4, payload_bytes=4000,
                 interpreted_chunks=2, seconds=1.0),
         _region(header="L1", payloads=4, payload_bytes=400,
                 compiled_chunks=2, seconds=0.25, retries=1, recovery_ms=2.5),
-        _region(header="L2", compiled_chunks=1, interpreted_chunks=1,
-                replans=1),
+        # Mixed engines: the rate belongs to neither, so no speedup.
+        _region(header="L2", compiled_chunks=1, interpreted_chunks=1),
         _region(header="quiet"),
     ]
-    payload_bytes, speedup, recovery = region_feedback(regions)
+    payload_bytes, speedup = region_feedback(regions)
     assert payload_bytes == {"L1": 4400 // 8}
     # 400 steps in 0.25s compiled vs 400 steps in 1.0s interpreted.
     assert speedup == {"L1": pytest.approx(4.0)}
-    assert recovery == {
-        "L1": {"retries": 1, "failovers": 0, "faults_injected": 0,
-               "recovery_ms": 2.5, "replans": 0},
-        "L2": {"retries": 0, "failovers": 0, "faults_injected": 0,
-               "recovery_ms": 0, "replans": 1},
-    }
-    assert region_feedback([]) == ({}, {}, {})
+    assert region_feedback([]) == ({}, {})
