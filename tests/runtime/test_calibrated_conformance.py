@@ -9,20 +9,10 @@ the recipes the session has cached.
 import pytest
 
 from repro import Session
-from repro.planner.machine import MachineModel
 from repro.planner.recipes import recipes_from_plan
 from repro.runtime import backends, knobs
 from repro.workloads import kernel_names
-from support.conformance import outputs_close
-
-#: Thresholds absurdly low: every region looks worth dispatching, so a
-#: processes run pays per-dispatch wire costs the model claimed were
-#: free — exactly the mis-calibration one observed run must re-price.
-MISCALIBRATED = MachineModel(
-    serial_region_cost=1,
-    threads_region_cost=2,
-    payload_cost_per_byte=1e-9,
-)
+from support.conformance import MISCALIBRATED, outputs_close
 
 
 def miscalibrated_session(kernel="LU", **overrides):

@@ -1,0 +1,92 @@
+"""A run dispatches every region exactly as it was planned.
+
+The contract under test: a region's backend is decided when the plan is
+priced — the configured backend, or ``threads`` for a region whose recipe
+carries the small-region override on ``processes`` — and nothing a run
+measures moves it.  A session's later run dispatches what its first did
+and what a fresh session with the same config dispatches; regions the
+optimizer priced ``sequential`` never reach the runtime at all (the base
+interpreter runs those loops).
+"""
+
+import pytest
+
+from repro import Session
+from repro.planner.plans import OVERRIDE_SEQUENTIAL, OVERRIDE_THREADS
+from repro.workloads import kernel_names
+from support.conformance import MISCALIBRATED
+
+
+def dispatched(result):
+    return [(r.header, r.backend) for r in result.parallel_regions]
+
+
+def planned_backends(backend, recipe):
+    """The backend labels a dispatch of ``recipe`` may carry."""
+    if backend != "processes":
+        return {backend}
+    if recipe.backend_override == OVERRIDE_THREADS:
+        return {"processes->threads(small-region)"}
+    # A critical/atomic body needs shared locks: the processes backend
+    # runs it on threads itself, whatever the plan said.
+    return {"processes", "processes->threads(critical)"}
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+@pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
+@pytest.mark.parametrize("opt", (0, 2))
+def test_kernels_dispatch_as_planned(kernel, backend, opt):
+    session = Session.from_kernel(
+        kernel, opt_level=opt, backend=backend, workers=4,
+    )
+    planned = session.region_recipes["PS-PDG"]
+    by_label = {recipe.label: recipe for recipe in planned}
+    result = session.run("PS-PDG")
+    assert result.parallel_regions
+    for region in result.parallel_regions:
+        assert region.header in by_label
+        assert region.backend in planned_backends(
+            backend, by_label[region.header]
+        )
+    # The run rewrote nothing the session cached.
+    assert session.region_recipes["PS-PDG"] is planned
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_a_used_session_dispatches_like_a_fresh_one(kernel):
+    # The storm plan dispatches every legal region on processes, paying
+    # wire costs the model called free: the divergence a run must not
+    # act on between its own dispatches or carry into the next run.
+    def session():
+        return Session.from_kernel(
+            kernel, opt_level=2, backend="processes", workers=4,
+            machine=MISCALIBRATED,
+        )
+
+    used = session()
+    first = used.run("PS-PDG")
+    second = used.run("PS-PDG")
+    fresh = session().run("PS-PDG")
+    assert dispatched(second) == dispatched(first) == dispatched(fresh)
+    assert second.formatted_output() == fresh.formatted_output()
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+@pytest.mark.parametrize("opt", (1, 2, 3))
+def test_sequential_regions_never_reach_the_runtime(kernel, opt):
+    session = Session.from_kernel(
+        kernel, opt_level=opt, backend="threads", workers=4,
+    )
+    serialized = {
+        "+".join(descriptor.headers)
+        for descriptor in session.optimized_plan().regions
+        if descriptor.backend_override == OVERRIDE_SEQUENTIAL
+    }
+    planned = session.region_recipes["PS-PDG"]
+    assert all(
+        recipe.backend_override in (None, OVERRIDE_THREADS)
+        for recipe in planned
+    )
+    assert not serialized & {recipe.label for recipe in planned}
+    result = session.run("PS-PDG")
+    assert not serialized & {r.header for r in result.parallel_regions}

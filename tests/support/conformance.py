@@ -8,6 +8,8 @@ must be bitwise equal.
 
 import math
 
+from repro.planner.machine import MachineModel
+
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -136,3 +138,13 @@ def wire_bytes(regions):
     """Bytes a run's regions put on the wire: fixed by the plan, plus one
     module copy per pool child that did not hold the module yet."""
     return sum(region["payload_bytes"] for region in regions)
+
+
+#: Thresholds absurdly low: every region looks worth dispatching, so a
+#: processes run pays per-dispatch wire costs the model claimed were
+#: free — the mis-calibration one observed run must re-price.
+MISCALIBRATED = MachineModel(
+    serial_region_cost=1,
+    threads_region_cost=2,
+    payload_cost_per_byte=1e-9,
+)
