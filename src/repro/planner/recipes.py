@@ -67,12 +67,19 @@ class RegionParallelization:
         tile: minimum iterations per payload (tiling); the runtime caps
             the effective worker count at ``ceil(trip / tile)`` and
             pads the rest with empty chunks.
+        prepared: the runtime's dispatch record for this region
+            (:class:`repro.runtime.executor._PreparedRegion`), built on
+            its first dispatch and rebuilt when what it was built from
+            changes; never part of the region's identity.
     """
 
     recipes: list
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
     tile: int = None
+    prepared: object = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def header(self):

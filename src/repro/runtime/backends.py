@@ -14,9 +14,12 @@ owns its whole execution strategy:
   the race-detection oracle of the conformance suite, not a
   performance backend.
 * ``threads`` — one OS thread per worker, from one persistent *team*
-  (``_TEAM``: a single :class:`concurrent.futures.ThreadPoolExecutor`
-  for the process, its threads spawned when a region needs more than
-  are parked and retired when a process pool is built).  Workers share
+  (``_TEAM``: one :class:`_Team` for the process, its threads spawned
+  when a region needs more than are parked, each blocked on its own
+  lock, and retired when a process pool is built).  The dispatcher
+  hands job *i* to member *i* by releasing that member's lock and
+  collects the outcomes from the members' done-locks in worker order
+  (see ``_TEAM`` for what that costs).  Workers share
   the interpreter's storage exactly like the simulated machine; critical
   and atomic regions take real :class:`threading.Lock` locks.  Every job
   of a region has ended before its results — or its lowest-index
@@ -50,7 +53,6 @@ iteration-to-worker assignment everywhere.
 """
 
 import atexit
-import concurrent.futures
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
@@ -109,7 +111,6 @@ class ParallelRegion:
     """
 
     loops: list  # member NaturalLoops (canonical form guaranteed)
-    region: object  # RegionParallelization (recipes + opt markers)
     frame: object  # the enclosing (sequential) _Frame
     workers: list  # _Worker instances, one per configured worker
     critical: dict  # block name -> (lock key, block set), elided syncs out
@@ -405,28 +406,119 @@ class _Stepper:
         return any([self._release(worker, lock) for lock in list(worker.held)])
 
 
-#: The ``threads`` backend's worker team: one executor for every region
-#: of every run in this process, its threads spawned on demand — as many
-#: as the widest region seen — and parked between regions.  (One built
-#: and joined per region cost 96 us against 23 us for two jobs on a live
-#: one, before its fresh threads fought the dispatcher for the GIL.)
+class _Member:
+    """One parked team thread, ``repro-worker_N``, and its two locks.
+
+    The thread blocks on ``go`` until the dispatcher hands it a job, runs
+    it, leaves the outcome in ``outcome`` and releases ``done``.  Both
+    locks start held, so each release is one hand-off either way.
+    """
+
+    __slots__ = ("go", "done", "job", "item", "outcome", "thread")
+
+    def __init__(self, index):
+        self.go = threading.Lock()
+        self.go.acquire()
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.job = self.item = self.outcome = None
+        self.thread = threading.Thread(
+            target=self._park, name=f"repro-worker_{index}", daemon=True
+        )
+        self.thread.start()
+
+    def _park(self):
+        while True:
+            self.go.acquire()
+            job = self.job
+            if job is None:  # retired
+                return
+            try:
+                self.outcome = (job(self.item), None)
+            except BaseException as exc:  # handed to the dispatcher
+                self.outcome = (None, exc)
+            self.done.release()
+
+    def start(self, job, item):
+        self.job, self.item = job, item
+        self.go.release()
+
+    def wait(self):
+        """The job's ``(result, error)``, once it has ended."""
+        self.done.acquire()
+        outcome, self.outcome = self.outcome, None
+        self.job = self.item = None
+        return outcome
+
+    def retire(self):
+        self.job = None
+        if self.go.locked():  # unlocked: a job handed over, not yet taken
+            self.go.release()
+
+
+class _Team:
+    """The ``threads`` backend's parked worker threads, one per worker.
+
+    Only as wide as the widest region seen: a wider one spawns the
+    missing members, and none is ever replaced.  The caller holds
+    ``_TEAM_LOCK`` across :meth:`run`, so two dispatching threads never
+    share a member and a retirement waits out a region in flight.
+    """
+
+    def __init__(self):
+        self.members = []
+
+    def run(self, job, items):
+        """``job(item)`` per item, each on its own member; every job's
+        ``(result, error)`` in item order, once all have ended."""
+        members = self.members
+        while len(members) < len(items):
+            members.append(_Member(len(members)))
+        members = members[:len(items)]
+        for member, item in zip(members, items):
+            member.start(job, item)
+        return [member.wait() for member in members]
+
+    def retire(self):
+        for member in self.members:
+            member.retire()
+        for member in self.members:
+            member.thread.join()
+
+
+#: The ``threads`` backend's worker team: one for every region of every
+#: run in this process, its threads spawned on demand — as many as the
+#: widest region seen — and parked on their locks between regions.  Two
+#: empty jobs, median of 5000 hand-offs on one pinned core of a 2-vCPU
+#: Xeon VM (CPython 3.11): 25-37 us through the members' locks, 37-53 us
+#: through the futures of the live thread-pool executor this team
+#: replaced (one built and joined per region cost 96 us).
 _TEAM = None
 _TEAM_LOCK = threading.RLock()
 
 
-def _team_submit(job, active):
-    """``job(worker)`` on the team, every worker at once; the futures."""
+def _team_run(job, items):
+    """``job(item)`` per item on the team, every item at once; the
+    results in item order, or the lowest-index error once every job has
+    ended."""
     global _TEAM
-    with _TEAM_LOCK:  # a retirement waits out a region's whole submit
+    with _TEAM_LOCK:  # held until the last job ended: no sharing, and a
+        # retirement waits the region out
         if _TEAM is None:
-            _TEAM = concurrent.futures.ThreadPoolExecutor(
-                max_workers=len(active), thread_name_prefix="repro-worker"
-            )
-        # One thread per worker: a wider region widens the live team (the
-        # bound is read at every submit) rather than queue behind it or
-        # replace it under another dispatching thread's jobs.
-        _TEAM._max_workers = max(_TEAM._max_workers, len(active))
-        return [_TEAM.submit(job, worker) for worker in active]
+            _TEAM = _Team()
+        team = _TEAM
+        try:
+            outcomes = team.run(job, items)
+        except BaseException:
+            # An interrupt while the jobs ran: the team retires — its
+            # join waits every job out — and the next region starts anew.
+            _TEAM = None
+            team.retire()
+            raise
+    for _result, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _error in outcomes]
 
 
 def _retire_team():
@@ -435,11 +527,11 @@ def _retire_team():
     with _TEAM_LOCK:  # a pool build holds it on, through its forks
         team, _TEAM = _TEAM, None
         if team is not None:
-            team.shutdown(wait=True)  # parked threads exit in microseconds
+            team.retire()  # parked threads exit in microseconds
 
 
 def _forget_team():
-    """In a forked child: the executor came along, its threads did not."""
+    """In a forked child: the team object came along, its threads did not."""
     global _TEAM, _TEAM_LOCK
     _TEAM, _TEAM_LOCK = None, threading.RLock()
 
@@ -516,16 +608,13 @@ class ThreadsBackend(ExecutionBackend):
             stats.interpreted_chunks += interpreted
 
     def _run_jobs(self, active, job):
-        """Run ``job`` per worker concurrently; results in worker order."""
-        futures = _team_submit(job, active)
-        try:
-            return [(worker, future.result())
-                    for worker, future in zip(active, futures)]
-        except BaseException:
-            # The lowest-index worker's error, once every job has ended:
-            # no straggler may still write the storages after it leaves.
-            concurrent.futures.wait(futures)
-            raise
+        """Run ``job`` per worker concurrently; results in worker order.
+
+        An error leaves only once every job has ended — no straggler may
+        still write the storages after it — and it is the lowest-index
+        worker's.
+        """
+        return list(zip(active, _team_run(job, active)))
 
 
 class SerialBackend(ThreadsBackend):

@@ -5,14 +5,18 @@ further and *runs* them.  A :class:`ParallelInterpreter` executes the
 program sequentially until control reaches a planned region (the *next
 stop*), then
 
-1. looks the member loops up in the run's forest (the caller's own
-   when it handed one in — a Session's record, so a warm run discovers
-   no loops — else found once per function), evaluates the canonical
-   iteration space and partitions it with a
-   :class:`~repro.runtime.schedulers.ChunkScheduler` (static / dynamic /
-   guided — decided once, shared by every backend); a worker keeps its
-   chunk lists and their total, and one with none is never dispatched,
-2. builds one privatized frame per worker, with
+1. takes the region's prepared record (:class:`_PreparedRegion`: the
+   member loops from the run's forest — the caller's own when it handed
+   one in, a Session's record, so a warm run discovers no loops, else
+   found once per function — their schedulers and bound getters, the
+   privatization plan and the lock map, built on the region's first
+   dispatch and kept on the region until anything it was built from
+   changes), evaluates the canonical iteration space and partitions it
+   with a :class:`~repro.runtime.schedulers.ChunkScheduler` (static /
+   dynamic / guided — decided once, shared by every backend); a worker
+   keeps its chunk lists and their total, and one with none is never
+   dispatched,
+2. builds one privatized frame per worker from the plan, with
 
    * per-worker private copies of the induction variable and every
      variable the recipe privatizes,
@@ -20,6 +24,8 @@ stop*), then
      and merged (in worker order, deterministically) at the join,
    * firstprivate copies seeded from the shared value, lastprivate
      written back by the worker that executed the final iteration,
+   * the registers the member loops read and do not define (their
+     live-ins), pointers among them re-aimed at the private copies,
 
 3. picks the region's backend and hands it the
    :class:`~repro.runtime.backends.ParallelRegion` — ``simulated`` (the
@@ -46,6 +52,7 @@ while correct plans produce exactly the sequential result (modulo
 floating-point reduction reassociation).
 """
 
+import operator
 import time
 
 from repro.analysis.loops import find_natural_loops
@@ -68,9 +75,21 @@ from repro.planner.recipes import (
 )
 from repro.runtime import knobs
 from repro.runtime.backends import ParallelRegion, get_backend
+from repro.runtime.payload import live_in_registers
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
+
+#: Reduction operator -> how two partial values merge.
+_MERGE = {
+    "add": operator.add,
+    "mul": operator.mul,
+    "min": min,
+    "max": max,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+}
 
 _IDENTITY = {
     "add": 0,
@@ -118,8 +137,211 @@ class _Worker:
         self.held = set()
         self.steps = 0
         self.seconds = 0.0
-        self.private_globals = set()  # privatized global names
-        self.private_allocas = set()  # privatized Alloca instructions
+        # Set with the frame: privatized global names, Alloca instructions.
+        self.private_globals = self.private_allocas = None
+
+
+def _zeros_for(storage):
+    if isinstance(storage, GlobalVariable):
+        return zero_storage(storage.value_type)
+    return zero_storage(storage.allocated_type)
+
+
+def _identity_values(storage, op):
+    if op not in _IDENTITY:
+        raise PlanError(f"no identity for reduction op {op!r}")
+    identity = _IDENTITY[op]
+    value_type = (
+        storage.value_type
+        if isinstance(storage, GlobalVariable)
+        else storage.allocated_type
+    )
+    scalar = value_type
+    while hasattr(scalar, "element"):
+        scalar = scalar.element
+    if scalar == FLOAT and op in ("add", "mul"):
+        identity = float(identity)
+    return [identity] * value_type.slots()
+
+
+def _critical_region_map(function, removed_sync_uids=frozenset()):
+    """block name -> (lock key, region block set) for critical/atomic.
+
+    Annotations whose uid the optimizer's sync-elimination pass put in
+    ``removed_sync_uids`` contribute no lock: their guarded objects were
+    proven free of cross-worker dependence at this region's loop level.
+    """
+    mapping = {}
+    for annotation in function.annotations:
+        if annotation.directive.kind not in ("critical", "atomic"):
+            continue
+        if annotation.uid in removed_sync_uids:
+            continue
+        name = annotation.directive.clauses.critical_name
+        key = f"critical:{name}" if name else f"anon:{annotation.uid}"
+        if annotation.directive.kind == "critical" and name is None:
+            key = "critical:<anonymous>"
+        if annotation.directive.kind == "atomic":
+            key = f"atomic:{annotation.uid}"
+        blocks = set(annotation.block_names)
+        for block_name in blocks:
+            mapping[block_name] = (key, blocks)
+    return mapping
+
+
+def _recipe_key(region):
+    """A snapshot of what a region's prepared record read of its recipes.
+
+    The storages compare by identity, so a recipe edited in place — a
+    chunk, a storage added, swapped or dropped, a reduction's operator —
+    snapshots differently.
+    """
+    return (
+        region.removed_sync_uids,
+        region.tile,
+        [
+            (
+                recipe.header,
+                recipe.chunk,
+                list(recipe.privatized),
+                list(recipe.firstprivate),
+                list(recipe.lastprivate),
+                list(recipe.reductions),
+            )
+            for recipe in region.recipes
+        ],
+    )
+
+
+class _PreparedRegion:
+    """What every dispatch of one region reuses, built on its first.
+
+    Built from ``key`` — the run's schedule and chunk override and the
+    :func:`_recipe_key` snapshot of the region's recipes — the function
+    the region runs in and its member ``loops``;
+    :meth:`ParallelInterpreter._prepared_region` rebuilds it when any of
+    them changes.  ``privates`` is the privatization plan, one
+    ``(storage, global name or None, template, firstprivate)`` per
+    private storage in first-wins order: a worker's copy is
+    ``list(template)``, or of the shared value for firstprivate (the
+    zero template when the storage has none yet).  ``reductions`` holds
+    one ``(storage, global name or None, merge)`` per reduction.
+    Nothing here depends on a run or holds an interpreter.
+    """
+
+    __slots__ = (
+        "key", "function", "loops", "region", "label", "fused", "chunk",
+        "members", "resume", "privates", "inductions", "live_in",
+        "global_slots", "alloca_slots", "private_globals", "private_allocas",
+        "critical", "reductions",
+    )
+
+    def __init__(self, region, function, loops, key):
+        self.key = key
+        self.function = function
+        self.loops = loops
+        self.region = region
+        self.label, self.fused = region.label, region.fused
+        schedule, chunk, _recipes = key
+        self.chunk = chunk if chunk is not None else region.recipes[0].chunk
+        self.members = [
+            (
+                loop,
+                recipe,
+                make_scheduler(
+                    schedule, chunk if chunk is not None else recipe.chunk
+                ),
+                tuple(
+                    operand_getter(bound) for bound in (
+                        loop.canonical.lower,
+                        loop.canonical.upper,
+                        loop.canonical.step,
+                    )
+                ),
+            )
+            for loop, recipe in zip(loops, region.recipes)
+        ]
+        # Control resumes after the *last* member; fusion legality
+        # guarantees nothing but induction glue lives in between.
+        self.resume = function.block(loops[-1].canonical.exit)
+        recipe = (
+            region.recipes[0] if not region.fused
+            else region.merged_recipe()
+        )
+        self.privates = []
+        seen = set()
+
+        def privatize(storage, template, firstprivate=False):
+            if id(storage) in seen:
+                return
+            seen.add(id(storage))
+            name = (
+                storage.name if isinstance(storage, GlobalVariable) else None
+            )
+            self.privates.append((storage, name, template, firstprivate))
+
+        for loop in loops:
+            privatize(loop.canonical.induction, [0])
+        for storage in recipe.privatized:
+            privatize(storage, _zeros_for(storage))
+        for storage in recipe.firstprivate:
+            privatize(storage, _zeros_for(storage), firstprivate=True)
+        for storage, op in recipe.reductions:
+            privatize(storage, _identity_values(storage, op))
+        for storage in recipe.lastprivate:
+            # Already-private storages (e.g. firstprivate-seeded scratch)
+            # keep their seed; plain lastprivate starts zeroed.
+            privatize(storage, _zeros_for(storage))
+        slots = {
+            id(storage): index
+            for index, (storage, _n, _t, _f) in enumerate(self.privates)
+        }
+        # A fused member's induction alloca may never have executed in
+        # the parent frame (its preheader is skipped by the fused
+        # takeover), so its pointer register is materialized directly.
+        self.inductions = [
+            (loop.canonical.induction, slots[id(loop.canonical.induction)])
+            for loop in loops
+            if not isinstance(loop.canonical.induction, GlobalVariable)
+        ]
+        self.live_in = sorted(
+            live_in_registers(loops), key=lambda inst: inst.uid
+        )
+        # Where each copy goes: a global's into the overlay, an alloca's
+        # into the object table.
+        self.global_slots = [
+            (slot, name)
+            for slot, (_s, name, _t, _f) in enumerate(self.privates)
+            if name is not None
+        ]
+        self.alloca_slots = [
+            (slot, storage)
+            for slot, (storage, name, _t, _f) in enumerate(self.privates)
+            if name is None
+        ]
+        self.private_globals = {name for _slot, name in self.global_slots}
+        self.private_allocas = {
+            storage for _slot, storage in self.alloca_slots
+        }
+        self.critical = _critical_region_map(
+            function, region.removed_sync_uids
+        )
+        # Reductions merge once per (storage, op) across all members: a
+        # shared same-op reduction accumulated both members' updates into
+        # one per-worker copy, and commutativity makes the grouping
+        # unobservable.
+        self.reductions = []
+        merged = set()
+        for member in region.recipes:
+            for storage, op in member.reductions:
+                if (id(storage), op) not in merged:
+                    merged.add((id(storage), op))
+                    self.reductions.append((
+                        storage,
+                        storage.name
+                        if isinstance(storage, GlobalVariable) else None,
+                        _MERGE[op],
+                    ))
 
 
 class ParallelInterpreter(Interpreter):
@@ -176,6 +398,7 @@ class ParallelInterpreter(Interpreter):
                     "from this module's function"
                 )
         self.parallel_regions = []  # RegionStats, in execution order
+        self._prepared = {}  # header -> _PreparedRegion, checked once a run
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/verify) and call-mode counters.
         self._seq_entries = {}
@@ -183,6 +406,7 @@ class ParallelInterpreter(Interpreter):
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
     def run(self, function_name="main", args=(), profiler=None, loops=None):
+        self._prepared = {}
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
         result = super().run(function_name, args, profiler, loops)
@@ -196,14 +420,13 @@ class ParallelInterpreter(Interpreter):
         region = self._regions.get(next_block.name)
         if region is None:
             return None
-        loops = self._region_loops(region, frame)
-        if from_block in loops[0].blocks:
+        prepared = self._prepared_region(
+            next_block.name, region, frame.function
+        )
+        if from_block in prepared.loops[0].blocks:
             return None  # back edge: loop already running (shouldn't occur)
-        self._execute_parallel_region(loops, region, frame)
-        # Control resumes after the *last* member; fusion legality
-        # guarantees nothing but induction glue lives in between.
-        resume = loops[-1].canonical.exit
-        return frame.function.block(resume)
+        self._execute_parallel_region(prepared, frame)
+        return prepared.resume
 
     def _compiled_region_stop(self, header, frame):
         """Region takeover for compiled sequential stretches.
@@ -212,17 +435,38 @@ class ParallelInterpreter(Interpreter):
         outside the region's loop blocks (the lowering refuses anything
         else), and resume at the statically-known canonical exit.
         """
-        region = self._regions[header]
         self._execute_parallel_region(
-            self._region_loops(region, frame), region, frame
+            self._prepared_region(
+                header, self._regions[header], frame.function
+            ),
+            frame,
         )
 
-    def _region_loops(self, region, frame):
-        """The region's member loops, canonical."""
-        return [
-            self._canonical_loop(frame.function, recipe.header, "parallel")
+    def _prepared_region(self, header, region, function):
+        """The :class:`_PreparedRegion` of ``region`` (its first member's
+        ``header``) in ``function``: this run's, else the one the region
+        keeps if it was built from the same schedule, chunk, recipes,
+        function and loops, else a new one the region keeps from now
+        on."""
+        prepared = self._prepared.get(header)
+        if prepared is not None and prepared.function is function:
+            return prepared
+        loops = [
+            self._canonical_loop(function, recipe.header, "parallel")
             for recipe in region.recipes
         ]
+        key = (self.schedule, self.chunk, _recipe_key(region))
+        prepared = region.prepared
+        if (
+            prepared is None
+            or prepared.function is not function
+            or prepared.key != key
+            or not all(map(operator.is_, prepared.loops, loops))
+        ):
+            prepared = _PreparedRegion(region, function, loops, key)
+            region.prepared = prepared
+        self._prepared[header] = prepared
+        return prepared
 
     def _function_loops(self, function):
         """header name -> natural loop: the handed-in forest's, else found
@@ -328,8 +572,8 @@ class ParallelInterpreter(Interpreter):
 
     # -- the parallel region: partition, dispatch, join, record ------------------
 
-    def _execute_parallel_region(self, loops, region_par, frame):
-        members = self._partition(loops, region_par, frame)
+    def _execute_parallel_region(self, prepared, frame):
+        members = self._partition(prepared, frame)
         workers = [
             _Worker(
                 index,
@@ -339,24 +583,20 @@ class ParallelInterpreter(Interpreter):
             for index in range(self.workers)
         ]
         stats = RegionStats(
-            header=region_par.label,
-            fused=region_par.fused,
+            header=prepared.label,
+            fused=prepared.fused,
             schedule=self.schedule,
             workers=self.workers,
-            chunk=(self.chunk if self.chunk is not None
-                   else region_par.recipes[0].chunk),
+            chunk=prepared.chunk,
             iterations=sum(len(values) for _l, _r, values, _a in members),
         )
         region = ParallelRegion(
-            loops=loops, region=region_par, frame=frame, workers=workers,
-            critical=self._critical_region_map(
-                frame.function, region_par.removed_sync_uids
-            ),
-            stats=stats,
+            loops=prepared.loops, frame=frame, workers=workers,
+            critical=prepared.critical, stats=stats,
         )
-        self._make_worker_frames(region)
+        self._make_worker_frames(prepared, frame, workers)
 
-        backend = self._effective_backend(region_par)
+        backend = self._effective_backend(prepared.region)
         started = time.perf_counter()
         backend.run_region(self, region)
         stats.seconds = time.perf_counter() - started
@@ -364,7 +604,7 @@ class ParallelInterpreter(Interpreter):
             stats.backend = (
                 f"{self.backend.name}->{stats.backend}(small-region)"
             )
-        self._join(workers, members, frame)
+        self._join(workers, members, prepared.reductions, frame)
 
         stats.per_worker = [
             {
@@ -377,32 +617,28 @@ class ParallelInterpreter(Interpreter):
         ]
         self.parallel_regions.append(stats)
 
-    def _partition(self, loops, region_par, frame):
+    def _partition(self, prepared, frame):
         """``(loop, recipe, values, per-worker assignment)`` per member."""
         members = []
-        for loop, recipe in zip(loops, region_par.recipes):
-            values = self._loop_values(loop, frame)
-            chunk = self.chunk if self.chunk is not None else recipe.chunk
-            scheduler = make_scheduler(self.schedule, chunk)
+        for loop, recipe, scheduler, (lower, upper, step) in (
+            prepared.members
+        ):
+            lower, upper, step = (
+                lower(self, frame), upper(self, frame), step(self, frame)
+            )
+            if step <= 0:
+                raise PlanError("parallel loops require a positive step")
+            values = list(range(lower, upper, step))
             # Tiling caps how many workers get non-empty chunks; the
             # rest are padded empty so worker count stays uniform (the
             # backends only dispatch payloads for non-empty workers).
-            partitions = self._partition_count(len(values), region_par)
+            partitions = self._partition_count(len(values), prepared.region)
             assignment = scheduler.partition(values, partitions)
             assignment = assignment + [
                 [] for _ in range(self.workers - partitions)
             ]
             members.append((loop, recipe, values, assignment))
         return members
-
-    def _loop_values(self, loop, frame):
-        canonical = loop.canonical
-        lower = operand_getter(canonical.lower)(self, frame)
-        upper = operand_getter(canonical.upper)(self, frame)
-        step = operand_getter(canonical.step)(self, frame)
-        if step <= 0:
-            raise PlanError("parallel loops require a positive step")
-        return list(range(lower, upper, step))
 
     def _partition_count(self, trip, region_par):
         """Workers that get non-empty chunks (tiling floors chunk size)."""
@@ -428,159 +664,74 @@ class ParallelInterpreter(Interpreter):
 
     # -- worker frames -----------------------------------------------------------
 
-    def _make_worker_frames(self, region):
-        """Build every worker's privatized frame from the parent's."""
-        recipe = region.region.merged_recipe()
-        for worker in region.workers:
-            self._make_worker_frame(
-                worker, region.frame, recipe, region.loops
-            )
-
-    def _make_worker_frame(self, worker, frame, recipe, loops):
-        worker_frame = _Frame(frame.function, frame.args)
-        worker_frame.registers = dict(frame.registers)
-        worker_frame.objects = frame.objects  # shared by default
-        worker_frame.global_overlay = dict(frame.global_overlay)
-
-        # Private copies (fresh, firstprivate-seeded, or identity-seeded).
-        private_objects = {}
-        storage_remap = {}  # id(shared list) -> private list
-        privatized_ids = set()
-
-        def privatize(storage, seed_values):
-            if id(storage) in privatized_ids:
-                return
-            privatized_ids.add(id(storage))
-            private = list(seed_values)
-            if isinstance(storage, GlobalVariable):
-                shared = self._effective_global(frame, storage.name)
-                worker_frame.global_overlay[storage.name] = private
-                worker.private_globals.add(storage.name)
+    def _make_worker_frames(self, prepared, frame, workers):
+        """Every worker's privatized frame, from the plan and the parent's."""
+        objects = frame.objects
+        overlay = frame.global_overlay
+        # What each private copy is seeded from, and which shared storage
+        # it stands in for (id -> plan slot): the same for every worker.
+        seeds = []
+        slots = {}
+        for slot, (storage, name, template, firstprivate) in enumerate(
+            prepared.privates
+        ):
+            if name is not None:
+                shared = self._effective_global(frame, name)
             else:
-                shared = frame.objects.get(storage)
-                private_objects[storage] = private
-                worker.private_allocas.add(storage)
+                shared = objects.get(storage)
             if shared is not None:
-                storage_remap[id(shared)] = private
-
-        for loop in loops:
-            induction = loop.canonical.induction
-            privatize(induction, [0])
-            # A fused member's induction alloca may never have executed
-            # in the parent frame (its preheader is skipped by the fused
-            # takeover), so materialize its pointer register directly.
-            private = private_objects.get(induction)
-            if private is not None:
-                worker_frame.registers[induction] = (private, 0)
-        for storage in recipe.privatized:
-            privatize(storage, self._zeros_for(storage))
-        for storage in recipe.firstprivate:
-            privatize(storage, self._current_values(storage, frame))
-        for storage, op in recipe.reductions:
-            identity = self._identity_values(storage, op)
-            privatize(storage, identity)
-        for storage in recipe.lastprivate:
-            # Already-private storages (e.g. firstprivate-seeded scratch)
-            # keep their seed; plain lastprivate starts zeroed.
-            privatize(storage, self._zeros_for(storage))
-
-        if private_objects:
-            # Copy-on-write object table: private entries shadow shared.
-            shared = frame.objects
-            table = dict(shared)
-            table.update(private_objects)
-            worker_frame.objects = table
-
-        # Pointers already materialized in registers (alloca results, geps
-        # computed before the loop) still point at the *shared* storage;
-        # re-aim them at the private copies.
-        for key, value in worker_frame.registers.items():
-            if (
-                isinstance(value, tuple)
-                and len(value) == 2
-                and id(value[0]) in storage_remap
-            ):
-                worker_frame.registers[key] = (
-                    storage_remap[id(value[0])],
-                    value[1],
-                )
-        worker.frame = worker_frame
-        return worker_frame
-
-    def _zeros_for(self, storage):
-        if isinstance(storage, GlobalVariable):
-            return zero_storage(storage.value_type)
-        return zero_storage(storage.allocated_type)
-
-    def _current_values(self, storage, frame):
-        if isinstance(storage, GlobalVariable):
-            return list(self._effective_global(frame, storage.name))
-        if storage in frame.objects:
-            return list(frame.objects[storage])
-        return self._zeros_for(storage)
-
-    def _identity_values(self, storage, op):
-        if op not in _IDENTITY:
-            raise PlanError(f"no identity for reduction op {op!r}")
-        identity = _IDENTITY[op]
-        value_type = (
-            storage.value_type
-            if isinstance(storage, GlobalVariable)
-            else storage.allocated_type
-        )
-        scalar = value_type
-        while hasattr(scalar, "element"):
-            scalar = scalar.element
-        if scalar == FLOAT and op in ("add", "mul"):
-            identity = float(identity)
-        return [identity] * value_type.slots()
-
-    def _critical_region_map(self, function, removed_sync_uids=frozenset()):
-        """block name -> (lock key, region block set) for critical/atomic.
-
-        Annotations whose uid the optimizer's sync-elimination pass put
-        in ``removed_sync_uids`` contribute no lock: their guarded
-        objects were proven free of cross-worker dependence at this
-        region's loop level.
-        """
-        mapping = {}
-        for annotation in function.annotations:
-            if annotation.directive.kind not in ("critical", "atomic"):
-                continue
-            if annotation.uid in removed_sync_uids:
-                continue
-            name = annotation.directive.clauses.critical_name
-            key = f"critical:{name}" if name else f"anon:{annotation.uid}"
-            if annotation.directive.kind == "critical" and name is None:
-                key = "critical:<anonymous>"
-            if annotation.directive.kind == "atomic":
-                key = f"atomic:{annotation.uid}"
-            blocks = set(annotation.block_names)
-            for block_name in blocks:
-                mapping[block_name] = (key, blocks)
-        return mapping
+                slots[id(shared)] = slot
+                if firstprivate:
+                    template = shared
+            seeds.append(template)
+        # The live-in registers, and those among them that point into a
+        # shared storage that gets a private copy: re-aimed at the copy.
+        parent = frame.registers
+        registers = {}
+        reaim = []
+        for inst in prepared.live_in:
+            if inst in parent:
+                value = registers[inst] = parent[inst]
+                if isinstance(value, tuple) and len(value) == 2:
+                    slot = slots.get(id(value[0]))
+                    if slot is not None:
+                        reaim.append((inst, slot, value[1]))
+        for worker in workers:
+            copies = list(map(list, seeds))
+            worker_frame = _Frame(frame.function, frame.args)
+            worker_frame.registers = dict(registers)
+            for inst, slot, offset in reaim:
+                worker_frame.registers[inst] = (copies[slot], offset)
+            for induction, slot in prepared.inductions:
+                worker_frame.registers[induction] = (copies[slot], 0)
+            worker_frame.global_overlay = dict(overlay)
+            for slot, name in prepared.global_slots:
+                worker_frame.global_overlay[name] = copies[slot]
+            if prepared.alloca_slots:
+                # Copy-on-write object table: private entries shadow shared.
+                worker_frame.objects = dict(objects)
+                for slot, storage in prepared.alloca_slots:
+                    worker_frame.objects[storage] = copies[slot]
+            else:
+                worker_frame.objects = objects  # shared by default
+            worker.private_globals = prepared.private_globals
+            worker.private_allocas = prepared.private_allocas
+            worker.frame = worker_frame
 
     # -- join -------------------------------------------------------------------
 
-    def _join(self, workers, members, frame):
-        # Reductions merge once per (storage, op) across all members: a
-        # shared same-op reduction accumulated both members' updates into
-        # one per-worker copy, and commutativity makes the grouping
-        # unobservable.
-        merged_reductions = []
-        seen = set()
-        for _loop, recipe, _values, _assignment in members:
-            for storage, op in recipe.reductions:
-                if (id(storage), op) in seen:
-                    continue
-                seen.add((id(storage), op))
-                merged_reductions.append((storage, op))
-        for storage, op in merged_reductions:
-            shared = self._shared_storage(storage, frame)
-            for worker in workers:
-                private = self._private_storage(worker, storage)
-                for slot in range(len(shared)):
-                    shared[slot] = self._merge(op, shared[slot], private[slot])
+    def _join(self, workers, members, reductions, frame):
+        for storage, name, merge in reductions:
+            if name is None:
+                shared = frame.objects[storage]
+                copies = [worker.frame.objects[storage] for worker in workers]
+            else:
+                shared = self._effective_global(frame, name)
+                copies = [
+                    worker.frame.global_overlay[name] for worker in workers
+                ]
+            for private in copies:  # slot by slot, in worker order
+                shared[:] = map(merge, shared, private)
         # Lastprivate writes back per member: the worker that executed
         # the member's final iteration owns the sequential final state.
         for segment, (_loop, recipe, values, _assignment) in enumerate(
@@ -620,21 +771,9 @@ class ParallelInterpreter(Interpreter):
 
     @staticmethod
     def _merge(op, a, b):
-        if op == "add":
-            return a + b
-        if op == "mul":
-            return a * b
-        if op == "min":
-            return min(a, b)
-        if op == "max":
-            return max(a, b)
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        raise PlanError(f"unknown reduction op {op!r}")
+        if op not in _MERGE:
+            raise PlanError(f"unknown reduction op {op!r}")
+        return _MERGE[op](a, b)
 
 
 def run_parallel(module, parallelizations, function_name="main", **options):

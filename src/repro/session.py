@@ -28,7 +28,11 @@ from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
 from repro.planner.calibration import CalibrationStore
-from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
+from repro.planner.recipes import (
+    as_region,
+    recipes_from_annotations,
+    recipes_from_plan,
+)
 from repro.runtime.executor import run_parallel
 from repro.runtime.payload import module_codec
 
@@ -49,6 +53,10 @@ class Session:
         self.cache = PipelineCache()
         self.diagnostics = Diagnostics()
         self._decisions_memo = None  # (artifact, its decisions' digest)
+        self._source_digest = None  # (source text, its content key)
+        # stage -> (config, generation, token, content key): the key of
+        # the stage's last lookup, so a warm query hashes nothing.
+        self._keys = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -89,23 +97,25 @@ class Session:
     # -- cache plumbing -------------------------------------------------------
 
     def _source_identity(self):
-        if self._source is not None:
-            return content_key(self._source)
-        return f"module:{id(self._module)}"
+        if self._source is None:
+            return f"module:{id(self._module)}"
+        memo = self._source_digest
+        if memo is None or memo[0] is not self._source:
+            memo = self._source_digest = (
+                self._source, content_key(self._source)
+            )
+        return memo[1]
 
-    def _stage(self, stage_name, config=None):
-        """The stage's artifact under ``config`` (default: the session's).
+    def _key(self, stage_name, config):
+        """The content key of ``stage_name`` under ``config``.
 
-        The key hashes exactly the config fields the stage and its
-        upstream closure declare (``KEY_PLANS``), and the builder is
-        handed only the stage's own — see :mod:`repro.pipeline.stages`.
+        It hashes exactly the config fields the stage and its upstream
+        closure declare (``KEY_PLANS``), and is hashed again only when
+        the config object, the generation (``source =``,
+        :meth:`invalidate`) or the calibration token moved since the
+        stage's last lookup.
         """
-        stage = STAGES[stage_name]
-        config = config if config is not None else self.config
         fields, source = KEY_PLANS[stage_name]
-        params = tuple(
-            (field, getattr(config, field)) for field in fields
-        )
         # The *measured* coefficients are not config: they travel as
         # the store version, so a new observation re-prices plans, and
         # below the priced plans as the decisions they hold, so a
@@ -116,11 +126,32 @@ class Session:
                 self.calibration.version if source == VERSION
                 else self._decisions(source, config)
             )
+        memo = self._keys.get(stage_name)
+        if (
+            memo is not None and memo[0] is config
+            and memo[1] == self._generation and memo[2] == token
+        ):
+            return memo[3]
+        params = tuple(
+            (field, getattr(config, field)) for field in fields
+        )
+        key = content_key(
+            self._source_identity(), self._generation, params, token
+        )
+        self._keys[stage_name] = (config, self._generation, token, key)
+        return key
+
+    def _stage(self, stage_name, config=None):
+        """The stage's artifact under ``config`` (default: the session's).
+
+        The builder is handed only the stage's own config fields — see
+        :mod:`repro.pipeline.stages`.
+        """
+        stage = STAGES[stage_name]
+        config = config if config is not None else self.config
         return self.cache.get_or_build(
             stage_name,
-            content_key(
-                self._source_identity(), self._generation, params, token
-            ),
+            self._key(stage_name, config),
             lambda: stage.build(
                 self, *[getattr(config, field) for field in stage.params]
             ),
@@ -354,7 +385,7 @@ class Session:
         if plan is None or plan in ("source", "OpenMP"):
             # Source-plan runs skip the codegen warm-up — it would drag
             # the whole planning pipeline in — and compile lazily.
-            regions = recipes_from_annotations(self.function)
+            regions = self._source_regions()
         elif isinstance(plan, str):
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
@@ -394,6 +425,20 @@ class Session:
             if config.profile_path:
                 self.calibration.save()
         return result
+
+    def _source_regions(self):
+        """The developer's OpenMP plan as regions, cached under the
+        ``function`` stage's key: every source-plan run dispatches the
+        same region objects, so their prepared records carry over."""
+        function = self.function
+        return self.cache.get_or_build(
+            "source_regions",
+            self._key("function", self.config),
+            lambda: [
+                as_region(recipe)
+                for recipe in recipes_from_annotations(function)
+            ],
+        )
 
     def _cached_regions(self, abstraction):
         recipes = self.region_recipes

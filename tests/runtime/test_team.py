@@ -1,7 +1,7 @@
 """The ``threads`` backend's persistent worker team.
 
-One executor serves every region of every run in the process
-(``backends._TEAM``); these tests hold it to the contract the
+One team of parked threads serves every region of every run in the
+process (``backends._TEAM``); these tests hold it to the contract the
 executor-per-region it replaced kept for free — one thread per worker,
 results in worker order, no error out of ``_run_jobs`` before every job
 has ended, the lowest-index worker's error first — and to what only a
@@ -10,7 +10,6 @@ regions, two dispatching threads sharing it, and a process pool forking
 while its threads are alive.
 """
 
-import concurrent.futures
 import multiprocessing
 import os
 import sys
@@ -102,15 +101,15 @@ def fresh_team():
 
 @pytest.fixture
 def executors_built(monkeypatch):
-    """Every ``ThreadPoolExecutor`` constructed while the test runs."""
+    """Every team (``backends._Team``) constructed while the test runs."""
     built = []
-    real = concurrent.futures.ThreadPoolExecutor
+    real = backends._Team
 
     def spy(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(backends, "_Team", spy)
     return built
 
 
