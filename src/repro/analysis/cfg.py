@@ -1,7 +1,5 @@
 """Control-flow-graph utilities shared by the other analyses."""
 
-from repro.util.orderedset import OrderedSet
-
 
 def successors_map(function):
     """Map each block to its successor list."""
@@ -45,14 +43,14 @@ def reverse_postorder(entry, successors):
 
 
 def reachable_blocks(entry, successors):
-    """Set of blocks reachable from ``entry``."""
-    seen = OrderedSet([entry])
+    """Blocks reachable from ``entry``, as an insertion-ordered dict."""
+    seen = {entry: None}
     worklist = [entry]
     while worklist:
         block = worklist.pop()
         for succ in successors.get(block, []):
             if succ not in seen:
-                seen.add(succ)
+                seen[succ] = None
                 worklist.append(succ)
     return seen
 

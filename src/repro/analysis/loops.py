@@ -8,7 +8,6 @@ The nesting forest orders loops by block-set containment.
 
 from repro.analysis.cfg import predecessors_map
 from repro.analysis.dominators import compute_dominator_tree
-from repro.util.orderedset import OrderedSet
 
 
 class Loop:
@@ -17,7 +16,8 @@ class Loop:
     Attributes:
         header: the unique entry block of the loop.
         latches: blocks with a back edge to the header.
-        blocks: OrderedSet of all blocks in the loop (header included).
+        blocks: insertion-ordered dict (block -> None) of all blocks in
+            the loop, header first.
         parent: enclosing loop, or None for top-level loops.
         children: loops nested directly inside.
         canonical: the frontend's CanonicalLoop metadata, when this loop was
@@ -103,15 +103,14 @@ def find_natural_loops(function):
 
     loops = []
     for header, latches in latches_by_header.items():
-        blocks = OrderedSet([header])
+        blocks = {header: None}
         worklist = [latch for latch in latches if latch is not header]
-        for latch in worklist:
-            blocks.add(latch)
+        blocks.update(dict.fromkeys(worklist))
         while worklist:
             block = worklist.pop()
             for pred in preds[block]:
                 if pred not in blocks and dom_tree.contains(pred):
-                    blocks.add(pred)
+                    blocks[pred] = None
                     worklist.append(pred)
         loops.append(Loop(header, latches, blocks))
 

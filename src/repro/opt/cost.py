@@ -11,28 +11,12 @@ region alone — the safe direction, since serializing a huge region would
 cost real parallelism while dispatching a small one only costs overhead.
 """
 
-from repro.ir.values import Constant
+from repro.analysis.deptests import constant_trip_count
 
 #: Trip count assumed for non-canonical inner loops (e.g. ``while``)
 #: nested inside a region.  Deliberately conservative-high so an unknown
 #: inner loop biases a region toward staying parallel.
 DEFAULT_INNER_TRIP = 16
-
-
-def static_trip_count(loop):
-    """Exact iteration count when lower/upper/step are constants, else None."""
-    canonical = loop.canonical
-    if canonical is None:
-        return None
-    bounds = (canonical.lower, canonical.upper, canonical.step)
-    if not all(isinstance(value, Constant) for value in bounds):
-        return None
-    lower, upper, step = (value.value for value in bounds)
-    if not all(isinstance(value, int) for value in (lower, upper, step)):
-        return None
-    if step <= 0:
-        return None
-    return max(0, (upper - lower + step - 1) // step)
 
 
 def loop_cost(loop):
@@ -44,7 +28,7 @@ def loop_cost(loop):
     serialization threshold must never fire on a loop whose iteration
     space the pass cannot see.
     """
-    trip = static_trip_count(loop)
+    trip = constant_trip_count(loop)
     if trip is None:
         return None
     return trip * _body_cost(loop)
@@ -61,7 +45,7 @@ def _body_cost(loop):
     )
     nested = 0
     for child in loop.children:
-        trip = static_trip_count(child)
+        trip = constant_trip_count(child)
         if trip is None:
             trip = DEFAULT_INNER_TRIP
         nested += trip * _body_cost(child)

@@ -20,9 +20,9 @@ fusion illegal here.
 """
 
 from repro.analysis.alias import CONSOLE
+from repro.analysis.deptests import loop_iv_range
 from repro.analysis.loops import loop_of_block
 from repro.ir.instructions import Alloca, Jump, Store
-from repro.ir.values import Constant
 from repro.planner.plans import TECH_DOALL
 
 #: Upper bound on the straight-line block chain between fused loops.
@@ -90,21 +90,11 @@ def can_fuse(ctx, region_a, region_b):
     return _cross_dependences_aligned(ctx, region_a.headers, region_b.headers)
 
 
-def _static_bounds(loop):
-    canonical = loop.canonical
-    if canonical is None:
-        return None
-    bounds = (canonical.lower, canonical.upper, canonical.step)
-    if not all(isinstance(value, Constant) for value in bounds):
-        return None
-    return tuple(value.value for value in bounds)
-
-
 def _same_iteration_space(loops):
     parents = {id(loop.parent) for loop in loops}
     if len(parents) != 1:
         return Legality.no("members nest in different parent loops")
-    spaces = [_static_bounds(loop) for loop in loops]
+    spaces = [loop_iv_range(loop) for loop in loops]
     if any(space is None for space in spaces):
         return Legality.no("member bounds are not compile-time constants")
     if len(set(spaces)) != 1:

@@ -17,7 +17,8 @@ partition.
 
 import dataclasses
 
-from repro.opt.cost import region_cost, static_trip_count
+from repro.analysis.deptests import constant_trip_count
+from repro.opt.cost import region_cost
 from repro.planner.plans import OVERRIDE_SEQUENTIAL
 
 
@@ -36,7 +37,7 @@ class TilingPass:
             # space.
             tile = machine.tile_iterations(
                 region_cost(ctx, region.headers),
-                static_trip_count(loops[region.headers[0]]),
+                constant_trip_count(loops[region.headers[0]]),
             )
             if tile is None:
                 regions.append(region)

@@ -3,7 +3,7 @@
 Each artifact is stored under ``(stage name, content key)`` where the
 content key hashes everything the artifact depends on: the session's
 source text (or module identity), the config fingerprint, and any
-per-query parameters (machine model, coverage threshold, ...).  Changing
+per-query parameters (machine model, abstractions, ...).  Changing
 the source or the configuration therefore changes every key — stale
 artifacts can never be returned, and invalidation is a plain sweep.
 """

@@ -24,8 +24,6 @@ class SessionConfig:
         machine: :class:`MachineModel` for option enumeration and plans.
         abstractions: dependence views to build (subset of
             ``ALL_ABSTRACTIONS``; "OpenMP" is always implied).
-        min_coverage: minimum dynamic-instruction share for a loop to be
-            a planning candidate (§6.1's 1%).
         workers: worker count for parallel execution.
         seed: scheduler seed (interleaving order of the ``simulated``
             backend; ignored by the real backends).
@@ -60,7 +58,6 @@ class SessionConfig:
     function_name: str = "main"
     machine: MachineModel = DEFAULT_MACHINE
     abstractions: tuple = ALL_ABSTRACTIONS
-    min_coverage: float = 0.01
     workers: int = 4
     seed: int = 0
     backend: str = "simulated"
@@ -88,13 +85,6 @@ class SessionConfig:
             raise ValueError(
                 f"unknown abstractions {sorted(unknown)}; "
                 f"choose from {ALL_ABSTRACTIONS}"
-            )
-        # NaN fails both comparisons; inf and 2.0 the upper one.  Either
-        # way no loop would be a candidate and Fig. 13 reads all zeros.
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise ValueError(
-                f"min_coverage must be a fraction in [0, 1], got "
-                f"{self.min_coverage!r}"
             )
         # Caught here, not when the first calibrated run saves its
         # profile: that run's result would be lost to the error.

@@ -146,11 +146,11 @@ def _build_views(session, abstractions):
     return {name: _VIEW_FACTORIES[name](session) for name in abstractions}
 
 
-def _build_options(session, name, machine, min_coverage):
+def _build_options(session, name, machine):
     """Fig. 13 option enumeration."""
     return count_options(
         name, session.function, session.loops, session.profile,
-        session.views, machine, min_coverage,
+        session.views, machine,
     )
 
 
@@ -421,7 +421,7 @@ STAGES = {
             ("function", "loops", "profile", "views"),
             _build_options,
             lambda report: dict(report.totals),
-            params=("name", "machine", "min_coverage"),
+            params=("name", "machine"),
         ),
         Stage(
             "critical_paths",

@@ -90,14 +90,19 @@ class OptionReport:
             yield (header, self.per_loop[header])
 
 
-def candidate_loops(loops, profile, min_coverage=0.01):
-    """Loops with >= ``min_coverage`` of the profiled dynamic instructions."""
+#: Minimum share of the profiled dynamic instructions for a loop to be a
+#: planning candidate (§6.1's 1 %).
+MIN_COVERAGE = 0.01
+
+
+def candidate_loops(loops, profile):
+    """Loops with >= ``MIN_COVERAGE`` of the profiled dynamic instructions."""
     total = max(1, profile.shapes().total)
     work = profile.header_totals()
     return [
         loop
         for loop in loops
-        if work.get(loop.header.name, 0) / total >= min_coverage
+        if work.get(loop.header.name, 0) / total >= MIN_COVERAGE
     ]
 
 
@@ -108,14 +113,13 @@ def count_options(
     profile,
     views,
     machine=DEFAULT_MACHINE,
-    min_coverage=0.01,
 ):
     """Build an :class:`OptionReport` over the given dependence views.
 
     ``views`` maps abstraction name -> DependenceView.  The "OpenMP"
     abstraction is always included from the source annotations.
     """
-    candidates = candidate_loops(loops, profile, min_coverage)
+    candidates = candidate_loops(loops, profile)
     source_options = openmp_options(function, candidates, machine)
 
     per_loop = {}

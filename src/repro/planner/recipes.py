@@ -14,11 +14,10 @@ judging fusion and sync-elimination legality.
 
 import dataclasses
 
-from repro.analysis.reductions import REDUCIBLE_OPS, _depends_on
+from repro.analysis.reductions import update_op
 from repro.core.builder import loop_context_label
 from repro.frontend.directives import REDUCTION_OPS
-from repro.ir.instructions import BinaryOp, GetElementPtr, Load, Store
-from repro.ir.values import Argument, Constant
+from repro.ir.values import Argument
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, TECH_DOALL
 
 
@@ -168,100 +167,6 @@ def recipes_from_annotations(function):
 # prefix-sum loop reads afterwards.)
 
 
-def _same_pointer(a, b):
-    """Symbolically the same address within one iteration.
-
-    Loads and stores of ``p[k] = p[k] op e`` go through *distinct* GEP
-    instructions; they denote the same slot when their base and index
-    chains are the same SSA values (or equal constants).
-    """
-    if a is b:
-        return True
-    if isinstance(a, GetElementPtr) and isinstance(b, GetElementPtr):
-        return _same_pointer(a.pointer, b.pointer) and _same_index(
-            a.index, b.index
-        )
-    return False
-
-
-def _same_index(a, b):
-    """Same index value: one SSA value, equal constants, or re-loads of
-    one address with no store in between (lowering re-evaluates ``k`` for
-    each subscript of ``p[k] = p[k] op e``)."""
-    if a is b:
-        return True
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return a.value == b.value
-    if (
-        isinstance(a, Load)
-        and isinstance(b, Load)
-        and a.parent is b.parent
-        and _same_pointer(a.pointer, b.pointer)
-    ):
-        span = []
-        seen_first = False
-        for inst in a.parent.instructions:
-            if inst is a or inst is b:
-                if seen_first:
-                    break
-                seen_first = True
-            elif seen_first:
-                span.append(inst)
-        return not any(
-            isinstance(inst, Store) and _same_pointer(inst.pointer, a.pointer)
-            for inst in span
-        )
-    return False
-
-
-def _update_reduction_op(in_loop_accesses):
-    """The single reducible op updating this object, or None.
-
-    Matches ``p[idx] = p[idx] op expr`` (any operand order, same slot,
-    same block) for *every* access to the object inside the loop — the
-    array generalization of scalar-reduction recognition.  Such updates
-    commute across iterations, so per-worker identity-seeded copies
-    merged at the join preserve the sequential result.
-    """
-    loads = {
-        a.instruction
-        for a in in_loop_accesses
-        if isinstance(a.instruction, Load)
-    }
-    stores = [
-        a.instruction
-        for a in in_loop_accesses
-        if isinstance(a.instruction, Store)
-    ]
-    if not stores or len(loads) + len(stores) != len(in_loop_accesses):
-        return None  # a call (or unknown access) touches the object
-    ops = set()
-    matched = set()
-    for store in stores:
-        update = store.value
-        if not isinstance(update, BinaryOp) or update.op not in REDUCIBLE_OPS:
-            return None
-        if isinstance(update.lhs, Load) and _same_pointer(
-            update.lhs.pointer, store.pointer
-        ):
-            load, other = update.lhs, update.rhs
-        elif isinstance(update.rhs, Load) and _same_pointer(
-            update.rhs.pointer, store.pointer
-        ):
-            load, other = update.rhs, update.lhs
-        else:
-            return None
-        if load not in loads or load.parent is not store.parent:
-            return None
-        if _depends_on(other, load):
-            return None
-        ops.add(update.op)
-        matched.add(load)
-    if matched != loads or len(ops) != 1:
-        return None
-    return next(iter(ops))
-
-
 def parallelization_from_pspdg(pspdg, loop):
     """Build an execution recipe from the PS-PDG's variables for a loop.
 
@@ -320,7 +225,7 @@ def parallelization_from_pspdg(pspdg, loop):
         if obj not in analyses.live_out(loop):
             recipe.privatized.append(variable.storage)
             continue
-        op = _update_reduction_op(in_loop)
+        op = update_op(in_loop)
         if op is not None:
             # Identity-seeded per-worker copies merged at the join are
             # correct whether or not iterations actually collide, so

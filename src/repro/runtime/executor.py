@@ -56,6 +56,7 @@ import operator
 import time
 
 from repro.analysis.loops import find_natural_loops
+from repro.analysis.reductions import REDUCIBLE_OPS, identity_slots
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.codegen import seq as codegen_seq
@@ -66,7 +67,6 @@ from repro.emulator.interp import (
     zero_storage,
 )
 from repro.ir.instructions import Call
-from repro.ir.types import FLOAT
 from repro.ir.values import GlobalVariable
 from repro.planner.recipes import (
     as_region,
@@ -79,28 +79,6 @@ from repro.runtime.payload import live_in_registers
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
-
-#: Reduction operator -> how two partial values merge.
-_MERGE = {
-    "add": operator.add,
-    "mul": operator.mul,
-    "min": min,
-    "max": max,
-    "and": operator.and_,
-    "or": operator.or_,
-    "xor": operator.xor,
-}
-
-_IDENTITY = {
-    "add": 0,
-    "mul": 1,
-    "min": float("inf"),
-    "max": float("-inf"),
-    "and": -1,
-    "or": 0,
-    "xor": 0,
-}
-
 
 class _Worker:
     """One worker executing its chunk of every member loop of a region.
@@ -141,27 +119,14 @@ class _Worker:
         self.private_globals = self.private_allocas = None
 
 
-def _zeros_for(storage):
+def _value_type(storage):
     if isinstance(storage, GlobalVariable):
-        return zero_storage(storage.value_type)
-    return zero_storage(storage.allocated_type)
+        return storage.value_type
+    return storage.allocated_type
 
 
-def _identity_values(storage, op):
-    if op not in _IDENTITY:
-        raise PlanError(f"no identity for reduction op {op!r}")
-    identity = _IDENTITY[op]
-    value_type = (
-        storage.value_type
-        if isinstance(storage, GlobalVariable)
-        else storage.allocated_type
-    )
-    scalar = value_type
-    while hasattr(scalar, "element"):
-        scalar = scalar.element
-    if scalar == FLOAT and op in ("add", "mul"):
-        identity = float(identity)
-    return [identity] * value_type.slots()
+def _zeros_for(storage):
+    return zero_storage(_value_type(storage))
 
 
 def _critical_region_map(function, removed_sync_uids=frozenset()):
@@ -264,11 +229,9 @@ class _PreparedRegion:
         # Control resumes after the *last* member; fusion legality
         # guarantees nothing but induction glue lives in between.
         self.resume = function.block(loops[-1].canonical.exit)
-        recipe = (
-            region.recipes[0] if not region.fused
-            else region.merged_recipe()
-        )
+        recipe = region.merged_recipe()
         self.privates = []
+        self.reductions = []  # one per (storage, op) of the merged recipe
         seen = set()
 
         def privatize(storage, template, firstprivate=False):
@@ -287,7 +250,12 @@ class _PreparedRegion:
         for storage in recipe.firstprivate:
             privatize(storage, _zeros_for(storage), firstprivate=True)
         for storage, op in recipe.reductions:
-            privatize(storage, _identity_values(storage, op))
+            privatize(storage, identity_slots(_value_type(storage), op))
+            self.reductions.append((
+                storage,
+                storage.name if isinstance(storage, GlobalVariable) else None,
+                REDUCIBLE_OPS[op][0],
+            ))
         for storage in recipe.lastprivate:
             # Already-private storages (e.g. firstprivate-seeded scratch)
             # keep their seed; plain lastprivate starts zeroed.
@@ -326,22 +294,6 @@ class _PreparedRegion:
         self.critical = _critical_region_map(
             function, region.removed_sync_uids
         )
-        # Reductions merge once per (storage, op) across all members: a
-        # shared same-op reduction accumulated both members' updates into
-        # one per-worker copy, and commutativity makes the grouping
-        # unobservable.
-        self.reductions = []
-        merged = set()
-        for member in region.recipes:
-            for storage, op in member.reductions:
-                if (id(storage), op) not in merged:
-                    merged.add((id(storage), op))
-                    self.reductions.append((
-                        storage,
-                        storage.name
-                        if isinstance(storage, GlobalVariable) else None,
-                        _MERGE[op],
-                    ))
 
 
 class ParallelInterpreter(Interpreter):
@@ -768,12 +720,6 @@ class ParallelInterpreter(Interpreter):
         if isinstance(storage, GlobalVariable):
             return worker.frame.global_overlay[storage.name]
         return worker.frame.objects[storage]
-
-    @staticmethod
-    def _merge(op, a, b):
-        if op not in _MERGE:
-            raise PlanError(f"unknown reduction op {op!r}")
-        return _MERGE[op](a, b)
 
 
 def run_parallel(module, parallelizations, function_name="main", **options):

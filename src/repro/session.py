@@ -320,15 +320,12 @@ class Session:
 
     # -- planning queries ------------------------------------------------------
 
-    def options(self, machine=None, min_coverage=None):
-        """Fig. 13 option enumeration (cached per machine/coverage)."""
-        overrides = {}
-        if machine is not None:
-            overrides["machine"] = machine
-        if min_coverage is not None:
-            overrides["min_coverage"] = min_coverage
+    def options(self, machine=None):
+        """Fig. 13 option enumeration (cached per machine)."""
         return self._stage(
-            "options", self.config.derive(**overrides) if overrides else None
+            "options",
+            self.config.derive(machine=machine) if machine is not None
+            else None,
         )
 
     def critical_paths(self):

@@ -8,7 +8,6 @@ from repro.util.errors import (
     VerificationError,
 )
 from repro.util.ids import IdAllocator
-from repro.util.orderedset import OrderedSet
 
 __all__ = [
     "IRError",
@@ -17,5 +16,4 @@ __all__ = [
     "PlanError",
     "VerificationError",
     "IdAllocator",
-    "OrderedSet",
 ]

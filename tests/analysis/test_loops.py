@@ -102,3 +102,21 @@ def test_descendants():
     )
     top = next(loop for loop in loops if loop.parent is None)
     assert len(top.descendants()) == 2
+
+
+def test_loop_blocks_iterate_in_discovery_order():
+    """Header, then latches, then the blocks found walking back from
+    them: the same order on every run, whatever the hash seed."""
+    function, loops = loops_of(
+        "func main() { var s: int = 0;\n"
+        "for i in 0..3 { if (i > 1) { s = s + i; }\n"
+        "  for j in 0..2 { print(j); } }\n"
+        "print(s); }"
+    )
+    assert [[b.name for b in loop.blocks] for loop in loops] == [
+        [
+            "for.header", "for.latch.1", "for.exit.1", "for.header.1",
+            "if.end", "for.latch", "for.body.1", "for.body", "if.then",
+        ],
+        ["for.header.1", "for.latch", "for.body.1"],
+    ]

@@ -12,6 +12,7 @@ wavefront serializes).
 import pytest
 
 from repro import Session
+from repro.analysis.deptests import constant_trip_count
 from repro.opt import (
     PIPELINES,
     PRICING_PASSES,
@@ -22,7 +23,7 @@ from repro.opt import (
     seed_regions,
 )
 from repro.opt.context import OptContext
-from repro.opt.cost import loop_cost, static_trip_count
+from repro.opt.cost import loop_cost
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.runtime import run_plan
@@ -371,8 +372,8 @@ class TestCostModel:
         loops = {
             loop.header.name: loop for loop in session.loops
         }
-        assert static_trip_count(loops["for.header.4"]) == 18
-        assert static_trip_count(loops["for.header.3"]) == 36
+        assert constant_trip_count(loops["for.header.4"]) == 18
+        assert constant_trip_count(loops["for.header.3"]) == 36
 
     def test_nested_costs_multiply(self):
         session = Session.from_kernel("LU")

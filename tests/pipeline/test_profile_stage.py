@@ -12,7 +12,6 @@ from repro.codegen.profile import profile_function
 from repro.emulator.interp import Interpreter
 from repro.ir.parser import parse_ir
 from repro.runtime import knobs
-from repro.util.orderedset import OrderedSet
 from repro.workloads.nas import KERNELS
 from support.programs import REFUSED_CFGS, dense_source, histogram_source
 
@@ -132,7 +131,7 @@ def test_a_loop_block_reachable_around_its_header_is_refused():
     )
     function = session.function
     latch, body = function.block("for.latch"), function.block("for.body")
-    fake = Loop(latch, [body], OrderedSet([latch, body]))
+    fake = Loop(latch, [body], dict.fromkeys([latch, body]))
     result = profile_function(session.module, function, [fake])
     assert result.profile.engine == "interpreted"
     assert result.profile.refused == (

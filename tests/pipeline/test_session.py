@@ -332,23 +332,6 @@ def test_a_machine_that_is_no_machine_model_is_rejected(machine):
         Session.from_kernel("EP", machine=machine)
 
 
-@pytest.mark.parametrize("coverage", [
-    float("nan"), float("inf"), float("-inf"), 2.0, -0.01,
-])
-def test_min_coverage_outside_the_unit_interval_rejected(coverage):
-    """Accepted, NaN, inf and 2.0 made no loop a candidate: IS's Fig. 13
-    totals read 0/0/0/0 instead of 448/1270/1270/1591."""
-    with pytest.raises(ValueError, match="min_coverage"):
-        SessionConfig(min_coverage=coverage)
-    with pytest.raises(ValueError, match="min_coverage"):
-        Session.from_source(SOURCE).options(min_coverage=coverage)
-
-
-@pytest.mark.parametrize("coverage", [0.0, 0.01, 1.0])
-def test_min_coverage_bounds_are_accepted(coverage):
-    assert SessionConfig(min_coverage=coverage).min_coverage == coverage
-
-
 def test_a_profile_path_that_names_a_directory_is_rejected(tmp_path):
     """It used to pass: the first calibrated run completed, then its
     save raised ``IsADirectoryError`` and the run's result was lost."""
