@@ -20,8 +20,9 @@ The package implements the paper's full pipeline (Fig. 12):
    gallery.
 
 The whole pipeline is driven through :class:`repro.Session`, which
-materializes each stage lazily, exactly once, behind a content-hash
-keyed cache.  Quick start — source to chosen plan in four calls::
+materializes each stage lazily, exactly once, into a dict keyed by
+stage, program generation, the config values the stage reads and the
+calibration token.  Quick start — source to chosen plan in four calls::
 
     from repro import Session
 
@@ -39,7 +40,7 @@ from repro.core import build_pspdg
 from repro.emulator import run_module, run_source
 from repro.opt import OptLevel, optimize_plan
 from repro.pdg import build_pdg
-from repro.pipeline import Diagnostics, PipelineCache, SessionConfig
+from repro.pipeline import Diagnostics, SessionConfig
 from repro.session import Session
 
 __version__ = "1.1.0"
@@ -49,7 +50,6 @@ __all__ = [
     "Session",
     "SessionConfig",
     "Diagnostics",
-    "PipelineCache",
     "OptLevel",
     "optimize_plan",
     "build_pspdg",

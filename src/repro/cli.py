@@ -58,9 +58,7 @@ def _build_session(program, args):
     if getattr(args, "cores", None):
         overrides["machine"] = MachineModel(
             cores=args.cores,
-            chunk_sizes=tuple(
-                args.chunk_sizes or MachineModel().chunk_sizes
-            ),
+            chunk_sizes=args.chunk_sizes or MachineModel().chunk_sizes,
         )
 
     path = pathlib.Path(program)

@@ -332,7 +332,6 @@ class _Lowering:
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
-        self.counter = 0
         self._intervals = {}  # induction local -> (lowest, highest) names
         self._proof = []  # entry lines defining those names, outermost first
         self._checks = []  # the once-per-chunk bounds proof's conjuncts
@@ -373,10 +372,6 @@ class _Lowering:
             self._ref_names[id(obj)] = name
             self.refs.append(obj)
         return name
-
-    def temp(self):
-        self.counter += 1
-        return f"_t{self.counter}"
 
     def _register(self, inst):
         """The local name(s) for an instruction's value."""

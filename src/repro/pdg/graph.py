@@ -26,22 +26,6 @@ class PDGEdge:
     loop_independent: bool = True
     carried_loops: tuple = ()
 
-    def is_loop_carried_at(self, loop):
-        return loop in self.carried_loops
-
-    def describe(self):
-        parts = [f"#{self.source.uid} -> #{self.destination.uid}", self.kind]
-        if self.mem_kind:
-            parts.append(self.mem_kind)
-        if self.obj is not None:
-            parts.append(getattr(self.obj, "display_name", repr(self.obj)))
-        if not self.loop_independent:
-            parts.append("carried-only")
-        if self.carried_loops:
-            names = ",".join(l.header.name for l in self.carried_loops)
-            parts.append(f"carried@[{names}]")
-        return " ".join(parts)
-
 
 class PDG:
     """Dependence graph over the instructions of one function.

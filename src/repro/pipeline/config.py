@@ -1,7 +1,7 @@
 """Session configuration: every option in one frozen value object.
 
-The config is hashable and participates in the cache key, so two
-sessions that differ only in configuration never share stale artifacts.
+The config's field values are hashable and make up a session's stage
+memo keys, so a changed field never returns a stale artifact.
 """
 
 import dataclasses
@@ -80,6 +80,8 @@ class SessionConfig:
                 f"string {self.abstractions!r}; write "
                 f"({self.abstractions!r},)"
             )
+        # A tuple, so the names can sit in a stage memo key.
+        object.__setattr__(self, "abstractions", tuple(self.abstractions))
         unknown = set(self.abstractions) - set(ALL_ABSTRACTIONS)
         if unknown:
             raise ValueError(
@@ -94,7 +96,7 @@ class SessionConfig:
                 f"directory {self.profile_path!r}"
             )
         # Normalize 2 / "2" / "O2" / "-O2" spellings up front so the
-        # config fingerprint (and with it every cache key) is stable.
+        # config fingerprint (and with it every memo key) is stable.
         level = OptLevel.coerce(self.opt_level)
         if level is not self.opt_level:
             object.__setattr__(self, "opt_level", level)
@@ -104,7 +106,7 @@ class SessionConfig:
         return dataclasses.replace(self, **changes)
 
     def fingerprint(self):
-        """Stable textual identity of this config (cache-key component)."""
+        """Stable textual identity of this config."""
         parts = []
         for field in dataclasses.fields(self):
             parts.append(f"{field.name}={getattr(self, field.name)!r}")

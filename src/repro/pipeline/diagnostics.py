@@ -25,7 +25,6 @@ class Diagnostics:
 
     def __init__(self):
         self._records = {}
-        self.events = []  # (stage, seconds) per actual build, in order
 
     def _record(self, stage):
         if stage not in self._records:
@@ -38,7 +37,6 @@ class Diagnostics:
         record.seconds += seconds
         if stats:
             record.stats = dict(stats)
-        self.events.append((stage, seconds))
 
     def record_hit(self, stage):
         self._record(stage).hits += 1
@@ -61,14 +59,7 @@ class Diagnostics:
 
     def records(self):
         """Stage records in first-build order."""
-        seen = []
-        for stage, _seconds in self.events:
-            if stage not in seen:
-                seen.append(stage)
-        for stage in self._records:
-            if stage not in seen:
-                seen.append(stage)
-        return [self._records[stage] for stage in seen]
+        return list(self._records.values())
 
     def as_dict(self):
         return {

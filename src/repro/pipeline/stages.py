@@ -3,8 +3,8 @@
 Each :class:`Stage` names its upstream dependencies, the config fields
 its builder reads (``params``), and how to build its artifact.  The
 session materializes stages lazily: asking for ``pspdg`` pulls ``module
--> function -> analyses -> pdg`` first, each through the content-keyed
-cache, each exactly once.  ``analyses`` is the function's analysis record
+-> function -> analyses -> pdg`` first, each through the session's
+stage memo, each exactly once.  ``analyses`` is the function's analysis record
 (:class:`~repro.analysis.record.FunctionAnalyses`): the ``alias`` and
 ``loops`` stages read it, the PDG is built from it, and everything
 downstream reaches it through the graphs — no builder runs an analysis
@@ -13,9 +13,9 @@ of its own.
 A builder receives the owning :class:`repro.Session` — for upstream
 artifacts, through its properties — and the *values* of its declared
 ``params``, positionally; it never touches ``session.config``.  Its
-cache key hashes those params plus, transitively through the ``deps``
-edges, every upstream stage's, so a builder can only read what its key
-hashes: changing the config ``name`` (a ``module`` param) re-keys
+memo key holds those params' values plus, transitively through the
+``deps`` edges, every upstream stage's, so a builder can only read what
+its key holds: changing the config ``name`` (a ``module`` param) re-keys
 everything downstream, while a machine-model change re-enumerates
 options without invalidating the PS-PDG.  ``stats`` callbacks summarize
 the artifact for :mod:`repro.pipeline.diagnostics`.
@@ -38,7 +38,11 @@ from repro.planner.plans import (
     loop_uid_map,
     openmp_source_plan,
 )
-from repro.planner.recipes import recipes_from_plan
+from repro.planner.recipes import (
+    as_region,
+    recipes_from_annotations,
+    recipes_from_plan,
+)
 from repro.planner.views import JKView, PDGView, PSPDGView
 from repro.runtime import knobs
 
@@ -109,6 +113,14 @@ def _profile_stats(execution):
         "engine": profile.engine,
         "refused": profile.refused,
     }
+
+
+def _build_source_regions(session):
+    """The developer's OpenMP plan as regions: every source-plan run
+    dispatches the same region objects, so their prepared records carry
+    over."""
+    recipes = recipes_from_annotations(session.function)
+    return [as_region(recipe) for recipe in recipes]
 
 
 def _build_analyses(session):
@@ -213,8 +225,8 @@ def _build_calibrate(session, machine, calibrate):
     """The effective (possibly measured) machine model + wire feedback.
 
     With calibration off the artifact is the config's static machine
-    and empty feedback, so downstream keys and decisions are byte-
-    identical to the pre-calibration pipeline.  With calibration on,
+    and empty feedback, so downstream keys and decisions are those of
+    the pre-calibration pipeline.  With calibration on,
     the session's :class:`~repro.planner.calibration.CalibrationStore`
     (loaded from the config's ``profile_path`` on first touch) supplies
     measured coefficients and the per-region-label payload feedback it
@@ -380,6 +392,7 @@ STAGES = {
         Stage("module", (), _build_module, _module_stats, params=("name",)),
         Stage("function", ("module",), _build_function,
               params=("function_name",)),
+        Stage("source_regions", ("function",), _build_source_regions),
         # The analysis record: each part is computed on first use, so
         # the stages below are timed for the part they ask for.
         Stage("analyses", ("module", "function"), _build_analyses),
@@ -503,7 +516,7 @@ def _key_plan(name):
     return tuple(sorted(fields)), token
 
 
-#: Stage name -> (config fields its cache key hashes, what its key
+#: Stage name -> (config fields its memo key holds, what its key
 #: carries of a calibrating session's store): the stage's own
 #: ``params`` joined with those of everything upstream, and ``None``
 #: (nothing calibrated upstream), :data:`VERSION` (the store version),

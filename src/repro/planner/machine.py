@@ -50,6 +50,10 @@ class MachineModel:
     #: *measured* value through ``speedup`` instead.
     compiled_speedup: float = 3.0
 
+    def __post_init__(self):
+        # A tuple, so the model hashes (it sits in stage memo keys).
+        object.__setattr__(self, "chunk_sizes", tuple(self.chunk_sizes))
+
     def effective_region_cost(self, cost, compiled=False, speedup=None):
         """A region's estimated per-entry cost under the execution mode.
 
@@ -125,12 +129,9 @@ class MachineModel:
                 f"machine model schema {schema!r} != {MACHINE_SCHEMA}"
             )
         known = {field.name for field in dataclasses.fields(cls)}
-        kwargs = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in data.items()
-            if key in known
-        }
-        return cls(**kwargs)
+        return cls(**{
+            key: value for key, value in data.items() if key in known
+        })
 
 
 DEFAULT_MACHINE = MachineModel()

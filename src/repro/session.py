@@ -12,27 +12,26 @@ pipeline lazily, exactly once per artifact::
 
 Every property triggers only the stages it needs (module -> profile ->
 pdg -> pspdg -> views -> options / critical paths); artifacts live in a
-content-hash keyed :class:`~repro.pipeline.cache.PipelineCache`, so a
+plain dict keyed by ``(stage, generation, the values of the config
+fields the stage reads upstream and down, calibration token)``, so a
 second ``s.plan()`` or ``s.options()`` performs zero rebuilds — the hot
-path of every benchmark.  Per-stage wall time and artifact statistics
-are recorded in ``s.diagnostics``.  Reassigning ``s.source`` or calling
-``s.reconfigure(...)`` re-keys the affected stages; nothing stale can be
+path of every benchmark.  Per-stage runs, hits, wall time and artifact
+statistics are recorded in ``s.diagnostics``.  Reassigning ``s.source``
+moves the generation and drops every artifact; ``s.reconfigure(...)``
+re-keys the stages that read a changed field; nothing stale can be
 returned.
 """
+
+import time
 
 from repro.core.ablation import full
 from repro.core.canonical import signature
 from repro.opt import OptLevel, price_plan, restructure_plan
-from repro.pipeline.cache import PipelineCache, content_key
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
 from repro.planner.calibration import CalibrationStore
-from repro.planner.recipes import (
-    as_region,
-    recipes_from_annotations,
-    recipes_from_plan,
-)
+from repro.planner.recipes import recipes_from_plan
 from repro.runtime.executor import run_parallel
 from repro.runtime.payload import module_codec
 
@@ -50,12 +49,10 @@ class Session:
         self._module = module
         self._generation = 0
         self.config = config
-        self.cache = PipelineCache()
         self.diagnostics = Diagnostics()
-        self._decisions_memo = None  # (artifact, its decisions' digest)
-        self._source_digest = None  # (source text, its content key)
-        # stage -> (config, generation, token, content key): the key of
-        # the stage's last lookup, so a warm query hashes nothing.
+        self._artifacts = {}  # memo key (see _key) -> stage artifact
+        # stage -> (config, generation, token, memo key): the key of the
+        # stage's last lookup, so a warm query rebuilds no key.
         self._keys = {}
 
     # -- constructors ---------------------------------------------------------
@@ -94,26 +91,15 @@ class Session:
         return cls(module=build_kernel(kernel_name), config=config,
                    **overrides)
 
-    # -- cache plumbing -------------------------------------------------------
-
-    def _source_identity(self):
-        if self._source is None:
-            return f"module:{id(self._module)}"
-        memo = self._source_digest
-        if memo is None or memo[0] is not self._source:
-            memo = self._source_digest = (
-                self._source, content_key(self._source)
-            )
-        return memo[1]
+    # -- the stage memo -------------------------------------------------------
 
     def _key(self, stage_name, config):
-        """The content key of ``stage_name`` under ``config``.
-
-        It hashes exactly the config fields the stage and its upstream
-        closure declare (``KEY_PLANS``), and is hashed again only when
-        the config object, the generation (``source =``,
-        :meth:`invalidate`) or the calibration token moved since the
-        stage's last lookup.
+        """The memo key of ``stage_name`` under ``config``: the stage,
+        the generation (``source =``, :meth:`invalidate`), the values of
+        the config fields the stage and its upstream closure declare
+        (``KEY_PLANS``) and the calibration token.  It is rebuilt only
+        when the config object, the generation or the token moved since
+        the stage's last lookup.
         """
         fields, source = KEY_PLANS[stage_name]
         # The *measured* coefficients are not config: they travel as
@@ -132,11 +118,9 @@ class Session:
             and memo[1] == self._generation and memo[2] == token
         ):
             return memo[3]
-        params = tuple(
-            (field, getattr(config, field)) for field in fields
-        )
-        key = content_key(
-            self._source_identity(), self._generation, params, token
+        key = (
+            stage_name, self._generation,
+            tuple(getattr(config, field) for field in fields), token,
         )
         self._keys[stage_name] = (config, self._generation, token, key)
         return key
@@ -144,35 +128,43 @@ class Session:
     def _stage(self, stage_name, config=None):
         """The stage's artifact under ``config`` (default: the session's).
 
-        The builder is handed only the stage's own config fields — see
-        :mod:`repro.pipeline.stages`.
+        A miss builds and times it; either way ``diagnostics`` counts
+        it.  The builder is handed only the stage's own config fields —
+        see :mod:`repro.pipeline.stages`.
         """
-        stage = STAGES[stage_name]
         config = config if config is not None else self.config
-        return self.cache.get_or_build(
-            stage_name,
-            self._key(stage_name, config),
-            lambda: stage.build(
-                self, *[getattr(config, field) for field in stage.params]
-            ),
-            self.diagnostics,
-            stage.stats,
+        key = self._key(stage_name, config)
+        try:
+            artifact = self._artifacts[key]
+        except KeyError:
+            pass
+        else:
+            self.diagnostics.record_hit(stage_name)
+            return artifact
+        stage = STAGES[stage_name]
+        started = time.perf_counter()
+        artifact = stage.build(
+            self, *[getattr(config, field) for field in stage.params]
         )
+        elapsed = time.perf_counter() - started
+        self._artifacts[key] = artifact
+        self.diagnostics.record_run(
+            stage_name, elapsed,
+            stage.stats(artifact) if stage.stats is not None else None,
+        )
+        return artifact
 
     def _decisions(self, source, config):
-        """Digest of the decisions ``source``'s artifact holds, taken once
-        per artifact (cached artifacts never change)."""
-        artifact = self._stage(source, config)
-        memo = self._decisions_memo
-        if memo is None or memo[0] is not artifact:
-            memo = (artifact, content_key(STAGES[source].decisions(artifact)))
-            self._decisions_memo = memo
-        return memo[1]
+        """The decisions ``source``'s artifact holds (frozen values that
+        compare by value)."""
+        return STAGES[source].decisions(self._stage(source, config))
 
     def invalidate(self):
         """Drop every cached artifact; the next query rebuilds from source."""
         self._generation += 1
-        return self.cache.invalidate()
+        dropped = len(self._artifacts)
+        self._artifacts.clear()
+        return dropped
 
     def reconfigure(self, **changes):
         """Apply config changes in place.
@@ -195,7 +187,7 @@ class Session:
         """Replace the program; invalidates every downstream artifact."""
         self._source = text
         self._module = None
-        self._generation += 1
+        self.invalidate()
 
     # -- pipeline artifacts (lazy, cached) ------------------------------------
 
@@ -382,7 +374,7 @@ class Session:
         if plan is None or plan in ("source", "OpenMP"):
             # Source-plan runs skip the codegen warm-up — it would drag
             # the whole planning pipeline in — and compile lazily.
-            regions = self._source_regions()
+            regions = self._stage("source_regions")
         elif isinstance(plan, str):
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
@@ -422,20 +414,6 @@ class Session:
             if config.profile_path:
                 self.calibration.save()
         return result
-
-    def _source_regions(self):
-        """The developer's OpenMP plan as regions, cached under the
-        ``function`` stage's key: every source-plan run dispatches the
-        same region objects, so their prepared records carry over."""
-        function = self.function
-        return self.cache.get_or_build(
-            "source_regions",
-            self._key("function", self.config),
-            lambda: [
-                as_region(recipe)
-                for recipe in recipes_from_annotations(function)
-            ],
-        )
 
     def _cached_regions(self, abstraction):
         recipes = self.region_recipes
@@ -485,8 +463,7 @@ class Session:
         header = (
             f"Session {self.config.name!r} "
             f"(function={self.config.function_name}, "
-            f"cache entries={len(self.cache)}, "
-            f"hits={self.cache.hits}, misses={self.cache.misses})"
+            f"artifacts={len(self._artifacts)})"
         )
         return header + "\n" + self.diagnostics.report()
 
@@ -494,6 +471,6 @@ class Session:
         origin = "source" if self._source is not None else "module"
         return (
             f"<Session {self.config.name!r} from {origin}, "
-            f"{len(self.cache)} cached artifacts>"
+            f"{len(self._artifacts)} cached artifacts>"
         )
 

@@ -1,5 +1,9 @@
 """PS-PDG construction: hierarchy, contexts, traits, edges, variables."""
 
+from collections import Counter
+
+import pytest
+
 from repro.core import (
     TRAIT_ATOMIC,
     TRAIT_SINGULAR,
@@ -9,6 +13,7 @@ from repro.core import (
     build_pspdg,
 )
 from repro.frontend import compile_source
+from repro.session import Session
 
 
 def pspdg_for(source):
@@ -195,6 +200,44 @@ class TestOrderingSemantics:
             e for e in graph.undirected_edges if e.a is not e.b
         ]
         assert cross, "same-name criticals must be linked"
+
+    @staticmethod
+    def _two_sections(second):
+        return (
+            "global x: int;\nglobal a: int[16];\n"
+            "func main() {\n"
+            "  pragma omp parallel_for\n"
+            "  for i in 0..16 {\n"
+            "    pragma omp critical(L)\n"
+            "    { x = x + a[i]; }\n"
+            "    a[i] = i;\n"
+            f"    pragma omp critical({second})\n"
+            "    { x = x * 2; }\n"
+            "  }\n"
+            "}"
+        )
+
+    @pytest.mark.parametrize(
+        "second, features, undirected",
+        [
+            ("L", {"variable": 11, "undirected": 6}, 3),
+            ("M", {"variable": 11, "independence": 6, "undirected": 6}, 2),
+        ],
+    )
+    def test_cross_section_edges_under_one_lock_stay_ordered(
+        self, second, features, undirected
+    ):
+        """Carried edges between two sections of one lock are left to
+        the lock, not relaxed as loop independence; a second lock
+        leaves them to the worksharing annotation.  Either way the
+        loop plans as DOALL."""
+        source = self._two_sections(second)
+        graph = pspdg_for(source)
+        relaxed = Counter(r.feature for r in graph.relaxations)
+        assert relaxed == features
+        assert len(graph.undirected_edges) == undirected
+        plan = Session.from_source(source).plan("PS-PDG")
+        assert [p.technique for p in plan.loop_plans.values()] == ["DOALL"]
 
 
 class TestVariables:

@@ -47,7 +47,7 @@ def session():
 
 
 def test_construction_runs_nothing(session):
-    assert len(session.cache) == 0
+    assert session.diagnostics.records() == []
     assert session.diagnostics.runs("module") == 0
 
 
@@ -78,7 +78,7 @@ def test_every_stage_runs_exactly_once(session):
         assert session.diagnostics.runs(stage) == 1, stage
     assert session.diagnostics.runs("options") == 1
     assert session.diagnostics.runs("critical_paths") == 1
-    assert session.cache.hits > 0
+    assert session.diagnostics.hits("critical_paths") > 0
 
 
 def _spy_on_classification(monkeypatch):
@@ -322,6 +322,29 @@ def test_a_bare_string_abstractions_is_rejected_by_name():
         SessionConfig(abstractions="PDG")
 
 
+def test_list_options_plan_and_enumerate_as_their_tuples():
+    """A list ``abstractions`` or ``chunk_sizes`` is taken as its tuple
+    (both sit in the stage memo keys)."""
+    names = ["PDG", "PS-PDG"]
+    listed = Session.from_source(
+        SOURCE, name="t", abstractions=names,
+        machine=MachineModel(cores=4, chunk_sizes=[1, 2]),
+    )
+    tupled = Session.from_source(
+        SOURCE, name="t", abstractions=tuple(names),
+        machine=MachineModel(cores=4, chunk_sizes=(1, 2)),
+    )
+    assert listed.options().totals == tupled.options().totals
+    wider = MachineModel(cores=8, chunk_sizes=[1, 4])
+    assert (
+        listed.options(wider).totals
+        == tupled.options(MachineModel(cores=8, chunk_sizes=(1, 4))).totals
+    )
+    for name in names:
+        assert listed.plan(name).describe() == tupled.plan(name).describe()
+    assert listed.config == tupled.config
+
+
 @pytest.mark.parametrize("machine", [None, "default", {"cores": 8}])
 def test_a_machine_that_is_no_machine_model_is_rejected(machine):
     """``machine=None`` used to pass and crash the first plan with an
@@ -409,6 +432,18 @@ def test_diagnostics_report_renders(session):
     as_dict = session.diagnostics.as_dict()
     assert as_dict["pspdg"]["runs"] == 1
     assert as_dict["pspdg"]["stats"]["hierarchical_nodes"] > 0
+
+
+def test_diagnostics_records_come_in_first_build_order(session):
+    session.pspdg
+    graph = ["module", "function", "analyses", "alias", "loops", "pdg",
+             "pspdg"]
+    assert [r.stage for r in session.diagnostics.records()] == graph
+    session.module  # a hit adds no record
+    session.plan()
+    assert [r.stage for r in session.diagnostics.records()] == [
+        *graph, "profile", "views", "critical_paths",
+    ]
 
 
 def test_region_feedback_aggregates_per_label():
