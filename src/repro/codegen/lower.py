@@ -248,7 +248,7 @@ def _critical_blocks(loop):
     return frozenset(
         name
         for annotation in loop.header.parent.annotations
-        if annotation.directive.kind in ("critical", "atomic")
+        if annotation.lock_key is not None
         for name in annotation.block_names if name in names
     )
 

@@ -341,6 +341,7 @@ class PSPDGBuilder:
     # -- worksharing independence (§5.1) -----------------------------------------
 
     def _apply_worksharing(self):
+        lock_keys = {a.uid: a.lock_key for a in self.function.annotations}
         for annotation in self._annotations_of_kind(LOOP_INDEPENDENCE_KINDS):
             loop = self._loop_for_annotation(annotation)
             if loop is None:
@@ -363,12 +364,12 @@ class PSPDGBuilder:
                         continue  # explicit iteration order preserved
                     # critical/atomic: handled by _apply_ordering_regions.
                     continue
-                if (
-                    src_region is not None
-                    and dst_region is not None
-                    and self._same_lock(src_region, dst_region)
-                ):
-                    continue  # cross-region, same lock: also orderless
+                if src_region is not None and dst_region is not None:
+                    src_key = lock_keys.get(src_region.source_uid)
+                    if src_key is not None and src_key == lock_keys.get(
+                        dst_region.source_uid
+                    ):
+                        continue  # cross-region, same lock: also orderless
                 variable = (
                     protected_vars.get(id(edge.obj))
                     if edge.obj is not None
@@ -394,25 +395,6 @@ class PSPDGBuilder:
             ):
                 return probe
             probe = probe.parent
-        return None
-
-    def _same_lock(self, region_a, region_b):
-        if region_a.kind != "critical" or region_b.kind != "critical":
-            return False
-        name_a = self._critical_name(region_a)
-        name_b = self._critical_name(region_b)
-        return name_a == name_b
-
-    def _critical_name(self, region):
-        annotation = self._annotation_by_uid(region.source_uid)
-        if annotation is None:
-            return None
-        return annotation.directive.clauses.critical_name
-
-    def _annotation_by_uid(self, uid):
-        for annotation in self.function.annotations:
-            if annotation.uid == uid:
-                return annotation
         return None
 
     # -- ordering constructs (§5.3) ----------------------------------------------
@@ -446,15 +428,12 @@ class PSPDGBuilder:
                 self.graph.add_undirected_edge(
                     UndirectedEdge(region, region, carrier_label)
                 )
-            # Same-name criticals elsewhere share the lock: undirected
-            # edges between the regions.
+            # Criticals elsewhere on the same lock: undirected edges
+            # between the regions.
             for other in self._annotations_of_kind({"critical"}):
-                if other.uid <= annotation.uid:
-                    continue
                 if (
-                    annotation.directive.kind == "critical"
-                    and other.directive.clauses.critical_name
-                    == annotation.directive.clauses.critical_name
+                    other.uid > annotation.uid
+                    and other.lock_key == annotation.lock_key
                 ):
                     self.graph.add_undirected_edge(
                         UndirectedEdge(

@@ -18,14 +18,13 @@ from repro.frontend.directives import (
     REDUCTION_OPS,
 )
 from repro.frontend.lexer import Token, tokenize
-from repro.frontend.lower import Lowerer, ir_type_of, lower_program
-from repro.frontend.parser import Parser, parse_source
-from repro.frontend.sema import (
+from repro.frontend.lower import (
     BUILTIN_FUNCTIONS,
-    ProgramInfo,
-    SemanticChecker,
-    check_program,
+    Lowerer,
+    ir_type_of,
+    lower_program,
 )
+from repro.frontend.parser import Parser, parse_source
 
 
 def compile_source(source, module_name="miniomp"):
@@ -48,8 +47,5 @@ __all__ = [
     "Parser",
     "parse_source",
     "BUILTIN_FUNCTIONS",
-    "ProgramInfo",
-    "SemanticChecker",
-    "check_program",
     "compile_source",
 ]

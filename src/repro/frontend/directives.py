@@ -169,6 +169,23 @@ class RegionAnnotation:
     var_bindings: dict = dataclasses.field(default_factory=dict)
     parent_uid: str = None
 
+    @property
+    def lock_key(self):
+        """The lock this region holds, or ``None`` if it holds none.
+
+        ``atomic:<uid>`` for an atomic (each guards its own update),
+        ``critical:<name>`` or ``critical:<anonymous>`` for a critical
+        (one lock per name, as in OpenMP).  Regions with equal keys
+        exclude each other.
+        """
+        kind = self.directive.kind
+        if kind == "atomic":
+            return f"atomic:{self.uid}"
+        if kind == "critical":
+            name = self.directive.clauses.critical_name or "<anonymous>"
+            return f"critical:{name}"
+        return None
+
     def describe(self):
         loop = f" loop={self.loop_header}" if self.loop_header else ""
         return (

@@ -22,6 +22,18 @@ Lowering conventions
   ``&&``/``||`` lower to ``select`` (non-short-circuit — MiniOMP
   expressions are side-effect-free except calls, and mirroring C's
   short-circuit CFG would only add blocks the analyses don't care about).
+
+Checks
+------
+The same walk rejects, with a located :class:`FrontendError`: a name
+declared twice in one scope (globals, functions, parameters, locals, a
+loop variable redeclared in its body), a function named like a builtin,
+an array with an initializer, an undeclared variable or function, a call
+with the wrong argument count or an array argument of the wrong shape, a
+``return`` that disagrees with the function's type, operand types no
+operator accepts, a loop-independence directive on a statement that is not
+a ``for``, and a clause naming an undeclared variable or ``anyvalue`` on
+an array.  The first error the walk meets is the one reported.
 """
 
 from repro.frontend import ast
@@ -30,15 +42,29 @@ from repro.frontend.directives import (
     Directive,
     RegionAnnotation,
 )
-from repro.frontend.sema import BUILTIN_FUNCTIONS, check_program
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
+from repro.ir.instructions import INT_ONLY_BINARY_OPS
 from repro.ir.loopinfo import CanonicalLoop
 from repro.ir.types import BOOL, FLOAT, INT, VOID, ArrayType, PointerType
-from repro.ir.values import Constant
 from repro.ir.verifier import verify_module
 from repro.util.errors import FrontendError
 from repro.util.ids import IdAllocator
+
+#: Builtin name -> argument count.
+BUILTIN_FUNCTIONS = {
+    "sqrt": 1,
+    "sin": 1,
+    "cos": 1,
+    "exp": 1,
+    "log": 1,
+    "floor": 1,
+    "abs": 1,
+    "min": 2,
+    "max": 2,
+    "int": 1,
+    "float": 1,
+}
 
 _SCALAR_TYPES = {"int": INT, "float": FLOAT, "bool": BOOL, "void": VOID}
 
@@ -79,7 +105,9 @@ class _Scope:
         self.parent = parent
         self.bindings = {}
 
-    def declare(self, name, storage):
+    def declare(self, name, storage, line=None):
+        if name in self.bindings:
+            raise FrontendError(f"duplicate declaration of {name!r}", line)
         self.bindings[name] = storage
 
     def lookup(self, name):
@@ -91,12 +119,16 @@ class _Scope:
         return None
 
 
+def _is_array(storage):
+    """Does ``storage`` (an alloca, global or array argument) hold an array?"""
+    return isinstance(storage.type.pointee, ArrayType)
+
+
 class Lowerer:
-    """Lowers one checked program to an IR module."""
+    """Checks and lowers one program to an IR module."""
 
     def __init__(self, program, module_name="miniomp"):
         self.program = program
-        self.info = check_program(program)
         self.module = Module(module_name)
         self.context_ids = IdAllocator("omp")
         self.builder = None
@@ -107,15 +139,33 @@ class Lowerer:
 
     def run(self):
         for decl in self.program.globals:
+            if decl.name in self.module.globals:
+                raise FrontendError(
+                    f"duplicate global {decl.name!r}", decl.line
+                )
             init = None
             if decl.init is not None:
+                if decl.type.is_array():
+                    raise FrontendError(
+                        "array globals cannot have initializers", decl.line
+                    )
                 init = self._constant_fold(decl.init)
             self.module.add_global(decl.name, ir_type_of(decl.type), init)
-        self.module.metadata["threadprivate"] = set(self.info.threadprivate)
+        self.module.metadata["threadprivate"] = {
+            decl.name for decl in self.program.globals if decl.threadprivate
+        }
 
         # Declare all functions first so calls resolve in any order.
         declared = {}
         for func in self.program.functions:
+            if func.name in declared:
+                raise FrontendError(
+                    f"duplicate function {func.name!r}", func.line
+                )
+            if func.name in BUILTIN_FUNCTIONS:
+                raise FrontendError(
+                    f"function name {func.name!r} shadows a builtin", func.line
+                )
             arg_types = []
             for param in func.params:
                 ir_type = ir_type_of(param.type)
@@ -162,13 +212,13 @@ class Lowerer:
         scope = _Scope(scope)
         for param, argument in zip(func_ast.params, function.args):
             if param.type.is_array():
-                scope.declare(param.name, argument)
+                scope.declare(param.name, argument, func_ast.line)
             else:
                 slot = self.builder.alloca(
                     ir_type_of(param.type), param.name
                 )
                 self.builder.store(argument, slot)
-                scope.declare(param.name, slot)
+                scope.declare(param.name, slot, func_ast.line)
 
         self._lower_block(func_ast.body, _Scope(scope))
 
@@ -202,14 +252,25 @@ class Lowerer:
             self._lower_statement(statement, scope)
 
     def _lower_statement(self, statement, scope):
-        pragmas = list(statement.pragmas)
+        loop_var = statement.var if isinstance(statement, ast.For) else None
+        pragmas = []
+        for directive in statement.pragmas:
+            if directive.declares_loop_independence() and loop_var is None:
+                raise FrontendError(
+                    f"directive {directive.kind!r} must annotate a for loop",
+                    directive.line,
+                )
+            bindings = self._resolve_clause_bindings(
+                directive, scope, loop_var
+            )
+            pragmas.append((directive, bindings))
         self._lower_with_pragmas(statement, pragmas, scope)
 
     def _lower_with_pragmas(self, statement, pragmas, scope):
         if not pragmas:
             return self._lower_base_statement(statement, scope)
 
-        directive = pragmas[0]
+        directive, bindings = pragmas[0]
         uid = self.context_ids.fresh()
         entry = self.function.create_block(f"{directive.kind}.entry")
         self.builder.jump(entry)
@@ -229,33 +290,38 @@ class Lowerer:
             b.name for b in self.function.blocks[start_index:exit_index]
         ]
 
+        for name, storage in bindings.items():
+            if storage is None:  # the loop variable
+                bindings[name] = result["induction"]
         annotation = RegionAnnotation(
             uid=uid,
             directive=directive,
             block_names=block_names,
             loop_header=(result or {}).get("loop_header"),
-            var_bindings=self._resolve_clause_bindings(
-                directive, scope, (result or {}).get("loop_scope")
-            ),
+            var_bindings=bindings,
             parent_uid=parent_uid,
         )
         self.function.annotations.append(annotation)
         return result
 
-    def _resolve_clause_bindings(self, directive, scope, loop_scope):
+    def _resolve_clause_bindings(self, directive, scope, loop_var):
+        """Clause variable name -> storage in ``scope``; the loop
+        variable's slot is filled in once its loop is lowered."""
         bindings = {}
+        anyvalue = directive.clauses.anyvalue
         for name in directive.clauses.all_variable_names():
-            storage = None
-            if loop_scope is not None:
-                storage = loop_scope.lookup(name)
+            storage = scope.lookup(name)
             if storage is None:
-                storage = scope.lookup(name)
-            if storage is None:
+                if name != loop_var:
+                    raise FrontendError(
+                        f"pragma clause names undeclared variable {name!r}",
+                        directive.line,
+                    )
+            elif name in anyvalue and _is_array(storage):
                 raise FrontendError(
-                    f"cannot resolve clause variable {name!r}",
-                    directive.line,
+                    f"anyvalue({name}) requires a scalar", directive.line
                 )
-            bindings[name] = storage
+            bindings[name] = None if name == loop_var else storage
         return bindings
 
     def _lower_base_statement(self, statement, scope):
@@ -289,8 +355,12 @@ class Lowerer:
 
     def _lower_var_decl(self, statement, scope):
         slot = self.builder.alloca(ir_type_of(statement.type), statement.name)
-        scope.declare(statement.name, slot)
+        scope.declare(statement.name, slot, statement.line)
         if statement.init is not None:
+            if statement.type.is_array():
+                raise FrontendError(
+                    "array variables cannot have initializers", statement.line
+                )
             value = self._lower_expression(statement.init, scope)
             value = self._coerce(
                 value, _SCALAR_TYPES[statement.type.base], statement.line
@@ -397,7 +467,6 @@ class Lowerer:
         current = self.builder.load(induction)
         condition = self.builder.cmp("lt", current, upper)
         body = self.function.create_block("for.body")
-        exit_block_name_reserved = None
         latch = None  # created after the body so block order reads naturally
         # We need the exit block object for the branch now:
         exit_block = self.function.create_block("for.exit")
@@ -406,7 +475,7 @@ class Lowerer:
         loop_scope = _Scope(scope)
         loop_scope.declare(statement.var, induction)
         self.builder.position_at_end(body)
-        self._lower_block(statement.body, _Scope(loop_scope))
+        self._lower_block(statement.body, loop_scope)
         body_end = self.builder.block
 
         latch = self.function.create_block("for.latch")
@@ -430,8 +499,7 @@ class Lowerer:
             upper=upper,
             step=step,
         )
-        del exit_block_name_reserved
-        return {"loop_header": header.name, "loop_scope": loop_scope}
+        return {"loop_header": header.name, "induction": induction}
 
     def _lower_print(self, statement, scope):
         labels = []
@@ -447,10 +515,19 @@ class Lowerer:
         return None
 
     def _lower_return(self, statement, scope):
+        void = self.function.return_type == VOID
         if statement.value is None:
+            if not void:
+                raise FrontendError(
+                    "non-void function returns no value", statement.line
+                )
             self.builder.ret()
         else:
             value = self._lower_expression(statement.value, scope)
+            if void:
+                raise FrontendError(
+                    "void function returns a value", statement.line
+                )
             value = self._coerce(
                 value, self.function.return_type, statement.line
             )
@@ -525,9 +602,7 @@ class Lowerer:
                 raise FrontendError(
                     f"undeclared variable {expr.name!r}", expr.line
                 )
-            if isinstance(storage.type, PointerType) and isinstance(
-                storage.type.pointee, ArrayType
-            ):
+            if _is_array(storage):
                 return storage  # whole array: yields the pointer
             return self.builder.load(storage)
         if isinstance(expr, ast.Index):
@@ -582,7 +657,14 @@ class Lowerer:
         if expr.op in _CMP_MAP:
             return self.builder.cmp(_CMP_MAP[expr.op], lhs, rhs)
         if expr.op in _BINOP_MAP:
-            return self.builder.binop(_BINOP_MAP[expr.op], lhs, rhs)
+            op = _BINOP_MAP[expr.op]
+            if op in INT_ONLY_BINARY_OPS and lhs.type != INT:
+                raise FrontendError(
+                    f"operator {expr.op!r} requires int operands, got "
+                    f"{lhs.type!r}",
+                    expr.line,
+                )
+            return self.builder.binop(op, lhs, rhs)
         raise FrontendError(f"unhandled operator {expr.op!r}", expr.line)
 
     def _lower_unary(self, expr, scope):
@@ -596,13 +678,35 @@ class Lowerer:
 
     def _lower_call(self, expr, scope):
         name = expr.name
+        callee = self.module.functions.get(name)
         if name in BUILTIN_FUNCTIONS:
+            expected = BUILTIN_FUNCTIONS[name]
+        elif callee is not None:
+            expected = len(callee.args)
+        else:
+            raise FrontendError(
+                f"call to undeclared function {name!r}", expr.line
+            )
+        if len(expr.args) != expected:
+            raise FrontendError(
+                f"call to {name!r} passes {len(expr.args)} arguments, "
+                f"expected {expected}",
+                expr.line,
+            )
+        if callee is None:
             return self._lower_builtin(expr, scope)
-        callee = self.module.function(name)
         args = []
         for parameter, arg_expr in zip(callee.args, expr.args):
             if isinstance(parameter.type, PointerType):
-                args.append(self._lower_address(arg_expr, scope))
+                address = self._lower_address(arg_expr, scope)
+                if address.type != parameter.type:
+                    raise FrontendError(
+                        f"argument {parameter.name!r} of {name!r} must be "
+                        f"{parameter.type.pointee!r}, got "
+                        f"{address.type.pointee!r}",
+                        expr.line,
+                    )
+                args.append(address)
             else:
                 value = self._lower_expression(arg_expr, scope)
                 args.append(

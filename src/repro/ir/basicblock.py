@@ -52,12 +52,6 @@ class BasicBlock:
         term = self.terminator
         return term.successors() if term is not None else []
 
-    def predecessors(self):
-        """Blocks that branch to this one (computed from the function CFG)."""
-        if self.parent is None:
-            return []
-        return [b for b in self.parent.blocks if self in b.successors()]
-
     def __iter__(self):
         return iter(self.instructions)
 

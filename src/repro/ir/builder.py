@@ -64,18 +64,6 @@ class IRBuilder:
     def add(self, lhs, rhs):
         return self.binop("add", lhs, rhs)
 
-    def sub(self, lhs, rhs):
-        return self.binop("sub", lhs, rhs)
-
-    def mul(self, lhs, rhs):
-        return self.binop("mul", lhs, rhs)
-
-    def div(self, lhs, rhs):
-        return self.binop("div", lhs, rhs)
-
-    def rem(self, lhs, rhs):
-        return self.binop("rem", lhs, rhs)
-
     def unop(self, op, operand):
         return self._insert(insts.UnaryOp(op, operand))
 

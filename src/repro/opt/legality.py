@@ -28,8 +28,6 @@ from repro.planner.plans import TECH_DOALL
 #: Upper bound on the straight-line block chain between fused loops.
 _MAX_INTERLOOP_BLOCKS = 16
 
-_SYNC_KINDS = ("critical", "atomic")
-
 
 class Legality:
     """Verdict of one predicate: truthy iff the transform is allowed.
@@ -302,7 +300,7 @@ def sync_annotations_in(ctx, loop):
     loop_blocks = {block.name for block in loop.blocks}
     found = []
     for annotation in ctx.analyses.function.annotations:
-        if annotation.directive.kind not in _SYNC_KINDS:
+        if annotation.lock_key is None:
             continue
         guarded = set(annotation.block_names) & loop_blocks
         if guarded:

@@ -95,8 +95,8 @@ class SessionConfig:
                 f"profile_path must name a profile file, got the "
                 f"directory {self.profile_path!r}"
             )
-        # Normalize 2 / "2" / "O2" / "-O2" spellings up front so the
-        # config fingerprint (and with it every memo key) is stable.
+        # Normalize 2 / "2" / "O2" / "-O2" spellings up front so every
+        # spelling of one level gives equal configs (and memo keys).
         level = OptLevel.coerce(self.opt_level)
         if level is not self.opt_level:
             object.__setattr__(self, "opt_level", level)
@@ -104,10 +104,3 @@ class SessionConfig:
     def derive(self, **changes):
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    def fingerprint(self):
-        """Stable textual identity of this config."""
-        parts = []
-        for field in dataclasses.fields(self):
-            parts.append(f"{field.name}={getattr(self, field.name)!r}")
-        return ";".join(parts)

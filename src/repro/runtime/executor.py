@@ -138,16 +138,9 @@ def _critical_region_map(function, removed_sync_uids=frozenset()):
     """
     mapping = {}
     for annotation in function.annotations:
-        if annotation.directive.kind not in ("critical", "atomic"):
+        key = annotation.lock_key
+        if key is None or annotation.uid in removed_sync_uids:
             continue
-        if annotation.uid in removed_sync_uids:
-            continue
-        name = annotation.directive.clauses.critical_name
-        key = f"critical:{name}" if name else f"anon:{annotation.uid}"
-        if annotation.directive.kind == "critical" and name is None:
-            key = "critical:<anonymous>"
-        if annotation.directive.kind == "atomic":
-            key = f"atomic:{annotation.uid}"
         blocks = set(annotation.block_names)
         for block_name in blocks:
             mapping[block_name] = (key, blocks)

@@ -18,7 +18,7 @@ class VerificationError(IRError):
 
 
 class FrontendError(ReproError):
-    """Raised for MiniOMP / Cilk source errors (lexing, parsing, sema)."""
+    """Raised for MiniOMP / Cilk source errors (lexing, parsing, lowering)."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line

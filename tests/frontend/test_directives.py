@@ -78,3 +78,14 @@ def test_annotation_describe():
     )
     assert "omp critical" in annotation.describe()
     assert "c0" in annotation.describe()
+
+
+def test_annotation_lock_key():
+    def key(kind, name=None):
+        clauses = Clauses(critical_name=name)
+        return RegionAnnotation("omp7", Directive(kind, clauses), []).lock_key
+
+    assert key("atomic") == "atomic:omp7"
+    assert key("critical", "hist") == "critical:hist"
+    assert key("critical") == "critical:<anonymous>"
+    assert key("ordered") is None

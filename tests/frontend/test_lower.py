@@ -145,3 +145,42 @@ class TestTypesAndCoercions:
             "func main() { var a: int[4]; fill(a); print(a[0]); }"
         )
         verify_module(module)
+
+
+class TestMalformedSource:
+    @pytest.mark.parametrize(
+        "call, name, passed, expected",
+        [("sqrt()", "sqrt", 0, 1), ("min(1)", "min", 1, 2),
+         ("max(1, 2, 3)", "max", 3, 2)],
+    )
+    def test_builtin_arity_checked(self, call, name, passed, expected):
+        with pytest.raises(
+            FrontendError,
+            match=f"^2:0: call to '{name}' passes {passed} arguments, "
+            f"expected {expected}",
+        ):
+            compile_source(f"func main() {{\nvar x: float = {call}; }}")
+
+    @pytest.mark.parametrize("op", ["%", "&", "|", "^"])
+    def test_int_only_operator_on_float_rejected(self, op):
+        with pytest.raises(
+            FrontendError,
+            match=rf"^2:0: operator '\{op}' requires int operands, got float",
+        ):
+            compile_source(
+                "func main() { var x: float = 1.5;\n"
+                f"var y: float = x {op} 2; }}"
+            )
+
+    @pytest.mark.parametrize(
+        "decl, got", [("int", "int"), ("int[4]", r"\[4 x int\]")]
+    )
+    def test_array_parameter_shape_checked(self, decl, got):
+        with pytest.raises(
+            FrontendError,
+            match=rf"^3:0: argument 'x' of 'f' must be \[3 x int\], got {got}$",
+        ):
+            compile_source(
+                "func f(x: int[3]) { }\n"
+                f"func main() {{ var a: {decl};\nf(a); }}"
+            )
