@@ -33,6 +33,7 @@ from repro.analysis.dominators import (
 )
 from repro.analysis.liveness import (
     blocks_after_loop,
+    live_in_registers,
     objects_accessed_in_loop,
 )
 from repro.analysis.loops import (
@@ -84,6 +85,7 @@ __all__ = [
     "compute_postdominator_tree",
     "blocks_after_loop",
     "objects_accessed_in_loop",
+    "live_in_registers",
     "Loop",
     "common_loops",
     "enclosing_loops",

@@ -8,9 +8,13 @@ ones can be freely privatized.
 The per-loop queries read the function's analysis record
 (:class:`~repro.analysis.record.FunctionAnalyses`), which memoizes them:
 ask ``analyses.live_out(loop)`` rather than calling these directly.
+
+:func:`live_in_registers` is the register side: the values defined
+outside a region's loops that its chunks read from the parent frame.
 """
 
 from repro.analysis.cfg import reachable_blocks, successors_map
+from repro.ir.instructions import Instruction
 
 
 def blocks_after_loop(function, loop):
@@ -50,3 +54,28 @@ def objects_accessed_in_loop(analyses, loop):
         if any(access.is_write for access in group):
             writes.append(obj)
     return reads, writes
+
+
+def live_in_registers(loops):
+    """Registers a chunk of these loops can read: operands defined outside.
+
+    Everything defined *inside* a member loop is recomputed by the chunk
+    itself, so worker payloads only ship the live-in registers — the SSA
+    values (pointers computed before the loop, loop-invariant scalars)
+    the body references but never defines.
+    """
+    inside = set()
+    for loop in loops:
+        for block in loop.blocks:
+            inside.update(id(inst) for inst in block.instructions)
+    needed = set()
+    for loop in loops:
+        for block in loop.blocks:
+            for inst in block.instructions:
+                for operand in inst.operands:
+                    if (
+                        isinstance(operand, Instruction)
+                        and id(operand) not in inside
+                    ):
+                        needed.add(operand)
+    return needed

@@ -19,7 +19,7 @@ segment, exactly as a ``call`` does, and then
 
 1. syncs the step counter into the interpreter,
 2. flushes the registers the region dispatcher reads from the parent
-   frame (canonical bounds plus every lowered value the loop body uses)
+   frame (canonical bounds plus the loops' lowered live-in registers)
    into ``frame.registers`` — unbound registers stay absent, exactly
    like the interpreter's lazy frame,
 3. calls ``interp._compiled_region_stop(header, frame)`` (the
@@ -48,6 +48,7 @@ interned into shapes (:mod:`repro.emulator.profile`).
 
 import dataclasses
 
+from repro.analysis.liveness import live_in_registers
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
 from repro.codegen.lower import _RETURNED, Unsupported, _Emitter, \
@@ -148,19 +149,17 @@ class _SequenceLowering(_Lowering):
         """Lowered instructions the region dispatch reads from the frame.
 
         The dispatcher evaluates each member loop's canonical bounds via
-        ``frame.registers`` and copies the whole register file into the
-        worker frames (chunk live-ins, pointer remaps), so every lowered
-        value the loop consumes must be flushed before the stop.
+        ``frame.registers`` and copies only the loops' live-in registers
+        (:func:`~repro.analysis.liveness.live_in_registers`) into the
+        worker frames, so each of those the walk defined is flushed
+        before the stop.
         """
-        candidates = []
+        candidates = list(live_in_registers(stop.loops))
         for loop in stop.loops:
             canonical = loop.canonical
             candidates.extend(
                 (canonical.lower, canonical.upper, canonical.step)
             )
-            for block in loop.blocks:
-                for inst in block.instructions:
-                    candidates.extend(inst.operands)
         flush = {
             id(value): value for value in candidates
             if isinstance(value, insts.Instruction) and id(value) in defined

@@ -30,14 +30,18 @@ declared twice in one scope (globals, functions, parameters, locals, a
 loop variable redeclared in its body), a function named like a builtin,
 an array with an initializer, an undeclared variable or function, a call
 with the wrong argument count or an array argument of the wrong shape, a
-``return`` that disagrees with the function's type, operand types no
-operator accepts, a loop-independence directive on a statement that is not
-a ``for``, and a clause naming an undeclared variable or ``anyvalue`` on
-an array.  The first error the walk meets is the one reported.
+``return`` that disagrees with the function's type, an operand type its
+operator, builtin or ``print`` does not accept (a bool in arithmetic, an
+array anywhere but a call argument or an index base), a
+loop-independence directive on a statement that is not a ``for``, a
+clause naming an undeclared variable, ``anyvalue`` on an array, and a
+reduction or reducer whose operator does not apply to its variable's
+type.  The first error the walk meets is the one reported.
 """
 
 from repro.frontend import ast
 from repro.frontend.directives import (
+    REDUCTION_OPS,
     Clauses,
     Directive,
     RegionAnnotation,
@@ -67,6 +71,9 @@ BUILTIN_FUNCTIONS = {
 }
 
 _SCALAR_TYPES = {"int": INT, "float": FLOAT, "bool": BOOL, "void": VOID}
+
+_NUMBERS = (INT, FLOAT)
+_SCALARS = (INT, FLOAT, BOOL)
 
 _BINOP_MAP = {
     "+": "add",
@@ -122,6 +129,21 @@ class _Scope:
 def _is_array(storage):
     """Does ``storage`` (an alloca, global or array argument) hold an array?"""
     return isinstance(storage.type.pointee, ArrayType)
+
+
+def _check_type(value_type, allowed, what, line):
+    """Raise unless ``value_type`` is one of the ``allowed`` types."""
+    if value_type not in allowed:
+        names = " or ".join(map(repr, allowed))
+        raise FrontendError(
+            f"{what} requires {names} operands, got {value_type!r}", line
+        )
+
+
+def _check_reducible(op, value_type, what, line):
+    """Raise unless reduction ``op`` applies to ``value_type``."""
+    bitwise = REDUCTION_OPS[op] in INT_ONLY_BINARY_OPS
+    _check_type(value_type, (INT,) if bitwise else _NUMBERS, what, line)
 
 
 class Lowerer:
@@ -322,6 +344,14 @@ class Lowerer:
                     f"anyvalue({name}) requires a scalar", directive.line
                 )
             bindings[name] = None if name == loop_var else storage
+        for op, name in directive.clauses.reductions:
+            if bindings[name] is not None:
+                element = bindings[name].type.pointee
+                while isinstance(element, ArrayType):
+                    element = element.element
+                _check_reducible(
+                    op, element, f"reduction({op}: {name})", directive.line
+                )
         return bindings
 
     def _lower_base_statement(self, statement, scope):
@@ -368,6 +398,12 @@ class Lowerer:
             self.builder.store(value, slot)
         if statement.reducer_op is not None:
             # Cilk hyperobject: record a whole-function reducible variable.
+            _check_reducible(
+                statement.reducer_op,
+                slot.type.pointee,
+                f"reducer({statement.reducer_op})",
+                statement.line,
+            )
             clauses = Clauses(
                 reductions=[(statement.reducer_op, statement.name)]
             )
@@ -508,7 +544,9 @@ class Lowerer:
             if isinstance(arg, ast.StringLit):
                 labels.append(arg.value)
             else:
-                values.append(self._lower_expression(arg, scope))
+                value = self._lower_expression(arg, scope)
+                _check_type(value.type, _SCALARS, "print", statement.line)
+                values.append(value)
         label = " ".join(labels) if labels else None
         self.builder.print_(values)
         self.builder.block.instructions[-1].label = label
@@ -653,23 +691,23 @@ class Lowerer:
         lhs = self._lower_expression(expr.lhs, scope)
         rhs = self._lower_expression(expr.rhs, scope)
         lhs, rhs = self._promote_pair(lhs, rhs, expr.line)
-
+        if expr.op in ("==", "!="):
+            allowed = _SCALARS
+        elif _BINOP_MAP.get(expr.op) in INT_ONLY_BINARY_OPS:
+            allowed = (INT,)
+        else:
+            allowed = _NUMBERS
+        _check_type(lhs.type, allowed, f"operator {expr.op!r}", expr.line)
         if expr.op in _CMP_MAP:
             return self.builder.cmp(_CMP_MAP[expr.op], lhs, rhs)
         if expr.op in _BINOP_MAP:
-            op = _BINOP_MAP[expr.op]
-            if op in INT_ONLY_BINARY_OPS and lhs.type != INT:
-                raise FrontendError(
-                    f"operator {expr.op!r} requires int operands, got "
-                    f"{lhs.type!r}",
-                    expr.line,
-                )
-            return self.builder.binop(op, lhs, rhs)
+            return self.builder.binop(_BINOP_MAP[expr.op], lhs, rhs)
         raise FrontendError(f"unhandled operator {expr.op!r}", expr.line)
 
     def _lower_unary(self, expr, scope):
         operand = self._lower_expression(expr.operand, scope)
         if expr.op == "-":
+            _check_type(operand.type, _NUMBERS, "operator '-'", expr.line)
             return self.builder.neg(operand)
         if expr.op == "!":
             operand = self._require_bool(operand, expr.line)
@@ -721,24 +759,17 @@ class Lowerer:
             value = self._coerce(args[0], FLOAT, expr.line)
             return self.builder.unop(name, value)
         if name == "abs":
+            _check_type(args[0].type, _NUMBERS, "'abs'", expr.line)
             return self.builder.unop("abs", args[0])
         if name in ("min", "max"):
             lhs, rhs = self._promote_pair(args[0], args[1], expr.line)
+            _check_type(lhs.type, _NUMBERS, repr(name), expr.line)
             return self.builder.binop(name, lhs, rhs)
-        if name == "int":
+        if name in ("int", "float"):
             value = args[0]
-            if value.type == INT:
-                return value
-            if value.type == BOOL:
-                return self.builder.cast("bool_to_int", value)
-            return self.builder.cast("float_to_int", value)
-        if name == "float":
-            value = args[0]
-            if value.type == FLOAT:
-                return value
-            if value.type == BOOL:
+            if name == "float" and value.type == BOOL:
                 value = self.builder.cast("bool_to_int", value)
-            return self.builder.cast("int_to_float", value)
+            return self._coerce(value, _SCALAR_TYPES[name], expr.line)
         raise FrontendError(f"unhandled builtin {name!r}", expr.line)
 
     # -- type plumbing -----------------------------------------------------------

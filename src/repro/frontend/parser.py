@@ -21,6 +21,11 @@ evaluates on::
 
 Pragmas are line-oriented (as in C): the directive and its clauses must
 stay on one line, and annotate the statement that follows.
+
+Every token is read through one :class:`_TokenStream`.  The program is one
+stream; a pragma line is parsed as a sub-stream over that line's tokens,
+ending in an EOF sentinel.  Binary operators are parsed by precedence
+climbing over one table, :data:`_BINARY_PRECEDENCE`.
 """
 
 from repro.frontend import ast
@@ -29,15 +34,8 @@ from repro.frontend.directives import (
     Directive,
     REDUCTION_OPS,
 )
-from repro.frontend.lexer import tokenize
+from repro.frontend.lexer import _KEYWORD_KINDS, Token, tokenize
 from repro.util.errors import FrontendError
-
-_TYPE_KEYWORDS = {
-    "INT_KW": "int",
-    "FLOAT_KW": "float",
-    "BOOL_KW": "bool",
-    "VOID_KW": "void",
-}
 
 _CLAUSE_NAMES = frozenset(
     {
@@ -54,58 +52,114 @@ _CLAUSE_NAMES = frozenset(
     }
 )
 
+#: How tightly each binary operator token binds, loosest first.  Every
+#: level is left-associative, and the operator is the token's text.
+_BINARY_PRECEDENCE = {
+    "OR": 1,
+    "AND": 2,
+    "AMP": 3,
+    "PIPE": 3,
+    "CARET": 3,
+    "EQ": 4,
+    "NE": 4,
+    "LT": 5,
+    "LE": 5,
+    "GT": 5,
+    "GE": 5,
+    "PLUS": 6,
+    "MINUS": 6,
+    "STAR": 7,
+    "SLASH": 7,
+    "PERCENT": 7,
+}
+
 
 class _TokenStream:
-    def __init__(self, tokens):
+    """A cursor over a token list ending in EOF; NEWLINE tokens are skipped.
+
+    The program is one stream, and each pragma line is read as a stream of
+    its own (:meth:`rest_of_line`): its ``line`` is the pragma's, its errors
+    name the pragma, and its EOF sentinel has no text.
+    """
+
+    def __init__(self, tokens, line=None):
         self._tokens = tokens
         self._pos = 0
+        self.line = line
 
-    def _skip_newlines(self):
+    def peek(self):
         while self._tokens[self._pos].kind == "NEWLINE":
             self._pos += 1
-
-    def peek(self, offset=0):
-        self._skip_newlines()
-        pos = self._pos
-        seen = 0
-        while True:
-            token = self._tokens[pos]
-            if token.kind != "NEWLINE":
-                if seen == offset:
-                    return token
-                seen += 1
-            if token.kind == "EOF":
-                return token
-            pos += 1
+        return self._tokens[self._pos]
 
     def next(self):
-        self._skip_newlines()
-        token = self._tokens[self._pos]
+        token = self.peek()
         if token.kind != "EOF":
             self._pos += 1
-        return token
-
-    def next_raw(self):
-        """Advance without skipping newlines (pragma-line reading)."""
-        token = self._tokens[self._pos]
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
-
-    def expect(self, kind):
-        token = self.next()
-        if token.kind != kind:
-            raise FrontendError(
-                f"expected {kind}, found {token.kind} ({token.text!r})",
-                token.line,
-                token.column,
-            )
         return token
 
     def accept(self, kind):
         if self.peek().kind == kind:
             return self.next()
         return None
+
+    def expect(self, kind):
+        token = self.next()
+        if token.kind == kind:
+            return token
+        if self.line is None:
+            raise FrontendError(
+                f"expected {kind}, found {token.kind} ({token.text!r})",
+                token.line,
+                token.column,
+            )
+        raise FrontendError(
+            f"expected {kind} in pragma, found {token.text!r}", self.line
+        )
+
+    def word(self, what):
+        """The next pragma token's text, which must be word-like: keywords
+        (``for``, ``single``) are plain names inside a pragma."""
+        token = self.next()
+        if token.kind == "EOF":
+            raise FrontendError(f"expected {what} in pragma", self.line)
+        if not token.text.replace("_", "").isalnum():
+            raise FrontendError(
+                f"expected {what} in pragma, found {token.text!r}", self.line
+            )
+        return token.text
+
+    def variables(self):
+        """A pragma's ``name, ...)`` list, up to and including ``)``."""
+        return self.comma_list(lambda: self.word("variable"))
+
+    def reduction_op(self, what):
+        token = self.next()
+        if token.text not in REDUCTION_OPS:
+            raise FrontendError(
+                f"unknown {what} operator {token.text!r}",
+                token.line if self.line is None else self.line,
+            )
+        return token.text
+
+    def comma_list(self, item, empty_ok=False):
+        """``item()`` repeated between commas, up to and including ``)``."""
+        if empty_ok and self.accept("RPAREN"):
+            return []
+        items = [item()]
+        while self.accept("COMMA"):
+            items.append(item())
+        self.expect("RPAREN")
+        return items
+
+    def rest_of_line(self, line):
+        """The tokens up to the next newline, as the stream of the pragma
+        on ``line``."""
+        start = self._pos
+        while self._tokens[self._pos].kind not in ("NEWLINE", "EOF"):
+            self._pos += 1
+        end = Token("EOF", None, line, None)
+        return _TokenStream(self._tokens[start : self._pos] + [end], line)
 
 
 class Parser:
@@ -157,9 +211,7 @@ class Parser:
 
     def _parse_global(self):
         token = self.stream.expect("GLOBAL")
-        name = self.stream.expect("IDENT").text
-        self.stream.expect("COLON")
-        type_spec = self._parse_type()
+        name, type_spec = self._parse_typed_name()
         init = None
         if self.stream.accept("ASSIGN"):
             init = self._parse_expression()
@@ -170,127 +222,89 @@ class Parser:
         token = self.stream.expect("FUNC")
         name = self.stream.expect("IDENT").text
         self.stream.expect("LPAREN")
-        params = []
-        if self.stream.peek().kind != "RPAREN":
-            while True:
-                pname = self.stream.expect("IDENT").text
-                self.stream.expect("COLON")
-                ptype = self._parse_type()
-                params.append(ast.Param(pname, ptype))
-                if not self.stream.accept("COMMA"):
-                    break
-        self.stream.expect("RPAREN")
+        params = self.stream.comma_list(
+            lambda: ast.Param(*self._parse_typed_name()), empty_ok=True
+        )
         return_type = ast.TypeSpec("void")
         if self.stream.accept("ARROW"):
             return_type = self._parse_type()
         body = self._parse_block()
         return ast.FuncDecl(name, params, return_type, body, line=token.line)
 
+    def _parse_typed_name(self):
+        """``name: type``, as a (name, TypeSpec) pair."""
+        name = self.stream.expect("IDENT").text
+        self.stream.expect("COLON")
+        return name, self._parse_type()
+
     def _parse_type(self):
         token = self.stream.next()
-        base = _TYPE_KEYWORDS.get(token.kind)
-        if base is None:
+        if token.kind not in _KEYWORD_KINDS.values():
             raise FrontendError(
                 f"expected a type, found {token.text!r}", token.line
             )
         dims = []
         while self.stream.accept("LBRACKET"):
-            size = self.stream.expect("INT")
-            dims.append(int(size.text))
+            dims.append(int(self.stream.expect("INT").text))
             self.stream.expect("RBRACKET")
-        return ast.TypeSpec(base, dims)
+        return ast.TypeSpec(token.text, dims)
 
     # -- pragmas -----------------------------------------------------------
 
     def _parse_pragma_line(self):
         """Parse ``pragma omp <directive> <clauses...>`` up to end of line."""
-        token = self.stream.expect("PRAGMA")
+        line = self.stream.expect("PRAGMA").line
         self.stream.expect("OMP")
-        line_tokens = []
-        while True:
-            raw = self.stream._tokens[self.stream._pos]
-            if raw.kind in ("NEWLINE", "EOF"):
-                break
-            line_tokens.append(self.stream.next_raw())
-        return self._parse_directive(line_tokens, token.line)
-
-    def _parse_directive(self, tokens, line):
-        cursor = _ListCursor(tokens, line)
-        head = cursor.expect_ident("directive name")
-        kind = head
-        if head == "parallel" and cursor.peek_text() == "for":
-            cursor.advance()
+        pragma = self.stream.rest_of_line(line)
+        kind = pragma.word("directive name")
+        if kind == "parallel" and pragma.peek().text == "for":
+            pragma.next()
             kind = "parallel_for"
         clauses = Clauses()
-        if kind == "critical" and cursor.peek_kind() == "LPAREN":
-            cursor.advance()
-            clauses.critical_name = cursor.expect_ident("critical name")
-            cursor.expect_kind("RPAREN")
+        if kind == "critical" and pragma.accept("LPAREN"):
+            clauses.critical_name = pragma.word("critical name")
+            pragma.expect("RPAREN")
         if kind == "threadprivate":
-            cursor.expect_kind("LPAREN")
-            while True:
-                clauses.shared.append(cursor.expect_ident("variable"))
-                if cursor.peek_kind() != "COMMA":
-                    break
-                cursor.advance()
-            cursor.expect_kind("RPAREN")
-        self._parse_clauses(cursor, clauses)
+            pragma.expect("LPAREN")
+            clauses.shared = pragma.variables()
+        self._parse_clauses(pragma, clauses)
         return Directive(kind, clauses, line=line)
 
-    def _parse_clauses(self, cursor, clauses):
-        while True:
-            name = cursor.peek_text()
-            if name is None or name not in _CLAUSE_NAMES:
-                if cursor.peek_kind() is not None:
-                    token = cursor.tokens[cursor.pos]
-                    raise FrontendError(
-                        f"unexpected token {token.text!r} in pragma",
-                        token.line,
-                    )
-                return
-            cursor.advance()
+    def _parse_clauses(self, pragma, clauses):
+        while (token := pragma.next()).kind != "EOF":
+            name = token.text
+            if name not in _CLAUSE_NAMES:
+                raise FrontendError(
+                    f"unexpected token {name!r} in pragma", token.line
+                )
             if name == "nowait":
                 clauses.nowait = True
                 continue
             if name == "ordered":
                 clauses.ordered_clause = True
                 continue
-            cursor.expect_kind("LPAREN")
+            pragma.expect("LPAREN")
             if name == "reduction":
-                op = cursor.expect_reduction_op()
-                cursor.expect_kind("COLON")
-                while True:
-                    clauses.reductions.append(
-                        (op, cursor.expect_ident("variable"))
-                    )
-                    if cursor.peek_kind() != "COMMA":
-                        break
-                    cursor.advance()
-            elif name == "schedule":
-                kind = cursor.expect_ident("schedule kind")
-                chunk = None
-                if cursor.peek_kind() == "COMMA":
-                    cursor.advance()
-                    chunk = int(cursor.expect_int("chunk size"))
-                clauses.schedule = (kind, chunk)
+                op = pragma.reduction_op("reduction")
+                pragma.expect("COLON")
+                clauses.reductions.extend(
+                    (op, var) for var in pragma.variables()
+                )
             elif name == "depend":
-                mode = cursor.expect_ident("depend mode")
-                cursor.expect_kind("COLON")
-                while True:
-                    clauses.depends.append(
-                        (mode, cursor.expect_ident("variable"))
-                    )
-                    if cursor.peek_kind() != "COMMA":
-                        break
-                    cursor.advance()
+                mode = pragma.word("depend mode")
+                pragma.expect("COLON")
+                clauses.depends.extend(
+                    (mode, var) for var in pragma.variables()
+                )
+            elif name == "schedule":
+                kind = pragma.word("schedule kind")
+                chunk = None
+                if pragma.accept("COMMA"):
+                    chunk = int(pragma.expect("INT").text)
+                pragma.expect("RPAREN")
+                clauses.schedule = (kind, chunk)
             else:
-                bucket = getattr(clauses, name)
-                while True:
-                    bucket.append(cursor.expect_ident("variable"))
-                    if cursor.peek_kind() != "COMMA":
-                        break
-                    cursor.advance()
-            cursor.expect_kind("RPAREN")
+                getattr(clauses, name).extend(pragma.variables())
 
     # -- statements ----------------------------------------------------------
 
@@ -365,19 +379,11 @@ class Parser:
 
     def _parse_var_decl(self):
         token = self.stream.expect("VAR")
-        name = self.stream.expect("IDENT").text
-        self.stream.expect("COLON")
-        type_spec = self._parse_type()
+        name, type_spec = self._parse_typed_name()
         reducer_op = None
         if self.stream.accept("REDUCER"):
             self.stream.expect("LPAREN")
-            op_token = self.stream.next()
-            if op_token.text not in REDUCTION_OPS:
-                raise FrontendError(
-                    f"unknown reducer operator {op_token.text!r}",
-                    op_token.line,
-                )
-            reducer_op = op_token.text
+            reducer_op = self.stream.reduction_op("reducer")
             self.stream.expect("RPAREN")
         init = None
         if self.stream.accept("ASSIGN"):
@@ -445,13 +451,7 @@ class Parser:
     def _parse_print(self):
         token = self.stream.expect("PRINT")
         self.stream.expect("LPAREN")
-        args = []
-        if self.stream.peek().kind != "RPAREN":
-            while True:
-                args.append(self._parse_expression())
-                if not self.stream.accept("COMMA"):
-                    break
-        self.stream.expect("RPAREN")
+        args = self.stream.comma_list(self._parse_expression, empty_ok=True)
         self.stream.expect("SEMI")
         return ast.PrintStmt(args=args, line=token.line)
 
@@ -490,78 +490,24 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def _parse_expression(self):
-        return self._parse_or()
-
-    def _parse_or(self):
-        expr = self._parse_and()
-        while self.stream.peek().kind == "OR":
-            token = self.stream.next()
-            rhs = self._parse_and()
-            expr = ast.BinExpr("||", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_and(self):
-        expr = self._parse_bitwise()
-        while self.stream.peek().kind == "AND":
-            token = self.stream.next()
-            rhs = self._parse_bitwise()
-            expr = ast.BinExpr("&&", expr, rhs, line=token.line)
-        return expr
-
-    def _parse_bitwise(self):
-        expr = self._parse_equality()
-        while self.stream.peek().kind in ("AMP", "PIPE", "CARET"):
-            token = self.stream.next()
-            op = {"AMP": "&", "PIPE": "|", "CARET": "^"}[token.kind]
-            rhs = self._parse_equality()
-            expr = ast.BinExpr(op, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_equality(self):
-        expr = self._parse_relational()
-        while self.stream.peek().kind in ("EQ", "NE"):
-            token = self.stream.next()
-            op = "==" if token.kind == "EQ" else "!="
-            rhs = self._parse_relational()
-            expr = ast.BinExpr(op, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_relational(self):
-        expr = self._parse_additive()
-        while self.stream.peek().kind in ("LT", "LE", "GT", "GE"):
-            token = self.stream.next()
-            op = {"LT": "<", "LE": "<=", "GT": ">", "GE": ">="}[token.kind]
-            rhs = self._parse_additive()
-            expr = ast.BinExpr(op, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_additive(self):
-        expr = self._parse_multiplicative()
-        while self.stream.peek().kind in ("PLUS", "MINUS"):
-            token = self.stream.next()
-            op = "+" if token.kind == "PLUS" else "-"
-            rhs = self._parse_multiplicative()
-            expr = ast.BinExpr(op, expr, rhs, line=token.line)
-        return expr
-
-    def _parse_multiplicative(self):
+    def _parse_expression(self, floor=1):
+        """An expression whose binary operators bind at least ``floor``
+        tightly (precedence climbing over :data:`_BINARY_PRECEDENCE`)."""
         expr = self._parse_unary()
-        while self.stream.peek().kind in ("STAR", "SLASH", "PERCENT"):
-            token = self.stream.next()
-            op = {"STAR": "*", "SLASH": "/", "PERCENT": "%"}[token.kind]
-            rhs = self._parse_unary()
-            expr = ast.BinExpr(op, expr, rhs, line=token.line)
-        return expr
+        while True:
+            token = self.stream.peek()
+            precedence = _BINARY_PRECEDENCE.get(token.kind, 0)
+            if precedence < floor:
+                return expr
+            self.stream.next()
+            rhs = self._parse_expression(precedence + 1)
+            expr = ast.BinExpr(token.text, expr, rhs, line=token.line)
 
     def _parse_unary(self):
         token = self.stream.peek()
-        if token.kind == "MINUS":
+        if token.kind in ("MINUS", "BANG"):
             self.stream.next()
-            return ast.UnExpr("-", self._parse_unary(), line=token.line)
-        if token.kind == "BANG":
-            self.stream.next()
-            return ast.UnExpr("!", self._parse_unary(), line=token.line)
+            return ast.UnExpr(token.text, self._parse_unary(), line=token.line)
         return self._parse_postfix()
 
     def _parse_postfix(self):
@@ -575,13 +521,9 @@ class Parser:
                 expr = ast.Index(expr, index, line=token.line)
             elif token.kind == "LPAREN" and isinstance(expr, ast.VarRef):
                 self.stream.next()
-                args = []
-                if self.stream.peek().kind != "RPAREN":
-                    while True:
-                        args.append(self._parse_expression())
-                        if not self.stream.accept("COMMA"):
-                            break
-                self.stream.expect("RPAREN")
+                args = self.stream.comma_list(
+                    self._parse_expression, empty_ok=True
+                )
                 expr = ast.CallExpr(expr.name, args, line=token.line)
             else:
                 return expr
@@ -592,10 +534,8 @@ class Parser:
             return ast.IntLit(int(token.text), line=token.line)
         if token.kind == "FLOAT":
             return ast.FloatLit(float(token.text), line=token.line)
-        if token.kind == "TRUE":
-            return ast.BoolLit(True, line=token.line)
-        if token.kind == "FALSE":
-            return ast.BoolLit(False, line=token.line)
+        if token.kind in ("TRUE", "FALSE"):
+            return ast.BoolLit(token.kind == "TRUE", line=token.line)
         if token.kind == "STRING":
             return ast.StringLit(token.text[1:-1], line=token.line)
         if token.kind == "IDENT":
@@ -604,78 +544,17 @@ class Parser:
             expr = self._parse_expression()
             self.stream.expect("RPAREN")
             return expr
-        if token.kind in _TYPE_KEYWORDS:
+        if token.kind in _KEYWORD_KINDS.values():
             # Cast syntax: int(expr), float(expr).
             self.stream.expect("LPAREN")
             inner = self._parse_expression()
             self.stream.expect("RPAREN")
-            return ast.CallExpr(
-                _TYPE_KEYWORDS[token.kind], [inner], line=token.line
-            )
+            return ast.CallExpr(token.text, [inner], line=token.line)
         raise FrontendError(
             f"unexpected token {token.text!r} in expression",
             token.line,
             token.column,
         )
-
-
-class _ListCursor:
-    """Cursor over the token list of a single pragma line."""
-
-    def __init__(self, tokens, line):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
-
-    def peek_kind(self):
-        if self.pos >= len(self.tokens):
-            return None
-        return self.tokens[self.pos].kind
-
-    def peek_text(self):
-        if self.pos >= len(self.tokens):
-            return None
-        return self.tokens[self.pos].text
-
-    def advance(self):
-        self.pos += 1
-
-    def expect_kind(self, kind):
-        if self.peek_kind() != kind:
-            raise FrontendError(
-                f"expected {kind} in pragma, found {self.peek_text()!r}",
-                self.line,
-            )
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_ident(self, what):
-        token_kind = self.peek_kind()
-        if token_kind is None:
-            raise FrontendError(f"expected {what} in pragma", self.line)
-        token = self.tokens[self.pos]
-        # Keywords (e.g. 'for', 'single') arrive as keyword tokens; accept
-        # any word-like token as an identifier inside pragmas.
-        if not token.text.replace("_", "").isalnum():
-            raise FrontendError(
-                f"expected {what} in pragma, found {token.text!r}", self.line
-            )
-        self.pos += 1
-        return token.text
-
-    def expect_int(self, what):
-        token = self.expect_kind("INT")
-        return token.text
-
-    def expect_reduction_op(self):
-        token_text = self.peek_text()
-        if token_text not in REDUCTION_OPS:
-            raise FrontendError(
-                f"unknown reduction operator {token_text!r}", self.line
-            )
-        self.pos += 1
-        return token_text
 
 
 def parse_source(source):

@@ -55,6 +55,7 @@ floating-point reduction reassociation).
 import operator
 import time
 
+from repro.analysis.liveness import live_in_registers
 from repro.analysis.loops import find_natural_loops
 from repro.analysis.reductions import REDUCIBLE_OPS, identity_slots
 from repro.codegen import cache as codegen_cache
@@ -75,7 +76,6 @@ from repro.planner.recipes import (
 )
 from repro.runtime import knobs
 from repro.runtime.backends import ParallelRegion, get_backend
-from repro.runtime.payload import live_in_registers
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats

@@ -53,6 +53,7 @@ import pickle
 import random
 from collections import OrderedDict
 
+from repro.analysis.liveness import live_in_registers
 from repro.analysis.loops import find_natural_loops
 from repro.emulator.interp import _Frame
 from repro.runtime import knobs
@@ -263,33 +264,6 @@ def _walk_storages(frame, global_storage):
         if isinstance(value, tuple) and len(value) == 2:
             add(value[0])
     return storages
-
-
-def live_in_registers(loops):
-    """Registers a chunk of these loops can read: operands defined outside.
-
-    Everything defined *inside* a member loop is recomputed by the chunk
-    itself, so worker payloads only ship the live-in registers — the SSA
-    values (pointers computed before the loop, loop-invariant scalars)
-    the body references but never defines.
-    """
-    from repro.ir.instructions import Instruction
-
-    inside = set()
-    for loop in loops:
-        for block in loop.blocks:
-            inside.update(id(inst) for inst in block.instructions)
-    needed = set()
-    for loop in loops:
-        for block in loop.blocks:
-            for inst in block.instructions:
-                for operand in inst.operands:
-                    if (
-                        isinstance(operand, Instruction)
-                        and id(operand) not in inside
-                    ):
-                        needed.add(operand)
-    return needed
 
 
 # -- wire format ---------------------------------------------------------------

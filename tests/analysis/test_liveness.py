@@ -3,6 +3,8 @@
 from repro.analysis import (
     FunctionAnalyses,
     blocks_after_loop,
+    find_natural_loops,
+    live_in_registers,
     objects_accessed_in_loop,
 )
 from repro.frontend import compile_source
@@ -71,3 +73,28 @@ def test_liveout_through_later_loop():
     )
     names = {o.display_name for o in analyses.live_out(loop)}
     assert "@a" in names
+
+
+def test_live_in_registers_excludes_loop_defs():
+    module = compile_source("""
+    global a: int[8];
+
+    func main() {
+      var base: int = 3;
+      for i in 0..8 {
+        a[i] = base + i;
+      }
+      print(a[5]);
+    }
+    """)
+    function = module.function("main")
+    loops = find_natural_loops(function)
+    needed = live_in_registers(loops)
+    inside = {
+        inst
+        for loop in loops
+        for block in loop.blocks
+        for inst in block.instructions
+    }
+    assert needed
+    assert not (needed & inside)

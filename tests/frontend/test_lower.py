@@ -1,5 +1,7 @@
 """Lowering: AST -> annotated IR."""
 
+import re
+
 import pytest
 
 from repro.analysis import find_natural_loops
@@ -184,3 +186,32 @@ class TestMalformedSource:
                 "func f(x: int[3]) { }\n"
                 f"func main() {{ var a: {decl};\nf(a); }}"
             )
+
+    @pytest.mark.parametrize("statements, message", [
+        pytest.param(statements, message, id=name)
+        for name, statements, message in [
+            ("negated-bool", "\nvar x: int = -true;",
+             "operator '-' requires int or float operands, got bool"),
+            ("abs-of-bool", "\nvar x: int = abs(true);",
+             "'abs' requires int or float operands, got bool"),
+            ("bool-sum", "\nvar x: bool = true + false;",
+             "operator '+' requires int or float operands, got bool"),
+            ("int-of-array", "var a: int[3];\nvar x: int = int(a);",
+             "cannot convert [3 x int]* to int"),
+            ("array-compare",
+             "var a: int[3]; var b: int[3];\nvar x: bool = a < b;",
+             "operator '<' requires int or float operands, got [3 x int]*"),
+            ("print-array", "var a: int[3];\nprint(a);",
+             "print requires int or float or bool operands, got [3 x int]*"),
+            ("bool-reduction", "var b: bool = true;\n"
+             "pragma omp parallel for reduction(+: b)\nfor i in 0..4 { }",
+             "reduction(+: b) requires int or float operands, got bool"),
+            ("array-reducer", "\nvar x: int[3] reducer(+);",
+             "reducer(+) requires int or float operands, got [3 x int]"),
+        ]
+    ])
+    def test_operand_type_checked(self, statements, message):
+        with pytest.raises(
+            FrontendError, match=f"^2:0: {re.escape(message)}$"
+        ):
+            compile_source(f"func main() {{ {statements} }}")

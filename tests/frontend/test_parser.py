@@ -1,5 +1,7 @@
 """MiniOMP parser: AST shapes and pragma parsing."""
 
+import re
+
 import pytest
 
 from repro.frontend import ast, parse_source
@@ -36,10 +38,6 @@ class TestDeclarations:
             "global t: int[8];\npragma omp threadprivate(t)\nfunc main() { }"
         )
         assert program.globals[0].threadprivate
-
-    def test_threadprivate_for_unknown_global_rejected(self):
-        with pytest.raises(FrontendError):
-            parse_source("pragma omp threadprivate(nope)\nfunc main() { }")
 
 
 class TestStatements:
@@ -166,10 +164,6 @@ class TestPragmas:
         )
         assert body[1].pragmas[0].clauses.depends == [("out", "x")]
 
-    def test_unknown_directive_rejected(self):
-        with pytest.raises(FrontendError):
-            parse_main_body("pragma omp frobnicate\n{ }")
-
     def test_unknown_reduction_op_rejected(self):
         with pytest.raises(FrontendError):
             parse_main_body(
@@ -201,3 +195,86 @@ class TestCilk:
     def test_cilk_scope(self):
         (stmt,) = parse_main_body("cilk_scope { var x: int = 1; }")
         assert stmt.pragmas[0].kind == "cilk_scope"
+
+
+
+def _pins(*cases):
+    return [pytest.param(source, message, id=name)
+            for name, source, message in cases]
+
+
+class TestErrors:
+    """Every parser error site, pinned to the exact located message."""
+
+    @pytest.mark.parametrize("source, message", _pins(
+        ("missing-semi", "func main() {\nvar x: int = 1\n}",
+         "3:1: expected SEMI, found RBRACE ('}')"),
+        ("missing-rparen", "func main() {\nprint(1;\n}",
+         "2:8: expected RPAREN, found SEMI (';')"),
+        ("missing-rbrace", "func main() {\nvar x: int = 1;",
+         "1:0: unterminated block"),
+        ("missing-rbracket", "global a: int[4;",
+         "1:16: expected RBRACKET, found SEMI (';')"),
+        ("bad-type", "global a: string;",
+         "1:0: expected a type, found 'string'"),
+        ("top-level-stray", "var x: int;",
+         "1:1: expected global/func declaration, found 'var'"),
+        ("statement-start", "func main() {\n  ;\n}",
+         "2:3: unexpected token ';' at statement start"),
+        ("expression-stray", "func main() {\nvar x: int = 1 + ;\n}",
+         "2:18: unexpected token ';' in expression"),
+        ("reducer-op", "func main() {\nvar s: int reducer(/);\n}",
+         "2:0: unknown reducer operator '/'"),
+        ("spawn-not-call", "func main() {\nvar x: int;\nspawn x;\n}",
+         "3:0: spawn requires a call"),
+        ("assign-to-call",
+         "func f() -> int { return 1; }\nfunc main() {\nf() = 1;\n}",
+         "3:0: left side of assignment must be a variable or element"),
+        ("expression-statement", "func main() {\nvar x: int;\nx[0];\n}",
+         "3:0: expression statement must be a call"),
+    ))
+    def test_statement_errors(self, source, message):
+        with pytest.raises(FrontendError, match=f"^{re.escape(message)}$"):
+            parse_source(source)
+
+    @pytest.mark.parametrize("source, message", _pins(
+        ("top-level-pragma", "pragma omp barrier\nfunc main() { }",
+         "1:0: only threadprivate pragmas are allowed at top level, "
+         "found 'barrier'"),
+        ("threadprivate-undeclared",
+         "pragma omp threadprivate(nope)\nfunc main() { }",
+         "threadprivate names not declared as globals: ['nope']"),
+        ("threadprivate-list",
+         "global t: int;\npragma omp threadprivate(t,)\nfunc main() { }",
+         "2:0: expected variable in pragma, found ')'"),
+        ("threadprivate-no-list",
+         "global t: int;\npragma omp threadprivate\nfunc main() { }",
+         "2:0: expected LPAREN in pragma, found None"),
+        ("trailing-token", "func main() {\npragma omp parallel bogus\n{ }\n}",
+         "2:0: unexpected token 'bogus' in pragma"),
+        ("missing-lparen",
+         "func main() {\npragma omp parallel private x\n{ }\n}",
+         "2:0: expected LPAREN in pragma, found 'x'"),
+        ("missing-rparen",
+         "func main() {\nvar x: int;\npragma omp parallel private(x\n"
+         "{ }\n}",
+         "3:0: expected RPAREN in pragma, found None"),
+        ("chunk-not-int",
+         "func main() {\npragma omp for schedule(static, c)\n"
+         "for i in 0..4 { }\n}",
+         "2:0: expected INT in pragma, found 'c'"),
+        ("reduction-op",
+         "func main() {\nvar s: int;\n"
+         "pragma omp parallel for reduction(/: s)\nfor i in 0..4 { }\n}",
+         "3:0: unknown reduction operator '/'"),
+        ("critical-no-name", "func main() {\npragma omp critical(\n{ }\n}",
+         "2:0: expected critical name in pragma"),
+        ("directive-name", "func main() {\npragma omp (\n{ }\n}",
+         "2:0: expected directive name in pragma, found '('"),
+        ("unknown-directive",
+         "func main() {\npragma omp frobnicate\n{ }\n}",
+         "2:0: unknown directive kind 'frobnicate'"),
+    ))
+    def test_pragma_errors(self, source, message):
+        with pytest.raises(FrontendError, match=f"^{re.escape(message)}$"):
+            parse_source(source)

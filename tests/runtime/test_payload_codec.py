@@ -584,29 +584,3 @@ class TestWireHelpers:
     def test_iteration_packing_roundtrips(self, values):
         packed = payload_codec._pack_iterations(values)
         assert payload_codec._unpack_iterations(packed) == list(values)
-
-    def test_live_in_registers_excludes_loop_defs(self):
-        from repro.analysis.loops import find_natural_loops
-
-        module = compile_source("""
-        global a: int[8];
-
-        func main() {
-          var base: int = 3;
-          for i in 0..8 {
-            a[i] = base + i;
-          }
-          print(a[5]);
-        }
-        """)
-        function = module.function("main")
-        loops = find_natural_loops(function)
-        needed = payload_codec.live_in_registers(loops)
-        inside = {
-            inst
-            for loop in loops
-            for block in loop.blocks
-            for inst in block.instructions
-        }
-        assert needed
-        assert not (needed & inside)
