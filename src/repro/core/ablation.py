@@ -17,7 +17,11 @@ graphs under the projection that removes the feature distinguishing them
 
 import dataclasses
 
-from repro.core.model import HierarchicalNode, InstructionNode
+from repro.core.model import (
+    HierarchicalNode,
+    InstructionNode,
+    RELAXATION_FEATURES,
+)
 
 FEATURE_HIERARCHICAL_UNDIRECTED = "hn_ue"
 FEATURE_TRAITS = "nt"
@@ -32,6 +36,17 @@ ALL_FEATURES = (
     FEATURE_SELECTORS,
     FEATURE_VARIABLES,
 )
+
+#: Fig. 11 feature -> the relaxations that come back when it is removed.
+#: Contexts take every relaxation with them: each one names the context
+#: it holds in.
+RESTORED_BY = {
+    FEATURE_HIERARCHICAL_UNDIRECTED: ("undirected",),
+    FEATURE_TRAITS: (),
+    FEATURE_CONTEXTS: RELAXATION_FEATURES,
+    FEATURE_SELECTORS: ("selector",),
+    FEATURE_VARIABLES: ("variable",),
+}
 
 
 @dataclasses.dataclass
@@ -139,17 +154,9 @@ def project(pspdg, removed_features):
     # removed feature had relaxed becomes indistinguishable from one that
     # was never relaxed (that indistinguishability IS the necessity
     # argument).
-    restore_features = set()
-    if drop_hierarchy:
-        restore_features.add("undirected")
-    if drop_variables:
-        restore_features.add("variable")
-    if drop_selectors:
-        restore_features.add("selector")
-    if drop_contexts:
-        restore_features.update(
-            {"independence", "variable", "selector", "undirected", "task"}
-        )
+    restore_features = {
+        relaxed for feature in removed for relaxed in RESTORED_BY[feature]
+    }
 
     accumulated = {}
 

@@ -19,8 +19,9 @@ frontend recorded:
   sync edges from barriers/taskwaits/syncs (§5.1, Appendix A).
 
 Every removed dependence is logged as a :class:`Relaxation` naming the
-feature that justified it; ablation projections and the J&K baseline replay
-this log selectively.
+feature that justified it.  The planner's three dependence views (the PDG,
+J&K and the PS-PDG) and the ablation projections replay this log
+selectively.
 """
 
 from repro.core.model import (
@@ -197,18 +198,7 @@ class PSPDGBuilder:
                 defs.append(self.graph.node_of(access.instruction))
         return uses, defs
 
-    def _remove_carried(self, edge, context_label, feature, extra_contexts=()):
-        """Strip a carried level from an edge, logging the relaxation."""
-        removed = tuple(
-            c
-            for c in edge.carried_contexts
-            if c == context_label or c in extra_contexts
-        )
-        if not removed:
-            return False
-        edge.carried_contexts = tuple(
-            c for c in edge.carried_contexts if c not in removed
-        )
+    def _log_relaxation(self, edge, context_label, feature, **removed):
         self.graph.log_relaxation(
             Relaxation(
                 source=edge.producer.leaf_instructions()[0],
@@ -218,28 +208,28 @@ class PSPDGBuilder:
                 obj=edge.obj,
                 context=context_label,
                 feature=feature,
-                carried_removed=removed,
+                **removed,
             )
         )
-        return True
+
+    def _remove_carried(self, edge, context_label, feature):
+        """Strip a carried level from an edge, logging the relaxation."""
+        if context_label not in edge.carried_contexts:
+            return
+        edge.carried_contexts = tuple(
+            c for c in edge.carried_contexts if c != context_label
+        )
+        self._log_relaxation(
+            edge, context_label, feature, carried_removed=(context_label,)
+        )
 
     def _remove_intra(self, edge, context_label, feature):
         if not edge.loop_independent:
-            return False
+            return
         edge.loop_independent = False
-        self.graph.log_relaxation(
-            Relaxation(
-                source=edge.producer.leaf_instructions()[0],
-                destination=edge.consumer.leaf_instructions()[0],
-                kind=edge.kind,
-                mem_kind=edge.mem_kind,
-                obj=edge.obj,
-                context=context_label,
-                feature=feature,
-                loop_independent_removed=True,
-            )
+        self._log_relaxation(
+            edge, context_label, feature, loop_independent_removed=True
         )
-        return True
 
     # -- data clauses (§5.2) ------------------------------------------------------
 
@@ -375,16 +365,8 @@ class PSPDGBuilder:
                     if edge.obj is not None
                     else None
                 )
-                if variable is not None:
-                    self._remove_carried(
-                        edge, loop_label, "variable",
-                        extra_contexts={annotation.uid},
-                    )
-                else:
-                    self._remove_carried(
-                        edge, loop_label, "independence",
-                        extra_contexts={annotation.uid},
-                    )
+                feature = "independence" if variable is None else "variable"
+                self._remove_carried(edge, loop_label, feature)
 
     def _ordering_region(self, node):
         probe = node
@@ -448,18 +430,7 @@ class PSPDGBuilder:
         if not removed:
             return False
         edge.carried_contexts = ()
-        self.graph.log_relaxation(
-            Relaxation(
-                source=edge.producer.leaf_instructions()[0],
-                destination=edge.consumer.leaf_instructions()[0],
-                kind=edge.kind,
-                mem_kind=edge.mem_kind,
-                obj=edge.obj,
-                context=removed[0],
-                feature=feature,
-                carried_removed=removed,
-            )
-        )
+        self._log_relaxation(edge, removed[0], feature, carried_removed=removed)
         return True
 
     def _innermost_carrier(self, node):
@@ -527,7 +498,6 @@ class PSPDGBuilder:
             members = set(
                 self._annotation_nodes[annotation.uid].leaf_instructions()
             )
-            sync_uids = self._following_syncs(annotation)
             for edge in self.graph.directed_edges:
                 if edge.kind != EDGE_MEMORY:
                     continue
@@ -535,10 +505,9 @@ class PSPDGBuilder:
                 dests = set(edge.consumer.leaf_instructions())
                 if not (sources <= members) or dests & members:
                     continue
-                dest_inst = next(iter(dests))
-                if self._before_any_sync(dest_inst, sync_uids):
-                    context = annotation.parent_uid or ""
-                    self._remove_intra(edge, context, "task")
+                # Everything after the spawn is continuation; the sync
+                # edges below re-anchor ordering at barriers and syncs.
+                self._remove_intra(edge, annotation.parent_uid or "", "task")
 
         # Barriers / taskwaits / syncs: ordering edges at region level.
         for annotation in self._annotations_of_kind(
@@ -568,19 +537,6 @@ class PSPDGBuilder:
         a_in = names(annotation_a, {"in", "inout"})
         b_in = names(annotation_b, {"in", "inout"})
         return bool(a_out & (b_in | b_out) or b_out & (a_in | a_out))
-
-    def _following_syncs(self, annotation):
-        return [
-            a.uid
-            for a in self._annotations_of_kind({"cilk_sync", "barrier"})
-            if a.parent_uid == annotation.parent_uid
-        ]
-
-    def _before_any_sync(self, instruction, sync_uids):
-        # Conservative: treat everything after the spawn and before the end
-        # of the enclosing region as continuation; sync nodes re-anchor
-        # ordering through the explicit sync edges added above.
-        return True
 
     # -- data selectors (§3.5) ----------------------------------------------------
 
@@ -645,10 +601,7 @@ class PSPDGBuilder:
             if src_inside and dst_inside and loop_label is not None:
                 # (Usually already removed via the privatizable variable;
                 # this catches anyvalue on loops without other clauses.)
-                self._remove_carried(
-                    edge, loop_label, "selector",
-                    extra_contexts={annotation.uid},
-                )
+                self._remove_carried(edge, loop_label, "selector")
 
     def _node_inside(self, node, block_names):
         instructions = node.leaf_instructions()

@@ -18,10 +18,13 @@ Beyond Table 1 the implementation keeps two practical extras:
   object, loop-carried levels) inherited from the PDG, so the planner can
   reason about which contexts an edge still constrains; and
 * a **relaxation log**: every PDG dependence the parallel semantics
-  *removed* is recorded with the context and feature responsible.  The
-  ablation projections (Section 4 of the paper) restore relaxations whose
-  feature is removed, turning "PS-PDG without X" into an executable
-  function instead of a thought experiment.
+  *removed* is recorded with the context and feature responsible.  Each
+  abstraction the planner compares is the sequential PDG minus the
+  relaxations of the features it keeps (the PDG none, J&K
+  ``independence``, the PS-PDG all), and the ablation projections
+  (Section 4 of the paper) restore relaxations whose feature is removed,
+  turning "PS-PDG without X" into an executable function instead of a
+  thought experiment.
 """
 
 import dataclasses
@@ -202,16 +205,22 @@ class VariableAccess:
     def_nodes: list
 
 
+# The PS-PDG extensions a relaxation can name.
+RELAXATION_FEATURES = (
+    "independence", "variable", "selector", "undirected", "task"
+)
+
+
 @dataclasses.dataclass
 class Relaxation:
     """One PDG dependence removed by parallel semantics.
 
-    ``feature`` names the PS-PDG extension responsible, one of:
+    ``feature`` names the PS-PDG extension responsible, one of
+    :data:`RELAXATION_FEATURES`:
     ``"independence"`` (hierarchical nodes + contexts: worksharing),
-    ``"undirected"`` (orderless critical/atomic),
     ``"variable"`` (privatizable/reducible variable),
     ``"selector"`` (data-selector freedom),
-    ``"trait"`` (singular/atomic trait),
+    ``"undirected"`` (orderless critical/atomic),
     ``"task"`` (explicit task independence).
     """
 
@@ -224,6 +233,10 @@ class Relaxation:
     feature: str
     loop_independent_removed: bool = False
     carried_removed: tuple = ()  # context labels
+
+    def __post_init__(self):
+        if self.feature not in RELAXATION_FEATURES:
+            raise ValueError(f"unknown relaxation feature {self.feature!r}")
 
 
 class PSPDG:

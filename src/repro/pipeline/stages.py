@@ -43,7 +43,7 @@ from repro.planner.recipes import (
     recipes_from_annotations,
     recipes_from_plan,
 )
-from repro.planner.views import JKView, PDGView, PSPDGView
+from repro.planner.views import DependenceView
 from repro.runtime import knobs
 
 
@@ -147,15 +147,8 @@ def _build_pspdg(session):
     return PSPDGBuilder(session.pdg).build()
 
 
-_VIEW_FACTORIES = {
-    "PDG": lambda session: PDGView(session.pdg),
-    "J&K": lambda session: JKView(session.pspdg),
-    "PS-PDG": lambda session: PSPDGView(session.pspdg),
-}
-
-
 def _build_views(session, abstractions):
-    return {name: _VIEW_FACTORIES[name](session) for name in abstractions}
+    return {name: DependenceView(name, session.pspdg) for name in abstractions}
 
 
 def _build_options(session, name, machine):
@@ -423,7 +416,7 @@ STAGES = {
         ),
         Stage(
             "views",
-            ("pdg", "pspdg"),
+            ("pspdg",),
             _build_views,
             lambda views: {"abstractions": ",".join(views)},
             params=("abstractions",),

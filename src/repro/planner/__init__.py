@@ -39,7 +39,7 @@ from repro.planner.plans import (
     region_uids,
     technique_plan,
 )
-from repro.planner.views import DependenceView, JKView, PDGView, PSPDGView
+from repro.planner.views import VIEW_FEATURES, DependenceView
 
 __all__ = [
     "LoopClassification",
@@ -73,8 +73,6 @@ __all__ = [
     "openmp_source_plan",
     "region_uids",
     "technique_plan",
+    "VIEW_FEATURES",
     "DependenceView",
-    "JKView",
-    "PDGView",
-    "PSPDGView",
 ]

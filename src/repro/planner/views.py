@@ -13,18 +13,20 @@ The evaluation compares four abstractions (paper §6.2):
   or justified only by data-clause semantics the PDG cannot represent;
 * **PS-PDG** — the full parallel semantics.
 
-All three graph views answer the same queries, so classification and
-option counting are shared.  Each view is built from its graph alone:
-the graph carries the function's analysis record, whose
-``removable(loop)`` — induction variables, recognized reductions,
-privatizable scalars — is abstraction-independent and shared.
+Each graph abstraction is the sequential PDG minus the dependences its
+parallel-semantics features relax: the PS-PDG builder logs every removed
+dependence with the feature that justified it, and a view keeps the
+relaxations of its features (:data:`VIEW_FEATURES`) — none for the PDG,
+``independence`` for J&K, all of them for the PS-PDG.  The analysis
+record's ``removable(loop)`` — induction variables, recognized
+reductions, privatizable scalars — is abstraction-independent and shared.
 
 A view is a snapshot of a finished graph.  Its first query walks the
-graph's edges once and buckets them: carried edges by loop (by context
-label on the PS-PDG) and loop-independent pairs under every loop that
-contains both ends, each bucket in graph order.  Every later query is a
-bucket lookup, so classifying all loops costs one walk per view, not
-two per loop.
+kept relaxations once and the PDG's edges once and buckets them: carried
+edges by loop and loop-independent pairs under every loop that contains
+both ends, each bucket in graph order.  Every later query is a bucket
+lookup, so classifying all loops costs one walk per view, not two per
+loop.
 """
 # Per NAS8 sweep (8 kernels × 3 views × every loop), one core of a shared
 # Xeon, CPython 3.11: classification 62–70 ms with a scan per query, 42–47
@@ -33,15 +35,25 @@ two per loop.
 import functools
 
 from repro.core.builder import loop_context_label
+from repro.core.model import RELAXATION_FEATURES
+
+#: Abstraction name -> the relaxation features whose removals it sees.
+VIEW_FEATURES = {
+    "PDG": (),
+    "J&K": ("independence",),
+    "PS-PDG": RELAXATION_FEATURES,
+}
 
 
 class DependenceView:
-    """Base: loop-level dependence queries backed by some abstraction."""
+    """Loop-level dependence queries under one abstraction: the PS-PDG's
+    sequential PDG minus the relaxations of ``VIEW_FEATURES[name]``."""
 
-    name = "<abstract>"
-
-    def __init__(self, analyses):
-        self.analyses = analyses
+    def __init__(self, name, pspdg):
+        self.name = name
+        self.features = VIEW_FEATURES[name]
+        self.pspdg = pspdg
+        self.analyses = pspdg.pdg.analyses
         #: header name -> LoopClassification (``classify_loop``'s memo).
         self.classifications = {}
 
@@ -60,9 +72,7 @@ class DependenceView:
         removable = self.analyses.removable(loop)
         return [
             (src, dst)
-            for obj, src, dst in self._buckets[0].get(
-                self._carried_key(loop), ()
-            )
+            for obj, src, dst in self._buckets[0].get(loop.header, ())
             if obj is None or obj not in removable
         ]
 
@@ -70,141 +80,54 @@ class DependenceView:
         """Loop-independent dependences between instructions of ``loop``."""
         return list(self._buckets[1].get(loop.header, ()))
 
-    def serialized_uids(self, loop):
-        """Instructions that must not overlap across iterations but may run
-        in any order (orderless critical/atomic work) — empty unless the
-        abstraction understands orderlessness."""
-        return frozenset()
-
-    # Implemented by subclasses: the graph's edges, in graph order, as
-    # ``(obj, (src_inst, dst_inst) pairs, carried keys, loop_independent)``,
-    # and the key a loop's carried edges are filed under.
-
-    def _edges(self):
-        raise NotImplementedError
-
-    def _carried_key(self, loop):
-        raise NotImplementedError
-
     @functools.cached_property
     def _buckets(self):
-        """``(carried, intra)``, keyed by carried key and loop header.
-        Graph order fixes Tarjan's, so the SCCs, the DSWP stages and
-        ``describe()`` downstream: no bucket is ever a set."""
+        """``(carried, intra)``, both keyed by loop header.  Graph order
+        fixes Tarjan's, so the SCCs, the DSWP stages and ``describe()``
+        downstream: no bucket is ever a set."""
+        # (source, destination, kind, mem_kind, id(obj)) -> [carried
+        # context labels removed, loop-independent instance removed].
+        relaxed = {}
+        for relaxation in self.pspdg.relaxations:
+            if relaxation.feature not in self.features:
+                continue
+            removed = relaxed.setdefault(
+                (relaxation.source, relaxation.destination, relaxation.kind,
+                 relaxation.mem_kind, id(relaxation.obj)),
+                [set(), False],
+            )
+            removed[0].update(relaxation.carried_removed)
+            removed[1] = removed[1] or relaxation.loop_independent_removed
+
         loops_of_block = self.analyses.loops_of_block
         carried, intra, buckets_of = {}, {}, {}
-        for obj, pairs, keys, loop_independent in self._edges():
-            for key in keys:
-                carried.setdefault(key, []).extend(
-                    (obj, src, dst) for src, dst in pairs
-                )
-            if not loop_independent:
-                continue
-            for pair in pairs:
-                blocks = (pair[0].parent, pair[1].parent)
-                buckets = buckets_of.get(blocks)
-                if buckets is None:
-                    buckets = buckets_of[blocks] = [
-                        intra.setdefault(loop.header, [])
-                        for loop in loops_of_block[blocks[0]]
-                        if blocks[1] in loop.blocks
-                    ]
-                for bucket in buckets:
-                    bucket.append(pair)
-        return carried, intra
-
-
-class _PdgBackedView(DependenceView):
-    """Shared machinery for views that filter the sequential PDG."""
-
-    def __init__(self, pdg):
-        super().__init__(pdg.analyses)
-        self.pdg = pdg
-
-    def _edge_visible(self, edge, loop):
-        return True
-
-    def _edges(self):
-        for edge in self.pdg.edges:
-            yield (
-                edge.obj,
-                ((edge.source, edge.destination),),
-                [
-                    loop.header
-                    for loop in edge.carried_loops
-                    if self._edge_visible(edge, loop)
-                ],
-                edge.loop_independent,
+        for edge in self.pspdg.pdg.edges:
+            pair = (edge.source, edge.destination)
+            removed = (
+                relaxed.get((*pair, edge.kind, edge.mem_kind, id(edge.obj)))
+                if relaxed
+                else None
             )
-
-    def _carried_key(self, loop):
-        return loop.header
-
-
-class PDGView(_PdgBackedView):
-    """The sequential-PDG baseline."""
-
-    name = "PDG"
-
-
-class JKView(_PdgBackedView):
-    """PDG + worksharing iteration-independence (Jensen & Karlsson).
-
-    Implemented by replaying the PS-PDG builder's relaxation log: only
-    relaxations justified purely by the independence declaration
-    (feature == "independence") at annotated loops apply; variable
-    semantics, orderless criticals, selectors, and task independence do
-    not (the PDG has no way to represent them).
-    """
-
-    name = "J&K"
-
-    def __init__(self, pspdg):
-        super().__init__(pspdg.pdg)
-        self.pspdg = pspdg
-        self._independent = set()
-        for relaxation in pspdg.relaxations:
-            if relaxation.feature == "independence":
-                for context in relaxation.carried_removed:
-                    self._independent.add(
-                        (
-                            relaxation.source,
-                            relaxation.destination,
-                            context,
-                        )
+            for loop in edge.carried_loops:
+                if not removed or (
+                    loop_context_label(loop.header.name) not in removed[0]
+                ):
+                    carried.setdefault(loop.header, []).append(
+                        (edge.obj, *pair)
                     )
-
-    def _edge_visible(self, edge, loop):
-        label = loop_context_label(loop.header.name)
-        return (edge.source, edge.destination, label) not in self._independent
-
-
-class PSPDGView(DependenceView):
-    """The full PS-PDG view."""
-
-    name = "PS-PDG"
-
-    def __init__(self, pspdg):
-        super().__init__(pspdg.pdg.analyses)
-        self.pspdg = pspdg
-
-    def _edges(self):
-        for edge in self.pspdg.directed_edges:
-            if edge.kind == "sync":
+            if not edge.loop_independent or (removed and removed[1]):
                 continue
-            yield (
-                edge.obj,
-                [
-                    (src, dst)
-                    for src in edge.producer.leaf_instructions()
-                    for dst in edge.consumer.leaf_instructions()
-                ],
-                edge.carried_contexts,
-                edge.loop_independent,
-            )
-
-    def _carried_key(self, loop):
-        return loop_context_label(loop.header.name)
+            blocks = (pair[0].parent, pair[1].parent)
+            buckets = buckets_of.get(blocks)
+            if buckets is None:
+                buckets = buckets_of[blocks] = [
+                    intra.setdefault(loop.header, [])
+                    for loop in loops_of_block[blocks[0]]
+                    if blocks[1] in loop.blocks
+                ]
+            for bucket in buckets:
+                bucket.append(pair)
+        return carried, intra
 
     def serialized_uids(self, loop):
         """Work that must hold the lock inside ``loop`` (orderless regions).
@@ -215,8 +138,11 @@ class PSPDGView(DependenceView):
         accesses whose loop-carried dependences the orderless semantics
         relaxed, plus every region instruction on a register path between
         them.  This is the minimum mutual-exclusion work, which is what an
-        ideal machine serializes.
+        ideal machine serializes.  Empty unless the abstraction
+        understands orderlessness (keeps ``undirected``).
         """
+        if "undirected" not in self.features:
+            return frozenset()
         region_members = {}
         for uedge in self.pspdg.undirected_edges:
             for node in (uedge.a, uedge.b):

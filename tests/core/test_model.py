@@ -7,6 +7,7 @@ from repro.core import (
     HierarchicalNode,
     InstructionNode,
     PSPDG,
+    Relaxation,
     Trait,
     TRAIT_ATOMIC,
     TRAIT_SINGULAR,
@@ -50,6 +51,14 @@ class TestSelectors:
         assert DataSelector("any_producer", "c") == DataSelector(
             "any_producer", "c"
         )
+
+
+class TestRelaxations:
+    def test_unknown_relaxation_feature_rejected(self):
+        # A misspelled feature would slip past every view's filter and
+        # put the dependence back into the PS-PDG view.
+        with pytest.raises(ValueError):
+            Relaxation(None, None, "memory", "RAW", None, "ctx", "indepedence")
 
 
 class TestHierarchy:

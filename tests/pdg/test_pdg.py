@@ -1,8 +1,9 @@
 """Sequential PDG construction."""
 
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER, build_pdg
-from repro.planner import PDGView
+from repro.planner import DependenceView
 
 
 def pdg_for(source):
@@ -55,7 +56,7 @@ def test_loop_adjacency_restricted_to_loop():
     pdg = pdg_for("func main() { var s: int = 0;\n"
                   "for i in 0..3 { s = s + i; } print(s); }")
     loop = pdg.loops[0]
-    view = PDGView(pdg)
+    view = DependenceView("PDG", PSPDGBuilder(pdg).build())
     node_set = set(view.loop_instructions(loop))
     pairs = view.carried_edges(loop) + view.intra_edges(loop)
     assert pairs

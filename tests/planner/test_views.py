@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Session
-from repro.planner import JKView, PDGView, PSPDGView, classify_loop
+from repro.core.model import RELAXATION_FEATURES
+from repro.planner import VIEW_FEATURES, DependenceView, classify_loop
 from repro.workloads import PAIRS, kernel_names
 from support import reference_views as reference
 from support.progen import generate_nest_program, generate_program
@@ -28,6 +29,23 @@ PRIVATE_ARRAY = (
     "    for j in 0..8 { t[j] = p + j; }\n"
     "    for j in 0..8 { v[p * 8 + j] = t[j]; }\n"
     "  }\n"
+    "}"
+)
+
+
+SIBLING_TASKS_IN_LOOP = (
+    "global x: int;\n"
+    "func main() {\n"
+    "  for i in 0..4 {\n"
+    "    pragma omp parallel\n"
+    "    {\n"
+    "      pragma omp task\n"
+    "      { x = i; }\n"
+    "      pragma omp task\n"
+    "      { x = i + 1; }\n"
+    "    }\n"
+    "  }\n"
+    "  print(x);\n"
     "}"
 )
 
@@ -87,6 +105,18 @@ def test_serialized_uids_only_in_pspdg_view():
     assert serialized < loop_uids
 
 
+def test_task_independence_drops_intra_pairs_only_in_pspdg_view():
+    setup = setup_for(SIBLING_TASKS_IN_LOOP)
+    loop = setup.loops[0]
+    intra = {
+        name: set(view.intra_edges(loop))
+        for name, view in setup.views.items()
+    }
+    assert intra["PDG"] == intra["J&K"]
+    # The write of the first task no longer precedes the second's.
+    assert intra["PS-PDG"] < intra["PDG"]
+
+
 def test_view_names():
     setup = setup_for("func main() { for i in 0..4 { } }")
     assert {v.name for v in setup.views.values()} == {
@@ -94,6 +124,9 @@ def test_view_names():
         "J&K",
         "PS-PDG",
     }
+    # A view's features are ones the builder logs, or it relaxes nothing.
+    for features in VIEW_FEATURES.values():
+        assert set(features) <= set(RELAXATION_FEATURES)
 
 
 # -- the buckets answer what the whole-graph scans answered -------------------
@@ -106,6 +139,7 @@ _GALLERY = {
 _GENERATED = {
     **{f"progen-{seed}": generate_program(seed) for seed in range(10)},
     **{f"nest-{seed}": generate_nest_program(seed) for seed in range(10)},
+    "tasks-in-loop": SIBLING_TASKS_IN_LOOP,
 }
 
 
@@ -165,15 +199,18 @@ def test_classifying_every_loop_walks_each_graph_at_most_twice():
     session = Session.from_kernel("BT")
     pdg, pspdg = session.pdg, session.pspdg
     pdg.edges = _ScanCounter(pdg.edges)
+    pspdg.relaxations = _ScanCounter(pspdg.relaxations)
     pspdg.directed_edges = _ScanCounter(pspdg.directed_edges)
     assert len(session.loops) > 2
-    for view, edges in (
-        (PDGView(pdg), pdg.edges),
-        (JKView(pspdg), pdg.edges),
-        (PSPDGView(pspdg), pspdg.directed_edges),
-    ):
-        before = edges.scans
+    for name in VIEW_FEATURES:
+        view = DependenceView(name, pspdg)
+        before = pdg.edges.scans, pspdg.relaxations.scans
         for loop in session.loops:
             classify_loop(view, loop)
-        walks = edges.scans - before
-        assert walks <= 2, (view.name, walks)
+        walks = pdg.edges.scans - before[0]
+        assert walks <= 2, (name, walks)
+        walks = pspdg.relaxations.scans - before[1]
+        assert walks <= 1, (name, walks)
+    # Every view is the PDG minus part of the log: none reads the
+    # PS-PDG's own edges.
+    assert pspdg.directed_edges.scans == 0

@@ -18,10 +18,11 @@ forced parallel it diverges.
 
 import pytest
 
+from repro.core.builder import PSPDGBuilder
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.pdg import EDGE_MEMORY, PDG, build_pdg
-from repro.planner import PDGView, classify_loop
+from repro.planner import DependenceView, classify_loop
 from repro.runtime import (
     LoopParallelization,
     parallelization_from_annotation,
@@ -244,20 +245,24 @@ class TestCorrectPlansAreNotFlagged:
             assert _divergences(source, _correct_recipes) == 0
 
 
+def _pdg_view(pdg):
+    return DependenceView("PDG", PSPDGBuilder(pdg).build())
+
+
 def _assert_deletion_is_caught(source):
     """The loop is not DOALL; without its carried memory edges it is,
     and the bare plan that licenses diverges under the oracle."""
     module = compile_source(source)
     pdg = build_pdg(module.function("main"), module)
     (loop,) = pdg.loops
-    assert not classify_loop(PDGView(pdg), loop).doall_legal
+    assert not classify_loop(_pdg_view(pdg), loop).doall_legal
 
     pruned = PDG(pdg.analyses)
     for edge in pdg.edges:
         if not (edge.kind == EDGE_MEMORY and loop in edge.carried_loops):
             pruned.add_edge(edge)
     assert pruned.edge_count() < pdg.edge_count()
-    assert classify_loop(PDGView(pruned), loop).doall_legal
+    assert classify_loop(_pdg_view(pruned), loop).doall_legal
 
     header = loop.header.name
     assert _divergences(
@@ -288,7 +293,7 @@ def test_a_forced_nest_outer_loop_diverges():
         if loop.header.name != inner
         and any(b.name == inner for b in loop.blocks)
     ]
-    assert not classify_loop(PDGView(pdg), outer).doall_legal
+    assert not classify_loop(_pdg_view(pdg), outer).doall_legal
     assert _divergences(NEST_CARRIED_OUTER, _correct_recipes) == 0
     header = outer.header.name
     assert _divergences(

@@ -35,7 +35,7 @@ import pytest
 from repro import Session
 from repro.core.builder import PSPDGBuilder
 from repro.pdg import EDGE_MEMORY, PDG
-from repro.planner import JKView, PDGView, PSPDGView, classify_loop
+from repro.planner import VIEW_FEATURES, DependenceView, classify_loop
 from repro.runtime import LoopParallelization
 from repro.runtime.executor import ParallelInterpreter
 from repro.util.errors import ReproError
@@ -74,10 +74,8 @@ def _swept(name):
     return (session, *sweep(session))
 
 
-def _views(pdg, pspdg):
-    return {
-        "PDG": PDGView(pdg), "J&K": JKView(pspdg), "PS-PDG": PSPDGView(pspdg),
-    }
+def _views(pspdg):
+    return {name: DependenceView(name, pspdg) for name in VIEW_FEATURES}
 
 
 def _carried_on(edge, loop, obj):
@@ -89,7 +87,7 @@ def sweep(session):
     """``(groups, flips)``: the number of (loop, object) groups, and per
     group that flips a verdict ``(loop, object, views now DOALL)``."""
     pdg = session.pdg
-    views = _views(pdg, session.pspdg)
+    views = _views(session.pspdg)
     groups, flips = 0, []
     for loop in session.loops:
         before = {
@@ -109,7 +107,7 @@ def sweep(session):
             for edge in pdg.edges:
                 if not _carried_on(edge, loop, obj):
                     pruned.add_edge(edge)
-            after = _views(pruned, PSPDGBuilder(pruned).build())
+            after = _views(PSPDGBuilder(pruned).build())
             flipped = [
                 name for name, view in after.items()
                 if not before[name] and classify_loop(view, loop).doall_legal

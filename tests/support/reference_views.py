@@ -9,10 +9,16 @@ every pair filtered by the loop's node set, and Tarjan pushing every
 node.  ``tests/planner/test_views.py`` requires the bucketed answers to
 equal these pair for pair and in order, and the classifications to be
 the same SCCs in the same order.
+
+The views derive every abstraction from the PDG and the relaxation log;
+these scans read each one where it was first defined: the PDG's edges,
+J&K as the PDG minus the worksharing-independence removals the log
+records (scanned per query), and the PS-PDG as the builder's own
+directed edges, hierarchical producers and consumers expanded to their
+leaves.
 """
 
 from repro.core.builder import loop_context_label
-from repro.planner.views import JKView, PSPDGView
 
 
 def loop_instructions(view, loop):
@@ -24,10 +30,16 @@ def loop_instructions(view, loop):
 
 
 def _visible(view, edge, loop):
-    if not isinstance(view, JKView):
+    if view.name != "J&K":
         return True
     label = loop_context_label(loop.header.name)
-    return (edge.source, edge.destination, label) not in view._independent
+    return not any(
+        relaxation.feature == "independence"
+        and relaxation.source is edge.source
+        and relaxation.destination is edge.destination
+        and label in relaxation.carried_removed
+        for relaxation in view.pspdg.relaxations
+    )
 
 
 def carried_edges(view, loop):
@@ -35,7 +47,7 @@ def carried_edges(view, loop):
     removals: (src_inst, dst_inst) pairs in graph order."""
     removable = view.analyses.removable(loop)
     result = []
-    if isinstance(view, PSPDGView):
+    if view.name == "PS-PDG":
         label = loop_context_label(loop.header.name)
         for edge in view.pspdg.directed_edges:
             if label not in edge.carried_contexts or edge.kind == "sync":
@@ -46,7 +58,7 @@ def carried_edges(view, loop):
                 for dst in edge.consumer.leaf_instructions():
                     result.append((src, dst))
         return result
-    for edge in view.pdg.edges:
+    for edge in view.pspdg.pdg.edges:
         if loop not in edge.carried_loops:
             continue
         if not _visible(view, edge, loop):
@@ -60,7 +72,7 @@ def carried_edges(view, loop):
 def intra_edges(view, loop):
     """Loop-independent dependences between instructions of ``loop``."""
     result = []
-    if isinstance(view, PSPDGView):
+    if view.name == "PS-PDG":
         for edge in view.pspdg.directed_edges:
             if not edge.loop_independent or edge.kind == "sync":
                 continue
@@ -71,7 +83,7 @@ def intra_edges(view, loop):
                     ) and loop.contains_instruction(dst):
                         result.append((src, dst))
         return result
-    for edge in view.pdg.edges:
+    for edge in view.pspdg.pdg.edges:
         if not edge.loop_independent:
             continue
         if loop.contains_instruction(
