@@ -588,17 +588,18 @@ class _Lowering:
             self._define(out, inst, f"{a} {_BINOP[op]} {b}")
         elif divisor:
             self._define(out, inst, _divided(op, a, divisor))
+        elif op == "div" and inst.type == INT:
+            self._define(out, inst, f"_trunc_div({a}, {b})")
         elif op == "div":
-            if inst.type == INT:
-                self._define(out, inst, f"_trunc_div({a}, {b})")
-            else:
+            # A literal divisor other than 0 (``-0.0`` is 0) cannot raise.
+            if not isinstance(inst.rhs, Constant) or inst.rhs.value == 0:
                 out.emit(f"if {b} == 0:")
                 out.indent += 1
                 out.emit(
                     "raise _EmulationError('float division by zero')"
                 )
                 out.indent -= 1
-                self._define(out, inst, f"{a} / {b}")
+            self._define(out, inst, f"{a} / {b}")
         elif op == "rem":
             self._define(out, inst, f"_trunc_rem({a}, {b})")
         elif op in ("shl", "shr") or (op == "pow" and inst.type == INT):

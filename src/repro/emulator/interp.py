@@ -16,7 +16,7 @@ Semantics notes:
 
 Execution is *decode once* (:func:`decode_block`): the first time a
 block runs, each instruction becomes a closure ``op(interp, frame)``
-with its operand sources and operator already resolved, and every
+that reads its operands inline (one Python call per step), and every
 fetch-execute loop — here, a worker's chunk, the seeded stepper in
 :mod:`repro.runtime.backends` — walks those.  The table of decoded
 blocks belongs to the interpreter, never to the IR (the module is
@@ -187,7 +187,10 @@ def zero_storage(value_type):
 
 
 def operand_getter(value):
-    """``get(interp, frame)`` for one operand, its kind resolved now."""
+    """``get(interp, frame)`` for one operand, its kind resolved now.  A
+    decoded op calls one only for what it cannot read inline: an
+    argument, a global as a ``store`` pointer, a ``call`` or ``print``
+    operand."""
     if isinstance(value, Constant):
         constant = value.value
         return lambda interp, frame: constant
@@ -223,45 +226,64 @@ def _unexecuted(error):
     )
 
 
+def _inline(*values):
+    """Whether an op reads all of ``values`` inline: registers, and
+    constants it binds at decode time (:func:`_constant`)."""
+    return all(isinstance(v, (insts.Instruction, Constant)) for v in values)
+
+
+def _constant(value):
+    """A constant operand's value; ``None`` for a register, which the op
+    reads as ``registers[value]``."""
+    return value.value if isinstance(value, Constant) else None
+
+
 def _apply1(inst, fn, a):
-    """``registers[inst] = fn(a)``."""
-    get = operand_getter(a)
+    """``registers[inst] = fn(a)``, a register or constant read inline."""
+    if not _inline(a):
+        get = operand_getter(a)
+
+        def op(interp, frame):
+            frame.registers[inst] = fn(get(interp, frame))
+
+        return op
+    constant = _constant(a)
 
     def op(interp, frame):
-        frame.registers[inst] = fn(get(interp, frame))
+        registers = frame.registers
+        try:
+            registers[inst] = fn(
+                registers[a] if constant is None else constant
+            )
+        except KeyError as error:
+            raise _unexecuted(error) from None
 
     return op
 
 
 def _apply2(inst, fn, a, b):
-    """``registers[inst] = fn(a, b)``; register-register and
-    register-constant are nine in ten of the binary operations run."""
-    if isinstance(a, insts.Instruction) and isinstance(b, insts.Instruction):
-
-        def op(interp, frame):
-            registers = frame.registers
-            try:
-                registers[inst] = fn(registers[a], registers[b])
-            except KeyError as error:
-                raise _unexecuted(error) from None
-
-    elif isinstance(a, insts.Instruction) and isinstance(b, Constant):
-        constant = b.value
-
-        def op(interp, frame):
-            registers = frame.registers
-            try:
-                registers[inst] = fn(registers[a], constant)
-            except KeyError as error:
-                raise _unexecuted(error) from None
-
-    else:
+    """``registers[inst] = fn(a, b)``, registers and constants read
+    inline: every operand of a binary or compare the frontend emits."""
+    if not _inline(a, b):
         get_a, get_b = operand_getter(a), operand_getter(b)
 
         def op(interp, frame):
             frame.registers[inst] = fn(
                 get_a(interp, frame), get_b(interp, frame)
             )
+
+        return op
+    constant_a, constant_b = _constant(a), _constant(b)
+
+    def op(interp, frame):
+        registers = frame.registers
+        try:
+            registers[inst] = fn(
+                registers[a] if constant_a is None else constant_a,
+                registers[b] if constant_b is None else constant_b,
+            )
+        except KeyError as error:
+            raise _unexecuted(error) from None
 
     return op
 
@@ -270,16 +292,27 @@ def _decode_alloca(inst):
     zeros = zero_storage(inst.allocated_type)
 
     def op(interp, frame):
-        storage = frame.objects.get(inst)
-        if storage is None:
-            storage = frame.objects[inst] = list(zeros)
-        frame.registers[inst] = (storage, 0)
+        objects = frame.objects
+        if inst not in objects:
+            objects[inst] = list(zeros)
+        frame.registers[inst] = (objects[inst], 0)
 
     return op
 
 
 def _decode_load(inst):
     pointer = inst.pointer
+    if isinstance(pointer, GlobalVariable):
+        name = pointer.name
+
+        def op(interp, frame):
+            overlay = frame.global_overlay
+            frame.registers[inst] = (
+                overlay[name] if name in overlay
+                else interp._global_storage[name]
+            )[0]
+
+        return op
     if not isinstance(pointer, insts.Instruction):
         return _apply1(inst, lambda pointer: pointer[0][pointer[1]], pointer)
 
@@ -295,36 +328,100 @@ def _decode_load(inst):
 
 
 def _decode_store(inst):
-    get_value, get_pointer = map(operand_getter, inst.operands)
+    value, pointer = inst.operands
+    if not _inline(value) or not isinstance(pointer, insts.Instruction):
+        get_value, get_pointer = map(operand_getter, inst.operands)
+
+        def op(interp, frame):
+            stored = get_value(interp, frame)
+            storage, offset = get_pointer(interp, frame)
+            storage[offset] = stored
+
+        return op
+    constant = _constant(value)
 
     def op(interp, frame):
-        value = get_value(interp, frame)
-        storage, offset = get_pointer(interp, frame)
-        storage[offset] = value
+        registers = frame.registers
+        try:  # the value first: it is the one named when both are missing
+            stored = registers[value] if constant is None else constant
+            storage, offset = registers[pointer]
+        except KeyError as error:
+            raise _unexecuted(error) from None
+        storage[offset] = stored
 
     return op
 
 
 def _decode_gep(inst):
+    """``(storage, offset + index * stride)``, the index bounds-checked;
+    read inline when the base is a register or a global."""
     array_type = inst.pointer.type.pointee
     count = array_type.count
     stride = array_type.element.slots()
     suffix = f" out of bounds for {array_type!r} (gep #{inst.uid})"
+    base, index = inst.pointer, inst.index
+    constant = _constant(index)
+    if isinstance(base, GlobalVariable) and _inline(index):
+        name = base.name
 
-    def element(pointer, index):
-        if not 0 <= index < count:
-            raise EmulationError(f"index {index}" + suffix)
-        return (pointer[0], pointer[1] + index * stride)
+        def op(interp, frame):
+            registers, overlay = frame.registers, frame.global_overlay
+            try:
+                i = registers[index] if constant is None else constant
+            except KeyError as error:
+                raise _unexecuted(error) from None
+            if not 0 <= i < count:
+                raise EmulationError(f"index {i}" + suffix)
+            registers[inst] = (
+                overlay[name] if name in overlay
+                else interp._global_storage[name],
+                i * stride,
+            )
 
-    return _apply2(inst, element, inst.pointer, inst.index)
+    elif _inline(base, index):
+
+        def op(interp, frame):
+            registers = frame.registers
+            try:
+                storage, offset = registers[base]
+                i = registers[index] if constant is None else constant
+            except KeyError as error:
+                raise _unexecuted(error) from None
+            if not 0 <= i < count:
+                raise EmulationError(f"index {i}" + suffix)
+            registers[inst] = (storage, offset + i * stride)
+
+    else:
+
+        def element(pointer, index):
+            if not 0 <= index < count:
+                raise EmulationError(f"index {index}" + suffix)
+            return (pointer[0], pointer[1] + index * stride)
+
+        return _apply2(inst, element, base, index)
+    return op
 
 
 def _decode_select(inst):
-    condition, if_true, if_false = map(operand_getter, inst.operands)
+    if not _inline(*inst.operands):
+        condition, if_true, if_false = map(operand_getter, inst.operands)
+
+        def op(interp, frame):
+            chosen = if_true if condition(interp, frame) else if_false
+            frame.registers[inst] = chosen(interp, frame)
+
+        return op
+    condition, constant = inst.condition, _constant(inst.condition)
+    arms = [(arm, _constant(arm)) for arm in (inst.if_true, inst.if_false)]
 
     def op(interp, frame):
-        chosen = if_true if condition(interp, frame) else if_false
-        frame.registers[inst] = chosen(interp, frame)
+        registers = frame.registers
+        try:  # the chosen arm only
+            truth = registers[condition] if constant is None else constant
+            arm, value = arms[0] if truth else arms[1]
+            registers[inst] = registers[arm] if value is None else value
+        except KeyError as error:
+            raise _unexecuted(error) from None
 
     return op
 
@@ -365,11 +462,23 @@ def _decode_jump(inst):
 
 
 def _decode_branch(inst):
-    condition = operand_getter(inst.condition)
-    if_true, if_false = inst.if_true, inst.if_false
-    return lambda interp, frame: (
-        if_true if condition(interp, frame) else if_false
-    )
+    condition, if_true, if_false = inst.condition, inst.if_true, inst.if_false
+    if not _inline(condition):
+        condition = operand_getter(condition)
+        return lambda interp, frame: (
+            if_true if condition(interp, frame) else if_false
+        )
+    constant = _constant(condition)
+
+    def op(interp, frame):
+        try:
+            if frame.registers[condition] if constant is None else constant:
+                return if_true
+        except KeyError as error:
+            raise _unexecuted(error) from None
+        return if_false
+
+    return op
 
 
 def _decode_return(inst):

@@ -31,10 +31,11 @@ from repro.codegen.seq import _SequenceLowering, lower_sequence
 from repro.codegen.runtime import Bailout
 from repro.emulator.interp import _Frame, run_module
 from repro.frontend import compile_source
+from repro.ir.instructions import BinaryOp
 from repro.ir.loopinfo import CanonicalLoop
 from repro.ir.parser import parse_ir
 from repro.ir.values import Constant
-from repro.ir.types import INT
+from repro.ir.types import FLOAT, INT
 from repro.runtime import knobs
 from repro.runtime.backends import (
     SerialBackend, _NullLocks, _WorkerInterpreter,
@@ -672,6 +673,49 @@ def test_a_constant_zero_divisor_keeps_its_helper_and_its_error(
     }
     lowered = compile_chunk(_region_loop(compile_source(source))).source
     assert f"{helper}(" in lowered and " * (8 - " not in lowered
+
+
+FLOAT_DIVISION = """
+global f: float[8];
+
+func main() {
+  pragma omp parallel_for
+  for i in 0..8 {
+    f[i] = float(i) / 4.0;
+  }
+  print(f[7]);
+}
+"""
+
+
+@pytest.mark.parametrize("divisor", [32768.0, -0.5, 0.0, -0.0])
+def test_a_float_division_by_a_literal_is_guarded_only_for_zero(
+        divisor, chunks):
+    """``-0.0 == 0`` keeps its guard, and both engines raise on it."""
+
+    def module():
+        module = compile_source(FLOAT_DIVISION)
+        (division,) = [
+            inst for block in module.function("main").blocks
+            for inst in block.instructions
+            if isinstance(inst, BinaryOp) and inst.op == "div"
+        ]
+        division.operands[1] = Constant(FLOAT, divisor)
+        return module
+
+    expected = "float division by zero" if divisor == 0 else None
+    lowered = compile_chunk(_region_loop(module())).source
+    assert ("float division by zero" in lowered) is (expected is not None)
+    try:
+        run_source_plan(module(), backend=SerialBackend(), workers=2)
+    except EmulationError as error:
+        assert str(error) == expected
+    else:
+        assert expected is None
+    assert chunks and all(
+        errors == {"compiled": expected, "interpreted": expected}
+        for _label, _tier, errors in chunks
+    )
 
 
 def test_dense96_runs_its_compute_loops_as_slices():

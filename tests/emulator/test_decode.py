@@ -3,21 +3,25 @@
 The interpreter decodes a block into closures the first time it runs it
 (:func:`repro.emulator.interp.decode_block`).  The expected values and
 texts below were taken from the handler-table interpreter this replaced;
-each operation runs once per operand shape (register / constant), since
-the decoder resolves those to different closures.
+each operation runs once per operand shape (register / constant /
+global / argument), since the decoder resolves those to different
+closures: inline reads, or :func:`~repro.emulator.interp.operand_getter`
+calls for what no op reads inline.
 """
 
 import itertools
 import math
 import pickle
+import sys
 
 import pytest
 
 from repro.emulator import Interpreter, run_module
+from repro.emulator.interp import _Frame, decode_block
 from repro.frontend import compile_source
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
-from repro.ir.types import BOOL, FLOAT, INT, ArrayType
+from repro.ir.types import BOOL, FLOAT, INT, ArrayType, PointerType
 from repro.ir.values import Constant
 from repro.runtime import run_source_plan
 from repro.runtime.payload import module_codec
@@ -187,6 +191,110 @@ def test_gep_load_store_through_a_global_and_an_alloca(
         assert _outcome(module) == expected_here
 
 
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("target", ("alloca", "gep", "global"))
+def test_store_and_load_through_every_pointer_shape(target, shape):
+    module, builder = _main()
+    if target == "global":
+        pointer = module.add_global("g", INT, 5)
+    elif target == "gep":
+        array = module.add_global("g", ArrayType(INT, 4), [0, 1, 2, 3])
+        pointer = builder.gep(array, _operand(builder, 3, shape))
+    else:
+        pointer = builder.alloca(INT)
+    builder.store(_operand(builder, 11, shape), pointer)
+    builder.print_([builder.load(pointer)])
+    builder.ret()
+    assert _outcome(module) == 11
+
+
+def test_a_global_load_reads_its_initializer():
+    module, builder = _main()
+    builder.print_([builder.load(module.add_global("g", FLOAT, 2.5))])
+    builder.ret()
+    assert _same(_outcome(module), 2.5)
+
+
+@pytest.mark.parametrize(
+    "shapes", list(itertools.product(_SHAPES, repeat=3)),
+    ids=lambda shapes: "-".join(shapes),
+)
+@pytest.mark.parametrize("condition", (True, False))
+def test_select_over_every_operand_shape(condition, shapes):
+    assert _same(
+        _evaluate(
+            lambda bld, c, x, y: bld.select(c, x, y),
+            (condition, 7, -2), shapes,
+        ),
+        7 if condition else -2,
+    )
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("condition", (True, False))
+def test_branch_on_either_operand_shape(condition, shape):
+    module, builder = _main()
+    function = builder.function
+    taken = function.create_block("taken")
+    other = function.create_block("other")
+    builder.branch(_operand(builder, condition, shape), taken, other)
+    for block, label in ((taken, 1), (other, 2)):
+        builder.position_at_end(block)
+        builder.print_([builder.int(label)])
+        builder.ret()
+    assert _outcome(module) == (1 if condition else 2)
+
+
+def test_argument_operands_go_through_their_getters():
+    """An argument is no register: every user of one reads it through
+    its getter, a pointer argument's ``gep`` (and its bounds check) too."""
+    module = Module("decode")
+    array = ArrayType(INT, 4)
+    callee = module.create_function(
+        "f", (PointerType(array), INT, BOOL), ("a", "x", "flag"),
+        return_type=INT,
+    )
+    builder = IRBuilder(callee.create_block("entry"))
+    taken, other = callee.create_block("taken"), callee.create_block("other")
+    a, x, flag = callee.args
+    builder.store(x, builder.gep(a, x))
+    builder.print_([
+        builder.load(builder.gep(a, builder.int(1))),
+        builder.add(x, builder.int(1)),
+        builder.binop("sub", builder.int(9), x),
+        builder.cast("int_to_float", x),
+        builder.neg(x),
+        builder.cmp("lt", x, builder.int(2)),
+        builder.select(flag, x, builder.int(0)),
+    ])
+    builder.branch(flag, taken, other)
+    for block, result in ((taken, x), (other, builder.int(0))):
+        builder.position_at_end(block)
+        builder.ret(result)
+    main = module.create_function("main")
+    builder = IRBuilder(main.create_block("entry"))
+    storage = builder.alloca(array)
+    for value, truth in ((1, True), (3, False), (4, True)):
+        builder.print_([builder.call(
+            callee, [storage, builder.int(value), builder.bool(truth)]
+        )])
+    builder.ret()
+    interpreter = Interpreter(module)
+    with pytest.raises(EmulationError) as raised:
+        interpreter.run()
+    assert interpreter.output == [
+        (None, (1, 2, 8, 1.0, -1, True, 1)), (None, (1,)),
+        (None, (1, 4, 6, 3.0, -3, False, 0)), (None, (0,)),
+    ]
+    (gep,) = [
+        inst for inst in callee.entry.instructions
+        if inst.opcode == "gep" and inst.index is x
+    ]
+    assert str(raised.value) == (
+        f"index 4 out of bounds for [4 x int] (gep #{gep.uid})"
+    )
+
+
 def test_select_evaluates_only_the_chosen_arm():
     module, builder = _main()
     function = builder.function
@@ -209,13 +317,17 @@ def test_select_evaluates_only_the_chosen_arm():
     )
 
 
-@pytest.mark.parametrize("user", ("load", "binop", "cast", "gep", "branch"))
+@pytest.mark.parametrize("user", (
+    "load", "binop", "cast", "gep", "branch", "unary", "select",
+    "store-value", "store-pointer", "store-both",
+))
 def test_use_of_an_unexecuted_register(user):
     module, builder = _main()
     function = builder.function
     skipped = function.create_block("skipped")
     done = function.create_block("done")
     array = builder.alloca(ArrayType(INT, 4))
+    slot = builder.alloca(INT)
     builder.jump(done)
     builder.position_at_end(skipped)
     pointer = builder.alloca(INT)
@@ -235,6 +347,21 @@ def test_use_of_an_unexecuted_register(user):
     elif user == "gep":
         missing = number
         builder.gep(array, number)
+    elif user == "unary":
+        missing = number
+        builder.neg(number)
+    elif user == "select":
+        missing = flag
+        builder.select(flag, builder.int(1), builder.int(2))
+    elif user == "store-value":
+        missing = number
+        builder.store(number, slot)
+    elif user == "store-pointer":
+        missing = pointer
+        builder.store(builder.int(1), pointer)
+    elif user == "store-both":  # the value is read first
+        missing = number
+        builder.store(number, pointer)
     else:
         missing = flag
         builder.branch(flag, done, done)
@@ -283,6 +410,76 @@ def test_a_block_without_a_terminator_falls_off():
     with pytest.raises(EmulationError) as raised:
         run_module(module)
     assert str(raised.value) == "fell off the end of block entry in @main"
+
+
+PRIVATE_GLOBALS = """
+global s: int;
+global t: int[4];
+global out: int[16];
+
+func main() {
+  pragma omp parallel_for private(t) reduction(+: s)
+  for p in 0..16 {
+    t[p % 4] = p * 3;
+    s = s + t[p % 4];
+    out[p] = t[p % 4];
+  }
+  print(s, out[15], t[0]);
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ("simulated", "threads"))
+def test_a_privatized_global_is_read_inline_from_the_workers_copy(backend):
+    """``s`` (a global ``load``) and ``t`` (a global ``gep`` base) read
+    each worker's own copy: the parent's ``t`` is never written."""
+    module = compile_source(PRIVATE_GLOBALS)
+    assert run_module(module).output == [(None, (360, 45, 36))]
+    parallel = run_source_plan(
+        module, workers=2, backend=backend, compile_regions=False
+    )
+    assert parallel.output == [(None, (360, 45, 0))]
+
+
+def test_every_inline_shape_costs_its_step_one_call():
+    """Under ``sys.setprofile`` each op is one Python ``call`` event (the
+    builtins it applies are ``c_call`` ones), so an operand getter or a
+    helper creeping back into an inline shape shows as a second."""
+    module, builder = _main()
+    function = builder.function
+    done = function.create_block("done")
+    array = module.add_global("g", ArrayType(INT, 4), [0, 1, 2, 3])
+    local = builder.alloca(ArrayType(INT, 4))
+    cell = builder.gep(local, builder.int(1))
+    builder.store(builder.int(2), cell)
+    index = builder.load(cell)
+    builder.store(index, builder.gep(local, index))
+    x = builder.load(builder.gep(array, index))
+    builder.gep(array, builder.int(3))
+    y = builder.load(module.add_global("s", INT, 5))
+    flag = builder.cmp("lt", x, builder.int(3))
+    builder.add(x, y)
+    builder.add(x, builder.int(1))
+    builder.binop("sub", builder.int(1), x)
+    builder.neg(x)
+    builder.cast("int_to_float", x)
+    builder.select(flag, x, builder.int(0))
+    builder.select(builder.bool(False), builder.int(1), y)
+    builder.branch(flag, done, done)
+    block = function.entry
+    interpreter, frame = Interpreter(module), _Frame(function, [])
+    costs = []
+    for inst, op in zip(block.instructions, decode_block(block)):
+        events = []
+        sys.setprofile(lambda _frame, event, _arg: events.append(event))
+        try:
+            op(interpreter, frame)
+        finally:
+            sys.setprofile(None)
+        costs.append((inst.opcode, [o.short() for o in inst.operands],
+                      events.count("call")))
+    assert len(costs) == 19
+    assert [cost for cost in costs if cost[2] != 1] == []
 
 
 # -- the decode table's two hazards ---------------------------------------------
