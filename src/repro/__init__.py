@@ -36,10 +36,8 @@ The same pipeline is scriptable from the shell::
     python -m repro plan examples/histogram.mop
 """
 
-from repro.core import build_pspdg
 from repro.emulator import run_module, run_source
-from repro.opt import OptLevel, optimize_plan
-from repro.pdg import build_pdg
+from repro.opt import OptLevel
 from repro.pipeline import Diagnostics, SessionConfig
 from repro.session import Session
 
@@ -51,9 +49,6 @@ __all__ = [
     "SessionConfig",
     "Diagnostics",
     "OptLevel",
-    "optimize_plan",
-    "build_pspdg",
-    "build_pdg",
     "run_module",
     "run_source",
     "__version__",

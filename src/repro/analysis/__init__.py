@@ -34,12 +34,9 @@ from repro.analysis.dominators import (
 from repro.analysis.liveness import (
     blocks_after_loop,
     live_in_registers,
-    objects_accessed_in_loop,
 )
 from repro.analysis.loops import (
     Loop,
-    common_loops,
-    enclosing_loops,
     find_natural_loops,
     loop_of_block,
 )
@@ -54,7 +51,7 @@ from repro.analysis.reductions import (
     REDUCIBLE_OPS,
     ScalarReduction,
 )
-from repro.analysis.scc import condensation, strongly_connected_components
+from repro.analysis.scc import strongly_connected_components
 from repro.analysis.subscripts import (
     AffineExpr,
     affine_offset,
@@ -84,11 +81,8 @@ __all__ = [
     "compute_dominator_tree",
     "compute_postdominator_tree",
     "blocks_after_loop",
-    "objects_accessed_in_loop",
     "live_in_registers",
     "Loop",
-    "common_loops",
-    "enclosing_loops",
     "find_natural_loops",
     "loop_of_block",
     "MemoryAccess",
@@ -98,7 +92,6 @@ __all__ = [
     "FunctionAnalyses",
     "REDUCIBLE_OPS",
     "ScalarReduction",
-    "condensation",
     "strongly_connected_components",
     "AffineExpr",
     "affine_offset",

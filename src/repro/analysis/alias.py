@@ -173,10 +173,6 @@ class AliasAnalysis:
             return self.object_for_argument(value)
         raise AnalysisError(f"cannot resolve pointer provenance of {value!r}")
 
-    def may_alias(self, obj_a, obj_b):
-        """Whether two objects can overlap.  Distinct objects never do."""
-        return obj_a is obj_b
-
     # -- call summaries --------------------------------------------------------
 
     def _compute_summaries(self):
@@ -266,7 +262,3 @@ class AliasAnalysis:
         index = key[1]
         actual = call.operands[index]
         return self.base_object(actual, function)
-
-    def function_summary(self, name):
-        """The abstract mod/ref summary of a function (for tests)."""
-        return self._summaries[name]

@@ -24,29 +24,9 @@ class DominatorTree:
     def __init__(self, root, idom):
         self.root = root
         self.idom = idom
-        self._children = {}
-        for node, parent in idom.items():
-            if node is not parent:
-                self._children.setdefault(parent, []).append(node)
-        self._depth = {root: 0}
-        # Depths via BFS down the tree.
-        frontier = [root]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for child in self._children.get(node, []):
-                    self._depth[child] = self._depth[node] + 1
-                    next_frontier.append(child)
-            frontier = next_frontier
 
     def contains(self, node):
         return node in self.idom
-
-    def children(self, node):
-        return list(self._children.get(node, []))
-
-    def depth(self, node):
-        return self._depth[node]
 
     def dominates(self, a, b):
         """True if ``a`` dominates ``b`` (reflexive)."""
@@ -63,13 +43,6 @@ class DominatorTree:
 
     def strictly_dominates(self, a, b):
         return a is not b and self.dominates(a, b)
-
-    def dominators_of(self, node):
-        """All dominators of ``node``, from the node up to the root."""
-        chain = [node]
-        while self.idom[chain[-1]] is not chain[-1]:
-            chain.append(self.idom[chain[-1]])
-        return chain
 
 
 def immediate_dominators(root, successors):

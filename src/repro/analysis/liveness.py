@@ -45,17 +45,6 @@ def live_out_objects(analyses, loop):
     }
 
 
-def objects_accessed_in_loop(analyses, loop):
-    """(reads, writes) object lists for accesses inside the loop."""
-    reads, writes = [], []
-    for obj, group in analyses.loop_accesses(loop).items():
-        if any(not access.is_write for access in group):
-            reads.append(obj)
-        if any(access.is_write for access in group):
-            writes.append(obj)
-    return reads, writes
-
-
 def live_in_registers(loops):
     """Registers a chunk of these loops can read: operands defined outside.
 

@@ -148,19 +148,3 @@ def loop_of_block(loops, block):
             if best is None or len(loop.blocks) < len(best.blocks):
                 best = loop
     return best
-
-
-def enclosing_loops(loops, inst):
-    """Loops containing ``inst``, innermost first."""
-    chain = []
-    loop = loop_of_block(loops, inst.parent)
-    while loop is not None:
-        chain.append(loop)
-        loop = loop.parent
-    return chain
-
-
-def common_loops(loops, inst_a, inst_b):
-    """Loops containing both instructions, innermost first."""
-    set_b = set(enclosing_loops(loops, inst_b))
-    return [loop for loop in enclosing_loops(loops, inst_a) if loop in set_b]

@@ -53,9 +53,6 @@ class MemoryDependence:
     loop_independent: bool
     carried_loops: list  # Loop objects, innermost first
 
-    def is_loop_carried_at(self, loop):
-        return loop in self.carried_loops
-
     def __repr__(self):
         carried = ",".join(l.header.name for l in self.carried_loops)
         return (

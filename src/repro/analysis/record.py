@@ -67,8 +67,7 @@ class FunctionAnalyses:
 
     @functools.cached_property
     def loops_of_block(self):
-        """Block -> the loops containing it, innermost first (what
-        ``loops.enclosing_loops`` answers for its instructions)."""
+        """Block -> the loops containing it, innermost first."""
         chains = dict.fromkeys(self.function.blocks, ())
         # Parents first, so a loop's header already holds its parent's.
         for loop in sorted(self.loops, key=lambda loop: loop.depth):

@@ -70,25 +70,3 @@ def strongly_connected_components(nodes, successors):
                 component.reverse()
                 components.append(component)
     return components
-
-
-def condensation(nodes, successors):
-    """SCCs plus the edges between them.
-
-    Returns ``(components, component_of, edges)`` where ``components`` is
-    the SCC list (reverse topological), ``component_of`` maps node ->
-    component index, and ``edges`` is a set of (src_component,
-    dst_component) pairs excluding self-edges.
-    """
-    components = strongly_connected_components(nodes, successors)
-    component_of = {}
-    for index, component in enumerate(components):
-        for node in component:
-            component_of[node] = index
-    edges = set()
-    for node in nodes:
-        for succ in successors.get(node, ()):
-            src, dst = component_of[node], component_of[succ]
-            if src != dst:
-                edges.add((src, dst))
-    return components, component_of, edges

@@ -627,15 +627,6 @@ class _Lowering:
 
     # -- control flow --------------------------------------------------------------
 
-    def lower_terminator(self, out, inst):
-        """A terminator the walk does not follow: ``return`` ends it."""
-        if not isinstance(inst, insts.Return):
-            raise Unsupported(f"terminator {inst.opcode}")
-        out.emit(
-            "raise _EmulationError("
-            "'return inside a parallelized loop body')"
-        )
-
     def _step_check(self, out, count):
         out.emit(f"_steps += {count}")
         out.emit("if _steps > _max:")
@@ -943,6 +934,8 @@ class _Lowering:
             elif isinstance(terminator, insts.Branch):
                 block = self._emit_if(out, block, terminator, region)
             else:
+                # A return: only a sequence walks one (no block of a loop
+                # body ends in one), and it lowers it.
                 self._leave(out, region)
                 self.lower_terminator(out, terminator)
                 self._segment = None

@@ -188,8 +188,6 @@ class _SequenceLowering(_Lowering):
         out.indent -= 1
 
     def lower_terminator(self, out, inst):
-        if not isinstance(inst, insts.Return):
-            return super().lower_terminator(out, inst)
         out.emit("interp.steps = _steps")
         value = self.any_value(inst.value) if inst.operands else "None"
         out.emit(f"return {value}")
@@ -418,8 +416,6 @@ class _ProfiledLowering(_SequenceLowering):
         )
 
     def lower_terminator(self, out, inst):
-        if not isinstance(inst, insts.Return):
-            return super().lower_terminator(out, inst)
         out.emit(f"_root = _expand(_table, _LR, {self._scopes[None].key})")
         out.emit("interp.steps = _steps")
         value = self.any_value(inst.value) if inst.operands else "None"

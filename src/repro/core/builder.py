@@ -45,7 +45,6 @@ from repro.core.model import (
 )
 from repro.frontend.directives import LOOP_INDEPENDENCE_KINDS
 from repro.ir.instructions import Load, Store
-from repro.pdg.builder import build_pdg
 from repro.pdg.graph import EDGE_MEMORY
 
 # Directive kinds whose regions multiply execution (threads/tasks), i.e.
@@ -617,8 +616,3 @@ class PSPDGBuilder:
             for e in self.graph.directed_edges
             if e.loop_independent or e.carried_contexts or e.kind == "sync"
         ]
-
-
-def build_pspdg(function, module):
-    """The PS-PDG of ``function``, over a fresh PDG and analysis record."""
-    return PSPDGBuilder(build_pdg(function, module)).build()

@@ -84,8 +84,3 @@ def signature(reduced):
         for v in reduced.variables
     )
     return _h("||".join(node_part + ["##"] + variable_part))
-
-
-def same_representation(reduced_a, reduced_b):
-    """True when two reduced graphs are indistinguishable."""
-    return signature(reduced_a) == signature(reduced_b)

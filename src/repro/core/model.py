@@ -84,21 +84,6 @@ class Node:
         if trait not in self.traits:
             self.traits.append(trait)
 
-    def has_trait(self, kind, context=None):
-        return any(
-            t.kind == kind and (context is None or t.context == context)
-            for t in self.traits
-        )
-
-    def leaf_instructions(self):
-        raise NotImplementedError
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
 
 class InstructionNode(Node):
     """Leaf node wrapping one IR instruction."""
@@ -141,14 +126,6 @@ class HierarchicalNode(Node):
             else:
                 stack.extend(node.children)
         return result
-
-    def descendants(self):
-        stack = list(self.children)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, HierarchicalNode):
-                stack.extend(node.children)
 
     def __repr__(self):
         label = f" ctx={self.context_label}" if self.context_label else ""
@@ -301,16 +278,6 @@ class PSPDG:
         return [
             n for n in self.all_nodes() if isinstance(n, HierarchicalNode)
         ]
-
-    def variables_for_context(self, context_label, semantics=None):
-        chain = self.context_chain(context_label)
-        selected = []
-        for variable in self.variables:
-            if variable.context in chain and (
-                semantics is None or variable.semantics == semantics
-            ):
-                selected.append(variable)
-        return selected
 
     def context_chain(self, context_label):
         """The label plus all enclosing context labels (inner to outer)."""

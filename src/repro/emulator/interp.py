@@ -569,9 +569,6 @@ class Interpreter:
             list(self.output), return_value, self.steps, profile
         )
 
-    def global_values(self, name):
-        return list(self._global_storage[name])
-
     # -- storage ----------------------------------------------------------------
 
     def _initial_storage(self, gvar):

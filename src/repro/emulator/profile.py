@@ -136,13 +136,6 @@ class IterationProfile:
             child.total() for child in self.children
         )
 
-    def count_of(self, uids):
-        """Direct executions of any of the given static uids."""
-        # Iterate the (small) per-iteration counter, not the uid set.
-        return sum(
-            count for uid, count in self.counts.items() if uid in uids
-        )
-
 
 class LoopInstanceProfile:
     """One dynamic activation of a static loop (all its iterations)."""
@@ -217,18 +210,6 @@ class FunctionProfile:
     def header_totals(self):
         """header name -> dynamic instructions inside all its instances."""
         return self._intern()[1]
-
-    def loop_instances(self, header_name=None):
-        """All loop instances in the tree (optionally for one static loop)."""
-        found = []
-        stack = [self.root]
-        while stack:
-            iteration = stack.pop()
-            for child in iteration.children:
-                if header_name is None or child.header_name == header_name:
-                    found.append(child)
-                stack.extend(child.iterations)
-        return found
 
     def __repr__(self):
         return f"<profile @{self.function_name}: {self.total()} insts>"

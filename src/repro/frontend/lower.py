@@ -708,7 +708,7 @@ class Lowerer:
         operand = self._lower_expression(expr.operand, scope)
         if expr.op == "-":
             _check_type(operand.type, _NUMBERS, "operator '-'", expr.line)
-            return self.builder.neg(operand)
+            return self.builder.unop("neg", operand)
         if expr.op == "!":
             operand = self._require_bool(operand, expr.line)
             return self.builder.unop("not", operand)

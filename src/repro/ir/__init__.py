@@ -3,7 +3,9 @@
 A compact LLVM-flavoured IR: typed values, alloca-based variables,
 loads/stores, explicit CFG, and no phi nodes (source variables live in
 memory).  Parallel semantics are layered on top by ``repro.frontend``
-annotations; this package is purely sequential.
+annotations; this package is purely sequential.  ``print_module`` writes
+the textual form; the parser that reads it back serves the tests only
+(``tests/support/ir_parser.py``).
 """
 
 from repro.ir.types import (
@@ -18,17 +20,12 @@ from repro.ir.types import (
     PointerType,
     Type,
     VoidType,
-    array_of,
-    pointer_to,
 )
 from repro.ir.values import (
     Argument,
     Constant,
     GlobalVariable,
     Value,
-    const_bool,
-    const_float,
-    const_int,
 )
 from repro.ir.instructions import (
     Alloca,
@@ -52,8 +49,7 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function, Module
 from repro.ir.builder import IRBuilder
 from repro.ir.loopinfo import CanonicalLoop
-from repro.ir.parser import IRParser, parse_ir
-from repro.ir.printer import dump, print_function, print_module
+from repro.ir.printer import print_function, print_module
 from repro.ir.verifier import verify_function, verify_module
 
 __all__ = [
@@ -68,15 +64,10 @@ __all__ = [
     "PointerType",
     "Type",
     "VoidType",
-    "array_of",
-    "pointer_to",
     "Argument",
     "Constant",
     "GlobalVariable",
     "Value",
-    "const_bool",
-    "const_float",
-    "const_int",
     "Alloca",
     "BinaryOp",
     "Branch",
@@ -98,9 +89,6 @@ __all__ = [
     "Module",
     "IRBuilder",
     "CanonicalLoop",
-    "IRParser",
-    "parse_ir",
-    "dump",
     "print_function",
     "print_module",
     "verify_function",

@@ -52,8 +52,5 @@ class BasicBlock:
         term = self.terminator
         return term.successors() if term is not None else []
 
-    def __iter__(self):
-        return iter(self.instructions)
-
     def __repr__(self):
         return f"<block {self.name} ({len(self.instructions)} insts)>"

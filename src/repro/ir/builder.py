@@ -22,10 +22,6 @@ class IRBuilder:
         self.block = block
         return self
 
-    @property
-    def function(self):
-        return self.block.parent if self.block is not None else None
-
     def _insert(self, instruction):
         if self.block is None:
             raise IRError("builder has no insertion block")
@@ -66,9 +62,6 @@ class IRBuilder:
 
     def unop(self, op, operand):
         return self._insert(insts.UnaryOp(op, operand))
-
-    def neg(self, operand):
-        return self.unop("neg", operand)
 
     def cmp(self, predicate, lhs, rhs):
         return self._insert(insts.Compare(predicate, lhs, rhs))

@@ -75,9 +75,6 @@ class Function:
         for block in self.blocks:
             yield from block.instructions
 
-    def instruction_count(self):
-        return sum(len(b.instructions) for b in self.blocks)
-
     def __repr__(self):
         return f"<function @{self.name} ({len(self.blocks)} blocks)>"
 

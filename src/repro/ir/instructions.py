@@ -69,18 +69,6 @@ class Instruction(Value):
         self.parent = None  # BasicBlock, set on insertion
         self.uid = None  # int, set on insertion
 
-    # -- classification helpers used throughout analyses ------------------
-
-    def reads_memory(self):
-        return False
-
-    def writes_memory(self):
-        return False
-
-    def has_side_effects(self):
-        """True for instructions that must not be duplicated or dropped."""
-        return self.writes_memory()
-
     def short(self):
         if self.type == VOID:
             return f"<{self.opcode}#{self.uid}>"
@@ -130,9 +118,6 @@ class Load(Instruction):
     def pointer(self):
         return self.operands[0]
 
-    def reads_memory(self):
-        return True
-
 
 class Store(Instruction):
     """Write one scalar to memory through a pointer operand."""
@@ -151,9 +136,6 @@ class Store(Instruction):
     @property
     def pointer(self):
         return self.operands[1]
-
-    def writes_memory(self):
-        return True
 
 
 class GetElementPtr(Instruction):
@@ -326,17 +308,6 @@ class Call(Instruction):
         super().__init__(callee.return_type, list(args))
         self.callee = callee
 
-    def reads_memory(self):
-        # Conservative: callees may touch any memory reachable from args
-        # or globals.  The alias analysis refines this.
-        return True
-
-    def writes_memory(self):
-        return True
-
-    def has_side_effects(self):
-        return True
-
     def describe(self):
         ops = ", ".join(op.short() for op in self.operands)
         if self.type == VOID:
@@ -364,27 +335,10 @@ class Print(Instruction):
             return f'print "{self.label}" {ops}'.rstrip()
         return f"print {ops}".rstrip()
 
-    def has_side_effects(self):
-        return True
-
-    def reads_memory(self):
-        return False
-
-    def writes_memory(self):
-        # Printing serializes with other prints; modelled as a write to a
-        # distinguished "console" memory object by the alias analysis.
-        return True
-
 
 class Terminator(Instruction):
-    """Base class for block terminators."""
-
-    def successors(self):
-        """List of successor basic blocks."""
-        raise NotImplementedError
-
-    def has_side_effects(self):
-        return True
+    """Base class for block terminators; each lists its successor blocks
+    (``successors()``)."""
 
 
 class Jump(Terminator):

@@ -13,9 +13,6 @@ Example::
     }
 """
 
-from repro.ir.function import Function, Module
-
-
 def print_function(function):
     """Return the textual form of one function."""
     params = ", ".join(f"%{a.name}: {a.type!r}" for a in function.args)
@@ -47,15 +44,3 @@ def print_module(module):
         lines.append("")
         lines.append(print_function(function))
     return "\n".join(lines)
-
-
-def dump(item):
-    """Print a module or function to stdout (debugging convenience)."""
-    if isinstance(item, Module):
-        text = print_module(item)
-    elif isinstance(item, Function):
-        text = print_function(item)
-    else:
-        raise TypeError(f"cannot dump {type(item).__name__}")
-    print(text)
-    return text

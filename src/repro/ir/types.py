@@ -13,11 +13,9 @@ flat per-object storage.
 
 
 class Type:
-    """Base class for IR types.  Types are immutable and compare by value."""
-
-    def slots(self):
-        """Number of scalar slots a value of this type occupies in memory."""
-        raise NotImplementedError
+    """Base class for IR types.  Types are immutable and compare by value;
+    each gives ``slots()``, the scalar slots a value of it occupies in
+    memory."""
 
     def is_scalar(self):
         return False
@@ -128,13 +126,3 @@ INT = IntType()
 FLOAT = FloatType()
 BOOL = BoolType()
 VOID = VoidType()
-
-
-def pointer_to(pointee):
-    """Convenience constructor mirroring LLVM's ``T*`` spelling."""
-    return PointerType(pointee)
-
-
-def array_of(element, count):
-    """Convenience constructor mirroring LLVM's ``[n x T]`` spelling."""
-    return ArrayType(element, count)

@@ -7,7 +7,7 @@ named source-level variables are *memory* (``alloca``/global) and are only
 touched through ``load``/``store``.
 """
 
-from repro.ir.types import BOOL, FLOAT, INT, PointerType
+from repro.ir.types import PointerType
 
 
 class Value:
@@ -16,10 +16,6 @@ class Value:
     def __init__(self, type_, name=None):
         self.type = type_
         self.name = name
-
-    def short(self):
-        """Compact printable form used inside instruction operand lists."""
-        return self.name if self.name is not None else repr(self)
 
 
 class Constant(Value):
@@ -44,18 +40,6 @@ class Constant(Value):
 
     def __hash__(self):
         return hash(("const", self.type, self.value))
-
-
-def const_int(value):
-    return Constant(INT, int(value))
-
-
-def const_float(value):
-    return Constant(FLOAT, float(value))
-
-
-def const_bool(value):
-    return Constant(BOOL, bool(value))
 
 
 class Argument(Value):

@@ -20,11 +20,11 @@ analysis record (``pspdg.pdg.analyses``).  ``-O1``/``-O2`` run three:
 floors iterations-per-payload so tiny chunks stop paying dispatch
 overhead.
 
-Entry point: :func:`optimize_plan` ``(pspdg, plan, level)``; levels:
-:class:`OptLevel`.  It is :func:`restructure_plan` (fusion and sync
-elimination, which read only the graphs) followed by :func:`price_plan`
-(serialization and tiling, which read the machine model), so a new
-machine re-prices a plan without restructuring it again.
+Entry points: :func:`restructure_plan` ``(pspdg, plan, level)`` (fusion
+and sync elimination, which read only the graphs), then
+:func:`price_plan` ``(pspdg, restructured, machine)`` (serialization and
+tiling, which read the machine model), so a new machine re-prices a plan
+without restructuring it again; levels: :class:`OptLevel`.
 """
 
 from repro.opt.context import OptContext
@@ -37,7 +37,6 @@ from repro.opt.manager import (
     OptimizationResult,
     OptReport,
     PassManager,
-    optimize_plan,
     passes_for,
     price_plan,
     restructure_plan,
@@ -60,7 +59,6 @@ __all__ = [
     "SyncEliminationPass",
     "TilingPass",
     "can_fuse",
-    "optimize_plan",
     "passes_for",
     "price_plan",
     "restructure_plan",

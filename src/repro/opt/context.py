@@ -5,7 +5,7 @@ make, which memory dependences does it carry on an object, what recipe
 would the runtime derive for it.  The function's analysis record
 (``pspdg.pdg.analyses``, the one the graphs were built from) answers the
 analysis questions, once per session however many times
-:func:`repro.opt.optimize_plan` runs; the context adds what is per-run:
+:func:`repro.opt.price_plan` runs; the context adds what is per-run:
 the machine model, the measured feedback, and the memo of the runtime
 recipes derived so far.
 
@@ -22,7 +22,8 @@ from repro.planner.recipes import parallelization_from_pspdg
 
 
 class OptContext:
-    """What the passes of one ``optimize_plan`` call share."""
+    """What the passes of one ``restructure_plan`` or ``price_plan`` call
+    share."""
 
     def __init__(self, pspdg, machine, payload_bytes=None,
                  compile_regions=False, compiled_speedup=None):

@@ -1,12 +1,14 @@
 """The pass manager: ``-O`` levels over (PS-PDG, ProgramPlan).
 
-``optimize_plan`` is the single entry point: it seeds the plan's region
-descriptors (one per executable DOALL loop — byte-for-byte the runtime's
-historical dispatch set, so ``-O0`` is exactly the legacy behavior),
-then runs the level's pass pipeline, each pass rewriting the region list
-under the legality predicates of :mod:`repro.opt.legality`.  The result
-carries both the rewritten plan and an :class:`OptReport` the CLI's
-``report`` subcommand and the test suite consume.
+The pipeline runs in two halves.  :func:`restructure_plan` seeds the
+plan's region descriptors (one per executable DOALL loop — byte-for-byte
+the runtime's historical dispatch set, so ``-O0`` is exactly the legacy
+behavior) and runs the level's passes that read only the graphs;
+:func:`price_plan` runs the ones that read the machine model.  Each pass
+rewrites the region list under the legality predicates of
+:mod:`repro.opt.legality`.  The result carries both the rewritten plan
+and an :class:`OptReport` the CLI's ``report`` subcommand and the test
+suite consume.
 """
 
 import dataclasses
@@ -57,9 +59,6 @@ class OptReport:
             tiled=list(self.tiled),
             pass_seconds=dict(self.pass_seconds),
         )
-
-    def rejections_for(self, pass_name):
-        return [entry for entry in self.rejected if entry[0] == pass_name]
 
     def rejection_counts(self):
         """pass name -> number of recorded rejections (0 for clean runs)."""
@@ -179,7 +178,13 @@ def price_plan(
 
     ``restructured`` is a :func:`restructure_plan` result; it is never
     mutated, so one restructured plan can be priced again for another
-    machine.  The keyword arguments are :func:`optimize_plan`'s.
+    machine.  ``payload_bytes`` optionally maps region labels to measured
+    bytes-on-wire from a previous run (the runtime's ``payload_bytes``
+    stat); the small-region serialization pass folds it into the machine
+    model's dispatch-cost bar.  ``compiled_speedup`` maps the same labels
+    to measured compiled-over-interpreted step-rate ratios, replacing the
+    machine model's assumed ``compiled_speedup`` prior per region
+    (``regionstats.region_feedback`` produces both).
     """
     level = restructured.level
     machine = machine if machine is not None else DEFAULT_MACHINE
@@ -194,27 +199,3 @@ def price_plan(
     ]
     priced = PassManager(passes).run(ctx, restructured.plan, report)
     return OptimizationResult(plan=priced, report=report, level=level)
-
-
-def optimize_plan(
-    pspdg, plan, level, machine=None, payload_bytes=None,
-    compile_regions=False, compiled_speedup=None,
-):
-    """Run the ``level`` pipeline over ``plan``; never mutates the input.
-
-    ``pspdg`` carries everything the passes analyse: its sequential PDG
-    (``pspdg.pdg``) and, through it, the function's analysis record.
-    ``payload_bytes`` optionally maps region labels to measured
-    bytes-on-wire from a previous run (the runtime's ``payload_bytes``
-    stat); the small-region serialization pass folds it into the
-    machine model's dispatch-cost bar.
-    ``compiled_speedup`` maps the same labels to measured compiled-over-
-    interpreted step-rate ratios, replacing the machine model's assumed
-    ``compiled_speedup`` prior per region
-    (``regionstats.region_feedback`` produces both).
-    """
-    return price_plan(
-        pspdg, restructure_plan(pspdg, plan, level), machine=machine,
-        payload_bytes=payload_bytes, compile_regions=compile_regions,
-        compiled_speedup=compiled_speedup,
-    )

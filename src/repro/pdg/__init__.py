@@ -1,6 +1,5 @@
 """repro.pdg — the sequential Program Dependence Graph."""
 
-from repro.pdg.builder import build_pdg
 from repro.pdg.graph import (
     EDGE_CONTROL,
     EDGE_MEMORY,
@@ -10,7 +9,6 @@ from repro.pdg.graph import (
 )
 
 __all__ = [
-    "build_pdg",
     "EDGE_CONTROL",
     "EDGE_MEMORY",
     "EDGE_REGISTER",

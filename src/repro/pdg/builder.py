@@ -12,7 +12,6 @@ The PDG of a function contains:
 """
 
 from repro.analysis.controldep import controlling_branch_instructions
-from repro.analysis.record import FunctionAnalyses
 from repro.ir.instructions import Instruction
 from repro.pdg.graph import (
     EDGE_CONTROL,
@@ -21,11 +20,6 @@ from repro.pdg.graph import (
     PDG,
     PDGEdge,
 )
-
-
-def build_pdg(function, module):
-    """The sequential PDG of ``function``, from a fresh analysis record."""
-    return pdg_from_analyses(FunctionAnalyses(function, module))
 
 
 def pdg_from_analyses(analyses):

@@ -41,50 +41,6 @@ class PDG:
         self.nodes = list(self.function.instructions())
         self.edges = []
 
-    @property
-    def loops(self):
-        """The record's natural loops (outermost first)."""
-        return self.analyses.loops
-
     def add_edge(self, edge):
         self.edges.append(edge)
         return edge
-
-    def edge_count(self):
-        return len(self.edges)
-
-    def statistics(self):
-        """Summary counts, used by construction benchmarks and tests."""
-        by_kind = {}
-        carried = 0
-        for edge in self.edges:
-            by_kind[edge.kind] = by_kind.get(edge.kind, 0) + 1
-            if edge.carried_loops:
-                carried += 1
-        return {
-            "nodes": len(self.nodes),
-            "edges": len(self.edges),
-            "carried_edges": carried,
-            **{f"{kind}_edges": count for kind, count in by_kind.items()},
-        }
-
-    def to_dot(self, name="pdg"):
-        """GraphViz rendering (debugging/docs)."""
-        lines = [f"digraph {name} {{"]
-        for inst in self.nodes:
-            label = inst.describe().replace('"', "'")
-            lines.append(f'  n{inst.uid} [label="{label}"];')
-        styles = {
-            EDGE_CONTROL: "dashed",
-            EDGE_REGISTER: "solid",
-            EDGE_MEMORY: "bold",
-        }
-        for edge in self.edges:
-            style = styles[edge.kind]
-            color = "red" if edge.carried_loops else "black"
-            lines.append(
-                f"  n{edge.source.uid} -> n{edge.destination.uid} "
-                f'[style={style}, color={color}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)

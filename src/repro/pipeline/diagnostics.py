@@ -46,10 +46,6 @@ class Diagnostics:
         record = self._records.get(stage)
         return record.runs if record else 0
 
-    def hits(self, stage):
-        record = self._records.get(stage)
-        return record.hits if record else 0
-
     def stats(self, stage):
         record = self._records.get(stage)
         return dict(record.stats) if record else {}
@@ -60,17 +56,6 @@ class Diagnostics:
     def records(self):
         """Stage records in first-build order."""
         return list(self._records.values())
-
-    def as_dict(self):
-        return {
-            record.stage: {
-                "runs": record.runs,
-                "hits": record.hits,
-                "seconds": record.seconds,
-                "stats": dict(record.stats),
-            }
-            for record in self.records()
-        }
 
     def report(self):
         """A printable per-stage table."""

@@ -11,7 +11,7 @@ from repro.planner.classify import (
     classify_loop,
 )
 from repro.planner.calibration import CalibrationStore
-from repro.planner.critical_path import CriticalPathEvaluator, critical_path
+from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.planner.options import (
@@ -47,7 +47,6 @@ __all__ = [
     "classify_loop",
     "CalibrationStore",
     "CriticalPathEvaluator",
-    "critical_path",
     "format_fig13_row",
     "format_fig14_row",
     "DEFAULT_MACHINE",

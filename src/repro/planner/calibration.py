@@ -52,7 +52,7 @@ import json
 import math
 import os
 
-from repro.planner.machine import DEFAULT_MACHINE, MachineModel
+from repro.planner.machine import DEFAULT_MACHINE
 from repro.util.regionstats import region_feedback
 
 #: Version of the profile file's JSON shape.  A mismatched (or
@@ -270,12 +270,6 @@ class CalibrationStore:
 
     # -- projection ------------------------------------------------------------
 
-    @property
-    def observed(self):
-        return any(
-            entry["samples"] for entry in self.coefficients.values()
-        )
-
     def measured_coefficients(self):
         """name -> (value, samples) for coefficients with observations."""
         return {
@@ -304,7 +298,7 @@ class CalibrationStore:
         """``(payload_bytes, compiled_speedup)`` label maps.
 
         The same shape ``region_feedback()`` produces, ready for
-        ``optimize_plan``; empty dicts when the program was never
+        ``price_plan``; empty dicts when the program was never
         observed.
         """
         regions = self.programs.get(program_key, {})

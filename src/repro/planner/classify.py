@@ -22,10 +22,6 @@ class SCCInfo:
     uids: frozenset
     is_sequential: bool  # holds a loop-carried directed dependence inside
 
-    @property
-    def size(self):
-        return len(self.instructions)
-
 
 @dataclasses.dataclass
 class LoopClassification:

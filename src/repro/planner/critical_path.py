@@ -209,8 +209,3 @@ class CriticalPathEvaluator:
                 total += self._instance_path(child)
         self._paths[key] = total
         return total
-
-
-def critical_path(profile, plan):
-    """Convenience wrapper."""
-    return CriticalPathEvaluator(profile, plan).evaluate()

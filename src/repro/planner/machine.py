@@ -7,13 +7,6 @@ can sweep it.
 
 import dataclasses
 
-#: Version of the :meth:`MachineModel.to_dict` wire shape.  Bump when a
-#: field changes meaning; :meth:`MachineModel.from_dict` refuses
-#: mismatched payloads so a stale calibration profile can never be
-#: silently misread as current coefficients.
-MACHINE_SCHEMA = 1
-
-
 @dataclasses.dataclass(frozen=True)
 class MachineModel:
     """Core count and the DOALL chunk sizes a plan may choose from.
@@ -102,36 +95,6 @@ class MachineModel:
         if tile < 2:
             return None
         return min(tile, trip)
-
-    # -- serialization (the calibration profile's wire shape) ------------------
-
-    def to_dict(self):
-        """A JSON-serializable snapshot, tagged with the schema version."""
-        data = {"schema": MACHINE_SCHEMA}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            data[field.name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        """Rebuild a model from :meth:`to_dict` output.
-
-        Raises ``ValueError`` on a missing/mismatched schema tag; unknown
-        keys (from a *newer* writer adding fields) are ignored so a
-        same-schema profile stays readable.
-        """
-        schema = data.get("schema")
-        if schema != MACHINE_SCHEMA:
-            raise ValueError(
-                f"machine model schema {schema!r} != {MACHINE_SCHEMA}"
-            )
-        known = {field.name for field in dataclasses.fields(cls)}
-        return cls(**{
-            key: value for key, value in data.items() if key in known
-        })
 
 
 DEFAULT_MACHINE = MachineModel()

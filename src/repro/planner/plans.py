@@ -8,9 +8,10 @@ unlisted loops run sequentially.
 
 A plan may additionally carry :class:`RegionDescriptor` entries — the
 unit the optimization passes (:mod:`repro.opt`) rewrite and the runtime
-dispatches.  A fresh plan has no regions; ``repro.opt.optimize_plan``
-seeds one region per executable DOALL loop and then fuses, strips
-redundant synchronization from, or serializes them.  The runtime's
+dispatches.  A fresh plan has no regions; ``repro.opt.restructure_plan``
+seeds one region per executable DOALL loop and fuses them or strips
+their redundant synchronization, and ``repro.opt.price_plan``
+serializes them.  The runtime's
 ``recipes_from_plan`` honors ``plan.regions`` when present and falls
 back to the one-region-per-loop behavior otherwise.
 """
@@ -72,10 +73,6 @@ class RegionDescriptor:
     witness: str = None
 
     @property
-    def fused(self):
-        return len(self.headers) > 1
-
-    @property
     def label(self):
         return "+".join(self.headers)
 
@@ -112,13 +109,6 @@ class ProgramPlan:
         return ProgramPlan(
             self.name, self.loop_plans, self.loop_uids, tuple(regions)
         )
-
-    def region_for(self, header_name):
-        """The descriptor whose member set contains ``header_name``."""
-        for region in self.regions:
-            if header_name in region.headers:
-                return region
-        return None
 
     def describe(self):
         lines = [f"plan {self.name}:"]

@@ -170,7 +170,7 @@ def recipes_from_annotations(function):
 def parallelization_from_pspdg(pspdg, loop):
     """Build an execution recipe from the PS-PDG's variables for a loop.
 
-    ``loop`` is one of the graph's own loops (``pspdg.pdg.loops``).
+    ``loop`` is one of the graph's own loops (``pspdg.pdg.analyses.loops``).
 
     For each variable the PS-PDG places in the loop's context chain:
 

@@ -14,7 +14,6 @@ from repro.runtime.backends import (
     ProcessesBackend,
     SimulatedBackend,
     ThreadsBackend,
-    backend_names,
     get_backend,
 )
 from repro.runtime.payload import (
@@ -35,8 +34,6 @@ from repro.planner.recipes import (
 from repro.runtime.executor import (
     ParallelInterpreter,
     run_parallel,
-    run_plan,
-    run_source_plan,
 )
 from repro.runtime.schedulers import (
     SCHEDULERS,
@@ -45,7 +42,6 @@ from repro.runtime.schedulers import (
     GuidedScheduler,
     StaticScheduler,
     make_scheduler,
-    schedule_names,
 )
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "StaticScheduler",
     "ThreadsBackend",
     "WorkerPayload",
-    "backend_names",
     "decode_payload",
     "encode_region",
     "get_backend",
@@ -75,7 +70,4 @@ __all__ = [
     "parallelization_from_pspdg",
     "recipes_from_plan",
     "run_parallel",
-    "run_plan",
-    "run_source_plan",
-    "schedule_names",
 ]

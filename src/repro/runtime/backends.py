@@ -120,19 +120,17 @@ class ParallelRegion:
 class ExecutionBackend:
     """Executes every worker of one parallel region to completion.
 
-    A backend must leave each worker's private storage (reductions,
-    lastprivate copies) readable through ``worker.frame`` in the parent
-    interpreter, apply the workers' shared-memory effects, append the
-    workers' ``print`` records to ``interp.output`` deterministically
-    (worker order unless the backend *is* the interleaving oracle), and
-    fill ``worker.steps``/``worker.seconds``.  The interpreter performs
-    the reduction/lastprivate join afterwards.
+    ``run_region(interp, region)`` must leave each worker's private
+    storage (reductions, lastprivate copies) readable through
+    ``worker.frame`` in the parent interpreter, apply the workers'
+    shared-memory effects, append the workers' ``print`` records to
+    ``interp.output`` deterministically (worker order unless the backend
+    *is* the interleaving oracle), and fill
+    ``worker.steps``/``worker.seconds``.  The interpreter performs the
+    reduction/lastprivate join afterwards.
     """
 
     name = None
-
-    def run_region(self, interp, region):
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -763,12 +761,6 @@ class _ChunkPool:
             drop, _ = ledger.popitem(last=False)
         return module.key, module.module_bytes, drop
 
-    def call(self, function, *args):
-        """``function(*args)`` on one child (a probe for tests)."""
-        with self.lock:
-            (reply,), _copies = self.run([(function, args)], _PROCESS_TIMEOUT)
-        return reply
-
     def kill(self):
         """End every child, busy or not, then close the pipes."""
         for child in self.children:
@@ -1183,10 +1175,6 @@ BACKENDS = {
 }
 
 
-def backend_names():
-    return sorted(BACKENDS)
-
-
 def get_backend(backend):
     """An :class:`ExecutionBackend` for a name (or pass an instance through)."""
     if isinstance(backend, ExecutionBackend):
@@ -1194,6 +1182,6 @@ def get_backend(backend):
     if backend not in BACKENDS:
         raise PlanError(
             f"unknown execution backend {backend!r}; "
-            f"choose from {backend_names()}"
+            f"choose from {sorted(BACKENDS)}"
         )
     return BACKENDS[backend]()

@@ -69,11 +69,7 @@ from repro.emulator.interp import (
 )
 from repro.ir.instructions import Call
 from repro.ir.values import GlobalVariable
-from repro.planner.recipes import (
-    as_region,
-    recipes_from_annotations,
-    recipes_from_plan,
-)
+from repro.planner.recipes import as_region
 from repro.runtime import knobs
 from repro.runtime.backends import ParallelRegion, get_backend
 from repro.runtime.schedulers import make_scheduler
@@ -725,29 +721,3 @@ def run_parallel(module, parallelizations, function_name="main", **options):
     return ParallelInterpreter(module, parallelizations, **options).run(
         function_name
     )
-
-
-def run_plan(pspdg, plan, **options):
-    """Execute a :class:`ProgramPlan` chosen from the PS-PDG.
-
-    The plan's dispatched loops (its optimizer-produced regions when it
-    has them, one region per canonical DOALL otherwise) take over with
-    PS-PDG-derived privatization and reduction recipes; everything else
-    runs sequentially.  The module and the function are the graph's
-    own, and so is the loop forest (the analysis record's);
-    ``options`` as for :func:`run_parallel`.
-    """
-    analyses = pspdg.pdg.analyses
-    return run_parallel(
-        analyses.module,
-        recipes_from_plan(pspdg, plan),
-        pspdg.function.name,
-        forest={pspdg.function.name: analyses.loops_by_header},
-        **options,
-    )
-
-
-def run_source_plan(module, function_name="main", **options):
-    """Execute the developer's OpenMP plan (all worksharing annotations)."""
-    recipes = recipes_from_annotations(module.function(function_name))
-    return run_parallel(module, recipes, function_name, **options)

@@ -48,7 +48,8 @@ def _validate_workers(workers):
 
 
 class ChunkScheduler:
-    """Deterministically partitions iteration values over W workers."""
+    """Deterministically partitions iteration values over W workers; a
+    subclass's ``_deal(values, workers)`` yields (worker index, chunk)."""
 
     name = None
 
@@ -63,10 +64,6 @@ class ChunkScheduler:
         for worker_index, chunk in self._deal(values, workers):
             assignment[worker_index].extend(chunk)
         return assignment
-
-    def _deal(self, values, workers):
-        """Yield (worker index, chunk of iteration values)."""
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} chunk={self.chunk}>"
@@ -147,16 +144,12 @@ SCHEDULERS = {
 }
 
 
-def schedule_names():
-    return sorted(SCHEDULERS)
-
-
 def make_scheduler(schedule, chunk=None):
     """A :class:`ChunkScheduler` for a schedule name (or pass one through)."""
     if isinstance(schedule, ChunkScheduler):
         return schedule
     if schedule not in SCHEDULERS:
         raise PlanError(
-            f"unknown schedule {schedule!r}; choose from {schedule_names()}"
+            f"unknown schedule {schedule!r}; choose from {sorted(SCHEDULERS)}"
         )
     return SCHEDULERS[schedule](chunk)

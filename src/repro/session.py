@@ -12,12 +12,11 @@ pipeline lazily, exactly once per artifact::
 
 Every property triggers only the stages it needs (module -> profile ->
 pdg -> pspdg -> views -> options / critical paths); artifacts live in a
-plain dict keyed by ``(stage, generation, the values of the config
-fields the stage reads upstream and down, calibration token)``, so a
+plain dict keyed by ``(stage, the values of the config fields the
+stage reads upstream and down, calibration token)``, so a
 second ``s.plan()`` or ``s.options()`` performs zero rebuilds — the hot
 path of every benchmark.  Per-stage runs, hits, wall time and artifact
-statistics are recorded in ``s.diagnostics``.  Reassigning ``s.source``
-moves the generation and drops every artifact; ``s.reconfigure(...)``
+statistics are recorded in ``s.diagnostics``.  ``s.reconfigure(...)``
 re-keys the stages that read a changed field; nothing stale can be
 returned.
 """
@@ -47,11 +46,10 @@ class Session:
             config = config.derive(**overrides)
         self._source = source
         self._module = module
-        self._generation = 0
         self.config = config
         self.diagnostics = Diagnostics()
         self._artifacts = {}  # memo key (see _key) -> stage artifact
-        # stage -> (config, generation, token, memo key): the key of the
+        # stage -> (config, token, memo key): the key of the
         # stage's last lookup, so a warm query rebuilds no key.
         self._keys = {}
 
@@ -95,10 +93,9 @@ class Session:
 
     def _key(self, stage_name, config):
         """The memo key of ``stage_name`` under ``config``: the stage,
-        the generation (``source =``, :meth:`invalidate`), the values of
-        the config fields the stage and its upstream closure declare
-        (``KEY_PLANS``) and the calibration token.  It is rebuilt only
-        when the config object, the generation or the token moved since
+        the values of the config fields the stage and its upstream
+        closure declare (``KEY_PLANS``) and the calibration token.  It
+        is rebuilt only when the config object or the token moved since
         the stage's last lookup.
         """
         fields, source = KEY_PLANS[stage_name]
@@ -113,16 +110,13 @@ class Session:
                 else self._decisions(source, config)
             )
         memo = self._keys.get(stage_name)
-        if (
-            memo is not None and memo[0] is config
-            and memo[1] == self._generation and memo[2] == token
-        ):
-            return memo[3]
+        if memo is not None and memo[0] is config and memo[1] == token:
+            return memo[2]
         key = (
-            stage_name, self._generation,
-            tuple(getattr(config, field) for field in fields), token,
+            stage_name, tuple(getattr(config, field) for field in fields),
+            token,
         )
-        self._keys[stage_name] = (config, self._generation, token, key)
+        self._keys[stage_name] = (config, token, key)
         return key
 
     def _stage(self, stage_name, config=None):
@@ -159,13 +153,6 @@ class Session:
         compare by value)."""
         return STAGES[source].decisions(self._stage(source, config))
 
-    def invalidate(self):
-        """Drop every cached artifact; the next query rebuilds from source."""
-        self._generation += 1
-        dropped = len(self._artifacts)
-        self._artifacts.clear()
-        return dropped
-
     def reconfigure(self, **changes):
         """Apply config changes in place.
 
@@ -181,13 +168,6 @@ class Session:
     @property
     def source(self):
         return self._source
-
-    @source.setter
-    def source(self, text):
-        """Replace the program; invalidates every downstream artifact."""
-        self._source = text
-        self._module = None
-        self.invalidate()
 
     # -- pipeline artifacts (lazy, cached) ------------------------------------
 
@@ -385,15 +365,18 @@ class Session:
             ):
                 regions = self._cached_regions(plan)
             else:
-                optimized = self._optimized(
-                    self.plan(plan), level, compile_on
+                optimized = self._priced(
+                    restructure_plan(self.pspdg, self.plan(plan), level),
+                    compile_on,
                 ).plan
                 regions = recipes_from_plan(self.pspdg, optimized)
         else:
             # Explicit ProgramPlan: optimize against the session's
             # cached graphs, then derive its recipes.
             if level > OptLevel.O0 and not plan.regions:
-                plan = self._optimized(plan, level, compile_on).plan
+                plan = self._priced(
+                    restructure_plan(self.pspdg, plan, level), compile_on
+                ).plan
             regions = recipes_from_plan(self.pspdg, plan)
         result = run_parallel(
             self.module, regions, config.function_name,
@@ -422,13 +405,6 @@ class Session:
             self.plan(abstraction)
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
-
-    def _optimized(self, plan, level, compile_regions):
-        """``optimize_plan`` over ``plan`` on the cached artifacts, priced
-        as :meth:`_priced` prices."""
-        return self._priced(
-            restructure_plan(self.pspdg, plan, level), compile_regions
-        )
 
     def _priced(self, restructured, compile_regions):
         """``price_plan`` over a restructured plan, for the engine

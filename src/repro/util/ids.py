@@ -30,13 +30,3 @@ class IdAllocator:
         if self._prefix is None:
             return value
         return f"{self._prefix}{value}"
-
-    def peek(self):
-        """Return the id that the next call to :meth:`fresh` would produce."""
-        if self._prefix is None:
-            return self._next
-        return f"{self._prefix}{self._next}"
-
-    def reset(self):
-        """Restart allocation from zero (used by tests)."""
-        self._next = 0

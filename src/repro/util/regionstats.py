@@ -21,10 +21,9 @@ import dataclasses
 class RegionStats:
     """Measurements of one parallel-region dispatch.
 
-    Published records also read like the stats dicts they replaced
-    (``region["payload_bytes"]``, ``region.get("retries", 0)``,
-    ``dict(region)``), which is how the benchmark harness and older
-    callers consume them; the key set is exactly the field set.
+    Published records can also be subscripted by field name
+    (``region["payload_bytes"]``), which is how the benchmark harness
+    reads them; the key set is exactly the field set.
     """
 
     header: str = ""  # region label ("+" joins fused members)
@@ -54,18 +53,10 @@ class RegionStats:
     # One {"worker", "iterations", "steps", "seconds"} row per worker.
     per_worker: list = dataclasses.field(default_factory=list)
 
-    # -- mapping-style reads ---------------------------------------------------
-
-    def keys(self):
-        return self.__slots__
-
     def __getitem__(self, key):
         if key in self.__slots__:
             return getattr(self, key)
         raise KeyError(key)
-
-    def get(self, key, default=None):
-        return getattr(self, key) if key in self.__slots__ else default
 
     # -- derived quantities ----------------------------------------------------
 
@@ -97,7 +88,7 @@ def region_feedback(regions):
     Returns ``(payload_bytes, compiled_speedup)``: average bytes-on-wire
     per payload and the measured compiled-over-interpreted step-rate
     ratio, each aggregated over every execution of its region label.
-    Both feed ``optimize_plan(payload_bytes=..., compiled_speedup=...)``
+    Both feed ``price_plan(payload_bytes=..., compiled_speedup=...)``
     so the small-region pass prices regions at what their dispatches
     *actually* cost — real codegen gains included — instead of at the
     machine model's prior.

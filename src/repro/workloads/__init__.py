@@ -4,13 +4,11 @@ from repro.workloads import nas
 from repro.workloads.nas import (
     KERNELS,
     build_kernel,
-    build_session,
     kernel_names,
 )
 from repro.workloads.necessity import (
     PAIRS,
     NecessityPair,
-    build_pair_graphs,
     build_pair_sessions,
     demonstrate,
 )
@@ -19,11 +17,9 @@ __all__ = [
     "nas",
     "KERNELS",
     "build_kernel",
-    "build_session",
     "kernel_names",
     "PAIRS",
     "NecessityPair",
-    "build_pair_graphs",
     "build_pair_sessions",
     "demonstrate",
 ]

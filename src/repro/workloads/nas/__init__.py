@@ -31,14 +31,3 @@ def kernel_names():
 def build_kernel(name):
     """Compile one kernel to an annotated IR module."""
     return KERNELS[name].build_module()
-
-
-def build_session(name, **overrides):
-    """A :class:`repro.Session` over one kernel (backend/schedule/...
-
-    overrides flow into the session config — e.g.
-    ``build_session("EP", backend="processes", workers=8)``).
-    """
-    from repro.session import Session
-
-    return Session.from_kernel(name, **overrides)

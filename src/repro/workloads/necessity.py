@@ -173,14 +173,6 @@ def build_pair_sessions(pair):
     }
 
 
-def build_pair_graphs(pair):
-    """Compile both programs of a pair and build their PS-PDGs."""
-    return {
-        label: session.pspdg
-        for label, session in build_pair_sessions(pair).items()
-    }
-
-
 def demonstrate(pair):
     """Run the necessity check for one pair.
 

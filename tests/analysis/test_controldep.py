@@ -72,7 +72,7 @@ def test_a_loop_with_no_exit_hangs_off_its_branch():
     # Hand-written IR: ``spin`` reaches no return.  Both arms of
     # ``entry``'s branch are control dependent on it, and the walk
     # stops at the virtual exit instead of looking it up.
-    from repro.ir.parser import parse_ir
+    from support.ir_parser import parse_ir
     from support.programs import REFUSED_CFGS
 
     function = parse_ir(REFUSED_CFGS["infinite"][0]).function("main")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.analysis import (
     compute_dominator_tree,
     compute_postdominator_tree,
-    successors_map,
 )
 from repro.frontend import compile_source
 from repro.ir import Function, IRBuilder
@@ -62,12 +61,6 @@ class TestDominators:
         latch = function.block("for.latch")
         assert tree.dominates(header, body)
         assert tree.dominates(header, latch)
-
-    def test_dominators_of_chain(self):
-        function, entry, left, right, merge = diamond_function()
-        tree = compute_dominator_tree(function)
-        chain = tree.dominators_of(merge)
-        assert chain == [merge, entry]
 
 
 class TestPostdominators:

@@ -5,7 +5,6 @@ from repro.analysis import (
     blocks_after_loop,
     find_natural_loops,
     live_in_registers,
-    objects_accessed_in_loop,
 )
 from repro.frontend import compile_source
 
@@ -51,18 +50,6 @@ def test_blocks_after_loop_exclude_loop_blocks():
     after = blocks_after_loop(function, loop)
     assert all(b not in loop.blocks for b in after)
     assert after
-
-
-def test_objects_accessed_in_loop_partitions_reads_writes():
-    analyses, function, loop = analyzed(
-        "global a: int[4];\nglobal b: int[4];\n"
-        "func main() { for i in 0..4 { a[i] = b[i]; } }"
-    )
-    reads, writes = objects_accessed_in_loop(analyses, loop)
-    read_names = {o.display_name for o in reads}
-    write_names = {o.display_name for o in writes}
-    assert "@b" in read_names
-    assert "@a" in write_names
 
 
 def test_liveout_through_later_loop():

@@ -1,8 +1,6 @@
 """Natural loop detection and the nesting forest."""
 
 from repro.analysis import (
-    common_loops,
-    enclosing_loops,
     find_natural_loops,
     loop_of_block,
 )
@@ -68,25 +66,6 @@ def test_loop_of_block_returns_innermost():
     inner_body = function.block("for.body.1")
     innermost = loop_of_block(loops, inner_body)
     assert innermost.header.name == "for.header.1"
-
-
-def test_enclosing_and_common_loops():
-    function, loops = loops_of(
-        "func main() { for i in 0..3 { print(i); for j in 0..3 { print(j); } } }"
-    )
-    outer_print = next(
-        i for i in function.block("for.body").instructions
-        if i.opcode == "print"
-    )
-    inner_print = next(
-        i for i in function.block("for.body.1").instructions
-        if i.opcode == "print"
-    )
-    assert len(enclosing_loops(loops, outer_print)) == 1
-    assert len(enclosing_loops(loops, inner_print)) == 2
-    commons = common_loops(loops, outer_print, inner_print)
-    assert len(commons) == 1
-    assert commons[0].header.name == "for.header"
 
 
 def test_loop_equality_by_header():

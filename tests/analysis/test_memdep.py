@@ -33,7 +33,7 @@ class TestScalars:
         kinds = {
             d.kind
             for d in named(deps, display="s")
-            if d.is_loop_carried_at(loop)
+            if loop in d.carried_loops
         }
         assert kinds == {"RAW", "WAR", "WAW"}
 
@@ -54,7 +54,7 @@ class TestArrays:
         )
         loop = loops[0]
         carried = [
-            d for d in named(deps, display="@a") if d.is_loop_carried_at(loop)
+            d for d in named(deps, display="@a") if loop in d.carried_loops
         ]
         assert carried == []
 
@@ -66,7 +66,7 @@ class TestArrays:
         loop = loops[0]
         carried = [
             d for d in named(deps, kind="RAW", display="@a")
-            if d.is_loop_carried_at(loop)
+            if loop in d.carried_loops
         ]
         assert carried, "recurrence must be loop-carried"
         # Forward direction only: the write feeds the *next* iteration.
@@ -89,7 +89,7 @@ class TestArrays:
         )
         loop = loops[0]
         carried = [
-            d for d in named(deps, display="@a") if d.is_loop_carried_at(loop)
+            d for d in named(deps, display="@a") if loop in d.carried_loops
         ]
         assert carried, "indirect updates must be assumed carried"
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import FunctionAnalyses, enclosing_loops
+from repro.analysis import FunctionAnalyses
+from repro.analysis.loops import loop_of_block
 from repro.frontend import compile_source
 from repro.workloads import build_kernel, kernel_names
 
@@ -101,6 +102,17 @@ def test_queries_agree_on_one_object_identity():
     )
 
 
+def _enclosing_loops(loops, inst):
+    """Loops containing ``inst``, innermost first: the walk up from its
+    innermost loop that the record's ``loops_of_block`` must equal."""
+    chain = []
+    loop = loop_of_block(loops, inst.parent)
+    while loop is not None:
+        chain.append(loop)
+        loop = loop.parent
+    return chain
+
+
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_block_loops_are_each_blocks_enclosing_loops(kernel):
     module = build_kernel(kernel)
@@ -108,7 +120,7 @@ def test_block_loops_are_each_blocks_enclosing_loops(kernel):
     for block in analyses.function.blocks:
         for inst in block.instructions:
             assert analyses.loops_of_block[block] == tuple(
-                enclosing_loops(analyses.loops, inst)
+                _enclosing_loops(analyses.loops, inst)
             )
 
 

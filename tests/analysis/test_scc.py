@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import condensation, strongly_connected_components
+from repro.analysis import strongly_connected_components
 
 
 def test_straight_line_is_singletons():
@@ -37,16 +37,6 @@ def test_self_loop_is_its_own_scc():
     succs = {1: [1, 2], 2: []}
     components = strongly_connected_components([1, 2], succs)
     assert [sorted(c) for c in components] == [[2], [1]]
-
-
-def test_condensation_edges():
-    succs = {1: [2], 2: [1, 3], 3: []}
-    components, component_of, edges = condensation([1, 2, 3], succs)
-    assert component_of[1] == component_of[2]
-    assert component_of[3] != component_of[1]
-    assert (component_of[1], component_of[3]) in edges
-    # No self edges in the condensation.
-    assert all(a != b for a, b in edges)
 
 
 @st.composite

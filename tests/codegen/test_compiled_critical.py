@@ -20,9 +20,10 @@ from repro.frontend import compile_source
 from repro.planner.recipes import recipes_from_annotations
 from repro.runtime import backends, knobs
 from repro.runtime.backends import SerialBackend
-from repro.runtime.executor import ParallelInterpreter, run_source_plan
+from repro.runtime.executor import ParallelInterpreter
 from repro.session import Session
 from repro.util.errors import EmulationError
+from support.plans import run_source_plan
 
 #: The read and the write of ``total[0]`` are statements apart, with a
 #: loop of work between them: without the lock two workers interleave
@@ -215,7 +216,7 @@ def test_an_error_inside_a_compiled_critical_section_releases_the_lock(
     assert provider._locks
     assert not any(lock.locked() for lock in provider._locks.values())
 
-    before = interp.global_values("total")[0]
+    before = interp._global_storage["total"][0]
     again = interp.run("main")  # no lock timeout: the second run ends
     assert again.output == [(None, (before + 400 + 1,))]  # 1 / 1 at 300
     assert _chunks(again) == (2, 0)

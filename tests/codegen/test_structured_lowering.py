@@ -33,26 +33,26 @@ from repro.emulator.interp import _Frame, run_module
 from repro.frontend import compile_source
 from repro.ir.instructions import BinaryOp
 from repro.ir.loopinfo import CanonicalLoop
-from repro.ir.parser import parse_ir
 from repro.ir.values import Constant
 from repro.ir.types import FLOAT, INT
 from repro.runtime import knobs
 from repro.runtime.backends import (
     SerialBackend, _NullLocks, _WorkerInterpreter,
 )
-from repro.opt import OptLevel, optimize_plan
+from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations
-from repro.runtime.executor import (
-    ParallelInterpreter, run_plan, run_source_plan,
-)
+from repro.runtime.executor import ParallelInterpreter
 from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close
+from support.ir_parser import parse_ir
+from support.plans import run_plan, run_source_plan
 from support.progen import generate_body_nest_program, generate_nest_program
 from support.recording import RecordingList, record_global_stores
 from support.programs import EARLY_RETURNS, REFUSED_CFGS
+
 
 DENSE = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -1286,7 +1286,7 @@ def _outcome(module, compiled, backend="threads", **options):
         "steps": result.steps,
         "value": result.return_value,
         "globals": {
-            name: interp.global_values(name) for name in module.globals
+            name: list(interp._global_storage[name]) for name in module.globals
         },
     }, result.sequence_stats
 
@@ -1396,12 +1396,12 @@ def test_the_nest_corpus_runs_its_sequence_compiled_at_o3(unarmed):
     for seed in range(12):
         source = generate_nest_program(seed)
         session = Session.from_source(source, name=f"nest-{seed}")
-        plan = optimize_plan(
+        source_plan = openmp_source_plan(
+            session.function, loop_uid_map(session.loops)
+        )
+        plan = price_plan(
             session.pspdg,
-            openmp_source_plan(
-                session.function, loop_uid_map(session.loops)
-            ),
-            OptLevel.O3,
+            restructure_plan(session.pspdg, source_plan, OptLevel.O3),
         ).plan
         compiled, interpreted = (
             run_plan(session.pspdg, plan, workers=3, backend="threads",

@@ -1,12 +1,17 @@
 """Canonical signatures: stability, sensitivity, permutation invariance."""
 
-from repro.core import build_pspdg, full, signature
+from repro.analysis.record import FunctionAnalyses
+from repro.core import full, signature
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
+from repro.pdg.builder import pdg_from_analyses
 
 
 def sig_of(source):
     module = compile_source(source)
-    graph = build_pspdg(module.function("main"), module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    ).build()
     return signature(full(graph))
 
 

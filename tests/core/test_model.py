@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.record import FunctionAnalyses
 from repro.core import (
     DataSelector,
     HierarchicalNode,
@@ -10,16 +11,16 @@ from repro.core import (
     Relaxation,
     Trait,
     TRAIT_ATOMIC,
-    TRAIT_SINGULAR,
 )
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
-from repro.pdg import build_pdg
+from repro.pdg.builder import pdg_from_analyses
 
 
 def small_graph():
     module = compile_source("func main() { print(1); }")
     function = module.function("main")
-    graph = PSPDG(build_pdg(function, module))
+    graph = PSPDG(pdg_from_analyses(FunctionAnalyses(function, module)))
     return graph, function
 
 
@@ -33,13 +34,6 @@ class TestTraits:
         node.add_trait(Trait(TRAIT_ATOMIC, "c1"))
         node.add_trait(Trait(TRAIT_ATOMIC, "c1"))
         assert len(node.traits) == 1
-
-    def test_has_trait_with_and_without_context(self):
-        node = HierarchicalNode("region", context_label="c0")
-        node.add_trait(Trait(TRAIT_SINGULAR, "c1"))
-        assert node.has_trait(TRAIT_SINGULAR)
-        assert node.has_trait(TRAIT_SINGULAR, "c1")
-        assert not node.has_trait(TRAIT_SINGULAR, "c2")
 
 
 class TestSelectors:
@@ -72,14 +66,6 @@ class TestHierarchy:
             inner.add_child(InstructionNode(inst))
         assert set(outer.leaf_instructions()) == set(insts)
 
-    def test_ancestors_chain(self):
-        outer = HierarchicalNode("outer", context_label="o")
-        inner = HierarchicalNode("inner", context_label="i")
-        leaf = HierarchicalNode("leaf", context_label="l")
-        outer.add_child(inner)
-        inner.add_child(leaf)
-        assert [a.kind for a in leaf.ancestors()] == ["inner", "outer"]
-
     def test_unlabeled_hierarchical_node_is_not_context(self):
         node = HierarchicalNode("region")
         assert not node.is_context()
@@ -101,24 +87,13 @@ class TestContextChains:
             "  }\n"
             "}"
         )
-        from repro.core import build_pspdg
-
-        graph = build_pspdg(module.function("main"), module)
+        graph = PSPDGBuilder(
+            pdg_from_analyses(
+                FunctionAnalyses(module.function("main"), module)
+            )
+        ).build()
         loop_label = next(iter(graph.context_of_loop.values()))
         chain = graph.context_chain(loop_label)
         # loop -> for annotation -> parallel annotation -> "" (program).
         assert chain[-1] == ""
         assert len(chain) >= 3
-
-    def test_variables_for_context_inherit_outer(self):
-        module = compile_source(
-            "global t: int;\npragma omp threadprivate(t)\n"
-            "func main() { pragma omp for\nfor i in 0..4 { t = i; } }"
-        )
-        from repro.core import build_pspdg
-
-        graph = build_pspdg(module.function("main"), module)
-        loop_label = next(iter(graph.context_of_loop.values()))
-        variables = graph.variables_for_context(loop_label)
-        names = {v.name for v in variables}
-        assert "t" in names  # program-wide threadprivate applies everywhere

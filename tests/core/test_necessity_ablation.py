@@ -2,20 +2,20 @@
 
 import pytest
 
+from repro.analysis.record import FunctionAnalyses
 from repro.core import (
-    build_pspdg,
     full,
     project,
-    same_representation,
     signature,
     without_contexts,
     without_hierarchical_and_undirected,
-    without_selectors,
     without_traits,
     without_variables,
 )
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
-from repro.workloads.necessity import PAIRS, build_pair_graphs, demonstrate
+from repro.pdg.builder import pdg_from_analyses
+from repro.workloads.necessity import PAIRS, demonstrate
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=[p.key for p in PAIRS])
@@ -56,7 +56,11 @@ class TestProjectionLaws:
 
     def _graph(self):
         module = compile_source(self.SOURCE)
-        return build_pspdg(module.function("main"), module)
+        return PSPDGBuilder(
+            pdg_from_analyses(
+                FunctionAnalyses(module.function("main"), module)
+            )
+        ).build()
 
     def test_identity_projection_is_deterministic(self):
         g1 = self._graph()
@@ -100,7 +104,3 @@ class TestProjectionLaws:
         graph = self._graph()
         reduced = project(graph, {"nt", "dsde"})
         assert reduced.removed_features == ("dsde", "nt")
-
-    def test_same_representation_helper(self):
-        graph = self._graph()
-        assert same_representation(full(graph), full(graph))

@@ -4,21 +4,24 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.record import FunctionAnalyses
 from repro.core import (
     TRAIT_ATOMIC,
     TRAIT_SINGULAR,
     TRAIT_UNORDERED,
     VAR_PRIVATIZABLE,
-    VAR_REDUCIBLE,
-    build_pspdg,
 )
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
+from repro.pdg.builder import pdg_from_analyses
 from repro.session import Session
 
 
 def pspdg_for(source):
     module = compile_source(source)
-    return build_pspdg(module.function("main"), module)
+    return PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    ).build()
 
 
 class TestHierarchy:
@@ -45,7 +48,11 @@ class TestHierarchy:
         critical = next(
             n for n in graph.hierarchical_nodes() if n.kind == "critical"
         )
-        ancestor_kinds = {a.kind for a in critical.ancestors()}
+        ancestor_kinds = set()
+        node = critical.parent
+        while node is not None:
+            ancestor_kinds.add(node.kind)
+            node = node.parent
         assert "loop" in ancestor_kinds
         assert "parallel_for" in ancestor_kinds
 
@@ -148,8 +155,8 @@ class TestOrderingSemantics:
         critical = next(
             n for n in graph.hierarchical_nodes() if n.kind == "critical"
         )
-        assert critical.has_trait(TRAIT_ATOMIC)
-        assert critical.has_trait(TRAIT_UNORDERED)
+        kinds = {trait.kind for trait in critical.traits}
+        assert {TRAIT_ATOMIC, TRAIT_UNORDERED} <= kinds
 
     def test_critical_produces_undirected_self_edge(self):
         graph = pspdg_for(self.CRITICAL)
@@ -181,7 +188,7 @@ class TestOrderingSemantics:
         single = next(
             n for n in graph.hierarchical_nodes() if n.kind == "single"
         )
-        assert single.has_trait(TRAIT_SINGULAR)
+        assert TRAIT_SINGULAR in {trait.kind for trait in single.traits}
 
     def test_same_name_criticals_share_lock(self):
         graph = pspdg_for(

@@ -6,8 +6,11 @@ the built PS-PDG exhibits every feature the paper's mapping promises.
 
 import pytest
 
-from repro.core import build_pspdg, missing_features
+from repro.analysis.record import FunctionAnalyses
+from repro.core import missing_features
+from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
+from repro.pdg.builder import pdg_from_analyses
 
 # Representative program per directive kind (the construct under test is
 # always the *first* annotation in the main function).
@@ -133,7 +136,9 @@ CILK_PROGRAMS = {
 def _check(source, kind):
     module = compile_source(source)
     function = module.function("main")
-    graph = build_pspdg(function, module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(function, module))
+    ).build()
     annotation = next(
         a for a in function.annotations if a.directive.kind == kind
     )
@@ -153,7 +158,9 @@ def test_openmp_clause_maps_to_pspdg_features(clause):
     source = CLAUSE_PROGRAMS[clause]
     module = compile_source(source)
     function = module.function("main")
-    graph = build_pspdg(function, module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(function, module))
+    ).build()
     annotation = function.annotations[0]
     missing = missing_features(graph, annotation)
     assert not missing, f"{clause}: missing {sorted(missing)}"
@@ -164,7 +171,9 @@ def test_cilk_construct_maps_to_pspdg_features(kind):
     source = CILK_PROGRAMS[kind]
     module = compile_source(source)
     function = module.function("main")
-    graph = build_pspdg(function, module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(function, module))
+    ).build()
     annotation = next(
         (a for a in function.annotations if a.directive.kind == kind), None
     )
@@ -178,7 +187,9 @@ def test_threadprivate_maps_to_privatizable_variable():
         "global t: int;\npragma omp threadprivate(t)\n"
         "func main() { t = 1; print(t); }"
     )
-    graph = build_pspdg(module.function("main"), module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    ).build()
     assert any(
         v.semantics == "privatizable" and v.context == ""
         for v in graph.variables

@@ -23,9 +23,9 @@ from repro.ir.builder import IRBuilder
 from repro.ir.function import Module
 from repro.ir.types import BOOL, FLOAT, INT, ArrayType, PointerType
 from repro.ir.values import Constant
-from repro.runtime import run_source_plan
 from repro.runtime.payload import module_codec
 from repro.util.errors import EmulationError
+from support.plans import run_source_plan
 
 _TYPES = {bool: BOOL, int: INT, float: FLOAT}
 
@@ -234,7 +234,7 @@ def test_select_over_every_operand_shape(condition, shapes):
 @pytest.mark.parametrize("condition", (True, False))
 def test_branch_on_either_operand_shape(condition, shape):
     module, builder = _main()
-    function = builder.function
+    function = builder.block.parent
     taken = function.create_block("taken")
     other = function.create_block("other")
     builder.branch(_operand(builder, condition, shape), taken, other)
@@ -263,7 +263,7 @@ def test_argument_operands_go_through_their_getters():
         builder.add(x, builder.int(1)),
         builder.binop("sub", builder.int(9), x),
         builder.cast("int_to_float", x),
-        builder.neg(x),
+        builder.unop("neg", x),
         builder.cmp("lt", x, builder.int(2)),
         builder.select(flag, x, builder.int(0)),
     ])
@@ -297,7 +297,7 @@ def test_argument_operands_go_through_their_getters():
 
 def test_select_evaluates_only_the_chosen_arm():
     module, builder = _main()
-    function = builder.function
+    function = builder.block.parent
     skipped = function.create_block("skipped")
     done = function.create_block("done")
     builder.jump(done)
@@ -323,7 +323,7 @@ def test_select_evaluates_only_the_chosen_arm():
 ))
 def test_use_of_an_unexecuted_register(user):
     module, builder = _main()
-    function = builder.function
+    function = builder.block.parent
     skipped = function.create_block("skipped")
     done = function.create_block("done")
     array = builder.alloca(ArrayType(INT, 4))
@@ -349,7 +349,7 @@ def test_use_of_an_unexecuted_register(user):
         builder.gep(array, number)
     elif user == "unary":
         missing = number
-        builder.neg(number)
+        builder.unop("neg", number)
     elif user == "select":
         missing = flag
         builder.select(flag, builder.int(1), builder.int(2))
@@ -446,7 +446,7 @@ def test_every_inline_shape_costs_its_step_one_call():
     builtins it applies are ``c_call`` ones), so an operand getter or a
     helper creeping back into an inline shape shows as a second."""
     module, builder = _main()
-    function = builder.function
+    function = builder.block.parent
     done = function.create_block("done")
     array = module.add_global("g", ArrayType(INT, 4), [0, 1, 2, 3])
     local = builder.alloca(ArrayType(INT, 4))
@@ -461,7 +461,7 @@ def test_every_inline_shape_costs_its_step_one_call():
     builder.add(x, y)
     builder.add(x, builder.int(1))
     builder.binop("sub", builder.int(1), x)
-    builder.neg(x)
+    builder.unop("neg", x)
     builder.cast("int_to_float", x)
     builder.select(flag, x, builder.int(0))
     builder.select(builder.bool(False), builder.int(1), y)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.emulator import run_source
 from repro.util.errors import EmulationError
+from support.profile_shapes import loop_instances
 
 
 def outputs(source):
@@ -193,9 +194,9 @@ class TestProfiling:
             "func main() { for i in 0..4 { for j in 0..3 { } } }",
             profile=True,
         )
-        outer = result.profile.loop_instances("for.header")
+        outer = loop_instances(result.profile, "for.header")
         assert len(outer) == 1
-        inner = result.profile.loop_instances("for.header.1")
+        inner = loop_instances(result.profile, "for.header.1")
         # One inner instance per completed outer iteration.
         assert len(inner) == 4
         assert all(li.trip_count >= 3 for li in inner)

@@ -1,6 +1,7 @@
 """Loop-nest profile structure."""
 
 from repro.emulator import Profiler, run_source
+from support.profile_shapes import count_of, loop_instances
 
 
 def test_iteration_counts_per_static_instruction():
@@ -9,7 +10,7 @@ def test_iteration_counts_per_static_instruction():
         "func main() { for i in 0..6 { a[i] = i; } }",
         profile=True,
     )
-    (instance,) = result.profile.loop_instances("for.header")
+    (instance,) = loop_instances(result.profile, "for.header")
     # 6 full iterations plus the final header evaluation.
     assert instance.trip_count == 7
     full_iterations = [
@@ -25,7 +26,7 @@ def test_nested_instances_attach_to_iterations():
         "func main() { for i in 0..3 { for j in 0..2 { } } }",
         profile=True,
     )
-    (outer,) = result.profile.loop_instances("for.header")
+    (outer,) = loop_instances(result.profile, "for.header")
     with_children = [it for it in outer.iterations if it.children]
     assert len(with_children) == 3
     for iteration in with_children:
@@ -48,13 +49,13 @@ def test_count_of_filters_by_uid():
         "func main() { for i in 0..4 { a[i] = i; } }",
         profile=True,
     )
-    (instance,) = result.profile.loop_instances("for.header")
+    (instance,) = loop_instances(result.profile, "for.header")
     iteration = next(
         it for it in instance.iterations if it.direct_total() > 3
     )
     all_uids = frozenset(iteration.counts)
-    assert iteration.count_of(all_uids) == iteration.direct_total()
-    assert iteration.count_of(frozenset()) == 0
+    assert count_of(iteration, all_uids) == iteration.direct_total()
+    assert count_of(iteration, frozenset()) == 0
 
 
 def test_profiler_manual_protocol():

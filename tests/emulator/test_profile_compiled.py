@@ -19,10 +19,10 @@ from repro.emulator import run_module
 from repro.emulator.profile import ShapeTable
 from repro.frontend import compile_source
 from repro.ir import instructions as insts
-from repro.ir.parser import parse_ir
 from repro.util.errors import EmulationError
 from repro.workloads import build_kernel
 from repro.workloads.nas import KERNELS
+from support.ir_parser import parse_ir
 from support.profile_shapes import canonical_tree, expanded_shape
 from support.progen import generate_nest_program, generate_program
 from support.programs import EARLY_RETURNS, REFUSED_CFGS, dense_source

@@ -21,10 +21,11 @@ from repro.codegen import lower
 from repro.frontend import compile_source
 from repro.ir.instructions import Print
 from repro.runtime import backends, knobs
-from repro.runtime.executor import run_parallel, run_source_plan
+from repro.runtime.executor import run_parallel
 from repro.session import Session
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close, wire_bytes
+from support.plans import run_source_plan
 from support.progen import generate_program
 
 CASES = 50

@@ -13,11 +13,11 @@ on every seed.  A failing seed reproduces with
 
 import pytest
 
-from repro.opt import OptLevel, optimize_plan
+from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.planner.plans import loop_uid_map, openmp_source_plan
-from repro.runtime import run_plan
 from repro.session import Session
 from support.conformance import outputs_close
+from support.plans import run_plan
 from support.progen import generate_nest_program
 
 CASES = 40
@@ -27,7 +27,9 @@ def _optimized(session, level):
     plan = openmp_source_plan(
         session.function, loop_uid_map(session.loops)
     )
-    return optimize_plan(session.pspdg, plan, level)
+    return price_plan(
+        session.pspdg, restructure_plan(session.pspdg, plan, level)
+    )
 
 
 @pytest.mark.parametrize("chunk", range(0, CASES, 10))

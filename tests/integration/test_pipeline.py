@@ -1,13 +1,14 @@
 """End-to-end pipeline tests: source -> IR -> PDG -> PS-PDG -> plan -> run."""
 
 from repro import Session
-from repro.core import build_pspdg
+from repro.analysis.record import FunctionAnalyses
+from repro.core.builder import PSPDGBuilder
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.ir import print_module, verify_module
-from repro.pdg import build_pdg
-from repro.runtime import run_source_plan
-from support.profile_shapes import recorded_profile
+from repro.pdg.builder import pdg_from_analyses
+from support.plans import run_source_plan
+from support.profile_shapes import loop_instances, recorded_profile
 
 PROGRAM = """
 global data: int[96];
@@ -45,10 +46,12 @@ def test_full_pipeline_produces_consistent_artifacts():
     verify_module(module)
     function = module.function("main")
 
-    pdg = build_pdg(function, module)
-    assert pdg.edge_count() > 0
+    pdg = pdg_from_analyses(FunctionAnalyses(function, module))
+    assert pdg.edges
 
-    pspdg = build_pspdg(function, module)
+    pspdg = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(function, module))
+    ).build()
     stats = pspdg.statistics()
     assert stats["undirected_edges"] >= 1  # the critical
     assert stats["reducible"] == 1  # total
@@ -100,5 +103,5 @@ def test_interpreter_profile_feeds_planner():
     # The session's profile is produced as shapes; the interpreter's
     # recorded tree is the same profile, and has the loop instances.
     recorded = recorded_profile(setup)
-    assert recorded.loop_instances()
+    assert loop_instances(recorded)
     assert setup.profile.shapes().children

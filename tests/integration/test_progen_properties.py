@@ -10,8 +10,9 @@ import pytest
 
 from repro.emulator import run_module
 from repro.frontend import compile_source
-from repro.ir import parse_ir, print_module
+from repro.ir import print_module
 from repro.session import Session
+from support.ir_parser import parse_ir
 from support.progen import generate_program
 
 CASES = 200

@@ -10,9 +10,7 @@ from repro.ir import (
     Function,
     IRBuilder,
     Module,
-    const_bool,
-    const_float,
-    const_int,
+    Constant,
 )
 from repro.ir.instructions import (
     BinaryOp,
@@ -42,32 +40,32 @@ class TestBinaryOps:
 
     def test_mixed_types_rejected(self, builder):
         with pytest.raises(IRError):
-            BinaryOp("add", const_int(1), const_float(1.0))
+            BinaryOp("add", Constant(INT, 1), Constant(FLOAT, 1.0))
 
     def test_int_only_ops_reject_floats(self):
         with pytest.raises(IRError):
-            BinaryOp("rem", const_float(1.0), const_float(2.0))
+            BinaryOp("rem", Constant(FLOAT, 1.0), Constant(FLOAT, 2.0))
         with pytest.raises(IRError):
-            BinaryOp("xor", const_float(1.0), const_float(2.0))
+            BinaryOp("xor", Constant(FLOAT, 1.0), Constant(FLOAT, 2.0))
 
     def test_unknown_op_rejected(self):
         with pytest.raises(IRError):
-            BinaryOp("bogus", const_int(1), const_int(2))
+            BinaryOp("bogus", Constant(INT, 1), Constant(INT, 2))
 
 
 class TestUnaryOps:
     def test_float_only_ops_reject_ints(self):
         with pytest.raises(IRError):
-            UnaryOp("sqrt", const_int(4))
+            UnaryOp("sqrt", Constant(INT, 4))
 
     def test_neg_preserves_type(self, builder):
-        assert builder.neg(builder.float(1.0)).type == FLOAT
-        assert builder.neg(builder.int(1)).type == INT
+        assert builder.unop("neg", builder.float(1.0)).type == FLOAT
+        assert builder.unop("neg", builder.int(1)).type == INT
 
     def test_not_requires_int_or_bool(self):
-        assert UnaryOp("not", const_bool(True)).type == BOOL
+        assert UnaryOp("not", Constant(BOOL, True)).type == BOOL
         with pytest.raises(IRError):
-            UnaryOp("not", const_float(1.0))
+            UnaryOp("not", Constant(FLOAT, 1.0))
 
 
 class TestCompare:
@@ -76,21 +74,21 @@ class TestCompare:
 
     def test_mismatched_operands_rejected(self):
         with pytest.raises(IRError):
-            Compare("eq", const_int(1), const_float(1.0))
+            Compare("eq", Constant(INT, 1), Constant(FLOAT, 1.0))
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(IRError):
-            Compare("spaceship", const_int(1), const_int(2))
+            Compare("spaceship", Constant(INT, 1), Constant(INT, 2))
 
 
 class TestMemory:
     def test_load_requires_pointer(self):
         with pytest.raises(IRError):
-            Load(const_int(3))
+            Load(Constant(INT, 3))
 
     def test_store_requires_pointer(self):
         with pytest.raises(IRError):
-            Store(const_int(3), const_int(4))
+            Store(Constant(INT, 3), Constant(INT, 4))
 
     def test_load_type_is_pointee(self, builder):
         slot = builder.alloca(FLOAT, "x")
@@ -99,7 +97,7 @@ class TestMemory:
     def test_gep_requires_pointer_to_array(self, builder):
         scalar = builder.alloca(INT, "x")
         with pytest.raises(IRError):
-            GetElementPtr(scalar, const_int(0))
+            GetElementPtr(scalar, Constant(INT, 0))
 
     def test_gep_peels_one_dimension(self, builder):
         matrix = builder.alloca(ArrayType(ArrayType(INT, 4), 3), "m")
@@ -108,33 +106,27 @@ class TestMemory:
         element = builder.gep(row, builder.int(2))
         assert element.type.pointee == INT
 
-    def test_memory_classification(self, builder):
-        slot = builder.alloca(INT, "x")
-        load = builder.load(slot)
-        store = builder.store(builder.int(1), slot)
-        assert load.reads_memory() and not load.writes_memory()
-        assert store.writes_memory() and not store.reads_memory()
-        assert store.has_side_effects()
-
 
 class TestSelectAndBranch:
     def test_select_requires_bool_condition(self):
         with pytest.raises(IRError):
-            Select(const_int(1), const_int(2), const_int(3))
+            Select(Constant(INT, 1), Constant(INT, 2), Constant(INT, 3))
 
     def test_select_arms_must_match(self):
         with pytest.raises(IRError):
-            Select(const_bool(True), const_int(1), const_float(1.0))
+            Select(
+                Constant(BOOL, True), Constant(INT, 1), Constant(FLOAT, 1.0)
+            )
 
     def test_branch_requires_bool(self):
         function = Function("f")
         b1 = function.create_block("a")
         b2 = function.create_block("b")
         with pytest.raises(IRError):
-            Branch(const_int(1), b1, b2)
+            Branch(Constant(INT, 1), b1, b2)
 
     def test_terminator_successors(self, builder):
-        function = builder.function
+        function = builder.block.parent
         target = function.create_block("next")
         jump = builder.jump(target)
         assert jump.successors() == [target]

@@ -9,7 +9,8 @@ import pytest
 
 from repro.emulator import run_module
 from repro.frontend import compile_source
-from repro.ir import parse_ir, print_module, verify_module
+from repro.ir import print_module, verify_module
+from support.ir_parser import parse_ir
 
 PROGRAMS = {
     "straightline": "func main() { var x: int = 3; print(x * 2 + 1); }",

@@ -1,7 +1,7 @@
 """IR pretty-printer golden checks."""
 
 from repro.frontend import compile_source
-from repro.ir import dump, print_function, print_module
+from repro.ir import print_function, print_module
 
 
 def test_function_rendering_contains_blocks_and_instructions():
@@ -45,10 +45,3 @@ def test_signature_with_params():
     text = print_function(module.function("f"))
     assert "%x: int" in text
     assert "%a: [2 x int]*" in text
-
-
-def test_dump_returns_text(capsys):
-    module = compile_source("func main() { }")
-    text = dump(module)
-    captured = capsys.readouterr()
-    assert text in captured.out

@@ -9,8 +9,6 @@ from repro.ir import (
     VOID,
     ArrayType,
     PointerType,
-    array_of,
-    pointer_to,
 )
 
 
@@ -23,6 +21,8 @@ def test_scalar_slots():
 
 def test_scalar_predicates():
     assert INT.is_scalar()
+    assert FLOAT.is_scalar()
+    assert BOOL.is_scalar()
     assert not VOID.is_scalar()
     assert not ArrayType(INT, 3).is_scalar()
 
@@ -53,11 +53,6 @@ def test_types_are_hashable():
     mapping = {ArrayType(INT, 2): "a", PointerType(FLOAT): "b", INT: "c"}
     assert mapping[ArrayType(INT, 2)] == "a"
     assert mapping[PointerType(FLOAT)] == "b"
-
-
-def test_convenience_constructors():
-    assert array_of(INT, 7) == ArrayType(INT, 7)
-    assert pointer_to(FLOAT) == PointerType(FLOAT)
 
 
 def test_pointer_slots():

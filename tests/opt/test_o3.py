@@ -10,10 +10,10 @@ at a non-zero dependence distance are planned exactly as -O2 plans them.
 import dataclasses
 
 from repro import Session
-from repro.opt import OptLevel, optimize_plan
+from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.planner.plans import loop_uid_map, openmp_source_plan
-from repro.runtime import run_plan
 from support.conformance import outputs_close
+from support.plans import run_plan
 
 BACKENDS = ("simulated", "threads", "processes")
 
@@ -107,7 +107,10 @@ def _optimize(source, level=OptLevel.O3, **options):
     plan = openmp_source_plan(
         session.function, loop_uid_map(session.loops)
     )
-    result = optimize_plan(session.pspdg, plan, level, **options)
+    result = price_plan(
+        session.pspdg, restructure_plan(session.pspdg, plan, level),
+        **options,
+    )
     return session, result
 
 
@@ -172,13 +175,20 @@ class TestO3IsO2PlusTiling:
     def test_lu_wavefront_is_serialized_as_at_o2(self):
         session = Session.from_kernel("LU")
         plan = session.plan("PS-PDG")
-        result = optimize_plan(session.pspdg, plan, OptLevel.O3)
-        o2 = optimize_plan(session.pspdg, plan, OptLevel.O2)
-        wavefront = result.plan.region_for("for.header.4")
+        o3, o2 = (
+            price_plan(
+                session.pspdg, restructure_plan(session.pspdg, plan, level)
+            ).plan
+            for level in (OptLevel.O3, OptLevel.O2)
+        )
+        (wavefront,) = [
+            r for r in o3.regions if "for.header.4" in r.headers
+        ]
         assert wavefront.headers == ("for.header.4",)
-        assert (wavefront.backend_override
-                == o2.plan.region_for("for.header.4").backend_override)
-        assert result.plan.region_for("for.header.3") is None
+        assert [r.backend_override for r in o2.regions
+                if "for.header.4" in r.headers] == [
+                    wavefront.backend_override]
+        assert all("for.header.3" not in r.headers for r in o3.regions)
 
     def test_uniform_distance_fusion_is_rejected_at_every_level(self):
         for level in (OptLevel.O2, OptLevel.O3):

@@ -17,7 +17,6 @@ from repro.opt import (
     PIPELINES,
     PRICING_PASSES,
     OptLevel,
-    optimize_plan,
     price_plan,
     restructure_plan,
     seed_regions,
@@ -26,8 +25,8 @@ from repro.opt.context import OptContext
 from repro.opt.cost import loop_cost
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.planner.plans import loop_uid_map, openmp_source_plan
-from repro.runtime import run_plan
 from support.conformance import outputs_close
+from support.plans import run_plan
 
 FUSABLE = """
 global a: float[64];
@@ -104,7 +103,10 @@ def _optimize_source(source, level=OptLevel.O2, machine=None):
     plan = openmp_source_plan(
         session.function, loop_uid_map(session.loops)
     )
-    result = optimize_plan(session.pspdg, plan, level, machine=machine)
+    result = price_plan(
+        session.pspdg, restructure_plan(session.pspdg, plan, level),
+        machine=machine,
+    )
     return session, result
 
 
@@ -121,9 +123,10 @@ class TestFusionLegality:
         session, result = _optimize_source(FUSABLE)
         headers = tuple(_annotated_headers(session.function))
         assert result.report.fused == [headers]
-        region = result.plan.region_for(headers[0])
+        (region,) = [
+            r for r in result.plan.regions if headers[0] in r.headers
+        ]
         assert region.headers == headers
-        assert region.fused
         assert region.witness.startswith("aligned dependence on @b (#")
 
     def test_fused_execution_conforms_on_every_backend(self):
@@ -175,7 +178,9 @@ class TestFusionLegality:
         for kernel in ("SP", "BT"):
             result = nas_state(kernel)
             assert result.report.fused == [], kernel
-            assert result.report.rejections_for("region-fusion"), kernel
+            assert any(
+                r[0] == "region-fusion" for r in result.report.rejected
+            ), kernel
 
 
 class TestSyncElimination:
@@ -183,15 +188,19 @@ class TestSyncElimination:
         result = nas_state("IS")
         removed = result.report.syncs_removed
         assert any(kind == "critical" for _h, kind, _uid in removed)
-        region = result.plan.region_for("for.header.5")
-        assert region is not None and region.removed_sync_uids
+        (region,) = [
+            r for r in result.plan.regions if "for.header.5" in r.headers
+        ]
+        assert region.removed_sync_uids
 
     def test_sp_binmax_critical_kept(self, nas_state):
         """binmax[i % 4] collides across iterations (non-affine subscript
         -> conservative carried dependence): the lock must survive."""
         result = nas_state("SP")
         assert result.report.syncs_removed == []
-        rejections = result.report.rejections_for("sync-elimination")
+        rejections = [
+            r for r in result.report.rejected if r[0] == "sync-elimination"
+        ]
         assert any("binmax" in reason for _p, _s, reason in rejections)
 
     def test_removed_sync_sheds_serialized_uids(self, nas_state):
@@ -224,7 +233,9 @@ class TestSerialization:
         result = nas_state("LU")
         serialized = {label for label, _cost, _ov in result.report.serialized}
         assert "for.header.4" in serialized
-        region = result.plan.region_for("for.header.4")
+        (region,) = [
+            r for r in result.plan.regions if "for.header.4" in r.headers
+        ]
         assert region.backend_override in ("sequential", "threads")
 
     def test_thresholds_come_from_the_machine_model(self):
@@ -285,8 +296,10 @@ class TestSerializationCostFeedback:
         plan = openmp_source_plan(
             session.function, loop_uid_map(session.loops)
         )
-        return optimize_plan(
-            session.pspdg, plan, OptLevel.O1, payload_bytes=payload_bytes,
+        return price_plan(
+            session.pspdg,
+            restructure_plan(session.pspdg, plan, OptLevel.O1),
+            payload_bytes=payload_bytes,
             compile_regions=compile_regions,
             compiled_speedup=compiled_speedup,
         )
@@ -404,7 +417,7 @@ class TestPipelineStructure:
         plan = session.plan("PS-PDG")
         ctx = OptContext(session.pspdg, DEFAULT_MACHINE)
         seeded = seed_regions(ctx, plan)
-        from repro.runtime.executor import recipes_from_plan
+        from repro.planner.recipes import recipes_from_plan
 
         legacy = recipes_from_plan(session.pspdg, plan)
         assert sorted(r.headers[0] for r in seeded.regions) == sorted(
@@ -415,7 +428,7 @@ class TestPipelineStructure:
         """One selector: a plan without regions dispatches exactly what
         ``-O0`` seeds, in control-flow order (``for.header.2`` before
         ``for.header.10`` — not the order of the names)."""
-        from repro.runtime.executor import recipes_from_plan
+        from repro.planner.recipes import recipes_from_plan
 
         loops = "".join(
             f"  pragma omp parallel_for\n"
@@ -456,7 +469,7 @@ class TestPipelineStructure:
 
     def test_merged_recipe_unifies_private_sets(self):
         session, result = _optimize_source(FUSABLE)
-        from repro.runtime.executor import recipes_from_plan
+        from repro.planner.recipes import recipes_from_plan
 
         regions = recipes_from_plan(session.pspdg, result.plan)
         fused = [region for region in regions if region.fused]
@@ -471,8 +484,8 @@ class TestPipelineStructure:
 
 
 class TestRestructureThenPrice:
-    """``optimize_plan`` is ``price_plan`` over ``restructure_plan``, so a
-    restructured plan can be re-priced for another machine."""
+    """A restructured plan can be re-priced for another machine: pricing
+    it again equals restructuring and pricing afresh."""
 
     def test_pricing_passes_close_every_pipeline(self):
         for passes in PIPELINES.values():
@@ -494,8 +507,10 @@ class TestRestructureThenPrice:
                     session.pspdg, restructured, machine=machine,
                     compile_regions=compiled,
                 )
-                afresh = optimize_plan(
-                    session.pspdg, plan, level, machine=machine,
+                afresh = price_plan(
+                    session.pspdg,
+                    restructure_plan(session.pspdg, plan, level),
+                    machine=machine,
                     compile_regions=compiled,
                 )
                 assert repriced.plan.regions == afresh.plan.regions
@@ -515,8 +530,9 @@ def nas_state():
         key = (kernel, level)
         if key not in cache:
             session = Session.from_kernel(kernel)
-            cache[key] = optimize_plan(
-                session.pspdg, session.plan("PS-PDG"), level
+            plan = session.plan("PS-PDG")
+            cache[key] = price_plan(
+                session.pspdg, restructure_plan(session.pspdg, plan, level)
             )
         return cache[key]
 

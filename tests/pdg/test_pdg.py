@@ -1,20 +1,22 @@
 """Sequential PDG construction."""
 
+from repro.analysis.record import FunctionAnalyses
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
-from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER, build_pdg
+from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER
+from repro.pdg.builder import pdg_from_analyses
 from repro.planner import DependenceView
 
 
 def pdg_for(source):
     module = compile_source(source)
     function = module.function("main")
-    return build_pdg(function, module)
+    return pdg_from_analyses(FunctionAnalyses(function, module))
 
 
 def test_every_instruction_is_a_node():
     pdg = pdg_for("func main() { var x: int = 1; print(x); }")
-    assert len(pdg.nodes) == pdg.function.instruction_count()
+    assert len(pdg.nodes) == len(list(pdg.function.instructions()))
 
 
 def test_register_edges_follow_operands():
@@ -43,19 +45,10 @@ def test_memory_edges_have_objects_and_kinds():
     assert all(e.obj is not None for e in memory_edges)
 
 
-def test_statistics_shape():
-    pdg = pdg_for("func main() { var s: int = 0;\n"
-                  "for i in 0..3 { s = s + i; } print(s); }")
-    stats = pdg.statistics()
-    assert stats["nodes"] == len(pdg.nodes)
-    assert stats["edges"] == len(pdg.edges)
-    assert stats["carried_edges"] > 0
-
-
 def test_loop_adjacency_restricted_to_loop():
     pdg = pdg_for("func main() { var s: int = 0;\n"
                   "for i in 0..3 { s = s + i; } print(s); }")
-    loop = pdg.loops[0]
+    loop = pdg.analyses.loops[0]
     view = DependenceView("PDG", PSPDGBuilder(pdg).build())
     node_set = set(view.loop_instructions(loop))
     pairs = view.carried_edges(loop) + view.intra_edges(loop)
@@ -66,10 +59,4 @@ def test_loop_adjacency_restricted_to_loop():
 
 def test_loops_attached_to_pdg():
     pdg = pdg_for("func main() { for i in 0..3 { } }")
-    assert len(pdg.loops) == 1
-
-
-def test_dot_export_renders():
-    pdg = pdg_for("func main() { var x: int = 1; print(x); }")
-    dot = pdg.to_dot()
-    assert dot.startswith("digraph") and dot.endswith("}")
+    assert len(pdg.analyses.loops) == 1

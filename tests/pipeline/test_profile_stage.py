@@ -10,9 +10,9 @@ from repro import Session
 from repro.analysis.loops import Loop
 from repro.codegen.profile import profile_function
 from repro.emulator.interp import Interpreter
-from repro.ir.parser import parse_ir
 from repro.runtime import knobs
 from repro.workloads.nas import KERNELS
+from support.ir_parser import parse_ir
 from support.programs import REFUSED_CFGS, dense_source, histogram_source
 
 def _programs():

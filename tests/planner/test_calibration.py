@@ -75,7 +75,7 @@ class TestEwma:
         store = CalibrationStore()
         for bad in (0.0, -1.0, float("nan"), float("inf"), None, True):
             assert not store._update("compiled_speedup", bad)
-        assert not store.observed
+        assert not store.measured_coefficients()
 
     def test_outliers_rejected_after_settling(self):
         store = CalibrationStore()
@@ -176,7 +176,7 @@ class TestObserveRun:
                    payload_bytes=1000, faults_injected=1),
         ])
         assert not accepted
-        assert not store.observed
+        assert not store.measured_coefficients()
         assert store.runs == 0
 
     def test_untimed_workers_produce_no_samples(self):
@@ -264,12 +264,12 @@ class TestPersistence:
 
     def test_missing_file_is_empty(self, tmp_path):
         store = CalibrationStore(str(tmp_path / "absent.json"))
-        assert not store.observed
+        assert not store.measured_coefficients()
 
     def test_corrupt_file_is_empty(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
-        assert not CalibrationStore(str(path)).observed
+        assert not CalibrationStore(str(path)).measured_coefficients()
 
     @staticmethod
     def _profile():
@@ -337,7 +337,7 @@ class TestPersistence:
         data = store.to_dict()
         data["schema"] = -1
         path.write_text(json.dumps(data))
-        assert not CalibrationStore(str(path)).observed
+        assert not CalibrationStore(str(path)).measured_coefficients()
 
     def test_schema_1_profile_loads_as_no_measurements(self, tmp_path):
         # What a pre-stateless-dispatch writer left behind: its
@@ -358,7 +358,7 @@ class TestPersistence:
             }}},
         }))
         store = CalibrationStore(str(path))
-        assert not store.observed
+        assert not store.measured_coefficients()
         assert store.runs == 0
         assert store.region_feedback("prog-a") == ({}, {})
 

@@ -24,12 +24,12 @@ from repro.planner import (
     LoopPlan,
     ProgramPlan,
     abstraction_plan,
-    critical_path,
     loop_uid_map,
 )
 from support.profile_shapes import (
     canonical_tree,
     expanded_shape,
+    loop_instances,
     recorded_profile,
 )
 from support.progen import generate_nest_program, generate_program
@@ -264,7 +264,7 @@ def _check_shape_invariants(profile):
     assert root.direct == profile.root.direct_total()
     assert expanded_shape(root) == canonical_tree(profile.root)
     trips = {}
-    for instance in profile.loop_instances():
+    for instance in loop_instances(profile):
         trips.setdefault(instance.header_name, set()).add(
             instance.trip_count
         )
@@ -280,7 +280,7 @@ def _check_shape_invariants(profile):
         assert shape.header_name in shape.headers
     assert profile.header_totals() == {
         header: sum(
-            instance.total() for instance in profile.loop_instances(header)
+            instance.total() for instance in loop_instances(profile, header)
         )
         for header in trips
     }
@@ -299,7 +299,7 @@ def test_shapes_preserve_kernel_profiles(kernel):
     _check_shape_invariants(recorded)
     distinct = set()
     dynamic = 0
-    for instance in recorded.loop_instances():
+    for instance in loop_instances(recorded):
         dynamic += instance.trip_count
     for shape in _instance_shapes(session.profile.shapes(), set()):
         distinct.update(it for it, _m in shape.iterations)
@@ -334,7 +334,7 @@ def test_zero_trip_loop_costs_nothing(technique):
         )},
         {"L": frozenset({2})},
     )
-    assert critical_path(profile, plan) == 1
+    assert CriticalPathEvaluator(profile, plan).evaluate() == 1
     assert reference_critical_path(profile, plan) == 1
 
 
@@ -351,5 +351,5 @@ def test_single_shape_loop_is_one_node_with_its_trip_count():
         {"L": LoopPlan(TECH_DOALL, serialized_uids=frozenset({2}))},
         uid_map,
     )
-    assert critical_path(profile, doall) == 1 + 3
-    assert critical_path(profile, locked) == 1 + 21
+    assert CriticalPathEvaluator(profile, doall).evaluate() == 1 + 3
+    assert CriticalPathEvaluator(profile, locked).evaluate() == 1 + 21

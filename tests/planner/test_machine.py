@@ -1,61 +1,14 @@
-"""MachineModel edge cases + the serializable round-trip.
+"""MachineModel edge cases.
 
-The calibration profile stores machine models as JSON, so
-``to_dict``/``from_dict`` must round-trip every field and refuse
-mismatched schema versions.  The cost helpers' edge cases (zero-trip
-loops, non-positive payloads) are what the
-calibration store's estimators can legitimately produce, so they are
-pinned here rather than discovered in a calibrated run's stack trace.
+The cost helpers' edge cases (zero-trip loops, non-positive payloads)
+are what the calibration store's estimators can legitimately produce,
+so they are pinned here rather than discovered in a calibrated run's
+stack trace.
 """
 
 import dataclasses
 
-import pytest
-
-from repro.planner.machine import DEFAULT_MACHINE, MACHINE_SCHEMA, MachineModel
-
-
-class TestSerializationRoundTrip:
-    def test_round_trip_defaults(self):
-        model = MachineModel()
-        assert MachineModel.from_dict(model.to_dict()) == model
-
-    def test_round_trip_custom_fields(self):
-        model = MachineModel(
-            cores=8,
-            chunk_sizes=(2, 4),
-            serial_region_cost=7,
-            threads_region_cost=3000,
-            payload_cost_per_byte=0.5,
-            compiled_speedup=1.5,
-        )
-        clone = MachineModel.from_dict(model.to_dict())
-        assert clone == model
-        assert clone.chunk_sizes == (2, 4)  # list -> tuple restored
-
-    def test_to_dict_is_json_shaped(self):
-        import json
-
-        data = MachineModel().to_dict()
-        assert data["schema"] == MACHINE_SCHEMA
-        assert json.loads(json.dumps(data)) == data
-
-    def test_from_dict_rejects_wrong_schema(self):
-        data = MachineModel().to_dict()
-        data["schema"] = MACHINE_SCHEMA + 1
-        with pytest.raises(ValueError, match="schema"):
-            MachineModel.from_dict(data)
-
-    def test_from_dict_rejects_missing_schema(self):
-        data = MachineModel().to_dict()
-        del data["schema"]
-        with pytest.raises(ValueError):
-            MachineModel.from_dict(data)
-
-    def test_from_dict_ignores_unknown_keys(self):
-        data = MachineModel().to_dict()
-        data["coefficient_from_the_future"] = 42
-        assert MachineModel.from_dict(data) == MachineModel()
+from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 
 
 class TestSerializationCost:
@@ -123,8 +76,6 @@ class TestCalibratedMachineStaysLegal:
         assert machine.serial_region_cost >= 1
         assert machine.threads_region_cost >= 1
         assert machine.compiled_speedup > 0
-        # And the projected model still round-trips.
-        assert MachineModel.from_dict(machine.to_dict()) == machine
 
     def test_replace_preserves_int_typing(self):
         from repro.planner.calibration import CalibrationStore

@@ -16,12 +16,14 @@ dependence runs across outer iterations: the graph keeps it serial, and
 forced parallel it diverges.
 """
 
+from repro.analysis.record import FunctionAnalyses
+from repro.pdg.builder import pdg_from_analyses
 import pytest
 
 from repro.core.builder import PSPDGBuilder
 from repro.emulator import run_module
 from repro.frontend import compile_source
-from repro.pdg import EDGE_MEMORY, PDG, build_pdg
+from repro.pdg import EDGE_MEMORY, PDG
 from repro.planner import DependenceView, classify_loop
 from repro.runtime import (
     LoopParallelization,
@@ -253,15 +255,15 @@ def _assert_deletion_is_caught(source):
     """The loop is not DOALL; without its carried memory edges it is,
     and the bare plan that licenses diverges under the oracle."""
     module = compile_source(source)
-    pdg = build_pdg(module.function("main"), module)
-    (loop,) = pdg.loops
+    pdg = pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    (loop,) = pdg.analyses.loops
     assert not classify_loop(_pdg_view(pdg), loop).doall_legal
 
     pruned = PDG(pdg.analyses)
     for edge in pdg.edges:
         if not (edge.kind == EDGE_MEMORY and loop in edge.carried_loops):
             pruned.add_edge(edge)
-    assert pruned.edge_count() < pdg.edge_count()
+    assert len(pruned.edges) < len(pdg.edges)
     assert classify_loop(_pdg_view(pruned), loop).doall_legal
 
     header = loop.header.name
@@ -287,9 +289,9 @@ def test_a_forced_nest_outer_loop_diverges():
     module = compile_source(NEST_CARRIED_OUTER)
     function = module.function("main")
     inner = _loop_header(function)
-    pdg = build_pdg(function, module)
+    pdg = pdg_from_analyses(FunctionAnalyses(function, module))
     (outer,) = [
-        loop for loop in pdg.loops
+        loop for loop in pdg.analyses.loops
         if loop.header.name != inner
         and any(b.name == inner for b in loop.blocks)
     ]

@@ -51,7 +51,8 @@ class TestCalibratedConformance:
         _first, second = observed_then_repriced(session)
         assert outputs_close(second.output, expected)
         # The oracle's workers are untimed: only threads measures.
-        assert session.calibration.observed == (backend == "threads")
+        measured = session.calibration.measured_coefficients()
+        assert bool(measured) == (backend == "threads")
 
     @pytest.mark.parametrize("kernel", ("IS", "LU", "CG"))
     def test_processes_kernels_conform(self, kernel):
@@ -152,7 +153,7 @@ def test_calibration_off_never_observes():
     session = miscalibrated_session(calibrate=False)
     planned = session.region_recipes["PS-PDG"]
     session.run("PS-PDG")
-    assert not session.calibration.observed
+    assert not session.calibration.measured_coefficients()
     assert session.region_recipes["PS-PDG"] is planned
 
 
@@ -164,7 +165,7 @@ def test_untimed_simulated_run_leaves_the_plan_alone():
     )
     planned = session.region_recipes["PS-PDG"]
     first, second = observed_then_repriced(session)
-    assert not session.calibration.observed
+    assert not session.calibration.measured_coefficients()
     assert session.region_recipes["PS-PDG"] is planned
     assert dispatched(second) == dispatched(first)
 
@@ -175,7 +176,7 @@ def test_a_run_never_rewrites_the_cached_recipes(kernel):
     cached = session.region_recipes["PS-PDG"]
     before = cost_decisions(cached)
     session.run("PS-PDG")
-    assert session.calibration.observed
+    assert session.calibration.measured_coefficients()
     assert cost_decisions(cached) == before
     # The re-priced cache is exactly what the optimizer says now.
     assert cost_decisions(session.region_recipes["PS-PDG"]) == \

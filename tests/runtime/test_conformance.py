@@ -14,11 +14,10 @@ those retrials must also agree bit-for-bit *with each other*.
 
 import pytest
 
-from repro.opt import OptLevel, optimize_plan
-from repro.runtime import run_plan, run_source_plan
+from repro.opt import OptLevel, price_plan, restructure_plan
+from repro.session import Session
 from repro.util.regionstats import parallel_report
 from repro.workloads import kernel_names
-from repro.workloads.nas import build_session
 from support.conformance import (
     describe_mismatch,
     diff_load_balance,
@@ -26,6 +25,7 @@ from support.conformance import (
     schedule_imbalance,
     wire_bytes,
 )
+from support.plans import run_plan, run_source_plan
 
 BACKENDS = ("simulated", "threads", "processes")
 SCHEDULES = ("static", "dynamic", "guided")
@@ -46,7 +46,7 @@ def kernel_state():
     """Per kernel: (session, PS-PDG plan, sequential output) — built once."""
     state = {}
     for name in kernel_names():
-        session = build_session(name)
+        session = Session.from_kernel(name)
         state[name] = (session, session.plan("PS-PDG"),
                        session.execution.output)
     return state
@@ -58,8 +58,8 @@ def optimized_plans(kernel_state):
     plans = {}
     for name, (session, plan, _expected) in kernel_state.items():
         plans[name] = {
-            level: optimize_plan(
-                session.pspdg, plan, level,
+            level: price_plan(
+                session.pspdg, restructure_plan(session.pspdg, plan, level),
             ).plan
             for level in (OptLevel.O2, OptLevel.O3)
         }

@@ -125,7 +125,8 @@ def _final_state(session, recipes, seed):
     )
     output = interp.run("main").output
     return output, [
-        interp.global_values(name) for name in sorted(session.module.globals)
+        list(interp._global_storage[name])
+        for name in sorted(session.module.globals)
     ]
 
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.record import FunctionAnalyses
+from repro.core.builder import PSPDGBuilder
 from repro.emulator import run_module
 from repro.frontend import compile_source
-from repro.runtime import (
-    LoopParallelization,
-    run_parallel,
-    run_source_plan,
-)
+from repro.pdg.builder import pdg_from_analyses
+from repro.runtime import LoopParallelization, run_parallel
+from support.plans import run_source_plan
 
 REDUCTION = """
 func main() {
@@ -263,6 +263,31 @@ class TestValidation:
         with pytest.raises(PlanError, match="schedule"):
             run_source_plan(self._module(), schedule="fractal")
 
+    @pytest.mark.parametrize("compiled", (True, False))
+    @pytest.mark.parametrize("backend", ("simulated", "threads"))
+    def test_a_return_inside_a_parallel_loop_is_an_error(
+        self, backend, compiled
+    ):
+        """Neither engine lets a worker leave the function: the compiled
+        body and the interpreted workers raise the same error."""
+        from repro.util.errors import EmulationError
+
+        module = compile_source(
+            "global a: int[8];\n"
+            "func main() {\n"
+            "  pragma omp parallel_for\n"
+            "  for i in 0..8 {\n"
+            "    if (i > 5) { return; }\n"
+            "    a[i] = i;\n"
+            "  }\n"
+            "}"
+        )
+        with pytest.raises(EmulationError, match="return inside"):
+            run_source_plan(
+                module, workers=2, backend=backend,
+                compile_regions=compiled,
+            )
+
 
 class TestChunkSchedulers:
     def test_every_schedule_partitions_exactly(self):
@@ -458,15 +483,16 @@ class TestRecipeClassification:
     """PS-PDG variables become the recipe role the runtime needs."""
 
     def test_live_out_scratch_gets_seeded_lastprivate(self):
-        from repro.core import build_pspdg
         from repro.runtime import parallelization_from_pspdg
 
         module = compile_source(SCRATCH_THREADPRIVATE)
         function = module.function("main")
-        graph = build_pspdg(function, module)
+        graph = PSPDGBuilder(
+            pdg_from_analyses(FunctionAnalyses(function, module))
+        ).build()
         loop = next(
             l
-            for l in graph.pdg.loops
+            for l in graph.pdg.analyses.loops
             if any(
                 a.loop_header == l.header.name
                 for a in function.annotations
@@ -482,7 +508,6 @@ class TestRecipeClassification:
 
     @pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
     def test_scratch_recipe_execution_conforms(self, backend):
-        from repro.core import build_pspdg
         from repro.runtime import parallelization_from_pspdg
 
         expected = run_module(
@@ -490,10 +515,12 @@ class TestRecipeClassification:
         ).formatted_output()
         module = compile_source(SCRATCH_THREADPRIVATE)
         function = module.function("main")
-        graph = build_pspdg(function, module)
+        graph = PSPDGBuilder(
+            pdg_from_analyses(FunctionAnalyses(function, module))
+        ).build()
         loop = next(
             l
-            for l in graph.pdg.loops
+            for l in graph.pdg.analyses.loops
             if any(
                 a.loop_header == l.header.name
                 for a in function.annotations

@@ -15,16 +15,17 @@ import pytest
 
 from repro.emulator import run_module
 from repro.runtime import backends, faults, knobs
+from repro.session import Session
 from repro.util.errors import EmulationError, PlanError
 from repro.util.regionstats import parallel_report
 from repro.workloads import kernel_names
-from repro.workloads.nas import build_session
 from support.conformance import (
     CHAOS_SCENARIOS,
     chaos_outcome,
     describe_mismatch,
     outputs_close,
 )
+from support.plans import run_source_plan
 
 
 @pytest.fixture(autouse=True)
@@ -127,7 +128,7 @@ class TestSupervisedRecovery:
 
     def test_crash_recovers_byte_identical(self, fast_retries):
         """The ISSUE's acceptance demo: seeded crash on LU -O2."""
-        session = build_session("LU")
+        session = Session.from_kernel("LU")
         clean = self.run_lu(session)
         assert outputs_close(clean.output, session.execution.output)
 
@@ -147,7 +148,7 @@ class TestSupervisedRecovery:
         "drop_result:region=0:worker=0",
     ])
     def test_wire_faults_recover(self, fast_retries, spec):
-        session = build_session("EP")
+        session = Session.from_kernel("EP")
         clean = session.run("PS-PDG", opt="-O2", workers=2,
                             backend="processes")
         inject(spec)
@@ -160,7 +161,7 @@ class TestSupervisedRecovery:
 
     def test_hang_trips_region_deadline_and_recovers(self, fast_retries,
                                                      monkeypatch):
-        session = build_session("EP")
+        session = Session.from_kernel("EP")
         clean = session.run("PS-PDG", opt="-O2", workers=2,
                             backend="processes")
         monkeypatch.setattr(backends, "_region_allowance", lambda _steps: 1.5)
@@ -180,7 +181,7 @@ class TestDegradationLadder:
 
     def test_exhausted_retries_fail_over_and_warm_reruns_pay_again(
             self, one_retry):
-        session = build_session("EP")
+        session = Session.from_kernel("EP")
         expected = session.execution.output
         inject("crash:p=1:seed=1:times=0")  # every dispatch dies
         runs = [
@@ -200,7 +201,7 @@ class TestDegradationLadder:
                                                            kind):
         """Not only a dead worker: any infrastructure failure that
         outlasts the retries fails over once, to the same output."""
-        session = build_session("EP")
+        session = Session.from_kernel("EP")
         expected = session.execution.output
         inject(f"{kind}:p=1:seed=1:times=0")  # every payload is hit
         result = session.run("PS-PDG", opt="-O2", workers=2,
@@ -225,7 +226,6 @@ class TestDegradationLadder:
 
         monkeypatch.setattr(backends.SerialBackend, "run_region", spy)
         module = compile_(DIVIDES_BY_ZERO)
-        from repro.runtime import run_source_plan
 
         inject("crash:p=1:seed=1:times=0")
         with pytest.raises(EmulationError) as caught:
@@ -241,7 +241,6 @@ class TestDegradationLadder:
                                               compile_):
         """A genuinely wrong program fails cleanly with zero retries."""
         module = compile_(DIVIDES_BY_ZERO)
-        from repro.runtime import run_source_plan
 
         with pytest.raises(EmulationError, match="[Dd]ivision"):
             run_source_plan(module, "main", workers=2, seed=0,
@@ -268,7 +267,7 @@ def test_knob_pairs_on_processes(kernel, verify, faulted, fast_retries,
         return pool
 
     monkeypatch.setattr(backends, "_chunk_pool", chunk_pool)
-    session = build_session(kernel)
+    session = Session.from_kernel(kernel)
     expected = run_module(session.module).output
     knobs.VERIFY_COMPILED.value = verify
     inject("crash:region=0:worker=0" if faulted else "")
@@ -296,7 +295,7 @@ def chaos_state():
     """Per kernel: (session, sequential reference output) — built once."""
     state = {}
     for name in kernel_names():
-        session = build_session(name)
+        session = Session.from_kernel(name)
         state[name] = (session, session.execution.output)
     return state
 

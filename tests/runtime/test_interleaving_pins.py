@@ -116,7 +116,7 @@ def _record(module, recipes, workers, seed, schedule="static"):
         result.steps,
         [[row["steps"] for row in region.per_worker]
          for region in result.parallel_regions],
-        [(name, interp.global_values(name))
+        [(name, list(interp._global_storage[name]))
          for name in sorted(module.globals)],
     )
     digest = hashlib.sha256(repr(state).encode()).hexdigest()[:16]

@@ -19,10 +19,11 @@ import pytest
 from repro import Session
 from repro.codegen import cache as codegen_cache
 from repro.frontend import compile_source
-from repro.runtime import backends, knobs, run_source_plan
+from repro.runtime import backends, knobs
 from repro.runtime import payload as payload_codec
 from repro.util.errors import EmulationError, ReproError
 from support.conformance import outputs_close
+from support.plans import run_source_plan
 from support.programs import ROTATING
 
 pytestmark = pytest.mark.usefixtures("fresh_codec")

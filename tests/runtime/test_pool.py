@@ -22,6 +22,15 @@ from support.conformance import outputs_close
 from support.programs import ROTATING
 
 
+def _call(pool, function, *args):
+    """``function(*args)`` on one child of ``pool`` (the first idle)."""
+    with pool.lock:
+        (reply,), _copies = pool.run(
+            [(function, args)], backends._PROCESS_TIMEOUT
+        )
+    return reply
+
+
 def _decoded_modules_held():
     """Called in a pool child: how many decoded modules it holds."""
     return len(payload._DECODED_MODULES)
@@ -124,7 +133,7 @@ class TestPoolLifecycle:
         assert [child.pid for child in pool.children] == first_pids
         assert all(child.is_alive() for child in pool.children)
         # The first idle child answers a probe, on the pipe it was forked with.
-        assert pool.call(os.getpid) == first_pids[0]
+        assert _call(pool, os.getpid) == first_pids[0]
 
     def test_reset_pool_starts_with_empty_ledgers(self):
         """A reset kills the children, and the pool built next has a
@@ -144,7 +153,7 @@ class TestPoolLifecycle:
         assert fresh is not old
         assert set(fresh.ledgers) == set(fresh.pipes)
         assert not any(fresh.ledgers.values())
-        assert fresh.call(_decoded_modules_held) == 0
+        assert _call(fresh, _decoded_modules_held) == 0
         first = _run(session)[0]
         assert first["retry_payload_bytes"] == 0
         assert first["payload_bytes"] > _module_bytes(session)
@@ -189,7 +198,7 @@ class TestPoolLifecycle:
         pool = backends._chunk_pool()
         (ledger,) = pool.ledgers.values()
         assert list(ledger) == keys[-cap:]
-        assert pool.call(_decoded_modules_held) == cap
+        assert _call(pool, _decoded_modules_held) == cap
         # Module 0 was evicted and the ledger says so: its one child gets
         # the bytes with the first payload, and no payload goes twice.
         (region,) = _run(sessions[0])
@@ -201,13 +210,13 @@ class TestPoolLifecycle:
         # cache is keyed by the module object, never by content.
         assert region["codegen_compiles"] > 0
         assert region["codegen_source_hits"] == 0
-        assert pool.call(_decoded_modules_held) == cap
+        assert _call(pool, _decoded_modules_held) == cap
         # Resident now: the last cap - 1 of the first pass, and module 0.
         for session in sessions[-(cap - 1):] + sessions[:1]:
             (region,) = _run(session)
             assert region["retry_payload_bytes"] == 0
             assert region["payload_bytes"] < smallest
-        assert pool.call(_decoded_modules_held) == cap
+        assert _call(pool, _decoded_modules_held) == cap
         assert backends._chunk_pool() is pool
 
     def test_run_after_reset_reships_full_state(self):

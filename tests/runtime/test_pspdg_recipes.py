@@ -4,10 +4,11 @@
 an execution recipe; running it must preserve sequential semantics — this
 is the end-to-end statement that PS-PDG-derived plans are safe.
 """
-
-from repro.core import build_pspdg
+from repro.analysis.record import FunctionAnalyses
+from repro.core.builder import PSPDGBuilder
 from repro.emulator import run_module
 from repro.frontend import compile_source
+from repro.pdg.builder import pdg_from_analyses
 from repro.runtime import parallelization_from_pspdg, run_parallel
 
 THREADPRIVATE_HISTOGRAM = """
@@ -34,10 +35,12 @@ func main() {
 def test_pspdg_recipe_includes_declared_variables():
     module = compile_source(THREADPRIVATE_HISTOGRAM)
     function = module.function("main")
-    graph = build_pspdg(function, module)
+    graph = PSPDGBuilder(
+        pdg_from_analyses(FunctionAnalyses(function, module))
+    ).build()
     annotated = next(
         loop
-        for loop in graph.pdg.loops
+        for loop in graph.pdg.analyses.loops
         if any(
             a.loop_header == loop.header.name for a in function.annotations
         )
@@ -61,10 +64,12 @@ def test_pspdg_recipe_execution_matches_sequential():
     for seed in (0, 1, 5):
         fresh = compile_source(THREADPRIVATE_HISTOGRAM)
         function = fresh.function("main")
-        graph = build_pspdg(function, fresh)
+        graph = PSPDGBuilder(
+            pdg_from_analyses(FunctionAnalyses(function, fresh))
+        ).build()
         annotated = next(
             loop
-            for loop in graph.pdg.loops
+            for loop in graph.pdg.analyses.loops
             if any(
                 a.loop_header == loop.header.name
                 for a in function.annotations

@@ -22,11 +22,11 @@ from repro import Session
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.planner.recipes import recipes_from_annotations
-from repro.runtime import ParallelInterpreter, backends, knobs, run_source_plan
+from repro.runtime import ParallelInterpreter, backends, knobs
 from repro.runtime.backends import SerialBackend, ThreadsBackend
 from repro.util.errors import EmulationError
-from repro.workloads.nas import build_session
 from support.conformance import outputs_close
+from support.plans import run_source_plan
 
 WAIT = 10.0  # seconds any one wait in here may take before it is a failure
 
@@ -281,7 +281,7 @@ def test_lock_timeout_reports_after_the_holder_finished(monkeypatch):
 
 
 def test_two_sessions_on_two_python_threads_match_the_emulator():
-    sessions = [build_session("IS"), build_session("MG")]
+    sessions = [Session.from_kernel("IS"), Session.from_kernel("MG")]
     expected = [session.execution.output for session in sessions]
     for session in sessions:
         session.compiled_regions
@@ -333,7 +333,7 @@ def _shape(result):
 
 def test_the_threads_rung_and_serial_give_the_threads_result(monkeypatch):
     backends._reset_chunk_pool()
-    session = build_session("EP")
+    session = Session.from_kernel("EP")
     try:
         plain = session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
         serial = session.run(
@@ -383,7 +383,7 @@ def test_no_team_thread_is_alive_when_a_process_pool_is_built(forks):
     """Before each pool build a ``threads`` run has left team threads
     parked; the build retires them, so no fork copies one."""
     backends._reset_chunk_pool()
-    session = build_session("IS")
+    session = Session.from_kernel("IS")
     results, sizes = [], []
     try:
         for _ in range(3):

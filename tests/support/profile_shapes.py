@@ -4,9 +4,32 @@
 ``expanded_shape`` unfolds a shape DAG (every iteration shape repeated by
 its multiplicity); both sort a loop instance's iterations, so the two are
 equal exactly when the DAG is the tree up to iteration order.
+``loop_instances`` and ``count_of`` read a recorded tree.
 """
 
 from repro.emulator import run_module
+
+
+def loop_instances(profile, header_name=None):
+    """All loop instances in a recorded ``FunctionProfile`` tree
+    (optionally for one static loop)."""
+    found = []
+    stack = [profile.root]
+    while stack:
+        iteration = stack.pop()
+        for child in iteration.children:
+            if header_name is None or child.header_name == header_name:
+                found.append(child)
+            stack.extend(child.iterations)
+    return found
+
+
+def count_of(iteration, uids):
+    """Direct executions in ``iteration`` of any of the static ``uids``."""
+    # Iterate the (small) per-iteration counter, not the uid set.
+    return sum(
+        count for uid, count in iteration.counts.items() if uid in uids
+    )
 
 
 def canonical_tree(iteration):

@@ -34,6 +34,7 @@ from repro.planner.plans import (
     TECH_DSWP,
     TECH_HELIX,
 )
+from support.profile_shapes import count_of
 
 
 class ReferenceCriticalPathEvaluator:
@@ -118,7 +119,7 @@ class ReferenceCriticalPathEvaluator:
         entire dynamic total (they run under the lock / inside the
         sequential segment).
         """
-        total = iteration.count_of(uids)
+        total = count_of(iteration, uids)
         for child in iteration.children:
             child_uids = self.plan.loop_uids.get(
                 child.header_name, frozenset()
@@ -134,7 +135,7 @@ class ReferenceCriticalPathEvaluator:
 
     def _iteration_excluding(self, iteration, excluded):
         """Critical path of an iteration with ``excluded`` work removed."""
-        total = iteration.direct_total() - iteration.count_of(excluded)
+        total = iteration.direct_total() - count_of(iteration, excluded)
         for child in iteration.children:
             child_uids = self.plan.loop_uids.get(
                 child.header_name, frozenset()

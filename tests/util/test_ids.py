@@ -15,22 +15,6 @@ def test_prefixed_ids_are_strings():
     assert ids.fresh() == "ctx1"
 
 
-def test_peek_does_not_consume():
-    ids = IdAllocator("x")
-    assert ids.peek() == "x0"
-    assert ids.peek() == "x0"
-    assert ids.fresh() == "x0"
-    assert ids.peek() == "x1"
-
-
-def test_reset_restarts():
-    ids = IdAllocator("r")
-    ids.fresh()
-    ids.fresh()
-    ids.reset()
-    assert ids.fresh() == "r0"
-
-
 def test_independent_allocators_do_not_share_state():
     a = IdAllocator("a")
     b = IdAllocator("a")
