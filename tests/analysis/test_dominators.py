@@ -62,6 +62,15 @@ class TestDominators:
         assert tree.dominates(header, body)
         assert tree.dominates(header, latch)
 
+    def test_dominators_of_chain(self):
+        function, entry, left, right, merge = diamond_function()
+        tree = compute_dominator_tree(function)
+        chain = [merge]
+        while tree.idom[chain[-1]] is not chain[-1]:
+            chain.append(tree.idom[chain[-1]])
+        assert chain == [merge, entry]
+        assert tree.root is entry
+
 
 class TestPostdominators:
     def test_merge_postdominates_branches(self):

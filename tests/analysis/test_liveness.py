@@ -52,6 +52,24 @@ def test_blocks_after_loop_exclude_loop_blocks():
     assert after
 
 
+def test_objects_accessed_in_loop_partitions_reads_writes():
+    analyses, function, loop = analyzed(
+        "global a: int[4];\nglobal b: int[4];\n"
+        "func main() { for i in 0..4 { a[i] = b[i]; } }"
+    )
+    accesses = analyses.loop_accesses(loop)
+    read_names = {
+        obj.display_name for obj, group in accesses.items()
+        if any(not access.is_write for access in group)
+    }
+    write_names = {
+        obj.display_name for obj, group in accesses.items()
+        if any(access.is_write for access in group)
+    }
+    assert "@b" in read_names and "@b" not in write_names
+    assert "@a" in write_names and "@a" not in read_names
+
+
 def test_liveout_through_later_loop():
     analyses, function, loop = analyzed(
         "global a: int[4];\n"

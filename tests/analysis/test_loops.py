@@ -68,6 +68,34 @@ def test_loop_of_block_returns_innermost():
     assert innermost.header.name == "for.header.1"
 
 
+def test_enclosing_and_common_loops():
+    function, loops = loops_of(
+        "func main() { for i in 0..3 { print(i); for j in 0..3 { print(j); } } }"
+    )
+    outer_print = next(
+        i for i in function.block("for.body").instructions
+        if i.opcode == "print"
+    )
+    inner_print = next(
+        i for i in function.block("for.body.1").instructions
+        if i.opcode == "print"
+    )
+
+    def enclosing(inst):
+        return [loop for loop in loops if loop.contains_instruction(inst)]
+
+    assert len(enclosing(outer_print)) == 1
+    assert len(enclosing(inner_print)) == 2
+    commons = [
+        loop for loop in enclosing(outer_print)
+        if loop in enclosing(inner_print)
+    ]
+    assert len(commons) == 1
+    assert commons[0].header.name == "for.header"
+    inner = loop_of_block(loops, inner_print.parent)
+    assert inner.parent is commons[0] and inner.depth == 1
+
+
 def test_loop_equality_by_header():
     function, loops_a = loops_of("func main() { for i in 0..4 { } }")
     loops_b = find_natural_loops(function)

@@ -39,6 +39,26 @@ def test_self_loop_is_its_own_scc():
     assert [sorted(c) for c in components] == [[2], [1]]
 
 
+def test_condensation_edges():
+    succs = {1: [2], 2: [1, 3], 3: []}
+    components = strongly_connected_components([1, 2, 3], succs)
+    component_of = {
+        node: index
+        for index, component in enumerate(components)
+        for node in component
+    }
+    assert component_of[1] == component_of[2]
+    assert component_of[3] != component_of[1]
+    edges = {
+        (component_of[node], component_of[succ])
+        for node in succs for succ in succs[node]
+        if component_of[node] != component_of[succ]
+    }
+    assert edges == {(component_of[1], component_of[3])}
+    # Reverse topological: an edge between components points backward.
+    assert all(src > dst for src, dst in edges)
+
+
 @st.composite
 def random_digraph(draw):
     n = draw(st.integers(min_value=1, max_value=12))

@@ -11,6 +11,7 @@ from repro.core import (
     Relaxation,
     Trait,
     TRAIT_ATOMIC,
+    TRAIT_SINGULAR,
 )
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
@@ -34,6 +35,18 @@ class TestTraits:
         node.add_trait(Trait(TRAIT_ATOMIC, "c1"))
         node.add_trait(Trait(TRAIT_ATOMIC, "c1"))
         assert len(node.traits) == 1
+
+    def test_has_trait_with_and_without_context(self):
+        node = HierarchicalNode("region", context_label="c0")
+        node.add_trait(Trait(TRAIT_SINGULAR, "c1"))
+        node.add_trait(Trait(TRAIT_SINGULAR, "c2"))
+        # A trait holds in one context: the same kind in another is a
+        # second trait, not a duplicate.
+        assert node.traits == [
+            Trait(TRAIT_SINGULAR, "c1"), Trait(TRAIT_SINGULAR, "c2")
+        ]
+        assert Trait(TRAIT_SINGULAR, "c3") not in node.traits
+        assert Trait(TRAIT_ATOMIC, "c1") not in node.traits
 
 
 class TestSelectors:
@@ -66,6 +79,19 @@ class TestHierarchy:
             inner.add_child(InstructionNode(inst))
         assert set(outer.leaf_instructions()) == set(insts)
 
+    def test_ancestors_chain(self):
+        outer = HierarchicalNode("outer", context_label="o")
+        inner = HierarchicalNode("inner", context_label="i")
+        leaf = HierarchicalNode("leaf", context_label="l")
+        outer.add_child(inner)
+        inner.add_child(leaf)
+        chain, node = [], leaf.parent
+        while node is not None:
+            chain.append(node.kind)
+            node = node.parent
+        assert chain == ["inner", "outer"]
+        assert outer.children == [inner] and inner.children == [leaf]
+
     def test_unlabeled_hierarchical_node_is_not_context(self):
         node = HierarchicalNode("region")
         assert not node.is_context()
@@ -97,3 +123,18 @@ class TestContextChains:
         # loop -> for annotation -> parallel annotation -> "" (program).
         assert chain[-1] == ""
         assert len(chain) >= 3
+
+    def test_variables_for_context_inherit_outer(self):
+        module = compile_source(
+            "global t: int;\npragma omp threadprivate(t)\n"
+            "func main() { pragma omp for\nfor i in 0..4 { t = i; } }"
+        )
+        graph = PSPDGBuilder(
+            pdg_from_analyses(
+                FunctionAnalyses(module.function("main"), module)
+            )
+        ).build()
+        loop_label = next(iter(graph.context_of_loop.values()))
+        chain = graph.context_chain(loop_label)
+        names = {v.name for v in graph.variables if v.context in chain}
+        assert "t" in names  # program-wide threadprivate applies everywhere

@@ -104,3 +104,13 @@ class TestProjectionLaws:
         graph = self._graph()
         reduced = project(graph, {"nt", "dsde"})
         assert reduced.removed_features == ("dsde", "nt")
+
+    def test_same_representation_helper(self):
+        # Without contexts there is nothing for a trait, selector or
+        # variable to be parameterized by: removing them as well changes
+        # nothing more.
+        graph = self._graph()
+        assert signature(project(graph, {"c"})) == signature(
+            project(graph, {"c", "nt", "dsde", "psv"})
+        )
+        assert signature(project(graph, set())) == signature(full(graph))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import FunctionAnalyses
+from repro.frontend import compile_source
 from repro.ir import (
     BOOL,
     FLOAT,
@@ -105,6 +107,21 @@ class TestMemory:
         assert row.type.pointee == ArrayType(INT, 4)
         element = builder.gep(row, builder.int(2))
         assert element.type.pointee == INT
+
+    def test_memory_classification(self):
+        module = compile_source(
+            "func main() { var x: int = 0; x = x + 1; print(x); }"
+        )
+        function = module.function("main")
+        effects = {}
+        for access in FunctionAnalyses(function, module).accesses:
+            effects.setdefault(access.instruction.opcode, set()).add(
+                access.is_write
+            )
+        assert effects["load"] == {False}
+        assert effects["store"] == {True}
+        assert effects["print"] == {True}  # a write to the console object
+        assert set(effects) == {"load", "store", "print"}
 
 
 class TestSelectAndBranch:

@@ -1,5 +1,6 @@
 """IR pretty-printer golden checks."""
 
+from repro.cli import main
 from repro.frontend import compile_source
 from repro.ir import print_function, print_module
 
@@ -45,3 +46,14 @@ def test_signature_with_params():
     text = print_function(module.function("f"))
     assert "%x: int" in text
     assert "%a: [2 x int]*" in text
+
+
+def test_dump_returns_text(capsys, tmp_path):
+    source = "func main() { var x: int = 2; print(x * 3); }"
+    path = tmp_path / "dump.mop"
+    path.write_text(source)
+    assert main(["compile", str(path), "--ir"]) == 0
+    captured = capsys.readouterr()
+    text = print_module(compile_source(source, module_name="dump"))
+    assert captured.out == text + "\n"
+    assert "functions" in captured.err  # the summary moves off stdout

@@ -45,6 +45,18 @@ def test_memory_edges_have_objects_and_kinds():
     assert all(e.obj is not None for e in memory_edges)
 
 
+def test_statistics_shape():
+    pdg = pdg_for("func main() { var s: int = 0;\n"
+                  "for i in 0..3 { s = s + i; } print(s); }")
+    (loop,) = pdg.analyses.loops
+    carried = [e for e in pdg.edges if e.carried_loops]
+    assert carried  # s and i, each read after last iteration's write
+    assert all(e.kind == EDGE_MEMORY for e in carried)
+    assert all(e.carried_loops == (loop,) for e in carried)
+    assert {e.obj.display_name for e in carried} >= {"s"}
+    assert len(pdg.nodes) == len(list(pdg.function.instructions()))
+
+
 def test_loop_adjacency_restricted_to_loop():
     pdg = pdg_for("func main() { var s: int = 0;\n"
                   "for i in 0..3 { s = s + i; } print(s); }")

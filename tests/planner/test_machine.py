@@ -77,6 +77,26 @@ class TestCalibratedMachineStaysLegal:
         assert machine.threads_region_cost >= 1
         assert machine.compiled_speedup > 0
 
+    def test_projected_machine_survives_a_saved_profile(self, tmp_path):
+        # The profile persists coefficients, not machines: a warm store
+        # must project the machine the cold one did, field for field.
+        from repro.planner.calibration import CalibrationStore
+
+        path = str(tmp_path / "profile.json")
+        store = CalibrationStore(path)
+        for name, sample in (
+            ("payload_cost_per_byte", 0.25), ("serial_region_cost", 7.4),
+            ("threads_region_cost", 2999.5), ("compiled_speedup", 1.5),
+            ("threads_region_cost", -3.0),
+        ):
+            store._update(name, sample)
+        store.save()
+        machine = store.calibrated_machine(DEFAULT_MACHINE)
+        assert machine != DEFAULT_MACHINE
+        warm = CalibrationStore(path).calibrated_machine(DEFAULT_MACHINE)
+        assert warm == machine
+        assert isinstance(warm.threads_region_cost, int)
+
     def test_replace_preserves_int_typing(self):
         from repro.planner.calibration import CalibrationStore
 

@@ -176,6 +176,23 @@ def test_another_forest_prepares_anew():
     assert shape(again) == shape(first)
 
 
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_a_new_source_text_runs_the_new_program(backend):
+    """A second program under the same name, run after the first in one
+    process (one team, one pool), runs its own text, not what the first
+    left prepared, cached or installed."""
+    options = {"backend": backend, "workers": 2}
+    first = Session.from_source(UNEVEN, name="uneven", **options)
+    before = first.run("PS-PDG")
+    changed = UNEVEN.replace("0..48", "0..40").replace("out[47]", "out[39]")
+    second = Session.from_source(changed, name="uneven", **options)
+    after = second.run("PS-PDG")
+    assert after.output == second.execution.output != before.output
+    (region,) = after.parallel_regions
+    assert sum(w["iterations"] for w in region["per_worker"]) == 40
+    assert shape(first.run("PS-PDG")) == shape(before)
+
+
 def test_reconfigure_rekeys_the_next_run():
     session = Session.from_source(UNEVEN, name="uneven", backend="threads")
     session.run("PS-PDG")
