@@ -1,7 +1,6 @@
 """What no entry point reaches: every ``src/repro`` function never entered.
 
-    python3 benchmarks/reach.py            # one line: the count
-    python3 benchmarks/reach.py --list     # and every unreached function
+    python3 benchmarks/reach.py    # the count, then every function left
 
 Traces ``call`` events (``sys.settrace`` / ``threading.settrace``) over
 the entry set, each part in its own child with ``PYTHONHASHSEED=0`` and
@@ -321,7 +320,7 @@ def main(argv):
           f"{sum(r['lines'] for r in left)} lines "
           f"({len(allowed)} allow-listed, "
           f"{sum(r['lines'] for r in allowed)} lines)")
-    for record in left if "--list" in argv else ():
+    for record in left:
         print(f"  {record['module']}:{record['qualname']} "
               f"({record['lines']} lines)")
     return 0

@@ -3,13 +3,16 @@
 The probe keys every ``src/repro`` function by (file, first line) from
 the AST and matches those keys against the code objects a traced child
 entered, so the two must agree, decorators included.  Its report counts
-an unreached function once, at its outermost unreached level.  Nothing
-here starts a child: ``reached`` is replaced where a test needs it.
+an unreached function once, at its outermost unreached level.  Its
+allow-list names only what exists, each entry with a reason: a deletion
+that leaves its entry behind fails here.  Nothing here starts a child:
+``reached`` is replaced where a test needs it.
 """
 
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -104,9 +107,42 @@ def test_each_unreached_function_counts_once_at_its_outermost_level(
     monkeypatch.setattr(probe, "functions", lambda: found)
     monkeypatch.setattr(probe, "reached", lambda: {("m.py", 1)})
     monkeypatch.setattr(probe, "allowed_names", lambda: [("m", "Kept")])
-    assert probe.main(["--list"]) == 0
+    assert probe.main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "unreached: 2 functions, 8 lines (1 allow-listed, 4 lines)",
         "  m:entered.inner (2 lines)",
         "  m:never (6 lines)",
     ]
+
+
+def test_every_entry_has_a_reason_and_names():
+    probe = _probe()
+    for reason, lines in probe.ALLOWED.items():
+        assert reason.strip(), lines
+        assert lines.strip(), reason
+    assert all(module and qualname
+               for module, qualname in probe.allowed_names())
+
+
+def test_every_allow_listed_name_still_exists():
+    probe = _probe()
+    records = list(probe.functions().values())
+    missing = [
+        f"{module}:{qualname}"
+        for module, qualname in probe.allowed_names()
+        if not any(
+            record["module"] == module
+            and probe._allowed(record, [(module, qualname)])
+            for record in records
+        )
+    ]
+    assert not missing, missing
+
+
+def test_every_test_file_a_reason_names_exists():
+    named = {
+        path for reason in _probe().ALLOWED
+        for path in re.findall(r"tests/[\w/]+\.py", reason)
+    }
+    assert named
+    assert not [path for path in named if not (ROOT / path).is_file()]
