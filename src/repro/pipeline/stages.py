@@ -22,6 +22,7 @@ the artifact for :mod:`repro.pipeline.diagnostics`.
 """
 
 import dataclasses
+import functools
 
 from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
@@ -43,7 +44,7 @@ from repro.planner.recipes import (
     recipes_from_annotations,
     recipes_from_plan,
 )
-from repro.planner.views import DependenceView
+from repro.planner.views import DependenceIndex, DependenceView
 from repro.runtime import knobs
 
 
@@ -148,7 +149,8 @@ def _build_pspdg(session):
 
 
 def _build_views(session, abstractions):
-    return {name: DependenceView(name, session.pspdg) for name in abstractions}
+    index = DependenceIndex(session.pspdg)
+    return {n: DependenceView(n, session.pspdg, index) for n in abstractions}
 
 
 def _build_options(session, name, machine):
@@ -171,9 +173,7 @@ def _build_critical_paths(session):
     loops = session.loops
     uid_map = loop_uid_map(loops)
 
-    def evaluator_factory(plan):
-        return CriticalPathEvaluator(profile, plan)
-
+    evaluator_factory = functools.partial(CriticalPathEvaluator, profile)
     results = {}
     results["Sequential"] = {
         "critical_path": profile.shapes().total,
@@ -187,7 +187,7 @@ def _build_critical_paths(session):
         "plan": openmp_plan,
     }
     for name, view in session.views.items():
-        plan = abstraction_plan(
+        plan, cp = abstraction_plan(
             name,
             function,
             view,
@@ -197,7 +197,6 @@ def _build_critical_paths(session):
             hierarchical_inner=name in _HIERARCHICAL,
             plan_all_loops=name in _ALL_LOOPS,
         )
-        cp = evaluator_factory(plan).evaluate()
         results[name] = {
             "critical_path": cp,
             "speedup": openmp_cp / cp if cp else float("inf"),

@@ -6,9 +6,14 @@ components (SCC) with loop-carried dependences. ... If a loop can be
 parallelized as DOALL (i.e., no loop-carried dependences with a known trip
 count), then it is only considered as DOALL.  For non-DOALL loops, the
 compiler considers HELIX and DSWP."
+
+Views that see one graph of a loop share its classification, and Tarjan
+runs on first read of ``sccs``: with no carried pair no SCC is
+sequential, so ``doall_legal`` is the known trip count.
 """
 
 import dataclasses
+import functools
 
 from repro.analysis.deptests import constant_trip_count
 from repro.analysis.scc import strongly_connected_components
@@ -25,14 +30,37 @@ class SCCInfo:
 
 @dataclasses.dataclass
 class LoopClassification:
-    """Everything the planner needs to know about one loop under one view."""
+    """Everything the planner needs to know about one loop under a view."""
 
     loop: object
-    view_name: str
     trip_count_known: bool
-    sccs: list
     serialized_uids: frozenset  # orderless mutual-exclusion work
     carried_edge_count: int
+    #: (successor lists, carried pairs) until ``sccs`` has read them.
+    graph: tuple = dataclasses.field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def sccs(self):
+        adjacency, carried_pairs = self.graph
+        self.graph = None
+        components = strongly_connected_components(
+            loop_instructions(self.loop), adjacency
+        )
+        component_of = {
+            inst: index
+            for index, component in enumerate(components)
+            for inst in component
+        }
+        sequential = {
+            component_of[src]
+            for src, dst in carried_pairs
+            if component_of[src] == component_of[dst]
+        }
+        return [
+            SCCInfo(list(component), frozenset(i.uid for i in component),
+                    index in sequential)
+            for index, component in enumerate(components)
+        ]
 
     @property
     def sequential_sccs(self):
@@ -46,30 +74,39 @@ class LoopClassification:
         under a lock in any order, exactly like the critical sections the
         OpenMP source plan itself uses.
         """
-        return self.trip_count_known and not self.sequential_sccs
+        blocked = self.carried_edge_count and self.sequential_sccs
+        return self.trip_count_known and not blocked
 
     def sequential_uids(self):
-        uids = set()
-        for scc in self.sequential_sccs:
-            uids.update(scc.uids)
-        return frozenset(uids)
+        return frozenset().union(*(scc.uids for scc in self.sequential_sccs))
+
+
+def loop_instructions(loop):
+    """The loop's instructions in function order."""
+    return [
+        inst
+        for block in loop.header.parent.blocks
+        if block in loop.blocks
+        for inst in block.instructions
+    ]
 
 
 def classify_loop(view, loop):
-    """Classify ``loop`` under the dependence ``view`` (once per view)."""
+    """Classify ``loop`` under ``view``, once per distinct graph of it."""
     header = loop.header.name
-    classification = view.classifications.get(header)
-    if classification is None:
-        classification = view.classifications[header] = _classify(view, loop)
-    return classification
+    if header not in view.classifications:
+        serialized = view.serialized_uids(loop)
+        memo = view.index.classifications
+        key = (header, view.relaxing(loop), serialized)
+        if key not in memo:
+            memo[key] = _classify(view, loop, serialized)
+        view.classifications[header] = memo[key]
+    return view.classifications[header]
 
 
-def _classify(view, loop):
+def _classify(view, loop, serialized):
     # Every pair a view returns for ``loop`` has both ends in it, so only
     # the nodes with successors get an adjacency list.
-    instructions = view.loop_instructions(loop)
-    serialized = view.serialized_uids(loop)
-
     adjacency = {}
     carried_pairs = set()
     for src, dst in view.carried_edges(loop):
@@ -81,32 +118,7 @@ def _classify(view, loop):
         carried_pairs.add((src, dst))
     for src, dst in view.intra_edges(loop):
         adjacency.setdefault(src, []).append(dst)
-
-    components = strongly_connected_components(instructions, adjacency)
-    component_of = {
-        inst: index
-        for index, component in enumerate(components)
-        for inst in component
-    }
-    sequential = {
-        component_of[src]
-        for src, dst in carried_pairs
-        if component_of[src] == component_of[dst]
-    }
-    sccs = [
-        SCCInfo(
-            instructions=list(component),
-            uids=frozenset(inst.uid for inst in component),
-            is_sequential=index in sequential,
-        )
-        for index, component in enumerate(components)
-    ]
-
     return LoopClassification(
-        loop=loop,
-        view_name=view.name,
-        trip_count_known=constant_trip_count(loop) is not None,
-        sccs=sccs,
-        serialized_uids=serialized,
-        carried_edge_count=len(carried_pairs),
+        loop, constant_trip_count(loop) is not None, serialized,
+        len(carried_pairs), (adjacency, carried_pairs),
     )

@@ -123,16 +123,13 @@ def count_options(
     source_options = openmp_options(function, candidates, machine)
 
     per_loop = {}
-    totals = {"OpenMP": 0}
-    for name in views:
-        totals[name] = 0
+    totals = dict.fromkeys(["OpenMP", *views], 0)
     for loop in candidates:
         header = loop.header.name
         row = {"OpenMP": source_options[header]}
         totals["OpenMP"] += row["OpenMP"]
         for name, view in views.items():
-            classification = classify_loop(view, loop)
-            row[name] = options_for_loop(classification, machine)
+            row[name] = options_for_loop(classify_loop(view, loop), machine)
             totals[name] += row[name]
         per_loop[header] = row
     return OptionReport(benchmark_name, per_loop, totals)

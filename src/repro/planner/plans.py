@@ -225,6 +225,7 @@ def abstraction_plan(
     :func:`loop_uid_map`.  ``evaluator_factory(plan)`` prices a plan
     (``evaluate()``) and derives the evaluator of a one-loop variation
     (``with_loop_plan``), so a trial re-prices only what contains its loop.
+    Returns the plan and its critical path (the winning trial's price).
     """
     base_plans = {}
     if hierarchical_inner:
@@ -233,7 +234,7 @@ def abstraction_plan(
     evaluator = evaluator_factory(ProgramPlan(name, base_plans, uid_map))
     # Price the base plan first, so even the first loop's trials start
     # from its results.
-    evaluator.evaluate()
+    cost = evaluator.evaluate()
     if plan_all_loops:
         # Innermost-first so outer-loop decisions see inner parallelism.
         candidates = sorted(loops, key=lambda lp: -lp.depth)
@@ -246,9 +247,8 @@ def abstraction_plan(
             trial = evaluator.with_loop_plan(
                 loop.header.name, technique_plan(classification, technique)
             )
-            cost = trial.evaluate()
-            if best is None or cost < best[0]:
-                best = (cost, trial)
-        if best is not None:
-            evaluator = best[1]
-    return evaluator.plan
+            trial_cost = trial.evaluate()
+            if best is None or trial_cost < best[0]:
+                best = (trial_cost, trial)
+        cost, evaluator = best
+    return evaluator.plan, cost

@@ -21,16 +21,15 @@ relaxations of its features (:data:`VIEW_FEATURES`) — none for the PDG,
 record's ``removable(loop)`` — induction variables, recognized
 reductions, privatizable scalars — is abstraction-independent and shared.
 
-A view is a snapshot of a finished graph.  Its first query walks the
-kept relaxations once and the PDG's edges once and buckets them: carried
-edges by loop and loop-independent pairs under every loop that contains
-both ends, each bucket in graph order.  Every later query is a bucket
-lookup, so classifying all loops costs one walk per view, not two per
-loop.
+A view is a snapshot of a finished graph.  A session's views share one
+:class:`DependenceIndex`: one walk of the log and the PDG's edges files
+each dependence under its loops with the features that relax it there.
+A view filters a loop's bucket only where its features relax something
+(``relaxing``); ``classify_loop`` keeps one classification per graph.
 """
-# Per NAS8 sweep (8 kernels × 3 views × every loop), one core of a shared
-# Xeon, CPython 3.11: classification 62–70 ms with a scan per query, 42–47
-# ms over buckets (memdep's memos: 22–23 → 13–15 ms).
+# Per NAS8 sweep (8 kernels × 3 views, plan and options), one core of a
+# shared Xeon, CPython 3.11: planning 88–114 ms with a walk and a Tarjan
+# per view and loop, 49–65 ms over one index (156 → 83 classifications).
 
 import functools
 
@@ -45,26 +44,88 @@ VIEW_FEATURES = {
 }
 
 
+class DependenceIndex:
+    """One PS-PDG's dependences filed by loop, shared by its views."""
+
+    def __init__(self, pspdg):
+        self.pspdg = pspdg
+        #: ``classify_loop``'s memo: (header name, relaxing, serialized).
+        self.classifications = {}
+
+    @functools.cached_property
+    def buckets(self):
+        """``(carried, intra, touched, undirected)``: by loop header,
+        ``(obj, src, dst, features)`` and ``(src, dst, features)`` entries
+        and the features relaxing any of them; then the endpoints of the
+        orderless relaxations.  Graph order fixes Tarjan's, so the SCCs,
+        the DSWP stages and ``describe()``: no bucket is a set."""
+        # (source, destination, kind, mem_kind, id(obj)) -> [{carried
+        # context label: features}, loop-independent instance's features].
+        relaxed, undirected = {}, set()
+        for relaxation in self.pspdg.relaxations:
+            removed = relaxed.setdefault(
+                (relaxation.source, relaxation.destination, relaxation.kind,
+                 relaxation.mem_kind, id(relaxation.obj)),
+                [{}, set()],
+            )
+            for label in relaxation.carried_removed:
+                removed[0].setdefault(label, set()).add(relaxation.feature)
+            if relaxation.loop_independent_removed:
+                removed[1].add(relaxation.feature)
+            if relaxation.feature == "undirected":
+                undirected.update((relaxation.source, relaxation.destination))
+
+        loops_of_block = self.pspdg.pdg.analyses.loops_of_block
+        carried, intra, touched, buckets_of = {}, {}, {}, {}
+        for edge in self.pspdg.pdg.edges:
+            pair = (edge.source, edge.destination)
+            removed = relaxed.get(
+                (*pair, edge.kind, edge.mem_kind, id(edge.obj)), ((), ())
+            )
+            for loop in edge.carried_loops:
+                features = removed[0] and removed[0].get(
+                    loop_context_label(loop.header.name), ()
+                )
+                carried.setdefault(loop.header, []).append(
+                    (edge.obj, *pair, features)
+                )
+                if features:
+                    touched.setdefault(loop.header, set()).update(features)
+            if not edge.loop_independent:
+                continue
+            blocks = (pair[0].parent, pair[1].parent)
+            buckets = buckets_of.get(blocks)
+            if buckets is None:
+                buckets = buckets_of[blocks] = [
+                    (loop.header, intra.setdefault(loop.header, []))
+                    for loop in loops_of_block[blocks[0]]
+                    if blocks[1] in loop.blocks
+                ]
+            entry = (*pair, removed[1])  # one tuple in every loop's bucket
+            for header, bucket in buckets:
+                bucket.append(entry)
+                if removed[1]:
+                    touched.setdefault(header, set()).update(removed[1])
+        return carried, intra, touched, undirected
+
+
 class DependenceView:
     """Loop-level dependence queries under one abstraction: the PS-PDG's
     sequential PDG minus the relaxations of ``VIEW_FEATURES[name]``."""
 
-    def __init__(self, name, pspdg):
+    def __init__(self, name, pspdg, index=None):
         self.name = name
         self.features = VIEW_FEATURES[name]
         self.pspdg = pspdg
         self.analyses = pspdg.pdg.analyses
-        #: header name -> LoopClassification (``classify_loop``'s memo).
+        self.index = index or DependenceIndex(pspdg)
+        #: header name -> this view's entry of ``index.classifications``.
         self.classifications = {}
 
-    def loop_instructions(self, loop):
-        """The loop's instructions in function order."""
-        return [
-            inst
-            for block in self.analyses.function.blocks
-            if block in loop.blocks
-            for inst in block.instructions
-        ]
+    def relaxing(self, loop):
+        """This view's features that remove a dependence at ``loop``."""
+        touched = self.index.buckets[2].get(loop.header, ())
+        return frozenset(f for f in self.features if f in touched)
 
     def carried_edges(self, loop):
         """Directed dependences carried at ``loop`` (after this
@@ -72,62 +133,20 @@ class DependenceView:
         removable = self.analyses.removable(loop)
         return [
             (src, dst)
-            for obj, src, dst in self._buckets[0].get(loop.header, ())
+            for obj, src, dst, _ in self._entries(0, loop)
             if obj is None or obj not in removable
         ]
 
     def intra_edges(self, loop):
         """Loop-independent dependences between instructions of ``loop``."""
-        return list(self._buckets[1].get(loop.header, ()))
+        return [(src, dst) for src, dst, _ in self._entries(1, loop)]
 
-    @functools.cached_property
-    def _buckets(self):
-        """``(carried, intra)``, both keyed by loop header.  Graph order
-        fixes Tarjan's, so the SCCs, the DSWP stages and ``describe()``
-        downstream: no bucket is ever a set."""
-        # (source, destination, kind, mem_kind, id(obj)) -> [carried
-        # context labels removed, loop-independent instance removed].
-        relaxed = {}
-        for relaxation in self.pspdg.relaxations:
-            if relaxation.feature not in self.features:
-                continue
-            removed = relaxed.setdefault(
-                (relaxation.source, relaxation.destination, relaxation.kind,
-                 relaxation.mem_kind, id(relaxation.obj)),
-                [set(), False],
-            )
-            removed[0].update(relaxation.carried_removed)
-            removed[1] = removed[1] or relaxation.loop_independent_removed
-
-        loops_of_block = self.analyses.loops_of_block
-        carried, intra, buckets_of = {}, {}, {}
-        for edge in self.pspdg.pdg.edges:
-            pair = (edge.source, edge.destination)
-            removed = (
-                relaxed.get((*pair, edge.kind, edge.mem_kind, id(edge.obj)))
-                if relaxed
-                else None
-            )
-            for loop in edge.carried_loops:
-                if not removed or (
-                    loop_context_label(loop.header.name) not in removed[0]
-                ):
-                    carried.setdefault(loop.header, []).append(
-                        (edge.obj, *pair)
-                    )
-            if not edge.loop_independent or (removed and removed[1]):
-                continue
-            blocks = (pair[0].parent, pair[1].parent)
-            buckets = buckets_of.get(blocks)
-            if buckets is None:
-                buckets = buckets_of[blocks] = [
-                    intra.setdefault(loop.header, [])
-                    for loop in loops_of_block[blocks[0]]
-                    if blocks[1] in loop.blocks
-                ]
-            for bucket in buckets:
-                bucket.append(pair)
-        return carried, intra
+    def _entries(self, kind, loop):
+        entries = self.index.buckets[kind].get(loop.header, ())
+        relaxing = self.relaxing(loop)
+        if relaxing:
+            return [e for e in entries if relaxing.isdisjoint(e[-1])]
+        return entries
 
     def serialized_uids(self, loop):
         """Work that must hold the lock inside ``loop`` (orderless regions).
@@ -156,23 +175,15 @@ class DependenceView:
         if not region_members:
             return frozenset()
 
-        endpoints = set()
-        for relaxation in self.pspdg.relaxations:
-            if relaxation.feature != "undirected":
-                continue
-            endpoints.add(relaxation.source)
-            endpoints.add(relaxation.destination)
-
+        endpoints = self.index.buckets[3]
         uids = set()
         for members in region_members.values():
-            member_set = set(members)
-            seeds = endpoints & member_set
-            if not seeds:
+            selected = endpoints.intersection(members)
+            if not selected:
                 continue
             # Close over register dataflow between the conflicting
             # endpoints within the region (e.g. the add between the load
             # and the store of a locked update).
-            selected = set(seeds)
             changed = True
             while changed:
                 changed = False

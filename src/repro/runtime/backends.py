@@ -365,7 +365,7 @@ class _Stepper:
                             changed |= self._release_all(worker)
                     elif type(next_block) is not BasicBlock:
                         raise _left_body(block, next_block)
-                    elif critical:
+                    elif block.name in critical or next_block.name in critical:
                         changed |= self._update_locks(
                             worker, block, next_block
                         )

@@ -6,6 +6,7 @@ from repro.frontend import compile_source
 from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER
 from repro.pdg.builder import pdg_from_analyses
 from repro.planner import DependenceView
+from repro.planner.classify import loop_instructions
 
 
 def pdg_for(source):
@@ -62,7 +63,7 @@ def test_loop_adjacency_restricted_to_loop():
                   "for i in 0..3 { s = s + i; } print(s); }")
     loop = pdg.analyses.loops[0]
     view = DependenceView("PDG", PSPDGBuilder(pdg).build())
-    node_set = set(view.loop_instructions(loop))
+    node_set = set(loop_instructions(loop))
     pairs = view.carried_edges(loop) + view.intra_edges(loop)
     assert pairs
     for src, dst in pairs:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro import Session, SessionConfig
-from repro.planner import MachineModel
+from repro.planner import MachineModel, classify_loop
 from repro.planner.plans import ProgramPlan
 from repro.runtime.executor import ParallelInterpreter
 from repro.util.regionstats import RegionStats, region_feedback
@@ -84,28 +84,47 @@ def test_every_stage_runs_exactly_once(session):
 
 
 def _spy_on_classification(monkeypatch):
-    """Record every (view, header) pair actually classified."""
+    """Record the memo key of every loop actually classified."""
     from repro.planner import classify
 
     classified = []
     real = classify._classify
 
-    def spy(view, loop):
-        classified.append((view.name, loop.header.name))
-        return real(view, loop)
+    def spy(view, loop, serialized):
+        classified.append(_memo_key(view, loop))
+        return real(view, loop, serialized)
 
     monkeypatch.setattr(classify, "_classify", spy)
     return classified
 
 
+def _memo_key(view, loop):
+    return (
+        loop.header.name, view.relaxing(loop), view.serialized_uids(loop)
+    )
+
+
 def test_options_reuse_the_planners_classifications(session, monkeypatch):
     classified = _spy_on_classification(monkeypatch)
     session.plan()
-    # Both loops are outermost, so every view's planner saw both.
-    assert len(classified) == 2 * len(session.views)
-    planned = list(classified)
+    views = list(session.views.values())
+    memo = views[0].index.classifications
+    assert all(view.index.classifications is memo for view in views)
+    # Both loops are outermost, so every view's planner saw both: the
+    # memo holds the graph of each of the 2 x 3, each classified once,
+    # and at least one is shared (the first loop relaxes nothing).
+    assert len(session.loops) == 2
+    assert set(memo) == {
+        _memo_key(view, loop) for view in views for loop in session.loops
+    }
+    assert len(classified) == len(set(classified)) == len(memo)
+    assert len(memo) < 2 * len(views)
+    planned = dict(memo)
     session.options()
-    assert classified == planned
+    assert len(classified) == len(memo)
+    for view in views:
+        for loop in session.loops:
+            assert classify_loop(view, loop) is planned[_memo_key(view, loop)]
 
 
 def test_no_loop_is_classified_twice_under_one_view(monkeypatch):
@@ -114,14 +133,18 @@ def test_no_loop_is_classified_twice_under_one_view(monkeypatch):
     session.plan()
     planned = set(classified)
     session.options()
+    # No graph is classified twice, whichever views share it.
     assert len(classified) == len(set(classified))
     # What options() adds is exactly what planning never looked at: the
-    # nested loops under the views that plan outermost loops only.
+    # nested loops under the views that plan outermost loops only, where
+    # their graph is not the one the PS-PDG (which plans every loop)
+    # already classified.
     added = set(classified) - planned
     depth = {loop.header.name: loop.depth for loop in session.loops}
-    assert added and all(
-        view != "PS-PDG" and depth[header] > 0 for view, header in added
-    )
+    pspdg = session.views["PS-PDG"]
+    pspdg_keys = {_memo_key(pspdg, loop) for loop in session.loops}
+    assert added and all(depth[header] > 0 for header, _, _ in added)
+    assert not added & pspdg_keys
 
 
 def _spy_on_function(monkeypatch, real):
@@ -204,8 +227,9 @@ def test_every_consumer_holds_the_sessions_own_loops():
     session.options()
     classified = [
         classification.loop
-        for view in session.views.values()
-        for classification in view.classifications.values()
+        for classification in session.views[
+            "PS-PDG"
+        ].index.classifications.values()
     ]
     assert classified and all(id(loop) in own for loop in classified)
 

@@ -195,7 +195,7 @@ def _plan_with_prices(prices):
     (loop,) = setup.loops
     header = loop.header.name
     trials = []
-    plan = abstraction_plan(
+    plan, cost = abstraction_plan(
         "PDG", setup.function, setup.views["PDG"],
         lambda plan: _PricedByTechnique(plan, header, prices, trials),
         setup.loops, loop_uid_map(setup.loops),
@@ -203,7 +203,10 @@ def _plan_with_prices(prices):
     )
     # The recurrence on ``a`` rules DOALL out; all three others compete.
     assert trials == ["SEQ", TECH_HELIX, TECH_DSWP]
-    return plan.plan_for(header).technique
+    technique = plan.plan_for(header).technique
+    # The plan comes with its winning trial's price.
+    assert cost == prices[technique]
+    return technique
 
 
 def test_cost_ties_keep_the_first_technique_tried():

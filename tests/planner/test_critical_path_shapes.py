@@ -228,7 +228,7 @@ def test_planner_picks_the_reference_plans(name, source):
     session = Session.from_source(source, name=name)
     uid_map = loop_uid_map(session.loops)
     for view_name, view in session.views.items():
-        plans = [
+        (plan, cost), (reference_plan, reference_cost) = [
             abstraction_plan(
                 view_name, session.function, view,
                 lambda plan: evaluator_class(profile, plan),
@@ -241,8 +241,11 @@ def test_planner_picks_the_reference_plans(name, source):
                 (ReferenceCriticalPathEvaluator, recorded_profile(session)),
             )
         ]
-        assert plans[0].loop_plans == plans[1].loop_plans, view_name
-        assert plans[0] == session.plan(view_name)
+        assert plan.loop_plans == reference_plan.loop_plans, view_name
+        assert plan == session.plan(view_name)
+        # The winning trial's price is the plan's price from scratch.
+        assert cost == reference_cost, view_name
+        assert cost == CriticalPathEvaluator(session.profile, plan).evaluate()
 
 
 # -- the DAG is the tree, up to iteration order ---------------------------------

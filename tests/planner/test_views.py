@@ -1,10 +1,14 @@
 """Dependence views: what PDG, J&K, and PS-PDG each see."""
 
+import itertools
+
 import pytest
 
 from repro import Session
+from repro.analysis.deptests import constant_trip_count
 from repro.core.model import RELAXATION_FEATURES
-from repro.planner import VIEW_FEATURES, DependenceView, classify_loop
+from repro.planner import VIEW_FEATURES, classify_loop
+from repro.planner.classify import loop_instructions
 from repro.workloads import PAIRS, kernel_names
 from support import reference_views as reference
 from support.progen import generate_nest_program, generate_program
@@ -168,9 +172,9 @@ def test_buckets_answer_what_the_scans_answered(name):
     for loop in session.loops:
         for view in session.views.values():
             where = (name, loop.header.name, view.name)
-            assert view.loop_instructions(
-                loop
-            ) == reference.loop_instructions(view, loop), where
+            assert loop_instructions(loop) == reference.loop_instructions(
+                view, loop
+            ), where
             assert view.carried_edges(loop) == reference.carried_edges(
                 view, loop
             ), where
@@ -195,22 +199,94 @@ class _ScanCounter(list):
         return super().__iter__()
 
 
-def test_classifying_every_loop_walks_each_graph_at_most_twice():
+def test_the_views_of_a_session_walk_each_graph_once():
     session = Session.from_kernel("BT")
     pdg, pspdg = session.pdg, session.pspdg
     pdg.edges = _ScanCounter(pdg.edges)
     pspdg.relaxations = _ScanCounter(pspdg.relaxations)
     pspdg.directed_edges = _ScanCounter(pspdg.directed_edges)
     assert len(session.loops) > 2
-    for name in VIEW_FEATURES:
-        view = DependenceView(name, pspdg)
-        before = pdg.edges.scans, pspdg.relaxations.scans
+    assert set(session.views) == set(VIEW_FEATURES)
+    for view in session.views.values():
         for loop in session.loops:
             classify_loop(view, loop)
-        walks = pdg.edges.scans - before[0]
-        assert walks <= 2, (name, walks)
-        walks = pspdg.relaxations.scans - before[1]
-        assert walks <= 1, (name, walks)
+    # One index serves all three views.
+    assert pdg.edges.scans == 1
+    assert pspdg.relaxations.scans == 1
     # Every view is the PDG minus part of the log: none reads the
     # PS-PDG's own edges.
     assert pspdg.directed_edges.scans == 0
+
+
+# -- one classification per distinct graph, Tarjan only where carried --------
+
+
+def _memo_key(view, loop):
+    return (
+        loop.header.name, view.relaxing(loop), view.serialized_uids(loop)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [*kernel_names(), *sorted(_GALLERY), *sorted(_GENERATED)]
+)
+def test_shared_lazy_classifications_equal_per_view_tarjan(name):
+    """After planning and option counting have read what they read, every
+    loop x view classification is the from-scratch scan and Tarjan of that
+    view, ``doall_legal`` included, and two views share one object exactly
+    where their memo keys agree."""
+    session = _session(name)
+    session.critical_paths()
+    session.options()
+    views = list(session.views.values())
+    for loop in session.loops:
+        for view in views:
+            where = (name, loop.header.name, view.name)
+            classification = classify_loop(view, loop)
+            doall_legal = classification.doall_legal
+            sccs, carried, serialized = reference.classify(view, loop)
+            assert doall_legal == (
+                constant_trip_count(loop) is not None
+                and not any(sequential for _, sequential in sccs)
+            ), where
+            assert _summary(classification) == (
+                sccs, carried, serialized
+            ), where
+        for a, b in itertools.combinations(views, 2):
+            shared = classify_loop(a, loop) is classify_loop(b, loop)
+            assert shared == (
+                _memo_key(a, loop) == _memo_key(b, loop)
+            ), (name, loop.header.name, a.name, b.name)
+
+
+def test_nas8_classifies_each_graph_once_and_runs_tarjan_where_carried(
+    monkeypatch,
+):
+    from repro.planner import classify
+
+    counts = {"classify": 0, "tarjan": 0}
+
+    def counted(real, what):
+        def call(*args):
+            counts[what] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        classify, "_classify", counted(classify._classify, "classify")
+    )
+    monkeypatch.setattr(
+        classify,
+        "strongly_connected_components",
+        counted(classify.strongly_connected_components, "tarjan"),
+    )
+    for name in kernel_names():
+        session = Session.from_kernel(name)
+        assert len(session.views) == 3
+        session.critical_paths()
+        session.options()
+    # 156 loop x view classifications, each with its own Tarjan, before
+    # the views shared one memo and SCCs were computed on first read.
+    assert counts["classify"] <= 83, counts
+    assert counts["tarjan"] <= 28, counts
