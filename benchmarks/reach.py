@@ -150,10 +150,6 @@ ALLOWED = {
     "test_pspdg_builder.py::TestTasks, ::TestSelectors)": """
         repro.core.builder: PSPDGBuilder._tasks_depend
         repro.core.builder: PSPDGBuilder._selector_on_livein""",
-    "the lastprivate clause's join (tests/runtime/test_adversarial_plans.py"
-    "::TestCorrectPlansAreNotFlagged::test_correct_recipes_conform)": """
-        repro.runtime.executor: ParallelInterpreter._shared_storage
-        repro.runtime.executor: ParallelInterpreter._private_storage""",
     "the sequential reference run, benchmarks/e2e/catalogue.py "
     "--regen-expected (tests/emulator/test_interp.py)": """
         repro.emulator.interp: run_module run_source

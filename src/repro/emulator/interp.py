@@ -189,7 +189,7 @@ def zero_storage(value_type):
 def operand_getter(value):
     """``get(interp, frame)`` for one operand, its kind resolved now.  A
     decoded op calls one only for what it cannot read inline: an
-    argument, a global as a ``store`` pointer, a ``call`` or ``print``
+    argument anywhere but as a ``gep`` base, a ``call`` or ``print``
     operand."""
     if isinstance(value, Constant):
         constant = value.value
@@ -329,6 +329,24 @@ def _decode_load(inst):
 
 def _decode_store(inst):
     value, pointer = inst.operands
+    constant = _constant(value)
+    if isinstance(pointer, GlobalVariable) and _inline(value):
+        name = pointer.name
+
+        def op(interp, frame):
+            try:
+                stored = (
+                    frame.registers[value] if constant is None else constant
+                )
+            except KeyError as error:
+                raise _unexecuted(error) from None
+            overlay = frame.global_overlay
+            (
+                overlay[name] if name in overlay
+                else interp._global_storage[name]
+            )[0] = stored
+
+        return op
     if not _inline(value) or not isinstance(pointer, insts.Instruction):
         get_value, get_pointer = map(operand_getter, inst.operands)
 
@@ -338,7 +356,6 @@ def _decode_store(inst):
             storage[offset] = stored
 
         return op
-    constant = _constant(value)
 
     def op(interp, frame):
         registers = frame.registers
@@ -354,7 +371,7 @@ def _decode_store(inst):
 
 def _decode_gep(inst):
     """``(storage, offset + index * stride)``, the index bounds-checked;
-    read inline when the base is a register or a global."""
+    read inline when the base is a register, a global or an argument."""
     array_type = inst.pointer.type.pointee
     count = array_type.count
     stride = array_type.element.slots()
@@ -384,6 +401,20 @@ def _decode_gep(inst):
             registers = frame.registers
             try:
                 storage, offset = registers[base]
+                i = registers[index] if constant is None else constant
+            except KeyError as error:
+                raise _unexecuted(error) from None
+            if not 0 <= i < count:
+                raise EmulationError(f"index {i}" + suffix)
+            registers[inst] = (storage, offset + i * stride)
+
+    elif isinstance(base, Argument) and _inline(index):
+        position = base.index
+
+        def op(interp, frame):
+            registers = frame.registers
+            storage, offset = frame.args[position]
+            try:
                 i = registers[index] if constant is None else constant
             except KeyError as error:
                 raise _unexecuted(error) from None

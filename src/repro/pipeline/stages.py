@@ -40,6 +40,7 @@ from repro.planner.plans import (
     openmp_source_plan,
 )
 from repro.planner.recipes import (
+    RegionSet,
     as_region,
     recipes_from_annotations,
     recipes_from_plan,
@@ -121,7 +122,7 @@ def _build_source_regions(session):
     dispatches the same region objects, so their prepared records carry
     over."""
     recipes = recipes_from_annotations(session.function)
-    return [as_region(recipe) for recipe in recipes]
+    return RegionSet(as_region(recipe) for recipe in recipes)
 
 
 def _build_analyses(session):

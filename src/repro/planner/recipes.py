@@ -122,6 +122,26 @@ class RegionParallelization:
         return merged
 
 
+class RegionSet(list):
+    """A plan's regions as a Session keeps them, and what a run over them
+    would recheck: ``table`` (header -> region), the ``(schedule,
+    chunk)`` pairs ``checked``, and per function its ``stops``
+    (:func:`repro.codegen.seq.sequence_stops`).  A change of members
+    drops them; a recipe edited in place is validated when re-prepared."""
+
+    _members = None
+
+    def memo(self):
+        """This set, its ``table``, ``checked`` and ``stops`` current."""
+        members = tuple(self)
+        if members != self._members:
+            self._members = members
+            self.table = {region.header: region for region in members}
+            self.checked = set()
+            self.stops = {}
+        return self
+
+
 def as_region(parallelization):
     """Wrap a bare :class:`LoopParallelization` as a one-member region."""
     if isinstance(parallelization, RegionParallelization):
@@ -274,7 +294,8 @@ def executable_doall_headers(plan, loops):
 
 
 def recipes_from_plan(pspdg, plan):
-    """Execution regions for every dispatched loop of ``plan``.
+    """Execution regions for every dispatched loop of ``plan``, as a
+    :class:`RegionSet`.
 
     When the plan carries optimizer-produced :class:`RegionDescriptor`
     entries, they are authoritative: fused regions become multi-member
@@ -310,9 +331,9 @@ def recipes_from_plan(pspdg, plan):
                     tile=descriptor.tile,
                 )
             )
-        return regions
+        return RegionSet(regions)
 
-    return [
+    return RegionSet(
         RegionParallelization(recipes=[recipe_for(header)])
         for header in executable_doall_headers(plan, analyses.loops)
-    ]
+    )

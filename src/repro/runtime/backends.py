@@ -115,6 +115,9 @@ class ParallelRegion:
     workers: list  # _Worker instances, one per configured worker
     critical: dict  # block name -> (lock key, block set), elided syncs out
     stats: RegionStats  # the counter block backends increment
+    # The executor's _PreparedRegion: what every dispatch of the region
+    # reuses, ``locks`` and ``entries`` among it.
+    prepared: object
 
 
 class ExecutionBackend:
@@ -143,7 +146,9 @@ class _WorkerInterpreter(Interpreter):
     """Interpreter shell for one worker: own output/step counters.
 
     Shares (threads) or owns a copy of (processes) the global storage;
-    never rebuilds it from initializers.
+    never rebuilds it from initializers.  The threads backend keeps one
+    per worker index for a run (``interp.shims``) and zeroes its
+    counters per job.
     """
 
     def __init__(self, module, global_storage, max_steps):
@@ -437,17 +442,6 @@ class _Member:
                 self.outcome = (None, exc)
             self.done.release()
 
-    def start(self, job, item):
-        self.job, self.item = job, item
-        self.go.release()
-
-    def wait(self):
-        """The job's ``(result, error)``, once it has ended."""
-        self.done.acquire()
-        outcome, self.outcome = self.outcome, None
-        self.job = self.item = None
-        return outcome
-
     def retire(self):
         self.job = None
         if self.go.locked():  # unlocked: a job handed over, not yet taken
@@ -473,9 +467,16 @@ class _Team:
         while len(members) < len(items):
             members.append(_Member(len(members)))
         members = members[:len(items)]
-        for member, item in zip(members, items):
-            member.start(job, item)
-        return [member.wait() for member in members]
+        for member, item in zip(members, items):  # hand each its job
+            member.job, member.item = job, item
+            member.go.release()
+        for member in members:  # until every job has ended
+            member.done.acquire()
+            member.job = member.item = None
+        outcomes = [member.outcome for member in members]
+        for member in members:
+            member.outcome = None
+        return outcomes
 
     def retire(self):
         for member in self.members:
@@ -546,32 +547,46 @@ class ThreadsBackend(ExecutionBackend):
     def run_region(self, interp, region):
         stats = region.stats
         stats.backend = self.name
-        locks = _ThreadLocks(region.critical)
         active = [w for w in region.workers if w.size]
         if not active:
             return
-
+        prepared = region.prepared
+        locks = prepared.locks
+        if locks is None:
+            locks = prepared.locks = _ThreadLocks(region.critical)
         compile_on = interp.compile_regions
         verify = compile_on and bool(knobs.VERIFY_COMPILED)
         entries = {}
         if compile_on:
-            # Compile once on the dispatching thread; jobs only look up.
-            # A compiled body takes and releases ``locks`` on the same
-            # block edges the interpreter does, so critical/atomic loops
-            # compile like any other.
-            before = codegen_cache.stats()
-            entries = {
-                loop: codegen_cache.compiled_chunk(interp.module, loop)
-                for loop in region.loops
-            }
-            _count_codegen(stats, before, codegen_cache.stats())
+            # Looked up once per prepared region and module, here on the
+            # dispatching thread; jobs only read.  A compiled body takes
+            # and releases ``locks`` on the same block edges the
+            # interpreter does, so critical/atomic loops compile too.
+            if prepared.entries is None or (
+                prepared.entries[0] is not interp.module
+            ):
+                before = codegen_cache.stats()
+                prepared.entries = (interp.module, {
+                    loop: codegen_cache.compiled_chunk(interp.module, loop)
+                    for loop in prepared.loops
+                })
+                _count_codegen(stats, before, codegen_cache.stats())
+            entries = prepared.entries[1]
+        shims = interp.shims
+        if shims is None:
+            shims = interp.shims = [
+                _WorkerInterpreter(
+                    interp.module, interp._global_storage, interp.max_steps
+                )
+                for _worker in region.workers
+            ]
+            for shim in shims:
+                shim._decoded = interp._decoded  # one decode per block per run
 
         def job(worker):
             start = time.perf_counter()
-            shim = _WorkerInterpreter(
-                interp.module, interp._global_storage, interp.max_steps
-            )
-            shim._decoded = interp._decoded  # one decode per block per run
+            shim = shims[worker.index]
+            shim.steps, shim.output = 0, []
             reachable = payload_codec._walk_storages(
                 worker.frame, interp._global_storage
             ) if verify else None  # what the armed oracle copies
@@ -601,7 +616,8 @@ class ThreadsBackend(ExecutionBackend):
         ):
             worker.steps = shim.steps
             interp.steps += shim.steps
-            interp.output.extend(shim.output)
+            if shim.output:
+                interp.output.extend(shim.output)
             stats.compiled_chunks += compiled
             stats.interpreted_chunks += interpreted
 

@@ -9,14 +9,18 @@ stop*), then
    member loops from the run's forest — the caller's own when it handed
    one in, a Session's record, so a warm run discovers no loops, else
    found once per function — their schedulers and bound getters, the
-   privatization plan and the lock map, built on the region's first
-   dispatch and kept on the region until anything it was built from
-   changes), evaluates the canonical iteration space and partitions it
-   with a :class:`~repro.runtime.schedulers.ChunkScheduler` (static /
-   dynamic / guided — decided once, shared by every backend); a worker
-   keeps its chunk lists and their total, and one with none is never
-   dispatched,
-2. builds one privatized frame per worker from the plan, with
+   privatization plan, the lock map and its real locks, and the members'
+   compiled chunks, built on the region's first dispatch and kept on the
+   region until anything it was built from changes), evaluates the
+   canonical iteration bounds and, when they or the worker count differ
+   from the region's last entry, partitions the iteration space with a
+   :class:`~repro.runtime.schedulers.ChunkScheduler` (static / dynamic /
+   guided — decided once, shared by every backend) into the record's
+   one-entry memo (:class:`_Split`); a worker keeps its chunk lists and
+   their total, and one with none is never dispatched,
+2. builds one privatized frame per worker from the plan — the parent's
+   object table and global overlay shared unless an alloca or a global
+   is private — with
 
    * per-worker private copies of the induction variable and every
      variable the recipe privatizes,
@@ -68,8 +72,9 @@ from repro.emulator.interp import (
     zero_storage,
 )
 from repro.ir.instructions import Call
+from repro.ir.types import PointerType
 from repro.ir.values import GlobalVariable
-from repro.planner.recipes import as_region
+from repro.planner.recipes import RegionSet, as_region
 from repro.runtime import knobs
 from repro.runtime.backends import ParallelRegion, get_backend
 from repro.runtime.schedulers import make_scheduler
@@ -79,40 +84,104 @@ from repro.util.regionstats import RegionStats
 class _Worker:
     """One worker executing its chunk of every member loop of a region.
 
-    ``segments`` holds one ``(loop, iterations)`` pair per member; the
-    worker drains them in order (member A's chunk, then member B's) with
-    no barrier in between — the simulated backend steps workers through
-    their segments independently, and the real backends run the segment
-    list inside one thread/process dispatch.
+    ``segments`` holds one ``(loop, iterations)`` pair per member (the
+    :class:`_Split`'s, never written); the worker drains them in order
+    (member A's chunk, then member B's) with no barrier in between — the
+    simulated backend steps workers through their segments
+    independently, and the real backends run the segment list inside one
+    thread/process dispatch.
     """
 
     __slots__ = (
-        "index",
-        "segments",
-        "size",
-        "frame",
-        "done",
-        "waiting_for",
-        "held",
-        "steps",
-        "seconds",
-        "private_globals",
-        "private_allocas",
+        "index", "segments", "size", "frame", "done", "waiting_for", "held",
+        "steps", "seconds", "private_globals", "private_allocas",
     )
 
-    def __init__(self, index, segments):
+    def __init__(self, index, segments, size, frame, prepared):
         self.index = index
         self.segments = segments  # [(loop, iteration values), ...]
-        # Iterations over all segments; a worker of none gets no job.
-        self.size = sum(len(iterations) for _loop, iterations in segments)
-        self.frame = None
-        self.done = not self.size
+        self.size = size  # iterations in all; a worker of none gets no job
+        self.frame = frame
+        self.done = not size
         self.waiting_for = None  # lock name when blocked
         self.held = set()
         self.steps = 0
         self.seconds = 0.0
-        # Set with the frame: privatized global names, Alloca instructions.
-        self.private_globals = self.private_allocas = None
+        # Privatized global names, Alloca instructions.
+        self.private_globals = prepared.private_globals
+        self.private_allocas = prepared.private_allocas
+
+
+class _Split:
+    """One entry's partition, kept until an entry's ``key``, ``(bounds,
+    workers)``, differs: per member its iteration ``values``, per worker
+    its ``segments`` and their ``sizes``, the region's ``iterations``,
+    and per lastprivate member the ``owners``' ``([(storage, global name
+    or None), ...], worker)``."""
+
+    __slots__ = ("key", "values", "segments", "sizes", "iterations", "owners")
+
+    def __init__(self, prepared, bounds, workers):
+        self.key = (bounds, workers)
+        self.values = []
+        assignments = []
+        for index, (_loop, _recipe, scheduler) in enumerate(prepared.members):
+            lower, upper, step = bounds[3 * index:3 * index + 3]
+            if step <= 0:
+                raise PlanError("parallel loops require a positive step")
+            values = list(range(lower, upper, step))
+            # Tiling caps how many workers get non-empty chunks; the
+            # rest are padded empty so worker count stays uniform (the
+            # backends only dispatch payloads for non-empty workers).
+            partitions = workers
+            if prepared.region.tile:
+                needed = -(-len(values) // prepared.region.tile) or 1
+                partitions = max(1, min(workers, needed))
+            assignment = scheduler.partition(values, partitions)
+            self.values.append(values)
+            assignments.append(
+                assignment + [[] for _ in range(workers - partitions)]
+            )
+        self.segments = [
+            [
+                (loop, assignment[worker])
+                for loop, assignment in zip(prepared.loops, assignments)
+            ]
+            for worker in range(workers)
+        ]
+        self.sizes = [
+            sum(len(iterations) for _loop, iterations in segments)
+            for segments in self.segments
+        ]
+        self.iterations = sum(map(len, self.values))
+        # Lastprivate writes back per member: the worker that executes
+        # the member's final iteration owns the sequential final state.
+        self.owners = []
+        for (_loop, recipe, _s), values, assignment in zip(
+            prepared.members, self.values, assignments
+        ):
+            if recipe.lastprivate and values:
+                owner = next(
+                    worker for worker, iterations in enumerate(assignment)
+                    if iterations and iterations[-1] == values[-1]
+                )
+                self.owners.append((
+                    [(s, _global_name(s)) for s in recipe.lastprivate], owner
+                ))
+
+
+def _global_name(storage):
+    return storage.name if isinstance(storage, GlobalVariable) else None
+
+
+def _storage(frame, storage, name, global_storage):
+    """What ``storage`` (global ``name``, or an alloca when ``None``)
+    denotes in ``frame``: its object, else its overlay's or the global
+    storage."""
+    if name is None:
+        return frame.objects[storage]
+    overlay = frame.global_overlay
+    return overlay[name] if name in overlay else global_storage[name]
 
 
 def _value_type(storage):
@@ -174,20 +243,25 @@ class _PreparedRegion:
     :func:`_recipe_key` snapshot of the region's recipes — the function
     the region runs in and its member ``loops``;
     :meth:`ParallelInterpreter._prepared_region` rebuilds it when any of
-    them changes.  ``privates`` is the privatization plan, one
+    them changes.  ``bounds`` reads every member's ``(lower, upper,
+    step)`` in turn.  ``privates`` is the privatization plan, one
     ``(storage, global name or None, template, firstprivate)`` per
     private storage in first-wins order: a worker's copy is
     ``list(template)``, or of the shared value for firstprivate (the
     zero template when the storage has none yet).  ``reductions`` holds
-    one ``(storage, global name or None, merge)`` per reduction.
-    Nothing here depends on a run or holds an interpreter.
+    one ``(storage, global name or None, merge)`` per reduction.  Filled
+    on the dispatching thread before a backend runs, never by a worker:
+    ``split``, the last entry's :class:`_Split`; ``locks``, the
+    ``threads`` backend's for ``critical``; ``entries``, ``(module, loop
+    -> compiled chunk)``.  Nothing here depends on a run.
     """
 
     __slots__ = (
         "key", "function", "loops", "region", "label", "fused", "chunk",
-        "members", "resume", "privates", "inductions", "live_in",
-        "global_slots", "alloca_slots", "private_globals", "private_allocas",
-        "critical", "reductions",
+        "members", "bounds", "resume", "privates", "inductions", "live_in",
+        "pointers", "global_slots", "alloca_slots", "private_globals",
+        "private_allocas", "critical", "reductions",
+        "split", "locks", "entries",
     )
 
     def __init__(self, region, function, loops, key):
@@ -205,15 +279,15 @@ class _PreparedRegion:
                 make_scheduler(
                     schedule, chunk if chunk is not None else recipe.chunk
                 ),
-                tuple(
-                    operand_getter(bound) for bound in (
-                        loop.canonical.lower,
-                        loop.canonical.upper,
-                        loop.canonical.step,
-                    )
-                ),
             )
             for loop, recipe in zip(loops, region.recipes)
+        ]
+        self.bounds = [
+            operand_getter(bound)
+            for loop in loops
+            for bound in (
+                loop.canonical.lower, loop.canonical.upper, loop.canonical.step
+            )
         ]
         # Control resumes after the *last* member; fusion legality
         # guarantees nothing but induction glue lives in between.
@@ -227,10 +301,9 @@ class _PreparedRegion:
             if id(storage) in seen:
                 return
             seen.add(id(storage))
-            name = (
-                storage.name if isinstance(storage, GlobalVariable) else None
+            self.privates.append(
+                (storage, _global_name(storage), template, firstprivate)
             )
-            self.privates.append((storage, name, template, firstprivate))
 
         for loop in loops:
             privatize(loop.canonical.induction, [0])
@@ -240,11 +313,9 @@ class _PreparedRegion:
             privatize(storage, _zeros_for(storage), firstprivate=True)
         for storage, op in recipe.reductions:
             privatize(storage, identity_slots(_value_type(storage), op))
-            self.reductions.append((
-                storage,
-                storage.name if isinstance(storage, GlobalVariable) else None,
-                REDUCIBLE_OPS[op][0],
-            ))
+            self.reductions.append(
+                (storage, _global_name(storage), REDUCIBLE_OPS[op][0])
+            )
         for storage in recipe.lastprivate:
             # Already-private storages (e.g. firstprivate-seeded scratch)
             # keep their seed; plain lastprivate starts zeroed.
@@ -264,6 +335,10 @@ class _PreparedRegion:
         self.live_in = sorted(
             live_in_registers(loops), key=lambda inst: inst.uid
         )
+        self.pointers = [
+            inst for inst in self.live_in
+            if isinstance(inst.type, PointerType)
+        ]
         # Where each copy goes: a global's into the overlay, an alloca's
         # into the object table.
         self.global_slots = [
@@ -283,6 +358,7 @@ class _PreparedRegion:
         self.critical = _critical_region_map(
             function, region.removed_sync_uids
         )
+        self.split = self.locks = self.entries = None
 
 
 class ParallelInterpreter(Interpreter):
@@ -319,16 +395,20 @@ class ParallelInterpreter(Interpreter):
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
-        regions = [as_region(p) for p in parallelizations]
-        self._regions = {region.header: region for region in regions}
-        for region in regions:
-            for recipe in region.recipes:
-                # Fail fast: a zero/negative chunk must be a PlanError,
-                # not an empty (or runaway) partition at execution time.
-                make_scheduler(schedule, chunk if chunk is not None
-                               else recipe.chunk)
-        if not regions:
+        if not isinstance(parallelizations, RegionSet):
+            parallelizations = RegionSet(map(as_region, parallelizations))
+        regions = parallelizations.memo()
+        self._regions = regions.table
+        if (schedule, chunk) not in regions.checked:
+            for region in regions:
+                for recipe in region.recipes:
+                    # Fail fast: a zero/negative chunk must be a PlanError,
+                    # not an empty (or runaway) partition at execution time.
+                    make_scheduler(schedule, chunk if chunk is not None
+                                   else recipe.chunk)
             make_scheduler(schedule, chunk)  # still validate the names
+            regions.checked.add((schedule, chunk))
+        self._stops = regions.stops  # function -> its region-stop spec
         self._loops_by_function = dict(forest or {})
         for name, loops in self._loops_by_function.items():
             own = module.functions.get(name)
@@ -340,6 +420,7 @@ class ParallelInterpreter(Interpreter):
                 )
         self.parallel_regions = []  # RegionStats, in execution order
         self._prepared = {}  # header -> _PreparedRegion, checked once a run
+        self.shims = None  # the threads backend's, one per worker index
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/verify) and call-mode counters.
         self._seq_entries = {}
@@ -348,6 +429,7 @@ class ParallelInterpreter(Interpreter):
 
     def run(self, function_name="main", args=(), profiler=None, loops=None):
         self._prepared = {}
+        self.shims = None
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
         result = super().run(function_name, args, profiler, loops)
@@ -376,12 +458,12 @@ class ParallelInterpreter(Interpreter):
         outside the region's loop blocks (the lowering refuses anything
         else), and resume at the statically-known canonical exit.
         """
-        self._execute_parallel_region(
-            self._prepared_region(
+        prepared = self._prepared.get(header)
+        if prepared is None or prepared.function is not frame.function:
+            prepared = self._prepared_region(
                 header, self._regions[header], frame.function
-            ),
-            frame,
-        )
+            )
+        self._execute_parallel_region(prepared, frame)
 
     def _prepared_region(self, header, region, function):
         """The :class:`_PreparedRegion` of ``region`` (its first member's
@@ -461,12 +543,12 @@ class ParallelInterpreter(Interpreter):
         entry ``None`` when the lowering refused it, which counts as an
         interpreted call — or ``None``: it is not compiled at all.
 
-        Memoized per (name, verify): the stop spec is fixed for this
-        interpreter's lifetime.  Under ``VERIFY_COMPILED`` only
-        functions whose call graph reaches no planned region compile
-        (the oracle replays the whole body, and a region dispatch is not
-        replayable); everything else runs interpreted, where chunk-level
-        verification still applies.
+        Memoized per (name, verify); the stop spec is kept across runs
+        on the :class:`~repro.planner.recipes.RegionSet`.  Under
+        ``VERIFY_COMPILED`` only functions whose call graph reaches no
+        planned region compile (the oracle replays the whole body, and a
+        region dispatch is not replayable); everything else runs
+        interpreted, where chunk-level verification still applies.
         """
         if not self.compile_regions or self._profiler is not None:
             return None
@@ -476,7 +558,11 @@ class ParallelInterpreter(Interpreter):
             return self._seq_entries[key]
         except KeyError:
             pass
-        stops = codegen_seq.sequence_stops(self._regions, function)
+        stops = self._stops.get(function)
+        if stops is None:
+            stops = self._stops[function] = codegen_seq.sequence_stops(
+                self._regions, function
+            )
         if verify and (stops or not self._verify_safe(function)):
             result = None
         else:
@@ -514,30 +600,33 @@ class ParallelInterpreter(Interpreter):
     # -- the parallel region: partition, dispatch, join, record ------------------
 
     def _execute_parallel_region(self, prepared, frame):
-        members = self._partition(prepared, frame)
-        workers = [
-            _Worker(
-                index,
-                [(loop, assignment[index])
-                 for loop, _recipe, _values, assignment in members],
-            )
-            for index in range(self.workers)
-        ]
+        bounds = tuple([get(self, frame) for get in prepared.bounds])
+        split = prepared.split
+        if split is None or split.key != (bounds, self.workers):
+            split = prepared.split = _Split(prepared, bounds, self.workers)
+        workers = self._make_workers(prepared, split, frame)
         stats = RegionStats(
             header=prepared.label,
             fused=prepared.fused,
             schedule=self.schedule,
             workers=self.workers,
             chunk=prepared.chunk,
-            iterations=sum(len(values) for _l, _r, values, _a in members),
+            iterations=split.iterations,
         )
         region = ParallelRegion(
             loops=prepared.loops, frame=frame, workers=workers,
-            critical=prepared.critical, stats=stats,
+            critical=prepared.critical, stats=stats, prepared=prepared,
         )
-        self._make_worker_frames(prepared, frame, workers)
-
-        backend = self._effective_backend(prepared.region)
+        # A small-region override reroutes a ``processes`` dispatch onto
+        # threads.  It only ever *reduces* dispatch weight; the simulated
+        # oracle is left untouched so race detection stays
+        # level-independent.
+        backend = self.backend
+        if (
+            prepared.region.backend_override == "threads"
+            and backend.name == "processes"
+        ):
+            backend = get_backend("threads")
         started = time.perf_counter()
         backend.run_region(self, region)
         stats.seconds = time.perf_counter() - started
@@ -545,7 +634,8 @@ class ParallelInterpreter(Interpreter):
             stats.backend = (
                 f"{self.backend.name}->{stats.backend}(small-region)"
             )
-        self._join(workers, members, prepared.reductions, frame)
+        if prepared.reductions or split.owners:
+            self._join(workers, split, prepared.reductions, frame)
 
         stats.per_worker = [
             {
@@ -558,86 +648,48 @@ class ParallelInterpreter(Interpreter):
         ]
         self.parallel_regions.append(stats)
 
-    def _partition(self, prepared, frame):
-        """``(loop, recipe, values, per-worker assignment)`` per member."""
-        members = []
-        for loop, recipe, scheduler, (lower, upper, step) in (
-            prepared.members
-        ):
-            lower, upper, step = (
-                lower(self, frame), upper(self, frame), step(self, frame)
-            )
-            if step <= 0:
-                raise PlanError("parallel loops require a positive step")
-            values = list(range(lower, upper, step))
-            # Tiling caps how many workers get non-empty chunks; the
-            # rest are padded empty so worker count stays uniform (the
-            # backends only dispatch payloads for non-empty workers).
-            partitions = self._partition_count(len(values), prepared.region)
-            assignment = scheduler.partition(values, partitions)
-            assignment = assignment + [
-                [] for _ in range(self.workers - partitions)
-            ]
-            members.append((loop, recipe, values, assignment))
-        return members
-
-    def _partition_count(self, trip, region_par):
-        """Workers that get non-empty chunks (tiling floors chunk size)."""
-        if not region_par.tile:
-            return self.workers
-        needed = -(-trip // region_par.tile) if trip else 1
-        return max(1, min(self.workers, needed))
-
-    def _effective_backend(self, region_par):
-        """The region's backend: the configured one unless a small-region
-        override reroutes a ``processes`` dispatch onto threads.
-
-        The override only ever *reduces* dispatch weight; the simulated
-        oracle is left untouched so race detection stays
-        level-independent.
-        """
-        if (
-            region_par.backend_override == "threads"
-            and self.backend.name == "processes"
-        ):
-            return get_backend("threads")
-        return self.backend
-
     # -- worker frames -----------------------------------------------------------
 
-    def _make_worker_frames(self, prepared, frame, workers):
-        """Every worker's privatized frame, from the plan and the parent's."""
+    def _make_workers(self, prepared, split, frame):
+        """One worker per index, each on its privatized frame from the
+        plan and the parent's."""
         objects = frame.objects
         overlay = frame.global_overlay
+        parent = frame.registers
+        registers = {}
+        for inst in prepared.live_in:
+            if inst in parent:
+                registers[inst] = parent[inst]
         # What each private copy is seeded from, and which shared storage
-        # it stands in for (id -> plan slot): the same for every worker.
+        # it stands in for: the same for every worker.
         seeds = []
-        slots = {}
+        shared = []
         for slot, (storage, name, template, firstprivate) in enumerate(
             prepared.privates
         ):
             if name is not None:
-                shared = self._effective_global(frame, name)
+                current = overlay[name] if name in overlay else (
+                    self._global_storage[name]
+                )
             else:
-                shared = objects.get(storage)
-            if shared is not None:
-                slots[id(shared)] = slot
+                current = objects[storage] if storage in objects else None
+            if current is not None:
+                shared.append((slot, current))
                 if firstprivate:
-                    template = shared
+                    template = current
             seeds.append(template)
-        # The live-in registers, and those among them that point into a
-        # shared storage that gets a private copy: re-aimed at the copy.
-        parent = frame.registers
-        registers = {}
+        # The live-in pointers into a shared storage that gets a private
+        # copy: re-aimed at the copy.
         reaim = []
-        for inst in prepared.live_in:
-            if inst in parent:
-                value = registers[inst] = parent[inst]
-                if isinstance(value, tuple) and len(value) == 2:
-                    slot = slots.get(id(value[0]))
-                    if slot is not None:
-                        reaim.append((inst, slot, value[1]))
-        for worker in workers:
+        for inst in prepared.pointers:
+            if inst in registers:
+                target, offset = registers[inst]
+                for slot, storage in shared:
+                    if storage is target:
+                        reaim.append((inst, slot, offset))
+                        break
+        workers = []
+        for index in range(self.workers):
             copies = list(map(list, seeds))
             worker_frame = _Frame(frame.function, frame.args)
             worker_frame.registers = dict(registers)
@@ -645,9 +697,12 @@ class ParallelInterpreter(Interpreter):
                 worker_frame.registers[inst] = (copies[slot], offset)
             for induction, slot in prepared.inductions:
                 worker_frame.registers[induction] = (copies[slot], 0)
-            worker_frame.global_overlay = dict(overlay)
-            for slot, name in prepared.global_slots:
-                worker_frame.global_overlay[name] = copies[slot]
+            if prepared.global_slots:
+                worker_frame.global_overlay = dict(overlay)
+                for slot, name in prepared.global_slots:
+                    worker_frame.global_overlay[name] = copies[slot]
+            else:
+                worker_frame.global_overlay = overlay  # read only
             if prepared.alloca_slots:
                 # Copy-on-write object table: private entries shadow shared.
                 worker_frame.objects = dict(objects)
@@ -655,60 +710,29 @@ class ParallelInterpreter(Interpreter):
                     worker_frame.objects[storage] = copies[slot]
             else:
                 worker_frame.objects = objects  # shared by default
-            worker.private_globals = prepared.private_globals
-            worker.private_allocas = prepared.private_allocas
-            worker.frame = worker_frame
+            workers.append(_Worker(
+                index, split.segments[index], split.sizes[index],
+                worker_frame, prepared,
+            ))
+        return workers
 
     # -- join -------------------------------------------------------------------
 
-    def _join(self, workers, members, reductions, frame):
+    def _join(self, workers, split, reductions, frame):
+        global_storage = self._global_storage
         for storage, name, merge in reductions:
-            if name is None:
-                shared = frame.objects[storage]
-                copies = [worker.frame.objects[storage] for worker in workers]
-            else:
-                shared = self._effective_global(frame, name)
-                copies = [
-                    worker.frame.global_overlay[name] for worker in workers
-                ]
-            for private in copies:  # slot by slot, in worker order
+            shared = _storage(frame, storage, name, global_storage)
+            for worker in workers:  # slot by slot, in worker order
+                private = (
+                    worker.frame.objects[storage] if name is None
+                    else worker.frame.global_overlay[name]
+                )
                 shared[:] = map(merge, shared, private)
-        # Lastprivate writes back per member: the worker that executed
-        # the member's final iteration owns the sequential final state.
-        for segment, (_loop, recipe, values, _assignment) in enumerate(
-            members
-        ):
-            if not recipe.lastprivate:
-                continue
-            last_value = values[-1] if values else None
-            owner = None
-            for worker in workers:
-                iterations = worker.segments[segment][1]
-                if iterations and iterations[-1] == last_value:
-                    owner = worker
-            if owner is None:
-                continue
-            for storage in recipe.lastprivate:
-                shared = self._shared_storage(storage, frame)
-                private = self._private_storage(owner, storage)
-                shared[:] = private
-
-    def _effective_global(self, frame, name):
-        """The storage a global's name denotes in ``frame`` (overlay-aware)."""
-        overlay = frame.global_overlay.get(name)
-        if overlay is not None:
-            return overlay
-        return self._global_storage[name]
-
-    def _shared_storage(self, storage, frame):
-        if isinstance(storage, GlobalVariable):
-            return self._effective_global(frame, storage.name)
-        return frame.objects[storage]
-
-    def _private_storage(self, worker, storage):
-        if isinstance(storage, GlobalVariable):
-            return worker.frame.global_overlay[storage.name]
-        return worker.frame.objects[storage]
+        for lastprivate, owner in split.owners:
+            for storage, name in lastprivate:
+                _storage(frame, storage, name, global_storage)[:] = _storage(
+                    workers[owner].frame, storage, name, global_storage
+                )
 
 
 def run_parallel(module, parallelizations, function_name="main", **options):

@@ -536,3 +536,62 @@ def test_a_block_mutated_between_runs_is_decoded_afresh():
     builder.print_([builder.int(2)])
     block.append(terminator)
     assert interpreter.run().output == [(None, (1,)), (None, (2,))]
+
+
+FILL_AND_ACCUMULATE = """
+global data: int[64];
+global s: int;
+
+func fill(b: int[64]) {
+  for i in 0..64 {
+    b[i] = i * 2;
+  }
+}
+
+func main() {
+  fill(data);
+  for i in 0..64 {
+    s = s + data[i];
+  }
+  print(s);
+}
+"""
+
+
+@pytest.mark.parametrize("name", ("fill", "main"))
+def test_an_argument_base_and_a_global_store_cost_one_call(name):
+    """``fill``'s ``gep %b, %i`` (an array parameter as the base) and
+    ``main``'s ``store %sum, @s`` (a scalar global as the pointer) read
+    their operands inline: every op of either loop body is one Python
+    ``call`` event, as in the test above."""
+    module = compile_source(FILL_AND_ACCUMULATE)
+    assert run_module(module).output == [(None, (4032,))]
+    interpreter = Interpreter(module)
+    storage = interpreter._global_storage
+    function = module.function(name)
+    args = [(storage["data"], 0)] if name == "fill" else []
+    frame = _Frame(function, args)
+    for op in decode_block(function.entry):  # the induction alloca, 0
+        op(interpreter, frame)
+    (alloca,) = [inst for inst in function.entry.instructions
+                 if inst.opcode == "alloca"]
+    frame.objects[alloca][0] = 3  # run the body at i = 3
+    body = function.block("for.body")
+    costs = []
+    for inst, op in zip(body.instructions, decode_block(body)):
+        events = []
+        sys.setprofile(lambda _frame, event, _arg: events.append(event))
+        try:
+            op(interpreter, frame)
+        finally:
+            sys.setprofile(None)
+        costs.append((inst.opcode, [o.short() for o in inst.operands],
+                      events.count("call")))
+    shape = ("gep", ["%b", "%8"]) if name == "fill" else (
+        "store", ["%11", "@s"]
+    )
+    assert shape in [(opcode, operands) for opcode, operands, _n in costs]
+    assert [cost for cost in costs if cost[2] != 1] == []
+    # data[3] = 3 * 2; main's entry called fill, so s = 0 + data[3].
+    assert storage["data"][3] == 6
+    assert storage["s"] == [6 if name == "main" else 0]

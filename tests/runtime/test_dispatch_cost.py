@@ -8,11 +8,15 @@ so runs of ``R`` and ``2R`` serial trips differ by ``R`` dispatches and
 nothing else: their difference over ``R`` is the cost of one dispatch.
 
 That cost must not grow with the region's trip count or with how many
-registers the enclosing frame holds: the partition slices its
-iteration list, and a worker frame copies only the registers its loops
-read.  It must also stay below :data:`K`; a dispatch that rebuilds its
-recipe, schedulers, bound getters or privatization plan, or hands its
-jobs over through futures, costs more.
+registers the enclosing frame holds: the partition is the region's
+memo while its bounds stay put, and a worker frame copies only the
+registers its loops read.  It must also stay below :data:`K`; a
+dispatch that rebuilds its recipe, schedulers, bound getters,
+privatization plan, partition, locks or compiled-entry table, or hands
+its jobs over through futures, costs more.  What the run pays besides
+its dispatches — the intercept of ``warm_calls(R)`` as a line in ``R``
+— must stay below :data:`FIXED`: revalidating the schedule or
+rescanning the region stops on every run costs more.
 """
 
 import gc
@@ -23,11 +27,18 @@ import pytest
 from repro import Session
 from repro.runtime import backends
 
-#: Calls per warm dispatch, at most: the measured 94 (CPython 3.10 and
-#: 3.11; 83 on 3.12 and 3.13) of a compiled ``static`` run of two
-#: workers, plus 25 %.  The dispatcher that rebuilt every dispatch's plan
-#: and handed off through ``concurrent.futures`` measured 190 on 3.11.
-K = 117
+#: Calls per warm dispatch, at most: the measured 40 (CPython 3.11) of
+#: a compiled ``static`` run of two workers, plus 25 %.  Partitioning,
+#: looking up compiled chunks and building locks on every entry measured
+#: 94 on 3.10 and 3.11 (83 on 3.12 and 3.13); the dispatcher before that,
+#: which rebuilt every dispatch's plan and handed off through
+#: ``concurrent.futures``, 190 on 3.11.
+K = 50
+
+#: Calls of a warm run besides its dispatches, at most: the measured 79
+#: (CPython 3.11) plus 25 %.  Validating the schedule and rescanning
+#: the region stops on every run measured 95.
+FIXED = 98
 
 ROUNDS = 10
 
@@ -102,6 +113,11 @@ def fresh_team():
 
 def test_a_warm_dispatch_costs_at_most_k_calls():
     assert slope() <= K
+
+
+def test_a_warm_run_costs_at_most_fixed_calls_besides_its_dispatches():
+    once, twice = warm_calls(ROUNDS), warm_calls(2 * ROUNDS)
+    assert once - ROUNDS * (twice - once) / ROUNDS <= FIXED
 
 
 def test_the_cost_does_not_grow_with_the_trip_count():

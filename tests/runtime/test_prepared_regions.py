@@ -2,8 +2,9 @@
 
 A region keeps what its dispatches reuse (``RegionParallelization.
 prepared``: loops, schedulers, bound getters, privatization plan, lock
-map), and a Session keeps each stage's content key; both are rebuilt
-whenever anything they were built from changes.  Each test here makes
+map, locks, compiled chunks, and the last entry's partition), and a
+Session keeps each stage's content key; both are rebuilt whenever
+anything they were built from changes.  Each test here makes
 such a change between two runs and wants what a fresh session (or a
 fresh recipe) dispatches: the same output, and the same partition —
 per worker, the iterations it ran and the steps they took, which differ
@@ -15,6 +16,7 @@ import pytest
 import repro.session
 from repro import Session
 from repro.analysis.loops import find_natural_loops
+from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
 from repro.planner.recipes import as_region, recipes_from_annotations
@@ -129,10 +131,71 @@ def _regions_and_forest(module):
     return regions, forest
 
 
-def _run(module, regions, forest):
-    return run_parallel(
-        module, regions, workers=3, backend="threads", forest=forest
-    )
+def _run(module, regions, forest, **options):
+    options = {"workers": 3, "backend": "threads", **options}
+    return run_parallel(module, regions, forest=forest, **options)
+
+
+#: A region entered 12 times, with one more iteration on every entry
+#: (a wavefront's shape): no entry can reuse the last one's partition.
+GROWING = """
+global a: int[12];
+
+func main() {
+  for t in 0..12 {
+    pragma omp parallel_for
+    for i in 0..t + 1 {
+      a[i] = a[i] + t * 3 + i;
+    }
+  }
+  print(a[0], a[5], a[11]);
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+def test_bounds_that_change_on_every_entry_keep_one_partition(backend):
+    module = compile_source(GROWING)
+    regions, forest = _regions_and_forest(module)
+    result = _run(module, regions, forest, backend=backend)
+    assert result.output == run_module(compile_source(GROWING)).output
+    assert [
+        sum(worker["iterations"] for worker in region["per_worker"])
+        for region in result.parallel_regions
+    ] == list(range(1, 13))
+    # One entry, the last one's: refreshed on every entry, never grown.
+    split = regions[0].prepared.split
+    assert split.key == ((0, 12, 1), 3)
+    assert split.values == [list(range(12))]
+
+
+def test_a_chunk_or_schedule_override_rekeys_the_partition():
+    module = compile_source(UNEVEN)
+    regions, forest = _regions_and_forest(module)
+    before = _run(module, regions, forest)
+    split = regions[0].prepared.split
+    assert shape(_run(module, regions, forest)) == shape(before)
+    assert regions[0].prepared.split is split  # the bounds stayed put
+    for overrides in (  # each differs from the run before
+        {"chunk": 5},
+        {"schedule": "dynamic", "chunk": 5},
+        {"schedule": "guided"},
+        {},
+    ):
+        after = _run(module, regions, forest, **overrides)
+        fresh_module = compile_source(UNEVEN)
+        fresh_regions, fresh_forest = _regions_and_forest(fresh_module)
+        expected = _run(fresh_module, fresh_regions, fresh_forest, **overrides)
+        assert shape(after) == shape(expected), overrides
+        rekeyed = regions[0].prepared.split
+        fresh = fresh_regions[0].prepared.split
+        assert rekeyed.key == fresh.key
+        assert [[chunk for _loop, chunk in segments]
+                for segments in rekeyed.segments] == [
+            [chunk for _loop, chunk in segments] for segments in fresh.segments
+        ]
+        assert rekeyed is not split, overrides
+        split = rekeyed
 
 
 @pytest.mark.parametrize("mutation", ["chunk", "reduction", "private"])

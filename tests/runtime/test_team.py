@@ -316,6 +316,68 @@ def test_two_sessions_on_two_python_threads_match_the_emulator():
     assert len(team_threads()) <= 3  # one team, no wider than a region
 
 
+#: One more iteration on every entry: each entry refreshes the
+#: region's partition.
+GROWING = """
+global a: int[24];
+
+func main() {
+  var s: int = 0;
+  for t in 0..24 {
+    pragma omp parallel_for reduction(+: s)
+    for i in 0..t + 1 {
+      a[i] = a[i] + t * 3 + i;
+      s = s + a[i];
+    }
+  }
+  print(s, a[0], a[23]);
+}
+"""
+
+
+def test_one_session_on_two_python_threads_matches_the_emulator():
+    """Two threads dispatch the same prepared regions at once: GROWING
+    refreshes its region's partition under the other thread, and IS's
+    critical section shares one region's locks."""
+    sessions = [  # with the plan each runs
+        (Session.from_source(GROWING, name="growing", workers=3,
+                             backend="threads"), "OpenMP"),
+        (Session.from_kernel("IS", opt_level=2, workers=3,
+                             backend="threads"), "PS-PDG"),
+    ]
+    for session, plan in sessions:
+        assert session.run(plan).parallel_regions  # what both then share
+        session.execution  # the reference, built before the threads start
+    failures = []
+
+    def drive(session, plan):
+        try:
+            for _ in range(8):
+                result = session.run(plan)
+                if not outputs_close(
+                    result.output, session.execution.output
+                ):
+                    failures.append((session.config.name, result.output))
+        except BaseException as exc:  # reported below, on the main thread
+            failures.append((session.config.name, repr(exc)))
+
+    drivers = [
+        threading.Thread(target=drive, args=pair)
+        for pair in sessions for _ in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the dispatchers and the team
+    try:
+        for driver in drivers:
+            driver.start()
+        for driver in drivers:
+            driver.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(driver.is_alive() for driver in drivers)
+    assert failures == []
+
+
 # -- (d) the failover ---------------------------------------------------------------------
 
 
