@@ -71,10 +71,6 @@ ALLOWED = {
         repro.codegen.profile: _interpret
         repro.emulator.interp: Interpreter._track_loops
         repro.emulator.interp: Interpreter._account""",
-    "Section 5 / Appendix A sufficiency checker (tests/core/"
-    "test_sufficiency.py)": """
-        repro.core.sufficiency: *
-        repro.core.model: HierarchicalNode.is_context""",
     "a CFG the structured walk refuses runs interpreted and says why "
     "(tests/codegen/test_structured_lowering.py::test_a_cfg_the_walk_"
     "refuses_runs_interpreted_and_says_why, ::test_a_loop_left_from_its_"

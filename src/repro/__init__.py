@@ -10,7 +10,7 @@ The package implements the paper's full pipeline (Fig. 12):
    subscript tests, reductions, privatization — feeding
 4. :mod:`repro.pdg` — the sequential PDG — and
 5. :mod:`repro.core` — **the PS-PDG** (Table 1 model, builder, Section 4
-   ablations, Section 5 sufficiency), consumed by
+   ablations), consumed by
 6. :mod:`repro.planner` — DOALL/HELIX/DSWP classification, Fig. 13 option
    enumeration, Fig. 14 ideal-machine critical paths — with
 7. :mod:`repro.emulator` / :mod:`repro.runtime` — a reference interpreter

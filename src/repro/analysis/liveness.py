@@ -13,6 +13,8 @@ ask ``analyses.live_out(loop)`` rather than calling these directly.
 outside a region's loops that its chunks read from the parent frame.
 """
 
+from itertools import compress, repeat
+
 from repro.analysis.cfg import reachable_blocks, successors_map
 from repro.ir.instructions import Instruction
 
@@ -53,18 +55,17 @@ def live_in_registers(loops):
     values (pointers computed before the loop, loop-invariant scalars)
     the body references but never defines.
     """
-    inside = set()
-    for loop in loops:
-        for block in loop.blocks:
-            inside.update(id(inst) for inst in block.instructions)
-    needed = set()
-    for loop in loops:
-        for block in loop.blocks:
-            for inst in block.instructions:
-                for operand in inst.operands:
-                    if (
-                        isinstance(operand, Instruction)
-                        and id(operand) not in inside
-                    ):
-                        needed.add(operand)
-    return needed
+    instructions = [
+        inst for loop in loops for block in loop.blocks
+        for inst in block.instructions
+    ]
+    operands = [operand for inst in instructions for operand in inst.operands]
+    # The per-operand tests run inside ``map``, so they cost no Python
+    # call each: every planned region is prepared in the compile stage.
+    inside = set(map(id, instructions))
+    outside = list(compress(
+        operands, [key not in inside for key in map(id, operands)]
+    ))
+    return set(
+        compress(outside, map(isinstance, outside, repeat(Instruction)))
+    )

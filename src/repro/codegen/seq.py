@@ -78,20 +78,16 @@ class CompiledSequence:
 def sequence_stops(regions, function):
     """The region-stop spec for ``function``, in block order.
 
-    ``regions`` maps header block name -> region parallelization (the
-    interpreter's dispatch table); only headers that name a block of
-    *this* function become stops.  The spec is names only, and it is
-    part of the codegen cache key.
+    ``regions`` maps header block name -> region (the interpreter's
+    dispatch table); only headers that name a block of *this* function
+    become stops.  The spec is names only, and it is part of the codegen
+    cache key.
     """
-    stops = []
-    for block in function.blocks:
-        region = regions.get(block.name)
-        if region is not None:
-            stops.append((
-                block.name,
-                tuple(recipe.header for recipe in region.recipes),
-            ))
-    return tuple(stops)
+    return tuple(
+        (block.name, regions[block.name].headers)
+        for block in function.blocks
+        if block.name in regions
+    )
 
 
 @dataclasses.dataclass

@@ -2,9 +2,10 @@
 
 The paper's primary contribution: Table 1 model (:mod:`repro.core.model`),
 construction from annotated IR (:mod:`repro.core.builder`), the feature
-ablations of Section 4 (:mod:`repro.core.ablation`), canonical signatures
-(:mod:`repro.core.canonical`), and the OpenMP/Cilk sufficiency mapping of
-Section 5 / Appendix A (:mod:`repro.core.sufficiency`).
+ablations of Section 4 (:mod:`repro.core.ablation`), and canonical
+signatures (:mod:`repro.core.canonical`).  The OpenMP/Cilk
+sufficiency mapping of Section 5 / Appendix A is checked by the tests
+(``tests/support/sufficiency.py``).
 """
 
 from repro.core.ablation import (
@@ -46,14 +47,6 @@ from repro.core.model import (
     Variable,
     VariableAccess,
 )
-from repro.core.sufficiency import (
-    CILK_FEATURE_MAP,
-    OPENMP_CLAUSE_FEATURE_MAP,
-    OPENMP_FEATURE_MAP,
-    expected_features,
-    missing_features,
-    realized_features,
-)
 
 __all__ = [
     "ALL_FEATURES",
@@ -92,10 +85,4 @@ __all__ = [
     "VAR_REDUCIBLE",
     "Variable",
     "VariableAccess",
-    "CILK_FEATURE_MAP",
-    "OPENMP_CLAUSE_FEATURE_MAP",
-    "OPENMP_FEATURE_MAP",
-    "expected_features",
-    "missing_features",
-    "realized_features",
 ]

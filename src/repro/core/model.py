@@ -113,9 +113,6 @@ class HierarchicalNode(Node):
         node.parent = self
         self.children.append(node)
 
-    def is_context(self):
-        return self.context_label is not None
-
     def leaf_instructions(self):
         result = []
         stack = list(self.children)

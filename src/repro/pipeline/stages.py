@@ -39,14 +39,10 @@ from repro.planner.plans import (
     loop_uid_map,
     openmp_source_plan,
 )
-from repro.planner.recipes import (
-    RegionSet,
-    as_region,
-    recipes_from_annotations,
-    recipes_from_plan,
-)
+from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
 from repro.planner.views import DependenceIndex, DependenceView
 from repro.runtime import knobs
+from repro.runtime.executor import prepare_plan
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -118,11 +114,12 @@ def _profile_stats(execution):
 
 
 def _build_source_regions(session):
-    """The developer's OpenMP plan as regions: every source-plan run
-    dispatches the same region objects, so their prepared records carry
-    over."""
-    recipes = recipes_from_annotations(session.function)
-    return RegionSet(as_region(recipe) for recipe in recipes)
+    """The developer's OpenMP plan as prepared regions: every
+    source-plan run dispatches the same records."""
+    return prepare_plan(
+        recipes_from_annotations(session.function), session.function,
+        session.analyses.loops_by_header,
+    )
 
 
 def _build_analyses(session):
@@ -315,11 +312,19 @@ def _optimize_stats(results):
 
 
 def _build_recipes(session):
-    """Region execution recipes per abstraction, from the optimized plans."""
-    return {
-        name: recipes_from_plan(session.pspdg, result.plan)
-        for name, result in session.optimizations.items()
-    }
+    """Prepared regions per abstraction, from the optimized plans, in
+    the session's function over its loops; abstractions whose plans
+    dispatch equal regions share one tuple of records."""
+    function = session.function
+    loops = session.analyses.loops_by_header
+    records = {}  # regions -> their prepared tuple
+    recipes = {}
+    for name, result in session.optimizations.items():
+        regions = recipes_from_plan(session.pspdg, result.plan)
+        if regions not in records:
+            records[regions] = prepare_plan(regions, function, loops)
+        recipes[name] = records[regions]
+    return recipes
 
 
 def _recipes_stats(recipes):
@@ -348,14 +353,13 @@ def _build_compile_regions(session):
     here: a ``processes`` pool child decodes its own copy and lowers
     each body once, the first time it runs one.
     """
-    loops_by_header = session.analyses.loops_by_header
     summary = {"compiled": [], "fallback": [], "tiers": {}}
     seen = set()
     for regions in session.region_recipes.values():
         for region in regions:
-            for header in region.headers:
-                loop = loops_by_header.get(header)
-                if loop is None or loop.canonical is None or header in seen:
+            for loop in region.loops:
+                header = loop.header.name
+                if header in seen:
                     continue
                 seen.add(header)
                 entry = codegen_cache.compiled_chunk(session.module, loop)
@@ -385,7 +389,9 @@ STAGES = {
         Stage("module", (), _build_module, _module_stats, params=("name",)),
         Stage("function", ("module",), _build_function,
               params=("function_name",)),
-        Stage("source_regions", ("function",), _build_source_regions),
+        Stage(
+            "source_regions", ("function", "analyses"), _build_source_regions
+        ),
         # The analysis record: each part is computed on first use, so
         # the stages below are timed for the part they ask for.
         Stage("analyses", ("module", "function"), _build_analyses),
@@ -464,7 +470,7 @@ STAGES = {
         ),
         Stage(
             "recipes",
-            ("pspdg", "optimize"),
+            ("pspdg", "optimize", "analyses"),
             _build_recipes,
             _recipes_stats,
         ),

@@ -19,39 +19,56 @@ from repro.core.builder import loop_context_label
 from repro.frontend.directives import REDUCTION_OPS
 from repro.ir.values import Argument
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, TECH_DOALL
+from repro.util.errors import PlanError
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LoopParallelization:
-    """Execution recipe for one DOALL loop.
+    """Execution recipe for one DOALL loop; frozen, so a changed recipe
+    is a new one (``dataclasses.replace``).
 
     Attributes:
         header: loop header block name.
-        privatized: list of storages (Alloca/GlobalVariable) given fresh
+        privatized: storages (Alloca/GlobalVariable) given fresh
             per-worker copies.
         firstprivate: storages copied from the shared value per worker.
         lastprivate: storages whose final-iteration private value is
             written back at the join.
-        reductions: list of (storage, op-name) merged at the join.
-        chunk: scheduler chunk size (iterations per contiguous chunk).
+        reductions: (storage, op-name) pairs merged at the join.
+        chunk: scheduler chunk size (iterations per contiguous chunk), a
+            positive integer.
     """
 
     header: str
-    privatized: list = dataclasses.field(default_factory=list)
-    firstprivate: list = dataclasses.field(default_factory=list)
-    lastprivate: list = dataclasses.field(default_factory=list)
-    reductions: list = dataclasses.field(default_factory=list)
+    privatized: tuple = ()
+    firstprivate: tuple = ()
+    lastprivate: tuple = ()
+    reductions: tuple = ()
     chunk: int = 1
 
+    def __post_init__(self):
+        for name in ("privatized", "firstprivate", "lastprivate",
+                     "reductions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        chunk = self.chunk
+        if not isinstance(chunk, int) or isinstance(chunk, bool) or chunk < 1:
+            raise PlanError(
+                f"loop {self.header}: chunk size must be a positive "
+                f"integer, got {chunk!r}"
+            )
 
-@dataclasses.dataclass
+
+@dataclasses.dataclass(frozen=True)
 class RegionParallelization:
-    """One dispatched parallel region: one or more fused member loops.
+    """One planned parallel region: one or more fused member loops.
 
     The runtime's unit of execution since the ``repro.opt`` pipeline:
     every worker receives the same iteration chunk for every member and
     runs the members back-to-back (fusion legality guarantees identical
-    iteration spaces and worker-aligned cross-member dependences).
+    iteration spaces and worker-aligned cross-member dependences).  The
+    runtime prepares it once
+    (:class:`repro.runtime.executor.PreparedRegion`); the plan record
+    itself holds nothing of a run.
 
     Attributes:
         recipes: member :class:`LoopParallelization` in control-flow
@@ -66,19 +83,15 @@ class RegionParallelization:
         tile: minimum iterations per payload (tiling); the runtime caps
             the effective worker count at ``ceil(trip / tile)`` and
             pads the rest with empty chunks.
-        prepared: the runtime's dispatch record for this region
-            (:class:`repro.runtime.executor._PreparedRegion`), built on
-            its first dispatch and rebuilt when what it was built from
-            changes; never part of the region's identity.
     """
 
-    recipes: list
+    recipes: tuple
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
     tile: int = None
-    prepared: object = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "recipes", tuple(self.recipes))
 
     @property
     def header(self):
@@ -97,83 +110,42 @@ class RegionParallelization:
     def fused(self):
         return len(self.recipes) > 1
 
-    def merged_recipe(self):
-        """Union of the members' privatization/reduction sets.
-
-        Reductions dedupe by (storage, op): members sharing a same-op
-        reduction accumulate into one per-worker copy, merged once at
-        the join (commutativity makes the grouping unobservable).
-        """
-        merged = LoopParallelization(header=self.label,
-                                     chunk=self.recipes[0].chunk)
-        seen = {}
-        for recipe in self.recipes:
-            for attr in ("privatized", "firstprivate", "lastprivate"):
-                for storage in getattr(recipe, attr):
-                    bucket = seen.setdefault(attr, set())
-                    if id(storage) not in bucket:
-                        bucket.add(id(storage))
-                        getattr(merged, attr).append(storage)
-            for storage, op in recipe.reductions:
-                bucket = seen.setdefault("reductions", set())
-                if (id(storage), op) not in bucket:
-                    bucket.add((id(storage), op))
-                    merged.reductions.append((storage, op))
-        return merged
-
-
-class RegionSet(list):
-    """A plan's regions as a Session keeps them, and what a run over them
-    would recheck: ``table`` (header -> region), the ``(schedule,
-    chunk)`` pairs ``checked``, and per function its ``stops``
-    (:func:`repro.codegen.seq.sequence_stops`).  A change of members
-    drops them; a recipe edited in place is validated when re-prepared."""
-
-    _members = None
-
-    def memo(self):
-        """This set, its ``table``, ``checked`` and ``stops`` current."""
-        members = tuple(self)
-        if members != self._members:
-            self._members = members
-            self.table = {region.header: region for region in members}
-            self.checked = set()
-            self.stops = {}
-        return self
-
 
 def as_region(parallelization):
     """Wrap a bare :class:`LoopParallelization` as a one-member region."""
-    if isinstance(parallelization, RegionParallelization):
-        return parallelization
-    return RegionParallelization(recipes=[parallelization])
+    if isinstance(parallelization, LoopParallelization):
+        return RegionParallelization(recipes=(parallelization,))
+    return parallelization
 
 
 def parallelization_from_annotation(annotation, function):
     """Build a :class:`LoopParallelization` from a worksharing annotation."""
     clauses = annotation.directive.clauses
-    recipe = LoopParallelization(header=annotation.loop_header)
-    for name in clauses.private:
-        recipe.privatized.append(annotation.binding(name))
-    for name in clauses.firstprivate:
-        recipe.firstprivate.append(annotation.binding(name))
-    for name in clauses.lastprivate:
-        recipe.lastprivate.append(annotation.binding(name))
-    for op, name in clauses.reductions:
-        recipe.reductions.append((annotation.binding(name), REDUCTION_OPS[op]))
-    if clauses.schedule and clauses.schedule[1]:
-        recipe.chunk = clauses.schedule[1]
-    return recipe
+    return LoopParallelization(
+        header=annotation.loop_header,
+        privatized=[annotation.binding(name) for name in clauses.private],
+        firstprivate=[
+            annotation.binding(name) for name in clauses.firstprivate
+        ],
+        lastprivate=[
+            annotation.binding(name) for name in clauses.lastprivate
+        ],
+        reductions=[
+            (annotation.binding(name), REDUCTION_OPS[op])
+            for op, name in clauses.reductions
+        ],
+        chunk=(clauses.schedule and clauses.schedule[1]) or 1,
+    )
 
 
 def recipes_from_annotations(function):
     """The developer's OpenMP plan: one recipe per worksharing annotation."""
-    return [
+    return tuple(
         parallelization_from_annotation(annotation, function)
         for annotation in function.annotations
         if annotation.directive.declares_loop_independence()
         and annotation.loop_header is not None
-    ]
+    )
 
 
 # -- PS-PDG -> runtime recipe ---------------------------------------------------
@@ -217,7 +189,7 @@ def parallelization_from_pspdg(pspdg, loop):
         if annotation.loop_header == loop.header.name:
             chain.add(annotation.uid)
 
-    recipe = LoopParallelization(header=loop.header.name)
+    privatized, shared_seeded, reductions = [], [], []
     seen = set()
     for variable in pspdg.variables:
         if variable.context not in chain:
@@ -232,7 +204,7 @@ def parallelization_from_pspdg(pspdg, loop):
             # simulated oracle exposes plans that needed more.
             continue
         if variable.is_reducible():
-            recipe.reductions.append(
+            reductions.append(
                 (variable.storage, REDUCTION_OPS.get(
                     variable.reducer_op, variable.reducer_op
                 ))
@@ -243,7 +215,7 @@ def parallelization_from_pspdg(pspdg, loop):
         if not any(access.is_write for access in in_loop):
             continue  # read-only here: keep it shared
         if obj not in analyses.live_out(loop):
-            recipe.privatized.append(variable.storage)
+            privatized.append(variable.storage)
             continue
         op = update_op(in_loop)
         if op is not None:
@@ -251,15 +223,20 @@ def parallelization_from_pspdg(pspdg, loop):
             # correct whether or not iterations actually collide, so
             # this outranks the (sequential, symbol-level) carried test —
             # which calls ``p[k] op= e`` with an indirect ``k`` distance-0.
-            recipe.reductions.append((variable.storage, op))
+            reductions.append((variable.storage, op))
             continue
         if obj not in analyses.carried_at(loop):
             # Iteration-disjoint accesses (e.g. ``p[i] = 0``): shared
             # storage reproduces the sequential state exactly.
             continue
-        recipe.firstprivate.append(variable.storage)
-        recipe.lastprivate.append(variable.storage)
-    return recipe
+        shared_seeded.append(variable.storage)
+    return LoopParallelization(
+        header=loop.header.name,
+        privatized=privatized,
+        firstprivate=shared_seeded,
+        lastprivate=shared_seeded,
+        reductions=reductions,
+    )
 
 
 def executable_doall_headers(plan, loops):
@@ -295,7 +272,7 @@ def executable_doall_headers(plan, loops):
 
 def recipes_from_plan(pspdg, plan):
     """Execution regions for every dispatched loop of ``plan``, as a
-    :class:`RegionSet`.
+    tuple of :class:`RegionParallelization`.
 
     When the plan carries optimizer-produced :class:`RegionDescriptor`
     entries, they are authoritative: fused regions become multi-member
@@ -325,15 +302,15 @@ def recipes_from_plan(pspdg, plan):
                 continue
             regions.append(
                 RegionParallelization(
-                    recipes=[recipe_for(h) for h in descriptor.headers],
+                    recipes=tuple(map(recipe_for, descriptor.headers)),
                     backend_override=descriptor.backend_override,
                     removed_sync_uids=descriptor.removed_sync_uids,
                     tile=descriptor.tile,
                 )
             )
-        return RegionSet(regions)
+        return tuple(regions)
 
-    return RegionSet(
-        RegionParallelization(recipes=[recipe_for(header)])
+    return tuple(
+        RegionParallelization(recipes=(recipe_for(header),))
         for header in executable_doall_headers(plan, analyses.loops)
     )

@@ -2,9 +2,10 @@
 
 The :class:`~repro.runtime.executor.ParallelInterpreter` runs a program
 sequentially until it reaches a planned loop, builds one privatized
-frame per worker, and then hands the :class:`ParallelRegion` to a
-backend's ``run_region`` — all three have that one shape, and each
-owns its whole execution strategy:
+frame per worker, and then calls a backend's ``run_region`` with the
+region's :class:`~repro.runtime.executor.PreparedRegion`, the enclosing
+frame, the workers and the region's stats — all three have that one
+shape, and each owns its whole execution strategy:
 
 * ``simulated`` — the seeded virtual-thread interleaver
   (:class:`_Stepper`).  One Python interpreter steps every worker
@@ -53,7 +54,6 @@ iteration-to-worker assignment everywhere.
 """
 
 import atexit
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -101,36 +101,22 @@ RETRY_BUDGET = 2
 RETRY_BACKOFF = 0.05
 
 
-@dataclasses.dataclass
-class ParallelRegion:
-    """One dispatched region's execution context, as handed to a backend.
-
-    Since the ``repro.opt`` pipeline a region may hold several *fused*
-    member loops; every worker's ``segments`` list its chunk of each
-    member in order.
-    """
-
-    loops: list  # member NaturalLoops (canonical form guaranteed)
-    frame: object  # the enclosing (sequential) _Frame
-    workers: list  # _Worker instances, one per configured worker
-    critical: dict  # block name -> (lock key, block set), elided syncs out
-    stats: RegionStats  # the counter block backends increment
-    # The executor's _PreparedRegion: what every dispatch of the region
-    # reuses, ``locks`` and ``entries`` among it.
-    prepared: object
-
-
 class ExecutionBackend:
     """Executes every worker of one parallel region to completion.
 
-    ``run_region(interp, region)`` must leave each worker's private
-    storage (reductions, lastprivate copies) readable through
-    ``worker.frame`` in the parent interpreter, apply the workers'
-    shared-memory effects, append the workers' ``print`` records to
-    ``interp.output`` deterministically (worker order unless the backend
-    *is* the interleaving oracle), and fill
-    ``worker.steps``/``worker.seconds``.  The interpreter performs the
-    reduction/lastprivate join afterwards.
+    ``run_region(interp, prepared, frame, workers, stats)`` runs the
+    :class:`~repro.runtime.executor.PreparedRegion` ``prepared`` (member
+    ``loops``, ``critical`` lock map, and the ``locks`` and ``entries`` a
+    backend fills on the dispatching thread) from the enclosing
+    ``frame`` with ``workers``, each ``segments`` listing its chunk of
+    every member in order.  It must leave each worker's private storage
+    (reductions, lastprivate copies) readable through ``worker.frame``
+    in the parent interpreter, apply the workers' shared-memory effects,
+    append the workers' ``print`` records to ``interp.output``
+    deterministically (worker order unless the backend *is* the
+    interleaving oracle), fill ``worker.steps``/``worker.seconds``, and
+    count into ``stats``, its ``backend`` label first.  The interpreter
+    performs the reduction/lastprivate join afterwards.
     """
 
     name = None
@@ -255,9 +241,9 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
 
-    def run_region(self, interp, region):
-        region.stats.backend = self.name
-        _Stepper(interp, region).run()
+    def run_region(self, interp, prepared, frame, workers, stats):
+        stats.backend = self.name
+        _Stepper(interp, workers, prepared.critical).run()
 
 
 class _Stepper:
@@ -276,10 +262,10 @@ class _Stepper:
     :meth:`run` rebuild the candidate list it draws from.
     """
 
-    def __init__(self, interp, region):
+    def __init__(self, interp, workers, critical):
         self.interp = interp
-        self.workers = region.workers
-        self.critical = region.critical
+        self.workers = workers
+        self.critical = critical
         self.locks = {}  # lock key -> worker index or None
 
     def run(self):
@@ -544,41 +530,38 @@ class ThreadsBackend(ExecutionBackend):
 
     name = "threads"
 
-    def run_region(self, interp, region):
-        stats = region.stats
+    def run_region(self, interp, prepared, frame, workers, stats):
         stats.backend = self.name
-        active = [w for w in region.workers if w.size]
+        active = [w for w in workers if w.size]
         if not active:
             return
-        prepared = region.prepared
         locks = prepared.locks
         if locks is None:
-            locks = prepared.locks = _ThreadLocks(region.critical)
+            locks = prepared.locks = _ThreadLocks(prepared.critical)
         compile_on = interp.compile_regions
         verify = compile_on and bool(knobs.VERIFY_COMPILED)
         entries = {}
         if compile_on:
-            # Looked up once per prepared region and module, here on the
-            # dispatching thread; jobs only read.  A compiled body takes
-            # and releases ``locks`` on the same block edges the
-            # interpreter does, so critical/atomic loops compile too.
-            if prepared.entries is None or (
-                prepared.entries[0] is not interp.module
-            ):
+            # Looked up once per prepared region (its function, so its
+            # module, is fixed), here on the dispatching thread; jobs
+            # only read.  A compiled body takes and releases ``locks``
+            # on the same block edges the interpreter does, so
+            # critical/atomic loops compile too.
+            entries = prepared.entries
+            if entries is None:
                 before = codegen_cache.stats()
-                prepared.entries = (interp.module, {
+                entries = prepared.entries = {
                     loop: codegen_cache.compiled_chunk(interp.module, loop)
                     for loop in prepared.loops
-                })
+                }
                 _count_codegen(stats, before, codegen_cache.stats())
-            entries = prepared.entries[1]
         shims = interp.shims
         if shims is None:
             shims = interp.shims = [
                 _WorkerInterpreter(
                     interp.module, interp._global_storage, interp.max_steps
                 )
-                for _worker in region.workers
+                for _worker in workers
             ]
             for shim in shims:
                 shim._decoded = interp._decoded  # one decode per block per run
@@ -987,8 +970,7 @@ class ProcessesBackend(ExecutionBackend):
 
     name = "processes"
 
-    def run_region(self, interp, region):
-        stats = region.stats
+    def run_region(self, interp, prepared, frame, workers, stats):
         # Critical/atomic regions need shared memory, and a module the
         # pickler cannot walk cannot travel: delegate the whole region
         # to the threads backend (real locks) and record why.  (Regions
@@ -996,8 +978,8 @@ class ProcessesBackend(ExecutionBackend):
         # in the critical map, so they stay here.)
         reason = None
         if any(
-            block.name in region.critical
-            for loop in region.loops
+            block.name in prepared.critical
+            for loop in prepared.loops
             for block in loop.blocks
         ):
             reason = "critical"
@@ -1007,12 +989,14 @@ class ProcessesBackend(ExecutionBackend):
             except ReproError:
                 reason = "unpicklable"
         if reason is not None:
-            ThreadsBackend().run_region(interp, region)
+            ThreadsBackend().run_region(
+                interp, prepared, frame, workers, stats
+            )
             stats.backend = f"{self.name}->threads({reason})"
             return
         stats.backend = self.name
         try:
-            self._run_supervised(interp, region)
+            self._run_supervised(interp, prepared, frame, workers, stats)
             return
         except RegionDispatchError as exc:
             exhausted = exc
@@ -1030,7 +1014,9 @@ class ProcessesBackend(ExecutionBackend):
         #   own iterations and the state before the region, so a serial
         #   run would raise it again.
         try:
-            ThreadsBackend().run_region(interp, region)
+            ThreadsBackend().run_region(
+                interp, prepared, frame, workers, stats
+            )
         except EmulationError as exc:
             raise EmulationError(
                 f"region {stats.header} failed on processes ({exhausted}) "
@@ -1038,10 +1024,9 @@ class ProcessesBackend(ExecutionBackend):
             ) from exc
         stats.backend = f"{self.name}->threads(failover)"
 
-    def _run_supervised(self, interp, region):
+    def _run_supervised(self, interp, prepared, frame, workers, stats):
         """Dispatch with retries, then apply."""
-        stats = region.stats
-        active = [w for w in region.workers if w.size]
+        active = [w for w in workers if w.size]
         if not active:
             return
         plan = faults.active_plan()
@@ -1049,7 +1034,7 @@ class ProcessesBackend(ExecutionBackend):
         while True:
             try:
                 table, completed = self._dispatch_once(
-                    interp, region, active, plan
+                    interp, prepared, frame, active, stats, plan
                 )
                 break
             except _InfraFailure as exc:
@@ -1066,9 +1051,9 @@ class ProcessesBackend(ExecutionBackend):
                     time.perf_counter() - started
                 ) * 1000.0
         for worker, result in completed:  # worker order: deterministic
-            self._apply(interp, region, worker, result, table)
+            self._apply(interp, stats, worker, result, table)
 
-    def _dispatch_once(self, interp, region, active, plan):
+    def _dispatch_once(self, interp, prepared, frame, active, stats, plan):
         """Encode, send, and collect one dispatch attempt of a region.
 
         Returns the storage table the payloads index and the
@@ -1082,11 +1067,10 @@ class ProcessesBackend(ExecutionBackend):
         in ``payload_bytes`` once the pool has replied.
         """
         pool = _chunk_pool(interp.pool_size)
-        stats = region.stats
         encoded = payload_codec.encode_region(
             module=interp.module,
-            frame=region.frame,
-            loops=region.loops,
+            frame=frame,
+            loops=prepared.loops,
             global_storage=interp._global_storage,
             max_steps=interp.max_steps,
             workers=active,
@@ -1152,12 +1136,12 @@ class ProcessesBackend(ExecutionBackend):
             raise _InfraFailure(f"worker process {worker.index} {infra}")
         return completed
 
-    def _apply(self, interp, region, worker, result, table):
+    def _apply(self, interp, stats, worker, result, table):
         worker.steps = result["steps"]
         worker.seconds = result["seconds"]
         interp.steps += result["steps"]
         interp.output.extend(result["output"])
-        stats, chunk = region.stats, result["stats"]
+        chunk = result["stats"]
         stats.dirty_slots += chunk.dirty_slots
         stats.compiled_chunks += chunk.compiled_chunks
         stats.interpreted_chunks += chunk.interpreted_chunks

@@ -5,19 +5,16 @@ further and *runs* them.  A :class:`ParallelInterpreter` executes the
 program sequentially until control reaches a planned region (the *next
 stop*), then
 
-1. takes the region's prepared record (:class:`_PreparedRegion`: the
-   member loops from the run's forest — the caller's own when it handed
-   one in, a Session's record, so a warm run discovers no loops, else
-   found once per function — their schedulers and bound getters, the
-   privatization plan, the lock map and its real locks, and the members'
-   compiled chunks, built on the region's first dispatch and kept on the
-   region until anything it was built from changes), evaluates the
-   canonical iteration bounds and, when they or the worker count differ
-   from the region's last entry, partitions the iteration space with a
+1. takes the region's one runtime record, its :class:`PreparedRegion`
+   (a Session's are built once, by the stage that plans them; a bare
+   recipe's at its first hit in a run), evaluates the canonical
+   iteration bounds and, when they, the worker count or the run's
+   schedule or chunk differ from the region's last entry, partitions the
+   iteration space with a
    :class:`~repro.runtime.schedulers.ChunkScheduler` (static / dynamic /
-   guided — decided once, shared by every backend) into the record's
-   one-entry memo (:class:`_Split`); a worker keeps its chunk lists and
-   their total, and one with none is never dispatched,
+   guided — decided once, shared by every backend) into a new memo that
+   replaces the record's; a worker keeps its chunk lists and their
+   total, and one with none is never dispatched,
 2. builds one privatized frame per worker from the plan — the parent's
    object table and global overlay shared unless an alloca or a global
    is private — with
@@ -31,11 +28,11 @@ stop*), then
    * the registers the member loops read and do not define (their
      live-ins), pointers among them re-aimed at the private copies,
 
-3. picks the region's backend and hands it the
-   :class:`~repro.runtime.backends.ParallelRegion` — ``simulated`` (the
-   seeded virtual-thread interleaver: the race-detection oracle),
-   ``threads`` (real OS threads, shared storage, real locks), or
-   ``processes`` (real OS processes fed by the
+3. picks the region's backend and calls its ``run_region`` with the
+   record, the enclosing frame, the workers and the region's stats —
+   ``simulated`` (the seeded virtual-thread interleaver: the
+   race-detection oracle), ``threads`` (real OS threads, shared storage,
+   real locks), or ``processes`` (real OS processes fed by the
    :mod:`repro.runtime.payload` codec, supervised, failing over to
    ``threads`` once its retries run out),
 4. joins: merges reductions in worker order and writes back lastprivate
@@ -74,9 +71,9 @@ from repro.emulator.interp import (
 from repro.ir.instructions import Call
 from repro.ir.types import PointerType
 from repro.ir.values import GlobalVariable
-from repro.planner.recipes import RegionSet, as_region
+from repro.planner.recipes import as_region
 from repro.runtime import knobs
-from repro.runtime.backends import ParallelRegion, get_backend
+from repro.runtime.backends import get_backend
 from repro.runtime.schedulers import make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
@@ -85,7 +82,7 @@ class _Worker:
     """One worker executing its chunk of every member loop of a region.
 
     ``segments`` holds one ``(loop, iterations)`` pair per member (the
-    :class:`_Split`'s, never written); the worker drains them in order
+    partition memo's, never written); the worker drains them in order
     (member A's chunk, then member B's) with no barrier in between — the
     simulated backend steps workers through their segments
     independently, and the real backends run the segment list inside one
@@ -112,62 +109,61 @@ class _Worker:
         self.private_allocas = prepared.private_allocas
 
 
-class _Split:
-    """One entry's partition, kept until an entry's ``key``, ``(bounds,
-    workers)``, differs: per member its iteration ``values``, per worker
-    its ``segments`` and their ``sizes``, the region's ``iterations``,
-    and per lastprivate member the ``owners``' ``([(storage, global name
-    or None), ...], worker)``."""
-
-    __slots__ = ("key", "values", "segments", "sizes", "iterations", "owners")
-
-    def __init__(self, prepared, bounds, workers):
-        self.key = (bounds, workers)
-        self.values = []
-        assignments = []
-        for index, (_loop, _recipe, scheduler) in enumerate(prepared.members):
-            lower, upper, step = bounds[3 * index:3 * index + 3]
-            if step <= 0:
-                raise PlanError("parallel loops require a positive step")
-            values = list(range(lower, upper, step))
-            # Tiling caps how many workers get non-empty chunks; the
-            # rest are padded empty so worker count stays uniform (the
-            # backends only dispatch payloads for non-empty workers).
-            partitions = workers
-            if prepared.region.tile:
-                needed = -(-len(values) // prepared.region.tile) or 1
-                partitions = max(1, min(workers, needed))
-            assignment = scheduler.partition(values, partitions)
-            self.values.append(values)
-            assignments.append(
-                assignment + [[] for _ in range(workers - partitions)]
-            )
-        self.segments = [
-            [
-                (loop, assignment[worker])
-                for loop, assignment in zip(prepared.loops, assignments)
-            ]
-            for worker in range(workers)
+def _partition(prepared, key):
+    """The partition memo of an entry keyed ``(schedule, chunk, bounds,
+    workers)``: the tuple ``(key, segments, sizes, iterations,
+    owners)`` — per worker its ``segments`` and their ``sizes``, the
+    region's ``iterations``, and per lastprivate member the ``owners``'
+    ``([(storage, global name or None), ...], worker)``.  Never edited:
+    a differing entry replaces it whole."""
+    schedule, chunk, bounds, workers = key
+    assignments = []
+    owners = []
+    iterations = 0
+    for index, (loop, recipe) in enumerate(
+        zip(prepared.loops, prepared.region.recipes)
+    ):
+        lower, upper, step = bounds[3 * index:3 * index + 3]
+        if step <= 0:
+            raise PlanError("parallel loops require a positive step")
+        values = list(range(lower, upper, step))
+        # Tiling caps how many workers get non-empty chunks; the rest
+        # are padded empty so worker count stays uniform (the backends
+        # only dispatch payloads for non-empty workers).
+        partitions = workers
+        if prepared.tile:
+            needed = -(-len(values) // prepared.tile) or 1
+            partitions = max(1, min(workers, needed))
+        scheduler = make_scheduler(
+            schedule, chunk if chunk is not None else recipe.chunk
+        )
+        assignment = scheduler.partition(values, partitions) + [
+            [] for _ in range(workers - partitions)
         ]
-        self.sizes = [
-            sum(len(iterations) for _loop, iterations in segments)
-            for segments in self.segments
-        ]
-        self.iterations = sum(map(len, self.values))
+        assignments.append(assignment)
+        iterations += len(values)
         # Lastprivate writes back per member: the worker that executes
         # the member's final iteration owns the sequential final state.
-        self.owners = []
-        for (_loop, recipe, _s), values, assignment in zip(
-            prepared.members, self.values, assignments
-        ):
-            if recipe.lastprivate and values:
-                owner = next(
-                    worker for worker, iterations in enumerate(assignment)
-                    if iterations and iterations[-1] == values[-1]
-                )
-                self.owners.append((
-                    [(s, _global_name(s)) for s in recipe.lastprivate], owner
-                ))
+        if recipe.lastprivate and values:
+            owner = next(
+                worker for worker, chunk_values in enumerate(assignment)
+                if chunk_values and chunk_values[-1] == values[-1]
+            )
+            owners.append((
+                [(s, _global_name(s)) for s in recipe.lastprivate], owner
+            ))
+    segments = [
+        [
+            (loop, assignment[worker])
+            for loop, assignment in zip(prepared.loops, assignments)
+        ]
+        for worker in range(workers)
+    ]
+    sizes = [
+        sum(len(chunk_values) for _loop, chunk_values in worker_segments)
+        for worker_segments in segments
+    ]
+    return key, segments, sizes, iterations, owners
 
 
 def _global_name(storage):
@@ -212,76 +208,53 @@ def _critical_region_map(function, removed_sync_uids=frozenset()):
     return mapping
 
 
-def _recipe_key(region):
-    """A snapshot of what a region's prepared record read of its recipes.
+class PreparedRegion:
+    """One planned region as every dispatch of it runs, built once.
 
-    The storages compare by identity, so a recipe edited in place — a
-    chunk, a storage added, swapped or dropped, a reduction's operator —
-    snapshots differently.
-    """
-    return (
-        region.removed_sync_uids,
-        region.tile,
-        [
-            (
-                recipe.header,
-                recipe.chunk,
-                list(recipe.privatized),
-                list(recipe.firstprivate),
-                list(recipe.lastprivate),
-                list(recipe.reductions),
-            )
-            for recipe in region.recipes
-        ],
-    )
-
-
-class _PreparedRegion:
-    """What every dispatch of one region reuses, built on its first.
-
-    Built from ``key`` — the run's schedule and chunk override and the
-    :func:`_recipe_key` snapshot of the region's recipes — the function
-    the region runs in and its member ``loops``;
-    :meth:`ParallelInterpreter._prepared_region` rebuilds it when any of
-    them changes.  ``bounds`` reads every member's ``(lower, upper,
-    step)`` in turn.  ``privates`` is the privatization plan, one
-    ``(storage, global name or None, template, firstprivate)`` per
-    private storage in first-wins order: a worker's copy is
-    ``list(template)``, or of the shared value for firstprivate (the
-    zero template when the storage has none yet).  ``reductions`` holds
-    one ``(storage, global name or None, merge)`` per reduction.  Filled
+    Built from a plan ``region`` (a bare recipe is wrapped), the
+    ``function`` it runs in and that function's loops by header; a
+    member without canonical form is a :class:`PlanError`.  It keeps
+    the plan's names, ``chunk`` (the first member's), override and tile.
+    ``bounds`` reads every member's ``(lower, upper, step)`` in turn.
+    ``privates`` is the privatization plan, one ``(storage, global name
+    or None, template, firstprivate)`` per private storage in first-wins
+    order: a worker's copy is ``list(template)``, or of the shared value
+    for firstprivate (the zero template when the storage has none yet).
+    ``reductions`` holds one ``(storage, global name or None, merge)``
+    per distinct ``(storage, op)`` of the members: members sharing a
+    same-op reduction accumulate into one per-worker copy, merged once at
+    the join (commutativity makes the grouping unobservable).  ``plan``
+    is the memo the records of one :func:`prepare_plan` share.  Filled
     on the dispatching thread before a backend runs, never by a worker:
-    ``split``, the last entry's :class:`_Split`; ``locks``, the
-    ``threads`` backend's for ``critical``; ``entries``, ``(module, loop
-    -> compiled chunk)``.  Nothing here depends on a run.
+    ``split`` (:func:`_partition`), ``locks`` (the ``threads``
+    backend's, for ``critical``) and ``entries`` (loop -> compiled
+    chunk).  Nothing here depends on a run.
     """
 
     __slots__ = (
-        "key", "function", "loops", "region", "label", "fused", "chunk",
-        "members", "bounds", "resume", "privates", "inductions", "live_in",
-        "pointers", "global_slots", "alloca_slots", "private_globals",
-        "private_allocas", "critical", "reductions",
-        "split", "locks", "entries",
+        "region", "function", "loops", "header", "headers", "label",
+        "fused", "chunk", "backend_override", "tile", "bounds", "resume",
+        "privates", "inductions", "live_in", "pointers", "global_slots",
+        "alloca_slots", "private_globals", "private_allocas", "critical",
+        "reductions", "plan", "split", "locks", "entries",
     )
 
-    def __init__(self, region, function, loops, key):
-        self.key = key
-        self.function = function
-        self.loops = loops
+    def __init__(self, region, function, loops_by_header):
+        region = as_region(region)
         self.region = region
-        self.label, self.fused = region.label, region.fused
-        schedule, chunk, _recipes = key
-        self.chunk = chunk if chunk is not None else region.recipes[0].chunk
-        self.members = [
-            (
-                loop,
-                recipe,
-                make_scheduler(
-                    schedule, chunk if chunk is not None else recipe.chunk
-                ),
-            )
-            for loop, recipe in zip(loops, region.recipes)
-        ]
+        self.function = function
+        self.headers = region.headers
+        self.header, self.label = region.header, region.label
+        self.fused = region.fused
+        self.chunk = region.recipes[0].chunk
+        self.backend_override = region.backend_override
+        self.tile = region.tile
+        loops = self.loops = []
+        for header in self.headers:
+            loop = loops_by_header.get(header)
+            if loop is None or loop.canonical is None:
+                raise PlanError(f"parallel loop {header} lacks canonical form")
+            loops.append(loop)
         self.bounds = [
             operand_getter(bound)
             for loop in loops
@@ -292,48 +265,52 @@ class _PreparedRegion:
         # Control resumes after the *last* member; fusion legality
         # guarantees nothing but induction glue lives in between.
         self.resume = function.block(loops[-1].canonical.exit)
-        recipe = region.merged_recipe()
-        self.privates = []
-        self.reductions = []  # one per (storage, op) of the merged recipe
-        seen = set()
-
-        def privatize(storage, template, firstprivate=False):
-            if id(storage) in seen:
-                return
-            seen.add(id(storage))
-            self.privates.append(
-                (storage, _global_name(storage), template, firstprivate)
-            )
-
-        for loop in loops:
-            privatize(loop.canonical.induction, [0])
-        for storage in recipe.privatized:
-            privatize(storage, _zeros_for(storage))
-        for storage in recipe.firstprivate:
-            privatize(storage, _zeros_for(storage), firstprivate=True)
-        for storage, op in recipe.reductions:
-            privatize(storage, identity_slots(_value_type(storage), op))
-            self.reductions.append(
-                (storage, _global_name(storage), REDUCIBLE_OPS[op][0])
-            )
-        for storage in recipe.lastprivate:
-            # Already-private storages (e.g. firstprivate-seeded scratch)
-            # keep their seed; plain lastprivate starts zeroed.
-            privatize(storage, _zeros_for(storage))
-        slots = {
-            id(storage): index
-            for index, (storage, _n, _t, _f) in enumerate(self.privates)
-        }
+        # Storage -> (template, firstprivate), the first listing wins:
+        # inductions, privatized, firstprivate, reduced, lastprivate.
+        # Storages hash by identity.
+        privates = {loop.canonical.induction: ([0], False) for loop in loops}
+        recipes = region.recipes
+        for firstprivate, role in (
+            (False, "privatized"), (True, "firstprivate")
+        ):
+            for recipe in recipes:
+                for storage in getattr(recipe, role):
+                    if storage not in privates:
+                        privates[storage] = (_zeros_for(storage), firstprivate)
+        reductions = dict.fromkeys(
+            [pair for recipe in recipes for pair in recipe.reductions]
+        )
+        for storage, op in reductions:
+            if storage not in privates:
+                privates[storage] = (
+                    identity_slots(_value_type(storage), op), False
+                )
+        for recipe in recipes:
+            for storage in recipe.lastprivate:
+                # Already-private storages (e.g. firstprivate-seeded
+                # scratch) keep their seed; plain lastprivate starts
+                # zeroed.
+                if storage not in privates:
+                    privates[storage] = (_zeros_for(storage), False)
+        self.privates = [
+            (storage, _global_name(storage), template, firstprivate)
+            for storage, (template, firstprivate) in privates.items()
+        ]
+        self.reductions = [
+            (storage, _global_name(storage), REDUCIBLE_OPS[op][0])
+            for storage, op in reductions
+        ]
+        slots = dict(zip(privates, range(len(privates))))
         # A fused member's induction alloca may never have executed in
         # the parent frame (its preheader is skipped by the fused
         # takeover), so its pointer register is materialized directly.
         self.inductions = [
-            (loop.canonical.induction, slots[id(loop.canonical.induction)])
+            (loop.canonical.induction, slots[loop.canonical.induction])
             for loop in loops
             if not isinstance(loop.canonical.induction, GlobalVariable)
         ]
         self.live_in = sorted(
-            live_in_registers(loops), key=lambda inst: inst.uid
+            live_in_registers(loops), key=operator.attrgetter("uid")
         )
         self.pointers = [
             inst for inst in self.live_in
@@ -358,7 +335,27 @@ class _PreparedRegion:
         self.critical = _critical_region_map(
             function, region.removed_sync_uids
         )
-        self.split = self.locks = self.entries = None
+        self.plan = self.split = self.locks = self.entries = None
+
+
+def prepare_plan(regions, function, loops_by_header):
+    """``regions`` prepared in ``function`` over its loops, as the tuple
+    of :class:`PreparedRegion` a run dispatches.
+
+    The records share one ``plan`` memo — ``(the tuple, header ->
+    record, function -> region stops)`` — which a run handed this very
+    tuple reuses, so the header table and each function's stop spec
+    (:func:`repro.codegen.seq.sequence_stops`) are computed once per
+    plan, never per run.
+    """
+    records = tuple(
+        PreparedRegion(region, function, loops_by_header)
+        for region in regions
+    )
+    plan = (records, {record.header: record for record in records}, {})
+    for record in records:
+        record.plan = plan
+    return records
 
 
 class ParallelInterpreter(Interpreter):
@@ -366,8 +363,10 @@ class ParallelInterpreter(Interpreter):
 
     ``parallelizations`` may mix
     :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
-    region) and :class:`~repro.planner.recipes.RegionParallelization`
-    (fused) entries.  ``compile_regions`` defaults to
+    region), :class:`~repro.planner.recipes.RegionParallelization`
+    (fused) and :class:`PreparedRegion` entries; the tuple
+    :func:`prepare_plan` returned runs on its records' shared memo.
+    ``compile_regions`` defaults to
     :class:`~repro.pipeline.config.SessionConfig`'s value.  ``forest``
     (function name -> header name -> natural loop) hands in loops the
     caller already holds (a Session's analysis record); a function it
@@ -395,20 +394,18 @@ class ParallelInterpreter(Interpreter):
         self.chunk = chunk
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
-        if not isinstance(parallelizations, RegionSet):
-            parallelizations = RegionSet(map(as_region, parallelizations))
-        regions = parallelizations.memo()
-        self._regions = regions.table
-        if (schedule, chunk) not in regions.checked:
-            for region in regions:
-                for recipe in region.recipes:
-                    # Fail fast: a zero/negative chunk must be a PlanError,
-                    # not an empty (or runaway) partition at execution time.
-                    make_scheduler(schedule, chunk if chunk is not None
-                                   else recipe.chunk)
-            make_scheduler(schedule, chunk)  # still validate the names
-            regions.checked.add((schedule, chunk))
-        self._stops = regions.stops  # function -> its region-stop spec
+        make_scheduler(schedule, chunk)  # fail fast on the run's overrides
+        plan = None
+        if isinstance(parallelizations, tuple) and parallelizations:
+            plan = getattr(parallelizations[0], "plan", None)
+        # A prepared plan's records are the table; bare recipes are
+        # prepared into ``_prepared`` on their first hit of each run.
+        self._shared = plan is not None and plan[0] is parallelizations
+        if not self._shared:
+            regions = tuple(map(as_region, parallelizations))
+            plan = (regions, {region.header: region for region in regions}, {})
+        self._regions = plan[1]  # header -> region, or its prepared record
+        self._stops = plan[2]  # function -> its region-stop spec
         self._loops_by_function = dict(forest or {})
         for name, loops in self._loops_by_function.items():
             own = module.functions.get(name)
@@ -419,7 +416,7 @@ class ParallelInterpreter(Interpreter):
                     "from this module's function"
                 )
         self.parallel_regions = []  # RegionStats, in execution order
-        self._prepared = {}  # header -> _PreparedRegion, checked once a run
+        self._prepared = {}  # header -> PreparedRegion, this run's
         self.shims = None  # the threads backend's, one per worker index
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/verify) and call-mode counters.
@@ -428,7 +425,7 @@ class ParallelInterpreter(Interpreter):
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
     def run(self, function_name="main", args=(), profiler=None, loops=None):
-        self._prepared = {}
+        self._prepared = self._regions if self._shared else {}
         self.shims = None
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
@@ -440,12 +437,9 @@ class ParallelInterpreter(Interpreter):
     # -- next stop: loop takeover ----------------------------------------------
 
     def _maybe_run_parallel_loop(self, next_block, from_block, frame):
-        region = self._regions.get(next_block.name)
-        if region is None:
+        if next_block.name not in self._regions:
             return None
-        prepared = self._prepared_region(
-            next_block.name, region, frame.function
-        )
+        prepared = self._prepared_region(next_block.name, frame.function)
         if from_block in prepared.loops[0].blocks:
             return None  # back edge: loop already running (shouldn't occur)
         self._execute_parallel_region(prepared, frame)
@@ -460,34 +454,31 @@ class ParallelInterpreter(Interpreter):
         """
         prepared = self._prepared.get(header)
         if prepared is None or prepared.function is not frame.function:
-            prepared = self._prepared_region(
-                header, self._regions[header], frame.function
-            )
+            prepared = self._prepared_region(header, frame.function)
         self._execute_parallel_region(prepared, frame)
 
-    def _prepared_region(self, header, region, function):
-        """The :class:`_PreparedRegion` of ``region`` (its first member's
-        ``header``) in ``function``: this run's, else the one the region
-        keeps if it was built from the same schedule, chunk, recipes,
-        function and loops, else a new one the region keeps from now
-        on."""
+    def _prepared_region(self, header, function):
+        """The :class:`PreparedRegion` of the region at ``header`` in
+        ``function``: its own record, or this run's of a bare recipe,
+        prepared on the first hit in ``function`` with this run's
+        loops.  A record reached in a function other than its own is a
+        :class:`PlanError`: its loops, blocks and storages are not the
+        ones this frame runs."""
         prepared = self._prepared.get(header)
         if prepared is not None and prepared.function is function:
             return prepared
-        loops = [
-            self._canonical_loop(function, recipe.header, "parallel")
-            for recipe in region.recipes
-        ]
-        key = (self.schedule, self.chunk, _recipe_key(region))
-        prepared = region.prepared
-        if (
-            prepared is None
-            or prepared.function is not function
-            or prepared.key != key
-            or not all(map(operator.is_, prepared.loops, loops))
-        ):
-            prepared = _PreparedRegion(region, function, loops, key)
-            region.prepared = prepared
+        region = self._regions[header]
+        if isinstance(region, PreparedRegion):
+            if region.function is not function:
+                raise PlanError(
+                    f"region {region.label} was prepared for another "
+                    f"function than the @{function.name} that reached it"
+                )
+            prepared = region
+        else:
+            prepared = PreparedRegion(
+                region, function, self._function_loops(function)
+            )
         self._prepared[header] = prepared
         return prepared
 
@@ -501,14 +492,6 @@ class ParallelInterpreter(Interpreter):
                 for loop in find_natural_loops(function)
             }
         return self._loops_by_function[function.name]
-
-    def _canonical_loop(self, function, header_name, role):
-        loop = self._function_loops(function).get(header_name)
-        if loop is None or loop.canonical is None:
-            raise PlanError(
-                f"{role} loop {header_name} lacks canonical form"
-            )
-        return loop
 
     # -- compiled sequential stretches -----------------------------------------
 
@@ -543,8 +526,8 @@ class ParallelInterpreter(Interpreter):
         entry ``None`` when the lowering refused it, which counts as an
         interpreted call — or ``None``: it is not compiled at all.
 
-        Memoized per (name, verify); the stop spec is kept across runs
-        on the :class:`~repro.planner.recipes.RegionSet`.  Under
+        Memoized per (name, verify); the stop spec is kept per plan
+        (:func:`prepare_plan`).  Under
         ``VERIFY_COMPILED`` only functions whose call graph reaches no
         planned region compile (the oracle replays the whole body, and a
         region dispatch is not replayable); everything else runs
@@ -601,21 +584,19 @@ class ParallelInterpreter(Interpreter):
 
     def _execute_parallel_region(self, prepared, frame):
         bounds = tuple([get(self, frame) for get in prepared.bounds])
-        split = prepared.split
-        if split is None or split.key != (bounds, self.workers):
-            split = prepared.split = _Split(prepared, bounds, self.workers)
-        workers = self._make_workers(prepared, split, frame)
+        key = (self.schedule, self.chunk, bounds, self.workers)
+        split = prepared.split  # read once: another run may replace it
+        if split is None or split[0] != key:
+            split = prepared.split = _partition(prepared, key)
+        _key, segments, sizes, iterations, owners = split
+        workers = self._make_workers(prepared, segments, sizes, frame)
         stats = RegionStats(
             header=prepared.label,
             fused=prepared.fused,
             schedule=self.schedule,
             workers=self.workers,
-            chunk=prepared.chunk,
-            iterations=split.iterations,
-        )
-        region = ParallelRegion(
-            loops=prepared.loops, frame=frame, workers=workers,
-            critical=prepared.critical, stats=stats, prepared=prepared,
+            chunk=self.chunk if self.chunk is not None else prepared.chunk,
+            iterations=iterations,
         )
         # A small-region override reroutes a ``processes`` dispatch onto
         # threads.  It only ever *reduces* dispatch weight; the simulated
@@ -623,19 +604,19 @@ class ParallelInterpreter(Interpreter):
         # level-independent.
         backend = self.backend
         if (
-            prepared.region.backend_override == "threads"
+            prepared.backend_override == "threads"
             and backend.name == "processes"
         ):
             backend = get_backend("threads")
         started = time.perf_counter()
-        backend.run_region(self, region)
+        backend.run_region(self, prepared, frame, workers, stats)
         stats.seconds = time.perf_counter() - started
         if backend is not self.backend:
             stats.backend = (
                 f"{self.backend.name}->{stats.backend}(small-region)"
             )
-        if prepared.reductions or split.owners:
-            self._join(workers, split, prepared.reductions, frame)
+        if prepared.reductions or owners:
+            self._join(workers, owners, prepared.reductions, frame)
 
         stats.per_worker = [
             {
@@ -650,7 +631,7 @@ class ParallelInterpreter(Interpreter):
 
     # -- worker frames -----------------------------------------------------------
 
-    def _make_workers(self, prepared, split, frame):
+    def _make_workers(self, prepared, segments, sizes, frame):
         """One worker per index, each on its privatized frame from the
         plan and the parent's."""
         objects = frame.objects
@@ -711,14 +692,13 @@ class ParallelInterpreter(Interpreter):
             else:
                 worker_frame.objects = objects  # shared by default
             workers.append(_Worker(
-                index, split.segments[index], split.sizes[index],
-                worker_frame, prepared,
+                index, segments[index], sizes[index], worker_frame, prepared,
             ))
         return workers
 
     # -- join -------------------------------------------------------------------
 
-    def _join(self, workers, split, reductions, frame):
+    def _join(self, workers, owners, reductions, frame):
         global_storage = self._global_storage
         for storage, name, merge in reductions:
             shared = _storage(frame, storage, name, global_storage)
@@ -728,7 +708,7 @@ class ParallelInterpreter(Interpreter):
                     else worker.frame.global_overlay[name]
                 )
                 shared[:] = map(merge, shared, private)
-        for lastprivate, owner in split.owners:
+        for lastprivate, owner in owners:
             for storage, name in lastprivate:
                 _storage(frame, storage, name, global_storage)[:] = _storage(
                     workers[owner].frame, storage, name, global_storage

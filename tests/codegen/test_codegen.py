@@ -489,12 +489,8 @@ def test_sequence_stops_follow_function_block_order():
     # Register regions against the last and first blocks; the spec must
     # come back in block order regardless.
     regions = {
-        names[-1]: SimpleNamespace(
-            recipes=[SimpleNamespace(header=names[-1])]
-        ),
-        names[0]: SimpleNamespace(
-            recipes=[SimpleNamespace(header=names[0])]
-        ),
+        names[-1]: SimpleNamespace(headers=(names[-1],)),
+        names[0]: SimpleNamespace(headers=(names[0],)),
     }
     stops = sequence_stops(regions, function)
     assert stops == (

@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
+from support.sufficiency import is_context
 
 
 def small_graph():
@@ -94,7 +95,7 @@ class TestHierarchy:
 
     def test_unlabeled_hierarchical_node_is_not_context(self):
         node = HierarchicalNode("region")
-        assert not node.is_context()
+        assert not is_context(node)
 
     def test_register_context_requires_label(self):
         graph, _ = small_graph()

@@ -15,6 +15,7 @@ from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.session import Session
+from support.sufficiency import is_context
 
 
 def pspdg_for(source):
@@ -31,7 +32,7 @@ class TestHierarchy:
             n for n in graph.hierarchical_nodes() if n.kind == "loop"
         ]
         assert len(loop_nodes) == 1
-        assert loop_nodes[0].is_context()
+        assert is_context(loop_nodes[0])
         assert loop_nodes[0].context_label in graph.contexts
 
     def test_regions_nest_inside_loops_and_parallels(self):

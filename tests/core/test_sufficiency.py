@@ -7,10 +7,10 @@ the built PS-PDG exhibits every feature the paper's mapping promises.
 import pytest
 
 from repro.analysis.record import FunctionAnalyses
-from repro.core import missing_features
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
+from support.sufficiency import missing_features
 
 # Representative program per directive kind (the construct under test is
 # always the *first* annotation in the main function).

@@ -467,20 +467,29 @@ class TestPipelineStructure:
             with pytest.raises(ValueError):
                 OptLevel.coerce(bad)
 
-    def test_merged_recipe_unifies_private_sets(self):
+    def test_a_fused_region_unifies_its_members_private_sets(self):
         session, result = _optimize_source(FUSABLE)
         from repro.planner.recipes import recipes_from_plan
+        from repro.runtime.executor import PreparedRegion
 
         regions = recipes_from_plan(session.pspdg, result.plan)
         fused = [region for region in regions if region.fused]
         assert len(fused) == 1
-        merged = fused[0].merged_recipe()
-        member_privates = {
-            id(storage)
+        prepared = PreparedRegion(
+            fused[0], session.function, session.analyses.loops_by_header
+        )
+        member_privates = [
+            storage
             for recipe in fused[0].recipes
             for storage in recipe.privatized
-        }
-        assert {id(s) for s in merged.privatized} == member_privates
+        ]
+        privates = [storage for storage, _n, _t, _f in prepared.privates]
+        # Each storage once, the members' inductions first.
+        assert len({id(s) for s in privates}) == len(privates)
+        assert privates[:len(prepared.loops)] == [
+            loop.canonical.induction for loop in prepared.loops
+        ]
+        assert {id(s) for s in member_privates} <= {id(s) for s in privates}
 
 
 class TestRestructureThenPrice:

@@ -48,7 +48,7 @@ def test_machine_model_change_rekeys_optimize():
     assert session.diagnostics.runs("optimize") == 2
     assert session.diagnostics.runs("pspdg") == 1
     # With everything below the serial threshold nothing is dispatched.
-    assert session.region_recipes["PS-PDG"] == []
+    assert session.region_recipes["PS-PDG"] == ()
 
 
 def test_levels_change_region_structure_not_results():

@@ -239,9 +239,9 @@ def test_every_consumer_holds_the_sessions_own_loops():
     dispatched = []
 
     class Spy(SerialBackend):
-        def run_region(self, interp, region):
-            dispatched.extend(region.loops)
-            super().run_region(interp, region)
+        def run_region(self, interp, prepared, frame, workers, stats):
+            dispatched.extend(prepared.loops)
+            super().run_region(interp, prepared, frame, workers, stats)
 
     result = session.run("PS-PDG", workers=2, backend=Spy())
     assert result.formatted_output() == session.execution.formatted_output()

@@ -9,14 +9,15 @@ nothing else: their difference over ``R`` is the cost of one dispatch.
 
 That cost must not grow with the region's trip count or with how many
 registers the enclosing frame holds: the partition is the region's
-memo while its bounds stay put, and a worker frame copies only the
-registers its loops read.  It must also stay below :data:`K`; a
-dispatch that rebuilds its recipe, schedulers, bound getters,
-privatization plan, partition, locks or compiled-entry table, or hands
-its jobs over through futures, costs more.  What the run pays besides
-its dispatches — the intercept of ``warm_calls(R)`` as a line in ``R``
-— must stay below :data:`FIXED`: revalidating the schedule or
-rescanning the region stops on every run costs more.
+memo while its bounds, the worker count, the schedule and the chunk
+stay put, and a worker frame copies only the registers its loops read.
+It must also stay below :data:`K`; a dispatch that rebuilds its
+prepared record, schedulers, bound getters, privatization plan,
+partition, locks or compiled-entry table, or hands its jobs over
+through futures, costs more.  What the run pays besides its dispatches
+— the intercept of ``warm_calls(R)`` as a line in ``R`` — must stay
+below :data:`FIXED`: rechecking the recipes or rescanning the region
+stops on every run costs more.
 """
 
 import gc
@@ -27,18 +28,20 @@ import pytest
 from repro import Session
 from repro.runtime import backends
 
-#: Calls per warm dispatch, at most: the measured 40 (CPython 3.11) of
-#: a compiled ``static`` run of two workers, plus 25 %.  Partitioning,
-#: looking up compiled chunks and building locks on every entry measured
-#: 94 on 3.10 and 3.11 (83 on 3.12 and 3.13); the dispatcher before that,
-#: which rebuilt every dispatch's plan and handed off through
-#: ``concurrent.futures``, 190 on 3.11.
-K = 50
+#: Calls per warm dispatch, at most: the measured 39 (CPython 3.11) of
+#: a compiled ``static`` run of two workers, plus 25 %.  Handing the
+#: backend a per-dispatch region object and checking the memo's key in
+#: two parts measured 40; partitioning, looking up compiled chunks and
+#: building locks on every entry 94 on 3.10 and 3.11 (83 on 3.12 and
+#: 3.13); the dispatcher before that, which rebuilt every dispatch's
+#: plan and handed off through ``concurrent.futures``, 190 on 3.11.
+K = 48
 
-#: Calls of a warm run besides its dispatches, at most: the measured 79
-#: (CPython 3.11) plus 25 %.  Validating the schedule and rescanning
-#: the region stops on every run measured 95.
-FIXED = 98
+#: Calls of a warm run besides its dispatches, at most: the measured 74
+#: (CPython 3.11) plus 25 %.  Checking whether the recipes changed since
+#: the last run measured 79; validating every recipe's chunk and
+#: rescanning the region stops on every run, 95.
+FIXED = 92
 
 ROUNDS = 10
 

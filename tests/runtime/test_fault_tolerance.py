@@ -220,9 +220,11 @@ class TestDegradationLadder:
         and no third backend is tried."""
         serial = []
 
-        def spy(self, interp, region):
-            serial.append(region.stats.header)
-            return backends.ThreadsBackend.run_region(self, interp, region)
+        def spy(self, interp, prepared, frame, workers, stats):
+            serial.append(stats.header)
+            return backends.ThreadsBackend.run_region(
+                self, interp, prepared, frame, workers, stats
+            )
 
         monkeypatch.setattr(backends.SerialBackend, "run_region", spy)
         module = compile_(DIVIDES_BY_ZERO)

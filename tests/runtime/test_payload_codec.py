@@ -262,8 +262,8 @@ func main() {
 """
 
 
-def _shared_lists(interp, region):
-    return payload_codec._walk_storages(region.frame, interp._global_storage)
+def _shared_lists(interp, frame):
+    return payload_codec._walk_storages(frame, interp._global_storage)
 
 
 @pytest.fixture
@@ -273,15 +273,15 @@ def counted_dispatches(monkeypatch):
     seen = []
     real = backends.ProcessesBackend._run_supervised
 
-    def counting(self, interp, region):
-        before = [list(storage) for storage in _shared_lists(interp, region)]
-        real(self, interp, region)
+    def counting(self, interp, prepared, frame, workers, stats):
+        before = [list(storage) for storage in _shared_lists(interp, frame)]
+        real(self, interp, prepared, frame, workers, stats)
         changed = sum(
             value is not was and value != was
-            for storage, old in zip(_shared_lists(interp, region), before)
+            for storage, old in zip(_shared_lists(interp, frame), before)
             for value, was in zip(storage, old)
         )
-        seen.append((region.stats, changed))
+        seen.append((stats, changed))
 
     monkeypatch.setattr(
         backends.ProcessesBackend, "_run_supervised", counting
@@ -328,8 +328,8 @@ class TestTableDiffDispatch:
     ):
         real = backends.ProcessesBackend._dispatch_once
 
-        def tampering(self, interp, region, active, plan):
-            table, completed = real(self, interp, region, active, plan)
+        def tampering(self, interp, *args):
+            table, completed = real(self, interp, *args)
             completed[0][1]["alloca_privates"][987654] = [0]
             return table, completed
 

@@ -1,15 +1,18 @@
 """Nothing a dispatch reuses goes stale.
 
-A region keeps what its dispatches reuse (``RegionParallelization.
-prepared``: loops, schedulers, bound getters, privatization plan, lock
-map, locks, compiled chunks, and the last entry's partition), and a
-Session keeps each stage's content key; both are rebuilt whenever
-anything they were built from changes.  Each test here makes
-such a change between two runs and wants what a fresh session (or a
-fresh recipe) dispatches: the same output, and the same partition —
-per worker, the iterations it ran and the steps they took, which differ
+A planned region has one runtime record,
+:class:`~repro.runtime.executor.PreparedRegion`: loops, bound getters,
+privatization plan, lock map, and once dispatched its locks, compiled
+chunks and the last entry's partition.  A Session's plan is prepared
+once per stage build; a bare recipe is prepared per run; recipes are
+frozen, so a changed recipe is a new one.  Each test here changes
+something between two runs and wants what a fresh session (or a fresh
+recipe) dispatches: the same output, and the same partition — per
+worker, the iterations it ran and the steps they took, which differ
 from iteration to iteration in these programs.
 """
+
+import dataclasses
 
 import pytest
 
@@ -19,8 +22,11 @@ from repro.analysis.loops import find_natural_loops
 from repro.emulator import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
-from repro.planner.recipes import as_region, recipes_from_annotations
+from repro.planner.recipes import recipes_from_annotations
 from repro.runtime import backends, run_parallel
+from repro.runtime.backends import SerialBackend
+from repro.runtime.executor import PreparedRegion, prepare_plan
+from repro.util.errors import PlanError
 
 #: Iteration ``i`` runs ``i`` inner trips: a worker's steps tell which
 #: iterations it ran.  ``s`` is a sum reduction, ``last`` lastprivate.
@@ -99,39 +105,69 @@ def test_per_run_overrides_dispatch_what_a_fresh_session_does():
         assert shape(session.run(**options)) == shape(fresh), overrides
 
 
-def test_two_source_plan_runs_dispatch_the_same_regions(monkeypatch):
+@pytest.mark.parametrize("plan", ["OpenMP", "PS-PDG"])
+def test_a_sessions_records_outlive_every_override(monkeypatch, plan):
+    """The records a session dispatches are the ones its stage built,
+    whatever a run overrides; each run dispatches what a fresh session
+    does."""
     dispatched = []
     real = repro.session.run_parallel
 
     def spy(module, regions, *args, **kwargs):
-        dispatched.append(list(regions))
+        dispatched.append(regions)
         return real(module, regions, *args, **kwargs)
 
     monkeypatch.setattr(repro.session, "run_parallel", spy)
     session = Session.from_source(UNEVEN, name="uneven")
-    first = session.run(backend="threads", workers=2)
-    prepared = [region.prepared for region in dispatched[0]]
-    second = session.run(plan="OpenMP", backend="threads", workers=2)
-    assert len(dispatched) == 2 and dispatched[0]
-    assert all(one is other for one, other in zip(*dispatched))
-    assert [region.prepared for region in dispatched[1]] == prepared
-    assert None not in prepared
-    assert shape(first) == shape(second)
-    assert first.output == session.execution.output
+    for overrides in (
+        {},
+        {"schedule": "dynamic", "chunk": 5},
+        {"workers": 3},
+        {"schedule": "guided", "workers": 4},
+        {},
+    ):
+        options = {"backend": "threads", "workers": 2, **overrides}
+        after = session.run(plan, **options)
+        expected = Session.from_source(UNEVEN, name="uneven").run(
+            plan, **options
+        )
+        assert shape(after) == shape(expected), overrides
+    records = dispatched[0]
+    assert records and all(type(r) is PreparedRegion for r in records)
+    assert all(r.function is session.function for r in records)
+    assert all(regions is records for regions in dispatched[::2])
+    assert records is (
+        session._stage("source_regions") if plan == "OpenMP"
+        else session.region_recipes[plan]
+    )
+
+
+def test_a_record_reached_in_another_modules_function_is_refused():
+    session = Session.from_source(UNEVEN, name="uneven")
+    (record,) = session.region_recipes["PS-PDG"]
+    other = compile_source(UNEVEN)
+    for compiled in (True, False):
+        with pytest.raises(PlanError, match=record.label):
+            run_parallel(
+                other, session.region_recipes["PS-PDG"],
+                backend="threads", workers=2, compile_regions=compiled,
+            )
 
 
 def _regions_and_forest(module):
     function = module.function("main")
-    regions = [
-        as_region(recipe) for recipe in recipes_from_annotations(function)
-    ]
     forest = {"main": {
         loop.header.name: loop for loop in find_natural_loops(function)
     }}
-    return regions, forest
+    return recipes_from_annotations(function), forest
 
 
-def _run(module, regions, forest, **options):
+def _records(module):
+    regions, forest = _regions_and_forest(module)
+    return prepare_plan(regions, module.function("main"), forest["main"])
+
+
+def _run(module, regions, forest=None, **options):
     options = {"workers": 3, "backend": "threads", **options}
     return run_parallel(module, regions, forest=forest, **options)
 
@@ -153,89 +189,111 @@ func main() {
 """
 
 
+def _chunks(split):
+    """Per worker, its iterations of each member, from a partition memo."""
+    _key, segments, _sizes, _iterations, _owners = split
+    return [[chunk for _loop, chunk in worker] for worker in segments]
+
+
 @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
 def test_bounds_that_change_on_every_entry_keep_one_partition(backend):
     module = compile_source(GROWING)
-    regions, forest = _regions_and_forest(module)
-    result = _run(module, regions, forest, backend=backend)
+    records = _records(module)
+    result = _run(module, records, backend=backend)
     assert result.output == run_module(compile_source(GROWING)).output
     assert [
         sum(worker["iterations"] for worker in region["per_worker"])
         for region in result.parallel_regions
     ] == list(range(1, 13))
-    # One entry, the last one's: refreshed on every entry, never grown.
-    split = regions[0].prepared.split
-    assert split.key == ((0, 12, 1), 3)
-    assert split.values == [list(range(12))]
+    # One entry, the last one's: replaced on every entry, never grown.
+    split = records[0].split
+    key, _segments, sizes, iterations, owners = split
+    assert key == ("static", None, (0, 12, 1), 3)
+    assert iterations == 12 and sum(sizes) == 12 and owners == []
+    assert sorted(
+        i for worker in _chunks(split) for chunk in worker for i in chunk
+    ) == list(range(12))
 
 
 def test_a_chunk_or_schedule_override_rekeys_the_partition():
     module = compile_source(UNEVEN)
-    regions, forest = _regions_and_forest(module)
-    before = _run(module, regions, forest)
-    split = regions[0].prepared.split
-    assert shape(_run(module, regions, forest)) == shape(before)
-    assert regions[0].prepared.split is split  # the bounds stayed put
+    records = _records(module)
+    before = _run(module, records)
+    split = records[0].split
+    assert shape(_run(module, records)) == shape(before)
+    assert records[0].split is split  # the bounds stayed put
     for overrides in (  # each differs from the run before
         {"chunk": 5},
         {"schedule": "dynamic", "chunk": 5},
         {"schedule": "guided"},
         {},
     ):
-        after = _run(module, regions, forest, **overrides)
+        after = _run(module, records, **overrides)
         fresh_module = compile_source(UNEVEN)
-        fresh_regions, fresh_forest = _regions_and_forest(fresh_module)
-        expected = _run(fresh_module, fresh_regions, fresh_forest, **overrides)
+        fresh_records = _records(fresh_module)
+        expected = _run(fresh_module, fresh_records, **overrides)
         assert shape(after) == shape(expected), overrides
-        rekeyed = regions[0].prepared.split
-        fresh = fresh_regions[0].prepared.split
-        assert rekeyed.key == fresh.key
-        assert [[chunk for _loop, chunk in segments]
-                for segments in rekeyed.segments] == [
-            [chunk for _loop, chunk in segments] for segments in fresh.segments
-        ]
+        rekeyed = records[0].split
+        fresh = fresh_records[0].split
+        assert rekeyed[0] == fresh[0]
+        assert rekeyed[0][:2] == (
+            overrides.get("schedule", "static"), overrides.get("chunk")
+        )
+        assert _chunks(rekeyed) == _chunks(fresh)
         assert rekeyed is not split, overrides
         split = rekeyed
 
 
-@pytest.mark.parametrize("mutation", ["chunk", "reduction", "private"])
-def test_a_recipe_mutated_between_runs_dispatches_as_mutated(mutation):
-    module = compile_source(UNEVEN)
-    regions, forest = _regions_and_forest(module)
-    before = _run(module, regions, forest)
-    prepared = regions[0].prepared
-    assert _run(module, regions, forest).output == before.output
-    assert regions[0].prepared is prepared  # reused while unchanged
+@pytest.mark.parametrize("change", ["chunk", "reduction", "private"])
+def test_a_replaced_recipe_dispatches_as_replaced(change):
+    """A recipe is frozen: a change is a new recipe, prepared anew, and
+    the records prepared from the old one dispatch as before."""
 
+    def replaced(module):
+        (recipe,) = recipes_from_annotations(module.function("main"))
+        if change == "chunk":
+            return dataclasses.replace(recipe, chunk=5)
+        if change == "reduction":
+            (storage, _op), = recipe.reductions
+            return dataclasses.replace(recipe, reductions=[(storage, "max")])
+        # ``out`` private, never written back: it stays 0.
+        return dataclasses.replace(
+            recipe,
+            privatized=recipe.privatized + (module.globals["out"],),
+        )
+
+    module = compile_source(UNEVEN)
+    records = _records(module)
+    before = _run(module, records)
+    _regions, forest = _regions_and_forest(module)
+    changed = prepare_plan(
+        [replaced(module)], module.function("main"), forest["main"]
+    )
+    after = _run(module, changed)
     fresh_module = compile_source(UNEVEN)
-    fresh_regions, fresh_forest = _regions_and_forest(fresh_module)
-    for owner, recipe in (
-        (module, regions[0].recipes[0]),
-        (fresh_module, fresh_regions[0].recipes[0]),
-    ):
-        if mutation == "chunk":
-            recipe.chunk = 5
-        elif mutation == "reduction":
-            storage, _op = recipe.reductions[0]
-            recipe.reductions[0] = (storage, "max")  # the same list
-        else:  # ``out`` private, never written back: it stays 0
-            recipe.privatized.append(owner.globals["out"])
-    after = _run(module, regions, forest)
-    expected = _run(fresh_module, fresh_regions, fresh_forest)
+    expected = _run(fresh_module, [replaced(fresh_module)])
     assert shape(after) == shape(expected)
     assert shape(after) != shape(before)
+    assert shape(_run(module, records)) == shape(before)
 
 
-def test_another_forest_prepares_anew():
+def test_a_bare_recipe_is_prepared_per_run_with_the_runs_forest():
+    dispatched = []
+
+    class Spy(SerialBackend):
+        def run_region(self, interp, prepared, frame, workers, stats):
+            dispatched.append(prepared)
+            super().run_region(interp, prepared, frame, workers, stats)
+
     module = compile_source(UNEVEN)
     regions, forest = _regions_and_forest(module)
-    first = _run(module, regions, forest)
-    prepared = regions[0].prepared
     _other_regions, other = _regions_and_forest(module)
-    again = _run(module, regions, other)
-    assert regions[0].prepared is not prepared
-    assert regions[0].prepared.loops == [other["main"][regions[0].header]]
-    assert regions[0].prepared.loops[0] is other["main"][regions[0].header]
+    first = _run(module, regions, forest, backend=Spy())
+    again = _run(module, regions, other, backend=Spy())
+    header = regions[0].header
+    assert dispatched[0].loops[0] is forest["main"][header]
+    assert dispatched[1].loops[0] is other["main"][header]
+    assert dispatched[0] is not dispatched[1]
     assert shape(again) == shape(first)
 
 

@@ -4,9 +4,9 @@ The paper groups the targeted OpenMP 5.0 subset into three semantic
 families and shows each maps onto PS-PDG features.  This module encodes the
 mapping as data (:data:`OPENMP_FEATURE_MAP`, :data:`CILK_FEATURE_MAP`) and
 provides :func:`expected_features`/:func:`realized_features` so tests can
-verify, construct by construct, that our builder actually produces the
+verify, construct by construct, that the builder actually produces the
 features the mapping promises — an executable version of the sufficiency
-argument.
+argument.  Only the tests read it (``tests/core/test_sufficiency.py``).
 
 Excluded feature groups (per the paper): execution control, target offload,
 runtime calls, tooling; Cilk inlets, array operations, elemental functions,
@@ -20,6 +20,11 @@ from repro.core.model import (
     TRAIT_SINGULAR,
     TRAIT_UNORDERED,
 )
+
+def is_context(node):
+    """Whether a hierarchical node is a context: labeled ones are (§3.3)."""
+    return node.context_label is not None
+
 
 # Feature atoms used in the mapping.
 F_HIERARCHICAL = "hierarchical_node"
@@ -104,7 +109,7 @@ def realized_features(pspdg, annotation):
             break
     if node is not None:
         features.add(F_HIERARCHICAL)
-        if node.is_context():
+        if is_context(node):
             features.add(F_CONTEXT)
         for trait in node.traits:
             features.add(f"trait:{trait.kind}")
