@@ -118,10 +118,10 @@ ALLOWED = {
     "test_an_argument_passed_on_is_the_callers_argument_object)": """
         repro.analysis.alias: ArgumentObject
         repro.analysis.alias: AliasAnalysis.object_for_argument""",
-    "the IR printer over calls, casts and parameters (tests/integration/"
+    "the IR printer over calls and parameters (tests/integration/"
     "test_pipeline.py::test_pretty_printer_covers_annotations, tests/ir/"
     "test_parser_roundtrip.py)": """
-        repro.ir.instructions: Call.describe Cast.describe
+        repro.ir.instructions: Call.describe
         repro.ir.values: Argument.short""",
     "value semantics of types, constants and the console object (tests/ir/"
     "test_types.py::test_types_are_hashable, tests/analysis/"

@@ -21,8 +21,8 @@ The package implements the paper's full pipeline (Fig. 12):
 
 The whole pipeline is driven through :class:`repro.Session`, which
 materializes each stage lazily, exactly once, into a dict keyed by
-stage, program generation, the config values the stage reads and the
-calibration token.  Quick start — source to chosen plan in four calls::
+the stage, the values of the config fields it reads and the calibration
+token.  Quick start — source to chosen plan in four calls::
 
     from repro import Session
 
@@ -36,9 +36,8 @@ The same pipeline is scriptable from the shell::
     python -m repro plan examples/histogram.mop
 """
 
-from repro.emulator import run_module, run_source
 from repro.opt import OptLevel
-from repro.pipeline import Diagnostics, SessionConfig
+from repro.pipeline import SessionConfig
 from repro.session import Session
 
 __version__ = "1.1.0"
@@ -47,9 +46,6 @@ __version__ = "1.1.0"
 __all__ = [
     "Session",
     "SessionConfig",
-    "Diagnostics",
     "OptLevel",
-    "run_module",
-    "run_source",
     "__version__",
 ]

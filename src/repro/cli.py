@@ -18,6 +18,7 @@ import argparse
 import pathlib
 import sys
 
+from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import MachineModel
 from repro.session import Session
 from repro.util.errors import ReproError
@@ -208,35 +209,34 @@ def _cmd_knobs(args):
     return 0
 
 
+def _print_figure(rows, width, spec):
+    """``(bench, figure row)`` pairs under a header of the row's columns."""
+    columns = list(rows[0][1])
+    header = f"{'bench':8} " + " ".join(f"{c:>{width}}" for c in columns)
+    print(header)
+    print("-" * len(header))
+    for name, row in rows:
+        cells = " ".join(f"{row[c]:>{width}{spec}}" for c in columns)
+        print(f"{name:8} {cells}")
+
+
 def _cmd_report(args):
     programs = args.programs or list(_kernel_names())
     sessions = [_build_session(program, args) for program in programs]
 
     print("Fig. 13 — total parallelization options considered")
-    header = f"{'bench':8} {'OpenMP':>8} {'PDG':>8} {'J&K':>8} {'PS-PDG':>8}"
-    print(header)
-    print("-" * len(header))
-    for session in sessions:
-        totals = session.options().totals
-        print(
-            f"{session.config.name:8} {totals.get('OpenMP', 0):>8} "
-            f"{totals.get('PDG', 0):>8} {totals.get('J&K', 0):>8} "
-            f"{totals.get('PS-PDG', 0):>8}"
-        )
+    _print_figure(
+        [(s.config.name, format_fig13_row(s.options())) for s in sessions],
+        width=8, spec="",
+    )
 
     print()
     print("Fig. 14 — critical-path reduction over OpenMP (ideal machine)")
-    header = f"{'bench':8} {'PDG':>9} {'J&K':>9} {'PS-PDG':>9}"
-    print(header)
-    print("-" * len(header))
-    for session in sessions:
-        results = session.critical_paths()
-        print(
-            f"{session.config.name:8} "
-            f"{results['PDG']['speedup']:>9.3f} "
-            f"{results['J&K']['speedup']:>9.3f} "
-            f"{results['PS-PDG']['speedup']:>9.3f}"
-        )
+    _print_figure(
+        [(s.config.name, format_fig14_row(s.critical_paths()))
+         for s in sessions],
+        width=9, spec=".3f",
+    )
 
     print()
     level = sessions[0].config.opt_level if sessions else 0

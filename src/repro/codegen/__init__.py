@@ -34,18 +34,3 @@ or function the lowering refuses (or any codegen error) runs through
 the interpreter exactly as before — the one fallback; a refusal names
 the block (and instruction) that caused it.
 """
-
-from repro.codegen.cache import compiled_chunk, reset, stats
-from repro.codegen.lower import CompiledChunk, Unsupported, compile_chunk
-from repro.codegen.runtime import Bailout, execute_chunk
-
-__all__ = [
-    "Bailout",
-    "CompiledChunk",
-    "Unsupported",
-    "compile_chunk",
-    "compiled_chunk",
-    "execute_chunk",
-    "reset",
-    "stats",
-]

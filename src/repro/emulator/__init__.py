@@ -1,25 +1,11 @@
 """repro.emulator — reference interpreter, dynamic profiles, critical path."""
 
-from repro.emulator.interp import (
-    ExecutionResult,
-    Interpreter,
-    run_module,
-    run_source,
-)
-from repro.emulator.profile import (
-    FunctionProfile,
-    IterationProfile,
-    LoopInstanceProfile,
-    Profiler,
-)
+from repro.emulator.interp import Interpreter, run_module, run_source
+from repro.emulator.profile import Profiler
 
 __all__ = [
-    "ExecutionResult",
     "Interpreter",
     "run_module",
     "run_source",
-    "FunctionProfile",
-    "IterationProfile",
-    "LoopInstanceProfile",
     "Profiler",
 ]

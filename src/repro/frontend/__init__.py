@@ -10,21 +10,9 @@ lower to sequential IR, and carry the parallel semantics as metadata
 (``Function.annotations``) for the PS-PDG builder.
 """
 
-from repro.frontend.ast import Program
-from repro.frontend.directives import (
-    Clauses,
-    Directive,
-    RegionAnnotation,
-    REDUCTION_OPS,
-)
-from repro.frontend.lexer import Token, tokenize
-from repro.frontend.lower import (
-    BUILTIN_FUNCTIONS,
-    Lowerer,
-    ir_type_of,
-    lower_program,
-)
-from repro.frontend.parser import Parser, parse_source
+from repro.frontend.lexer import tokenize
+from repro.frontend.lower import lower_program
+from repro.frontend.parser import parse_source
 
 
 def compile_source(source, module_name="miniomp"):
@@ -34,18 +22,8 @@ def compile_source(source, module_name="miniomp"):
 
 
 __all__ = [
-    "Program",
-    "Clauses",
-    "Directive",
-    "RegionAnnotation",
-    "REDUCTION_OPS",
-    "Token",
     "tokenize",
-    "Lowerer",
-    "ir_type_of",
     "lower_program",
-    "Parser",
     "parse_source",
-    "BUILTIN_FUNCTIONS",
     "compile_source",
 ]

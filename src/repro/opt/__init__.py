@@ -27,41 +27,20 @@ tiling, which read the machine model), so a new machine re-prices a plan
 without restructuring it again; levels: :class:`OptLevel`.
 """
 
-from repro.opt.context import OptContext
-from repro.opt.fusion import RegionFusionPass
-from repro.opt.legality import can_fuse, sync_is_redundant
 from repro.opt.levels import OptLevel
 from repro.opt.manager import (
     PIPELINES,
     PRICING_PASSES,
-    OptimizationResult,
-    OptReport,
-    PassManager,
-    passes_for,
     price_plan,
     restructure_plan,
     seed_regions,
 )
-from repro.opt.serialize import SmallRegionSerializationPass
-from repro.opt.sync import SyncEliminationPass
-from repro.opt.tiling import TilingPass
 
 __all__ = [
-    "OptContext",
     "OptLevel",
-    "OptReport",
-    "OptimizationResult",
-    "PassManager",
     "PIPELINES",
     "PRICING_PASSES",
-    "RegionFusionPass",
-    "SmallRegionSerializationPass",
-    "SyncEliminationPass",
-    "TilingPass",
-    "can_fuse",
-    "passes_for",
     "price_plan",
     "restructure_plan",
     "seed_regions",
-    "sync_is_redundant",
 ]

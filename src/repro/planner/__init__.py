@@ -5,25 +5,15 @@ Implements the paper's evaluation machinery: loop classification by SCCs
 ideal-machine critical-path plan selection (§6.3, Fig. 14).
 """
 
-from repro.planner.classify import (
-    LoopClassification,
-    SCCInfo,
-    classify_loop,
-)
-from repro.planner.calibration import CalibrationStore
+from repro.planner.classify import classify_loop
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.planner.options import (
-    OptionReport,
-    candidate_loops,
-    count_options,
     doall_options,
     dswp_options,
     helix_options,
-    openmp_options,
     options_for_loop,
-    worksharing_annotated_headers,
 )
 from repro.planner.plans import (
     LoopPlan,
@@ -33,33 +23,22 @@ from repro.planner.plans import (
     TECH_HELIX,
     TECH_SEQ,
     abstraction_plan,
-    candidate_techniques,
     loop_uid_map,
     openmp_source_plan,
-    region_uids,
-    technique_plan,
 )
 from repro.planner.views import VIEW_FEATURES, DependenceView
 
 __all__ = [
-    "LoopClassification",
-    "SCCInfo",
     "classify_loop",
-    "CalibrationStore",
     "CriticalPathEvaluator",
     "format_fig13_row",
     "format_fig14_row",
     "DEFAULT_MACHINE",
     "MachineModel",
-    "OptionReport",
-    "candidate_loops",
-    "count_options",
     "doall_options",
     "dswp_options",
     "helix_options",
-    "openmp_options",
     "options_for_loop",
-    "worksharing_annotated_headers",
     "LoopPlan",
     "ProgramPlan",
     "TECH_DOALL",
@@ -67,11 +46,8 @@ __all__ = [
     "TECH_HELIX",
     "TECH_SEQ",
     "abstraction_plan",
-    "candidate_techniques",
     "loop_uid_map",
     "openmp_source_plan",
-    "region_uids",
-    "technique_plan",
     "VIEW_FEATURES",
     "DependenceView",
 ]

@@ -21,10 +21,12 @@ re-keys the stages that read a changed field; nothing stale can be
 returned.
 """
 
+import hashlib
 import time
 
 from repro.core.ablation import full
 from repro.core.canonical import signature
+from repro.ir.printer import print_module
 from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
@@ -32,7 +34,6 @@ from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
 from repro.planner.calibration import CalibrationStore
 from repro.planner.recipes import recipes_from_plan
 from repro.runtime.executor import run_parallel
-from repro.runtime.payload import module_codec
 
 
 class Session:
@@ -270,11 +271,16 @@ class Session:
     def program_key(self):
         """Content hash keying this program's calibration feedback.
 
-        The module's wire key (its content identity on the process-pool
-        wire), so profiles survive session restarts and never leak
-        between different programs.
+        The sha256 of the module's printed IR (annotations included), so
+        profiles survive session restarts, never leak between different
+        programs, and a module the pickler cannot walk has one too.
         """
-        return module_codec(self.module).key
+        module = self.module
+        memo = getattr(self, "_program_key", None)
+        if memo is None or memo[0] is not module:
+            digest = hashlib.sha256(print_module(module).encode()).hexdigest()
+            memo = self._program_key = (module, digest)
+        return memo[1]
 
     def optimization(self, abstraction="PS-PDG"):
         """The pass pipeline's result (plan + report) for one abstraction."""

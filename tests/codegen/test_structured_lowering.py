@@ -1557,6 +1557,20 @@ def test_a_region_nested_too_deep_to_pickle_runs(backend, unarmed):
     assert region["backend"] == backend
 
 
+def test_a_region_nested_too_deep_to_pickle_calibrates(unarmed):
+    """Calibration keys its feedback by the printed IR, not by the
+    wire's pickle, so a calibrated ``threads`` run of a module the
+    pickler cannot walk runs, twice, under one stable key."""
+    source = _deep_region(101)
+    reference = run_module(compile_source(source)).output
+    session = Session.from_source(source, name="deep-region", calibrate=True)
+    for _ in range(2):
+        result = session.run("PS-PDG", backend="threads")
+        assert result.output == reference
+    fresh = Session.from_source(source, name="deep-region")
+    assert session.program_key() == fresh.program_key()
+
+
 def _pickles(module):
     """CPython 3.13 pickles the 101-deep chain; 3.10-3.12 run out of
     recursion."""

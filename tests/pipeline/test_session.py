@@ -630,6 +630,23 @@ def test_calibration_off_keeps_static_keys():
     assert session.calibrated["machine"] == session.config.machine
 
 
+def test_program_keys_tell_the_workloads_apart():
+    """Calibration feedback is keyed by the sha256 of the printed IR:
+    NAS8, the Fig. 11 gallery and three dense programs (all three named
+    alike) each get their own key."""
+    from repro.workloads.nas import KERNELS
+    from repro.workloads.necessity import PAIRS, build_pair_sessions
+    from support.programs import dense_source
+
+    sessions = [Session.from_kernel(name) for name in KERNELS]
+    for pair in PAIRS:
+        sessions += build_pair_sessions(pair).values()
+    sessions += [Session.from_source(dense_source(n)) for n in (8, 48, 96)]
+    keys = [session.program_key() for session in sessions]
+    assert len(set(keys)) == len(keys) == 21
+    assert sessions[0].program_key() is keys[0]
+
+
 # -- one home per option ---------------------------------------------------------
 
 
