@@ -1,4 +1,4 @@
-"""What the one emitter lowers and what it refuses, as five tracked lines.
+"""What the one emitter lowers and what it refuses, as six tracked lines.
 
     python3 benchmarks/lowering_census.py
 
@@ -19,7 +19,8 @@ hi)``) of the chunk bodies by how they count steps: charged once in
 front of the loop (a straight body that cannot raise), or per iteration.
 The fifth counts those of the once-charged that run as slices — a slice
 store's comprehension, or a ``for`` over zipped lanes — instead of a
-``for`` over the range.
+``for`` over the range.  The sixth splits the loops of the lowered
+sequences the same way, next to the ``while True:`` loops left in them.
 
 Every refusal is listed as ``<program> <function>[@-O<n>]: <block>:
 <why>``; exits 1 on any — a refused body is one that went back to the
@@ -72,11 +73,23 @@ def _charges(source):
     return [once, ranges - (once - sliced), sliced]
 
 
+def _sequence_loops(function, stops, loops_by_header, totals):
+    """Lower one sequence; add ``[counted, while, charged once, as
+    slices]`` over its loops into ``totals``."""
+    source = lower_sequence(function, stops, loops_by_header)[0]
+    once, each, sliced = _charges(source)
+    whiles = len(re.findall(r"^\s*while True:", source, re.M))
+    for index, count in enumerate((once + each, whiles, once, sliced)):
+        totals[index] += count
+
+
 def census():
     """``(population -> [(label, refusal or None), ...], [charged once,
-    per iteration, as slices])``."""
+    per iteration, as slices], [sequence loops counted, while, charged
+    once, as slices])``."""
     rows = {"chunk bodies": [], "sequences": [], "profiles": []}
     charges = [0, 0, 0]
+    sequences = [0, 0, 0, 0]
     for name, text in _texts():
         for level in LEVELS:
             session = Session.from_source(
@@ -95,8 +108,9 @@ def census():
                 stops = sequence_stops(regions, function)
                 rows["sequences"].append((
                     f"{name} {function.name}@-O{level}",
-                    _refusal(lambda: lower_sequence(
-                        function, stops, analyses.loops_by_header
+                    _refusal(lambda: _sequence_loops(
+                        function, stops, analyses.loops_by_header,
+                        sequences,
                     )),
                 ))
                 if level == 0:
@@ -122,12 +136,12 @@ def census():
                             _charges(entry.source)
                         ):
                             charges[index] += count
-    return rows, charges
+    return rows, charges, sequences
 
 
 def main():
     refused = 0
-    populations, (once, each, sliced) = census()
+    populations, (once, each, sliced), sequences = census()
     print("lowering census (structured / refused)")
     for population, rows in populations.items():
         refusals = [(label, why) for label, why in rows if why]
@@ -139,6 +153,8 @@ def main():
     print(f"  counted inner loops: {once} charged once / {each} per "
           "iteration")
     print(f"  counted inner loops as slices: {sliced}")
+    print("  sequence loops: {} counted / {} while, {} charged once, {} as "
+          "slices".format(*sequences))
     return 1 if refused else 0
 
 

@@ -98,8 +98,9 @@ Representation choices:
     ``sum()``: on Python >= 3.12 it is compensated, not the
     interpreter's left-to-right accumulation.
 
-  Sequences and profiles promote nothing, so they have no counted loop
-  and keep their lowering.
+  Sequences promote function-wide and get all of it
+  (:mod:`repro.codegen.seq`); a profile promotes nothing, so it has no
+  counted loop and keeps its lowering.
 * What the walk refuses — a loop left from a block other than its
   header, arms that never rejoin, a block reached twice, an induction
   alloca whose address escapes, a nest deeper than CPython compiles —
@@ -135,6 +136,7 @@ the loop stays on the interpreter — never fail, always fall back.
 
 import dataclasses
 import re
+import types
 
 from repro.analysis.dominators import immediate_dominators
 from repro.ir import instructions as insts
@@ -293,11 +295,16 @@ class _Lowering:
     """Lowers one loop; collects refs/bindings while emitting the body."""
 
     #: id(alloca) -> :class:`_Scalar` and id(load) -> the local it reads.
-    #: The whole-function lowerings share the walk and the instruction
-    #: statements and never promote, so the empty defaults live on the
-    #: class; a chunk lowering rebinds both, never mutates these.
-    promoted = {}
-    _alias = {}
+    #: Read-only on the class: every lowering that promotes binds its own,
+    #: and one that forgot would raise instead of leaking into the next.
+    promoted = types.MappingProxyType({})
+    _alias = types.MappingProxyType({})
+    #: id(alloca) -> the storage local of one a sequence runs in a loop
+    #: but keeps in its slot, looked up once per activation.
+    _cached = types.MappingProxyType({})
+    #: Whether geps read their base's storage local and drop a proven
+    #: guard; the profiled lowering keeps every statement as it is.
+    _tiered = True
     #: :func:`_critical_blocks` of a chunk's loop; the whole-function
     #: lowerings run on one thread between regions and take no lock.
     _critical = frozenset()
@@ -333,6 +340,7 @@ class _Lowering:
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
         self._intervals = {}  # induction local -> (lowest, highest) names
+        self._constants = {}  # induction local -> its interval, as ints
         self._proof = []  # entry lines defining those names, outermost first
         self._checks = []  # the once-per-chunk bounds proof's conjuncts
         self._enclosing = []  # intervals of the counted loops being emitted
@@ -448,15 +456,9 @@ class _Lowering:
         if isinstance(inst, insts.Alloca):
             # Re-executing an alloca keeps its storage and contents; only
             # the chunk's first execution reads the slot into the local.
-            key = self.ref(inst)
-            zero = _zero_literal(inst.allocated_type)
             out.emit(f"if {scalar.storage} is None:")
             out.indent += 1
-            out.emit(f"{scalar.storage} = _objs.get({key})")
-            out.emit(f"if {scalar.storage} is None:")
-            out.indent += 1
-            out.emit(f"{scalar.storage} = _objs[{key}] = [{zero}]")
-            out.indent -= 1
+            self._slot_storage(out, inst, scalar.storage, "")
             out.emit(f"{scalar.value} = {scalar.storage}[0]")
             out.indent -= 1
         elif isinstance(inst, insts.Load):
@@ -465,6 +467,17 @@ class _Lowering:
         else:
             out.emit(f"{scalar.value} = {self.scalar(inst.value)}")
 
+    def _slot_storage(self, out, alloca, storage, times):
+        """``storage`` = ``alloca``'s list in ``frame.objects``, made (of
+        zeros, ``times`` repeated) where the interpreter would make it."""
+        key = self.ref(alloca)
+        zero = _zero_literal(alloca.allocated_type)
+        out.emit(f"{storage} = _objs.get({key})")
+        out.emit(f"if {storage} is None:")
+        out.indent += 1
+        out.emit(f"{storage} = _objs[{key}] = [{zero}]{times}")
+        out.indent -= 1
+
     def lower_instruction(self, out, inst):
         if isinstance(inst, (insts.Alloca, insts.Load, insts.Store)):
             slot = inst if isinstance(inst, insts.Alloca) else inst.pointer
@@ -472,15 +485,18 @@ class _Lowering:
             if scalar is not None:
                 return self._lower_promoted(out, inst, scalar)
         if isinstance(inst, insts.Alloca):
-            key = self.ref(inst)
-            slots = inst.allocated_type.slots()
-            zero = _zero_literal(inst.allocated_type)
+            times = f" * {inst.allocated_type.slots()}"
             name_s, _name_o = self._register(inst)
-            out.emit(f"{name_s} = _objs.get({key})")
-            out.emit(f"if {name_s} is None:")
-            out.indent += 1
-            out.emit(f"{name_s} = _objs[{key}] = [{zero}] * {slots}")
-            out.indent -= 1
+            cached = self._cached and self._cached.get(id(inst))
+            if cached:
+                # Assigned here, so a read before it stays unbound.
+                out.emit(f"if {cached} is None:")
+                out.indent += 1
+                self._slot_storage(out, inst, cached, times)
+                out.indent -= 1
+                out.emit(f"{name_s} = {cached}")
+            else:
+                self._slot_storage(out, inst, name_s, times)
             out.emit(f"_r{inst.uid}_o = 0")
         elif isinstance(inst, insts.Load):
             if isinstance(inst.type, PointerType):
@@ -552,7 +568,7 @@ class _Lowering:
         index = self.scalar(inst.index)
         array_type = inst.pointer.type.pointee
         proven = False
-        if self.loop is not None:  # a chunk body, not a function's
+        if self._tiered:
             # The element lives in the base's storage, whose local is
             # only ever rebound to the same list.
             self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
@@ -1111,6 +1127,9 @@ class _Lowering:
                 f"{interval[1]} = {self._extreme(bound, True)} - 1"
             )
             self._intervals[scalar.value] = interval
+            low, high = self._static(first, False), self._static(bound, True)
+            if low is not None and high is not None:
+                self._constants[scalar.value] = (low, high - 1)
         self._elided.add(latch)
         self._alias_loads(
             scalar, [b for b in inner.blocks if b is not latch]
@@ -1571,6 +1590,17 @@ class _Lowering:
             parts.append(end if factor == 1 else f"{factor} * {end}")
         return " + ".join(parts)
 
+    def _static(self, form, highest):
+        """:meth:`_extreme` as an int where every name's interval is
+        constant, else ``None``."""
+        constant, terms = form
+        for name, factor in terms.items():
+            ends = self._constants.get(name)
+            if ends is None:
+                return None
+            constant += factor * ends[(factor > 0) == highest]
+        return constant
+
     def _proven_in_bounds(self, inst):
         """Whether the chunk's entry proof covers ``inst``'s index, so
         its guard can go; adds the conjunct that does.  A gep in an
@@ -1743,13 +1773,18 @@ class _Lowering:
             out.emit("locks.release_all(_held)")
         for scalar in seeded:
             out.emit(f"{scalar.storage}[0] = {scalar.value}")
-        for scalar in local:
+        self._write_back(out, local)
+        out.indent -= 1
+        out.emit("interp.steps = _steps")
+
+    @staticmethod
+    def _write_back(out, scalars):
+        """Each of ``scalars`` whose alloca ran back into its slot."""
+        for scalar in scalars:
             out.emit(f"if {scalar.storage} is not None:")
             out.indent += 1
             out.emit(f"{scalar.storage}[0] = {scalar.value}")
             out.indent -= 1
-        out.indent -= 1
-        out.emit("interp.steps = _steps")
 
 
 def lower_chunk(loop):

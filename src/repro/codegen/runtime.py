@@ -81,7 +81,7 @@ def expand_iteration(table, layout, key):
     return table.iteration(counts, key[-1] if nested else ())
 
 
-_REGISTER_LOCAL = re.compile(r"_r(\d+)(?:_[so])?$")
+_REGISTER_LOCAL = re.compile(r"_[rp](\d+)(?:_[so])?$")
 
 
 def unbound_register(error):
@@ -91,12 +91,13 @@ def unbound_register(error):
     a register whose defining block never executed is an *unbound local*
     where the interpreter's lazy frame raises ``use of unexecuted
     instruction %<uid>``.  Returns that :class:`EmulationError` for a
-    ``_r<uid>`` local, or the original error for anything else (a
-    codegen bug should stay loud and recognizable).
+    ``_r<uid>`` local or a promoted scalar's ``_p<uid>`` (its alloca's
+    register), or the original error for anything else (a codegen bug
+    should stay loud and recognizable).
     """
     name = getattr(error, "name", None)
     if not name:
-        found = re.search(r"'(_r\d+(?:_[so])?)'", str(error))
+        found = re.search(r"'(_[rp]\d+(?:_[so])?)'", str(error))
         name = found.group(1) if found else ""
     match = _REGISTER_LOCAL.match(name or "")
     if match is None:

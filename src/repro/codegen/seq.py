@@ -3,15 +3,25 @@
 Where :mod:`repro.codegen.lower` compiles the body of a DOALL chunk,
 this module compiles everything *around* the parallel regions, through
 the same structured walk with the function as its outermost region:
-nested ``while True:`` loops and ``if``/``else`` diamonds (scalars stay
-in their slots — no promotion, no counted loops, no bounds proof) with
-the exact semantics of ``Interpreter._run_function`` — one step per
+nested loops and ``if``/``else`` diamonds with the exact semantics of
+``Interpreter._run_function`` — one step per
 executed instruction against ``max_steps`` (with the interpreter's own
 error message), the interpreter's lazy "use of unexecuted instruction"
 error for registers whose defining block never ran (mapped from
 Python's ``UnboundLocalError``), and ``return`` lowering to a real
 return, also from inside loops: an arm that leaves its loops for good
 is emitted under its ``if`` and ends in the ``return``.
+
+The chunk tier applies as it is: a scalar alloca no region can see is
+promoted to a local for the whole function, so a loop over one is
+``for v in range(v, hi)`` and gets the array tier's preheader.  Promoted
+scalars are written back to their slots before every stop and in a
+``finally``, so ``frame.objects`` is the interpreter's image wherever a
+region or the caller reads it.  With no ``Bailout`` after the first side
+effect, a ``gep`` drops its guard only where the proof holds when the
+body is lowered: every name of its index a counted induction whose
+interval is constant.  An alloca that runs in a loop but keeps its slot
+is looked up once per activation.
 
 A planned parallel region is a *stop*: one statement where its loop
 node would be.  Reaching the region's header closes the open step
@@ -37,7 +47,8 @@ raises :class:`Unsupported` naming the block and the function stays
 interpreted — never fail, always fall back.
 
 The same walk has a *profiled* lowering (:class:`_ProfiledLowering`,
-:func:`compile_profiled`): no stops, one counter per block, and the
+:func:`compile_profiled`): no stops, no promotion, every guard and
+statement as the interpreter runs it, one counter per block, and the
 loop events at their three fixed positions on the loop tree — *enter*
 before the Python loop, *iterate* at the bottom of its body, *exit*
 behind it (and "leave *k* loops" where an arm returns) — so that running
@@ -108,7 +119,7 @@ class _SequenceLowering(_Lowering):
     (plain locals instead of live-ins).
     """
 
-    loop = None  # no chunk loop: nothing is promoted, aliased or proven
+    loop = None  # no chunk loop: no induction is seeded
     _inductions = ()
     name = "_seq"
     parameters = "interp, frame"
@@ -164,11 +175,59 @@ class _SequenceLowering(_Lowering):
 
     # -- overrides of the chunk lowering -------------------------------------
 
+    def _promote(self):
+        """The chunk's promotion over the function, less every scalar a
+        region can see: one its loops allocate or use (which covers
+        their live-in registers).  The scan takes in the stops' blocks:
+        a value a region reads is never used once, fused or aliased.
+
+        An alloca that runs in a loop but keeps its slot gets a storage
+        local, looked up once per activation."""
+        self.blocks = self.function.blocks
+        self.defined = {
+            id(inst) for block in self.blocks for inst in block.instructions
+        }
+        self._alias = {}
+        super()._promote()
+        stopped = {
+            block for stop in self._stops.values()
+            for loop in stop.loops for block in loop.blocks
+        }
+        shared = {
+            id(value) for block in stopped for inst in block.instructions
+            for value in (inst, *inst.operands)
+        }
+        self.promoted = {
+            key: scalar for key, scalar in self.promoted.items()
+            if key not in shared
+        }
+        self._cached = {
+            id(inst): f"_s{inst.uid}"
+            for block in self.blocks
+            if block in self._innermost and block not in stopped
+            for inst in block.instructions
+            if isinstance(inst, insts.Alloca) and id(inst) not in self.promoted
+        }
+
+    def _proven_in_bounds(self, inst):
+        """Proven now or never: a sequence cannot ``Bailout`` once a side
+        effect ran, so every name of the index must be a counted
+        induction whose interval is constant."""
+        form = self._affine(inst.index)
+        if form is None:
+            return False
+        low, high = self._static(form, False), self._static(form, True)
+        count = inst.pointer.type.pointee.count
+        return low is not None and 0 <= low and high < count
+
     def _register(self, inst):
         # No live-in protocol: every register the function reads is
-        # either defined in a lowered block (a plain local) or left
-        # unbound so UnboundLocalError maps to the interpreter's lazy
-        # "use of unexecuted instruction" error.
+        # either defined in a lowered block (a plain local, or the local
+        # it aliases) or left unbound so UnboundLocalError maps to the
+        # interpreter's lazy "use of unexecuted instruction" error.
+        alias = self._alias and self._alias.get(id(inst))
+        if alias:
+            return alias
         if isinstance(inst.type, PointerType):
             return f"_r{inst.uid}_s", f"_r{inst.uid}_o"
         return f"_r{inst.uid}"
@@ -200,6 +259,8 @@ class _SequenceLowering(_Lowering):
         # The segment that reached the header is closed here, as at a
         # call: the dispatch counts on from exactly ``interp.steps``.
         out.emit("interp.steps = _steps")
+        # The region's payload images ``frame.objects`` whole.
+        self._write_back(out, self.promoted.values())
         self._flushes.append((len(out.lines), out.indent, stop))
         out.emit(
             f"interp._compiled_region_stop({inner.header.name!r}, frame)"
@@ -225,6 +286,7 @@ class _SequenceLowering(_Lowering):
             # No transition leads here, so the interpreter never takes
             # the region over on the way in.
             raise _refused(entry, "entry block belongs to a planned region")
+        self._promote()
         self._walk(out, entry, _RETURNED, None)
         # What a stop flushes is what the whole walk lowered — values
         # bound behind it too, a loop around it brings them back.
@@ -242,10 +304,9 @@ class _SequenceLowering(_Lowering):
 
     def _emit_flush(self, out, inst):
         key = self.ref(inst)
-        if isinstance(inst.type, PointerType):
-            value = f"(_r{inst.uid}_s, _r{inst.uid}_o)"
-        else:
-            value = f"_r{inst.uid}"
+        value = self._register(inst)
+        if isinstance(value, tuple):
+            value = f"({value[0]}, {value[1]})"
         out.emit("try:")
         out.indent += 1
         out.emit(f"frame.registers[{key}] = {value}")
@@ -261,12 +322,21 @@ class _SequenceLowering(_Lowering):
         out.emit("_unbound = H.unbound_register")
 
     def _emit_body(self, out, body):
+        for storage in [*self._cached.values()] + [
+            scalar.storage for scalar in self.promoted.values()
+        ]:
+            out.emit(f"{storage} = None")
         out.emit("try:")
         out.lines.extend(body.lines)
         out.emit("except UnboundLocalError as _exc:")
         out.indent += 1
         out.emit("raise _unbound(_exc) from None")
         out.indent -= 1
+        if self.promoted:
+            out.emit("finally:")
+            out.indent += 1
+            self._write_back(out, self.promoted.values())
+            out.indent -= 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,6 +376,7 @@ class _ProfiledLowering(_SequenceLowering):
     """
 
     parameters = "interp, frame, _table"
+    _tiered = False
 
     def __init__(self, function, loops):
         super().__init__(
@@ -373,6 +444,10 @@ class _ProfiledLowering(_SequenceLowering):
                         stack.append(inst.callee)
 
     # -- instrumentation ----------------------------------------------------------
+
+    def _promote(self):
+        """Nothing: the profile counts each block as the interpreter runs
+        it (a counted loop would be a later gain for the cold compile)."""
 
     def _lower_block(self, out, block):
         out.emit(f"_n{self._number[block]} += 1")

@@ -27,7 +27,9 @@ from repro.analysis.loops import find_natural_loops
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.codegen.lower import Unsupported, chunk_tier, compile_chunk
-from repro.codegen.seq import _SequenceLowering, lower_sequence
+from repro.codegen.seq import (
+    _SequenceLowering, lower_sequence, sequence_stops,
+)
 from repro.codegen.runtime import Bailout
 from repro.emulator.interp import _Frame, run_module
 from repro.frontend import compile_source
@@ -46,7 +48,7 @@ from repro.runtime.executor import ParallelInterpreter
 from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
-from support.conformance import outputs_close
+from support.conformance import outputs_close, wire_bytes
 from support.ir_parser import parse_ir
 from support.plans import run_plan, run_source_plan
 from support.progen import generate_body_nest_program, generate_nest_program
@@ -1350,6 +1352,112 @@ def test_early_returns_lower_under_their_if_with_no_dispatch_loop():
                 block.terminator.opcode == "return" for block in reached
             )
             assert text.count("    return ") == returns + 1
+
+
+# -- the sequence tier: promotion, counted loops, a proof at lowering time --------
+
+
+def _sequence_source(kernel, level=2):
+    session = Session.from_kernel(kernel, opt_level=level)
+    regions = {r.header: r for r in session.region_recipes["PS-PDG"]}
+    stops = sequence_stops(regions, session.function)
+    return lower_sequence(
+        session.function, stops, session.analyses.loops_by_header
+    )[0]
+
+
+@pytest.mark.parametrize("kernel", ["IS", "LU"])
+def test_a_sequence_counts_its_loops_and_looks_up_no_slot_per_trip(kernel):
+    lines = _sequence_source(kernel).splitlines()
+    assert any(re.match(r"\s*for _p\d+ in range\(", line) for line in lines)
+    loops = []  # indents of the loops around the line
+    for index, line in enumerate(lines):
+        indent = len(line) - len(line.lstrip())
+        while loops and loops[-1] >= indent:
+            loops.pop()
+        if loops and "_objs.get(" in line:
+            # In a loop only under the once-per-activation test of the
+            # local it fills.
+            storage = line.split("=")[0].strip()
+            assert lines[index - 1].strip() == f"if {storage} is None:", line
+        if re.match(r"\s*(for .* in |while True:)", line):
+            loops.append(indent)
+
+
+#: A counted sequential loop stores ``s``, which the region reads, and
+#: ``t``, which it does not: ``t`` lives in a local between the regions,
+#: large enough that a stale zero in its slot would ship fewer bytes.
+SCALARS_AROUND_A_REGION = """
+global a: int[16];
+func main() {
+  var s: int = 0;
+  var t: int = 0;
+  for k in 0..10 { s = s + k; t = t + 100000 * k; }
+  pragma omp parallel_for
+  for i in 0..16 { a[i] = a[i] + i + s; }
+  for k in 0..3 { t = t + a[k]; }
+  print("r", a[3], a[15], s, t);
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_a_promoted_scalar_is_written_back_before_a_region_stop(
+        backend, unarmed):
+    module = compile_source(SCALARS_AROUND_A_REGION)
+    function = module.function("main")
+    (region,) = recipes_from_annotations(function)
+    stops = ((region.header, (region.header,)),)
+    source = lower_sequence(function, stops, _forest(function))[0]
+    assert "for _p" in source
+    options = dict(backend=backend, workers=2, pool_size=2)
+    run_source_plan(module, **options)  # ships the module to the pool
+    interpreted = run_source_plan(module, compile_regions=False, **options)
+    compiled = run_source_plan(module, compile_regions=True, **options)
+    assert compiled.sequence_stats == {"compiled": 1, "interpreted": 0}
+    assert compiled.output == interpreted.output
+    assert compiled.steps == interpreted.steps
+    if backend == "processes":
+        assert wire_bytes(compiled.parallel_regions) == \
+            wire_bytes(interpreted.parallel_regions)
+
+
+CHARGED_ONCE = """
+global a: int[16];
+func main() {
+  print("start", 1);
+  for i in 0..12 { a[i] = a[i] + 2 * i; }
+  print("end", a[5]);
+}
+"""
+
+
+def _cut_short(compiled, max_steps):
+    interp = ParallelInterpreter(
+        compile_source(CHARGED_ONCE), (), workers=2, backend="threads",
+        compile_regions=compiled, max_steps=max_steps,
+    )
+    try:
+        interp.run()
+    except EmulationError as raised:
+        return str(raised), interp.output
+    return None, interp.output
+
+
+def test_a_once_charged_sequence_loop_trips_like_the_interpreter(unarmed):
+    function = compile_source(CHARGED_ONCE).function("main")
+    source = lower_sequence(function, (), _forest(function))[0]
+    (before,) = re.findall(r"_steps \+= (\d+)\n", source)[:1]
+    (each,) = re.findall(r"_steps \+= (\d+) \* \(12 - _p", source)
+    assert "while True" not in source
+    # From the first step the loop charges to its last.
+    window = range(int(before), int(before) + 12 * int(each))
+    for max_steps in window:
+        cut = _cut_short(True, max_steps)
+        assert cut == _cut_short(False, max_steps), max_steps
+        assert cut == (
+            f"exceeded max_steps={max_steps}; infinite loop?", [("start", (1,))]
+        ), max_steps
 
 
 # -- stop placement ---------------------------------------------------------------
