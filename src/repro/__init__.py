@@ -36,7 +36,6 @@ The same pipeline is scriptable from the shell::
     python -m repro plan examples/histogram.mop
 """
 
-from repro.opt import OptLevel
 from repro.pipeline import SessionConfig
 from repro.session import Session
 
@@ -46,6 +45,5 @@ __version__ = "1.1.0"
 __all__ = [
     "Session",
     "SessionConfig",
-    "OptLevel",
     "__version__",
 ]

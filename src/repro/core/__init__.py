@@ -7,45 +7,3 @@ signatures (:mod:`repro.core.canonical`).  The OpenMP/Cilk
 sufficiency mapping of Section 5 / Appendix A is checked by the tests
 (``tests/support/sufficiency.py``).
 """
-
-from repro.core.ablation import (
-    full,
-    project,
-    without_contexts,
-    without_hierarchical_and_undirected,
-    without_traits,
-    without_variables,
-)
-from repro.core.canonical import signature
-from repro.core.model import (
-    DataSelector,
-    HierarchicalNode,
-    InstructionNode,
-    PSPDG,
-    Relaxation,
-    Trait,
-    TRAIT_ATOMIC,
-    TRAIT_SINGULAR,
-    TRAIT_UNORDERED,
-    VAR_PRIVATIZABLE,
-)
-
-__all__ = [
-    "full",
-    "project",
-    "without_contexts",
-    "without_hierarchical_and_undirected",
-    "without_traits",
-    "without_variables",
-    "signature",
-    "DataSelector",
-    "HierarchicalNode",
-    "InstructionNode",
-    "PSPDG",
-    "Relaxation",
-    "Trait",
-    "TRAIT_ATOMIC",
-    "TRAIT_SINGULAR",
-    "TRAIT_UNORDERED",
-    "VAR_PRIVATIZABLE",
-]

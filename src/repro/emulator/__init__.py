@@ -1,11 +1,5 @@
 """repro.emulator — reference interpreter, dynamic profiles, critical path."""
 
-from repro.emulator.interp import Interpreter, run_module, run_source
-from repro.emulator.profile import Profiler
+from repro.emulator.interp import run_source
 
-__all__ = [
-    "Interpreter",
-    "run_module",
-    "run_source",
-    "Profiler",
-]
+__all__ = ["run_source"]

@@ -10,7 +10,6 @@ lower to sequential IR, and carry the parallel semantics as metadata
 (``Function.annotations``) for the PS-PDG builder.
 """
 
-from repro.frontend.lexer import tokenize
 from repro.frontend.lower import lower_program
 from repro.frontend.parser import parse_source
 
@@ -22,7 +21,6 @@ def compile_source(source, module_name="miniomp"):
 
 
 __all__ = [
-    "tokenize",
     "lower_program",
     "parse_source",
     "compile_source",

@@ -28,19 +28,10 @@ without restructuring it again; levels: :class:`OptLevel`.
 """
 
 from repro.opt.levels import OptLevel
-from repro.opt.manager import (
-    PIPELINES,
-    PRICING_PASSES,
-    price_plan,
-    restructure_plan,
-    seed_regions,
-)
+from repro.opt.manager import price_plan, restructure_plan
 
 __all__ = [
     "OptLevel",
-    "PIPELINES",
-    "PRICING_PASSES",
     "price_plan",
     "restructure_plan",
-    "seed_regions",
 ]

@@ -9,30 +9,6 @@ per-worker frames).  Iteration partitioning is decided once by a
 ``dynamic`` / ``guided``) and shared by every backend.
 """
 
-from repro.runtime.backends import ThreadsBackend, get_backend
-from repro.planner.recipes import (
-    LoopParallelization,
-    parallelization_from_annotation,
-    parallelization_from_pspdg,
-)
-from repro.runtime.executor import ParallelInterpreter, run_parallel
-from repro.runtime.schedulers import (
-    DynamicScheduler,
-    GuidedScheduler,
-    StaticScheduler,
-    make_scheduler,
-)
+from repro.runtime.executor import run_parallel
 
-__all__ = [
-    "DynamicScheduler",
-    "GuidedScheduler",
-    "LoopParallelization",
-    "ParallelInterpreter",
-    "StaticScheduler",
-    "ThreadsBackend",
-    "get_backend",
-    "make_scheduler",
-    "parallelization_from_annotation",
-    "parallelization_from_pspdg",
-    "run_parallel",
-]
+__all__ = ["run_parallel"]

@@ -16,9 +16,8 @@ Each knob is a :class:`Knob` instance that
 * can be re-read from the environment with :func:`refresh` — the test
   suite calls that around every test so env-based tests compose.
 
-Tests may also assign ``knob.value = True`` (or monkeypatch
-``payload.VERIFY_COMPILED``, which re-exports the knob) for a
-process-local override; ``refresh()`` restores the environment's verdict.
+Tests may also assign ``knob.value = True`` for a process-local
+override; ``refresh()`` restores the environment's verdict.
 """
 
 import os
@@ -96,10 +95,6 @@ def flag(name, default=False, doc=""):
     return knob
 
 
-#: The spelling for typed (str/int/float default) knobs.
-setting = flag
-
-
 def refresh():
     """Re-read every registered knob from the environment."""
     for knob in _KNOBS.values():
@@ -129,8 +124,7 @@ def markdown_table():
 
     ``python -m repro knobs --markdown`` prints this, the README embeds
     it, and a drift test requires the embedded copy verbatim — so a new
-    knob is a one-line ``flag(...)``/``setting(...)`` plus pasting the
-    regenerated table.
+    knob is a one-line ``flag(...)`` plus pasting the regenerated table.
     """
     lines = ["| Knob | Default | Effect |", "|---|---|---|"]
     for name, info in snapshot().items():
@@ -157,7 +151,7 @@ VERIFY_COMPILED = flag(
         "payload.",
 )
 
-REPRO_FAULTS = setting(
+REPRO_FAULTS = flag(
     "REPRO_FAULTS", "",
     doc="Fault-injection spec for chaos testing, e.g. "
         "`crash:region=2:worker=1;hang:p=0.05:seed=7` — scenarios "

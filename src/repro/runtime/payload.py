@@ -83,11 +83,6 @@ LOOP_TAG = "l"  # NaturalLoops, by (function name, header block name)
 MODULE_CACHE_CAP = 16
 
 
-# The knob object of ``runtime/knobs.py`` (truthy exactly when its variable
-# is set truthy), re-exported so tests can monkeypatch it here.
-VERIFY_COMPILED = knobs.VERIFY_COMPILED
-
-
 # -- deterministic module traversal -------------------------------------------
 
 
@@ -405,7 +400,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
         loops,
         max_steps,
         bool(compile_regions),
-        bool(VERIFY_COMPILED),
+        bool(knobs.VERIFY_COMPILED),
     ))
     header_bytes = buffer.getvalue()
     # Memo snapshot after the header: each worker's delta pickler is

@@ -1,6 +1,6 @@
 """Alias analysis: provenance, object identity, call summaries."""
 
-from repro.analysis import AliasAnalysis, CONSOLE
+from repro.analysis.alias import AliasAnalysis, CONSOLE
 from repro.frontend import compile_source
 from repro.ir.instructions import Load, Store
 

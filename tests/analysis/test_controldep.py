@@ -1,6 +1,6 @@
 """Control dependence (Ferrante/Ottenstein/Warren)."""
 
-from repro.analysis import (
+from repro.analysis.controldep import (
     compute_control_dependence,
     controlling_branch_instructions,
 )

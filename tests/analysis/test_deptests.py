@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import constant_trip_count, find_natural_loops
-from repro.analysis import test_level as siv_test
+from repro.analysis.deptests import constant_trip_count, test_level as siv_test
+from repro.analysis.loops import find_natural_loops
 from repro.analysis.subscripts import AffineExpr
 from repro.frontend import compile_source
 

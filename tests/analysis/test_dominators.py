@@ -4,12 +4,13 @@ fixed-point dominator computation on random CFGs."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.dominators import (
     compute_dominator_tree,
     compute_postdominator_tree,
 )
 from repro.frontend import compile_source
-from repro.ir import Function, IRBuilder
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Function
 
 
 def diamond_function():

@@ -1,11 +1,8 @@
 """Live-out object detection relative to loops."""
 
-from repro.analysis import (
-    FunctionAnalyses,
-    blocks_after_loop,
-    find_natural_loops,
-    live_in_registers,
-)
+from repro.analysis.liveness import blocks_after_loop, live_in_registers
+from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
 
 

@@ -1,9 +1,6 @@
 """Natural loop detection and the nesting forest."""
 
-from repro.analysis import (
-    find_natural_loops,
-    loop_of_block,
-)
+from repro.analysis.loops import find_natural_loops, loop_of_block
 from repro.frontend import compile_source
 
 

@@ -1,6 +1,6 @@
 """Memory dependence analysis over whole functions."""
 
-from repro.analysis import FunctionAnalyses
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import FunctionAnalyses
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.loops import loop_of_block
 from repro.frontend import compile_source
 from repro.workloads import build_kernel, kernel_names

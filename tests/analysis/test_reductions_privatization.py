@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import FunctionAnalyses
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.alias import AllocaObject
 from repro.analysis.memdep import MemoryAccess
 from repro.analysis.reductions import identity_slots, update_op

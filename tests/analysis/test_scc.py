@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import strongly_connected_components
+from repro.analysis.scc import strongly_connected_components
 
 
 def test_straight_line_is_singletons():

@@ -3,10 +3,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.loops import find_natural_loops
+from repro.analysis.subscripts import (
     AffineExpr,
     affine_offset,
-    find_natural_loops,
     induction_alloca_map,
 )
 from repro.frontend import compile_source

@@ -1,7 +1,8 @@
 """Canonical signatures: stability, sensitivity, permutation invariance."""
 
 from repro.analysis.record import FunctionAnalyses
-from repro.core import full, signature
+from repro.core.ablation import full
+from repro.core.canonical import signature
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses

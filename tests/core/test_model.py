@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.record import FunctionAnalyses
-from repro.core import (
+from repro.core.model import (
     DataSelector,
     HierarchicalNode,
     InstructionNode,

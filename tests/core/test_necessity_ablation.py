@@ -3,16 +3,16 @@
 import pytest
 
 from repro.analysis.record import FunctionAnalyses
-from repro.core import (
+from repro.core.ablation import (
     full,
     project,
-    signature,
     without_contexts,
     without_hierarchical_and_undirected,
     without_traits,
     without_variables,
 )
 from repro.core.builder import PSPDGBuilder
+from repro.core.canonical import signature
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.workloads.necessity import PAIRS, demonstrate

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.analysis.record import FunctionAnalyses
-from repro.core import (
+from repro.core.model import (
     TRAIT_ATOMIC,
     TRAIT_SINGULAR,
     TRAIT_UNORDERED,

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.emulator import Interpreter, run_module
+from repro.emulator.interp import Interpreter, run_module
 from repro.emulator.interp import _Frame, decode_block
 from repro.frontend import compile_source
 from repro.ir.builder import IRBuilder

@@ -87,7 +87,7 @@ class TestControlFlow:
         ) == ["9"]
 
     def test_infinite_loop_guard(self):
-        from repro.emulator import Interpreter
+        from repro.emulator.interp import Interpreter
         from repro.frontend import compile_source
 
         module = compile_source(

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro import Session
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.runtime import knobs, run_parallel
 from repro.util.errors import EmulationError

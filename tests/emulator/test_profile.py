@@ -1,6 +1,7 @@
 """Loop-nest profile structure."""
 
-from repro.emulator import Profiler, run_source
+from repro.emulator import run_source
+from repro.emulator.profile import Profiler
 from support.profile_shapes import count_of, loop_instances
 
 

@@ -15,7 +15,7 @@ from repro.codegen import cache as codegen_cache
 from repro.codegen.profile import _interpret, _run, profile_function
 from repro.codegen.seq import _ProfiledLowering, _SequenceLowering, \
     compile_profiled
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.emulator.profile import ShapeTable
 from repro.frontend import compile_source
 from repro.ir import instructions as insts

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend import tokenize
+from repro.frontend.lexer import tokenize
 from repro.util.errors import FrontendError
 
 

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from repro.analysis import find_natural_loops
+from repro.analysis.loops import find_natural_loops
 from repro.frontend import compile_source
-from repro.ir import verify_module
+from repro.ir.verifier import verify_module
 from repro.util.errors import FrontendError
 
 

@@ -1,46 +1,56 @@
-"""Every name a ``repro`` package re-exports has a caller.
+"""Every name a ``repro`` package re-exports has a caller outside the tests.
 
 A package ``__init__`` that imports a name gives it a second import
 path, kept in step with its ``__all__`` entry by hand.  It pays only if
-the ``__init__`` uses the name itself or some file under ``src/``,
-``tests/``, ``benchmarks/`` or ``examples/`` imports it through the
-package: ``from repro.pkg import name``, ``pkg.name`` after ``import
+the ``__init__`` uses the name itself or a user of the package imports
+it through the package: some file under ``src/``, ``benchmarks/`` or
+``examples/``, or a Python import quoted in a fenced code block of
+``README.md`` or ``benchmarks/e2e/README.md``.  Tests import a name from
+its defining module, so a file under ``tests/`` keeps nothing alive.  A
+read is ``from repro.pkg import name``, ``pkg.name`` after ``import
 repro.pkg`` or ``from repro import pkg``, or a ``"repro.pkg.name"``
-string (a patch target).  A re-export whose only caller is another
-re-export dies with it, so the check deletes re-exports in memory until
-nothing changes and names every one it deleted.
+string (a patch target); ``from repro.pkg import module`` names a
+submodule, which Python imports without the ``__init__``'s help, so it
+reads no re-export.  A re-export whose only caller is another re-export
+dies with it, so the check deletes re-exports in memory until nothing
+changes and names every one it deleted.
 
 AST only: nothing here imports ``repro``.
 """
 
 import ast
 import re
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).resolve().parents[2]
-PACKAGE_ROOT = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "tests", "benchmarks", "examples")
+CALLER_DIRS = ("src", "benchmarks", "examples")
+READMES = ("README.md", "benchmarks/e2e/README.md")
 DOTTED = re.compile(r"repro(\.\w+)+")
-
-
-def _packages():
-    """Dotted package name -> its ``__init__.py``."""
-    found = {}
-    for path in sorted(PACKAGE_ROOT.rglob("__init__.py")):
-        parts = path.parent.relative_to(PACKAGE_ROOT.parent).parts
-        found[".".join(parts)] = path
-    return found
+QUOTED_IMPORT = re.compile(
+    r"\s*(from\s+repro[\w.]*\s+import\s.*|import\s+repro\b.*)"
+)
 
 
 def _module_name(path):
     """The dotted name of a file under ``src/`` (None elsewhere)."""
-    try:
-        parts = list(path.relative_to(ROOT / "src").with_suffix("").parts)
-    except ValueError:
+    parts = list(PurePosixPath(path).with_suffix("").parts)
+    if parts[0] != "src":
         return None
+    parts.pop(0)
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
+
+
+def _layout(files):
+    """``(packages, modules)``: the dotted names of ``src/``'s packages
+    and of all its modules, packages included."""
+    sources = [path for path in files
+               if path.startswith("src/") and path.endswith(".py")]
+    modules = {_module_name(path) for path in sources}
+    packages = {_module_name(path) for path in sources
+                if path.endswith("/__init__.py")}
+    return packages, modules
 
 
 def _source_module(node, module, is_package):
@@ -87,18 +97,17 @@ def _used_names(tree):
     return used
 
 
-def _through(path, packages):
-    """``(reads, reexports)`` of one file.
+def _through(text, module, is_package, layout):
+    """``(reads, reexports)`` of one file's source ``text``.
 
     ``reads``: every ``(package, name)`` the file reads through a
     package.  ``reexports``: for a package ``__init__``, each name it
     imports at top level and does not use itself, mapped to the
-    ``(package, name)`` that import reads (None for a plain module), so
-    that a dead re-export's own read dies with it.
+    ``(package, name)`` that import reads (None for a plain module or a
+    submodule), so that a dead re-export's own read dies with it.
     """
-    tree = ast.parse(path.read_text(), str(path))
-    module = _module_name(path)
-    is_package = path.name == "__init__.py"
+    packages, modules = layout
+    tree = ast.parse(text)
     used = _used_names(tree) if is_package else set()
     bound = {}  # local name -> the package it denotes
     reads = set()
@@ -109,7 +118,8 @@ def _through(path, packages):
             for alias in node.names:
                 local = alias.asname or alias.name
                 read = None
-                if source in packages and source != module:
+                if source in packages and source != module \
+                        and f"{source}.{alias.name}" not in modules:
                     read = source, alias.name
                 if is_package and node in tree.body and local not in used:
                     reexports[local] = read
@@ -143,9 +153,20 @@ def _through(path, packages):
     return reads, reexports
 
 
-def _all_entries(path):
+def _quoted_imports(markdown):
+    """The ``repro`` import lines of a Markdown file's fenced blocks."""
+    lines, fenced = [], False
+    for line in markdown.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced and QUOTED_IMPORT.fullmatch(line):
+            lines.append(line.strip())
+    return "\n".join(lines)
+
+
+def _all_entries(text):
     """``(__all__ entries, names bound at top level)`` of an ``__init__``."""
-    tree = ast.parse(path.read_text(), str(path))
+    tree = ast.parse(text)
     entries, bound = [], set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -162,22 +183,36 @@ def _all_entries(path):
     return entries, bound
 
 
-def _callers():
+def _repo_files():
+    """Relative posix path -> text of every file the rule reads."""
+    paths = [ROOT / readme for readme in READMES]
     for directory in CALLER_DIRS:
-        yield from sorted((ROOT / directory).rglob("*.py"))
+        paths.extend(sorted((ROOT / directory).rglob("*.py")))
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text() for path in paths
+    }
 
 
-def _dead_reexports():
-    """``package -> sorted names`` no caller needs, to the fixpoint."""
-    packages = _packages()
+def _callers(files):
+    """``(module, is_package, python source)`` of each caller in ``files``."""
+    for path, text in sorted(files.items()):
+        if path in READMES:
+            yield None, False, _quoted_imports(text)
+        elif path.endswith(".py") and path.split("/")[0] in CALLER_DIRS:
+            yield _module_name(path), path.endswith("/__init__.py"), text
+
+
+def _dead_reexports(files):
+    """``package -> sorted names`` no caller in ``files`` needs, to the
+    fixpoint.  ``files`` maps relative posix paths to their text."""
+    layout = _layout(files)
     reads = set()
     live = {}  # (package, name) -> the (package, name) its import reads
-    for path in _callers():
-        found, reexports = _through(path, packages)
+    for module, is_package, text in _callers(files):
+        found, reexports = _through(text, module, is_package, layout)
         reads |= found
-        package = _module_name(path)
         for local, read in reexports.items():
-            live[package, local] = read
+            live[module, local] = read
     dead = {}
     while True:
         needed = reads | {read for read in live.values() if read}
@@ -191,7 +226,7 @@ def _dead_reexports():
 
 
 def test_every_reexport_has_a_caller():
-    dead = _dead_reexports()
+    dead = _dead_reexports(_repo_files())
     report = "\n".join(
         f"{package} ({len(names)}): {', '.join(names)}"
         for package, names in sorted(dead.items())
@@ -201,12 +236,61 @@ def test_every_reexport_has_a_caller():
 
 
 def test_every_all_entry_is_bound_in_its_init():
-    for package, path in _packages().items():
-        entries, bound = _all_entries(path)
-        assert set(entries) <= bound, (package, set(entries) - bound)
-        assert len(entries) == len(set(entries)), package
+    for path, text in _repo_files().items():
+        if path.startswith("src/") and path.endswith("/__init__.py"):
+            entries, bound = _all_entries(text)
+            assert set(entries) <= bound, (path, set(entries) - bound)
+            assert len(entries) == len(set(entries)), path
 
 
 def test_this_file_reads_nothing_through_a_package():
-    reads, _ = _through(Path(__file__), _packages())
+    text = Path(__file__).read_text()
+    reads, _ = _through(text, None, False, _layout(_repo_files()))
     assert not reads
+
+
+# The rule on a made-up tree: package ``repro.pkg`` re-exports ``f`` and
+# ``g`` from ``repro.pkg.mod``, and the submodule itself.
+_INIT = (
+    "from repro.pkg import mod\n"
+    "from repro.pkg.mod import f, g\n"
+    '__all__ = ["mod", "f", "g"]\n'
+)
+_FIXTURE = {
+    "src/repro/__init__.py": "",
+    "src/repro/pkg/__init__.py": _INIT,
+    "src/repro/pkg/mod.py": "def f():\n    pass\n\n\ndef g():\n    pass\n",
+}
+
+
+def _dead_in(extra):
+    """The dead re-exports of the fixture's one re-exporting package."""
+    dead = _dead_reexports({**_FIXTURE, **extra})
+    return [name for names in dead.values() for name in names]
+
+
+def test_a_name_imported_only_in_a_readme_code_line_is_kept():
+    readme = (
+        "Import it like this:\n\n"
+        "```python\n"
+        "from repro.pkg import f\n"
+        "f()\n"
+        "```\n\n"
+        "Prose that says from repro.pkg import g keeps nothing.\n"
+    )
+    assert _dead_in({"README.md": readme}) == ["g", "mod"]
+
+
+def test_a_name_imported_only_from_tests_is_dead():
+    test = "from repro.pkg import f, g\n\n\ndef test_f():\n    f()\n    g()\n"
+    assert _dead_in({"tests/test_pkg.py": test}) == ["f", "g", "mod"]
+    user = "from repro.pkg import f\n"
+    both = {"tests/test_pkg.py": test, "examples/use.py": user}
+    assert _dead_in(both) == ["g", "mod"]
+
+
+def test_importing_a_submodule_through_its_package_reads_no_reexport():
+    user = "from repro.pkg import mod\n\nmod.f()\n"
+    assert _dead_in({"examples/use.py": user}) == ["f", "g", "mod"]
+    user = "import repro.pkg\n\nrepro.pkg.f()\n"
+    assert _dead_in({"examples/use.py": user}) == ["g", "mod"]

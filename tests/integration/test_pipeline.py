@@ -3,9 +3,10 @@
 from repro import Session
 from repro.analysis.record import FunctionAnalyses
 from repro.core.builder import PSPDGBuilder
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
-from repro.ir import print_module, verify_module
+from repro.ir.printer import print_module
+from repro.ir.verifier import verify_module
 from repro.pdg.builder import pdg_from_analyses
 from support.plans import run_source_plan
 from support.profile_shapes import loop_instances, recorded_profile

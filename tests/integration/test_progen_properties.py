@@ -8,9 +8,9 @@ a generated module.  A failing seed reproduces with
 
 import pytest
 
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
-from repro.ir import print_module
+from repro.ir.printer import print_module
 from repro.session import Session
 from support.ir_parser import parse_ir
 from support.progen import generate_program

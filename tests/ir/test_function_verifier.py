@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.ir import (
-    INT,
-    Function,
-    IRBuilder,
-    Module,
-    verify_function,
-    verify_module,
-)
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Function, Module
+from repro.ir.types import INT
+from repro.ir.verifier import verify_function, verify_module
 from repro.util.errors import IRError, VerificationError
 
 

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.analysis import FunctionAnalyses
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
-from repro.ir import (
-    BOOL,
-    FLOAT,
-    INT,
-    ArrayType,
-    Function,
-    IRBuilder,
-    Module,
-    Constant,
-)
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Function, Module
+from repro.ir.types import BOOL, FLOAT, INT, ArrayType
+from repro.ir.values import Constant
 from repro.ir.instructions import (
     BinaryOp,
     Branch,

@@ -7,9 +7,10 @@ equivalence is checked by interpreting both modules.
 
 import pytest
 
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
-from repro.ir import print_module, verify_module
+from repro.ir.printer import print_module
+from repro.ir.verifier import verify_module
 from support.ir_parser import parse_ir
 
 PROGRAMS = {

@@ -2,7 +2,7 @@
 
 from repro.cli import main
 from repro.frontend import compile_source
-from repro.ir import print_function, print_module
+from repro.ir.printer import print_function, print_module
 
 
 def test_function_rendering_contains_blocks_and_instructions():

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.ir import (
-    BOOL,
-    FLOAT,
-    INT,
-    VOID,
-    ArrayType,
-    PointerType,
-)
+from repro.ir.types import BOOL, FLOAT, INT, VOID, ArrayType, PointerType
 
 
 def test_scalar_slots():

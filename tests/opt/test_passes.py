@@ -13,14 +13,8 @@ import pytest
 
 from repro import Session
 from repro.analysis.deptests import constant_trip_count
-from repro.opt import (
-    PIPELINES,
-    PRICING_PASSES,
-    OptLevel,
-    price_plan,
-    restructure_plan,
-    seed_regions,
-)
+from repro.opt import OptLevel, price_plan, restructure_plan
+from repro.opt.manager import PIPELINES, PRICING_PASSES, seed_regions
 from repro.opt.context import OptContext
 from repro.opt.cost import loop_cost
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel

@@ -3,9 +3,9 @@
 from repro.analysis.record import FunctionAnalyses
 from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
-from repro.pdg import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER
+from repro.pdg.graph import EDGE_CONTROL, EDGE_MEMORY, EDGE_REGISTER
 from repro.pdg.builder import pdg_from_analyses
-from repro.planner import DependenceView
+from repro.planner.views import DependenceView
 from repro.planner.classify import loop_instructions
 
 

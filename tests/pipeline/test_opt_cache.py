@@ -7,7 +7,8 @@ thresholds), and the stage graph's dependency closure keeps the
 expensive graph builds out of the re-keyed set.
 """
 
-from repro import OptLevel, Session
+from repro import Session
+from repro.opt import OptLevel
 
 
 def _runs(session, *stages):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro import Session, SessionConfig
-from repro.planner import MachineModel, classify_loop
+from repro.planner import MachineModel
+from repro.planner.classify import classify_loop
 from repro.planner.plans import ProgramPlan
 from repro.runtime.executor import ParallelInterpreter
 from repro.util.regionstats import RegionStats, region_feedback
@@ -855,7 +856,7 @@ def test_cli_profile_subcommand(tmp_path):
 def test_hand_written_cfgs_run_through_every_stage(name, backend):
     """CFGs the frontend never makes — irreducible, left mid-body, a loop
     with no exit — plan at ``-O3`` and run like the interpreter."""
-    from repro.emulator import run_module
+    from repro.emulator.interp import run_module
     from support.ir_parser import parse_ir
     from support.programs import REFUSED_CFGS
 

@@ -3,10 +3,10 @@
 import pytest
 
 from repro import Session
-from repro.planner import (
-    DEFAULT_MACHINE,
-    MachineModel,
-    classify_loop,
+from repro.planner import MachineModel
+from repro.planner.classify import classify_loop
+from repro.planner.machine import DEFAULT_MACHINE
+from repro.planner.options import (
     doall_options,
     dswp_options,
     helix_options,

@@ -1,8 +1,8 @@
 """Ideal-machine critical path under explicit plans."""
 
 from repro import Session
-from repro.planner import (
-    CriticalPathEvaluator,
+from repro.planner.critical_path import CriticalPathEvaluator
+from repro.planner.plans import (
     LoopPlan,
     ProgramPlan,
     TECH_DOALL,

@@ -15,12 +15,12 @@ import pytest
 
 from repro import Session
 from repro.emulator.profile import FunctionProfile, LoopInstanceProfile
-from repro.planner import (
+from repro.planner.critical_path import CriticalPathEvaluator
+from repro.planner.plans import (
     TECH_DOALL,
     TECH_DSWP,
     TECH_HELIX,
     TECH_SEQ,
-    CriticalPathEvaluator,
     LoopPlan,
     ProgramPlan,
     abstraction_plan,

@@ -7,7 +7,8 @@ import pytest
 from repro import Session
 from repro.analysis.deptests import constant_trip_count
 from repro.core.model import RELAXATION_FEATURES
-from repro.planner import VIEW_FEATURES, classify_loop
+from repro.planner.classify import classify_loop
+from repro.planner.views import VIEW_FEATURES
 from repro.planner.classify import loop_instructions
 from repro.workloads import PAIRS, kernel_names
 from support import reference_views as reference

@@ -21,15 +21,16 @@ from repro.pdg.builder import pdg_from_analyses
 import pytest
 
 from repro.core.builder import PSPDGBuilder
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
-from repro.pdg import EDGE_MEMORY, PDG
-from repro.planner import DependenceView, classify_loop
-from repro.runtime import (
+from repro.pdg.graph import EDGE_MEMORY, PDG
+from repro.planner.classify import classify_loop
+from repro.planner.recipes import (
     LoopParallelization,
     parallelization_from_annotation,
-    run_parallel,
 )
+from repro.planner.views import DependenceView
+from repro.runtime import run_parallel
 from repro.util.errors import ReproError
 from support.conformance import outputs_close
 

@@ -34,9 +34,10 @@ import pytest
 
 from repro import Session
 from repro.core.builder import PSPDGBuilder
-from repro.pdg import EDGE_MEMORY, PDG
-from repro.planner import VIEW_FEATURES, DependenceView, classify_loop
-from repro.runtime import LoopParallelization
+from repro.pdg.graph import EDGE_MEMORY, PDG
+from repro.planner.classify import classify_loop
+from repro.planner.recipes import LoopParallelization
+from repro.planner.views import VIEW_FEATURES, DependenceView
 from repro.runtime.executor import ParallelInterpreter
 from repro.util.errors import ReproError
 from repro.workloads import PAIRS, kernel_names

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.record import FunctionAnalyses
 from repro.core.builder import PSPDGBuilder
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
-from repro.runtime import LoopParallelization, run_parallel
+from repro.planner.recipes import LoopParallelization
+from repro.runtime import run_parallel
 from support.plans import run_source_plan
 
 REDUCTION = """
@@ -171,7 +172,7 @@ class TestExplicitRecipes:
     def test_chunked_schedules_preserve_results(self):
         module = compile_source(REDUCTION)
         expected = run_module(module).formatted_output()
-        from repro.runtime import parallelization_from_annotation
+        from repro.planner.recipes import parallelization_from_annotation
 
         for chunk in (1, 3, 8, 64):
             fresh_module = compile_source(REDUCTION)
@@ -276,7 +277,7 @@ class TestValidation:
 
 class TestChunkSchedulers:
     def test_every_schedule_partitions_exactly(self):
-        from repro.runtime import make_scheduler
+        from repro.runtime.schedulers import make_scheduler
 
         for name in ("static", "dynamic", "guided"):
             for n in (0, 1, 7, 64, 513):
@@ -292,7 +293,7 @@ class TestChunkSchedulers:
                         )
 
     def test_partition_is_deterministic(self):
-        from repro.runtime import make_scheduler
+        from repro.runtime.schedulers import make_scheduler
 
         for name in ("static", "dynamic", "guided"):
             a = make_scheduler(name, 2).partition(range(100), 4)
@@ -300,7 +301,7 @@ class TestChunkSchedulers:
             assert a == b
 
     def test_static_is_round_robin(self):
-        from repro.runtime import StaticScheduler
+        from repro.runtime.schedulers import StaticScheduler
 
         parts = StaticScheduler(1).partition(range(8), 4)
         assert parts == [[0, 4], [1, 5], [2, 6], [3, 7]]
@@ -320,7 +321,7 @@ class TestChunkSchedulers:
     ):
         """The stride partition is the chunk-at-a-time deal, list for list
         (``tests/support/reference_deal.py`` is what it replaced)."""
-        from repro.runtime import StaticScheduler
+        from repro.runtime.schedulers import StaticScheduler
         from support.reference_deal import static_round_robin
 
         values = range(lower, lower + n * step, step)
@@ -333,7 +334,7 @@ class TestChunkSchedulers:
         assert StaticScheduler(chunk).partition(list(values), workers) == parts
 
     def test_guided_chunks_shrink(self):
-        from repro.runtime import GuidedScheduler
+        from repro.runtime.schedulers import GuidedScheduler
 
         sizes = [
             len(chunk)
@@ -346,14 +347,14 @@ class TestChunkSchedulers:
         assert sizes[-1] == 1
 
     def test_dynamic_balances_uneven_tails(self):
-        from repro.runtime import DynamicScheduler
+        from repro.runtime.schedulers import DynamicScheduler
 
         parts = DynamicScheduler(5).partition(range(13), 3)
         loads = sorted(len(p) for p in parts)
         assert loads == [3, 5, 5]
 
     def test_worker_validation(self):
-        from repro.runtime import make_scheduler
+        from repro.runtime.schedulers import make_scheduler
         from repro.util.errors import PlanError
 
         with pytest.raises(PlanError, match="workers"):
@@ -420,7 +421,7 @@ class TestRealBackends:
             )
 
     def test_backend_instances_accepted(self):
-        from repro.runtime import ThreadsBackend, get_backend
+        from repro.runtime.backends import ThreadsBackend, get_backend
 
         backend = get_backend(ThreadsBackend())
         assert backend.name == "threads"
@@ -468,7 +469,7 @@ class TestRecipeClassification:
     """PS-PDG variables become the recipe role the runtime needs."""
 
     def test_live_out_scratch_gets_seeded_lastprivate(self):
-        from repro.runtime import parallelization_from_pspdg
+        from repro.planner.recipes import parallelization_from_pspdg
 
         module = compile_source(SCRATCH_THREADPRIVATE)
         function = module.function("main")
@@ -493,7 +494,7 @@ class TestRecipeClassification:
 
     @pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
     def test_scratch_recipe_execution_conforms(self, backend):
-        from repro.runtime import parallelization_from_pspdg
+        from repro.planner.recipes import parallelization_from_pspdg
 
         expected = run_module(
             compile_source(SCRATCH_THREADPRIVATE)
@@ -551,7 +552,7 @@ class TestReductionMergeOps:
 
         module = compile_source(REDUCTION)
         function = module.function("main")
-        from repro.runtime import parallelization_from_annotation
+        from repro.planner.recipes import parallelization_from_annotation
 
         recipe = parallelization_from_annotation(
             function.annotations[0], function

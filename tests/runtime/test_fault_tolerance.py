@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.runtime import backends, faults, knobs
 from repro.session import Session
 from repro.util.errors import EmulationError, PlanError

@@ -26,7 +26,8 @@ import pytest
 
 from repro import Session
 from repro.frontend import compile_source
-from repro.runtime import LoopParallelization, backends
+from repro.planner.recipes import LoopParallelization
+from repro.runtime import backends
 from repro.runtime.executor import ParallelInterpreter
 from repro.planner.recipes import recipes_from_annotations
 from repro.util.errors import ReproError

@@ -3,17 +3,18 @@
 Every debug/bench flag the runtime reads from the environment lives in
 one registry with one truthiness rule, refreshed between tests by the
 autouse conftest fixture — these tests pin the rule, the refresh
-contract, and the payload-codec re-export older tests monkeypatch.
+contract, and that each knob has one name.
 """
 
 import ast
 import math
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.runtime import backends, knobs, payload
+from repro.runtime import backends, knobs
 
 
 def test_unset_env_uses_default(monkeypatch):
@@ -121,9 +122,22 @@ def test_readme_knob_table_matches_the_registry():
     )
 
 
-def test_payload_reexports_are_knob_objects():
-    """payload.VERIFY_COMPILED stays a monkeypatch-compatible attribute."""
-    assert payload.VERIFY_COMPILED is knobs.VERIFY_COMPILED
+def test_a_knob_is_bound_only_in_the_registry():
+    """Code reads a knob as ``knobs.NAME``: no loaded module binds one
+    to a second name, so a ``knob.value`` override reaches every reader."""
+    import repro.session  # noqa: F401 -- loads the pipeline and runtime
+
+    homes = sorted(
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.")
+        for attr, value in vars(module).items()
+        if isinstance(value, knobs.Knob)
+    )
+    assert homes == [
+        "repro.runtime.knobs.REPRO_FAULTS",
+        "repro.runtime.knobs.VERIFY_COMPILED",
+    ]
 
 
 def test_env_wins_over_stale_value(monkeypatch):

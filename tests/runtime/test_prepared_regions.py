@@ -19,7 +19,7 @@ import pytest
 import repro.session
 from repro import Session
 from repro.analysis.loops import find_natural_loops
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
 from repro.planner.recipes import recipes_from_annotations

@@ -6,10 +6,11 @@ is the end-to-end statement that PS-PDG-derived plans are safe.
 """
 from repro.analysis.record import FunctionAnalyses
 from repro.core.builder import PSPDGBuilder
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
-from repro.runtime import parallelization_from_pspdg, run_parallel
+from repro.planner.recipes import parallelization_from_pspdg
+from repro.runtime import run_parallel
 
 THREADPRIVATE_HISTOGRAM = """
 global key: int[64];

@@ -19,10 +19,11 @@ import time
 import pytest
 
 from repro import Session
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.planner.recipes import recipes_from_annotations
-from repro.runtime import ParallelInterpreter, backends, knobs
+from repro.runtime import backends, knobs
+from repro.runtime.executor import ParallelInterpreter
 from repro.runtime.backends import SerialBackend, ThreadsBackend
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close

@@ -7,7 +7,7 @@ equal exactly when the DAG is the tree up to iteration order.
 ``loop_instances`` and ``count_of`` read a recorded tree.
 """
 
-from repro.emulator import run_module
+from repro.emulator.interp import run_module
 
 
 def loop_instances(profile, header_name=None):

@@ -1,6 +1,6 @@
 """IdAllocator determinism."""
 
-from repro.util import IdAllocator
+from repro.util.ids import IdAllocator
 
 
 def test_unprefixed_ids_are_integers():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Session
-from repro.emulator import run_module
-from repro.ir import verify_module
+from repro.emulator.interp import run_module
+from repro.ir.verifier import verify_module
 from repro.workloads import build_kernel, kernel_names
 
 ALL = kernel_names()
