@@ -97,7 +97,7 @@ def census():
                 abstractions=(PLAN,),
             )
             regions = {
-                region.header: region
+                region.loops[0].header: region
                 for region in session.region_recipes.get(PLAN, ())
             }
             for function in session.module.functions.values():

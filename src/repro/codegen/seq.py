@@ -32,7 +32,8 @@ segment, exactly as a ``call`` does, and then
    frame (canonical bounds plus the loops' lowered live-in registers)
    into ``frame.registers`` — unbound registers stay absent, exactly
    like the interpreter's lazy frame,
-3. calls ``interp._compiled_region_stop(header, frame)`` (the
+3. calls ``interp._compiled_region_stop(header, frame)`` with the
+   header block bound as a ref (the
    :class:`~repro.runtime.executor.ParallelInterpreter` hook mirroring
    ``_maybe_run_parallel_loop``), and
 4. resumes at the region's statically-known canonical exit block.
@@ -89,15 +90,15 @@ class CompiledSequence:
 def sequence_stops(regions, function):
     """The region-stop spec for ``function``, in block order.
 
-    ``regions`` maps header block name -> region (the interpreter's
-    dispatch table); only headers that name a block of *this* function
-    become stops.  The spec is names only, and it is part of the codegen
-    cache key.
+    ``regions`` maps header block -> prepared record (the
+    interpreter's dispatch table, bound by its caller); only *this*
+    function's blocks can be in it.  The spec is names only, and it is
+    part of the codegen cache key.
     """
     return tuple(
-        (block.name, regions[block.name].headers)
+        (block.name, regions[block].headers)
         for block in function.blocks
-        if block.name in regions
+        if block in regions
     )
 
 
@@ -263,7 +264,7 @@ class _SequenceLowering(_Lowering):
         self._write_back(out, self.promoted.values())
         self._flushes.append((len(out.lines), out.indent, stop))
         out.emit(
-            f"interp._compiled_region_stop({inner.header.name!r}, frame)"
+            f"interp._compiled_region_stop({self.ref(inner.header)}, frame)"
         )
         out.emit("_steps = interp.steps")
         self._segment = None

@@ -94,11 +94,6 @@ class RegionParallelization:
         object.__setattr__(self, "recipes", tuple(self.recipes))
 
     @property
-    def header(self):
-        """The block whose arrival triggers the takeover."""
-        return self.recipes[0].header
-
-    @property
     def headers(self):
         return tuple(recipe.header for recipe in self.recipes)
 

@@ -6,8 +6,8 @@ program sequentially until control reaches a planned region (the *next
 stop*), then
 
 1. takes the region's one runtime record, its :class:`PreparedRegion`
-   (a Session's are built once, by the stage that plans them; a bare
-   recipe's at its first hit in a run), evaluates the canonical
+   (bound to its function once, by :func:`prepare_plan`, and looked up
+   by its header block), evaluates the canonical
    iteration bounds and, when they, the worker count or the run's
    schedule or chunk differ from the region's last entry, partitions the
    iteration space with a
@@ -45,7 +45,8 @@ Everything else has an owner elsewhere: recipes are derived by
 :mod:`repro.planner.recipes`, each backend owns its execution strategy
 (:mod:`repro.runtime.backends`), and the published stats feed the next
 run's plan through :class:`repro.planner.calibration.CalibrationStore`.
-A run dispatches every region exactly as it was planned.
+A run dispatches every region exactly as it was planned, and only
+prepared records, each keyed by its header block.
 
 Data races that a *wrong* plan would introduce show up under the
 ``simulated`` backend as real nondeterminism across scheduler seeds,
@@ -214,7 +215,7 @@ class PreparedRegion:
     Built from a plan ``region`` (a bare recipe is wrapped), the
     ``function`` it runs in and that function's loops by header; a
     member without canonical form is a :class:`PlanError`.  It keeps
-    the plan's names, ``chunk`` (the first member's), override and tile.
+    the plan's label, ``chunk`` (the first member's), override and tile.
     ``bounds`` reads every member's ``(lower, upper, step)`` in turn.
     ``privates`` is the privatization plan, one ``(storage, global name
     or None, template, firstprivate)`` per private storage in first-wins
@@ -232,7 +233,7 @@ class PreparedRegion:
     """
 
     __slots__ = (
-        "region", "function", "loops", "header", "headers", "label",
+        "region", "function", "loops", "headers", "label",
         "fused", "chunk", "backend_override", "tile", "bounds", "resume",
         "privates", "inductions", "live_in", "pointers", "global_slots",
         "alloca_slots", "private_globals", "private_allocas", "critical",
@@ -244,7 +245,7 @@ class PreparedRegion:
         self.region = region
         self.function = function
         self.headers = region.headers
-        self.header, self.label = region.header, region.label
+        self.label = region.label
         self.fused = region.fused
         self.chunk = region.recipes[0].chunk
         self.backend_override = region.backend_override
@@ -342,35 +343,49 @@ def prepare_plan(regions, function, loops_by_header):
     """``regions`` prepared in ``function`` over its loops, as the tuple
     of :class:`PreparedRegion` a run dispatches.
 
-    The records share one ``plan`` memo — ``(the tuple, header ->
-    record, function -> region stops)`` — which a run handed this very
-    tuple reuses, so the header table and each function's stop spec
-    (:func:`repro.codegen.seq.sequence_stops`) are computed once per
-    plan, never per run.
+    The records share one ``plan`` memo — ``(the tuple, header block
+    -> record, function -> region stops)`` — which a run handed this
+    very tuple reuses, so the dispatch table and each function's stop
+    spec (:func:`repro.codegen.seq.sequence_stops`) are computed once
+    per plan, never per run.
     """
     records = tuple(
         PreparedRegion(region, function, loops_by_header)
         for region in regions
     )
-    plan = (records, {record.header: record for record in records}, {})
+    plan = _dispatch_plan(records)
     for record in records:
         record.plan = plan
     return records
 
 
+def _dispatch_plan(records):
+    """``(records, header block -> record, {})``, a run's dispatch memo;
+    an entry that is not a prepared record is a :class:`PlanError`."""
+    table = {}
+    for record in records:
+        if not isinstance(record, PreparedRegion):
+            label = getattr(as_region(record), "label", record)
+            raise PlanError(
+                f"region {label} is not prepared: bind it to its function "
+                "with prepare_plan(regions, function, loops_by_header)"
+            )
+        table[record.loops[0].header] = record
+    return records, table, {}
+
+
 class ParallelInterpreter(Interpreter):
     """Interpreter that executes selected loops on a pluggable backend.
 
-    ``parallelizations`` may mix
-    :class:`~repro.planner.recipes.LoopParallelization` (one loop, one
-    region), :class:`~repro.planner.recipes.RegionParallelization`
-    (fused) and :class:`PreparedRegion` entries; the tuple
-    :func:`prepare_plan` returned runs on its records' shared memo.
-    ``compile_regions`` defaults to
+    ``parallelizations`` are :class:`PreparedRegion` records, bound to
+    their functions by :func:`prepare_plan` (several calls' records may
+    be concatenated); a bare recipe, or a record of another module's
+    function, is a :class:`PlanError`.  A record dispatches where
+    control reaches its header block.  ``compile_regions`` defaults to
     :class:`~repro.pipeline.config.SessionConfig`'s value.  ``forest``
-    (function name -> header name -> natural loop) hands in loops the
-    caller already holds (a Session's analysis record); a function it
-    does not name has its own found on first use.
+    (function name -> header name -> natural loop) hands the sequence
+    tier loops the caller already holds (a Session's analysis record);
+    a function it does not name has its own found on first use.
     """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
@@ -395,20 +410,22 @@ class ParallelInterpreter(Interpreter):
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
         make_scheduler(schedule, chunk)  # fail fast on the run's overrides
-        plan = None
-        if isinstance(parallelizations, tuple) and parallelizations:
-            plan = getattr(parallelizations[0], "plan", None)
-        # A prepared plan's records are the table; bare recipes are
-        # prepared into ``_prepared`` on their first hit of each run.
-        self._shared = plan is not None and plan[0] is parallelizations
-        if not self._shared:
-            regions = tuple(map(as_region, parallelizations))
-            plan = (regions, {region.header: region for region in regions}, {})
-        self._regions = plan[1]  # header -> region, or its prepared record
+        plan = parallelizations and getattr(parallelizations[0], "plan", None)
+        if not plan or plan[0] is not parallelizations:
+            plan = _dispatch_plan(tuple(parallelizations))
+        functions = module.functions
+        for record in plan[0]:
+            name = record.function.name
+            if name not in functions or functions[name] is not record.function:
+                raise PlanError(
+                    f"region {record.label} was prepared in another "
+                    f"module's @{name}; prepare_plan it in this module's"
+                )
+        self._regions = plan[1]  # header block -> its prepared record
         self._stops = plan[2]  # function -> its region-stop spec
         self._loops_by_function = dict(forest or {})
         for name, loops in self._loops_by_function.items():
-            own = module.functions.get(name)
+            own = functions.get(name)
             if any(loop.header.parent is not own for loop in loops.values()):
                 # Its blocks are not the ones this run executes.
                 raise PlanError(
@@ -416,7 +433,6 @@ class ParallelInterpreter(Interpreter):
                     "from this module's function"
                 )
         self.parallel_regions = []  # RegionStats, in execution order
-        self._prepared = {}  # header -> PreparedRegion, this run's
         self.shims = None  # the threads backend's, one per worker index
         # Sequential-stretch compilation state: per-function entry memo
         # (keyed by name/verify) and call-mode counters.
@@ -425,7 +441,6 @@ class ParallelInterpreter(Interpreter):
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
     def run(self, function_name="main", args=(), profiler=None, loops=None):
-        self._prepared = self._regions if self._shared else {}
         self.shims = None
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
@@ -437,55 +452,26 @@ class ParallelInterpreter(Interpreter):
     # -- next stop: loop takeover ----------------------------------------------
 
     def _maybe_run_parallel_loop(self, next_block, from_block, frame):
-        if next_block.name not in self._regions:
+        if next_block not in self._regions:
             return None
-        prepared = self._prepared_region(next_block.name, frame.function)
+        prepared = self._regions[next_block]
         if from_block in prepared.loops[0].blocks:
             return None  # back edge: loop already running (shouldn't occur)
         self._execute_parallel_region(prepared, frame)
         return prepared.resume
 
     def _compiled_region_stop(self, header, frame):
-        """Region takeover for compiled sequential stretches.
+        """Region takeover at the ``header`` block for compiled stretches.
 
         No back-edge check: compiled bodies only transfer here from
         outside the region's loop blocks (the lowering refuses anything
         else), and resume at the statically-known canonical exit.
         """
-        prepared = self._prepared.get(header)
-        if prepared is None or prepared.function is not frame.function:
-            prepared = self._prepared_region(header, frame.function)
-        self._execute_parallel_region(prepared, frame)
-
-    def _prepared_region(self, header, function):
-        """The :class:`PreparedRegion` of the region at ``header`` in
-        ``function``: its own record, or this run's of a bare recipe,
-        prepared on the first hit in ``function`` with this run's
-        loops.  A record reached in a function other than its own is a
-        :class:`PlanError`: its loops, blocks and storages are not the
-        ones this frame runs."""
-        prepared = self._prepared.get(header)
-        if prepared is not None and prepared.function is function:
-            return prepared
-        region = self._regions[header]
-        if isinstance(region, PreparedRegion):
-            if region.function is not function:
-                raise PlanError(
-                    f"region {region.label} was prepared for another "
-                    f"function than the @{function.name} that reached it"
-                )
-            prepared = region
-        else:
-            prepared = PreparedRegion(
-                region, function, self._function_loops(function)
-            )
-        self._prepared[header] = prepared
-        return prepared
+        self._execute_parallel_region(self._regions[header], frame)
 
     def _function_loops(self, function):
         """header name -> natural loop: the handed-in forest's, else found
-        once per function per run owner (region takeovers and stop
-        resolution read the same)."""
+        once per function per run owner."""
         if function.name not in self._loops_by_function:
             self._loops_by_function[function.name] = {
                 loop.header.name: loop
@@ -570,7 +556,7 @@ class ParallelInterpreter(Interpreter):
             if fn.name in seen:
                 continue
             seen.add(fn.name)
-            if any(b.name in self._regions for b in fn.blocks):
+            if any(block in self._regions for block in fn.blocks):
                 safe = False
                 break
             stack.extend(

@@ -33,7 +33,7 @@ from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
 from repro.planner.calibration import CalibrationStore
 from repro.planner.recipes import recipes_from_plan
-from repro.runtime.executor import run_parallel
+from repro.runtime.executor import prepare_plan, run_parallel
 
 
 class Session:
@@ -375,7 +375,7 @@ class Session:
                     restructure_plan(self.pspdg, self.plan(plan), level),
                     compile_on,
                 ).plan
-                regions = recipes_from_plan(self.pspdg, optimized)
+                regions = self._prepared(optimized)
         else:
             # Explicit ProgramPlan: optimize against the session's
             # cached graphs, then derive its recipes.
@@ -383,7 +383,7 @@ class Session:
                 plan = self._priced(
                     restructure_plan(self.pspdg, plan, level), compile_on
                 ).plan
-            regions = recipes_from_plan(self.pspdg, plan)
+            regions = self._prepared(plan)
         result = run_parallel(
             self.module, regions, config.function_name,
             workers=workers if workers is not None else config.workers,
@@ -411,6 +411,13 @@ class Session:
             self.plan(abstraction)
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
+
+    def _prepared(self, plan):
+        """``plan``'s regions prepared in the session's function."""
+        return prepare_plan(
+            recipes_from_plan(self.pspdg, plan), self.function,
+            self.analyses.loops_by_header,
+        )
 
     def _priced(self, restructured, compile_regions):
         """``price_plan`` over a restructured plan, for the engine

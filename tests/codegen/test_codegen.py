@@ -485,12 +485,13 @@ def test_sequence_stops_follow_function_block_order():
 
     module = compile_source(SIMPLE)
     function = module.function("main")
-    names = [block.name for block in function.blocks]
+    blocks = function.blocks
+    names = [block.name for block in blocks]
     # Register regions against the last and first blocks; the spec must
     # come back in block order regardless.
     regions = {
-        names[-1]: SimpleNamespace(headers=(names[-1],)),
-        names[0]: SimpleNamespace(headers=(names[0],)),
+        blocks[-1]: SimpleNamespace(headers=(names[-1],)),
+        blocks[0]: SimpleNamespace(headers=(names[0],)),
     }
     stops = sequence_stops(regions, function)
     assert stops == (

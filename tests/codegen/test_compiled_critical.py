@@ -17,13 +17,12 @@ import pytest
 from repro.codegen import cache as codegen_cache
 from repro.codegen.seq import compile_profiled, lower_sequence, sequence_stops
 from repro.frontend import compile_source
-from repro.planner.recipes import recipes_from_annotations
 from repro.runtime import backends, knobs
 from repro.runtime.backends import SerialBackend
 from repro.runtime.executor import ParallelInterpreter
 from repro.session import Session
 from repro.util.errors import EmulationError
-from support.plans import run_source_plan
+from support.plans import prepared, run_source_plan
 
 #: The read and the write of ``total[0]`` are statements apart, with a
 #: loop of work between them: without the lock two workers interleave
@@ -205,8 +204,7 @@ def test_an_error_inside_a_compiled_critical_section_releases_the_lock(
     monkeypatch.setattr(backends._ThreadLocks, "__init__", init)
     monkeypatch.setattr(backends, "_LOCK_TIMEOUT", 2.0)
     interp = ParallelInterpreter(
-        module, recipes_from_annotations(module.function("main")),
-        workers=2, backend="threads",
+        module, prepared(module), workers=2, backend="threads",
     )
     with pytest.raises(EmulationError) as compiled:
         interp.run("main")
@@ -233,7 +231,7 @@ def test_sp_sequences_and_profiles_take_no_lock():
     for level in (0, 1, 2, 3):
         session.reconfigure(opt_level=level)
         regions = {
-            region.header: region
+            region.loops[0].header: region
             for region in session.region_recipes["PS-PDG"]
         }
         source, _refs = lower_sequence(

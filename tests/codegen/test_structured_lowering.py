@@ -50,7 +50,7 @@ from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
 from support.conformance import outputs_close, wire_bytes
 from support.ir_parser import parse_ir
-from support.plans import run_plan, run_source_plan
+from support.plans import prepared, run_plan, run_source_plan
 from support.progen import generate_body_nest_program, generate_nest_program
 from support.recording import RecordingList, record_global_stores
 from support.programs import EARLY_RETURNS, REFUSED_CFGS
@@ -1275,8 +1275,8 @@ def _outcome(module, compiled, backend="threads", **options):
     """``(what a run of main under its source plan left behind, its
     sequence stats)``; steps and state only pin when nothing raised."""
     interp = ParallelInterpreter(
-        module, recipes_from_annotations(module.function("main")),
-        workers=2, backend=backend, compile_regions=compiled, **options,
+        module, prepared(module), workers=2, backend=backend,
+        compile_regions=compiled, **options,
     )
     try:
         result = interp.run()
@@ -1359,7 +1359,9 @@ def test_early_returns_lower_under_their_if_with_no_dispatch_loop():
 
 def _sequence_source(kernel, level=2):
     session = Session.from_kernel(kernel, opt_level=level)
-    regions = {r.header: r for r in session.region_recipes["PS-PDG"]}
+    regions = {
+        r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
+    }
     stops = sequence_stops(regions, session.function)
     return lower_sequence(
         session.function, stops, session.analyses.loops_by_header
@@ -1721,7 +1723,9 @@ def show(label, source):
 for kernel in sorted(KERNELS):
     session = Session.from_kernel(kernel, opt_level=2)
     function, forest = session.function, session.analyses.loops_by_header
-    regions = {r.header: r for r in session.region_recipes["PS-PDG"]}
+    regions = {
+        r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
+    }
     stops = sequence_stops(regions, function)
     show(f"{kernel} sequence", lower_sequence(function, stops, forest)[0])
     show(f"{kernel} profiled", _ProfiledLowering(function, session.loops).lower())

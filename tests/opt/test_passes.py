@@ -415,7 +415,7 @@ class TestPipelineStructure:
 
         legacy = recipes_from_plan(session.pspdg, plan)
         assert sorted(r.headers[0] for r in seeded.regions) == sorted(
-            region.header for region in legacy
+            region.headers[0] for region in legacy
         )
 
     def test_unseeded_and_seeded_plans_dispatch_in_cfg_order(self):
@@ -444,7 +444,7 @@ class TestPipelineStructure:
         )
         for plan in (unseeded, seeded.plan):
             dispatched = [
-                region.header
+                region.headers[0]
                 for region in recipes_from_plan(session.pspdg, plan)
             ]
             assert dispatched == cfg_order

@@ -33,6 +33,7 @@ from repro.planner.views import DependenceView
 from repro.runtime import run_parallel
 from repro.util.errors import ReproError
 from support.conformance import outputs_close
+from support.plans import prepared
 
 SEEDS = range(10)
 WORKERS = 4
@@ -181,7 +182,8 @@ def _divergences(source, recipe_builder, seeds=SEEDS, workers=WORKERS):
         recipes = recipe_builder(module)
         try:
             result = run_parallel(
-                module, recipes, workers=workers, seed=seed
+                module, prepared(module, recipes), workers=workers,
+                seed=seed,
             )
         except ReproError:
             count += 1  # a detected fault is a caught wrong plan

@@ -42,6 +42,7 @@ from repro.runtime.executor import ParallelInterpreter
 from repro.util.errors import ReproError
 from repro.workloads import PAIRS, kernel_names
 from support.conformance import outputs_close, values_close
+from support.plans import prepared
 from support.progen import generate_nest_program
 
 FINDINGS_PATH = os.path.join(
@@ -119,10 +120,11 @@ def sweep(session):
 
 
 def _final_state(session, recipes, seed):
+    loops = session.analyses.loops_by_header
     interp = ParallelInterpreter(
-        session.module, recipes, workers=WORKERS, seed=seed,
-        backend="simulated",
-        forest={"main": session.analyses.loops_by_header},
+        session.module, prepared(session.module, recipes, "main", loops),
+        workers=WORKERS, seed=seed, backend="simulated",
+        forest={"main": loops},
     )
     output = interp.run("main").output
     return output, [

@@ -13,7 +13,7 @@ from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.planner.recipes import LoopParallelization
 from repro.runtime import run_parallel
-from support.plans import run_source_plan
+from support.plans import prepared, run_source_plan
 
 REDUCTION = """
 func main() {
@@ -159,7 +159,7 @@ class TestExplicitRecipes:
             fresh = compile_source(source)
             result = run_parallel(
                 fresh,
-                [LoopParallelization(header=header)],
+                prepared(fresh, [LoopParallelization(header=header)]),
                 workers=4,
                 seed=seed,
             )
@@ -184,7 +184,8 @@ class TestExplicitRecipes:
                 chunk=chunk,
             )
             result = run_parallel(
-                fresh_module, [fresh_recipe], workers=3, seed=2
+                fresh_module, prepared(fresh_module, [fresh_recipe]),
+                workers=3, seed=2,
             )
             assert result.formatted_output() == expected
 
@@ -513,7 +514,9 @@ class TestRecipeClassification:
             )
         )
         recipe = parallelization_from_pspdg(graph, loop)
-        result = run_parallel(module, [recipe], workers=3, backend=backend)
+        result = run_parallel(
+            module, prepared(module, [recipe]), workers=3, backend=backend
+        )
         assert result.formatted_output() == expected, backend
 
 
@@ -561,7 +564,7 @@ class TestReductionMergeOps:
             recipe, reductions=[(recipe.reductions[0][0], "nand")]
         )
         with pytest.raises(PlanError, match="identity"):
-            run_parallel(module, [recipe])
+            run_parallel(module, prepared(module, [recipe]))
 
 
 CALLEE_ARG_LOOP = """
@@ -593,7 +596,10 @@ class TestArgumentPointerWriteback:
         expected = run_module(
             compile_source(CALLEE_ARG_LOOP)
         ).formatted_output()
-        result = run_source_plan(
-            compile_source(CALLEE_ARG_LOOP), workers=3, backend=backend
+        module = compile_source(CALLEE_ARG_LOOP)
+        result = run_parallel(
+            module, prepared(module, None, "fill"), workers=3,
+            backend=backend,
         )
+        assert len(result.parallel_regions) == 1, backend
         assert result.formatted_output() == expected, backend

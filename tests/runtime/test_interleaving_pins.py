@@ -34,6 +34,7 @@ from repro.util.errors import ReproError
 from repro.workloads import kernel_names
 
 import test_adversarial_plans as wrong
+from support.plans import prepared
 from test_executor import CRITICAL_HISTOGRAM
 
 GOLDEN_PATH = os.path.join(
@@ -148,7 +149,9 @@ def racy_pins(name):
     pins = {}
     for seed in RACY_SEEDS:
         module = compile_source(source)
-        pins[f"s{seed}"] = _record(module, build(module), RACY_WORKERS, seed)
+        pins[f"s{seed}"] = _record(
+            module, prepared(module, build(module)), RACY_WORKERS, seed
+        )
     return pins
 
 

@@ -4,7 +4,8 @@ A planned region has one runtime record,
 :class:`~repro.runtime.executor.PreparedRegion`: loops, bound getters,
 privatization plan, lock map, and once dispatched its locks, compiled
 chunks and the last entry's partition.  A Session's plan is prepared
-once per stage build; a bare recipe is prepared per run; recipes are
+once per stage build, in its function; a run dispatches only prepared
+records, each where control reaches its header block; recipes are
 frozen, so a changed recipe is a new one.  Each test here changes
 something between two runs and wants what a fresh session (or a fresh
 recipe) dispatches: the same output, and the same partition — per
@@ -22,11 +23,12 @@ from repro.analysis.loops import find_natural_loops
 from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
-from repro.planner.recipes import recipes_from_annotations
+from repro.planner.recipes import as_region, recipes_from_annotations
 from repro.runtime import backends, run_parallel
 from repro.runtime.backends import SerialBackend
-from repro.runtime.executor import PreparedRegion, prepare_plan
+from repro.runtime.executor import ParallelInterpreter, PreparedRegion
 from repro.util.errors import PlanError
+from support.plans import prepared
 
 #: Iteration ``i`` runs ``i`` inner trips: a worker's steps tell which
 #: iterations it ran.  ``s`` is a sum reduction, ``last`` lastprivate.
@@ -154,22 +156,9 @@ def test_a_record_reached_in_another_modules_function_is_refused():
             )
 
 
-def _regions_and_forest(module):
-    function = module.function("main")
-    forest = {"main": {
-        loop.header.name: loop for loop in find_natural_loops(function)
-    }}
-    return recipes_from_annotations(function), forest
-
-
-def _records(module):
-    regions, forest = _regions_and_forest(module)
-    return prepare_plan(regions, module.function("main"), forest["main"])
-
-
-def _run(module, regions, forest=None, **options):
+def _run(module, records, **options):
     options = {"workers": 3, "backend": "threads", **options}
-    return run_parallel(module, regions, forest=forest, **options)
+    return run_parallel(module, records, **options)
 
 
 #: A region entered 12 times, with one more iteration on every entry
@@ -198,7 +187,7 @@ def _chunks(split):
 @pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
 def test_bounds_that_change_on_every_entry_keep_one_partition(backend):
     module = compile_source(GROWING)
-    records = _records(module)
+    records = prepared(module)
     result = _run(module, records, backend=backend)
     assert result.output == run_module(compile_source(GROWING)).output
     assert [
@@ -217,7 +206,7 @@ def test_bounds_that_change_on_every_entry_keep_one_partition(backend):
 
 def test_a_chunk_or_schedule_override_rekeys_the_partition():
     module = compile_source(UNEVEN)
-    records = _records(module)
+    records = prepared(module)
     before = _run(module, records)
     split = records[0].split
     assert shape(_run(module, records)) == shape(before)
@@ -230,7 +219,7 @@ def test_a_chunk_or_schedule_override_rekeys_the_partition():
     ):
         after = _run(module, records, **overrides)
         fresh_module = compile_source(UNEVEN)
-        fresh_records = _records(fresh_module)
+        fresh_records = prepared(fresh_module)
         expected = _run(fresh_module, fresh_records, **overrides)
         assert shape(after) == shape(expected), overrides
         rekeyed = records[0].split
@@ -263,21 +252,20 @@ def test_a_replaced_recipe_dispatches_as_replaced(change):
         )
 
     module = compile_source(UNEVEN)
-    records = _records(module)
+    records = prepared(module)
     before = _run(module, records)
-    _regions, forest = _regions_and_forest(module)
-    changed = prepare_plan(
-        [replaced(module)], module.function("main"), forest["main"]
-    )
+    changed = prepared(module, [replaced(module)])
     after = _run(module, changed)
     fresh_module = compile_source(UNEVEN)
-    expected = _run(fresh_module, [replaced(fresh_module)])
+    expected = _run(
+        fresh_module, prepared(fresh_module, [replaced(fresh_module)])
+    )
     assert shape(after) == shape(expected)
     assert shape(after) != shape(before)
     assert shape(_run(module, records)) == shape(before)
 
 
-def test_a_bare_recipe_is_prepared_per_run_with_the_runs_forest():
+def test_two_prepare_plan_calls_over_two_forests_each_dispatch_their_own_loops():
     dispatched = []
 
     class Spy(SerialBackend):
@@ -286,15 +274,120 @@ def test_a_bare_recipe_is_prepared_per_run_with_the_runs_forest():
             super().run_region(interp, prepared, frame, workers, stats)
 
     module = compile_source(UNEVEN)
-    regions, forest = _regions_and_forest(module)
-    _other_regions, other = _regions_and_forest(module)
-    first = _run(module, regions, forest, backend=Spy())
-    again = _run(module, regions, other, backend=Spy())
-    header = regions[0].header
-    assert dispatched[0].loops[0] is forest["main"][header]
-    assert dispatched[1].loops[0] is other["main"][header]
-    assert dispatched[0] is not dispatched[1]
+    function = module.function("main")
+    forests = [
+        {loop.header.name: loop for loop in find_natural_loops(function)}
+        for _ in range(2)
+    ]
+    plans = [prepared(module, None, "main", loops) for loops in forests]
+    first = _run(module, plans[0], backend=Spy())
+    again = _run(module, plans[1], backend=Spy())
+    (header,) = plans[0][0].headers
+    assert dispatched == [plans[0][0], plans[1][0]]
+    assert dispatched[0].loops[0] is forests[0][header]
+    assert dispatched[1].loops[0] is forests[1][header]
     assert shape(again) == shape(first)
+
+
+def test_a_bare_recipe_is_refused_at_construction():
+    module = compile_source(UNEVEN)
+    (recipe,) = recipes_from_annotations(module.function("main"))
+    for bare in (recipe, as_region(recipe)):
+        with pytest.raises(PlanError, match=f"{recipe.header}.*prepare_plan"):
+            ParallelInterpreter(module, [bare])
+
+
+#: ``main`` runs a planned loop and then calls ``bump``, whose loop the
+#: frontend names ``for.header`` too: a region is its header *block*,
+#: so ``main``'s plan never meets ``bump``'s loop.
+CALLS_A_LOOP = """
+global a: int[64];
+global b: int[64];
+
+func bump(p: int[64]) {
+  pragma omp parallel_for
+  for k in 0..64 {
+    p[k] = p[k] + k;
+  }
+}
+
+func main() {
+  pragma omp parallel_for
+  for i in 0..64 {
+    a[i] = i * 7;
+  }
+  bump(a);
+  for j in 1..64 {
+    b[j] = b[j - 1] + a[j];
+  }
+  print(a[63], b[63]);
+}
+"""
+
+
+@pytest.mark.parametrize("plan", ["source", "PS-PDG"])
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+def test_a_callee_loop_of_the_same_name_runs_sequentially(
+        backend, compiled, plan):
+    session = Session.from_source(
+        CALLS_A_LOOP, name="calls", backend=backend, workers=3,
+        compile_regions=compiled,
+    )
+    result = session.run(plan)
+    assert result.output == run_module(compile_source(CALLS_A_LOOP)).output
+    (region,) = result.parallel_regions
+    assert region["header"] == "for.header"
+    assert sum(w["iterations"] for w in region["per_worker"]) == 64
+
+
+def test_a_callers_and_a_callees_records_run_concatenated():
+    module = compile_source(CALLS_A_LOOP)
+    records = prepared(module) + prepared(module, None, "bump")
+    result = _run(module, records)
+    assert result.output == run_module(compile_source(CALLS_A_LOOP)).output
+    assert [region["header"] for region in result.parallel_regions] == [
+        "for.header", "for.header"
+    ]
+
+
+#: ``fill``'s loop is planned; ``main``'s loop of the same name carries
+#: a dependence, so it must never be taken over by ``fill``'s region.
+CARRIED_BESIDE_A_CALLEE = """
+global a: int[64];
+global out: int[64];
+
+func fill(p: int[64]) {
+  pragma omp parallel_for
+  for i in 0..64 {
+    p[i] = i * 3;
+  }
+}
+
+func main() {
+  for t in 1..64 {
+    a[t] = a[t - 1] * 3 + t;
+  }
+  fill(out);
+  var s: int = 0;
+  for k in 0..64 {
+    s = s + a[k] % 1000 + out[k];
+  }
+  print(s);
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threads", "processes"])
+def test_a_callees_records_never_take_over_the_callers_loop(backend):
+    module = compile_source(CARRIED_BESIDE_A_CALLEE)
+    assert run_module(module).output == [(None, (36472,))]
+    result = _run(module, prepared(module, None, "fill"), backend=backend)
+    assert result.output == [(None, (36472,))]
+    assert len(result.parallel_regions) == 1
+    bare = recipes_from_annotations(module.function("fill"))
+    with pytest.raises(PlanError, match="for.header.*prepare_plan"):
+        _run(module, bare, backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])

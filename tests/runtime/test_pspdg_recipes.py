@@ -11,6 +11,7 @@ from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.planner.recipes import parallelization_from_pspdg
 from repro.runtime import run_parallel
+from support.plans import prepared
 
 THREADPRIVATE_HISTOGRAM = """
 global key: int[64];
@@ -77,5 +78,7 @@ def test_pspdg_recipe_execution_matches_sequential():
             )
         )
         recipe = parallelization_from_pspdg(graph, annotated)
-        result = run_parallel(fresh, [recipe], workers=4, seed=seed)
+        result = run_parallel(
+            fresh, prepared(fresh, [recipe]), workers=4, seed=seed
+        )
         assert result.formatted_output() == expected, f"seed={seed}"

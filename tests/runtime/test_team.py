@@ -21,13 +21,12 @@ import pytest
 from repro import Session
 from repro.emulator.interp import run_module
 from repro.frontend import compile_source
-from repro.planner.recipes import recipes_from_annotations
 from repro.runtime import backends, knobs
 from repro.runtime.executor import ParallelInterpreter
 from repro.runtime.backends import SerialBackend, ThreadsBackend
 from repro.util.errors import EmulationError
 from support.conformance import outputs_close
-from support.plans import run_source_plan
+from support.plans import prepared, run_source_plan
 
 WAIT = 10.0  # seconds any one wait in here may take before it is a failure
 
@@ -155,8 +154,7 @@ def sequenced(monkeypatch, first, then):
 def interpreter(source, **options):
     module = compile_source(source)
     return ParallelInterpreter(
-        module, recipes_from_annotations(module.function("main")),
-        workers=2, backend="threads", **options,
+        module, prepared(module), workers=2, backend="threads", **options,
     )
 
 
