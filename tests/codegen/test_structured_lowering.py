@@ -1712,45 +1712,86 @@ def test_a_twelve_deep_nest_still_compiles(unarmed):
 
 _LOWER_EVERYTHING = """
 import hashlib
-from repro.codegen.lower import lower_chunk
+from repro.analysis.record import FunctionAnalyses
+from repro.codegen.lower import Unsupported, lower_chunk
 from repro.codegen.seq import _ProfiledLowering, lower_sequence, sequence_stops
 from repro.session import Session
 from repro.workloads.nas import KERNELS
+from support.programs import dense_source, histogram_source
 
-def show(label, source):
-    print(label, hashlib.sha256(source.encode()).hexdigest())
+def show(label, lower):
+    try:
+        source = lower()
+    except Unsupported as refusal:
+        print(label, f"refused: {refusal}", sep="\t")
+    else:
+        print(label, hashlib.sha256(source.encode()).hexdigest(), sep="\t")
 
-for kernel in sorted(KERNELS):
-    session = Session.from_kernel(kernel, opt_level=2)
-    function, forest = session.function, session.analyses.loops_by_header
-    regions = {
-        r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
-    }
-    stops = sequence_stops(regions, function)
-    show(f"{kernel} sequence", lower_sequence(function, stops, forest)[0])
-    show(f"{kernel} profiled", _ProfiledLowering(function, session.loops).lower())
-    for region in regions.values():
-        for header in region.headers:
-            show(f"{kernel} chunk {header}", lower_chunk(forest[header])[0])
+programs = [(kernel, KERNELS[kernel].SOURCE) for kernel in sorted(KERNELS)]
+programs += [("dense96", dense_source(96)), ("histogram", histogram_source())]
+for name, text in programs:
+    for level in range(4):
+        session = Session.from_source(text, name=name, opt_level=level)
+        regions = {
+            r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
+        }
+        for function in session.module.functions.values():
+            analyses = (
+                session.analyses if function is session.function
+                else FunctionAnalyses(function, session.module)
+            )
+            forest = analyses.loops_by_header
+            stops = sequence_stops(regions, function)
+            at = f"{name} -O{level} @{function.name}"
+            show(f"{at} sequence",
+                 lambda: lower_sequence(function, stops, forest)[0])
+            show(f"{at} profiled",
+                 lambda: _ProfiledLowering(function, analyses.loops).lower())
+        forest = session.analyses.loops_by_header
+        for region in regions.values():
+            for header in region.headers:
+                show(f"{name} -O{level} chunk {header}",
+                     lambda: lower_chunk(forest[header])[0])
 """
 
+#: Label -> sha256 of the source the lowering generates for it (or the
+#: refusal), over every sequence, profile and chunk body of the NAS
+#: kernels, ``dense96`` (whose compute loops run as slices) and the
+#: histogram example at ``-O0`` .. ``-O3``.  A change that moves any
+#: generated text shows here; regenerate it only on purpose.
+GOLDEN_SOURCES = pathlib.Path(__file__).with_name("golden_sources.json")
 
-def test_generated_source_is_byte_identical_across_hash_seeds():
-    """Lowering the same IR twice gives the same text, whatever the hash
-    seed: a pool child lowers what the parent lowered, and the census
-    reads the same bodies every run."""
+
+def _lower_everything(seed):
+    """``{label: digest}`` of one run of :data:`_LOWER_EVERYTHING`."""
     import os
     import subprocess
     import sys
 
-    src = pathlib.Path(__file__).resolve().parents[2] / "src"
-    runs = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
-        runs.append(subprocess.run(
-            [sys.executable, "-c", _LOWER_EVERYTHING], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout.splitlines())
+    root = pathlib.Path(__file__).resolve().parents[2]
+    path = os.pathsep.join(str(root / part) for part in ("src", "tests"))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+    lines = subprocess.run(
+        [sys.executable, "-c", _LOWER_EVERYTHING], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.splitlines()
+    digests = dict(line.split("\t") for line in lines)
+    assert len(digests) == len(lines), "a label was lowered twice"
+    return digests
+
+
+def test_generated_source_is_byte_identical_across_hash_seeds():
+    """Lowering the same IR twice gives the same text, whatever the hash
+    seed — a pool child lowers what the parent lowered, and the census
+    reads the same bodies every run — and the text the golden file
+    pins."""
+    import json
+
+    runs = [_lower_everything(seed) for seed in ("1", "2")]
     assert runs[0] == runs[1]
-    # 8 sequences, 8 profiles, nas8's 19 region loops.
-    assert len(runs[0]) == 8 + 8 + 19
+    golden = json.loads(GOLDEN_SOURCES.read_text())
+    changed = sorted(
+        label for label in golden.keys() | runs[0].keys()
+        if golden.get(label) != runs[0].get(label)
+    )
+    assert not changed, "generated source changed: " + ", ".join(changed)
