@@ -12,19 +12,17 @@ criticals, or private arrays.
 import pytest
 
 from repro import Session
-from repro.analysis import subscripts
+from repro.analysis import affine
 
 
 @pytest.fixture
 def conservative_subscripts(monkeypatch):
-    """Disable affine subscript extraction (all offsets unknown)."""
+    """Disable affine subscript extraction (all offsets unknown): the
+    dependence analysis reads every access's offset through
+    ``affine.gep_offset``."""
     monkeypatch.setattr(
-        subscripts, "affine_offset", lambda pointer, ivs: None
+        affine, "gep_offset", lambda pointer, *policy: (pointer, None)
     )
-    # memdep imported the symbol directly; patch there too.
-    from repro.analysis import memdep
-
-    monkeypatch.setattr(memdep, "affine_offset", lambda pointer, ivs: None)
 
 
 @pytest.mark.parametrize("name", ["IS", "MG"])

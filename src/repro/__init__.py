@@ -7,7 +7,9 @@ The package implements the paper's full pipeline (Fig. 12):
 2. :mod:`repro.ir` — a small LLVM-flavoured IR with parallel-region
    metadata, analyzed by
 3. :mod:`repro.analysis` — dominators, control/memory dependence, affine
-   subscript tests, reductions, privatization — feeding
+   subscript tests over :mod:`repro.analysis.affine` (the one affine form,
+   which the region compiler's bounds proofs read too), reductions,
+   privatization — feeding
 4. :mod:`repro.pdg` — the sequential PDG — and
 5. :mod:`repro.core` — **the PS-PDG** (Table 1 model, builder, Section 4
    ablations), consumed by

@@ -21,10 +21,10 @@ the PS-PDG's programmer-declared semantics later relaxes.
 import dataclasses
 import functools
 
+from repro.analysis import affine
 from repro.analysis.alias import CONSOLE
 from repro.analysis.cfg import can_reach, successors_map
 from repro.analysis.deptests import test_level
-from repro.analysis.subscripts import affine_offset
 from repro.ir.instructions import Call, Load, Print, Store
 
 
@@ -69,15 +69,14 @@ def collect_accesses(function, alias, induction_allocas):
     offsets may be affine in (the record's ``iv_map``).
     """
     accesses = []
+    leaf = affine.induction_leaf(induction_allocas)
     for inst in function.instructions():
-        if isinstance(inst, Load):
+        if isinstance(inst, (Load, Store)):
             obj = alias.base_object(inst.pointer, function)
-            offset = affine_offset(inst.pointer, induction_allocas)
-            accesses.append(MemoryAccess(inst, obj, False, offset))
-        elif isinstance(inst, Store):
-            obj = alias.base_object(inst.pointer, function)
-            offset = affine_offset(inst.pointer, induction_allocas)
-            accesses.append(MemoryAccess(inst, obj, True, offset))
+            offset = affine.gep_offset(inst.pointer, leaf)[1]
+            accesses.append(
+                MemoryAccess(inst, obj, isinstance(inst, Store), offset)
+            )
         elif isinstance(inst, Print):
             accesses.append(MemoryAccess(inst, CONSOLE, True, None))
         elif isinstance(inst, Call):
@@ -212,7 +211,7 @@ class MemoryDependenceAnalysis:
     def _offsets_may_be_equal(self, src, dst):
         if src.offset is None or dst.offset is None:
             return True
-        difference = src.offset.add(dst.offset.negate())
+        difference = src.offset.add(dst.offset.scale(-1))
         if difference.is_constant():
             return difference.constant == 0
         return True

@@ -17,6 +17,7 @@ the alias analysis alone.
 
 import functools
 
+from repro.analysis.affine import induction_alloca_map
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.dominators import compute_dominator_tree
 from repro.analysis.liveness import live_out_objects
@@ -24,7 +25,6 @@ from repro.analysis.loops import find_natural_loops
 from repro.analysis.memdep import MemoryDependenceAnalysis, collect_accesses
 from repro.analysis.privatization import sequentially_privatizable_objects
 from repro.analysis.reductions import find_scalar_reductions
-from repro.analysis.subscripts import induction_alloca_map
 from repro.ir.values import Argument, GlobalVariable
 
 

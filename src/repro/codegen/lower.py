@@ -40,10 +40,11 @@ Representation choices:
 * **The bounds proof.**  A ``gep`` outside every ``if`` arm whose index
   is affine (integer coefficients) in the chunk induction values, the
   enclosing counted induction variables and chunk invariants is lowered
-  without its guard; the chunk's entry section proves, once, that the
-  index is in bounds at the extremes of every variable's interval
-  (``min``/``max`` of ``iterations``; ``[init, hi - 1]`` for a counted
-  loop, vacuous when that is empty).  A failed proof raises ``Bailout``
+  without its guard (the form is :mod:`repro.analysis.affine`'s, named
+  by locals: :meth:`_Lowering._leaf`); the chunk's entry section proves,
+  once, that the index is in bounds at the extremes of every variable's
+  interval (``min``/``max`` of ``iterations``; ``[init, hi - 1]`` for a
+  counted loop, vacuous when that is empty).  A failed proof raises ``Bailout``
   before the first side effect, so the interpreter runs the chunk and
   raises its own out-of-bounds error at its own iteration: a body is
   lowered once.
@@ -138,6 +139,7 @@ import dataclasses
 import re
 import types
 
+from repro.analysis.affine import AffineExpr, affine_form, gep_offset
 from repro.analysis.dominators import immediate_dominators
 from repro.ir import instructions as insts
 from repro.ir.types import FLOAT, INT, PointerType
@@ -1114,8 +1116,8 @@ class _Lowering:
         ):
             return None
         # v only ever holds init + k below the bound: [init, upper - 1].
-        first = self._affine(scalar.init.value)
-        bound = self._affine(upper)
+        first = affine_form(scalar.init.value, self._leaf)
+        bound = affine_form(upper, self._leaf)
         interval = None
         if first is not None and bound is not None:
             uid = scalar.alloca.uid
@@ -1127,7 +1129,8 @@ class _Lowering:
                 f"{interval[1]} = {self._extreme(bound, True)} - 1"
             )
             self._intervals[scalar.value] = interval
-            low, high = self._static(first, False), self._static(bound, True)
+            low = first.bound(self._constants, False)
+            high = bound.bound(self._constants, True)
             if low is not None and high is not None:
                 self._constants[scalar.value] = (low, high - 1)
         self._elided.add(latch)
@@ -1262,11 +1265,12 @@ class _Lowering:
                 return not self._stored_in(scalar, inner)
             if stores is None or not self._invariant(inst.operands, inner):
                 return False
-            root = self._slot(inst.pointer)[0]
-            return all(
-                self._distinct(root, self._slot(store.pointer)[0])
-                for store in stores
+            roots = (
+                gep_offset(each.pointer, self._leaf, self.defined)[0]
+                for each in (inst, *stores)
             )
+            root = next(roots)
+            return all(self._distinct(root, other) for other in roots)
         arithmetic = isinstance(inst, insts.BinaryOp) and (
             inst.op in ("add", "sub", "mul")
         )
@@ -1377,36 +1381,23 @@ class _Lowering:
             return (lanes, None) if lanes and not stores else None
         if len(stores) != 1 or kept[-1] is not stores[0]:
             return None
-        root, slot = self._slot(stores[0].pointer)
+        root, slot = gep_offset(
+            stores[0].pointer, self._leaf, self.defined
+        )
         for _block, inst in statements:
             if (
                 isinstance(inst, insts.Load)
                 and id(inst.pointer) not in self.promoted
             ):
-                other, offset = self._slot(inst.pointer)
+                other, offset = gep_offset(
+                    inst.pointer, self._leaf, self.defined
+                )
                 if (
                     slot is None or offset != slot if other is root
                     else not self._distinct(other, root)
                 ):
                     return None
         return lanes, stores[0]
-
-    def _slot(self, pointer):
-        """``(root, offset)``: what ``pointer`` reaches through the body's
-        geps — a global, an alloca, or an opaque pointer — and the affine
-        offset into it (``None``: not affine)."""
-        offset = (0, {})
-        while (
-            isinstance(pointer, insts.GetElementPtr)
-            and id(pointer) in self.defined
-        ):
-            index = self._affine(pointer.index)
-            stride = pointer.pointer.type.pointee.element.slots()
-            offset = offset and index and self._plus(
-                offset, self._scaled(index, stride)
-            )
-            pointer = pointer.pointer
-        return pointer, offset
 
     def _distinct(self, root, other):
         """Whether two roots are different storages: two different
@@ -1430,33 +1421,32 @@ class _Lowering:
             and pointer.pointer.type.pointee.element.slots() == 1
         ):
             return False
-        form = self._affine(pointer.index)
-        return form is not None and form[1].get(scalar.value) == 1
+        form = affine_form(pointer.index, self._leaf)
+        return form is not None and form.coefficient(scalar.value) == 1
 
     def _span(self, pointer, scalar, upper):
         """A lane's slice ``S[base + v:base + upper]``."""
         storage, offset = self.pointer(pointer.pointer)
-        constant, terms = self._affine(pointer.index)
+        form = affine_form(pointer.index, self._leaf)
         base = {} if offset == "0" else {offset: 1}
         base.update(
-            (name, factor) for name, factor in terms.items()
+            (name, factor) for name, factor in form.coefficients.items()
             if name != scalar.value
         )
-        if not constant and not base:
+        if not form.constant and not base:
             return f"{storage}[{scalar.value}:{upper}]"
-        base = self._spelled((constant, base))
+        base = self._spelled(AffineExpr(form.constant, base))
         return f"{storage}[{base} + {scalar.value}:{base} + {upper}]"
 
     @staticmethod
     def _spelled(form):
         """An affine ``form`` as a Python expression."""
-        constant, terms = form
         parts = [
             name if factor == 1 else f"{factor} * {name}"
-            for name, factor in terms.items()
+            for name, factor in form.coefficients.items()
         ]
-        if constant or not parts:
-            parts.append(str(constant))
+        if form.constant or not parts:
+            parts.append(str(form.constant))
         return " + ".join(parts).replace("+ -", "- ")
 
     def _emit_slices(self, out, scalar, upper, statements, lanes, store):
@@ -1519,70 +1509,25 @@ class _Lowering:
 
     # -- the once-per-chunk bounds proof ---------------------------------------
 
-    def _affine(self, value, depth=0):
-        """``value`` as ``(constant, {name: coefficient})``, or ``None``.
-
-        Names are induction locals with a known interval and chunk
-        invariants (int arguments, live-in registers); coefficients and
-        the constant are Python ints, so a product needs a literal side.
-        """
-        if isinstance(value, Constant):
-            return (value.value, {}) if type(value.value) is int else None
+    def _leaf(self, value):
+        """The local naming ``value`` in an affine form, or ``None``: an
+        induction alias with a known interval, or a chunk invariant (an
+        int argument, a live-in register)."""
         if isinstance(value, Argument):
-            return (0, {self.scalar(value): 1}) if value.type == INT \
-                else None
-        if (
-            not isinstance(value, insts.Instruction)
-            or value.type != INT or depth > 12
-        ):
+            return self.scalar(value) if value.type == INT else None
+        if not isinstance(value, insts.Instruction) or value.type != INT:
             return None
         alias = self._alias.get(id(value))
         if alias is not None:
-            return (0, {alias: 1}) if alias in self._intervals else None
+            return alias if alias in self._intervals else None
         if id(value) not in self.defined:
-            return 0, {self.scalar(value): 1}
-        if isinstance(value, insts.UnaryOp) and value.op == "neg":
-            inner = self._affine(value.operand, depth + 1)
-            return inner and self._scaled(inner, -1)
-        if not (
-            isinstance(value, insts.BinaryOp)
-            and value.op in ("add", "sub", "mul")
-        ):
-            return None
-        lhs = self._affine(value.lhs, depth + 1)
-        rhs = self._affine(value.rhs, depth + 1)
-        if lhs is None or rhs is None:
-            return None
-        if value.op == "mul":
-            if not lhs[1]:
-                return self._scaled(rhs, lhs[0])
-            return None if rhs[1] else self._scaled(lhs, rhs[0])
-        if value.op == "sub":
-            rhs = self._scaled(rhs, -1)
-        return self._plus(lhs, rhs)
-
-    @staticmethod
-    def _plus(lhs, rhs):
-        terms = dict(lhs[1])
-        for name, factor in rhs[1].items():
-            terms[name] = terms.get(name, 0) + factor
-        return lhs[0] + rhs[0], {
-            name: factor for name, factor in terms.items() if factor
-        }
-
-    @staticmethod
-    def _scaled(form, factor):
-        if not factor:
-            return 0, {}
-        return form[0] * factor, {
-            name: coefficient * factor
-            for name, coefficient in form[1].items()
-        }
+            return self.scalar(value)
+        return None
 
     def _extreme(self, form, highest):
         """The expression of ``form``'s lowest or highest value over the
         box of its names' intervals (an invariant's is itself)."""
-        constant, terms = form
+        constant, terms = form.constant, form.coefficients
         parts = [str(constant)] if constant or not terms else []
         for name, factor in terms.items():
             low, high = self._intervals.get(name, (name, name))
@@ -1590,30 +1535,19 @@ class _Lowering:
             parts.append(end if factor == 1 else f"{factor} * {end}")
         return " + ".join(parts)
 
-    def _static(self, form, highest):
-        """:meth:`_extreme` as an int where every name's interval is
-        constant, else ``None``."""
-        constant, terms = form
-        for name, factor in terms.items():
-            ends = self._constants.get(name)
-            if ends is None:
-                return None
-            constant += factor * ends[(factor > 0) == highest]
-        return constant
-
     def _proven_in_bounds(self, inst):
         """Whether the chunk's entry proof covers ``inst``'s index, so
         its guard can go; adds the conjunct that does.  A gep in an
         ``if`` arm keeps its guard."""
         if self._conditional:
             return False
-        form = self._affine(inst.index)
+        form = affine_form(inst.index, self._leaf)
         if form is None:
             return False
         count = inst.pointer.type.pointee.count
-        if not form[1]:
+        if form.is_constant():
             # A constant out of bounds raises where (and if) it runs.
-            return 0 <= form[0] < count
+            return 0 <= form.constant < count
         check = (
             f"0 <= {self._extreme(form, False)} "
             f"and {self._extreme(form, True)} < {count}"

@@ -60,6 +60,7 @@ interned into shapes (:mod:`repro.emulator.profile`).
 
 import dataclasses
 
+from repro.analysis.affine import affine_form
 from repro.analysis.liveness import live_in_registers
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
@@ -214,10 +215,11 @@ class _SequenceLowering(_Lowering):
         """Proven now or never: a sequence cannot ``Bailout`` once a side
         effect ran, so every name of the index must be a counted
         induction whose interval is constant."""
-        form = self._affine(inst.index)
+        form = affine_form(inst.index, self._leaf)
         if form is None:
             return False
-        low, high = self._static(form, False), self._static(form, True)
+        low = form.bound(self._constants, False)
+        high = form.bound(self._constants, True)
         count = inst.pointer.type.pointee.count
         return low is not None and 0 <= low and high < count
 

@@ -52,6 +52,13 @@ _CLAUSE_NAMES = frozenset(
     }
 )
 
+#: Levels of nesting — blocks, ``else if`` arms, parentheses, unary
+#: operators, each operand of a chain like ``i + i + ... + i`` — past
+#: which source is a located FrontendError: the recursive passes over the
+#: tree take a few Python frames per level, and 128 levels stay well
+#: inside the default recursion limit of 1000.
+_MAX_NESTING = 128
+
 #: How tightly each binary operator token binds, loosest first.  Every
 #: level is left-associative, and the operator is the token's text.
 _BINARY_PRECEDENCE = {
@@ -167,6 +174,14 @@ class Parser:
 
     def __init__(self, source):
         self.stream = _TokenStream(tokenize(source))
+        self._depth = 0  # levels of nesting open (:data:`_MAX_NESTING`)
+
+    def _nest(self, token):
+        """Open one more level of nesting at ``token``."""
+        self._depth += 1
+        if self._depth > _MAX_NESTING:
+            raise FrontendError(f"nested deeper than {_MAX_NESTING} levels",
+                                token.line, token.column)
 
     # -- top level -----------------------------------------------------------
 
@@ -310,12 +325,14 @@ class Parser:
 
     def _parse_block(self):
         open_token = self.stream.expect("LBRACE")
+        self._nest(open_token)
         statements = []
         while self.stream.peek().kind != "RBRACE":
             if self.stream.peek().kind == "EOF":
                 raise FrontendError("unterminated block", open_token.line)
             statements.append(self._parse_statement())
         self.stream.expect("RBRACE")
+        self._depth -= 1
         return ast.Block(statements, line=open_token.line)
 
     def _parse_statement(self):
@@ -406,7 +423,9 @@ class Parser:
         else_body = None
         if self.stream.accept("ELSE"):
             if self.stream.peek().kind == "IF":
+                self._nest(self.stream.peek())
                 nested = self._parse_if()
+                self._depth -= 1
                 else_body = ast.Block([nested], line=nested.line)
             else:
                 else_body = self._parse_block()
@@ -492,14 +511,20 @@ class Parser:
 
     def _parse_expression(self, floor=1):
         """An expression whose binary operators bind at least ``floor``
-        tightly (precedence climbing over :data:`_BINARY_PRECEDENCE`)."""
+        tightly (precedence climbing over :data:`_BINARY_PRECEDENCE`).
+        Each operator the loop applies sinks the tree built so far one
+        level deeper."""
+        depth = self._depth
+        self._nest(self.stream.peek())
         expr = self._parse_unary()
         while True:
             token = self.stream.peek()
             precedence = _BINARY_PRECEDENCE.get(token.kind, 0)
             if precedence < floor:
+                self._depth = depth
                 return expr
             self.stream.next()
+            self._nest(token)
             rhs = self._parse_expression(precedence + 1)
             expr = ast.BinExpr(token.text, expr, rhs, line=token.line)
 
@@ -507,7 +532,10 @@ class Parser:
         token = self.stream.peek()
         if token.kind in ("MINUS", "BANG"):
             self.stream.next()
-            return ast.UnExpr(token.text, self._parse_unary(), line=token.line)
+            self._nest(token)
+            operand = self._parse_unary()
+            self._depth -= 1
+            return ast.UnExpr(token.text, operand, line=token.line)
         return self._parse_postfix()
 
     def _parse_postfix(self):

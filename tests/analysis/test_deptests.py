@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.deptests import constant_trip_count, test_level as siv_test
 from repro.analysis.loops import find_natural_loops
-from repro.analysis.subscripts import AffineExpr
+from repro.analysis.affine import AffineExpr
 from repro.frontend import compile_source
 
 

@@ -813,12 +813,13 @@ def test_a_dependence_check_blind_to_offsets_is_caught(monkeypatch):
     """The recurrence read at ``j - 1`` looks like a read of the stored
     slot: sliced, every ``a[i][j]`` becomes the old ``a[i][j - 1] + 1``
     and the armed oracle sees the images differ at the first chunk."""
+    from repro.analysis.affine import AffineExpr
     from repro.codegen import lower
 
-    real = lower._Lowering._slot
+    real = lower.gep_offset
     monkeypatch.setattr(
-        lower._Lowering, "_slot",
-        lambda self, pointer: (real(self, pointer)[0], (0, {})),
+        lower, "gep_offset",
+        lambda *args: (real(*args)[0], AffineExpr.const(0)),
     )
     monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
     codegen_cache.reset()

@@ -1,10 +1,11 @@
-"""MiniOMP parser: AST shapes and pragma parsing."""
+"""MiniOMP parser: AST shapes, pragma parsing and the nesting limit."""
 
 import re
 
 import pytest
 
-from repro.frontend import ast, parse_source
+from repro import cli
+from repro.frontend import ast, compile_source, parse_source
 from repro.util.errors import FrontendError
 
 
@@ -278,3 +279,47 @@ class TestErrors:
     def test_pragma_errors(self, source, message):
         with pytest.raises(FrontendError, match=f"^{re.escape(message)}$"):
             parse_source(source)
+
+
+def _nested_ifs(depth):
+    return (
+        "global g: int[2];\nfunc main() {\n"
+        + "if (g[0] < 1) {\n" * depth + "g[1] = 1;\n" + "}\n" * depth + "}\n"
+    )
+
+
+#: Source nested past the limit, one input per recursive descent that
+#: used to exhaust Python's stack: the operands of one long chain (the
+#: frontend's lowering), parentheses (the expression parser), and blocks
+#: (the statement parser).
+TOO_DEEP = _pins(
+    ("chain-800", "global a: int[8];\nfunc main() {\nfor i in 0..8 {\na["
+     + " + ".join(["i"] * 800) + "] = 1;\n}\n}\n", 4),
+    ("parens-1200", "func main() {\nvar x: int = " + "(" * 1200 + "1"
+     + ")" * 1200 + ";\n}\n", 2),
+    ("ifs-400", _nested_ifs(400), 128),
+)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("source, line", TOO_DEEP)
+    def test_too_deep_is_a_located_frontend_error(self, source, line):
+        with pytest.raises(FrontendError, match="nested deeper than 128 "
+                           "levels") as caught:
+            compile_source(source)
+        assert caught.value.line == line
+
+    def test_the_cli_prints_the_located_error(self, tmp_path, capsys):
+        path = tmp_path / "chain.mop"
+        path.write_text(TOO_DEEP[0].values[0])
+        assert cli.main(["compile", str(path)]) != 0
+        error = capsys.readouterr().err
+        assert re.match(r"error: 4:\d+: nested deeper", error)
+
+    def test_nesting_below_the_limit_compiles(self):
+        """A hundred nested ifs, and a chain of a hundred terms."""
+        compile_source(_nested_ifs(100))
+        compile_source(
+            "global a: int[8];\nfunc main() {\nfor i in 0..8 {\na[("
+            + " + ".join(["i"] * 100) + ") % 8] = 1;\n}\n}\n"
+        )
