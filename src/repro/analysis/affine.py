@@ -121,17 +121,16 @@ def affine_form(value, leaf, depth=0):
     if value.op == "mul":
         if lhs.is_constant():
             return rhs.scale(lhs.constant)
-        return None if rhs.coefficients else lhs.scale(rhs.constant)
+        return lhs.scale(rhs.constant) if rhs.is_constant() else None
     return lhs.add(rhs.scale(-1) if value.op == "sub" else rhs)
 
 
 def gep_offset(pointer, leaf, defined=None):
-    """``(root, offset)``: what ``pointer`` reaches through its ``gep``
-    chain — the first value that is no ``gep`` (or, given ``defined``,
-    the ids of the geps to walk, none of those) — and the slot offset
-    into it as an :class:`AffineExpr` over ``leaf``'s names (``None``
-    when an index is not affine).  Every index is walked, even behind a
-    non-affine one."""
+    """``(root, offset)``: the value ``pointer``'s ``gep`` chain starts
+    from, and the slot offset into it as an :class:`AffineExpr` over
+    ``leaf``'s names (``None`` when an index is not affine).  Given
+    ``defined``, a set of ids, a gep outside it is a root too.  Every
+    index is walked, even behind a non-affine one."""
     offset = AffineExpr.const(0)
     while isinstance(pointer, GetElementPtr) and (
         defined is None or id(pointer) in defined
