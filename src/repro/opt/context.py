@@ -6,8 +6,8 @@ would the runtime derive for it.  The function's analysis record
 (``pspdg.pdg.analyses``, the one the graphs were built from) answers the
 analysis questions, once per session however many times
 :func:`repro.opt.price_plan` runs; the context adds what is per-run:
-the machine model, the measured feedback, and the memo of the runtime
-recipes derived so far.
+the machine model and the measured feedback.  The runtime recipes
+travel on the region descriptors themselves.
 
 Legality is deliberately grounded in the sequential memory dependences
 (plus the affine subscript analysis they were built from): the PS-PDG
@@ -17,8 +17,6 @@ those dependences are the representation of exactly those semantics.
 """
 
 import functools
-
-from repro.planner.recipes import parallelization_from_pspdg
 
 
 class OptContext:
@@ -47,16 +45,7 @@ class OptContext:
         self.compiled_speedup = (
             dict(compiled_speedup) if compiled_speedup else {}
         )
-        self._recipes = {}
 
     @functools.cached_property
     def blocks_by_name(self):
         return {block.name: block for block in self.analyses.function.blocks}
-
-    def recipe(self, header_name):
-        """The runtime recipe the executor would derive for this loop."""
-        if header_name not in self._recipes:
-            self._recipes[header_name] = parallelization_from_pspdg(
-                self.pspdg, self.analyses.loops_by_header[header_name]
-            )
-        return self._recipes[header_name]

@@ -37,7 +37,7 @@ class RegionFusionPass:
                     break
                 current = dataclasses.replace(
                     current,
-                    headers=current.headers + candidate.headers,
+                    recipes=current.recipes + candidate.recipes,
                     removed_sync_uids=(
                         current.removed_sync_uids
                         | candidate.removed_sync_uids

@@ -79,13 +79,13 @@ def can_fuse(ctx, region_a, region_b):
     verdict = _same_iteration_space(loops_a + loops_b)
     if not verdict:
         return verdict
-    verdict = _same_chunk(ctx, region_a.headers + region_b.headers)
+    verdict = _same_chunk(region_a.recipes + region_b.recipes)
     if not verdict:
         return verdict
     verdict = _adjacent(ctx, loops_a[-1], loops_b[0])
     if not verdict:
         return verdict
-    return _cross_dependences_aligned(ctx, region_a.headers, region_b.headers)
+    return _cross_dependences_aligned(ctx, region_a, region_b)
 
 
 def _same_iteration_space(loops):
@@ -100,8 +100,8 @@ def _same_iteration_space(loops):
     return Legality.yes()
 
 
-def _same_chunk(ctx, headers):
-    chunks = {ctx.recipe(header).chunk for header in headers}
+def _same_chunk(recipes):
+    chunks = {recipe.chunk for recipe in recipes}
     if len(chunks) != 1:
         return Legality.no(f"chunk sizes differ: {sorted(chunks)}")
     return Legality.yes()
@@ -164,15 +164,15 @@ def _classify_private(ctx, recipe, obj):
     return None
 
 
-def _member_classification(ctx, headers, obj):
+def _member_classification(ctx, recipes, obj):
     """Consistent per-worker classification across the members touching
     ``obj``, or ``"shared"``/``"mixed"``."""
     kinds = set()
-    for header in headers:
-        loop = ctx.analyses.loops_by_header[header]
+    for recipe in recipes:
+        loop = ctx.analyses.loops_by_header[recipe.header]
         if obj not in ctx.analyses.loop_accesses(loop):
             continue
-        kinds.add(_classify_private(ctx, ctx.recipe(header), obj))
+        kinds.add(_classify_private(ctx, recipe, obj))
     if not kinds:
         return None
     if len(kinds) > 1:
@@ -229,8 +229,9 @@ def _member_of(ctx, headers, instruction):
     return None
 
 
-def _cross_dependences_aligned(ctx, headers_a, headers_b):
+def _cross_dependences_aligned(ctx, region_a, region_b):
     """Every cross-member dependence must be aligned, so worker-local."""
+    headers_a, headers_b = region_a.headers, region_b.headers
     witness = None
     inductions = _induction_objects(ctx, headers_a + headers_b)
     access_a = {}
@@ -256,7 +257,7 @@ def _cross_dependences_aligned(ctx, headers_a, headers_b):
             if obj == CONSOLE:
                 return Legality.no("both members print")
             kind = _member_classification(
-                ctx, headers_a + headers_b, obj
+                ctx, region_a.recipes + region_b.recipes, obj
             )
             if kind in ("mixed",):
                 return Legality.no(

@@ -21,8 +21,8 @@ from repro.opt.serialize import SmallRegionSerializationPass
 from repro.opt.sync import SyncEliminationPass
 from repro.opt.tiling import TilingPass
 from repro.planner.machine import DEFAULT_MACHINE
-from repro.planner.plans import RegionDescriptor
-from repro.planner.recipes import executable_doall_headers
+from repro.planner.plans import TECH_DOALL, RegionDescriptor
+from repro.planner.recipes import loop_recipe
 
 
 @dataclasses.dataclass
@@ -135,10 +135,43 @@ def passes_for(level):
     return tuple(pass_cls() for pass_cls in PIPELINES[OptLevel.coerce(level)])
 
 
+def executable_doall_headers(plan, loops):
+    """Headers of ``plan``'s dispatchable loops, in control-flow order:
+    canonical-form DOALL loops not nested inside another planned
+    canonical DOALL loop (the outer takeover runs those; HELIX and DSWP
+    stay analytical-only).  ``loops`` are the function's natural loops,
+    outermost first.
+    """
+
+    def inside_planned_parent(loop):
+        parent = loop.parent
+        while parent is not None:
+            parent_plan = plan.plan_for(parent.header.name)
+            if (
+                parent_plan is not None
+                and parent_plan.technique == TECH_DOALL
+                and parent.canonical is not None
+            ):
+                return True
+            parent = parent.parent
+        return False
+
+    headers = []
+    for loop in loops:
+        loop_plan = plan.plan_for(loop.header.name)
+        if loop_plan is None or loop_plan.technique != TECH_DOALL:
+            continue
+        if loop.canonical is None or inside_planned_parent(loop):
+            continue
+        headers.append(loop.header.name)
+    return headers
+
+
 def seed_regions(ctx, plan):
-    """One single-loop descriptor per executable DOALL loop (CFG order)."""
+    """One single-loop descriptor per executable DOALL loop (CFG order),
+    holding the loop's recipe."""
     return plan.with_regions(
-        RegionDescriptor(headers=(header,))
+        RegionDescriptor(recipes=(loop_recipe(ctx.pspdg, header),))
         for header in executable_doall_headers(plan, ctx.analyses.loops)
     )
 

@@ -24,9 +24,9 @@ class SyncEliminationPass:
         regions = []
         for region in plan.regions:
             removed = set(region.removed_sync_uids)
-            for header in region.headers:
+            for recipe in region.recipes:
+                header = recipe.header
                 loop = ctx.analyses.loops_by_header[header]
-                recipe = ctx.recipe(header)
                 for annotation, guarded in sync_annotations_in(ctx, loop):
                     if annotation.uid in removed:
                         continue

@@ -39,7 +39,7 @@ from repro.planner.plans import (
     loop_uid_map,
     openmp_source_plan,
 )
-from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
+from repro.planner.recipes import recipes_from_annotations
 from repro.planner.views import DependenceIndex, DependenceView
 from repro.runtime import knobs
 from repro.runtime.executor import prepare_plan
@@ -312,15 +312,20 @@ def _optimize_stats(results):
 
 
 def _build_recipes(session):
-    """Prepared regions per abstraction, from the optimized plans, in
-    the session's function over its loops; abstractions whose plans
-    dispatch equal regions share one tuple of records."""
+    """Prepared regions per planned abstraction, from the optimized
+    plans' dispatched descriptors, in the session's function over its
+    loops.  The source plan is left out: its runs dispatch
+    ``source_regions``.  Abstractions whose plans dispatch equal regions
+    (descriptors compare by what they dispatch) share one tuple of
+    records."""
     function = session.function
     loops = session.analyses.loops_by_header
     records = {}  # regions -> their prepared tuple
     recipes = {}
     for name, result in session.optimizations.items():
-        regions = recipes_from_plan(session.pspdg, result.plan)
+        if name == "OpenMP":
+            continue
+        regions = result.plan.dispatched()
         if regions not in records:
             records[regions] = prepare_plan(regions, function, loops)
         recipes[name] = records[regions]
@@ -470,7 +475,7 @@ STAGES = {
         ),
         Stage(
             "recipes",
-            ("pspdg", "optimize", "analyses"),
+            ("optimize", "analyses"),
             _build_recipes,
             _recipes_stats,
         ),

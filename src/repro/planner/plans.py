@@ -11,9 +11,8 @@ unit the optimization passes (:mod:`repro.opt`) rewrite and the runtime
 dispatches.  A fresh plan has no regions; ``repro.opt.restructure_plan``
 seeds one region per executable DOALL loop and fuses them or strips
 their redundant synchronization, and ``repro.opt.price_plan``
-serializes them.  The runtime's
-``recipes_from_plan`` honors ``plan.regions`` when present and falls
-back to the one-region-per-loop behavior otherwise.
+serializes them.  A run prepares :meth:`ProgramPlan.dispatched`, so a
+plan reaches the runtime only seeded.
 """
 
 import dataclasses
@@ -46,9 +45,15 @@ OVERRIDE_THREADS = "threads"
 class RegionDescriptor:
     """One runtime dispatch unit: one or more fused DOALL loops.
 
+    The one plan-side region record: ``repro.opt.seed_regions`` creates
+    it, the ``-O`` passes rewrite it (``dataclasses.replace``), and
+    ``repro.runtime.executor.prepare_plan`` binds it to its function as
+    the record a run dispatches.
+
     Attributes:
-        headers: member loop headers in control-flow order (>= 1; more
-            than one after parallel-region fusion).
+        recipes: member :class:`~repro.planner.recipes.LoopParallelization`
+            recipes in control-flow order (>= 1; more than one after
+            parallel-region fusion); ``headers`` are theirs.
         technique: the members' shared technique (currently DOALL only).
         backend_override: ``None`` (run on the configured backend),
             ``"sequential"`` (small-region serialization: the loop is not
@@ -62,15 +67,23 @@ class RegionDescriptor:
             ``ceil(trip / tile)`` so small iteration spaces stop paying
             per-payload overhead for near-empty chunks.
         witness: human-readable evidence for the side condition — the
-            dependence pair a legality predicate proved aligned.
+            dependence pair a legality predicate proved aligned.  Not
+            dispatched, so two descriptors differing only here are equal.
     """
 
-    headers: tuple
+    recipes: tuple
     technique: str = TECH_DOALL
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
     tile: int = None
-    witness: str = None
+    witness: str = dataclasses.field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "recipes", tuple(self.recipes))
+
+    @property
+    def headers(self):
+        return tuple(recipe.header for recipe in self.recipes)
 
     @property
     def label(self):
@@ -108,6 +121,14 @@ class ProgramPlan:
     def with_regions(self, regions):
         return ProgramPlan(
             self.name, self.loop_plans, self.loop_uids, tuple(regions)
+        )
+
+    def dispatched(self):
+        """The regions a run dispatches: all but the sequential ones,
+        which the base interpreter runs."""
+        return tuple(
+            region for region in self.regions
+            if region.backend_override != OVERRIDE_SEQUENTIAL
         )
 
     def describe(self):

@@ -2,23 +2,25 @@
 
 The planner decides *which* loops run as DOALLs; this module derives,
 from the PS-PDG, *how* the runtime must treat each one's variables —
-privatized, firstprivate/lastprivate, reduced, or left shared — and
-packages the optimizer's :class:`~repro.planner.plans.RegionDescriptor`
-entries as the :class:`RegionParallelization` records the executor
-dispatches.  It lives with the planner, not the execution engine: the
-side conditions of a parallelization are re-derived from the graph by
+privatized, firstprivate/lastprivate, reduced, or left shared — once
+per graph and loop (:func:`loop_recipe`).  The optimizer's
+:class:`~repro.planner.plans.RegionDescriptor` carries its members'
+recipes from the moment it is seeded to the moment the runtime
+prepares it.  It lives with the planner, not the execution engine: the
+side conditions of a parallelization are derived from the graph by
 the code that plans, and the ``repro.opt`` passes ask the same
 questions of the same analysis record (``pspdg.pdg.analyses``) when
 judging fusion and sync-elimination legality.
 """
 
 import dataclasses
+import weakref
 
 from repro.analysis.reductions import update_op
 from repro.core.builder import loop_context_label
 from repro.frontend.directives import REDUCTION_OPS
 from repro.ir.values import Argument
-from repro.planner.plans import OVERRIDE_SEQUENTIAL, TECH_DOALL
+from repro.planner.plans import RegionDescriptor
 from repro.util.errors import PlanError
 
 
@@ -58,61 +60,6 @@ class LoopParallelization:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class RegionParallelization:
-    """One planned parallel region: one or more fused member loops.
-
-    The runtime's unit of execution since the ``repro.opt`` pipeline:
-    every worker receives the same iteration chunk for every member and
-    runs the members back-to-back (fusion legality guarantees identical
-    iteration spaces and worker-aligned cross-member dependences).  The
-    runtime prepares it once
-    (:class:`repro.runtime.executor.PreparedRegion`); the plan record
-    itself holds nothing of a run.
-
-    Attributes:
-        recipes: member :class:`LoopParallelization` in control-flow
-            order (a single entry for an unfused loop).
-        backend_override: ``"threads"`` reroutes this region off the
-            process pool (small-region serialization); ``None`` runs on
-            the configured backend.  (``"sequential"`` regions are never
-            materialized: ``recipes_from_plan`` drops them from the
-            dispatch set, so no run ever meets that override.)
-        removed_sync_uids: annotation uids whose critical/atomic locks
-            are elided for this region (sync elimination).
-        tile: minimum iterations per payload (tiling); the runtime caps
-            the effective worker count at ``ceil(trip / tile)`` and
-            pads the rest with empty chunks.
-    """
-
-    recipes: tuple
-    backend_override: str = None
-    removed_sync_uids: frozenset = frozenset()
-    tile: int = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "recipes", tuple(self.recipes))
-
-    @property
-    def headers(self):
-        return tuple(recipe.header for recipe in self.recipes)
-
-    @property
-    def label(self):
-        return "+".join(self.headers)
-
-    @property
-    def fused(self):
-        return len(self.recipes) > 1
-
-
-def as_region(parallelization):
-    """Wrap a bare :class:`LoopParallelization` as a one-member region."""
-    if isinstance(parallelization, LoopParallelization):
-        return RegionParallelization(recipes=(parallelization,))
-    return parallelization
-
-
 def parallelization_from_annotation(annotation, function):
     """Build a :class:`LoopParallelization` from a worksharing annotation."""
     clauses = annotation.directive.clauses
@@ -134,9 +81,12 @@ def parallelization_from_annotation(annotation, function):
 
 
 def recipes_from_annotations(function):
-    """The developer's OpenMP plan: one recipe per worksharing annotation."""
+    """The developer's OpenMP plan: one single-loop region per
+    worksharing annotation."""
     return tuple(
-        parallelization_from_annotation(annotation, function)
+        RegionDescriptor(
+            recipes=(parallelization_from_annotation(annotation, function),)
+        )
         for annotation in function.annotations
         if annotation.directive.declares_loop_independence()
         and annotation.loop_header is not None
@@ -234,78 +184,18 @@ def parallelization_from_pspdg(pspdg, loop):
     )
 
 
-def executable_doall_headers(plan, loops):
-    """Headers the runtime dispatches for a region-less ``plan``, in
-    control-flow order: canonical-form DOALL loops not nested inside
-    another planned canonical DOALL loop (the outer takeover runs those).
-    ``loops`` are the function's natural loops, outermost first.
-    """
-
-    def inside_planned_parent(loop):
-        parent = loop.parent
-        while parent is not None:
-            parent_plan = plan.plan_for(parent.header.name)
-            if (
-                parent_plan is not None
-                and parent_plan.technique == TECH_DOALL
-                and parent.canonical is not None
-            ):
-                return True
-            parent = parent.parent
-        return False
-
-    headers = []
-    for loop in loops:
-        loop_plan = plan.plan_for(loop.header.name)
-        if loop_plan is None or loop_plan.technique != TECH_DOALL:
-            continue
-        if loop.canonical is None or inside_planned_parent(loop):
-            continue
-        headers.append(loop.header.name)
-    return headers
+#: PS-PDG -> header name -> its loop's recipe; an entry lives as long
+#: as its graph (a session's).
+_RECIPES = weakref.WeakKeyDictionary()
 
 
-def recipes_from_plan(pspdg, plan):
-    """Execution regions for every dispatched loop of ``plan``, as a
-    tuple of :class:`RegionParallelization`.
-
-    When the plan carries optimizer-produced :class:`RegionDescriptor`
-    entries, they are authoritative: fused regions become multi-member
-    :class:`RegionParallelization` recipes, ``"sequential"``-overridden
-    regions are dropped (the base interpreter runs those loops), and
-    removed-sync/backend-override markers are carried through to the
-    dispatch.  A plan without regions gets the historical one region per
-    canonical-form DOALL loop (HELIX/DSWP stay analytical-only; loops
-    nested inside another planned DOALL are executed by the outer
-    takeover).
-    """
-    analyses = pspdg.pdg.analyses
-    loops = analyses.loops_by_header
-
-    def recipe_for(header):
-        return parallelization_from_pspdg(pspdg, loops[header])
-
-    if plan.regions:
-        regions = []
-        for descriptor in plan.regions:
-            if descriptor.backend_override == OVERRIDE_SEQUENTIAL:
-                continue
-            if not all(
-                header in loops and loops[header].canonical is not None
-                for header in descriptor.headers
-            ):
-                continue
-            regions.append(
-                RegionParallelization(
-                    recipes=tuple(map(recipe_for, descriptor.headers)),
-                    backend_override=descriptor.backend_override,
-                    removed_sync_uids=descriptor.removed_sync_uids,
-                    tile=descriptor.tile,
-                )
-            )
-        return tuple(regions)
-
-    return tuple(
-        RegionParallelization(recipes=(recipe_for(header),))
-        for header in executable_doall_headers(plan, analyses.loops)
-    )
+def loop_recipe(pspdg, header):
+    """The recipe of ``pspdg``'s loop at block ``header``, derived once
+    per graph and loop however many plans, levels and passes ask."""
+    memo = _RECIPES.setdefault(pspdg, {})
+    recipe = memo.get(header)
+    if recipe is None:
+        recipe = memo[header] = parallelization_from_pspdg(
+            pspdg, pspdg.pdg.analyses.loops_by_header[header]
+        )
+    return recipe

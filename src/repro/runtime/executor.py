@@ -72,10 +72,9 @@ from repro.emulator.interp import (
 from repro.ir.instructions import Call
 from repro.ir.types import PointerType
 from repro.ir.values import GlobalVariable
-from repro.planner.recipes import as_region
 from repro.runtime import knobs
 from repro.runtime.backends import get_backend
-from repro.runtime.schedulers import make_scheduler
+from repro.runtime.schedulers import _validate_workers, make_scheduler
 from repro.util.errors import PlanError
 from repro.util.regionstats import RegionStats
 
@@ -212,10 +211,11 @@ def _critical_region_map(function, removed_sync_uids=frozenset()):
 class PreparedRegion:
     """One planned region as every dispatch of it runs, built once.
 
-    Built from a plan ``region`` (a bare recipe is wrapped), the
-    ``function`` it runs in and that function's loops by header; a
-    member without canonical form is a :class:`PlanError`.  It keeps
-    the plan's label, ``chunk`` (the first member's), override and tile.
+    Built from a plan ``region`` (a
+    :class:`~repro.planner.plans.RegionDescriptor`), the ``function`` it
+    runs in and that function's loops by header; a member without
+    canonical form is a :class:`PlanError`.  It keeps the descriptor's
+    label, ``chunk`` (the first member's), override and tile.
     ``bounds`` reads every member's ``(lower, upper, step)`` in turn.
     ``privates`` is the privatization plan, one ``(storage, global name
     or None, template, firstprivate)`` per private storage in first-wins
@@ -241,12 +241,11 @@ class PreparedRegion:
     )
 
     def __init__(self, region, function, loops_by_header):
-        region = as_region(region)
         self.region = region
         self.function = function
         self.headers = region.headers
         self.label = region.label
-        self.fused = region.fused
+        self.fused = len(self.headers) > 1
         self.chunk = region.recipes[0].chunk
         self.backend_override = region.backend_override
         self.tile = region.tile
@@ -365,7 +364,9 @@ def _dispatch_plan(records):
     table = {}
     for record in records:
         if not isinstance(record, PreparedRegion):
-            label = getattr(as_region(record), "label", record)
+            label = getattr(
+                record, "label", getattr(record, "header", record)
+            )
             raise PlanError(
                 f"region {label} is not prepared: bind it to its function "
                 "with prepare_plan(regions, function, loops_by_header)"
@@ -379,9 +380,10 @@ class ParallelInterpreter(Interpreter):
 
     ``parallelizations`` are :class:`PreparedRegion` records, bound to
     their functions by :func:`prepare_plan` (several calls' records may
-    be concatenated); a bare recipe, or a record of another module's
-    function, is a :class:`PlanError`.  A record dispatches where
-    control reaches its header block.  ``compile_regions`` defaults to
+    be concatenated); an unprepared descriptor or recipe, or a record
+    of another module's function, is a :class:`PlanError`.  A record
+    dispatches where control reaches its header block.
+    ``compile_regions`` defaults to
     :class:`~repro.pipeline.config.SessionConfig`'s value.  ``forest``
     (function name -> header name -> natural loop) hands the sequence
     tier loops the caller already holds (a Session's analysis record);
@@ -394,15 +396,7 @@ class ParallelInterpreter(Interpreter):
                  prelude=None,  # ignored: benchmarks/e2e still passes it
                  compile_regions=True, forest=None):
         super().__init__(module, max_steps)
-        if (
-            not isinstance(workers, int)
-            or isinstance(workers, bool)
-            or workers < 1
-        ):
-            raise PlanError(
-                f"workers must be a positive integer, got {workers!r}"
-            )
-        self.workers = workers
+        self.workers = _validate_workers(workers)
         self.seed = seed
         self.backend = get_backend(backend)
         self.schedule = schedule

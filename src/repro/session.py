@@ -32,7 +32,6 @@ from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
 from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
 from repro.planner.calibration import CalibrationStore
-from repro.planner.recipes import recipes_from_plan
 from repro.runtime.executor import prepare_plan, run_parallel
 
 
@@ -125,7 +124,8 @@ class Session:
 
         A miss builds and times it; either way ``diagnostics`` counts
         it.  The builder is handed only the stage's own config fields —
-        see :mod:`repro.pipeline.stages`.
+        see :mod:`repro.pipeline.stages` — and reads upstream artifacts
+        under ``config`` too, as its key says it does.
         """
         config = config if config is not None else self.config
         key = self._key(stage_name, config)
@@ -138,9 +138,15 @@ class Session:
             return artifact
         stage = STAGES[stage_name]
         started = time.perf_counter()
-        artifact = stage.build(
-            self, *[getattr(config, field) for field in stage.params]
-        )
+        # The builder reads upstream through the session's properties:
+        # for the length of the build they answer under ``config``.
+        outer, self.config = self.config, config
+        try:
+            artifact = stage.build(
+                self, *[getattr(config, field) for field in stage.params]
+            )
+        finally:
+            self.config = outer
         elapsed = time.perf_counter() - started
         self._artifacts[key] = artifact
         self.diagnostics.record_run(
@@ -335,11 +341,12 @@ class Session:
         ("simulated" | "threads" | "processes"), ``schedule`` ("static" |
         "dynamic" | "guided"), ``workers``, ``seed``, ``chunk``, and
         ``opt`` (the optimization level) default to the session config.
-        Abstraction-name runs at the config's level and engine reuse the
-        cached ``optimize``/``recipes`` stages; an explicit different
-        ``opt`` or ``compile_regions`` (or an explicit plan) optimizes on
-        the fly, priced for the run's engine, without touching the
-        caches.  The
+        An abstraction-name run reads the ``compile_regions`` and
+        ``recipes`` stages under the run's level and engine — the
+        config's own keys unless ``opt`` or ``compile_regions`` differ —
+        so an override is planned once and cached like any other
+        config.  An explicit plan without regions is seeded and
+        optimized at the run's level, priced for its engine.  The
         ``processes`` chunk pool is sized from the machine model's core
         count.  Per-region, per-worker timing is in the result's
         ``parallel_regions`` (``util.regionstats.parallel_report``
@@ -362,28 +369,29 @@ class Session:
             # the whole planning pipeline in — and compile lazily.
             regions = self._stage("source_regions")
         elif isinstance(plan, str):
+            staged = config
+            if level != config.opt_level or (
+                compile_on != bool(config.compile_regions)
+            ):
+                staged = config.derive(
+                    opt_level=level, compile_regions=compile_on
+                )
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
                 # before the first region dispatch.
-                self._stage("compile_regions")
-            if level == config.opt_level and (
-                compile_on == bool(config.compile_regions)
-            ):
-                regions = self._cached_regions(plan)
-            else:
-                optimized = self._priced(
-                    restructure_plan(self.pspdg, self.plan(plan), level),
-                    compile_on,
-                ).plan
-                regions = self._prepared(optimized)
+                self._stage("compile_regions", staged)
+            regions = self._cached_regions(plan, staged)
         else:
-            # Explicit ProgramPlan: optimize against the session's
-            # cached graphs, then derive its recipes.
-            if level > OptLevel.O0 and not plan.regions:
+            # Explicit ProgramPlan: seed and optimize it against the
+            # session's cached graphs, then prepare what it dispatches.
+            if not plan.regions:
                 plan = self._priced(
                     restructure_plan(self.pspdg, plan, level), compile_on
                 ).plan
-            regions = self._prepared(plan)
+            regions = prepare_plan(
+                plan.dispatched(), self.function,
+                self.analyses.loops_by_header,
+            )
         result = run_parallel(
             self.module, regions, config.function_name,
             workers=workers if workers is not None else config.workers,
@@ -404,20 +412,13 @@ class Session:
                 self.calibration.save()
         return result
 
-    def _cached_regions(self, abstraction):
-        recipes = self.region_recipes
+    def _cached_regions(self, abstraction, config):
+        recipes = self._stage("recipes", config)
         if abstraction not in recipes:
             # Raise the same error an unknown abstraction always raised.
             self.plan(abstraction)
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
-
-    def _prepared(self, plan):
-        """``plan``'s regions prepared in the session's function."""
-        return prepare_plan(
-            recipes_from_plan(self.pspdg, plan), self.function,
-            self.analyses.loops_by_header,
-        )
 
     def _priced(self, restructured, compile_regions):
         """``price_plan`` over a restructured plan, for the engine

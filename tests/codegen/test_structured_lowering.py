@@ -53,20 +53,7 @@ from support.ir_parser import parse_ir
 from support.plans import prepared, run_plan, run_source_plan
 from support.progen import generate_body_nest_program, generate_nest_program
 from support.recording import RecordingList, record_global_stores
-from support.programs import EARLY_RETURNS, REFUSED_CFGS
-
-
-DENSE = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "e2e" / "programs" / "dense.mop.in"
-)
-
-
-def dense_source(n):
-    text = DENSE.read_text()
-    for key, value in (("N", n), ("M", n - 1), ("H", n // 2)):
-        text = text.replace(f"@{key}@", str(value))
-    return text
+from support.programs import EARLY_RETURNS, REFUSED_CFGS, dense_source
 
 
 # -- the two-engine differential ------------------------------------------------
@@ -1410,7 +1397,8 @@ def test_a_promoted_scalar_is_written_back_before_a_region_stop(
     module = compile_source(SCALARS_AROUND_A_REGION)
     function = module.function("main")
     (region,) = recipes_from_annotations(function)
-    stops = ((region.header, (region.header,)),)
+    (header,) = region.headers
+    stops = ((header, (header,)),)
     source = lower_sequence(function, stops, _forest(function))[0]
     assert "for _p" in source
     options = dict(backend=backend, workers=2, pool_size=2)

@@ -102,8 +102,10 @@ func main() {
 """
 
 
-def _optimize(source, level=OptLevel.O3, **options):
-    session = Session.from_source(source, name="o3-test")
+def _optimize(source, level=OptLevel.O3, session=None, **options):
+    """``source``'s plan optimized at ``level``, in ``session`` when
+    given (descriptors of one session share their recipes)."""
+    session = session or Session.from_source(source, name="o3-test")
     plan = openmp_source_plan(
         session.function, loop_uid_map(session.loops)
     )
@@ -134,7 +136,7 @@ def _untiled(plan):
 class TestO3IsO2PlusTiling:
     def test_o3_plans_the_nest_as_o2_plus_tiles(self):
         session, result = _optimize(NEST_OK)
-        _o2_session, o2 = _optimize(NEST_OK, level=OptLevel.O2)
+        _session, o2 = _optimize(NEST_OK, OptLevel.O2, session)
         assert _untiled(result.plan) == list(o2.plan.regions)
         assert list(result.report.pass_seconds) == [
             "region-fusion", "sync-elimination",
@@ -144,14 +146,14 @@ class TestO3IsO2PlusTiling:
 
     def test_an_inner_carried_nest_is_planned_as_at_o2_and_conforms(self):
         session, result = _optimize(NEST_CARRIED)
-        _o2_session, o2 = _optimize(NEST_CARRIED, level=OptLevel.O2)
+        _session, o2 = _optimize(NEST_CARRIED, OptLevel.O2, session)
         assert _untiled(result.plan) == list(o2.plan.regions)
         assert result.plan.loop_plans == o2.plan.loop_plans
         _assert_conformant(session, result.plan)
 
     def test_a_nonaffine_nest_is_planned_as_at_o2_and_conforms(self):
         session, result = _optimize(NEST_NONAFFINE_OK)
-        _o2_session, o2 = _optimize(NEST_NONAFFINE_OK, level=OptLevel.O2)
+        _session, o2 = _optimize(NEST_NONAFFINE_OK, OptLevel.O2, session)
         assert _untiled(result.plan) == list(o2.plan.regions)
         _assert_conformant(session, result.plan)
 

@@ -406,24 +406,41 @@ class TestPipelineStructure:
         assert result.report.fused == []
         assert result.level is OptLevel.O1
 
-    def test_seeded_regions_match_legacy_dispatch_set(self):
+    def test_seeded_regions_carry_their_loops_recipes(self):
+        """A seeded descriptor holds the recipe the PS-PDG derives for
+        its loop, the one object every plan of the graph shares."""
+        from repro.planner.recipes import (
+            loop_recipe, parallelization_from_pspdg,
+        )
+
         session = Session.from_kernel("MG")
         plan = session.plan("PS-PDG")
         ctx = OptContext(session.pspdg, DEFAULT_MACHINE)
         seeded = seed_regions(ctx, plan)
-        from repro.planner.recipes import recipes_from_plan
+        loops = session.analyses.loops_by_header
+        assert seeded.regions
+        for region in seeded.regions:
+            (recipe,) = region.recipes
+            assert region.headers == (recipe.header,)
+            assert recipe is loop_recipe(session.pspdg, recipe.header)
+            assert recipe == parallelization_from_pspdg(
+                session.pspdg, loops[recipe.header]
+            )
 
-        legacy = recipes_from_plan(session.pspdg, plan)
-        assert sorted(r.headers[0] for r in seeded.regions) == sorted(
-            region.headers[0] for region in legacy
-        )
-
-    def test_unseeded_and_seeded_plans_dispatch_in_cfg_order(self):
+    def test_unseeded_and_seeded_plans_dispatch_in_cfg_order(
+            self, monkeypatch):
         """One selector: a plan without regions dispatches exactly what
         ``-O0`` seeds, in control-flow order (``for.header.2`` before
         ``for.header.10`` — not the order of the names)."""
-        from repro.planner.recipes import recipes_from_plan
+        import repro.session
 
+        dispatched = []
+        monkeypatch.setattr(
+            repro.session, "run_parallel",
+            lambda module, regions, name, **options: dispatched.append(
+                [region.headers[0] for region in regions]
+            ),
+        )
         loops = "".join(
             f"  pragma omp parallel_for\n"
             f"  for i{n} in 0..8 {{ a[i{n}] = a[i{n}] + {n}; }}\n"
@@ -443,11 +460,8 @@ class TestPipelineStructure:
             "for.header.10"
         )
         for plan in (unseeded, seeded.plan):
-            dispatched = [
-                region.headers[0]
-                for region in recipes_from_plan(session.pspdg, plan)
-            ]
-            assert dispatched == cfg_order
+            session.run(plan)
+        assert dispatched == [cfg_order, cfg_order]
 
     def test_level_coercion(self):
         assert OptLevel.coerce("-O2") is OptLevel.O2
@@ -463,11 +477,10 @@ class TestPipelineStructure:
 
     def test_a_fused_region_unifies_its_members_private_sets(self):
         session, result = _optimize_source(FUSABLE)
-        from repro.planner.recipes import recipes_from_plan
         from repro.runtime.executor import PreparedRegion
 
-        regions = recipes_from_plan(session.pspdg, result.plan)
-        fused = [region for region in regions if region.fused]
+        regions = result.plan.dispatched()
+        fused = [region for region in regions if len(region.headers) > 1]
         assert len(fused) == 1
         prepared = PreparedRegion(
             fused[0], session.function, session.analyses.loops_by_header

@@ -9,6 +9,7 @@ expensive graph builds out of the re-keyed set.
 
 from repro import Session
 from repro.opt import OptLevel
+from repro.pipeline.stages import STAGES
 
 
 def _runs(session, *stages):
@@ -62,14 +63,46 @@ def test_levels_change_region_structure_not_results():
     assert any(len(region.headers) > 1 for region in plan.regions)
 
 
-def test_explicit_opt_override_bypasses_caches():
+def _all_runs(session):
+    return {
+        stage: session.diagnostics.runs(stage) for stage in STAGES
+    }
+
+
+def test_an_opt_override_is_staged_like_any_config():
+    """``run(opt=2)`` on a ``-O0`` session reads the stages keyed for
+    ``-O2``: the config-level recipes stay the same object, and a second
+    override run builds no stage."""
     session = Session.from_kernel("IS")  # -O0 config
-    _ = session.region_recipes
-    runs_before = session.diagnostics.runs("optimize")
+    recipes = session.region_recipes
     result = session.run("PS-PDG", workers=2, opt=2)
     assert result.output == session.run("PS-PDG", workers=2).output
-    # The on-the-fly -O2 run did not rebuild the cached stage.
-    assert session.diagnostics.runs("optimize") == runs_before
+    assert session.region_recipes is recipes
+    runs = _all_runs(session)
+    assert runs["restructure"] == runs["optimize"] == runs["recipes"] == 2
+    again = session.run("PS-PDG", workers=2, opt=2)
+    assert again.output == result.output
+    assert _all_runs(session) == runs
+
+
+def test_each_planned_loop_derives_its_recipe_once(monkeypatch):
+    """One memo per session: however many abstractions, levels and
+    passes ask, each planned loop's recipe is derived once."""
+    from repro.planner import recipes
+
+    derived = []
+    real = recipes.parallelization_from_pspdg
+
+    def spy(pspdg, loop):
+        derived.append(loop.header.name)
+        return real(pspdg, loop)
+
+    monkeypatch.setattr(recipes, "parallelization_from_pspdg", spy)
+    session = Session.from_kernel("LU", opt_level=2, workers=2)
+    session.run("PS-PDG")
+    session.reconfigure(opt_level=3)
+    session.run("PS-PDG")
+    assert len(derived) == len(set(derived)) == 3
 
 
 def test_opt_level_spellings_normalize():
@@ -86,3 +119,21 @@ def test_optimization_accessors_raise_on_unknown_abstraction():
     session = Session.from_kernel("EP")
     with pytest.raises(KeyError):
         session.optimization("nope")
+
+
+def test_abstractions_dispatching_equal_regions_share_one_tuple():
+    """The recipes stage prepares each distinct dispatch once: two
+    abstractions share a tuple exactly when their plans dispatch equal
+    descriptors, and the source plan, which runs ``source_regions``, is
+    not prepared there at all."""
+    session = Session.from_kernel("CG", opt_level=2)
+    recipes = session.region_recipes
+    plans = session.optimizations
+    assert "OpenMP" in plans and "OpenMP" not in recipes
+    shared = 0
+    for a in recipes:
+        for b in recipes:
+            same = plans[a].plan.dispatched() == plans[b].plan.dispatched()
+            assert (recipes[a] is recipes[b]) == same, (a, b)
+            shared += a != b and same
+    assert shared

@@ -11,7 +11,6 @@ no re-pricing here.
 import pytest
 
 from repro import Session
-from repro.planner.recipes import recipes_from_plan
 from repro.runtime import backends, knobs
 from repro.workloads import kernel_names
 from support.conformance import MISCALIBRATED, outputs_close
@@ -228,9 +227,7 @@ def test_a_run_never_rewrites_the_cached_recipes(kernel):
     assert cost_decisions(cached) == before
     # The re-priced cache is exactly what the optimizer says now.
     assert cost_decisions(session.region_recipes["PS-PDG"]) == \
-        cost_decisions(
-            recipes_from_plan(session.pspdg, session.optimized_plan())
-        )
+        cost_decisions(session.optimized_plan().dispatched())
 
 
 def test_a_faulted_calibrated_run_conforms(monkeypatch):

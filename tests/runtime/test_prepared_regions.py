@@ -23,7 +23,7 @@ from repro.analysis.loops import find_natural_loops
 from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
-from repro.planner.recipes import as_region, recipes_from_annotations
+from repro.planner.recipes import recipes_from_annotations
 from repro.runtime import backends, run_parallel
 from repro.runtime.backends import SerialBackend
 from repro.runtime.executor import ParallelInterpreter, PreparedRegion
@@ -239,7 +239,8 @@ def test_a_replaced_recipe_dispatches_as_replaced(change):
     the records prepared from the old one dispatch as before."""
 
     def replaced(module):
-        (recipe,) = recipes_from_annotations(module.function("main"))
+        (region,) = recipes_from_annotations(module.function("main"))
+        (recipe,) = region.recipes
         if change == "chunk":
             return dataclasses.replace(recipe, chunk=5)
         if change == "reduction":
@@ -291,8 +292,9 @@ def test_two_prepare_plan_calls_over_two_forests_each_dispatch_their_own_loops()
 
 def test_a_bare_recipe_is_refused_at_construction():
     module = compile_source(UNEVEN)
-    (recipe,) = recipes_from_annotations(module.function("main"))
-    for bare in (recipe, as_region(recipe)):
+    (region,) = recipes_from_annotations(module.function("main"))
+    (recipe,) = region.recipes
+    for bare in (recipe, region):
         with pytest.raises(PlanError, match=f"{recipe.header}.*prepare_plan"):
             ParallelInterpreter(module, [bare])
 

@@ -2,14 +2,16 @@
 
 ``run_plan`` executes a :class:`~repro.planner.plans.ProgramPlan` chosen
 from the PS-PDG; ``run_source_plan`` executes the developer's OpenMP
-plan (every worksharing annotation).  Both prepare the recipes in their
-function (``prepared``, the one way a test binds recipes to a function)
+plan (every worksharing annotation).  Both prepare the regions in their
+function (``prepared``, the one way a test binds regions to a function)
 and hand the records to :func:`repro.runtime.run_parallel`, as
 ``Session.run`` does from its cached stages.
 """
 
 from repro.analysis.loops import find_natural_loops
-from repro.planner.recipes import recipes_from_annotations, recipes_from_plan
+from repro.opt import restructure_plan
+from repro.planner.plans import RegionDescriptor
+from repro.planner.recipes import LoopParallelization, recipes_from_annotations
 from repro.runtime import run_parallel
 from repro.runtime.executor import prepare_plan
 
@@ -19,12 +21,18 @@ def prepared(module, regions=None, function_name="main", loops=None):
     records :func:`repro.runtime.run_parallel` dispatches.
 
     ``regions`` defaults to the function's worksharing annotations'
-    recipes; ``loops`` (header name -> natural loop) to the function's
-    natural loops, found afresh.
+    regions; a bare :class:`LoopParallelization` among them runs as a
+    one-member region.  ``loops`` (header name -> natural loop) defaults
+    to the function's natural loops, found afresh.
     """
     function = module.function(function_name)
     if regions is None:
         regions = recipes_from_annotations(function)
+    regions = [
+        RegionDescriptor(recipes=(region,))
+        if isinstance(region, LoopParallelization) else region
+        for region in regions
+    ]
     if loops is None:
         loops = {
             loop.header.name: loop for loop in find_natural_loops(function)
@@ -35,18 +43,20 @@ def prepared(module, regions=None, function_name="main", loops=None):
 def run_plan(pspdg, plan, **options):
     """Execute ``plan`` on the graph's module and function.
 
-    The plan's dispatched loops (its optimizer-produced regions when it
-    has them, one region per canonical DOALL otherwise) take over with
-    PS-PDG-derived privatization and reduction recipes; everything else
-    runs sequentially.  The loop forest is the analysis record's;
-    ``options`` as for :func:`repro.runtime.run_parallel`.
+    The plan's dispatched regions (its optimizer-produced ones when it
+    has them, else the ``-O0`` seed: one per executable DOALL loop) take
+    over with PS-PDG-derived privatization and reduction recipes;
+    everything else runs sequentially.  The loop forest is the analysis
+    record's; ``options`` as for :func:`repro.runtime.run_parallel`.
     """
     analyses = pspdg.pdg.analyses
     name = pspdg.function.name
+    if not plan.regions:
+        plan = restructure_plan(pspdg, plan, 0).plan
     return run_parallel(
         analyses.module,
         prepared(
-            analyses.module, recipes_from_plan(pspdg, plan), name,
+            analyses.module, plan.dispatched(), name,
             analyses.loops_by_header,
         ),
         name,
