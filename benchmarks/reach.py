@@ -139,9 +139,6 @@ ALLOWED = {
     "(tests/analysis/test_reductions_privatization.py::TestReductions::"
     "test_extra_use_defeats_recognition)": """
         repro.analysis.alias: MemoryObject.is_scalar""",
-    "subscripts that provably never conflict (tests/analysis/"
-    "test_deptests.py::TestZIV::test_distinct_constants_never_conflict)": """
-        repro.analysis.deptests: LevelDependence.none""",
     "task depend clauses and firstprivate selectors, Section 3 (tests/core/"
     "test_pspdg_builder.py::TestTasks, ::TestSelectors)": """
         repro.core.builder: PSPDGBuilder._tasks_depend

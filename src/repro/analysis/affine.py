@@ -1,39 +1,57 @@
-"""Affine forms of int IR values, for dependence tests and bounds proofs.
+"""Affine forms and intervals of int IR values, for dependence tests and
+bounds proofs.
 
 Both ask what an int value is as ``constant + sum_i coefficient_i *
 x_i``, and differ only in what a name ``x_i`` is: the caller passes a
 *leaf* function, ``leaf(value)`` -> the name ``value`` stands for, or
 ``None``.  :func:`affine_form` walks integer constants, ``neg``,
-``add``, ``sub`` and ``mul`` with a literal side; anything else — an
-indirect index like ``key[i]``, ``%``, a product of two names — is
-non-affine (``None``), and the reader falls back to "may conflict" or
-to the guarded access, like a production compiler.
+``add``, ``sub``, ``mul`` with a literal side and — through a
+:func:`forwarding` — a load of a single-store local to the value
+stored; anything else — an indirect index like ``key[i]``, ``%``, a
+product of two names — is non-affine (``None``), and the reader falls
+back to "may conflict" or to the guarded access, like a production
+compiler.
 
 * The dependence tests (``memdep``, ``deptests``, ``opt.legality``)
   name a load of a canonical induction alloca by its alloca
   (:func:`induction_leaf`): the runtime *value* of that loop's
-  induction variable, whose lower bound and step the tests account for.
+  induction variable, ranging over its :func:`iteration_range`.
 * Codegen's bounds proofs name an induction alias that has an interval,
   an int argument and a value defined outside the lowered body by their
-  locals in the generated source; :meth:`AffineExpr.bound` places a form
-  in a box of constant intervals.
+  locals in the generated source, and in a proof that spells nothing
+  any other int load by itself: it cannot change between a branch and
+  its arm, so it cancels against the arm's condition.
 
+A *box* maps a name, or a form's :meth:`AffineExpr.terms`, to its
+``(lowest, highest)`` (``-inf``/``inf`` when open): an induction's from
+its :func:`iteration_range`, a form's from an ``if`` arm's condition
+(:func:`arm_box`).  :meth:`AffineExpr.bound` places a form in a box;
 :func:`gep_offset` composes a ``gep`` chain into a slot offset.
 """
 
 import dataclasses
+import functools
+import math
 
+from repro.analysis.dominators import compute_dominator_tree
 from repro.ir.instructions import (
     Alloca,
     BinaryOp,
+    Compare,
     GetElementPtr,
     Load,
+    Select,
+    Store,
     UnaryOp,
 )
 from repro.ir.values import Constant
 
 #: Deeper than this, a value is not affine: bounds the walk's recursion.
 _DEPTH = 12
+#: ``c <predicate> form`` as ``form <mirrored> c``.
+_MIRRORED = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq",
+             "ne": "ne"}
+_OPEN = (-math.inf, math.inf)
 
 
 @dataclasses.dataclass
@@ -70,17 +88,19 @@ class AffineExpr:
     def is_constant(self):
         return not self.coefficients
 
+    def terms(self):
+        """The key a box holds an interval of the form's terms under."""
+        return frozenset(self.coefficients.items())
+
     def bound(self, box, highest):
-        """The form's highest (or lowest) value over ``box``, a map of
-        name -> ``(lowest, highest)`` ints; ``None`` when a name has no
-        interval there."""
+        """The form's highest (or lowest) value over ``box``: the tighter
+        of its names' intervals summed and its terms' own (infinite when
+        neither bounds it)."""
         total = self.constant
         for name, factor in self.coefficients.items():
-            ends = box.get(name)
-            if ends is None:
-                return None
-            total += factor * ends[(factor > 0) == highest]
-        return total
+            total += factor * box.get(name, _OPEN)[(factor > 0) == highest]
+        keyed = self.constant + box.get(self.terms(), _OPEN)[highest]
+        return min(total, keyed) if highest else max(total, keyed)
 
     def __repr__(self):
         terms = [str(self.constant)]
@@ -92,9 +112,10 @@ class AffineExpr:
         return " + ".join(terms)
 
 
-def affine_form(value, leaf, depth=0):
+def affine_form(value, leaf, forward=None, depth=0):
     """``value`` as an :class:`AffineExpr` over the names ``leaf`` gives
-    (the module docstring), or ``None`` when it is not affine.
+    (the module docstring), or ``None`` when it is not affine.  A load
+    ``forward`` (a :func:`forwarding`) forwards is its store's value.
 
     Both operands of an operator are walked before either is judged, so
     a ``leaf`` that records what it names sees every leaf of the value.
@@ -107,15 +128,18 @@ def affine_form(value, leaf, depth=0):
     name = leaf(value)
     if name is not None:
         return AffineExpr(0, {name: 1})
+    store = forward and isinstance(value, Load) and forward(value)
+    if store:
+        return affine_form(store.value, leaf, forward, depth + 1)
     if isinstance(value, UnaryOp) and value.op == "neg":
-        inner = affine_form(value.operand, leaf, depth + 1)
+        inner = affine_form(value.operand, leaf, forward, depth + 1)
         return inner and inner.scale(-1)
     if not (
         isinstance(value, BinaryOp) and value.op in ("add", "sub", "mul")
     ):
         return None
-    lhs = affine_form(value.lhs, leaf, depth + 1)
-    rhs = affine_form(value.rhs, leaf, depth + 1)
+    lhs = affine_form(value.lhs, leaf, forward, depth + 1)
+    rhs = affine_form(value.rhs, leaf, forward, depth + 1)
     if lhs is None or rhs is None:
         return None
     if value.op == "mul":
@@ -125,7 +149,96 @@ def affine_form(value, leaf, depth=0):
     return lhs.add(rhs.scale(-1) if value.op == "sub" else rhs)
 
 
-def gep_offset(pointer, leaf, defined=None):
+def arm_box(box, condition, form):
+    """``box`` narrowed by what holds in the true arm of a branch on
+    ``condition``: a compare of an affine form (``form(value)``, the
+    caller's :func:`affine_form`) with a constant bounds that form's
+    terms, and ``&&``'s ``select(c1, c2, false)`` both of its compares.
+    ``||``, ``ne`` and a non-constant bound say nothing."""
+    narrowed = dict(box)
+    pending = [condition]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, Select) and isinstance(
+            value.if_false, Constant
+        ) and value.if_false.value is False:
+            pending += (value.condition, value.if_true)
+        if not isinstance(value, Compare):
+            continue
+        lhs, rhs = form(value.lhs), form(value.rhs)
+        predicate = value.predicate
+        if lhs is not None and lhs.is_constant():
+            lhs, rhs, predicate = rhs, lhs, _MIRRORED[predicate]
+        if lhs is None or rhs is None or lhs.is_constant() or not (
+            rhs.is_constant() and predicate != "ne"
+        ):
+            continue
+        c = rhs.constant - lhs.constant
+        low, high = {
+            "lt": (-math.inf, c - 1), "le": (-math.inf, c),
+            "gt": (c + 1, math.inf), "ge": (c, math.inf), "eq": (c, c),
+        }[predicate]
+        old_low, old_high = narrowed.get(lhs.terms(), _OPEN)
+        narrowed[lhs.terms()] = (max(low, old_low), min(high, old_high))
+    return narrowed
+
+
+def iteration_range(loop):
+    """The values ``loop``'s canonical induction takes, as a ``range``
+    (ends: its interval; length: its trip count), when its bounds and
+    its positive step are int constants; else ``None``."""
+    meta = loop.canonical
+    bounds = meta and [
+        value.value for value in (meta.lower, meta.upper, meta.step)
+        if isinstance(value, Constant) and type(value.value) is int
+    ]
+    return range(*bounds) if bounds and len(bounds) == 3 and (
+        bounds[2] > 0
+    ) else None
+
+
+def forwarding(function, dominators=None):
+    """``forward(load)``: the one store of a scalar local of ``function``
+    that dominates the load, when every use of the local's alloca is as
+    a load's or store's pointer (its address never escapes); else
+    ``None``.  A canonical induction has two stores, its seed and its
+    step.  The locals, and ``dominators`` unless given, are found on the
+    first load of an alloca."""
+
+    @functools.cache
+    def facts():
+        stores, escaped = {}, set()
+        for inst in function.instructions():
+            for index, operand in enumerate(inst.operands):
+                if not isinstance(operand, Alloca):
+                    continue
+                if isinstance(inst, Store) and index == 1:
+                    stores.setdefault(operand, []).append(inst)
+                elif not isinstance(inst, Load):
+                    escaped.add(operand)
+        once = {alloca: found[0] for alloca, found in stores.items()
+                if len(found) == 1 and alloca not in escaped}
+        return once, dominators or compute_dominator_tree(function)
+
+    def forward(load):
+        if not isinstance(load.pointer, Alloca):
+            return None
+        once, tree = facts()
+        store = once.get(load.pointer)
+        block = load.parent
+        if store is None or not (
+            tree.contains(block) and tree.contains(store.parent)
+        ):
+            return None
+        if store.parent is block:
+            order = block.instructions
+            return store if order.index(store) < order.index(load) else None
+        return store if tree.dominates(store.parent, block) else None
+
+    return forward
+
+
+def gep_offset(pointer, leaf, defined=None, forward=None):
     """``(root, offset)``: the value ``pointer``'s ``gep`` chain starts
     from, and the slot offset into it as an :class:`AffineExpr` over
     ``leaf``'s names (``None`` when an index is not affine).  Given
@@ -135,7 +248,7 @@ def gep_offset(pointer, leaf, defined=None):
     while isinstance(pointer, GetElementPtr) and (
         defined is None or id(pointer) in defined
     ):
-        index = affine_form(pointer.index, leaf)
+        index = affine_form(pointer.index, leaf, forward)
         if offset is not None and index is not None:
             stride = pointer.pointer.type.pointee.element.slots()
             offset = offset.add(index.scale(stride))
@@ -157,12 +270,3 @@ def induction_leaf(induction_allocas):
         return None
 
     return leaf
-
-
-def induction_alloca_map(loops):
-    """Map induction alloca -> loop, for loops with canonical metadata."""
-    mapping = {}
-    for loop in loops:
-        if loop.canonical is not None:
-            mapping[loop.canonical.induction] = loop
-    return mapping

@@ -15,7 +15,7 @@ the loop's iteration range, and is a multiple of the step.
 import dataclasses
 import math
 
-from repro.ir.values import Constant
+from repro.analysis.affine import AffineExpr, iteration_range
 
 
 @dataclasses.dataclass
@@ -44,36 +44,6 @@ class LevelDependence:
     @staticmethod
     def none():
         return LevelDependence(False, False, False, True)
-
-
-def _constant_value(value):
-    if isinstance(value, Constant) and isinstance(value.value, int):
-        return value.value
-    return None
-
-
-def loop_iv_range(loop):
-    """(lower, upper, step) as ints when statically known, else None."""
-    meta = loop.canonical
-    if meta is None:
-        return None
-    lower = _constant_value(meta.lower)
-    upper = _constant_value(meta.upper)
-    step = _constant_value(meta.step)
-    if lower is None or upper is None or step is None or step <= 0:
-        return None
-    return (lower, upper, step)
-
-
-def constant_trip_count(loop):
-    """Statically-known trip count, or None."""
-    bounds = loop_iv_range(loop)
-    if bounds is None:
-        return None
-    lower, upper, step = bounds
-    if upper <= lower:
-        return 0
-    return (upper - lower + step - 1) // step
 
 
 def test_level(offset_a, offset_b, loop, inner_ivs):
@@ -126,14 +96,12 @@ def test_level(offset_a, offset_b, loop, inner_ivs):
         if delta % a != 0:
             return LevelDependence.none()
         distance = delta // a  # iv-space distance t2 - t1
-        bounds = loop_iv_range(loop)
-        if bounds is not None:
-            lower, upper, step = bounds
-            span = upper - lower
-            if abs(distance) >= span and span >= 0:
-                return LevelDependence.none()
-            if distance % step != 0:
-                return LevelDependence.none()
+        space = iteration_range(loop)
+        if space is not None and (
+            abs(distance) >= space.stop - space.start >= 0
+            or distance % space.step
+        ):
+            return LevelDependence.none()
         if distance == 0:
             return LevelDependence(True, False, False, True)
         if distance > 0:
@@ -174,51 +142,37 @@ def _inner_variant_test(offset_a, offset_b, loop, inner_ivs):
     if coeff == 0 or coeff != offset_b.coefficient(iv):
         return LevelDependence.conservative()
 
-    # Split the non-level part of (offset_a - offset_b) into a fixed
-    # constant, a reachable interval around it, and the stride its
-    # inner-iv terms move in.
-    const = offset_a.constant - offset_b.constant
-    low = 0
-    high = 0
-    stride = 0
-    for var in set(offset_a.coefficients) | set(offset_b.coefficients):
-        if var is iv:
-            continue
-        inner_loop = inner_ivs.get(var)
-        bounds = loop_iv_range(inner_loop) if inner_loop is not None else None
-        if bounds is None:
-            return LevelDependence.conservative()
-        lower, upper, step = bounds
-        if upper <= lower:
-            continue
-        max_iv = lower + ((upper - 1 - lower) // step) * step
-        for term_coeff, sign in (
-            (offset_a.coefficient(var), 1),
-            (offset_b.coefficient(var), -1),
-        ):
-            if term_coeff == 0:
+    # The non-level part of (offset_a - offset_b), each side's inner
+    # ivs names of their own over their iteration ranges: its interval,
+    # and the stride its inner-iv terms move in.
+    terms, box, stride = {}, {}, 0
+    for side, offset in ((1, offset_a), (-1, offset_b)):
+        for var, term_coeff in offset.coefficients.items():
+            if var is iv:
                 continue
-            const += sign * term_coeff * lower
-            reach = sign * term_coeff * (max_iv - lower)
-            low += min(0, reach)
-            high += max(0, reach)
-            if max_iv > lower:
-                stride = math.gcd(stride, abs(term_coeff * step))
+            space = iteration_range(inner_ivs[var]) \
+                if var in inner_ivs else None
+            if space is None:
+                return LevelDependence.conservative()
+            if space:
+                terms[var, side] = side * term_coeff
+                box[var, side] = (space[0], space[-1])
+                if len(space) > 1:
+                    stride = math.gcd(stride, abs(term_coeff * space.step))
+    rest = AffineExpr(offset_a.constant - offset_b.constant, terms)
+    low, high = rest.bound(box, False), rest.bound(box, True)
 
     def feasible(distance):
-        value = coeff * distance - const
+        value = coeff * distance
         if not low <= value <= high:
             return False
-        if stride:
-            return value % stride == 0
-        return value == 0
+        return (value - low) % stride == 0 if stride else value == low
 
-    level_bounds = loop_iv_range(loop)
-    if level_bounds is not None:
-        level_lower, level_upper, level_step = level_bounds
-        span = max(level_upper - level_lower, 0)
-        if span // level_step <= _VARIANT_SEARCH_CAP:
-            distances = range(level_step, span, level_step)
+    level = iteration_range(loop)
+    if level is not None:
+        span = max(level.stop - level.start, 0)
+        if span // level.step <= _VARIANT_SEARCH_CAP:
+            distances = range(level.step, span, level.step)
             return LevelDependence(
                 feasible(0),
                 any(feasible(d) for d in distances),
@@ -228,17 +182,10 @@ def _inner_variant_test(offset_a, offset_b, loop, inner_ivs):
 
     # Level loop unbounded (or too wide to enumerate): interval-only
     # approximation over the folded range, as before.
-    total_low = const + low
-    total_high = const + high
-    intra = total_low <= 0 <= total_high
-    carried_forward = (
-        total_high >= coeff if coeff > 0 else total_low <= coeff
-    )
-    carried_backward = (
-        total_low <= -coeff if coeff > 0 else total_high >= -coeff
-    )
-    max_abs = max(abs(total_low), abs(total_high))
-    if max_abs >= abs(coeff):
-        carried_forward = carried_forward or total_high > 0
-        carried_backward = carried_backward or total_low < 0
+    intra = low <= 0 <= high
+    carried_forward = high >= coeff if coeff > 0 else low <= coeff
+    carried_backward = low <= -coeff if coeff > 0 else high >= -coeff
+    if max(abs(low), abs(high)) >= abs(coeff):
+        carried_forward = carried_forward or high > 0
+        carried_backward = carried_backward or low < 0
     return LevelDependence(intra, carried_forward, carried_backward, True)

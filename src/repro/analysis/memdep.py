@@ -62,18 +62,19 @@ class MemoryDependence:
         )
 
 
-def collect_accesses(function, alias, induction_allocas):
+def collect_accesses(function, alias, induction_allocas, forward):
     """All memory accesses of ``function``, with affine offsets when known.
 
     ``induction_allocas`` are the canonical-loop induction variables the
-    offsets may be affine in (the record's ``iv_map``).
+    offsets may be affine in (the record's ``iv_map``); ``forward`` reads
+    a single-store local as its stored value (``affine.forwarding``).
     """
     accesses = []
     leaf = affine.induction_leaf(induction_allocas)
     for inst in function.instructions():
         if isinstance(inst, (Load, Store)):
             obj = alias.base_object(inst.pointer, function)
-            offset = affine.gep_offset(inst.pointer, leaf)[1]
+            offset = affine.gep_offset(inst.pointer, leaf, None, forward)[1]
             accesses.append(
                 MemoryAccess(inst, obj, isinstance(inst, Store), offset)
             )

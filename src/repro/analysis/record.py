@@ -2,7 +2,8 @@
 
 Everything the sequential analyses know about one function lives here,
 computed once: the module's alias analysis, the natural loops, the
-memory accesses with their affine offsets, the memory dependences, and
+memory accesses with their affine offsets (a single-store local read as
+its stored value), the memory dependences, and
 the per-loop questions the planner and the optimizer both ask (which
 objects does this loop touch, which are live-out, reducible,
 privatizable, removable, carried).  The PDG is built from this record
@@ -17,7 +18,7 @@ the alias analysis alone.
 
 import functools
 
-from repro.analysis.affine import induction_alloca_map
+from repro.analysis.affine import forwarding
 from repro.analysis.alias import AliasAnalysis
 from repro.analysis.dominators import compute_dominator_tree
 from repro.analysis.liveness import live_out_objects
@@ -78,12 +79,18 @@ class FunctionAnalyses:
     @functools.cached_property
     def iv_map(self):
         """Induction alloca -> its canonical loop."""
-        return induction_alloca_map(self.loops)
+        return {
+            loop.canonical.induction: loop
+            for loop in self.loops if loop.canonical is not None
+        }
 
     @functools.cached_property
     def accesses(self):
         """Every :class:`MemoryAccess` of the function, in program order."""
-        return collect_accesses(self.function, self.alias, self.iv_map)
+        return collect_accesses(
+            self.function, self.alias, self.iv_map,
+            forwarding(self.function, self.dominators),
+        )
 
     @functools.cached_property
     def accesses_by_object(self):

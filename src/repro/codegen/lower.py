@@ -41,13 +41,18 @@ Representation choices:
   is affine (integer coefficients) in the chunk induction values, the
   enclosing counted induction variables and chunk invariants is lowered
   without its guard (the form is :mod:`repro.analysis.affine`'s, named
-  by locals: :meth:`_Lowering._leaf`); the chunk's entry section proves,
+  by locals: :meth:`_Lowering._leaf`; a single-store local reads as the
+  value it stored); the chunk's entry section proves,
   once, that the index is in bounds at the extremes of every variable's
   interval (``min``/``max`` of ``iterations``; ``[init, hi - 1]`` for a
   counted loop, vacuous when that is empty).  A failed proof raises ``Bailout``
   before the first side effect, so the interpreter runs the chunk and
   raises its own out-of-bounds error at its own iteration: a body is
   lowered once.
+  Inside an ``if`` arm, where nothing may ``Bailout``, a ``gep`` drops
+  its guard only when its index is in bounds over the arm's *box*: the
+  constant intervals of the chunk's canonical range (which holds every
+  partition) and of counted loops, narrowed by the arm's condition.
   Every other guard stays inline.
 * **Constant divisors.**  An INT ``div``/``rem`` by a non-zero int
   constant is an inline expression with the interpreter's truncation
@@ -139,7 +144,14 @@ import dataclasses
 import re
 import types
 
-from repro.analysis.affine import AffineExpr, affine_form, gep_offset
+from repro.analysis.affine import (
+    AffineExpr,
+    affine_form,
+    arm_box,
+    forwarding,
+    gep_offset,
+    iteration_range,
+)
 from repro.analysis.dominators import immediate_dominators
 from repro.ir import instructions as insts
 from repro.ir.types import FLOAT, INT, PointerType
@@ -310,6 +322,9 @@ class _Lowering:
     #: :func:`_critical_blocks` of a chunk's loop; the whole-function
     #: lowerings run on one thread between regions and take no lock.
     _critical = frozenset()
+    #: Whether a proof outside every arm may add a conjunct to the entry
+    #: proof: a chunk's runs before any side effect.
+    _conjoins = True
     #: ``(name, expression)`` per value while a sliced loop's
     #: comprehension collects its clauses (:meth:`_emit_slices`).
     _clauses = None
@@ -342,11 +357,15 @@ class _Lowering:
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
         self._intervals = {}  # induction local -> (lowest, highest) names
-        self._constants = {}  # induction local -> its interval, as ints
         self._proof = []  # entry lines defining those names, outermost first
         self._checks = []  # the once-per-chunk bounds proof's conjuncts
-        self._enclosing = []  # intervals of the counted loops being emitted
-        self._conditional = 0  # depth of ``if`` arms being emitted
+        #: Name -> its constant interval where the walk is (the box of
+        #: :mod:`repro.analysis.affine`), narrowed inside an ``if`` arm.
+        self._box = {}
+        #: What the walk is in, outermost first: a counted loop's interval
+        #: names, ``None`` for an ``if`` arm.
+        self._enclosing = []
+        self._forwarded = forwarding(function)
         self._segment = None  # [line index, steps] of the open step count
         #: Blocks the walk has emitted -> the loop a returning arm had
         #: left for good when it did (``None``: no such arm).
@@ -866,6 +885,10 @@ class _Lowering:
             self._intervals[scalar.value] = (low, high)
             self._proof.append(f"{low} = min(iterations)")
             self._proof.append(f"{high} = max(iterations)")
+            # Every partition is a subset of the canonical range.
+            space = iteration_range(loop)
+            if space:
+                self._box[scalar.value] = (space[0], space[-1])
 
     def _nest(self, out, block, blocks=0):
         """Refuse to open one more level (holding ``blocks`` more nested
@@ -987,10 +1010,13 @@ class _Lowering:
         if join is _RETURNED:
             # Both arms return: the second needs no ``else``.
             join = arms.pop()[1]
-        self._conditional += 1
+        self._enclosing.append(None)
+        box = self._box
         for position, (test, target) in enumerate(arms):
             out.emit("else:" if position else f"if {test}:")
             out.indent += 1
+            if test is condition and self._tiered:
+                self._box = arm_box(box, branch.condition, self._form)
             self._segment = None
             self._transition(out, block, target)
             if region is None or target in region.blocks:
@@ -998,7 +1024,8 @@ class _Lowering:
             else:
                 self._emit_tail(out, target, region)
             out.indent -= 1
-        self._conditional -= 1
+            self._box = box
+        self._enclosing.pop()
         self._segment = None
         return join
 
@@ -1116,8 +1143,8 @@ class _Lowering:
         ):
             return None
         # v only ever holds init + k below the bound: [init, upper - 1].
-        first = affine_form(scalar.init.value, self._leaf)
-        bound = affine_form(upper, self._leaf)
+        first = affine_form(scalar.init.value, self._leaf, self._forward)
+        bound = affine_form(upper, self._leaf, self._forward)
         interval = None
         if first is not None and bound is not None:
             uid = scalar.alloca.uid
@@ -1129,10 +1156,9 @@ class _Lowering:
                 f"{interval[1]} = {self._extreme(bound, True)} - 1"
             )
             self._intervals[scalar.value] = interval
-            low = first.bound(self._constants, False)
-            high = bound.bound(self._constants, True)
-            if low is not None and high is not None:
-                self._constants[scalar.value] = (low, high - 1)
+            self._box[scalar.value] = (
+                first.bound(self._box, False), bound.bound(self._box, True) - 1
+            )
         self._elided.add(latch)
         self._alias_loads(
             scalar, [b for b in inner.blocks if b is not latch]
@@ -1535,19 +1561,40 @@ class _Lowering:
             parts.append(end if factor == 1 else f"{factor} * {end}")
         return " + ".join(parts)
 
+    def _forward(self, load):
+        """The store a load forwards to, when it is in the lowered body
+        (its value is then bound where the load reads)."""
+        store = self._forwarded(load)
+        return store if store and id(store) in self.defined else None
+
+    def _form(self, value):
+        """``value``'s form for a proof that spells nothing: an int load
+        the walk cannot read through is a name of its own."""
+        return affine_form(value, self._proof_leaf, self._forward)
+
+    def _proof_leaf(self, value):
+        opaque = isinstance(value, insts.Load) and value.type == INT
+        return self._leaf(value) or (
+            value if opaque and not self._forward(value) else None
+        )
+
     def _proven_in_bounds(self, inst):
-        """Whether the chunk's entry proof covers ``inst``'s index, so
-        its guard can go; adds the conjunct that does.  A gep in an
-        ``if`` arm keeps its guard."""
-        if self._conditional:
-            return False
-        form = affine_form(inst.index, self._leaf)
+        """Whether ``inst``'s index is in bounds wherever it runs, so its
+        guard can go: by a conjunct the entry proof adds, where the
+        lowering may add one (:attr:`_conjoins`, outside every ``if``
+        arm) and every name is spelled; else by its constant bounds
+        over the box."""
+        form = self._form(inst.index)
         if form is None:
             return False
         count = inst.pointer.type.pointee.count
-        if form.is_constant():
+        if not self._conjoins or None in self._enclosing or any(
+            not isinstance(name, str) for name in form.coefficients
+        ) or form.is_constant():
             # A constant out of bounds raises where (and if) it runs.
-            return 0 <= form.constant < count
+            return 0 <= form.bound(self._box, False) and (
+                form.bound(self._box, True) < count
+            )
         check = (
             f"0 <= {self._extreme(form, False)} "
             f"and {self._extreme(form, True)} < {count}"

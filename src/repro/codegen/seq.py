@@ -19,9 +19,11 @@ scalars are written back to their slots before every stop and in a
 ``finally``, so ``frame.objects`` is the interpreter's image wherever a
 region or the caller reads it.  With no ``Bailout`` after the first side
 effect, a ``gep`` drops its guard only where the proof holds when the
-body is lowered: every name of its index a counted induction whose
-interval is constant.  An alloca that runs in a loop but keeps its slot
-is looked up once per activation.
+body is lowered: its index is in bounds over the box of constant
+intervals — the counted inductions', narrowed inside an ``if`` arm by
+the arm's condition — the rule a chunk keeps inside its arms.  An
+alloca that runs in a loop but keeps its slot is looked up once per
+activation.
 
 A planned parallel region is a *stop*: one statement where its loop
 node would be.  Reaching the region's header closes the open step
@@ -60,7 +62,6 @@ interned into shapes (:mod:`repro.emulator.profile`).
 
 import dataclasses
 
-from repro.analysis.affine import affine_form
 from repro.analysis.liveness import live_in_registers
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
@@ -123,6 +124,7 @@ class _SequenceLowering(_Lowering):
 
     loop = None  # no chunk loop: no induction is seeded
     _inductions = ()
+    _conjoins = False  # no ``Bailout`` once a side effect ran
     name = "_seq"
     parameters = "interp, frame"
     _body_indent = 3  # def _factory / def _seq / try
@@ -210,18 +212,6 @@ class _SequenceLowering(_Lowering):
             for inst in block.instructions
             if isinstance(inst, insts.Alloca) and id(inst) not in self.promoted
         }
-
-    def _proven_in_bounds(self, inst):
-        """Proven now or never: a sequence cannot ``Bailout`` once a side
-        effect ran, so every name of the index must be a counted
-        induction whose interval is constant."""
-        form = affine_form(inst.index, self._leaf)
-        if form is None:
-            return False
-        low = form.bound(self._constants, False)
-        high = form.bound(self._constants, True)
-        count = inst.pointer.type.pointee.count
-        return low is not None and 0 <= low and high < count
 
     def _register(self, inst):
         # No live-in protocol: every register the function reads is

@@ -11,7 +11,7 @@ region alone — the safe direction, since serializing a huge region would
 cost real parallelism while dispatching a small one only costs overhead.
 """
 
-from repro.analysis.deptests import constant_trip_count
+from repro.analysis.affine import iteration_range
 
 #: Trip count assumed for non-canonical inner loops (e.g. ``while``)
 #: nested inside a region.  Deliberately conservative-high so an unknown
@@ -28,10 +28,10 @@ def loop_cost(loop):
     serialization threshold must never fire on a loop whose iteration
     space the pass cannot see.
     """
-    trip = constant_trip_count(loop)
-    if trip is None:
+    space = iteration_range(loop)
+    if space is None:
         return None
-    return trip * _body_cost(loop)
+    return len(space) * _body_cost(loop)
 
 
 def _body_cost(loop):
@@ -45,9 +45,8 @@ def _body_cost(loop):
     )
     nested = 0
     for child in loop.children:
-        trip = constant_trip_count(child)
-        if trip is None:
-            trip = DEFAULT_INNER_TRIP
+        space = iteration_range(child)
+        trip = DEFAULT_INNER_TRIP if space is None else len(space)
         nested += trip * _body_cost(child)
     return own + nested
 

@@ -20,10 +20,9 @@ fusion illegal here.
 """
 
 from repro.analysis.alias import CONSOLE
-from repro.analysis.deptests import loop_iv_range
+from repro.analysis.affine import iteration_range
 from repro.analysis.loops import loop_of_block
 from repro.ir.instructions import Alloca, Jump, Store
-from repro.planner.plans import TECH_DOALL
 
 #: Upper bound on the straight-line block chain between fused loops.
 _MAX_INTERLOOP_BLOCKS = 16
@@ -68,8 +67,6 @@ class Legality:
 
 def can_fuse(ctx, region_a, region_b):
     """May ``region_b`` be appended to ``region_a`` as one dispatch?"""
-    if region_a.technique != TECH_DOALL or region_b.technique != TECH_DOALL:
-        return Legality.no("only DOALL regions fuse")
     if region_a.backend_override or region_b.backend_override:
         return Legality.no("region already rebound to another backend")
 
@@ -92,9 +89,10 @@ def _same_iteration_space(loops):
     parents = {id(loop.parent) for loop in loops}
     if len(parents) != 1:
         return Legality.no("members nest in different parent loops")
-    spaces = [loop_iv_range(loop) for loop in loops]
+    spaces = [iteration_range(loop) for loop in loops]
     if any(space is None for space in spaces):
         return Legality.no("member bounds are not compile-time constants")
+    spaces = [(space.start, space.stop, space.step) for space in spaces]
     if len(set(spaces)) != 1:
         return Legality.no(f"iteration spaces differ: {sorted(set(spaces))}")
     return Legality.yes()

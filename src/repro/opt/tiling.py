@@ -17,7 +17,7 @@ partition.
 
 import dataclasses
 
-from repro.analysis.deptests import constant_trip_count
+from repro.analysis.affine import iteration_range
 from repro.opt.cost import region_cost
 from repro.planner.plans import OVERRIDE_SEQUENTIAL
 
@@ -35,9 +35,9 @@ class TilingPass:
                 continue
             # The partitioned space is the members' shared iteration
             # space.
+            space = iteration_range(loops[region.headers[0]])
             tile = machine.tile_iterations(
-                region_cost(ctx, region.headers),
-                constant_trip_count(loops[region.headers[0]]),
+                region_cost(ctx, region.headers), space and len(space)
             )
             if tile is None:
                 regions.append(region)

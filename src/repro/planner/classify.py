@@ -15,7 +15,7 @@ sequential, so ``doall_legal`` is the known trip count.
 import dataclasses
 import functools
 
-from repro.analysis.deptests import constant_trip_count
+from repro.analysis.affine import iteration_range
 from repro.analysis.scc import strongly_connected_components
 
 
@@ -119,6 +119,6 @@ def _classify(view, loop, serialized):
     for src, dst in view.intra_edges(loop):
         adjacency.setdefault(src, []).append(dst)
     return LoopClassification(
-        loop, constant_trip_count(loop) is not None, serialized,
+        loop, iteration_range(loop) is not None, serialized,
         len(carried_pairs), (adjacency, carried_pairs),
     )

@@ -54,7 +54,6 @@ class RegionDescriptor:
         recipes: member :class:`~repro.planner.recipes.LoopParallelization`
             recipes in control-flow order (>= 1; more than one after
             parallel-region fusion); ``headers`` are theirs.
-        technique: the members' shared technique (currently DOALL only).
         backend_override: ``None`` (run on the configured backend),
             ``"sequential"`` (small-region serialization: the loop is not
             dispatched at all and runs on the sequential interpreter), or
@@ -72,7 +71,6 @@ class RegionDescriptor:
     """
 
     recipes: tuple
-    technique: str = TECH_DOALL
     backend_override: str = None
     removed_sync_uids: frozenset = frozenset()
     tile: int = None
@@ -90,7 +88,7 @@ class RegionDescriptor:
         return "+".join(self.headers)
 
     def describe(self):
-        parts = [self.label, self.technique]
+        parts = [self.label, TECH_DOALL]
         if self.tile:
             parts.append(f"tile={self.tile}")
         if self.backend_override:

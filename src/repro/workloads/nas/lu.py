@@ -3,9 +3,9 @@
 NAS LU's lower/upper solves carry dependences along both grid dimensions;
 the classic parallelization sweeps anti-diagonals: the wavefront index
 ``k`` advances sequentially while the elements *on* each anti-diagonal are
-independent — something the developer declares with worksharing but that
-no sequential analysis proves (the second index is computed, hence
-non-affine to the analysis).  A workshared residual ``reduction`` follows.
+independent — something the developer declares with worksharing, and
+the subscript tests prove only by reading the local ``j`` as the ``k -
+i`` it was stored.  A workshared residual ``reduction`` follows.
 """
 
 NAME = "LU"

@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.deptests import constant_trip_count, test_level as siv_test
+from repro.analysis.deptests import test_level as siv_test
 from repro.analysis.loops import find_natural_loops
-from repro.analysis.affine import AffineExpr
+from repro.analysis.affine import AffineExpr, iteration_range
 from repro.frontend import compile_source
 
 
@@ -17,29 +17,32 @@ def loop_for(source):
 SIMPLE = "func main() { for i in 0..10 { } }"
 
 
-class TestTripCounts:
+class TestIterationRanges:
     def test_constant_trip_count(self):
-        assert constant_trip_count(loop_for(SIMPLE)) == 10
+        assert len(iteration_range(loop_for(SIMPLE))) == 10
 
     def test_trip_count_with_step(self):
         loop = loop_for("func main() { for i in 0..10 step 3 { } }")
-        assert constant_trip_count(loop) == 4
+        space = iteration_range(loop)
+        assert len(space) == 4
+        # The interval ends at the last value taken, not at upper - step.
+        assert (space[0], space[-1]) == (0, 9)
 
     def test_empty_range(self):
         loop = loop_for("func main() { for i in 5..5 { } }")
-        assert constant_trip_count(loop) == 0
+        assert len(iteration_range(loop)) == 0
 
     def test_unknown_trip_count(self):
         loop = loop_for(
             "func main() { var n: int = 3; for i in 0..n { } }"
         )
-        assert constant_trip_count(loop) is None
+        assert iteration_range(loop) is None
 
     def test_while_loop_has_no_trip_count(self):
         loop = loop_for(
             "func main() { var x: int = 0; while (x < 5) { x = x + 1; } }"
         )
-        assert constant_trip_count(loop) is None
+        assert iteration_range(loop) is None
 
 
 class TestZIV:

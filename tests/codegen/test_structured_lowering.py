@@ -309,6 +309,39 @@ def _oob(outer=8, inner=8, taken="true", row=0, column=0, tail=""):
                       column=column, tail=tail)
 
 
+def test_lus_wavefront_keeps_no_guard_in_its_chunk_or_its_sequence():
+    """``j = k - i`` reads as that form, and ``if (j >= 1 && j < 19)``
+    bounds it in the arm: with ``i`` in its canonical ``[1, 18]`` (the
+    chunk) or its counted interval (the sequence), every index of the
+    arm is in bounds over the arm's box."""
+    session = Session.from_kernel("LU", opt_level=0)
+    loops = session.analyses.loops_by_header
+    assert "out of bounds" not in compile_chunk(loops["for.header.4"]).source
+    (source, *_rest) = lower_sequence(session.function, {}, loops)
+    assert "out of bounds" not in source
+
+
+def test_the_false_arm_and_an_or_learn_nothing():
+    """Only a true arm of ``&&``-joined compares narrows the box."""
+    source = """
+global a: int[4];
+global b: int[4];
+func main() {
+  pragma omp parallel_for
+  for i in 0..8 {
+    if (i >= 4) { b[0] = 1; } else { a[i] = 1; }
+    if (i < 4 || i < 2) { a[i] = 2; }
+    if (i < 4 && i >= 0) { a[i] = 3; }
+  }
+}
+"""
+    loop = [lp for lp in find_natural_loops(
+        compile_source(source).function("main")) if lp.canonical][0]
+    body = compile_chunk(loop).source
+    # The else arm's a[i] and the ``||`` arm's keep theirs.
+    assert body.count("out of bounds for") == 2
+
+
 @pytest.mark.parametrize("source", [
     # The index leaves the array only at the outer extreme / only at
     # the inner extreme, outside every ``if``: the proof covers both.
@@ -344,7 +377,9 @@ def test_an_index_out_of_bounds_on_an_untaken_arm_does_not_bail(chunks):
     loop = [lp for lp in find_natural_loops(module.function("main"))
             if lp.canonical and lp.depth == 0][0]
     body = compile_chunk(loop).source
-    assert body.count("out of bounds for") == 4  # two geps in each arm
+    # Over its arm's box (i in [101, 7], j in [0, 7]) only a[i + 5]
+    # can leave its array; the arms' other geps are proven.
+    assert body.count("out of bounds for") == 1
     proof = body.partition("if not (")[2].partition("):")[0]
     assert proof.count("<") == 2  # a[i][0], outside the ``if``: proven once
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro import Session
-from repro.analysis.deptests import constant_trip_count
+from repro.analysis.affine import iteration_range
 from repro.core.model import RELAXATION_FEATURES
 from repro.planner.classify import classify_loop
 from repro.planner.views import VIEW_FEATURES
@@ -247,7 +247,7 @@ def test_shared_lazy_classifications_equal_per_view_tarjan(name):
             doall_legal = classification.doall_legal
             sccs, carried, serialized = reference.classify(view, loop)
             assert doall_legal == (
-                constant_trip_count(loop) is not None
+                iteration_range(loop) is not None
                 and not any(sequential for _, sequential in sccs)
             ), where
             assert _summary(classification) == (
