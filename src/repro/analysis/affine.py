@@ -188,13 +188,15 @@ def iteration_range(loop):
     (ends: its interval; length: its trip count), when its bounds and
     its positive step are int constants; else ``None``."""
     meta = loop.canonical
-    bounds = meta and [
+    if meta is None:
+        return None
+    bounds = [
         value.value for value in (meta.lower, meta.upper, meta.step)
         if isinstance(value, Constant) and type(value.value) is int
     ]
-    return range(*bounds) if bounds and len(bounds) == 3 and (
-        bounds[2] > 0
-    ) else None
+    if len(bounds) != 3 or bounds[2] <= 0:
+        return None
+    return range(*bounds)
 
 
 def forwarding(function, dominators=None):

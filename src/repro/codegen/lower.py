@@ -1588,9 +1588,9 @@ class _Lowering:
         if form is None:
             return False
         count = inst.pointer.type.pointee.count
-        if not self._conjoins or None in self._enclosing or any(
-            not isinstance(name, str) for name in form.coefficients
-        ) or form.is_constant():
+        if not self._conjoins or None in self._enclosing or (
+            form.is_constant()
+        ) or any(not isinstance(name, str) for name in form.coefficients):
             # A constant out of bounds raises where (and if) it runs.
             return 0 <= form.bound(self._box, False) and (
                 form.bound(self._box, True) < count

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from repro.analysis.loops import find_natural_loops
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
-from repro.codegen.lower import Unsupported, chunk_tier, compile_chunk
+from repro.codegen.lower import (
+    Unsupported, _Lowering, chunk_tier, compile_chunk,
+)
 from repro.codegen.seq import (
     _SequenceLowering, lower_sequence, sequence_stops,
 )
@@ -321,24 +323,37 @@ def test_lus_wavefront_keeps_no_guard_in_its_chunk_or_its_sequence():
     assert "out of bounds" not in source
 
 
-def test_the_false_arm_and_an_or_learn_nothing():
-    """Only a true arm of ``&&``-joined compares narrows the box."""
+def test_the_false_arm_and_an_or_learn_nothing(monkeypatch):
+    """Only a true arm of ``&&``-joined compares narrows the box: each
+    gep's proof sees the box of the statement it stores for."""
     source = """
 global a: int[4];
 global b: int[4];
 func main() {
   pragma omp parallel_for
   for i in 0..8 {
-    if (i >= 4) { b[0] = 1; } else { a[i] = 1; }
+    b[0] = 0;
+    if (i >= 4) { b[1] = 9; } else { a[i] = 1; }
     if (i < 4 || i < 2) { a[i] = 2; }
     if (i < 4 && i >= 0) { a[i] = 3; }
   }
 }
 """
+    boxes = {}
+    proven = _Lowering._proven_in_bounds
+
+    def spy(self, inst):
+        (store,) = self._uses[id(inst)]
+        boxes[store.value.value] = dict(self._box)
+        return proven(self, inst)
+
+    monkeypatch.setattr(_Lowering, "_proven_in_bounds", spy)
     loop = [lp for lp in find_natural_loops(
         compile_source(source).function("main")) if lp.canonical][0]
     body = compile_chunk(loop).source
-    # The else arm's a[i] and the ``||`` arm's keep theirs.
+    assert boxes[1] == boxes[2] == boxes[0]  # the false arm, the ``||``
+    assert boxes[9] != boxes[0] != boxes[3]  # the true arms of compares
+    # The else arm's a[i] and the ``||`` arm's keep their guards.
     assert body.count("out of bounds for") == 2
 
 
