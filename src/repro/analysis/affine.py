@@ -30,7 +30,6 @@ its :func:`iteration_range`, a form's from an ``if`` arm's condition
 """
 
 import dataclasses
-import functools
 import math
 
 from repro.analysis.dominators import compute_dominator_tree
@@ -41,7 +40,6 @@ from repro.ir.instructions import (
     GetElementPtr,
     Load,
     Select,
-    Store,
     UnaryOp,
 )
 from repro.ir.values import Constant
@@ -204,40 +202,50 @@ def forwarding(function, dominators=None):
     that dominates the load, when every use of the local's alloca is as
     a load's or store's pointer (its address never escapes); else
     ``None``.  A canonical induction has two stores, its seed and its
-    step.  The locals, and ``dominators`` unless given, are found on the
-    first load of an alloca."""
-
-    @functools.cache
-    def facts():
-        stores, escaped = {}, set()
-        for inst in function.instructions():
-            for index, operand in enumerate(inst.operands):
-                if not isinstance(operand, Alloca):
-                    continue
-                if isinstance(inst, Store) and index == 1:
-                    stores.setdefault(operand, []).append(inst)
-                elif not isinstance(inst, Load):
-                    escaped.add(operand)
-        once = {alloca: found[0] for alloca, found in stores.items()
-                if len(found) == 1 and alloca not in escaped}
-        return once, dominators or compute_dominator_tree(function)
+    step.  The locals are found on the first load of an alloca, and
+    ``dominators``, unless given, on the first that needs them."""
+    stores = tree = None
 
     def forward(load):
+        nonlocal stores, tree
         if not isinstance(load.pointer, Alloca):
             return None
-        once, tree = facts()
-        store = once.get(load.pointer)
+        if stores is None:
+            stores = _single_stores(function)
+        store = stores.get(load.pointer)
         block = load.parent
-        if store is None or not (
-            tree.contains(block) and tree.contains(store.parent)
-        ):
+        if store is None:
             return None
         if store.parent is block:
             order = block.instructions
             return store if order.index(store) < order.index(load) else None
-        return store if tree.dominates(store.parent, block) else None
+        tree = tree or dominators or compute_dominator_tree(function)
+        if tree.contains(block) and tree.contains(store.parent) and (
+            tree.dominates(store.parent, block)
+        ):
+            return store
+        return None
 
     return forward
+
+
+def _single_stores(function):
+    """Alloca -> its one store, for the allocas of ``function`` stored
+    once and used only as a load's or store's pointer."""
+    stores, escaped = {}, set()
+    for block in function.blocks:
+        for inst in block.instructions:
+            if inst.opcode == "load":
+                continue
+            for index, operand in enumerate(inst.operands):
+                if not isinstance(operand, Alloca):
+                    continue
+                if inst.opcode == "store" and index == 1:
+                    stores.setdefault(operand, []).append(inst)
+                else:
+                    escaped.add(operand)
+    return {alloca: found[0] for alloca, found in stores.items()
+            if len(found) == 1 and alloca not in escaped}
 
 
 def gep_offset(pointer, leaf, defined=None, forward=None):

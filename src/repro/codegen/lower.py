@@ -1573,10 +1573,12 @@ class _Lowering:
         return affine_form(value, self._proof_leaf, self._forward)
 
     def _proof_leaf(self, value):
-        opaque = isinstance(value, insts.Load) and value.type == INT
-        return self._leaf(value) or (
-            value if opaque and not self._forward(value) else None
-        )
+        name = self._leaf(value)
+        if name is None and isinstance(value, insts.Load) and (
+            value.type == INT and not self._forward(value)
+        ):
+            return value
+        return name
 
     def _proven_in_bounds(self, inst):
         """Whether ``inst``'s index is in bounds wherever it runs, so its
