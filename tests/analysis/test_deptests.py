@@ -17,7 +17,7 @@ def loop_for(source):
 SIMPLE = "func main() { for i in 0..10 { } }"
 
 
-class TestIterationRanges:
+class TestTripCounts:
     def test_constant_trip_count(self):
         assert len(iteration_range(loop_for(SIMPLE))) == 10
 
