@@ -1367,12 +1367,8 @@ class _Lowering:
         only at the slot it stores, before the store.  ``None``: keep
         the loop.
         """
-        first, bound = scalar.init.value, inner.header.instructions[1].rhs
-        if not (
-            isinstance(first, Constant) and isinstance(bound, Constant)
-            and type(first.value) is int and type(bound.value) is int
-            and bound.value - first.value >= _SLICE_FLOOR
-        ):
+        space = iteration_range(inner)
+        if space is None or len(space) < _SLICE_FLOOR:
             return None
         lanes, kept, carried = [], [], False
         for _block, inst in statements:
