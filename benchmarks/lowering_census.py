@@ -12,7 +12,9 @@ Three populations, one ``structured / refused`` line each:
 * **sequences** — every function of those programs and of
   ``examples/histogram.mop`` under its ``-O0`` .. ``-O3`` stop sets,
   lowered through ``lower_sequence`` with the session's loops;
-* **profiles** — the same functions through ``compile_profiled``.
+* **profiles** — the same functions through ``compile_profiled``, with
+  the count of their counted loops recorded once per instance (a
+  straight body with no call: no per-iteration counter or intern).
 
 The fourth line splits the counted inner loops (``for v in range(v,
 hi)``) of the chunk bodies by how they count steps: charged once in
@@ -83,13 +85,23 @@ def _sequence_loops(function, stops, loops_by_header, totals):
         totals[index] += count
 
 
+def _profiled(function, analyses, totals):
+    """Lower one profile; add its loops recorded once per instance into
+    ``totals``."""
+    source = compile_profiled(
+        function, analyses.loops, analyses.dominators
+    ).source
+    totals[0] += len(re.findall(r"^\s*_F\w+ = _expand\(", source, re.M))
+
+
 def census():
     """``(population -> [(label, refusal or None), ...], [charged once,
     per iteration, as slices], [sequence loops counted, while, charged
-    once, as slices])``."""
+    once, as slices], [profile loops recorded once per instance])``."""
     rows = {"chunk bodies": [], "sequences": [], "profiles": []}
     charges = [0, 0, 0]
     sequences = [0, 0, 0, 0]
+    instances = [0]
     for name, text in _texts():
         for level in LEVELS:
             session = Session.from_source(
@@ -116,8 +128,8 @@ def census():
                 if level == 0:
                     rows["profiles"].append((
                         f"{name} {function.name}",
-                        _refusal(lambda: compile_profiled(
-                            function, analyses.loops
+                        _refusal(lambda: _profiled(
+                            function, analyses, instances
                         )),
                     ))
             if level == 2 and name in COMPILED:
@@ -136,18 +148,19 @@ def census():
                             _charges(entry.source)
                         ):
                             charges[index] += count
-    return rows, charges, sequences
+    return rows, charges, sequences, instances
 
 
 def main():
     refused = 0
-    populations, (once, each, sliced), sequences = census()
+    populations, (once, each, sliced), sequences, (instances,) = census()
+    suffix = {"profiles": f", {instances} loops recorded once per instance"}
     print("lowering census (structured / refused)")
     for population, rows in populations.items():
         refusals = [(label, why) for label, why in rows if why]
         refused += len(refusals)
         print(f"  {population}: {len(rows) - len(refusals)} / "
-              f"{len(refusals)}")
+              f"{len(refusals)}{suffix.get(population, '')}")
         for label, why in refusals:
             print(f"    {label}: {why}")
     print(f"  counted inner loops: {once} charged once / {each} per "

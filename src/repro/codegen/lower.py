@@ -104,9 +104,8 @@ Representation choices:
     ``sum()``: on Python >= 3.12 it is compensated, not the
     interpreter's left-to-right accumulation.
 
-  Sequences promote function-wide and get all of it
-  (:mod:`repro.codegen.seq`); a profile promotes nothing, so it has no
-  counted loop and keeps its lowering.
+  Sequences and profiles promote function-wide and get all of it
+  (:mod:`repro.codegen.seq`).
 * What the walk refuses — a loop left from a block other than its
   header, arms that never rejoin, a block reached twice, an induction
   alloca whose address escapes, a nest deeper than CPython compiles —
@@ -117,8 +116,8 @@ Representation choices:
   lowerings of :mod:`repro.codegen.seq` fill: a nested loop may be a
   planned region's stop (:meth:`_Lowering._emit_loop`), an arm may leave
   its loop for good to ``return`` (:meth:`_Lowering._emit_tail`), and a
-  loop has three event positions — enter, iterate, exit — where the
-  profiled lowering counts.
+  loop has three event positions — enter (told the induction of a
+  counted loop), iterate, exit — where the profiled lowering counts.
 * **Critical sections.**  Where the walk crosses an edge into or out of
   a block of a ``critical``/``atomic`` annotation of the function, it
   emits the call ``_WorkerInterpreter.run_chunk`` makes on that edge,
@@ -134,7 +133,8 @@ Representation choices:
   images (:func:`repro.codegen.runtime._differential`).
 * Objects the generated code must reference by identity (alloca keys,
   live-in register keys, callee functions) arrive through the exec'd
-  factory's ``refs`` tuple, so no IR object is ever re-created.
+  factory's ``refs`` tuple, so no IR object is ever re-created; so do
+  the profile's layouts, constant tuples ``compile`` would fold anew.
 
 Anything outside the supported matrix raises :class:`Unsupported` and
 the loop stays on the interpreter — never fail, always fall back.
@@ -316,9 +316,6 @@ class _Lowering:
     #: id(alloca) -> the storage local of one a sequence runs in a loop
     #: but keeps in its slot, looked up once per activation.
     _cached = types.MappingProxyType({})
-    #: Whether geps read their base's storage local and drop a proven
-    #: guard; the profiled lowering keeps every statement as it is.
-    _tiered = True
     #: :func:`_critical_blocks` of a chunk's loop; the whole-function
     #: lowerings run on one thread between regions and take no lock.
     _critical = frozenset()
@@ -347,9 +344,10 @@ class _Lowering:
         self._critical = _critical_blocks(loop)
         self._begin(loop.header.parent, [loop, *loop.descendants()])
 
-    def _begin(self, function, loops):
+    def _begin(self, function, loops, dominators=None):
         """The state every lowering starts from; ``loops`` is the forest
-        the walk follows (a chunk's: its loop and what nests in it)."""
+        the walk follows (a chunk's: its loop and what nests in it), and
+        ``dominators`` the function's tree when the caller holds it."""
         self.function = function
         self.refs = []  # objects the factory receives positionally
         self._ref_names = {}  # id(obj) -> _k<i>
@@ -365,7 +363,7 @@ class _Lowering:
         #: What the walk is in, outermost first: a counted loop's interval
         #: names, ``None`` for an ``if`` arm.
         self._enclosing = []
-        self._forwarded = forwarding(function)
+        self._forwarded = forwarding(function, dominators)
         self._segment = None  # [line index, steps] of the open step count
         #: Blocks the walk has emitted -> the loop a returning arm had
         #: left for good when it did (``None``: no such arm).
@@ -588,12 +586,10 @@ class _Lowering:
         storage, offset = self.pointer(inst.pointer)
         index = self.scalar(inst.index)
         array_type = inst.pointer.type.pointee
-        proven = False
-        if self._tiered:
-            # The element lives in the base's storage, whose local is
-            # only ever rebound to the same list.
-            self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
-            proven = self._proven_in_bounds(inst)
+        # The element lives in the base's storage, whose local is only
+        # ever rebound to the same list.
+        self._alias[id(inst)] = (storage, f"_r{inst.uid}_o")
+        proven = self._proven_in_bounds(inst)
         if not proven:
             suffix = (
                 f" out of bounds for {array_type!r} (gep #{inst.uid})"
@@ -748,20 +744,22 @@ class _Lowering:
 
     # -- loop events: where a profiled lowering counts (no-ops here) ------------
 
-    def _enter_loop(self, out, loop):
-        """Before the Python loop."""
+    def _enter_loop(self, out, loop, scalar):
+        """Before the Python loop: ``scalar`` is a counted loop's
+        induction (``None``: a ``while``)."""
 
     def _close_iteration(self, out, loop):
         """At the bottom of its body."""
 
-    def _exit_loop(self, out, loop):
-        """Behind it."""
+    def _exit_loop(self, out, loop, returning=False):
+        """Behind it — or, ``returning``, where an arm leaves it to
+        ``return`` partway through an iteration."""
 
     def _leave(self, out, region):
         """Exit every loop from ``region`` outwards: control leaves them
         all to ``return``."""
         while region is not None:
-            self._exit_loop(out, region)
+            self._exit_loop(out, region, True)
             region = region.parent
 
     # -- control flow: the structured walk -------------------------------------
@@ -831,18 +829,18 @@ class _Lowering:
         own uses, and a load whose value is used outside ``blocks`` (a
         stale register the verifier does not forbid) keeps its copy.
         """
-        blocks = set(blocks)
-        loads = {
-            id(inst)
-            for block in blocks for inst in block.instructions
-            if isinstance(inst, insts.Load)
-            and inst.pointer is scalar.alloca
-        }
-        for block in self.blocks:
-            if loads and block not in blocks:
-                for inst in block.instructions:
-                    loads.difference_update(map(id, inst.operands))
-        self._alias.update(dict.fromkeys(loads, scalar.value))
+        inside = set(blocks)
+        for block in blocks:
+            for inst in block.instructions:
+                if (
+                    isinstance(inst, insts.Load)
+                    and inst.pointer is scalar.alloca
+                    and all(
+                        user.parent in inside
+                        for user in self._uses.get(id(inst), ())
+                    )
+                ):
+                    self._alias[id(inst)] = scalar.value
 
     def _latch_step(self, latch, scalar):
         """``(step, store)`` when ``latch`` is exactly ``v = v + step``."""
@@ -1015,7 +1013,7 @@ class _Lowering:
         for position, (test, target) in enumerate(arms):
             out.emit("else:" if position else f"if {test}:")
             out.indent += 1
-            if test is condition and self._tiered:
+            if test is condition:
                 self._box = arm_box(box, branch.condition, self._form)
             self._segment = None
             self._transition(out, block, target)
@@ -1052,8 +1050,8 @@ class _Lowering:
         self._blocks += 1
         self._emitted[header] = self._leaving
         self._segment = None
-        self._enter_loop(out, inner)
         counted = stays and self._counted(inner)
+        self._enter_loop(out, inner, counted[0] if counted else None)
         sliced = False
         if counted:
             scalar, upper, interval = counted

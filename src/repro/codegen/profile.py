@@ -2,9 +2,11 @@
 
 :func:`profile_function` is what the pipeline's ``profile`` stage calls.
 It executes the program once, sequentially, through
-:func:`repro.codegen.seq.compile_profiled` — the structured walk with
-the loop events at their fixed positions on the loop tree; callees
-through their plain compiled sequences — and returns the interpreter's
+:func:`repro.codegen.seq.compile_profiled` — the sequence tier's
+lowering (promoted scalars, counted loops, the array tier) with the loop
+events at their fixed positions on the loop tree, and a counted loop of
+one straight segment recorded once per instance; callees through their
+plain compiled sequences — and returns the interpreter's
 :class:`~repro.emulator.interp.ExecutionResult` with the loop-nest
 profile already interned into shapes.  The interpreter and its tree
 :class:`~repro.emulator.profile.Profiler` are the engine for a function
@@ -39,14 +41,19 @@ class _CompiledCallees(Interpreter):
         return value
 
 
-def profile_function(module, function, loops, verify=False):
-    """Run ``function`` once and profile it; ``loops`` are its natural loops.
+def profile_function(analyses, verify=False):
+    """Run ``analyses.function`` once and profile it.
 
+    ``analyses`` is the function's :class:`FunctionAnalyses`: the
+    lowering walks its natural loops and reads single-store locals
+    through its dominator tree, and the interpreter tracks those loops.
     ``result.profile.engine`` says which engine ran and
     ``result.profile.refused`` why the compiled one did not.
     """
+    module, function = analyses.module, analyses.function
+    loops = analyses.loops
     try:
-        entry = compile_profiled(function, loops)
+        entry = compile_profiled(function, loops, analyses.dominators)
         if verify:
             return _verified(entry, module, function, loops)
         return _run(entry, module, function, ShapeTable())[1]

@@ -64,14 +64,16 @@ GENERATED_GLOBALS = {
 def expand_iteration(table, layout, key):
     """Intern the iteration a profiled body closed with block-level ``key``.
 
-    ``layout`` (``_ProfiledLowering._layout``) names what each position
-    of the key counts: ``key`` is one execution count per block, then
-    one callee-step total per call site, then — for a loop that nests
-    others — the tuple of child instance shapes.  Runs once per distinct
-    key; the per-iteration path is a dict hit on the key itself.
+    ``layout`` (``seq._Scope.layout``) names what each position of the
+    key counts: ``key`` is one execution count per block, then one
+    callee-step total per call site, then — for a loop that nests
+    others — the tuple of child instance shapes; the layout's last part
+    is the uids the iteration ran once without a counter (a counted
+    loop's header and latch).  Runs once per distinct key; the
+    per-iteration path is a dict hit on the key itself.
     """
-    block_uids, call_uids, nested = layout
-    counts = {}
+    block_uids, call_uids, nested, implied = layout
+    counts = dict.fromkeys(implied, 1)
     for executed, uids in zip(key, block_uids):
         if executed:
             counts.update(dict.fromkeys(uids, executed))
@@ -79,6 +81,14 @@ def expand_iteration(table, layout, key):
         if extra:
             counts[uid] += extra
     return table.iteration(counts, key[-1] if nested else ())
+
+
+def close_straight(table, header_totals, header_name, full, last, trips):
+    """Intern one activation of a loop recorded whole: ``trips`` full
+    iterations of shape ``full``, then its last header test, ``last``
+    (:func:`~repro.emulator.profile.close_instance`)."""
+    multiplicity = {full: trips, last: 1} if trips else {last: 1}
+    return close_instance(table, header_totals, header_name, multiplicity)
 
 
 _REGISTER_LOCAL = re.compile(r"_[rp](\d+)(?:_[so])?$")

@@ -49,19 +49,22 @@ jump, control entering a region mid-loop: hand-written IR only) —
 raises :class:`Unsupported` naming the block and the function stays
 interpreted — never fail, always fall back.
 
-The same walk has a *profiled* lowering (:class:`_ProfiledLowering`,
-:func:`compile_profiled`): no stops, no promotion, every guard and
-statement as the interpreter runs it, one counter per block, and the
-loop events at their three fixed positions on the loop tree — *enter*
-before the Python loop, *iterate* at the bottom of its body, *exit*
-behind it (and "leave *k* loops" where an arm returns) — so that running
-the body produces the function's dynamic loop-nest profile, already
-interned into shapes (:mod:`repro.emulator.profile`).
-:mod:`repro.codegen.profile` runs it.
+The same lowering has a *profiled* form (:class:`_ProfiledLowering`,
+:func:`compile_profiled`): no stops, everything else as above, one
+counter per block a loop iteration may or may not run, and the loop
+events at their three fixed positions on the loop tree — *enter* before
+the Python loop, *iterate* at the bottom of its body, *exit* behind it
+(and "leave *k* loops" where an arm returns) — so that running the body
+produces the function's dynamic loop-nest profile, already interned into
+shapes (:mod:`repro.emulator.profile`).  A counted loop's header and
+latch need no counter, and one whose body is a straight segment with no
+call is recorded once per instance.  :mod:`repro.codegen.profile` runs
+it.
 """
 
 import dataclasses
 
+from repro.analysis.dominators import compute_dominator_tree
 from repro.analysis.liveness import live_in_registers
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
@@ -130,8 +133,8 @@ class _SequenceLowering(_Lowering):
     _body_indent = 3  # def _factory / def _seq / try
     _blocks = 1  # the skeleton's own ``try``
 
-    def __init__(self, function, stops, loops_by_header):
-        self._begin(function, loops_by_header.values())
+    def __init__(self, function, stops, loops_by_header, dominators=None):
+        self._begin(function, loops_by_header.values(), dominators)
         self._stops = self._resolve_stops(stops, loops_by_header)
         #: ``(line index, indent, stop)`` per stop, in walk order: the
         #: flush lines go in once the walk knows everything it lowered.
@@ -225,14 +228,14 @@ class _SequenceLowering(_Lowering):
             return f"_r{inst.uid}_s", f"_r{inst.uid}_o"
         return f"_r{inst.uid}"
 
+    #: The interpreter's ``max_steps`` message, as the check spells it.
+    _overrun = 'f"exceeded max_steps={_max}; infinite loop?"'
+
     def _step_check(self, out, count):
         out.emit(f"_steps += {count}")
         out.emit("if _steps > _max:")
         out.indent += 1
-        out.emit(
-            "raise _EmulationError("
-            "f\"exceeded max_steps={_max}; infinite loop?\")"
-        )
+        out.emit(f"raise _EmulationError({self._overrun})")
         out.indent -= 1
 
     def lower_terminator(self, out, inst):
@@ -337,84 +340,157 @@ class _Scope:
     """What one loop (or the root pseudo-iteration) counts per iteration."""
 
     name: object  # suffix of the scope's generated locals
-    counters: list  # ``_n<block number>`` per own block, ``_x<uid>`` per call
+    blocks: frozenset  # the blocks that bump a counter, ``_n<number>``
+    counters: list  # ``_n<block number>`` per such block, ``_x<uid>`` per call
     nested: bool  # iterations can hold child loop instances
     key: str  # the tuple expression an iteration is interned under
-    #: What :func:`~repro.codegen.runtime.expand_iteration` reads a key
-    #: against: uids per block counter, uid per call extra, ``nested``.
-    layout: tuple
+    #: The ref of what :func:`~repro.codegen.runtime.expand_iteration`
+    #: reads a key against: uids per counted block, uid per call extra,
+    #: ``nested``, and the uids a full iteration runs once without a
+    #: counter.  A ref, not a literal: ``compile`` would fold each one.
+    layout: str
+    #: A counted loop's layout (ref) of its last header test, and of an
+    #: iteration an arm cuts short to ``return`` (the header ran, the
+    #: latch did not); ``None`` where there is none.
+    last: str = None
+    cut: str = None
+    #: The induction local of a loop recorded once per instance.
+    induction: str = None
 
 
 class _ProfiledLowering(_SequenceLowering):
     """The walk, instrumented to produce the loop-nest profile.
 
-    On the loop tree the loop events have fixed positions — *enter*
-    before the Python loop, *iterate* at the bottom of its body, *exit*
-    behind it, and every enclosing loop's exit where an arm leaves them
-    to ``return`` — so they are compiled in there (the interpreter
-    rediscovers them per transition in ``_track_loops``).  Every block
-    bumps one counter and every call site accumulates its callee's
-    steps; an iteration *ends* by interning ``(block counters, call
-    extras, child instance shapes)`` — a per-loop dict lookup, expanded
-    to per-uid counts only on a miss
+    The sequence tier as it is — promoted scalars, counted ``for``
+    loops, aliased and folded geps, guards dropped where proven, the
+    array tier — with the loop events compiled in at their fixed
+    positions on the loop tree: *enter* before the Python loop,
+    *iterate* at the bottom of its body, *exit* behind it, and every
+    enclosing loop's exit where an arm leaves them to ``return`` (the
+    interpreter rediscovers them per transition in ``_track_loops``).
+
+    A counter belongs to its block's innermost loop; the blocks outside
+    every loop are the root pseudo-iteration, closed once at ``return``.
+    Each block bumps its counter and each call site accumulates its
+    callee's steps; an iteration *ends* by interning ``(block counters,
+    call extras, child instance shapes)`` — a per-loop dict lookup,
+    expanded to per-uid counts only on a miss
     (:func:`repro.codegen.runtime.expand_iteration`) — into its loop
     instance's multiset and zeroing the counters, and an instance ends
     by interning that multiset into the enclosing iteration's children
-    (:func:`repro.emulator.profile.close_instance`).  A counter belongs
-    to its block's innermost loop; the blocks outside every loop are the
-    root pseudo-iteration, closed once at ``return``.
+    (:func:`repro.emulator.profile.close_instance`).
+
+    A counted loop's header and elided latch bump no counter: they run
+    once per full iteration, so its layout implies them, and its last
+    header test is a constant *exit shape*.  So do the blocks of its own
+    body on every path to the latch, unless an arm can leave it to
+    ``return`` partway.  A counted loop whose every block is so implied,
+    with no call and no nested loop — a body of one straight segment —
+    has one *full shape* and counts nothing per iteration (a sliced one
+    has no per-iteration body at all): its exit records the instance
+    whole, ``{full shape: trip, exit shape: 1}``
+    (:func:`repro.codegen.runtime.close_straight`).  Those constant
+    shapes are interned once per run, as is the ``max_steps`` message.
 
     ``fn(interp, frame, table)`` returns ``(return value, root
     IterationShape, header totals)``.
     """
 
     parameters = "interp, frame, _table"
-    _tiered = False
+    _overrun = "_overrun"
 
-    def __init__(self, function, loops):
+    def __init__(self, function, loops, dominators=None):
+        self._dominators = dominators or compute_dominator_tree(function)
         super().__init__(
-            function, (), {loop.header.name: loop for loop in loops}
+            function, (), {loop.header.name: loop for loop in loops},
+            self._dominators,
         )
-        self._number = {
-            block: index for index, block in enumerate(function.blocks)
-        }
-        #: One :class:`_Scope` per loop (outermost first) and, under
-        #: ``None``, the root pseudo-iteration.
-        self._scopes = {
-            loop: self._describe_scope(loop, name, loops)
-            for name, loop in [("R", None), *enumerate(loops)]
-        }
+        self._number = {}
+        #: Loop (``None``: the root) -> the blocks it is innermost to.
+        self._members = {}
+        for index, block in enumerate(function.blocks):
+            self._number[block] = index
+            self._members.setdefault(
+                self._innermost.get(block), []
+            ).append(block)
+        self._nests = {loop.parent for loop in loops}
+        #: The loops an arm can leave to ``return``: those around a
+        #: ``return`` or around an edge out of them not at their header.
+        self._left = set()
+        for block in function.blocks:
+            targets = block.successors()
+            returns = isinstance(block.terminator, insts.Return)
+            loop = self._innermost.get(block)
+            while loop is not None:
+                if block is not loop.header and (returns or not all(
+                    [target in loop.blocks for target in targets]
+                )):
+                    self._left.add(loop)
+                loop = loop.parent
+        #: The root pseudo-iteration's :class:`_Scope` under ``None``,
+        #: then one per loop, in the order the walk enters them.
+        self._scopes = {None: self._describe_scope(None, "R")}
         self._refuse_unprofilable()
 
-    def _describe_scope(self, loop, name, loops):
-        members = [
-            block for block in self.function.blocks
-            if self._innermost.get(block) is loop
-        ]
+    def _describe_scope(self, loop, name, scalar=None):
+        """``loop``'s scope (``None``: the root's); ``scalar`` is a
+        counted loop's induction."""
+        members = self._members.get(loop, [])
         calls = [
             inst.uid
             for block in members for inst in block.instructions
             if isinstance(inst, insts.Call)
         ]
-        counters = [f"_n{self._number[block]}" for block in members] + [
+        implied = self._once(loop) if scalar else set()
+        counted = [block for block in members if block not in implied]
+        counters = [f"_n{self._number[block]}" for block in counted] + [
             f"_x{uid}" for uid in calls
         ]
-        nested = any(other.parent is loop for other in loops)
-        parts = counters + ([f"tuple(_c{name})"] if nested else [])
+        nested = loop in self._nests
+        parts = counters + [f"tuple(_c{name})"] * nested
+        whole = not parts
+
+        def layout(once, blocks=counted):
+            return self.ref((
+                tuple([
+                    tuple([inst.uid for inst in block.instructions])
+                    for block in blocks
+                ]),
+                tuple(calls) if blocks is counted else (),
+                nested and blocks is counted,
+                tuple([
+                    inst.uid for block in members if block in once
+                    for inst in block.instructions
+                ]),
+            ))
+
         return _Scope(
             name=name,
+            blocks=frozenset(counted),
             counters=counters,
             nested=nested,
-            key="(" + ", ".join(parts) + ",)",
-            layout=(
-                tuple(
-                    tuple(inst.uid for inst in block.instructions)
-                    for block in members
-                ),
-                tuple(calls),
-                nested,
-            ),
+            key=f"({', '.join(parts)},)" if parts else "()",
+            layout=layout(implied),
+            last=layout({loop.header}, ()) if scalar else None,
+            cut=layout({loop.header})
+            if scalar and loop in self._left else None,
+            induction=scalar.value if scalar and whole else None,
         )
+
+    def _once(self, loop):
+        """The blocks of counted ``loop`` that run once in every full
+        iteration: its header, its latch and, unless an arm can leave
+        the loop to ``return`` (an iteration cut short runs part of
+        them), the blocks of its own body that dominate the latch."""
+        latch = loop.latches[0]
+        once = {loop.header, latch}
+        if loop not in self._left:
+            idom = self._dominators.idom
+            block = idom[latch]
+            while block is not loop.header:
+                once.add(block)  # a nested loop's block is not a member
+                block = idom[block]
+        return once
 
     def _refuse_unprofilable(self):
         entry = self.function.entry
@@ -438,12 +514,9 @@ class _ProfiledLowering(_SequenceLowering):
 
     # -- instrumentation ----------------------------------------------------------
 
-    def _promote(self):
-        """Nothing: the profile counts each block as the interpreter runs
-        it (a counted loop would be a later gain for the cold compile)."""
-
     def _lower_block(self, out, block):
-        out.emit(f"_n{self._number[block]} += 1")
+        if block in self._scopes[self._innermost.get(block)].blocks:
+            out.emit(f"_n{self._number[block]} += 1")
         return super()._lower_block(out, block)
 
     def lower_instruction(self, out, inst):
@@ -454,33 +527,60 @@ class _ProfiledLowering(_SequenceLowering):
         super().lower_instruction(out, inst)
         out.emit(f"_x{inst.uid} += _steps")
 
-    def _enter_loop(self, out, loop):
-        out.emit(f"_m{self._scopes[loop].name} = {{}}")
+    def _enter_loop(self, out, loop, scalar):
+        scope = self._scopes[loop] = self._describe_scope(
+            loop, len(self._scopes) - 1, scalar
+        )
+        if scope.induction:
+            out.emit(f"_b{scope.name} = {scope.induction}")
+        else:
+            out.emit(f"_m{scope.name} = {{}}")
 
     def _close_iteration(self, out, loop):
         scope = self._scopes[loop]
+        if scope.induction:
+            return  # its exit records the instance whole
         name = scope.name
         out.emit(f"_k = {scope.key}")
         out.emit(f"_s = _t{name}.get(_k)")
         out.emit("if _s is None:")
         out.indent += 1
-        out.emit(f"_s = _t{name}[_k] = _expand(_table, _L{name}, _k)")
+        out.emit(f"_s = _t{name}[_k] = _expand(_table, {scope.layout}, _k)")
         out.indent -= 1
         out.emit(f"_m{name}[_s] = _m{name}.get(_s, 0) + 1")
-        out.emit(" = ".join(scope.counters + ["0"]))
+        if scope.counters:
+            out.emit(" = ".join(scope.counters + ["0"]))
         if scope.nested:
             out.emit(f"_c{name} = []")
 
-    def _exit_loop(self, out, loop):
-        self._close_iteration(out, loop)
+    def _exit_loop(self, out, loop, returning=False):
+        scope = self._scopes[loop]
+        name, parent = scope.name, f"_c{self._scopes[loop.parent].name}"
+        if scope.induction:
+            out.emit(
+                f"{parent}.append(_close_straight(_table, _totals, "
+                f"{loop.header.name!r}, _F{name}, _X{name}, "
+                f"{scope.induction} - _b{name}))"
+            )
+            return
+        if scope.last is None:  # a ``while``: its iteration runs on
+            self._close_iteration(out, loop)
+        # The last iteration's shape holds the header and not the latch,
+        # so it is new to the multiset.
+        elif returning:  # cut short by an arm
+            out.emit(
+                f"_m{name}[_expand(_table, {scope.cut}, {scope.key})] = 1"
+            )
+        else:
+            out.emit(f"_m{name}[_X{name}] = 1")
         out.emit(
-            f"_c{self._scopes[loop.parent].name}.append(_close_instance("
-            f"_table, _totals, {loop.header.name!r}, "
-            f"_m{self._scopes[loop].name}))"
+            f"{parent}.append(_close_instance("
+            f"_table, _totals, {loop.header.name!r}, _m{name}))"
         )
 
     def lower_terminator(self, out, inst):
-        out.emit(f"_root = _expand(_table, _LR, {self._scopes[None].key})")
+        root = self._scopes[None]
+        out.emit(f"_root = _expand(_table, {root.layout}, {root.key})")
         out.emit("interp.steps = _steps")
         value = self.any_value(inst.value) if inst.operands else "None"
         out.emit(f"return {value}, _root, _totals")
@@ -489,18 +589,23 @@ class _ProfiledLowering(_SequenceLowering):
         super()._factory_bindings(out)
         out.emit("_expand = H.expand_iteration")
         out.emit("_close_instance = H.close_instance")
-        for scope in self._scopes.values():
-            out.emit(f"_L{scope.name} = {scope.layout!r}")
+        out.emit("_close_straight = H.close_straight")
 
     def _prologue(self, out):
         out.emit("_totals = {}")
+        out.emit(f"_overrun = {super()._overrun}")
         for loop, scope in self._scopes.items():
+            name = scope.name
             if scope.counters:
                 out.emit(" = ".join(scope.counters + ["0"]))
             if scope.nested:
-                out.emit(f"_c{scope.name} = []")
-            if loop is not None:
-                out.emit(f"_t{scope.name} = {{}}")
+                out.emit(f"_c{name} = []")
+            if scope.induction:
+                out.emit(f"_F{name} = _expand(_table, {scope.layout}, ())")
+            elif loop is not None:
+                out.emit(f"_t{name} = {{}}")
+            if scope.last:
+                out.emit(f"_X{name} = _expand(_table, {scope.last}, ())")
 
 
 def lower_sequence(function, stops, loops_by_header):
@@ -520,16 +625,17 @@ def compile_sequence(function, stops, loops_by_header):
     return _compiled(source, refs, function, stops)
 
 
-def compile_profiled(function, loops):
+def compile_profiled(function, loops, dominators=None):
     """Lower and ``exec``-compile ``function`` instrumented to profile.
 
-    ``loops`` are the function's natural loops (the analysis record's).
+    ``loops`` are the function's natural loops and ``dominators``, when
+    the caller holds it, its dominator tree (the analysis record's).
     Not cached: a session profiles once.  Raises :class:`Unsupported`
     for what the lowering refuses — anything the plain lowering does,
     plus a function that can reach itself through calls and an entry
     block that is a loop header.
     """
-    lowering = _ProfiledLowering(function, loops)
+    lowering = _ProfiledLowering(function, loops, dominators)
     return _compiled(lowering.lower(), lowering.refs, function, ())
 
 

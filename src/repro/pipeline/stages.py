@@ -95,12 +95,12 @@ def _build_function(session, function_name):
 def _build_profile(session):
     """The sequential run and its loop-nest profile.
 
-    Runs compiled; the interpreter takes a function the lowering
-    refuses, and ``VERIFY_COMPILED`` arms it as the cross-check.
+    Runs compiled, lowered against the session's analysis record; the
+    interpreter takes a function the lowering refuses, and
+    ``VERIFY_COMPILED`` arms it as the cross-check.
     """
     return profile_function(
-        session.module, session.function, session.loops,
-        verify=bool(knobs.VERIFY_COMPILED),
+        session.analyses, verify=bool(knobs.VERIFY_COMPILED)
     )
 
 
@@ -409,7 +409,7 @@ STAGES = {
         ),
         Stage(
             "profile",
-            ("module", "function", "loops"),
+            ("analyses", "loops"),
             _build_profile,
             _profile_stats,
         ),

@@ -112,6 +112,40 @@ def test_each_unreached_function_counts_once_at_its_outermost_level(
         "unreached: 2 functions, 8 lines (1 allow-listed, 4 lines)",
         "  m:entered.inner (2 lines)",
         "  m:never (6 lines)",
+        "stale: 0",
+    ]
+
+
+def test_an_allow_listed_name_the_entry_set_reaches_is_stale(
+    monkeypatch, capsys
+):
+    """A name is stale once every function it covers was entered: a
+    class whose one method is still unreached is not."""
+    probe = _probe()
+    found = {
+        ("m.py", 1): {"module": "m", "qualname": "Now.run",
+                      "lines": 4, "outer": None},
+        ("m.py", 10): {"module": "m", "qualname": "Half.run",
+                       "lines": 3, "outer": None},
+        ("m.py", 20): {"module": "m", "qualname": "Half.stop",
+                       "lines": 5, "outer": None},
+        ("m.py", 30): {"module": "m", "qualname": "gone",
+                       "lines": 2, "outer": None},
+    }
+    monkeypatch.setattr(probe, "functions", lambda: found)
+    monkeypatch.setattr(
+        probe, "reached", lambda: {("m.py", 1), ("m.py", 10), ("m.py", 30)}
+    )
+    monkeypatch.setattr(
+        probe, "allowed_names",
+        lambda: [("m", "Now"), ("m", "Half"), ("m", "gone")],
+    )
+    assert probe.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "unreached: 0 functions, 0 lines (1 allow-listed, 5 lines)",
+        "stale: 2",
+        "  m:Now (reached)",
+        "  m:gone (reached)",
     ]
 
 

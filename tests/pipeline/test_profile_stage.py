@@ -8,6 +8,7 @@ import pytest
 
 from repro import Session
 from repro.analysis.loops import Loop
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen.profile import profile_function
 from repro.emulator.interp import Interpreter
 from repro.runtime import knobs
@@ -132,7 +133,9 @@ def test_a_loop_block_reachable_around_its_header_is_refused():
     function = session.function
     latch, body = function.block("for.latch"), function.block("for.body")
     fake = Loop(latch, [body], dict.fromkeys([latch, body]))
-    result = profile_function(session.module, function, [fake])
+    analyses = FunctionAnalyses(function, session.module)
+    analyses.loops = [fake]
+    result = profile_function(analyses)
     assert result.profile.engine == "interpreted"
     assert result.profile.refused == (
         "for.body: reached around the loop nest's structure"
