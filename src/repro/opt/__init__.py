@@ -14,7 +14,8 @@ analysis record (``pspdg.pdg.analyses``).  ``-O1``/``-O2`` run three:
   loop level are elided;
 * :class:`~repro.opt.serialize.SmallRegionSerializationPass` — regions
   below the machine model's cost thresholds fall back to sequential or
-  ``threads`` execution instead of paying process-pool pickling.
+  ``threads`` execution instead of paying process-pool pickling (or,
+  where workers do not overlap, any that dispatch would slow).
 
 ``-O3`` adds :class:`~repro.opt.tiling.TilingPass` — the machine model
 floors iterations-per-payload so tiny chunks stop paying dispatch
@@ -22,9 +23,10 @@ overhead.
 
 Entry points: :func:`restructure_plan` ``(pspdg, plan, level)`` (fusion
 and sync elimination, which read only the graphs), then
-:func:`price_plan` ``(pspdg, restructured, machine)`` (serialization and
-tiling, which read the machine model), so a new machine re-prices a plan
-without restructuring it again; levels: :class:`OptLevel`.
+:func:`price_plan` ``(pspdg, restructured, machine, backend=None)``
+(serialization and tiling, which read the machine model), so a new
+machine re-prices a plan without restructuring it again; levels:
+:class:`OptLevel`.
 """
 
 from repro.opt.levels import OptLevel

@@ -9,12 +9,29 @@ interpreter just runs the loop); below ``threads_region_cost`` it still
 runs in parallel but never on the process pool.  This is exactly the LU
 fix from the roadmap: the wavefront's 18-iteration inner loops stop
 paying a process-pool payload per anti-diagonal per timestep.
+
+The bars assume a region's compute divides among its workers.  Where
+it does not (``threads`` on a GIL build,
+:func:`~repro.planner.machine.compute_overlaps`), a dispatch costs
+D = ``threads_region_cost`` on top of the loop run in place and saves
+nothing, so a region costing at most :data:`GIL_DISPATCH_FACTOR` times D
+runs in place.  A larger one stays dispatched: serializing it is the
+costly mistake if the overlap assumption is wrong (the asymmetry
+:mod:`repro.opt.cost` applies to unknown trip counts).
 """
 
 import dataclasses
 
 from repro.opt.cost import region_cost
+from repro.planner.machine import compute_overlaps
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, OVERRIDE_THREADS
+
+#: Without overlap a region runs in place when dispatch would make it at
+#: least 1/8 slower.  On NAS8 and dense96 at ``-O2`` (PS-PDG, compiled)
+#: any factor from 4 to 31 gives the same plans: EP's region (effective
+#: cost 7 338) is the largest that serializes, dense96's init region
+#: (65 120) the smallest that stays, and FT's ``for.header.3`` (71 226).
+GIL_DISPATCH_FACTOR = 8
 
 
 class SmallRegionSerializationPass:
@@ -22,6 +39,9 @@ class SmallRegionSerializationPass:
 
     def run(self, ctx, plan, report):
         machine = ctx.machine
+        gil_bar = 0
+        if not compute_overlaps(ctx.backend):
+            gil_bar = GIL_DISPATCH_FACTOR * machine.threads_region_cost
         regions = []
         for region in plan.regions:
             # Under region compilation a worker retires steps faster, so
@@ -46,7 +66,7 @@ class SmallRegionSerializationPass:
                     machine.threads_region_cost
                     + machine.serialization_cost(measured)
                 )
-                if cost < machine.serial_region_cost:
+                if cost < machine.serial_region_cost or cost <= gil_bar:
                     override = OVERRIDE_SEQUENTIAL
                 elif cost < threads_bar:
                     override = OVERRIDE_THREADS

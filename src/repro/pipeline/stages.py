@@ -278,19 +278,20 @@ def _restructure_stats(results):
     }
 
 
-def _build_optimize(session, compile_regions):
+def _build_optimize(session, compile_regions, backend):
     """Price every restructured plan: the rest of the ``-O`` pipeline.
 
     The artifact maps abstraction name -> :class:`OptimizationResult`
-    (rewritten plan + report).  Flipping the ``-O`` level or the engine
-    the plan is priced for re-keys only this stage and the ones
-    downstream — the parse/PDG/PS-PDG artifacts upstream stay cached.
+    (rewritten plan + report).  Flipping the ``-O`` level, or the engine
+    or backend the plan is priced for, re-keys only this stage and the
+    ones downstream — the parse/PDG/PS-PDG artifacts upstream stay
+    cached.
     The machine model and wire feedback come from the ``calibrate``
     stage: static defaults normally, measured coefficients when the
     session calibrates.
     """
     return {
-        name: session._priced(result, compile_regions)
+        name: session._priced(result, compile_regions, backend)
         for name, result in session.restructured.items()
     }
 
@@ -470,7 +471,7 @@ STAGES = {
             ("pspdg", "restructure", "calibrate"),
             _build_optimize,
             _optimize_stats,
-            params=("compile_regions",),
+            params=("compile_regions", "backend"),
             decisions=_optimize_decisions,
         ),
         Stage(

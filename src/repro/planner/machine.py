@@ -6,6 +6,7 @@ can sweep it.
 """
 
 import dataclasses
+import sys
 
 @dataclasses.dataclass(frozen=True)
 class MachineModel:
@@ -17,7 +18,10 @@ class MachineModel:
     counts multiplied through) falls below ``serial_region_cost`` is not
     worth any dispatch and runs sequentially; below
     ``threads_region_cost`` it is worth threads but never worth
-    process-pool frame pickling.
+    process-pool frame pickling.  ``threads_region_cost`` is D, the
+    fixed cost of one dispatch in steps (:meth:`tile_iterations`).
+    Where workers' compute does not overlap (:func:`compute_overlaps`)
+    a dispatch divides nothing and adds D to the loop run in place.
 
     ``payload_cost_per_byte`` converts a region's *measured* bytes on
     the process-pool wire (the runtime's ``payload_bytes`` stat) into
@@ -98,3 +102,13 @@ class MachineModel:
 
 
 DEFAULT_MACHINE = MachineModel()
+
+
+def compute_overlaps(backend):
+    """Whether ``backend``'s workers run region compute at the same time:
+    always but on ``threads`` where ``sys._is_gil_enabled`` is missing
+    or returns True (two Python chunk bodies never run at once)."""
+    if backend != "threads":
+        return True
+    gil_enabled = getattr(sys, "_is_gil_enabled", None)
+    return gil_enabled is not None and not gil_enabled()

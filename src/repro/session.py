@@ -52,6 +52,8 @@ class Session:
         # stage -> (config, token, memo key): the key of the
         # stage's last lookup, so a warm query rebuilds no key.
         self._keys = {}
+        # (level, engine, backend) -> (config, what ``run`` stages under)
+        self._run_configs = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -342,11 +344,13 @@ class Session:
         "dynamic" | "guided"), ``workers``, ``seed``, ``chunk``, and
         ``opt`` (the optimization level) default to the session config.
         An abstraction-name run reads the ``compile_regions`` and
-        ``recipes`` stages under the run's level and engine — the
-        config's own keys unless ``opt`` or ``compile_regions`` differ —
-        so an override is planned once and cached like any other
-        config.  An explicit plan without regions is seeded and
-        optimized at the run's level, priced for its engine.  The
+        ``recipes`` stages under the run's level, engine and backend —
+        the config's own keys unless ``opt``, ``compile_regions`` or
+        ``backend`` differ — so an override is planned once and cached
+        like any other config.  An explicit plan without regions is
+        seeded and optimized at the run's level, priced for its engine
+        and backend (on ``threads`` under a GIL, see
+        :mod:`repro.opt.serialize`).  The
         ``processes`` chunk pool is sized from the machine model's core
         count.  Per-region, per-worker timing is in the result's
         ``parallel_regions`` (``util.regionstats.parallel_report``
@@ -364,18 +368,17 @@ class Session:
             config.compile_regions if compile_regions is None
             else compile_regions
         )
+        backend = backend if backend is not None else config.backend
         if plan is None or plan in ("source", "OpenMP"):
             # Source-plan runs skip the codegen warm-up — it would drag
             # the whole planning pipeline in — and compile lazily.
             regions = self._stage("source_regions")
         elif isinstance(plan, str):
             staged = config
-            if level != config.opt_level or (
-                compile_on != bool(config.compile_regions)
+            if (level, compile_on, backend) != (
+                config.opt_level, config.compile_regions, config.backend
             ):
-                staged = config.derive(
-                    opt_level=level, compile_regions=compile_on
-                )
+                staged = self._run_config(level, compile_on, backend)
             if compile_on:
                 # Warm the codegen cache (and record its stage stats)
                 # before the first region dispatch.
@@ -386,7 +389,8 @@ class Session:
             # session's cached graphs, then prepare what it dispatches.
             if not plan.regions:
                 plan = self._priced(
-                    restructure_plan(self.pspdg, plan, level), compile_on
+                    restructure_plan(self.pspdg, plan, level), compile_on,
+                    backend,
                 ).plan
             regions = prepare_plan(
                 plan.dispatched(), self.function,
@@ -396,7 +400,7 @@ class Session:
             self.module, regions, config.function_name,
             workers=workers if workers is not None else config.workers,
             seed=seed if seed is not None else config.seed,
-            backend=backend if backend is not None else config.backend,
+            backend=backend,
             schedule=schedule if schedule is not None else config.schedule,
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
@@ -420,10 +424,22 @@ class Session:
             raise KeyError(f"{abstraction!r} has no executable plan")
         return recipes[abstraction]
 
-    def _priced(self, restructured, compile_regions):
+    def _run_config(self, level, compile_on, backend):
+        """The config a run that overrides the session's level, engine or
+        backend stages its plan under: derived once per triple while the
+        session's config stands."""
+        config, wanted = self.config, (level, compile_on, backend)
+        memo = self._run_configs.get(wanted)
+        if memo is None or memo[0] is not config:
+            memo = self._run_configs[wanted] = (config, config.derive(
+                opt_level=level, compile_regions=compile_on, backend=backend
+            ))
+        return memo[1]
+
+    def _priced(self, restructured, compile_regions, backend):
         """``price_plan`` over a restructured plan, for the engine
-        ``compile_regions`` names, with the (possibly calibrated) machine
-        model and wire feedback."""
+        ``compile_regions`` names and the backend that runs it, with the
+        (possibly calibrated) machine model and wire feedback."""
         calibrated = self.calibrated
         return price_plan(
             self.pspdg,
@@ -432,6 +448,7 @@ class Session:
             payload_bytes=calibrated["payload_bytes"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
+            backend=backend,
         )
 
     # -- ablation / canonical form --------------------------------------------

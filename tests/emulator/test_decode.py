@@ -9,6 +9,7 @@ closures: inline reads, or :func:`~repro.emulator.interp.operand_getter`
 calls for what no op reads inline.
 """
 
+import gc
 import itertools
 import math
 import pickle
@@ -441,6 +442,21 @@ def test_a_privatized_global_is_read_inline_from_the_workers_copy(backend):
     assert parallel.output == [(None, (360, 45, 0))]
 
 
+def _op_calls(op, interpreter, frame):
+    """Python ``call`` events while ``op`` runs.  No collection runs in
+    between: the finalizers of earlier tests' garbage would count."""
+    events = []
+    gc.collect()
+    gc.disable()
+    sys.setprofile(lambda _frame, event, _arg: events.append(event))
+    try:
+        op(interpreter, frame)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events.count("call")
+
+
 def test_every_inline_shape_costs_its_step_one_call():
     """Under ``sys.setprofile`` each op is one Python ``call`` event (the
     builtins it applies are ``c_call`` ones), so an operand getter or a
@@ -470,14 +486,8 @@ def test_every_inline_shape_costs_its_step_one_call():
     interpreter, frame = Interpreter(module), _Frame(function, [])
     costs = []
     for inst, op in zip(block.instructions, decode_block(block)):
-        events = []
-        sys.setprofile(lambda _frame, event, _arg: events.append(event))
-        try:
-            op(interpreter, frame)
-        finally:
-            sys.setprofile(None)
         costs.append((inst.opcode, [o.short() for o in inst.operands],
-                      events.count("call")))
+                      _op_calls(op, interpreter, frame)))
     assert len(costs) == 19
     assert [cost for cost in costs if cost[2] != 1] == []
 
@@ -579,14 +589,8 @@ def test_an_argument_base_and_a_global_store_cost_one_call(name):
     body = function.block("for.body")
     costs = []
     for inst, op in zip(body.instructions, decode_block(body)):
-        events = []
-        sys.setprofile(lambda _frame, event, _arg: events.append(event))
-        try:
-            op(interpreter, frame)
-        finally:
-            sys.setprofile(None)
         costs.append((inst.opcode, [o.short() for o in inst.operands],
-                      events.count("call")))
+                      _op_calls(op, interpreter, frame)))
     shape = ("gep", ["%b", "%8"]) if name == "fill" else (
         "store", ["%11", "@s"]
     )

@@ -222,5 +222,8 @@ def test_a_nest_that_overflows_when_reordered_is_planned_as_at_o2():
         r for r in o2.regions if "for.header.3" in r.headers
     ]
     assert session.execution.output == [("m", (0.0, 0.0, 0.0))]
-    result = session.run("PS-PDG", backend="threads", workers=2)
+    # The plan itself: on a GIL build the plan priced for threads runs
+    # the tiled loop in place.
+    result = session.run(o3, backend="threads", workers=2)
+    assert result.parallel_regions
     assert result.output == session.execution.output

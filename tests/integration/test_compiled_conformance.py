@@ -236,9 +236,10 @@ def corrupted_lowering(monkeypatch):
 def test_the_armed_oracle_catches_a_corrupt_store_in_the_one_body(
         backend, corrupted_lowering, monkeypatch):
     """There is no second, clean body for the oracle to run instead:
-    what it checks is what every unarmed run executes."""
+    what it checks is what every unarmed run executes.  At ``-O0``,
+    since a GIL build runs LU's ``-O2`` regions in place on threads."""
     monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
-    session = Session.from_kernel("LU", opt_level=2)
+    session = Session.from_kernel("LU", opt_level=0)
     with pytest.raises(
         EmulationError, match="VERIFY_COMPILED divergence at main:"
     ) as caught:
@@ -251,7 +252,7 @@ def test_the_corruption_is_silent_when_the_oracle_is_not_armed(
         corrupted_lowering, monkeypatch):
     """...which is what makes the armed catch mean something."""
     monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", False)
-    session = Session.from_kernel("LU", opt_level=2)
+    session = Session.from_kernel("LU", opt_level=0)
     result = session.run("PS-PDG", backend="threads", workers=4)
     assert corrupted_lowering
     assert not outputs_close(result.output, session.execution.output)
@@ -425,23 +426,29 @@ def test_kernels_at_o2_run_wholly_compiled(backend, monkeypatch):
     compiled engine without failing an output check.  Nor may the
     engine change what travels: on ``processes`` both ship the same
     bytes once the pool holds the module.  Both engines run the regions
-    the session priced for the compiled one.
+    the session priced for the compiled one and for overlapping workers
+    (on a GIL build the ones priced for threads run in place).
     """
     _verify_off(monkeypatch)
     for kernel in ("LU", "BT", "SP", "IS"):
         session = Session.from_kernel(kernel, opt_level=2)
         config = session.config
-        # Compiles every region loop; on processes, ships the module.
-        session.run("PS-PDG", backend=backend, workers=4)
-        interpreted = run_parallel(
-            session.module, session.region_recipes["PS-PDG"],
-            config.function_name, workers=4, seed=config.seed,
-            backend=backend, schedule=config.schedule, chunk=config.chunk,
-            pool_size=config.machine.cores, compile_regions=False,
-            forest={config.function_name: session.analyses.loops_by_header},
-        )
-        compiled = session.run("PS-PDG", backend=backend, workers=4,
-                               compile_regions=True)
+
+        def run(compile_regions):
+            return run_parallel(
+                session.module, session.region_recipes["PS-PDG"],
+                config.function_name, workers=4, seed=config.seed,
+                backend=backend, schedule=config.schedule,
+                chunk=config.chunk, pool_size=config.machine.cores,
+                compile_regions=compile_regions,
+                forest={
+                    config.function_name: session.analyses.loops_by_header
+                },
+            )
+
+        run(True)  # compiles every region loop; on processes, ships it
+        interpreted = run(False)
+        compiled = run(True)
         assert compiled.output == interpreted.output, kernel
         assert compiled.steps == interpreted.steps, kernel
         assert not session.compiled_regions["fallback"], kernel

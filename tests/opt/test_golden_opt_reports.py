@@ -6,7 +6,9 @@ benchmark's ``dense8/48/96`` programs at ``-O0..3``, each abstraction's
 and the optimized ``ProgramPlan.describe()`` (the region descriptors
 the runtime dispatches), from a default-config :class:`Session`.  A
 refactor of the passes, their legality predicates or the pricing must
-leave these bytes alone.
+leave these bytes alone.  A session configured for ``processes``
+prices every plan the same: its workers' compute overlaps, as the
+default ``simulated`` backend's does.
 
 Regenerate (only when a change is *meant* to move a decision)::
 
@@ -30,17 +32,18 @@ PROGRAMS = [*kernel_names(), "dense8", "dense48", "dense96"]
 LEVELS = (0, 1, 2, 3)
 
 
-def _session(name):
+def _session(name, backend):
     if name.startswith("dense"):
         return Session.from_source(
-            dense_source(int(name[len("dense"):])), name=name
+            dense_source(int(name[len("dense"):])), name=name,
+            backend=backend,
         )
-    return Session.from_kernel(name)
+    return Session.from_kernel(name, backend=backend)
 
 
-def opt_pins(name):
+def opt_pins(name, backend="simulated"):
     """``{"-O<L>": {abstraction: {"report", "plan"}}}`` for one program."""
-    session = _session(name)
+    session = _session(name, backend)
     pins = {}
     for level in LEVELS:
         session.reconfigure(opt_level=level)
@@ -71,6 +74,11 @@ def test_golden_covers_every_program():
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_reports_and_plans_match_golden(name):
     assert opt_pins(name) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_plans_priced_for_processes_match_golden(name):
+    assert opt_pins(name, "processes") == _golden()[name]
 
 
 if __name__ == "__main__":

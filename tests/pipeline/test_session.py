@@ -203,8 +203,11 @@ def test_each_analysis_is_computed_once_per_session(kernel, monkeypatch):
     # ``Session.run`` is handed it, whatever the backend (one find per
     # run owner while the runtime looked loops up for itself).
     assert loop_finds == ["repro.analysis.record"]
+    # The plan priced for overlapping workers: on a GIL build the one
+    # priced for threads runs these kernels' regions in place.
+    plan = session.optimized_plan()
     for backend in ("threads", "threads", "simulated"):
-        result = session.run("PS-PDG", workers=2, backend=backend)
+        result = session.run(plan, workers=2, backend=backend)
         assert result.parallel_regions
     assert loop_finds == ["repro.analysis.record"]
 

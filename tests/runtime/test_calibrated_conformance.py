@@ -11,6 +11,8 @@ no re-pricing here.
 import pytest
 
 from repro import Session
+from repro.opt.serialize import GIL_DISPATCH_FACTOR
+from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 from repro.runtime import backends, knobs
 from repro.workloads import kernel_names
 from support.conformance import MISCALIBRATED, outputs_close
@@ -32,6 +34,16 @@ STEP_SECONDS = 5e-7
 COMPILED_SPEEDUP = 5
 DISPATCH_SECONDS = 5e-5
 PAYLOAD_DISPATCH_SECONDS = 2e-3
+
+
+#: A prior dispatch cost so low that, on a GIL build, a threads plan
+#: keeps the regions an overlapping backend's does: the observing run
+#: dispatches, and the cost it measures re-prices the second run.
+CHEAP_DISPATCH = MachineModel(
+    threads_region_cost=(
+        DEFAULT_MACHINE.serial_region_cost // GIL_DISPATCH_FACTOR
+    ),
+)
 
 
 def steady_clock(session):
@@ -92,7 +104,7 @@ class TestCalibratedConformance:
     def test_kernels_conform(self, kernel, backend, opt):
         session = Session.from_kernel(
             kernel, opt_level=opt, backend=backend, workers=4,
-            calibrate=True,
+            calibrate=True, machine=CHEAP_DISPATCH,
         )
         expected = session.execution.output
         _first, second = observed_then_repriced(session)

@@ -120,7 +120,9 @@ def test_a_sessions_records_outlive_every_override(monkeypatch, plan):
         return real(module, regions, *args, **kwargs)
 
     monkeypatch.setattr(repro.session, "run_parallel", spy)
-    session = Session.from_source(UNEVEN, name="uneven")
+    # Configured for the backend its runs use: a run on another one
+    # prices its plan, and so stages its records, for that backend.
+    session = Session.from_source(UNEVEN, name="uneven", backend="threads")
     for overrides in (
         {},
         {"schedule": "dynamic", "chunk": 5},

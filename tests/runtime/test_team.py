@@ -290,7 +290,7 @@ def test_two_sessions_on_two_python_threads_match_the_emulator():
         try:
             for _ in range(12):
                 result = session.run(
-                    "PS-PDG", opt="-O2", workers=3, backend="threads"
+                    "PS-PDG", opt="-O0", workers=3, backend="threads"
                 )
                 if not outputs_close(result.output, reference):
                     failures.append((session.config.name, result.output))
@@ -341,7 +341,8 @@ def test_one_session_on_two_python_threads_matches_the_emulator():
     sessions = [  # with the plan each runs
         (Session.from_source(GROWING, name="growing", workers=3,
                              backend="threads"), "OpenMP"),
-        (Session.from_kernel("IS", opt_level=2, workers=3,
+        # -O0: on a GIL build IS's -O2 threads plan runs in place.
+        (Session.from_kernel("IS", opt_level=0, workers=3,
                              backend="threads"), "PS-PDG"),
     ]
     for session, plan in sessions:
@@ -396,15 +397,15 @@ def test_the_threads_rung_and_serial_give_the_threads_result(monkeypatch):
     backends._reset_chunk_pool()
     session = Session.from_kernel("EP")
     try:
-        plain = session.run("PS-PDG", opt="-O2", workers=2, backend="threads")
+        plain = session.run("PS-PDG", opt="-O0", workers=2, backend="threads")
         serial = session.run(
-            "PS-PDG", opt="-O2", workers=2, backend=SerialBackend()
+            "PS-PDG", opt="-O0", workers=2, backend=SerialBackend()
         )
         monkeypatch.setattr(backends, "RETRY_BUDGET", 1)
         monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.01)
         knobs.REPRO_FAULTS.value = "crash:p=1:seed=1:times=0"
         rung = session.run(
-            "PS-PDG", opt="-O2", workers=2, backend="processes"
+            "PS-PDG", opt="-O0", workers=2, backend="processes"
         )
     finally:
         knobs.refresh()
