@@ -37,7 +37,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 
 from catalogue import NAS8, PLAN, load_program  # noqa: E402
-from repro.analysis.record import FunctionAnalyses  # noqa: E402
 from repro.codegen.cache import compiled_chunk  # noqa: E402
 from repro.codegen.lower import Unsupported  # noqa: E402
 from repro.codegen.seq import (  # noqa: E402
@@ -75,22 +74,20 @@ def _charges(source):
     return [once, ranges - (once - sliced), sliced]
 
 
-def _sequence_loops(function, stops, loops_by_header, totals):
+def _sequence_loops(analyses, stops, totals):
     """Lower one sequence; add ``[counted, while, charged once, as
     slices]`` over its loops into ``totals``."""
-    source = lower_sequence(function, stops, loops_by_header)[0]
+    source = lower_sequence(analyses, stops)[0]
     once, each, sliced = _charges(source)
     whiles = len(re.findall(r"^\s*while True:", source, re.M))
     for index, count in enumerate((once + each, whiles, once, sliced)):
         totals[index] += count
 
 
-def _profiled(function, analyses, totals):
+def _profiled(analyses, totals):
     """Lower one profile; add its loops recorded once per instance into
     ``totals``."""
-    source = compile_profiled(
-        function, analyses.loops, analyses.dominators
-    ).source
+    source = compile_profiled(analyses).source
     totals[0] += len(re.findall(r"^\s*_F\w+ = _expand\(", source, re.M))
 
 
@@ -113,24 +110,18 @@ def census():
                 for region in session.region_recipes.get(PLAN, ())
             }
             for function in session.module.functions.values():
-                analyses = (
-                    session.analyses if function is session.function
-                    else FunctionAnalyses(function, session.module)
-                )
+                analyses = session.analyses.of(function)
                 stops = sequence_stops(regions, function)
                 rows["sequences"].append((
                     f"{name} {function.name}@-O{level}",
                     _refusal(lambda: _sequence_loops(
-                        function, stops, analyses.loops_by_header,
-                        sequences,
+                        analyses, stops, sequences
                     )),
                 ))
                 if level == 0:
                     rows["profiles"].append((
                         f"{name} {function.name}",
-                        _refusal(lambda: _profiled(
-                            function, analyses, instances
-                        )),
+                        _refusal(lambda: _profiled(analyses, instances)),
                     ))
             if level == 2 and name in COMPILED:
                 tiers = session.compiled_regions["tiers"]
@@ -142,6 +133,7 @@ def census():
                     entry = compiled_chunk(
                         session.module,
                         session.analyses.loops_by_header[header],
+                        session.analyses,
                     )
                     if entry is not None:
                         for index, count in enumerate(

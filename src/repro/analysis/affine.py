@@ -6,7 +6,7 @@ x_i``, and differ only in what a name ``x_i`` is: the caller passes a
 *leaf* function, ``leaf(value)`` -> the name ``value`` stands for, or
 ``None``.  :func:`affine_form` walks integer constants, ``neg``,
 ``add``, ``sub``, ``mul`` with a literal side and — through a
-:func:`forwarding` — a load of a single-store local to the value
+:func:`forwarded_store` — a load of a single-store local to the value
 stored; anything else — an indirect index like ``key[i]``, ``%``, a
 product of two names — is non-affine (``None``), and the reader falls
 back to "may conflict" or to the guarded access, like a production
@@ -32,7 +32,6 @@ its :func:`iteration_range`, a form's from an ``if`` arm's condition
 import dataclasses
 import math
 
-from repro.analysis.dominators import compute_dominator_tree
 from repro.ir.instructions import (
     Alloca,
     BinaryOp,
@@ -113,7 +112,8 @@ class AffineExpr:
 def affine_form(value, leaf, forward=None, depth=0):
     """``value`` as an :class:`AffineExpr` over the names ``leaf`` gives
     (the module docstring), or ``None`` when it is not affine.  A load
-    ``forward`` (a :func:`forwarding`) forwards is its store's value.
+    ``forward`` (a record's, :func:`forwarded_store`) forwards is its
+    store's value.
 
     Both operands of an operator are walked before either is judged, so
     a ``leaf`` that records what it names sees every leaf of the value.
@@ -197,55 +197,50 @@ def iteration_range(loop):
     return range(*bounds)
 
 
-def forwarding(function, dominators=None):
-    """``forward(load)``: the one store of a scalar local of ``function``
-    that dominates the load, when every use of the local's alloca is as
-    a load's or store's pointer (its address never escapes); else
+def forwarded_store(analyses, load):
+    """The one store of a scalar local of the record's function that
+    dominates ``load``, when every use of the local's alloca is as a
+    load's or store's pointer (its address never escapes); else
     ``None``.  A canonical induction has two stores, its seed and its
-    step.  The locals are found on the first load of an alloca, and
-    ``dominators``, unless given, on the first that needs them."""
-    stores = tree = None
-
-    def forward(load):
-        nonlocal stores, tree
-        if not isinstance(load.pointer, Alloca):
-            return None
-        if stores is None:
-            stores = _single_stores(function)
-        store = stores.get(load.pointer)
-        block = load.parent
-        if store is None:
-            return None
-        if store.parent is block:
-            order = block.instructions
-            return store if order.index(store) < order.index(load) else None
-        tree = tree or dominators or compute_dominator_tree(function)
-        if tree.contains(block) and tree.contains(store.parent) and (
-            tree.dominates(store.parent, block)
-        ):
-            return store
+    step.  The record's single-store scan runs on the first load of an
+    alloca, and its dominator tree on the first that needs it; the
+    record binds this as its ``forward(load)``."""
+    if not isinstance(load.pointer, Alloca):
         return None
+    store = analyses.single_stores.get(load.pointer)
+    block = load.parent
+    if store is None:
+        return None
+    if store.parent is block:
+        order = block.instructions
+        return store if order.index(store) < order.index(load) else None
+    tree = analyses.dominators
+    if tree.contains(block) and tree.contains(store.parent) and (
+        tree.dominates(store.parent, block)
+    ):
+        return store
+    return None
 
-    return forward
 
-
-def _single_stores(function):
+def single_stores(function, users):
     """Alloca -> its one store, for the allocas of ``function`` stored
-    once and used only as a load's or store's pointer."""
-    stores, escaped = {}, set()
+    once and used only as a load's or store's pointer; ``users`` is the
+    record's :func:`~repro.analysis.cfg.operand_users`."""
+    stores = {}
     for block in function.blocks:
         for inst in block.instructions:
-            if inst.opcode == "load":
+            if inst.opcode != "alloca":
                 continue
-            for index, operand in enumerate(inst.operands):
-                if not isinstance(operand, Alloca):
-                    continue
-                if inst.opcode == "store" and index == 1:
-                    stores.setdefault(operand, []).append(inst)
-                else:
-                    escaped.add(operand)
-    return {alloca: found[0] for alloca, found in stores.items()
-            if len(found) == 1 and alloca not in escaped}
+            found = []
+            for user in users.get(id(inst), ()):
+                if user.opcode == "store" and user.operands[0] is not inst:
+                    found.append(user)
+                elif user.opcode != "load":
+                    break  # its address escapes
+            else:
+                if len(found) == 1:
+                    stores[inst] = found[0]
+    return stores
 
 
 def gep_offset(pointer, leaf, defined=None, forward=None):

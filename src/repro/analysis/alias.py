@@ -179,25 +179,28 @@ class AliasAnalysis:
         """Fixpoint mod/ref per function over {arg index, global, console}.
 
         Summary keys: ``("arg", index)``, ``("global", name)``,
-        ``("console",)``.
+        ``("console",)``.  A function's own loads, stores and prints are
+        read once; only what its calls add iterates to the fixpoint
+        (summaries only grow, so it converges).
         """
-        summaries = {
-            name: {"reads": set(), "writes": set()}
-            for name in self.module.functions
-        }
-        changed = True
+        summaries, calls = {}, {}
+        for name, function in self.module.functions.items():
+            summaries[name], calls[name] = self._local_effects(function)
+        changed = any(calls.values())
         while changed:
             changed = False
             for name, function in self.module.functions.items():
-                reads, writes = self._direct_effects(function, summaries)
-                summary = summaries[name]
-                if reads != summary["reads"] or writes != summary["writes"]:
-                    summary["reads"] = reads
-                    summary["writes"] = writes
-                    changed = True
+                for call in calls[name]:
+                    for kind, keys in summaries[call.callee.name].items():
+                        bucket = summaries[name][kind]
+                        for key in list(keys):  # a recursive call grows it
+                            key = self._translate_key(key, call, function)
+                            if key and key not in bucket:
+                                bucket.add(key)
+                                changed = True
         return summaries
 
-    def _abstract_key(self, obj, function):
+    def _abstract_key(self, obj):
         if isinstance(obj, ArgumentObject):
             return ("arg", obj.argument.index)
         if isinstance(obj, GlobalObject):
@@ -206,41 +209,30 @@ class AliasAnalysis:
             return ("console",)
         return None  # local alloca: invisible to callers
 
-    def _direct_effects(self, function, summaries):
-        reads = set()
-        writes = set()
+    def _local_effects(self, function):
+        """``function``'s own summary — what its loads, stores and
+        prints reach — and its calls."""
+        reads, writes, calls = set(), set(), []
         for inst in function.instructions():
-            if isinstance(inst, Load):
+            if isinstance(inst, (Load, Store)):
                 key = self._abstract_key(
-                    self.base_object(inst.pointer, function), function
+                    self.base_object(inst.pointer, function)
                 )
                 if key:
-                    reads.add(key)
-            elif isinstance(inst, Store):
-                key = self._abstract_key(
-                    self.base_object(inst.pointer, function), function
-                )
-                if key:
-                    writes.add(key)
+                    (writes if isinstance(inst, Store) else reads).add(key)
             elif isinstance(inst, Print):
                 writes.add(("console",))
             elif isinstance(inst, Call):
-                callee_summary = summaries[inst.callee.name]
-                for kind, bucket in (("reads", reads), ("writes", writes)):
-                    for key in callee_summary[kind]:
-                        translated = self._translate_key(key, inst, function)
-                        if translated:
-                            bucket.add(translated)
-        return reads, writes
+                calls.append(inst)
+        return {"reads": reads, "writes": writes}, calls
 
     def _translate_key(self, key, call, function):
         """Map a callee summary key into the caller's abstract space."""
         if key[0] in ("global", "console"):
             return key
-        index = key[1]
-        actual = call.operands[index]
-        obj = self.base_object(actual, function)
-        return self._abstract_key(obj, function)
+        return self._abstract_key(
+            self.base_object(call.operands[key[1]], function)
+        )
 
     def call_effects(self, call, function):
         """Concrete (reads, writes) object sets for one call site."""

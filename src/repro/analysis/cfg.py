@@ -1,4 +1,4 @@
-"""Control-flow-graph utilities shared by the other analyses."""
+"""CFG and def-use utilities; the record builds each map once."""
 
 
 def successors_map(function):
@@ -6,13 +6,24 @@ def successors_map(function):
     return {block: block.successors() for block in function.blocks}
 
 
-def predecessors_map(function):
-    """Map each block to its predecessor list (insertion order)."""
-    preds = {block: [] for block in function.blocks}
-    for block in function.blocks:
-        for succ in block.successors():
+def predecessors_map(successors):
+    """Map each block of a successor map to its predecessor list."""
+    preds = {block: [] for block in successors}
+    for block, succs in successors.items():
+        for succ in succs:
             preds[succ].append(block)
     return preds
+
+
+def operand_users(function):
+    """``id(value)`` -> the instructions of ``function`` using it, once
+    per operand, in program order."""
+    users = {}
+    for block in function.blocks:
+        for inst in block.instructions:
+            for operand in inst.operands:
+                users.setdefault(id(operand), []).append(inst)
+    return users
 
 
 def reverse_postorder(entry, successors):

@@ -13,17 +13,17 @@ postdominate itself trivially, walk the postdominator tree from ``S`` up to
 from repro.analysis.dominators import compute_postdominator_tree
 
 
-def compute_control_dependence(function):
-    """Map each block to the list of (branch) blocks it is control dependent on.
+def compute_control_dependence(analyses):
+    """Map each block of the record's function to the list of (branch)
+    blocks it is control dependent on.
 
     Returns ``dict[block] -> list[block]`` (deterministic order, duplicates
     removed).  The entry block of a straight-line function depends on nothing.
     """
-    post_tree, exit_node = compute_postdominator_tree(function)
-    deps = {block: [] for block in function.blocks}
+    post_tree, exit_node = compute_postdominator_tree(analyses)
+    deps = {block: [] for block in analyses.function.blocks}
 
-    for block in function.blocks:
-        successors = block.successors()
+    for block, successors in analyses.successors.items():
         if len(successors) < 2:
             continue
         limit = post_tree.idom.get(block)
@@ -43,19 +43,3 @@ def compute_control_dependence(function):
             if runner is block and block not in deps[block]:
                 deps[block].append(block)
     return deps
-
-
-def controlling_branch_instructions(function):
-    """Map each instruction to the branch instructions it is control dependent on.
-
-    Instruction-level control dependence: every instruction inherits its
-    block's control dependences; the dependence source is the controlling
-    block's terminator (the branch that decides execution).
-    """
-    block_deps = compute_control_dependence(function)
-    result = {}
-    for block in function.blocks:
-        sources = [b.terminator for b in block_deps[block] if b.terminator]
-        for inst in block.instructions:
-            result[inst] = list(sources)
-    return result

@@ -6,11 +6,7 @@ successor map), so the same code computes postdominators by running on the
 reversed CFG rooted at a virtual exit node that joins every ``return``.
 """
 
-from repro.analysis.cfg import (
-    predecessors_map,
-    reverse_postorder,
-    successors_map,
-)
+from repro.analysis.cfg import reverse_postorder
 from repro.util.errors import AnalysisError
 
 
@@ -84,11 +80,11 @@ def immediate_dominators(root, successors):
     return idom
 
 
-def compute_dominator_tree(function):
-    """Dominator tree of a function's CFG."""
-    succs = successors_map(function)
-    idom = immediate_dominators(function.entry, succs)
-    return DominatorTree(function.entry, idom)
+def compute_dominator_tree(analyses):
+    """Dominator tree of a function's CFG, over its analysis record's
+    successor map."""
+    entry = analyses.function.entry
+    return DominatorTree(entry, immediate_dominators(entry, analyses.successors))
 
 
 class _VirtualExit:
@@ -100,8 +96,8 @@ class _VirtualExit:
         return "<virtual-exit>"
 
 
-def compute_postdominator_tree(function):
-    """Postdominator tree, rooted at a virtual exit.
+def compute_postdominator_tree(analyses):
+    """Postdominator tree of the record's function, rooted at a virtual exit.
 
     Returns ``(tree, virtual_exit)``.  Every block whose terminator is a
     ``return`` gets an edge to the virtual exit in the reversed graph's
@@ -112,7 +108,7 @@ def compute_postdominator_tree(function):
     hand-built IR.
     """
     exit_node = _VirtualExit()
-    preds = predecessors_map(function)
+    function = analyses.function
 
     # Reversed graph: successors(reversed) = predecessors(original); the
     # virtual exit's reversed-successors are the returning blocks.
@@ -120,9 +116,7 @@ def compute_postdominator_tree(function):
         block for block in function.blocks
         if block.terminator is not None and block.terminator.opcode == "return"
     ]
-    reversed_succs = {exit_node: list(returning)}
-    for block in function.blocks:
-        reversed_succs[block] = list(preds[block])
+    reversed_succs = {exit_node: returning, **analyses.predecessors}
 
     idom = immediate_dominators(exit_node, reversed_succs)
     if len(idom) <= len(function.blocks):

@@ -15,24 +15,21 @@ outside a region's loops that its chunks read from the parent frame.
 
 from itertools import compress, repeat
 
-from repro.analysis.cfg import reachable_blocks, successors_map
+from repro.analysis.cfg import reachable_blocks
 from repro.ir.instructions import Instruction
 
 
-def blocks_after_loop(function, loop):
+def blocks_after_loop(analyses, loop):
     """Blocks reachable from the loop's exit edges, excluding loop blocks."""
-    succs = successors_map(function)
     after = set()
     for _from_block, to_block in loop.exit_edges():
-        for block in reachable_blocks(to_block, succs):
-            if block not in loop.blocks:
-                after.add(block)
-    return after
+        after.update(reachable_blocks(to_block, analyses.successors))
+    return after.difference(loop.blocks)
 
 
 def live_out_objects(analyses, loop):
     """The set of objects written inside ``loop`` and read after it exits."""
-    after = blocks_after_loop(analyses.function, loop)
+    after = blocks_after_loop(analyses, loop)
     written_inside = {
         obj
         for obj, group in analyses.loop_accesses(loop).items()

@@ -6,8 +6,6 @@ without passing through the header.  Loops sharing a header are merged.
 The nesting forest orders loops by block-set containment.
 """
 
-from repro.analysis.cfg import predecessors_map
-from repro.analysis.dominators import compute_dominator_tree
 
 
 class Loop:
@@ -82,22 +80,24 @@ class Loop:
         return f"<loop header={self.header.name} blocks={len(self.blocks)}>"
 
 
-def find_natural_loops(function):
-    """Return all natural loops of ``function`` with nesting links filled in.
+def find_natural_loops(analyses):
+    """Return all natural loops of the record's function with nesting
+    links filled in, over its dominator tree and CFG maps.
 
     Loops are returned outermost-first (stable order by header position).
     CanonicalLoop metadata from ``function.loop_info`` is attached to the
     loop with the matching header name.
     """
-    dom_tree = compute_dominator_tree(function)
-    preds = predecessors_map(function)
+    function = analyses.function
+    dom_tree = analyses.dominators
+    preds = analyses.predecessors
 
     # Collect back edges grouped by header.
     latches_by_header = {}
-    for block in function.blocks:
+    for block, successors in analyses.successors.items():
         if not dom_tree.contains(block):
             continue  # unreachable
-        for succ in block.successors():
+        for succ in successors:
             if dom_tree.contains(succ) and dom_tree.dominates(succ, block):
                 latches_by_header.setdefault(succ, []).append(block)
 

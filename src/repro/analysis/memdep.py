@@ -23,7 +23,7 @@ import functools
 
 from repro.analysis import affine
 from repro.analysis.alias import CONSOLE
-from repro.analysis.cfg import can_reach, successors_map
+from repro.analysis.cfg import can_reach
 from repro.analysis.deptests import test_level
 from repro.ir.instructions import Call, Load, Print, Store
 
@@ -62,15 +62,15 @@ class MemoryDependence:
         )
 
 
-def collect_accesses(function, alias, induction_allocas, forward):
-    """All memory accesses of ``function``, with affine offsets when known.
-
-    ``induction_allocas`` are the canonical-loop induction variables the
-    offsets may be affine in (the record's ``iv_map``); ``forward`` reads
-    a single-store local as its stored value (``affine.forwarding``).
-    """
+def collect_accesses(analyses):
+    """All memory accesses of the record's function, with affine offsets
+    (in its ``iv_map``'s inductions, a single-store local read through
+    its ``forward``) when known."""
+    function, alias, forward = (
+        analyses.function, analyses.alias, analyses.forward
+    )
     accesses = []
-    leaf = affine.induction_leaf(induction_allocas)
+    leaf = affine.induction_leaf(analyses.iv_map)
     for inst in function.instructions():
         if isinstance(inst, (Load, Store)):
             obj = alias.base_object(inst.pointer, function)
@@ -104,15 +104,16 @@ class MemoryDependenceAnalysis:
 
     Reads the function's analysis record
     (:class:`~repro.analysis.record.FunctionAnalyses`): its loops, its
-    accesses and its instruction positions — the edges' ``carried_loops``
-    are therefore the record's own ``Loop`` objects.
+    accesses, its instruction positions and its successor map — the
+    edges' ``carried_loops`` are therefore the record's own ``Loop``
+    objects.
     """
 
     def __init__(self, analyses):
         self._loops_of_block = analyses.loops_of_block
         self._accesses_by_object = analyses.accesses_by_object
         self._position = analyses.positions
-        self._succs = successors_map(analyses.function)
+        self._succs = analyses.successors
         # What a pair asks of the loop forest and the CFG depends on its
         # blocks and loops alone: each answer is computed once, in caches
         # that live and die with this analysis.

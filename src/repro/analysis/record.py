@@ -1,16 +1,16 @@
 """The one analysis record of a function.
 
 Everything the sequential analyses know about one function lives here,
-computed once: the module's alias analysis, the natural loops, the
-memory accesses with their affine offsets (a single-store local read as
-its stored value), the memory dependences, and
-the per-loop questions the planner and the optimizer both ask (which
-objects does this loop touch, which are live-out, reducible,
-privatizable, removable, carried).  The PDG is built from this record
-and keeps a reference to it (``pdg.analyses``), the PS-PDG keeps its
-PDG (``pspdg.pdg``), so whoever holds a graph reads the same analyses —
-one ``Loop`` per header, one ``MemoryObject`` per storage — instead of
-re-running them.
+computed once: the CFG maps, operand users, dominator tree and
+single-store locals, the module's alias analysis, the natural loops,
+the memory accesses with their affine offsets, the memory dependences,
+and the per-loop questions the planner and the optimizer both ask
+(which objects does this loop touch, which are live-out, reducible,
+privatizable, removable, carried).  The PDG keeps this record
+(``pdg.analyses``), the PS-PDG its PDG, and every codegen lowering and
+run is handed it, so all read the same analyses — one ``Loop`` per
+header, one ``MemoryObject`` per storage.  A caller with no session
+builds a record; :meth:`FunctionAnalyses.of` gives its siblings.
 
 Each part is computed on first use, so asking for ``alias`` alone costs
 the alias analysis alone.
@@ -18,8 +18,9 @@ the alias analysis alone.
 
 import functools
 
-from repro.analysis.affine import forwarding
+from repro.analysis.affine import forwarded_store, single_stores
 from repro.analysis.alias import AliasAnalysis
+from repro.analysis.cfg import operand_users, predecessors_map, successors_map
 from repro.analysis.dominators import compute_dominator_tree
 from repro.analysis.liveness import live_out_objects
 from repro.analysis.loops import find_natural_loops
@@ -43,12 +44,57 @@ def _once_per_loop(query):
 
 
 class FunctionAnalyses:
-    """Sequential analyses of ``function`` within ``module``, each once."""
+    """Sequential analyses of ``function`` within ``module``, each once.
+
+    No part refers back to the record, so a dropped one is freed at once.
+    """
 
     def __init__(self, function, module):
         self.function = function
         self.module = module
+        self._siblings = {}  # function name -> its record
         self._per_loop = {}
+
+    def of(self, function):
+        """The record of ``function``, a function of the same module:
+        this one, or a sibling built on first request."""
+        if function is self.function:
+            return self
+        record = self._siblings.get(function.name)
+        if record is None:
+            record = self._siblings[function.name] = FunctionAnalyses(
+                function, self.module
+            )
+        return record
+
+    # -- whole-function facts ---------------------------------------------------
+
+    @functools.cached_property
+    def successors(self):
+        """Block -> its successor list: the CFG every other fact walks."""
+        return successors_map(self.function)
+
+    @functools.cached_property
+    def predecessors(self):
+        return predecessors_map(self.successors)
+
+    @functools.cached_property
+    def users(self):
+        """``id(value)`` -> the instructions using it, once per operand."""
+        return operand_users(self.function)
+
+    @functools.cached_property
+    def dominators(self):
+        return compute_dominator_tree(self)
+
+    @functools.cached_property
+    def single_stores(self):
+        """Scalar local -> its one store, when its address never escapes."""
+        return single_stores(self.function, self.users)
+
+    #: ``forward(load)``: the single store a load of a local reads, else
+    #: ``None`` (:func:`~repro.analysis.affine.forwarded_store`).
+    forward = forwarded_store
 
     # -- whole-function analyses ----------------------------------------------
 
@@ -60,7 +106,7 @@ class FunctionAnalyses:
     @functools.cached_property
     def loops(self):
         """Natural loops, outermost first by header position."""
-        return find_natural_loops(self.function)
+        return find_natural_loops(self)
 
     @functools.cached_property
     def loops_by_header(self):
@@ -87,10 +133,7 @@ class FunctionAnalyses:
     @functools.cached_property
     def accesses(self):
         """Every :class:`MemoryAccess` of the function, in program order."""
-        return collect_accesses(
-            self.function, self.alias, self.iv_map,
-            forwarding(self.function, self.dominators),
-        )
+        return collect_accesses(self)
 
     @functools.cached_property
     def accesses_by_object(self):
@@ -103,10 +146,6 @@ class FunctionAnalyses:
     def dependences(self):
         """The function's :class:`MemoryDependence` edges."""
         return MemoryDependenceAnalysis(self).run()
-
-    @functools.cached_property
-    def dominators(self):
-        return compute_dominator_tree(self.function)
 
     @functools.cached_property
     def positions(self):

@@ -15,6 +15,7 @@ one failed compile, not one per chunk.
 import time
 import weakref
 
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen.lower import compile_chunk
 from repro.codegen.seq import compile_sequence
 
@@ -28,30 +29,35 @@ STATS = {
 }
 
 
-def compiled_chunk(module, loop,
+def compiled_chunk(module, loop, analyses=None,
                    logged=None):  # ignored; benchmarks/e2e still passes it
     """The cached :class:`CompiledChunk` for ``loop``, or ``None``.
 
+    ``analyses`` is the record of the loop's function, whose facts the
+    lowering reads (the session's, the run's or the pool child's); a
+    caller with none gets a record of its own built on a miss.
     ``None`` means the lowering refused the loop (or codegen itself
     failed) — run it interpreted.  Never raises.
     """
-    key = ("chunk", loop.header.parent.name, loop.header.name)
-    return _cached(module, key, lambda: compile_chunk(loop))
+    function = loop.header.parent
+    key = ("chunk", function.name, loop.header.name)
+    return _cached(module, key, lambda: compile_chunk(
+        analyses or FunctionAnalyses(function, module), loop
+    ))
 
 
-def compiled_sequence(module, function, stops, loops):
-    """The cached :class:`CompiledSequence` for a function body, or ``None``.
+def compiled_sequence(analyses, stops):
+    """The cached :class:`CompiledSequence` for the body of the function
+    whose record is ``analyses``, or ``None``.
 
     ``stops`` is the region-stop spec from
     :func:`repro.codegen.seq.sequence_stops`; it is part of the cache
     key, so the same module under a different plan lowers separately.
-    ``loops()`` is the function's forest (header name -> natural loop),
-    asked for only when the body has to be lowered.  Same never-fail
-    contract as :func:`compiled_chunk`.
+    Same never-fail contract as :func:`compiled_chunk`.
     """
-    key = ("seq", function.name, tuple(stops))
+    key = ("seq", analyses.function.name, tuple(stops))
     return _cached(
-        module, key, lambda: compile_sequence(function, stops, loops()),
+        analyses.module, key, lambda: compile_sequence(analyses, stops),
     )
 
 

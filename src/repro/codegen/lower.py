@@ -148,7 +148,6 @@ from repro.analysis.affine import (
     AffineExpr,
     affine_form,
     arm_box,
-    forwarding,
     gep_offset,
     iteration_range,
 )
@@ -331,7 +330,7 @@ class _Lowering:
     _body_indent = 4  # def _factory / def _chunk / try / for
     _blocks = 2  # the skeleton's own ``try`` and ``for``, of _MAX_BLOCKS
 
-    def __init__(self, loop):
+    def __init__(self, analyses, loop):
         if loop.canonical is None:
             raise Unsupported("loop lacks canonical form")
         self.loop = loop
@@ -342,13 +341,15 @@ class _Lowering:
         self.promoted = {}
         self._alias = {}
         self._critical = _critical_blocks(loop)
-        self._begin(loop.header.parent, [loop, *loop.descendants()])
+        self._begin(analyses, [loop, *loop.descendants()])
 
-    def _begin(self, function, loops, dominators=None):
-        """The state every lowering starts from; ``loops`` is the forest
-        the walk follows (a chunk's: its loop and what nests in it), and
-        ``dominators`` the function's tree when the caller holds it."""
-        self.function = function
+    def _begin(self, analyses, loops):
+        """The state every lowering starts from: ``analyses`` is the
+        function's record, whose CFG, operand users and single-store
+        locals the walk reads; ``loops`` the forest it follows (a
+        chunk's: its loop and what nests in it)."""
+        self.function = analyses.function
+        self._successors = analyses.successors
         self.refs = []  # objects the factory receives positionally
         self._ref_names = {}  # id(obj) -> _k<i>
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
@@ -363,7 +364,7 @@ class _Lowering:
         #: What the walk is in, outermost first: a counted loop's interval
         #: names, ``None`` for an ``if`` arm.
         self._enclosing = []
-        self._forwarded = forwarding(function, dominators)
+        self._forwarded = analyses.forward
         self._segment = None  # [line index, steps] of the open step count
         #: Blocks the walk has emitted -> the loop a returning arm had
         #: left for good when it did (``None``: no such arm).
@@ -376,8 +377,9 @@ class _Lowering:
         #: (``None`` until the value is lowered).
         self._fused = {}
         self._ipdom = {}  # region -> block -> immediate post-dominator
-        #: id(value) -> the body's instructions using it, once per operand.
-        self._uses = {}
+        #: id(value) -> the function's instructions using it, once per
+        #: operand (the record's: a use outside the body counts too).
+        self._uses = analyses.users
         self._headers = {inner.header: inner for inner in loops}
         self._innermost = {}  # block -> the smallest loop holding it
         for inner in sorted(
@@ -769,7 +771,7 @@ class _Lowering:
 
         Promotable: the induction allocas ``run_chunk`` seeds and every
         scalar alloca executed in the body, when each use in the body is
-        a load from it or a store *to* it.  Counts operand uses on the way.
+        a load from it or a store *to* it (the record's operand users).
         """
         candidates = {
             id(alloca): _Scalar(alloca)
@@ -790,22 +792,18 @@ class _Lowering:
                             and behind.pointer is inst
                         ):
                             scalar.init = behind
-        uses = self._uses
+        body = set(self.blocks)
         escaped = set()
-        for block in self.blocks:
-            for inst in block.instructions:
-                for index, operand in enumerate(inst.operands):
-                    key = id(operand)
-                    uses.setdefault(key, []).append(inst)
-                    if key in candidates and not (
-                        isinstance(inst, insts.Load)
-                        or isinstance(inst, insts.Store) and index == 1
-                    ):
-                        escaped.add(key)
-                if isinstance(inst, insts.Store):
-                    scalar = candidates.get(id(inst.pointer))
-                    if scalar is not None:
-                        scalar.stores.append(inst)
+        for key, scalar in candidates.items():
+            for user in self._uses.get(key, ()):
+                if user.parent not in body:
+                    continue
+                if isinstance(user, insts.Store) and (
+                    user.operands[0] is not scalar.alloca
+                ):
+                    scalar.stores.append(user)
+                elif not isinstance(user, insts.Load):
+                    escaped.add(key)
         for alloca in self._inductions:
             if id(alloca) in escaped:
                 raise _refused(
@@ -929,13 +927,13 @@ class _Lowering:
                 inner = self._headers.get(source)
                 if inner is not None:
                     targets = [
-                        target for target in source.successors()
+                        target for target in self._successors[source]
                         if target not in inner.blocks
                     ]
                 elif isinstance(source.terminator, insts.Return):
                     targets = [sink]
                 else:
-                    targets = source.successors()
+                    targets = self._successors[source]
                 for target in targets:
                     if target in into:
                         into[target].append(source)
@@ -1039,7 +1037,7 @@ class _Lowering:
         header = inner.header
         branch = header.terminator
         inside = [
-            target for target in header.successors()
+            target for target in self._successors[header]
             if target in inner.blocks
         ]
         if not isinstance(branch, insts.Branch) or len(inside) != 1:
@@ -1764,25 +1762,26 @@ class _Lowering:
             out.indent -= 1
 
 
-def lower_chunk(loop):
-    """Generate (source, refs) for one loop; raises :class:`Unsupported`.
+def lower_chunk(analyses, loop):
+    """Generate (source, refs) for one loop of the function whose record
+    is ``analyses``; raises :class:`Unsupported`.
 
     Lowering the body *collects* the entry bindings (live-ins, args,
     globals, refs), so the body is emitted first and spliced into the
     chunk skeleton by :meth:`_Lowering.lower`.
     """
-    lowering = _Lowering(loop)
+    lowering = _Lowering(analyses, loop)
     return lowering.lower(), lowering.refs
 
 
-def chunk_tier(loop, entry):
-    """``(kind, why)`` for a loop and its cached entry: ``structured``,
-    or — ``None``, the loop runs interpreted — ``refused`` with the block
-    (and instruction) that refused it."""
+def chunk_tier(analyses, loop, entry):
+    """``(kind, why)`` for a loop of the record's function and its cached
+    entry: ``structured``, or — ``None``, the loop runs interpreted —
+    ``refused`` with the block (and instruction) that refused it."""
     if entry is not None:
         return entry.tier
     try:
-        lower_chunk(loop)
+        lower_chunk(analyses, loop)
     except Unsupported as refusal:
         return "refused", str(refusal)
     except Exception as error:  # a codegen bug: also a fallback, say so
@@ -1799,9 +1798,9 @@ def _exec_factory(source, refs, label):
     return namespace["_factory"](tuple(refs), _runtime)
 
 
-def compile_chunk(loop):
+def compile_chunk(analyses, loop):
     """Lower and ``exec``-compile one loop's chunk body."""
-    source, refs = lower_chunk(loop)
+    source, refs = lower_chunk(analyses, loop)
     function, header = loop.header.parent.name, loop.header.name
     return CompiledChunk(
         fn=_exec_factory(source, refs, f"{function}:{header}"),

@@ -16,7 +16,6 @@ silent — and, under ``verify`` (``VERIFY_COMPILED``), the reference
 both runs are diffed against.
 """
 
-from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.codegen.lower import Unsupported
 from repro.codegen.runtime import Bailout, execute_sequence
@@ -27,13 +26,16 @@ from repro.util.errors import EmulationError
 
 
 class _CompiledCallees(Interpreter):
-    """An interpreter whose calls run compiled (refused bodies interpret)."""
+    """An interpreter whose calls run compiled (refused bodies interpret);
+    a callee lowers over its own record, a sibling of ``analyses``."""
+
+    def __init__(self, analyses):
+        super().__init__(analyses.module)
+        self.analyses = analyses
 
     def _run_function(self, function, args):
-        # A callee's forest comes from its own analysis record.
         entry = codegen_cache.compiled_sequence(
-            self.module, function, (),
-            lambda: FunctionAnalyses(function, self.module).loops_by_header,
+            self.analyses.of(function), ()
         )
         _mode, value = execute_sequence(
             entry, self, function, args, super()._run_function
@@ -44,29 +46,30 @@ class _CompiledCallees(Interpreter):
 def profile_function(analyses, verify=False):
     """Run ``analyses.function`` once and profile it.
 
-    ``analyses`` is the function's :class:`FunctionAnalyses`: the
-    lowering walks its natural loops and reads single-store locals
-    through its dominator tree, and the interpreter tracks those loops.
+    ``analyses`` is the function's
+    :class:`~repro.analysis.record.FunctionAnalyses`: the lowering walks
+    its natural loops and reads its CFG, operand users and single-store
+    locals, the interpreter tracks those loops, and each callee lowers
+    over its sibling record.
     ``result.profile.engine`` says which engine ran and
     ``result.profile.refused`` why the compiled one did not.
     """
-    module, function = analyses.module, analyses.function
-    loops = analyses.loops
     try:
-        entry = compile_profiled(function, loops, analyses.dominators)
+        entry = compile_profiled(analyses)
         if verify:
-            return _verified(entry, module, function, loops)
-        return _run(entry, module, function, ShapeTable())[1]
+            return _verified(entry, analyses)
+        return _run(entry, analyses, ShapeTable())[1]
     except Unsupported as refusal:
         refused = str(refusal)
     except Bailout:  # raised before the body's first side effect
         refused = "entry bindings bailed out"
-    return _interpret(module, function, loops, refused)[1]
+    return _interpret(analyses, refused)[1]
 
 
-def _run(entry, module, function, table):
+def _run(entry, analyses, table):
     """``(interpreter, result)`` of the compiled profiled run."""
-    interpreter = _CompiledCallees(module)
+    interpreter = _CompiledCallees(analyses)
+    function = analyses.function
     value, root, header_totals = entry.fn(
         interpreter, _Frame(function, []), table
     )
@@ -76,17 +79,18 @@ def _run(entry, module, function, table):
     )
 
 
-def _interpret(module, function, loops, refused=None):
+def _interpret(analyses, refused=None):
     """``(interpreter, result)`` of the interpreted, tree-recorded run."""
-    interpreter = Interpreter(module)
+    interpreter = Interpreter(analyses.module)
+    name = analyses.function.name
     result = interpreter.run(
-        function.name, profiler=Profiler(function.name), loops=loops
+        name, profiler=Profiler(name), loops=analyses.loops
     )
     result.profile.refused = refused
     return interpreter, result
 
 
-def _verified(entry, module, function, loops):
+def _verified(entry, analyses):
     """Run both engines and diff them; the interpreter is the authority.
 
     Same contract as the chunk and sequence oracles
@@ -98,14 +102,14 @@ def _verified(entry, module, function, loops):
     table = ShapeTable()
     compiled = compiled_error = None
     try:
-        compiled = _run(entry, module, function, table)
+        compiled = _run(entry, analyses, table)
     except Bailout:
         raise  # not a divergence: the caller falls back
     except Exception as error:
         compiled_error = error
     label = f"VERIFY_COMPILED divergence at {entry.label}"
     try:
-        reference_interp, reference = _interpret(module, function, loops)
+        reference_interp, reference = _interpret(analyses)
     except Exception as error:
         if compiled_error is None:
             raise EmulationError(

@@ -64,7 +64,6 @@ it.
 
 import dataclasses
 
-from repro.analysis.dominators import compute_dominator_tree
 from repro.analysis.liveness import live_in_registers
 from repro.ir import instructions as insts
 from repro.ir.types import PointerType
@@ -133,9 +132,9 @@ class _SequenceLowering(_Lowering):
     _body_indent = 3  # def _factory / def _seq / try
     _blocks = 1  # the skeleton's own ``try``
 
-    def __init__(self, function, stops, loops_by_header, dominators=None):
-        self._begin(function, loops_by_header.values(), dominators)
-        self._stops = self._resolve_stops(stops, loops_by_header)
+    def __init__(self, analyses, stops):
+        self._begin(analyses, analyses.loops)
+        self._stops = self._resolve_stops(stops, analyses.loops_by_header)
         #: ``(line index, indent, stop)`` per stop, in walk order: the
         #: flush lines go in once the walk knows everything it lowered.
         self._flushes = []
@@ -399,12 +398,10 @@ class _ProfiledLowering(_SequenceLowering):
     parameters = "interp, frame, _table"
     _overrun = "_overrun"
 
-    def __init__(self, function, loops, dominators=None):
-        self._dominators = dominators or compute_dominator_tree(function)
-        super().__init__(
-            function, (), {loop.header.name: loop for loop in loops},
-            self._dominators,
-        )
+    def __init__(self, analyses):
+        super().__init__(analyses, ())
+        self._dominators = analyses.dominators
+        function, loops = analyses.function, analyses.loops
         self._number = {}
         #: Loop (``None``: the root) -> the blocks it is innermost to.
         self._members = {}
@@ -418,7 +415,7 @@ class _ProfiledLowering(_SequenceLowering):
         #: ``return`` or around an edge out of them not at their header.
         self._left = set()
         for block in function.blocks:
-            targets = block.successors()
+            targets = self._successors[block]
             returns = isinstance(block.terminator, insts.Return)
             loop = self._innermost.get(block)
             while loop is not None:
@@ -608,35 +605,34 @@ class _ProfiledLowering(_SequenceLowering):
                 out.emit(f"_X{name} = _expand(_table, {scope.last}, ())")
 
 
-def lower_sequence(function, stops, loops_by_header):
-    """Generate (source, refs) for one function; raises Unsupported.
+def lower_sequence(analyses, stops):
+    """Generate (source, refs) for the function whose record is
+    ``analyses``; raises Unsupported.
 
-    ``loops_by_header`` (header name -> the function's natural loop) is
-    the forest the walk follows and the stops are resolved against; the
-    caller holds it (the analysis record's, or the executor's).
+    The record's forest is the one the walk follows and the stops are
+    resolved against (the session's, or the executor's).
     """
-    lowering = _SequenceLowering(function, tuple(stops), loops_by_header)
+    lowering = _SequenceLowering(analyses, tuple(stops))
     return lowering.lower(), lowering.refs
 
 
-def compile_sequence(function, stops, loops_by_header):
+def compile_sequence(analyses, stops):
     """Lower and ``exec``-compile one function's sequential stretches."""
-    source, refs = lower_sequence(function, stops, loops_by_header)
-    return _compiled(source, refs, function, stops)
+    source, refs = lower_sequence(analyses, stops)
+    return _compiled(source, refs, analyses.function, stops)
 
 
-def compile_profiled(function, loops, dominators=None):
-    """Lower and ``exec``-compile ``function`` instrumented to profile.
+def compile_profiled(analyses):
+    """Lower and ``exec``-compile the record's function instrumented to
+    profile, over the record's loops and dominator tree.
 
-    ``loops`` are the function's natural loops and ``dominators``, when
-    the caller holds it, its dominator tree (the analysis record's).
     Not cached: a session profiles once.  Raises :class:`Unsupported`
     for what the lowering refuses — anything the plain lowering does,
     plus a function that can reach itself through calls and an entry
     block that is a loop header.
     """
-    lowering = _ProfiledLowering(function, loops, dominators)
-    return _compiled(lowering.lower(), lowering.refs, function, ())
+    lowering = _ProfiledLowering(analyses)
+    return _compiled(lowering.lower(), lowering.refs, analyses.function, ())
 
 
 def _compiled(source, refs, function, stops):

@@ -71,10 +71,6 @@ class PSPDGBuilder:
         self.function = pdg.function
         self.module = self.analyses.module
         self.graph = PSPDG(pdg)
-        self._block_of = {}
-        for block in self.function.blocks:
-            for inst in block.instructions:
-                self._block_of[inst] = block.name
         self._groups = []  # (node, block_name_set), innermost resolution
         self._annotation_nodes = {}  # annotation uid -> HierarchicalNode
 
@@ -139,7 +135,7 @@ class PSPDGBuilder:
         for inst in self.pdg.nodes:
             leaf = InstructionNode(inst)
             self.graph.instruction_nodes[inst] = leaf
-            owner = self._innermost_group(self._block_of[inst])
+            owner = self._innermost_group(inst.parent.name)
             if owner is None:
                 self.graph.roots.append(leaf)
             else:
@@ -605,7 +601,7 @@ class PSPDGBuilder:
     def _node_inside(self, node, block_names):
         instructions = node.leaf_instructions()
         return all(
-            self._block_of[inst] in block_names for inst in instructions
+            inst.parent.name in block_names for inst in instructions
         )
 
     # -- cleanup ----------------------------------------------------------------

@@ -271,11 +271,6 @@ class PSPDG:
                 stack.extend(node.children)
         return result
 
-    def hierarchical_nodes(self):
-        return [
-            n for n in self.all_nodes() if isinstance(n, HierarchicalNode)
-        ]
-
     def context_chain(self, context_label):
         """The label plus all enclosing context labels (inner to outer)."""
         labels = []
@@ -290,12 +285,14 @@ class PSPDG:
 
     def statistics(self):
         """Feature counts (Section 6.1-style construction statistics)."""
-        hnodes = self.hierarchical_nodes()
+        nodes = self.all_nodes()  # one walk for both node counts
         return {
             "instruction_nodes": len(self.instruction_nodes),
-            "hierarchical_nodes": len(hnodes),
+            "hierarchical_nodes": sum(
+                isinstance(n, HierarchicalNode) for n in nodes
+            ),
             "contexts": len(self.contexts),
-            "traits": sum(len(n.traits) for n in self.all_nodes()),
+            "traits": sum(len(n.traits) for n in nodes),
             "directed_edges": len(self.directed_edges),
             "undirected_edges": len(self.undirected_edges),
             "selector_edges": sum(

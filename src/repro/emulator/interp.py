@@ -29,7 +29,7 @@ import dataclasses
 import math
 import operator
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.ir import instructions as insts
 from repro.ir.basicblock import BasicBlock
 from repro.ir.types import FLOAT, INT
@@ -582,7 +582,7 @@ class Interpreter:
 
         ``loops`` are the profiled function's natural loops when the
         caller already holds them (a session's analysis record); a bare
-        module's are found here.
+        module's come from a record built here.
         """
         self.steps = 0
         self.output = []
@@ -592,7 +592,7 @@ class Interpreter:
         self._profiled_function = function if profiler else None
         if profiler:
             if loops is None:
-                loops = find_natural_loops(function)
+                loops = FunctionAnalyses(function, self.module).loops
             self._profiled_loops = {loop.header: loop for loop in loops}
         return_value = self._run_function(function, list(args))
         profile = profiler.finish() if profiler else None

@@ -23,7 +23,7 @@ overhead.
 
 Entry points: :func:`restructure_plan` ``(pspdg, plan, level)`` (fusion
 and sync elimination, which read only the graphs), then
-:func:`price_plan` ``(pspdg, restructured, machine, backend=None)``
+:func:`price_plan` ``(pspdg, restructured, machine, overlaps=True)``
 (serialization and tiling, which read the machine model), so a new
 machine re-prices a plan without restructuring it again; levels:
 :class:`OptLevel`.

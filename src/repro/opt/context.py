@@ -6,7 +6,8 @@ would the runtime derive for it.  The function's analysis record
 (``pspdg.pdg.analyses``, the one the graphs were built from) answers the
 analysis questions, once per session however many times
 :func:`repro.opt.price_plan` runs; the context adds what is per-run:
-the machine model, the backend and the measured feedback.  The runtime
+the machine model, whether the backend's workers overlap and the
+measured feedback.  The runtime
 recipes travel on the region descriptors themselves.
 
 Legality is deliberately grounded in the sequential memory dependences
@@ -24,7 +25,7 @@ class OptContext:
     share."""
 
     def __init__(self, pspdg, machine, payload_bytes=None,
-                 compile_regions=False, compiled_speedup=None, backend=None):
+                 compile_regions=False, compiled_speedup=None, overlaps=True):
         self.pspdg = pspdg
         #: The function's analysis record: loops, accesses, dependences.
         self.analyses = pspdg.pdg.analyses
@@ -45,8 +46,9 @@ class OptContext:
         self.compiled_speedup = (
             dict(compiled_speedup) if compiled_speedup else {}
         )
-        # The backend the plan runs on (``None``: workers that overlap).
-        self.backend = backend
+        # Whether the workers of the backend the plan runs on compute at
+        # the same time (``planner.machine.compute_overlaps``).
+        self.overlaps = overlaps
 
     @functools.cached_property
     def blocks_by_name(self):

@@ -205,7 +205,7 @@ def restructure_plan(pspdg, plan, level):
 
 def price_plan(
     pspdg, restructured, machine=None, payload_bytes=None,
-    compile_regions=False, compiled_speedup=None, backend=None,
+    compile_regions=False, compiled_speedup=None, overlaps=True,
 ):
     """Run the pricing passes of ``restructured``'s level over its plan.
 
@@ -217,9 +217,10 @@ def price_plan(
     model's dispatch-cost bar.  ``compiled_speedup`` maps the same labels
     to measured compiled-over-interpreted step-rate ratios, replacing the
     machine model's assumed ``compiled_speedup`` prior per region
-    (``regionstats.region_feedback`` produces both).  ``backend`` is
-    the one the plan runs on; ``None`` prices for workers whose compute
-    overlaps, as ``simulated`` and ``processes`` do.
+    (``regionstats.region_feedback`` produces both).  ``overlaps`` is
+    whether the workers of the backend the plan runs on compute at the
+    same time (:func:`~repro.planner.machine.compute_overlaps`), all
+    pricing reads of that backend.
     """
     level = restructured.level
     machine = machine if machine is not None else DEFAULT_MACHINE
@@ -227,7 +228,7 @@ def price_plan(
                      payload_bytes=payload_bytes,
                      compile_regions=compile_regions,
                      compiled_speedup=compiled_speedup,
-                     backend=backend)
+                     overlaps=overlaps)
     report = restructured.report.copy()
     passes = [
         pass_ for pass_ in passes_for(level)

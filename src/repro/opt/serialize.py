@@ -23,7 +23,6 @@ costly mistake if the overlap assumption is wrong (the asymmetry
 import dataclasses
 
 from repro.opt.cost import region_cost
-from repro.planner.machine import compute_overlaps
 from repro.planner.plans import OVERRIDE_SEQUENTIAL, OVERRIDE_THREADS
 
 #: Without overlap a region runs in place when dispatch would make it at
@@ -40,7 +39,7 @@ class SmallRegionSerializationPass:
     def run(self, ctx, plan, report):
         machine = ctx.machine
         gil_bar = 0
-        if not compute_overlaps(ctx.backend):
+        if not ctx.overlaps:
             gil_bar = GIL_DISPATCH_FACTOR * machine.threads_region_cost
         regions = []
         for region in plan.regions:

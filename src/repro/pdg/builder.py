@@ -11,7 +11,7 @@ The PDG of a function contains:
   function's analysis record, never recomputed here.
 """
 
-from repro.analysis.controldep import controlling_branch_instructions
+from repro.analysis.controldep import compute_control_dependence
 from repro.ir.instructions import Instruction
 from repro.pdg.graph import (
     EDGE_CONTROL,
@@ -26,13 +26,14 @@ def pdg_from_analyses(analyses):
     """Build the full sequential PDG over one analysis record."""
     pdg = PDG(analyses)
 
-    # Control dependences.
-    controllers = controlling_branch_instructions(analyses.function)
+    # Control dependences: an instruction depends on the branch that
+    # ends each block its own block is control dependent on.
+    controllers = compute_control_dependence(analyses)
     for inst in pdg.nodes:
-        for branch in controllers.get(inst, []):
-            pdg.add_edge(
-                PDGEdge(branch, inst, EDGE_CONTROL, loop_independent=True)
-            )
+        for block in controllers[inst.parent]:
+            pdg.add_edge(PDGEdge(
+                block.terminator, inst, EDGE_CONTROL, loop_independent=True
+            ))
 
     # Register (def-use) dependences.
     for inst in pdg.nodes:

@@ -33,6 +33,7 @@ from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.opt import restructure_plan
 from repro.planner.critical_path import CriticalPathEvaluator
+from repro.planner.machine import compute_overlaps
 from repro.planner.options import count_options
 from repro.planner.plans import (
     abstraction_plan,
@@ -282,9 +283,11 @@ def _build_optimize(session, compile_regions, backend):
     """Price every restructured plan: the rest of the ``-O`` pipeline.
 
     The artifact maps abstraction name -> :class:`OptimizationResult`
-    (rewritten plan + report).  Flipping the ``-O`` level, or the engine
-    or backend the plan is priced for, re-keys only this stage and the
-    ones downstream — the parse/PDG/PS-PDG artifacts upstream stay
+    (rewritten plan + report).  ``backend`` is what pricing reads of the
+    config's backend: whether its workers' compute overlaps (``READS``).
+    Flipping the ``-O`` level, the engine the plan is priced for, or the
+    backend to one that overlaps otherwise re-keys only this stage and
+    the ones downstream — the parse/PDG/PS-PDG artifacts upstream stay
     cached.
     The machine model and wire feedback come from the ``calibrate``
     stage: static defaults normally, measured coefficients when the
@@ -360,6 +363,7 @@ def _build_compile_regions(session):
     each body once, the first time it runs one.
     """
     summary = {"compiled": [], "fallback": [], "tiers": {}}
+    analyses = session.analyses
     seen = set()
     for regions in session.region_recipes.values():
         for region in regions:
@@ -368,10 +372,12 @@ def _build_compile_regions(session):
                 if header in seen:
                     continue
                 seen.add(header)
-                entry = codegen_cache.compiled_chunk(session.module, loop)
+                entry = codegen_cache.compiled_chunk(
+                    session.module, loop, analyses
+                )
                 bucket = "compiled" if entry else "fallback"
                 summary[bucket].append(header)
-                summary["tiers"][header] = chunk_tier(loop, entry)
+                summary["tiers"][header] = chunk_tier(analyses, loop, entry)
     summary["codegen"] = codegen_cache.stats()
     return summary
 
@@ -509,6 +515,17 @@ def stage_order(target):
 
 #: The key token of a stage that reads the calibration store directly.
 VERSION = "version"
+
+#: Config field -> all its builders read of it (pricing: whether a
+#: backend's workers overlap); keys hold that, so alike configs share.
+READS = {"backend": compute_overlaps}
+
+
+def param_value(config, field):
+    """What a builder receives, and a memo key holds, of ``field``."""
+    read = READS.get(field)
+    value = getattr(config, field)
+    return value if read is None else read(value)
 
 
 def _key_plan(name):

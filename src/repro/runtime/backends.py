@@ -550,8 +550,11 @@ class ThreadsBackend(ExecutionBackend):
             entries = prepared.entries
             if entries is None:
                 before = codegen_cache.stats()
+                analyses = interp.analyses_of(prepared.function)
                 entries = prepared.entries = {
-                    loop: codegen_cache.compiled_chunk(interp.module, loop)
+                    loop: codegen_cache.compiled_chunk(
+                        interp.module, loop, analyses
+                    )
                     for loop in prepared.loops
                 }
                 _count_codegen(stats, before, codegen_cache.stats())
@@ -902,7 +905,7 @@ def _pool_chunk_entry(wire, fault=None):
                     # Keyed by the child's decoded module object: the
                     # first chunk of a module this child decoded lowers.
                     entry = codegen_cache.compiled_chunk(
-                        payload["module"], loop
+                        payload["module"], loop, payload["analyses"]
                     )
                 mode = codegen_runtime.execute_chunk(
                     entry, shim, loop, frame, iterations,

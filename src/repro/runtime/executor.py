@@ -58,7 +58,7 @@ import operator
 import time
 
 from repro.analysis.liveness import live_in_registers
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.reductions import REDUCIBLE_OPS, identity_slots
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
@@ -384,17 +384,18 @@ class ParallelInterpreter(Interpreter):
     of another module's function, is a :class:`PlanError`.  A record
     dispatches where control reaches its header block.
     ``compile_regions`` defaults to
-    :class:`~repro.pipeline.config.SessionConfig`'s value.  ``forest``
-    (function name -> header name -> natural loop) hands the sequence
-    tier loops the caller already holds (a Session's analysis record);
-    a function it does not name has its own found on first use.
+    :class:`~repro.pipeline.config.SessionConfig`'s value.
+    ``analyses`` is the caller's analysis record of a function of
+    ``module`` (a Session's): the sequence tier and the chunk lowerings
+    read it and its siblings; without one, the run builds its own
+    records, one per function on first use.
     """
 
     def __init__(self, module, parallelizations, workers=4, seed=0,
                  max_steps=50_000_000, backend="simulated",
                  schedule="static", chunk=None, pool_size=None,
                  prelude=None,  # ignored: benchmarks/e2e still passes it
-                 compile_regions=True, forest=None):
+                 compile_regions=True, analyses=None):
         super().__init__(module, max_steps)
         self.workers = _validate_workers(workers)
         self.seed = seed
@@ -417,15 +418,16 @@ class ParallelInterpreter(Interpreter):
                 )
         self._regions = plan[1]  # header block -> its prepared record
         self._stops = plan[2]  # function -> its region-stop spec
-        self._loops_by_function = dict(forest or {})
-        for name, loops in self._loops_by_function.items():
-            own = functions.get(name)
-            if any(loop.header.parent is not own for loop in loops.values()):
-                # Its blocks are not the ones this run executes.
-                raise PlanError(
-                    f"the loop forest handed in for @{name} was not built "
-                    "from this module's function"
-                )
+        if analyses is not None and (
+            functions.get(analyses.function.name) is not analyses.function
+        ):
+            # Its blocks are not the ones this run executes.
+            raise PlanError(
+                f"the analysis record handed in for "
+                f"@{analyses.function.name} was not built from this "
+                "module's function"
+            )
+        self._analyses = analyses
         self.parallel_regions = []  # RegionStats, in execution order
         self.shims = None  # the threads backend's, one per worker index
         # Sequential-stretch compilation state: per-function entry memo
@@ -463,15 +465,12 @@ class ParallelInterpreter(Interpreter):
         """
         self._execute_parallel_region(self._regions[header], frame)
 
-    def _function_loops(self, function):
-        """header name -> natural loop: the handed-in forest's, else found
-        once per function per run owner."""
-        if function.name not in self._loops_by_function:
-            self._loops_by_function[function.name] = {
-                loop.header.name: loop
-                for loop in find_natural_loops(function)
-            }
-        return self._loops_by_function[function.name]
+    def analyses_of(self, function):
+        """``function``'s record: the handed-in record's sibling, else
+        built once per function per run owner."""
+        if self._analyses is None:
+            self._analyses = FunctionAnalyses(function, self.module)
+        return self._analyses.of(function)
 
     # -- compiled sequential stretches -----------------------------------------
 
@@ -530,8 +529,7 @@ class ParallelInterpreter(Interpreter):
             result = None
         else:
             entry = codegen_cache.compiled_sequence(
-                self.module, function, stops,
-                lambda: self._function_loops(function),
+                self.analyses_of(function), stops
             )
             result = (entry, verify)
         self._seq_entries[key] = result
@@ -700,7 +698,7 @@ def run_parallel(module, parallelizations, function_name="main", **options):
 
     ``options`` are :class:`ParallelInterpreter`'s keyword parameters
     (``workers``, ``seed``, ``backend``, ``schedule``, ``chunk``,
-    ``pool_size``, ``compile_regions``, ``forest``, ...).
+    ``pool_size``, ``compile_regions``, ``analyses``, ...).
     """
     return ParallelInterpreter(module, parallelizations, **options).run(
         function_name

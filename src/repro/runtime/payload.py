@@ -54,7 +54,7 @@ import random
 from collections import OrderedDict
 
 from repro.analysis.liveness import live_in_registers
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.emulator.interp import _Frame
 from repro.runtime import knobs
 from repro.util.errors import ReproError
@@ -451,7 +451,7 @@ def encode_region(module, frame, loops, global_storage, max_steps,
 
 # -- pool-worker-side decoding -------------------------------------------------
 
-_DECODED_MODULES = {}  # module key -> (module, objects, loops)
+_DECODED_MODULES = {}  # module key -> (module, objects, analysis records)
 
 
 def install_module(module_key, module_bytes, drop=None):
@@ -466,16 +466,14 @@ def install_module(module_key, module_bytes, drop=None):
     _DECODED_MODULES[module_key] = (module, module_objects(module), {})
 
 
-def _loop_resolver(module, loop_cache):
+def _loop_resolver(module, records):
     def resolve(function_name, header_name):
-        loops = loop_cache.get(function_name)
-        if loops is None:
-            loops = {
-                loop.header.name: loop
-                for loop in find_natural_loops(module.function(function_name))
-            }
-            loop_cache[function_name] = loops
-        return loops[header_name]
+        record = records.get(function_name)
+        if record is None:
+            record = records[function_name] = FunctionAnalyses(
+                module.function(function_name), module
+            )
+        return record.loops_by_header[header_name]
 
     return resolve
 
@@ -491,13 +489,13 @@ def decode_payload(wire):
     module_key, state_bytes, header_bytes, delta_bytes = wire
     if module_key not in _DECODED_MODULES:
         raise ReproError(f"module {module_key[:12]} is not installed here")
-    module, objects, loop_cache = _DECODED_MODULES[module_key]
+    module, objects, records = _DECODED_MODULES[module_key]
     state = pickle.loads(state_bytes)
     unpickler = _RegionUnpickler(
         io.BytesIO(header_bytes + delta_bytes),
         objects,
         state["table"],
-        _loop_resolver(module, loop_cache),
+        _loop_resolver(module, records),
     )
     (_loops, max_steps, compile_regions,
      verify_compiled) = unpickler.load()
@@ -509,6 +507,8 @@ def decode_payload(wire):
     frame.global_overlay = overlay
     return {
         "module": module,
+        # The chunks' function's record, whose loops the segments hold.
+        "analyses": records.get(function.name),
         "global_storage": state["global_storage"],
         "table": state["table"],
         "frame": frame,

@@ -30,8 +30,9 @@ from repro.ir.printer import print_module
 from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.pipeline.config import SessionConfig
 from repro.pipeline.diagnostics import Diagnostics
-from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION
+from repro.pipeline.stages import KEY_PLANS, STAGES, VERSION, param_value
 from repro.planner.calibration import CalibrationStore
+from repro.planner.machine import compute_overlaps
 from repro.runtime.executor import prepare_plan, run_parallel
 
 
@@ -52,7 +53,7 @@ class Session:
         # stage -> (config, token, memo key): the key of the
         # stage's last lookup, so a warm query rebuilds no key.
         self._keys = {}
-        # (level, engine, backend) -> (config, what ``run`` stages under)
+        # (level, engine, overlap) -> (config, what ``run`` stages under)
         self._run_configs = {}
 
     # -- constructors ---------------------------------------------------------
@@ -95,8 +96,9 @@ class Session:
 
     def _key(self, stage_name, config):
         """The memo key of ``stage_name`` under ``config``: the stage,
-        the values of the config fields the stage and its upstream
-        closure declare (``KEY_PLANS``) and the calibration token.  It
+        what the builders read of the config fields the stage and its
+        upstream closure declare (``KEY_PLANS``, ``param_value``) and
+        the calibration token.  It
         is rebuilt only when the config object or the token moved since
         the stage's last lookup.
         """
@@ -115,7 +117,8 @@ class Session:
         if memo is not None and memo[0] is config and memo[1] == token:
             return memo[2]
         key = (
-            stage_name, tuple(getattr(config, field) for field in fields),
+            stage_name,
+            tuple(param_value(config, field) for field in fields),
             token,
         )
         self._keys[stage_name] = (config, token, key)
@@ -145,7 +148,7 @@ class Session:
         outer, self.config = self.config, config
         try:
             artifact = stage.build(
-                self, *[getattr(config, field) for field in stage.params]
+                self, *[param_value(config, field) for field in stage.params]
             )
         finally:
             self.config = outer
@@ -345,9 +348,10 @@ class Session:
         ``opt`` (the optimization level) default to the session config.
         An abstraction-name run reads the ``compile_regions`` and
         ``recipes`` stages under the run's level, engine and backend —
-        the config's own keys unless ``opt``, ``compile_regions`` or
-        ``backend`` differ — so an override is planned once and cached
-        like any other config.  An explicit plan without regions is
+        the config's own keys unless ``opt`` or ``compile_regions``
+        differ, or ``backend`` prices otherwise (its workers overlap
+        where the config's do not, or the reverse) — so an override is
+        planned once and cached like any other config.  An explicit plan without regions is
         seeded and optimized at the run's level, priced for its engine
         and backend (on ``threads`` under a GIL, see
         :mod:`repro.opt.serialize`).  The
@@ -390,7 +394,7 @@ class Session:
             if not plan.regions:
                 plan = self._priced(
                     restructure_plan(self.pspdg, plan, level), compile_on,
-                    backend,
+                    compute_overlaps(backend),
                 ).plan
             regions = prepare_plan(
                 plan.dispatched(), self.function,
@@ -405,7 +409,7 @@ class Session:
             chunk=chunk if chunk is not None else config.chunk,
             pool_size=config.machine.cores,
             compile_regions=compile_on,
-            forest={config.function_name: self.analyses.loops_by_header},
+            analyses=self.analyses,
         )
         if config.calibrate:
             # Distill the run, then persist it for warm sessions.
@@ -426,9 +430,12 @@ class Session:
 
     def _run_config(self, level, compile_on, backend):
         """The config a run that overrides the session's level, engine or
-        backend stages its plan under: derived once per triple while the
-        session's config stands."""
-        config, wanted = self.config, (level, compile_on, backend)
+        backend stages its plan under: derived once per pricing (level,
+        engine, overlap) while the session's config stands.  Its stage
+        keys hold the overlap, not the backend, so a backend that prices
+        as the config's shares the session's artifacts."""
+        config = self.config
+        wanted = (level, compile_on, compute_overlaps(backend))
         memo = self._run_configs.get(wanted)
         if memo is None or memo[0] is not config:
             memo = self._run_configs[wanted] = (config, config.derive(
@@ -436,10 +443,11 @@ class Session:
             ))
         return memo[1]
 
-    def _priced(self, restructured, compile_regions, backend):
+    def _priced(self, restructured, compile_regions, overlaps):
         """``price_plan`` over a restructured plan, for the engine
-        ``compile_regions`` names and the backend that runs it, with the
-        (possibly calibrated) machine model and wire feedback."""
+        ``compile_regions`` names and whether the workers of the backend
+        that runs it overlap, with the (possibly calibrated) machine
+        model and wire feedback."""
         calibrated = self.calibrated
         return price_plan(
             self.pspdg,
@@ -448,7 +456,7 @@ class Session:
             payload_bytes=calibrated["payload_bytes"] or None,
             compiled_speedup=calibrated["compiled_speedup"] or None,
             compile_regions=compile_regions,
-            backend=backend,
+            overlaps=overlaps,
         )
 
     # -- ablation / canonical form --------------------------------------------

@@ -10,37 +10,37 @@ from repro.analysis.affine import (
     AffineExpr,
     affine_form,
     arm_box,
-    forwarding,
     gep_offset,
     induction_leaf,
 )
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen.lower import _Lowering
 from repro.frontend import compile_source
 from repro.ir.instructions import Branch, Load, Store
 from support.ir_parser import parse_ir
 
 
-def _analysis_policy(function, loops):
+def _analysis_policy(analyses):
     """The dependence tests' policy: loads of canonical inductions, and
     single-store locals read through.  ``(form, scanned instructions)``."""
-    leaf = induction_leaf(
-        {loop.canonical.induction for loop in loops if loop.canonical}
-    )
-    forward = forwarding(function)
+    leaf = induction_leaf({
+        loop.canonical.induction
+        for loop in analyses.loops if loop.canonical
+    })
+    forward = analyses.forward
     return (
         lambda value: affine_form(value, leaf, forward),
         lambda pointer: gep_offset(pointer, leaf, None, forward)[1],
-        list(function.instructions()),
+        list(analyses.function.instructions()),
     )
 
 
-def _codegen_policy(function, loops):
+def _codegen_policy(analyses):
     """The bounds proof's policy, as the outermost loop's chunk lowering
     leaves it: induction locals with an interval, chunk invariants, and
     single-store locals the body stores read through."""
-    (outer,) = [loop for loop in loops if loop.parent is None]
-    lowering = _Lowering(outer)
+    (outer,) = [loop for loop in analyses.loops if loop.parent is None]
+    lowering = _Lowering(analyses, outer)
     lowering.lower()
     return (
         lambda value: affine_form(value, lowering._leaf, lowering._forward),
@@ -51,13 +51,13 @@ def _codegen_policy(function, loops):
     )
 
 
-def _analysis_offsets(function, loops):
-    _form, offset, scanned = _analysis_policy(function, loops)
+def _analysis_offsets(analyses):
+    _form, offset, scanned = _analysis_policy(analyses)
     return _store_offsets(offset, scanned)
 
 
-def _codegen_offsets(function, loops):
-    _form, offset, scanned = _codegen_policy(function, loops)
+def _codegen_offsets(analyses):
+    _form, offset, scanned = _codegen_policy(analyses)
     return _store_offsets(offset, scanned)
 
 
@@ -72,8 +72,8 @@ def _store_offsets(offset, scanned):
                 ids=["analysis", "codegen"])
 def policy(request):
     def applied(source):
-        function = compile_source(source).function("main")
-        return request.param(function, find_natural_loops(function))
+        module = compile_source(source)
+        return request.param(FunctionAnalyses(module.function("main"), module))
 
     return applied
 
@@ -233,11 +233,13 @@ class TestForwardSubstitution:
         function = module.function("main")
         (load,) = [inst for inst in function.instructions()
                    if isinstance(inst, Load)]
-        assert forwarding(function)(load) is None
-        # Without the call the one store forwards.
+        assert FunctionAnalyses(function, module).forward(load) is None
+        # Without the call the one store forwards (a new record: the IR
+        # changed under the old one).
         call = function.entry.instructions[2]
         function.entry.instructions.remove(call)
-        assert forwarding(function)(load).value.value == 3
+        forward = FunctionAnalyses(function, module).forward
+        assert forward(load).value.value == 3
 
 
 def _arm_box(policy, source):
@@ -282,11 +284,13 @@ def test_the_policies_name_the_same_variable_differently():
     """One form type, two kinds of name: an induction alloca for the
     dependence tests, the induction's local for the bounds proof."""
     source = "global a: int[8];\nfunc main() { for i in 0..8 { a[i] = 1; } }"
-    function = compile_source(source).function("main")
-    loops = find_natural_loops(function)
-    (analysis,) = _analysis_offsets(function, loops)
-    (codegen,) = _codegen_offsets(function, loops)
-    assert list(analysis.coefficients) == [loops[0].canonical.induction]
+    module = compile_source(source)
+    analyses = FunctionAnalyses(module.function("main"), module)
+    (analysis,) = _analysis_offsets(analyses)
+    (codegen,) = _codegen_offsets(analyses)
+    assert list(analysis.coefficients) == [
+        analyses.loops[0].canonical.induction
+    ]
     (name,) = codegen.coefficients
     assert isinstance(name, str) and name.isidentifier()
 

@@ -1,16 +1,16 @@
 """Control dependence (Ferrante/Ottenstein/Warren)."""
 
-from repro.analysis.controldep import (
-    compute_control_dependence,
-    controlling_branch_instructions,
-)
+from repro.analysis.controldep import compute_control_dependence
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
+from repro.pdg.builder import pdg_from_analyses
+from repro.pdg.graph import EDGE_CONTROL
 
 
 def deps_by_name(source):
     module = compile_source(source)
     function = module.function("main")
-    deps = compute_control_dependence(function)
+    deps = compute_control_dependence(FunctionAnalyses(function, module))
     return function, {
         block.name: sorted(b.name for b in sources)
         for block, sources in deps.items()
@@ -60,10 +60,13 @@ def test_instruction_level_sources_are_branches():
         "func main() { var x: int = 1; if (x > 0) { print(1); } }"
     )
     function = module.function("main")
-    controllers = controlling_branch_instructions(function)
+    pdg = pdg_from_analyses(FunctionAnalyses(function, module))
     then_block = function.block("if.then")
     for inst in then_block.instructions:
-        sources = controllers[inst]
+        sources = [
+            edge.source for edge in pdg.edges
+            if edge.kind == EDGE_CONTROL and edge.destination is inst
+        ]
         assert len(sources) == 1
         assert sources[0].opcode == "branch"
 
@@ -75,9 +78,10 @@ def test_a_loop_with_no_exit_hangs_off_its_branch():
     from support.ir_parser import parse_ir
     from support.programs import REFUSED_CFGS
 
-    function = parse_ir(REFUSED_CFGS["infinite"][0]).function("main")
+    module = parse_ir(REFUSED_CFGS["infinite"][0])
+    analyses = FunctionAnalyses(module.function("main"), module)
     deps = {
         block.name: sorted(b.name for b in sources)
-        for block, sources in compute_control_dependence(function).items()
+        for block, sources in compute_control_dependence(analyses).items()
     }
     assert deps == {"entry": [], "spin": ["entry"], "done": ["entry"]}

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.deptests import test_level as siv_test
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.affine import AffineExpr, iteration_range
 from repro.frontend import compile_source
 
 
 def loop_for(source):
     module = compile_source(source)
-    return find_natural_loops(module.function("main"))[0]
+    return FunctionAnalyses(module.function("main"), module).loops[0]
 
 
 SIMPLE = "func main() { for i in 0..10 { } }"
@@ -149,7 +149,7 @@ class TestInnerVariantLevels:
             "func main() { for p in 0..16 { for j in 0..16 {"
             " a[p * 16 + j] = 1; } } }"
         )
-        loops = find_natural_loops(module.function("main"))
+        loops = FunctionAnalyses(module.function("main"), module).loops
         outer = next(l for l in loops if l.parent is None)
         inner = next(l for l in loops if l.parent is not None)
         piv = outer.canonical.induction
@@ -166,7 +166,7 @@ class TestInnerVariantLevels:
             "func main() { for p in 0..16 { for j in 0..16 {"
             " a[p * 8 + j] = 1; } } }"
         )
-        loops = find_natural_loops(module.function("main"))
+        loops = FunctionAnalyses(module.function("main"), module).loops
         outer = next(l for l in loops if l.parent is None)
         inner = next(l for l in loops if l.parent is not None)
         piv = outer.canonical.induction

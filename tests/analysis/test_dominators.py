@@ -4,6 +4,7 @@ fixed-point dominator computation on random CFGs."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.record import FunctionAnalyses
 from repro.analysis.dominators import (
     compute_dominator_tree,
     compute_postdominator_tree,
@@ -32,31 +33,31 @@ def diamond_function():
 class TestDominators:
     def test_entry_dominates_all(self):
         function, entry, left, right, merge = diamond_function()
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         for block in (left, right, merge):
             assert tree.dominates(entry, block)
 
     def test_branches_do_not_dominate_merge(self):
         function, entry, left, right, merge = diamond_function()
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         assert not tree.dominates(left, merge)
         assert not tree.dominates(right, merge)
         assert tree.idom[merge] is entry
 
     def test_dominance_is_reflexive(self):
         function, entry, *_ = diamond_function()
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         assert tree.dominates(entry, entry)
 
     def test_strict_dominance_excludes_self(self):
         function, entry, *_ = diamond_function()
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         assert not tree.strictly_dominates(entry, entry)
 
     def test_loop_header_dominates_body(self):
         module = compile_source("func main() { for i in 0..4 { print(i); } }")
         function = module.function("main")
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         header = function.block("for.header")
         body = function.block("for.body")
         latch = function.block("for.latch")
@@ -65,7 +66,7 @@ class TestDominators:
 
     def test_dominators_of_chain(self):
         function, entry, left, right, merge = diamond_function()
-        tree = compute_dominator_tree(function)
+        tree = compute_dominator_tree(FunctionAnalyses(function, None))
         chain = [merge]
         while tree.idom[chain[-1]] is not chain[-1]:
             chain.append(tree.idom[chain[-1]])
@@ -76,18 +77,24 @@ class TestDominators:
 class TestPostdominators:
     def test_merge_postdominates_branches(self):
         function, entry, left, right, merge = diamond_function()
-        tree, _exit = compute_postdominator_tree(function)
+        tree, _exit = compute_postdominator_tree(
+            FunctionAnalyses(function, None)
+        )
         assert tree.dominates(merge, entry)
         assert tree.dominates(merge, left)
 
     def test_branch_arms_do_not_postdominate_entry(self):
         function, entry, left, right, merge = diamond_function()
-        tree, _exit = compute_postdominator_tree(function)
+        tree, _exit = compute_postdominator_tree(
+            FunctionAnalyses(function, None)
+        )
         assert not tree.dominates(left, entry)
 
     def test_virtual_exit_is_root(self):
         function, entry, *_ = diamond_function()
-        tree, exit_node = compute_postdominator_tree(function)
+        tree, exit_node = compute_postdominator_tree(
+            FunctionAnalyses(function, None)
+        )
         assert tree.root is exit_node
 
 

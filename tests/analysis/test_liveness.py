@@ -1,7 +1,6 @@
 """Live-out object detection relative to loops."""
 
 from repro.analysis.liveness import blocks_after_loop, live_in_registers
-from repro.analysis.loops import find_natural_loops
 from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
 
@@ -44,7 +43,7 @@ def test_blocks_after_loop_exclude_loop_blocks():
     analyses, function, loop = analyzed(
         "func main() { for i in 0..4 { } print(1); }"
     )
-    after = blocks_after_loop(function, loop)
+    after = blocks_after_loop(analyses, loop)
     assert all(b not in loop.blocks for b in after)
     assert after
 
@@ -89,8 +88,7 @@ def test_live_in_registers_excludes_loop_defs():
       print(a[5]);
     }
     """)
-    function = module.function("main")
-    loops = find_natural_loops(function)
+    loops = FunctionAnalyses(module.function("main"), module).loops
     needed = live_in_registers(loops)
     inside = {
         inst

@@ -1,13 +1,14 @@
 """Natural loop detection and the nesting forest."""
 
 from repro.analysis.loops import find_natural_loops, loop_of_block
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
 
 
 def loops_of(source):
     module = compile_source(source)
     function = module.function("main")
-    return function, find_natural_loops(function)
+    return function, find_natural_loops(FunctionAnalyses(function, module))
 
 
 def test_single_loop_detected():
@@ -95,7 +96,7 @@ def test_enclosing_and_common_loops():
 
 def test_loop_equality_by_header():
     function, loops_a = loops_of("func main() { for i in 0..4 { } }")
-    loops_b = find_natural_loops(function)
+    loops_b = find_natural_loops(FunctionAnalyses(function, None))
     assert loops_a[0] == loops_b[0]
     assert hash(loops_a[0]) == hash(loops_b[0])
 

@@ -1,8 +1,9 @@
 """The per-function analysis record: one home for every analysis.
 
 (a) the record computes each part once and hands every caller the same
-objects; (b) an ``ast`` pin: the planning layers construct no analysis of
-their own — only the record's module calls the constructors.
+objects; (b) an ``ast`` pin: no layer — planning, codegen, runtime or
+emulator — constructs an analysis or a CFG fact of its own; only the
+record's module calls the constructors.
 """
 
 import ast
@@ -17,13 +18,9 @@ from repro.workloads import build_kernel, kernel_names
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Where planning happens; the runtime/codegen/emulator layers keep their
-#: per-module loop lookups (they run from bare or re-decoded modules).
-PLANNING = [
-    *(SRC / layer for layer in
-      ("analysis", "pdg", "core", "planner", "opt", "pipeline")),
-    SRC / "session.py",
-]
+#: Every layer: one with no session (a bare or re-decoded module, a
+#: callee) builds a record, never a fact.
+PLANNING = [SRC]
 
 #: constructor -> the module that defines it.
 CONSTRUCTORS = {
@@ -31,6 +28,11 @@ CONSTRUCTORS = {
     "collect_accesses": "analysis/memdep.py",
     "MemoryDependenceAnalysis": "analysis/memdep.py",
     "find_natural_loops": "analysis/loops.py",
+    "successors_map": "analysis/cfg.py",
+    "predecessors_map": "analysis/cfg.py",
+    "operand_users": "analysis/cfg.py",
+    "compute_dominator_tree": "analysis/dominators.py",
+    "single_stores": "analysis/affine.py",
 }
 
 SOURCE = """
@@ -68,7 +70,8 @@ def test_parts_and_per_loop_queries_are_memoized():
     (loop,) = analyses.loops
     for part in (
         "alias", "loops", "loops_of_block", "accesses", "dependences",
-        "iv_map",
+        "iv_map", "successors", "predecessors", "users", "dominators",
+        "single_stores",
     ):
         assert getattr(analyses, part) is getattr(analyses, part), part
     for query in (

@@ -10,7 +10,7 @@ import gc
 
 import pytest
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.codegen import lower, runtime as codegen_runtime
 from repro.codegen.lower import CompiledChunk, Unsupported, compile_chunk
@@ -62,20 +62,19 @@ func main() {
 
 
 def _loop(source, index=0):
+    """``(record, loop)``: the ``index``-th canonical loop of ``main``."""
     module = compile_source(source)
-    function = module.function("main")
-    loops = [
-        lp for lp in find_natural_loops(function) if lp.canonical
-    ]
-    return module, loops[index]
+    analyses = FunctionAnalyses(module.function("main"), module)
+    loops = [lp for lp in analyses.loops if lp.canonical]
+    return analyses, loops[index]
 
 
 # -- lowering --------------------------------------------------------------------
 
 
 def test_lowered_source_pins_interpreter_semantics():
-    _module, loop = _loop(SIMPLE)
-    entry = compile_chunk(loop)
+    analyses, loop = _loop(SIMPLE)
+    entry = compile_chunk(analyses, loop)
     assert entry.label == f"main:{loop.header.name}"
     source = entry.source
     # Step parity with run_chunk (one step per IR instruction: the
@@ -92,8 +91,8 @@ def test_lowered_source_pins_interpreter_semantics():
 
 
 def test_nested_sequential_loop_lowers_to_a_python_loop():
-    _module, loop = _loop(NESTED)  # outer parallel loop, inner `for j`
-    entry = compile_chunk(loop)
+    analyses, loop = _loop(NESTED)  # outer parallel loop, inner `for j`
+    entry = compile_chunk(analyses, loop)
     assert entry.tier == ("structured", None)
     assert "in range(" in entry.source
     assert "while True:" not in entry.source
@@ -101,17 +100,17 @@ def test_nested_sequential_loop_lowers_to_a_python_loop():
 
 
 def test_float_helpers_route_through_guarded_math():
-    _module, loop = _loop(MATHY)
-    source = compile_chunk(loop).source
+    analyses, loop = _loop(MATHY)
+    source = compile_chunk(analyses, loop).source
     assert "_u_sqrt(" in source
     assert "_u_sin(" in source
 
 
 def test_non_canonical_loop_is_unsupported():
-    _module, loop = _loop(SIMPLE)
+    analyses, loop = _loop(SIMPLE)
     loop.canonical = None
     with pytest.raises(Unsupported):
-        compile_chunk(loop)
+        compile_chunk(analyses, loop)
 
 
 def test_nonfinite_constant_refused():
@@ -127,9 +126,10 @@ def test_nonfinite_constant_refused():
 
 
 def test_cache_hits_and_stats():
-    module, loop = _loop(SIMPLE)
-    first = codegen_cache.compiled_chunk(module, loop)
-    again = codegen_cache.compiled_chunk(module, loop)
+    analyses, loop = _loop(SIMPLE)
+    module = analyses.module
+    first = codegen_cache.compiled_chunk(module, loop, analyses)
+    again = codegen_cache.compiled_chunk(module, loop, analyses)
     assert first is again
     stats = codegen_cache.stats()
     assert stats["compiles"] == 1
@@ -138,35 +138,37 @@ def test_cache_hits_and_stats():
 
 
 def test_cache_failure_memoizes_fallback(monkeypatch):
-    module, loop = _loop(SIMPLE)
+    analyses, loop = _loop(SIMPLE)
+    module = analyses.module
 
-    def refuse(loop):
+    def refuse(analyses, loop):
         raise Unsupported("test refusal")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", refuse)
-    assert codegen_cache.compiled_chunk(module, loop) is None
-    assert codegen_cache.compiled_chunk(module, loop) is None
+    assert codegen_cache.compiled_chunk(module, loop, analyses) is None
+    assert codegen_cache.compiled_chunk(module, loop, analyses) is None
     stats = codegen_cache.stats()
     assert stats["fallbacks"] == 1  # second call was a (None) cache hit
     assert stats["hits"] == 1
 
 
 def test_cache_never_raises_on_codegen_bug(monkeypatch):
-    module, loop = _loop(SIMPLE)
+    analyses, loop = _loop(SIMPLE)
+    module = analyses.module
 
-    def explode(loop):
+    def explode(analyses, loop):
         raise RuntimeError("codegen bug")
 
     monkeypatch.setattr(codegen_cache, "compile_chunk", explode)
-    assert codegen_cache.compiled_chunk(module, loop) is None
+    assert codegen_cache.compiled_chunk(module, loop, analyses) is None
     assert codegen_cache.stats()["fallbacks"] == 1
 
 
 def test_cache_entries_die_with_their_module():
-    module, loop = _loop(SIMPLE)
-    codegen_cache.compiled_chunk(module, loop)
+    analyses, loop = _loop(SIMPLE)
+    codegen_cache.compiled_chunk(analyses.module, loop, analyses)
     assert len(codegen_cache._FN_CACHE) == 1
-    del module, loop
+    del analyses, loop
     gc.collect()
     # Weak keying: a re-decoded module (new object, same content hash)
     # can never be served another module's entries.
@@ -174,8 +176,9 @@ def test_cache_entries_die_with_their_module():
 
 
 def test_reset_clears_entries_and_counters():
-    module, loop = _loop(SIMPLE)
-    codegen_cache.compiled_chunk(module, loop)
+    analyses, loop = _loop(SIMPLE)
+    module = analyses.module
+    codegen_cache.compiled_chunk(module, loop, analyses)
     codegen_cache.reset()
     assert codegen_cache.stats() == {
         "compiles": 0, "hits": 0, "fallbacks": 0, "seconds": 0.0,
@@ -430,8 +433,8 @@ func main() {
 
 
 def test_affine_guards_hoist_to_one_entry_proof():
-    _module, loop = _loop(SIMPLE)
-    source = compile_chunk(loop).source
+    analyses, loop = _loop(SIMPLE)
+    source = compile_chunk(analyses, loop).source
     entry, _, body = source.partition("for _p")
     # Proven at the extremes, once, before the first side effect; a
     # failed proof hands the whole chunk to the interpreter, so there
@@ -444,8 +447,8 @@ def test_affine_guards_hoist_to_one_entry_proof():
 
 
 def test_indirect_index_keeps_per_iteration_guards():
-    _module, loop = _loop(INDIRECT)
-    source = compile_chunk(loop).source
+    analyses, loop = _loop(INDIRECT)
+    source = compile_chunk(analyses, loop).source
     # b[i] is affine and joins the proof; a[b[i]] cannot, so its guard
     # (and only its guard) stays in the body with the interpreter's text.
     entry, _, body = source.partition("for _p")
@@ -457,18 +460,13 @@ def test_indirect_index_keeps_per_iteration_guards():
 # -- sequential stretches --------------------------------------------------------
 
 
-def _forest(function):
-    return {
-        loop.header.name: loop for loop in find_natural_loops(function)
-    }
-
-
 def test_compile_sequence_lowers_whole_function():
     from repro.codegen.seq import compile_sequence
 
     module = compile_source(SIMPLE)
-    function = module.function("main")
-    entry = compile_sequence(function, (), _forest(function))
+    entry = compile_sequence(
+        FunctionAnalyses(module.function("main"), module), ()
+    )
     assert entry.label == "@main"
     # Interpreter-exact semantics: the sequential step-limit message,
     # the UnboundLocalError -> "use of unexecuted instruction" mapping,

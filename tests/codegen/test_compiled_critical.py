@@ -224,9 +224,8 @@ def test_sp_sequences_and_profiles_take_no_lock():
     """Between regions one thread runs: SP's whole-function lowerings
     call no lock at any ``-O`` level, while its critical chunk does."""
     session = Session.from_kernel("SP")
-    function = session.function
-    loops = session.analyses.loops_by_header
-    profiled = compile_profiled(function, session.analyses.loops).source
+    function, analyses = session.function, session.analyses
+    profiled = compile_profiled(analyses).source
     assert "locks." not in profiled
     for level in (0, 1, 2, 3):
         session.reconfigure(opt_level=level)
@@ -235,9 +234,11 @@ def test_sp_sequences_and_profiles_take_no_lock():
             for region in session.region_recipes["PS-PDG"]
         }
         source, _refs = lower_sequence(
-            function, sequence_stops(regions, function), loops
+            analyses, sequence_stops(regions, function)
         )
         assert "locks." not in source, level
         assert "_held" not in source, level
-    chunk = codegen_cache.compiled_chunk(session.module, loops["for.header.5"])
+    chunk = codegen_cache.compiled_chunk(
+        session.module, analyses.loops_by_header["for.header.5"], analyses
+    )
     assert "locks.transition(_held, " in chunk.source

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
 from repro.codegen.lower import (
@@ -251,12 +251,10 @@ def test_the_corpus_reaches_every_inner_shape():
         assert marker in text, marker
     sources = []
     for seed in range(CASES):
-        function = compile_source(
-            generate_body_nest_program(seed)
-        ).function("main")
-        for loop in find_natural_loops(function):
+        analyses = _record(compile_source(generate_body_nest_program(seed)))
+        for loop in analyses.loops:
             if loop.canonical and loop.depth == 0 and loop.children:
-                sources.append(compile_chunk(loop).source)
+                sources.append(compile_chunk(analyses, loop).source)
     joined = "\n".join(sources)
     assert "while True:" in joined and "in range(" in joined
     assert "else:" in joined
@@ -317,9 +315,10 @@ def test_lus_wavefront_keeps_no_guard_in_its_chunk_or_its_sequence():
     chunk) or its counted interval (the sequence), every index of the
     arm is in bounds over the arm's box."""
     session = Session.from_kernel("LU", opt_level=0)
-    loops = session.analyses.loops_by_header
-    assert "out of bounds" not in compile_chunk(loops["for.header.4"]).source
-    (source, *_rest) = lower_sequence(session.function, {}, loops)
+    analyses = session.analyses
+    loop = analyses.loops_by_header["for.header.4"]
+    assert "out of bounds" not in compile_chunk(analyses, loop).source
+    (source, *_rest) = lower_sequence(analyses, {})
     assert "out of bounds" not in source
 
 
@@ -348,9 +347,9 @@ func main() {
         return proven(self, inst)
 
     monkeypatch.setattr(_Lowering, "_proven_in_bounds", spy)
-    loop = [lp for lp in find_natural_loops(
-        compile_source(source).function("main")) if lp.canonical][0]
-    body = compile_chunk(loop).source
+    analyses = _record(compile_source(source))
+    loop = [lp for lp in analyses.loops if lp.canonical][0]
+    body = compile_chunk(analyses, loop).source
     assert boxes[1] == boxes[2] == boxes[0]  # the false arm, the ``||``
     assert boxes[9] != boxes[0] != boxes[3]  # the true arms of compares
     # The else arm's a[i] and the ``||`` arm's keep their guards.
@@ -389,9 +388,10 @@ def test_an_index_out_of_bounds_on_an_untaken_arm_does_not_bail(chunks):
     result = run_source_plan(module, backend=SerialBackend(), workers=2)
     assert result.output == run_module(compile_source(source)).output
     _all_compiled(chunks)
-    loop = [lp for lp in find_natural_loops(module.function("main"))
+    analyses = _record(module)
+    loop = [lp for lp in analyses.loops
             if lp.canonical and lp.depth == 0][0]
-    body = compile_chunk(loop).source
+    body = compile_chunk(analyses, loop).source
     # Over its arm's box (i in [101, 7], j in [0, 7]) only a[i + 5]
     # can leave its array; the arms' other geps are proven.
     assert body.count("out of bounds for") == 1
@@ -438,7 +438,8 @@ def _chunk_sources(name, level=2):
                                   opt_level=level)
     return {
         header: codegen_cache.compiled_chunk(
-            session.module, session.analyses.loops_by_header[header]
+            session.module, session.analyses.loops_by_header[header],
+            session.analyses,
         ).source
         for header in session.compiled_regions["tiers"]
     }
@@ -566,11 +567,17 @@ def _tier_chunk(body, chunks, source=None):
     )
     assert result.output == run_module(compile_source(source)).output
     _all_compiled(chunks)
-    return compile_chunk(_region_loop(compile_source(source))).source
+    module = compile_source(source)
+    return compile_chunk(_record(module), _region_loop(module)).source
+
+
+def _record(module):
+    """The analysis record of ``module``'s ``main``."""
+    return FunctionAnalyses(module.function("main"), module)
 
 
 def _region_loop(module):
-    (loop,) = [lp for lp in find_natural_loops(module.function("main"))
+    (loop,) = [lp for lp in _record(module).loops
                if lp.canonical and lp.depth == 0]
     return loop
 
@@ -710,7 +717,8 @@ def test_a_constant_zero_divisor_keeps_its_helper_and_its_error(
         "compiled": "integer division by zero",
         "interpreted": "integer division by zero",
     }
-    lowered = compile_chunk(_region_loop(compile_source(source))).source
+    module = compile_source(source)
+    lowered = compile_chunk(_record(module), _region_loop(module)).source
     assert f"{helper}(" in lowered and " * (8 - " not in lowered
 
 
@@ -743,7 +751,8 @@ def test_a_float_division_by_a_literal_is_guarded_only_for_zero(
         return module
 
     expected = "float division by zero" if divisor == 0 else None
-    lowered = compile_chunk(_region_loop(module())).source
+    divided = module()
+    lowered = compile_chunk(_record(divided), _region_loop(divided)).source
     assert ("float division by zero" in lowered) is (expected is not None)
     try:
         run_source_plan(module(), backend=SerialBackend(), workers=2)
@@ -893,10 +902,12 @@ def test_the_pdg_carries_no_array_at_any_sliced_loop(name, monkeypatch):
     for level in range(4):
         session = Session.from_source(_tier_source(name), name=name,
                                       opt_level=level)
-        forest = session.analyses.loops_by_header
+        analyses = session.analyses
         for region in session.region_recipes["PS-PDG"]:
             for header in region.headers:
-                lower.lower_chunk(forest[header])
+                lower.lower_chunk(
+                    analyses, analyses.loops_by_header[header]
+                )
         for inner in sliced:
             carried = session.analyses.carried_at(inner)
             assert all(obj.is_scalar() for obj in carried), (
@@ -908,11 +919,11 @@ def test_the_pdg_carries_no_array_at_any_sliced_loop(name, monkeypatch):
 
 
 def test_the_proof_runs_once_per_chunk_not_per_iteration():
-    module = compile_source(dense_source(8))
-    for loop in find_natural_loops(module.function("main")):
+    analyses = _record(compile_source(dense_source(8)))
+    for loop in analyses.loops:
         if not (loop.canonical and loop.depth == 0 and loop.children):
             continue
-        source = compile_chunk(loop).source
+        source = compile_chunk(analyses, loop).source
         prologue, _, body = source.partition("for _p")
         assert prologue.count("raise _Bailout()") >= 2
         assert "_Bailout" not in body
@@ -1067,8 +1078,7 @@ def _ir_loop(text):
         induction=induction, lower=Constant(INT, 0),
         upper=Constant(INT, 8), step=Constant(INT, 1),
     )
-    loop = [lp for lp in find_natural_loops(function)
-            if lp.header.name == "header"][0]
+    loop = _record(module).loops_by_header["header"]
     return module, loop
 
 
@@ -1115,8 +1125,7 @@ def test_a_store_of_a_slots_own_value_is_seen_by_the_recording_storage():
     """What a write log saw and a storage image cannot (the oracle's
     blind spot, and ``diff_table``'s): pinned here, per slot."""
     module = compile_source(SELF_STORE)
-    loop = [lp for lp in find_natural_loops(module.function("main"))
-            if lp.canonical][0]
+    loop = [lp for lp in _record(module).loops if lp.canonical][0]
     shim, frame = _ir_worker(module, loop)
     seen = differential(loop, shim, frame, range(2, 6))
     assert_engines_agree(seen, "main")
@@ -1213,7 +1222,7 @@ def test_a_loop_left_from_its_body_is_interpreted_and_says_why():
     module, loop = _ir_loop(TWO_EXITS)
     entry = codegen_cache.compiled_chunk(module, loop)
     assert entry is None
-    assert chunk_tier(loop, entry) == (
+    assert chunk_tier(_record(module), loop, entry) == (
         "refused", "inner: loop is left from a block other than its header"
     )
     shim, frame = _ir_worker(module, loop)
@@ -1238,7 +1247,7 @@ def test_refused_loops_name_the_block_and_instruction():
     fake.parent, fake.uid = body, 99
     body.instructions.insert(2, fake)
     with pytest.raises(Unsupported) as refused:
-        lower_chunk(loop)
+        lower_chunk(_record(module), loop)
     assert str(refused.value) == "body <load#99>: load of a pointer value"
 
 
@@ -1303,12 +1312,6 @@ def test_cli_diagnostics_print_the_lowering(capsys):
 # The engine beside it is the interpreter under the same plan.
 
 
-def _forest(function):
-    return {
-        loop.header.name: loop for loop in find_natural_loops(function)
-    }
-
-
 def _outcome(module, compiled, backend="threads", **options):
     """``(what a run of main under its source plan left behind, its
     sequence stats)``; steps and state only pin when nothing raised."""
@@ -1334,9 +1337,8 @@ def _outcome(module, compiled, backend="threads", **options):
 @pytest.mark.parametrize("name", sorted(REFUSED_CFGS))
 def test_a_cfg_the_walk_refuses_runs_interpreted_and_says_why(name):
     text, why = REFUSED_CFGS[name]
-    function = parse_ir(text).function("main")
     with pytest.raises(Unsupported) as refused:
-        lower_sequence(function, (), _forest(function))
+        lower_sequence(_record(parse_ir(text)), ())
     assert str(refused.value) == why
     seen, stats = _outcome(parse_ir(text), compiled=True)
     assert stats == {"compiled": 0, "interpreted": 1}
@@ -1374,8 +1376,10 @@ def test_an_early_return_compiles_and_matches_the_interpreter(name, unarmed):
 
 def test_early_returns_lower_under_their_if_with_no_dispatch_loop():
     for source in EARLY_RETURNS.values():
-        for function in compile_source(source).functions.values():
-            text, _refs = lower_sequence(function, (), _forest(function))
+        module = compile_source(source)
+        for function in module.functions.values():
+            analyses = FunctionAnalyses(function, module)
+            text, _refs = lower_sequence(analyses, ())
             assert "_b = " not in text and "elif" not in text
             # One statement per ``return`` the function can reach (the
             # frontend closes a function whose every path has returned
@@ -1401,9 +1405,7 @@ def _sequence_source(kernel, level=2):
         r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
     }
     stops = sequence_stops(regions, session.function)
-    return lower_sequence(
-        session.function, stops, session.analyses.loops_by_header
-    )[0]
+    return lower_sequence(session.analyses, stops)[0]
 
 
 @pytest.mark.parametrize("kernel", ["IS", "LU"])
@@ -1449,7 +1451,7 @@ def test_a_promoted_scalar_is_written_back_before_a_region_stop(
     (region,) = recipes_from_annotations(function)
     (header,) = region.headers
     stops = ((header, (header,)),)
-    source = lower_sequence(function, stops, _forest(function))[0]
+    source = lower_sequence(_record(module), stops)[0]
     assert "for _p" in source
     options = dict(backend=backend, workers=2, pool_size=2)
     run_source_plan(module, **options)  # ships the module to the pool
@@ -1486,8 +1488,7 @@ def _cut_short(compiled, max_steps):
 
 
 def test_a_once_charged_sequence_loop_trips_like_the_interpreter(unarmed):
-    function = compile_source(CHARGED_ONCE).function("main")
-    source = lower_sequence(function, (), _forest(function))[0]
+    source = lower_sequence(_record(compile_source(CHARGED_ONCE)), ())[0]
     (before,) = re.findall(r"_steps \+= (\d+)\n", source)[:1]
     (each,) = re.findall(r"_steps \+= (\d+) \* \(12 - _p", source)
     assert "while True" not in source
@@ -1751,7 +1752,6 @@ def test_a_twelve_deep_nest_still_compiles(unarmed):
 
 _LOWER_EVERYTHING = """
 import hashlib
-from repro.analysis.record import FunctionAnalyses
 from repro.codegen.lower import Unsupported, lower_chunk
 from repro.codegen.seq import _ProfiledLowering, lower_sequence, sequence_stops
 from repro.session import Session
@@ -1775,22 +1775,19 @@ for name, text in programs:
             r.loops[0].header: r for r in session.region_recipes["PS-PDG"]
         }
         for function in session.module.functions.values():
-            analyses = (
-                session.analyses if function is session.function
-                else FunctionAnalyses(function, session.module)
-            )
-            forest = analyses.loops_by_header
+            analyses = session.analyses.of(function)
             stops = sequence_stops(regions, function)
             at = f"{name} -O{level} @{function.name}"
             show(f"{at} sequence",
-                 lambda: lower_sequence(function, stops, forest)[0])
+                 lambda: lower_sequence(analyses, stops)[0])
             show(f"{at} profiled",
-                 lambda: _ProfiledLowering(function, analyses.loops).lower())
-        forest = session.analyses.loops_by_header
+                 lambda: _ProfiledLowering(analyses).lower())
+        analyses = session.analyses
+        forest = analyses.loops_by_header
         for region in regions.values():
             for header in region.headers:
                 show(f"{name} -O{level} chunk {header}",
-                     lambda: lower_chunk(forest[header])[0])
+                     lambda: lower_chunk(analyses, forest[header])[0])
 """
 
 #: Label -> sha256 of the source the lowering generates for it (or the

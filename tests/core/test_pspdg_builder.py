@@ -15,7 +15,7 @@ from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.session import Session
-from support.sufficiency import is_context
+from support.sufficiency import hierarchical_nodes, is_context
 
 
 def pspdg_for(source):
@@ -29,7 +29,7 @@ class TestHierarchy:
     def test_loops_become_labeled_contexts(self):
         graph = pspdg_for("func main() { for i in 0..4 { } }")
         loop_nodes = [
-            n for n in graph.hierarchical_nodes() if n.kind == "loop"
+            n for n in hierarchical_nodes(graph) if n.kind == "loop"
         ]
         assert len(loop_nodes) == 1
         assert is_context(loop_nodes[0])
@@ -47,7 +47,7 @@ class TestHierarchy:
             "}"
         )
         critical = next(
-            n for n in graph.hierarchical_nodes() if n.kind == "critical"
+            n for n in hierarchical_nodes(graph) if n.kind == "critical"
         )
         ancestor_kinds = set()
         node = critical.parent
@@ -154,7 +154,7 @@ class TestOrderingSemantics:
     def test_critical_gets_atomic_and_unordered_traits(self):
         graph = pspdg_for(self.CRITICAL)
         critical = next(
-            n for n in graph.hierarchical_nodes() if n.kind == "critical"
+            n for n in hierarchical_nodes(graph) if n.kind == "critical"
         )
         kinds = {trait.kind for trait in critical.traits}
         assert {TRAIT_ATOMIC, TRAIT_UNORDERED} <= kinds
@@ -187,7 +187,7 @@ class TestOrderingSemantics:
             "}"
         )
         single = next(
-            n for n in graph.hierarchical_nodes() if n.kind == "single"
+            n for n in hierarchical_nodes(graph) if n.kind == "single"
         )
         assert TRAIT_SINGULAR in {trait.kind for trait in single.traits}
 

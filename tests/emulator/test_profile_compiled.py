@@ -10,7 +10,6 @@ seeded defect in any one piece of the instrumentation has to fail it.
 
 import pytest
 
-from repro.analysis.loops import find_natural_loops
 from repro.analysis.record import FunctionAnalyses
 from repro.codegen import cache as codegen_cache
 from repro.codegen import runtime as codegen_runtime
@@ -32,12 +31,11 @@ from support.programs import EARLY_RETURNS, REFUSED_CFGS, dense_source
 
 def check_same_profile(module, function_name="main"):
     """Both engines, every observable; returns the compiled result."""
-    function = module.function(function_name)
-    loops = find_natural_loops(function)
+    analyses = FunctionAnalyses(module.function(function_name), module)
     compiled_interp, compiled = _run(
-        compile_profiled(function, loops), module, function, ShapeTable()
+        compile_profiled(analyses), analyses, ShapeTable()
     )
-    reference_interp, reference = _interpret(module, function, loops)
+    reference_interp, reference = _interpret(analyses)
     assert compiled.profile.engine == "compiled"
     assert compiled.profile.root is None  # no tree was materialized
     assert expanded_shape(compiled.profile.shapes()) == canonical_tree(
@@ -223,8 +221,10 @@ GALLERY = {
 
 def _scopes(source, function_name="main"):
     """The profiled lowering's scopes of ``function_name``, by header."""
-    function = compile_source(source).function(function_name)
-    lowering = _ProfiledLowering(function, find_natural_loops(function))
+    module = compile_source(source)
+    lowering = _ProfiledLowering(
+        FunctionAnalyses(module.function(function_name), module)
+    )
     lowering.lower()
     return {
         loop.header.name: scope
@@ -341,8 +341,10 @@ def test_a_straight_counted_loop_is_recorded_once_per_instance():
     for scope in scopes.values():
         if scope.induction:
             assert not scope.counters and not scope.nested
-    function = compile_source(TRIANGULAR).function("main")
-    source = compile_profiled(function, find_natural_loops(function)).source
+    module = compile_source(TRIANGULAR)
+    source = compile_profiled(
+        FunctionAnalyses(module.function("main"), module)
+    ).source
     assert source.count("_k = ") == 1  # the outer loop's iterations only
     result = check_same_profile(compile_source(TRIANGULAR))
     (outer,) = result.profile.shapes().children
@@ -391,14 +393,14 @@ def test_only_a_block_an_iteration_may_skip_has_a_counter():
 def test_a_counted_loop_bounded_by_an_argument():
     """``fill`` profiled as the root, called with several bounds."""
     module = compile_source(ARGUMENT_BOUND)
-    function = module.function("fill")
-    loops = find_natural_loops(function)
+    analyses = FunctionAnalyses(module.function("fill"), module)
+    function, loops = analyses.function, analyses.loops
     assert all(scope.induction for scope in _scopes(
         ARGUMENT_BOUND, "fill"
     ).values())
-    entry = compile_profiled(function, loops)
+    entry = compile_profiled(analyses)
     for n in (0, 1, 5, 16):
-        interpreter = _CompiledCallees(module)
+        interpreter = _CompiledCallees(analyses)
         value, root, totals = entry.fn(
             interpreter, _Frame(function, [n]), ShapeTable()
         )

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.frontend import compile_source
 from repro.ir.verifier import verify_module
 from repro.util.errors import FrontendError
@@ -30,7 +30,7 @@ class TestStructure:
         module = compile_source(
             "func main() { for i in 0..4 { for j in 0..4 { } } }"
         )
-        loops = find_natural_loops(module.function("main"))
+        loops = FunctionAnalyses(module.function("main"), module).loops
         assert len(loops) == 2
         assert all(loop.canonical is not None for loop in loops)
         inner = [loop for loop in loops if loop.parent is not None]

@@ -217,8 +217,8 @@ def corrupted_lowering(monkeypatch):
     corrupted = []
     real = lower.lower_chunk
 
-    def corrupting(loop):
-        source, refs = real(loop)
+    def corrupting(analyses, loop):
+        source, refs = real(analyses, loop)
         source, hits = _STORE.subn(r"\1 = (\2) + 1", source, count=1)
         if hits:
             corrupted.append(
@@ -441,9 +441,7 @@ def test_kernels_at_o2_run_wholly_compiled(backend, monkeypatch):
                 backend=backend, schedule=config.schedule,
                 chunk=config.chunk, pool_size=config.machine.cores,
                 compile_regions=compile_regions,
-                forest={
-                    config.function_name: session.analyses.loops_by_header
-                },
+                analyses=session.analyses,
             )
 
         run(True)  # compiles every region loop; on processes, ships it

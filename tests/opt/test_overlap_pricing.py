@@ -15,6 +15,7 @@ from repro.opt.serialize import GIL_DISPATCH_FACTOR
 from repro.planner.machine import DEFAULT_MACHINE, compute_overlaps
 from repro.planner.plans import OVERRIDE_SEQUENTIAL
 from repro.workloads import kernel_names
+from support.conformance import outputs_close
 from support.programs import dense_source
 
 
@@ -89,3 +90,26 @@ def test_a_run_on_threads_is_priced_and_staged_for_threads(gil):
     # An explicit plan is priced for the run's backend too.
     explicit = session.run(session.plan(), backend="threads", workers=2)
     assert {r.header for r in explicit.parallel_regions} == {"for.header.3"}
+
+
+def test_a_run_on_a_backend_that_prices_alike_builds_no_stage():
+    """``processes`` overlaps as ``simulated`` does, and pricing reads a
+    backend only as that answer: a simulated session's processes run
+    dispatches the session's own records, and its memo holds one entry
+    per pricing, not per backend name."""
+    session = Session.from_kernel("LU", opt_level=2)
+    recipes = session.region_recipes
+    session.compiled_regions
+    stages = ("restructure", "optimize", "recipes", "compile_regions")
+    built = {stage: session.diagnostics.runs(stage) for stage in stages}
+    assert set(built.values()) == {1}
+    result = session.run("PS-PDG", backend="processes", workers=2)
+    assert outputs_close(result.output, session.execution.output)
+    assert {stage: session.diagnostics.runs(stage) for stage in stages} == \
+        built
+    session.run("PS-PDG", backend="simulated", workers=2)
+    assert len(session._run_configs) == 1
+    # The stage keys hold the answer too: a reconfigured backend that
+    # prices alike re-keys nothing.
+    session.reconfigure(backend="processes")
+    assert session.region_recipes is recipes

@@ -252,23 +252,24 @@ def test_every_consumer_holds_the_sessions_own_loops():
     assert dispatched and all(id(loop) in own for loop in dispatched)
 
 
-def test_a_forest_of_another_modules_function_is_rejected():
+def test_a_record_of_another_modules_function_is_rejected():
     from repro.runtime import run_parallel
     from repro.util.errors import PlanError
 
     session = Session.from_kernel("EP")
     other = Session.from_kernel("EP")
     assert other.module is not session.module
-    recipes = session.region_recipes["PS-PDG"]
-    forest = {"main": session.analyses.loops_by_header}
+    analyses = session.analyses
     expected = session.execution.formatted_output()
     assert run_parallel(
-        session.module, recipes, forest=forest
+        session.module, session.region_recipes["PS-PDG"], analyses=analyses
     ).formatted_output() == expected
     # Same headers, same shapes, but not this module's blocks: refused
     # before anything runs, not a wrong answer later.
-    with pytest.raises(PlanError, match="@main"):
-        run_parallel(other.module, recipes, forest=forest)
+    with pytest.raises(PlanError, match="record handed in for @main"):
+        run_parallel(
+            other.module, other.region_recipes["PS-PDG"], analyses=analyses
+        )
 
 
 def test_repeated_queries_return_identical_artifacts(session):

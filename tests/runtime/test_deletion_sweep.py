@@ -124,7 +124,7 @@ def _final_state(session, recipes, seed):
     interp = ParallelInterpreter(
         session.module, prepared(session.module, recipes, "main", loops),
         workers=WORKERS, seed=seed, backend="simulated",
-        forest={"main": loops},
+        analyses=session.analyses,
     )
     output = interp.run("main").output
     return output, [

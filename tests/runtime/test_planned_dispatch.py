@@ -45,7 +45,7 @@ def on_threads(session):
     return run_parallel(
         session.module, session.region_recipes["PS-PDG"],
         config.function_name, workers=4, backend="threads",
-        forest={config.function_name: session.analyses.loops_by_header},
+        analyses=session.analyses,
     )
 
 

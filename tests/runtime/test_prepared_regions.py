@@ -19,7 +19,7 @@ import pytest
 
 import repro.session
 from repro import Session
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.emulator.interp import run_module
 from repro.frontend import compile_source
 from repro.planner.machine import MachineModel
@@ -279,8 +279,7 @@ def test_two_prepare_plan_calls_over_two_forests_each_dispatch_their_own_loops()
     module = compile_source(UNEVEN)
     function = module.function("main")
     forests = [
-        {loop.header.name: loop for loop in find_natural_loops(function)}
-        for _ in range(2)
+        FunctionAnalyses(function, module).loops_by_header for _ in range(2)
     ]
     plans = [prepared(module, None, "main", loops) for loops in forests]
     first = _run(module, plans[0], backend=Spy())

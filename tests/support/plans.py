@@ -8,7 +8,7 @@ and hand the records to :func:`repro.runtime.run_parallel`, as
 ``Session.run`` does from its cached stages.
 """
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.record import FunctionAnalyses
 from repro.opt import restructure_plan
 from repro.planner.plans import RegionDescriptor
 from repro.planner.recipes import LoopParallelization, recipes_from_annotations
@@ -23,7 +23,7 @@ def prepared(module, regions=None, function_name="main", loops=None):
     ``regions`` defaults to the function's worksharing annotations'
     regions; a bare :class:`LoopParallelization` among them runs as a
     one-member region.  ``loops`` (header name -> natural loop) defaults
-    to the function's natural loops, found afresh.
+    to the function's natural loops, from a record built afresh.
     """
     function = module.function(function_name)
     if regions is None:
@@ -34,9 +34,7 @@ def prepared(module, regions=None, function_name="main", loops=None):
         for region in regions
     ]
     if loops is None:
-        loops = {
-            loop.header.name: loop for loop in find_natural_loops(function)
-        }
+        loops = FunctionAnalyses(function, module).loops_by_header
     return prepare_plan(regions, function, loops)
 
 
@@ -60,7 +58,7 @@ def run_plan(pspdg, plan, **options):
             analyses.loops_by_header,
         ),
         name,
-        forest={name: analyses.loops_by_header},
+        analyses=analyses,
         **options,
     )
 

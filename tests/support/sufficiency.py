@@ -19,7 +19,14 @@ from repro.core.model import (
     TRAIT_ATOMIC,
     TRAIT_SINGULAR,
     TRAIT_UNORDERED,
+    HierarchicalNode,
 )
+
+
+def hierarchical_nodes(pspdg):
+    """Every hierarchical node of ``pspdg``, in its ``all_nodes`` order."""
+    return [n for n in pspdg.all_nodes() if isinstance(n, HierarchicalNode)]
+
 
 def is_context(node):
     """Whether a hierarchical node is a context: labeled ones are (§3.3)."""
@@ -103,7 +110,7 @@ def realized_features(pspdg, annotation):
     """Features the built PS-PDG actually exhibits for one annotation."""
     features = set()
     node = None
-    for hnode in pspdg.hierarchical_nodes():
+    for hnode in hierarchical_nodes(pspdg):
         if hnode.source_uid == annotation.uid:
             node = hnode
             break
