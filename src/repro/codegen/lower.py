@@ -37,23 +37,18 @@ Representation choices:
   in a ``finally`` when the chunk ends, exceptions included.  An alloca
   whose address reaches a call, a ``gep`` or another store stays in its
   slot.
-* **The bounds proof.**  A ``gep`` outside every ``if`` arm whose index
-  is affine (integer coefficients) in the chunk induction values, the
-  enclosing counted induction variables and chunk invariants is lowered
-  without its guard (the form is :mod:`repro.analysis.affine`'s, named
-  by locals: :meth:`_Lowering._leaf`; a single-store local reads as the
-  value it stored); the chunk's entry section proves,
-  once, that the index is in bounds at the extremes of every variable's
-  interval (``min``/``max`` of ``iterations``; ``[init, hi - 1]`` for a
-  counted loop, vacuous when that is empty).  A failed proof raises ``Bailout``
-  before the first side effect, so the interpreter runs the chunk and
-  raises its own out-of-bounds error at its own iteration: a body is
-  lowered once.
-  Inside an ``if`` arm, where nothing may ``Bailout``, a ``gep`` drops
-  its guard only when its index is in bounds over the arm's *box*: the
-  constant intervals of the chunk's canonical range (which holds every
-  partition) and of counted loops, narrowed by the arm's condition.
-  Every other guard stays inline.
+* **The bounds proof.**  A ``gep`` whose index is affine (integer
+  coefficients) in the chunk's induction values, the enclosing counted
+  induction variables and chunk invariants is lowered without its guard
+  when the index is in bounds over the *box* where it runs (the form is
+  :mod:`repro.analysis.affine`'s, named by locals:
+  :meth:`_Lowering._leaf`; a single-store local reads as the value it
+  stored): the constant intervals of the chunk's canonical range (which
+  holds every partition) and of counted loops (``[init, hi - 1]``),
+  narrowed inside an ``if`` arm by the arm's condition.  The proof is
+  made once, when the body is lowered, and is the rule every lowering
+  keeps; every other guard stays inline and raises the interpreter's
+  error at the interpreter's iteration.
 * **Constant divisors.**  An INT ``div``/``rem`` by a non-zero int
   constant is an inline expression with the interpreter's truncation
   (``a % C if a >= 0 else -(-a % C)``, ``C = |c|``): no helper call,
@@ -318,9 +313,6 @@ class _Lowering:
     #: :func:`_critical_blocks` of a chunk's loop; the whole-function
     #: lowerings run on one thread between regions and take no lock.
     _critical = frozenset()
-    #: Whether a proof outside every arm may add a conjunct to the entry
-    #: proof: a chunk's runs before any side effect.
-    _conjoins = True
     #: ``(name, expression)`` per value while a sliced loop's
     #: comprehension collects its clauses (:meth:`_emit_slices`).
     _clauses = None
@@ -355,15 +347,10 @@ class _Lowering:
         self.live_ins = {}  # id(inst) -> (inst, is_pointer)
         self.args = {}  # index -> is_pointer
         self.globals = {}  # name -> local
-        self._intervals = {}  # induction local -> (lowest, highest) names
-        self._proof = []  # entry lines defining those names, outermost first
-        self._checks = []  # the once-per-chunk bounds proof's conjuncts
+        self._named = set()  # induction locals an affine form may name
         #: Name -> its constant interval where the walk is (the box of
         #: :mod:`repro.analysis.affine`), narrowed inside an ``if`` arm.
         self._box = {}
-        #: What the walk is in, outermost first: a counted loop's interval
-        #: names, ``None`` for an ``if`` arm.
-        self._enclosing = []
         self._forwarded = analyses.forward
         self._segment = None  # [line index, steps] of the open step count
         #: Blocks the walk has emitted -> the loop a returning arm had
@@ -861,7 +848,7 @@ class _Lowering:
         return None
 
     def _bind_inductions(self):
-        """Alias the chunk's induction loads; open their intervals."""
+        """Alias and name the chunk's induction loads; box their range."""
         loop = self.loop
         for alloca in self._inductions:
             scalar = self.promoted[id(alloca)]
@@ -877,10 +864,7 @@ class _Lowering:
                     continue
                 readers = [b for b in readers if b is not loop.latches[0]]
             self._alias_loads(scalar, readers)
-            low, high = f"_lo{alloca.uid}", f"_hi{alloca.uid}"
-            self._intervals[scalar.value] = (low, high)
-            self._proof.append(f"{low} = min(iterations)")
-            self._proof.append(f"{high} = max(iterations)")
+            self._named.add(scalar.value)
             # Every partition is a subset of the canonical range.
             space = iteration_range(loop)
             if space:
@@ -1006,7 +990,6 @@ class _Lowering:
         if join is _RETURNED:
             # Both arms return: the second needs no ``else``.
             join = arms.pop()[1]
-        self._enclosing.append(None)
         box = self._box
         for position, (test, target) in enumerate(arms):
             out.emit("else:" if position else f"if {test}:")
@@ -1021,7 +1004,6 @@ class _Lowering:
                 self._emit_tail(out, target, region)
             out.indent -= 1
             self._box = box
-        self._enclosing.pop()
         self._segment = None
         return join
 
@@ -1052,9 +1034,7 @@ class _Lowering:
         self._enter_loop(out, inner, counted[0] if counted else None)
         sliced = False
         if counted:
-            scalar, upper, interval = counted
-            if interval:
-                self._enclosing.append(interval)
+            scalar, upper = counted
             if not any(  # a lock transition in every iteration
                 block.name in self._critical for block in inner.blocks
             ):
@@ -1085,8 +1065,6 @@ class _Lowering:
             out.indent -= 1
         self._segment = None
         if counted:
-            if interval:
-                self._enclosing.pop()
             # range() leaves the last value it produced; the IR leaves
             # the first one that failed the test.
             out.emit(f"if {scalar.value} < {upper}:")
@@ -1101,7 +1079,7 @@ class _Lowering:
         return exit_block
 
     def _counted(self, inner):
-        """``(scalar, upper, interval)`` when ``inner`` is ``for v in
+        """``(scalar, upper)`` when ``inner`` is ``for v in
         range(v, upper)``; marks its latch elided and aliases ``v``.
 
         The header is exactly ``load v; v < upper; branch`` with
@@ -1141,17 +1119,8 @@ class _Lowering:
         # v only ever holds init + k below the bound: [init, upper - 1].
         first = affine_form(scalar.init.value, self._leaf, self._forward)
         bound = affine_form(upper, self._leaf, self._forward)
-        interval = None
         if first is not None and bound is not None:
-            uid = scalar.alloca.uid
-            interval = (f"_lo{uid}", f"_hi{uid}")
-            self._proof.append(
-                f"{interval[0]} = {self._extreme(first, False)}"
-            )
-            self._proof.append(
-                f"{interval[1]} = {self._extreme(bound, True)} - 1"
-            )
-            self._intervals[scalar.value] = interval
+            self._named.add(scalar.value)
             self._box[scalar.value] = (
                 first.bound(self._box, False), bound.bound(self._box, True) - 1
             )
@@ -1159,7 +1128,7 @@ class _Lowering:
         self._alias_loads(
             scalar, [b for b in inner.blocks if b is not latch]
         )
-        return scalar, self.scalar(upper), interval
+        return scalar, self.scalar(upper)
 
     # -- an innermost counted loop's preheader ---------------------------------
 
@@ -1525,33 +1494,22 @@ class _Lowering:
         spans = ", ".join(span for _local, span in lanes)
         return targets, f"zip({spans})"
 
-    # -- the once-per-chunk bounds proof ---------------------------------------
+    # -- the bounds proof ------------------------------------------------------
 
     def _leaf(self, value):
         """The local naming ``value`` in an affine form, or ``None``: an
-        induction alias with a known interval, or a chunk invariant (an
-        int argument, a live-in register)."""
+        induction alias whose interval has a form, or a chunk invariant
+        (an int argument, a live-in register)."""
         if isinstance(value, Argument):
             return self.scalar(value) if value.type == INT else None
         if not isinstance(value, insts.Instruction) or value.type != INT:
             return None
         alias = self._alias.get(id(value))
         if alias is not None:
-            return alias if alias in self._intervals else None
+            return alias if alias in self._named else None
         if id(value) not in self.defined:
             return self.scalar(value)
         return None
-
-    def _extreme(self, form, highest):
-        """The expression of ``form``'s lowest or highest value over the
-        box of its names' intervals (an invariant's is itself)."""
-        constant, terms = form.constant, form.coefficients
-        parts = [str(constant)] if constant or not terms else []
-        for name, factor in terms.items():
-            low, high = self._intervals.get(name, (name, name))
-            end = high if (factor > 0) == highest else low
-            parts.append(end if factor == 1 else f"{factor} * {end}")
-        return " + ".join(parts)
 
     def _forward(self, load):
         """The store a load forwards to, when it is in the lowered body
@@ -1574,31 +1532,14 @@ class _Lowering:
 
     def _proven_in_bounds(self, inst):
         """Whether ``inst``'s index is in bounds wherever it runs, so its
-        guard can go: by a conjunct the entry proof adds, where the
-        lowering may add one (:attr:`_conjoins`, outside every ``if``
-        arm) and every name is spelled; else by its constant bounds
-        over the box."""
+        guard can go: its affine form's bounds over the box lie inside
+        the array (a constant out of bounds raises where, and if, it
+        runs)."""
         form = self._form(inst.index)
-        if form is None:
-            return False
         count = inst.pointer.type.pointee.count
-        if not self._conjoins or None in self._enclosing or (
-            form.is_constant()
-        ) or any(not isinstance(name, str) for name in form.coefficients):
-            # A constant out of bounds raises where (and if) it runs.
-            return 0 <= form.bound(self._box, False) and (
-                form.bound(self._box, True) < count
-            )
-        check = (
-            f"0 <= {self._extreme(form, False)} "
-            f"and {self._extreme(form, True)} < {count}"
+        return form is not None and 0 <= form.bound(self._box, False) and (
+            form.bound(self._box, True) < count
         )
-        # Vacuous when an enclosing counted loop never runs.
-        empty = [f"{low} > {high}" for low, high in self._enclosing]
-        check = " or ".join(empty + [f"({check})" if empty else check])
-        if check not in self._checks:
-            self._checks.append(check)
-        return True
 
     # -- whole-body assembly ----------------------------------------------------
 
@@ -1639,24 +1580,6 @@ class _Lowering:
             out.indent += 1
             out.emit(f"{local} = interp._global_storage[{name!r}]")
             out.indent -= 1
-        if self._checks:
-            # Before the first side effect: an index the extremes argument
-            # cannot place in bounds sends the whole chunk to the
-            # interpreter, which raises (or does not) at its own iteration.
-            out.emit("if len(iterations):")
-            out.indent += 1
-            for line in self._proof:
-                out.emit(line)
-            out.emit("if not (")
-            out.indent += 1
-            for check in self._checks:
-                out.emit(f"{'' if check is self._checks[0] else 'and '}"
-                         f"({check})")
-            out.indent -= 1
-            out.emit("):")
-            out.indent += 1
-            out.emit("raise _Bailout()")
-            out.indent -= 2
         if not out.lines:
             out.emit("pass")
 

@@ -8,9 +8,8 @@ and the :class:`EmulationError`/:class:`Bailout` types.
 :func:`execute_chunk` is the single entry the backends call per
 ``(loop, iterations)`` segment.  It runs the compiled body when one
 exists, falls back to ``shim.run_chunk`` on a missing entry or a
-:class:`Bailout` (a live-in the frame does not carry, or an index the
-chunk's entry proof cannot place in bounds — raised before any side
-effect), and under ``VERIFY_COMPILED`` runs *both* — the one body the
+:class:`Bailout` (a binding the frame does not carry, raised before any
+side effect), and under ``VERIFY_COMPILED`` runs *both* — the one body the
 loop has, then the interpreter from the same state — and diffs their
 storage images, outputs, and step counts in-process, keeping the
 interpreted run's effects (the interpreter is the authority).
@@ -26,9 +25,9 @@ class Bailout(Exception):
 
     Raised only before the chunk's first side effect (all entry
     bindings — induction storage, live-in registers, arguments,
-    globals — and the once-per-chunk bounds proof happen up front), so
-    the interpreter fallback replays the chunk from an untouched state
-    and raises whatever the chunk really raises, where it raises it.
+    globals — happen up front), so the interpreter fallback replays the
+    chunk from an untouched state and raises whatever the chunk really
+    raises, where it raises it.
     """
 
 

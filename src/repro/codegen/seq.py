@@ -17,13 +17,11 @@ promoted to a local for the whole function, so a loop over one is
 ``for v in range(v, hi)`` and gets the array tier's preheader.  Promoted
 scalars are written back to their slots before every stop and in a
 ``finally``, so ``frame.objects`` is the interpreter's image wherever a
-region or the caller reads it.  With no ``Bailout`` after the first side
-effect, a ``gep`` drops its guard only where the proof holds when the
-body is lowered: its index is in bounds over the box of constant
+region or the caller reads it.  A ``gep`` drops its guard by the one
+rule of every lowering: its index is in bounds over the box of constant
 intervals — the counted inductions', narrowed inside an ``if`` arm by
-the arm's condition — the rule a chunk keeps inside its arms.  An
-alloca that runs in a loop but keeps its slot is looked up once per
-activation.
+the arm's condition — when the body is lowered.  An alloca that runs
+in a loop but keeps its slot is looked up once per activation.
 
 A planned parallel region is a *stop*: one statement where its loop
 node would be.  Reaching the region's header closes the open step
@@ -126,7 +124,6 @@ class _SequenceLowering(_Lowering):
 
     loop = None  # no chunk loop: no induction is seeded
     _inductions = ()
-    _conjoins = False  # no ``Bailout`` once a side effect ran
     name = "_seq"
     parameters = "interp, frame"
     _body_indent = 3  # def _factory / def _seq / try

@@ -436,11 +436,11 @@ class ParallelInterpreter(Interpreter):
         self._verify_safe_memo = {}
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
 
-    def run(self, function_name="main", args=(), profiler=None, loops=None):
+    def run(self, function_name="main", args=()):
         self.shims = None
         self.parallel_regions = []
         self.sequence_stats = {"compiled": 0, "interpreted": 0}
-        result = super().run(function_name, args, profiler, loops)
+        result = super().run(function_name, args)
         result.parallel_regions = list(self.parallel_regions)
         result.sequence_stats = dict(self.sequence_stats)
         return result
@@ -480,8 +480,8 @@ class ParallelInterpreter(Interpreter):
         The sequential stretches between parallel regions lower to one
         exec-compiled body per function — its loops as loops, each
         planned region one dispatch statement among them
-        (:mod:`repro.codegen.seq`); a refused lowering, a profiled run,
-        or a :class:`~repro.codegen.runtime.Bailout` falls back to the
+        (:mod:`repro.codegen.seq`); a refused lowering or a
+        :class:`~repro.codegen.runtime.Bailout` falls back to the
         inherited interpreter loop — never fail.  Compiled ``call``
         sites re-enter here, so callees compile recursively.
         """
@@ -512,7 +512,7 @@ class ParallelInterpreter(Interpreter):
         region dispatch is not replayable); everything else runs
         interpreted, where chunk-level verification still applies.
         """
-        if not self.compile_regions or self._profiler is not None:
+        if not self.compile_regions:
             return None
         verify = bool(knobs.VERIFY_COMPILED)
         key = (function.name, verify)

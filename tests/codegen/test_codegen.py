@@ -432,15 +432,14 @@ func main() {
 """
 
 
-def test_affine_guards_hoist_to_one_entry_proof():
+def test_affine_guards_drop_over_the_box():
     analyses, loop = _loop(SIMPLE)
     source = compile_chunk(analyses, loop).source
     entry, _, body = source.partition("for _p")
-    # Proven at the extremes, once, before the first side effect; a
-    # failed proof hands the whole chunk to the interpreter, so there
-    # is one body and it carries no guard.
-    assert "min(iterations)" in entry and "max(iterations)" in entry
-    assert "raise _Bailout()" in entry.partition("if not (")[2]
+    # Every partition lies in the canonical range 0..31, so a[i] is in
+    # bounds wherever it runs: no guard, and nothing left to prove at
+    # entry.
+    assert "min(iterations)" not in entry
     assert "out of bounds for" not in source
     assert "_fast" not in source
     assert body.count("_steps +=") == 1
@@ -449,10 +448,10 @@ def test_affine_guards_hoist_to_one_entry_proof():
 def test_indirect_index_keeps_per_iteration_guards():
     analyses, loop = _loop(INDIRECT)
     source = compile_chunk(analyses, loop).source
-    # b[i] is affine and joins the proof; a[b[i]] cannot, so its guard
-    # (and only its guard) stays in the body with the interpreter's text.
-    entry, _, body = source.partition("for _p")
-    assert "if not (" in entry
+    # b[i] is in bounds over the box; a[b[i]] has no affine form, so its
+    # guard (and only its guard) stays in the body with the
+    # interpreter's text.
+    body = source.partition("for _p")[2]
     assert source.count("out of bounds for") == 1
     assert "out of bounds for [32 x int]" in body
 

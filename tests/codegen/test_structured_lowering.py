@@ -46,7 +46,7 @@ from repro.runtime.backends import (
 from repro.opt import OptLevel, price_plan, restructure_plan
 from repro.planner.plans import loop_uid_map, openmp_source_plan
 from repro.planner.recipes import recipes_from_annotations
-from repro.runtime.executor import ParallelInterpreter
+from repro.runtime.executor import ParallelInterpreter, run_parallel
 from repro.session import Session
 from repro.util.errors import EmulationError
 from repro.workloads.nas import KERNELS
@@ -358,31 +358,34 @@ func main() {
 
 @pytest.mark.parametrize("source", [
     # The index leaves the array only at the outer extreme / only at
-    # the inner extreme, outside every ``if``: the proof covers both.
+    # the inner extreme, outside every ``if``: the box places neither
+    # in bounds, so each keeps its guard.
     OOB.replace("if (%(taken)s) {", "a[i + 1][j] = 0; if (%(taken)s) {")
     % dict(outer=8, inner=8, taken="true", row=0, column=0, tail=""),
     OOB.replace("if (%(taken)s) {", "a[i][j + 1] = 0; if (%(taken)s) {")
     % dict(outer=8, inner=8, taken="true", row=0, column=0, tail=""),
 ], ids=["outer-extreme", "inner-extreme"])
-def test_a_failed_proof_bails_out_before_any_effect(source, chunks):
+def test_an_index_out_of_bounds_at_an_extreme_raises_inline_at_its_iteration(
+    source, chunks,
+):
     with pytest.raises(EmulationError) as interpreted:
         run_module(compile_source(source))
     with pytest.raises(EmulationError) as dispatched:
         run_source_plan(
             compile_source(source), backend=SerialBackend(), workers=2,
         )
-    # The interpreter raised it: its message, at its iteration.
     assert str(dispatched.value) == str(interpreted.value)
     assert "out of bounds" in str(dispatched.value)
+    # Compiled bodies ran and raised it themselves: no bailout.
     failing = [errors for _label, _tier, errors in chunks
                if errors["interpreted"]]
     assert failing and all(
-        errors["compiled"] == "Bailout" for errors in failing
+        errors["compiled"] == errors["interpreted"] for errors in failing
     )
 
 
 def test_an_index_out_of_bounds_on_an_untaken_arm_does_not_bail(chunks):
-    """That guard is not in the proof: it stays inline and never fires."""
+    """That guard is not proven: it stays inline and never fires."""
     source = _oob(taken="i > 100", row=5, tail="a[i][0] = a[i][0] + 1;")
     module = compile_source(source)
     result = run_source_plan(module, backend=SerialBackend(), workers=2)
@@ -393,10 +396,10 @@ def test_an_index_out_of_bounds_on_an_untaken_arm_does_not_bail(chunks):
             if lp.canonical and lp.depth == 0][0]
     body = compile_chunk(analyses, loop).source
     # Over its arm's box (i in [101, 7], j in [0, 7]) only a[i + 5]
-    # can leave its array; the arms' other geps are proven.
+    # can leave its array; the arms' other geps and a[i][0], outside
+    # the ``if``, are proven by the box.
     assert body.count("out of bounds for") == 1
-    proof = body.partition("if not (")[2].partition("):")[0]
-    assert proof.count("<") == 2  # a[i][0], outside the ``if``: proven once
+    assert "min(iterations)" not in body
 
 
 def test_a_taken_arm_out_of_bounds_raises_inline_at_its_iteration(chunks):
@@ -412,6 +415,61 @@ def test_a_taken_arm_out_of_bounds_raises_inline_at_its_iteration(chunks):
     errors = chunks[-1][2]
     assert errors["compiled"] == errors["interpreted"]
     assert "index 8 out of bounds" in errors["compiled"]
+
+
+#: ``fill``'s loop runs to its argument ``n``: its canonical range is not
+#: constant, so the box holds nothing for ``i`` and ``p[i]`` keeps its
+#: guard in every chunk.
+TO_AN_ARGUMENT = """
+global a: int[64];
+
+func fill(p: int[64], n: int) {
+  pragma omp parallel_for
+  for i in 0..n {
+    p[i] = i * 3;
+  }
+}
+
+func main() {
+  fill(a, %d);
+  print(a[0], a[63]);
+}
+"""
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_a_chunk_over_a_runtime_range_keeps_its_guard_and_runs_compiled(
+    n, chunks,
+):
+    module = compile_source(TO_AN_ARGUMENT % n)
+    analyses = _record(module).of(module.function("fill"))
+    (loop,) = [lp for lp in analyses.loops if lp.canonical]
+    source = compile_chunk(analyses, loop).source
+    assert source.count("out of bounds for") == 1
+    assert "min(iterations)" not in source
+    records = prepared(module, None, "fill")
+    if n == 64:
+        result = run_parallel(
+            module, records, backend=SerialBackend(), workers=2,
+        )
+        assert result.output == run_module(
+            compile_source(TO_AN_ARGUMENT % n)
+        ).output
+        _all_compiled(chunks)
+        return
+    with pytest.raises(EmulationError) as interpreted:
+        run_module(compile_source(TO_AN_ARGUMENT % n))
+    with pytest.raises(EmulationError) as dispatched:
+        run_parallel(module, records, backend=SerialBackend(), workers=2)
+    assert str(dispatched.value) == str(interpreted.value)
+    assert "index 64 out of bounds" in str(dispatched.value)
+    # The compiled body raised it itself, at the interpreter's iteration:
+    # no bailout.
+    seen = [errors for _label, _tier, errors in chunks]
+    assert seen and all(
+        errors["compiled"] == errors["interpreted"] for errors in seen
+    )
+    assert str(interpreted.value) in [errors["compiled"] for errors in seen]
 
 
 # -- the array tier: a counted inner loop's preheader -------------------------

@@ -363,9 +363,9 @@ func main() {
 def test_out_of_bounds_raises_exact_interpreter_error(backend, monkeypatch):
     """The hoisted fast path must never swallow a real bounds error.
 
-    The chunk compiler proves bounds for the whole chunk up front; when
-    the proof fails, the guarded fallback raises the interpreter's
-    exact message at the exact iteration.
+    The chunk compiler drops a guard only where the box proves it; the
+    guard that stays raises the interpreter's exact message at the
+    exact iteration.
     """
     from repro.emulator.interp import run_module
     from repro.util.errors import EmulationError
