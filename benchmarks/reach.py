@@ -65,7 +65,8 @@ ALLOWED = {
     "test_pool.py::TestPoolLifecycle::test_reset_pool_starts_with_empty_"
     "ledgers)": """
         repro.runtime.backends: _ChunkPool.kill _reset_chunk_pool""",
-    "the interpreter's tree profiler, the profile stage's refusal fallback "
+    "the interpreter's interning profiler, the profile stage's refusal "
+    "fallback "
     "(tests/codegen/test_structured_lowering.py::test_a_refused_loop_is_"
     "reported_with_its_instruction, tests/emulator/test_profile.py, "
     "tests/emulator/test_interp.py::TestProfiling)": """

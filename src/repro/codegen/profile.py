@@ -8,9 +8,10 @@ events at their fixed positions on the loop tree, and a counted loop of
 one straight segment recorded once per instance; callees through their
 plain compiled sequences — and returns the interpreter's
 :class:`~repro.emulator.interp.ExecutionResult` with the loop-nest
-profile already interned into shapes.  The interpreter and its tree
-:class:`~repro.emulator.profile.Profiler` are the engine for a function
-the lowering refuses — an instruction, or a CFG the walk does not nest;
+profile already interned into shapes.  The interpreter and its
+:class:`~repro.emulator.profile.Profiler`, which interns into the same
+kind of table as it runs, are the engine for a function the lowering
+refuses — an instruction, or a CFG the walk does not nest;
 the refusal names the block and is recorded on the profile, never
 silent — and, under ``verify`` (``VERIFY_COMPILED``), the reference
 both runs are diffed against.
@@ -73,18 +74,21 @@ def _run(entry, analyses, table):
     value, root, header_totals = entry.fn(
         interpreter, _Frame(function, []), table
     )
-    profile = FunctionProfile(function.name, shapes=(root, header_totals))
+    profile = FunctionProfile(
+        function.name, root, header_totals, "compiled"
+    )
     return interpreter, ExecutionResult(
         list(interpreter.output), value, interpreter.steps, profile
     )
 
 
-def _interpret(analyses, refused=None):
-    """``(interpreter, result)`` of the interpreted, tree-recorded run."""
+def _interpret(analyses, refused=None, table=None):
+    """``(interpreter, result)`` of the interpreted run, its shapes
+    interned into ``table`` (a fresh one by default)."""
     interpreter = Interpreter(analyses.module)
     name = analyses.function.name
     result = interpreter.run(
-        name, profiler=Profiler(name), loops=analyses.loops
+        name, profiler=Profiler(name, table), loops=analyses.loops
     )
     result.profile.refused = refused
     return interpreter, result
@@ -109,7 +113,7 @@ def _verified(entry, analyses):
         compiled_error = error
     label = f"VERIFY_COMPILED divergence at {entry.label}"
     try:
-        reference_interp, reference = _interpret(analyses)
+        reference_interp, reference = _interpret(analyses, table=table)
     except Exception as error:
         if compiled_error is None:
             raise EmulationError(
@@ -140,12 +144,11 @@ def _verified(entry, analyses):
         )
     if compiled_interp._global_storage != reference_interp._global_storage:
         problems.append("final globals differ")
-    # Interned into the compiled run's own table, an equal tree *is* the
-    # compiled root.
-    totals = {}
-    if table.intern(reference.profile.root, totals) is not \
-            result.profile.shapes():
+    # Interned into the compiled run's own table, an equal profile *is*
+    # the compiled root.
+    if reference.profile.shapes() is not result.profile.shapes():
         problems.append("profile shapes differ")
+    totals = reference.profile.header_totals()
     if totals != result.profile.header_totals():
         problems.append(
             f"header totals differ (compiled="

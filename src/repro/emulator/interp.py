@@ -2,8 +2,8 @@
 
 Executes a module sequentially, producing the program's observable output
 (the ordered list of ``print`` records) plus dynamic instruction counts.
-Optionally drives a :class:`~repro.emulator.profile.Profiler` that builds
-the dynamic loop-nest tree the critical-path evaluator consumes.
+Optionally drives a :class:`~repro.emulator.profile.Profiler` that interns
+the dynamic loop nest into the shapes the critical-path evaluator consumes.
 
 Semantics notes:
 

@@ -50,9 +50,3 @@ func main() {
   print("u", u[5][5], u[12][17]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-bt")

@@ -62,9 +62,3 @@ func main() {
   print("p", p[0], p[31]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-cg")

@@ -39,9 +39,3 @@ func main() {
   print("sums", sx, sy);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-ep")

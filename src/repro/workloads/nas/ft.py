@@ -52,9 +52,3 @@ func main() {
   print("im", im[3][4], im[15][15]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-ft")

@@ -57,9 +57,3 @@ func main() {
   print("checksum", key_buff[0], key_buff[32], key_buff[63]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-is")

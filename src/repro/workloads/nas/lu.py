@@ -44,9 +44,3 @@ func main() {
   print("u", u[10][10], u[18][1]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-lu")

@@ -39,9 +39,3 @@ func main() {
   print("v", v[0], v[128], v[255]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-mg")

@@ -40,9 +40,3 @@ func main() {
   print("u", u[9][9], u[14][3]);
 }
 """
-
-
-def build_module():
-    from repro.frontend import compile_source
-
-    return compile_source(SOURCE, "nas-sp")

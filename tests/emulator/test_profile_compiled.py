@@ -1,8 +1,8 @@
-"""The compiled profile against the interpreter's recorded tree.
+"""The compiled profile against the interpreter's reference profile.
 
 The pipeline's loop-nest profile comes out of an instrumented compiled
 body that interns shapes as it runs (``repro.codegen.profile``); the
-interpreter with its tree ``Profiler`` is the reference.  The two must
+interpreter with its ``Profiler`` is the reference.  The two must
 agree on the whole DAG, the output, the step count, the per-header
 totals and the final globals — and the comparison must have teeth: a
 seeded defect in any one piece of the instrumentation has to fail it.
@@ -25,7 +25,7 @@ from repro.util.errors import EmulationError
 from repro.workloads import PAIRS, build_kernel
 from repro.workloads.nas import KERNELS
 from support.ir_parser import parse_ir
-from support.profile_shapes import canonical_tree, expanded_shape
+from support.profile_shapes import expanded_shape
 from support.progen import generate_nest_program, generate_program
 from support.programs import EARLY_RETURNS, REFUSED_CFGS, dense_source
 
@@ -37,9 +37,9 @@ def check_same_profile(module, function_name="main"):
     )
     reference_interp, reference = _interpret(analyses)
     assert compiled.profile.engine == "compiled"
-    assert compiled.profile.root is None  # no tree was materialized
-    assert expanded_shape(compiled.profile.shapes()) == canonical_tree(
-        reference.profile.root
+    assert reference.profile.engine == "interpreted"
+    assert expanded_shape(compiled.profile.shapes()) == expanded_shape(
+        reference.profile.shapes()
     )
     assert compiled.output == reference.output
     assert compiled.steps == reference.steps == compiled.profile.total()
@@ -281,8 +281,8 @@ def test_a_cfg_the_walk_refuses_is_profiled_by_the_interpreter(name):
         assert (result.output, result.steps, result.return_value) == (
             reference.output, reference.steps, reference.return_value
         )
-        assert canonical_tree(result.profile.root) == canonical_tree(
-            reference.profile.root
+        assert expanded_shape(result.profile.shapes()) == expanded_shape(
+            reference.profile.shapes()
         )
 
 
@@ -407,7 +407,9 @@ def test_a_counted_loop_bounded_by_an_argument():
         reference = Interpreter(module).run(
             "fill", [n], Profiler("fill"), loops
         )
-        assert expanded_shape(root) == canonical_tree(reference.profile.root)
+        assert expanded_shape(root) == expanded_shape(
+            reference.profile.shapes()
+        )
         assert totals == reference.profile.header_totals()
         assert (value, interpreter.steps) == (
             reference.return_value, reference.steps

@@ -101,8 +101,8 @@ def test_plans_are_reported_with_techniques():
 def test_interpreter_profile_feeds_planner():
     setup = Session.from_source(PROGRAM, name="integration")
     assert setup.profile.total() == setup.execution.steps
-    # The session's profile is produced as shapes; the interpreter's
-    # recorded tree is the same profile, and has the loop instances.
+    # The session's profile is produced compiled; the interpreter's is
+    # the same profile, and has the loop instances.
     recorded = recorded_profile(setup)
     assert loop_instances(recorded)
     assert setup.profile.shapes().children

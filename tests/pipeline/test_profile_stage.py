@@ -116,8 +116,8 @@ def test_a_refused_function_is_interpreted_and_the_stats_say_why(name):
     assert session.diagnostics.stats("profile") == {
         "steps": execution.steps, "engine": "interpreted", "refused": reason,
     }
-    # The interpreter's profile is the recorded tree, and plans as ever.
-    assert execution.profile.root is not None
+    # The interpreter's profile is interned shapes, and plans as ever.
+    assert execution.profile.engine == "interpreted"
     assert execution.profile.total() == execution.steps
     assert f"refused={reason}" in session.diagnostics.report()
     if name != "pointer-select":  # which alias analysis refuses as well

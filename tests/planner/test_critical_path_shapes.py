@@ -1,8 +1,8 @@
-"""The shape-DAG evaluator against the tree-walking oracle, and the DAG itself.
+"""The shape-DAG evaluator against the dynamic-walk oracle, and the DAG itself.
 
 ``support.reference_critical_path`` is the evaluator this repo shipped
-before profiles were interned into shapes; the shipped one must agree
-with it *exactly* on random plans over synthetic profile trees and over
+before it memoized per profile shape; the shipped one must agree with it
+*exactly* on random plans over synthetic profiles and over
 ``support.progen`` programs — DOALL with serialized uids, HELIX and DSWP
 whose uid sets wholly contain, partially cut and miss nested loops, empty
 loops, overlapping stages — and after any chain of one-loop re-plans.
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro import Session
-from repro.emulator.profile import FunctionProfile, LoopInstanceProfile
+from repro.emulator.profile import FunctionProfile, ShapeTable, close_instance
 from repro.planner.critical_path import CriticalPathEvaluator
 from repro.planner.plans import (
     TECH_DOALL,
@@ -27,7 +27,6 @@ from repro.planner.plans import (
     loop_uid_map,
 )
 from support.profile_shapes import (
-    canonical_tree,
     expanded_shape,
     loop_instances,
     recorded_profile,
@@ -79,44 +78,64 @@ def _full_uids(loop):
 
 
 # -- synthetic dynamic profiles ------------------------------------------------
+#
+# A synthetic run is interned bottom-up the way generated code does it —
+# each iteration with ``ShapeTable.iteration`` as it ends, each instance
+# with ``close_instance`` — and spelled out alongside in
+# ``expanded_shape``'s form: counts sorted, each instance's iterations
+# listed one per dynamic iteration and sorted.
 
 
-def _run_iteration(rng, iteration, own, nested):
+def _run_iteration(rng, table, totals, own, nested):
     # Few behaviours per loop, so iterations repeat shapes.
     pattern = rng.randrange(3)
+    counts = {}
     for k, uid in enumerate(own):
         if (k + pattern) % 3:
-            iteration.add(uid, 1 + (k + pattern) % 2)
+            counts[uid] = 1 + (k + pattern) % 2
+    children, spelled = [], []
     for child in nested:
         if rng.random() < 0.8:
-            iteration.children.append(_run_instance(rng, child))
+            shape, spelling = _run_instance(rng, table, totals, child)
+            children.append(shape)
+            spelled.append(spelling)
+    shape = table.iteration(counts, tuple(children))
+    return shape, (sorted(counts.items()), spelled)
 
 
-def _run_instance(rng, loop):
+def _run_instance(rng, table, totals, loop):
     header, own, nested = loop
-    instance = LoopInstanceProfile(header)
+    multiplicity, spelled = {}, []
     for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
-        _run_iteration(rng, instance.begin_iteration(), own, nested)
-    return instance
+        shape, spelling = _run_iteration(rng, table, totals, own, nested)
+        multiplicity[shape] = multiplicity.get(shape, 0) + 1
+        spelled.append(spelling)
+    shape = close_instance(table, totals, header, multiplicity)
+    return shape, (header, sorted(spelled, key=repr))
 
 
 def _synthetic_case(seed):
+    """``(rng, profile, forest, uid_map, spelled)`` of one synthetic run."""
     rng = random.Random(seed)
     uids = itertools.count(1)
     root_uids = [next(uids) for _ in range(2)]
     forest = _synthetic_forest(rng, uids)
-    profile = FunctionProfile("main")
-    for uid in root_uids:
-        profile.root.add(uid, rng.randrange(1, 4))
+    table, totals = ShapeTable(), {}
+    counts = {uid: rng.randrange(1, 4) for uid in root_uids}
+    children, spelled = [], []
     for loop in forest * 2:
-        profile.root.children.append(_run_instance(rng, loop))
+        shape, spelling = _run_instance(rng, table, totals, loop)
+        children.append(shape)
+        spelled.append(spelling)
+    root = table.iteration(counts, tuple(children))
+    profile = FunctionProfile("main", root, totals, "compiled")
     # A header the uid map does not know is an empty loop to the model.
     uid_map = {
         loop[0]: _full_uids(loop)
         for loop in _flatten(forest)
         if rng.random() < 0.9
     }
-    return rng, profile, forest, uid_map
+    return rng, profile, forest, uid_map, (sorted(counts.items()), spelled)
 
 
 # -- random plans --------------------------------------------------------------
@@ -172,8 +191,8 @@ def _random_plan(rng, forest, uid_map):
 
 def _check_against_reference(rng, profile, forest, uid_map, context,
                              recorded=None):
-    """``recorded`` is the tree the reference walks when ``profile`` is a
-    session's shapes-only one (default: ``profile``'s own tree)."""
+    """``recorded`` is the interpreter's profile of the same run, which
+    the reference walks when given (default: ``profile`` itself)."""
     recorded = profile if recorded is None else recorded
     plan, universe = _random_plan(rng, forest, uid_map)
     evaluator = CriticalPathEvaluator(profile, plan)
@@ -196,7 +215,7 @@ def _check_against_reference(rng, profile, forest, uid_map, context,
 @pytest.mark.parametrize("chunk", range(0, 300, 50))
 def test_matches_reference_on_synthetic_profiles(chunk):
     for seed in range(chunk, chunk + 50):
-        rng, profile, forest, uid_map = _synthetic_case(seed)
+        rng, profile, forest, uid_map, _spelled = _synthetic_case(seed)
         for _ in range(3):
             _check_against_reference(
                 rng, profile, forest, uid_map, f"seed={seed}"
@@ -248,7 +267,7 @@ def test_planner_picks_the_reference_plans(name, source):
         assert cost == CriticalPathEvaluator(session.profile, plan).evaluate()
 
 
-# -- the DAG is the tree, up to iteration order ---------------------------------
+# -- the DAG is the run, up to iteration order ----------------------------------
 
 
 def _instance_shapes(shape, seen):
@@ -264,8 +283,6 @@ def _check_shape_invariants(profile):
     root = profile.shapes()
     assert profile.shapes() is root
     assert root.total == profile.total()
-    assert root.direct == profile.root.direct_total()
-    assert expanded_shape(root) == canonical_tree(profile.root)
     trips = {}
     for instance in loop_instances(profile):
         trips.setdefault(instance.header_name, set()).add(
@@ -283,16 +300,18 @@ def _check_shape_invariants(profile):
         assert shape.header_name in shape.headers
     assert profile.header_totals() == {
         header: sum(
-            instance.total() for instance in loop_instances(profile, header)
+            instance.total for instance in loop_instances(profile, header)
         )
         for header in trips
     }
 
 
 @pytest.mark.parametrize("chunk", range(0, 60, 20))
-def test_shapes_preserve_synthetic_trees(chunk):
+def test_shapes_preserve_synthetic_runs(chunk):
     for seed in range(chunk, chunk + 20):
-        _check_shape_invariants(_synthetic_case(seed)[1])
+        _rng, profile, _forest, _uid_map, spelled = _synthetic_case(seed)
+        assert expanded_shape(profile.shapes()) == spelled, f"seed={seed}"
+        _check_shape_invariants(profile)
 
 
 @pytest.mark.parametrize("kernel", ["IS", "LU"])
@@ -311,13 +330,11 @@ def test_shapes_preserve_kernel_profiles(kernel):
 
 
 def _single_loop_profile(trips):
-    profile = FunctionProfile("main")
-    profile.root.add(1)
-    instance = LoopInstanceProfile("L")
-    for _ in range(trips):
-        instance.begin_iteration().add(2, 3)
-    profile.root.children.append(instance)
-    return profile
+    table, totals = ShapeTable(), {}
+    multiplicity = {table.iteration({2: 3}, ()): trips} if trips else {}
+    instance = close_instance(table, totals, "L", multiplicity)
+    root = table.iteration({1: 1}, (instance,))
+    return FunctionProfile("main", root, totals, "compiled")
 
 
 @pytest.mark.parametrize(

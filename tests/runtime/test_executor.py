@@ -13,6 +13,7 @@ from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.planner.recipes import LoopParallelization
 from repro.runtime import run_parallel
+from repro.workloads import build_kernel
 from support.plans import prepared, run_source_plan
 
 REDUCTION = """
@@ -116,9 +117,7 @@ class TestSourcePlans:
         assert_matches_sequential(PRIVATE_ARRAY)
 
     def test_threadprivate_buffer_kernel(self):
-        from repro.workloads.nas import is_
-
-        module = is_.build_module()
+        module = build_kernel("IS")
         expected = run_module(module).formatted_output()
         # The IS source plan parallelizes only loop 2; prv is
         # threadprivate, which the source-plan runner does not privatize —

@@ -1,26 +1,35 @@
-"""A profile's shape DAG and its recorded tree, in one comparable form.
+"""A profile's shape DAG, walked once per dynamic iteration.
 
-``canonical_tree`` reads a tree the interpreter's ``Profiler`` recorded,
-``expanded_shape`` unfolds a shape DAG (every iteration shape repeated by
-its multiplicity); both sort a loop instance's iterations, so the two are
-equal exactly when the DAG is the tree up to iteration order.
-``loop_instances`` and ``count_of`` read a recorded tree.
+``iterations`` repeats each iteration shape of an instance by its
+multiplicity; ``loop_instances`` visits every dynamic instance of a
+profile through it.  ``expanded_shape`` unfolds a whole DAG that way and
+sorts each instance's iterations, so two profiles are equal under it
+exactly when they record the same run up to iteration order — whatever
+table each was interned into.  ``count_of`` reads one iteration's counts.
 """
 
 from repro.emulator.interp import run_module
 
 
+def iterations(instance):
+    """An instance shape's iterations, each shape repeated by its
+    multiplicity: one entry per dynamic iteration."""
+    return [
+        shape for shape, mult in instance.iterations for _ in range(mult)
+    ]
+
+
 def loop_instances(profile, header_name=None):
-    """All loop instances in a recorded ``FunctionProfile`` tree
+    """All dynamic loop instances in a ``FunctionProfile``'s shapes
     (optionally for one static loop)."""
     found = []
-    stack = [profile.root]
+    stack = [profile.shapes()]
     while stack:
         iteration = stack.pop()
         for child in iteration.children:
             if header_name is None or child.header_name == header_name:
                 found.append(child)
-            stack.extend(child.iterations)
+            stack.extend(iterations(child))
     return found
 
 
@@ -32,22 +41,6 @@ def count_of(iteration, uids):
     )
 
 
-def canonical_tree(iteration):
-    return (
-        sorted(iteration.counts.items()),
-        [
-            (
-                child.header_name,
-                sorted(
-                    (canonical_tree(it) for it in child.iterations),
-                    key=repr,
-                ),
-            )
-            for child in iteration.children
-        ],
-    )
-
-
 def expanded_shape(shape):
     return (
         sorted(shape.counts.items()),
@@ -55,11 +48,7 @@ def expanded_shape(shape):
             (
                 child.header_name,
                 sorted(
-                    (
-                        expanded_shape(it)
-                        for it, mult in child.iterations
-                        for _ in range(mult)
-                    ),
+                    (expanded_shape(it) for it in iterations(child)),
                     key=repr,
                 ),
             )
@@ -69,14 +58,14 @@ def expanded_shape(shape):
 
 
 def recorded_profile(session):
-    """The interpreter-recorded tree of ``session``'s program, checked to
-    be what the session's own (compiled, shapes-only) profile interned."""
+    """The interpreter's profile of ``session``'s program, checked to be
+    the run the session's own (compiled) profile interned."""
     recorded = run_module(
         session.module, session.config.function_name, profile=True
     )
     profile = session.profile
-    assert expanded_shape(profile.shapes()) == canonical_tree(
-        recorded.profile.root
+    assert expanded_shape(profile.shapes()) == expanded_shape(
+        recorded.profile.shapes()
     )
     assert profile.header_totals() == recorded.profile.header_totals()
     assert profile.total() == recorded.profile.total() == recorded.steps

@@ -1,9 +1,9 @@
-"""Test-only oracle: the critical-path model as a plain profile-tree walk.
+"""Test-only oracle: the critical-path model as a plain dynamic walk.
 
 This is the evaluator ``repro.planner.critical_path`` shipped before it
-moved onto interned profile shapes: it visits every dynamic iteration and
-re-filters per DSWP stage, which is slow but reads straight off the
-formulas below.  ``tests/planner/test_critical_path_shapes.py`` requires
+memoized per interned profile shape: it visits every dynamic iteration
+(each iteration shape once per multiplicity) and re-filters per DSWP
+stage, which is slow but reads straight off the formulas below.  ``tests/planner/test_critical_path_shapes.py`` requires
 the shipped evaluator to agree with it exactly.
 
 Paper §6.3: "we measure, via an emulator, the critical path of the
@@ -34,11 +34,11 @@ from repro.planner.plans import (
     TECH_DSWP,
     TECH_HELIX,
 )
-from support.profile_shapes import count_of
+from support.profile_shapes import count_of, iterations
 
 
 class ReferenceCriticalPathEvaluator:
-    """Evaluates one :class:`ProgramPlan` over one dynamic profile tree."""
+    """Evaluates one :class:`ProgramPlan` over one dynamic profile."""
 
     def __init__(self, profile, plan):
         self.profile = profile
@@ -46,7 +46,7 @@ class ReferenceCriticalPathEvaluator:
 
     def evaluate(self):
         """Critical path (dynamic instructions) of the whole execution."""
-        return self._iteration_path(self.profile.root)
+        return self._iteration_path(self.profile.shapes())
 
     def with_loop_plan(self, header_name, loop_plan):
         """The planner's trial protocol, with nothing shared."""
@@ -54,29 +54,29 @@ class ReferenceCriticalPathEvaluator:
             self.profile, self.plan.with_loop_plan(header_name, loop_plan)
         )
 
-    # -- recursion over the profile tree ------------------------------------
+    # -- recursion over the dynamic loop nest ----------------------------------
 
     def _iteration_path(self, iteration):
-        total = iteration.direct_total()
+        total = iteration.direct
         for child in iteration.children:
             total += self._instance_path(child)
         return total
 
     def _instance_path(self, instance):
         loop_plan = self.plan.plan_for(instance.header_name)
-        iterations = instance.iterations
+        dynamic = iterations(instance)
         if loop_plan is None or loop_plan.technique not in (
             TECH_DOALL,
             TECH_HELIX,
             TECH_DSWP,
         ):
-            return sum(self._iteration_path(it) for it in iterations)
+            return sum(self._iteration_path(it) for it in dynamic)
 
         if loop_plan.technique == TECH_DOALL:
             locked = loop_plan.serialized_uids | loop_plan.sequential_uids
-            per_iteration = [self._iteration_path(it) for it in iterations]
+            per_iteration = [self._iteration_path(it) for it in dynamic]
             serialized_sum = sum(
-                self._sequential_filtered(it, locked) for it in iterations
+                self._sequential_filtered(it, locked) for it in dynamic
             )
             return max(max(per_iteration, default=0), serialized_sum)
 
@@ -86,12 +86,12 @@ class ReferenceCriticalPathEvaluator:
             )
             segment_sum = sum(
                 self._sequential_filtered(it, sequential)
-                for it in iterations
+                for it in dynamic
             )
             parallel_max = max(
                 (
                     self._iteration_excluding(it, sequential)
-                    for it in iterations
+                    for it in dynamic
                 ),
                 default=0,
             )
@@ -101,12 +101,12 @@ class ReferenceCriticalPathEvaluator:
         # plus one iteration of pipeline fill.
         stage_totals = [
             sum(
-                self._sequential_filtered(it, stage) for it in iterations
+                self._sequential_filtered(it, stage) for it in dynamic
             )
             for stage in loop_plan.stage_groups
         ]
         fill = max(
-            (self._iteration_path(it) for it in iterations), default=0
+            (self._iteration_path(it) for it in dynamic), default=0
         )
         return max(stage_totals, default=0) + fill
 
@@ -125,17 +125,17 @@ class ReferenceCriticalPathEvaluator:
                 child.header_name, frozenset()
             )
             if child_uids and child_uids <= uids:
-                total += child.total()
+                total += child.total
             elif child_uids & uids:
                 total += sum(
                     self._sequential_filtered(it, uids)
-                    for it in child.iterations
+                    for it in iterations(child)
                 )
         return total
 
     def _iteration_excluding(self, iteration, excluded):
         """Critical path of an iteration with ``excluded`` work removed."""
-        total = iteration.direct_total() - count_of(iteration, excluded)
+        total = iteration.direct - count_of(iteration, excluded)
         for child in iteration.children:
             child_uids = self.plan.loop_uids.get(
                 child.header_name, frozenset()
@@ -145,7 +145,7 @@ class ReferenceCriticalPathEvaluator:
             if child_uids & excluded:
                 total += sum(
                     self._iteration_excluding(it, excluded)
-                    for it in child.iterations
+                    for it in iterations(child)
                 )
             else:
                 total += self._instance_path(child)
