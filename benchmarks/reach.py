@@ -48,8 +48,7 @@ ALLOWED = {
         repro.codegen.lower: CompiledChunk.label
         repro.codegen.seq: CompiledSequence.label
         repro.runtime.executor: ParallelInterpreter._verify_safe
-        repro.runtime.backends: SerialBackend._run_jobs
-        repro.runtime.knobs: _parse_flag""",
+        repro.runtime.backends: SerialBackend._run_jobs""",
     "REPRO_FAULTS chaos, fired in pool children too (tests/runtime/"
     "test_fault_tolerance.py)": """
         repro.runtime.faults: *
@@ -236,7 +235,7 @@ def entry_set(scratch):
          "--calibrate", "--profile", profile, "--verify"),
         ("profile", "--profile", profile),
         ("report", "IS", "CG", "LU", "-O2", "--diagnostics"),
-        ("knobs",), ("knobs", "--markdown"), ("compile", str(bad)),
+        ("knobs",), ("compile", str(bad)),
         ("run", "EP", "--backend", "threads", "--faults", "bogus"),
     ):
         _cli(*argv)

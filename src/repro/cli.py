@@ -18,6 +18,7 @@ import argparse
 import pathlib
 import sys
 
+from repro.pipeline.config import SessionConfig
 from repro.planner.experiments import format_fig13_row, format_fig14_row
 from repro.planner.machine import MachineModel
 from repro.session import Session
@@ -56,19 +57,25 @@ def _build_session(program, args):
         for dest, field in _CONFIG_ARGUMENTS.items()
         if getattr(args, dest, None) is not None
     }
-    if getattr(args, "cores", None):
-        overrides["machine"] = MachineModel(
-            cores=args.cores,
-            chunk_sizes=args.chunk_sizes or MachineModel().chunk_sizes,
-        )
+    machine = {
+        field: getattr(args, field)
+        for field in ("cores", "chunk_sizes")
+        if getattr(args, field, None) is not None
+    }
+    try:
+        if machine:
+            overrides["machine"] = MachineModel(**machine)
+        config = SessionConfig(**overrides)
+    except ValueError as exc:  # a bad option, named by its own check
+        raise SystemExit(f"error: {exc}") from None
 
     path = pathlib.Path(program)
     if path.exists():
         return Session.from_source(
-            path.read_text(), name=path.stem, **overrides
+            path.read_text(), name=path.stem, config=config
         )
     if program in _kernel_names():
-        return Session.from_kernel(program, **overrides)
+        return Session.from_kernel(program, name=program, config=config)
     raise SystemExit(
         f"error: {program!r} is neither a source file nor a NAS kernel "
         f"(kernels: {', '.join(_kernel_names())})"
@@ -126,7 +133,7 @@ def _cmd_run(args):
 
     # A malformed spec is an error before anything runs, on every backend.
     faults.FaultPlan.from_spec(args.faults)
-    knobs.REPRO_FAULTS.value = args.faults
+    knobs.REPRO_FAULTS = args.faults
     try:
         return _run(args)
     finally:
@@ -192,20 +199,8 @@ def _cmd_knobs(args):
     from repro.runtime import knobs
 
     knobs.refresh()  # report what the *current* environment says
-    if args.markdown:
-        print(knobs.markdown_table())
-        return 0
-    snap = knobs.snapshot()
-    width = max(len(name) for name in snap)
-    for name, info in snap.items():
-        if isinstance(info["value"], bool):
-            state = "on " if info["value"] else "off"
-            default = "on" if info["default"] else "off"
-        else:  # typed settings print their actual value
-            state = repr(info["value"])
-            default = repr(info["default"])
-        doc = " ".join(info["doc"].split())
-        print(f"{name:<{width}}  {state} (default {default})  {doc}")
+    for name, value in knobs.as_dict().items():
+        print(f"{name}={value}")
     return 0
 
 
@@ -442,10 +437,6 @@ def build_parser():
     p_knobs = sub.add_parser(
         "knobs", help="list the runtime's environment knobs and their "
                       "current values"
-    )
-    p_knobs.add_argument(
-        "--markdown", action="store_true",
-        help="emit the README's knob table (paste on registry changes)",
     )
     p_knobs.set_defaults(func=_cmd_knobs)
 

@@ -50,6 +50,11 @@ class MachineModel:
     def __post_init__(self):
         # A tuple, so the model hashes (it sits in stage memo keys).
         object.__setattr__(self, "chunk_sizes", tuple(self.chunk_sizes))
+        if self.cores < 1:
+            raise ValueError(f"cores must be at least 1, got {self.cores}")
+        bad = [size for size in self.chunk_sizes if size < 1]
+        if bad:
+            raise ValueError(f"chunk sizes must be at least 1, got {bad}")
 
     def effective_region_cost(self, cost, compiled=False, speedup=None):
         """A region's estimated per-entry cost under the execution mode.

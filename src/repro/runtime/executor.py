@@ -72,7 +72,7 @@ from repro.emulator.interp import (
 from repro.ir.instructions import Call
 from repro.ir.types import PointerType
 from repro.ir.values import GlobalVariable
-from repro.runtime import knobs
+from repro.runtime import faults, knobs
 from repro.runtime.backends import get_backend
 from repro.runtime.schedulers import _validate_workers, make_scheduler
 from repro.util.errors import PlanError
@@ -405,6 +405,8 @@ class ParallelInterpreter(Interpreter):
         self.pool_size = pool_size  # processes-pool sizing (machine cores)
         self.compile_regions = bool(compile_regions)
         make_scheduler(schedule, chunk)  # fail fast on the run's overrides
+        if knobs.REPRO_FAULTS:
+            faults.active_plan()  # a malformed spec fails every backend
         plan = parallelizations and getattr(parallelizations[0], "plan", None)
         if not plan or plan[0] is not parallelizations:
             plan = _dispatch_plan(tuple(parallelizations))

@@ -159,7 +159,7 @@ def active_plan():
     spec change.
     """
     global _ACTIVE_SPEC, _ACTIVE_PLAN
-    spec = str(knobs.REPRO_FAULTS.value or "").strip()
+    spec = knobs.REPRO_FAULTS.strip()
     if spec != _ACTIVE_SPEC:
         _ACTIVE_SPEC = spec
         _ACTIVE_PLAN = FaultPlan.from_spec(spec) if spec else None

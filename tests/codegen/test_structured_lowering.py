@@ -566,7 +566,7 @@ def test_the_tier_keeps_steps_exact_and_the_armed_oracle_quiet(
     plan = session.optimized_plan("PS-PDG")
     runs = {}
     for armed, compiled in ((False, False), (False, True), (True, True)):
-        monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
+        monkeypatch.setattr(knobs, "VERIFY_COMPILED", armed)
         runs[armed, compiled] = session.run(
             plan, backend="threads", workers=2, compile_regions=compiled,
         )
@@ -721,7 +721,7 @@ def test_an_invariance_check_blind_to_stores_is_caught(monkeypatch):
         lower._Lowering, "_stored_in",
         staticmethod(lambda scalar, inner: False),
     )
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", True)
     codegen_cache.reset()
     try:
         with pytest.raises(
@@ -925,7 +925,7 @@ def test_a_dependence_check_blind_to_offsets_is_caught(monkeypatch):
         lower, "gep_offset",
         lambda *args: (real(*args)[0], AffineExpr.const(0)),
     )
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", True)
     codegen_cache.reset()
     try:
         with pytest.raises(

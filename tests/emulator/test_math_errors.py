@@ -113,7 +113,7 @@ def _modules():
 
 @pytest.fixture(params=(False, True), ids=("plain", "verify-compiled"))
 def verify(request, monkeypatch):
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", request.param)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", request.param)
     return request.param
 
 

@@ -238,7 +238,7 @@ def test_the_armed_oracle_catches_a_corrupt_store_in_the_one_body(
     """There is no second, clean body for the oracle to run instead:
     what it checks is what every unarmed run executes.  At ``-O0``,
     since a GIL build runs LU's ``-O2`` regions in place on threads."""
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", True)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", True)
     session = Session.from_kernel("LU", opt_level=0)
     with pytest.raises(
         EmulationError, match="VERIFY_COMPILED divergence at main:"
@@ -251,7 +251,7 @@ def test_the_armed_oracle_catches_a_corrupt_store_in_the_one_body(
 def test_the_corruption_is_silent_when_the_oracle_is_not_armed(
         corrupted_lowering, monkeypatch):
     """...which is what makes the armed catch mean something."""
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", False)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", False)
     session = Session.from_kernel("LU", opt_level=0)
     result = session.run("PS-PDG", backend="threads", workers=4)
     assert corrupted_lowering

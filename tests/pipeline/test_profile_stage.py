@@ -149,7 +149,7 @@ def _spy_on_decode(monkeypatch):
     # VERIFY_COMPILED arms the interpreter as the cross-check; the claim
     # is about an unarmed compile.  Every fetch-execute loop decodes a
     # block the first time it runs it, so no decode is no interpretation.
-    monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", False)
+    monkeypatch.setattr(knobs, "VERIFY_COMPILED", False)
     callers = []
     real = Interpreter._decode
 

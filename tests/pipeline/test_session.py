@@ -543,18 +543,41 @@ def test_cli_compile_and_report(tmp_path):
     assert "EP" in proc.stdout
 
 
-def test_cli_knobs_lists_the_registry():
-    from repro.runtime import knobs
-
+def test_cli_knobs_lists_the_registry(monkeypatch):
+    monkeypatch.setenv("VERIFY_COMPILED", "yes")
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     proc = _run_cli("knobs")
     assert proc.returncode == 0, proc.stderr
-    for name in knobs.snapshot():
-        assert name in proc.stdout
-    assert "(default '')" in proc.stdout  # REPRO_FAULTS
-    assert len(proc.stdout.splitlines()) == 2
-    markdown = _run_cli("knobs", "--markdown")
-    assert markdown.returncode == 0, markdown.stderr
-    assert markdown.stdout.strip() == knobs.markdown_table()
+    assert proc.stdout.splitlines() == [
+        "REPRO_FAULTS=", "VERIFY_COMPILED=True",
+    ]
+
+
+def test_cli_chunk_sizes_alone_reach_the_machine(capsys):
+    """``--chunk-sizes`` without ``--cores`` is not dropped: one chunk
+    size on 56 cores gives EP 56 options per abstraction, not 448."""
+    from repro import cli
+
+    assert cli.main(["report", "EP", "--chunk-sizes", "1"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("EP "))
+    assert row.split()[1:] == ["56"] * 4
+
+
+@pytest.mark.parametrize("cores", ["0", "-3"])
+def test_cli_rejects_a_machine_without_cores(cores):
+    from repro import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "EP", "--cores", cores])
+    assert str(exc.value) == f"error: cores must be at least 1, got {cores}"
+
+
+def test_cli_config_error_is_one_line(tmp_path):
+    proc = _run_cli("run", "EP", "--profile", str(tmp_path))
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("error: profile_path")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_unknown_program():
@@ -812,7 +835,7 @@ def test_cli_faults_flag_recovers_and_does_not_leak(capsys, monkeypatch):
     faulted = next(l for l in table if l.startswith("for.header")).split()
     assert int(faulted[columns.index("flt")]) == 1  # the crash fired...
     assert int(faulted[columns.index("rtry")]) >= 1  # ...and was retried
-    assert knobs.REPRO_FAULTS.value == ""
+    assert knobs.REPRO_FAULTS == ""
 
 
 @pytest.mark.parametrize("backend", ("simulated", "threads", "processes"))
@@ -830,7 +853,7 @@ def test_cli_rejects_a_malformed_faults_spec_before_running(
     assert status == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert ran == []
-    assert knobs.REPRO_FAULTS.value == ""
+    assert knobs.REPRO_FAULTS == ""
 
 
 def test_cli_profile_subcommand(tmp_path):

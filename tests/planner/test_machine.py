@@ -8,6 +8,8 @@ stack trace.
 
 import dataclasses
 
+import pytest
+
 from repro.planner.machine import DEFAULT_MACHINE, MachineModel
 
 
@@ -116,3 +118,14 @@ class TestCalibratedMachineStaysLegal:
 
         base = dataclasses.replace(DEFAULT_MACHINE, cores=3)
         assert CalibrationStore().calibrated_machine(base) is base
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cores": 0}, "cores must be at least 1"),
+    ({"cores": -3}, "cores must be at least 1"),
+    ({"chunk_sizes": (1, 0, 4)}, r"chunk sizes must be at least 1, got \[0\]"),
+    ({"chunk_sizes": (-2,)}, "chunk sizes must be at least 1"),
+])
+def test_a_machine_needs_a_core_and_positive_chunks(fields, message):
+    with pytest.raises(ValueError, match=message):
+        MachineModel(**fields)

@@ -245,7 +245,7 @@ def test_a_run_never_rewrites_the_cached_recipes(kernel):
 def test_a_faulted_calibrated_run_conforms(monkeypatch):
     """REPRO_FAULTS + calibration: the faulted run and the run priced
     after it both compute the sequential result."""
-    knobs.REPRO_FAULTS.value = "crash:region=1:worker=0:times=1"
+    knobs.REPRO_FAULTS = "crash:region=1:worker=0:times=1"
     monkeypatch.setattr(backends, "_region_allowance", lambda _s: 20.0)
     try:
         # Priced for the interpreter: region=1 must still be a

@@ -43,7 +43,7 @@ def fast_retries(monkeypatch):
 
 def inject(spec):
     """Activate a fault spec for the rest of the test."""
-    knobs.REPRO_FAULTS.value = spec
+    knobs.REPRO_FAULTS = spec
 
 
 #: A DOALL whose iteration 4 divides by zero on every backend.
@@ -87,6 +87,18 @@ class TestFaultSpec:
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(PlanError):
             faults.FaultPlan.from_spec(spec)
+
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_a_malformed_env_spec_fails_a_run_on_every_backend(
+            self, backend, monkeypatch):
+        """Not only a ``processes`` dispatch parses the spec: a run on a
+        backend that never dispatches to a pool rejects it too (EP's one
+        region runs in place on a GIL build's ``threads``)."""
+        monkeypatch.setenv("REPRO_FAULTS", "nonsense")
+        knobs.refresh()
+        session = Session.from_kernel("EP")
+        with pytest.raises(PlanError, match="unknown fault kind 'nonsense'"):
+            session.run("PS-PDG", backend=backend)
 
     def test_budget_consumed_per_draw(self):
         plan = faults.FaultPlan.from_spec("crash:worker=0:times=2")
@@ -271,7 +283,7 @@ def test_knob_pairs_on_processes(kernel, verify, faulted, fast_retries,
     monkeypatch.setattr(backends, "_chunk_pool", chunk_pool)
     session = Session.from_kernel(kernel)
     expected = run_module(session.module).output
-    knobs.VERIFY_COMPILED.value = verify
+    knobs.VERIFY_COMPILED = verify
     inject("crash:region=0:worker=0" if faulted else "")
     try:
         result = session.run("PS-PDG", opt="-O2", workers=2,

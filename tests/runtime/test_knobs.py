@@ -1,15 +1,13 @@
-"""The consolidated env-knob registry (repro.runtime.knobs).
+"""The runtime's two environment knobs (repro.runtime.knobs).
 
-Every debug/bench flag the runtime reads from the environment lives in
-one registry with one truthiness rule, refreshed between tests by the
-autouse conftest fixture — these tests pin the rule, the refresh
-contract, and that each knob has one name.
+Both are plain module values, re-read from the environment by
+``knobs.refresh()`` (the autouse conftest fixture runs it around every
+test) — these tests pin the truthiness rule, the refresh contract, and
+that each knob has one name.
 """
 
 import ast
 import math
-import pickle
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,8 +19,7 @@ def test_unset_env_uses_default(monkeypatch):
     monkeypatch.delenv("VERIFY_COMPILED", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     knobs.refresh()
-    assert not knobs.VERIFY_COMPILED
-    assert knobs.REPRO_FAULTS.value == ""  # typed default
+    assert knobs.as_dict() == {"REPRO_FAULTS": "", "VERIFY_COMPILED": False}
 
 
 @pytest.mark.parametrize("name", [
@@ -34,7 +31,7 @@ def test_supervision_reads_nothing_from_the_environment(monkeypatch, name):
     OverflowError in ``time.sleep`` / ``future.result``) changes nothing."""
     monkeypatch.setenv(name, "inf")
     knobs.refresh()
-    assert name not in knobs.snapshot()
+    assert name not in knobs.as_dict()
     assert backends.RETRY_BUDGET == 2 and backends.RETRY_BACKOFF == 0.05
     assert math.isfinite(backends._region_allowance(50_000_000))
 
@@ -54,90 +51,38 @@ def test_truthy_spellings(monkeypatch, raw):
 
 
 def test_refresh_resets_manual_overrides(monkeypatch):
-    """A test that pokes ``knob.value`` cannot leak into the next test."""
+    """A test that assigns a knob cannot leak into the next test."""
     monkeypatch.delenv("VERIFY_COMPILED", raising=False)
     knobs.refresh()
     assert not knobs.VERIFY_COMPILED
-    knobs.VERIFY_COMPILED.value = True
+    knobs.VERIFY_COMPILED = True
     assert knobs.VERIFY_COMPILED
     knobs.refresh()  # what the autouse conftest fixture runs
     assert not knobs.VERIFY_COMPILED
 
 
-def test_flag_registry_is_get_or_create():
-    first = knobs.flag("VERIFY_COMPILED")
-    assert first is knobs.VERIFY_COMPILED
-    fresh = knobs.flag("REPRO_TEST_ONLY_KNOB")
-    try:
-        assert knobs.flag("REPRO_TEST_ONLY_KNOB") is fresh
-        assert "REPRO_TEST_ONLY_KNOB" in knobs.as_dict()
-    finally:
-        knobs._KNOBS.pop("REPRO_TEST_ONLY_KNOB")
-
-
-def test_flag_conflicting_default_is_an_error():
-    """Re-registration must not silently drop a conflicting default.
-
-    Before the fix, ``flag(name, default=True)`` on an existing
-    default-False knob returned the old knob unchanged — the caller's
-    explicit default was ignored without a trace.
-    """
-    knobs.flag("REPRO_TEST_CONFLICT_KNOB", default=False)
-    try:
-        with pytest.raises(ValueError, match="conflicting"):
-            knobs.flag("REPRO_TEST_CONFLICT_KNOB", default=True)
-        # Same-default re-registration stays a cheap fetch.
-        again = knobs.flag("REPRO_TEST_CONFLICT_KNOB", default=False)
-        assert again is knobs._KNOBS["REPRO_TEST_CONFLICT_KNOB"]
-    finally:
-        knobs._KNOBS.pop("REPRO_TEST_CONFLICT_KNOB")
-
-
-def test_registry_carries_defaults_values_and_docs():
-    snap = knobs.snapshot()
-    assert set(snap) == set(knobs.as_dict())
-    entry = snap["VERIFY_COMPILED"]
-    assert entry["default"] is False
-    assert isinstance(entry["value"], bool)
-    assert "interpreted" in entry["doc"].lower()
-    assert snap["REPRO_FAULTS"]["default"] == ""
-    # Every registered knob documents itself — the README table is
-    # generated from these lines.
-    assert all(info["doc"] for info in snap.values())
-
-
-def test_readme_knob_table_matches_the_registry():
-    """The README's knob table is the registry's, verbatim.
-
-    Adding/renaming a knob without pasting the regenerated table
-    (``python -m repro knobs --markdown``) fails here — README switches
-    can never drift from what the code actually reads.
-    """
-    readme = Path(__file__).resolve().parents[2] / "README.md"
-    table = knobs.markdown_table()
-    assert "| `REPRO_FAULTS` | (empty) |" in table  # sanity
-    assert table in readme.read_text(), (
-        "README.md knob table is stale — regenerate it with "
-        "`python -m repro knobs --markdown` and paste it in"
-    )
-
-
 def test_a_knob_is_bound_only_in_the_registry():
-    """Code reads a knob as ``knobs.NAME``: no loaded module binds one
-    to a second name, so a ``knob.value`` override reaches every reader."""
-    import repro.session  # noqa: F401 -- loads the pipeline and runtime
+    """Code reads a knob as ``knobs.NAME``: no module imports one under a
+    second name, so an assignment to ``knobs.NAME`` reaches every reader."""
+    root = Path(__file__).resolve().parents[2]
+    bindings = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (root / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.module == "repro.runtime.knobs"
+                    or (node.level and node.module == "knobs")
+                ):
+                    bindings.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not bindings
 
-    homes = sorted(
-        f"{name}.{attr}"
-        for name, module in list(sys.modules.items())
-        if name.startswith("repro.")
-        for attr, value in vars(module).items()
-        if isinstance(value, knobs.Knob)
-    )
-    assert homes == [
-        "repro.runtime.knobs.REPRO_FAULTS",
-        "repro.runtime.knobs.VERIFY_COMPILED",
-    ]
+
+def test_readme_table_names_every_knob():
+    readme = Path(__file__).resolve().parents[2] / "README.md"
+    section = readme.read_text().split("### Environment knobs", 1)[1]
+    table = section.split("\n\n| Knob |", 1)[1].split("\n\n", 1)[0]
+    for name in knobs.as_dict():
+        assert f"| `{name}` |" in table, f"README's knob table lacks {name}"
 
 
 def test_env_wins_over_stale_value(monkeypatch):
@@ -149,27 +94,16 @@ def test_env_wins_over_stale_value(monkeypatch):
     assert not knobs.VERIFY_COMPILED
 
 
-def test_knob_repr_and_pickle_guard():
-    text = repr(knobs.VERIFY_COMPILED)
-    assert "VERIFY_COMPILED" in text
-    # Knobs are process-local switches; pickling one (e.g. into a wire
-    # header) is a bug. bool() them first — as encode_region does.
-    assert isinstance(bool(knobs.VERIFY_COMPILED), bool)
-    assert pickle.loads(pickle.dumps(bool(knobs.VERIFY_COMPILED))) in (
-        True, False,
-    )
-
-
-#: The registry keeps only what arms an oracle or injects chaos over an
+#: The environment carries only what arms an oracle or injects chaos over an
 #: unmodified test run; behavioural options live on SessionConfig.
 SURVIVING_KNOBS = {"VERIFY_COMPILED", "REPRO_FAULTS"}
 
 
 def test_every_knob_is_flipped_somewhere():
-    """A knob nobody flips is dead weight: each registered name must
-    occur in a test or a CI step, and no other name may register."""
+    """A knob nobody flips is dead weight: each name must occur in a
+    test or a CI step, and there is no other knob."""
     root = Path(__file__).resolve().parents[2]
-    assert set(knobs.snapshot()) == SURVIVING_KNOBS
+    assert set(knobs.as_dict()) == SURVIVING_KNOBS
     corpus = (root / ".github" / "workflows" / "ci.yml").read_text()
     for path in (root / "tests").rglob("*.py"):
         if path != Path(__file__).resolve():

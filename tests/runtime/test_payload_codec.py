@@ -351,7 +351,7 @@ class TestPlainBodyOnly:
 
     @pytest.mark.parametrize("armed", [False, True])
     def test_an_in_process_child_runs_the_one_body(self, armed, monkeypatch):
-        monkeypatch.setattr(knobs.VERIFY_COMPILED, "value", armed)
+        monkeypatch.setattr(knobs, "VERIFY_COMPILED", armed)
         wires = []
         real = payload_codec.encode_region
 

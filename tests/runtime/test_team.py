@@ -403,7 +403,7 @@ def test_the_threads_rung_and_serial_give_the_threads_result(monkeypatch):
         )
         monkeypatch.setattr(backends, "RETRY_BUDGET", 1)
         monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.01)
-        knobs.REPRO_FAULTS.value = "crash:p=1:seed=1:times=0"
+        knobs.REPRO_FAULTS = "crash:p=1:seed=1:times=0"
         rung = session.run(
             "PS-PDG", opt="-O0", workers=2, backend="processes"
         )
