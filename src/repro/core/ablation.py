@@ -149,14 +149,23 @@ def project(pspdg, removed_features):
             if pspdg.node_of(inst) in node_key
         ]
 
-    # Directed edges: accumulate native edges, then fold restored
-    # relaxations back *into the matching edge* so a dependence that the
-    # removed feature had relaxed becomes indistinguishable from one that
-    # was never relaxed (that indistinguishability IS the necessity
-    # argument).
+    # Directed edges: the PDG's edges minus the relaxations of the
+    # features kept.  A removed feature's relaxations are simply not
+    # applied, so a dependence it had relaxed is indistinguishable from
+    # one that was never relaxed (that indistinguishability IS the
+    # necessity argument).
     restore_features = {
         relaxed for feature in removed for relaxed in RESTORED_BY[feature]
     }
+    # PDG edge -> the carried contexts the kept features relaxed, plus
+    # None when they relaxed its loop-independent instance.
+    applied = {}
+    for relaxation in pspdg.relaxations:
+        if relaxation.feature not in restore_features:
+            gone = applied.setdefault(relaxation.edge, set())
+            gone.update(relaxation.carried_removed)
+            if relaxation.loop_independent_removed:
+                gone.add(None)
 
     accumulated = {}
 
@@ -174,38 +183,36 @@ def project(pspdg, removed_features):
             }
         return accumulated[key]
 
-    for edge in pspdg.directed_edges:
-        for src in anchor_key(edge.producer):
-            for dst in anchor_key(edge.consumer):
-                slot = edge_slot(src, dst, edge.kind, edge.mem_kind, edge.obj)
-                slot["intra"] = slot["intra"] or edge.loop_independent
-                slot["carried"].update(
-                    context_tag(c) for c in edge.carried_contexts
-                )
-                if edge.selector is not None and not drop_selectors:
+    def add_edge(producer, consumer, kind, mem_kind, obj, intra, carried,
+                 selector):
+        for src in anchor_key(producer):
+            for dst in anchor_key(consumer):
+                slot = edge_slot(src, dst, kind, mem_kind, obj)
+                slot["intra"] = slot["intra"] or intra
+                slot["carried"].update(context_tag(c) for c in carried)
+                if selector is not None and not drop_selectors:
                     slot["selector"] = (
-                        f"{edge.selector.kind}"
-                        f"@{context_tag(edge.selector.context)}"
+                        f"{selector.kind}@{context_tag(selector.context)}"
                     )
 
-    for relaxation in pspdg.relaxations:
-        if relaxation.feature not in restore_features:
+    for edge in pspdg.pdg.edges:
+        gone = applied.get(edge, ())
+        intra = edge.loop_independent and None not in gone
+        carried = [
+            pspdg.context_of_loop[loop.header.name]
+            for loop in edge.carried_loops
+        ]
+        carried = [label for label in carried if label not in gone]
+        if not (intra or carried):
             continue
-        src_node = pspdg.instruction_nodes.get(relaxation.source)
-        dst_node = pspdg.instruction_nodes.get(relaxation.destination)
-        if src_node not in node_key or dst_node not in node_key:
-            continue
-        slot = edge_slot(
-            node_key[src_node],
-            node_key[dst_node],
-            relaxation.kind,
-            relaxation.mem_kind,
-            relaxation.obj,
-        )
-        slot["intra"] = slot["intra"] or relaxation.loop_independent_removed
-        slot["carried"].update(
-            context_tag(c) for c in relaxation.carried_removed
-        )
+        # A selector belongs to an edge of the full PS-PDG.
+        selector = pspdg.selectors.get(edge)
+        if selector is not None and not any(pspdg.edge_state(edge)):
+            selector = None
+        add_edge(pspdg.node_of(edge.source), pspdg.node_of(edge.destination),
+                 edge.kind, edge.mem_kind, edge.obj, intra, carried, selector)
+    for producer, consumer in pspdg.sync_edges:
+        add_edge(producer, consumer, "sync", None, None, True, (), None)
 
     edges = []
     for slot in accumulated.values():

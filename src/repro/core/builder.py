@@ -1,11 +1,19 @@
 """PS-PDG construction: annotated IR + sequential PDG -> PS-PDG.
 
 The builder follows the paper's pipeline (Fig. 12): it starts from the
-sequential PDG and *rewrites* it according to the parallel semantics the
-frontend recorded:
+sequential PDG and *overlays* on it the parallel semantics the frontend
+recorded.  No PDG edge is copied: a changed edge's remaining state sits
+in ``PSPDG.overlay``, its selector in ``PSPDG.selectors``.  The passes,
+in order:
 
 * every natural loop and every directive region becomes a hierarchical
-  node; labeled ones are contexts (§3.1, §3.3);
+  node; labeled ones are contexts (§3.1, §3.3).  Each block resolves
+  its innermost group and its ordering region once;
+* one walk of the PDG's edges keeps the memory edges (the only ones
+  parallel semantics relax or select) and files those carried at a
+  worksharing loop by loop;
+* data clauses produce parallel semantic variables with use/def accesses
+  (§3.6, §5.2);
 * worksharing directives remove the loop-carried dependences their
   iteration-independence declaration invalidates (§5.1), except where an
   ordering construct protects them;
@@ -13,20 +21,19 @@ frontend recorded:
   undirected edges (any order, no overlap) and gain the atomic trait
   (§3.2, §3.4, §5.3); ``ordered`` regions keep directed order;
 * single/master regions gain the singular trait (§3.2);
-* data clauses produce parallel semantic variables with use/def accesses
-  (§3.6, §5.2) and data selectors on live-in/live-out edges (§3.5);
 * tasks/spawns drop the dependences their asynchrony disclaims and gain
-  sync edges from barriers/taskwaits/syncs (§5.1, Appendix A).
+  sync edges from barriers/taskwaits/syncs (§5.1, Appendix A);
+* data selectors go on live-in/live-out edges (§3.5), filed by memory
+  object; ``anyvalue`` also frees its object's carried order.
 
-Every removed dependence is logged as a :class:`Relaxation` naming the
-feature that justified it.  The planner's three dependence views (the PDG,
-J&K and the PS-PDG) and the ablation projections replay this log
-selectively.
+Every removed dependence is logged as a :class:`Relaxation` naming its
+PDG edge and the feature that justified it.  The planner's three
+dependence views (the PDG, J&K and the PS-PDG) and the ablation
+projections replay this log selectively.
 """
 
 from repro.core.model import (
     DataSelector,
-    DirectedEdge,
     HierarchicalNode,
     InstructionNode,
     PSPDG,
@@ -71,21 +78,24 @@ class PSPDGBuilder:
         self.function = pdg.function
         self.module = self.analyses.module
         self.graph = PSPDG(pdg)
-        self._groups = []  # (node, block_name_set), innermost resolution
+        self._groups = []  # (node, block_name_set, size): innermost lookup
         self._annotation_nodes = {}  # annotation uid -> HierarchicalNode
+        self._ordering = {}  # block -> innermost critical/atomic/ordered
+        self._memory = []  # the PDG's memory edges, in graph order
+        self._carried_at = {}  # worksharing loop header -> carried edges
+        self._by_object = None  # id(memory object) -> its memory edges
 
     # -- entry point -----------------------------------------------------------
 
     def build(self):
         self._build_hierarchy()
-        self._copy_pdg_edges()
+        self._file_edges()
         self._apply_data_clauses()
         self._apply_worksharing()
         self._apply_ordering_regions()
         self._apply_traits()
         self._apply_tasks_and_sync()
         self._attach_selectors()
-        self._prune_empty_edges()
         return self.graph
 
     # -- hierarchy (§3.1, §3.3) -------------------------------------------------
@@ -129,47 +139,59 @@ class PSPDGBuilder:
             else:
                 self.graph.roots.append(node)
             self.graph.register_context(node)
-            self._groups.append((node, blocks))
+            self._groups.append((node, blocks, size))
 
-        # Leaf instruction nodes attach to the innermost containing group.
+        # Each block resolves its innermost group (where its leaves
+        # attach) and the ordering region around that group once.
+        owners = {}
+        for block in self.function.blocks:
+            owner = owners[block] = self._innermost_group(block.name)
+            while owner is not None and owner.kind not in (
+                _ORDERING_REGION_KINDS
+            ):
+                owner = owner.parent
+            self._ordering[block] = owner
+        instruction_nodes = self.graph.instruction_nodes
         for inst in self.pdg.nodes:
-            leaf = InstructionNode(inst)
-            self.graph.instruction_nodes[inst] = leaf
-            owner = self._innermost_group(inst.parent.name)
+            leaf = instruction_nodes[inst] = InstructionNode(inst)
+            owner = owners[inst.parent]
             if owner is None:
                 self.graph.roots.append(leaf)
             else:
-                owner.add_child(leaf)
+                leaf.parent = owner
+                owner.children.append(leaf)
 
     def _innermost_group(self, block_name):
         best = None
         best_size = None
-        for node, blocks in self._groups:
+        for node, blocks, size in self._groups:
             if block_name in blocks:
-                if best is None or len(blocks) < best_size:
+                if best is None or size < best_size:
                     best = node
-                    best_size = len(blocks)
+                    best_size = size
         return best
 
-    # -- PDG edge transfer ----------------------------------------------------
+    # -- the one walk of the PDG's edges ---------------------------------------
 
-    def _copy_pdg_edges(self):
-        for edge in self.pdg.edges:
-            carried = tuple(
-                loop_context_label(loop.header.name)
-                for loop in edge.carried_loops
-            )
-            self.graph.add_directed_edge(
-                DirectedEdge(
-                    producer=self.graph.node_of(edge.source),
-                    consumer=self.graph.node_of(edge.destination),
-                    kind=edge.kind,
-                    mem_kind=edge.mem_kind,
-                    obj=edge.obj,
-                    loop_independent=edge.loop_independent,
-                    carried_contexts=carried,
-                )
-            )
+    def _file_edges(self):
+        self._memory = [e for e in self.pdg.edges if e.kind == EDGE_MEMORY]
+        carried_at = self._carried_at
+        for annotation in self._annotations_of_kind(LOOP_INDEPENDENCE_KINDS):
+            loop = self._loop_for_annotation(annotation)
+            if loop is not None:
+                carried_at[loop.header] = []
+        for edge in self._memory:
+            for loop in edge.carried_loops:
+                if loop.header in carried_at:
+                    carried_at[loop.header].append(edge)
+
+    def _edges_on(self, obj):
+        """The memory edges on ``obj``, in graph order."""
+        if self._by_object is None:
+            self._by_object = {}
+            for edge in self._memory:
+                self._by_object.setdefault(id(edge.obj), []).append(edge)
+        return self._by_object.get(id(obj), ())
 
     # -- helpers ---------------------------------------------------------------
 
@@ -193,38 +215,33 @@ class PSPDGBuilder:
                 defs.append(self.graph.node_of(access.instruction))
         return uses, defs
 
-    def _log_relaxation(self, edge, context_label, feature, **removed):
-        self.graph.log_relaxation(
-            Relaxation(
-                source=edge.producer.leaf_instructions()[0],
-                destination=edge.consumer.leaf_instructions()[0],
-                kind=edge.kind,
-                mem_kind=edge.mem_kind,
-                obj=edge.obj,
-                context=context_label,
-                feature=feature,
-                **removed,
-            )
-        )
+    def _relax(self, edge, loop_independent, carried, *logged, **removed):
+        """Leave ``edge`` its remaining state and log what went."""
+        self.graph.overlay[edge] = (loop_independent, carried)
+        if not (loop_independent or carried):
+            self.graph.pruned += 1
+        self.graph.relaxations.append(Relaxation(edge, *logged, **removed))
 
     def _remove_carried(self, edge, context_label, feature):
         """Strip a carried level from an edge, logging the relaxation."""
-        if context_label not in edge.carried_contexts:
-            return
-        edge.carried_contexts = tuple(
-            c for c in edge.carried_contexts if c != context_label
-        )
-        self._log_relaxation(
-            edge, context_label, feature, carried_removed=(context_label,)
-        )
+        loop_independent, carried = self.graph.edge_state(edge)
+        if context_label in carried:
+            kept = tuple([c for c in carried if c != context_label])
+            self._relax(edge, loop_independent, kept, context_label, feature,
+                        carried_removed=(context_label,))
+
+    def _remove_carried_all(self, edge, feature):
+        loop_independent, removed = self.graph.edge_state(edge)
+        if removed:
+            self._relax(edge, loop_independent, (), removed[0], feature,
+                        carried_removed=removed)
+        return bool(removed)
 
     def _remove_intra(self, edge, context_label, feature):
-        if not edge.loop_independent:
-            return
-        edge.loop_independent = False
-        self._log_relaxation(
-            edge, context_label, feature, loop_independent_removed=True
-        )
+        loop_independent, carried = self.graph.edge_state(edge)
+        if loop_independent:
+            self._relax(edge, False, carried, context_label, feature,
+                        loop_independent_removed=True)
 
     # -- data clauses (§5.2) ------------------------------------------------------
 
@@ -337,13 +354,9 @@ class PSPDGBuilder:
                 region_labels.add(annotation.parent_uid)
             protected_vars = self._variable_objects_for(region_labels)
 
-            for edge in self.graph.directed_edges:
-                if loop_label not in edge.carried_contexts:
-                    continue
-                producer = edge.producer
-                consumer = edge.consumer
-                src_region = self._ordering_region(producer)
-                dst_region = self._ordering_region(consumer)
+            for edge in self._carried_at[loop.header]:
+                src_region = self._ordering[edge.source.parent]
+                dst_region = self._ordering[edge.destination.parent]
                 if src_region is not None and src_region is dst_region:
                     if src_region.kind == "ordered":
                         continue  # explicit iteration order preserved
@@ -363,17 +376,6 @@ class PSPDGBuilder:
                 feature = "independence" if variable is None else "variable"
                 self._remove_carried(edge, loop_label, feature)
 
-    def _ordering_region(self, node):
-        probe = node
-        while probe is not None:
-            if (
-                isinstance(probe, HierarchicalNode)
-                and probe.kind in _ORDERING_REGION_KINDS
-            ):
-                return probe
-            probe = probe.parent
-        return None
-
     # -- ordering constructs (§5.3) ----------------------------------------------
 
     def _apply_ordering_regions(self):
@@ -388,18 +390,13 @@ class PSPDGBuilder:
 
             member_instructions = set(region.leaf_instructions())
             emitted = False
-            for edge in self.graph.directed_edges:
-                sources = edge.producer.leaf_instructions()
-                destinations = edge.consumer.leaf_instructions()
-                if not (
-                    set(sources) <= member_instructions
-                    and set(destinations) <= member_instructions
+            for edge in self._memory:
+                if (
+                    edge.carried_loops
+                    and edge.source in member_instructions
+                    and edge.destination in member_instructions
+                    and self._remove_carried_all(edge, "undirected")
                 ):
-                    continue
-                if not edge.carried_contexts:
-                    continue
-                removed = self._remove_carried_all(edge, "undirected")
-                if removed:
                     emitted = True
             if emitted or member_instructions:
                 self.graph.add_undirected_edge(
@@ -419,14 +416,6 @@ class PSPDGBuilder:
                             carrier_label,
                         )
                     )
-
-    def _remove_carried_all(self, edge, feature):
-        removed = edge.carried_contexts
-        if not removed:
-            return False
-        edge.carried_contexts = ()
-        self._log_relaxation(edge, removed[0], feature, carried_removed=removed)
-        return True
 
     def _innermost_carrier(self, node):
         probe = node.parent
@@ -472,15 +461,14 @@ class PSPDGBuilder:
                     continue
                 if self._tasks_depend(annotation_a, annotation_b):
                     continue
-                for edge in self.graph.directed_edges:
-                    if edge.kind != EDGE_MEMORY:
-                        continue
-                    sources = set(edge.producer.leaf_instructions())
-                    dests = set(edge.consumer.leaf_instructions())
+                for edge in self._memory:
+                    source, destination = edge.source, edge.destination
                     crossing = (
-                        sources <= task_members[i] and dests <= task_members[j]
+                        source in task_members[i]
+                        and destination in task_members[j]
                     ) or (
-                        sources <= task_members[j] and dests <= task_members[i]
+                        source in task_members[j]
+                        and destination in task_members[i]
                     )
                     if not crossing:
                         continue
@@ -493,12 +481,11 @@ class PSPDGBuilder:
             members = set(
                 self._annotation_nodes[annotation.uid].leaf_instructions()
             )
-            for edge in self.graph.directed_edges:
-                if edge.kind != EDGE_MEMORY:
-                    continue
-                sources = set(edge.producer.leaf_instructions())
-                dests = set(edge.consumer.leaf_instructions())
-                if not (sources <= members) or dests & members:
+            for edge in self._memory:
+                if (
+                    edge.source not in members
+                    or edge.destination in members
+                ):
                     continue
                 # Everything after the spawn is continuation; the sync
                 # edges below re-anchor ordering at barriers and syncs.
@@ -510,14 +497,7 @@ class PSPDGBuilder:
         ):
             node = self._annotation_nodes[annotation.uid]
             for task_node in task_nodes:
-                self.graph.add_directed_edge(
-                    DirectedEdge(
-                        producer=task_node,
-                        consumer=node,
-                        kind="sync",
-                        loop_independent=True,
-                    )
-                )
+                self.graph.sync_edges.append((task_node, node))
 
     def _tasks_depend(self, annotation_a, annotation_b):
         def names(annotation, modes):
@@ -557,58 +537,38 @@ class PSPDGBuilder:
     def _selector_on_liveout(self, annotation, name, blocks, kind):
         storage = annotation.binding(name)
         obj = self.analyses.storage_object(storage)
-        for edge in self.graph.directed_edges:
-            if edge.kind != EDGE_MEMORY or edge.mem_kind != "RAW":
-                continue
-            if edge.obj is not obj:
-                continue
-            src_inside = self._node_inside(edge.producer, blocks)
-            dst_inside = self._node_inside(edge.consumer, blocks)
-            if src_inside and not dst_inside:
-                edge.selector = DataSelector(kind, annotation.uid)
+        for edge in self._edges_on(obj):
+            if (
+                edge.mem_kind == "RAW"
+                and edge.source.parent.name in blocks
+                and edge.destination.parent.name not in blocks
+            ):
+                self.graph.selectors[edge] = DataSelector(kind, annotation.uid)
 
     def _selector_on_livein(self, annotation, name, blocks, kind):
         storage = annotation.binding(name)
         obj = self.analyses.storage_object(storage)
-        for edge in self.graph.directed_edges:
-            if edge.kind != EDGE_MEMORY or edge.mem_kind != "RAW":
-                continue
-            if edge.obj is not obj:
-                continue
-            src_inside = self._node_inside(edge.producer, blocks)
-            dst_inside = self._node_inside(edge.consumer, blocks)
-            if dst_inside and not src_inside:
-                edge.selector = DataSelector(kind, annotation.uid)
+        for edge in self._edges_on(obj):
+            if (
+                edge.mem_kind == "RAW"
+                and edge.destination.parent.name in blocks
+                and edge.source.parent.name not in blocks
+            ):
+                self.graph.selectors[edge] = DataSelector(kind, annotation.uid)
 
     def _relax_liveout_order(self, annotation, name, blocks, loop):
         """anyvalue(x): any iteration's write may win; WAW/WAR on x inside
         the region lose their carried component (feature: selector)."""
+        if loop is None:
+            return
         storage = annotation.binding(name)
         obj = self.analyses.storage_object(storage)
-        loop_label = (
-            loop_context_label(loop.header.name) if loop is not None else None
-        )
-        for edge in self.graph.directed_edges:
-            if edge.kind != EDGE_MEMORY or edge.obj is not obj:
-                continue
-            src_inside = self._node_inside(edge.producer, blocks)
-            dst_inside = self._node_inside(edge.consumer, blocks)
-            if src_inside and dst_inside and loop_label is not None:
+        loop_label = loop_context_label(loop.header.name)
+        for edge in self._edges_on(obj):
+            if (
+                edge.source.parent.name in blocks
+                and edge.destination.parent.name in blocks
+            ):
                 # (Usually already removed via the privatizable variable;
                 # this catches anyvalue on loops without other clauses.)
                 self._remove_carried(edge, loop_label, "selector")
-
-    def _node_inside(self, node, block_names):
-        instructions = node.leaf_instructions()
-        return all(
-            inst.parent.name in block_names for inst in instructions
-        )
-
-    # -- cleanup ----------------------------------------------------------------
-
-    def _prune_empty_edges(self):
-        self.graph.directed_edges = [
-            e
-            for e in self.graph.directed_edges
-            if e.loop_independent or e.carried_contexts or e.kind == "sync"
-        ]

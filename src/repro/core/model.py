@@ -1,4 +1,4 @@
-"""The PS-PDG data model — a direct transcription of the paper's Table 1::
+"""The PS-PDG data model — a transcription of the paper's Table 1::
 
     PS-PDG        ::= (Node+, Edge*, Variable*, VariableAccess*)
     Node          ::= (Instruction, Trait*) | (HierarchicalNode, Trait*)
@@ -12,19 +12,23 @@
     VariableAccess::= (Variable, Node*_use, Node*_def)
     Context       ::= Unique Identifier
 
-Beyond Table 1 the implementation keeps two practical extras:
+The graph is an overlay on the sequential PDG it relaxes.  A directed
+edge is a PDG edge plus its overlay state: the loop-independent instance
+and the carried contexts the parallel semantics left it (an edge absent
+from :attr:`PSPDG.overlay` keeps all of its own), and the data selector
+in :attr:`PSPDG.selectors`.  An edge the semantics relaxed entirely is
+not an edge of the PS-PDG.  Sync edges, which order whole regions and
+have no PDG twin, are the short list :attr:`PSPDG.sync_edges`.
 
-* **provenance** on directed edges (control/register/memory kind, memory
-  object, loop-carried levels) inherited from the PDG, so the planner can
-  reason about which contexts an edge still constrains; and
-* a **relaxation log**: every PDG dependence the parallel semantics
-  *removed* is recorded with the context and feature responsible.  Each
-  abstraction the planner compares is the sequential PDG minus the
-  relaxations of the features it keeps (the PDG none, J&K
-  ``independence``, the PS-PDG all), and the ablation projections
-  (Section 4 of the paper) restore relaxations whose feature is removed,
-  turning "PS-PDG without X" into an executable function instead of a
-  thought experiment.
+Beyond Table 1 the implementation keeps a **relaxation log**: every PDG
+dependence the parallel semantics *removed* is recorded as a
+:class:`Relaxation` naming its PDG edge, the context and the feature
+responsible.  Each abstraction the planner compares is the sequential
+PDG minus the relaxations of the features it keeps (the PDG none, J&K
+``independence``, the PS-PDG all), and the ablation projections
+(Section 4 of the paper) leave out the relaxations whose feature is
+removed, turning "PS-PDG without X" into an executable function instead
+of a thought experiment.
 """
 
 import dataclasses
@@ -89,7 +93,8 @@ class InstructionNode(Node):
     """Leaf node wrapping one IR instruction."""
 
     def __init__(self, instruction):
-        super().__init__()
+        self.traits = []
+        self.parent = None
         self.instruction = instruction
 
     def leaf_instructions(self):
@@ -127,21 +132,6 @@ class HierarchicalNode(Node):
     def __repr__(self):
         label = f" ctx={self.context_label}" if self.context_label else ""
         return f"<ps-hnode {self.kind}{label} ({len(self.children)} children)>"
-
-
-@dataclasses.dataclass
-class DirectedEdge:
-    """Producer-before-consumer ordering, optionally with a data selector."""
-
-    producer: Node
-    consumer: Node
-    selector: DataSelector = None
-    # Provenance (not part of Table 1; carried over from the PDG):
-    kind: str = "memory"  # control | register | memory | sync
-    mem_kind: str = None
-    obj: object = None
-    loop_independent: bool = True
-    carried_contexts: tuple = ()  # context labels where the edge is carried
 
 
 @dataclasses.dataclass
@@ -189,8 +179,8 @@ RELAXATION_FEATURES = (
 class Relaxation:
     """One PDG dependence removed by parallel semantics.
 
-    ``feature`` names the PS-PDG extension responsible, one of
-    :data:`RELAXATION_FEATURES`:
+    ``edge`` is the PDG edge relaxed; ``feature`` names the PS-PDG
+    extension responsible, one of :data:`RELAXATION_FEATURES`:
     ``"independence"`` (hierarchical nodes + contexts: worksharing),
     ``"variable"`` (privatizable/reducible variable),
     ``"selector"`` (data-selector freedom),
@@ -198,11 +188,7 @@ class Relaxation:
     ``"task"`` (explicit task independence).
     """
 
-    source: object  # IR instruction
-    destination: object
-    kind: str
-    mem_kind: str
-    obj: object
+    edge: object  # PDGEdge
     context: str  # where the relaxation is valid
     feature: str
     loop_independent_removed: bool = False
@@ -211,8 +197,6 @@ class Relaxation:
     def __post_init__(self):
         if self.feature not in RELAXATION_FEATURES:
             raise ValueError(f"unknown relaxation feature {self.feature!r}")
-
-
 class PSPDG:
     """The Parallel Semantics Program Dependence Graph of one function."""
 
@@ -224,7 +208,12 @@ class PSPDG:
         self.roots = []  # top-level nodes (forest)
         self.instruction_nodes = {}  # IR instruction -> InstructionNode
         self.contexts = {}  # label -> HierarchicalNode
-        self.directed_edges = []
+        #: PDG edge -> (loop-independent kept, carried contexts kept),
+        #: for the edges the parallel semantics changed.
+        self.overlay = {}
+        self.selectors = {}  # PDG edge -> DataSelector
+        self.sync_edges = []  # (producer node, consumer node)
+        self.pruned = 0  # PDG edges relaxed entirely
         self.undirected_edges = []
         self.variables = []
         self.accesses = []
@@ -238,10 +227,6 @@ class PSPDG:
             raise ValueError("context nodes need a label")
         self.contexts[node.context_label] = node
 
-    def add_directed_edge(self, edge):
-        self.directed_edges.append(edge)
-        return edge
-
     def add_undirected_edge(self, edge):
         self.undirected_edges.append(edge)
         return edge
@@ -253,13 +238,20 @@ class PSPDG:
         )
         return variable
 
-    def log_relaxation(self, relaxation):
-        self.relaxations.append(relaxation)
-
     # -- queries -----------------------------------------------------------------
 
     def node_of(self, instruction):
         return self.instruction_nodes[instruction]
+
+    def edge_state(self, edge):
+        """(loop-independent, carried context labels) ``edge`` keeps."""
+        state = self.overlay.get(edge)
+        if state is not None:
+            return state
+        return edge.loop_independent, tuple([
+            self.context_of_loop[loop.header.name]
+            for loop in edge.carried_loops
+        ])
 
     def all_nodes(self):
         result = []
@@ -284,19 +276,23 @@ class PSPDG:
         return labels
 
     def statistics(self):
-        """Feature counts (Section 6.1-style construction statistics)."""
-        nodes = self.all_nodes()  # one walk for both node counts
+        """Feature counts (Section 6.1-style construction statistics).
+
+        The builder labels every hierarchical node, and only those carry
+        traits, so both counts read the contexts; the directed edges are
+        the PDG's less those relaxed entirely, plus the sync edges.
+        """
         return {
             "instruction_nodes": len(self.instruction_nodes),
-            "hierarchical_nodes": sum(
-                isinstance(n, HierarchicalNode) for n in nodes
-            ),
+            "hierarchical_nodes": len(self.contexts),
             "contexts": len(self.contexts),
-            "traits": sum(len(n.traits) for n in nodes),
-            "directed_edges": len(self.directed_edges),
+            "traits": sum(len(n.traits) for n in self.contexts.values()),
+            "directed_edges": (
+                len(self.pdg.edges) - self.pruned + len(self.sync_edges)
+            ),
             "undirected_edges": len(self.undirected_edges),
             "selector_edges": sum(
-                1 for e in self.directed_edges if e.selector is not None
+                1 for edge in self.selectors if any(self.edge_state(edge))
             ),
             "variables": len(self.variables),
             "privatizable": sum(

@@ -14,9 +14,13 @@ EDGE_REGISTER = "register"
 EDGE_MEMORY = "memory"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class PDGEdge:
-    """A dependence from ``source`` to ``destination`` (instructions)."""
+    """A dependence from ``source`` to ``destination`` (instructions).
+
+    Edges compare and hash by identity: the PS-PDG's overlay and its
+    relaxation log name the edge itself.
+    """
 
     source: object
     destination: object

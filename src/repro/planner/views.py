@@ -59,29 +59,26 @@ class DependenceIndex:
         and the features relaxing any of them; then the endpoints of the
         orderless relaxations.  Graph order fixes Tarjan's, so the SCCs,
         the DSWP stages and ``describe()``: no bucket is a set."""
-        # (source, destination, kind, mem_kind, id(obj)) -> [{carried
-        # context label: features}, loop-independent instance's features].
+        # PDG edge -> [{carried context label: features}, the
+        # loop-independent instance's features].
         relaxed, undirected = {}, set()
         for relaxation in self.pspdg.relaxations:
-            removed = relaxed.setdefault(
-                (relaxation.source, relaxation.destination, relaxation.kind,
-                 relaxation.mem_kind, id(relaxation.obj)),
-                [{}, set()],
-            )
+            edge = relaxation.edge
+            removed = relaxed.get(edge)
+            if removed is None:
+                removed = relaxed[edge] = [{}, set()]
             for label in relaxation.carried_removed:
                 removed[0].setdefault(label, set()).add(relaxation.feature)
             if relaxation.loop_independent_removed:
                 removed[1].add(relaxation.feature)
             if relaxation.feature == "undirected":
-                undirected.update((relaxation.source, relaxation.destination))
+                undirected.update((edge.source, edge.destination))
 
         loops_of_block = self.pspdg.pdg.analyses.loops_of_block
         carried, intra, touched, buckets_of = {}, {}, {}, {}
         for edge in self.pspdg.pdg.edges:
             pair = (edge.source, edge.destination)
-            removed = relaxed.get(
-                (*pair, edge.kind, edge.mem_kind, id(edge.obj)), ((), ())
-            )
+            removed = relaxed.get(edge, ((), ()))
             for loop in edge.carried_loops:
                 features = removed[0] and removed[0].get(
                     loop_context_label(loop.header.name), ()

@@ -66,7 +66,7 @@ class TestRelaxations:
         # A misspelled feature would slip past every view's filter and
         # put the dependence back into the PS-PDG view.
         with pytest.raises(ValueError):
-            Relaxation(None, None, "memory", "RAW", None, "ctx", "indepedence")
+            Relaxation(None, "ctx", "indepedence")
 
 
 class TestHierarchy:

@@ -15,6 +15,7 @@ from repro.core.builder import PSPDGBuilder
 from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.session import Session
+from support.overlay import directed_edges
 from support.sufficiency import hierarchical_nodes, is_context
 
 
@@ -93,7 +94,7 @@ class TestWorksharingSemantics:
         loop_label = next(iter(graph.context_of_loop.values()))
         carried = [
             e
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if loop_label in e.carried_contexts
         ]
         assert carried == []
@@ -109,7 +110,7 @@ class TestWorksharingSemantics:
         loop_label = next(iter(graph.context_of_loop.values()))
         carried = [
             e
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if loop_label in e.carried_contexts
         ]
         assert carried
@@ -133,7 +134,7 @@ class TestWorksharingSemantics:
         )
         outer_carried = [
             e
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if outer_label in e.carried_contexts
         ]
         assert outer_carried
@@ -171,7 +172,7 @@ class TestOrderingSemantics:
         loop_label = next(iter(graph.context_of_loop.values()))
         carried = [
             e
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if loop_label in e.carried_contexts
         ]
         assert carried
@@ -312,7 +313,7 @@ class TestSelectors:
         )
         selectors = [
             e.selector.kind
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if e.selector is not None
         ]
         assert "last_producer" in selectors
@@ -326,7 +327,7 @@ class TestSelectors:
         )
         selectors = [
             e.selector.kind
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if e.selector is not None
         ]
         assert "any_producer" in selectors
@@ -340,7 +341,7 @@ class TestSelectors:
         )
         selectors = [
             e.selector.kind
-            for e in graph.directed_edges
+            for e in directed_edges(graph)
             if e.selector is not None
         ]
         assert "all_consumers" in selectors
@@ -392,5 +393,34 @@ class TestTasks:
             "  }\n"
             "}"
         )
-        sync_edges = [e for e in graph.directed_edges if e.kind == "sync"]
+        sync_edges = [e for e in directed_edges(graph) if e.kind == "sync"]
         assert sync_edges
+
+
+class _ScanCounter(list):
+    """A PDG's edge list that counts how often it is walked."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("loops", [1, 8])
+def test_one_build_walks_the_pdg_edges_once(loops):
+    """The builder files the edges in one walk, not one per annotation."""
+    body = "".join(
+        "  pragma omp parallel_for\n"
+        f"  for i in 0..8 {{ a[k[i]] = a[k[i]] + {n}; }}\n"
+        for n in range(loops)
+    )
+    module = compile_source(
+        f"global a: int[8];\nglobal k: int[8];\nfunc main() {{\n{body}}}"
+    )
+    pdg = pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    pdg.edges = _ScanCounter(pdg.edges)
+    graph = PSPDGBuilder(pdg).build()
+    assert len(graph.context_of_loop) == loops
+    assert Counter(r.feature for r in graph.relaxations)["independence"] > 0
+    assert pdg.edges.scans == 1

@@ -41,11 +41,11 @@ PROGRAMS = [*kernel_names(), *SOURCES]
 def log_rows(pspdg):
     return [
         (
-            r.source.uid,
-            r.destination.uid,
-            r.kind,
-            r.mem_kind,
-            repr(r.obj),
+            r.edge.source.uid,
+            r.edge.destination.uid,
+            r.edge.kind,
+            r.edge.mem_kind,
+            repr(r.edge.obj),
             r.context,
             r.feature,
             r.loop_independent_removed,

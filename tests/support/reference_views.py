@@ -13,12 +13,13 @@ the same SCCs in the same order.
 The views derive every abstraction from the PDG and the relaxation log;
 these scans read each one where it was first defined: the PDG's edges,
 J&K as the PDG minus the worksharing-independence removals the log
-records (scanned per query), and the PS-PDG as the builder's own
-directed edges, hierarchical producers and consumers expanded to their
-leaves.
+records (scanned per query), and the PS-PDG as its directed edges
+(``support/overlay.py``: the PDG's edges plus the builder's overlay),
+hierarchical producers and consumers expanded to their leaves.
 """
 
 from repro.core.builder import loop_context_label
+from support.overlay import directed_edges
 
 
 def loop_instructions(view, loop):
@@ -35,8 +36,7 @@ def _visible(view, edge, loop):
     label = loop_context_label(loop.header.name)
     return not any(
         relaxation.feature == "independence"
-        and relaxation.source is edge.source
-        and relaxation.destination is edge.destination
+        and relaxation.edge is edge
         and label in relaxation.carried_removed
         for relaxation in view.pspdg.relaxations
     )
@@ -49,7 +49,7 @@ def carried_edges(view, loop):
     result = []
     if view.name == "PS-PDG":
         label = loop_context_label(loop.header.name)
-        for edge in view.pspdg.directed_edges:
+        for edge in directed_edges(view.pspdg):
             if label not in edge.carried_contexts or edge.kind == "sync":
                 continue
             if edge.obj is not None and edge.obj in removable:
@@ -73,7 +73,7 @@ def intra_edges(view, loop):
     """Loop-independent dependences between instructions of ``loop``."""
     result = []
     if view.name == "PS-PDG":
-        for edge in view.pspdg.directed_edges:
+        for edge in directed_edges(view.pspdg):
             if not edge.loop_independent or edge.kind == "sync":
                 continue
             for src in edge.producer.leaf_instructions():

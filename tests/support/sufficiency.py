@@ -21,6 +21,7 @@ from repro.core.model import (
     TRAIT_UNORDERED,
     HierarchicalNode,
 )
+from support.overlay import directed_edges
 
 
 def hierarchical_nodes(pspdg):
@@ -124,7 +125,7 @@ def realized_features(pspdg, annotation):
             if uedge.a is node or uedge.b is node:
                 features.add(F_UNDIRECTED)
         members = set(node.leaf_instructions())
-        for edge in pspdg.directed_edges:
+        for edge in directed_edges(pspdg):
             if edge.producer is node or edge.consumer is node:
                 if edge.kind == "sync":
                     features.add(F_SYNC)
@@ -160,14 +161,14 @@ def realized_features(pspdg, annotation):
         if variable.context in contexts:
             features.add(f"variable:{variable.semantics}")
 
-    for edge in pspdg.directed_edges:
+    for edge in directed_edges(pspdg):
         if edge.selector is not None and edge.selector.context == annotation.uid:
             features.add(f"selector:{edge.selector.kind}")
 
     # Sync edges may target the annotation's node even when the node holds
     # no other features (barrier/taskwait/cilk_sync).
     if node is not None:
-        for edge in pspdg.directed_edges:
+        for edge in directed_edges(pspdg):
             if edge.kind == "sync" and (
                 edge.consumer is node or edge.producer is node
             ):
