@@ -70,7 +70,9 @@ def test_level(offset_a, offset_b, loop, inner_ivs):
     coeff_b = offset_b.coefficient(iv)
 
     # Terms over inner-loop ivs do not cancel: both sides range freely.
-    for var in set(offset_a.coefficients) | set(offset_b.coefficients):
+    # a's names, then b's, in insertion order: the loop returns early,
+    # so its order must not follow the names' addresses.
+    for var in {**offset_a.coefficients, **offset_b.coefficients}:
         if var is iv:
             continue
         if var in inner_ivs:
