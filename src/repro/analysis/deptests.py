@@ -137,7 +137,8 @@ def _inner_variant_test(offset_a, offset_b, loop, inner_ivs):
     never equal the small ``a*d`` an inner-carried conflict would need —
     the interval alone cannot see this and used to reject every perfect
     nest.  Bounding requires static ranges for every inner iv; otherwise
-    answer conservatively.
+    answer conservatively.  An outer iv's terms cancel when their
+    coefficients match and answer conservatively when they do not.
     """
     iv = loop.canonical.induction
     coeff = offset_a.coefficient(iv)
@@ -152,8 +153,13 @@ def _inner_variant_test(offset_a, offset_b, loop, inner_ivs):
         for var, term_coeff in offset.coefficients.items():
             if var is iv:
                 continue
-            space = iteration_range(inner_ivs[var]) \
-                if var in inner_ivs else None
+            if var not in inner_ivs:
+                # An outer induction, equal on both sides: it cancels
+                # when its coefficients match, as in ``test_level``.
+                if offset_a.coefficient(var) != offset_b.coefficient(var):
+                    return LevelDependence.conservative()
+                continue
+            space = iteration_range(inner_ivs[var])
             if space is None:
                 return LevelDependence.conservative()
             if space:

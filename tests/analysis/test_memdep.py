@@ -150,3 +150,35 @@ def test_each_reachability_question_is_asked_once(monkeypatch):
         FunctionAnalyses(module.function("main"), module).dependences
     assert asked
     assert len(asked) == len(set(asked))
+
+
+class TestOuterInductionTerms:
+    NEST = (
+        "global a: int[512];\n"
+        "func main() {\n"
+        "  for o in 0..8 {\n"
+        "    for l in 0..8 {\n"
+        "      for n in 0..8 {\n"
+        "        a[o * 64 + l * 8 + n] = a[o * {O} + l * 8 + n] + 1;\n"
+        "      }\n"
+        "    }\n"
+        "  }\n"
+        "}"
+    )
+
+    def _carried_at_middle(self, outer_coefficient):
+        _, deps, loops = deps_for(
+            self.NEST.replace("{O}", str(outer_coefficient))
+        )
+        middle = next(loop for loop in loops if loop.depth == 1)
+        return [
+            d for d in named(deps, display="@a") if middle in d.carried_loops
+        ]
+
+    def test_an_equal_outer_term_cancels_at_the_middle_loop(self):
+        """Each (o, l, n) touches its own slot, so nothing is carried at
+        ``l``: the outer induction's equal terms cancel."""
+        assert self._carried_at_middle(64) == []
+
+    def test_an_unequal_outer_term_stays_conservative(self):
+        assert self._carried_at_middle(32) != []
