@@ -7,8 +7,6 @@ and without ``depend``, a barrier and a spawn, selectors, and two
 critical sections of one lock.
 """
 
-import functools
-
 import pytest
 
 from repro import Session
@@ -149,7 +147,6 @@ SOURCES = {
 PROGRAMS = [*kernel_names(), *SOURCES]
 
 
-@functools.lru_cache(maxsize=None)
 def _pspdg(name):
     if name in SOURCES:
         return Session.from_source(SOURCES[name], name=name).pspdg

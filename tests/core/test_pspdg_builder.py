@@ -16,6 +16,7 @@ from repro.frontend import compile_source
 from repro.pdg.builder import pdg_from_analyses
 from repro.session import Session
 from support.overlay import directed_edges
+from support.recording import ScanCounter
 from support.sufficiency import hierarchical_nodes, is_context
 
 
@@ -397,16 +398,6 @@ class TestTasks:
         assert sync_edges
 
 
-class _ScanCounter(list):
-    """A PDG's edge list that counts how often it is walked."""
-
-    scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("loops", [1, 8])
 def test_one_build_walks_the_pdg_edges_once(loops):
     """The builder files the edges in one walk, not one per annotation."""
@@ -419,7 +410,7 @@ def test_one_build_walks_the_pdg_edges_once(loops):
         f"global a: int[8];\nglobal k: int[8];\nfunc main() {{\n{body}}}"
     )
     pdg = pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
-    pdg.edges = _ScanCounter(pdg.edges)
+    pdg.edges = ScanCounter(pdg.edges)
     graph = PSPDGBuilder(pdg).build()
     assert len(graph.context_of_loop) == loops
     assert Counter(r.feature for r in graph.relaxations)["independence"] > 0

@@ -12,6 +12,7 @@ from repro.planner.views import VIEW_FEATURES
 from repro.planner.classify import loop_instructions
 from repro.workloads import PAIRS, kernel_names
 from support import reference_views as reference
+from support.recording import ScanCounter
 from support.progen import generate_nest_program, generate_program
 
 
@@ -190,21 +191,11 @@ def test_buckets_answer_what_the_scans_answered(name):
                 assert scc.uids == {inst.uid for inst in scc.instructions}
 
 
-class _ScanCounter(list):
-    """A graph's edge list that counts how often it is walked."""
-
-    scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-
 def test_the_views_of_a_session_walk_each_graph_once():
     session = Session.from_kernel("BT")
     pdg, pspdg = session.pdg, session.pspdg
-    pdg.edges = _ScanCounter(pdg.edges)
-    pspdg.relaxations = _ScanCounter(pspdg.relaxations)
+    pdg.edges = ScanCounter(pdg.edges)
+    pspdg.relaxations = ScanCounter(pspdg.relaxations)
     assert len(session.loops) > 2
     assert set(session.views) == set(VIEW_FEATURES)
     for view in session.views.values():

@@ -17,13 +17,17 @@ paper §3, the §5 map of ``support/sufficiency.py``):
   ``threadprivate``; ``independence`` otherwise;
 * ``undirected`` — a carried conflict between two instances of one
   critical/atomic region: any order, no overlap, at every loop that
-  carries it;
+  carries it.  That is wider than the paper, whose orderlessness holds
+  in the region's parallel carrier: IS relaxes its critical at the
+  sequential time-step loop around the parallel region too;
 * ``selector`` — ``anyvalue(x)``: any iteration's write to ``x`` may
   win, so ``x``'s carried order inside the annotated loop goes;
 * ``task`` — a memory dependence between two sibling tasks with no
   matching ``depend`` clause (its loop-independent instance, in their
   parent's context, and every carried one), and a spawned task's
-  dependence on its continuation.
+  dependence on its continuation.  Like the builder, the licence looks
+  for no barrier, ``taskwait`` or ``sync`` in between: the builder
+  leaves that order to its sync edges, which no view reads.
 
 A triple names what one relaxation removed: one per label of its
 ``carried_removed``, plus ``(source, destination, context)`` when it

@@ -1,4 +1,5 @@
-"""A storage list that remembers which slots were stored to.
+"""Lists that remember how they were used: which slots were stored to
+(``RecordingList``), and how often they were walked (``ScanCounter``).
 
 ``VERIFY_COMPILED`` and ``payload.diff_table`` compare storage
 *images*, so a store that rewrites a slot's own value leaves them no
@@ -25,6 +26,16 @@ class RecordingList(list):
         elif slot.start is not None:
             self.stored.update(range(*slot.indices(len(self))))
         super().__setitem__(slot, value)
+
+
+class ScanCounter(list):
+    """A graph's edge list that counts how often it is walked."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
 
 
 def record_global_stores(monkeypatch):
