@@ -123,13 +123,11 @@ ALLOWED = {
     "test_parser_roundtrip.py)": """
         repro.ir.instructions: Call.describe
         repro.ir.values: Argument.short""",
-    "value semantics of types, constants and the console object (tests/ir/"
+    "value semantics of types and the console object (tests/ir/"
     "test_types.py::test_types_are_hashable, tests/analysis/"
-    "test_alias.py::test_console_objects_compare_equal, tests/analysis/"
-    "test_reductions_privatization.py::TestUpdateOp)": """
+    "test_alias.py::test_console_objects_compare_equal)": """
         repro.ir.types: Type.__hash__ ArrayType.__eq__ ArrayType.__hash__
         repro.ir.types: PointerType.__hash__
-        repro.ir.values: Constant.__hash__
         repro.analysis.alias: ConsoleObject.__eq__""",
     "bool, void and pointer types (tests/ir/test_types.py::"
     "test_scalar_slots, ::test_scalar_predicates, ::test_pointer_slots)": """

@@ -1,9 +1,12 @@
 """Memory dependence analysis.
 
-Produces the set of memory dependences (RAW/WAR/WAW) between instruction
-pairs of one function, each classified as *loop-independent* (can occur
-within a single iteration of every common loop — or outside loops entirely)
-and/or *loop-carried* at each common enclosing loop.
+Produces the memory dependences (RAW/WAR/WAW) between instruction pairs
+of one function, each classified as *loop-independent* (can occur within
+a single iteration of every common loop — or outside loops entirely)
+and/or *loop-carried* at each common enclosing loop.  Each dependence is
+emitted as the PDG's memory edge itself (a ``memory``
+:class:`~repro.pdg.graph.PDGEdge`): the PDG appends these objects, it
+does not copy them.
 
 Precision comes from three sources, in order:
 
@@ -26,6 +29,7 @@ from repro.analysis.alias import CONSOLE
 from repro.analysis.cfg import can_reach
 from repro.analysis.deptests import test_level
 from repro.ir.instructions import Call, Load, Print, Store
+from repro.pdg.graph import EDGE_MEMORY, PDGEdge
 
 
 @dataclasses.dataclass
@@ -40,26 +44,6 @@ class MemoryAccess:
     def __repr__(self):
         kind = "write" if self.is_write else "read"
         return f"<{kind} {self.obj!r} by #{self.instruction.uid}>"
-
-
-@dataclasses.dataclass
-class MemoryDependence:
-    """A dependence edge between two instructions on one object."""
-
-    source: object
-    destination: object
-    kind: str  # "RAW" | "WAR" | "WAW"
-    obj: object
-    loop_independent: bool
-    carried_loops: list  # Loop objects, innermost first
-
-    def __repr__(self):
-        carried = ",".join(l.header.name for l in self.carried_loops)
-        return (
-            f"<{self.kind} #{self.source.uid}->#{self.destination.uid} "
-            f"on {self.obj!r} intra={self.loop_independent} "
-            f"carried=[{carried}]>"
-        )
 
 
 def collect_accesses(analyses):
@@ -122,7 +106,7 @@ class MemoryDependenceAnalysis:
         self._reaches = functools.cache(self._reaches)
 
     def run(self):
-        """Return the list of :class:`MemoryDependence` edges."""
+        """Return the memory :class:`~repro.pdg.graph.PDGEdge` list."""
         dependences = []
         for group in self._accesses_by_object.values():
             for i, first in enumerate(group):
@@ -144,17 +128,12 @@ class MemoryDependenceAnalysis:
             kind = _dependence_kind(src.is_write, dst.is_write)
             if kind is None:
                 continue
-            edge = self._directed_dependence(src, dst, same_instruction)
-            if edge is not None:
-                edge_obj = MemoryDependence(
-                    src.instruction,
-                    dst.instruction,
-                    kind,
-                    src.obj,
-                    edge[0],
-                    edge[1],
-                )
-                results.append(edge_obj)
+            state = self._directed_dependence(src, dst, same_instruction)
+            if state is not None:
+                results.append(PDGEdge(
+                    src.instruction, dst.instruction, EDGE_MEMORY, kind,
+                    src.obj, *state,
+                ))
         return results
 
     def _directed_dependence(self, src, dst, same_instruction):
@@ -176,7 +155,7 @@ class MemoryDependenceAnalysis:
 
         if not loop_independent and not carried:
             return None
-        return (loop_independent, carried)
+        return (loop_independent, tuple(carried))
 
     def _common_loops(self, src_block, dst_block):
         """Loops containing both blocks, innermost first."""

@@ -3,10 +3,11 @@
 Everything the sequential analyses know about one function lives here,
 computed once: the CFG maps, operand users, dominator tree and
 single-store locals, the module's alias analysis, the natural loops,
-the memory accesses with their affine offsets, the memory dependences,
-and the per-loop questions the planner and the optimizer both ask
-(which objects does this loop touch, which are live-out, reducible,
-privatizable, removable, carried).  The PDG keeps this record
+the memory accesses with their affine offsets, the memory dependences
+(the PDG's memory edges, filed by carried loop once), and the per-loop
+questions the planner and the optimizer both ask (which objects does
+this loop touch, which are live-out, reducible, privatizable,
+removable, carried).  The PDG keeps this record
 (``pdg.analyses``), the PS-PDG its PDG, and every codegen lowering and
 run is handed it, so all read the same analyses — one ``Loop`` per
 header, one ``MemoryObject`` per storage.  A caller with no session
@@ -144,8 +145,18 @@ class FunctionAnalyses:
 
     @functools.cached_property
     def dependences(self):
-        """The function's :class:`MemoryDependence` edges."""
+        """The function's memory dependences: the PDG's memory edges."""
         return MemoryDependenceAnalysis(self).run()
+
+    @functools.cached_property
+    def carried_by_header(self):
+        """Loop header block -> the memory edges that loop carries, in
+        dependence order: the one filing of memory edges by loop."""
+        by_header = {}
+        for edge in self.dependences:
+            for loop in edge.carried_loops:
+                by_header.setdefault(loop.header, []).append(edge)
+        return by_header
 
     @functools.cached_property
     def positions(self):
@@ -205,9 +216,8 @@ class FunctionAnalyses:
 
     @_once_per_loop
     def carried_at(self, loop):
-        """object -> the first memory dependence ``loop`` carries on it."""
+        """object -> the first memory edge ``loop`` carries on it."""
         carried = {}
-        for dependence in self.dependences:
-            if loop in dependence.carried_loops:
-                carried.setdefault(dependence.obj, dependence)
+        for edge in self.carried_by_header.get(loop.header, ()):
+            carried.setdefault(edge.obj, edge)
         return carried

@@ -3,15 +3,14 @@
 The builder follows the paper's pipeline (Fig. 12): it starts from the
 sequential PDG and *overlays* on it the parallel semantics the frontend
 recorded.  No PDG edge is copied: a changed edge's remaining state sits
-in ``PSPDG.overlay``, its selector in ``PSPDG.selectors``.  The passes,
-in order:
+in ``PSPDG.overlay``, its selector in ``PSPDG.selectors``.  The memory
+edges (the only ones parallel semantics relax or select) are read from
+the analysis record, which holds them and files them by carried loop;
+the builder never walks ``pdg.edges``.  The passes, in order:
 
 * every natural loop and every directive region becomes a hierarchical
   node; labeled ones are contexts (§3.1, §3.3).  Each block resolves
   its innermost group and its ordering region once;
-* one walk of the PDG's edges keeps the memory edges (the only ones
-  parallel semantics relax or select) and files those carried at a
-  worksharing loop by loop;
 * data clauses produce parallel semantic variables with use/def accesses
   (§3.6, §5.2);
 * worksharing directives remove the loop-carried dependences their
@@ -52,7 +51,6 @@ from repro.core.model import (
 )
 from repro.frontend.directives import LOOP_INDEPENDENCE_KINDS
 from repro.ir.instructions import Load, Store
-from repro.pdg.graph import EDGE_MEMORY
 
 # Directive kinds whose regions multiply execution (threads/tasks), i.e.
 # legitimate carriers for parallel semantics like critical's orderlessness.
@@ -81,15 +79,13 @@ class PSPDGBuilder:
         self._groups = []  # (node, block_name_set, size): innermost lookup
         self._annotation_nodes = {}  # annotation uid -> HierarchicalNode
         self._ordering = {}  # block -> innermost critical/atomic/ordered
-        self._memory = []  # the PDG's memory edges, in graph order
-        self._carried_at = {}  # worksharing loop header -> carried edges
+        self._memory = self.analyses.dependences  # the PDG's memory edges
         self._by_object = None  # id(memory object) -> its memory edges
 
     # -- entry point -----------------------------------------------------------
 
     def build(self):
         self._build_hierarchy()
-        self._file_edges()
         self._apply_data_clauses()
         self._apply_worksharing()
         self._apply_ordering_regions()
@@ -171,19 +167,7 @@ class PSPDGBuilder:
                     best_size = size
         return best
 
-    # -- the one walk of the PDG's edges ---------------------------------------
-
-    def _file_edges(self):
-        self._memory = [e for e in self.pdg.edges if e.kind == EDGE_MEMORY]
-        carried_at = self._carried_at
-        for annotation in self._annotations_of_kind(LOOP_INDEPENDENCE_KINDS):
-            loop = self._loop_for_annotation(annotation)
-            if loop is not None:
-                carried_at[loop.header] = []
-        for edge in self._memory:
-            for loop in edge.carried_loops:
-                if loop.header in carried_at:
-                    carried_at[loop.header].append(edge)
+    # -- memory edges by object -----------------------------------------------
 
     def _edges_on(self, obj):
         """The memory edges on ``obj``, in graph order."""
@@ -354,7 +338,7 @@ class PSPDGBuilder:
                 region_labels.add(annotation.parent_uid)
             protected_vars = self._variable_objects_for(region_labels)
 
-            for edge in self._carried_at[loop.header]:
+            for edge in self.analyses.carried_by_header.get(loop.header, ()):
                 src_region = self._ordering[edge.source.parent]
                 dst_region = self._ordering[edge.destination.parent]
                 if src_region is not None and src_region is dst_region:
@@ -418,17 +402,14 @@ class PSPDGBuilder:
                     )
 
     def _innermost_carrier(self, node):
+        """The nearest enclosing loop or parallel-carrier node of
+        ``node``, or ``None``."""
         probe = node.parent
         while probe is not None:
             if (
                 isinstance(probe, HierarchicalNode)
                 and probe.kind in _PARALLEL_CARRIER_KINDS | {"loop"}
             ):
-                # Prefer the annotated carrier over the bare loop node when
-                # both wrap the same code: keep climbing past 'loop' nodes
-                # only if their parent is a worksharing annotation for the
-                # same loop; simplest faithful rule: accept the first
-                # carrier-kind or loop node.
                 return probe
             probe = probe.parent
         return None

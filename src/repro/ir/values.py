@@ -31,16 +31,6 @@ class Constant(Value):
     def __repr__(self):
         return f"const({self.value!r}: {self.type!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Constant)
-            and self.type == other.type
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash(("const", self.type, self.value))
-
 
 class Argument(Value):
     """A formal parameter of a function."""

@@ -1,10 +1,11 @@
 """The sequential Program Dependence Graph (Ferrante/Ottenstein/Warren).
 
 One node per IR instruction; edges carry control, register (SSA def-use),
-or memory dependences.  Memory edges record whether the dependence has a
-loop-independent component and the set of loops at which it is carried —
-what ``planner/views.py`` buckets per loop for the parallelization
-planner.
+or memory dependences.  The memory edges are the analysis record's own
+dependences (``analyses.dependences``, which memdep emits as edges of this
+class), not copies: each records whether the dependence has a
+loop-independent component and the loops at which it is carried — what
+``planner/views.py`` buckets per loop for the parallelization planner.
 """
 
 import dataclasses
@@ -44,7 +45,3 @@ class PDG:
         self.function = analyses.function
         self.nodes = list(self.function.instructions())
         self.edges = []
-
-    def add_edge(self, edge):
-        self.edges.append(edge)
-        return edge

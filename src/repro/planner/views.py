@@ -173,6 +173,7 @@ class DependenceView:
             return frozenset()
 
         endpoints = self.index.buckets[3]
+        users = self.analyses.users
         uids = set()
         for members in region_members.values():
             selected = endpoints.intersection(members)
@@ -192,10 +193,10 @@ class DependenceView:
                         for op in inst.operands
                         if hasattr(op, "opcode")
                     )
+                    # ``selected`` iterates in address order, so it is
+                    # only asked for membership: the walks are ordered.
                     fed = any(
-                        inst in other.operands
-                        for other in selected
-                        if hasattr(other, "operands")
+                        user in selected for user in users.get(id(inst), ())
                     )
                     if feeds and fed:
                         selected.add(inst)

@@ -5,8 +5,10 @@ return early makes the number of calls (and, one edit away, the answer)
 depend on what the process allocated before.  Subprocesses that
 differ in ``PYTHONHASHSEED`` and in what they allocate first compile
 EP, IS and SP at ``-O3``: all must make the same number of
-``AffineExpr.coefficient`` calls and log the same relaxations.  (Three,
-not two: an address-dependent count can still agree by chance.)
+``AffineExpr.coefficient`` calls and of Python calls into
+``repro/planner/views.py`` (generator resumptions included), and log the
+same relaxations.  (Three, not two: an address-dependent count can still
+agree by chance.)
 """
 
 import os
@@ -16,6 +18,7 @@ import sys
 
 _COMPILE = r"""
 import hashlib
+import os
 import sys
 
 ballast = [object() for _ in range(int(sys.argv[1]))]
@@ -34,6 +37,17 @@ def counted(self, name):
 
 
 AffineExpr.coefficient = counted
+VIEWS = os.path.join("repro", "planner", "views.py")
+views_calls = 0
+
+
+def profile(frame, event, arg):
+    global views_calls
+    if event == "call" and frame.f_code.co_filename.endswith(VIEWS):
+        views_calls += 1
+
+
+sys.setprofile(profile)
 for name in ("EP", "IS", "SP"):
     session = Session.from_kernel(name, opt_level=3)
     session.region_recipes
@@ -45,7 +59,9 @@ for name in ("EP", "IS", "SP"):
         for r in session.pspdg.relaxations
     ]
     print(name, hashlib.sha256(repr(rows).encode()).hexdigest())
+sys.setprofile(None)
 print("AffineExpr.coefficient", calls)
+print(VIEWS, views_calls)
 """
 
 
@@ -61,4 +77,5 @@ def _compile(seed, ballast):
 def test_two_cold_compiles_make_the_same_calls_and_log():
     runs = [_compile("1", 0), _compile("2", 50_000), _compile("3", 1_000)]
     assert "AffineExpr.coefficient" in runs[0]
+    assert os.path.join("repro", "planner", "views.py") in runs[0]
     assert runs[1:] == runs[:1] * 2

@@ -14,7 +14,7 @@ def deps_for(source):
 def named(deps, kind=None, display=None):
     out = []
     for d in deps:
-        if kind is not None and d.kind != kind:
+        if kind is not None and d.mem_kind != kind:
             continue
         name = getattr(d.obj, "display_name", "")
         if display is not None and name != display:
@@ -31,7 +31,7 @@ class TestScalars:
         )
         loop = loops[0]
         kinds = {
-            d.kind
+            d.mem_kind
             for d in named(deps, display="s")
             if loop in d.carried_loops
         }
@@ -112,7 +112,7 @@ class TestOrdering:
     def test_prints_serialize_through_console(self):
         _, deps, _ = deps_for("func main() { print(1); print(2); }")
         console = [d for d in deps if d.obj.display_name == "<console>"]
-        assert any(d.kind == "WAW" for d in console)
+        assert any(d.mem_kind == "WAW" for d in console)
 
     def test_call_dependences_via_summary(self):
         module = compile_source(
@@ -127,7 +127,7 @@ class TestOrdering:
             for d in deps
             if d.source.opcode == "call" or d.destination.opcode == "call"
         ]
-        assert any(d.kind == "RAW" for d in call_deps)
+        assert any(d.mem_kind == "RAW" for d in call_deps)
 
 
 def test_each_reachability_question_is_asked_once(monkeypatch):

@@ -398,9 +398,9 @@ class TestTasks:
         assert sync_edges
 
 
-@pytest.mark.parametrize("loops", [1, 8])
-def test_one_build_walks_the_pdg_edges_once(loops):
-    """The builder files the edges in one walk, not one per annotation."""
+def _walks(loops):
+    """(walks of ``pdg.edges``, walks of the memory edges) in one build
+    over ``loops`` annotated loops."""
     body = "".join(
         "  pragma omp parallel_for\n"
         f"  for i in 0..8 {{ a[k[i]] = a[k[i]] + {n}; }}\n"
@@ -409,9 +409,17 @@ def test_one_build_walks_the_pdg_edges_once(loops):
     module = compile_source(
         f"global a: int[8];\nglobal k: int[8];\nfunc main() {{\n{body}}}"
     )
-    pdg = pdg_from_analyses(FunctionAnalyses(module.function("main"), module))
+    analyses = FunctionAnalyses(module.function("main"), module)
+    pdg = pdg_from_analyses(analyses)
     pdg.edges = ScanCounter(pdg.edges)
+    analyses.dependences = ScanCounter(analyses.dependences)
     graph = PSPDGBuilder(pdg).build()
     assert len(graph.context_of_loop) == loops
     assert Counter(r.feature for r in graph.relaxations)["independence"] > 0
-    assert pdg.edges.scans == 1
+    return pdg.edges.scans, analyses.dependences.scans
+
+
+def test_one_build_files_the_memory_edges_once():
+    """The builder never walks the PDG's edges, and the memory edges are
+    filed by loop once, not once per annotation."""
+    assert _walks(1) == _walks(8) == (0, 1)

@@ -73,3 +73,25 @@ def test_loop_adjacency_restricted_to_loop():
 def test_loops_attached_to_pdg():
     pdg = pdg_for("func main() { for i in 0..3 { } }")
     assert len(pdg.analyses.loops) == 1
+
+
+def test_memory_edges_are_the_records_dependences():
+    """One object per memory dependence: the PDG's memory edges are the
+    analysis record's, and every relaxation names one of them."""
+    pdg = pdg_for(
+        "global h: int[4];\nglobal k: int[8];\nglobal s: int;\n"
+        "func main() {\n"
+        "  pragma omp parallel_for\n"
+        "  for i in 0..8 {\n"
+        "    h[k[i]] = h[k[i]] + 1;\n"
+        "    pragma omp critical\n"
+        "    { s = s + i; }\n"
+        "  }\n"
+        "}"
+    )
+    # ``PDGEdge`` compares by identity, so these are the same objects.
+    dependences = pdg.analyses.dependences
+    assert [e for e in pdg.edges if e.kind == EDGE_MEMORY] == dependences
+    relaxations = PSPDGBuilder(pdg).build().relaxations
+    assert {r.feature for r in relaxations} >= {"independence", "undirected"}
+    assert set(r.edge for r in relaxations) <= set(dependences)

@@ -265,7 +265,7 @@ def _assert_deletion_is_caught(source):
     pruned = PDG(pdg.analyses)
     for edge in pdg.edges:
         if not (edge.kind == EDGE_MEMORY and loop in edge.carried_loops):
-            pruned.add_edge(edge)
+            pruned.edges.append(edge)
     assert len(pruned.edges) < len(pdg.edges)
     assert classify_loop(_pdg_view(pruned), loop).doall_legal
 

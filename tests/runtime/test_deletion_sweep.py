@@ -108,7 +108,7 @@ def sweep(session):
             pruned = PDG(pdg.analyses)
             for edge in pdg.edges:
                 if not _carried_on(edge, loop, obj):
-                    pruned.add_edge(edge)
+                    pruned.edges.append(edge)
             after = _views(PSPDGBuilder(pruned).build())
             flipped = [
                 name for name, view in after.items()
